@@ -555,11 +555,16 @@ func BenchmarkF7ZeroClosure(b *testing.B) {
 
 func benchTSDB(b *testing.B, count, length int) *tsdb.DB {
 	b.Helper()
+	return benchTSDBSeed(b, 99, count, length)
+}
+
+func benchTSDBSeed(b *testing.B, seed int64, count, length int) *tsdb.DB {
+	b.Helper()
 	db, err := tsdb.New(2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, s := range stock.Walks(99, count, length) {
+	for _, s := range stock.Walks(seed, count, length) {
 		if _, err := db.Add(s); err != nil {
 			b.Fatal(err)
 		}
@@ -716,5 +721,64 @@ func BenchmarkCT1JoinMethods(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// tsRangeBench is the ts_range workload of bench/ in miniature: 12 000
+// random walks of 128 points under the 20-day moving average, k = 2,
+// eps = 2.0, and as queries the smoothed, lightly perturbed walks
+// themselves (every 60th).
+func tsRangeBench(b *testing.B) (*tsdb.DB, [][]float64, *tsdb.Transform) {
+	b.Helper()
+	db := benchTSDBSeed(b, 1, 12000, 128)
+	mavg, err := tsdb.MovingAvg(128, 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	var queries [][]float64
+	for i := 0; i < db.Len(); i += 60 {
+		series, err := db.Series(i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		q := make([]float64, 128)
+		for j, x := range series {
+			q[j] = x + rng.NormFloat64()*0.01
+		}
+		if q, err = tsdb.MovingAverage(q, 20); err != nil {
+			b.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	return db, queries, mavg
+}
+
+const tsRangeEps = 2.0
+
+// BenchmarkTSRangeIndex and BenchmarkTSRangeScan are the paper's headline
+// pair — a transformed range query through the k-index against the
+// early-abort sequential scan — on the ts_range shape. BENCH_baseline.json
+// gates Index at half of Scan.
+func BenchmarkTSRangeIndex(b *testing.B) {
+	db, queries, mavg := tsRangeBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := db.RangeIndex(queries[i%len(queries)], mavg, tsRangeEps); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTSRangeScan is the scan side of BenchmarkTSRangeIndex.
+func BenchmarkTSRangeScan(b *testing.B) {
+	db, queries, mavg := tsRangeBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := db.RangeScan(queries[i%len(queries)], mavg, tsRangeEps); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

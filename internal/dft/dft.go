@@ -13,7 +13,9 @@ package dft
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
+	"sync/atomic"
 )
 
 // Transform returns the DFT of x with unitary normalisation:
@@ -22,59 +24,100 @@ import (
 //
 // The input is not modified.
 func Transform(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	copy(out, x)
-	if n == 0 {
-		return out
-	}
-	if n&(n-1) == 0 {
-		fft(out, false)
-	} else {
-		out = naive(x, false)
-	}
-	scale := complex(1/math.Sqrt(float64(n)), 0)
-	for i := range out {
-		out[i] *= scale
-	}
-	return out
+	return unitary(make([]complex128, len(x)), x, false)
 }
 
 // Inverse returns the inverse DFT with the matching normalisation:
 //
 //	x_t = (1/√n) Σ_f X_f e^{+j2πtf/n}.
 func Inverse(X []complex128) []complex128 {
-	n := len(X)
-	out := make([]complex128, n)
-	copy(out, X)
-	if n == 0 {
-		return out
+	return unitary(make([]complex128, len(X)), X, true)
+}
+
+// TransformReal transforms a real series. The spectrum of a real series
+// is conjugate-symmetric, X[n-f] = conj(X[f]); the result satisfies that
+// exactly (the upper half is the mirror of the computed lower half, DC
+// and Nyquist are real), so callers may test the symmetry with ==.
+func TransformReal(x []float64) []complex128 {
+	return TransformRealInto(make([]complex128, len(x)), x)
+}
+
+// TransformRealInto is TransformReal writing into dst, which must hold
+// at least len(x) elements; a caller on a hot path reuses one buffer.
+func TransformRealInto(dst []complex128, x []float64) []complex128 {
+	n := len(x)
+	dst = dst[:n]
+	in := dst
+	if n&(n-1) != 0 {
+		in = make([]complex128, n) // the O(n²) fallback cannot run in place
 	}
+	for i, v := range x {
+		in[i] = complex(v, 0)
+	}
+	unitary(dst, in, false)
+	for f := 1; 2*f < n; f++ {
+		dst[n-f] = cmplx.Conj(dst[f])
+	}
+	if n > 0 {
+		dst[0] = complex(real(dst[0]), 0)
+		if n%2 == 0 {
+			dst[n/2] = complex(real(dst[n/2]), 0)
+		}
+	}
+	return dst
+}
+
+// unitary writes the forward or inverse unitary transform of x into out
+// (len(out) == len(x)). out may be x itself when the length is a power
+// of two.
+func unitary(out, x []complex128, inverse bool) []complex128 {
+	n := len(x)
 	if n&(n-1) == 0 {
-		fft(out, true)
+		copy(out, x)
+		fft(out, inverse)
 	} else {
-		out = naive(X, true)
+		naive(out, x, inverse)
 	}
-	scale := complex(1/math.Sqrt(float64(n)), 0)
-	for i := range out {
-		out[i] *= scale
+	scale := 1 / math.Sqrt(float64(n))
+	for i, v := range out {
+		out[i] = complex(real(v)*scale, imag(v)*scale)
 	}
 	return out
 }
 
-// TransformReal converts a real series and transforms it.
-func TransformReal(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
+// twiddleTab[log2 n] holds e^{-j2πj/n} for j < n/2, each entry from its
+// own Sincos call, so the rounding error of a twiddle does not grow with
+// its position the way a running product's does. A table is built on
+// first use of its length and never changes; two goroutines racing to
+// build one store identical contents.
+var twiddleTab [bits.UintSize]atomic.Pointer[[]complex128]
+
+func twiddles(n int) []complex128 {
+	slot := &twiddleTab[bits.TrailingZeros(uint(n))]
+	if w := slot.Load(); w != nil {
+		return *w
 	}
-	return Transform(c)
+	w := make([]complex128, n/2)
+	for j := range w {
+		s, c := math.Sincos(-2 * math.Pi * float64(j) / float64(n))
+		w[j] = complex(c, s)
+	}
+	slot.Store(&w)
+	return w
 }
 
 // fft runs an in-place iterative radix-2 Cooley–Tukey transform
-// (without normalisation). inverse flips the twiddle sign.
+// (without normalisation) on a power-of-two length. The inverse is the
+// conjugate of the forward transform of the conjugate.
 func fft(a []complex128, inverse bool) {
 	n := len(a)
+	if n < 2 {
+		return
+	}
+	if inverse {
+		conjugate(a)
+		defer conjugate(a)
+	}
 	// Bit reversal permutation.
 	for i, j := 1, 0; i < n; i++ {
 		bit := n >> 1
@@ -86,29 +129,29 @@ func fft(a []complex128, inverse bool) {
 			a[i], a[j] = a[j], a[i]
 		}
 	}
-	for length := 2; length <= n; length <<= 1 {
-		ang := 2 * math.Pi / float64(length)
-		if !inverse {
-			ang = -ang
-		}
-		wl := cmplx.Exp(complex(0, ang))
-		for i := 0; i < n; i += length {
-			w := complex(1, 0)
-			for j := 0; j < length/2; j++ {
-				u := a[i+j]
-				v := a[i+j+length/2] * w
-				a[i+j] = u + v
-				a[i+j+length/2] = u - v
-				w *= wl
+	w := twiddles(n)
+	for half := 1; half < n; half <<= 1 {
+		step := n / (2 * half)
+		for i := 0; i < n; i += 2 * half {
+			lo, hi := a[i:i+half], a[i+half:i+2*half]
+			for j := range lo {
+				u, v := lo[j], hi[j]*w[j*step]
+				lo[j], hi[j] = u+v, u-v
 			}
 		}
 	}
 }
 
-// naive is the O(n²) fallback for non-power-of-two lengths.
-func naive(x []complex128, inverse bool) []complex128 {
+func conjugate(a []complex128) {
+	for i, v := range a {
+		a[i] = cmplx.Conj(v)
+	}
+}
+
+// naive is the O(n²) fallback for non-power-of-two lengths; out must
+// not alias x.
+func naive(out, x []complex128, inverse bool) {
 	n := len(x)
-	out := make([]complex128, n)
 	sign := -1.0
 	if inverse {
 		sign = 1.0
@@ -121,7 +164,6 @@ func naive(x []complex128, inverse bool) []complex128 {
 		}
 		out[f] = sum
 	}
-	return out
 }
 
 // Energy returns Σ|x_t|² (Equation 3 of the companion paper).

@@ -6,10 +6,13 @@
 // Two features serve the similarity-query framework specifically:
 //
 //   - Searches accept an optional per-dimension affine transformation
-//     (a stretch vector and a translation vector). The search applies
-//     the transformation to node rectangles *on the fly* — Algorithm 1
-//     of the companion implementation paper — so one index serves many
-//     safe transformations without being rebuilt.
+//     (a stretch vector and a translation vector) and answer over the
+//     image of the index under it — Algorithm 1 of the companion
+//     implementation paper — so one index serves many safe
+//     transformations without being rebuilt. The transformation is
+//     inverted onto the query once per search instead of being applied
+//     to every rectangle and point met; the search loops themselves run
+//     over a flat copy of the tree and allocate nothing.
 //   - Every search reports node-access counts so the experiments can
 //     compare transformed and plain traversals.
 package rtree
@@ -166,16 +169,17 @@ func (r Rect) MinDist(p []float64) float64 {
 
 // Affine is a per-dimension linear transformation x -> A*x + B — the
 // safe transformation class of the framework restricted to the real
-// feature space (Theorem 1/2 of the companion paper). Negative
-// stretches are allowed; rectangle images swap their bounds per
-// dimension, preserving safety.
+// feature space (Theorem 1/2 of the companion paper). Negative and zero
+// stretches are allowed.
 //
 // Circular optionally marks dimensions as angles with period 2π (the
-// phase dimensions of the polar feature space of Theorem 3). Points in
-// circular dimensions are wrapped back into [-π, π); rectangle images
-// that would cross the ±π seam are widened to the full circle, which
-// preserves the no-false-dismissal guarantee (widening an MBR can only
-// add false hits, which verification removes).
+// phase dimensions of the polar feature space of Theorem 3). Only
+// rotations and the reflection map a circle onto itself, so a circular
+// dimension takes A = ±1 (or 0); its images are wrapped into [-π, π),
+// and a query interval in it is read as an arc: centre (Min+Max)/2,
+// half-width (Max-Min)/2, so it may run past ±π instead of being
+// widened to the full circle at the seam. The indexed coordinates of a
+// circular dimension must lie in [-π, π].
 type Affine struct {
 	A, B     []float64
 	Circular []bool // nil means no circular dimensions
@@ -191,7 +195,7 @@ func Identity(dim int) *Affine {
 	return &Affine{A: a, B: b}
 }
 
-// Validate checks dimensions.
+// Validate checks dimensions and that every coefficient is finite.
 func (t *Affine) Validate(dim int) error {
 	if len(t.A) != dim || len(t.B) != dim {
 		return fmt.Errorf("rtree: affine dim %d/%d, want %d", len(t.A), len(t.B), dim)
@@ -199,8 +203,18 @@ func (t *Affine) Validate(dim int) error {
 	if t.Circular != nil && len(t.Circular) != dim {
 		return fmt.Errorf("rtree: circular mask dim %d, want %d", len(t.Circular), dim)
 	}
+	for i, a := range t.A {
+		if math.IsNaN(a) || math.IsInf(a, 0) || math.IsNaN(t.B[i]) || math.IsInf(t.B[i], 0) {
+			return fmt.Errorf("rtree: affine dim %d is not finite (%g, %g)", i, a, t.B[i])
+		}
+		if t.circular(i) && a != 1 && a != -1 && a != 0 {
+			return fmt.Errorf("rtree: circular dim %d has stretch %g, want 1, -1 or 0", i, a)
+		}
+	}
 	return nil
 }
+
+func (t *Affine) circular(i int) bool { return t.Circular != nil && t.Circular[i] }
 
 // WrapAngle maps x into [-π, π).
 func WrapAngle(x float64) float64 {
@@ -211,53 +225,16 @@ func WrapAngle(x float64) float64 {
 	return x - math.Pi
 }
 
-// Apply maps a point, wrapping circular dimensions into [-π, π).
+// Apply maps a point, wrapping circular dimensions into [-π, π). The
+// searches never call it — they pull the query back through the
+// transformation once instead (see probe) — it states what they compute.
 func (t *Affine) Apply(p []float64) []float64 {
-	return t.ApplyInto(p, make([]float64, len(p)))
-}
-
-// ApplyInto is Apply writing into dst (len(dst) == len(p)); the search
-// loops use it to stay allocation-free.
-func (t *Affine) ApplyInto(p, dst []float64) []float64 {
+	dst := make([]float64, len(p))
 	for i := range p {
 		dst[i] = t.A[i]*p[i] + t.B[i]
-		if t.Circular != nil && t.Circular[i] {
+		if t.circular(i) {
 			dst[i] = WrapAngle(dst[i])
 		}
 	}
 	return dst
-}
-
-// ApplyRect maps a rectangle, swapping bounds where A is negative so
-// the image is again a valid rectangle. This is exactly the safety
-// property: images of rectangles are rectangles, interiors map to
-// interiors. Circular dimensions wrap; images crossing the ±π seam
-// widen to the full circle.
-func (t *Affine) ApplyRect(r Rect) Rect {
-	return t.ApplyRectInto(r, make([]float64, len(r.Min)), make([]float64, len(r.Max)))
-}
-
-// ApplyRectInto is ApplyRect writing into the supplied bound slices;
-// the search loops use it to stay allocation-free.
-func (t *Affine) ApplyRectInto(r Rect, lo, hi []float64) Rect {
-	for i := range r.Min {
-		a, b := t.A[i]*r.Min[i]+t.B[i], t.A[i]*r.Max[i]+t.B[i]
-		if a > b {
-			a, b = b, a
-		}
-		if t.Circular != nil && t.Circular[i] {
-			w := b - a
-			if w >= 2*math.Pi {
-				a, b = -math.Pi, math.Pi
-			} else {
-				a = WrapAngle(a)
-				b = a + w
-				if b > math.Pi {
-					a, b = -math.Pi, math.Pi
-				}
-			}
-		}
-		lo[i], hi[i] = a, b
-	}
-	return Rect{Min: lo, Max: hi}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Entry is one indexed point with its caller-assigned identifier.
@@ -20,6 +22,11 @@ type Tree struct {
 	min  int // min entries per node (fill guarantee)
 	root *node
 	size int
+
+	// flat is the layout searches read (see flat.go); nil after an
+	// Insert until the next search or Pack rebuilds it under flatMu.
+	flat   atomic.Pointer[flat]
+	flatMu sync.Mutex
 }
 
 type node struct {
@@ -78,6 +85,7 @@ func (t *Tree) Insert(id int, p []float64) error {
 	}
 	t.insertEntry(e, map[int]bool{})
 	t.size++
+	t.flat.Store(nil)
 	return nil
 }
 

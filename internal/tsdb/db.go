@@ -1,10 +1,13 @@
 package tsdb
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"math/cmplx"
+	"slices"
+	"sync"
 
+	"repro/internal/dft"
 	"repro/internal/rtree"
 )
 
@@ -21,6 +24,8 @@ type DB struct {
 	means  []float64
 	stds   []float64
 	tree   *rtree.Tree
+
+	scratch sync.Pool // of *queryScratch, sized for n and k
 }
 
 // New returns an empty database indexing the first k non-DC
@@ -97,9 +102,9 @@ func (db *DB) MeanStd(id int) (mean, std float64, err error) {
 	return db.means[id], db.stds[id], nil
 }
 
-// Build constructs the R*-tree over the feature points. Queries build
-// it lazily if needed; bulk callers invoke it once to keep timings
-// honest.
+// Build constructs the R*-tree over the feature points and packs it into
+// its flat read layout. Queries build it lazily if needed; bulk callers
+// invoke it once to keep timings honest.
 func (db *DB) Build() error {
 	tree, err := rtree.New(2*db.k, 32)
 	if err != nil {
@@ -110,6 +115,7 @@ func (db *DB) Build() error {
 			return err
 		}
 	}
+	tree.Pack()
 	db.tree = tree
 	return nil
 }
@@ -133,100 +139,174 @@ type Stats struct {
 	Candidates   int // entries that reached exact verification
 }
 
-// queryFeatures prepares the query's coefficient vector and feature
-// point from a raw series.
-func (db *DB) queryFeatures(q []float64) ([]float64, []complex128, error) {
-	if len(q) != db.n {
-		return nil, nil, fmt.Errorf("tsdb: query length %d, want %d", len(q), db.n)
+// checkArgs validates what every query entry point takes: a transformation
+// for this database's series length, and a usable threshold.
+func (db *DB) checkArgs(t *Transform, eps float64) error {
+	if t != nil && len(t.A) != db.n {
+		return fmt.Errorf("tsdb: transform %s is for length %d, series have length %d", t.Name, len(t.A), db.n)
 	}
-	return db.newFeatures(q)
+	if math.IsNaN(eps) || math.IsInf(eps, 0) || eps < 0 {
+		return fmt.Errorf("tsdb: eps must be finite and non-negative, got %g", eps)
+	}
+	return nil
 }
 
-func (db *DB) newFeatures(q []float64) ([]float64, []complex128, error) {
-	feat, X, _, _, err := FeaturePoint(q, db.k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return feat, X, nil
+// queryScratch is what one query computes on the way to its answers: the
+// query's normal form, spectrum and feature point, the search rectangle,
+// the transformation as the index sees it, and the index's own search
+// buffers. DB pools them, so a query allocates little beyond its result.
+type queryScratch struct {
+	norm []float64
+	X    []complex128
+	feat []float64
+	rect rtree.Rect
+	tf   rtree.Affine
+	srch rtree.Searcher
 }
 
-// exactDist computes D(T(X_id), Q) over the full coefficient vectors,
-// aborting early (ok=false) once the partial sum exceeds eps². With
-// T == nil the identity is used. This is both the verification step of
-// the index path and the inner loop of the sequential-scan baseline.
-func (db *DB) exactDist(id int, t *Transform, q []complex128, eps float64) (float64, bool) {
-	x := db.coeffs[id]
-	limit := eps * eps
+func (db *DB) getScratch() *queryScratch {
+	// n is fixed by the first Add; a scratch pooled before that (by a
+	// query that failed on the empty database) has the wrong size.
+	if s, ok := db.scratch.Get().(*queryScratch); ok && len(s.norm) == db.n {
+		return s
+	}
+	dim := 2 * db.k
+	s := &queryScratch{
+		norm: make([]float64, db.n),
+		X:    make([]complex128, db.n),
+		feat: make([]float64, dim),
+		rect: rtree.Rect{Min: make([]float64, dim), Max: make([]float64, dim)},
+		tf:   rtree.Affine{A: make([]float64, dim), B: make([]float64, dim), Circular: make([]bool, dim)},
+	}
+	for d := 1; d < dim; d += 2 {
+		s.tf.Circular[d] = true // the phase dimensions
+		s.tf.A[d] = 1
+	}
+	return s
+}
+
+// features fills in the query's spectrum and feature point.
+func (s *queryScratch) features(q []float64) error {
+	if len(q) != len(s.norm) {
+		return fmt.Errorf("tsdb: query length %d, want %d", len(q), len(s.norm))
+	}
+	if _, _, err := normalInto(s.norm, q); err != nil {
+		return err
+	}
+	dft.TransformRealInto(s.X, s.norm)
+	polarInto(s.feat, s.X)
+	return nil
+}
+
+// verifier computes D(T(X), Q) for one query against many series.
+//
+// Series and queries are real, so their spectra are conjugate-symmetric:
+// X[n-f] = conj(X[f]). When the multipliers are too (the DFT of any real
+// kernel is), term n-f of the distance is the conjugate of term f, and
+// the sum over f <= n/2, with the mirrored terms doubled, is the whole
+// distance at half the work. half records that; the caller decides it
+// once, not per series.
+type verifier struct {
+	a     []complex128 // the multipliers; nil for the identity
+	q     []complex128
+	limit float64 // eps²; +Inf never aborts
+	half  bool
+}
+
+func newVerifier(t *Transform, q []complex128, eps float64) verifier {
+	v := verifier{q: q, limit: eps * eps, half: true}
+	if t != nil {
+		v.a = t.A
+		v.half = t.symmetric((len(t.A) - 1) / 2)
+	}
+	return v
+}
+
+// dist returns D(T(x), Q), aborting early (ok=false) once the partial
+// sum exceeds the limit. This is both the verification step of the index
+// path and the inner loop of the sequential-scan baseline.
+func (v *verifier) dist(x []complex128) (float64, bool) {
+	n := len(x)
+	end := n
+	if v.half {
+		end = n/2 + 1
+	}
+	q := v.q[:end]
 	var sum float64
-	for f := range x {
-		v := x[f]
-		if t != nil {
-			v *= t.A[f]
+	for f, c := range x[:end] {
+		if v.a != nil {
+			c *= v.a[f]
 		}
-		d := v - q[f]
-		sum += real(d)*real(d) + imag(d)*imag(d)
-		if sum > limit {
+		d := c - q[f]
+		term := real(d)*real(d) + imag(d)*imag(d)
+		if v.half && f != 0 && 2*f != n {
+			term += term // DC and Nyquist have no mirror image
+		}
+		sum += term
+		if sum > v.limit {
 			return 0, false
 		}
 	}
 	return math.Sqrt(sum), true
 }
 
-// fullDist is exactDist without the early abort (the companion's
-// method-a baseline).
-func (db *DB) fullDist(id int, t *Transform, q []complex128) float64 {
-	x := db.coeffs[id]
-	var sum float64
-	for f := range x {
-		v := x[f]
-		if t != nil {
-			v *= t.A[f]
-		}
-		d := v - q[f]
-		sum += real(d)*real(d) + imag(d)*imag(d)
+// rectSlack widens the search rectangle by a part in 10⁹: the distance
+// sum, the polar conversion and asin all round, and a series whose
+// distance is eps to the last digit must not be dismissed for it.
+const rectSlack = 1e-9
+
+// candidates is the filter step: the ids, in index order, of every series
+// whose first k transformed coefficients each lie within r of the probe's
+// (feat is the probe's feature point), found by searching the k-index
+// with the transformation pulled back onto the rectangle (Algorithm 2).
+//
+// r comes from the conjugate symmetry again. When multipliers 1..k have
+// it, D² >= Σ_{f<=k} |a_f X_f − q_f|² + the same sum over the mirrored
+// terms n−k..n−1 = 2·Σ_{f<=k} |a_f X_f − q_f|², so D <= eps puts every
+// indexed coefficient within eps/√2. Otherwise only D² >= Σ_{f<=k} holds
+// and r is eps.
+func (db *DB) candidates(s *queryScratch, feat []float64, t *Transform, eps float64) ([]int, int, error) {
+	r := eps
+	if t == nil || t.symmetric(db.k) {
+		r = eps / math.Sqrt2
 	}
-	return math.Sqrt(sum)
+	searchRect(s.rect, feat, r*(1+rectSlack))
+	polarAffine(&s.tf, t)
+	ids, st, err := s.srch.Search(db.tree, s.rect, &s.tf)
+	return ids, st.NodeAccesses, err
 }
 
 // RangeIndex answers the framework's range query with the k-index:
 // all series x with D(T(X), Q) <= eps, where X is the normal-form
 // coefficient vector of x and Q that of the query series. T == nil
-// means identity. The index is traversed with T applied to node
-// rectangles on the fly (Algorithm 2); candidates are verified exactly,
-// so the answer set equals the sequential scan's (Lemma 1: no false
-// dismissals).
+// means identity. Candidates from the index are verified exactly, so the
+// answer set equals the sequential scan's (Lemma 1: no false dismissals).
 func (db *DB) RangeIndex(q []float64, t *Transform, eps float64) ([]Match, Stats, error) {
 	var st Stats
+	if err := db.checkArgs(t, eps); err != nil {
+		return nil, st, err
+	}
 	if err := db.ensureTree(); err != nil {
 		return nil, st, err
 	}
-	qFeat, qX, err := db.queryFeatures(q)
+	s := db.getScratch()
+	defer db.scratch.Put(s)
+	if err := s.features(q); err != nil {
+		return nil, st, err
+	}
+	ids, nodes, err := db.candidates(s, s.feat, t, eps)
 	if err != nil {
 		return nil, st, err
 	}
-	rect, err := SearchRect(qFeat, eps)
-	if err != nil {
-		return nil, st, err
-	}
-	var tf *rtree.Affine
-	if t != nil {
-		tf, err = t.PolarAffine(db.k)
-		if err != nil {
-			return nil, st, err
-		}
-	}
-	ids, sst, err := db.tree.SearchTransformed(rect, tf)
-	if err != nil {
-		return nil, st, err
-	}
-	st.NodeAccesses = sst.NodeAccesses
+	st.NodeAccesses, st.Candidates = nodes, len(ids)
+	v := newVerifier(t, s.X, eps)
 	var out []Match
 	for _, id := range ids {
-		st.Candidates++
-		if d, ok := db.exactDist(id, t, qX, eps); ok {
+		if d, ok := v.dist(db.coeffs[id]); ok {
 			out = append(out, Match{ID: id, Dist: d})
 		}
 	}
+	slices.SortFunc(out, func(a, b Match) int { return cmp.Compare(a.ID, b.ID) }) // as the scan answers
 	return out, st, nil
 }
 
@@ -235,14 +315,19 @@ func (db *DB) RangeIndex(q []float64, t *Transform, eps float64) ([]Match, Stats
 // distance computation as soon as it exceeds eps).
 func (db *DB) RangeScan(q []float64, t *Transform, eps float64) ([]Match, Stats, error) {
 	var st Stats
-	_, qX, err := db.queryFeatures(q)
-	if err != nil {
+	if err := db.checkArgs(t, eps); err != nil {
 		return nil, st, err
 	}
+	s := db.getScratch()
+	defer db.scratch.Put(s)
+	if err := s.features(q); err != nil {
+		return nil, st, err
+	}
+	v := newVerifier(t, s.X, eps)
 	var out []Match
-	for id := range db.coeffs {
+	for id, x := range db.coeffs {
 		st.Candidates++
-		if d, ok := db.exactDist(id, t, qX, eps); ok {
+		if d, ok := v.dist(x); ok {
 			out = append(out, Match{ID: id, Dist: d})
 		}
 	}
@@ -291,25 +376,25 @@ type Pair struct {
 // (which is why its answer set differs).
 func (db *DB) SelfJoin(method JoinMethod, t *Transform, eps float64) ([]Pair, Stats, error) {
 	var st Stats
+	if err := db.checkArgs(t, eps); err != nil {
+		return nil, st, err
+	}
 	switch method {
 	case JoinScanFull, JoinScanAbort:
-		abort := method == JoinScanAbort
+		v := newVerifier(t, nil, eps)
+		if method == JoinScanFull {
+			v.limit = math.Inf(1)
+		}
 		var out []Pair
 		for i := 0; i < len(db.coeffs); i++ {
-			ti, err := db.transformed(t, i)
-			if err != nil {
+			var err error
+			if v.q, err = db.transformed(t, i); err != nil {
 				return nil, st, err
 			}
 			for j := i + 1; j < len(db.coeffs); j++ {
 				st.Candidates++
-				if abort {
-					if d, ok := db.exactDist(j, t, ti, eps); ok {
-						out = append(out, Pair{I: i, J: j, Dist: d})
-					}
-				} else {
-					if d := db.fullDist(j, t, ti); d <= eps {
-						out = append(out, Pair{I: i, J: j, Dist: d})
-					}
+				if d, ok := v.dist(db.coeffs[j]); ok && d <= eps {
+					out = append(out, Pair{I: i, J: j, Dist: d})
 				}
 			}
 		}
@@ -318,45 +403,30 @@ func (db *DB) SelfJoin(method JoinMethod, t *Transform, eps float64) ([]Pair, St
 		if err := db.ensureTree(); err != nil {
 			return nil, st, err
 		}
-		useT := method == JoinIndexT
-		var tf *rtree.Affine
-		var err error
-		if useT && t != nil {
-			tf, err = t.PolarAffine(db.k)
-			if err != nil {
-				return nil, st, err
-			}
+		if method == JoinIndex {
+			t = nil
 		}
+		s := db.getScratch()
+		defer db.scratch.Put(s)
+		v := newVerifier(t, nil, eps)
 		var out []Pair
 		for i := 0; i < len(db.coeffs); i++ {
-			var probe []complex128
-			if useT {
-				probe, err = db.transformed(t, i)
-				if err != nil {
-					return nil, st, err
-				}
-			} else {
-				probe = db.coeffs[i]
+			var err error
+			if v.q, err = db.transformed(t, i); err != nil {
+				return nil, st, err
 			}
-			rect, err := SearchRect(coeffFeatures(probe, db.k), eps)
+			ids, nodes, err := db.candidates(s, polarInto(s.feat, v.q), t, eps)
 			if err != nil {
 				return nil, st, err
 			}
-			ids, sst, err := db.tree.SearchTransformed(rect, tf)
-			if err != nil {
-				return nil, st, err
-			}
-			st.NodeAccesses += sst.NodeAccesses
+			st.NodeAccesses += nodes
+			slices.Sort(ids)
 			for _, j := range ids {
 				if j == i {
 					continue
 				}
 				st.Candidates++
-				var vt *Transform
-				if useT {
-					vt = t
-				}
-				if d, ok := db.exactDist(j, vt, probe, eps); ok {
+				if d, ok := v.dist(db.coeffs[j]); ok {
 					out = append(out, Pair{I: i, J: j, Dist: d})
 				}
 			}
@@ -374,15 +444,4 @@ func (db *DB) transformed(t *Transform, i int) ([]complex128, error) {
 		return db.coeffs[i], nil
 	}
 	return t.Apply(db.coeffs[i])
-}
-
-// coeffFeatures rebuilds a feature point from a (possibly transformed)
-// coefficient vector.
-func coeffFeatures(X []complex128, k int) []float64 {
-	p := make([]float64, 2*k)
-	for f := 1; f <= k; f++ {
-		p[2*f-2] = cmplx.Abs(X[f])
-		p[2*f-1] = cmplx.Phase(X[f])
-	}
-	return p
 }

@@ -9,7 +9,8 @@
 // coordinates (Theorem 3: multiplier transformations are safe in Spol).
 // Transformations are per-coefficient complex multipliers, rich enough
 // for moving averages, reversal and time warping; queries run against
-// an R*-tree whose node rectangles are transformed on the fly.
+// an R*-tree that answers over the transformed image of the index without
+// being rebuilt.
 package tsdb
 
 import (
@@ -23,8 +24,17 @@ import (
 // deviation (population form, as in [GK95]). Constant series have no
 // normal form.
 func NormalForm(s []float64) (norm []float64, mean, std float64, err error) {
+	norm = make([]float64, len(s))
+	if mean, std, err = normalInto(norm, s); err != nil {
+		return nil, mean, std, err
+	}
+	return norm, mean, std, nil
+}
+
+// normalInto is NormalForm writing into dst (len(dst) == len(s)).
+func normalInto(dst, s []float64) (mean, std float64, err error) {
 	if len(s) == 0 {
-		return nil, 0, 0, fmt.Errorf("tsdb: empty series")
+		return 0, 0, fmt.Errorf("tsdb: empty series")
 	}
 	for _, v := range s {
 		mean += v
@@ -35,13 +45,12 @@ func NormalForm(s []float64) (norm []float64, mean, std float64, err error) {
 	}
 	std = math.Sqrt(std / float64(len(s)))
 	if std == 0 {
-		return nil, mean, 0, fmt.Errorf("tsdb: constant series has no normal form")
+		return mean, 0, fmt.Errorf("tsdb: constant series has no normal form")
 	}
-	norm = make([]float64, len(s))
 	for i, v := range s {
-		norm[i] = (v - mean) / std
+		dst[i] = (v - mean) / std
 	}
-	return norm, mean, std, nil
+	return mean, std, nil
 }
 
 // MovingAverage returns the circular l-day moving average used by the

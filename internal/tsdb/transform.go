@@ -112,28 +112,39 @@ func (t *Transform) ApplySeries(s []float64) ([]float64, error) {
 	return out, nil
 }
 
-// PolarAffine renders the transformation as a per-dimension affine map
+// symmetric reports whether multipliers 1..upto have the conjugate
+// symmetry of a real series' spectrum, A[n-f] == conj(A[f]) — exactly, as
+// dft.TransformReal produces it. The multipliers of any convolution with
+// a real kernel do (MovingAvg, Identity, ReverseT); a hand-built vector
+// that misses it by a rounding error merely takes the slower paths.
+func (t *Transform) symmetric(upto int) bool {
+	n := len(t.A)
+	for f := 1; f <= upto; f++ {
+		if t.A[n-f] != cmplx.Conj(t.A[f]) {
+			return false
+		}
+	}
+	return true
+}
+
+// polarAffine renders the transformation as a per-dimension affine map
 // of the 2k-dimensional polar feature space: each coefficient's
 // magnitude dimension is scaled by |a_f| and its phase dimension is
-// shifted by Angle(a_f) — exactly the reduction in the proof of
-// Theorem 3. k is the number of indexed coefficients, using multipliers
-// a_1..a_k (a_0 acts on the DC coefficient, which is zero for normal
-// forms and not indexed).
-func (t *Transform) PolarAffine(k int) (*rtree.Affine, error) {
-	if k+1 > len(t.A) {
-		return nil, fmt.Errorf("tsdb: transform %s has %d coefficients, need %d", t.Name, len(t.A), k+1)
+// rotated by Angle(a_f) — exactly the reduction in the proof of
+// Theorem 3 — using multipliers a_1..a_k (a_0 acts on the DC
+// coefficient, which is zero for normal forms and not indexed). It fills
+// in the magnitude stretches and phase shifts of tf; the rest of tf (unit
+// phase stretches, zero magnitude shifts, the circular mask) never
+// changes. t == nil is the identity.
+func polarAffine(tf *rtree.Affine, t *Transform) {
+	for f := 1; 2*f <= len(tf.A); f++ {
+		a := complex(1, 0)
+		if t != nil {
+			a = t.A[f]
+		}
+		tf.A[2*f-2] = cmplx.Abs(a)
+		tf.B[2*f-1] = cmplx.Phase(a)
 	}
-	dim := 2 * k
-	a := make([]float64, dim)
-	b := make([]float64, dim)
-	circ := make([]bool, dim)
-	for f := 1; f <= k; f++ {
-		a[2*f-2] = cmplx.Abs(t.A[f]) // magnitude dimension
-		a[2*f-1] = 1                 // phase dimension
-		b[2*f-1] = cmplx.Phase(t.A[f])
-		circ[2*f-1] = true
-	}
-	return &rtree.Affine{A: a, B: b, Circular: circ}, nil
 }
 
 // FeaturePoint maps a series to its 2k-dimensional index point
@@ -157,42 +168,34 @@ func FeaturePoint(s []float64, k int) (point []float64, coeffs []complex128, mea
 		return nil, nil, 0, 0, err
 	}
 	X := dft.TransformReal(norm)
-	p := make([]float64, 2*k)
-	for f := 1; f <= k; f++ {
+	return polarInto(make([]float64, 2*k), X), X, mean, std, nil
+}
+
+// polarInto writes the feature point of a (possibly transformed)
+// coefficient vector into p, whose length 2k says how many coefficients
+// are indexed.
+func polarInto(p []float64, X []complex128) []float64 {
+	for f := 1; 2*f <= len(p); f++ {
 		p[2*f-2] = cmplx.Abs(X[f])
 		p[2*f-1] = cmplx.Phase(X[f])
 	}
-	return p, X, mean, std, nil
+	return p
 }
 
-// SearchRect builds the minimum bounding rectangle of the ε-ball around
-// the query's feature point in the polar coordinate system (Figure 7 of
-// the companion paper): magnitudes range over [m-ε, m+ε] (clamped at
-// zero) and phases over α ± asin(ε/m), degrading to the full circle
-// when ε >= m.
-func SearchRect(queryFeatures []float64, eps float64) (rtree.Rect, error) {
-	dim := len(queryFeatures)
-	if dim < 2 || dim%2 != 0 {
-		return rtree.Rect{}, fmt.Errorf("tsdb: bad feature dimension %d", dim)
-	}
-	lo := make([]float64, dim)
-	hi := make([]float64, dim)
-	for d := 0; d < dim; d += 2 {
-		m := queryFeatures[d]
-		lo[d] = math.Max(0, m-eps)
-		hi[d] = m + eps
-		alpha := queryFeatures[d+1]
-		if eps >= m {
-			lo[d+1], hi[d+1] = -math.Pi, math.Pi
-			continue
+// searchRect writes into rect the minimum bounding rectangle of the
+// r-ball around the query's feature point in the polar coordinate system
+// (Figure 7 of the companion paper): magnitudes range over [m-r, m+r]
+// (clamped at zero) and phases over α ± asin(r/m), the full circle when
+// r >= m. A phase interval near ±π simply runs past it: the index reads
+// the phase dimensions as arcs (rtree.Affine.Circular).
+func searchRect(rect rtree.Rect, queryFeatures []float64, r float64) {
+	for d := 0; d < len(queryFeatures); d += 2 {
+		m, alpha := queryFeatures[d], queryFeatures[d+1]
+		rect.Min[d], rect.Max[d] = math.Max(0, m-r), m+r
+		theta := math.Pi
+		if r < m {
+			theta = math.Asin(r / m)
 		}
-		theta := math.Asin(eps / m)
-		a, b := alpha-theta, alpha+theta
-		// Wrap-aware: widen to the full circle when crossing ±π.
-		if a < -math.Pi || b > math.Pi {
-			a, b = -math.Pi, math.Pi
-		}
-		lo[d+1], hi[d+1] = a, b
+		rect.Min[d+1], rect.Max[d+1] = alpha-theta, alpha+theta
 	}
-	return rtree.NewRect(lo, hi)
 }
