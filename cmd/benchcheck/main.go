@@ -53,8 +53,8 @@ type expected struct {
 	// regexp, so the baseline file itself documents what is enforced.
 	Gate bool `json:"gate,omitempty"`
 	// Tolerance overrides the -tolerance flag for this entry; 0 makes
-	// max_ratio a hard ceiling (the vectorized-speedup floor uses this:
-	// the ceiling already encodes all the headroom it should have).
+	// max_ratio a hard ceiling (the kernel floors use this: the ceiling
+	// already encodes all the headroom it should have).
 	Tolerance *float64 `json:"tolerance,omitempty"`
 }
 
@@ -185,7 +185,7 @@ func updateBaseline(base *baseline, current map[string]float64, gateRe *regexp.R
 		if want.RatioOf != "" {
 			if want.Tolerance != nil {
 				// An explicit per-entry tolerance marks a POLICY ceiling
-				// (e.g. the 1/1.3 vectorized-speedup floor), not a recorded
+				// (e.g. the 0.5 bit-parallel kernel floor), not a recorded
 				// measurement; refreshing it from the current run would
 				// silently rewrite the contract the gate encodes.
 				fmt.Printf("benchcheck: keeping policy ceiling for %s (max_ratio %.3f)\n", name, want.MaxRatio)

@@ -39,7 +39,6 @@ func main() {
 	var ruleFiles loadList
 	flag.Var(&ruleFiles, "rules", "rule file to register (repeatable)")
 	stmt := flag.String("e", "", "execute one statement and exit")
-	batchSize := flag.Int("batch-size", 256, "vectorized execution block size (0 = row-at-a-time pipeline)")
 	flag.Parse()
 
 	cat := relation.NewCatalog()
@@ -63,7 +62,6 @@ func main() {
 	}
 
 	eng := query.NewEngine(cat)
-	eng.SetBatchSize(*batchSize)
 	if len(ruleFiles) == 0 {
 		rs := rewrite.MustRuleSet("edits", rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz").Rules())
 		if err := eng.RegisterRuleSet(rs); err != nil {

@@ -109,7 +109,6 @@ func main() {
 	ckptInterval := flag.Duration("checkpoint-interval", 0, "write a snapshot checkpoint (and truncate the WAL) this often; 0 disables the timer")
 	ckptWALMB := flag.Int("checkpoint-wal-mb", 0, "checkpoint when the WAL grows past this many MiB (checked every 15s); 0 disables the size trigger")
 	shards := flag.Int("shards", 1, "hash-partition each loaded relation across N shards (scatter-gather execution)")
-	batchSize := flag.Int("batch-size", 256, "vectorized execution block size (0 = row-at-a-time pipeline)")
 	myersKernel := flag.Bool("myers-kernel", true, "serve unit-cost distances from the bit-parallel (Myers) kernel (false = scalar DP; identical results)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log a structured JSON line (with the span tree) for queries slower than this; 0 disables. Enables engine tracing.")
@@ -129,7 +128,6 @@ func main() {
 	if *parallelism > 0 {
 		eng.SetParallelism(*parallelism)
 	}
-	eng.SetBatchSize(*batchSize)
 	var st *storage.Store
 	if *walPath != "" {
 		if *shards > 1 {

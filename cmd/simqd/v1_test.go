@@ -171,6 +171,8 @@ func TestErrorEnvelope(t *testing.T) {
 			body: map[string]any{"query": "SELEKT nope"}, status: 400, code: "bad_request"},
 		{name: "missing query", method: http.MethodPost, path: "/v1/query",
 			body: map[string]any{}, status: 400, code: "bad_request"},
+		{name: "LIMIT 0", method: http.MethodPost, path: "/v1/query",
+			body: map[string]any{"query": "SELECT seq FROM words LIMIT 0"}, status: 400, code: "bad_request"},
 		{name: "unknown prepared id", method: http.MethodPost, path: "/v1/query",
 			body: map[string]any{"id": "p999"}, status: 400, code: "bad_request"},
 		{name: "prepare without query", method: http.MethodPost, path: "/v1/prepare",
@@ -201,6 +203,19 @@ func TestErrorEnvelope(t *testing.T) {
 				t.Errorf("code = %q, want %q", env.Code, c.code)
 			}
 		})
+	}
+
+	// A bound LIMIT ? = 0 is a bind error, not "no limit".
+	rec := do(t, mux, http.MethodPost, "/v1/prepare", map[string]any{"query": "SELECT seq FROM words LIMIT ?"})
+	var prep struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &prep); err != nil || prep.ID == "" {
+		t.Fatalf("/v1/prepare = %d: %s", rec.Code, rec.Body)
+	}
+	rec = do(t, mux, http.MethodPost, "/v1/query", map[string]any{"id": prep.ID, "params": []any{0}})
+	if env := decodeEnvelope(t, rec, rec.Body.Bytes()); rec.Code != 400 || env.Code != "bad_request" {
+		t.Errorf("bound LIMIT 0: status %d code %q, want 400 bad_request: %s", rec.Code, env.Code, rec.Body)
 	}
 
 	// Distinct requests get distinct trace ids.

@@ -21,8 +21,8 @@
 //
 // Determinism contract: for one metric, Dist, Within (when within) and
 // DistBatch MUST produce bitwise-identical float64 results for the
-// same operand pair. Every execution path — row pipeline, batch
-// pipeline, VP-tree traversal, brute-force oracle, any shard count —
+// same operand pair. Every execution path — block scan, per-pair
+// verification, VP-tree traversal, brute-force oracle, any shard count —
 // funnels through the same blocked accumulation core, so query results
 // are byte-identical across plans (the property the vector parity
 // oracle pins). Implementations added through Register must preserve

@@ -1,29 +1,39 @@
 package query
 
-// The EXPLAIN ANALYZE oracle: for every plan shape (row, batch, sharded
-// row, sharded batch), `EXPLAIN ANALYZE <stmt>` must execute the
+// The EXPLAIN ANALYZE oracle: for every plan shape (block size 1 and 4,
+// unsharded and sharded), `EXPLAIN ANALYZE <stmt>` must execute the
 // statement and return byte-identical columns and rows to the plain
 // statement — tracing is an observer, never a participant — while the
 // span tree it renders must carry an estimate on every access path, a
 // kernel label on every distance-computing operator, and per-shard
 // timings on every scatter-gather. A second oracle pins Result.Stats
-// parity between the row and vectorized pipelines: the work counters
-// are part of the engine's observable contract, so the batch engine
-// must report the same candidate/verification/abandon totals as the
-// row engine for the same physical decision.
+// parity across block sizes: the work counters are part of the engine's
+// observable contract, so the same physical decision must report the
+// same candidate/verification/abandon totals whatever the block size.
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/editdp"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/rewrite"
 )
 
+// analyzeWords is the analyzeEngine dataset, in id order.
+var analyzeWords = []struct {
+	s    string
+	lang string
+}{
+	{"color", "en"}, {"colour", "uk"}, {"colon", "en"}, {"cool", "en"},
+	{"dolor", "la"}, {"velour", "fr"}, {"clamor", "en"},
+}
+
 // analyzeEngine builds the testEngine word database over a plain or
-// sharded relation, with the requested vectorized block size (0 = pure
-// row-at-a-time).
+// sharded relation, with the requested block size (1 = row-at-a-time).
 func analyzeEngine(t *testing.T, shards, batchSize int) *Engine {
 	t.Helper()
 	var tab relation.Table
@@ -32,18 +42,12 @@ func analyzeEngine(t *testing.T, shards, batchSize int) *Engine {
 	} else {
 		tab = relation.New("words")
 	}
-	for _, w := range []struct {
-		s    string
-		lang string
-	}{
-		{"color", "en"}, {"colour", "uk"}, {"colon", "en"}, {"cool", "en"},
-		{"dolor", "la"}, {"velour", "fr"}, {"clamor", "en"},
-	} {
+	for _, w := range analyzeWords {
 		tab.Insert(w.s, map[string]string{"lang": w.lang})
 	}
 	cat := relation.NewCatalog()
 	cat.Add(tab)
-	e := NewEngine(cat)
+	e := NewEngine(cat, WithBatchSize(batchSize))
 	if err := e.RegisterRuleSet(rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz")); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +58,6 @@ func analyzeEngine(t *testing.T, shards, batchSize int) *Engine {
 	if err := e.RegisterRuleSet(weighted); err != nil {
 		t.Fatal(err)
 	}
-	e.SetBatchSize(batchSize)
 	return e
 }
 
@@ -71,22 +74,20 @@ var analyzeStmts = []struct {
 	{`SELECT seq, dist FROM words WHERE seq NEAREST 3 TO "color" USING unit-edits`, true},
 	{`SELECT seq, dist FROM words WHERE seq NEAREST 2 TO "color" USING cheap_vowels`, true},
 	{`SELECT * FROM words LIMIT 3`, false},
-	// The weighted nested-loop join is the one join shape both pipelines
-	// execute identically (no batch operator exists for weighted rule
-	// sets), so it is safe for the row-vs-batch stats parity oracle too.
+	// A weighted rule set: the nested-loop probe strategy.
 	{`SELECT a.seq, b.seq FROM words a, words b ON dist(a.seq, b.seq) <= 0.3 USING cheap_vowels AND a.id != b.id`, true},
 }
 
-// analyzeJoinStmts are the join shapes whose physical algorithm depends
-// on the execution mode (index in row plans, partition in batch plans),
-// so their work counters legitimately differ between pipelines; the
-// ANALYZE oracle still pins result identity and span shape for each.
+// analyzeJoinStmts are the unit-cost join shapes (partition or index
+// probes, the cost model's choice), each with the pairs or triples of
+// analyzeWords ids a brute-force loop over Levenshtein distance 1
+// yields.
 var analyzeJoinStmts = []struct {
-	stmt      string
-	hasKernel bool
+	stmt string
+	ways int
 }{
-	{`SELECT a.seq, b.seq FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING unit-edits`, true},
-	{`SELECT a.seq, c.seq FROM words a, words b, words c ON dist(a.seq, b.seq) <= 1 USING unit-edits AND dist(b.seq, c.seq) <= 1 USING unit-edits`, true},
+	{`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING unit-edits`, 2},
+	{`SELECT a.id, b.id, c.id FROM words a, words b, words c ON dist(a.seq, b.seq) <= 1 USING unit-edits AND dist(b.seq, c.seq) <= 1 USING unit-edits`, 3},
 }
 
 // flattenSpans returns the span tree in preorder.
@@ -190,8 +191,8 @@ func checkAnalyzeOracle(t *testing.T, e *Engine, stmt string, hasKernel bool, sh
 	}
 }
 
-func TestAnalyzeOracleRow(t *testing.T) {
-	e := analyzeEngine(t, 1, 0)
+func TestAnalyzeOracleBlock1(t *testing.T) {
+	e := analyzeEngine(t, 1, 1)
 	for _, c := range analyzeStmts {
 		checkAnalyzeOracle(t, e, c.stmt, c.hasKernel, 1)
 	}
@@ -204,8 +205,8 @@ func TestAnalyzeOracleBatch(t *testing.T) {
 	}
 }
 
-func TestAnalyzeOracleSharded(t *testing.T) {
-	e := analyzeEngine(t, 3, 0)
+func TestAnalyzeOracleShardedBlock1(t *testing.T) {
+	e := analyzeEngine(t, 3, 1)
 	for _, c := range analyzeStmts {
 		checkAnalyzeOracle(t, e, c.stmt, c.hasKernel, 3)
 	}
@@ -218,28 +219,65 @@ func TestAnalyzeOracleShardedBatch(t *testing.T) {
 	}
 }
 
-// TestAnalyzeJoinOracle drives the mode-dependent join shapes through
-// every plan family: the row engine's index-nested-loop, the batch
-// engine's partition join, and the sharded broadcast variant of each
-// must all satisfy the ANALYZE contract (result identity, estimates on
-// leaves, kernel labels, per-shard gather timings).
+// TestAnalyzeJoinOracle drives the unit-cost join shapes through every
+// plan family — block sizes 1 and 4, unsharded and the sharded
+// broadcast variant: each must satisfy the ANALYZE contract (result
+// identity, estimates on leaves, kernel labels, per-shard gather
+// timings), return the same rows in the same order at both block sizes,
+// and return the rows of a brute-force loop over the data.
 func TestAnalyzeJoinOracle(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		for _, batch := range []int{0, 4} {
-			e := analyzeEngine(t, shards, batch)
-			for _, c := range analyzeJoinStmts {
-				checkAnalyzeOracle(t, e, c.stmt, c.hasKernel, shards)
+	near := func(i, j int) bool {
+		return editdp.Levenshtein(analyzeWords[i].s, analyzeWords[j].s) <= 1
+	}
+	for _, c := range analyzeJoinStmts {
+		var want []string
+		for i := range analyzeWords {
+			for j := range analyzeWords {
+				if !near(i, j) {
+					continue
+				}
+				if c.ways == 2 {
+					want = append(want, fmt.Sprintf("%d\x1f%d", i, j))
+					continue
+				}
+				for k := range analyzeWords {
+					if near(j, k) {
+						want = append(want, fmt.Sprintf("%d\x1f%d\x1f%d", i, j, k))
+					}
+				}
+			}
+		}
+		sort.Strings(want)
+		for _, shards := range []int{1, 3} {
+			var first *Result
+			for _, batch := range []int{1, 4} {
+				e := analyzeEngine(t, shards, batch)
+				checkAnalyzeOracle(t, e, c.stmt, true, shards)
+				res, err := e.Execute(c.stmt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := canonical(res); got != strings.Join(want, "\n") {
+					t.Fatalf("shards=%d block=%d %q diverges from brute force:\ngot:\n%s\nwant:\n%s",
+						shards, batch, c.stmt, got, strings.Join(want, "\n"))
+				}
+				if first == nil {
+					first = res
+				} else if positional(first) != positional(res) {
+					t.Fatalf("shards=%d %q: block 1 and block 4 diverge:\n%s\nvs\n%s",
+						shards, c.stmt, positional(first), positional(res))
+				}
 			}
 		}
 	}
 }
 
-// TestAnalyzeStatsParityRowVsBatch pins Result.Stats consistency across
-// the row and vectorized pipelines at the same shard topology: the same
-// physical decision must report the same work counters.
-func TestAnalyzeStatsParityRowVsBatch(t *testing.T) {
+// TestAnalyzeStatsParityAcrossBlockSizes pins Result.Stats consistency
+// across block sizes at the same shard topology: the same physical
+// decision must report the same work counters.
+func TestAnalyzeStatsParityAcrossBlockSizes(t *testing.T) {
 	for _, shards := range []int{1, 3} {
-		row := analyzeEngine(t, shards, 0)
+		row := analyzeEngine(t, shards, 1)
 		batch := analyzeEngine(t, shards, 4)
 		for _, c := range analyzeStmts {
 			r, err := row.Execute(c.stmt)
@@ -253,7 +291,7 @@ func TestAnalyzeStatsParityRowVsBatch(t *testing.T) {
 			if r.Stats.Candidates != b.Stats.Candidates ||
 				r.Stats.Verifications != b.Stats.Verifications ||
 				r.Stats.Abandoned != b.Stats.Abandoned {
-				t.Errorf("shards=%d %q: stats diverge:\nrow:   %+v\nbatch: %+v",
+				t.Errorf("shards=%d %q: stats diverge:\nblock 1: %+v\nblock 4: %+v",
 					shards, c.stmt, r.Stats, b.Stats)
 			}
 		}
@@ -264,7 +302,7 @@ func TestAnalyzeStatsParityRowVsBatch(t *testing.T) {
 // only while the flag is on, and a traced plain execution keeps the
 // static plan rendering (only ANALYZE swaps in the actuals).
 func TestAnalyzeTracingToggle(t *testing.T) {
-	e := analyzeEngine(t, 1, 0)
+	e := analyzeEngine(t, 1, 1)
 	const stmt = `SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING unit-edits`
 
 	res, err := e.Execute(stmt)
@@ -304,7 +342,7 @@ func TestAnalyzeTracingToggle(t *testing.T) {
 // executes its statement, so analyzed DML would commit as a side effect
 // of asking for a plan — it must be rejected up front.
 func TestAnalyzeDMLRejected(t *testing.T) {
-	e := analyzeEngine(t, 1, 0)
+	e := analyzeEngine(t, 1, 1)
 	for _, stmt := range []string{
 		`EXPLAIN ANALYZE INSERT INTO words (seq, lang) VALUES ("x", "en")`,
 		`EXPLAIN ANALYZE DELETE FROM words WHERE lang = "en"`,

@@ -1,20 +1,19 @@
 package query
 
-// Batch-at-a-time execution. The row pipeline (operators.go) pulls one
-// binding per Next call; for the scan/filter-heavy workloads the paper's
-// similarity queries are dominated by, the per-row costs — interface
-// dispatch, cursor stepping, predicate-tree walking, rule-set registry
-// lookups — rival the distance computations themselves. The batch
-// pipeline amortizes all of them across a block of tuples:
+// Batch-at-a-time execution: the engine's one operator protocol. Per-row
+// costs — interface dispatch, cursor stepping, predicate-tree walking,
+// rule-set registry lookups — rival the distance computations
+// themselves on the scan/filter-heavy workloads the paper's similarity
+// queries are dominated by, so every operator works on a block of
+// tuples and pays them once per block:
 //
 //	BatchOperator: OpenBatch -> NextBatch* -> CloseBatch
 //
 // with NextBatch returning a column-oriented Batch (parallel tuple-id /
-// sequence / attribute / distance slices). Both engines share the
-// planner: a decision's `vectorize` flag (recorded in plan-cache and
-// prepared-decision keys, rendered as the Vectorize root in EXPLAIN)
-// selects which build runs, and the two builds produce byte-identical
-// results — the batch/row parity oracle pins that.
+// sequence / attribute / distance slices). The block size is fixed when
+// the engine is constructed (WithBatchSize, default 256); block size 1
+// is the degenerate row-at-a-time case of the same operators, which is
+// what the parity oracles compare the default against.
 //
 // Ownership and recycling rules (DESIGN.md has the full story):
 //
@@ -26,12 +25,11 @@ package query
 //     the child's batch; they own nothing.
 //   - Materializing operators (OrderByDist, Parallel, GatherMerge) copy
 //     what they keep into buffers of their own before the next pull.
-//   - Operators that cannot run columnar (joins) are bridged with the
-//     row adapters below; their batches carry bindings instead of
-//     columns and every batch operator accepts either layout.
+//   - Joins emit multi-alias rows, which have no columnar form: their
+//     batches carry bindings instead of columns and every operator
+//     above a join accepts either layout.
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/relation"
@@ -43,9 +41,9 @@ import (
 //   - columnar (binds == nil): the embedded relation.Block plus the
 //     parallel dist/has columns. The layout every converted operator
 //     works on directly.
-//   - bindings (binds != nil): a block of row-pipeline bindings, as
-//     produced by the RowToBatch adapter above unconverted operators
-//     (joins). The columnar slices are unused in this layout.
+//   - bindings (binds != nil): a block of multi-alias bindings, as
+//     emitted by the join operator. The columnar slices are unused in
+//     this layout.
 //
 // rows holds the projected output rows once a Project has run; row i of
 // rows corresponds to row i of the active layout.
@@ -123,18 +121,6 @@ func (b *Batch) truncate(n int) {
 	}
 }
 
-// binding materialises row i as a fresh row-pipeline binding (the
-// BatchToRow adapter's job); the bindings layout hands out its rows
-// directly.
-func (b *Batch) binding(i int) *binding {
-	if b.binds != nil {
-		return b.binds[i]
-	}
-	nb := newBinding(b.alias, relation.Tuple{ID: b.IDs[i], Seq: b.Seqs[i], Vec: b.Vecs[i], Attrs: b.Attrs[i]})
-	nb.dist, nb.hasDist = b.dist[i], b.has[i]
-	return nb
-}
-
 // scratch loads row i into a reusable binding without allocating —
 // the in-place decorators' view of a columnar row.
 func (b *Batch) scratch(i int, alias string, dst *binding) {
@@ -181,111 +167,19 @@ func putBatch(b *Batch) {
 	}
 }
 
-// BatchOperator is the batch-at-a-time physical operator interface,
-// the Volcano protocol lifted to blocks: OpenBatch -> NextBatch* ->
-// CloseBatch, with NextBatch returning nil at end of stream. Work
-// counters accumulate locally and flush into the shared execCtx on
-// CloseBatch, exactly like the row pipeline.
+// BatchOperator is the physical operator interface, the Volcano
+// protocol lifted to blocks: OpenBatch -> NextBatch* -> CloseBatch, with
+// NextBatch returning nil at end of stream. Every access path, filter,
+// join and decorator implements it, so the planner composes them freely
+// and EXPLAIN renders any plan as a tree. Work counters accumulate
+// locally and flush into the shared execCtx on CloseBatch, so parallel
+// sub-plans never race on the counters.
 type BatchOperator interface {
 	OpenBatch() error
 	NextBatch() (*Batch, error)
 	CloseBatch() error
 	// Describe returns the one-line operator label for EXPLAIN.
 	Describe() string
-	// childNodes returns the operator's inputs (batch or row) for the
-	// EXPLAIN tree walk.
-	childNodes() []any
+	// childNodes returns the operator's inputs for the EXPLAIN tree walk.
+	childNodes() []BatchOperator
 }
-
-// ------------------------------------------------------- row adapters
-
-// rowToBatchOp lifts an unconverted row operator (a join chain) into a
-// batched plan: it pulls bindings from the child and blocks them into
-// bindings-layout batches, so the batch decorators above keep working
-// unchanged.
-type rowToBatchOp struct {
-	child Operator
-	size  int
-
-	buf *Batch
-	// binds is the operator-owned bindings buffer, reused across pulls
-	// (reset() drops the batch's binds reference — it doubles as the
-	// layout discriminator — so capacity has to live here).
-	binds []*binding
-}
-
-func (o *rowToBatchOp) OpenBatch() error {
-	o.buf = getBatch()
-	return o.child.Open()
-}
-
-func (o *rowToBatchOp) NextBatch() (*Batch, error) {
-	b := o.buf
-	b.reset()
-	binds := o.binds[:0]
-	for len(binds) < o.size {
-		rb, err := o.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if rb == nil {
-			break
-		}
-		binds = append(binds, rb)
-	}
-	o.binds = binds
-	if len(binds) == 0 {
-		return nil, nil
-	}
-	b.binds = binds
-	return b, nil
-}
-
-func (o *rowToBatchOp) CloseBatch() error {
-	putBatch(o.buf)
-	o.buf = nil
-	return o.child.Close()
-}
-
-func (o *rowToBatchOp) Describe() string  { return fmt.Sprintf("RowToBatch(size=%d)", o.size) }
-func (o *rowToBatchOp) childNodes() []any { return []any{o.child} }
-
-// batchToRowOp drives a batch subtree from a row consumer: the other
-// adapter direction, used where a row operator (a join input) reads
-// from a converted access path. Bindings handed out must survive the
-// consumer holding them, so columnar rows materialize fresh bindings.
-type batchToRowOp struct {
-	child BatchOperator
-
-	cur *Batch
-	pos int
-}
-
-func (o *batchToRowOp) Open() error {
-	o.cur, o.pos = nil, 0
-	return o.child.OpenBatch()
-}
-
-func (o *batchToRowOp) Next() (*binding, error) {
-	for {
-		if o.cur != nil && o.pos < o.cur.Len() {
-			b := o.cur.binding(o.pos)
-			o.pos++
-			return b, nil
-		}
-		nb, err := o.child.NextBatch()
-		if err != nil || nb == nil {
-			return nil, err
-		}
-		o.cur, o.pos = nb, 0
-	}
-}
-
-func (o *batchToRowOp) Close() error {
-	o.cur = nil
-	return o.child.CloseBatch()
-}
-
-func (o *batchToRowOp) Describe() string     { return "BatchToRow" }
-func (o *batchToRowOp) Children() []Operator { return nil }
-func (o *batchToRowOp) childNodes() []any    { return []any{o.child} }

@@ -1,12 +1,16 @@
 package query
 
-// FuzzBatchParity: arbitrary statement text must never make the
-// vectorized engine diverge from the row engine — same error or
-// byte-identical rows in byte-identical order. This is the fuzz-shaped
-// face of the batch/row parity oracle, seeded with every statement
-// family; the CI fuzz job runs it next to the lexer/parser fuzzers.
+// FuzzBatchParity: arbitrary statement text must never make the engine
+// at one block size diverge from the engine at another — same error or
+// byte-identical rows in byte-identical order — and, whenever the
+// statement lies inside the brute-force model's language
+// (oracle_model_test.go), both must equal the model. This is the
+// fuzz-shaped face of the block-size parity oracle, seeded with every
+// statement family; the CI fuzz job runs it next to the lexer/parser
+// fuzzers.
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -14,29 +18,33 @@ import (
 	"repro/internal/rewrite"
 )
 
-// fuzzParityEngines builds a fresh row/batch engine pair over a small
-// fixed dataset. Fresh per call: DML inputs mutate state, and corpus
-// entries must reproduce independently of execution order.
-func fuzzParityEngines() (row, batch *Engine) {
-	mk := func() *Engine {
+// fuzzParityEngines builds a fresh block-1/block-13 engine pair and the
+// model over a small fixed dataset. Fresh per call: DML inputs mutate
+// state, and corpus entries must reproduce independently of execution
+// order.
+func fuzzParityEngines() (row, batch *Engine, model *oracleDB) {
+	seqs := []string{
+		"abcd", "abce", "abde", "acbd", "bcda", "cadb",
+		"jihg", "jihf", "aaaa", "aaab", "bbbb", "dcba",
+		"abcdefgh", "abcdefgi", "hgfedcba",
+	}
+	mk := func(size int) *Engine {
 		cat := relation.NewCatalog()
 		rel := relation.New("words")
-		for _, s := range []string{
-			"abcd", "abce", "abde", "acbd", "bcda", "cadb",
-			"jihg", "jihf", "aaaa", "aaab", "bbbb", "dcba",
-			"abcdefgh", "abcdefgi", "hgfedcba",
-		} {
+		for _, s := range seqs {
 			rel.Insert(s, map[string]string{"tag": s[:1]})
 		}
 		cat.Add(rel)
-		e := NewEngine(cat)
-		_ = e.RegisterRuleSet(rewrite.MustRuleSet("edits", rewrite.UnitEdits("abcdefghij").Rules()))
+		e := NewEngine(cat, WithBatchSize(size))
+		_ = e.RegisterRuleSet(rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules()))
 		return e
 	}
-	row, batch = mk(), mk()
-	row.SetBatchSize(0)
-	batch.SetBatchSize(13) // odd block size: exercises partial-block edges
-	return row, batch
+	model = &oracleDB{}
+	for _, s := range seqs {
+		model.insert(s, s[:1])
+	}
+	// 13 is an odd block size: exercises partial-block edges.
+	return mk(1), mk(13), model
 }
 
 func FuzzBatchParity(f *testing.F) {
@@ -49,7 +57,7 @@ func FuzzBatchParity(f *testing.F) {
 	f.Add(`DELETE FROM words WHERE seq SIMILAR TO "abcd" WITHIN 1 USING edits`)
 	f.Add(`UPDATE words SET tag = "z" WHERE seq SIMILAR TO "jihg" WITHIN 1 USING edits`)
 	// Error-order parity: the field error (dist unavailable) must win
-	// over a hoisted evaluator error in both engines.
+	// over a hoisted evaluator error at every block size.
 	f.Add(`SELECT seq FROM words WHERE dist SIMILAR TO PATTERN "c*" WITHIN 1 USING nosuch`)
 	f.Add(`SELECT seq FROM words WHERE dist SIMILAR TO "x" WITHIN 1 USING nosuch`)
 	f.Fuzz(func(t *testing.T, src string) {
@@ -60,51 +68,45 @@ func FuzzBatchParity(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// EXPLAIN output differs by design (the batch plan carries the
-		// Vectorize root), so only execution results are compared.
-		explain := false
-		switch s := stmt.(type) {
-		case *Query:
-			explain = s.Explain
-		case *Mutation:
-			explain = s.Explain
-		}
-		row, batch := fuzzParityEngines()
+		row, batch, model := fuzzParityEngines()
 		r, rerr := row.Execute(src)
 		b, berr := batch.Execute(src)
 		if (rerr == nil) != (berr == nil) {
-			t.Fatalf("error parity broken for %q: row=%v batch=%v", src, rerr, berr)
+			t.Fatalf("error parity broken for %q: block 1=%v block 13=%v", src, rerr, berr)
 		}
 		if rerr != nil {
 			if rerr.Error() != berr.Error() {
-				t.Fatalf("error text diverges for %q:\nrow:   %v\nbatch: %v", src, rerr, berr)
+				t.Fatalf("error text diverges for %q:\nblock 1:  %v\nblock 13: %v", src, rerr, berr)
 			}
-			return
-		}
-		if explain {
 			return
 		}
 		if strings.Join(r.Columns, "\x1f") != strings.Join(b.Columns, "\x1f") {
 			t.Fatalf("columns diverge for %q: %v vs %v", src, r.Columns, b.Columns)
 		}
 		if positional(r) != positional(b) {
-			t.Fatalf("rows diverge for %q:\nrow:\n%s\nbatch:\n%s", src, positional(r), positional(b))
+			t.Fatalf("rows diverge for %q:\nblock 1:\n%s\nblock 13:\n%s", src, positional(r), positional(b))
 		}
-		// DML: both engines must leave identical table contents.
-		if isDMLText(src) {
-			dump := func(e *Engine) string {
-				tab, _ := e.Catalog().Lookup("words")
-				var sb strings.Builder
-				for _, tup := range tab.Tuples() {
-					sb.WriteString(tup.Seq)
-					sb.WriteByte('\x1f')
-					sb.WriteString(tup.Attr("tag"))
-					sb.WriteByte('\n')
-				}
-				return sb.String()
+		switch s := stmt.(type) {
+		case *Query:
+			if s.Explain {
+				return // the plan text is not a result set
 			}
-			if dump(row) != dump(batch) {
+			mr, err := model.query(s)
+			if errors.Is(err, errUnmodeled) {
+				return
+			}
+			mr.check(t, src, s, b)
+		case *Mutation:
+			// DML: both engines must leave identical table contents — the
+			// model's, when the statement is one it can apply.
+			if dumpWords(row) != dumpWords(batch) {
 				t.Fatalf("table contents diverge after %q", src)
+			}
+			if s.Explain || errors.Is(model.mutate(s), errUnmodeled) {
+				return
+			}
+			if got, want := dumpWords(batch), model.dump(); got != want {
+				t.Fatalf("table contents diverge from the model after %q:\nengine:\n%s\nmodel:\n%s", src, got, want)
 			}
 		}
 	})

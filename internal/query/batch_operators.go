@@ -1,15 +1,17 @@
 package query
 
-// The batch-at-a-time physical operators: block-granular twins of the
-// row operators in operators.go. Each one carries the same EXPLAIN
-// label and produces the same rows in the same order as its row twin —
-// the batch/row parity oracle pins that equivalence — while paying its
-// per-row costs once per block.
+// The single-relation physical operators: access paths (Scan,
+// IndexRange, NearestK), Filter, Project, Limit, OrderByDist and
+// Parallel. Each pulls blocks from its children, does one job, and
+// counts its own work; the planner in plan.go composes them into trees.
+// (The vector access paths live in vec_operators.go, the join in
+// join_batch.go, the scatter-gather operators in batch_shard.go.)
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/index"
@@ -17,11 +19,18 @@ import (
 	"repro/internal/relation"
 )
 
+// infCut bounds finite distances: +Inf means unreachable.
+const infCut = 1e300
+
 // ---------------------------------------------------------------- scan
 
 // batchScanOp streams the visible tuples of one snapshot shard a block
 // at a time through relation.Cursor.NextBlock, which amortizes the
-// visibility filtering across whole arena runs.
+// visibility filtering across whole arena runs. Shard (i, n) covers a
+// contiguous arena range, so concatenating shards 0..n-1 reproduces the
+// serial scan order — the invariant parallel plans rely on. Reading
+// through the snapshot gives every query a consistent view while
+// concurrent commits land.
 type batchScanOp struct {
 	ctx           *execCtx
 	snap          *relation.Snapshot
@@ -77,15 +86,21 @@ func (o *batchScanOp) Describe() string {
 	return fmt.Sprintf("Scan(%s)", o.alias)
 }
 
-func (o *batchScanOp) childNodes() []any { return nil }
+func (o *batchScanOp) childNodes() []BatchOperator { return nil }
 
 // --------------------------------------------------------- index range
 
-// batchIndexRangeOp streams index matches in blocks through the metric
-// indexes' BatchIterator, applying the snapshot visibility filter per
-// block. Emission order is the iterator's deterministic traversal
-// order — identical to the row operator's.
+// batchIndexRangeOp streams matches of "seq SIMILAR TO lit WITHIN k"
+// from a metric index (BK-tree or trie, chosen by the cost model) in
+// blocks through the index's BatchIterator. The iterator is lazy, so a
+// LIMIT above this operator stops the index traversal early instead of
+// post-filtering a full result. The online-maintained index is a
+// superset of the snapshot, so every match passes through the
+// snapshot's visibility filter: tombstoned rows and post-snapshot
+// inserts are skipped. Emission order is the iterator's deterministic
+// traversal order.
 type batchIndexRangeOp struct {
+	kernelTag
 	ctx     *execCtx
 	snap    *relation.Snapshot
 	alias   string
@@ -163,7 +178,7 @@ func (o *batchIndexRangeOp) Describe() string {
 		o.alias, o.via, o.target, o.radius, o.ruleSet)
 }
 
-func (o *batchIndexRangeOp) childNodes() []any { return nil }
+func (o *batchIndexRangeOp) childNodes() []BatchOperator { return nil }
 
 // iterBatcher adapts a plain Iterator to the batch protocol (defensive:
 // both metric indexes implement BatchIterator natively).
@@ -184,11 +199,13 @@ func (it *iterBatcher) NextBatch(dst []index.Match) int {
 
 // ----------------------------------------------------------- nearest-k
 
-// batchNearestKOp answers NEAREST k with the best list maintained over
-// whole blocks: the scan variant pulls tuple blocks and folds each one
-// into the bounded best list, the bktree variant reuses the metric
-// tree's best-first walk with the buffer-reusing Into form.
+// batchNearestKOp answers "seq NEAREST k TO lit". The bktree variant
+// walks the metric tree best-first (buffer-reusing Into form); the scan
+// variant pulls tuple blocks and folds each one into a bounded best
+// list, verifying with the DP cut off at the current kth-best distance,
+// so most tuples abort their DP early.
 type batchNearestKOp struct {
+	kernelTag
 	ctx     *execCtx
 	snap    *relation.Snapshot
 	alias   string
@@ -209,6 +226,9 @@ func (o *batchNearestKOp) OpenBatch() error {
 	o.pos = 0
 	o.buf = getBatch()
 	if o.via == "bktree" {
+		// The shared tree may hold tombstoned or post-snapshot entries;
+		// the visibility filter keeps them out of the best list without
+		// losing true answers.
 		m, st := o.snap.BKTree().NearestKFilterStatsInto(o.matches[:0], o.target, o.k, o.snap.Visible)
 		o.matches = m
 		es := fromIndexStats(st)
@@ -225,6 +245,8 @@ func (o *batchNearestKOp) OpenBatch() error {
 	// results — see editdp.TargetDP).
 	dp := calc.NewTargetDP(o.target)
 	var local ExecStats
+	// best holds up to k matches sorted ascending by (dist, id); bound
+	// is the kth-best distance once the list is full.
 	best := o.matches[:0]
 	bound := math.Inf(1)
 	cur := o.snap.Shard(0, 1)
@@ -290,16 +312,17 @@ func (o *batchNearestKOp) Describe() string {
 	return fmt.Sprintf("NearestK(%s via %s, k=%d, ruleset=%s)", o.alias, o.via, o.k, o.ruleSet)
 }
 
-func (o *batchNearestKOp) childNodes() []any { return nil }
+func (o *batchNearestKOp) childNodes() []BatchOperator { return nil }
 
 // -------------------------------------------------------------- filter
 
 // batchFilterOp keeps the rows satisfying a residual predicate,
 // compacting each block in place. Single-alias predicates run through
 // the compiled evaluator (batch_pred.go); binding-layout blocks and
-// uncompilable shapes fall back to the row evaluator on a scratch
-// binding — same semantics, fewer hoisted costs.
+// uncompilable shapes fall back to evalExpr on a scratch binding — same
+// semantics, fewer hoisted costs.
 type batchFilterOp struct {
+	kernelTag
 	ctx   *execCtx
 	child BatchOperator
 	pred  Expr
@@ -381,8 +404,8 @@ func (o *batchFilterOp) CloseBatch() error {
 
 func (o *batchFilterOp) opStats() ExecStats { return o.last }
 
-func (o *batchFilterOp) Describe() string  { return fmt.Sprintf("Filter(%s)", o.pred) }
-func (o *batchFilterOp) childNodes() []any { return []any{o.child} }
+func (o *batchFilterOp) Describe() string            { return fmt.Sprintf("Filter(%s)", o.pred) }
+func (o *batchFilterOp) childNodes() []BatchOperator { return []BatchOperator{o.child} }
 
 // ------------------------------------------------------------- project
 
@@ -427,14 +450,23 @@ func (o *batchProjectOp) NextBatch() (*Batch, error) {
 func (o *batchProjectOp) CloseBatch() error { return o.child.CloseBatch() }
 
 func (o *batchProjectOp) Describe() string {
-	return (&projectOp{q: o.q}).Describe()
+	if len(o.q.Select) == 0 {
+		return "Project(*)"
+	}
+	parts := make([]string, len(o.q.Select))
+	for i, c := range o.q.Select {
+		parts[i] = c.String()
+	}
+	return fmt.Sprintf("Project(%s)", strings.Join(parts, ", "))
 }
 
-func (o *batchProjectOp) childNodes() []any { return []any{o.child} }
+func (o *batchProjectOp) childNodes() []BatchOperator { return []BatchOperator{o.child} }
 
 // --------------------------------------------------------------- limit
 
-// batchLimitOp truncates the stream after n rows.
+// batchLimitOp truncates the stream after n rows. Because the pipeline
+// is pull-based, everything below it — index iterators included — stops
+// working the moment the limit is reached.
 type batchLimitOp struct {
 	child BatchOperator
 	n     int
@@ -458,15 +490,16 @@ func (o *batchLimitOp) NextBatch() (*Batch, error) {
 	return b, nil
 }
 
-func (o *batchLimitOp) CloseBatch() error { return o.child.CloseBatch() }
-func (o *batchLimitOp) Describe() string  { return fmt.Sprintf("Limit(%d)", o.n) }
-func (o *batchLimitOp) childNodes() []any { return []any{o.child} }
+func (o *batchLimitOp) CloseBatch() error           { return o.child.CloseBatch() }
+func (o *batchLimitOp) Describe() string            { return fmt.Sprintf("Limit(%d)", o.n) }
+func (o *batchLimitOp) childNodes() []BatchOperator { return []BatchOperator{o.child} }
 
 // ------------------------------------------------------- order by dist
 
-// batchOrderByDistOp is the blocking sort: it drains the child into
-// column buffers of its own, stably sorts a row permutation by the same
-// key as the row operator, and re-emits blocks in sorted order.
+// batchOrderByDistOp is the blocking sort on the row distance: it
+// drains the child into column buffers of its own, stably sorts a row
+// permutation (rows without a distance sort last; ties keep the child's
+// deterministic order) and re-emits blocks in sorted order.
 type batchOrderByDistOp struct {
 	child BatchOperator
 	desc  bool
@@ -586,15 +619,19 @@ func (o *batchOrderByDistOp) Describe() string {
 	return "OrderByDist(asc)"
 }
 
-func (o *batchOrderByDistOp) childNodes() []any { return []any{o.child} }
+func (o *batchOrderByDistOp) childNodes() []BatchOperator { return []BatchOperator{o.child} }
 
 // ------------------------------------------------------------ parallel
 
-// batchParallelOp shards a batch pipeline across workers, exactly like
-// parallelOp: build(i, n) returns the pipeline restricted to shard i of
-// n, shard outputs are materialised concurrently (copied — a leaf
-// refills its batch every pull) and re-emitted in shard order, which
-// reproduces the serial plan's output byte for byte.
+// batchParallelOp shards a pipeline across workers. build(i, n) must
+// return the serial pipeline restricted to shard i of n; because shards
+// are contiguous tuple ranges and each shard pipeline is deterministic,
+// the shard-order merge is byte-identical to the serial plan's output.
+//
+// The operator materialises shard outputs in OpenBatch (copied — a leaf
+// refills its batch every pull): similarity work (the DP verifications)
+// dominates block buffering by orders of magnitude, so this trades
+// negligible memory for full parallelism.
 type batchParallelOp struct {
 	ctx      *execCtx
 	workers  int
@@ -613,13 +650,7 @@ type batchParallelOp struct {
 
 // executedInstances exposes the per-shard pipelines for span
 // extraction; nil when the plan is not traced.
-func (o *batchParallelOp) executedInstances() []any {
-	out := make([]any, len(o.prebuilt))
-	for i, p := range o.prebuilt {
-		out[i] = p
-	}
-	return out
-}
+func (o *batchParallelOp) executedInstances() []BatchOperator { return o.prebuilt }
 
 func (o *batchParallelOp) shardPipeline(i int) BatchOperator {
 	if o.prebuilt != nil {
@@ -697,4 +728,4 @@ func (o *batchParallelOp) Describe() string {
 	return fmt.Sprintf("Parallel(workers=%d)", o.workers)
 }
 
-func (o *batchParallelOp) childNodes() []any { return []any{o.template} }
+func (o *batchParallelOp) childNodes() []BatchOperator { return []BatchOperator{o.template} }

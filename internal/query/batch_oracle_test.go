@@ -1,12 +1,15 @@
 package query
 
-// The batch/row parity oracle: for randomized datasets, statements,
-// shard counts and block sizes, the vectorized engine must be
-// indistinguishable from the row-at-a-time engine — byte-identical
-// result rows in byte-identical order (both pipelines execute the same
-// physical decision, so even plan-dependent WITHIN emission order must
-// match positionally), and byte-identical table contents (including
-// assigned tuple ids) after every interleaved DML batch.
+// The block-size parity oracle: for randomized datasets, statements,
+// shard counts and block sizes, the engine at block size N must be
+// indistinguishable from the engine at block size 1 — the degenerate
+// row-at-a-time case of the same operators — with byte-identical result
+// rows in byte-identical order (both execute the same physical
+// decision, so even plan-dependent WITHIN emission order must match
+// positionally) and byte-identical table contents (including assigned
+// tuple ids) after every interleaved DML batch. That only shows the
+// engine agrees with itself, so every statement is also held against
+// the brute-force model in oracle_model_test.go.
 
 import (
 	"fmt"
@@ -19,16 +22,17 @@ import (
 	"repro/internal/rewrite"
 )
 
-// batchPair is one row-engine/batch-engine pair over the same logical
-// relation; the row engine is the oracle.
+// batchPair is one block-1/block-N engine pair over the same logical
+// relation, plus the model both are checked against.
 type batchPair struct {
-	row   *Engine // SetBatchSize(0): every plan is row-at-a-time
-	batch *Engine // vectorized with the configured block size
+	row   *Engine // WithBatchSize(1): one row per block
+	batch *Engine // the configured block size
+	model *oracleDB
 }
 
 func newBatchPair(t testing.TB, shards, batchSize int) *batchPair {
 	t.Helper()
-	mk := func() *Engine {
+	mk := func(size int) *Engine {
 		var tab relation.Table
 		if shards > 1 {
 			tab = relation.NewSharded("words", shards)
@@ -37,57 +41,47 @@ func newBatchPair(t testing.TB, shards, batchSize int) *batchPair {
 		}
 		cat := relation.NewCatalog()
 		cat.Add(tab)
-		e := NewEngine(cat)
+		e := NewEngine(cat, WithBatchSize(size))
 		rs := rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())
 		if err := e.RegisterRuleSet(rs); err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
-	p := &batchPair{row: mk(), batch: mk()}
-	p.row.SetBatchSize(0)
-	p.batch.SetBatchSize(batchSize)
-	return p
+	return &batchPair{row: mk(1), batch: mk(batchSize), model: &oracleDB{}}
 }
 
 // exec runs one statement on both engines, asserts positional
-// byte-identity of the results, and returns the row engine's result.
+// byte-identity of the results, holds them against the model (which a
+// DML statement updates) and returns the result.
 func (p *batchPair) exec(t *testing.T, stmt string) *Result {
 	t.Helper()
 	r, rerr := p.row.Execute(stmt)
 	b, berr := p.batch.Execute(stmt)
-	if (rerr == nil) != (berr == nil) {
-		t.Fatalf("%q: error parity broken: row=%v batch=%v", stmt, rerr, berr)
-	}
-	if rerr != nil {
-		if rerr.Error() != berr.Error() {
-			t.Fatalf("%q: error text diverges:\nrow:   %v\nbatch: %v", stmt, rerr, berr)
-		}
-		return nil
+	if rerr != nil || berr != nil {
+		t.Fatalf("%q: block 1: %v, block N: %v", stmt, rerr, berr)
 	}
 	if strings.Join(r.Columns, "\x1f") != strings.Join(b.Columns, "\x1f") {
 		t.Fatalf("%q: columns diverge: %v vs %v", stmt, r.Columns, b.Columns)
 	}
 	if positional(r) != positional(b) {
-		t.Fatalf("%q: rows diverge:\nrow:\n%s\nbatch:\n%s\nrow plan:\n%s\nbatch plan:\n%s",
+		t.Fatalf("%q: rows diverge:\nblock 1:\n%s\nblock N:\n%s\nblock-1 plan:\n%s\nblock-N plan:\n%s",
 			stmt, positional(r), positional(b), r.Plan, b.Plan)
 	}
+	p.model.checkModel(t, stmt, b)
 	return r
 }
 
-// checkDump asserts byte-identical table contents (ids included).
+// checkDump asserts byte-identical table contents (ids included)
+// across both engines and the model.
 func (p *batchPair) checkDump(t *testing.T) {
 	t.Helper()
-	dump := func(e *Engine) string {
-		tab, _ := e.Catalog().Lookup("words")
-		var sb strings.Builder
-		for _, tup := range tab.Tuples() {
-			fmt.Fprintf(&sb, "%d\x1f%s\x1f%s\n", tup.ID, tup.Seq, tup.Attr("tag"))
-		}
-		return sb.String()
+	r, b := dumpWords(p.row), dumpWords(p.batch)
+	if r != b {
+		t.Fatalf("table contents diverge after DML:\nblock 1:\n%s\nblock N:\n%s", r, b)
 	}
-	if r, b := dump(p.row), dump(p.batch); r != b {
-		t.Fatalf("table contents diverge after DML:\nrow:\n%s\nbatch:\n%s", r, b)
+	if m := p.model.dump(); b != m {
+		t.Fatalf("table contents diverge from the model after DML:\nengine:\n%s\nmodel:\n%s", b, m)
 	}
 }
 
@@ -103,7 +97,7 @@ func (p *batchPair) seedRows(t *testing.T, rng *rand.Rand, n int) {
 }
 
 // randBatchStmt draws one random read statement covering every access
-// family and decorator the batch engine implements: WITHIN at the
+// family and decorator the engine implements: WITHIN at the
 // radii that cross the index/scan cost boundary, NEAREST, residual
 // equality filters, OR/NOT shapes, pattern similarity, the dist
 // pseudo-field, ORDER BY in both directions and LIMIT with and without
@@ -165,13 +159,13 @@ func (p *batchPair) applyRandomDML(t *testing.T, rng *rand.Rand) {
 	}
 }
 
-// TestBatchRowParityOracle is the main property test: shard counts 1
-// and 4 crossed with block sizes 1, 64 and 256, random reads against
-// the row oracle with interleaved DML, table dumps compared after every
-// mutation generation.
-func TestBatchRowParityOracle(t *testing.T) {
+// TestBlockParityOracle is the main property test: shard counts 1 and 4
+// crossed with block sizes 4, 64 and 256, random reads against block
+// size 1 and the model with interleaved DML, table dumps compared after
+// every mutation generation.
+func TestBlockParityOracle(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		for _, size := range []int{1, 64, 256} {
+		for _, size := range []int{4, 64, 256} {
 			shards, size := shards, size
 			t.Run(fmt.Sprintf("shards=%d/batch=%d", shards, size), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(1000*shards + size)))
@@ -186,7 +180,7 @@ func TestBatchRowParityOracle(t *testing.T) {
 						p.exec(t, randBatchStmt(rng))
 					}
 					// Repeat one statement so the second run exercises the
-					// plan-cache hit path's decision -> batch-tree rebuild.
+					// plan-cache hit path's decision -> tree rebuild.
 					stmt := randBatchStmt(rng)
 					p.exec(t, stmt)
 					p.exec(t, stmt)
@@ -196,7 +190,7 @@ func TestBatchRowParityOracle(t *testing.T) {
 	}
 }
 
-// TestBatchParityParallel crosses the vectorized path with the
+// TestBatchParityParallel crosses the block sizes with the
 // parallel-scan machinery: both engines shard their scan pipelines
 // across 4 workers (Parallel for unsharded plans, the gather pool for
 // sharded ones) and must still match positionally.
@@ -220,7 +214,7 @@ func TestBatchParityParallel(t *testing.T) {
 
 // TestBatchParityPrepared drives both engines through the prepared-
 // statement path: one template, many bindings, with the memoised
-// decision (vectorize recorded) reused across executions.
+// decision reused across executions.
 func TestBatchParityPrepared(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := newBatchPair(t, 1, 64)
@@ -239,23 +233,27 @@ func TestBatchParityPrepared(t *testing.T) {
 		target, radius, limit := randOracleSeq(rng), rng.Intn(4), 1+rng.Intn(10)
 		rr, err := rq.Execute(target, radius, limit)
 		if err != nil {
-			t.Fatalf("row prepared: %v", err)
+			t.Fatalf("block-1 prepared: %v", err)
 		}
 		br, err := bq.Execute(target, radius, limit)
 		if err != nil {
-			t.Fatalf("batch prepared: %v", err)
+			t.Fatalf("block-64 prepared: %v", err)
 		}
 		if positional(rr) != positional(br) {
-			t.Fatalf("prepared (%q, %d, %d) diverges:\nrow:\n%s\nbatch:\n%s",
+			t.Fatalf("prepared (%q, %d, %d) diverges:\nblock 1:\n%s\nblock 64:\n%s",
 				target, radius, limit, positional(rr), positional(br))
 		}
+		// The bound statement, spelled out, is inside the model's language.
+		p.model.checkModel(t, fmt.Sprintf(
+			`SELECT seq, dist FROM words WHERE seq SIMILAR TO %q WITHIN %d USING edits ORDER BY dist LIMIT %d`,
+			target, radius, limit), br)
 	}
 	if st := bq.Stats(); st.PlanReuses == 0 {
 		t.Fatalf("batch prepared query never reused a decision: %+v", st)
 	}
 }
 
-// TestBatchParityConcurrentDML runs vectorized reads against live
+// TestBatchParityConcurrentDML runs block-64 reads against live
 // concurrent writers — the serving pattern — primarily for the race
 // detector (the targeted -race CI step runs 'Batch' tests); once the
 // writers quiesce, both engines must agree byte for byte again.
@@ -266,11 +264,11 @@ func TestBatchParityConcurrentDML(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	var written []string // owned by the writer until wg.Wait returns
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		i := 0
-		for {
+		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
@@ -278,7 +276,7 @@ func TestBatchParityConcurrentDML(t *testing.T) {
 			}
 			// Mirror every write on both engines so they converge.
 			stmt := fmt.Sprintf("INSERT INTO words (seq, tag) VALUES (%q, %q)",
-				fmt.Sprintf("w%daceb", i), "1")
+				"aceb"+strings.Repeat("j", i%5)+string(oracleAlphabet[i%10]), "1")
 			if _, err := p.row.Execute(stmt); err != nil {
 				t.Error(err)
 				return
@@ -287,7 +285,7 @@ func TestBatchParityConcurrentDML(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			i++
+			written = append(written, stmt)
 		}
 	}()
 	queries := []string{
@@ -302,6 +300,9 @@ func TestBatchParityConcurrentDML(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	for _, stmt := range written {
+		p.model.checkModel(t, stmt, nil)
+	}
 	p.checkDump(t)
 	for _, q := range queries {
 		p.exec(t, q)

@@ -1,11 +1,11 @@
 package query
 
-// Predicate compilation for the batch filter. The row pipeline walks
-// the Expr tree per candidate (evalExpr), paying an interface
+// Predicate compilation for the filter. The interpreted evaluator
+// (evalExpr) walks the Expr tree per candidate, paying an interface
 // type-switch per node, a rule-set registry lookup (an RWMutex
 // acquisition) per similarity conjunct and an alias resolution per
-// field — per row. The batch filter compiles a single-alias predicate
-// once per pipeline into a closure chain with all of that hoisted:
+// field — per row. The filter compiles a single-alias predicate once
+// per pipeline into a closure chain with all of that hoisted:
 // calculators, general engines and compiled patterns are resolved at
 // compile time, field references become direct tuple accessors, and
 // the per-row work collapses to the distance computation itself.
@@ -13,8 +13,9 @@ package query
 // Semantics are pinned to evalExpr: evaluation order, short-circuiting
 // (including unsurfaced errors in unevaluated branches), the
 // first-matching-similarity-sets-dist rule and every error message are
-// identical, so the two evaluators are interchangeable row for row —
-// the batch/row parity oracle runs both.
+// identical, so the two evaluators are interchangeable row for row
+// (the filter falls back to evalExpr for shapes it cannot compile and
+// for the multi-alias rows above a join).
 
 import (
 	"fmt"
@@ -217,7 +218,7 @@ func (e *Engine) compileSim(ex SimExpr, alias string) predFn {
 
 // compileVecSim compiles a vector similarity conjunct with the metric
 // resolved up front. Distance comes from metric.Within — the same
-// shared kernel core as the row evaluator, the VP-tree and the oracle —
+// shared kernel core as evalSim, the VP-tree and the oracle —
 // with the target vector first, matching the tree's operand order, so
 // all paths agree bitwise. Error precedence mirrors evalVecSim: the
 // alias resolution fails per row before any hoisted shape error.
@@ -327,8 +328,8 @@ func (e *Engine) compileWithin(ruleset string) func(x, y string, radius float64)
 }
 
 // errSim is a similarity predicate whose evaluator resolution failed:
-// per row it still evaluates the field first — the row evaluator does,
-// so a field error (e.g. dist unavailable) must win over the hoisted
+// per row it still evaluates the field first — evalExpr does, so a
+// field error (e.g. dist unavailable) must win over the hoisted
 // evaluator error to keep error parity — then fails with the fixed
 // error.
 func errSim(field valFn, err error) predFn {
@@ -351,7 +352,7 @@ func compileOperand(o Operand, alias string) valFn {
 
 // compileField mirrors fieldValue over a single-alias row: dist reads
 // the running distance state, any other name resolves on the tuple, and
-// a foreign alias fails exactly like the row pipeline's lookup.
+// a foreign alias fails exactly like fieldValue's lookup.
 func compileField(f FieldRef, alias string) valFn {
 	if f.Name == "dist" {
 		return func(_ *relation.Tuple, dist *float64, has *bool) (string, error) {

@@ -1,11 +1,22 @@
 package query
 
-// Vectorized scatter-gather over sharded relations: the batch twin of
-// shard_operators.go. Shard subplans are batch pipelines drained by the
-// same bounded worker pool into per-shard column buffers; the merges
-// (id-ordered for scans and ranges, rank-aware (dist, id) bounded for
-// NEAREST) are identical to the row gather's, so a vectorized sharded
-// plan emits byte-identical rows in byte-identical order.
+// Scatter-gather execution over sharded relations. The planner turns a
+// single-relation query over a ShardedRelation into one subplan per
+// shard — each reading one shard snapshot of a consistent ShardView —
+// plus a GatherMerge root that runs the subplans through a bounded
+// worker pool and merges their outputs:
+//
+//   - merge=id (WITHIN / scans / join chains): shard streams are merged
+//     in ascending global tuple id, which reconstructs exactly the serial
+//     scan order of the unsharded relation (ids are global and each
+//     arena is id-ascending).
+//   - merge=bestk (NEAREST): each shard produces its own k-best list
+//     sorted by (dist, id); the gather is a rank-aware bounded merge
+//     that repeatedly takes the smallest (dist, id) frontier entry and
+//     terminates after k results — once the global k-th best is fixed,
+//     no shard's remaining (worse) entries are ever examined. The
+//     (dist, id) order makes equal-distance ties deterministic by row
+//     key no matter which shard finished first.
 
 import (
 	"fmt"
@@ -18,47 +29,103 @@ import (
 	"repro/internal/relation"
 )
 
-// buildShardedBatchTree constructs the vectorized scatter-gather
-// operator tree for a decided single-relation query over a sharded
-// relation; the structure (per-shard filters, per-shard pushed limits,
-// gather mode) mirrors buildShardedPlan exactly.
-func (e *Engine) buildShardedBatchTree(q *Query, d *planDecision, view *relation.ShardView, st relation.Stats, ctx *execCtx, cp *compiledPlan) (*compiledPlan, error) {
+// buildShardedPlan constructs the scatter-gather operator tree for a
+// decided single-relation query over a sharded relation; per-shard
+// filters and pushed limits mirror the unsharded build in plan.go.
+func (e *Engine) buildShardedPlan(q *Query, d *planDecision, tab relation.Table) (*compiledPlan, error) {
+	sh, ok := tab.(*relation.ShardedRelation)
+	if !ok {
+		return nil, fmt.Errorf("query: stale plan: relation %q is no longer sharded", q.From[0].Name)
+	}
+	if sh.NumShards() != d.shards {
+		return nil, fmt.Errorf("query: stale plan: relation %q has %d shards, plan wants %d",
+			q.From[0].Name, sh.NumShards(), d.shards)
+	}
+	// Ensure the shared per-shard index structures ahead of the view
+	// capture, so every shard snapshot carries its online-maintained
+	// index instead of building a private one per query.
+	switch d.kind {
+	case accessRange:
+		switch d.via {
+		case "trie":
+			sh.EnsureTries()
+		case "vptree":
+			if m := vecRangeMetric(q.Where); m != nil {
+				sh.EnsureVPTrees(m)
+			}
+		default:
+			sh.EnsureBKTrees()
+		}
+	case accessNearest:
+		switch d.via {
+		case "bktree":
+			sh.EnsureBKTrees()
+		case "vptree":
+			if ne, ok := q.Where.(NearestExpr); ok {
+				if m, ok := metric.Lookup(ne.RuleSet); ok {
+					sh.EnsureVPTrees(m)
+				}
+			}
+		}
+	}
+	view := sh.View()
 	n := view.NumShards()
 	alias := q.From[0].Alias
+	ctx := &execCtx{eng: e, traced: q.Analyze || e.tracing.Load()}
+	// Planner estimates below are per shard: the leaf cardinalities of an
+	// even hash partition, so EXPLAIN ANALYZE compares each shard subplan
+	// against what the optimizer assumed for one shard, not the union.
+	st := shardStats(sh.Stats(), n)
 	size := e.batchLeafSize(q)
-	cp.batchSize = size
-	cp.kernel = d.kernel
+	tag := kernelTag{d.kernel}
+
+	// finish stacks the residual filter and the pushed limit on a shard
+	// leaf. LIMIT without ORDER BY returns an arbitrary valid subset
+	// (already true of the unsharded lazy index scan) and scan streams are
+	// id-ascending, so each shard needs at most LIMIT rows: the pushed
+	// limit stops the per-shard traversal early instead of draining the
+	// whole radius ball on every shard.
+	finish := func(op BatchOperator, pred Expr) BatchOperator {
+		if !isTrivial(pred) {
+			op = trB(ctx, &batchFilterOp{kernelTag: kernelTag{e.filterKernel(pred)}, ctx: ctx, child: op, pred: pred, alias: alias},
+				estFilterRows(st, pred, estOfBatch(op)))
+		}
+		if q.Limit > 0 && q.Order == OrderNone {
+			op = trB(ctx, &batchLimitOp{child: op, n: q.Limit}, estLimitRows(q.Limit, estOfBatch(op)))
+		}
+		return op
+	}
 
 	children := make([]BatchOperator, n)
-	var access BatchOperator
+	gather := &batchGatherMergeOp{ctx: ctx, children: children, workers: d.workers, alias: alias, mode: gatherByID, size: size}
+	gatherEst := -1.0
 	switch d.kind {
 	case accessNearest:
 		ne := q.Where.(NearestExpr)
-		gatherEst := estNearestRows(n*st.Count, ne.K)
+		gather.mode, gather.k = gatherBestK, ne.K
 		if isVecNearest(&ne) {
 			gatherEst = estNearestRows(n*st.VecCount, ne.K)
 			for i := range children {
 				children[i] = trB(ctx, &batchShardVecNearestKOp{
 					batchVecNearestKOp: batchVecNearestKOp{
-						ctx: ctx, snap: view.Snap(i), alias: alias,
+						kernelTag: tag, ctx: ctx, snap: view.Snap(i), alias: alias,
 						via: d.via, target: ne.Target.Vec, k: ne.K, metricName: ne.RuleSet, size: size,
 					},
 					idx: i, of: n,
-				}, estNearestRows(st.VecCount, ne.K), d.kernel)
+				}, estNearestRows(st.VecCount, ne.K))
 			}
 		} else {
+			gatherEst = estNearestRows(n*st.Count, ne.K)
 			for i := range children {
 				children[i] = trB(ctx, &batchShardNearestKOp{
 					batchNearestKOp: batchNearestKOp{
-						ctx: ctx, snap: view.Snap(i), alias: alias,
+						kernelTag: tag, ctx: ctx, snap: view.Snap(i), alias: alias,
 						via: d.via, target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet, size: size,
 					},
 					idx: i, of: n,
-				}, estNearestRows(st.Count, ne.K), d.kernel)
+				}, estNearestRows(st.Count, ne.K))
 			}
 		}
-		access = trB(ctx, &batchGatherMergeOp{ctx: ctx, children: children, workers: d.workers,
-			mode: gatherBestK, k: ne.K, size: size}, gatherEst, "")
 	case accessRange:
 		if d.via == "vptree" {
 			sim, residual := extractVecRangeSim(q.Where)
@@ -67,21 +134,11 @@ func (e *Engine) buildShardedBatchTree(q *Query, d *planDecision, view *relation
 			}
 			pred := simplifyExpr(residual)
 			for i := range children {
-				var op BatchOperator = trB(ctx, &batchVecRangeOp{
-					ctx: ctx, snap: view.Snap(i), alias: alias,
+				children[i] = finish(trB(ctx, &batchVecRangeOp{
+					kernelTag: tag, ctx: ctx, snap: view.Snap(i), alias: alias,
 					target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet, size: size,
-				}, estVecRangeRows(st, sim.Radius), d.kernel)
-				if !isTrivial(pred) {
-					op = trB(ctx, &batchFilterOp{ctx: ctx, child: op, pred: pred, alias: alias},
-						estFilterRows(st, pred, estOfBatch(op)), e.filterKernel(pred))
-				}
-				if q.Limit > 0 && q.Order == OrderNone {
-					op = trB(ctx, &batchLimitOp{child: op, n: q.Limit}, estLimitRows(q.Limit, estOfBatch(op)), "")
-				}
-				children[i] = op
+				}, estVecRangeRows(st, sim.Radius)), pred)
 			}
-			access = trB(ctx, &batchGatherMergeOp{ctx: ctx, children: children, workers: d.workers,
-				mode: gatherByID, size: size}, -1, "")
 			break
 		}
 		sim, residual := extractRangeSim(q.Where, e.rangeIndexable)
@@ -90,52 +147,32 @@ func (e *Engine) buildShardedBatchTree(q *Query, d *planDecision, view *relation
 		}
 		pred := simplifyExpr(residual)
 		for i := range children {
-			var op BatchOperator = trB(ctx, &batchIndexRangeOp{
-				ctx: ctx, snap: view.Snap(i), alias: alias, via: d.via,
+			children[i] = finish(trB(ctx, &batchIndexRangeOp{
+				kernelTag: tag, ctx: ctx, snap: view.Snap(i), alias: alias, via: d.via,
 				target: sim.Target.Lit, radius: int(sim.Radius), ruleSet: sim.RuleSet, size: size,
-			}, estRangeRows(st, sim.Radius), d.kernel)
-			if !isTrivial(pred) {
-				op = trB(ctx, &batchFilterOp{ctx: ctx, child: op, pred: pred, alias: alias},
-					estFilterRows(st, pred, estOfBatch(op)), e.filterKernel(pred))
-			}
-			if q.Limit > 0 && q.Order == OrderNone {
-				// Same per-shard pushdown as the row gather: each shard needs
-				// at most LIMIT matches, so the index traversal stops early.
-				op = trB(ctx, &batchLimitOp{child: op, n: q.Limit}, estLimitRows(q.Limit, estOfBatch(op)), "")
-			}
-			children[i] = op
+			}, estRangeRows(st, sim.Radius)), pred)
 		}
-		access = trB(ctx, &batchGatherMergeOp{ctx: ctx, children: children, workers: d.workers,
-			mode: gatherByID, size: size}, -1, "")
 	case accessScan:
 		pred := simplifyExpr(q.Where)
 		for i := range children {
 			sc := newBatchScanOp(ctx, view.Snap(i), alias, size)
-			var op BatchOperator = trB(ctx, &batchShardScanOp{batchScanOp: *sc, idx: i, of: n},
-				float64(st.Count), "")
-			if !isTrivial(pred) {
-				op = trB(ctx, &batchFilterOp{ctx: ctx, child: op, pred: pred, alias: alias},
-					estFilterRows(st, pred, estOfBatch(op)), e.filterKernel(pred))
-			}
-			if q.Limit > 0 && q.Order == OrderNone {
-				op = trB(ctx, &batchLimitOp{child: op, n: q.Limit}, estLimitRows(q.Limit, estOfBatch(op)), "")
-			}
-			children[i] = op
+			children[i] = finish(trB(ctx, &batchShardScanOp{batchScanOp: *sc, idx: i, of: n}, float64(st.Count)), pred)
 		}
-		access = trB(ctx, &batchGatherMergeOp{ctx: ctx, children: children, workers: d.workers,
-			mode: gatherByID, size: size}, -1, "")
 	default:
 		return nil, fmt.Errorf("query: access kind %d has no sharded build", d.kind)
 	}
 
-	cp.broot = e.wrapBatchTop(q, access, alias, size, ctx)
-	return cp, nil
+	return &compiledPlan{
+		root: e.wrapBatchTop(q, trB(ctx, gather, gatherEst), alias, size, ctx),
+		ctx:  ctx, columns: projectColumns(q), kernel: d.kernel,
+	}, nil
 }
 
 // ----------------------------------------------------------- shard scan
 
-// batchShardScanOp is a batchScanOp over one shard's snapshot; it
-// exists so EXPLAIN shows which shard each stream comes from.
+// batchShardScanOp is a batchScanOp over one shard's snapshot (the
+// per-shard leaf of a scatter-gather scan, streaming ascending global
+// ids); it exists so EXPLAIN shows which shard each stream comes from.
 type batchShardScanOp struct {
 	batchScanOp
 	idx, of int
@@ -147,7 +184,8 @@ func (o *batchShardScanOp) Describe() string {
 
 // ------------------------------------------------------ shard nearest-k
 
-// batchShardNearestKOp is a batchNearestKOp over one shard snapshot.
+// batchShardNearestKOp is a batchNearestKOp over one shard snapshot; it
+// exists so EXPLAIN shows which shard each k-best list comes from.
 type batchShardNearestKOp struct {
 	batchNearestKOp
 	idx, of int
@@ -160,7 +198,18 @@ func (o *batchShardNearestKOp) Describe() string {
 
 // --------------------------------------------------------- gather merge
 
-// shardCols is one shard's drained output in column form.
+// gatherMode selects the merge discipline of a batchGatherMergeOp.
+type gatherMode int
+
+const (
+	gatherByID  gatherMode = iota // ascending global tuple id (scan order)
+	gatherBestK                   // rank-aware (dist, id) bounded merge
+)
+
+// shardCols is one shard's drained output: columns for a columnar
+// subplan, bindings for a join chain. ids is filled in both layouts —
+// for bindings it holds the merge key, the tuple id bound under the
+// gather's alias.
 type shardCols struct {
 	ids   []int
 	seqs  []string
@@ -168,10 +217,19 @@ type shardCols struct {
 	attrs []map[string]string
 	dist  []float64
 	has   []bool
-	perm  []int // merge order over the columns (id-sorted for gatherByID)
+	binds []*binding
+	perm  []int // merge order over the rows (id-sorted for gatherByID)
 }
 
-func (c *shardCols) appendBatch(b *Batch) {
+func (c *shardCols) appendBatch(b *Batch, alias string) {
+	if b.binds != nil {
+		for _, rb := range b.binds {
+			t, _ := rb.tupleFor(alias)
+			c.ids = append(c.ids, t.ID)
+		}
+		c.binds = append(c.binds, b.binds...)
+		return
+	}
 	c.ids = append(c.ids, b.IDs...)
 	c.seqs = append(c.seqs, b.Seqs...)
 	c.vecs = append(c.vecs, b.Vecs...)
@@ -180,16 +238,17 @@ func (c *shardCols) appendBatch(b *Batch) {
 	c.has = append(c.has, b.has...)
 }
 
-// batchGatherMergeOp drains one batch subplan per shard through a
-// bounded worker pool and merges the column buffers. Shard subplans of
-// a sharded single-relation query are always columnar, so the merge
-// never sees a bindings-layout batch — sharded JOIN chains carry
-// multi-alias bindings and therefore gather through the row
-// gatherMergeOp instead (see buildShardedJoin).
+// batchGatherMergeOp drains one subplan per shard through a bounded
+// worker pool into per-shard buffers and merges them. It trades block
+// buffering for full parallelism — the per-tuple similarity work inside
+// the subplans dominates by orders of magnitude. Join chains (one per
+// outer shard, see join_batch.go) emit bindings-layout batches; those
+// merge by the id bound under alias, the chain's start alias.
 type batchGatherMergeOp struct {
 	ctx      *execCtx
-	children []BatchOperator
+	children []BatchOperator // one subplan per shard
 	workers  int
+	alias    string // the alias whose tuple id keys a bindings-layout merge
 	mode     gatherMode
 	k        int // gatherBestK: result bound
 	size     int
@@ -198,19 +257,14 @@ type batchGatherMergeOp struct {
 	pos     []int // per-shard frontier position into perm
 	done    int   // rows emitted (gatherBestK stops at k)
 	out     *Batch
+	binds   []*binding        // bindings-layout output buffer, reused across pulls
 	timings []obs.ShardTiming // per-shard drain wall time (traced runs only)
 }
 
 // executedInstances reports every shard subplan for span extraction —
 // unlike childNodes (which shows the shard-0 template for EXPLAIN), all
 // instances always execute, so ANALYZE merges the counters of each.
-func (o *batchGatherMergeOp) executedInstances() []any {
-	out := make([]any, len(o.children))
-	for i, c := range o.children {
-		out[i] = c
-	}
-	return out
-}
+func (o *batchGatherMergeOp) executedInstances() []BatchOperator { return o.children }
 
 // shardTimings reports the per-shard fan-out timing recorded by the last
 // traced OpenBatch.
@@ -252,7 +306,7 @@ func (o *batchGatherMergeOp) OpenBatch() error {
 			if b == nil {
 				break
 			}
-			o.cols[i].appendBatch(b)
+			o.cols[i].appendBatch(b, o.alias)
 		}
 		if err := op.CloseBatch(); err != nil && errs[i] == nil {
 			errs[i] = err
@@ -266,8 +320,9 @@ func (o *batchGatherMergeOp) OpenBatch() error {
 		}
 	}
 	if workers == 1 {
-		// Single-worker gather: run the shard subplans inline — goroutine
-		// overhead buys nothing without parallelism.
+		// Single-worker gather (one core, or WithParallelism(1)): run the
+		// shard subplans inline — goroutine and channel overhead buys
+		// nothing without parallelism.
 		for i := range o.children {
 			drain(i)
 		}
@@ -300,11 +355,15 @@ func (o *batchGatherMergeOp) OpenBatch() error {
 		for j := range c.ids {
 			c.perm = append(c.perm, j)
 		}
-		if o.mode == gatherByID {
-			// Scan streams arrive id-sorted already; index-range streams
-			// arrive in traversal order, so sort the merge permutation (ids
-			// are unique — no tie to break).
-			sort.Slice(c.perm, func(a, b int) bool { return c.ids[c.perm[a]] < c.ids[c.perm[b]] })
+		if o.mode == gatherByID && !sort.IntsAreSorted(c.ids) {
+			// Scan streams and join chains arrive id-sorted already;
+			// index-range streams arrive in traversal order, so sort the
+			// merge permutation. The sort must be stable: a join chain emits
+			// the same outer id once per inner match (already grouped in
+			// ascending-inner order), and a stable sort keeps each group's
+			// inner order intact. Across shards ids never tie — outer rows
+			// partition across shards.
+			sort.SliceStable(c.perm, func(a, b int) bool { return c.ids[c.perm[a]] < c.ids[c.perm[b]] })
 		}
 		// gatherBestK frontiers consume each shard's k-best list in its
 		// native (dist, id)-ascending order.
@@ -313,15 +372,10 @@ func (o *batchGatherMergeOp) OpenBatch() error {
 }
 
 func (o *batchGatherMergeOp) NextBatch() (*Batch, error) {
-	if o.mode == gatherBestK && o.done >= o.k {
-		return nil, nil
-	}
 	b := o.out
 	b.reset()
-	for b.Len() < o.size {
-		if o.mode == gatherBestK && o.done >= o.k {
-			break
-		}
+	binds := o.binds[:0]
+	for n := 0; n < o.size && (o.mode != gatherBestK || o.done < o.k); n++ {
 		best := -1
 		for i := range o.cols {
 			c := &o.cols[i]
@@ -336,7 +390,9 @@ func (o *batchGatherMergeOp) NextBatch() (*Batch, error) {
 			bj := bi.perm[o.pos[best]]
 			if o.mode == gatherBestK {
 				// Rank-aware frontier: smallest (dist, id) wins; ties on
-				// distance resolve by ascending tuple id, a total order.
+				// distance resolve by ascending tuple id, a total order over
+				// rows, which makes the output independent of shard
+				// completion order.
 				if c.dist[bb] < bi.dist[bj] || c.dist[bb] == bi.dist[bj] && c.ids[bb] < bi.ids[bj] {
 					best = i
 				}
@@ -350,10 +406,18 @@ func (o *batchGatherMergeOp) NextBatch() (*Batch, error) {
 		c := &o.cols[best]
 		j := c.perm[o.pos[best]]
 		o.pos[best]++
-		b.Block.Append(c.ids[j], c.seqs[j], c.vecs[j], c.attrs[j])
-		b.dist = append(b.dist, c.dist[j])
-		b.has = append(b.has, c.has[j])
+		if c.binds != nil {
+			binds = append(binds, c.binds[j])
+		} else {
+			b.Block.Append(c.ids[j], c.seqs[j], c.vecs[j], c.attrs[j])
+			b.dist = append(b.dist, c.dist[j])
+			b.has = append(b.has, c.has[j])
+		}
 		o.done++
+	}
+	o.binds = binds
+	if len(binds) > 0 {
+		b.binds = binds
 	}
 	if b.Len() == 0 {
 		return nil, nil
@@ -377,10 +441,10 @@ func (o *batchGatherMergeOp) Describe() string {
 }
 
 // childNodes returns the shard-0 subplan as the representative subtree
-// (all shards share the same shape, like the row gather's template).
-func (o *batchGatherMergeOp) childNodes() []any {
+// (all shards share the same shape, like Parallel's template).
+func (o *batchGatherMergeOp) childNodes() []BatchOperator {
 	if len(o.children) == 0 {
 		return nil
 	}
-	return []any{o.children[0]}
+	return o.children[:1]
 }

@@ -5,141 +5,71 @@ import (
 	"testing"
 )
 
-// TestVectorizeDecisionInExplain pins the EXPLAIN surface of the
-// vectorize decision: batched plans carry the Vectorize pseudo-root
-// with the leaf block size, row plans do not, unit-cost joins render
-// the native partition join, and weighted joins render both adapters
-// around their row chain.
-func TestVectorizeDecisionInExplain(t *testing.T) {
+// TestExplainRootIsTheTopOperator pins the EXPLAIN surface of the one
+// pipeline: the root is the plan's real top operator (no pseudo-root,
+// no adapters anywhere), the kernel label sits on the operator that
+// runs the kernel, and every join shape renders the one join operator
+// under its probe strategy's name.
+func TestExplainRootIsTheTopOperator(t *testing.T) {
 	e := bigEngine(t)
-	res, err := e.Execute(`EXPLAIN SELECT * FROM dict LIMIT 3`)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		stmt string
+		root string
+		want []string
+	}{
+		{`EXPLAIN SELECT * FROM dict LIMIT 3`, "Limit(3)", nil},
+		// The index-served range plan carries the decided distance kernel
+		// (bit-parallel Myers inside the BK-tree traversal) on the leaf.
+		{`EXPLAIN SELECT seq FROM dict WHERE seq SIMILAR TO "abcdef" WITHIN 1 USING unit-edits`,
+			"Project(seq)", []string{"ruleset=unit-edits)  (kernel=myers)"}},
+		{`EXPLAIN SELECT a.seq FROM dna a, dna b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING unit-edits`,
+			"Project(a.seq)", []string{"PartitionJoin(probe a.seq into b[length-banded]", "Scan(a)"}},
+		// A weighted rule set licenses neither the length band nor the
+		// BK-tree: the nested-loop probe.
+		{`EXPLAIN SELECT a.seq FROM dna a, dna b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING half`,
+			"Project(a.seq)", []string{"NestedLoopJoin(b, on", "Scan(a)"}},
 	}
-	if !strings.HasPrefix(res.Plan, "Vectorize(batch=3)") {
-		t.Fatalf("vectorized plan lacks the Vectorize root (limit-capped):\n%s", res.Plan)
-	}
-
-	res, err = e.Execute(`EXPLAIN SELECT seq FROM dict WHERE seq SIMILAR TO "abcdef" WITHIN 1 USING unit-edits`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The index-served range plan also surfaces the decided distance
-	// kernel (bit-parallel Myers inside the BK-tree traversal).
-	if !strings.HasPrefix(res.Plan, "Vectorize(batch=256, kernel=myers)") {
-		t.Fatalf("vectorized plan lacks the default-size Vectorize root with the kernel:\n%s", res.Plan)
-	}
-
-	// A unit-cost join vectorizes natively: the length-partitioned batch
-	// join, no adapters.
-	res, err = e.Execute(`EXPLAIN SELECT a.seq FROM dna a, dna b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING unit-edits`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{"Vectorize(", "PartitionJoin(probe a.seq into b[length-banded]"} {
-		if !strings.Contains(res.Plan, frag) {
-			t.Fatalf("vectorized join plan lacks %q:\n%s", frag, res.Plan)
+	for _, c := range cases {
+		res, err := e.Execute(c.stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(res.Plan, c.root+"\n") {
+			t.Errorf("%s: root is not %s:\n%s", c.stmt, c.root, res.Plan)
+		}
+		for _, frag := range append(c.want, "└─ ") {
+			if !strings.Contains(res.Plan, frag) {
+				t.Errorf("%s: plan lacks %q:\n%s", c.stmt, frag, res.Plan)
+			}
+		}
+		for _, gone := range []string{"Vectorize(", "RowToBatch", "BatchToRow"} {
+			if strings.Contains(res.Plan, gone) {
+				t.Errorf("%s: plan still renders %q:\n%s", c.stmt, gone, res.Plan)
+			}
 		}
 	}
+}
 
-	// A weighted join has no batch operator: the row chain runs behind
-	// both adapters.
-	res, err = e.Execute(`EXPLAIN SELECT a.seq FROM dna a, dna b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING half`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{"Vectorize(", "RowToBatch(", "BatchToRow", "NestedLoopJoin("} {
-		if !strings.Contains(res.Plan, frag) {
-			t.Fatalf("vectorized weighted join plan lacks %q:\n%s", frag, res.Plan)
+// TestWithBatchSizeClamps: a block holds at least one row — values
+// below 1 clamp to 1 (the WithParallelism precedent) and select no other
+// engine.
+func TestWithBatchSizeClamps(t *testing.T) {
+	for _, n := range []int{0, -7} {
+		e := analyzeEngine(t, 1, n)
+		if e.BatchSize() != 1 {
+			t.Fatalf("WithBatchSize(%d): BatchSize() = %d, want 1", n, e.BatchSize())
+		}
+		res, err := e.Execute(`SELECT seq FROM words WHERE seq NEAREST 2 TO "color" USING unit-edits`)
+		if err != nil || len(res.Rows) != 2 {
+			t.Fatalf("WithBatchSize(%d): rows = %v, err = %v", n, res, err)
 		}
 	}
-
-	e.SetBatchSize(0)
-	res, err = e.Execute(`EXPLAIN SELECT * FROM dict LIMIT 3`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(res.Plan, "Vectorize(") || strings.Contains(res.Plan, "Batch") {
-		t.Fatalf("row plan leaked batch operators:\n%s", res.Plan)
-	}
 }
 
-// TestSetBatchSizeInvalidatesPlanCache pins that flipping the
-// execution mode starts a fresh plan-cache key space: a plan built for
-// one mode is never served to the other.
-func TestSetBatchSizeInvalidatesPlanCache(t *testing.T) {
-	e := bigEngine(t)
-	const stmt = `SELECT seq FROM dict WHERE seq SIMILAR TO "abcdef" WITHIN 1 USING unit-edits`
-	if _, err := e.Execute(stmt); err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Execute(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.PlanCacheHit {
-		t.Fatal("second execution should hit the plan cache")
-	}
-	if !strings.Contains(res.Plan, "Vectorize(") {
-		t.Fatalf("cached plan is not vectorized:\n%s", res.Plan)
-	}
-
-	e.SetBatchSize(0)
-	res, err = e.Execute(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.PlanCacheHit {
-		t.Fatal("plan cache served a vectorized plan after batching was disabled")
-	}
-	if strings.Contains(res.Plan, "Vectorize(") {
-		t.Fatalf("row-mode execution ran a vectorized plan:\n%s", res.Plan)
-	}
-
-	e.SetBatchSize(64)
-	res, err = e.Execute(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.PlanCacheHit {
-		t.Fatal("plan cache served a row plan after batching was re-enabled")
-	}
-	if !strings.Contains(res.Plan, "Vectorize(batch=64,") {
-		t.Fatalf("re-enabled batching did not adopt the new size:\n%s", res.Plan)
-	}
-}
-
-// TestBatchPreparedRedecidesOnBatchSizeChange pins the prepared-
-// statement analogue: the memoised decision keys on the batch size, so
-// flipping the knob forces exactly one re-plan.
-func TestBatchPreparedRedecidesOnBatchSizeChange(t *testing.T) {
-	e := bigEngine(t)
-	pq, err := e.Prepare(`SELECT seq FROM dict WHERE seq SIMILAR TO ? WITHIN ? USING unit-edits`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pq.Execute("abcdef", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pq.Execute("abcdeg", 1); err != nil {
-		t.Fatal(err)
-	}
-	if st := pq.Stats(); st.Plans != 1 || st.PlanReuses != 1 {
-		t.Fatalf("warm prepared stats = %+v, want 1 plan + 1 reuse", st)
-	}
-	e.SetBatchSize(0)
-	if _, err := pq.Execute("abcdef", 1); err != nil {
-		t.Fatal(err)
-	}
-	if st := pq.Stats(); st.Plans != 2 {
-		t.Fatalf("stats after SetBatchSize(0) = %+v, want a re-plan", st)
-	}
-}
-
-// TestBatchLimitPushdownCandidates is the vectorized LIMIT-pushdown
+// TestBatchLimitPushdownCandidates is the block-granular LIMIT-pushdown
 // regression test: the leaf block size is capped by a LIMIT without
 // ORDER BY, so a LIMIT 1 plan must touch far fewer candidates than the
-// full query — the batch analogue of TestLimitPushdownIndexCandidates.
+// full query (see also TestLimitPushdownIndexCandidates).
 func TestBatchLimitPushdownCandidates(t *testing.T) {
 	e := bigEngine(t)
 	full, err := e.Execute(`SELECT seq FROM dict`)
@@ -191,17 +121,17 @@ func TestBatchSyncColsDivergedCapacities(t *testing.T) {
 	}
 }
 
-// TestBatchDMLReadPlan pins that DELETE/UPDATE read phases run through
-// the vectorized plan (the id column feeds collectIDsBatch) and affect
-// the same rows as the row engine — covered broadly by the oracle, but
-// this is the minimal deterministic repro.
+// TestBatchDMLReadPlan pins that DELETE/UPDATE read phases take their
+// ids from the read plan's id column (collectIDs) and affect the rows
+// the model says — covered broadly by the oracle, but this is the
+// minimal deterministic repro.
 func TestBatchDMLReadPlan(t *testing.T) {
 	p := newBatchPair(t, 1, 16)
-	p.exec(t, `INSERT INTO words (seq, tag) VALUES ("abc", "1"), ("abd", "1"), ("xyz", "2"), ("abe", "2")`)
+	p.exec(t, `INSERT INTO words (seq, tag) VALUES ("abc", "1"), ("abd", "1"), ("jih", "2"), ("abe", "2")`)
 	res := p.exec(t, `DELETE FROM words WHERE seq SIMILAR TO "abc" WITHIN 1 USING edits`)
 	if res.Rows[0][0] != "3" {
 		t.Fatalf("delete count = %s, want 3", res.Rows[0][0])
 	}
-	p.exec(t, `UPDATE words SET tag = "9" WHERE seq = "xyz"`)
+	p.exec(t, `UPDATE words SET tag = "9" WHERE seq = "jih"`)
 	p.checkDump(t)
 }

@@ -38,7 +38,7 @@ type Engine struct {
 
 	parallelism     int // workers for Parallel plans (<=1 disables)
 	parallelMinRows int // outer-relation size that justifies sharding
-	batchSize       int // rows per block for vectorized plans (<=0 disables)
+	batchSize       int // rows per block; fixed at construction (WithBatchSize)
 
 	// tracing forces span collection on every execution (the slow-query
 	// log's hook); EXPLAIN ANALYZE traces its own statement regardless.
@@ -49,7 +49,7 @@ type Engine struct {
 // sharding overhead outweighs the parallel speedup.
 const parallelDefaultMinRows = 4096
 
-// defaultBatchSize is the default vectorized block size: large enough
+// defaultBatchSize is the default block size: large enough
 // to amortize per-block costs across the pipeline, small enough that a
 // block of tuple references stays cache-resident (see EXPERIMENTS.md
 // for the 1/64/256/1024 sweep).
@@ -62,9 +62,18 @@ const defaultBatchSize = 256
 // construction (the serving layer flips tracing on live engines).
 type Option func(*Engine)
 
-// WithBatchSize sets the vectorized block size; n <= 0 disables
-// vectorization. Equivalent to SetBatchSize.
-func WithBatchSize(n int) Option { return func(e *Engine) { e.SetBatchSize(n) } }
+// WithBatchSize sets the block size every operator works in. 1 is the
+// degenerate row-at-a-time case the parity oracles compare the default
+// against; n < 1 clamps to 1, like WithParallelism. The size cannot
+// change after construction.
+func WithBatchSize(n int) Option {
+	return func(e *Engine) {
+		if n < 1 {
+			n = 1
+		}
+		e.batchSize = n
+	}
+}
 
 // WithParallelism sets the worker count for parallel scan/join plans.
 // Equivalent to SetParallelism.
@@ -83,9 +92,8 @@ func WithPlanCacheSize(n int) Option { return func(e *Engine) { e.SetPlanCacheSi
 func WithTracing(on bool) Option { return func(e *Engine) { e.SetTracing(on) } }
 
 // NewEngine returns an engine over the catalog with no rule sets
-// registered, configured by the given options (defaults: vectorized
-// blocks of 256, GOMAXPROCS workers, a 512-entry plan cache, tracing
-// off).
+// registered, configured by the given options (defaults: blocks of
+// 256 rows, GOMAXPROCS workers, a 512-entry plan cache, tracing off).
 func NewEngine(cat *relation.Catalog, opts ...Option) *Engine {
 	e := &Engine{
 		catalog:         cat,
@@ -104,29 +112,8 @@ func NewEngine(cat *relation.Catalog, opts ...Option) *Engine {
 	return e
 }
 
-// SetBatchSize sets the block size for vectorized (batch-at-a-time)
-// plans; n <= 0 disables vectorization entirely and every plan builds
-// the row-at-a-time pipeline. The knob is part of every plan-cache and
-// prepared-decision key, so changing it can never serve a plan built
-// for the other execution mode.
-func (e *Engine) SetBatchSize(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.batchSize = n
-}
-
-// BatchSize returns the configured vectorized block size (0 when the
-// batch path is disabled).
-func (e *Engine) BatchSize() int { return e.batchConfig() }
-
-func (e *Engine) batchConfig() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.batchSize
-}
+// BatchSize returns the block size the engine was constructed with.
+func (e *Engine) BatchSize() int { return e.batchSize }
 
 // SetParallelism sets the worker count for parallel scan/join plans;
 // n = 1 forces serial execution. Zero and negative values clamp to 1
@@ -305,14 +292,11 @@ func (e *Engine) CacheStats() CacheStats {
 }
 
 // cacheEpoch is the part of every plan-cache key that tracks engine
-// state: catalog statistics, the shard topology, the rule-set registry,
-// the parallel configuration and the vectorized block size. Any change
-// to these may change a costing decision — or, for the shard signature
-// and the batch size, the physical shape of every plan — so it must
-// start a fresh key space. batchSize is passed in rather than read
-// here so the caller keys and decides against one consistent read of
-// the knob (see decideWith).
-func (e *Engine) cacheEpoch(batchSize int) string {
+// state: catalog statistics, the shard topology, the rule-set registry
+// and the parallel configuration. Any change to these may change a
+// costing decision — or, for the shard signature, the physical shape of
+// every plan — so it must start a fresh key space.
+func (e *Engine) cacheEpoch() string {
 	workers, minRows := e.parallelConfig()
 	// The bit-parallel kernel toggle is part of the epoch: decisions
 	// record which kernel serves the plan, so flipping the knob must
@@ -324,8 +308,8 @@ func (e *Engine) cacheEpoch(batchSize int) string {
 	// metric.Version() tracks the distance-metric registry the same way
 	// rsVersion tracks rule sets: registering a metric may change which
 	// USING names resolve, so it starts a fresh key space too.
-	return fmt.Sprintf("%d|%d|%d|%d|%d|%d|%d|%s", e.catalog.StatsVersion(), e.rulesetVersion(), workers, minRows,
-		batchSize, kernel, metric.Version(), e.catalog.ShardSignature())
+	return fmt.Sprintf("%d|%d|%d|%d|%d|%d|%s", e.catalog.StatsVersion(), e.rulesetVersion(), workers, minRows,
+		kernel, metric.Version(), e.catalog.ShardSignature())
 }
 
 // normalizeQueryText canonicalises statement text for cache keying:
@@ -390,8 +374,7 @@ func (e *Engine) Execute(src string) (*Result, error) {
 			return e.ExecuteQuery(stmt.(*Query))
 		}
 	}
-	batchSize := e.batchConfig()
-	key := e.cacheEpoch(batchSize) + "|" + normalizeQueryText(src)
+	key := e.cacheEpoch() + "|" + normalizeQueryText(src)
 	if ent, ok := cache.get(key); ok {
 		// Only a failure to *build* the tree (a stale or poisoned entry)
 		// falls through to the uncached path; once a tree builds, its
@@ -417,10 +400,7 @@ func (e *Engine) Execute(src string) (*Result, error) {
 		return e.ExecuteMutation(m)
 	}
 	q := stmt.(*Query)
-	// Decide with the same batch-size read the key was built from: the
-	// cached decision's vectorize flag must belong to the key's epoch
-	// even if SetBatchSize lands concurrently.
-	d, err := e.decideWith(q, batchSize)
+	d, err := e.decide(q)
 	if err != nil {
 		return nil, err
 	}
@@ -479,11 +459,12 @@ func (e *Engine) finishPlan(q *Query, plan *compiledPlan) (*Result, error) {
 // the distance produced by the access path (if any) and the projected
 // output row (filled in by the Project operator).
 //
-// Single-relation queries — the overwhelming majority of candidates a
-// scan or index probe produces — use the inline alias/tuple pair and
-// never allocate a map; access paths verify millions of candidates per
-// second, and one map allocation per candidate was the engine's single
-// largest source of GC pressure. Joins promote to the aliases map.
+// Single-relation rows — which mostly travel as columns and borrow a
+// scratch binding only where a predicate or projection needs one — use
+// the inline alias/tuple pair and never allocate a map; access paths
+// verify millions of candidates per second, and one map allocation per
+// candidate was the engine's single largest source of GC pressure.
+// Joins promote to the aliases map.
 type binding struct {
 	alias   string                    // inline fast path (aliases == nil)
 	tuple   relation.Tuple            // tuple bound to alias

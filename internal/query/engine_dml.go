@@ -230,40 +230,11 @@ func vecValue(v Operand) (metric.Vector, error) {
 }
 
 // collectIDs drives a read plan and pulls each matched tuple id
-// straight from the binding (or the batch id column) — no result-row
+// straight out of each block's id column (bindings-layout blocks — a
+// DML whose WHERE joins — resolve per binding): no result-row
 // materialisation, no int -> string -> int round trip.
 func collectIDs(plan *compiledPlan, alias string) ([]int, ExecStats, error) {
-	if plan.broot != nil {
-		return collectIDsBatch(plan, alias)
-	}
-	if err := plan.root.Open(); err != nil {
-		plan.root.Close()
-		return nil, ExecStats{}, err
-	}
-	var ids []int
-	for {
-		b, err := plan.root.Next()
-		if err != nil {
-			plan.root.Close()
-			return nil, ExecStats{}, err
-		}
-		if b == nil {
-			break
-		}
-		t, _ := b.tupleFor(alias)
-		ids = append(ids, t.ID)
-	}
-	if err := plan.root.Close(); err != nil {
-		return nil, ExecStats{}, err
-	}
-	return ids, plan.ctx.snapshot(), nil
-}
-
-// collectIDsBatch is collectIDs over a vectorized read plan: ids come
-// straight out of each block's id column (bindings-layout blocks — a
-// DML whose WHERE joins through adapters — resolve per binding).
-func collectIDsBatch(plan *compiledPlan, alias string) ([]int, ExecStats, error) {
-	root := plan.broot
+	root := plan.root
 	if err := root.OpenBatch(); err != nil {
 		root.CloseBatch()
 		return nil, ExecStats{}, err

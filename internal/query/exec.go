@@ -1,5 +1,9 @@
 package query
 
+// Execution plumbing shared by every operator: the per-query work
+// counters, the compiled plan with its run loop, EXPLAIN rendering and
+// result-row projection.
+
 import (
 	"fmt"
 	"strings"
@@ -7,26 +11,6 @@ import (
 
 	"repro/internal/index"
 )
-
-// Operator is the Volcano-style physical operator interface: a pull
-// iterator over tuple bindings. Every access path, filter, join and
-// decorator in the engine implements it, so the planner can compose
-// them freely and EXPLAIN can render any plan as a tree.
-//
-// The protocol is Open -> Next* -> Close. Next returns (nil, nil) at
-// end of stream. Operators must be re-openable after Close (the inner
-// side of a nested-loop join is re-opened per outer binding). Work
-// counters accumulate locally and are flushed into the shared execCtx
-// on Close, so parallel sub-plans never race on the counters.
-type Operator interface {
-	Open() error
-	Next() (*binding, error)
-	Close() error
-	// Describe returns the one-line operator label for EXPLAIN.
-	Describe() string
-	// Children returns the operator's inputs, outer first.
-	Children() []Operator
-}
 
 // ExecStats counts the work one query execution performed; exposed on
 // Result so callers (and the LIMIT-pushdown regression tests) can see
@@ -91,68 +75,30 @@ func (c *execCtx) snapshot() ExecStats {
 	return c.stats
 }
 
-// compiledPlan is the planner's output: an operator tree — row (root)
-// or batch (broot), depending on the decision's vectorize flag — plus
-// the result header it produces.
+// compiledPlan is the planner's output: the operator tree plus the
+// result header it produces.
 type compiledPlan struct {
-	root      Operator
-	broot     BatchOperator
-	batchSize int    // leaf block size when broot is set (EXPLAIN)
-	kernel    string // decided distance kernel (EXPLAIN label, dispatch metric)
-	ctx       *execCtx
-	columns   []string
+	root    BatchOperator
+	kernel  string // decided distance kernel (dispatch metric)
+	ctx     *execCtx
+	columns []string
 }
 
-// describe renders the operator tree for EXPLAIN and Result.Plan; a
-// vectorized plan carries the Vectorize pseudo-root so the planner's
-// decision is visible at the top of the tree.
-func (p *compiledPlan) describe() string {
-	if p.broot != nil {
-		return renderTree(&vectorizeNode{child: p.broot, size: p.batchSize, kernel: p.kernel})
-	}
-	return renderTree(p.root)
-}
+// describe renders the operator tree for EXPLAIN and Result.Plan.
+func (p *compiledPlan) describe() string { return renderTree(p.root) }
 
-// run drives the operator tree to completion and assembles the result.
-func (p *compiledPlan) run() (*Result, error) {
-	if p.broot != nil {
-		return p.runBatch()
-	}
-	res := &Result{Columns: p.columns, Plan: p.describe()}
-	if err := p.root.Open(); err != nil {
-		p.root.Close()
-		return nil, err
-	}
-	for {
-		b, err := p.root.Next()
-		if err != nil {
-			p.root.Close()
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		res.Rows = append(res.Rows, b.row)
-	}
-	if err := p.root.Close(); err != nil {
-		return nil, err
-	}
-	res.Stats = p.ctx.snapshot()
-	return res, nil
-}
-
-// runBatch drives a batch operator tree, appending each block's
+// run drives the operator tree to completion, appending each block's
 // projected rows to the result.
-func (p *compiledPlan) runBatch() (*Result, error) {
+func (p *compiledPlan) run() (*Result, error) {
 	res := &Result{Columns: p.columns, Plan: p.describe()}
-	if err := p.broot.OpenBatch(); err != nil {
-		p.broot.CloseBatch()
+	if err := p.root.OpenBatch(); err != nil {
+		p.root.CloseBatch()
 		return nil, err
 	}
 	for {
-		b, err := p.broot.NextBatch()
+		b, err := p.root.NextBatch()
 		if err != nil {
-			p.broot.CloseBatch()
+			p.root.CloseBatch()
 			return nil, err
 		}
 		if b == nil {
@@ -160,29 +106,26 @@ func (p *compiledPlan) runBatch() (*Result, error) {
 		}
 		res.Rows = append(res.Rows, b.rows...)
 	}
-	if err := p.broot.CloseBatch(); err != nil {
+	if err := p.root.CloseBatch(); err != nil {
 		return nil, err
 	}
 	res.Stats = p.ctx.snapshot()
 	return res, nil
 }
 
-// renderTree renders an operator tree with box-drawing indentation:
+// renderTree renders an operator tree with box-drawing indentation; an
+// operator that dispatches to a distance kernel carries the kernel's
+// name after its label:
 //
 //	Limit(3)
 //	└─ Project(seq, dist)
 //	   └─ Filter(lang = "en")
-//	      └─ IndexRange(words via bktree, target=color, radius=1, ruleset=edits)
-//
-// Nodes may be row operators, batch operators or the adapters bridging
-// them; mixed trees render seamlessly.
-func renderTree(node any) string {
+//	      └─ IndexRange(words via bktree, target=color, radius=1, ruleset=edits)  (kernel=myers)
+func renderTree(root BatchOperator) string {
 	var b strings.Builder
-	var walk func(node any, prefix string, last bool, root bool)
-	walk = func(node any, prefix string, last, root bool) {
-		if root {
-			b.WriteString(describeNode(node))
-		} else {
+	var walk func(node BatchOperator, prefix string, last bool, root bool)
+	walk = func(node BatchOperator, prefix string, last, root bool) {
+		if !root {
 			b.WriteString("\n")
 			b.WriteString(prefix)
 			if last {
@@ -192,41 +135,33 @@ func renderTree(node any) string {
 				b.WriteString("├─ ")
 				prefix += "│  "
 			}
-			b.WriteString(describeNode(node))
 		}
-		kids := childNodesOf(node)
+		b.WriteString(node.Describe())
+		if k := kernelOf(node); k != "" {
+			b.WriteString("  (kernel=" + k + ")")
+		}
+		kids := node.childNodes()
 		for i, k := range kids {
 			walk(k, prefix, i == len(kids)-1, false)
 		}
 	}
-	walk(node, "", true, true)
+	walk(root, "", true, true)
 	return b.String()
 }
 
-// describeNode returns a node's EXPLAIN label.
-func describeNode(n any) string {
-	if d, ok := n.(interface{ Describe() string }); ok {
-		return d.Describe()
-	}
-	return fmt.Sprintf("%T", n)
-}
+// kernelTag names the distance kernel an operator dispatches to ("" =
+// none). The planner sets it at construction; EXPLAIN and the ANALYZE
+// span of the operator both read it from here.
+type kernelTag struct{ kernel string }
 
-// childNodesOf returns a node's inputs for the tree walk. Batch
-// operators and adapters report mixed-kind children via childNodes;
-// plain row operators lift their Children slice.
-func childNodesOf(n any) []any {
-	if cn, ok := n.(interface{ childNodes() []any }); ok {
-		return cn.childNodes()
+func (k kernelTag) kernelLabel() string { return k.kernel }
+
+// kernelOf reads an operator's kernel label, "" when it runs none.
+func kernelOf(op BatchOperator) string {
+	if k, ok := op.(interface{ kernelLabel() string }); ok {
+		return k.kernelLabel()
 	}
-	if op, ok := n.(Operator); ok {
-		kids := op.Children()
-		out := make([]any, len(kids))
-		for i, k := range kids {
-			out[i] = k
-		}
-		return out
-	}
-	return nil
+	return ""
 }
 
 // projectColumns computes the result header for a query's projection.

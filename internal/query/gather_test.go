@@ -2,7 +2,7 @@ package query
 
 // GatherMerge determinism: equal-distance rows must order by row key
 // (tuple id) no matter which shard finishes first. The stub children
-// block in Open until released, so each table case is executed under
+// block in OpenBatch until released, so each table case is executed under
 // every permutation of shard completion order and must produce the
 // same bytes.
 
@@ -14,17 +14,20 @@ import (
 	"repro/internal/relation"
 )
 
-// stubShardOp emits a fixed binding list after its gate releases and
-// signals done on Close, letting the test serialize shard completion
-// into an exact order.
+// stubShardOp emits a fixed row list, two rows per block, after its
+// gate releases and signals done on CloseBatch, letting the test
+// serialize shard completion into an exact order. Single-alias rows
+// travel as columns, like every single-relation shard subplan's; joined
+// rows travel in the bindings layout, like a join chain's.
 type stubShardOp struct {
 	rows []*binding
 	gate chan struct{}
 	done chan struct{}
 	pos  int
+	buf  Batch
 }
 
-func (o *stubShardOp) Open() error {
+func (o *stubShardOp) OpenBatch() error {
 	if o.gate != nil {
 		<-o.gate
 	}
@@ -32,16 +35,28 @@ func (o *stubShardOp) Open() error {
 	return nil
 }
 
-func (o *stubShardOp) Next() (*binding, error) {
+func (o *stubShardOp) NextBatch() (*Batch, error) {
 	if o.pos >= len(o.rows) {
 		return nil, nil
 	}
-	b := o.rows[o.pos]
-	o.pos++
-	return b, nil
+	end := o.pos + 2
+	if end > len(o.rows) {
+		end = len(o.rows)
+	}
+	blk := o.rows[o.pos:end]
+	o.pos = end
+	o.buf.reset()
+	if blk[0].aliases != nil {
+		o.buf.binds = blk
+		return &o.buf, nil
+	}
+	for _, b := range blk {
+		o.buf.appendMatch(b.tuple, b.dist, b.hasDist)
+	}
+	return &o.buf, nil
 }
 
-func (o *stubShardOp) Close() error {
+func (o *stubShardOp) CloseBatch() error {
 	select {
 	case <-o.done:
 	default:
@@ -50,12 +65,21 @@ func (o *stubShardOp) Close() error {
 	return nil
 }
 
-func (o *stubShardOp) Describe() string     { return "StubShard" }
-func (o *stubShardOp) Children() []Operator { return nil }
+func (o *stubShardOp) Describe() string            { return "StubShard" }
+func (o *stubShardOp) childNodes() []BatchOperator { return nil }
 
 func mkBinding(id int, dist float64) *binding {
 	b := newBinding("t", relation.Tuple{ID: id, Seq: fmt.Sprintf("s%d", id)})
 	b.dist, b.hasDist = dist, true
+	return b
+}
+
+// mkJoined is one row of a join chain: outer tuple under "t", inner
+// under "u", with the inner id doubling as the distance so the merged
+// order of inner matches is visible in the output.
+func mkJoined(outer, inner int) *binding {
+	b := mergeBindings(newBinding("t", relation.Tuple{ID: outer}), newBinding("u", relation.Tuple{ID: inner}))
+	b.dist, b.hasDist = float64(inner), true
 	return b
 }
 
@@ -76,29 +100,29 @@ func permutations(n int) [][]int {
 	return out
 }
 
-// drainGather runs a gatherMergeOp whose children complete in the given
-// order and returns the merged (id, dist) pairs.
+// drainGather runs a batchGatherMergeOp whose children complete in the
+// given order and returns the merged (id, dist) pairs.
 func drainGather(t *testing.T, shardRows [][]*binding, mode gatherMode, k int, completion []int) [][2]float64 {
 	t.Helper()
-	children := make([]Operator, len(shardRows))
+	children := make([]BatchOperator, len(shardRows))
 	stubs := make([]*stubShardOp, len(shardRows))
 	for i, rows := range shardRows {
 		stubs[i] = &stubShardOp{rows: rows, gate: make(chan struct{}), done: make(chan struct{})}
 		children[i] = stubs[i]
 	}
-	op := &gatherMergeOp{
+	op := &batchGatherMergeOp{
 		ctx: &execCtx{}, children: children, workers: len(children),
-		alias: "t", mode: mode, k: k,
+		alias: "t", mode: mode, k: k, size: 3,
 	}
 	done := make(chan error, 1)
 	var got [][2]float64
 	go func() {
-		if err := op.Open(); err != nil {
+		if err := op.OpenBatch(); err != nil {
 			done <- err
 			return
 		}
 		for {
-			b, err := op.Next()
+			b, err := op.NextBatch()
 			if err != nil {
 				done <- err
 				return
@@ -106,10 +130,19 @@ func drainGather(t *testing.T, shardRows [][]*binding, mode gatherMode, k int, c
 			if b == nil {
 				break
 			}
-			tup, _ := b.tupleFor("t")
-			got = append(got, [2]float64{float64(tup.ID), b.dist})
+			if b.Len() > 3 {
+				done <- fmt.Errorf("gather emitted a block of %d rows, block size is 3", b.Len())
+				return
+			}
+			for _, rb := range b.binds {
+				tup, _ := rb.tupleFor("t")
+				got = append(got, [2]float64{float64(tup.ID), rb.dist})
+			}
+			for i := range b.IDs {
+				got = append(got, [2]float64{float64(b.IDs[i]), b.dist[i]})
+			}
 		}
-		done <- op.Close()
+		done <- op.CloseBatch()
 	}()
 	// Release the shards strictly in the permuted completion order:
 	// shard i+1 may not even start until shard i has fully finished.
@@ -185,6 +218,22 @@ func TestGatherMergeTieBreaking(t *testing.T) {
 			},
 			mode: gatherByID,
 			want: [][2]float64{{0, 2}, {1, 3}, {3, 1}, {6, 1}},
+		},
+		{
+			name: "id merge of join chains keeps each outer row's inner order",
+			shards: [][]*binding{
+				// One chain per outer shard: the outer id repeats once per
+				// inner match and the merge key is the OUTER id alone, so
+				// only a stable merge keeps each outer row's matches in
+				// the chain's emit order — 7, 9 and 2, 5, 8 here, and
+				// 6 before 1: the gather never looks at inner ids (shard
+				// 0 is deliberately not outer-sorted).
+				{mkJoined(4, 2), mkJoined(4, 5), mkJoined(4, 8), mkJoined(0, 7), mkJoined(0, 9)},
+				{mkJoined(1, 3)},
+				{mkJoined(2, 6), mkJoined(2, 1)},
+			},
+			mode: gatherByID,
+			want: [][2]float64{{0, 7}, {0, 9}, {1, 3}, {2, 6}, {2, 1}, {4, 2}, {4, 5}, {4, 8}},
 		},
 	}
 	for _, c := range cases {

@@ -1,32 +1,37 @@
 package query
 
-// The partitioned batch join. The row-pipeline joins (operators.go)
-// verify one outer/inner pair per Next call; for a block-oriented plan
-// the partition join instead blocks the OUTER side through the batch
-// pipeline and pre-partitions the INNER side once at open:
+// The distance join. One operator, batchJoinOp, blocks the OUTER side
+// through the pipeline and probes the INNER side once per outer row;
+// the decided algorithm selects the probe strategy:
 //
-//   - edit-distance edges partition inner rows by sequence length.
-//     Under a unit-cost rule set every edit operation costs at least 1,
-//     so d(x, y) >= | |x| - |y| | and an outer probe of length L only
-//     needs the buckets [L-floor(k), L+floor(k)] — the classic
-//     length-filter band.
-//   - vector edges under a triangular metric partition by distance to
-//     a fixed vantage (the zero vector): |d(q,0) - d(c,0)| <= d(q,c),
-//     so a probe with norm n only needs buckets covering [n-r, n+r].
-//     Non-triangular metrics (cosine) degrade to a single partition —
-//     the blocked kernels still apply, the pruning does not.
+//   - "partition" pre-partitions the inner side once at open.
+//     Edit-distance edges partition inner rows by sequence length: under
+//     a unit-cost rule set every edit operation costs at least 1, so
+//     d(x, y) >= | |x| - |y| | and an outer probe of length L only needs
+//     the buckets [L-floor(k), L+floor(k)] — the classic length-filter
+//     band. Vector edges under a triangular metric partition by distance
+//     to a fixed vantage (the zero vector): |d(q,0) - d(c,0)| <= d(q,c),
+//     so a probe with norm n only needs buckets covering [n-r, n+r];
+//     non-triangular metrics (cosine) degrade to a single partition —
+//     the blocked kernels still apply, the pruning does not. Inside a
+//     band the probe runs the same kernels the scan+filter path uses
+//     (bit-parallel Myers or the dense TargetDP for strings, the metric's
+//     DistBatch for vectors).
+//   - "index" probes the inner relation's metric index — the BK-tree
+//     for unit-cost edit edges with integral radius, the VP-tree for
+//     vector edges under a triangular metric.
+//   - "nl" verifies every pair through evalSim. It works for any rule
+//     set or metric because the distance direction follows the
+//     predicate (field -> target), not the join order.
 //
-// Inside a band the probe runs the same kernels the scan+filter path
-// uses (bit-parallel Myers or the dense TargetDP for strings, the
-// metric's DistBatch for vectors) with the operand order of the row
-// join's evalSim preserved on every fallback, so results stay
-// byte-identical to the nested-loop plan — the join oracle pins that.
+// Every strategy preserves evalSim's operand order on every fallback,
+// so results stay byte-identical across strategies — the join oracle
+// pins that against a brute-force nested loop.
 //
 // The inner side is a list of snapshots: one for a plain relation, one
-// per shard when a sharded inner is broadcast (see join_shard.go).
-// Per-probe matches sort by global tuple id before emission, so the
-// output order is exactly the nested-loop plan's (outer order, inner
-// ascending).
+// per shard when a sharded inner is broadcast (see buildJoin). Per-probe
+// matches sort by global tuple id before emission, so the output order
+// is outer order, inner ascending, whatever the strategy and layout.
 
 import (
 	"fmt"
@@ -34,6 +39,7 @@ import (
 	"sort"
 
 	"repro/internal/editdp"
+	"repro/internal/index"
 	"repro/internal/metric"
 	"repro/internal/relation"
 )
@@ -50,41 +56,45 @@ type partVecRow struct {
 	t relation.Tuple
 }
 
-// partMatch is one verified join match of the current probe.
-type partMatch struct {
+// joinMatch is one verified inner match of the current probe.
+type joinMatch struct {
 	t relation.Tuple
 	d float64
 }
 
-// batchPartitionJoinOp is the BatchOperator that executes one decided
-// "partition" join step.
-type batchPartitionJoinOp struct {
-	ctx           *execCtx
-	child         BatchOperator // outer side, batched
-	snaps         []*relation.Snapshot
-	alias         string   // inner alias
-	probeField    FieldRef // outer-side join field
-	innerField    string   // inner-side join attribute
-	outerIsTarget bool     // probe value is the predicate's target operand
-	sim           *SimExpr
-	size          int
-	vec           bool
-	m             metric.Distance // vec edges: the resolved metric
+// batchJoinOp executes one decided join step.
+type batchJoinOp struct {
+	kernelTag
+	ctx        *execCtx
+	child      BatchOperator // outer side, batched
+	algo       string        // probe strategy: "partition" | "index" | "nl"
+	snaps      []*relation.Snapshot
+	alias      string   // inner alias
+	probeField FieldRef // outer-side join field
+	sim        *SimExpr
+	size       int
+	vec        bool
+	m          metric.Distance // vec edges: the resolved metric
 
-	// Partition state, built at OpenBatch.
-	strBuckets map[int][]partInnerRow // key: len(val)
-	vecBuckets map[int][]partVecRow   // key: floor(norm/w)
-	vecCols    map[int][]metric.Vector
-	bandW      float64 // vec bucket width (radius, min 1)
-	banded     bool    // vec: triangular metric => norm pruning applies
-	calc       *editdp.Calculator
+	// Inner-side state, built at OpenBatch: buckets for "partition", the
+	// flat tuple list for "nl" (the indexes of "index" live in the
+	// snapshots).
+	innerField    string // inner-side join attribute
+	outerIsTarget bool   // probe value is the predicate's target operand
+	inner         []relation.Tuple
+	strBuckets    map[int][]partInnerRow // key: len(val)
+	vecBuckets    map[int][]partVecRow   // key: floor(norm/w)
+	vecCols       map[int][]metric.Vector
+	bandW         float64 // vec bucket width (radius, min 1)
+	banded        bool    // vec: triangular metric => norm pruning applies
+	calc          *editdp.Calculator
 
 	// Iteration state.
 	cur     *Batch // current outer batch (owned by child)
 	pos     int    // next outer row to probe
 	curBind *binding
 	scratch binding
-	matches []partMatch
+	matches []joinMatch
 	mpos    int
 	dists   []float64 // DistBatch scratch
 
@@ -94,9 +104,18 @@ type batchPartitionJoinOp struct {
 	last  ExecStats // retained across Close for span attribution
 }
 
-func (o *batchPartitionJoinOp) OpenBatch() error {
-	if err := o.buildPartitions(); err != nil {
-		return err
+func (o *batchJoinOp) OpenBatch() error {
+	switch o.algo {
+	case "partition":
+		if err := o.buildPartitions(); err != nil {
+			return err
+		}
+	case "nl":
+		// Reading the inner side counts as candidate work, like a scan's.
+		for _, snap := range o.snaps {
+			o.inner = append(o.inner, snap.Tuples()...)
+		}
+		o.local.Candidates += len(o.inner)
 	}
 	o.out = getBatch()
 	o.cur, o.pos, o.curBind = nil, 0, nil
@@ -106,7 +125,12 @@ func (o *batchPartitionJoinOp) OpenBatch() error {
 
 // buildPartitions reads every inner snapshot once and buckets the rows.
 // Reading the inner side counts as candidate work, like a scan's.
-func (o *batchPartitionJoinOp) buildPartitions() error {
+func (o *batchJoinOp) buildPartitions() error {
+	o.outerIsTarget = o.probeField == o.sim.Target.Field
+	o.innerField = o.sim.Field.Name
+	if !o.outerIsTarget {
+		o.innerField = o.sim.Target.Field.Name
+	}
 	if o.vec {
 		if o.m == nil {
 			return fmt.Errorf("query: stale plan: partition join lost its metric")
@@ -151,17 +175,85 @@ func (o *batchPartitionJoinOp) buildPartitions() error {
 	return nil
 }
 
-// probe verifies the banded inner candidates against one outer row and
-// leaves the id-sorted matches in o.matches.
-func (o *batchPartitionJoinOp) probe(b *binding) error {
+// probe finds the inner matches of one outer row with the decided
+// strategy and leaves them id-sorted in o.matches.
+func (o *batchJoinOp) probe(b *binding) error {
 	o.matches, o.mpos = o.matches[:0], 0
-	if o.vec {
-		return o.probeVec(b)
+	var err error
+	switch {
+	case o.algo == "index":
+		err = o.probeIndex(b)
+	case o.algo == "nl":
+		err = o.probeAll(b)
+	case o.vec:
+		err = o.probeVec(b)
+	default:
+		err = o.probeStr(b)
 	}
-	return o.probeStr(b)
+	sort.Slice(o.matches, func(i, j int) bool { return o.matches[i].t.ID < o.matches[j].t.ID })
+	return err
 }
 
-func (o *batchPartitionJoinOp) probeStr(b *binding) error {
+// probeIndex runs the outer row's join value through every inner
+// snapshot's metric index.
+func (o *batchJoinOp) probeIndex(b *binding) error {
+	var pv string
+	var pvec metric.Vector
+	if o.vec {
+		t, err := vecTupleFor(o.probeField, b)
+		if err != nil {
+			return err
+		}
+		if pvec = t.Vec; pvec == nil {
+			return nil // rows without a vector never match
+		}
+	} else {
+		var err error
+		if pv, err = fieldValue(o.probeField, b); err != nil {
+			return err
+		}
+	}
+	for _, snap := range o.snaps {
+		var ms []index.Match
+		var st index.Stats
+		if o.vec {
+			ms, st = snap.VPTree(o.m).RangeStats(pvec, o.sim.Radius)
+		} else {
+			ms, st = snap.BKTree().RangeStats(pv, int(o.sim.Radius))
+		}
+		o.local.add(fromIndexStats(st))
+		for _, m := range ms {
+			// The shared index is a superset of the snapshot: skip rows
+			// invisible here (tombstone or later insert).
+			if t, ok := snap.Tuple(m.ID); ok {
+				o.matches = append(o.matches, joinMatch{t: t, d: m.Dist})
+			}
+		}
+	}
+	return nil
+}
+
+// probeAll verifies the outer row against every inner tuple. The pair
+// binding is built once per outer row and only its inner slot changes
+// per candidate.
+func (o *batchJoinOp) probeAll(b *binding) error {
+	pair := mergeBindings(b, newBinding(o.alias, relation.Tuple{}))
+	for _, t := range o.inner {
+		pair.aliases[o.alias] = t
+		o.local.Candidates++
+		o.local.Verifications++
+		d, ok, err := o.ctx.eng.evalSim(o.sim, pair)
+		if err != nil {
+			return err
+		}
+		if ok {
+			o.matches = append(o.matches, joinMatch{t: t, d: d})
+		}
+	}
+	return nil
+}
+
+func (o *batchJoinOp) probeStr(b *binding) error {
 	pv, err := fieldValue(o.probeField, b)
 	if err != nil {
 		return err
@@ -171,7 +263,7 @@ func (o *batchPartitionJoinOp) probeStr(b *binding) error {
 	if radius >= math.MaxInt32 {
 		k = math.MaxInt32 // clamp: degrades to the walk-all-buckets path below
 	}
-	// Fallback kernel preserving the row join's operand order, built
+	// Fallback kernel preserving evalSim's operand order, built
 	// lazily — most probes under a unit-cost rule set never need it.
 	var fall *editdp.TargetDP
 	fallback := func(x string) (float64, bool) {
@@ -203,7 +295,7 @@ func (o *batchPartitionJoinOp) probeStr(b *binding) error {
 				d, ok = fallback(row.val)
 			}
 			if ok {
-				o.matches = append(o.matches, partMatch{t: row.t, d: d})
+				o.matches = append(o.matches, joinMatch{t: row.t, d: d})
 			}
 		}
 	}
@@ -221,11 +313,10 @@ func (o *batchPartitionJoinOp) probeStr(b *binding) error {
 			}
 		}
 	}
-	sort.Slice(o.matches, func(i, j int) bool { return o.matches[i].t.ID < o.matches[j].t.ID })
 	return nil
 }
 
-func (o *batchPartitionJoinOp) probeVec(b *binding) error {
+func (o *batchJoinOp) probeVec(b *binding) error {
 	t, err := vecTupleFor(o.probeField, b)
 	if err != nil {
 		return err
@@ -261,26 +352,25 @@ func (o *batchPartitionJoinOp) probeVec(b *binding) error {
 				o.local.Candidates++
 				o.local.Verifications++
 				if d := out[i]; d <= r {
-					o.matches = append(o.matches, partMatch{t: row.t, d: d})
+					o.matches = append(o.matches, joinMatch{t: row.t, d: d})
 				}
 			}
 		} else {
 			// Probe is the field operand: keep the candidate (target)
-			// first, the order the row join verifies with.
+			// first, the order evalSim verifies with.
 			for _, row := range rows {
 				o.local.Candidates++
 				o.local.Verifications++
 				if d, ok := metric.Within(o.m, row.t.Vec, pv, r); ok {
-					o.matches = append(o.matches, partMatch{t: row.t, d: d})
+					o.matches = append(o.matches, joinMatch{t: row.t, d: d})
 				}
 			}
 		}
 	}
-	sort.Slice(o.matches, func(i, j int) bool { return o.matches[i].t.ID < o.matches[j].t.ID })
 	return nil
 }
 
-func (o *batchPartitionJoinOp) NextBatch() (*Batch, error) {
+func (o *batchJoinOp) NextBatch() (*Batch, error) {
 	b := o.out
 	b.reset()
 	binds := o.binds[:0]
@@ -327,20 +417,34 @@ func (o *batchPartitionJoinOp) NextBatch() (*Batch, error) {
 	return b, nil
 }
 
-func (o *batchPartitionJoinOp) CloseBatch() error {
+func (o *batchJoinOp) CloseBatch() error {
 	o.last.add(o.local)
 	o.ctx.addStats(o.local)
 	o.local = ExecStats{}
-	o.strBuckets, o.vecBuckets, o.vecCols = nil, nil, nil
+	o.strBuckets, o.vecBuckets, o.vecCols, o.inner = nil, nil, nil, nil
 	o.cur, o.curBind = nil, nil
 	putBatch(o.out)
 	o.out = nil
 	return o.child.CloseBatch()
 }
 
-func (o *batchPartitionJoinOp) opStats() ExecStats { return o.last }
+func (o *batchJoinOp) opStats() ExecStats { return o.last }
 
-func (o *batchPartitionJoinOp) Describe() string {
+func (o *batchJoinOp) Describe() string {
+	shards := ""
+	if len(o.snaps) > 1 {
+		shards = fmt.Sprintf(" x%d shards", len(o.snaps))
+	}
+	switch o.algo {
+	case "nl":
+		return fmt.Sprintf("NestedLoopJoin(%s%s, on %s)", o.alias, shards, o.sim)
+	case "index":
+		idx := "bktree"
+		if o.vec {
+			idx = "vptree"
+		}
+		return fmt.Sprintf("IndexJoin(probe %s into %s(%s)%s, on %s)", o.probeField, idx, o.alias, shards, o.sim)
+	}
 	band := "length-banded"
 	if o.vec {
 		band = "norm-banded"
@@ -348,42 +452,61 @@ func (o *batchPartitionJoinOp) Describe() string {
 			band = "single partition"
 		}
 	}
-	if len(o.snaps) > 1 {
-		return fmt.Sprintf("PartitionJoin(probe %s into %s[%s] x%d shards, on %s)",
-			o.probeField, o.alias, band, len(o.snaps), o.sim)
-	}
-	return fmt.Sprintf("PartitionJoin(probe %s into %s[%s], on %s)", o.probeField, o.alias, band, o.sim)
+	return fmt.Sprintf("PartitionJoin(probe %s into %s[%s]%s, on %s)", o.probeField, o.alias, band, shards, o.sim)
 }
 
-func (o *batchPartitionJoinOp) childNodes() []any { return []any{o.child} }
+func (o *batchJoinOp) childNodes() []BatchOperator { return []BatchOperator{o.child} }
 
-// buildBatchJoin reconstructs a decided join chain for the batch
-// pipeline. Chains without a partition step keep the proven shape: the
-// row join chain (with a batch cursor under its start scan) bridged by
-// one RowToBatch adapter. Chains with a partition step build natively
-// batched: the start scan feeds partition steps directly, and any
-// nl/index steps in the same chain run as row operators between a
-// BatchToRow/RowToBatch adapter pair.
-func (e *Engine) buildBatchJoin(ctx *execCtx, q *Query, rels []*relation.Relation, snapOf func(*relation.Relation) *relation.Snapshot, d *planDecision, size int) (BatchOperator, error) {
-	hasPartition := false
-	for _, step := range d.steps {
-		if step.algo == "partition" {
-			hasPartition = true
+// mergeBindings combines the alias maps of two bindings; the left
+// binding's distance (if any) wins, preserving first-predicate-sets-
+// dist semantics across join chains.
+func mergeBindings(l, r *binding) *binding {
+	aliases := make(map[string]relation.Tuple, 4)
+	put := func(src *binding) {
+		if src.aliases == nil {
+			aliases[src.alias] = src.tuple
+			return
+		}
+		for a, t := range src.aliases {
+			aliases[a] = t
 		}
 	}
-	if !hasPartition {
-		rowAccess, err := e.buildJoin(ctx, q, rels, snapOf, d)
-		if err != nil {
-			return nil, err
-		}
-		return trB(ctx, &rowToBatchOp{child: rowAccess, size: size}, estOf(rowAccess), ""), nil
+	put(l)
+	put(r)
+	b := &binding{aliases: aliases, dist: l.dist, hasDist: l.hasDist}
+	if !b.hasDist && r.hasDist {
+		b.dist, b.hasDist = r.dist, true
 	}
+	return b
+}
 
+// buildJoin constructs the operator tree of a decided join. Edges are
+// recovered by position from extractJoinSims' deterministic output;
+// edges not used by any step (cycles) become residual predicates — they
+// must still hold on each output row.
+//
+// A join whose FROM references a sharded relation runs one chain per
+// OUTER shard under an id-ordered GatherMerge — each chain scans one
+// shard snapshot of the start relation and joins it against the FULL
+// inner side ("broadcast": every chain sees every inner shard's
+// snapshot). Because tuple ids are global and each chain's output is
+// ascending in outer id with inner matches ascending in global inner
+// id, the gather reproduces exactly the unsharded plan's emission
+// order. Broadcast is the right first strategy here because the hash
+// partitioner (relation.RouteOf) is not distance-preserving: rows
+// within edit distance k of each other land on unrelated shards, so a
+// co-partitioned join does not exist without a second, band-aware
+// partitioning scheme. The partition strategy recovers exactly that
+// banding — per chain, over the broadcast inner — without moving rows.
+func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*compiledPlan, error) {
 	relOf := map[string]relation.Table{}
-	relPlain := map[string]*relation.Relation{}
 	for i, ref := range q.From {
-		relOf[ref.Alias] = rels[i]
-		relPlain[ref.Alias] = rels[i]
+		if _, sharded := tabs[i].(*relation.ShardedRelation); sharded && !d.shardJoin {
+			// The table was re-registered with a sharded layout after this
+			// decision was made; Execute re-plans on this error.
+			return nil, fmt.Errorf("query: stale plan: relation %q is now sharded", ref.Name)
+		}
+		relOf[ref.Alias] = tabs[i]
 	}
 	edges, residual := extractJoinSims(q.Where, relOf)
 	used := make([]bool, len(edges))
@@ -401,14 +524,12 @@ func (e *Engine) buildBatchJoin(ctx *execCtx, q *Query, rels []*relation.Relatio
 	pred := simplifyExpr(residual)
 	steps := d.steps
 
-	startSnap := snapOf(relPlain[d.start])
-	startStats := relPlain[d.start].Stats()
-	stepSnaps := make([]*relation.Snapshot, len(steps))
-	stepStats := make([]relation.Stats, len(steps))
+	// Resolve metrics and ensure shared index structures BEFORE any view
+	// or snapshot capture: Ensure* republishes the sharded view, and the
+	// captured snapshots must carry the online-maintained indexes
+	// instead of building private ones per chain.
 	stepMetrics := make([]metric.Distance, len(steps))
 	for i, step := range steps {
-		stepSnaps[i] = snapOf(relPlain[step.alias])
-		stepStats[i] = relPlain[step.alias].Stats()
 		if step.vec {
 			m, ok := metric.Lookup(edges[step.edge].RuleSet)
 			if !ok {
@@ -416,51 +537,109 @@ func (e *Engine) buildBatchJoin(ctx *execCtx, q *Query, rels []*relation.Relatio
 			}
 			stepMetrics[i] = m
 		}
-	}
-
-	build := func(shard, shards int) BatchOperator {
-		bs := newBatchScanOp(ctx, startSnap, d.start, size)
-		bs.shard, bs.shards = shard, shards
-		cur := float64(startStats.Count) / float64(shards)
-		var op BatchOperator = trB(ctx, bs, cur, "")
-		for i, step := range steps {
-			edge := edges[step.edge]
-			outerEst := cur
-			cur = joinOutRowsFor(edge, cur, stepStats[i])
-			switch step.algo {
-			case "partition":
-				outerIsTarget := step.probeField == edge.Target.Field
-				innerField := edge.Field.Name
-				if !outerIsTarget {
-					innerField = edge.Target.Field.Name
-				}
-				op = trB(ctx, &batchPartitionJoinOp{
-					ctx: ctx, child: op, snaps: []*relation.Snapshot{stepSnaps[i]},
-					alias: step.alias, probeField: step.probeField,
-					innerField: innerField, outerIsTarget: outerIsTarget,
-					sim: edge, size: size, vec: step.vec, m: stepMetrics[i],
-				}, cur, d.kernel)
-			case "index":
-				row := tr(ctx, &indexJoinOp{
-					ctx: ctx, outer: &batchToRowOp{child: op},
-					snaps: []*relation.Snapshot{stepSnaps[i]}, alias: step.alias,
-					probeField: step.probeField, sim: edge, vec: step.vec, m: stepMetrics[i],
-				}, cur, d.kernel)
-				op = trB(ctx, &rowToBatchOp{child: row, size: size}, cur, "")
-			default: // "nl"
-				inner := tr(ctx, newScanOp(ctx, stepSnaps[i], step.alias),
-					outerEst*float64(stepStats[i].Count), "")
-				row := tr(ctx, &nestedLoopJoinOp{
-					ctx: ctx, outer: &batchToRowOp{child: op}, inner: inner, sim: edge,
-				}, cur, d.kernel)
-				op = trB(ctx, &rowToBatchOp{child: row, size: size}, cur, "")
+		if step.algo != "index" {
+			continue
+		}
+		switch t := relOf[step.alias].(type) {
+		case *relation.ShardedRelation:
+			if step.vec {
+				t.EnsureVPTrees(stepMetrics[i])
+			} else {
+				t.EnsureBKTrees()
+			}
+		case *relation.Relation:
+			if step.vec {
+				t.VPTree(stepMetrics[i])
+			} else {
+				t.BKTree()
 			}
 		}
+	}
+
+	// One snapshot list per table IDENTITY: a self-join must read the
+	// same consistent cut on both sides, and a sharded table's view is
+	// captured exactly once. Resolved eagerly: the chain factory below
+	// runs concurrently in parallel shard workers.
+	snapCache := map[relation.Table][]*relation.Snapshot{}
+	snapsOf := func(tab relation.Table) ([]*relation.Snapshot, error) {
+		if s, ok := snapCache[tab]; ok {
+			return s, nil
+		}
+		var snaps []*relation.Snapshot
+		switch t := tab.(type) {
+		case *relation.ShardedRelation:
+			view := t.View()
+			snaps = make([]*relation.Snapshot, view.NumShards())
+			for i := range snaps {
+				snaps[i] = view.Snap(i)
+			}
+		case *relation.Relation:
+			snaps = []*relation.Snapshot{t.Snapshot()}
+		default:
+			return nil, fmt.Errorf("query: relation %q has an unknown layout", tab.Name())
+		}
+		snapCache[tab] = snaps
+		return snaps, nil
+	}
+	startSnaps, err := snapsOf(relOf[d.start])
+	if err != nil {
+		return nil, err
+	}
+	if d.shardJoin && len(startSnaps) != d.shards {
+		// The start relation was re-registered with a different layout;
+		// Execute re-plans on this error.
+		return nil, fmt.Errorf("query: stale plan: relation %q has %d shards, plan wants %d",
+			relOf[d.start].Name(), len(startSnaps), d.shards)
+	}
+	startStats := relOf[d.start].Stats()
+	stepSnaps := make([][]*relation.Snapshot, len(steps))
+	stepStats := make([]relation.Stats, len(steps))
+	for i, step := range steps {
+		if stepSnaps[i], err = snapsOf(relOf[step.alias]); err != nil {
+			return nil, err
+		}
+		stepStats[i] = relOf[step.alias].Stats()
+	}
+
+	ctx := &execCtx{eng: e, traced: q.Analyze || e.tracing.Load()}
+	size := e.batchLeafSize(q)
+	// chain builds the join chain over slice (shard, shards) of one start
+	// snapshot. The estimate follows the decided join order with the same
+	// joinOutRowsFor formula decideJoin costed with, scaled to the slice.
+	chain := func(start *relation.Snapshot, shard, shards int, cur float64) BatchOperator {
+		bs := newBatchScanOp(ctx, start, d.start, size)
+		bs.shard, bs.shards = shard, shards
+		var op BatchOperator = trB(ctx, bs, cur)
+		for i, step := range steps {
+			cur = joinOutRowsFor(edges[step.edge], cur, stepStats[i])
+			op = trB(ctx, &batchJoinOp{
+				kernelTag: kernelTag{d.kernel}, ctx: ctx, child: op, algo: step.algo,
+				snaps: stepSnaps[i], alias: step.alias, probeField: step.probeField,
+				sim: edges[step.edge], size: size, vec: step.vec, m: stepMetrics[i],
+			}, cur)
+		}
 		if !isTrivial(pred) {
-			op = trB(ctx, &batchFilterOp{ctx: ctx, child: op, pred: pred, alias: d.start},
-				estFilterRows(startStats, pred, cur), e.filterKernel(pred))
+			op = trB(ctx, &batchFilterOp{kernelTag: kernelTag{e.filterKernel(pred)}, ctx: ctx, child: op, pred: pred, alias: d.start},
+				estFilterRows(startStats, pred, cur))
 		}
 		return op
 	}
-	return wrapBatchParallel(ctx, d, build), nil
+
+	var access BatchOperator
+	if d.shardJoin {
+		children := make([]BatchOperator, len(startSnaps))
+		for s := range children {
+			children[s] = chain(startSnaps[s], 0, 1, float64(startStats.Count)/float64(len(startSnaps)))
+		}
+		access = trB(ctx, &batchGatherMergeOp{ctx: ctx, children: children, workers: d.workers,
+			alias: d.start, mode: gatherByID, size: size}, -1)
+	} else {
+		access = wrapBatchParallel(ctx, d, func(shard, shards int) BatchOperator {
+			return chain(startSnaps[0], shard, shards, float64(startStats.Count)/float64(shards))
+		})
+	}
+	return &compiledPlan{
+		root: e.wrapBatchTop(q, access, d.start, size, ctx),
+		ctx:  ctx, columns: projectColumns(q), kernel: d.kernel,
+	}, nil
 }

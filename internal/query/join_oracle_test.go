@@ -1,17 +1,18 @@
 package query
 
-// The distance-join oracle: every join execution strategy — the row
-// nested-loop, the row index-nested-loop, the batched partition join
-// and the sharded broadcast variant of each — must produce the same
-// result as a brute-force double loop over the same data.
+// The distance-join oracle: every probe strategy of the join operator
+// — nested loop, index-nested-loop, partitioned — and the sharded
+// broadcast variant of each must produce the same result as a
+// brute-force double loop over the same data.
 //
 // Join result order is plan-dependent (which relation wins the start
 // slot is a cost decision), so results are compared as canonically-
-// encoded row sets against the brute-force model. The sharded pledge
-// is stronger: at the same batch size the sharded engine runs the same
-// join order as the unsharded one, so the two are compared positionally,
-// byte for byte — including assigned dist strings, which the metric
-// layer's determinism contract makes bitwise-stable across kernels.
+// encoded row sets against the brute-force model. The pledge between
+// engine configurations is stronger: the sharded engine runs the same
+// join order as the unsharded one, and block size 1 the same plan as
+// block size 256, so all four are compared positionally, byte for byte
+// — including assigned dist strings, which the metric layer's
+// determinism contract makes bitwise-stable across kernels.
 
 import (
 	"fmt"
@@ -26,15 +27,25 @@ import (
 	"repro/internal/rewrite"
 )
 
-// joinOraclePair is one unsharded/sharded engine pair over identical
-// rows (ids 0..n-1 assigned in order on both layouts).
+// joinBlocks are the block sizes every join statement runs at: the
+// degenerate row-at-a-time case and the default.
+var joinBlocks = []int{1, 256}
+
+// joinOraclePair is one unsharded/sharded engine pair per block size
+// (indexed like joinBlocks) over identical rows (ids 0..n-1 assigned in
+// order on both layouts).
 type joinOraclePair struct {
-	plain   *Engine
-	sharded *Engine
+	plain   []*Engine
+	sharded []*Engine
+}
+
+// engines lists all four engines.
+func (p *joinOraclePair) engines() []*Engine {
+	return append(append([]*Engine(nil), p.plain...), p.sharded...)
 }
 
 // halvesRules is a symmetric weighted rule set (every op costs 0.5, no
-// unit-cost shortcut), forcing the nested-loop join path in every mode.
+// unit-cost shortcut), forcing the nested-loop probe.
 func halvesRules() *rewrite.RuleSet {
 	return rewrite.MustRuleSet("halves", []rewrite.Rule{
 		rewrite.Subst('a', 'b', 0.5), rewrite.Subst('b', 'a', 0.5),
@@ -44,10 +55,11 @@ func halvesRules() *rewrite.RuleSet {
 
 func newJoinOraclePair(t testing.TB, shards int, rows []relation.InsertRow) *joinOraclePair {
 	t.Helper()
-	mk := func(tab relation.Table) *Engine {
+	mk := func(tab relation.Table, block int) *Engine {
+		tab.InsertBatch(rows)
 		cat := relation.NewCatalog()
 		cat.Add(tab)
-		e := NewEngine(cat)
+		e := NewEngine(cat, WithBatchSize(block))
 		if err := e.RegisterRuleSet(rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())); err != nil {
 			t.Fatal(err)
 		}
@@ -56,11 +68,12 @@ func newJoinOraclePair(t testing.TB, shards int, rows []relation.InsertRow) *joi
 		}
 		return e
 	}
-	plainTab := relation.New("words")
-	plainTab.InsertBatch(rows)
-	shardTab := relation.NewSharded("words", shards)
-	shardTab.InsertBatch(rows)
-	return &joinOraclePair{plain: mk(plainTab), sharded: mk(shardTab)}
+	p := &joinOraclePair{}
+	for _, block := range joinBlocks {
+		p.plain = append(p.plain, mk(relation.New("words"), block))
+		p.sharded = append(p.sharded, mk(relation.NewSharded("words", shards), block))
+	}
+	return p
 }
 
 // joinOracleRows builds n rows with short random seqs (dense edit-
@@ -84,40 +97,37 @@ func joinOracleRows(rng *rand.Rand, n int) []relation.InsertRow {
 	return rows
 }
 
-// checkJoin runs stmt on both engines at batch sizes 0 and 256 and
-// asserts (a) plain and sharded agree byte-for-byte at each size and
-// (b) every execution matches the brute-force row set canonically.
+// checkJoin runs stmt on all four engines and asserts (a) they agree
+// byte-for-byte, positionally, and (b) the result matches the
+// brute-force row set canonically.
 func (p *joinOraclePair) checkJoin(t *testing.T, stmt string, want []string) {
 	t.Helper()
-	for _, batch := range []int{0, 256} {
-		p.plain.SetBatchSize(batch)
-		p.sharded.SetBatchSize(batch)
-		a, err := p.plain.Execute(stmt)
+	var first *Result
+	for i, e := range p.engines() {
+		res, err := e.Execute(stmt)
 		if err != nil {
-			t.Fatalf("batch=%d unsharded %q: %v", batch, stmt, err)
+			t.Fatalf("engine %d %q: %v", i, stmt, err)
 		}
-		b, err := p.sharded.Execute(stmt)
-		if err != nil {
-			t.Fatalf("batch=%d sharded %q: %v", batch, stmt, err)
+		if first == nil {
+			first = res
+		} else if positional(first) != positional(res) {
+			t.Fatalf("join diverges byte-wise for %q:\nunsharded block 1:\n%s\nengine %d (block %d):\n%s\nplan:\n%s",
+				stmt, positional(first), i, e.BatchSize(), positional(res), res.Plan)
 		}
-		if positional(a) != positional(b) {
-			t.Fatalf("batch=%d sharded join diverges byte-wise for %q:\nunsharded:\n%s\nsharded:\n%s",
-				batch, stmt, positional(a), positional(b))
-		}
-		wantRes := &Result{}
-		for _, w := range want {
-			wantRes.Rows = append(wantRes.Rows, strings.Split(w, "\x1f"))
-		}
-		if canonical(a) != canonical(wantRes) {
-			t.Fatalf("batch=%d join diverges from oracle for %q:\ngot:\n%s\nwant:\n%s",
-				batch, stmt, canonical(a), canonical(wantRes))
-		}
+	}
+	wantRes := &Result{}
+	for _, w := range want {
+		wantRes.Rows = append(wantRes.Rows, strings.Split(w, "\x1f"))
+	}
+	if canonical(first) != canonical(wantRes) {
+		t.Fatalf("join diverges from oracle for %q:\ngot:\n%s\nwant:\n%s",
+			stmt, canonical(first), canonical(wantRes))
 	}
 }
 
 // TestJoinOracleEdits covers the edit-distance join strategies: unit
 // radius (partition/index eligible), a residual-filtered radius-2 join,
-// the weighted nested-loop fallback, and a three-way chain.
+// the weighted nested-loop probe, and a three-way chain.
 func TestJoinOracleEdits(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	rows := joinOracleRows(rng, 80)
@@ -247,8 +257,6 @@ func TestJoinOracleInterleavedDML(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	rows := joinOracleRows(rng, 60)
 	p := newJoinOraclePair(t, 4, rows)
-	p.plain.SetBatchSize(256)
-	p.sharded.SetBatchSize(256)
 
 	var stmts []string
 	for i := 0; i < 80; i++ {
@@ -266,8 +274,8 @@ func TestJoinOracleInterleavedDML(t *testing.T) {
 		`SELECT a.id, b.id FROM words a, words b ON dist(a.vec, b.vec) <= 0.8 USING l2 WHERE a.id != b.id`,
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for _, eng := range []*Engine{p.plain, p.sharded} {
+	errs := make(chan error, 12) // one slot per goroutine: 4 engines x (1 writer + 2 readers)
+	for _, eng := range p.engines() {
 		eng := eng
 		wg.Add(1)
 		go func() {
@@ -301,8 +309,7 @@ func TestJoinOracleInterleavedDML(t *testing.T) {
 
 	// Converged: table contents must agree, and a final join must match
 	// the brute force over the surviving rows.
-	plainTab, _ := p.plain.Catalog().Lookup("words")
-	shardTab, _ := p.sharded.Catalog().Lookup("words")
+	plainTab, _ := p.plain[0].Catalog().Lookup("words")
 	dump := func(tab relation.Table) string {
 		var b strings.Builder
 		for _, tup := range tab.Tuples() {
@@ -310,9 +317,12 @@ func TestJoinOracleInterleavedDML(t *testing.T) {
 		}
 		return b.String()
 	}
-	if dump(plainTab) != dump(shardTab) {
-		t.Fatalf("tables diverge after interleaved DML:\nunsharded:\n%s\nsharded:\n%s",
-			dump(plainTab), dump(shardTab))
+	for i, e := range p.engines() {
+		tab, _ := e.Catalog().Lookup("words")
+		if dump(plainTab) != dump(tab) {
+			t.Fatalf("tables diverge after interleaved DML:\nunsharded block 1:\n%s\nengine %d:\n%s",
+				dump(plainTab), i, dump(tab))
+		}
 	}
 	final := plainTab.Tuples()
 	var want []string

@@ -31,9 +31,6 @@ var (
 	mReplans = obs.Default.Counter("simq_replans_total",
 		"Cached plans invalidated at build time and re-planned.")
 
-	mDecideVectorize = obs.Default.Counter(`simq_plan_decisions_total{decision="vectorize"}`, "Planner decisions that chose the vectorized pipeline.")
-	mDecideRow       = obs.Default.Counter(`simq_plan_decisions_total{decision="row"}`, "Planner decisions that chose the row pipeline.")
-
 	// Index traversal totals, accumulated from each operator's ExecStats
 	// as it closes (see execCtx.addStats) — the process-wide view of the
 	// per-query Nodes/Pruned counters.

@@ -1,0 +1,456 @@
+package query
+
+// The brute-force model the parity oracles hold the engine against. It
+// evaluates the PARSED statement — the AST is the one thing it shares
+// with the engine — over the oracleDB rows, one row at a time, and never
+// touches the planner, an operator or internal/index: predicates call
+// the leaf kernels (editdp.LevenshteinWithin, patdist.Within) directly
+// and NEAREST is a full sort by (dist, id). Comparing block size 1 with
+// block size 256 shows the engine agrees with itself; comparing either
+// with this model shows it is right.
+//
+// The model's language is single-relation statements over "words" under
+// the unit "edits" rule set with at most one similarity conjunct (with
+// two, which one sets dist depends on the access path the cost model
+// picks). Anything else — and any statement whose evaluation would hit
+// an engine error, like reading dist before a conjunct set it — returns
+// errUnmodeled, which the fuzz target skips and the oracles, whose
+// generators stay inside the language, treat as a failure.
+
+import (
+	"errors"
+	"math"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/editdp"
+	"repro/internal/patdist"
+	"repro/internal/pattern"
+	"repro/internal/rewrite"
+)
+
+var errUnmodeled = errors.New("statement outside the model's language")
+
+// modelRow is one candidate row with the distance the predicate
+// assigned it (first similarity conjunct that matched, like evalExpr).
+type modelRow struct {
+	oracleRow
+	dist int
+	has  bool
+}
+
+// modelResult is what a SELECT must return. exact results have an
+// engine-defined total order (full scans emit ascending id, NEAREST
+// emits (dist, id)) and are compared positionally after LIMIT; the
+// others are plan-dependent in emission order, so rows holds every
+// match — in ORDER BY order when the statement has one — and check
+// applies the set, order and LIMIT count/subset rules.
+type modelResult struct {
+	rows  [][]string
+	dists []modelRow // parallel to rows
+	exact bool
+}
+
+// patternCalc is the DP calculator patdist needs; the rule set is the
+// oracles' unit "edits" set.
+var patternCalc = func() *editdp.Calculator {
+	c, err := editdp.New(rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules()))
+	if err != nil {
+		panic(err)
+	}
+	return c
+}()
+
+// inOracleAlphabet: outside the rule alphabet the weighted semantics
+// price an edit at +Inf, which plain Levenshtein does not model.
+func inOracleAlphabet(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !strings.Contains(oracleAlphabet, s[i:i+1]) {
+			return false
+		}
+	}
+	return true
+}
+
+func countSims(ex Expr) int {
+	switch ex := ex.(type) {
+	case SimExpr, NearestExpr:
+		return 1
+	case AndExpr:
+		return countSims(ex.L) + countSims(ex.R)
+	case OrExpr:
+		return countSims(ex.L) + countSims(ex.R)
+	case NotExpr:
+		return countSims(ex.E)
+	}
+	return 0
+}
+
+func (o *oracleDB) field(f FieldRef, alias string, r *modelRow) (string, error) {
+	if f.Table != "" && f.Table != alias {
+		return "", errUnmodeled
+	}
+	switch f.Name {
+	case "dist":
+		if !r.has {
+			return "", errUnmodeled
+		}
+		return strconv.Itoa(r.dist), nil
+	case "id":
+		return strconv.Itoa(r.id), nil
+	case "seq":
+		return r.seq, nil
+	case "tag":
+		return r.tag, nil
+	case "vec":
+		return "", errUnmodeled
+	}
+	return "", nil // absent attributes read as ""
+}
+
+func (o *oracleDB) operand(op Operand, alias string, r *modelRow) (string, error) {
+	if op.IsLit {
+		return op.Lit, nil
+	}
+	if op.IsVec || op.Param != nil {
+		return "", errUnmodeled
+	}
+	return o.field(op.Field, alias, r)
+}
+
+// eval mirrors evalExpr's short-circuit order, which decides both
+// which conjunct's distance a row keeps and which errors surface.
+func (o *oracleDB) eval(ex Expr, alias string, r *modelRow) (bool, error) {
+	switch ex := ex.(type) {
+	case nil:
+		return true, nil
+	case AndExpr:
+		if l, err := o.eval(ex.L, alias, r); err != nil || !l {
+			return false, err
+		}
+		return o.eval(ex.R, alias, r)
+	case OrExpr:
+		if l, err := o.eval(ex.L, alias, r); err != nil || l {
+			return l, err
+		}
+		return o.eval(ex.R, alias, r)
+	case NotExpr:
+		v, err := o.eval(ex.E, alias, r)
+		return !v, err
+	case CmpExpr:
+		l, err := o.operand(ex.L, alias, r)
+		if err != nil {
+			return false, err
+		}
+		rv, err := o.operand(ex.R, alias, r)
+		if err != nil {
+			return false, err
+		}
+		return (l == rv) != ex.Neq, nil
+	case SimExpr:
+		if ex.RuleSet != "edits" || isVecSim(&ex) || ex.RadiusParam != nil || math.IsNaN(ex.Radius) {
+			return false, errUnmodeled
+		}
+		x, err := o.field(ex.Field, alias, r)
+		if err != nil {
+			return false, err
+		}
+		var d int
+		var ok bool
+		if ex.Pattern {
+			p, err := pattern.Compile(ex.Target.Lit)
+			if err != nil || !inOracleAlphabet(x) {
+				return false, errUnmodeled
+			}
+			var fd float64
+			fd, ok = patdist.Within(patternCalc, x, p, ex.Radius)
+			d = int(fd)
+		} else {
+			target, err := o.operand(ex.Target, alias, r)
+			if err != nil {
+				return false, err
+			}
+			if !inOracleAlphabet(x) || !inOracleAlphabet(target) {
+				return false, errUnmodeled
+			}
+			// Distances are integers: d <= radius iff d <= floor(radius).
+			d, ok = editdp.LevenshteinWithin(x, target, int(math.Min(ex.Radius, 1<<20)))
+		}
+		if ok && !r.has {
+			r.dist, r.has = d, true
+		}
+		return ok, nil
+	}
+	return false, errUnmodeled
+}
+
+// matches evaluates a WHERE clause over every row, in ascending id.
+func (o *oracleDB) matches(where Expr, alias string) ([]modelRow, error) {
+	if countSims(where) > 1 {
+		return nil, errUnmodeled
+	}
+	if ne, ok := where.(NearestExpr); ok {
+		if ne.RuleSet != "edits" || !ne.Target.IsLit || isVecNearest(&ne) || !inOracleAlphabet(ne.Target.Lit) {
+			return nil, errUnmodeled
+		}
+		all := make([]modelRow, len(o.rows))
+		for i, row := range o.rows {
+			if !inOracleAlphabet(row.seq) {
+				return nil, errUnmodeled
+			}
+			all[i] = modelRow{oracleRow: row, dist: editdp.Levenshtein(row.seq, ne.Target.Lit), has: true}
+		}
+		// Rows are in ascending id, so a stable sort by distance is the
+		// (dist, id) order.
+		sort.SliceStable(all, func(i, j int) bool { return all[i].dist < all[j].dist })
+		if len(all) > ne.K {
+			all = all[:ne.K]
+		}
+		return all, nil
+	}
+	var out []modelRow
+	for _, row := range o.rows {
+		r := modelRow{oracleRow: row}
+		ok, err := o.eval(where, alias, &r)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
+// query evaluates a SELECT.
+func (o *oracleDB) query(q *Query) (*modelResult, error) {
+	if len(q.From) != 1 || q.From[0].Name != "words" || hasUnboundParams(q) {
+		return nil, errUnmodeled
+	}
+	alias := q.From[0].Alias
+	rows, err := o.matches(q.Where, alias)
+	if err != nil {
+		return nil, err
+	}
+	_, nearest := q.Where.(NearestExpr)
+	res := &modelResult{exact: nearest || countSims(q.Where) == 0}
+	if q.Order != OrderNone {
+		if countSims(q.Where) == 0 {
+			return nil, errUnmodeled // the engine rejects ORDER BY dist here
+		}
+		// Rows without a distance sort last in either direction; ties
+		// keep the input order.
+		sort.SliceStable(rows, func(i, j int) bool {
+			a, b := rows[i], rows[j]
+			if !a.has || !b.has {
+				return a.has && !b.has
+			}
+			if q.Order == OrderDesc {
+				return a.dist > b.dist
+			}
+			return a.dist < b.dist
+		})
+	}
+	if res.exact && q.Limit > 0 && len(rows) > q.Limit {
+		rows = rows[:q.Limit]
+	}
+	for i := range rows {
+		r := &rows[i]
+		var out []string
+		if len(q.Select) == 0 {
+			out = []string{strconv.Itoa(r.id), r.seq, ""}
+			if r.has {
+				out[2] = strconv.Itoa(r.dist)
+			}
+		}
+		for _, c := range q.Select {
+			v, err := o.field(FieldRef{Table: c.Table, Name: c.Name}, alias, r)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, v)
+		}
+		res.rows = append(res.rows, out)
+	}
+	res.dists = rows
+	return res, nil
+}
+
+// mutate applies an INSERT, DELETE or UPDATE with the engine's DML
+// semantics (see oracleDB).
+func (o *oracleDB) mutate(m *Mutation) error {
+	if m.Table != "words" || mutationHasParams(m) {
+		return errUnmodeled
+	}
+	lit := func(v Operand) (string, error) {
+		if !v.IsLit {
+			return "", errUnmodeled
+		}
+		return v.Lit, nil
+	}
+	if m.Kind == MutInsert {
+		var add []oracleRow
+		for _, vals := range m.Rows {
+			if len(vals) != len(m.Columns) {
+				return errUnmodeled
+			}
+			var row oracleRow
+			for i, col := range m.Columns {
+				v, err := lit(vals[i])
+				if err != nil {
+					return err
+				}
+				switch col {
+				case "seq":
+					row.seq = v
+				case "tag":
+					row.tag = v
+				default:
+					return errUnmodeled
+				}
+			}
+			add = append(add, row)
+		}
+		for _, row := range add {
+			o.insert(row.seq, row.tag)
+		}
+		return nil
+	}
+	hit, err := o.matches(m.Where, m.Table)
+	if err != nil {
+		return err
+	}
+	ids := make([]int, len(hit))
+	for i, r := range hit {
+		ids[i] = r.id
+	}
+	if m.Kind == MutDelete {
+		o.deleteIDs(ids)
+		return nil
+	}
+	var seq, tag *string
+	for _, sc := range m.Set {
+		v, err := lit(sc.Value)
+		if err != nil {
+			return err
+		}
+		switch sc.Name {
+		case "seq":
+			seq = &v
+		case "tag":
+			tag = &v
+		default:
+			return errUnmodeled
+		}
+	}
+	o.updateRows(ids, func(r *oracleRow) {
+		if seq != nil {
+			r.seq = *seq
+		}
+		if tag != nil {
+			r.tag = *tag
+		}
+	})
+	return nil
+}
+
+// dumpWords renders an engine's "words" table: id, seq and tag per
+// visible row, in id order.
+func dumpWords(e *Engine) string {
+	tab, _ := e.Catalog().Lookup("words")
+	var b strings.Builder
+	for _, tup := range tab.Tuples() {
+		b.WriteString(strconv.Itoa(tup.ID) + "\x1f" + tup.Seq + "\x1f" + tup.Attr("tag") + "\n")
+	}
+	return b.String()
+}
+
+// dump renders the model's table in dumpWords' format.
+func (o *oracleDB) dump() string {
+	var b strings.Builder
+	for _, row := range o.rows {
+		b.WriteString(strconv.Itoa(row.id) + "\x1f" + row.seq + "\x1f" + row.tag + "\n")
+	}
+	return b.String()
+}
+
+// check holds an engine result against the model's under the
+// statement's ordering contract.
+func (mr *modelResult) check(t testing.TB, stmt string, q *Query, res *Result) {
+	t.Helper()
+	want := make([]string, len(mr.rows))
+	for i, r := range mr.rows {
+		want[i] = strings.Join(r, "\x1f")
+	}
+	if mr.exact {
+		if got := positional(res); got != strings.Join(want, "\n") {
+			t.Fatalf("%q diverges from the model:\ngot:\n%s\nwant:\n%s\nplan:\n%s", stmt, got, strings.Join(want, "\n"), res.Plan)
+		}
+		return
+	}
+	n := len(want)
+	if q.Limit > 0 && q.Limit < n {
+		// LIMIT without a total order returns a plan-dependent subset, but
+		// always the right number of rows, each from the match set.
+		n = q.Limit
+	}
+	if len(res.Rows) != n {
+		t.Fatalf("%q returned %d rows, the model wants %d:\nplan:\n%s", stmt, len(res.Rows), n, res.Plan)
+	}
+	left := map[string]int{}
+	for _, w := range want {
+		left[w]++
+	}
+	for _, row := range res.Rows {
+		key := strings.Join(row, "\x1f")
+		if left[key] == 0 {
+			t.Fatalf("%q: row %v is not in the model's match set (or repeats):\nplan:\n%s", stmt, row, res.Plan)
+		}
+		left[key]--
+	}
+	distCol := -1
+	for i, c := range res.Columns {
+		if c == "dist" {
+			distCol = i
+		}
+	}
+	if q.Order == OrderNone || distCol < 0 {
+		return
+	}
+	// ORDER BY dist: the emitted distances are exactly the model's first
+	// n in sorted order (which rows carry a tied distance is the plan's
+	// choice, the distances are not).
+	for i, row := range res.Rows {
+		w := ""
+		if mr.dists[i].has {
+			w = strconv.Itoa(mr.dists[i].dist)
+		}
+		if row[distCol] != w {
+			t.Fatalf("%q: row %d has dist %q, the model's ORDER BY wants %q:\n%s", stmt, i, row[distCol], w, positional(res))
+		}
+	}
+}
+
+// checkModel parses stmt, evaluates it on the model and compares. The
+// caller's generator promises statements inside the model's language.
+func (o *oracleDB) checkModel(t testing.TB, stmt string, res *Result) {
+	t.Helper()
+	parsed, err := ParseStatement(stmt)
+	if err != nil {
+		t.Fatalf("%q: %v", stmt, err)
+	}
+	if m, ok := parsed.(*Mutation); ok {
+		if err := o.mutate(m); err != nil {
+			t.Fatalf("%q: %v", stmt, err)
+		}
+		return
+	}
+	q := parsed.(*Query)
+	mr, err := o.query(q)
+	if err != nil {
+		t.Fatalf("%q: %v", stmt, err)
+	}
+	mr.check(t, stmt, q, res)
+}

@@ -226,7 +226,9 @@ func (p *qparser) parseQuery() (*Query, error) {
 				return nil, p.errf("expected limit count")
 			}
 			n, err := strconv.Atoi(p.next().text)
-			if err != nil || n < 0 {
+			if err != nil || n < 1 {
+				// 0 is rejected like NEAREST 0: the planner reads
+				// Limit == 0 as "no limit".
 				return nil, p.errf("bad limit")
 			}
 			q.Limit = n

@@ -244,6 +244,7 @@ func TestParseErrors(t *testing.T) {
 		`SELECT * FROM r trailing garbage !`,
 		`SELECT * FROM r WHERE seq SIMILAR TO PATTERN x WITHIN 1 USING e`,
 		`SELECT * FROM r LIMIT x`,
+		`SELECT * FROM r LIMIT 0`, // read as "no limit" downstream: used to return every row
 		`SELECT * FROM r ORDER BY seq`,
 		`SELECT * FROM r ORDER dist`,
 	} {

@@ -1,7 +1,8 @@
 package query
 
 // The cost-based planner: translates a parsed Query into a tree of
-// physical operators (operators.go) using the estimates in cost.go.
+// physical operators (batch_operators.go and its siblings) using the
+// estimates in cost.go.
 //
 // Plan shape, bottom to top:
 //
@@ -59,7 +60,6 @@ type planDecision struct {
 	workers   int          // worker count when parallel (or gather fan-out)
 	shards    int          // > 0: scatter-gather plan over a ShardedRelation
 	shardJoin bool         // accessJoin over >= 1 sharded relation (broadcast inner)
-	vectorize bool         // build the batch-at-a-time pipeline
 	kernel    string       // distance kernel serving the primary edit conjunct
 	// ("myers", "targetdp", "scalar", or "" when none)
 }
@@ -67,7 +67,7 @@ type planDecision struct {
 // stepChoice is one edge of the decided join order. The edge is named
 // by its position in extractJoinSims' deterministic output so build can
 // recover the SimExpr from the (re-extracted) predicate. algo selects
-// the physical join operator ("nl", "index", "partition"); vec marks a
+// the join operator's probe strategy ("nl", "index", "partition"); vec marks a
 // vector-metric edge (USING names a metric, the index is a VP-tree).
 type stepChoice struct {
 	alias      string
@@ -111,16 +111,6 @@ func (e *Engine) resolveFrom(q *Query) ([]relation.Table, error) {
 // decide validates the query and makes every cost-based planning
 // choice. The query must be fully bound (no parameters).
 func (e *Engine) decide(q *Query) (*planDecision, error) {
-	return e.decideWith(q, e.batchConfig())
-}
-
-// decideWith is decide with the vectorized block size pinned by the
-// caller: paths that key a cache on the engine configuration
-// (Engine.Execute, PreparedQuery.run) read the knob exactly once and
-// pass the same value here, so a concurrent SetBatchSize can never
-// produce a decision whose vectorize flag belongs to a different
-// epoch than the key it is stored under.
-func (e *Engine) decideWith(q *Query, batchSize int) (*planDecision, error) {
 	if hasUnboundParams(q) {
 		return nil, fmt.Errorf("query: statement has bind parameters; use Engine.Prepare")
 	}
@@ -144,22 +134,10 @@ func (e *Engine) decideWith(q *Query, batchSize int) (*planDecision, error) {
 	} else if len(q.From) == 1 {
 		d, err = e.decideSingle(q, rels[0])
 	} else {
-		// Join algorithm choice depends on the vectorize epoch: the
-		// partitioned batch join only exists in the batch pipeline.
-		d, err = e.decideJoin(q, rels, batchSize > 0)
+		d, err = e.decideJoin(q, rels)
 	}
 	if err != nil {
 		return nil, err
-	}
-	// The vectorize choice is part of the decision so cached plans and
-	// memoised prepared decisions key on it (SetBatchSize starts a fresh
-	// key space). Every access family has a batch build; joins run their
-	// row chain behind the adapters.
-	d.vectorize = batchSize > 0
-	if d.vectorize {
-		mDecideVectorize.Inc()
-	} else {
-		mDecideRow.Inc()
 	}
 	d.kernel = e.kernelFor(q, d)
 	return d, nil
@@ -361,13 +339,13 @@ func (e *Engine) decideSingle(q *Query, tab relation.Table) (*planDecision, erro
 // decideJoin greedily orders a left-deep join chain over N relations by
 // estimated cost; similarity edges come from top-level similarity
 // conjuncts between two aliases (SIMILAR TO or ON dist(...) <= k). Per
-// edge the cheapest physical join is chosen: index-nested-loop (probe
-// the inner BK-tree or VP-tree), partitioned batch (length/norm-band
-// the inner side; batch pipeline only), or plain nested loop. A join
-// touching sharded relations becomes a scatter-gather plan: one chain
-// per outer shard with the inner sides broadcast, merged by outer id
-// under GatherMerge (see buildShardedJoin).
-func (e *Engine) decideJoin(q *Query, rels []relation.Table, vectorize bool) (*planDecision, error) {
+// edge the cheapest probe strategy is chosen: index-nested-loop (probe
+// the inner BK-tree or VP-tree), partitioned (length/norm-band the
+// inner side), or plain nested loop. A join touching sharded relations
+// becomes a scatter-gather plan: one chain per outer shard with the
+// inner sides broadcast, merged by outer id under GatherMerge (see
+// buildJoin).
+func (e *Engine) decideJoin(q *Query, rels []relation.Table) (*planDecision, error) {
 	relOf := map[string]relation.Table{}
 	pos := map[string]int{}
 	shardJoin := false
@@ -414,7 +392,7 @@ func (e *Engine) decideJoin(q *Query, rels []relation.Table, vectorize bool) (*p
 			default:
 				continue // cycle edge or not yet reachable
 			}
-			algo, cost, err := e.chooseJoinAlgo(edge, innerField, curRows, relOf[newAlias].Stats(), vectorize)
+			algo, cost, err := e.chooseJoinAlgo(edge, innerField, curRows, relOf[newAlias].Stats())
 			if err != nil {
 				return nil, err
 			}
@@ -455,16 +433,15 @@ type joinAlgo struct {
 	vec  bool
 }
 
-// chooseJoinAlgo picks the physical join operator for one similarity
-// edge. Index joins keep their historical precedence (an indexable edge
-// always probes the index rather than scanning); the partitioned batch
-// join — only available when the pipeline vectorizes — competes on
-// cost. String partitioning requires a unit-cost rule set (the length
-// band |len(x)-len(y)| <= d needs every edit to cost at least one);
-// vector partitioning bands by distance-to-origin under a triangular
-// metric and degrades to a single partition (block kernel only) for
-// non-triangular metrics like cosine.
-func (e *Engine) chooseJoinAlgo(edge *SimExpr, innerField string, outerRows float64, inner relation.Stats, vectorize bool) (joinAlgo, float64, error) {
+// chooseJoinAlgo picks the probe strategy for one similarity edge.
+// Index joins keep their historical precedence over the nested loop
+// (an indexable edge always probes the index rather than scanning); the
+// partitioned join competes on cost. String partitioning requires a
+// unit-cost rule set (the length band |len(x)-len(y)| <= d needs every
+// edit to cost at least one); vector partitioning bands by
+// distance-to-origin under a triangular metric and degrades to a single
+// partition (block kernel only) for non-triangular metrics like cosine.
+func (e *Engine) chooseJoinAlgo(edge *SimExpr, innerField string, outerRows float64, inner relation.Stats) (joinAlgo, float64, error) {
 	if isVecSim(edge) {
 		m, ok := metric.Lookup(edge.RuleSet)
 		if !ok {
@@ -478,10 +455,8 @@ func (e *Engine) chooseJoinAlgo(edge *SimExpr, innerField string, outerRows floa
 		if triangular && innerField == "vec" {
 			algo, cost = "index", vecIndexJoinCost(outerRows, inner, edge.Radius)
 		}
-		if vectorize {
-			if pc := vecPartitionJoinCost(outerRows, inner, edge.Radius, triangular); pc < cost {
-				algo, cost = "partition", pc
-			}
+		if pc := vecPartitionJoinCost(outerRows, inner, edge.Radius, triangular); pc < cost {
+			algo, cost = "partition", pc
 		}
 		return joinAlgo{algo: algo, vec: true}, cost, nil
 	}
@@ -496,7 +471,7 @@ func (e *Engine) chooseJoinAlgo(edge *SimExpr, innerField string, outerRows floa
 	if unit && edge.Radius == float64(int(edge.Radius)) && innerField == "seq" {
 		algo, cost = "index", indexJoinCost(outerRows, inner, edge.Radius)
 	}
-	if vectorize && unit && e.calc(edge.RuleSet) != nil {
+	if unit && e.calc(edge.RuleSet) != nil {
 		if pc := partitionJoinCost(outerRows, inner, edge.Radius); pc < cost {
 			algo, cost = "partition", pc
 		}
@@ -547,278 +522,150 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.kind == accessJoin && d.shardJoin {
-		return e.buildShardedJoin(q, d, tabs)
+	if d.kind == accessJoin {
+		return e.buildJoin(q, d, tabs)
 	}
 	if d.shards > 0 {
 		return e.buildShardedPlan(q, d, tabs[0])
 	}
-	rels := make([]*relation.Relation, len(tabs))
-	for i, t := range tabs {
-		r, ok := t.(*relation.Relation)
-		if !ok {
-			// The table was re-registered with a sharded layout after this
-			// decision was made; Execute re-plans on this error.
-			return nil, fmt.Errorf("query: stale plan: relation %q is now sharded", q.From[i].Name)
-		}
-		rels[i] = r
+	rel, ok := tabs[0].(*relation.Relation)
+	if !ok {
+		// The table was re-registered with a sharded layout after this
+		// decision was made; Execute re-plans on this error.
+		return nil, fmt.Errorf("query: stale plan: relation %q is now sharded", q.From[0].Name)
 	}
-	// Ensure shared index structures ahead of the snapshots.
+	// Ensure shared index structures ahead of the snapshot.
 	switch d.kind {
 	case accessRange:
 		switch d.via {
 		case "trie":
-			rels[0].Trie()
+			rel.Trie()
 		case "vptree":
 			if m := vecRangeMetric(q.Where); m != nil {
-				rels[0].VPTree(m)
+				rel.VPTree(m)
 			}
 		default:
-			rels[0].BKTree()
+			rel.BKTree()
 		}
 	case accessNearest:
 		switch d.via {
 		case "bktree":
-			rels[0].BKTree()
+			rel.BKTree()
 		case "vptree":
 			if ne, ok := q.Where.(NearestExpr); ok {
 				if m, ok := metric.Lookup(ne.RuleSet); ok {
-					rels[0].VPTree(m)
-				}
-			}
-		}
-	case accessJoin:
-		relOfJ := map[string]relation.Table{}
-		for i, ref := range q.From {
-			relOfJ[ref.Alias] = rels[i]
-		}
-		edges, _ := extractJoinSims(q.Where, relOfJ)
-		for i, ref := range q.From {
-			for _, step := range d.steps {
-				if step.algo != "index" || step.alias != ref.Alias {
-					continue
-				}
-				if step.vec {
-					if step.edge >= 0 && step.edge < len(edges) {
-						if m, ok := metric.Lookup(edges[step.edge].RuleSet); ok {
-							rels[i].VPTree(m)
-						}
-					}
-				} else {
-					rels[i].BKTree()
+					rel.VPTree(m)
 				}
 			}
 		}
 	}
-	snaps := make(map[*relation.Relation]*relation.Snapshot, len(rels))
-	snapOf := func(r *relation.Relation) *relation.Snapshot {
-		if s, ok := snaps[r]; ok {
-			return s
-		}
-		s := r.Snapshot()
-		snaps[r] = s
-		return s
-	}
+	snap := rel.Snapshot()
+	st := rel.Stats()
 	ctx := &execCtx{eng: e, traced: q.Analyze || e.tracing.Load()}
-	cp := &compiledPlan{ctx: ctx, columns: projectColumns(q), kernel: d.kernel}
-	if d.vectorize {
-		return e.buildBatchTree(q, d, rels, snapOf, ctx, cp)
+	alias := q.From[0].Alias
+	size := e.batchLeafSize(q)
+	tag := kernelTag{d.kernel}
+	// filter stacks the residual predicate, if any, on an access path.
+	filter := func(op BatchOperator, pred Expr) BatchOperator {
+		if isTrivial(pred) {
+			return op
+		}
+		return trB(ctx, &batchFilterOp{kernelTag: kernelTag{e.filterKernel(pred)}, ctx: ctx, child: op, pred: pred, alias: alias},
+			estFilterRows(st, pred, estOfBatch(op)))
 	}
 
-	var access Operator
-	st := rels[0].Stats()
+	var access BatchOperator
 	switch d.kind {
 	case accessNearest:
 		ne := q.Where.(NearestExpr)
 		if isVecNearest(&ne) {
-			access = tr(ctx, &vecNearestKOp{
-				ctx: ctx, snap: snapOf(rels[0]), alias: q.From[0].Alias,
-				via: d.via, target: ne.Target.Vec, k: ne.K, metricName: ne.RuleSet,
-			}, estNearestRows(st.VecCount, ne.K), d.kernel)
+			access = trB(ctx, &batchVecNearestKOp{
+				kernelTag: tag, ctx: ctx, snap: snap, alias: alias,
+				via: d.via, target: ne.Target.Vec, k: ne.K, metricName: ne.RuleSet, size: size,
+			}, estNearestRows(st.VecCount, ne.K))
 		} else {
-			access = tr(ctx, &nearestKOp{
-				ctx: ctx, snap: snapOf(rels[0]), alias: q.From[0].Alias,
-				via: d.via, target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet,
-			}, estNearestRows(st.Count, ne.K), d.kernel)
+			access = trB(ctx, &batchNearestKOp{
+				kernelTag: tag, ctx: ctx, snap: snap, alias: alias,
+				via: d.via, target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet, size: size,
+			}, estNearestRows(st.Count, ne.K))
 		}
 	case accessRange:
+		// Extraction is deterministic, so the same conjunct the decision
+		// was made for is found again.
 		if d.via == "vptree" {
-			access, err = e.buildVecRange(ctx, q, snapOf(rels[0]), st, d)
-		} else {
-			access, err = e.buildRange(ctx, q, snapOf(rels[0]), st, d)
+			sim, residual := extractVecRangeSim(q.Where)
+			if sim == nil {
+				return nil, fmt.Errorf("query: stale plan: no vector range conjunct")
+			}
+			access = filter(trB(ctx, &batchVecRangeOp{
+				kernelTag: tag, ctx: ctx, snap: snap, alias: alias,
+				target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet, size: size,
+			}, estVecRangeRows(st, sim.Radius)), simplifyExpr(residual))
+			break
 		}
+		sim, residual := extractRangeSim(q.Where, e.rangeIndexable)
+		if sim == nil {
+			return nil, fmt.Errorf("query: stale plan: no indexable conjunct")
+		}
+		access = filter(trB(ctx, &batchIndexRangeOp{
+			kernelTag: tag, ctx: ctx, snap: snap, alias: alias, via: d.via,
+			target: sim.Target.Lit, radius: int(sim.Radius), ruleSet: sim.RuleSet, size: size,
+		}, estRangeRows(st, sim.Radius)), simplifyExpr(residual))
 	case accessScan:
-		access = e.buildScan(ctx, q, snapOf(rels[0]), st, d)
-	case accessJoin:
-		access, err = e.buildJoin(ctx, q, rels, snapOf, d)
+		pred := simplifyExpr(q.Where)
+		access = wrapBatchParallel(ctx, d, func(shard, shards int) BatchOperator {
+			sc := newBatchScanOp(ctx, snap, alias, size)
+			sc.shard, sc.shards = shard, shards
+			return filter(trB(ctx, sc, float64(st.Count)/float64(shards)), pred)
+		})
 	default:
-		err = fmt.Errorf("query: unknown access kind %d", d.kind)
+		return nil, fmt.Errorf("query: unknown access kind %d", d.kind)
 	}
-	if err != nil {
-		return nil, err
-	}
+	return &compiledPlan{
+		root: e.wrapBatchTop(q, access, alias, size, ctx),
+		ctx:  ctx, columns: projectColumns(q), kernel: d.kernel,
+	}, nil
+}
 
+// batchLeafSize resolves the block size for a plan's leaf operators:
+// the engine's block size, capped by a LIMIT-without-ORDER so the
+// pull-based limit pushdown keeps working at block granularity — a
+// LIMIT 3 plan must not drag a 256-row block through the pipeline per
+// pull. The cap bounds a plan's overshoot to at most one block beyond
+// the limit.
+func (e *Engine) batchLeafSize(q *Query) int {
+	size := e.batchSize
+	if q.Limit > 0 && q.Order == OrderNone && q.Limit < size {
+		size = q.Limit
+	}
+	return size
+}
+
+// wrapBatchTop applies the shared decorator stack — OrderByDist,
+// Project, Limit — above an access path.
+func (e *Engine) wrapBatchTop(q *Query, access BatchOperator, alias string, size int, ctx *execCtx) BatchOperator {
 	top := access
-	if q.Order == OrderDesc {
-		top = tr(ctx, &orderByDistOp{child: top, desc: true}, estOf(top), "")
-	} else if q.Order == OrderAsc {
-		top = tr(ctx, &orderByDistOp{child: top}, estOf(top), "")
+	if q.Order != OrderNone {
+		top = trB(ctx, &batchOrderByDistOp{child: top, desc: q.Order == OrderDesc, size: size}, estOfBatch(top))
 	}
-	top = tr(ctx, &projectOp{ctx: ctx, q: q, child: top}, estOf(top), "")
+	top = trB(ctx, &batchProjectOp{ctx: ctx, q: q, child: top, alias: alias}, estOfBatch(top))
 	if q.Limit > 0 {
-		top = tr(ctx, &limitOp{child: top, n: q.Limit}, estLimitRows(q.Limit, estOf(top)), "")
+		top = trB(ctx, &batchLimitOp{child: top, n: q.Limit}, estLimitRows(q.Limit, estOfBatch(top)))
 	}
-	cp.root = top
-	return cp, nil
+	return top
 }
 
-// buildRange reconstructs the IndexRange pipeline; extraction is
-// deterministic, so the same conjunct the decision was made for is
-// found again.
-func (e *Engine) buildRange(ctx *execCtx, q *Query, snap *relation.Snapshot, st relation.Stats, d *planDecision) (Operator, error) {
-	sim, residual := extractRangeSim(q.Where, e.rangeIndexable)
-	if sim == nil {
-		return nil, fmt.Errorf("query: stale plan: no indexable conjunct")
-	}
-	est := estRangeRows(st, sim.Radius)
-	var op Operator = tr(ctx, &indexRangeOp{
-		ctx: ctx, snap: snap, alias: q.From[0].Alias, via: d.via,
-		target: sim.Target.Lit, radius: int(sim.Radius), ruleSet: sim.RuleSet,
-	}, est, d.kernel)
-	if res := simplifyExpr(residual); !isTrivial(res) {
-		op = tr(ctx, &filterOp{ctx: ctx, child: op, pred: res},
-			estFilterRows(st, res, est), e.filterKernel(res))
-	}
-	return op, nil
-}
-
-// buildScan constructs the (possibly parallel) scan+filter pipeline.
-func (e *Engine) buildScan(ctx *execCtx, q *Query, snap *relation.Snapshot, st relation.Stats, d *planDecision) Operator {
-	alias := q.From[0].Alias
-	pred := simplifyExpr(q.Where)
-	build := func(shard, shards int) Operator {
-		sc := newScanOp(ctx, snap, alias)
-		sc.shard, sc.shards = shard, shards
-		scanEst := float64(st.Count) / float64(shards)
-		var op Operator = tr(ctx, sc, scanEst, "")
-		if !isTrivial(pred) {
-			op = tr(ctx, &filterOp{ctx: ctx, child: op, pred: pred},
-				estFilterRows(st, pred, scanEst), e.filterKernel(pred))
-		}
-		return op
-	}
-	return wrapParallel(ctx, d, build)
-}
-
-// buildJoin reconstructs the decided join chain. Edges are recovered by
-// position from extractJoinSims' deterministic output; edges not used
-// by any step (cycles) become residual predicates — they must still
-// hold on each output binding.
-func (e *Engine) buildJoin(ctx *execCtx, q *Query, rels []*relation.Relation, snapOf func(*relation.Relation) *relation.Snapshot, d *planDecision) (Operator, error) {
-	relOf := map[string]relation.Table{}
-	relPlain := map[string]*relation.Relation{}
-	for i, ref := range q.From {
-		relOf[ref.Alias] = rels[i]
-		relPlain[ref.Alias] = rels[i]
-	}
-	edges, residual := extractJoinSims(q.Where, relOf)
-	used := make([]bool, len(edges))
-	for _, step := range d.steps {
-		if step.edge < 0 || step.edge >= len(edges) {
-			return nil, fmt.Errorf("query: stale plan: join edge %d out of range", step.edge)
-		}
-		used[step.edge] = true
-	}
-	for i, edge := range edges {
-		if !used[i] {
-			residual = AndExpr{L: residual, R: *edge}
-		}
-	}
-
-	pred := simplifyExpr(residual)
-	steps := d.steps
-	// Resolve snapshots eagerly: the build closure runs concurrently in
-	// parallel shard workers and must not touch the snapshot map.
-	startSnap := snapOf(relPlain[d.start])
-	startStats := relPlain[d.start].Stats()
-	stepSnaps := make([]*relation.Snapshot, len(steps))
-	stepStats := make([]relation.Stats, len(steps))
-	stepMetrics := make([]metric.Distance, len(steps))
-	for i, step := range steps {
-		stepSnaps[i] = snapOf(relPlain[step.alias])
-		stepStats[i] = relPlain[step.alias].Stats()
-		if step.vec {
-			m, ok := metric.Lookup(edges[step.edge].RuleSet)
-			if !ok {
-				return nil, fmt.Errorf("query: unknown metric %q", edges[step.edge].RuleSet)
-			}
-			stepMetrics[i] = m
-		}
-	}
-	// In a vectorized plan the join chain itself stays row-at-a-time,
-	// but the START scan — opened once per query — reads through a
-	// batch cursor behind a BatchToRow adapter, the other direction of
-	// the adapter pair. Nested-loop INNER scans stay plain row scans:
-	// they are re-opened once per outer binding, so adapter and block
-	// overhead there would multiply by the outer cardinality with
-	// nothing to amortize it.
-	size := e.batchLeafSize(q)
-	startScan := func(shard, shards int) Operator {
-		scanEst := float64(startStats.Count) / float64(shards)
-		if d.vectorize {
-			bs := newBatchScanOp(ctx, startSnap, d.start, size)
-			bs.shard, bs.shards = shard, shards
-			return &batchToRowOp{child: trB(ctx, bs, scanEst, "")}
-		}
-		sc := newScanOp(ctx, startSnap, d.start)
-		sc.shard, sc.shards = shard, shards
-		return tr(ctx, sc, scanEst, "")
-	}
-	build := func(shard, shards int) Operator {
-		op := startScan(shard, shards)
-		// The chain estimate follows the decided join order with the same
-		// joinOutRowsFor formula decideJoin costed with, scaled to one
-		// shard.
-		cur := float64(startStats.Count) / float64(shards)
-		for i, step := range steps {
-			outerEst := cur
-			cur = joinOutRowsFor(edges[step.edge], cur, stepStats[i])
-			if step.algo == "index" {
-				op = tr(ctx, &indexJoinOp{
-					ctx: ctx, outer: op, snaps: []*relation.Snapshot{stepSnaps[i]}, alias: step.alias,
-					probeField: step.probeField, sim: edges[step.edge], vec: step.vec, m: stepMetrics[i],
-				}, cur, d.kernel)
-			} else {
-				// "nl" — and, defensively, a "partition" step reaching the
-				// row build (partition is a batch-only operator). The inner
-				// scan is span-wrapped so ANALYZE attributes its candidates
-				// and re-open wall time; across re-opens the wrapper
-				// accumulates, so the estimate is outer rows x inner rows.
-				inner := tr(ctx, newScanOp(ctx, stepSnaps[i], step.alias),
-					outerEst*float64(stepStats[i].Count), "")
-				op = tr(ctx, &nestedLoopJoinOp{
-					ctx: ctx, outer: op, inner: inner, sim: edges[step.edge],
-				}, cur, d.kernel)
-			}
-		}
-		if !isTrivial(pred) {
-			op = tr(ctx, &filterOp{ctx: ctx, child: op, pred: pred},
-				estFilterRows(startStats, pred, cur), e.filterKernel(pred))
-		}
-		return op
-	}
-	return wrapParallel(ctx, d, build), nil
-}
-
-// wrapParallel applies the decision's parallelism choice to a pipeline
-// factory. On a traced plan the per-shard pipelines are built eagerly
-// so the span extractor can visit the instances that actually executed
-// rather than the throwaway template.
-func wrapParallel(ctx *execCtx, d *planDecision, build func(shard, shards int) Operator) Operator {
+// wrapBatchParallel applies the decision's parallelism choice to a
+// pipeline factory.
+func wrapBatchParallel(ctx *execCtx, d *planDecision, build func(shard, shards int) BatchOperator) BatchOperator {
 	if d.parallel && d.workers > 1 {
-		p := &parallelOp{ctx: ctx, workers: d.workers, build: build}
+		p := &batchParallelOp{ctx: ctx, workers: d.workers, build: build}
 		if ctx.traced {
-			p.prebuilt = make([]Operator, d.workers)
+			// Prebuild every shard pipeline so each carries its own span
+			// wrappers; OpenBatch runs the prebuilt instances and ANALYZE
+			// merges their counters (untraced plans keep lazy per-Open
+			// builds and pay nothing).
+			p.prebuilt = make([]BatchOperator, d.workers)
 			for i := range p.prebuilt {
 				p.prebuilt[i] = build(i, d.workers)
 			}
@@ -826,7 +673,7 @@ func wrapParallel(ctx *execCtx, d *planDecision, build func(shard, shards int) O
 		} else {
 			p.template = build(0, d.workers)
 		}
-		return tr(ctx, p, -1, "")
+		return trB(ctx, p, -1)
 	}
 	return build(0, 1)
 }

@@ -186,15 +186,12 @@ func (pq *PreparedQuery) run(lookup func(ParamRef) (any, error), explain bool) (
 	}
 	q.Explain = q.Explain || explain
 
-	// One read of the batch-size knob covers both the decision key and
-	// the decision itself (see decideWith).
-	batchSize := pq.eng.batchConfig()
-	key := pq.eng.decisionKey(q, batchSize)
+	key := pq.eng.decisionKey(q)
 	pq.mu.Lock()
 	d, reused := pq.decisions[key]
 	pq.mu.Unlock()
 	if !reused {
-		if d, err = pq.eng.decideWith(q, batchSize); err != nil {
+		if d, err = pq.eng.decide(q); err != nil {
 			return nil, err
 		}
 		pq.mu.Lock()
@@ -250,15 +247,14 @@ func (pq *PreparedQuery) runMutation(lookup func(ParamRef) (any, error), explain
 
 // decisionKey summarises every bind-dependent input to decide():
 // catalog statistics, shard topology, rule-set registry, parallel
-// configuration, the vectorized block size, the LIMIT-without-ORDER
-// early-exit flag, and each similarity radius in predicate order. Two
-// bindings with equal keys provably take the same planner choices, so
-// the decision is reusable.
-func (e *Engine) decisionKey(q *Query, batchSize int) string {
+// configuration, the LIMIT-without-ORDER early-exit flag, and each
+// similarity radius in predicate order. Two bindings with equal keys
+// provably take the same planner choices, so the decision is reusable.
+func (e *Engine) decisionKey(q *Query) string {
 	workers, minRows := e.parallelConfig()
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%d|%d|%d|%d|%d|%t|%d|%s",
-		e.catalog.StatsVersion(), e.rulesetVersion(), workers, minRows, batchSize,
+	fmt.Fprintf(&b, "%d|%d|%d|%d|%d|%t|%d|%s",
+		e.catalog.StatsVersion(), e.rulesetVersion(), workers, minRows,
 		metric.Version(), q.Limit > 0 && q.Order == OrderNone, q.Order, e.catalog.ShardSignature())
 	appendRadii(&b, q.Where)
 	return b.String()
@@ -329,7 +325,9 @@ func bindQuery(tmpl *Query, lookup func(ParamRef) (any, error)) (*Query, error) 
 			return nil, err
 		}
 		n, err := paramInt(v)
-		if err != nil || n < 0 {
+		if err != nil || n < 1 {
+			// 0 is rejected like a literal LIMIT 0: the planner reads
+			// Limit == 0 as "no limit".
 			return nil, fmt.Errorf("query: bad LIMIT argument %v", v)
 		}
 		q.Limit, q.LimitParam = n, nil

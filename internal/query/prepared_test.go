@@ -97,6 +97,11 @@ func TestPreparedPositional(t *testing.T) {
 	if _, err := pq.Execute("color", 1, -2); err == nil {
 		t.Error("negative limit accepted")
 	}
+	// The planner reads Limit == 0 as "no limit": a bound 0 used to stream
+	// the whole relation.
+	if _, err := pq.Execute("color", 1, 0); err == nil || !strings.Contains(err.Error(), "bad LIMIT argument") {
+		t.Errorf("LIMIT ? = 0: err = %v, want a bad LIMIT argument error", err)
+	}
 	if _, err := pq.ExecuteNamed(map[string]any{"x": 1}); err == nil {
 		t.Error("ExecuteNamed on positional statement accepted")
 	}

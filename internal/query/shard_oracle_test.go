@@ -76,26 +76,25 @@ func (o *oracleDB) deleteIDs(ids []int) {
 	o.rows = kept
 }
 
-// updateIDs mirrors execDeleteOrUpdate: matched ids ascending, each
-// update removes the old row and appends the new one under the next
+// updateRows mirrors execDeleteOrUpdate: matched ids ascending, each
+// update removes the old row and appends the changed one under the next
 // fresh id.
-func (o *oracleDB) updateIDs(ids []int, newSeq string) {
+func (o *oracleDB) updateRows(ids []int, set func(*oracleRow)) {
 	sort.Ints(ids)
 	for _, id := range ids {
-		var tag string
-		found := false
 		for _, row := range o.rows {
 			if row.id == id {
-				tag, found = row.tag, true
+				set(&row)
+				o.deleteIDs([]int{id})
+				o.insert(row.seq, row.tag)
 				break
 			}
 		}
-		if !found {
-			continue
-		}
-		o.deleteIDs([]int{id})
-		o.insert(newSeq, tag)
 	}
+}
+
+func (o *oracleDB) updateIDs(ids []int, newSeq string) {
+	o.updateRows(ids, func(r *oracleRow) { r.seq = newSeq })
 }
 
 // oraclePair is one unsharded/sharded engine pair over the same logical
@@ -149,19 +148,7 @@ func (p *oraclePair) exec(t *testing.T, stmt string, apply func(*oracleDB)) {
 // engines and the model.
 func (p *oraclePair) checkTableParity(t *testing.T) {
 	t.Helper()
-	dump := func(e *Engine) string {
-		tab, _ := e.Catalog().Lookup("words")
-		var b strings.Builder
-		for _, tup := range tab.Tuples() {
-			fmt.Fprintf(&b, "%d\x1f%s\x1f%s\n", tup.ID, tup.Seq, tup.Attr("tag"))
-		}
-		return b.String()
-	}
-	var mb strings.Builder
-	for _, row := range p.model.rows {
-		fmt.Fprintf(&mb, "%d\x1f%s\x1f%s\n", row.id, row.seq, row.tag)
-	}
-	plain, sharded, model := dump(p.plain), dump(p.sharded), mb.String()
+	plain, sharded, model := dumpWords(p.plain), dumpWords(p.sharded), p.model.dump()
 	if plain != sharded {
 		t.Fatalf("table contents diverge:\nunsharded:\n%s\nsharded:\n%s", plain, sharded)
 	}

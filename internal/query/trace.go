@@ -2,16 +2,16 @@ package query
 
 // Per-operator runtime tracing for EXPLAIN ANALYZE and the slow-query
 // log. When execCtx.traced is set, the planner wraps every operator it
-// constructs in a span wrapper (tr for row operators, trB for batch
-// operators) that times Open/Next/Close inclusively and counts emitted
-// rows. After the plan runs, extractTrace walks the wrapped tree and
-// assembles an obs.Span tree mirroring the physical plan, with each
-// operator's planner estimate next to its observed actuals.
+// constructs in a span wrapper (trB) that times OpenBatch/NextBatch/
+// CloseBatch inclusively and counts emitted rows and blocks. After the
+// plan runs, extractTrace walks the wrapped tree and assembles an
+// obs.Span tree mirroring the physical plan, with each operator's
+// planner estimate next to its observed actuals.
 //
-// Tracing off is the common case, so tr/trB return the operator
-// unchanged when the context is untraced: the pipeline layout, the
-// per-row call chain and the allocation profile of an untraced query
-// are byte-for-byte those of a build without this file.
+// Tracing off is the common case, so trB returns the operator unchanged
+// when the context is untraced: the pipeline layout, the per-block call
+// chain and the allocation profile of an untraced query are
+// byte-for-byte those of a build without this file.
 
 import (
 	"time"
@@ -27,86 +27,29 @@ type opStatser interface{ opStats() ExecStats }
 // instanced is implemented by fan-out operators (Parallel, GatherMerge)
 // that can expose the per-shard pipelines which actually executed; the
 // extractor merges their span trees in lockstep into one logical child.
-type instanced interface{ executedInstances() []any }
+type instanced interface{ executedInstances() []BatchOperator }
 
 // shardTimer is implemented by scatter-gather operators that record
 // per-shard drain timings when traced.
 type shardTimer interface{ shardTimings() []obs.ShardTiming }
 
-// tr wraps a row operator in a span recorder when the context is
-// traced; est is the planner's cardinality estimate (-1 = no estimate)
-// and kernel names the distance kernel the operator dispatches to ("" =
-// none).
-func tr(c *execCtx, op Operator, est float64, kernel string) Operator {
+// trB wraps an operator in a span recorder when the context is traced;
+// est is the planner's cardinality estimate (-1 = no estimate).
+func trB(c *execCtx, op BatchOperator, est float64) BatchOperator {
 	if !c.traced {
 		return op
 	}
-	return &spanOp{inner: op, est: est, kernel: kernel}
+	return &batchSpanOp{inner: op, est: est}
 }
 
-// trB is tr for batch operators.
-func trB(c *execCtx, op BatchOperator, est float64, kernel string) BatchOperator {
-	if !c.traced {
-		return op
-	}
-	return &batchSpanOp{inner: op, est: est, kernel: kernel}
-}
-
-// spanOp decorates a row operator with inclusive wall-time and row
-// accounting. It is transparent to EXPLAIN rendering: Describe and
-// Children delegate to the wrapped operator, whose children are
-// themselves span-wrapped, so the rendered tree is unchanged.
-type spanOp struct {
-	inner  Operator
-	est    float64
-	kernel string
-
-	rows   int64
-	wallNS int64
-}
-
-func (o *spanOp) Open() error {
-	start := time.Now()
-	err := o.inner.Open()
-	o.wallNS += time.Since(start).Nanoseconds()
-	return err
-}
-
-func (o *spanOp) Next() (*binding, error) {
-	start := time.Now()
-	b, err := o.inner.Next()
-	o.wallNS += time.Since(start).Nanoseconds()
-	if b != nil {
-		o.rows++
-	}
-	return b, err
-}
-
-func (o *spanOp) Close() error {
-	start := time.Now()
-	err := o.inner.Close()
-	o.wallNS += time.Since(start).Nanoseconds()
-	return err
-}
-
-func (o *spanOp) Describe() string     { return o.inner.Describe() }
-func (o *spanOp) Children() []Operator { return o.inner.Children() }
-
-// recycle forwards a consumer's rejected binding to the wrapped
-// operator (a filter above a traced scan must still reach the scan's
-// recycler, or tracing would silently change the allocation profile).
-func (o *spanOp) recycle(b *binding) {
-	if r, ok := o.inner.(recycler); ok {
-		r.recycle(b)
-	}
-}
-
-// batchSpanOp is spanOp for the batch pipeline; rows accumulate by
-// block length and Batches counts the blocks.
+// batchSpanOp decorates an operator with inclusive wall-time, row and
+// block accounting. It is transparent to EXPLAIN rendering: Describe,
+// childNodes and kernelLabel delegate to the wrapped operator, whose
+// children are themselves span-wrapped, so the rendered tree is
+// unchanged.
 type batchSpanOp struct {
-	inner  BatchOperator
-	est    float64
-	kernel string
+	inner BatchOperator
+	est   float64
 
 	rows    int64
 	batches int64
@@ -138,32 +81,28 @@ func (o *batchSpanOp) CloseBatch() error {
 	return err
 }
 
-func (o *batchSpanOp) Describe() string  { return o.inner.Describe() }
-func (o *batchSpanOp) childNodes() []any { return o.inner.childNodes() }
+func (o *batchSpanOp) Describe() string            { return o.inner.Describe() }
+func (o *batchSpanOp) childNodes() []BatchOperator { return o.inner.childNodes() }
+func (o *batchSpanOp) kernelLabel() string         { return kernelOf(o.inner) }
 
 // extractSpan converts one node of an executed, traced operator tree
-// into its span. Unwrapped nodes (adapters, pseudo-roots, fan-out
-// internals) get a label-only span so the trace never loses tree
-// structure.
-func extractSpan(node any) *obs.Span {
-	switch n := node.(type) {
-	case *spanOp:
-		return spanFrom(n.inner, n.est, n.kernel, n.rows, 0, n.wallNS)
-	case *batchSpanOp:
-		return spanFrom(n.inner, n.est, n.kernel, n.rows, n.batches, n.wallNS)
-	default:
-		return spanFrom(node, -1, "", 0, 0, 0)
+// into its span. Unwrapped nodes (fan-out internals) get a label-only
+// span so the trace never loses tree structure.
+func extractSpan(node BatchOperator) *obs.Span {
+	if n, ok := node.(*batchSpanOp); ok {
+		return spanFrom(n.inner, n.est, n.rows, n.batches, n.wallNS)
 	}
+	return spanFrom(node, -1, 0, 0, 0)
 }
 
-// spanFrom assembles the span for an unwrapped operator: label, work
-// counters, shard timings, and children — either the lockstep merge of
-// the executed fan-out instances or the recursive extraction of the
-// plan children.
-func spanFrom(inner any, est float64, kernel string, rows, batches, wallNS int64) *obs.Span {
+// spanFrom assembles the span for an unwrapped operator: label, kernel,
+// work counters, shard timings, and children — either the lockstep
+// merge of the executed fan-out instances or the recursive extraction
+// of the plan children.
+func spanFrom(inner BatchOperator, est float64, rows, batches, wallNS int64) *obs.Span {
 	sp := &obs.Span{
-		Op:      describeNode(inner),
-		Kernel:  kernel,
+		Op:      inner.Describe(),
+		Kernel:  kernelOf(inner),
 		EstRows: est,
 		Rows:    rows,
 		Batches: batches,
@@ -186,7 +125,7 @@ func spanFrom(inner any, est float64, kernel string, rows, batches, wallNS int64
 			return sp
 		}
 	}
-	for _, k := range childNodesOf(inner) {
+	for _, k := range inner.childNodes() {
 		sp.Children = append(sp.Children, extractSpan(k))
 	}
 	return sp
@@ -196,7 +135,7 @@ func spanFrom(inner any, est float64, kernel string, rows, batches, wallNS int64
 // (all structurally identical pipelines) into one span tree: counters
 // add, wall time takes the per-level maximum, children merge in
 // lockstep. Returns nil when no instances were recorded (untraced).
-func mergeInstanceSpans(instances []any) *obs.Span {
+func mergeInstanceSpans(instances []BatchOperator) *obs.Span {
 	var merged *obs.Span
 	for _, in := range instances {
 		s := extractSpan(in)
@@ -228,17 +167,9 @@ func mergeSpanTrees(s, o *obs.Span) {
 // ANALYZE point directly at the selectivity formula a later PR can
 // recalibrate from observed spans.
 
-// estOf reads the planner estimate recorded on a wrapped operator (-1
-// when the operator is unwrapped or carries no estimate), letting
+// estOfBatch reads the planner estimate recorded on a wrapped operator
+// (-1 when the operator is unwrapped or carries no estimate), letting
 // decorators inherit their child's estimate without extra plumbing.
-func estOf(op Operator) float64 {
-	if s, ok := op.(*spanOp); ok {
-		return s.est
-	}
-	return -1
-}
-
-// estOfBatch is estOf for batch operators.
 func estOfBatch(op BatchOperator) float64 {
 	if s, ok := op.(*batchSpanOp); ok {
 		return s.est
@@ -328,26 +259,9 @@ func shardStats(st relation.Stats, n int) relation.Stats {
 }
 
 // extractTrace assembles the span tree of an executed traced plan; nil
-// when the plan was not traced. Vectorized plans root the trace at the
-// Vectorize pseudo-node with the top operator's totals lifted onto it,
-// matching EXPLAIN's rendering of the same tree.
+// when the plan was not traced.
 func (p *compiledPlan) extractTrace() *obs.Span {
 	if p.ctx == nil || !p.ctx.traced {
-		return nil
-	}
-	if p.broot != nil {
-		child := extractSpan(p.broot)
-		root := &obs.Span{
-			Op:       (&vectorizeNode{child: p.broot, size: p.batchSize, kernel: p.kernel}).Describe(),
-			EstRows:  -1,
-			Rows:     child.Rows,
-			Batches:  child.Batches,
-			WallNS:   child.WallNS,
-			Children: []*obs.Span{child},
-		}
-		return root
-	}
-	if p.root == nil {
 		return nil
 	}
 	return extractSpan(p.root)

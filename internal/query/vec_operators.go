@@ -1,16 +1,16 @@
 package query
 
 // The vector access-path operators: continuous-metric twins of the
-// string operators in operators.go and batch_operators.go. VecNearestK
-// and VecRange serve NEAREST / SIMILAR TO ... WITHIN over the vec
-// column, backed by the relation's VP-tree when the metric satisfies
-// the triangle inequality and by a metric scan otherwise (cosine).
+// string access paths in batch_operators.go. VecNearestK and VecRange
+// serve NEAREST / SIMILAR TO ... WITHIN over the vec column, backed by
+// the relation's VP-tree when the metric satisfies the triangle
+// inequality and by a metric scan otherwise (cosine).
 //
-// Determinism: every path — row scan, batch scan, VP-tree walk — calls
-// the metric with the query vector as the first operand and admits
-// candidates through the same (dist, id)-ordered best list, so row,
-// batch, tree and brute-force executions produce byte-identical
-// results (the property the vector parity oracle pins).
+// Determinism: every path — block scan, VP-tree walk — calls the metric
+// with the query vector as the first operand and admits candidates
+// through the same (dist, id)-ordered best list, so scan, tree and
+// brute-force executions produce byte-identical results at every block
+// size (the property the vector parity oracle pins).
 
 import (
 	"fmt"
@@ -20,181 +20,16 @@ import (
 	"repro/internal/relation"
 )
 
-// ----------------------------------------------------- row nearest-k
+// --------------------------------------------------------- nearest-k
 
-// vecNearestKOp answers "vec NEAREST k TO [..]". The vptree variant
-// walks the metric tree depth-first with a shrinking pruning radius;
-// the scan variant keeps the same bounded (dist, id) best list over a
-// full pass. Rows without a vector never qualify.
-type vecNearestKOp struct {
-	ctx        *execCtx
-	snap       *relation.Snapshot
-	alias      string
-	via        string // "vptree" or "scan"
-	target     metric.Vector
-	k          int
-	metricName string
-
-	matches []index.Match
-	pos     int
-	last    ExecStats // retained across Close for span attribution
-}
-
-func (o *vecNearestKOp) opStats() ExecStats { return o.last }
-
-func (o *vecNearestKOp) Open() error {
-	o.pos = 0
-	m, ok := metric.Lookup(o.metricName)
-	if !ok {
-		return fmt.Errorf("query: unknown metric %q", o.metricName)
-	}
-	if o.via == "vptree" {
-		// The shared tree may hold tombstoned or post-snapshot entries;
-		// the visibility filter keeps them out of the best list without
-		// losing true answers.
-		ms, st := o.snap.VPTree(m).NearestKFilterStats(o.target, o.k, o.snap.Visible)
-		o.matches = ms
-		es := fromIndexStats(st)
-		o.last.add(es)
-		o.ctx.addStats(es)
-		return nil
-	}
-	var local ExecStats
-	var best []index.Match
-	cur := o.snap.Shard(0, 1)
-	for t, ok := cur.Next(); ok; t, ok = cur.Next() {
-		local.Candidates++
-		if t.Vec == nil {
-			continue
-		}
-		local.Verifications++
-		// Full distance always (no early-abandon): the admission test
-		// below then sees the exact same float64 the VP-tree walk and the
-		// batch kernel compute, keeping every path bitwise-aligned.
-		d := m.Dist(o.target, t.Vec)
-		if len(best) < o.k || d <= best[len(best)-1].Dist {
-			best = index.PushBestK(best, index.Match{ID: t.ID, Dist: d}, o.k)
-		}
-	}
-	o.matches = best
-	o.last.add(local)
-	o.ctx.addStats(local)
-	return nil
-}
-
-func (o *vecNearestKOp) Next() (*binding, error) {
-	if o.pos >= len(o.matches) {
-		return nil, nil
-	}
-	m := o.matches[o.pos]
-	o.pos++
-	t, _ := o.snap.Tuple(m.ID)
-	b := newBinding(o.alias, t)
-	b.dist, b.hasDist = m.Dist, true
-	return b, nil
-}
-
-func (o *vecNearestKOp) Close() error {
-	o.matches = nil
-	return nil
-}
-
-func (o *vecNearestKOp) Describe() string {
-	return fmt.Sprintf("VecNearestK(%s via %s, k=%d, metric=%s)", o.alias, o.via, o.k, o.metricName)
-}
-
-func (o *vecNearestKOp) Children() []Operator { return nil }
-
-// --------------------------------------------------------- row range
-
-// vecRangeOp streams matches of "vec SIMILAR TO [..] WITHIN r" from
-// the VP-tree. The iterator is lazy, so a LIMIT above this operator
-// stops the tree traversal early. As with the string indexes, the
-// shared tree is a superset of the snapshot, so every match passes
-// through the visibility filter.
-type vecRangeOp struct {
-	ctx        *execCtx
-	snap       *relation.Snapshot
-	alias      string
-	target     metric.Vector
-	radius     float64
-	metricName string
-
-	iter index.Iterator
-	last ExecStats // retained across Close for span attribution
-}
-
-func (o *vecRangeOp) opStats() ExecStats { return o.last }
-
-func (o *vecRangeOp) Open() error {
-	m, ok := metric.Lookup(o.metricName)
-	if !ok {
-		return fmt.Errorf("query: unknown metric %q", o.metricName)
-	}
-	o.iter = o.snap.VPTree(m).RangeIter(o.target, o.radius)
-	return nil
-}
-
-func (o *vecRangeOp) Next() (*binding, error) {
-	for {
-		m, ok := o.iter.Next()
-		if !ok {
-			return nil, nil
-		}
-		t, ok := o.snap.Tuple(m.ID)
-		if !ok {
-			continue // invisible at this snapshot (tombstone or later insert)
-		}
-		b := newBinding(o.alias, t)
-		b.dist, b.hasDist = m.Dist, true
-		return b, nil
-	}
-}
-
-func (o *vecRangeOp) Close() error {
-	if o.iter != nil {
-		es := fromIndexStats(o.iter.Stats())
-		o.last.add(es)
-		o.ctx.addStats(es)
-		o.iter = nil
-	}
-	return nil
-}
-
-func (o *vecRangeOp) Describe() string {
-	return fmt.Sprintf("VecRange(%s via vptree, radius=%g, metric=%s)", o.alias, o.radius, o.metricName)
-}
-
-func (o *vecRangeOp) Children() []Operator { return nil }
-
-// buildVecRange reconstructs the VP-tree range pipeline; extraction is
-// deterministic, so the conjunct the decision was made for is found
-// again.
-func (e *Engine) buildVecRange(ctx *execCtx, q *Query, snap *relation.Snapshot, st relation.Stats, d *planDecision) (Operator, error) {
-	sim, residual := extractVecRangeSim(q.Where)
-	if sim == nil {
-		return nil, fmt.Errorf("query: stale plan: no vector range conjunct")
-	}
-	est := estVecRangeRows(st, sim.Radius)
-	var op Operator = tr(ctx, &vecRangeOp{
-		ctx: ctx, snap: snap, alias: q.From[0].Alias,
-		target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet,
-	}, est, d.kernel)
-	if res := simplifyExpr(residual); !isTrivial(res) {
-		op = tr(ctx, &filterOp{ctx: ctx, child: op, pred: res},
-			estFilterRows(st, res, est), e.filterKernel(res))
-	}
-	return op, nil
-}
-
-// --------------------------------------------------- batch nearest-k
-
-// batchVecNearestKOp is vecNearestKOp at block granularity: the scan
-// variant pulls tuple blocks and evaluates the metric's block kernel
-// (metric.DistBatch) over each vector column before folding the
-// distances into the same bounded best list, the vptree variant reuses
-// the tree's walk with the buffer-reusing Into form.
+// batchVecNearestKOp answers "vec NEAREST k TO [..]". The vptree
+// variant walks the metric tree depth-first with a shrinking pruning
+// radius (buffer-reusing Into form); the scan variant pulls tuple
+// blocks and evaluates the metric's block kernel (metric.DistBatch)
+// over each vector column before folding the distances into the same
+// bounded (dist, id) best list. Rows without a vector never qualify.
 type batchVecNearestKOp struct {
+	kernelTag
 	ctx        *execCtx
 	snap       *relation.Snapshot
 	alias      string
@@ -222,6 +57,9 @@ func (o *batchVecNearestKOp) OpenBatch() error {
 		return fmt.Errorf("query: unknown metric %q", o.metricName)
 	}
 	if o.via == "vptree" {
+		// The shared tree may hold tombstoned or post-snapshot entries;
+		// the visibility filter keeps them out of the best list without
+		// losing true answers.
 		ms, st := o.snap.VPTree(m).NearestKFilterStatsInto(o.matches[:0], o.target, o.k, o.snap.Visible)
 		o.matches = ms
 		es := fromIndexStats(st)
@@ -241,6 +79,9 @@ func (o *batchVecNearestKOp) OpenBatch() error {
 			o.dbuf = make([]float64, n)
 		}
 		out := o.dbuf[:n]
+		// Full distances always (no early-abandon): the admission test
+		// below then sees the exact same float64 the VP-tree walk
+		// computes, keeping every path bitwise-aligned.
 		metric.DistBatch(m, o.target, o.blk.Vecs[:n], out)
 		local.Candidates += n
 		for i := 0; i < n; i++ {
@@ -287,14 +128,18 @@ func (o *batchVecNearestKOp) Describe() string {
 	return fmt.Sprintf("VecNearestK(%s via %s, k=%d, metric=%s)", o.alias, o.via, o.k, o.metricName)
 }
 
-func (o *batchVecNearestKOp) childNodes() []any { return nil }
+func (o *batchVecNearestKOp) childNodes() []BatchOperator { return nil }
 
-// ------------------------------------------------------- batch range
+// ------------------------------------------------------------- range
 
-// batchVecRangeOp streams VP-tree range matches in blocks, applying
-// the snapshot visibility filter per block; emission order is the
-// tree's deterministic traversal order — identical to the row twin's.
+// batchVecRangeOp streams matches of "vec SIMILAR TO [..] WITHIN r"
+// from the VP-tree in blocks. The iterator is lazy, so a LIMIT above
+// this operator stops the tree traversal early. As with the string
+// indexes, the shared tree is a superset of the snapshot, so every
+// match passes through the visibility filter; emission order is the
+// tree's deterministic traversal order.
 type batchVecRangeOp struct {
+	kernelTag
 	ctx        *execCtx
 	snap       *relation.Snapshot
 	alias      string
@@ -367,24 +212,13 @@ func (o *batchVecRangeOp) Describe() string {
 	return fmt.Sprintf("VecRange(%s via vptree, radius=%g, metric=%s)", o.alias, o.radius, o.metricName)
 }
 
-func (o *batchVecRangeOp) childNodes() []any { return nil }
+func (o *batchVecRangeOp) childNodes() []BatchOperator { return nil }
 
-// ------------------------------------------------------ shard leaves
-
-// shardVecNearestKOp is a vecNearestKOp over one shard snapshot; it
-// exists so EXPLAIN shows which shard each k-best list comes from.
-type shardVecNearestKOp struct {
-	vecNearestKOp
-	idx, of int
-}
-
-func (o *shardVecNearestKOp) Describe() string {
-	return fmt.Sprintf("ShardVecNearestK(%s, shard %d/%d, via %s, k=%d, metric=%s)",
-		o.alias, o.idx, o.of, o.via, o.k, o.metricName)
-}
+// ------------------------------------------------------- shard leaf
 
 // batchShardVecNearestKOp is a batchVecNearestKOp over one shard
-// snapshot.
+// snapshot; it exists so EXPLAIN shows which shard each k-best list
+// comes from.
 type batchShardVecNearestKOp struct {
 	batchVecNearestKOp
 	idx, of int

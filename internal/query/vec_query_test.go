@@ -3,7 +3,7 @@ package query
 // Vector query tests: basic NEAREST/WITHIN execution over the vec
 // column, EXPLAIN surface (access path, metric, batch kernel labels),
 // prepared-statement binding, vec DML, and the parity oracle pinning
-// row/batch × shard-count results byte-identical to a brute-force
+// block-size × shard-count results byte-identical to a brute-force
 // model across dimensions, metrics and k/radius sweeps.
 
 import (
@@ -35,9 +35,7 @@ func vecEngine(t testing.TB, shards, batchSize int, rows []relation.InsertRow) *
 	}
 	cat := relation.NewCatalog()
 	cat.Add(tab)
-	e := NewEngine(cat)
-	e.SetBatchSize(batchSize)
-	return e
+	return NewEngine(cat, WithBatchSize(batchSize))
 }
 
 func vecRows(vecs ...metric.Vector) []relation.InsertRow {
@@ -85,7 +83,7 @@ func TestParseVecLiteral(t *testing.T) {
 }
 
 func TestVecNearestBasic(t *testing.T) {
-	e := vecEngine(t, 1, 0, vecRows(
+	e := vecEngine(t, 1, 1, vecRows(
 		metric.Vector{0, 0},
 		metric.Vector{1, 0},
 		metric.Vector{0, 3},
@@ -121,7 +119,7 @@ func TestVecNearestBasic(t *testing.T) {
 }
 
 func TestVecWithinBasic(t *testing.T) {
-	e := vecEngine(t, 1, 0, vecRows(
+	e := vecEngine(t, 1, 1, vecRows(
 		metric.Vector{0, 0},
 		metric.Vector{1, 0},
 		metric.Vector{0, 3},
@@ -171,14 +169,14 @@ func TestVecExplainKernelLabels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.stmt, err)
 		}
-		if !strings.Contains(res.Plan, "Vectorize(batch=4, ") || !strings.Contains(res.Plan, tc.want) {
+		if !strings.Contains(res.Plan, "("+tc.want+")") {
 			t.Errorf("%s:\nplan %q lacks %q", tc.stmt, res.Plan, tc.want)
 		}
 	}
 }
 
 func TestVecShardedExplain(t *testing.T) {
-	e := vecEngine(t, 4, 0, vecRows(
+	e := vecEngine(t, 4, 1, vecRows(
 		metric.Vector{0, 0},
 		metric.Vector{1, 0},
 		metric.Vector{0, 3},
@@ -196,7 +194,7 @@ func TestVecShardedExplain(t *testing.T) {
 }
 
 func TestVecQueryErrors(t *testing.T) {
-	e := vecEngine(t, 1, 0, vecRows(metric.Vector{0, 0}))
+	e := vecEngine(t, 1, 1, vecRows(metric.Vector{0, 0}))
 	for _, stmt := range []string{
 		`SELECT id FROM items WHERE vec SIMILAR TO [1] WITHIN 1 USING nosuchmetric`,
 		`SELECT id FROM items WHERE vec NEAREST 2 TO [1] USING nosuchmetric`,
@@ -212,7 +210,7 @@ func TestVecQueryErrors(t *testing.T) {
 }
 
 func TestVecPrepared(t *testing.T) {
-	e := vecEngine(t, 1, 0, vecRows(
+	e := vecEngine(t, 1, 1, vecRows(
 		metric.Vector{0, 0},
 		metric.Vector{1, 0},
 		metric.Vector{0, 3},
@@ -249,7 +247,7 @@ func TestVecPrepared(t *testing.T) {
 }
 
 func TestVecDML(t *testing.T) {
-	e := vecEngine(t, 1, 0, nil)
+	e := vecEngine(t, 1, 1, nil)
 	if _, err := e.Execute(`INSERT INTO items (vec) VALUES ([1, 2]), ([3, 4])`); err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +350,8 @@ func randVec(rng *rand.Rand, dim int) metric.Vector {
 	return v
 }
 
-// TestVecShardBatchOracleParity pins every execution strategy — row and
-// batch pipelines, unsharded and sharded relations, VP-tree and scan
+// TestVecShardBatchOracleParity pins every execution strategy — block
+// sizes 1 and 5, unsharded and sharded relations, VP-tree and scan
 // access — byte-identical to the brute-force model, across dimensions,
 // both metrics, k/radius sweeps and interleaved INSERT batches.
 func TestVecShardBatchOracleParity(t *testing.T) {

@@ -170,7 +170,7 @@ type (
 	// (Engine.CacheStats).
 	QueryCacheStats = query.CacheStats
 	// EngineOption configures a QueryEngine at construction:
-	// NewQueryEngine(cat, WithBatchSize(0), WithTracing(true)). The
+	// NewQueryEngine(cat, WithParallelism(4), WithTracing(true)). The
 	// Engine.Set* methods remain as thin runtime wrappers for knobs
 	// that change after construction.
 	EngineOption = query.Option
@@ -188,8 +188,8 @@ var (
 	NewQueryEngine = query.NewEngine
 	// ParseQuery parses one statement without executing it.
 	ParseQuery = query.Parse
-	// WithBatchSize sets the vectorized block size (<= 0 disables
-	// vectorization and every plan runs row-at-a-time).
+	// WithBatchSize sets the block size operators work in (1 =
+	// row-at-a-time; values below 1 clamp to 1). Fixed at construction.
 	WithBatchSize = query.WithBatchSize
 	// WithParallelism sets the worker count for parallel plans.
 	WithParallelism = query.WithParallelism

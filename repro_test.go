@@ -95,8 +95,8 @@ func TestFacadeQueryLanguage(t *testing.T) {
 }
 
 // TestFacadeEngineOptions pins the functional-option construction
-// surface and runs a distance join through a facade-built engine in
-// both execution modes.
+// surface and runs a distance join through a facade-built engine at
+// block sizes 1 and 256.
 func TestFacadeEngineOptions(t *testing.T) {
 	cat := NewCatalog()
 	words := NewRelation("words")
@@ -104,13 +104,13 @@ func TestFacadeEngineOptions(t *testing.T) {
 		words.Insert(w, nil)
 	}
 	cat.Add(words)
-	opts := []EngineOption{WithBatchSize(0), WithParallelism(2), WithParallelMinRows(8), WithPlanCacheSize(4), WithTracing(true)}
+	opts := []EngineOption{WithBatchSize(1), WithParallelism(2), WithParallelMinRows(8), WithPlanCacheSize(4), WithTracing(true)}
 	eng := NewQueryEngine(cat, opts...)
 	if err := eng.RegisterRuleSet(MustRuleSet("edits", UnitEdits("abcdefghijklmnopqrstuvwxyz").Rules())); err != nil {
 		t.Fatal(err)
 	}
-	if eng.BatchSize() != 0 {
-		t.Errorf("WithBatchSize(0): BatchSize() = %d", eng.BatchSize())
+	if eng.BatchSize() != 1 {
+		t.Errorf("WithBatchSize(1): BatchSize() = %d", eng.BatchSize())
 	}
 	join := `SELECT a.seq, b.seq FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id`
 	row, err := eng.Execute(join)
@@ -118,7 +118,7 @@ func TestFacadeEngineOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(row.Rows) != 6 { // color↔{colour,colon,dolor}, both directions
-		t.Errorf("row-mode join rows = %v", row.Rows)
+		t.Errorf("block-1 join rows = %v", row.Rows)
 	}
 	if row.Trace == nil {
 		t.Error("WithTracing(true): no span tree on the result")
@@ -132,7 +132,7 @@ func TestFacadeEngineOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(batch.Rows) != len(row.Rows) {
-		t.Errorf("batch-mode join rows = %v, row-mode = %v", batch.Rows, row.Rows)
+		t.Errorf("block-256 join rows = %v, block-1 = %v", batch.Rows, row.Rows)
 	}
 }
 
