@@ -15,6 +15,8 @@ import (
 	"repro/internal/index"
 	"repro/internal/patdist"
 	"repro/internal/pattern"
+	"repro/internal/query"
+	"repro/internal/relation"
 	"repro/internal/rewrite"
 	"repro/internal/seq"
 	"repro/internal/stock"
@@ -739,5 +741,82 @@ func BenchmarkTSRangeScan(b *testing.B) {
 		if _, _, err := db.RangeScan(queries[i%len(queries)], mavg, tsRangeEps); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// nearestWordsBench is the words_nearest workload of bench/ in
+// miniature: the 20 000 words of `datagen -kind words -seed 1` and 256
+// targets, each a random row perturbed by 0-2 edits.
+func nearestWordsBench(b *testing.B) (*relation.Relation, []string) {
+	b.Helper()
+	a := seq.MustAlphabet("abcdefghij")
+	made := a.PlantedWords(rand.New(rand.NewSource(1)), 20000)
+	rel := relation.New("words")
+	for _, w := range made {
+		rel.Insert(w, nil)
+	}
+	rng := rand.New(rand.NewSource(2))
+	var targets []string
+	for len(targets) < 256 {
+		if w := a.RandomEdits(rng, made[rng.Intn(len(made))], rng.Intn(3)); w != "" {
+			targets = append(targets, w)
+		}
+	}
+	return rel, targets
+}
+
+// BenchmarkNearestWords and BenchmarkDistanceAllWords are the top-k
+// floor: a prepared NEAREST 10 may prune rows and abandon distances, so
+// it must not cost more than computing every distance once.
+// BENCH_baseline.json gates NearestWords at 1.0 x DistanceAllWords.
+func BenchmarkNearestWords(b *testing.B) {
+	rel, targets := nearestWordsBench(b)
+	cat := relation.NewCatalog()
+	cat.Add(rel)
+	eng := query.NewEngine(cat)
+	if err := eng.RegisterRuleSet(rewrite.MustRuleSet("edits", rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz").Rules())); err != nil {
+		b.Fatal(err)
+	}
+	pq, err := eng.Prepare(`SELECT id, seq, dist FROM words WHERE seq NEAREST 10 TO ? USING edits`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := pq.Execute(targets[0]); err != nil { // builds the access structure
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := pq.Execute(targets[i%len(targets)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 10 {
+			b.Fatalf("%d rows, want 10", len(res.Rows))
+		}
+	}
+}
+
+var distanceAllSink int
+
+// BenchmarkDistanceAllWords is the unpruned side of BenchmarkNearestWords:
+// one exact Myers distance per visible row of the same snapshot, read
+// through the block cursor, nothing kept.
+func BenchmarkDistanceAllWords(b *testing.B) {
+	rel, targets := nearestWordsBench(b)
+	snap := rel.Snapshot()
+	var blk relation.Block
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dp := editdp.NewQueryDP(targets[i%len(targets)])
+		cur := snap.Shard(0, 1)
+		sum := 0
+		for n := cur.NextBlock(&blk, 256); n > 0; n = cur.NextBlock(&blk, 256) {
+			for _, s := range blk.Seqs[:n] {
+				sum += dp.Distance(s)
+			}
+		}
+		distanceAllSink = sum
 	}
 }

@@ -70,19 +70,8 @@ func words(seedVal int64, count int) *relation.Relation {
 	a := seq.MustAlphabet("abcdefghij")
 	rng := rand.New(rand.NewSource(seedVal))
 	rel := relation.New("words")
-	var made []string
-	for len(made) < count {
-		var w string
-		if len(made) > 0 && rng.Intn(4) == 0 {
-			w = a.RandomEdits(rng, made[rng.Intn(len(made))], 1+rng.Intn(2))
-		} else {
-			w = a.Random(rng, 4+rng.Intn(11))
-		}
-		if w == "" {
-			continue
-		}
-		made = append(made, w)
-		rel.Insert(w, map[string]string{"n": strconv.Itoa(len(made))})
+	for i, w := range a.PlantedWords(rng, count) {
+		rel.Insert(w, map[string]string{"n": strconv.Itoa(i + 1)})
 	}
 	return rel
 }

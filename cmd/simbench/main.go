@@ -5,7 +5,7 @@
 //
 //	simbench              # run every experiment at full size
 //	simbench -quick       # run every experiment at reduced size
-//	simbench -exp c12     # run one experiment (f1..f7, c8..c12, ct1)
+//	simbench -exp c12     # run one experiment (f1..f7, c8..c12, ct1, n1)
 //	simbench -list        # list experiment ids
 package main
 
@@ -20,7 +20,7 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "reduced data sizes (seconds instead of minutes)")
-	one := flag.String("exp", "", "run a single experiment id (f1..f7, c8..c12, ct1)")
+	one := flag.String("exp", "", "run a single experiment id (f1..f7, c8..c12, ct1, n1)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 

@@ -88,6 +88,7 @@ func Registry() []struct {
 		{"f6", F6}, {"f7", F7},
 		{"c8", C8}, {"c9", C9}, {"c10", C10}, {"c11", C11}, {"c12", C12},
 		{"ct1", CT1},
+		{"n1", N1},
 	}
 }
 

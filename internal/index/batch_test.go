@@ -81,29 +81,3 @@ func TestBatchIteratorMatchesNext(t *testing.T) {
 		}
 	}
 }
-
-// TestNearestKIntoReusesBuffer: the Into form must equal the
-// allocating form and actually write into the caller's backing array.
-func TestNearestKIntoReusesBuffer(t *testing.T) {
-	seqs := randSeqs(5, 200)
-	bk := NewBKTree()
-	for i, s := range seqs {
-		bk.Insert(i, s)
-	}
-	want, wantStats := bk.NearestKFilterStats("abcd", 7, nil)
-	buf := make([]Match, 0, 16)
-	got, gotStats := bk.NearestKFilterStatsInto(buf, "abcd", 7, nil)
-	if !reflect.DeepEqual(got, want) || gotStats != wantStats {
-		t.Fatalf("Into form diverges: %v/%+v vs %v/%+v", got, gotStats, want, wantStats)
-	}
-	if cap(got) > 0 && cap(buf) > 0 && &got[:1][0] != &buf[:1][0] {
-		t.Fatal("Into form did not reuse the caller's buffer")
-	}
-	// Filtered variant agrees too.
-	accept := func(id int) bool { return id%2 == 0 }
-	want, _ = bk.NearestKFilterStats("abcd", 5, accept)
-	got, _ = bk.NearestKFilterStatsInto(got[:0], "abcd", 5, accept)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("filtered Into form diverges: %v vs %v", got, want)
-	}
-}

@@ -117,33 +117,17 @@ func (t *BKTree) NearestK(query string, k int) []Match {
 
 // NearestKStats is NearestK with work counters: Verifications counts
 // distance computations, Candidates the nodes visited. The tree is
-// walked best-first, shrinking the pruning radius to the current
-// kth-best distance.
+// walked depth-first, children by ascending edge label, shrinking the
+// pruning radius to the current kth-best distance. Query execution does
+// not call it (see the package comment).
 func (t *BKTree) NearestKStats(query string, k int) ([]Match, Stats) {
-	return t.NearestKFilterStats(query, k, nil)
-}
-
-// NearestKFilterStats is NearestKStats restricted to entries the accept
-// function admits (nil accepts everything). The filter is applied
-// before an entry can enter the best list or shrink the pruning radius,
-// which is how MVCC snapshots exclude tombstoned rows without losing
-// true answers.
-func (t *BKTree) NearestKFilterStats(query string, k int, accept func(id int) bool) ([]Match, Stats) {
-	return t.NearestKFilterStatsInto(nil, query, k, accept)
-}
-
-// NearestKFilterStatsInto is NearestKFilterStats writing the best list
-// into dst's backing array (the nearest-k answer is inherently a batch,
-// so reusing the caller's buffer makes the NN access path allocation-
-// free across queries). dst may be nil.
-func (t *BKTree) NearestKFilterStatsInto(dst []Match, query string, k int, accept func(id int) bool) ([]Match, Stats) {
 	var st Stats
 	root := t.root.Load()
 	if root == nil || k <= 0 {
-		return dst[:0], st
+		return nil, st
 	}
 	// best holds up to k matches sorted ascending by (distance, id).
-	best := dst[:0]
+	var best []Match
 	dp := editdp.NewQueryDP(query)
 	var walk func(n *bkNode)
 	walk = func(n *bkNode) {
@@ -178,10 +162,8 @@ func (t *BKTree) NearestKFilterStatsInto(dst []Match, query string, k int, accep
 			st.Verifications++
 			d = dp.Distance(n.entry.S)
 		}
-		if accept == nil || accept(n.entry.ID) {
-			if len(best) < k || float64(d) <= best[len(best)-1].Dist {
-				best = PushBestK(best, Match{ID: n.entry.ID, S: n.entry.S, Dist: float64(d)}, k)
-			}
+		if len(best) < k || float64(d) <= best[len(best)-1].Dist {
+			best = PushBestK(best, Match{ID: n.entry.ID, S: n.entry.S, Dist: float64(d)}, k)
 		}
 		for _, e := range edges {
 			if len(best) < k {

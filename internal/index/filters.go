@@ -148,3 +148,55 @@ func (ix *QGramIndex) Range(query string, radius float64, v Verifier) ([]Match, 
 	}
 	return out, st
 }
+
+// ByteSig is a byte-frequency signature of a string: sixteen saturating
+// 4-bit counters, counter c&15 counting the occurrences of byte c. It
+// is the bag-distance filter in one word: cheap enough to keep per row
+// and compare before every verification.
+type ByteSig uint64
+
+// NewByteSig returns the signature of s.
+func NewByteSig(s string) ByteSig {
+	var sig uint64
+	for i := 0; i < len(s); i++ {
+		sh := uint(s[i]&15) * 4
+		if sig>>sh&15 != 15 {
+			sig += 1 << sh
+		}
+	}
+	return ByteSig(sig)
+}
+
+// LowerBound returns a lower bound on the unit edit distance between
+// the strings a and b were taken from. An insertion raises one counter,
+// a deletion lowers one and a substitution does at most one of each, so
+// turning one bag into the other takes at least as many edits as the
+// larger of the total surplus and the total deficit; merging bytes into
+// sixteen classes and saturating at 15 only shrink both sums.
+func (a ByteSig) LowerBound(b ByteSig) int {
+	const lo4 = 0x0F0F0F0F0F0F0F0F
+	p0, n0 := laneDiffs(uint64(a)&lo4, uint64(b)&lo4)
+	p1, n1 := laneDiffs(uint64(a)>>4&lo4, uint64(b)>>4&lo4)
+	p, n := p0+p1, n0+n1
+	if n > p {
+		return int(n)
+	}
+	return int(p)
+}
+
+// laneDiffs treats x and y as eight byte lanes holding 0..15 and returns
+// the sums of the lane differences x-y that are positive and of those
+// that are negative (as a magnitude).
+func laneDiffs(x, y uint64) (pos, neg uint64) {
+	const (
+		lo4  = 0x0F0F0F0F0F0F0F0F
+		b16  = 0x1010101010101010
+		ones = 0x0101010101010101
+	)
+	t := (x | b16) - y           // lane: 16 + x - y, in 1..31, so no borrow crosses lanes
+	ge := (t >> 4 & ones) * 0x0F // 0x0F in the lanes where x >= y
+	d := t & lo4                 // x - y there, 16 - (y - x) elsewhere
+	pos = (d & ge) * ones >> 56  // the multiply sums the lanes into the top byte (<= 120)
+	neg = ((b16 - d) & lo4 &^ ge) * ones >> 56
+	return pos, neg
+}

@@ -20,6 +20,13 @@
 // unit-cost edit distance; the filters and scan work for any edit-like
 // set via a Verifier.
 //
+// The trees serve range queries. String NEAREST is not answered from the
+// BK-tree: once the k-th neighbour sits near the data's typical pairwise
+// distance no edge label prunes, so the query engine scans the
+// relation's length-ordered view instead, filtering with the length
+// difference and with ByteSig, the one-word bag-distance bound defined
+// here. PushBestK is the best list every nearest-k strategy shares.
+//
 // The continuous domain mirrors the discrete one: VPTree is the
 // vantage-point tree over any pluggable metric.Distance that carries
 // the triangle-inequality capability (L2, but not cosine), answering

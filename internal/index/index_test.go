@@ -3,6 +3,7 @@ package index
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/editdp"
@@ -231,5 +232,54 @@ func TestScanWithWeightedVerifier(t *testing.T) {
 	}
 	if got[0].Dist != 0 || got[1].Dist != 0.25 || got[2].Dist != 0.5 {
 		t.Errorf("distances = %v", got)
+	}
+}
+
+// TestByteSigLowerBound: the signature bound never exceeds the true
+// unit edit distance — over near and unrelated pairs, strings long
+// enough to saturate the 4-bit counters, and bytes that share a counter
+// (c and c+16) — and it is exact where it can be: disjoint bags.
+func TestByteSigLowerBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	randBytes := func(n, spread int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(spread))
+		}
+		return string(b)
+	}
+	a := seq.MustAlphabet("abcdefghijklmnopqrstuvwxyz")
+	for i := 0; i < 20000; i++ {
+		x := randBytes(rng.Intn(40), 1+rng.Intn(26))
+		y := randBytes(rng.Intn(40), 1+rng.Intn(26))
+		if i%2 == 0 {
+			y = a.RandomEdits(rng, x, rng.Intn(4))
+		}
+		if i%7 == 0 {
+			x, y = strings.Repeat(x, 5), strings.Repeat(y, 5)
+		}
+		d := editdp.Levenshtein(x, y)
+		lb, rev := NewByteSig(x).LowerBound(NewByteSig(y)), NewByteSig(y).LowerBound(NewByteSig(x))
+		if lb > d || lb != rev || lb < 0 {
+			t.Fatalf("LowerBound(%q, %q) = %d (reversed %d), distance %d", x, y, lb, rev, d)
+		}
+	}
+	for _, c := range []struct {
+		x, y string
+		want int
+	}{
+		{"", "", 0},
+		{"abc", "abc", 0},
+		{"abc", "cab", 0},
+		{"aaaa", "bbbbbb", 6},
+		{"abcd", "", 4},
+		{"a", "q", 0}, // 'a' and 'q' share counter 1
+		{strings.Repeat("a", 40), strings.Repeat("a", 15), 0},  // both saturate
+		{strings.Repeat("a", 40), strings.Repeat("b", 40), 15}, // saturated surplus
+		{"\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f", "", 16},
+	} {
+		if got := NewByteSig(c.x).LowerBound(NewByteSig(c.y)); got != c.want {
+			t.Errorf("LowerBound(%q, %q) = %d, want %d", c.x, c.y, got, c.want)
+		}
 	}
 }

@@ -121,18 +121,3 @@ func TestConcurrentReadersDuringInsert(t *testing.T) {
 		t.Fatalf("Len = %d/%d, want %d", bk.Len(), tr.Len(), len(words))
 	}
 }
-
-// TestNearestKFilter checks that the visibility filter excludes entries
-// without losing true answers.
-func TestNearestKFilter(t *testing.T) {
-	bk := NewBKTree()
-	words := []string{"aaa", "aab", "abb", "bbb", "ccc"}
-	for i, w := range words {
-		bk.Insert(i, w)
-	}
-	dead := map[int]bool{0: true, 1: true} // tombstone aaa, aab
-	got, _ := bk.NearestKFilterStats("aaa", 2, func(id int) bool { return !dead[id] })
-	if len(got) != 2 || got[0].S != "abb" || got[1].S != "bbb" {
-		t.Fatalf("filtered NearestK = %v, want abb,bbb", got)
-	}
-}

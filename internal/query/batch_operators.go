@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/editdp"
 	"repro/internal/index"
 	"repro/internal/metric"
 	"repro/internal/relation"
@@ -199,17 +200,26 @@ func (it *iterBatcher) NextBatch(dst []index.Match) int {
 
 // ----------------------------------------------------------- nearest-k
 
-// batchNearestKOp answers "seq NEAREST k TO lit". The bktree variant
-// walks the metric tree best-first (buffer-reusing Into form); the scan
-// variant pulls tuple blocks and folds each one into a bounded best
-// list, verifying with the DP cut off at the current kth-best distance,
-// so most tuples abort their DP early.
+// batchNearestKOp answers "seq NEAREST k TO lit" with one bounded scan
+// of the snapshot's length-ordered view (relation.LengthView): buckets
+// are visited in ascending |len(s) - len(target)|, every row is verified
+// with the distance kernel cut off at the current kth-best distance —
+// so most rows abandon early — and admitted rows fold into a (dist, id)
+// best list. Under a unit-cost rule set two lower bounds on the edit
+// distance filter ahead of the kernel: the length difference, so the
+// scan stops at the first bucket strictly farther than the kth best,
+// and the row's byte-frequency signature (index.ByteSig), so a row whose
+// bag of bytes is strictly farther is skipped. Strictly, both times: an
+// equally distant row with a smaller id still displaces the kth.
+// Weighted rule sets have neither bound and verify every row. The view
+// is a superset of the snapshot; visibility is checked only for the few
+// rows that pass the distance test, before they can enter the list or
+// shrink the bound.
 type batchNearestKOp struct {
 	kernelTag
 	ctx     *execCtx
 	snap    *relation.Snapshot
 	alias   string
-	via     string // "bktree" or "scan"
 	target  string
 	k       int
 	ruleSet string
@@ -217,7 +227,6 @@ type batchNearestKOp struct {
 
 	matches []index.Match
 	pos     int
-	blk     relation.Block
 	buf     *Batch
 	last    ExecStats // retained across Close for span attribution
 }
@@ -225,59 +234,74 @@ type batchNearestKOp struct {
 func (o *batchNearestKOp) OpenBatch() error {
 	o.pos = 0
 	o.buf = getBatch()
-	if o.via == "bktree" {
-		// The shared tree may hold tombstoned or post-snapshot entries;
-		// the visibility filter keeps them out of the best list without
-		// losing true answers.
-		m, st := o.snap.BKTree().NearestKFilterStatsInto(o.matches[:0], o.target, o.k, o.snap.Visible)
-		o.matches = m
-		es := fromIndexStats(st)
-		o.last.add(es)
-		o.ctx.addStats(es)
-		return nil
-	}
 	calc := o.ctx.eng.calc(o.ruleSet)
-	if calc == nil {
+	rs, err := o.ctx.eng.ruleset(o.ruleSet)
+	if err != nil || calc == nil {
 		return fmt.Errorf("query: NEAREST requires an edit-like rule set (%q is not)", o.ruleSet)
 	}
-	// The target is fixed for the whole scan: run the vectorized
-	// distance kernel (dense cost tables, reused DP rows, bit-identical
-	// results — see editdp.TargetDP).
-	dp := calc.NewTargetDP(o.target)
+	// The target is fixed for the whole scan: unit-cost sets run the
+	// query-scoped bit-parallel kernel (plain Levenshtein over every
+	// byte), weighted ones the dense-table DP of editdp.TargetDP.
+	unit := unitCost(rs)
+	var qdp *editdp.QueryDP
+	var tdp *editdp.TargetDP
+	if unit {
+		qdp = editdp.NewQueryDP(o.target)
+	} else {
+		tdp = calc.NewTargetDP(o.target)
+	}
+	qsig := index.NewByteSig(o.target)
 	var local ExecStats
-	// best holds up to k matches sorted ascending by (dist, id); bound
-	// is the kth-best distance once the list is full.
+	// best holds up to k matches sorted ascending by (dist, id); once it
+	// is full, bound is the kth-best distance (ibound the same, as the
+	// integer the unit-cost bounds compare with).
 	best := o.matches[:0]
-	bound := math.Inf(1)
-	cur := o.snap.Shard(0, 1)
-	for {
-		n := cur.NextBlock(&o.blk, o.size)
-		if n == 0 {
+	full := false
+	bound, ibound := math.Inf(1), 0
+	bands := o.snap.LengthView().Bands(len(o.target))
+	for diff, ents, ok := bands.Next(); ok; diff, ents, ok = bands.Next() {
+		if unit && full && diff > ibound {
 			break
 		}
-		local.Candidates += n
-		local.Verifications += n
-		for i := 0; i < n; i++ {
-			s := o.blk.Seqs[i]
+		local.Candidates += len(ents)
+		for _, e := range ents {
+			if unit && full && qsig.LowerBound(e.Sig) > ibound {
+				continue
+			}
+			local.Verifications++
 			var d float64
 			var within bool
-			if math.IsInf(bound, 1) {
-				d = dp.Distance(s)
+			switch {
+			case unit && full:
+				var di int
+				di, within = qdp.Within(e.Seq, ibound)
+				d = float64(di)
+			case unit:
+				d, within = float64(qdp.Distance(e.Seq)), true
+			case full:
+				d, within = tdp.Within(e.Seq, bound)
+			default:
+				d = tdp.Distance(e.Seq)
 				within = d < infCut
-			} else {
-				d, within = dp.Within(s, bound)
 			}
 			if !within {
 				local.Abandoned++
 				continue
 			}
-			best = index.PushBestK(best, index.Match{ID: o.blk.IDs[i], S: s, Dist: d}, o.k)
+			if !o.snap.VisibleRow(e.Row) {
+				continue // tombstoned, or installed after this snapshot
+			}
+			best = index.PushBestK(best, index.Match{ID: e.Row.ID, S: e.Seq, Dist: d}, o.k)
 			if len(best) == o.k {
-				bound = best[o.k-1].Dist
+				full, bound = true, best[o.k-1].Dist
+				if unit {
+					ibound = int(bound)
+				}
 			}
 		}
 	}
 	o.matches = best
+	observeVisited(mNearestVisitedSeq, local.Verifications, o.snap.Len())
 	o.last.add(local)
 	o.ctx.addStats(local)
 	return nil
@@ -309,7 +333,7 @@ func (o *batchNearestKOp) CloseBatch() error {
 func (o *batchNearestKOp) opStats() ExecStats { return o.last }
 
 func (o *batchNearestKOp) Describe() string {
-	return fmt.Sprintf("NearestK(%s via %s, k=%d, ruleset=%s)", o.alias, o.via, o.k, o.ruleSet)
+	return fmt.Sprintf("NearestK(%s, k=%d, ruleset=%s)", o.alias, o.k, o.ruleSet)
 }
 
 func (o *batchNearestKOp) childNodes() []BatchOperator { return nil }

@@ -14,10 +14,12 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/editdp"
 	"repro/internal/relation"
 	"repro/internal/rewrite"
 )
@@ -44,6 +46,9 @@ func newBatchPair(t testing.TB, shards, batchSize int) *batchPair {
 		e := NewEngine(cat, WithBatchSize(size))
 		rs := rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())
 		if err := e.RegisterRuleSet(rs); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RegisterRuleSet(gapsRules); err != nil {
 			t.Fatal(err)
 		}
 		return e
@@ -124,7 +129,8 @@ func randBatchStmt(rng *rand.Rand) string {
 		return fmt.Sprintf(`SELECT * FROM words WHERE seq SIMILAR TO %q WITHIN %d USING edits LIMIT %d`,
 			target, rng.Intn(4), 1+rng.Intn(8))
 	case 5:
-		return fmt.Sprintf(`SELECT seq, dist FROM words WHERE seq NEAREST %d TO %q USING edits`, 1+rng.Intn(12), target)
+		return fmt.Sprintf(`SELECT seq, dist FROM words WHERE seq NEAREST %d TO %q USING %s`,
+			1+rng.Intn(12), target, []string{"edits", "edits", "gaps"}[rng.Intn(3)])
 	case 6:
 		return fmt.Sprintf(`SELECT * FROM words WHERE tag != %q LIMIT %d`, tag, 1+rng.Intn(10))
 	case 7:
@@ -307,4 +313,195 @@ func TestBatchParityConcurrentDML(t *testing.T) {
 	for _, q := range queries {
 		p.exec(t, q)
 	}
+}
+
+// TestNearestModelCases holds NEAREST against the model on the inputs
+// its access path — the bounded scan of the length-ordered view — treats
+// specially: k of 1, 10 and more than the live rows, duplicate strings
+// (ties broken by id), an empty target, a target beyond one Myers word,
+// a weighted rule set (which must not inherit the unit length cut-off),
+// rows deleted and updated after the view was built, and a plan whose
+// snapshot predates an insert. Shard counts 1 and 4, block sizes 1 and
+// 256.
+func TestNearestModelCases(t *testing.T) {
+	long := strings.Repeat("abcdefghij", 7) // 70 bytes: the block kernel
+	targets := []string{"", "a", "acebd", "jjjjjjjjjjjj", long, long[:64] + "jj" + long[66:]}
+	for _, shards := range []int{1, 4} {
+		shards := shards
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(31 + shards)))
+			p := newBatchPair(t, shards, 256)
+			p.seedRows(t, rng, 120)
+			p.exec(t, fmt.Sprintf(`INSERT INTO words (seq, tag) VALUES ("acebd", "a"), ("acebd", "b"), ("acebd", "c"), ("", "a"), (%q, "a"), (%q, "b"), (%q, "c")`,
+				long, long[:69], strings.Repeat("j", 130)))
+			nearest := func() {
+				t.Helper()
+				for _, target := range targets {
+					for _, k := range []int{1, 10, 500} {
+						for _, rs := range []string{"edits", "gaps"} {
+							p.exec(t, fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq NEAREST %d TO %q USING %s`, k, target, rs))
+						}
+					}
+				}
+			}
+			nearest() // builds the view
+			p.exec(t, `DELETE FROM words WHERE seq = "acebd" AND tag = "b"`)
+			p.exec(t, fmt.Sprintf(`UPDATE words SET seq = "acebdd" WHERE seq = %q`, long[:69]))
+			p.exec(t, `DELETE FROM words WHERE seq SIMILAR TO "acebd" WITHIN 2 USING edits AND tag = "a"`)
+			p.checkDump(t)
+			nearest()
+
+			// A plan built now keeps its snapshot: the exact match inserted
+			// before it runs is invisible to it and visible to the next one.
+			const stmt = `SELECT id, seq, dist FROM words WHERE seq NEAREST 3 TO "hhhh" USING edits`
+			var plans []*compiledPlan
+			for _, e := range []*Engine{p.row, p.batch} {
+				q, err := Parse(stmt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan, err := e.plan(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plans = append(plans, plan)
+			}
+			before := *p.model
+			before.rows = append([]oracleRow(nil), p.model.rows...)
+			p.exec(t, `INSERT INTO words (seq, tag) VALUES ("hhhh", "a")`)
+			for _, plan := range plans {
+				res, err := plan.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				before.checkModel(t, stmt, res)
+			}
+			p.exec(t, stmt)
+		})
+	}
+}
+
+// TestNearestPrefixProperty is the metamorphic property a total
+// (dist, id) order licenses: the answer to NEAREST k is a prefix of the
+// answer to NEAREST k+1, for every k up to past the live row count.
+func TestNearestPrefixProperty(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		shards := shards
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(57 + shards)))
+			p := newBatchPair(t, shards, 256)
+			p.seedRows(t, rng, 60)
+			for i := 0; i < 6; i++ {
+				p.applyRandomDML(t, rng)
+			}
+			for _, rs := range []string{"edits", "gaps"} {
+				for i := 0; i < 4; i++ {
+					target := randOracleSeq(rng)
+					prev := ""
+					for k := 1; k <= 64; k++ {
+						res, err := p.batch.Execute(fmt.Sprintf(`SELECT id, dist FROM words WHERE seq NEAREST %d TO %q USING %s`, k, target, rs))
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := positional(res)
+						if !strings.HasPrefix(got, prev) {
+							t.Fatalf("NEAREST %d TO %q USING %s is not a prefix of NEAREST %d:\n%s\nvs\n%s", k-1, target, rs, k, prev, got)
+						}
+						prev = got
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestNearestReadersVsInserter runs NEAREST readers against a live
+// inserter on one unsharded relation, so readers walk the shared
+// length-ordered view while the commit path appends to it (the targeted
+// -race CI step runs 'Nearest' tests). Every answer must be a correctly
+// ordered, correctly measured top-k of some committed state — with an
+// insert-only writer the k-th distance can only fall between a reader's
+// successive answers — and once the writer stops both engines must agree
+// with the model again.
+func TestNearestReadersVsInserter(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	p := newBatchPair(t, 1, 256)
+	p.seedRows(t, rng, 150)
+	const target, k = "acebd", 5
+	stmt := fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq NEAREST %d TO %q USING edits`, k, target)
+	p.exec(t, stmt) // builds the view the writer will extend
+
+	stop := make(chan struct{})
+	var writer, readers sync.WaitGroup
+	var written []string // owned by the writer until writer.Wait returns
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// New lengths (new buckets) and growing buckets alike; every
+			// so often a row nearer than anything before it.
+			seq := strings.Repeat("j", i%23) + string(oracleAlphabet[i%10])
+			if i%40 == 39 {
+				seq = target[:len(target)-1] + string(oracleAlphabet[(i/40)%10])
+			}
+			ins := fmt.Sprintf("INSERT INTO words (seq, tag) VALUES (%q, %q)", seq, "a")
+			for _, e := range []*Engine{p.row, p.batch} {
+				if _, err := e.Execute(ins); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			written = append(written, ins)
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			kth := 1 << 30
+			for i := 0; i < 150; i++ {
+				res, err := p.batch.Execute(stmt)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(res.Rows) != k {
+					t.Errorf("%d rows, want %d", len(res.Rows), k)
+					return
+				}
+				prevD, prevID := -1, -1
+				for _, row := range res.Rows {
+					id, _ := strconv.Atoi(row[0])
+					d, _ := strconv.Atoi(row[2])
+					if d != editdp.Levenshtein(row[1], target) {
+						t.Errorf("row %v: distance is %d", row, editdp.Levenshtein(row[1], target))
+						return
+					}
+					if d < prevD || d == prevD && id <= prevID {
+						t.Errorf("answer not in (dist, id) order:\n%s", positional(res))
+						return
+					}
+					prevD, prevID = d, id
+				}
+				if prevD > kth {
+					t.Errorf("k-th distance rose from %d to %d under an insert-only writer", kth, prevD)
+					return
+				}
+				kth = prevD
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	for _, ins := range written {
+		p.model.checkModel(t, ins, nil)
+	}
+	p.checkDump(t)
+	p.exec(t, stmt)
 }

@@ -57,15 +57,10 @@ func (e *Engine) buildShardedPlan(q *Query, d *planDecision, tab relation.Table)
 			sh.EnsureBKTrees()
 		}
 	case accessNearest:
-		switch d.via {
-		case "bktree":
-			sh.EnsureBKTrees()
-		case "vptree":
-			if ne, ok := q.Where.(NearestExpr); ok {
-				if m, ok := metric.Lookup(ne.RuleSet); ok {
-					sh.EnsureVPTrees(m)
-				}
-			}
+		if ne := q.Where.(NearestExpr); !isVecNearest(&ne) {
+			sh.EnsureLengthViews()
+		} else if m, ok := metric.Lookup(ne.RuleSet); ok && d.via == "vptree" {
+			sh.EnsureVPTrees(m)
 		}
 	}
 	view := sh.View()
@@ -120,7 +115,7 @@ func (e *Engine) buildShardedPlan(q *Query, d *planDecision, tab relation.Table)
 				children[i] = trB(ctx, &batchShardNearestKOp{
 					batchNearestKOp: batchNearestKOp{
 						kernelTag: tag, ctx: ctx, snap: view.Snap(i), alias: alias,
-						via: d.via, target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet, size: size,
+						target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet, size: size,
 					},
 					idx: i, of: n,
 				}, estNearestRows(st.Count, ne.K))
@@ -192,8 +187,8 @@ type batchShardNearestKOp struct {
 }
 
 func (o *batchShardNearestKOp) Describe() string {
-	return fmt.Sprintf("ShardNearestK(%s, shard %d/%d, via %s, k=%d, ruleset=%s)",
-		o.alias, o.idx, o.of, o.via, o.k, o.ruleSet)
+	return fmt.Sprintf("ShardNearestK(%s, shard %d/%d, k=%d, ruleset=%s)",
+		o.alias, o.idx, o.of, o.k, o.ruleSet)
 }
 
 // --------------------------------------------------------- gather merge

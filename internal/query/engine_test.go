@@ -44,8 +44,8 @@ func testEngine(t *testing.T) *Engine {
 		t.Fatal(err)
 	}
 	// all-one computes the same distances as unit edits on these words
-	// but is asymmetric (extra ε->0 rule), forcing the scan-based
-	// nearest path.
+	// but is asymmetric (extra ε->0 rule), so NEAREST runs the weighted
+	// kernel without the unit-cost lower bounds.
 	allOne := append([]rewrite.Rule{rewrite.Insert('0', 1)},
 		rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz").Rules()...)
 	if err := e.RegisterRuleSet(rewrite.MustRuleSet("all-one", allOne)); err != nil {
@@ -222,7 +222,7 @@ func TestNearestScanWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Plan, "via scan") {
+	if !strings.Contains(res.Plan, "NearestK(words, k=2, ruleset=cheap_vowels)  (kernel=targetdp)") {
 		t.Errorf("plan = %q", res.Plan)
 	}
 	if len(res.Rows) != 2 || res.Rows[0][0] != "color" || res.Rows[1][0] != "colour" {
@@ -359,24 +359,25 @@ func TestUnknownAttributeIsEmpty(t *testing.T) {
 	}
 }
 
-func TestNearestKMatchesScanOrder(t *testing.T) {
-	// BK-tree kNN must return the same distance multiset as a scan.
+func TestNearestUnitMatchesWeightedKernel(t *testing.T) {
+	// The unit path (Myers behind the length and signature bounds) must
+	// return the distance multiset of the weighted path (TargetDP, every
+	// row verified) on a rule set whose costs happen to be unit.
 	e := testEngine(t)
-	bkRes, err := e.Execute(`SELECT dist FROM words WHERE seq NEAREST 5 TO "color" USING unit-edits`)
+	unitRes, err := e.Execute(`SELECT dist FROM words WHERE seq NEAREST 5 TO "color" USING unit-edits`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The weighted path is a verified scan; with unit costs they agree.
-	scanRes, err := e.Execute(`SELECT dist FROM words WHERE seq NEAREST 5 TO "color" USING all-one`)
+	weightedRes, err := e.Execute(`SELECT dist FROM words WHERE seq NEAREST 5 TO "color" USING all-one`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bkRes.Rows) != len(scanRes.Rows) {
-		t.Fatalf("bk %d rows, scan %d rows", len(bkRes.Rows), len(scanRes.Rows))
+	if len(unitRes.Rows) != len(weightedRes.Rows) {
+		t.Fatalf("unit %d rows, weighted %d rows", len(unitRes.Rows), len(weightedRes.Rows))
 	}
-	for i := range bkRes.Rows {
-		if bkRes.Rows[i][0] != scanRes.Rows[i][0] {
-			t.Errorf("dist[%d]: bk %q scan %q", i, bkRes.Rows[i][0], scanRes.Rows[i][0])
+	for i := range unitRes.Rows {
+		if unitRes.Rows[i][0] != weightedRes.Rows[i][0] {
+			t.Errorf("dist[%d]: unit %q weighted %q", i, unitRes.Rows[i][0], weightedRes.Rows[i][0])
 		}
 	}
 }

@@ -132,16 +132,16 @@ func TestExplainOperatorTrees(t *testing.T) {
 			want: []string{"Filter(lang = \"en\")", "IndexRange(words via bktree"},
 		},
 		{
-			name: "nearest-k via bktree",
+			name: "nearest-k, unit rule set",
 			eng:  small,
 			src:  `SELECT * FROM words WHERE seq NEAREST 3 TO "color" USING unit-edits`,
-			want: []string{"NearestK(words via bktree, k=3, ruleset=unit-edits)"},
+			want: []string{"NearestK(words, k=3, ruleset=unit-edits)  (kernel=myers)"},
 		},
 		{
-			name: "nearest-k via scan for weighted rule set",
+			name: "nearest-k, weighted rule set",
 			eng:  small,
 			src:  `SELECT * FROM words WHERE seq NEAREST 2 TO "color" USING cheap_vowels`,
-			want: []string{"NearestK(words via scan, k=2, ruleset=cheap_vowels)"},
+			want: []string{"NearestK(words, k=2, ruleset=cheap_vowels)  (kernel=targetdp)"},
 		},
 		{
 			name: "unit join partitions by length",

@@ -36,7 +36,29 @@ var (
 	// per-query Nodes/Pruned counters.
 	mIndexVisited = obs.Default.Counter(`simq_index_nodes_total{event="visited"}`, "Tree-index nodes visited by query traversals.")
 	mIndexPruned  = obs.Default.Counter(`simq_index_nodes_total{event="pruned"}`, "Tree-index subtrees skipped by pruning bounds.")
+
+	// Visited fraction of NEAREST, one series per domain: the distance
+	// computations one NEAREST operator made over the live rows of its
+	// snapshot. A lower-bounding filter that works keeps it well under 1;
+	// a value near 1 names a degenerate access path.
+	mNearestVisitedSeq = obs.Default.Histogram(`simq_nearest_visited_fraction{domain="seq"}`,
+		"Distance computations per live row of one NEAREST operator.", fractionBuckets)
+	mNearestVisitedVec = obs.Default.Histogram(`simq_nearest_visited_fraction{domain="vec"}`,
+		"Distance computations per live row of one NEAREST operator.", fractionBuckets)
 )
+
+// fractionBuckets bounds the visited-fraction histograms: a ratio in
+// [0, 1], slightly above when the access structure carries tombstoned
+// or post-snapshot entries.
+var fractionBuckets = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1}
+
+// observeVisited records one NEAREST operator's visited fraction; an
+// empty snapshot records nothing.
+func observeVisited(h *obs.Histogram, verifications, live int) {
+	if live > 0 {
+		h.Observe(float64(verifications) / float64(live))
+	}
+}
 
 // kernelCounters caches one dispatch counter per distance kernel; the
 // kernel set is small and fixed per process, so the map stabilizes

@@ -5,17 +5,20 @@ package query
 // with the engine — over the oracleDB rows, one row at a time, and never
 // touches the planner, an operator or internal/index: predicates call
 // the leaf kernels (editdp.LevenshteinWithin, patdist.Within) directly
-// and NEAREST is a full sort by (dist, id). Comparing block size 1 with
-// block size 256 shows the engine agrees with itself; comparing either
-// with this model shows it is right.
+// and NEAREST is a full sort by (dist, id) of exact distances — plain
+// Levenshtein under "edits", the row-at-a-time Calculator.Distance under
+// the weighted "gaps" set. Comparing block size 1 with block size 256
+// shows the engine agrees with itself; comparing either with this model
+// shows it is right.
 //
 // The model's language is single-relation statements over "words" under
-// the unit "edits" rule set with at most one similarity conjunct (with
-// two, which one sets dist depends on the access path the cost model
-// picks). Anything else — and any statement whose evaluation would hit
-// an engine error, like reading dist before a conjunct set it — returns
-// errUnmodeled, which the fuzz target skips and the oracles, whose
-// generators stay inside the language, treat as a failure.
+// the unit "edits" rule set (NEAREST also under "gaps") with at most one
+// similarity conjunct (with two, which one sets dist depends on the
+// access path the cost model picks). Anything else — and any statement
+// whose evaluation would hit an engine error, like reading dist before a
+// conjunct set it — returns errUnmodeled, which the fuzz target skips
+// and the oracles, whose generators stay inside the language, treat as a
+// failure.
 
 import (
 	"errors"
@@ -37,7 +40,7 @@ var errUnmodeled = errors.New("statement outside the model's language")
 // assigned it (first similarity conjunct that matched, like evalExpr).
 type modelRow struct {
 	oracleRow
-	dist int
+	dist float64
 	has  bool
 }
 
@@ -57,6 +60,33 @@ type modelResult struct {
 // oracles' unit "edits" set.
 var patternCalc = func() *editdp.Calculator {
 	c, err := editdp.New(rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules()))
+	if err != nil {
+		panic(err)
+	}
+	return c
+}()
+
+// gapsRules is the oracles' weighted rule set: unit substitutions but
+// insertions and deletions at a quarter, so a row many bytes longer or
+// shorter than the target can be nearer than one of the target's own
+// length — the case a length cut-off borrowed from the unit distance
+// would dismiss.
+var gapsRules = func() *rewrite.RuleSet {
+	var rules []rewrite.Rule
+	for i := 0; i < len(oracleAlphabet); i++ {
+		c := oracleAlphabet[i]
+		rules = append(rules, rewrite.Insert(c, 0.25), rewrite.Delete(c, 0.25))
+		for j := 0; j < len(oracleAlphabet); j++ {
+			if d := oracleAlphabet[j]; d != c {
+				rules = append(rules, rewrite.Subst(c, d, 1))
+			}
+		}
+	}
+	return rewrite.MustRuleSet("gaps", rules)
+}()
+
+var gapsCalc = func() *editdp.Calculator {
+	c, err := editdp.New(gapsRules)
 	if err != nil {
 		panic(err)
 	}
@@ -97,7 +127,7 @@ func (o *oracleDB) field(f FieldRef, alias string, r *modelRow) (string, error) 
 		if !r.has {
 			return "", errUnmodeled
 		}
-		return strconv.Itoa(r.dist), nil
+		return formatDist(r.dist), nil
 	case "id":
 		return strconv.Itoa(r.id), nil
 	case "seq":
@@ -157,16 +187,14 @@ func (o *oracleDB) eval(ex Expr, alias string, r *modelRow) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		var d int
+		var d float64
 		var ok bool
 		if ex.Pattern {
 			p, err := pattern.Compile(ex.Target.Lit)
 			if err != nil || !inOracleAlphabet(x) {
 				return false, errUnmodeled
 			}
-			var fd float64
-			fd, ok = patdist.Within(patternCalc, x, p, ex.Radius)
-			d = int(fd)
+			d, ok = patdist.Within(patternCalc, x, p, ex.Radius)
 		} else {
 			target, err := o.operand(ex.Target, alias, r)
 			if err != nil {
@@ -176,7 +204,9 @@ func (o *oracleDB) eval(ex Expr, alias string, r *modelRow) (bool, error) {
 				return false, errUnmodeled
 			}
 			// Distances are integers: d <= radius iff d <= floor(radius).
-			d, ok = editdp.LevenshteinWithin(x, target, int(math.Min(ex.Radius, 1<<20)))
+			var di int
+			di, ok = editdp.LevenshteinWithin(x, target, int(math.Min(ex.Radius, 1<<20)))
+			d = float64(di)
 		}
 		if ok && !r.has {
 			r.dist, r.has = d, true
@@ -192,7 +222,7 @@ func (o *oracleDB) matches(where Expr, alias string) ([]modelRow, error) {
 		return nil, errUnmodeled
 	}
 	if ne, ok := where.(NearestExpr); ok {
-		if ne.RuleSet != "edits" || !ne.Target.IsLit || isVecNearest(&ne) || !inOracleAlphabet(ne.Target.Lit) {
+		if ne.RuleSet != "edits" && ne.RuleSet != "gaps" || !ne.Target.IsLit || isVecNearest(&ne) || !inOracleAlphabet(ne.Target.Lit) {
 			return nil, errUnmodeled
 		}
 		all := make([]modelRow, len(o.rows))
@@ -200,7 +230,11 @@ func (o *oracleDB) matches(where Expr, alias string) ([]modelRow, error) {
 			if !inOracleAlphabet(row.seq) {
 				return nil, errUnmodeled
 			}
-			all[i] = modelRow{oracleRow: row, dist: editdp.Levenshtein(row.seq, ne.Target.Lit), has: true}
+			d := float64(editdp.Levenshtein(row.seq, ne.Target.Lit))
+			if ne.RuleSet == "gaps" {
+				d = gapsCalc.Distance(row.seq, ne.Target.Lit)
+			}
+			all[i] = modelRow{oracleRow: row, dist: d, has: true}
 		}
 		// Rows are in ascending id, so a stable sort by distance is the
 		// (dist, id) order.
@@ -262,7 +296,7 @@ func (o *oracleDB) query(q *Query) (*modelResult, error) {
 		if len(q.Select) == 0 {
 			out = []string{strconv.Itoa(r.id), r.seq, ""}
 			if r.has {
-				out[2] = strconv.Itoa(r.dist)
+				out[2] = formatDist(r.dist)
 			}
 		}
 		for _, c := range q.Select {
@@ -425,7 +459,7 @@ func (mr *modelResult) check(t testing.TB, stmt string, q *Query, res *Result) {
 	for i, row := range res.Rows {
 		w := ""
 		if mr.dists[i].has {
-			w = strconv.Itoa(mr.dists[i].dist)
+			w = formatDist(mr.dists[i].dist)
 		}
 		if row[distCol] != w {
 			t.Fatalf("%q: row %d has dist %q, the model's ORDER BY wants %q:\n%s", stmt, i, row[distCol], w, positional(res))

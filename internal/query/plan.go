@@ -53,7 +53,7 @@ const (
 // and safely shared across concurrent executions.
 type planDecision struct {
 	kind      accessKind
-	via       string       // accessNearest: bktree|scan; accessRange: bktree|trie
+	via       string       // accessRange: bktree|trie|vptree; accessNearest over vec: vptree|scan
 	start     string       // accessJoin: starting alias
 	steps     []stepChoice // accessJoin: greedy join order
 	parallel  bool         // shard the scan-rooted pipeline
@@ -145,7 +145,8 @@ func (e *Engine) decide(q *Query) (*planDecision, error) {
 
 // kernelFor records which distance kernel serves the plan's primary
 // edit conjunct, for EXPLAIN. Index-served plans (BK-tree, trie) run
-// the query-scoped bit-parallel kernel inside the index traversal;
+// the query-scoped bit-parallel kernel inside the index traversal, and
+// so does NEAREST under a unit-cost rule set (TargetDP otherwise);
 // scan and join plans are classified by the compiled filter's own
 // dispatch predicate. The record is advisory — the filter re-checks
 // eligibility at compile time — and the bit-parallel toggle is part of
@@ -157,13 +158,14 @@ func (e *Engine) kernelFor(q *Query, d *planDecision) string {
 	}
 	switch d.kind {
 	case accessNearest:
-		if ne, ok := q.Where.(NearestExpr); ok && isVecNearest(&ne) {
+		ne := q.Where.(NearestExpr)
+		if isVecNearest(&ne) {
 			return "vec-" + ne.RuleSet
 		}
-		if d.via == "bktree" {
+		if rs, err := e.ruleset(ne.RuleSet); err == nil && unitCost(rs) {
 			return indexKernel
 		}
-		return "targetdp" // scan nearest: TargetDP with a shrinking bound
+		return "targetdp"
 	case accessRange:
 		if d.via == "vptree" {
 			if sim, _ := extractVecRangeSim(q.Where); sim != nil {
@@ -197,9 +199,10 @@ func isVecNearest(ne *NearestExpr) bool {
 	return ne.Field.Name == "vec" || ne.Target.IsVec
 }
 
-// decideNearest validates a NEAREST query and picks the access
-// structure. Over a sharded relation the same via choice applies per
-// shard and a rank-aware gather merges the shard top-k lists.
+// decideNearest validates a NEAREST query. String NEAREST has one
+// access path — the bounded scan of the length-ordered view — so there
+// is nothing to choose; over a sharded relation every shard runs it and
+// a rank-aware gather merges the shard top-k lists.
 func (e *Engine) decideNearest(q *Query, ne NearestExpr, tab relation.Table) (*planDecision, error) {
 	if len(q.From) != 1 {
 		return nil, fmt.Errorf("query: NEAREST requires a single relation")
@@ -215,18 +218,13 @@ func (e *Engine) decideNearest(q *Query, ne NearestExpr, tab relation.Table) (*p
 	if ne.K <= 0 {
 		return nil, fmt.Errorf("query: NEAREST requires a positive count")
 	}
-	rs, err := e.ruleset(ne.RuleSet)
-	if err != nil {
+	if _, err := e.ruleset(ne.RuleSet); err != nil {
 		return nil, err
 	}
 	if e.calc(ne.RuleSet) == nil {
 		return nil, fmt.Errorf("query: NEAREST requires an edit-like rule set (%q is not)", ne.RuleSet)
 	}
-	via := "scan"
-	if unitCost(rs) {
-		via = "bktree"
-	}
-	d := &planDecision{kind: accessNearest, via: via}
+	d := &planDecision{kind: accessNearest}
 	if sh, ok := tab.(*relation.ShardedRelation); ok {
 		d.shards = sh.NumShards()
 		d.workers = e.gatherWorkers(d.shards)
@@ -548,15 +546,10 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 			rel.BKTree()
 		}
 	case accessNearest:
-		switch d.via {
-		case "bktree":
-			rel.BKTree()
-		case "vptree":
-			if ne, ok := q.Where.(NearestExpr); ok {
-				if m, ok := metric.Lookup(ne.RuleSet); ok {
-					rel.VPTree(m)
-				}
-			}
+		if ne := q.Where.(NearestExpr); !isVecNearest(&ne) {
+			rel.LengthView()
+		} else if m, ok := metric.Lookup(ne.RuleSet); ok && d.via == "vptree" {
+			rel.VPTree(m)
 		}
 	}
 	snap := rel.Snapshot()
@@ -586,7 +579,7 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 		} else {
 			access = trB(ctx, &batchNearestKOp{
 				kernelTag: tag, ctx: ctx, snap: snap, alias: alias,
-				via: d.via, target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet, size: size,
+				target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet, size: size,
 			}, estNearestRows(st.Count, ne.K))
 		}
 	case accessRange:

@@ -22,25 +22,12 @@ import (
 	"repro/internal/seq"
 )
 
-// datagenWords is cmd/datagen's `-kind words` generator (package main
-// there, so not importable): the planner's choices depend on the
-// relation statistics, and the benchmark's come from these rows.
+// datagenWords is the relation `datagen -kind words` emits: the
+// planner's choices depend on the relation statistics, and the
+// benchmark's come from these rows.
 func datagenWords(name string, seed int64, count int) *relation.Relation {
-	a := seq.MustAlphabet("abcdefghij")
-	rng := rand.New(rand.NewSource(seed))
 	rel := relation.New(name)
-	var made []string
-	for len(made) < count {
-		var w string
-		if len(made) > 0 && rng.Intn(4) == 0 {
-			w = a.RandomEdits(rng, made[rng.Intn(len(made))], 1+rng.Intn(2))
-		} else {
-			w = a.Random(rng, 4+rng.Intn(11))
-		}
-		if w == "" {
-			continue
-		}
-		made = append(made, w)
+	for _, w := range seq.MustAlphabet("abcdefghij").PlantedWords(rand.New(rand.NewSource(seed)), count) {
 		rel.Insert(w, nil)
 	}
 	return rel
@@ -85,7 +72,7 @@ func TestBenchmarkPlanSkeletons(t *testing.T) {
 		want     string // a fragment the access path must render
 	}{
 		{"words_nearest", `SELECT id, seq, dist FROM words WHERE seq NEAREST 10 TO "egaebcjebf" USING edits`,
-			"Project NearestK", "NearestK(words via bktree"},
+			"Project NearestK", "NearestK(words, k=10, ruleset=edits)  (kernel=myers)"},
 		{"words_adhoc", `SELECT id, seq, dist FROM words WHERE seq SIMILAR TO "egaebcjebf" WITHIN 1 USING edits LIMIT 20`,
 			"Limit Project IndexRange", "IndexRange(words via trie"},
 		{"words_wide", `SELECT id, seq, dist FROM words WHERE seq SIMILAR TO "egaebcjebf" WITHIN 5 USING edits ORDER BY dist`,

@@ -83,8 +83,10 @@ func (c *planCache) get(key string) (*planEntry, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	el, ok := s.items[key]
+	var entry *planEntry
 	if ok {
 		s.lru.MoveToFront(el)
+		entry = el.Value.(*planEntry) // read under the lock: put refreshes Value in place
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -94,7 +96,7 @@ func (c *planCache) get(key string) (*planEntry, bool) {
 	}
 	c.hits.Add(1)
 	mPlanCacheHit.Inc()
-	return el.Value.(*planEntry), true
+	return entry, true
 }
 
 // put inserts (or refreshes) an entry, evicting the least recently used

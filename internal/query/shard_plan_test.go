@@ -51,7 +51,7 @@ func TestShardedExplainShapes(t *testing.T) {
 		},
 		{
 			`EXPLAIN SELECT * FROM words WHERE seq NEAREST 3 TO "abc" USING edits`,
-			[]string{"GatherMerge(shards=4", "merge=bestk k=3", "ShardNearestK(words, shard 0/4, via bktree, k=3"},
+			[]string{"GatherMerge(shards=4", "merge=bestk k=3", "ShardNearestK(words, shard 0/4, k=3, ruleset=edits)"},
 		},
 		{
 			`EXPLAIN SELECT * FROM words WHERE seq SIMILAR TO "abcd" WITHIN 1 USING edits`,

@@ -63,6 +63,7 @@ func (o *batchVecNearestKOp) OpenBatch() error {
 		ms, st := o.snap.VPTree(m).NearestKFilterStatsInto(o.matches[:0], o.target, o.k, o.snap.Visible)
 		o.matches = ms
 		es := fromIndexStats(st)
+		observeVisited(mNearestVisitedVec, es.Verifications, o.snap.Len())
 		o.last.add(es)
 		o.ctx.addStats(es)
 		return nil
@@ -96,6 +97,7 @@ func (o *batchVecNearestKOp) OpenBatch() error {
 		}
 	}
 	o.matches = best
+	observeVisited(mNearestVisitedVec, local.Verifications, o.snap.Len())
 	o.last.add(local)
 	o.ctx.addStats(local)
 	return nil

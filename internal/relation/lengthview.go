@@ -1,0 +1,118 @@
+package relation
+
+import (
+	"sort"
+	"sync/atomic"
+
+	"repro/internal/index"
+)
+
+// LengthView is the arena regrouped by sequence length: the access
+// structure of string NEAREST. Under a unit-cost rule set the length
+// difference bounds the edit distance from below, so a top-k scan that
+// visits the buckets in order of |len(s) - len(q)| can stop at the first
+// bucket farther away than its current k-th best answer; inside a
+// bucket each entry's byte-frequency signature gives a second lower
+// bound that spares most of the remaining verifications.
+//
+// It follows the BK-tree's contract: built lazily, extended online by
+// the insert paths under the relation's commit lock (single writer),
+// read lock-free, rebuilt by compaction. Bucket lists are immutable
+// slices behind atomic pointers; an append writes the spare capacity
+// beyond every published length and then publishes a longer header, so
+// a reader sees the old list or the new one. The view therefore holds a
+// superset of any snapshot taken while it is installed, and readers
+// filter the entries they keep through Snapshot.VisibleRow.
+type LengthView struct {
+	buckets atomic.Pointer[[]*lenBucket] // ascending n; copy-on-write
+}
+
+type lenBucket struct {
+	n    int // sequence length of every entry
+	ents atomic.Pointer[[]LenEntry]
+}
+
+// LenEntry is one arena row in a LengthView bucket. Seq repeats Row.Seq
+// so a scan reads the strings without touching the rows; Sig is Seq's
+// byte-frequency signature, the filter a scan applies before verifying.
+type LenEntry struct {
+	Seq string
+	Row *Row
+	Sig index.ByteSig
+}
+
+func buildLengthView(rows []*Row) *LengthView {
+	v := &LengthView{}
+	for _, row := range rows {
+		v.insert(row)
+	}
+	return v
+}
+
+func (v *LengthView) load() []*lenBucket {
+	if p := v.buckets.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// insert appends the row to the bucket of its length. Single-writer
+// only; see the type comment.
+func (v *LengthView) insert(row *Row) {
+	n := len(row.Seq)
+	bs := v.load()
+	i := sort.Search(len(bs), func(i int) bool { return bs[i].n >= n })
+	if i == len(bs) || bs[i].n != n {
+		grown := make([]*lenBucket, 0, len(bs)+1)
+		grown = append(grown, bs[:i]...)
+		grown = append(grown, &lenBucket{n: n})
+		grown = append(grown, bs[i:]...)
+		bs = grown
+		v.buckets.Store(&bs)
+	}
+	b := bs[i]
+	var ents []LenEntry
+	if p := b.ents.Load(); p != nil {
+		ents = *p
+	}
+	ents = append(ents, LenEntry{Seq: row.Seq, Row: row, Sig: index.NewByteSig(row.Seq)})
+	b.ents.Store(&ents)
+}
+
+// Bands returns the buckets in ascending order of |n - qlen|, the
+// shorter one first where two are equally far.
+func (v *LengthView) Bands(qlen int) BandIter {
+	bs := v.load()
+	hi := sort.Search(len(bs), func(i int) bool { return bs[i].n >= qlen })
+	return BandIter{bs: bs, lo: hi - 1, hi: hi, qlen: qlen}
+}
+
+// BandIter walks a LengthView outward from one sequence length.
+type BandIter struct {
+	bs     []*lenBucket
+	lo, hi int // next bucket below / at-or-above qlen
+	qlen   int
+}
+
+// Next returns the next bucket's entries and its distance in length
+// from the iterator's origin; ok is false once every bucket was
+// returned.
+func (it *BandIter) Next() (diff int, ents []LenEntry, ok bool) {
+	var b *lenBucket
+	switch {
+	case it.lo < 0 && it.hi >= len(it.bs):
+		return 0, nil, false
+	case it.hi >= len(it.bs) || it.lo >= 0 && it.qlen-it.bs[it.lo].n <= it.bs[it.hi].n-it.qlen:
+		b = it.bs[it.lo]
+		it.lo--
+		diff = it.qlen - b.n
+	default:
+		b = it.bs[it.hi]
+		it.hi++
+		diff = b.n - it.qlen
+	}
+	if p := b.ents.Load(); p != nil {
+		ents = *p
+	}
+	return diff, ents, true
+}

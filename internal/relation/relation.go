@@ -16,14 +16,16 @@
 //
 // Visibility: a row is visible to a snapshot at epoch e iff it sits
 // inside the snapshot's arena prefix (inserts after the snapshot lie
-// beyond its slice length) and its tombstone epoch is > e (deletes at
-// or before e hide it). Updates are delete+insert in one commit.
+// beyond its slice length; equivalently, the commit that installed the
+// row has an epoch <= e) and its tombstone epoch is > e (deletes at or
+// before e hide it). Updates are delete+insert in one commit.
 //
-// The BK-tree, trie and VP-tree indexes are maintained online: inserts
-// extend the shared index (safe for concurrent readers; see package
-// index), deletes rely on the visibility filter, and compaction
-// rebuilds both the arena and the indexes once enough tombstones
-// accumulate.
+// The BK-tree, trie and VP-tree indexes and the length-ordered view
+// (LengthView, the access structure of string NEAREST) are maintained
+// online: inserts extend the shared structure (safe for concurrent
+// readers; see package index), deletes rely on the visibility filter,
+// and compaction rebuilds both the arena and the structures once enough
+// tombstones accumulate.
 //
 // Beyond the string sequence, tuples may carry a dense float-vector
 // embedding (the "vec" column, a metric.Vector). Vectors ride the same
@@ -78,12 +80,22 @@ func (t Tuple) Attr(name string) string {
 // aliveEpoch marks a row version that has not been deleted.
 const aliveEpoch = ^uint64(0)
 
-// Row is one immutable tuple version in the arena plus its tombstone
-// epoch. The tuple fields never change after publication; died is the
-// only mutable word and is written exactly once (alive -> epoch).
+// Row is one immutable tuple version in the arena plus the commit epoch
+// that installed it and its tombstone epoch. The tuple fields and born
+// never change after publication; died is the only mutable word and is
+// written exactly once (alive -> epoch).
 type Row struct {
 	Tuple
+	born uint64
 	died atomic.Uint64
+}
+
+// newRow returns a live row version installed by the commit at epoch
+// born.
+func newRow(id int, in InsertRow, born uint64) *Row {
+	row := &Row{Tuple: Tuple{ID: id, Seq: in.Seq, Vec: in.Vec, Attrs: in.Attrs}, born: born}
+	row.died.Store(aliveEpoch)
+	return row
 }
 
 // head is a relation's published state. A head is immutable once
@@ -102,12 +114,11 @@ type head struct {
 	vecDim   int      // upper bound on live vector dimension (exact after compaction)
 	byteRows [256]int // live rows containing each byte (alphabet histogram)
 
-	bk     *index.BKTree
-	trie   *index.Trie
-	length *index.LengthIndex
-	qgram  *index.QGramIndex
+	bk    *index.BKTree
+	trie  *index.Trie
+	byLen *LengthView
 	// vps maps metric name to the online-maintained VP-tree over that
-	// metric. Like bk/trie the trees are shared tail-extended across
+	// metric. Like bk/trie/byLen the trees are shared tail-extended across
 	// heads; the map itself is immutable once published (lazy builds
 	// install a copied map into a successor head).
 	vps map[string]*index.VPTree
@@ -116,26 +127,45 @@ type head struct {
 // indexRow inserts a freshly-installed row into every online index.
 // Caller holds the relation mutex (single-writer contract of the
 // trees).
-func (h *head) indexRow(t Tuple) {
+func (h *head) indexRow(row *Row) {
 	if h.bk != nil {
-		h.bk.Insert(t.ID, t.Seq)
+		h.bk.Insert(row.ID, row.Seq)
 	}
 	if h.trie != nil {
-		h.trie.Insert(t.ID, t.Seq)
+		h.trie.Insert(row.ID, row.Seq)
 	}
-	if t.Vec != nil {
+	if h.byLen != nil {
+		h.byLen.insert(row)
+	}
+	if row.Vec != nil {
 		for _, vp := range h.vps {
-			vp.Insert(t.ID, t.Vec)
+			vp.Insert(row.ID, row.Vec)
 		}
 	}
 }
 
-// find returns the arena row with the given id, tombstoned or not.
+// find returns the arena row with the given id, tombstoned or not. Ids
+// ascend strictly, so the row sits at or before position id-rows[0].ID
+// — exactly there unless compaction (or a sparse id assignment) left
+// gaps, which is the only case that pays the binary search.
 func (h *head) find(id int) *Row {
 	rows := h.rows
-	i := sort.Search(len(rows), func(i int) bool { return rows[i].ID >= id })
-	if i < len(rows) && rows[i].ID == id {
+	if len(rows) == 0 || id < rows[0].ID {
+		return nil
+	}
+	i := id - rows[0].ID
+	if i >= len(rows) {
+		i = len(rows) - 1
+	}
+	if rows[i].ID == id {
 		return rows[i]
+	}
+	if rows[i].ID < id {
+		return nil // above the last row
+	}
+	j := sort.Search(i, func(j int) bool { return rows[j].ID >= id })
+	if j < i && rows[j].ID == id {
+		return rows[j]
 	}
 	return nil
 }
@@ -287,14 +317,12 @@ func (r *Relation) InsertOne(in InsertRow) int {
 	h := r.head.Load()
 	nh := *h
 	id := nh.nextID
-	row := &Row{Tuple: Tuple{ID: id, Seq: in.Seq, Vec: in.Vec, Attrs: in.Attrs}}
-	row.died.Store(aliveEpoch)
+	nh.epoch++
+	row := newRow(id, in, nh.epoch)
 	nh.rows = append(nh.rows, row)
 	nh.nextID++
-	nh.epoch++
 	nh.addStats(row.Tuple)
-	nh.indexRow(row.Tuple)
-	nh.length, nh.qgram = nil, nil
+	nh.indexRow(row)
 	r.publish(&nh)
 	return id
 }
@@ -319,19 +347,17 @@ func (r *Relation) InsertBatch(rows []InsertRow) []int {
 	defer r.mu.Unlock()
 	h := r.head.Load()
 	nh := *h
+	nh.epoch++
 	ids := make([]int, len(rows))
 	for i, in := range rows {
 		id := nh.nextID
-		row := &Row{Tuple: Tuple{ID: id, Seq: in.Seq, Vec: in.Vec, Attrs: in.Attrs}}
-		row.died.Store(aliveEpoch)
+		row := newRow(id, in, nh.epoch)
 		nh.rows = append(nh.rows, row)
 		nh.nextID++
 		nh.addStats(row.Tuple)
-		nh.indexRow(row.Tuple)
+		nh.indexRow(row)
 		ids[i] = id
 	}
-	nh.epoch++
-	nh.length, nh.qgram = nil, nil
 	r.publish(&nh)
 	return ids
 }
@@ -359,8 +385,8 @@ func (r *Relation) insertAtLocked(id int, in InsertRow) bool {
 		return false
 	}
 	nh := *h
-	row := &Row{Tuple: Tuple{ID: id, Seq: in.Seq, Vec: in.Vec, Attrs: in.Attrs}}
-	row.died.Store(aliveEpoch)
+	nh.epoch++
+	row := newRow(id, in, nh.epoch)
 	if n := len(nh.rows); n > 0 && nh.rows[n-1].ID > id {
 		// Out-of-order id: older heads share the arena backing array, so
 		// re-sorting must copy rather than mutate in place.
@@ -375,10 +401,8 @@ func (r *Relation) insertAtLocked(id int, in InsertRow) bool {
 	if id >= nh.nextID {
 		nh.nextID = id + 1
 	}
-	nh.epoch++
 	nh.addStats(row.Tuple)
-	nh.indexRow(row.Tuple)
-	nh.length, nh.qgram = nil, nil
+	nh.indexRow(row)
 	r.publish(&nh)
 	return true
 }
@@ -396,6 +420,7 @@ func (r *Relation) InsertBatchAt(ids []int, rows []InsertRow) []int {
 	defer r.mu.Unlock()
 	h := r.head.Load()
 	nh := *h
+	nh.epoch++
 	sorted := true
 	last := -1
 	if n := len(nh.rows); n > 0 {
@@ -417,14 +442,13 @@ func (r *Relation) InsertBatchAt(ids []int, rows []InsertRow) []int {
 			sorted = false
 		}
 		last = id
-		row := &Row{Tuple: Tuple{ID: id, Seq: in.Seq, Vec: in.Vec, Attrs: in.Attrs}}
-		row.died.Store(aliveEpoch)
+		row := newRow(id, in, nh.epoch)
 		nh.rows = append(nh.rows, row)
 		if id >= nh.nextID {
 			nh.nextID = id + 1
 		}
 		nh.addStats(row.Tuple)
-		nh.indexRow(row.Tuple)
+		nh.indexRow(row)
 	}
 	if len(installed) == 0 {
 		return nil
@@ -435,8 +459,6 @@ func (r *Relation) InsertBatchAt(ids []int, rows []InsertRow) []int {
 		sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
 		nh.rows = rows
 	}
-	nh.epoch++
-	nh.length, nh.qgram = nil, nil
 	r.publish(&nh)
 	return installed
 }
@@ -458,7 +480,6 @@ func (r *Relation) Delete(id int) bool {
 	// new head must already see the row dead.
 	row.died.Store(nh.epoch)
 	nh.dropStats(row.Tuple)
-	nh.length, nh.qgram = nil, nil
 	r.publish(&nh)
 	r.maybeCompact()
 	return true
@@ -486,13 +507,11 @@ func (r *Relation) UpdateRow(id int, in InsertRow) (int, bool) {
 	row.died.Store(nh.epoch)
 	nh.dropStats(row.Tuple)
 	newID := nh.nextID
-	nrow := &Row{Tuple: Tuple{ID: newID, Seq: in.Seq, Vec: in.Vec, Attrs: in.Attrs}}
-	nrow.died.Store(aliveEpoch)
+	nrow := newRow(newID, in, nh.epoch)
 	nh.rows = append(nh.rows, nrow)
 	nh.nextID++
 	nh.addStats(nrow.Tuple)
-	nh.indexRow(nrow.Tuple)
-	nh.length, nh.qgram = nil, nil
+	nh.indexRow(nrow)
 	r.publish(&nh)
 	r.maybeCompact()
 	return newID, true
@@ -519,8 +538,7 @@ func (r *Relation) UpdateRowAt(id, newID int, in InsertRow) bool {
 	nh.epoch++
 	row.died.Store(nh.epoch)
 	nh.dropStats(row.Tuple)
-	nrow := &Row{Tuple: Tuple{ID: newID, Seq: in.Seq, Vec: in.Vec, Attrs: in.Attrs}}
-	nrow.died.Store(aliveEpoch)
+	nrow := newRow(newID, in, nh.epoch)
 	if n := len(nh.rows); n > 0 && nh.rows[n-1].ID > newID {
 		rows := make([]*Row, 0, n+1)
 		rows = append(rows, nh.rows...)
@@ -534,8 +552,7 @@ func (r *Relation) UpdateRowAt(id, newID int, in InsertRow) bool {
 		nh.nextID = newID + 1
 	}
 	nh.addStats(nrow.Tuple)
-	nh.indexRow(nrow.Tuple)
-	nh.length, nh.qgram = nil, nil
+	nh.indexRow(nrow)
 	r.publish(&nh)
 	r.maybeCompact()
 	return true
@@ -590,6 +607,9 @@ func (r *Relation) compactLocked() {
 		for _, row := range nh.rows {
 			nh.trie.Insert(row.ID, row.Seq)
 		}
+	}
+	if h.byLen != nil {
+		nh.byLen = buildLengthView(nh.rows)
 	}
 	if len(h.vps) > 0 {
 		nh.vps = make(map[string]*index.VPTree, len(h.vps))
@@ -755,52 +775,23 @@ func (r *Relation) BKTree() *index.BKTree { return r.ensureBKTree() }
 // maintained online like the BK-tree.
 func (r *Relation) Trie() *index.Trie { return r.ensureTrie() }
 
-// LengthIndex returns a length index over the currently visible tuples,
-// building it on first use; mutations drop it (rebuilt lazily).
-func (r *Relation) LengthIndex() *index.LengthIndex {
-	if h := r.head.Load(); h.length != nil {
-		return h.length
+// LengthView returns the relation's length-ordered view, building it on
+// first use; maintained online like the BK-tree (and, like it, installed
+// without a version bump).
+func (r *Relation) LengthView() *LengthView {
+	if h := r.head.Load(); h.byLen != nil {
+		return h.byLen
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := r.head.Load()
-	if h.length != nil {
-		return h.length
-	}
-	li := index.NewLengthIndex()
-	for _, row := range h.rows {
-		if row.died.Load() > h.epoch {
-			li.Insert(row.ID, row.Seq)
-		}
+	if h.byLen != nil {
+		return h.byLen
 	}
 	nh := *h
-	nh.length = li
+	nh.byLen = buildLengthView(h.rows)
 	r.head.Store(&nh)
-	return li
-}
-
-// QGramIndex returns a 2-gram index over the currently visible tuples,
-// building it on first use; mutations drop it (rebuilt lazily).
-func (r *Relation) QGramIndex() *index.QGramIndex {
-	if h := r.head.Load(); h.qgram != nil {
-		return h.qgram
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.head.Load()
-	if h.qgram != nil {
-		return h.qgram
-	}
-	qg := index.NewQGramIndex(2)
-	for _, row := range h.rows {
-		if row.died.Load() > h.epoch {
-			qg.Insert(row.ID, row.Seq)
-		}
-	}
-	nh := *h
-	nh.qgram = qg
-	r.head.Store(&nh)
-	return qg
+	return nh.byLen
 }
 
 // ------------------------------------------------------------ snapshot
@@ -907,6 +898,22 @@ func (s *Snapshot) VPTree(m metric.Distance) *index.VPTree {
 		return vp
 	}
 	return buildVPTree(m, s.h.rows)
+}
+
+// LengthView is the length-ordered analogue of BKTree; its entries are
+// filtered through VisibleRow.
+func (s *Snapshot) LengthView() *LengthView {
+	if s.h.byLen != nil {
+		return s.h.byLen
+	}
+	return buildLengthView(s.h.rows)
+}
+
+// VisibleRow reports whether a row of this relation's arena — as handed
+// out by a LengthView — is visible at this snapshot: installed by a
+// commit at or before its epoch and not tombstoned by one.
+func (s *Snapshot) VisibleRow(row *Row) bool {
+	return row.born <= s.h.epoch && row.died.Load() > s.h.epoch
 }
 
 // Visible reports whether the given id is visible at this snapshot —
@@ -1072,8 +1079,7 @@ func Rebuild(name string, rows []Tuple, nextID int) *Relation {
 	h := head{epoch: 1, nextID: nextID}
 	h.rows = make([]*Row, len(rows))
 	for i, t := range rows {
-		row := &Row{Tuple: t}
-		row.died.Store(aliveEpoch)
+		row := newRow(t.ID, InsertRow{Seq: t.Seq, Vec: t.Vec, Attrs: t.Attrs}, h.epoch)
 		h.rows[i] = row
 		h.addStats(t)
 		if t.ID >= h.nextID {

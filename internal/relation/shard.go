@@ -436,17 +436,17 @@ func (s *ShardedRelation) Tombstones() int {
 	return n
 }
 
-// EnsureBKTrees builds (once) the BK-tree of every shard and republishes
-// the view so its snapshots carry the shared trees. Like
-// Relation.ensureBKTree this changes no statistics and bumps no
-// version — cached plans stay valid.
-func (s *ShardedRelation) EnsureBKTrees() {
+// ensureShards builds (once) one index on every shard that lacks it and
+// republishes the view so its snapshots carry the shared structures.
+// Like the per-relation ensure functions this changes no statistics and
+// bumps no version — cached plans stay valid.
+func (s *ShardedRelation) ensureShards(has func(*head) bool, ensure func(*Relation)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	built := false
 	for _, r := range s.shards {
-		if r.head.Load().bk == nil {
-			r.ensureBKTree()
+		if !has(r.head.Load()) {
+			ensure(r)
 			built = true
 		}
 	}
@@ -455,37 +455,25 @@ func (s *ShardedRelation) EnsureBKTrees() {
 	}
 }
 
+// EnsureBKTrees gives every shard an online-maintained BK-tree.
+func (s *ShardedRelation) EnsureBKTrees() {
+	s.ensureShards(func(h *head) bool { return h.bk != nil }, func(r *Relation) { r.ensureBKTree() })
+}
+
 // EnsureTries is the trie analogue of EnsureBKTrees.
 func (s *ShardedRelation) EnsureTries() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	built := false
-	for _, r := range s.shards {
-		if r.head.Load().trie == nil {
-			r.ensureTrie()
-			built = true
-		}
-	}
-	if built {
-		s.view.Store(s.captureView())
-	}
+	s.ensureShards(func(h *head) bool { return h.trie != nil }, func(r *Relation) { r.ensureTrie() })
+}
+
+// EnsureLengthViews is the length-ordered-view analogue of EnsureBKTrees.
+func (s *ShardedRelation) EnsureLengthViews() {
+	s.ensureShards(func(h *head) bool { return h.byLen != nil }, func(r *Relation) { r.LengthView() })
 }
 
 // EnsureVPTrees is the VP-tree analogue of EnsureBKTrees: every shard
 // gets an online-maintained VP-tree over the given metric.
 func (s *ShardedRelation) EnsureVPTrees(m metric.Distance) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	built := false
-	for _, r := range s.shards {
-		if r.head.Load().vps[m.Name()] == nil {
-			r.ensureVPTree(m)
-			built = true
-		}
-	}
-	if built {
-		s.view.Store(s.captureView())
-	}
+	s.ensureShards(func(h *head) bool { return h.vps[m.Name()] != nil }, func(r *Relation) { r.ensureVPTree(m) })
 }
 
 // ------------------------------------------------------------ view

@@ -86,6 +86,27 @@ func (a *Alphabet) Random(rng *rand.Rand, n int) string {
 	return b.String()
 }
 
+// PlantedWords returns count non-empty words of 4-14 random symbols, a
+// quarter of them 1-2 random edits of an earlier word, so similarity
+// queries over the list have near-duplicates to find. It is the word
+// list of `datagen -kind words`; tests and benchmarks that must see the
+// benchmark's data call it with the same seed.
+func (a *Alphabet) PlantedWords(rng *rand.Rand, count int) []string {
+	made := make([]string, 0, count)
+	for len(made) < count {
+		var w string
+		if len(made) > 0 && rng.Intn(4) == 0 {
+			w = a.RandomEdits(rng, made[rng.Intn(len(made))], 1+rng.Intn(2))
+		} else {
+			w = a.Random(rng, 4+rng.Intn(11))
+		}
+		if w != "" {
+			made = append(made, w)
+		}
+	}
+	return made
+}
+
 // RandomEdits returns a copy of s with k random single-symbol edits
 // (insertions, deletions or substitutions) applied, drawing replacement
 // symbols from the alphabet. It is used by workload generators to plant
