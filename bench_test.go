@@ -247,9 +247,8 @@ func benchQueryEngine(b *testing.B, n int, opts ...EngineOption) *QueryEngine {
 // query.
 func BenchmarkQ1SerialVsParallelScan(b *testing.B) {
 	const stmt = `SELECT seq, dist FROM dict WHERE seq SIMILAR TO "abcdefgh" WITHIN 2 USING half`
-	eng := benchQueryEngine(b, 20000)
 	b.Run("serial", func(b *testing.B) {
-		eng.SetParallelism(1)
+		eng := benchQueryEngine(b, 20000, WithParallelism(1))
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Execute(stmt); err != nil {
 				b.Fatal(err)
@@ -257,8 +256,7 @@ func BenchmarkQ1SerialVsParallelScan(b *testing.B) {
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
-		eng.SetParallelism(runtime.GOMAXPROCS(0))
-		eng.SetParallelMinRows(1)
+		eng := benchQueryEngine(b, 20000, WithParallelism(runtime.GOMAXPROCS(0)), WithParallelMinRows(1))
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Execute(stmt); err != nil {
 				b.Fatal(err)
@@ -267,19 +265,15 @@ func BenchmarkQ1SerialVsParallelScan(b *testing.B) {
 	})
 }
 
-// BenchmarkQ2JoinOperators — nested-loop join (weighted rule set)
-// against the BK-tree index join (unit rule set) through the full
-// query pipeline.
 // BenchmarkQ2JoinOperators measures each probe strategy of the join
 // operator on a statement the planner routes to it, pinned via EXPLAIN
 // so a planner change fails loudly. The weighted edge takes the nested
-// loop; the unit radius-1 self-join the length-banded partitions; the
-// BK-tree probe wins on cost only against an outer side of about one
-// row over short strings, so it gets a one-row probe relation joined at
-// radius 0 to 600 two-to-three-letter words.
+// loop; the unit radius-1 self-join over seq the band walk of the inner
+// length view; a unit edge onto another attribute the length-banded
+// partitions, here a one-row probe relation joined at radius 1 to 600
+// two-to-three-letter words held in attribute w.
 func BenchmarkQ2JoinOperators(b *testing.B) {
-	eng := benchQueryEngine(b, 600)
-	eng.SetParallelism(1)
+	eng := benchQueryEngine(b, 600, WithParallelism(1))
 	rng := rand.New(rand.NewSource(7))
 	short, probe := NewRelation("short"), NewRelation("probe")
 	for i := 0; i < 600; i++ {
@@ -287,7 +281,7 @@ func BenchmarkQ2JoinOperators(b *testing.B) {
 		for j := range w {
 			w[j] = "abcdefghij"[rng.Intn(10)]
 		}
-		short.Insert(string(w), nil)
+		short.Insert("", map[string]string{"w": string(w)})
 	}
 	probe.Insert("abc", nil)
 	eng.Catalog().Add(short)
@@ -295,9 +289,9 @@ func BenchmarkQ2JoinOperators(b *testing.B) {
 	for _, c := range []struct{ name, stmt, wantOp string }{
 		{"nested-loop", `SELECT a.id, b.id FROM dict a, dict b WHERE a.seq SIMILAR TO b.seq WITHIN 0.5 USING half AND a.id != b.id`,
 			"NestedLoopJoin("},
-		{"index-join", `SELECT p.id, s.id FROM probe p, short s ON dist(p.seq, s.seq) <= 0 USING unit-edits`,
+		{"index-join", `SELECT a.id, b.id FROM dict a, dict b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING unit-edits AND a.id != b.id`,
 			"IndexJoin("},
-		{"partitioned", `SELECT a.id, b.id FROM dict a, dict b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING unit-edits AND a.id != b.id`,
+		{"partitioned", `SELECT p.id, s.id FROM probe p, short s ON dist(p.seq, s.w) <= 1 USING unit-edits`,
 			"PartitionJoin("},
 	} {
 		b.Run(c.name, func(b *testing.B) {
@@ -318,23 +312,22 @@ func BenchmarkQ2JoinOperators(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinPartitioned — the length-banded partitioned join on the
-// committed 600-row self-join (radius 1.5: unit-cost distances are
-// integral, so d <= 1.5 iff d <= 1 and the band floors the radius). An
-// informational absolute entry in BENCH_baseline.json; the join_dict
-// workload of BENCHMARK.json guards the same operator end to end. The
-// plan shape is pinned — a silent planner change must fail the
-// benchmark, not quietly re-label the number.
-func BenchmarkJoinPartitioned(b *testing.B) {
+// BenchmarkJoinDict — the band-walk index join on the committed
+// 600-row self-join (radius 1.5: unit-cost distances are integral, so
+// d <= 1.5 iff d <= 1 and the walk floors the radius). An informational
+// absolute entry in BENCH_baseline.json; the join_dict workload of
+// BENCHMARK.json guards the same operator end to end. The plan shape is
+// pinned — a silent planner change must fail the benchmark, not quietly
+// re-label the number.
+func BenchmarkJoinDict(b *testing.B) {
 	const stmt = `SELECT a.id, b.id FROM dict a, dict b ON dist(a.seq, b.seq) <= 1.5 USING unit-edits WHERE a.id != b.id`
-	eng := benchQueryEngine(b, 600)
-	eng.SetParallelism(1)
+	eng := benchQueryEngine(b, 600, WithParallelism(1))
 	res, err := eng.Execute("EXPLAIN " + stmt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if plan := res.Rows[0][0]; !strings.Contains(plan, "PartitionJoin(") {
-		b.Fatalf("expected PartitionJoin( in the plan:\n%s", plan)
+	if plan := res.Rows[0][0]; !strings.Contains(plan, "IndexJoin(") {
+		b.Fatalf("expected IndexJoin( in the plan:\n%s", plan)
 	}
 	if _, err := eng.Execute(stmt); err != nil { // warm the plan cache
 		b.Fatal(err)
@@ -360,10 +353,12 @@ var mixedWorkload = []string{
 	`SELECT id FROM dict WHERE seq = "abcdefgzz"`,
 }
 
-// runMixed drives the committed mixed workload through one engine.
-func runMixed(b *testing.B, eng *QueryEngine) {
+// runMixed drives the committed mixed workload through an engine over
+// 20 000 dictionary rows, pinned to one worker: the gates measure the
+// pipeline, not the scheduler.
+func runMixed(b *testing.B, opts ...EngineOption) {
 	b.Helper()
-	eng.SetParallelism(1) // pin to one worker: the gate measures the pipeline, not the scheduler
+	eng := benchQueryEngine(b, 20000, append(opts, WithParallelism(1))...)
 	for _, stmt := range mixedWorkload {
 		if _, err := eng.Execute(stmt); err != nil { // warm the plan cache
 			b.Fatal(err)
@@ -381,7 +376,7 @@ func runMixed(b *testing.B, eng *QueryEngine) {
 // row-at-a-time case of the pipeline. Reference side of the CI-gated
 // VectorizedMixed ratio.
 func BenchmarkBlock1Mixed(b *testing.B) {
-	runMixed(b, benchQueryEngine(b, 20000, WithBatchSize(1)))
+	runMixed(b, WithBatchSize(1))
 }
 
 // BenchmarkVectorizedMixed — the same workload at the default block
@@ -390,8 +385,7 @@ func BenchmarkBlock1Mixed(b *testing.B) {
 // than one-row blocks on scan/filter-heavy work (measured ~0.85; see
 // EXPERIMENTS.md for why this is not the old 1/1.3).
 func BenchmarkVectorizedMixed(b *testing.B) {
-	eng := benchQueryEngine(b, 20000)
-	runMixed(b, eng)
+	runMixed(b)
 }
 
 // BenchmarkTracingOffMixed / BenchmarkTracingOnMixed — the
@@ -403,15 +397,12 @@ func BenchmarkVectorizedMixed(b *testing.B) {
 // construction: span wrappers time per block, not per row, and the
 // untraced build returns every operator unwrapped.
 func BenchmarkTracingOffMixed(b *testing.B) {
-	eng := benchQueryEngine(b, 20000)
-	runMixed(b, eng)
+	runMixed(b)
 }
 
 // BenchmarkTracingOnMixed — see BenchmarkTracingOffMixed.
 func BenchmarkTracingOnMixed(b *testing.B) {
-	eng := benchQueryEngine(b, 20000)
-	eng.SetTracing(true)
-	runMixed(b, eng)
+	runMixed(b, WithTracing(true))
 }
 
 // BenchmarkVectorizedMixedBatchSize — the block-size sweep behind the
@@ -419,7 +410,7 @@ func BenchmarkTracingOnMixed(b *testing.B) {
 func BenchmarkVectorizedMixedBatchSize(b *testing.B) {
 	for _, size := range []int{1, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			runMixed(b, benchQueryEngine(b, 20000, WithBatchSize(size)))
+			runMixed(b, WithBatchSize(size))
 		})
 	}
 }
@@ -430,8 +421,7 @@ func BenchmarkVectorizedMixedBatchSize(b *testing.B) {
 // serving benchmarks below measure exactly what caching removes.
 func BenchmarkServingColdParsePlan(b *testing.B) {
 	const stmt = `SELECT seq FROM dict WHERE seq SIMILAR TO "abcdefgh" WITHIN 1 USING unit-edits LIMIT 1`
-	eng := benchQueryEngine(b, 20000)
-	eng.SetPlanCacheSize(0)
+	eng := benchQueryEngine(b, 20000, WithPlanCacheSize(0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Execute(stmt); err != nil {

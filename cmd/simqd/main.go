@@ -79,7 +79,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/editdp"
 	"repro/internal/metric"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -109,24 +108,19 @@ func main() {
 	ckptInterval := flag.Duration("checkpoint-interval", 0, "write a snapshot checkpoint (and truncate the WAL) this often; 0 disables the timer")
 	ckptWALMB := flag.Int("checkpoint-wal-mb", 0, "checkpoint when the WAL grows past this many MiB (checked every 15s); 0 disables the size trigger")
 	shards := flag.Int("shards", 1, "hash-partition each loaded relation across N shards (scatter-gather execution)")
-	myersKernel := flag.Bool("myers-kernel", true, "serve unit-cost distances from the bit-parallel (Myers) kernel (false = scalar DP; identical results)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log a structured JSON line (with the span tree) for queries slower than this; 0 disables. Enables engine tracing.")
 	flag.Parse()
 	if *shards < 1 {
 		*shards = 1
 	}
-	// Set before the engine serves anything: query-scoped kernels capture
-	// the toggle at construction and the planner keys its cache on it.
-	editdp.SetBitParallel(*myersKernel)
-
-	eng, err := buildEngine(loads, ruleFiles, *shards)
+	opts := []query.Option{query.WithPlanCacheSize(*cacheSize)}
+	if *parallelism > 0 {
+		opts = append(opts, query.WithParallelism(*parallelism))
+	}
+	eng, err := buildEngine(loads, ruleFiles, *shards, opts...)
 	if err != nil {
 		fail(err)
-	}
-	eng.SetPlanCacheSize(*cacheSize)
-	if *parallelism > 0 {
-		eng.SetParallelism(*parallelism)
 	}
 	var st *storage.Store
 	if *walPath != "" {
@@ -201,7 +195,7 @@ func main() {
 // registered. With shards > 1 every loaded relation is hash-partitioned
 // into a ShardedRelation (ids stay identical to the unsharded load —
 // rows are inserted in file order under a global id allocator).
-func buildEngine(loads, ruleFiles []string, shards int) (*query.Engine, error) {
+func buildEngine(loads, ruleFiles []string, shards int, opts ...query.Option) (*query.Engine, error) {
 	cat := relation.NewCatalog()
 	for _, spec := range loads {
 		eq := strings.IndexByte(spec, '=')
@@ -233,7 +227,7 @@ func buildEngine(loads, ruleFiles []string, shards int) (*query.Engine, error) {
 		cat.Add(rel)
 		fmt.Fprintf(os.Stderr, "simqd: loaded %s: %d tuples\n", name, rel.Len())
 	}
-	eng := query.NewEngine(cat)
+	eng := query.NewEngine(cat, opts...)
 	if len(ruleFiles) == 0 {
 		rs := rewrite.MustRuleSet("edits", rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz").Rules())
 		if err := eng.RegisterRuleSet(rs); err != nil {

@@ -267,13 +267,15 @@ func (c *Calculator) Within(x, y string, budget float64) (float64, bool) {
 	}
 
 	// Band half-widths: how far j may stray from i while staying under
-	// budget. Free insertions/deletions make a side unbounded.
+	// budget, capped at the string lengths (which also keeps a huge
+	// budget from overflowing the conversion). Free insertions/deletions
+	// make a side unbounded.
 	right := m // j - i <= right
-	if c.minIns > 0 {
+	if c.minIns > 0 && budget/c.minIns < float64(m) {
 		right = int(budget / c.minIns)
 	}
 	left := n // i - j <= left
-	if c.minDel > 0 {
+	if c.minDel > 0 && budget/c.minDel < float64(n) {
 		left = int(budget / c.minDel)
 	}
 

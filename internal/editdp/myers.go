@@ -14,32 +14,14 @@ package editdp
 //     bit-identical results (the parity fuzzer pins this).
 //   - QueryDP: a query-scoped kernel that builds the pattern-equality
 //     bitmask table (PEQ) ONCE and amortizes it across every candidate
-//     a BK-tree walk, trie traversal or vectorized filter block
+//     a length-view walk, trie traversal or vectorized filter block
 //     verifies — the millions-of-comparisons regime where PEQ
 //     construction would otherwise dominate.
 //
-// SetBitParallel(false) reverts every QueryDP to the scalar DP (the
-// explicit Myers* functions stay bit-parallel); the serving benchmarks
-// use the knob to quantify the kernel win end to end.
+// Levenshtein and LevenshteinWithin stay as the scalar references the
+// parity fuzzer and the index tests compare these kernels against.
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// bitParallelOff is set when the bit-parallel kernels are disabled;
-// the zero value (enabled) is the default.
-var bitParallelOff atomic.Bool
-
-// SetBitParallel toggles the bit-parallel kernels behind QueryDP.
-// Disabled, every QueryDP delegates to the scalar Levenshtein DP —
-// results are identical either way (the parity fuzzer pins this), so
-// the knob exists to benchmark the kernels against each other. Flip it
-// at startup: QueryDP instances capture the setting at construction.
-func SetBitParallel(enabled bool) { bitParallelOff.Store(!enabled) }
-
-// BitParallelEnabled reports whether QueryDP runs the Myers kernels.
-func BitParallelEnabled() bool { return !bitParallelOff.Load() }
+import "sync"
 
 // MyersDistance returns the unit-cost edit distance between x and y,
 // bit-identical to Levenshtein(x, y).
@@ -68,7 +50,7 @@ func MyersDistance(x, y string) int {
 		}
 		return myersDistance1(&peq, len(y), x)
 	}
-	return newQueryDP(y, false).Distance(x)
+	return NewQueryDP(y).Distance(x)
 }
 
 // MyersWithin returns the unit-cost edit distance between x and y if it
@@ -101,7 +83,7 @@ func MyersWithin(x, y string, k int) (int, bool) {
 		}
 		return myersWithin1(&peq, len(y), x, k)
 	}
-	return newQueryDP(y, false).Within(x, k)
+	return NewQueryDP(y).Within(x, k)
 }
 
 const wordBits = 64
@@ -119,24 +101,17 @@ type QueryDP struct {
 	pattern string
 	m       int
 	nb      int    // ⌈m/64⌉ blocks; 0 when the pattern is empty
-	scalar  bool   // kernel disabled at construction: run the scalar DP
 	hmask   uint64 // bit (m-1) mod 64 of the last block: the score row
 	peq     [256]uint64
 	peqB    []uint64 // block PEQ, peqB[c*nb+b]; nil when nb <= 1
 	pv, mv  []uint64 // scratch columns for the block variant
 }
 
-// NewQueryDP builds the PEQ table for the pattern. The bit-parallel
-// toggle is captured here: with SetBitParallel(false) the returned
-// kernel delegates to the scalar DP (identical results).
+// NewQueryDP builds the PEQ table for the pattern.
 func NewQueryDP(pattern string) *QueryDP {
-	return newQueryDP(pattern, bitParallelOff.Load())
-}
-
-func newQueryDP(pattern string, scalar bool) *QueryDP {
 	m := len(pattern)
-	q := &QueryDP{pattern: pattern, m: m, scalar: scalar}
-	if scalar || m == 0 {
+	q := &QueryDP{pattern: pattern, m: m}
+	if m == 0 {
 		return q
 	}
 	q.nb = (m + wordBits - 1) / wordBits
@@ -163,8 +138,6 @@ func (q *QueryDP) Pattern() string { return q.pattern }
 // text, bit-identical to Levenshtein(pattern, text).
 func (q *QueryDP) Distance(text string) int {
 	switch {
-	case q.scalar:
-		return Levenshtein(q.pattern, text)
 	case q.m == 0:
 		return len(text)
 	case len(text) == 0:
@@ -185,9 +158,6 @@ func (q *QueryDP) Within(text string, k int) (int, bool) {
 	}
 	if d := len(text) - q.m; d > k || -d > k {
 		return 0, false
-	}
-	if q.scalar {
-		return LevenshteinWithin(q.pattern, text, k)
 	}
 	if q.m == 0 || len(text) == 0 {
 		d := q.m + len(text) // one side is empty
@@ -338,8 +308,8 @@ type MyersState struct {
 }
 
 // SingleWord reports whether the kernel supports incremental stepping:
-// a non-empty pattern of at most 64 bytes with bit-parallelism enabled.
-func (q *QueryDP) SingleWord() bool { return !q.scalar && q.m >= 1 && q.nb == 1 }
+// a non-empty pattern of at most 64 bytes.
+func (q *QueryDP) SingleWord() bool { return q.m >= 1 && q.nb == 1 }
 
 // Start returns the column for the empty text (D[i][0] = i).
 // Valid only when SingleWord().

@@ -86,40 +86,6 @@ func TestMyersDistanceTable(t *testing.T) {
 	}
 }
 
-// TestQueryDPScalarFallback pins that the kernel toggle changes only
-// the implementation, never a result.
-func TestQueryDPScalarFallback(t *testing.T) {
-	defer SetBitParallel(true)
-	words := []string{"", "color", "colour", "colonel", strings.Repeat("colour", 20), "c\xf8l\xf8r"}
-	for _, q := range words {
-		SetBitParallel(true)
-		on := NewQueryDP(q)
-		if !BitParallelEnabled() {
-			t.Fatal("BitParallelEnabled() = false after SetBitParallel(true)")
-		}
-		SetBitParallel(false)
-		off := NewQueryDP(q)
-		if BitParallelEnabled() {
-			t.Fatal("BitParallelEnabled() = true after SetBitParallel(false)")
-		}
-		if off.SingleWord() {
-			t.Errorf("QueryDP(%q).SingleWord() = true with kernel disabled", q)
-		}
-		for _, w := range words {
-			if a, b := on.Distance(w), off.Distance(w); a != b {
-				t.Errorf("QueryDP(%q).Distance(%q): kernel %d vs scalar %d", q, w, a, b)
-			}
-			for k := 0; k <= 8; k++ {
-				ad, aok := on.Within(w, k)
-				bd, bok := off.Within(w, k)
-				if ad != bd || aok != bok {
-					t.Errorf("QueryDP(%q).Within(%q, %d): kernel (%d,%v) vs scalar (%d,%v)", q, w, k, ad, aok, bd, bok)
-				}
-			}
-		}
-	}
-}
-
 // TestMyersStateStepping drives the incremental single-word stepper the
 // trie uses and checks Score and RowMin against the textbook DP row.
 func TestMyersStateStepping(t *testing.T) {

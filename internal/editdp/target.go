@@ -72,11 +72,11 @@ func (t *TargetDP) Within(x string, budget float64) (float64, bool) {
 	}
 
 	right := m
-	if c.minIns > 0 {
+	if c.minIns > 0 && budget/c.minIns < float64(m) {
 		right = int(budget / c.minIns)
 	}
 	left := n
-	if c.minDel > 0 {
+	if c.minDel > 0 && budget/c.minDel < float64(n) {
 		left = int(budget / c.minDel)
 	}
 

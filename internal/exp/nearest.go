@@ -4,30 +4,35 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
+	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/rewrite"
 	"repro/internal/seq"
 )
 
-// N1 — NEAREST k by k-th distance: the BK-tree walk (index.BKTree.
-// NearestKStats, the access path NEAREST used to take) against the
-// bounded scan of the length-ordered view that serves it now (a
-// prepared NEAREST k through the query engine), on the planted-duplicate
-// words of `datagen -kind words`. Queries are grouped by the distance of
-// their k-th neighbour, the quantity that decides whether a metric tree
-// can prune.
+// N1 — the length-ordered view against the metric trees, on the
+// planted-duplicate words of `datagen -kind words`. NEAREST k: the
+// BK-tree walk (index.BKTree.NearestKStats) against the band walk that
+// serves it (a prepared NEAREST k through the query engine), grouped by
+// the distance of the k-th neighbour, the quantity that decides whether
+// a metric tree can prune. WITHIN r: the BK-tree and trie range searches
+// against the band walk that serves it and the engine's full scan (the
+// same statement with a no-op disjunct, which no access path can serve).
+// Every answer is compared id by id.
 func N1() (*Table, error) {
 	sizes, queries := []int{20000, 200000}, 200
 	if Quick {
 		sizes, queries = []int{3000}, 40
 	}
 	t := &Table{
-		ID:     "N1",
-		Title:  "NEAREST k: BK-tree walk vs length-ordered bounded scan, by k-th distance",
-		Header: []string{"rows", "k", "kth dist", "queries", "bk us", "scan us", "bk/scan", "bk verifs", "scan verifs"},
+		ID:    "N1",
+		Title: "length-ordered view vs BK-tree and trie: NEAREST k by k-th distance, WITHIN r",
+		Header: []string{"rows", "query", "dist", "queries", "bk us", "trie us", "view us", "scan us",
+			"bk/view", "bk verifs", "view verifs"},
 	}
 	a := seq.MustAlphabet(dictAlphabet)
 	for _, size := range sizes {
@@ -45,7 +50,9 @@ func N1() (*Table, error) {
 		}
 		cat := relation.NewCatalog()
 		cat.Add(rel)
-		eng := query.NewEngine(cat)
+		// One worker: the full scan would otherwise run in parallel and
+		// the comparison would measure the core count.
+		eng := query.NewEngine(cat, query.WithParallelism(1))
 		if err := eng.RegisterRuleSet(rewrite.MustRuleSet("edits", rewrite.UnitEdits(dictAlphabet).Rules())); err != nil {
 			return nil, err
 		}
@@ -57,8 +64,8 @@ func N1() (*Table, error) {
 			}
 			type group struct {
 				n                   int
-				bk, scan            time.Duration
-				bkVerifs, scanVerif int
+				bk, view            time.Duration
+				bkVerifs, viewVerif int
 			}
 			groups := map[int]*group{}
 			for _, q := range targets {
@@ -68,7 +75,7 @@ func N1() (*Table, error) {
 					return nil, err
 				}
 				if len(res.Rows) != len(want) {
-					return nil, fmt.Errorf("exp: N1 NEAREST %d TO %q: scan %d rows, tree %d", k, q, len(res.Rows), len(want))
+					return nil, fmt.Errorf("exp: N1 NEAREST %d TO %q: view %d rows, tree %d", k, q, len(res.Rows), len(want))
 				}
 				for i, m := range want {
 					if res.Rows[i][0] != fmt.Sprint(m.ID) {
@@ -82,9 +89,9 @@ func N1() (*Table, error) {
 				}
 				g.n++
 				g.bkVerifs += st.Verifications
-				g.scanVerif += res.Stats.Verifications
+				g.viewVerif += res.Stats.Verifications
 				g.bk += timeOp(func() { bk.NearestKStats(q, k) })
-				g.scan += timeOp(func() {
+				g.view += timeOp(func() {
 					if _, err := pq.Execute(q); err != nil {
 						panic(err)
 					}
@@ -99,13 +106,93 @@ func N1() (*Table, error) {
 				g := groups[d]
 				n := time.Duration(g.n)
 				t.Rows = append(t.Rows, []string{
-					fmt.Sprint(size), fmt.Sprint(k), fmt.Sprint(d), fmt.Sprint(g.n),
-					us(g.bk / n), us(g.scan / n), fmt.Sprintf("%.1f", float64(g.bk)/float64(g.scan)),
-					fmt.Sprint(g.bkVerifs / g.n), fmt.Sprint(g.scanVerif / g.n),
+					fmt.Sprint(size), fmt.Sprintf("NEAREST %d", k), fmt.Sprint(d), fmt.Sprint(g.n),
+					us(g.bk / n), "-", us(g.view / n), "-", fmt.Sprintf("%.1f", float64(g.bk)/float64(g.view)),
+					fmt.Sprint(g.bkVerifs / g.n), fmt.Sprint(g.viewVerif / g.n),
 				})
 			}
 		}
+		rows, err := n1Within(eng, rel, targets)
+		if err != nil {
+			return nil, err
+		}
+		for _, row := range rows {
+			t.Rows = append(t.Rows, append([]string{fmt.Sprint(size)}, row...))
+		}
 	}
-	t.Notes = "expected shape: identical answers; at full size the scan wins in every group, by the most where the k-th neighbour is nearest (it stops after a few length bands) and still where it is farthest (no edge label prunes and the walk visits most of the tree)"
+	t.Notes = "expected shape: identical answers; view and scan times are prepared executions through the engine (~20 us of plan build and projection included), tree times bare index calls; NEAREST: the view wins in every group at full size; WITHIN: the trees win at r <= 1 (the BK-tree at r=0, the trie at r=1, where their searches stay in a thin band while the view reads whole length bands), the view from r=2 on, and it never loses to the scan"
 	return t, nil
+}
+
+// n1Within measures WITHIN r for r in {0, 1, 2, 3, 5}: BK-tree and trie
+// range searches, the band walk (a prepared WITHIN through the engine)
+// and the engine's full scan, with every answer checked id by id. It
+// returns one table row per radius, without the leading size column.
+func n1Within(eng *query.Engine, rel *relation.Relation, targets []string) ([][]string, error) {
+	view, err := eng.Prepare(`SELECT id FROM words WHERE seq SIMILAR TO ? WITHIN ? USING edits`)
+	if err != nil {
+		return nil, err
+	}
+	scan, err := eng.Prepare(`SELECT id FROM words WHERE seq SIMILAR TO ? WITHIN ? USING edits OR seq = "#"`)
+	if err != nil {
+		return nil, err
+	}
+	bk, tr := rel.BKTree(), rel.Trie()
+	ids := func(ms []index.Match) string {
+		out := make([]int, len(ms))
+		for i, m := range ms {
+			out[i] = m.ID
+		}
+		sort.Ints(out)
+		return fmt.Sprint(out)
+	}
+	rowIDs := func(res *query.Result) string {
+		out := make([]int, len(res.Rows))
+		for i, row := range res.Rows {
+			out[i], _ = strconv.Atoi(row[0])
+		}
+		return fmt.Sprint(out) // already ascending: both plans emit in id order
+	}
+	var rows [][]string
+	for _, r := range []int{0, 1, 2, 3, 5} {
+		var tBK, tTrie, tView, tScan time.Duration
+		bkVerifs, viewVerifs := 0, 0
+		for _, q := range targets {
+			bms, st := bk.RangeStats(q, r)
+			tms, _ := tr.RangeStats(q, r)
+			vres, err := view.Execute(q, r)
+			if err != nil {
+				return nil, err
+			}
+			sres, err := scan.Execute(q, r)
+			if err != nil {
+				return nil, err
+			}
+			want := ids(bms)
+			if got := [3]string{ids(tms), rowIDs(vres), rowIDs(sres)}; got != [3]string{want, want, want} {
+				return nil, fmt.Errorf("exp: N1 WITHIN %d OF %q: bk %s, trie/view/scan %v", r, q, want, got)
+			}
+			bkVerifs += st.Verifications
+			viewVerifs += vres.Stats.Verifications
+			tBK += timeOp(func() { bk.RangeStats(q, r) })
+			tTrie += timeOp(func() { tr.RangeStats(q, r) })
+			tView += timeOp(func() {
+				if _, err := view.Execute(q, r); err != nil {
+					panic(err)
+				}
+			})
+			tScan += timeOp(func() {
+				if _, err := scan.Execute(q, r); err != nil {
+					panic(err)
+				}
+			})
+		}
+		n := time.Duration(len(targets))
+		rows = append(rows, []string{
+			fmt.Sprintf("WITHIN %d", r), fmt.Sprint(r), fmt.Sprint(len(targets)),
+			us(tBK / n), us(tTrie / n), us(tView / n), us(tScan / n), fmt.Sprintf("%.1f", float64(tBK)/float64(tView)),
+			fmt.Sprint(bkVerifs / len(targets)), fmt.Sprint(viewVerifs / len(targets)),
+		})
+	}
+	return rows, nil
 }

@@ -1,9 +1,6 @@
 // Package index provides the similarity indexes and candidate filters
-// that accelerate range queries and joins in the sequence domain.
-//
-// Four strategies with identical answer semantics are offered, so the
-// query planner (internal/query) can pick one and the F5/F6 experiments
-// can race them:
+// of the sequence domain. Strategies with identical answer semantics
+// are offered so the F5/F6 and N1 experiments can race them:
 //
 //   - Scan: verify every entry (baseline).
 //   - LengthIndex: bucket by length; only |len(s)-len(q)| <= k buckets
@@ -16,16 +13,20 @@
 //   - Trie: shared-prefix tree walked with the banded edit DP row.
 //
 // The transformation distance of an arbitrary rule set is a quasi-metric
-// (directional), so the planner admits BKTree and Trie only for the
-// unit-cost edit distance; the filters and scan work for any edit-like
-// set via a Verifier.
+// (directional), so BKTree and Trie answer only the unit-cost edit
+// distance; the filters and scan work for any edit-like set via a
+// Verifier.
 //
-// The trees serve range queries. String NEAREST is not answered from the
-// BK-tree: once the k-th neighbour sits near the data's typical pairwise
-// distance no edge label prunes, so the query engine scans the
-// relation's length-ordered view instead, filtering with the length
-// difference and with ByteSig, the one-word bag-distance bound defined
-// here. PushBestK is the best list every nearest-k strategy shares.
+// The query engine uses none of the trees. Every unit-cost string query
+// it serves — WITHIN, NEAREST and the seq join probe — walks the
+// relation's length-ordered view (relation.LengthView) instead,
+// filtering with the length difference and with ByteSig, the one-word
+// bag-distance bound defined here: once the radius, or the k-th
+// neighbour, nears the data's typical pairwise distance no edge label
+// prunes, and the N1 experiment measures the walk ahead of both trees
+// in that regime. The trees remain for the experiments, the examples
+// and the benchmark's index probes. PushBestK is the best list every
+// nearest-k strategy shares.
 //
 // The continuous domain mirrors the discrete one: VPTree is the
 // vantage-point tree over any pluggable metric.Distance that carries
@@ -63,10 +64,10 @@ type Iterator interface {
 	Stats() Stats
 }
 
-// Index is the planner-facing interface over the metric range indexes:
-// any implementation answers unit-edit-distance range queries and
-// exposes an incremental iterator with deterministic emission order, so
-// the query planner can select BK-tree or trie purely on cost.
+// Index is the interface the metric range indexes share: any
+// implementation answers unit-edit-distance range queries and exposes
+// an incremental iterator with deterministic emission order, so callers
+// can race BK-tree and trie interchangeably.
 type Index interface {
 	Len() int
 	Range(query string, k int) []Match

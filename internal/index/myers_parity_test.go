@@ -56,42 +56,37 @@ func sortedByID(ms []Match) []Match {
 }
 
 // TestIndexMyersParity pins that BK-tree and trie traversals return
-// exactly the brute-force match sets — with the bit-parallel kernel on
-// AND off, so the length-rejection and budget-bounded paths cannot
-// drop or reorder a single (dist, id) pair.
+// exactly the brute-force match sets, so the length-rejection and
+// budget-bounded paths cannot drop or reorder a single (dist, id) pair.
 func TestIndexMyersParity(t *testing.T) {
-	defer editdp.SetBitParallel(true)
 	rng := rand.New(rand.NewSource(42))
 	words := buildCorpus(rng, 400)
 
 	queries := []string{"color", "colouring", "k\xffrnel", "", "zzzz",
 		strings.Repeat("colorx", 15), // >64 bytes: block kernel / scalar trie
 	}
-	for _, kernel := range []bool{true, false} {
-		editdp.SetBitParallel(kernel)
-		bk := NewBKTree()
-		tr := NewTrie()
-		for id, w := range words {
-			bk.Insert(id, w)
-			tr.Insert(id, w)
-		}
-		for _, q := range queries {
-			for k := 0; k <= 4; k++ {
-				want := bruteRange(words, q, k)
-				bkGot, _ := bk.RangeStats(q, k)
-				if got := sortedByID(bkGot); !reflect.DeepEqual(got, want) {
-					t.Errorf("kernel=%v BKTree.Range(%q, %d) = %v, want %v", kernel, q, k, got, want)
-				}
-				trGot, _ := tr.RangeStats(q, k)
-				if got := sortedByID(trGot); !reflect.DeepEqual(got, want) {
-					t.Errorf("kernel=%v Trie.Range(%q, %d) = %v, want %v", kernel, q, k, got, want)
-				}
+	bk := NewBKTree()
+	tr := NewTrie()
+	for id, w := range words {
+		bk.Insert(id, w)
+		tr.Insert(id, w)
+	}
+	for _, q := range queries {
+		for k := 0; k <= 4; k++ {
+			want := bruteRange(words, q, k)
+			bkGot, _ := bk.RangeStats(q, k)
+			if got := sortedByID(bkGot); !reflect.DeepEqual(got, want) {
+				t.Errorf("BKTree.Range(%q, %d) = %v, want %v", q, k, got, want)
 			}
-			for _, k := range []int{1, 3, 10} {
-				want := bruteNearestK(words, q, k)
-				if got := bk.NearestK(q, k); !reflect.DeepEqual(got, want) {
-					t.Errorf("kernel=%v BKTree.NearestK(%q, %d) = %v, want %v", kernel, q, k, got, want)
-				}
+			trGot, _ := tr.RangeStats(q, k)
+			if got := sortedByID(trGot); !reflect.DeepEqual(got, want) {
+				t.Errorf("Trie.Range(%q, %d) = %v, want %v", q, k, got, want)
+			}
+		}
+		for _, k := range []int{1, 3, 10} {
+			want := bruteNearestK(words, q, k)
+			if got := bk.NearestK(q, k); !reflect.DeepEqual(got, want) {
+				t.Errorf("BKTree.NearestK(%q, %d) = %v, want %v", q, k, got, want)
 			}
 		}
 	}

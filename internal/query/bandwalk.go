@@ -1,0 +1,153 @@
+package query
+
+// The length-band walk: the one access path of every string query
+// whose rule set charges at least one per edit — NEAREST k, WITHIN r
+// and the probe of a seq distance join. It reads a snapshot's
+// length-ordered view (relation.LengthView) outward from the target's
+// length and refines each row in three steps, cheapest first:
+//
+//  1. the length difference, a lower bound on the distance: the walk
+//     stops at the first band farther than the bound;
+//  2. the row's byte-frequency signature (index.ByteSig), a second
+//     lower bound: a row whose bag of bytes is farther is skipped;
+//  3. the exact distance, cut off at the bound.
+//
+// Both lower bounds hold for the rule set's own distance, not just for
+// Levenshtein: every edit of a unit-cost rule set costs at least one,
+// so its distance is at least the Levenshtein distance of the same two
+// strings. The exact step runs the bit-parallel Myers kernel only where
+// it computes that distance — the closed cost tables are the unit edit
+// distance and both strings lie inside the rule alphabet — and the
+// rule set's own DP (editdp.TargetDP, +Inf across a byte the rules
+// never mention) everywhere else, so every path agrees with the scan.
+//
+// The view holds a superset of the snapshot; visibility is checked only
+// for the few rows that pass the distance test, before they reach the
+// caller. Weighted rule sets have neither lower bound and verify every
+// row (NEAREST is their only user).
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/editdp"
+	"repro/internal/index"
+	"repro/internal/relation"
+)
+
+// bandWalk verifies one target against the rows of length views under
+// one rule set. It is not safe for concurrent use (the kernels reuse
+// their DP buffers).
+type bandWalk struct {
+	calc   *editdp.Calculator
+	unit   bool // unitCost: the length and signature bounds apply
+	target string
+	qsig   index.ByteSig
+	qdp    *editdp.QueryDP  // nil unless Myers computes the rule set's distance to target
+	tdp    *editdp.TargetDP // built on first use
+
+	// bound is the inclusive distance bound (+Inf: none); ibound is its
+	// floor, which the integer unit-cost distances compare with; bounded
+	// says the length and signature cut-offs apply.
+	bound   float64
+	ibound  int
+	bounded bool
+}
+
+// newBandWalk returns a walk for target with no bound. unit must be
+// unitCost of calc's rule set; callers that walk many targets compute it
+// once.
+func newBandWalk(calc *editdp.Calculator, unit bool, target string) *bandWalk {
+	w := &bandWalk{calc: calc, unit: unit, target: target, qsig: index.NewByteSig(target)}
+	if calc.Unit() && calc.Covers(target) {
+		w.qdp = editdp.NewQueryDP(target)
+	}
+	w.setBound(math.Inf(1))
+	return w
+}
+
+// bandWalk resolves the rule set's calculator for a walk. The planner
+// routes only edit-like rule sets here, so a missing calculator means
+// the rule set changed under the plan.
+func (e *Engine) bandWalk(ruleSet, target string) (*bandWalk, error) {
+	calc := e.calc(ruleSet)
+	if calc == nil {
+		return nil, fmt.Errorf("query: stale plan: rule set %q has no calculator", ruleSet)
+	}
+	return newBandWalk(calc, unitCost(calc.Rules()), target), nil
+}
+
+// setBound makes b the inclusive bound of every later verification; a
+// NEAREST walk tightens it as its best list fills.
+func (w *bandWalk) setBound(b float64) {
+	w.bound = b
+	w.bounded = w.unit && !math.IsInf(b, 1)
+	w.ibound = math.MaxInt32
+	if b < math.MaxInt32 {
+		w.ibound = int(math.Floor(b))
+	}
+}
+
+// covers reports whether a walk over snap may skip the per-row alphabet
+// test: no row visible there holds a byte outside calc's alphabet. Rows
+// the view holds beyond the snapshot may, but they are invisible and
+// never reach the caller, whatever distance they get.
+func covers(calc *editdp.Calculator, snap *relation.Snapshot) bool {
+	return calc.Covers(snap.Alphabet())
+}
+
+// verify returns the rule set's distance from seq to the target and
+// whether it is within the bound (finite, when there is none).
+// covered is covers for the snapshot seq came from.
+func (w *bandWalk) verify(seq string, covered bool) (float64, bool) {
+	finite := !math.IsInf(w.bound, 1)
+	if w.qdp != nil && (covered || w.calc.Covers(seq)) {
+		if finite {
+			d, ok := w.qdp.Within(seq, w.ibound)
+			return float64(d), ok
+		}
+		return float64(w.qdp.Distance(seq)), true
+	}
+	if w.tdp == nil {
+		w.tdp = w.calc.NewTargetDP(w.target)
+	}
+	if finite {
+		return w.tdp.Within(seq, w.bound)
+	}
+	d := w.tdp.Distance(seq)
+	return d, d < infCut
+}
+
+// walk visits snap's length view outward from the target's length and
+// hands every visible row within the bound to emit, which may tighten
+// the bound. It returns the walk's work counters: Candidates are the
+// rows of the visited bands, Verifications the distance computations.
+func (w *bandWalk) walk(snap *relation.Snapshot, covered bool, emit func(row *relation.Row, d float64)) ExecStats {
+	var st ExecStats
+	bands := snap.LengthView().Bands(len(w.target))
+	for diff, ents, ok := bands.Next(); ok; diff, ents, ok = bands.Next() {
+		if w.bounded && diff > w.ibound {
+			break
+		}
+		st.Candidates += len(ents)
+		for i := range ents {
+			e := &ents[i]
+			// Strictly greater: a row at exactly the bound can still
+			// qualify (and, for NEAREST, displace an equally distant row
+			// with a larger id).
+			if w.bounded && w.qsig.LowerBound(e.Sig) > w.ibound {
+				continue
+			}
+			st.Verifications++
+			d, within := w.verify(e.Seq, covered)
+			if !within {
+				st.Abandoned++
+				continue
+			}
+			if snap.VisibleRow(e.Row) {
+				emit(e.Row, d)
+			}
+		}
+	}
+	return st
+}

@@ -95,7 +95,7 @@ func FuzzBatchParity(f *testing.F) {
 			if errors.Is(err, errUnmodeled) {
 				return
 			}
-			mr.check(t, src, s, b)
+			mr.check(t, src, b)
 		case *Mutation:
 			// DML: both engines must leave identical table contents — the
 			// model's, when the statement is one it can apply.

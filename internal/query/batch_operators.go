@@ -1,9 +1,10 @@
 package query
 
-// The single-relation physical operators: access paths (Scan,
-// IndexRange, NearestK), Filter, Project, Limit, OrderByDist and
-// Parallel. Each pulls blocks from its children, does one job, and
-// counts its own work; the planner in plan.go composes them into trees.
+// The single-relation physical operators: access paths (Scan and the
+// band-walk leaves IndexRange and NearestK, see bandwalk.go), Filter,
+// Project, Limit, OrderByDist and Parallel. Each pulls blocks from its
+// children, does one job, and counts its own work; the planner in
+// plan.go composes them into trees.
 // (The vector access paths live in vec_operators.go, the join in
 // join_batch.go, the scatter-gather operators in batch_shard.go.)
 
@@ -14,7 +15,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/editdp"
 	"repro/internal/index"
 	"repro/internal/metric"
 	"repro/internal/relation"
@@ -89,254 +89,131 @@ func (o *batchScanOp) Describe() string {
 
 func (o *batchScanOp) childNodes() []BatchOperator { return nil }
 
-// --------------------------------------------------------- index range
+// ------------------------------------------------------ band-walk leaves
 
-// batchIndexRangeOp streams matches of "seq SIMILAR TO lit WITHIN k"
-// from a metric index (BK-tree or trie, chosen by the cost model) in
-// blocks through the index's BatchIterator. The iterator is lazy, so a
-// LIMIT above this operator stops the index traversal early instead of
-// post-filtering a full result. The online-maintained index is a
-// superset of the snapshot, so every match passes through the
-// snapshot's visibility filter: tombstoned rows and post-snapshot
-// inserts are skipped. Emission order is the iterator's deterministic
-// traversal order.
-type batchIndexRangeOp struct {
-	kernelTag
-	ctx     *execCtx
+// matchList holds the matches a band walk materialised at open and
+// streams them out in blocks; the WITHIN and NEAREST leaves share it.
+type matchList struct {
 	snap    *relation.Snapshot
 	alias   string
-	via     string // "bktree" or "trie"
-	target  string
-	radius  int
-	ruleSet string
 	size    int
-
-	iter index.BatchIterator
-	mbuf []index.Match
-	buf  *Batch
-	last ExecStats // retained across Close for span attribution
-}
-
-func (o *batchIndexRangeOp) OpenBatch() error {
-	var idx index.Index
-	switch o.via {
-	case "trie":
-		idx = o.snap.Trie()
-	default:
-		idx = o.snap.BKTree()
-	}
-	it := idx.RangeIter(o.target, o.radius)
-	bi, ok := it.(index.BatchIterator)
-	if !ok {
-		bi = &iterBatcher{Iterator: it}
-	}
-	o.iter = bi
-	if cap(o.mbuf) < o.size {
-		o.mbuf = make([]index.Match, o.size)
-	}
-	o.buf = getBatch()
-	return nil
-}
-
-func (o *batchIndexRangeOp) NextBatch() (*Batch, error) {
-	b := o.buf
-	for {
-		n := o.iter.NextBatch(o.mbuf[:o.size])
-		if n == 0 {
-			return nil, nil
-		}
-		b.reset()
-		b.alias = o.alias
-		for _, m := range o.mbuf[:n] {
-			t, ok := o.snap.Tuple(m.ID)
-			if !ok {
-				continue // invisible at this snapshot (tombstone or later insert)
-			}
-			b.appendMatch(t, m.Dist, true)
-		}
-		if b.Len() > 0 {
-			return b, nil
-		}
-	}
-}
-
-func (o *batchIndexRangeOp) CloseBatch() error {
-	if o.iter != nil {
-		es := fromIndexStats(o.iter.Stats())
-		o.last.add(es)
-		o.ctx.addStats(es)
-		o.iter = nil
-	}
-	putBatch(o.buf)
-	o.buf = nil
-	return nil
-}
-
-func (o *batchIndexRangeOp) opStats() ExecStats { return o.last }
-
-func (o *batchIndexRangeOp) Describe() string {
-	return fmt.Sprintf("IndexRange(%s via %s, target=%s, radius=%d, ruleset=%s)",
-		o.alias, o.via, o.target, o.radius, o.ruleSet)
-}
-
-func (o *batchIndexRangeOp) childNodes() []BatchOperator { return nil }
-
-// iterBatcher adapts a plain Iterator to the batch protocol (defensive:
-// both metric indexes implement BatchIterator natively).
-type iterBatcher struct{ index.Iterator }
-
-func (it *iterBatcher) NextBatch(dst []index.Match) int {
-	n := 0
-	for n < len(dst) {
-		m, ok := it.Next()
-		if !ok {
-			break
-		}
-		dst[n] = m
-		n++
-	}
-	return n
-}
-
-// ----------------------------------------------------------- nearest-k
-
-// batchNearestKOp answers "seq NEAREST k TO lit" with one bounded scan
-// of the snapshot's length-ordered view (relation.LengthView): buckets
-// are visited in ascending |len(s) - len(target)|, every row is verified
-// with the distance kernel cut off at the current kth-best distance —
-// so most rows abandon early — and admitted rows fold into a (dist, id)
-// best list. Under a unit-cost rule set two lower bounds on the edit
-// distance filter ahead of the kernel: the length difference, so the
-// scan stops at the first bucket strictly farther than the kth best,
-// and the row's byte-frequency signature (index.ByteSig), so a row whose
-// bag of bytes is strictly farther is skipped. Strictly, both times: an
-// equally distant row with a smaller id still displaces the kth.
-// Weighted rule sets have neither bound and verify every row. The view
-// is a superset of the snapshot; visibility is checked only for the few
-// rows that pass the distance test, before they can enter the list or
-// shrink the bound.
-type batchNearestKOp struct {
-	kernelTag
-	ctx     *execCtx
-	snap    *relation.Snapshot
-	alias   string
-	target  string
-	k       int
-	ruleSet string
-	size    int
-
 	matches []index.Match
 	pos     int
 	buf     *Batch
 	last    ExecStats // retained across Close for span attribution
 }
 
-func (o *batchNearestKOp) OpenBatch() error {
-	o.pos = 0
-	o.buf = getBatch()
-	calc := o.ctx.eng.calc(o.ruleSet)
-	rs, err := o.ctx.eng.ruleset(o.ruleSet)
-	if err != nil || calc == nil {
-		return fmt.Errorf("query: NEAREST requires an edit-like rule set (%q is not)", o.ruleSet)
-	}
-	// The target is fixed for the whole scan: unit-cost sets run the
-	// query-scoped bit-parallel kernel (plain Levenshtein over every
-	// byte), weighted ones the dense-table DP of editdp.TargetDP.
-	unit := unitCost(rs)
-	var qdp *editdp.QueryDP
-	var tdp *editdp.TargetDP
-	if unit {
-		qdp = editdp.NewQueryDP(o.target)
-	} else {
-		tdp = calc.NewTargetDP(o.target)
-	}
-	qsig := index.NewByteSig(o.target)
-	var local ExecStats
-	// best holds up to k matches sorted ascending by (dist, id); once it
-	// is full, bound is the kth-best distance (ibound the same, as the
-	// integer the unit-cost bounds compare with).
-	best := o.matches[:0]
-	full := false
-	bound, ibound := math.Inf(1), 0
-	bands := o.snap.LengthView().Bands(len(o.target))
-	for diff, ents, ok := bands.Next(); ok; diff, ents, ok = bands.Next() {
-		if unit && full && diff > ibound {
-			break
-		}
-		local.Candidates += len(ents)
-		for _, e := range ents {
-			if unit && full && qsig.LowerBound(e.Sig) > ibound {
-				continue
-			}
-			local.Verifications++
-			var d float64
-			var within bool
-			switch {
-			case unit && full:
-				var di int
-				di, within = qdp.Within(e.Seq, ibound)
-				d = float64(di)
-			case unit:
-				d, within = float64(qdp.Distance(e.Seq)), true
-			case full:
-				d, within = tdp.Within(e.Seq, bound)
-			default:
-				d = tdp.Distance(e.Seq)
-				within = d < infCut
-			}
-			if !within {
-				local.Abandoned++
-				continue
-			}
-			if !o.snap.VisibleRow(e.Row) {
-				continue // tombstoned, or installed after this snapshot
-			}
-			best = index.PushBestK(best, index.Match{ID: e.Row.ID, S: e.Seq, Dist: d}, o.k)
-			if len(best) == o.k {
-				full, bound = true, best[o.k-1].Dist
-				if unit {
-					ibound = int(bound)
-				}
-			}
-		}
-	}
-	o.matches = best
-	observeVisited(mNearestVisitedSeq, local.Verifications, o.snap.Len())
-	o.last.add(local)
-	o.ctx.addStats(local)
-	return nil
+// record folds the walk's counters into the operator and the query.
+func (l *matchList) record(ctx *execCtx, st ExecStats) {
+	l.last.add(st)
+	ctx.addStats(st)
 }
 
-func (o *batchNearestKOp) NextBatch() (*Batch, error) {
-	if o.pos >= len(o.matches) {
+func (l *matchList) NextBatch() (*Batch, error) {
+	if l.pos >= len(l.matches) {
 		return nil, nil
 	}
-	b := o.buf
+	b := l.buf
 	b.reset()
-	b.alias = o.alias
-	for b.Len() < o.size && o.pos < len(o.matches) {
-		m := o.matches[o.pos]
-		o.pos++
-		t, _ := o.snap.Tuple(m.ID)
+	b.alias = l.alias
+	for b.Len() < l.size && l.pos < len(l.matches) {
+		m := l.matches[l.pos]
+		l.pos++
+		t, _ := l.snap.Tuple(m.ID)
 		b.appendMatch(t, m.Dist, true)
 	}
 	return b, nil
 }
 
-func (o *batchNearestKOp) CloseBatch() error {
-	o.matches = o.matches[:0]
-	putBatch(o.buf)
-	o.buf = nil
+func (l *matchList) CloseBatch() error {
+	l.matches = l.matches[:0]
+	putBatch(l.buf)
+	l.buf = nil
 	return nil
 }
 
-func (o *batchNearestKOp) opStats() ExecStats { return o.last }
+func (l *matchList) opStats() ExecStats { return l.last }
+
+func (l *matchList) childNodes() []BatchOperator { return nil }
+
+// batchIndexRangeOp answers "seq SIMILAR TO lit WITHIN r" under a
+// unit-cost rule set with one band walk at the fixed bound r. The
+// matches are sorted by id before the first block leaves, so the reply
+// is in the scan's order — the order every shard count's id-merging
+// gather reproduces — and an ORDER BY dist above it stays a stable sort
+// over that order. A LIMIT above it does not cut the walk short: the
+// smallest ids are known only once every band within r was read.
+type batchIndexRangeOp struct {
+	kernelTag
+	matchList
+	ctx     *execCtx
+	target  string
+	radius  float64
+	ruleSet string
+}
+
+func (o *batchIndexRangeOp) OpenBatch() error {
+	o.pos = 0
+	o.buf = getBatch()
+	w, err := o.ctx.eng.bandWalk(o.ruleSet, o.target)
+	if err != nil {
+		return err
+	}
+	w.setBound(o.radius)
+	ms := o.matches[:0]
+	st := w.walk(o.snap, covers(w.calc, o.snap), func(row *relation.Row, d float64) {
+		ms = append(ms, index.Match{ID: row.ID, S: row.Seq, Dist: d})
+	})
+	sort.Slice(ms, func(i, j int) bool { return ms[i].ID < ms[j].ID })
+	o.matches = ms
+	o.record(o.ctx, st)
+	return nil
+}
+
+func (o *batchIndexRangeOp) Describe() string {
+	return fmt.Sprintf("IndexRange(%s via lengthview, target=%s, radius=%g, ruleset=%s)",
+		o.alias, o.target, o.radius, o.ruleSet)
+}
+
+// batchNearestKOp answers "seq NEAREST k TO lit" with one band walk
+// whose bound is the current kth-best distance: the walk starts
+// unbounded, admitted rows fold into a (dist, id) best list, and once
+// the list is full its kth distance becomes the bound — so most rows
+// abandon early and the walk stops at the first band strictly farther
+// than the kth best. Weighted rule sets have no lower bound and verify
+// every row.
+type batchNearestKOp struct {
+	kernelTag
+	matchList
+	ctx     *execCtx
+	target  string
+	k       int
+	ruleSet string
+}
+
+func (o *batchNearestKOp) OpenBatch() error {
+	o.pos = 0
+	o.buf = getBatch()
+	w, err := o.ctx.eng.bandWalk(o.ruleSet, o.target)
+	if err != nil {
+		return err
+	}
+	best := o.matches[:0]
+	st := w.walk(o.snap, covers(w.calc, o.snap), func(row *relation.Row, d float64) {
+		best = index.PushBestK(best, index.Match{ID: row.ID, S: row.Seq, Dist: d}, o.k)
+		if len(best) == o.k {
+			w.setBound(best[o.k-1].Dist)
+		}
+	})
+	o.matches = best
+	observeVisited(mNearestVisitedSeq, st.Verifications, o.snap.Len())
+	o.record(o.ctx, st)
+	return nil
+}
 
 func (o *batchNearestKOp) Describe() string {
 	return fmt.Sprintf("NearestK(%s, k=%d, ruleset=%s)", o.alias, o.k, o.ruleSet)
 }
-
-func (o *batchNearestKOp) childNodes() []BatchOperator { return nil }
 
 // -------------------------------------------------------------- filter
 
@@ -489,8 +366,8 @@ func (o *batchProjectOp) childNodes() []BatchOperator { return []BatchOperator{o
 // --------------------------------------------------------------- limit
 
 // batchLimitOp truncates the stream after n rows. Because the pipeline
-// is pull-based, everything below it — index iterators included — stops
-// working the moment the limit is reached.
+// is pull-based, everything below it that streams — scans, filters, the
+// VP-tree iterator — stops working the moment the limit is reached.
 type batchLimitOp struct {
 	child BatchOperator
 	n     int

@@ -32,7 +32,7 @@ type batchPair struct {
 	model *oracleDB
 }
 
-func newBatchPair(t testing.TB, shards, batchSize int) *batchPair {
+func newBatchPair(t testing.TB, shards, batchSize int, opts ...Option) *batchPair {
 	t.Helper()
 	mk := func(size int) *Engine {
 		var tab relation.Table
@@ -43,7 +43,7 @@ func newBatchPair(t testing.TB, shards, batchSize int) *batchPair {
 		}
 		cat := relation.NewCatalog()
 		cat.Add(tab)
-		e := NewEngine(cat, WithBatchSize(size))
+		e := NewEngine(cat, append(opts, WithBatchSize(size))...)
 		rs := rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())
 		if err := e.RegisterRuleSet(rs); err != nil {
 			t.Fatal(err)
@@ -205,11 +205,7 @@ func TestBatchParityParallel(t *testing.T) {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(77 + shards)))
-			p := newBatchPair(t, shards, 32)
-			for _, e := range []*Engine{p.row, p.batch} {
-				e.SetParallelism(4)
-				e.SetParallelMinRows(1)
-			}
+			p := newBatchPair(t, shards, 32, WithParallelism(4), WithParallelMinRows(1))
 			p.seedRows(t, rng, 200)
 			for i := 0; i < 30; i++ {
 				p.exec(t, randBatchStmt(rng))
@@ -315,17 +311,19 @@ func TestBatchParityConcurrentDML(t *testing.T) {
 	}
 }
 
-// TestNearestModelCases holds NEAREST against the model on the inputs
-// its access path — the bounded scan of the length-ordered view — treats
-// specially: k of 1, 10 and more than the live rows, duplicate strings
-// (ties broken by id), an empty target, a target beyond one Myers word,
-// a weighted rule set (which must not inherit the unit length cut-off),
-// rows deleted and updated after the view was built, and a plan whose
-// snapshot predates an insert. Shard counts 1 and 4, block sizes 1 and
-// 256.
+// TestNearestModelCases holds NEAREST and WITHIN against the model on
+// the inputs their access path — the band walk of the length-ordered
+// view — treats specially: k of 1, 10 and more than the live rows,
+// integral and fractional radii, duplicate strings (ties broken by id),
+// an empty target, a target beyond one Myers word, rows and a target
+// holding bytes outside the rule alphabet (which the unit rule set
+// cannot edit: +Inf, not Levenshtein), a weighted rule set (which must
+// not inherit the unit length cut-off), rows deleted and updated after
+// the view was built, and a plan whose snapshot predates an insert.
+// Shard counts 1 and 4, block sizes 1 and 256.
 func TestNearestModelCases(t *testing.T) {
 	long := strings.Repeat("abcdefghij", 7) // 70 bytes: the block kernel
-	targets := []string{"", "a", "acebd", "jjjjjjjjjjjj", long, long[:64] + "jj" + long[66:]}
+	targets := []string{"", "a", "acebd", "acZbd", "jjjjjjjjjjjj", long, long[:64] + "jj" + long[66:]}
 	for _, shards := range []int{1, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -334,6 +332,7 @@ func TestNearestModelCases(t *testing.T) {
 			p.seedRows(t, rng, 120)
 			p.exec(t, fmt.Sprintf(`INSERT INTO words (seq, tag) VALUES ("acebd", "a"), ("acebd", "b"), ("acebd", "c"), ("", "a"), (%q, "a"), (%q, "b"), (%q, "c")`,
 				long, long[:69], strings.Repeat("j", 130)))
+			p.exec(t, `INSERT INTO words (seq, tag) VALUES ("acZbd", "a"), ("acebZ", "b"), ("ace-bd", "c"), ("Acebd", "a"), ("acebd.", "b")`)
 			nearest := func() {
 				t.Helper()
 				for _, target := range targets {
@@ -341,6 +340,9 @@ func TestNearestModelCases(t *testing.T) {
 						for _, rs := range []string{"edits", "gaps"} {
 							p.exec(t, fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq NEAREST %d TO %q USING %s`, k, target, rs))
 						}
+					}
+					for _, r := range []string{"0", "1", "1.5", "2"} {
+						p.exec(t, fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq SIMILAR TO %q WITHIN %s USING edits`, target, r))
 					}
 				}
 			}
@@ -415,21 +417,30 @@ func TestNearestPrefixProperty(t *testing.T) {
 	}
 }
 
-// TestNearestReadersVsInserter runs NEAREST readers against a live
-// inserter on one unsharded relation, so readers walk the shared
-// length-ordered view while the commit path appends to it (the targeted
-// -race CI step runs 'Nearest' tests). Every answer must be a correctly
-// ordered, correctly measured top-k of some committed state — with an
-// insert-only writer the k-th distance can only fall between a reader's
-// successive answers — and once the writer stops both engines must agree
-// with the model again.
+// TestNearestReadersVsInserter runs NEAREST, WITHIN and seq-join
+// readers against a live inserter on one unsharded relation, so readers
+// walk the shared length-ordered view while the commit path appends to
+// it (the targeted -race CI step runs 'Nearest' tests). Every answer
+// must be correctly ordered and correctly measured for some committed
+// state — with an insert-only writer the k-th distance can only fall,
+// and a WITHIN or join answer only grow, between a reader's successive
+// answers — and once the writer stops both engines must agree with the
+// model again.
 func TestNearestReadersVsInserter(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	p := newBatchPair(t, 1, 256)
 	p.seedRows(t, rng, 150)
-	const target, k = "acebd", 5
-	stmt := fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq NEAREST %d TO %q USING edits`, k, target)
-	p.exec(t, stmt) // builds the view the writer will extend
+	const target, k, radius = "acebd", 5, 2
+	probe := relation.New("probe")
+	probe.Insert(target, nil)
+	p.batch.Catalog().Add(probe)
+	nearest := fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq NEAREST %d TO %q USING edits`, k, target)
+	// Both range statements answer (id, seq, dist) rows in ascending id.
+	ranges := []string{
+		fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq SIMILAR TO %q WITHIN %d USING edits`, target, radius),
+		fmt.Sprintf(`SELECT w.id, w.seq, dist FROM probe p, words w ON dist(p.seq, w.seq) <= %d USING edits`, radius),
+	}
+	p.exec(t, nearest) // builds the view the writer will extend
 
 	stop := make(chan struct{})
 	var writer, readers sync.WaitGroup
@@ -459,40 +470,74 @@ func TestNearestReadersVsInserter(t *testing.T) {
 			written = append(written, ins)
 		}
 	}()
-	for r := 0; r < 4; r++ {
+	// checkRow parses one (id, seq, dist) row and checks its distance.
+	checkRow := func(row []string) (id, d int, ok bool) {
+		id, _ = strconv.Atoi(row[0])
+		d, _ = strconv.Atoi(row[2])
+		if want := editdp.Levenshtein(row[1], target); d != want {
+			t.Errorf("row %v: distance is %d", row, want)
+			return 0, 0, false
+		}
+		return id, d, true
+	}
+	for r := 0; r < 6; r++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			kth := 1 << 30
+			kth, rows := 1<<30, make([]int, len(ranges))
 			for i := 0; i < 150; i++ {
+				if r%3 == 2 {
+					res, err := p.batch.Execute(nearest)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if len(res.Rows) != k {
+						t.Errorf("%d rows, want %d", len(res.Rows), k)
+						return
+					}
+					prevD, prevID := -1, -1
+					for _, row := range res.Rows {
+						id, d, ok := checkRow(row)
+						if !ok {
+							return
+						}
+						if d < prevD || d == prevD && id <= prevID {
+							t.Errorf("answer not in (dist, id) order:\n%s", positional(res))
+							return
+						}
+						prevD, prevID = d, id
+					}
+					if prevD > kth {
+						t.Errorf("k-th distance rose from %d to %d under an insert-only writer", kth, prevD)
+						return
+					}
+					kth = prevD
+					continue
+				}
+				stmt := ranges[r%3]
 				res, err := p.batch.Execute(stmt)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if len(res.Rows) != k {
-					t.Errorf("%d rows, want %d", len(res.Rows), k)
-					return
-				}
-				prevD, prevID := -1, -1
+				prevID := -1
 				for _, row := range res.Rows {
-					id, _ := strconv.Atoi(row[0])
-					d, _ := strconv.Atoi(row[2])
-					if d != editdp.Levenshtein(row[1], target) {
-						t.Errorf("row %v: distance is %d", row, editdp.Levenshtein(row[1], target))
+					id, d, ok := checkRow(row)
+					if !ok {
 						return
 					}
-					if d < prevD || d == prevD && id <= prevID {
-						t.Errorf("answer not in (dist, id) order:\n%s", positional(res))
+					if d > radius || id <= prevID {
+						t.Errorf("%s: row %v out of range or out of id order:\n%s", stmt, row, positional(res))
 						return
 					}
-					prevD, prevID = d, id
+					prevID = id
 				}
-				if prevD > kth {
-					t.Errorf("k-th distance rose from %d to %d under an insert-only writer", kth, prevD)
+				if len(res.Rows) < rows[r%3] {
+					t.Errorf("%s shrank from %d to %d rows under an insert-only writer", stmt, rows[r%3], len(res.Rows))
 					return
 				}
-				kth = prevD
+				rows[r%3] = len(res.Rows)
 			}
 		}()
 	}
@@ -503,5 +548,6 @@ func TestNearestReadersVsInserter(t *testing.T) {
 		p.model.checkModel(t, ins, nil)
 	}
 	p.checkDump(t)
-	p.exec(t, stmt)
+	p.exec(t, nearest)
+	p.exec(t, ranges[0])
 }

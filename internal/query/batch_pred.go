@@ -262,8 +262,7 @@ func (e *Engine) compileVecSim(ex SimExpr, alias string) predFn {
 // this predicate so EXPLAIN never claims a kernel the filter does not
 // run.
 func myersEligible(c *editdp.Calculator, target string, radius float64) bool {
-	return editdp.BitParallelEnabled() && c.Unit() && c.Covers(target) &&
-		radius >= 0 && radius <= math.MaxInt32
+	return c.Unit() && c.Covers(target) && radius >= 0 && radius <= math.MaxInt32
 }
 
 // filterKernel reports which distance kernel the compiled filter path

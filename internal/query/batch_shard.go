@@ -41,27 +41,16 @@ func (e *Engine) buildShardedPlan(q *Query, d *planDecision, tab relation.Table)
 		return nil, fmt.Errorf("query: stale plan: relation %q has %d shards, plan wants %d",
 			q.From[0].Name, sh.NumShards(), d.shards)
 	}
-	// Ensure the shared per-shard index structures ahead of the view
+	// Ensure the shared per-shard access structures ahead of the view
 	// capture, so every shard snapshot carries its online-maintained
-	// index instead of building a private one per query.
-	switch d.kind {
-	case accessRange:
-		switch d.via {
-		case "trie":
-			sh.EnsureTries()
-		case "vptree":
-			if m := vecRangeMetric(q.Where); m != nil {
-				sh.EnsureVPTrees(m)
-			}
-		default:
-			sh.EnsureBKTrees()
-		}
-	case accessNearest:
-		if ne := q.Where.(NearestExpr); !isVecNearest(&ne) {
-			sh.EnsureLengthViews()
-		} else if m, ok := metric.Lookup(ne.RuleSet); ok && d.via == "vptree" {
+	// structure instead of building a private one per query.
+	switch {
+	case d.via == "vptree":
+		if m := accessMetric(q); m != nil {
 			sh.EnsureVPTrees(m)
 		}
+	case d.kind == accessRange || d.kind == accessNearest:
+		sh.EnsureLengthViews()
 	}
 	view := sh.View()
 	n := view.NumShards()
@@ -75,11 +64,10 @@ func (e *Engine) buildShardedPlan(q *Query, d *planDecision, tab relation.Table)
 	tag := kernelTag{d.kernel}
 
 	// finish stacks the residual filter and the pushed limit on a shard
-	// leaf. LIMIT without ORDER BY returns an arbitrary valid subset
-	// (already true of the unsharded lazy index scan) and scan streams are
-	// id-ascending, so each shard needs at most LIMIT rows: the pushed
-	// limit stops the per-shard traversal early instead of draining the
-	// whole radius ball on every shard.
+	// leaf. Scan and band-walk streams are id-ascending and LIMIT without
+	// ORDER BY keeps the smallest ids, so each shard needs at most LIMIT
+	// rows: the pushed limit stops a per-shard scan early instead of
+	// draining the whole shard.
 	finish := func(op BatchOperator, pred Expr) BatchOperator {
 		if !isTrivial(pred) {
 			op = trB(ctx, &batchFilterOp{kernelTag: kernelTag{e.filterKernel(pred)}, ctx: ctx, child: op, pred: pred, alias: alias},
@@ -114,8 +102,8 @@ func (e *Engine) buildShardedPlan(q *Query, d *planDecision, tab relation.Table)
 			for i := range children {
 				children[i] = trB(ctx, &batchShardNearestKOp{
 					batchNearestKOp: batchNearestKOp{
-						kernelTag: tag, ctx: ctx, snap: view.Snap(i), alias: alias,
-						target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet, size: size,
+						kernelTag: tag, ctx: ctx, matchList: matchList{snap: view.Snap(i), alias: alias, size: size},
+						target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet,
 					},
 					idx: i, of: n,
 				}, estNearestRows(st.Count, ne.K))
@@ -143,8 +131,8 @@ func (e *Engine) buildShardedPlan(q *Query, d *planDecision, tab relation.Table)
 		pred := simplifyExpr(residual)
 		for i := range children {
 			children[i] = finish(trB(ctx, &batchIndexRangeOp{
-				kernelTag: tag, ctx: ctx, snap: view.Snap(i), alias: alias, via: d.via,
-				target: sim.Target.Lit, radius: int(sim.Radius), ruleSet: sim.RuleSet, size: size,
+				kernelTag: tag, ctx: ctx, matchList: matchList{snap: view.Snap(i), alias: alias, size: size},
+				target: sim.Target.Lit, radius: sim.Radius, ruleSet: sim.RuleSet,
 			}, estRangeRows(st, sim.Radius)), pred)
 		}
 	case accessScan:
@@ -351,8 +339,8 @@ func (o *batchGatherMergeOp) OpenBatch() error {
 			c.perm = append(c.perm, j)
 		}
 		if o.mode == gatherByID && !sort.IntsAreSorted(c.ids) {
-			// Scan streams and join chains arrive id-sorted already;
-			// index-range streams arrive in traversal order, so sort the
+			// Scan, band-walk and join streams arrive id-sorted already;
+			// VP-tree range streams arrive in traversal order, so sort the
 			// merge permutation. The sort must be stable: a join chain emits
 			// the same outer id once per inner match (already grouped in
 			// ascending-inner order), and a stable sort keeps each group's

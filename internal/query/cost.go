@@ -8,18 +8,13 @@ package query
 //   - Verifying one candidate with the banded edit DP costs
 //     O(len * (2k+1)) cell updates.
 //   - A scan verifies every tuple.
-//   - A BK-tree visit fraction grows with the radius; at unit radius
-//     roughly half the tree is pruned, and by radius 3 pruning has
-//     mostly collapsed (the classic BK-tree behaviour on word-length
-//     strings).
-//   - A trie walk touches the band of prefixes within distance k: its
-//     node count is bounded by the alphabet branching to the k+1-th
-//     power times the query length, *independent of relation size* —
-//     which is why the trie wins on large dictionaries at small radii
-//     while the BK-tree wins on small relations.
+//   - A VP-tree's visited fraction grows with the radius until pruning
+//     collapses and the walk degenerates into a scan.
 //
-// Join ordering uses the same primitives: the output cardinality of a
-// similarity join edge is |outer| * |inner| * selectivity(radius).
+// String range queries have one access path (the length-band walk) and
+// need no cost; join ordering and the remaining strategy choices use
+// the same primitives: the output cardinality of a similarity join edge
+// is |outer| * |inner| * selectivity(radius).
 
 import (
 	"math"
@@ -54,53 +49,6 @@ func verifyCost(st relation.Stats, k float64) float64 {
 	return rows * band
 }
 
-// scanCost: verify every tuple.
-func scanCost(st relation.Stats, k float64) float64 {
-	return float64(st.Count) * verifyCost(st, k)
-}
-
-// bkTreeCost: visited-node fraction grows ~linearly with the radius,
-// and every visited node pays a traversal surcharge on top of its DP
-// verification — pointer-chasing through the tree has none of the
-// locality of a linear scan. The surcharge is what makes the scan win
-// once pruning collapses (frac = 1): visiting the whole tree is then
-// strictly worse than scanning the same tuples in order, which is the
-// selectivity crossover the THRESHOLD-parameter tests pin down.
-func bkTreeCost(st relation.Stats, k float64) float64 {
-	frac := 0.25 * (k + 1)
-	if frac > 1 {
-		frac = 1
-	}
-	return float64(st.Count) * frac * (verifyCost(st, k) + 1)
-}
-
-// trieCost: the band of prefixes within distance k, capped by the total
-// node count; each visited node costs one DP row update (O(len)) plus
-// the same unit traversal surcharge as a BK-tree node, so a saturated
-// trie walk never undercuts the scan it degenerates into.
-func trieCost(st relation.Stats, k float64) float64 {
-	rows := math.Max(1, st.AvgSeqLen)
-	totalNodes := float64(st.Count) * rows
-	branch := math.Max(2, float64(st.Alphabet))
-	band := math.Pow(branch, k+1) * (st.AvgSeqLen + k + 1)
-	return math.Min(totalNodes, band) * (rows + 1)
-}
-
-// chooseRangeAccess ranks the physical access paths for an indexable
-// range predicate and returns "bktree", "trie" or "scan".
-func chooseRangeAccess(st relation.Stats, k float64) string {
-	best, bestCost := "scan", scanCost(st, k)
-	// Evaluate in fixed order with strict improvement so ties are
-	// deterministic and index paths win exact draws against the scan.
-	if c := bkTreeCost(st, k); c <= bestCost {
-		best, bestCost = "bktree", c
-	}
-	if c := trieCost(st, k); c < bestCost {
-		best, bestCost = "trie", c
-	}
-	return best
-}
-
 // vecVerifyCost is the cost of one metric distance evaluation: linear
 // in the dimension (both L2 and cosine are single-pass kernels).
 func vecVerifyCost(st relation.Stats) float64 {
@@ -112,14 +60,14 @@ func vecScanCost(st relation.Stats) float64 {
 	return float64(st.VecCount) * vecVerifyCost(st)
 }
 
-// vpTreeCost mirrors bkTreeCost: the visited fraction of a VP-tree
-// grows with the radius and collapses entirely once the radius
-// approaches the spread of the data, and every visited node pays the
-// same unit traversal surcharge as a BK-tree node. Radii are
-// continuous here, so the fraction ramp is the same 0.25*(r+1) shape
-// the BK-tree uses — coarse, but it ranks the tree against the scan
-// with the crossover in the right place (small radius: tree; large
-// radius: scan).
+// vpTreeCost: the visited fraction of a VP-tree grows with the radius
+// and collapses entirely once the radius approaches the spread of the
+// data, and every visited node pays a unit traversal surcharge on top
+// of its distance — pointer-chasing through the tree has none of the
+// locality of a linear scan, so a saturated walk never undercuts the
+// scan it degenerates into. The 0.25*(r+1) ramp is coarse, but it
+// ranks the tree against the scan with the crossover in the right place
+// (small radius: tree; large radius: scan).
 func vpTreeCost(st relation.Stats, r float64) float64 {
 	frac := 0.25 * (r + 1)
 	if frac > 1 {
@@ -129,18 +77,12 @@ func vpTreeCost(st relation.Stats, r float64) float64 {
 }
 
 // chooseVecAccess ranks the access paths for a vector range predicate
-// under a triangular metric: "vptree" or "scan". Ties go to the tree,
-// matching chooseRangeAccess.
+// under a triangular metric: "vptree" or "scan". Ties go to the tree.
 func chooseVecAccess(st relation.Stats, r float64) string {
 	if vpTreeCost(st, r) <= vecScanCost(st) {
 		return "vptree"
 	}
 	return "scan"
-}
-
-// indexJoinCost: probe the inner BK-tree once per outer row.
-func indexJoinCost(outerRows float64, inner relation.Stats, k float64) float64 {
-	return outerRows * bkTreeCost(inner, k)
 }
 
 // nestedLoopJoinCost: verify every pair.

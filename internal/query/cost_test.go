@@ -4,102 +4,46 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/relation"
+	"repro/internal/metric"
 )
 
-// TestChooseRangeAccessCrossover is the table-driven satellite over the
-// cost model: as the radius grows past the selectivity crossover, the
-// ranked access path must move from the metric indexes to the scan.
-func TestChooseRangeAccessCrossover(t *testing.T) {
-	// Dictionary-like statistics: 26-letter alphabet, moderate size.
-	dict := relation.Stats{Count: 500, AvgSeqLen: 8, MaxSeqLen: 12, Alphabet: 26}
-	// DNA-like statistics: tiny alphabet, where the trie's branching
-	// bound beats both competitors at small radii.
-	dna := relation.Stats{Count: 240, AvgSeqLen: 8, MaxSeqLen: 8, Alphabet: 4}
-	// Huge dictionary: the trie's size-independent band wins at radius
-	// 1 even over a 26-letter alphabet... unless the alphabet keeps the
-	// band above the scan cost; this pins the BK-tree's regime instead.
-	small := relation.Stats{Count: 30, AvgSeqLen: 6, MaxSeqLen: 9, Alphabet: 26}
-
-	cases := []struct {
-		name   string
-		st     relation.Stats
-		radius float64
-		want   string
-	}{
-		{"dict radius 0", dict, 0, "bktree"},
-		{"dict radius 1", dict, 1, "bktree"},
-		{"dict radius 2", dict, 2, "bktree"},
-		{"dict radius 3 crosses to scan", dict, 3, "scan"},
-		{"dict radius 5 stays scan", dict, 5, "scan"},
-		{"dna radius 1 prefers trie", dna, 1, "trie"},
-		{"dna radius 4 crosses to scan", dna, 4, "scan"},
-		{"small relation radius 1", small, 1, "bktree"},
-		{"small relation radius 4 crosses to scan", small, 4, "scan"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := chooseRangeAccess(tc.st, tc.radius); got != tc.want {
-				t.Errorf("chooseRangeAccess(%+v, %g) = %q, want %q", tc.st, tc.radius, got, tc.want)
-			}
-		})
-	}
-}
-
-// TestChooseRangeAccessMonotone: once the scan wins, widening the
-// radius further must never flip the choice back to an index — pruning
-// only degrades with radius.
-func TestChooseRangeAccessMonotone(t *testing.T) {
-	st := relation.Stats{Count: 1000, AvgSeqLen: 9, MaxSeqLen: 14, Alphabet: 26}
-	scanSeen := false
-	for k := 0.0; k <= 8; k++ {
-		got := chooseRangeAccess(st, k)
-		if scanSeen && got != "scan" {
-			t.Fatalf("radius %g chose %q after scan had already won", k, got)
-		}
-		if got == "scan" {
-			scanSeen = true
-		}
-	}
-	if !scanSeen {
-		t.Fatal("scan never won by radius 8; the crossover is gone")
-	}
-}
-
 // TestPreparedThresholdCrossoverReplans is the end-to-end satellite:
-// one PreparedQuery whose bound THRESHOLD moves across the selectivity
-// crossover must switch between IndexRange and Scan plans — and that
-// switch is exactly what triggers a re-plan (the same radius re-bound
-// does not).
+// one PreparedQuery whose bound THRESHOLD moves across the VP-tree's
+// selectivity crossover must switch between VecRange and Scan plans —
+// and that switch is exactly what triggers a re-plan (the same radius
+// re-bound does not). String WITHIN has one access path at every
+// radius; TestRangeCrossoverAnswersAgree covers it.
 func TestPreparedThresholdCrossoverReplans(t *testing.T) {
-	e := bigEngine(t) // dict: 500 tuples over a 26-letter alphabet
-	pq, err := e.Prepare(`SELECT seq FROM dict WHERE seq SIMILAR TO ? WITHIN ? USING unit-edits`)
+	e := vecEngine(t, 1, 256, vecRows(
+		metric.Vector{0, 0}, metric.Vector{1, 0}, metric.Vector{0, 3}, metric.Vector{5, 5},
+	))
+	pq, err := e.Prepare(`SELECT id FROM items WHERE vec SIMILAR TO ? WITHIN ? USING l2`)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	plan1, err := pq.Explain("abcdefgh", 1)
+	plan1, err := pq.Explain("[0, 0]", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan1, "IndexRange") {
-		t.Errorf("radius 1 plan = %q, want IndexRange", plan1)
+	if !strings.Contains(plan1, "VecRange") {
+		t.Errorf("radius 1 plan = %q, want VecRange", plan1)
 	}
 
-	plan4, err := pq.Explain("abcdefgh", 4)
+	plan4, err := pq.Explain("[0, 0]", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan4, "Scan(") || strings.Contains(plan4, "IndexRange") {
-		t.Errorf("radius 4 plan = %q, want Scan without IndexRange", plan4)
+	if !strings.Contains(plan4, "Scan(") || strings.Contains(plan4, "VecRange") {
+		t.Errorf("radius 4 plan = %q, want Scan without VecRange", plan4)
 	}
 
 	// Same radius again: decision reuse, no extra plan.
 	before := pq.Stats().Plans
-	if _, err := pq.Execute("abcdefgh", 1); err != nil {
+	if _, err := pq.Execute("[0, 0]", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pq.Execute("zzzzzzzz", 1); err != nil {
+	if _, err := pq.Execute("[5, 5]", 1); err != nil {
 		t.Fatal(err)
 	}
 	if after := pq.Stats().Plans; after != before {
@@ -107,17 +51,29 @@ func TestPreparedThresholdCrossoverReplans(t *testing.T) {
 	}
 }
 
-// TestRangeCrossoverAnswersAgree: the Scan plan past the crossover must
-// return exactly the same answer set as a forced index plan.
+// TestRangeCrossoverAnswersAgree: at a radius whose length bands cover
+// most of the relation, the band walk must still return exactly the
+// BK-tree's answer set, and the same rows in the same order as a
+// forced scan.
 func TestRangeCrossoverAnswersAgree(t *testing.T) {
-	e := bigEngine(t)
-	e.SetParallelism(1)
-	res, err := e.Execute(`SELECT seq FROM dict WHERE seq SIMILAR TO "abcdefgh" WITHIN 4 USING unit-edits ORDER BY dist`)
+	e := bigEngine(t, WithParallelism(1))
+	const within = `SELECT seq FROM dict WHERE seq SIMILAR TO "abcdefgh" WITHIN 4 USING unit-edits`
+	res, err := e.Execute(within + ` ORDER BY dist`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Plan, "Scan(") {
-		t.Fatalf("radius-4 plan should scan, got:\n%s", res.Plan)
+	if !strings.Contains(res.Plan, "IndexRange(dict via lengthview") {
+		t.Fatalf("radius-4 plan should walk the length view, got:\n%s", res.Plan)
+	}
+	scan, err := e.Execute(within + ` OR seq = "#" ORDER BY dist`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(scan.Plan, "Scan(") {
+		t.Fatalf("the OR conjunct should force a scan, got:\n%s", scan.Plan)
+	}
+	if positional(res) != positional(scan) {
+		t.Errorf("band walk and scan disagree:\nwalk:\n%s\nscan:\n%s", positional(res), positional(scan))
 	}
 	// Cross-check against the BK-tree directly.
 	rel, _ := e.Catalog().Get("dict")
@@ -130,11 +86,11 @@ func TestRangeCrossoverAnswersAgree(t *testing.T) {
 		got[row[0]] = true
 	}
 	if len(got) != len(want) {
-		t.Errorf("scan answers = %d, bktree answers = %d", len(got), len(want))
+		t.Errorf("band walk answers = %d, bktree answers = %d", len(got), len(want))
 	}
 	for s := range want {
 		if !got[s] {
-			t.Errorf("scan missed %q", s)
+			t.Errorf("band walk missed %q", s)
 		}
 	}
 }

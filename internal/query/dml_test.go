@@ -188,7 +188,7 @@ func TestPreparedDML(t *testing.T) {
 		t.Fatalf("NumParams = %d", ins.NumParams())
 	}
 	for i := 0; i < 3; i++ {
-		res, err := ins.Execute(fmt.Sprintf("word%d", i), "xx")
+		res, err := ins.Execute(fmt.Sprintf("word%c", 'a'+i), "xx")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,11 +204,11 @@ func TestPreparedDML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := del.ExecuteNamed(map[string]any{"target": "word0", "r": 1})
+	res, err := del.ExecuteNamed(map[string]any{"target": "worda", "r": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count(t, res) != 3 { // word0, word1, word2
+	if count(t, res) != 3 { // worda, wordb, wordc
 		t.Fatalf("prepared delete removed %d, want 3", count(t, res))
 	}
 	if got := del.Stats(); got.Executions != 1 {

@@ -33,12 +33,13 @@ type Engine struct {
 	generals  map[string]*transform.Engine  // everything decidable
 	patterns  map[string]*pattern.Pattern   // compiled pattern cache
 	rsVersion uint64                        // bumped per RegisterRuleSet; part of cache keys
-	plans     *planCache                    // statement text -> (query, decision); nil disables
 	store     *storage.Store                // durable write path; nil = direct catalog mutation
 
-	parallelism     int // workers for Parallel plans (<=1 disables)
-	parallelMinRows int // outer-relation size that justifies sharding
-	batchSize       int // rows per block; fixed at construction (WithBatchSize)
+	// Fixed at construction by the options.
+	plans           *planCache // statement text -> (query, decision); nil disables
+	parallelism     int        // workers for Parallel plans (1 disables)
+	parallelMinRows int        // outer-relation size that justifies sharding
+	batchSize       int        // rows per block
 
 	// tracing forces span collection on every execution (the slow-query
 	// log's hook); EXPLAIN ANALYZE traces its own statement regardless.
@@ -55,11 +56,9 @@ const parallelDefaultMinRows = 4096
 // for the 1/64/256/1024 sweep).
 const defaultBatchSize = 256
 
-// Option configures an Engine at construction time. Options are the
-// primary configuration surface — NewEngine(cat, WithBatchSize(256),
-// WithTracing(true)) reads as one coherent call — while the Set*
-// methods remain as thin runtime wrappers for knobs that change after
-// construction (the serving layer flips tracing on live engines).
+// Option configures an Engine at construction time; everything but
+// tracing (SetTracing, which the serving layer flips on live engines)
+// is fixed from then on.
 type Option func(*Engine)
 
 // WithBatchSize sets the block size every operator works in. 1 is the
@@ -75,20 +74,35 @@ func WithBatchSize(n int) Option {
 	}
 }
 
-// WithParallelism sets the worker count for parallel scan/join plans.
-// Equivalent to SetParallelism.
-func WithParallelism(n int) Option { return func(e *Engine) { e.SetParallelism(n) } }
+// WithParallelism sets the worker count for parallel scan/join plans;
+// n = 1 forces serial execution. Zero and negative values clamp to 1,
+// so no plan ever computes with a nonsensical worker count.
+func WithParallelism(n int) Option {
+	return func(e *Engine) {
+		if n < 1 {
+			n = 1
+		}
+		e.parallelism = n
+	}
+}
 
 // WithParallelMinRows sets the outer-relation size from which the
-// planner shards work across workers. Equivalent to SetParallelMinRows.
-func WithParallelMinRows(n int) Option { return func(e *Engine) { e.SetParallelMinRows(n) } }
+// planner shards scans and joins across workers.
+func WithParallelMinRows(n int) Option { return func(e *Engine) { e.parallelMinRows = n } }
 
 // WithPlanCacheSize sets the plan-cache capacity; n <= 0 disables plan
-// caching. Equivalent to SetPlanCacheSize.
-func WithPlanCacheSize(n int) Option { return func(e *Engine) { e.SetPlanCacheSize(n) } }
+// caching.
+func WithPlanCacheSize(n int) Option {
+	return func(e *Engine) {
+		e.plans = nil
+		if n > 0 {
+			e.plans = newPlanCache(n)
+		}
+	}
+}
 
-// WithTracing toggles engine-wide span collection. Equivalent to
-// SetTracing.
+// WithTracing sets the initial state of engine-wide span collection
+// (see SetTracing).
 func WithTracing(on bool) Option { return func(e *Engine) { e.SetTracing(on) } }
 
 // NewEngine returns an engine over the catalog with no rule sets
@@ -114,33 +128,6 @@ func NewEngine(cat *relation.Catalog, opts ...Option) *Engine {
 
 // BatchSize returns the block size the engine was constructed with.
 func (e *Engine) BatchSize() int { return e.batchSize }
-
-// SetParallelism sets the worker count for parallel scan/join plans;
-// n = 1 forces serial execution. Zero and negative values clamp to 1
-// rather than being stored verbatim, so no plan ever computes with a
-// nonsensical worker count.
-func (e *Engine) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.parallelism = n
-}
-
-// SetParallelMinRows sets the outer-relation size from which the
-// planner shards scans and joins across workers.
-func (e *Engine) SetParallelMinRows(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.parallelMinRows = n
-}
-
-func (e *Engine) parallelConfig() (workers, minRows int) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.parallelism, e.parallelMinRows
-}
 
 // Catalog returns the engine's catalog.
 func (e *Engine) Catalog() *relation.Catalog { return e.catalog }
@@ -263,53 +250,26 @@ func (e *Engine) rulesetVersion() uint64 {
 	return e.rsVersion
 }
 
-// planCacheRef returns the current plan cache (nil when disabled).
-func (e *Engine) planCacheRef() *planCache {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.plans
-}
-
-// SetPlanCacheSize resizes the plan cache to hold n entries, dropping
-// the current contents; n <= 0 disables plan caching entirely.
-func (e *Engine) SetPlanCacheSize(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n <= 0 {
-		e.plans = nil
-		return
-	}
-	e.plans = newPlanCache(n)
-}
-
 // CacheStats snapshots the plan cache's hit/miss counters; all zero
 // when caching is disabled.
 func (e *Engine) CacheStats() CacheStats {
-	if c := e.planCacheRef(); c != nil {
-		return c.Stats()
+	if e.plans != nil {
+		return e.plans.Stats()
 	}
 	return CacheStats{}
 }
 
 // cacheEpoch is the part of every plan-cache key that tracks engine
-// state: catalog statistics, the shard topology, the rule-set registry
-// and the parallel configuration. Any change to these may change a
-// costing decision — or, for the shard signature, the physical shape of
-// every plan — so it must start a fresh key space.
+// state: catalog statistics, the shard topology and the rule-set
+// registry. Any change to these may change a costing decision — or, for
+// the shard signature, the physical shape of every plan — so it must
+// start a fresh key space.
 func (e *Engine) cacheEpoch() string {
-	workers, minRows := e.parallelConfig()
-	// The bit-parallel kernel toggle is part of the epoch: decisions
-	// record which kernel serves the plan, so flipping the knob must
-	// start a fresh key space rather than surface stale kernel labels.
-	kernel := 0
-	if editdp.BitParallelEnabled() {
-		kernel = 1
-	}
 	// metric.Version() tracks the distance-metric registry the same way
 	// rsVersion tracks rule sets: registering a metric may change which
 	// USING names resolve, so it starts a fresh key space too.
-	return fmt.Sprintf("%d|%d|%d|%d|%d|%d|%s", e.catalog.StatsVersion(), e.rulesetVersion(), workers, minRows,
-		kernel, metric.Version(), e.catalog.ShardSignature())
+	return fmt.Sprintf("%d|%d|%d|%s", e.catalog.StatsVersion(), e.rulesetVersion(),
+		metric.Version(), e.catalog.ShardSignature())
 }
 
 // normalizeQueryText canonicalises statement text for cache keying:
@@ -361,7 +321,7 @@ func normalizeQueryText(src string) string {
 // cached plan keyed on the old statistics is invalidated.
 // Parameterized statements cannot run here — use Prepare.
 func (e *Engine) Execute(src string) (*Result, error) {
-	cache := e.planCacheRef()
+	cache := e.plans
 	if cache == nil || isDMLText(src) {
 		stmt, err := ParseStatement(src)
 		if err != nil {

@@ -11,7 +11,7 @@ import (
 
 // testEngine builds a small word database with unit edits and a weighted
 // rule set registered.
-func testEngine(t *testing.T) *Engine {
+func testEngine(t *testing.T, opts ...Option) *Engine {
 	t.Helper()
 	cat := relation.NewCatalog()
 	words := relation.New("words")
@@ -26,7 +26,7 @@ func testEngine(t *testing.T) *Engine {
 	}
 	cat.Add(words)
 
-	e := NewEngine(cat)
+	e := NewEngine(cat, opts...)
 	if err := e.RegisterRuleSet(rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz")); err != nil {
 		t.Fatal(err)
 	}
@@ -239,9 +239,9 @@ func TestJoinIndexVsNested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unit-cost joins of this size run the length-partitioned probe;
-	// weighted rule sets the nested loop.
-	if !strings.Contains(idx.Plan, "PartitionJoin") {
+	// Unit-cost joins over seq probe the inner length view; weighted
+	// rule sets run the nested loop.
+	if !strings.Contains(idx.Plan, "IndexJoin(probe a.seq into lengthview(b)") {
 		t.Errorf("plan = %q", idx.Plan)
 	}
 	nested, err := e.Execute(`SELECT a.seq, b.seq FROM words a, words b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING cheap_vowels AND a.id != b.id`)

@@ -120,7 +120,7 @@ func (p *compiledPlan) run() (*Result, error) {
 //	Limit(3)
 //	└─ Project(seq, dist)
 //	   └─ Filter(lang = "en")
-//	      └─ IndexRange(words via bktree, target=color, radius=1, ruleset=edits)  (kernel=myers)
+//	      └─ IndexRange(words via lengthview, target=color, radius=1, ruleset=edits)  (kernel=myers)
 func renderTree(root BatchOperator) string {
 	var b strings.Builder
 	var walk func(node BatchOperator, prefix string, last bool, root bool)

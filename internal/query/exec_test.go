@@ -15,7 +15,7 @@ import (
 // regime: "dict" (500 tuples over a 26-letter alphabet, BK-tree
 // territory) and "dna" (240 tuples over a 4-letter alphabet, where the
 // trie's branching bound wins).
-func bigEngine(t testing.TB) *Engine {
+func bigEngine(t testing.TB, opts ...Option) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	randomWord := func(alpha string, n int) string {
@@ -48,7 +48,7 @@ func bigEngine(t testing.TB) *Engine {
 	}
 	cat.Add(clust)
 
-	e := NewEngine(cat)
+	e := NewEngine(cat, opts...)
 	if err := e.RegisterRuleSet(rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz")); err != nil {
 		t.Fatal(err)
 	}
@@ -90,18 +90,25 @@ func TestExplainOperatorTrees(t *testing.T) {
 			not:  []string{"Filter", "IndexRange"},
 		},
 		{
-			name: "index range via bktree on small relation",
+			name: "index range via lengthview on small relation",
 			eng:  small,
 			src:  `SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING unit-edits`,
-			want: []string{"IndexRange(words via bktree, target=color, radius=1, ruleset=unit-edits)"},
+			want: []string{"IndexRange(words via lengthview, target=color, radius=1, ruleset=unit-edits)  (kernel=myers)"},
 			not:  []string{"Scan(", "Filter"},
 		},
 		{
-			name: "index range via trie on low-branching relation",
+			name: "index range via lengthview on low-branching relation",
 			eng:  big,
 			src:  `SELECT * FROM dna WHERE seq SIMILAR TO "acgtacgt" WITHIN 1 USING unit-edits`,
-			want: []string{"IndexRange(dna via trie"},
-			not:  []string{"via bktree"},
+			want: []string{"IndexRange(dna via lengthview"},
+			not:  []string{"Scan("},
+		},
+		{
+			name: "index range at a fractional and a wide radius",
+			eng:  big,
+			src:  `SELECT * FROM dict WHERE seq SIMILAR TO "abcdefgh" WITHIN 5.5 USING unit-edits`,
+			want: []string{"IndexRange(dict via lengthview, target=abcdefgh, radius=5.5, ruleset=unit-edits)"},
+			not:  []string{"Scan("},
 		},
 		{
 			name: "weighted range falls back to scan+filter",
@@ -122,14 +129,14 @@ func TestExplainOperatorTrees(t *testing.T) {
 			eng:  small,
 			src: `SELECT * FROM words WHERE lang SIMILAR TO "en" WITHIN 1 USING unit-edits ` +
 				`AND seq SIMILAR TO "color" WITHIN 1 USING unit-edits`,
-			want: []string{"IndexRange(words via bktree, target=color", "Filter("},
+			want: []string{"IndexRange(words via lengthview, target=color", "Filter("},
 			not:  []string{"Scan("},
 		},
 		{
 			name: "residual filter above index range",
 			eng:  small,
 			src:  `SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING unit-edits AND lang = "en"`,
-			want: []string{"Filter(lang = \"en\")", "IndexRange(words via bktree"},
+			want: []string{"Filter(lang = \"en\")", "IndexRange(words via lengthview"},
 		},
 		{
 			name: "nearest-k, unit rule set",
@@ -144,10 +151,17 @@ func TestExplainOperatorTrees(t *testing.T) {
 			want: []string{"NearestK(words, k=2, ruleset=cheap_vowels)  (kernel=targetdp)"},
 		},
 		{
-			name: "unit join partitions by length",
+			name: "unit seq join probes the inner length view",
 			eng:  small,
 			src:  `SELECT * FROM words a, words b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING unit-edits`,
-			want: []string{"PartitionJoin(probe a.seq into b[length-banded]", "Scan(a)"},
+			want: []string{"IndexJoin(probe a.seq into lengthview(b)", "Scan(a)"},
+			not:  []string{"NestedLoopJoin", "PartitionJoin"},
+		},
+		{
+			name: "unit join partitions by length",
+			eng:  small,
+			src:  `SELECT * FROM words a, words b WHERE a.lang SIMILAR TO b.lang WITHIN 1 USING unit-edits`,
+			want: []string{"PartitionJoin(probe a.lang into b[length-banded]", "Scan(a)"},
 			not:  []string{"NestedLoopJoin", "IndexJoin"},
 		},
 		{
@@ -160,15 +174,22 @@ func TestExplainOperatorTrees(t *testing.T) {
 		{
 			name: "three-way join chains two partition joins",
 			eng:  small,
+			src: `SELECT * FROM words a, words b, words c WHERE a.lang SIMILAR TO b.lang WITHIN 1 USING unit-edits ` +
+				`AND b.lang SIMILAR TO c.lang WITHIN 1 USING unit-edits`,
+			want: []string{"PartitionJoin(probe a.lang into b[length-banded]", "PartitionJoin(probe b.lang into c[length-banded]"},
+		},
+		{
+			name: "three-way seq join chains two index joins",
+			eng:  small,
 			src: `SELECT * FROM words a, words b, words c WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING unit-edits ` +
 				`AND b.seq SIMILAR TO c.seq WITHIN 1 USING unit-edits`,
-			want: []string{"PartitionJoin(probe a.seq into b[length-banded]", "PartitionJoin(probe b.seq into c[length-banded]"},
+			want: []string{"IndexJoin(probe a.seq into lengthview(b)", "IndexJoin(probe b.seq into lengthview(c)"},
 		},
 		{
 			name: "order by dist",
 			eng:  small,
 			src:  `SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 2 USING unit-edits ORDER BY dist DESC LIMIT 3`,
-			want: []string{"Limit(3)", "OrderByDist(desc)", "IndexRange(words via bktree"},
+			want: []string{"Limit(3)", "OrderByDist(desc)", "IndexRange(words via lengthview"},
 		},
 	}
 	for _, tc := range cases {
@@ -349,18 +370,19 @@ func TestJoinDisconnectedRelationsRejected(t *testing.T) {
 	}
 }
 
-// TestLimitPushdownIndexCandidates is the LIMIT-pushdown regression
-// test: with the pull-based pipeline, an indexed LIMIT 1 query must
-// stop the index traversal early and touch strictly fewer candidates
-// than the full range query.
+// TestLimitPushdownIndexCandidates pins how LIMIT meets each access
+// path: the band walk is blocking — it sorts its matches by id before
+// the first block leaves — so an indexed LIMIT 1 reads exactly the
+// candidates of the full range and returns its first row, while a scan
+// streams and stops early.
 func TestLimitPushdownIndexCandidates(t *testing.T) {
 	e := bigEngine(t)
 	full, err := e.Execute(`SELECT seq FROM clust WHERE seq SIMILAR TO "abcdefgh" WITHIN 1 USING unit-edits`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(full.Plan, "IndexRange(clust via bktree") {
-		t.Fatalf("plan = %q, want BK-tree index range", full.Plan)
+	if !strings.Contains(full.Plan, "IndexRange(clust via lengthview") {
+		t.Fatalf("plan = %q, want the length-view index range", full.Plan)
 	}
 	if len(full.Rows) < 100 || full.Stats.Candidates < 100 {
 		t.Fatalf("weak test premise: %d rows, %d candidates", len(full.Rows), full.Stats.Candidates)
@@ -369,11 +391,11 @@ func TestLimitPushdownIndexCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(limited.Rows) != 1 {
-		t.Fatalf("limited rows = %d", len(limited.Rows))
+	if len(limited.Rows) != 1 || limited.Rows[0][0] != full.Rows[0][0] {
+		t.Fatalf("limited rows = %v, want the full range's first row %v", limited.Rows, full.Rows[0])
 	}
-	if limited.Stats.Candidates >= full.Stats.Candidates {
-		t.Errorf("LIMIT 1 touched %d candidates, full range %d — limit was not pushed into the index",
+	if limited.Stats.Candidates != full.Stats.Candidates {
+		t.Errorf("LIMIT 1 read %d candidates, the full range %d: the walk should not depend on the limit",
 			limited.Stats.Candidates, full.Stats.Candidates)
 	}
 	// The scan access path also stops early under LIMIT.
@@ -398,11 +420,8 @@ func TestParallelScanDeterminism(t *testing.T) {
 		`SELECT seq FROM dict WHERE seq SIMILAR TO "qqqq" WITHIN 20 USING half ORDER BY dist LIMIT 17`,
 		`SELECT a.seq, b.seq, dist FROM dna a, dna b WHERE a.seq SIMILAR TO b.seq WITHIN 2 USING unit-edits AND a.id != b.id`,
 	}
-	serialEng := bigEngine(t)
-	serialEng.SetParallelism(1)
-	parallelEng := bigEngine(t)
-	parallelEng.SetParallelism(4)
-	parallelEng.SetParallelMinRows(1)
+	serialEng := bigEngine(t, WithParallelism(1))
+	parallelEng := bigEngine(t, WithParallelism(4), WithParallelMinRows(1))
 	for _, src := range queries {
 		serial, err := serialEng.Execute(src)
 		if err != nil {

@@ -17,9 +17,13 @@ package query
 //     band the probe runs the same kernels the scan+filter path uses
 //     (bit-parallel Myers or the dense TargetDP for strings, the metric's
 //     DistBatch for vectors).
-//   - "index" probes the inner relation's metric index — the BK-tree
-//     for unit-cost edit edges with integral radius, the VP-tree for
-//     vector edges under a triangular metric.
+//   - "index" probes every inner snapshot once per outer row: unit-cost
+//     edit edges over the inner seq field run the band walk of its
+//     length view at the bound floor(r) (bandwalk.go), vector edges
+//     under a triangular metric the VP-tree. The walk measures d(inner,
+//     probe) where the predicate may name d(probe, inner); the unit-cost
+//     rule sets it serves are symmetric and their distances integers, so
+//     the two agree exactly.
 //   - "nl" verifies every pair through evalSim. It works for any rule
 //     set or metric because the distance direction follows the
 //     predicate (field -> target), not the join order.
@@ -39,7 +43,6 @@ import (
 	"sort"
 
 	"repro/internal/editdp"
-	"repro/internal/index"
 	"repro/internal/metric"
 	"repro/internal/relation"
 )
@@ -77,7 +80,8 @@ type batchJoinOp struct {
 	m          metric.Distance // vec edges: the resolved metric
 
 	// Inner-side state, built at OpenBatch: buckets for "partition", the
-	// flat tuple list for "nl" (the indexes of "index" live in the
+	// flat tuple list for "nl", the per-snapshot alphabet coverage of a
+	// string "index" probe (the structures it reads live in the
 	// snapshots).
 	innerField    string // inner-side join attribute
 	outerIsTarget bool   // probe value is the predicate's target operand
@@ -88,6 +92,8 @@ type batchJoinOp struct {
 	bandW         float64 // vec bucket width (radius, min 1)
 	banded        bool    // vec: triangular metric => norm pruning applies
 	calc          *editdp.Calculator
+	unit          bool   // string index probe: unitCost of the rule set
+	covered       []bool // string index probe: covers, per snapshot
 
 	// Iteration state.
 	cur     *Batch // current outer batch (owned by child)
@@ -116,6 +122,17 @@ func (o *batchJoinOp) OpenBatch() error {
 			o.inner = append(o.inner, snap.Tuples()...)
 		}
 		o.local.Candidates += len(o.inner)
+	case "index":
+		if !o.vec {
+			if o.calc = o.ctx.eng.calc(o.sim.RuleSet); o.calc == nil {
+				return fmt.Errorf("query: stale plan: rule set %q has no calculator", o.sim.RuleSet)
+			}
+			o.unit = unitCost(o.calc.Rules())
+			o.covered = o.covered[:0]
+			for _, snap := range o.snaps {
+				o.covered = append(o.covered, covers(o.calc, snap))
+			}
+		}
 	}
 	o.out = getBatch()
 	o.cur, o.pos, o.curBind = nil, 0, nil
@@ -195,35 +212,35 @@ func (o *batchJoinOp) probe(b *binding) error {
 }
 
 // probeIndex runs the outer row's join value through every inner
-// snapshot's metric index.
+// snapshot: the band walk of its length view for a string edge, its
+// VP-tree for a vector edge.
 func (o *batchJoinOp) probeIndex(b *binding) error {
-	var pv string
-	var pvec metric.Vector
-	if o.vec {
-		t, err := vecTupleFor(o.probeField, b)
+	if !o.vec {
+		pv, err := fieldValue(o.probeField, b)
 		if err != nil {
 			return err
 		}
-		if pvec = t.Vec; pvec == nil {
-			return nil // rows without a vector never match
+		w := newBandWalk(o.calc, o.unit, pv)
+		w.setBound(o.sim.Radius)
+		for i, snap := range o.snaps {
+			o.local.add(w.walk(snap, o.covered[i], func(row *relation.Row, d float64) {
+				o.matches = append(o.matches, joinMatch{t: row.Tuple, d: d})
+			}))
 		}
-	} else {
-		var err error
-		if pv, err = fieldValue(o.probeField, b); err != nil {
-			return err
-		}
+		return nil
+	}
+	t, err := vecTupleFor(o.probeField, b)
+	if err != nil {
+		return err
+	}
+	if t.Vec == nil {
+		return nil // rows without a vector never match
 	}
 	for _, snap := range o.snaps {
-		var ms []index.Match
-		var st index.Stats
-		if o.vec {
-			ms, st = snap.VPTree(o.m).RangeStats(pvec, o.sim.Radius)
-		} else {
-			ms, st = snap.BKTree().RangeStats(pv, int(o.sim.Radius))
-		}
+		ms, st := snap.VPTree(o.m).RangeStats(t.Vec, o.sim.Radius)
 		o.local.add(fromIndexStats(st))
 		for _, m := range ms {
-			// The shared index is a superset of the snapshot: skip rows
+			// The shared tree is a superset of the snapshot: skip rows
 			// invisible here (tombstone or later insert).
 			if t, ok := snap.Tuple(m.ID); ok {
 				o.matches = append(o.matches, joinMatch{t: t, d: m.Dist})
@@ -439,7 +456,7 @@ func (o *batchJoinOp) Describe() string {
 	case "nl":
 		return fmt.Sprintf("NestedLoopJoin(%s%s, on %s)", o.alias, shards, o.sim)
 	case "index":
-		idx := "bktree"
+		idx := "lengthview"
 		if o.vec {
 			idx = "vptree"
 		}
@@ -524,9 +541,9 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 	pred := simplifyExpr(residual)
 	steps := d.steps
 
-	// Resolve metrics and ensure shared index structures BEFORE any view
-	// or snapshot capture: Ensure* republishes the sharded view, and the
-	// captured snapshots must carry the online-maintained indexes
+	// Resolve metrics and ensure shared access structures BEFORE any
+	// view or snapshot capture: Ensure* republishes the sharded view, and
+	// the captured snapshots must carry the online-maintained structures
 	// instead of building private ones per chain.
 	stepMetrics := make([]metric.Distance, len(steps))
 	for i, step := range steps {
@@ -545,13 +562,13 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 			if step.vec {
 				t.EnsureVPTrees(stepMetrics[i])
 			} else {
-				t.EnsureBKTrees()
+				t.EnsureLengthViews()
 			}
 		case *relation.Relation:
 			if step.vec {
 				t.VPTree(stepMetrics[i])
 			} else {
-				t.BKTree()
+				t.LengthView()
 			}
 		}
 	}

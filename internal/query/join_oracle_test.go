@@ -77,14 +77,16 @@ func newJoinOraclePair(t testing.TB, shards int, rows []relation.InsertRow) *joi
 }
 
 // joinOracleRows builds n rows with short random seqs (dense edit-
-// distance collisions), random 3-d vectors and a rotating tag; every
-// seventh row has no vector, pinning the nil-vec no-match rule.
+// distance collisions), their reversals in attribute rev, random 3-d
+// vectors and a rotating tag; every seventh row has no vector, pinning
+// the nil-vec no-match rule.
 func joinOracleRows(rng *rand.Rand, n int) []relation.InsertRow {
 	rows := make([]relation.InsertRow, n)
 	for i := range rows {
+		s := randOracleSeq(rng)
 		rows[i] = relation.InsertRow{
-			Seq:   randOracleSeq(rng),
-			Attrs: map[string]string{"tag": fmt.Sprint(i % 3)},
+			Seq:   s,
+			Attrs: map[string]string{"tag": fmt.Sprint(i % 3), "rev": reverse(s)},
 		}
 		if i%7 != 0 {
 			v := make(metric.Vector, 3)
@@ -125,9 +127,18 @@ func (p *joinOraclePair) checkJoin(t *testing.T, stmt string, want []string) {
 	}
 }
 
+func reverse(s string) string {
+	b := []byte(s)
+	for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
+		b[i], b[j] = b[j], b[i]
+	}
+	return string(b)
+}
+
 // TestJoinOracleEdits covers the edit-distance join strategies: unit
-// radius (partition/index eligible), a residual-filtered radius-2 join,
-// the weighted nested-loop probe, and a three-way chain.
+// radius over seq (the length-view probe), a residual-filtered radius-2
+// join, a unit edge onto another attribute (the length partitions), the
+// weighted nested-loop probe, and a three-way chain.
 func TestJoinOracleEdits(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	rows := joinOracleRows(rng, 80)
@@ -166,6 +177,18 @@ func TestJoinOracleEdits(t *testing.T) {
 			}
 			p.checkJoin(t,
 				`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.seq) <= 2 USING edits WHERE a.tag = "0" AND a.id != b.id`,
+				want)
+
+			want = want[:0]
+			for ai, a := range rows {
+				for bi, b := range rows {
+					if d, ok := editdp.LevenshteinWithin(a.Seq, b.Attrs["rev"], 1); ok {
+						want = append(want, fmt.Sprintf("%d\x1f%d\x1f%s", ai, bi, formatDist(float64(d))))
+					}
+				}
+			}
+			p.checkJoin(t,
+				`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.rev) <= 1 USING edits`,
 				want)
 
 			want = want[:0]

@@ -1,105 +1,95 @@
 package query
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/editdp"
+	"repro/internal/relation"
+	"repro/internal/rewrite"
 )
 
 // TestExplainShowsKernelDispatch pins the plan-decision kernel record:
-// unit-cost conjuncts dispatch to the bit-parallel Myers kernel,
-// weighted rule sets stay on TargetDP, targets outside the rule
-// alphabet fall back to TargetDP, and disabling the kernel relabels
-// (and re-keys) every plan.
+// unit-cost conjuncts dispatch to the bit-parallel Myers kernel, on the
+// band walk and in the scan filter alike, weighted rule sets stay on
+// TargetDP, and targets outside the rule alphabet fall back to
+// TargetDP.
 func TestExplainShowsKernelDispatch(t *testing.T) {
 	e := testEngine(t)
-
-	// Non-integral radius forces a scan, so the compiled filter serves
-	// the conjunct; unit-edits is unit-cost and covers the target.
-	res, err := e.Execute(`EXPLAIN SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1.5 USING unit-edits`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Plan, "kernel=myers") || !strings.Contains(res.Plan, "Scan(") {
-		t.Errorf("unit-cost scan filter should dispatch to myers:\n%s", res.Plan)
-	}
-
-	// Weighted rule set: the vectorized weighted kernel serves it.
-	res, err = e.Execute(`EXPLAIN SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1.5 USING cheap_vowels`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Plan, "kernel=targetdp") {
-		t.Errorf("weighted rule set should stay on targetdp:\n%s", res.Plan)
-	}
-
-	// Target byte outside the rule alphabet: +Inf costs under the
-	// weighted semantics, so Myers must not serve it.
-	res, err = e.Execute(`EXPLAIN SELECT * FROM words WHERE seq SIMILAR TO "c0lor" WITHIN 1.5 USING unit-edits`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Plan, "kernel=targetdp") {
-		t.Errorf("uncovered target should fall back to targetdp:\n%s", res.Plan)
-	}
-
-	// Index-served range plan: the BK-tree traversal runs the
-	// query-scoped Myers kernel.
-	res, err = e.Execute(`EXPLAIN SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING unit-edits`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Plan, "kernel=myers") || !strings.Contains(res.Plan, "IndexRange") {
-		t.Errorf("index range plan should record the myers kernel:\n%s", res.Plan)
-	}
-
-	// Kernel disabled: fresh cache epoch, honest labels.
-	editdp.SetBitParallel(false)
-	defer editdp.SetBitParallel(true)
-	res, err = e.Execute(`EXPLAIN SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING unit-edits`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Plan, "kernel=scalar") {
-		t.Errorf("disabled kernel should relabel the index plan scalar:\n%s", res.Plan)
-	}
-	res, err = e.Execute(`EXPLAIN SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1.5 USING unit-edits`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Plan, "kernel=targetdp") {
-		t.Errorf("disabled kernel should send scan filters to targetdp:\n%s", res.Plan)
+	for _, tc := range []struct{ stmt, op, kernel string }{
+		// The band walk serves unit-cost WITHIN at any radius.
+		{`SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING unit-edits`, "IndexRange", "myers"},
+		{`SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1.5 USING unit-edits`, "IndexRange", "myers"},
+		// The OR conjunct forces a scan; the compiled filter serves it.
+		{`SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1.5 USING unit-edits OR lang = "xx"`, "Scan(", "myers"},
+		// Weighted rule set: the vectorized weighted kernel serves it.
+		{`SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1.5 USING cheap_vowels`, "Scan(", "targetdp"},
+		// Target byte outside the rule alphabet: +Inf costs under the
+		// rule set's semantics, so Myers must not serve it.
+		{`SELECT * FROM words WHERE seq SIMILAR TO "c0lor" WITHIN 1.5 USING unit-edits`, "IndexRange", "targetdp"},
+		{`SELECT * FROM words WHERE seq SIMILAR TO "c0lor" WITHIN 1.5 USING unit-edits OR lang = "xx"`, "Scan(", "targetdp"},
+		{`SELECT * FROM words WHERE seq NEAREST 2 TO "color" USING unit-edits`, "NearestK", "myers"},
+		{`SELECT * FROM words WHERE seq NEAREST 2 TO "c0lor" USING unit-edits`, "NearestK", "targetdp"},
+	} {
+		res, err := e.Execute("EXPLAIN " + tc.stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(res.Plan, tc.op) || !strings.Contains(res.Plan, "kernel="+tc.kernel) {
+			t.Errorf("%s: want %s with kernel=%s:\n%s", tc.stmt, tc.op, tc.kernel, res.Plan)
+		}
 	}
 }
 
-// TestKernelToggleResultParity pins that flipping the bit-parallel
-// kernel never changes a result row: the same statements run with the
-// kernel on and off must agree byte for byte, across index-served,
-// compiled-filter and fallback shapes.
-func TestKernelToggleResultParity(t *testing.T) {
-	defer editdp.SetBitParallel(true)
-	stmts := []string{
-		`SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING unit-edits`,
-		`SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1.5 USING unit-edits ORDER BY dist`,
-		`SELECT * FROM words WHERE seq SIMILAR TO "c0lor" WITHIN 2.5 USING unit-edits`,
-		`SELECT * FROM words WHERE seq SIMILAR TO "colour" WITHIN 0.4 USING cheap_vowels`,
-		`SELECT * FROM words WHERE seq NEAREST 3 TO "colr" USING unit-edits`,
-	}
-	for _, stmt := range stmts {
-		editdp.SetBitParallel(true)
-		on, err := testEngine(t).Execute(stmt)
-		if err != nil {
-			t.Fatalf("%s (kernel on): %v", stmt, err)
+// TestRuleAlphabetOneDistance: editing a byte outside the rule alphabet
+// costs +Inf under the rule set's own semantics, and every access path
+// must agree — the band walk (WITHIN at an integral, a fractional and a
+// huge radius, NEAREST), the scan filter and the index join, unsharded
+// and over 4 shards. Plain Levenshtein would admit caZ, ca-t and Cat at
+// distance 1 from cat.
+func TestRuleAlphabetOneDistance(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		var w relation.Table = relation.New("w")
+		if shards > 1 {
+			w = relation.NewSharded("w", shards)
 		}
-		editdp.SetBitParallel(false)
-		off, err := testEngine(t).Execute(stmt)
-		if err != nil {
-			t.Fatalf("%s (kernel off): %v", stmt, err)
+		for _, s := range []string{"cat", "caZ", "cot", "dog", "ca-t", "Cat"} {
+			w.Insert(s, nil)
 		}
-		if !reflect.DeepEqual(on.Rows, off.Rows) {
-			t.Errorf("%s: kernel on/off rows differ:\non:  %v\noff: %v", stmt, on.Rows, off.Rows)
+		q := relation.New("q")
+		q.Insert("cat", nil)
+		q.Insert("caZ", nil)
+		cat := relation.NewCatalog()
+		cat.Add(w)
+		cat.Add(q)
+		e := NewEngine(cat)
+		if err := e.RegisterRuleSet(rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz")); err != nil {
+			t.Fatal(err)
+		}
+		const (
+			catNear = "cat\x1f0\ncot\x1f1"
+			caZNear = "caZ\x1f0"
+		)
+		for _, tc := range []struct{ stmt, op, want string }{
+			{`SELECT seq, dist FROM w WHERE seq SIMILAR TO "cat" WITHIN 1 USING unit-edits`, "IndexRange", catNear},
+			{`SELECT seq, dist FROM w WHERE seq SIMILAR TO "cat" WITHIN 1.5 USING unit-edits`, "IndexRange", catNear},
+			{`SELECT seq, dist FROM w WHERE seq SIMILAR TO "cat" WITHIN 1 USING unit-edits OR seq = "#"`, "Scan", catNear},
+			{`SELECT seq, dist FROM w WHERE seq NEAREST 6 TO "cat" USING unit-edits`, "NearestK", catNear + "\ndog\x1f3"},
+			// A radius past the int range: every finite distance qualifies.
+			{`SELECT seq, dist FROM w WHERE seq SIMILAR TO "cat" WITHIN 1e300 USING unit-edits`, "IndexRange", catNear + "\ndog\x1f3"},
+			{`SELECT seq, dist FROM w WHERE seq SIMILAR TO "cat" WITHIN 1e300 USING unit-edits OR seq = "#"`, "Scan", catNear + "\ndog\x1f3"},
+			{`SELECT b.seq, dist FROM q a, w b ON dist(a.seq, b.seq) <= 1 USING unit-edits WHERE a.seq = "cat"`, "IndexJoin", catNear},
+			{`SELECT seq, dist FROM w WHERE seq SIMILAR TO "caZ" WITHIN 1 USING unit-edits`, "IndexRange", caZNear},
+			{`SELECT seq, dist FROM w WHERE seq SIMILAR TO "caZ" WITHIN 1 USING unit-edits OR seq = "#"`, "Scan", caZNear},
+			{`SELECT seq, dist FROM w WHERE seq NEAREST 6 TO "caZ" USING unit-edits`, "NearestK", caZNear},
+			{`SELECT b.seq, dist FROM q a, w b ON dist(a.seq, b.seq) <= 1 USING unit-edits WHERE a.seq = "caZ"`, "IndexJoin", caZNear},
+		} {
+			res, err := e.Execute(tc.stmt)
+			if err != nil {
+				t.Fatalf("shards=%d %s: %v", shards, tc.stmt, err)
+			}
+			if got := positional(res); got != tc.want || !strings.Contains(res.Plan, tc.op) {
+				t.Errorf("shards=%d %s:\ngot:\n%s\nwant (%s):\n%s\nplan:\n%s", shards, tc.stmt, got, tc.op, tc.want, res.Plan)
+			}
 		}
 	}
 }

@@ -38,10 +38,11 @@
 // Volcano-style executor: queries compile to trees of physical
 // operators (Scan, IndexRange, NearestK, Filter, Project, Limit,
 // OrderByDist, NestedLoopJoin, IndexJoin, Parallel) behind one pull
-// iterator interface. The planner ranks access paths with relation
-// statistics per the rule-set classification: metric indexes (BK-tree,
-// trie) for the unit edit distance, filter+verify for weighted
-// edit-like sets, and scan with the general search engine otherwise.
+// iterator interface. The planner picks access paths per the rule-set
+// classification: the length-band walk for the unit edit distance,
+// filter+verify for weighted edit-like sets, and scan with the general
+// search engine otherwise; vector predicates rank the VP-tree against
+// the scan with relation statistics.
 // EXPLAIN renders the chosen operator tree. See DESIGN.md.
 package query
 

@@ -18,6 +18,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/editdp"
@@ -53,7 +54,7 @@ const (
 // and safely shared across concurrent executions.
 type planDecision struct {
 	kind      accessKind
-	via       string       // accessRange: bktree|trie|vptree; accessNearest over vec: vptree|scan
+	via       string       // vector paths only: vptree|scan
 	start     string       // accessJoin: starting alias
 	steps     []stepChoice // accessJoin: greedy join order
 	parallel  bool         // shard the scan-rooted pipeline
@@ -61,7 +62,7 @@ type planDecision struct {
 	shards    int          // > 0: scatter-gather plan over a ShardedRelation
 	shardJoin bool         // accessJoin over >= 1 sharded relation (broadcast inner)
 	kernel    string       // distance kernel serving the primary edit conjunct
-	// ("myers", "targetdp", "scalar", or "" when none)
+	// ("myers", "targetdp", "vec-<metric>", or "" when none)
 }
 
 // stepChoice is one edge of the decided join order. The edge is named
@@ -144,28 +145,21 @@ func (e *Engine) decide(q *Query) (*planDecision, error) {
 }
 
 // kernelFor records which distance kernel serves the plan's primary
-// edit conjunct, for EXPLAIN. Index-served plans (BK-tree, trie) run
-// the query-scoped bit-parallel kernel inside the index traversal, and
-// so does NEAREST under a unit-cost rule set (TargetDP otherwise);
-// scan and join plans are classified by the compiled filter's own
-// dispatch predicate. The record is advisory — the filter re-checks
-// eligibility at compile time — and the bit-parallel toggle is part of
-// the plan-cache epoch, so a cached label never goes stale.
+// edit conjunct, for EXPLAIN. The band walks (WITHIN and NEAREST) run
+// the bit-parallel kernel when it computes the rule set's distance to
+// the target (TargetDP otherwise; rows outside the rule alphabet fall
+// back to TargetDP either way, as in the filter); scan plans are
+// classified by the compiled filter's own dispatch predicate. The
+// record is advisory — the operators re-check eligibility when they
+// open.
 func (e *Engine) kernelFor(q *Query, d *planDecision) string {
-	indexKernel := "scalar"
-	if editdp.BitParallelEnabled() {
-		indexKernel = "myers"
-	}
 	switch d.kind {
 	case accessNearest:
 		ne := q.Where.(NearestExpr)
 		if isVecNearest(&ne) {
 			return "vec-" + ne.RuleSet
 		}
-		if rs, err := e.ruleset(ne.RuleSet); err == nil && unitCost(rs) {
-			return indexKernel
-		}
-		return "targetdp"
+		return bandKernel(e.calc(ne.RuleSet), ne.Target.Lit)
 	case accessRange:
 		if d.via == "vptree" {
 			if sim, _ := extractVecRangeSim(q.Where); sim != nil {
@@ -173,24 +167,37 @@ func (e *Engine) kernelFor(q *Query, d *planDecision) string {
 			}
 			return ""
 		}
-		return indexKernel
+		if sim, _ := extractRangeSim(q.Where, e.rangeIndexable); sim != nil {
+			return bandKernel(e.calc(sim.RuleSet), sim.Target.Lit)
+		}
+		return ""
 	case accessJoin:
 		// Classify by the primary join edge: vec edges run the metric's
-		// block kernels, unit edit edges the query-scoped bit-parallel
-		// probe (partition verify and BK-tree traversal alike), weighted
-		// edges the budgeted DP (TargetDP in the partition fallback).
+		// block kernels, unit edit edges the bit-parallel band probe (or
+		// the partitioned verify over other attributes), weighted edges
+		// the budgeted DP.
 		if sim := firstJoinSim(q.Where); sim != nil {
 			if isVecSim(sim) {
 				return "vec-" + sim.RuleSet
 			}
 			if c := e.calc(sim.RuleSet); c != nil && c.Unit() {
-				return indexKernel
+				return "myers"
 			}
 			return "targetdp"
 		}
 		return ""
 	}
 	return e.filterKernel(q.Where)
+}
+
+// bandKernel names the kernel a band walk runs for target: Myers where
+// it computes the rule set's distance (the newBandWalk condition),
+// TargetDP otherwise.
+func bandKernel(c *editdp.Calculator, target string) string {
+	if c != nil && c.Unit() && c.Covers(target) {
+		return "myers"
+	}
+	return "targetdp"
 }
 
 // isVecNearest reports whether a NEAREST predicate targets the vector
@@ -200,9 +207,9 @@ func isVecNearest(ne *NearestExpr) bool {
 }
 
 // decideNearest validates a NEAREST query. String NEAREST has one
-// access path — the bounded scan of the length-ordered view — so there
-// is nothing to choose; over a sharded relation every shard runs it and
-// a rank-aware gather merges the shard top-k lists.
+// access path — the band walk of the length-ordered view — so there is
+// nothing to choose; over a sharded relation every shard runs it and a
+// rank-aware gather merges the shard top-k lists.
 func (e *Engine) decideNearest(q *Query, ne NearestExpr, tab relation.Table) (*planDecision, error) {
 	if len(q.From) != 1 {
 		return nil, fmt.Errorf("query: NEAREST requires a single relation")
@@ -262,7 +269,7 @@ func (e *Engine) decideVecNearest(q *Query, ne NearestExpr, tab relation.Table) 
 // gatherWorkers caps the scatter-gather fan-out at the engine's
 // parallelism (at least one worker).
 func (e *Engine) gatherWorkers(shards int) int {
-	workers, _ := e.parallelConfig()
+	workers := e.parallelism
 	if workers > shards {
 		workers = shards
 	}
@@ -272,25 +279,27 @@ func (e *Engine) gatherWorkers(shards int) int {
 	return workers
 }
 
-// rangeIndexable licenses a conjunct for the metric indexes: a literal,
-// non-pattern target over seq under a unit-cost rule set at an integral
-// radius.
+// rangeIndexable licenses a conjunct for the band walk: a target over
+// seq under a unit-cost rule set, whose distances are integers, so any
+// radius r bounds them as floor(r) does.
 func (e *Engine) rangeIndexable(sim *SimExpr) bool {
-	if sim.Field.Name != "seq" || sim.Radius != float64(int(sim.Radius)) {
+	if sim.Field.Name != "seq" {
 		return false
 	}
 	rs, err := e.ruleset(sim.RuleSet)
 	return err == nil && unitCost(rs)
 }
 
-// decideSingle picks the access path for a single-relation query: an
-// indexable SIMILAR TO conjunct over seq becomes an IndexRange on
-// whichever metric index the cost model prefers; everything else is a
-// (possibly parallel) scan with the full predicate as a filter. Over a
-// sharded relation the same choice is made on per-shard statistics and
-// the decision becomes a scatter-gather plan: every shard runs the
-// chosen access path on its own snapshot and an id-ordered gather
-// restores the serial scan order.
+// decideSingle picks the access path for a single-relation query: a
+// literal SIMILAR TO conjunct over seq under a unit-cost rule set is
+// always an IndexRange, the band walk of the length-ordered view; a
+// vector conjunct under a triangular metric probes the VP-tree where
+// the cost model prefers it; everything else is a (possibly parallel)
+// scan with the full predicate as a filter. Over a sharded relation the
+// vector choice is made on per-shard statistics and the decision
+// becomes a scatter-gather plan: every shard runs the chosen access
+// path on its own snapshot and an id-ordered gather restores the serial
+// scan order.
 func (e *Engine) decideSingle(q *Query, tab relation.Table) (*planDecision, error) {
 	st := tab.Stats()
 	shards := 0
@@ -301,34 +310,27 @@ func (e *Engine) decideSingle(q *Query, tab relation.Table) (*planDecision, erro
 	if shards > 1 {
 		// Each shard holds ~1/N of the rows; the per-shard access choice
 		// must be costed against what one shard actually scans or probes.
-		costStats.Count = (st.Count + shards - 1) / shards
 		costStats.VecCount = (st.VecCount + shards - 1) / shards
 	}
+	d := &planDecision{kind: accessScan, shards: shards}
+	if shards > 0 {
+		d.workers = e.gatherWorkers(shards)
+	}
 	if sim, _ := extractRangeSim(q.Where, e.rangeIndexable); sim != nil {
-		if via := chooseRangeAccess(costStats, sim.Radius); via != "scan" {
-			d := &planDecision{kind: accessRange, via: via, shards: shards}
-			if shards > 0 {
-				d.workers = e.gatherWorkers(shards)
-			}
-			return d, nil
-		}
+		d.kind = accessRange
+		return d, nil
 	}
 	if sim, _ := extractVecRangeSim(q.Where); sim != nil {
 		m, ok := metric.Lookup(sim.RuleSet)
 		if ok && metric.IsTriangular(m) && chooseVecAccess(costStats, sim.Radius) == "vptree" {
-			d := &planDecision{kind: accessRange, via: "vptree", shards: shards}
-			if shards > 0 {
-				d.workers = e.gatherWorkers(shards)
-			}
+			d.kind, d.via = accessRange, "vptree"
 			return d, nil
 		}
 	}
-	hasWork := !isTrivial(simplifyExpr(q.Where))
-	d := &planDecision{kind: accessScan, shards: shards}
 	if shards > 0 {
-		d.workers = e.gatherWorkers(shards)
 		return d, nil
 	}
+	hasWork := !isTrivial(simplifyExpr(q.Where))
 	// A bare scan has no per-tuple verification work to parallelise.
 	d.parallel, d.workers = e.decideParallel(q, st.Count, hasWork)
 	return d, nil
@@ -337,12 +339,12 @@ func (e *Engine) decideSingle(q *Query, tab relation.Table) (*planDecision, erro
 // decideJoin greedily orders a left-deep join chain over N relations by
 // estimated cost; similarity edges come from top-level similarity
 // conjuncts between two aliases (SIMILAR TO or ON dist(...) <= k). Per
-// edge the cheapest probe strategy is chosen: index-nested-loop (probe
-// the inner BK-tree or VP-tree), partitioned (length/norm-band the
-// inner side), or plain nested loop. A join touching sharded relations
-// becomes a scatter-gather plan: one chain per outer shard with the
-// inner sides broadcast, merged by outer id under GatherMerge (see
-// buildJoin).
+// edge a probe strategy is chosen: index-nested-loop (the band walk of
+// the inner length view, or the inner VP-tree), partitioned
+// (length/norm-band the inner side), or plain nested loop. A join
+// touching sharded relations becomes a scatter-gather plan: one chain
+// per outer shard with the inner sides broadcast, merged by outer id
+// under GatherMerge (see buildJoin).
 func (e *Engine) decideJoin(q *Query, rels []relation.Table) (*planDecision, error) {
 	relOf := map[string]relation.Table{}
 	pos := map[string]int{}
@@ -431,14 +433,16 @@ type joinAlgo struct {
 	vec  bool
 }
 
-// chooseJoinAlgo picks the probe strategy for one similarity edge.
-// Index joins keep their historical precedence over the nested loop
-// (an indexable edge always probes the index rather than scanning); the
-// partitioned join competes on cost. String partitioning requires a
-// unit-cost rule set (the length band |len(x)-len(y)| <= d needs every
-// edit to cost at least one); vector partitioning bands by
-// distance-to-origin under a triangular metric and degrades to a single
-// partition (block kernel only) for non-triangular metrics like cosine.
+// chooseJoinAlgo picks the probe strategy for one similarity edge and
+// returns its cost, which orders the join chain. A unit-cost edit edge
+// whose inner field is seq always probes the inner length view with the
+// band walk, costed like the partitioned join whose length bands it
+// visits; over any other inner attribute the partitioned join competes
+// with the nested loop on cost (the length band |len(x)-len(y)| <= d
+// needs every edit to cost at least one, hence unit cost). Vector edges
+// choose among the VP-tree probe, a norm-banded partition — a single
+// partition, block kernel only, for non-triangular metrics like cosine —
+// and the nested loop on cost.
 func (e *Engine) chooseJoinAlgo(edge *SimExpr, innerField string, outerRows float64, inner relation.Stats) (joinAlgo, float64, error) {
 	if isVecSim(edge) {
 		m, ok := metric.Lookup(edge.RuleSet)
@@ -462,14 +466,12 @@ func (e *Engine) chooseJoinAlgo(edge *SimExpr, innerField string, outerRows floa
 	if err != nil {
 		return joinAlgo{}, 0, err
 	}
-	unit := unitCost(rs)
-	algo, cost := "nl", nestedLoopJoinCost(outerRows, inner, edge.Radius)
-	// The BK-tree indexes seq, so index joins additionally need the
-	// inner join field to be seq (and an integral radius).
-	if unit && edge.Radius == float64(int(edge.Radius)) && innerField == "seq" {
-		algo, cost = "index", indexJoinCost(outerRows, inner, edge.Radius)
+	unit := unitCost(rs) && e.calc(edge.RuleSet) != nil
+	if unit && innerField == "seq" {
+		return joinAlgo{algo: "index"}, partitionJoinCost(outerRows, inner, math.Floor(edge.Radius)), nil
 	}
-	if unit && e.calc(edge.RuleSet) != nil {
+	algo, cost := "nl", nestedLoopJoinCost(outerRows, inner, edge.Radius)
+	if unit {
 		if pc := partitionJoinCost(outerRows, inner, edge.Radius); pc < cost {
 			algo, cost = "partition", pc
 		}
@@ -492,10 +494,9 @@ func joinOutRowsFor(edge *SimExpr, outerRows float64, inner relation.Stats) floa
 // serial: the serial pipeline can stop at the limit, while the parallel
 // plan must drain every shard before merging.
 func (e *Engine) decideParallel(q *Query, outerRows int, hasWork bool) (bool, int) {
-	workers, minRows := e.parallelConfig()
 	limitStopsEarly := q.Limit > 0 && q.Order == OrderNone
-	if workers > 1 && outerRows >= minRows && hasWork && !limitStopsEarly {
-		return true, workers
+	if e.parallelism > 1 && outerRows >= e.parallelMinRows && hasWork && !limitStopsEarly {
+		return true, e.parallelism
 	}
 	return false, 1
 }
@@ -532,25 +533,14 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 		// decision was made; Execute re-plans on this error.
 		return nil, fmt.Errorf("query: stale plan: relation %q is now sharded", q.From[0].Name)
 	}
-	// Ensure shared index structures ahead of the snapshot.
-	switch d.kind {
-	case accessRange:
-		switch d.via {
-		case "trie":
-			rel.Trie()
-		case "vptree":
-			if m := vecRangeMetric(q.Where); m != nil {
-				rel.VPTree(m)
-			}
-		default:
-			rel.BKTree()
-		}
-	case accessNearest:
-		if ne := q.Where.(NearestExpr); !isVecNearest(&ne) {
-			rel.LengthView()
-		} else if m, ok := metric.Lookup(ne.RuleSet); ok && d.via == "vptree" {
+	// Ensure shared access structures ahead of the snapshot.
+	switch {
+	case d.via == "vptree":
+		if m := accessMetric(q); m != nil {
 			rel.VPTree(m)
 		}
+	case d.kind == accessRange || d.kind == accessNearest:
+		rel.LengthView()
 	}
 	snap := rel.Snapshot()
 	st := rel.Stats()
@@ -578,8 +568,8 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 			}, estNearestRows(st.VecCount, ne.K))
 		} else {
 			access = trB(ctx, &batchNearestKOp{
-				kernelTag: tag, ctx: ctx, snap: snap, alias: alias,
-				target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet, size: size,
+				kernelTag: tag, ctx: ctx, matchList: matchList{snap: snap, alias: alias, size: size},
+				target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet,
 			}, estNearestRows(st.Count, ne.K))
 		}
 	case accessRange:
@@ -601,8 +591,8 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 			return nil, fmt.Errorf("query: stale plan: no indexable conjunct")
 		}
 		access = filter(trB(ctx, &batchIndexRangeOp{
-			kernelTag: tag, ctx: ctx, snap: snap, alias: alias, via: d.via,
-			target: sim.Target.Lit, radius: int(sim.Radius), ruleSet: sim.RuleSet, size: size,
+			kernelTag: tag, ctx: ctx, matchList: matchList{snap: snap, alias: alias, size: size},
+			target: sim.Target.Lit, radius: sim.Radius, ruleSet: sim.RuleSet,
 		}, estRangeRows(st, sim.Radius)), simplifyExpr(residual))
 	case accessScan:
 		pred := simplifyExpr(q.Where)
@@ -844,17 +834,17 @@ func extractVecRangeSim(ex Expr) (*SimExpr, Expr) {
 	return nil, ex
 }
 
-// vecRangeMetric resolves the metric of the predicate's vector range
-// conjunct, nil when there is none.
-func vecRangeMetric(ex Expr) metric.Distance {
-	sim, _ := extractVecRangeSim(ex)
-	if sim == nil {
-		return nil
+// accessMetric resolves the metric of a VP-tree plan's conjunct — the
+// NEAREST predicate or the vector range conjunct — nil when there is
+// none.
+func accessMetric(q *Query) metric.Distance {
+	name := ""
+	if ne, ok := q.Where.(NearestExpr); ok {
+		name = ne.RuleSet
+	} else if sim, _ := extractVecRangeSim(q.Where); sim != nil {
+		name = sim.RuleSet
 	}
-	m, ok := metric.Lookup(sim.RuleSet)
-	if !ok {
-		return nil
-	}
+	m, _ := metric.Lookup(name)
 	return m
 }
 

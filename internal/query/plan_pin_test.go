@@ -4,8 +4,9 @@ package query
 // shapes over simqd on default flags; which operators serve them is a
 // cost decision, so a planner side effect would otherwise first show as
 // a benchmark regression. TestBenchmarkPlanSkeletons fails instead. The
-// second test reaches the two join probe strategies no benchmark
-// workload is routed to.
+// second test reaches the join probes no benchmark workload is routed
+// to — the VP-tree probe and the nested loop — next to the length-view
+// probe join_dict takes, here at radius 0.
 
 import (
 	"fmt"
@@ -74,15 +75,15 @@ func TestBenchmarkPlanSkeletons(t *testing.T) {
 		{"words_nearest", `SELECT id, seq, dist FROM words WHERE seq NEAREST 10 TO "egaebcjebf" USING edits`,
 			"Project NearestK", "NearestK(words, k=10, ruleset=edits)  (kernel=myers)"},
 		{"words_adhoc", `SELECT id, seq, dist FROM words WHERE seq SIMILAR TO "egaebcjebf" WITHIN 1 USING edits LIMIT 20`,
-			"Limit Project IndexRange", "IndexRange(words via trie"},
+			"Limit Project IndexRange", "IndexRange(words via lengthview, target=egaebcjebf, radius=1, ruleset=edits)  (kernel=myers)"},
 		{"words_wide", `SELECT id, seq, dist FROM words WHERE seq SIMILAR TO "egaebcjebf" WITHIN 5 USING edits ORDER BY dist`,
-			"Project OrderByDist Filter Scan", "(kernel=myers)"},
+			"Project OrderByDist IndexRange", "IndexRange(words via lengthview, target=egaebcjebf, radius=5, ruleset=edits)  (kernel=myers)"},
 		{"vec_nearest", `SELECT id, dist FROM vecs WHERE vec NEAREST 10 TO ` + vec + ` USING l2`,
 			"Project VecNearestK", "VecNearestK(vecs via vptree"},
 		{"ingest_mix", `SELECT id, seq, dist FROM words WHERE seq SIMILAR TO "egaebcjebf" WITHIN 2 USING edits LIMIT 20`,
-			"Limit Project IndexRange", "IndexRange(words via trie"},
+			"Limit Project IndexRange", "IndexRange(words via lengthview, target=egaebcjebf, radius=2, ruleset=edits)  (kernel=myers)"},
 		{"join_dict", `SELECT a.id, b.id, dist FROM dict a, dict b ON dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id`,
-			"Project Filter PartitionJoin Scan", "PartitionJoin(probe a.seq into b[length-banded]"},
+			"Project Filter IndexJoin Scan", "IndexJoin(probe a.seq into lengthview(b), on a.seq SIMILAR TO b.seq WITHIN 1 USING edits)  (kernel=myers)"},
 	}
 	for _, c := range cases {
 		res, err := e.Execute("EXPLAIN " + c.stmt)
@@ -99,13 +100,13 @@ func TestBenchmarkPlanSkeletons(t *testing.T) {
 }
 
 // TestIndexAndNestedLoopJoins drives the index and nested-loop probe
-// strategies — the cost model routes no benchmark workload and few
-// oracle statements to them — at block sizes 1 and 256, unsharded and
-// over 4 shards, against a brute-force double loop. The index probe
-// wins only against an outer side of about one row: a one-row probe
-// relation joined at radius 0 to short strings (BK-tree), and within
-// 0.5 under l2 to 3-dim vectors (VP-tree). The weighted "half" rule set
-// licenses neither index nor length band, so it takes the nested loop.
+// strategies at block sizes 1 and 256, unsharded and over 4 shards,
+// against a brute-force double loop: a one-row probe relation joined at
+// radius 0 to short strings (the length view, at the radius that visits
+// one band) and within 0.5 under l2 to 3-dim vectors (the VP-tree, which
+// wins on cost only against an outer side of about one row). The
+// weighted "half" rule set licenses neither index nor length band, so it
+// takes the nested loop.
 func TestIndexAndNestedLoopJoins(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var rows []relation.InsertRow
@@ -176,7 +177,7 @@ func TestIndexAndNestedLoopJoins(t *testing.T) {
 		want []string
 	}{
 		{`SELECT p.id, w.id, dist FROM probe p, words w ON dist(p.seq, w.seq) <= 0 USING edits`,
-			"IndexJoin(probe p.seq into bktree(w)", wantSeq},
+			"IndexJoin(probe p.seq into lengthview(w)", wantSeq},
 		{`SELECT p.id, w.id, dist FROM probe p, words w ON dist(p.vec, w.vec) <= 0.5 USING l2`,
 			"IndexJoin(probe p.vec into vptree(w)", wantVec},
 		{`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 0.5 USING half WHERE a.id != b.id`,

@@ -2,13 +2,12 @@ package query
 
 // Prepared queries: parse once, bind many times. A PreparedQuery keeps
 // the parsed template plus a small cache of planner decisions keyed by
-// the bind-dependent cost inputs (radii, catalog statistics version,
-// parallel configuration), so repeated executions skip both the parser
-// and the cost-based planner — binding a value that moves an access
-// path across its selectivity crossover is the only thing that triggers
-// a re-plan. A PreparedQuery is safe for concurrent use: every
-// execution binds into a fresh Query value and builds its own operator
-// tree.
+// the bind-dependent cost inputs (radii, catalog statistics version),
+// so repeated executions skip both the parser and the cost-based
+// planner — binding a value that moves an access path across its
+// selectivity crossover is the only thing that triggers a re-plan. A
+// PreparedQuery is safe for concurrent use: every execution binds into
+// a fresh Query value and builds its own operator tree.
 
 import (
 	"fmt"
@@ -246,15 +245,15 @@ func (pq *PreparedQuery) runMutation(lookup func(ParamRef) (any, error), explain
 }
 
 // decisionKey summarises every bind-dependent input to decide():
-// catalog statistics, shard topology, rule-set registry, parallel
-// configuration, the LIMIT-without-ORDER early-exit flag, and each
-// similarity radius in predicate order. Two bindings with equal keys
-// provably take the same planner choices, so the decision is reusable.
+// catalog statistics, shard topology, rule-set registry, the
+// LIMIT-without-ORDER early-exit flag, and each similarity radius in
+// predicate order (the engine's parallel configuration is fixed at
+// construction). Two bindings with equal keys provably take the same
+// planner choices, so the decision is reusable.
 func (e *Engine) decisionKey(q *Query) string {
-	workers, minRows := e.parallelConfig()
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%d|%d|%d|%d|%t|%d|%s",
-		e.catalog.StatsVersion(), e.rulesetVersion(), workers, minRows,
+	fmt.Fprintf(&b, "%d|%d|%d|%t|%d|%s",
+		e.catalog.StatsVersion(), e.rulesetVersion(),
 		metric.Version(), q.Limit > 0 && q.Order == OrderNone, q.Order, e.catalog.ShardSignature())
 	appendRadii(&b, q.Where)
 	return b.String()

@@ -344,10 +344,9 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabled: SetPlanCacheSize(0) must turn caching off.
+// TestPlanCacheDisabled: WithPlanCacheSize(0) must turn caching off.
 func TestPlanCacheDisabled(t *testing.T) {
-	e := testEngine(t)
-	e.SetPlanCacheSize(0)
+	e := testEngine(t, WithPlanCacheSize(0))
 	const stmt = `SELECT seq FROM words`
 	for i := 0; i < 3; i++ {
 		res, err := e.Execute(stmt)
@@ -391,19 +390,16 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestSetParallelismClamps is the regression test for non-positive
+// TestWithParallelismClamps is the regression test for non-positive
 // worker counts: they must clamp to 1, not be stored verbatim.
-func TestSetParallelismClamps(t *testing.T) {
-	e := testEngine(t)
+func TestWithParallelismClamps(t *testing.T) {
 	for _, n := range []int{0, -1, -100} {
-		e.SetParallelism(n)
-		if w, _ := e.parallelConfig(); w != 1 {
-			t.Errorf("SetParallelism(%d) stored %d, want clamp to 1", n, w)
+		if w := testEngine(t, WithParallelism(n)).parallelism; w != 1 {
+			t.Errorf("WithParallelism(%d) stored %d, want clamp to 1", n, w)
 		}
 	}
-	e.SetParallelism(4)
-	if w, _ := e.parallelConfig(); w != 4 {
-		t.Errorf("SetParallelism(4) stored %d", w)
+	if w := testEngine(t, WithParallelism(4)).parallelism; w != 4 {
+		t.Errorf("WithParallelism(4) stored %d", w)
 	}
 }
 

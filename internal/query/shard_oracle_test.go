@@ -4,21 +4,18 @@ package query
 // counts, a sharded engine must be indistinguishable from (a) the
 // unsharded engine and (b) a brute-force model of the query semantics.
 //
-// Identity is byte-level. NEAREST results and full-table dumps have an
-// engine-defined total order ((dist, id) and ascending id), so they are
-// compared positionally, byte for byte. WITHIN result order is
-// plan-dependent (an index traversal emits matches in tree order, a
-// scan in id order — true already for the unsharded engine), so WITHIN
-// results are compared as canonically-encoded row sets: sorted rows
-// joined into one byte string, equal iff the encodings are identical.
-// DML must leave both engines with byte-identical table contents —
-// including assigned tuple ids — after every statement batch.
+// Identity is byte-level and positional: every reply has an
+// engine-defined total order — WITHIN and full-table dumps ascending id
+// (the band walk sorts its matches by id, the gather merges shards by
+// id), NEAREST (dist, id), ORDER BY dist a stable sort of the id order —
+// so replies are compared byte for byte in emitted order. DML must leave
+// both engines with byte-identical table contents — including assigned
+// tuple ids — after every statement batch.
 
 import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -105,12 +102,12 @@ type oraclePair struct {
 	model   *oracleDB
 }
 
-func newOraclePair(t *testing.T, shards int) *oraclePair {
+func newOraclePair(t *testing.T, shards, block int) *oraclePair {
 	t.Helper()
 	mk := func(tab relation.Table) *Engine {
 		cat := relation.NewCatalog()
 		cat.Add(tab)
-		e := NewEngine(cat)
+		e := NewEngine(cat, WithBatchSize(block))
 		rs := rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())
 		if err := e.RegisterRuleSet(rs); err != nil {
 			t.Fatal(err)
@@ -186,167 +183,172 @@ func randOracleSeq(rng *rand.Rand) string {
 }
 
 // TestShardOracleParity is the main oracle property test: randomized
-// datasets, queries and DML over shard counts 1, 2, 4 and 7, with the
-// sharded engine checked byte-for-byte against the unsharded engine and
-// the brute-force model after every batch.
+// datasets, queries and DML over shard counts 1, 2, 4 and 7 and block
+// sizes 1 and 256, with the sharded engine checked byte-for-byte against
+// the unsharded engine and the brute-force model after every batch.
 func TestShardOracleParity(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 7} {
-		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(42 + shards)))
-			p := newOraclePair(t, shards)
+			for _, block := range []int{1, 256} {
+				t.Run(fmt.Sprintf("block=%d", block), func(t *testing.T) {
+					shardOracleParity(t, shards, block)
+				})
+			}
+		})
+	}
+}
 
-			// Seed rows.
-			var values []string
-			var applies []func(*oracleDB)
-			for i := 0; i < 150; i++ {
+func shardOracleParity(t *testing.T, shards, block int) {
+	rng := rand.New(rand.NewSource(int64(42 + shards)))
+	p := newOraclePair(t, shards, block)
+
+	// Seed rows.
+	var values []string
+	var applies []func(*oracleDB)
+	for i := 0; i < 150; i++ {
+		seq := randOracleSeq(rng)
+		tag := string(oracleAlphabet[rng.Intn(3)])
+		values = append(values, fmt.Sprintf("(%q, %q)", seq, tag))
+		applies = append(applies, func(o *oracleDB) { o.insert(seq, tag) })
+	}
+	p.exec(t, "INSERT INTO words (seq, tag) VALUES "+strings.Join(values, ", "),
+		func(o *oracleDB) {
+			for _, f := range applies {
+				f(o)
+			}
+		})
+	p.checkTableParity(t)
+
+	for gen := 0; gen < 6; gen++ {
+		// A batch of random DML.
+		for i := 0; i < 10; i++ {
+			switch rng.Intn(4) {
+			case 0: // insert
 				seq := randOracleSeq(rng)
 				tag := string(oracleAlphabet[rng.Intn(3)])
-				values = append(values, fmt.Sprintf("(%q, %q)", seq, tag))
-				applies = append(applies, func(o *oracleDB) { o.insert(seq, tag) })
+				p.exec(t, fmt.Sprintf("INSERT INTO words (seq, tag) VALUES (%q, %q)", seq, tag),
+					func(o *oracleDB) { o.insert(seq, tag) })
+			case 1: // predicate delete (exercises the read plan)
+				target := randOracleSeq(rng)
+				p.exec(t, fmt.Sprintf(`DELETE FROM words WHERE seq SIMILAR TO %q WITHIN 1 USING edits`, target),
+					func(o *oracleDB) { o.deleteIDs(o.matchWithin(target, 1)) })
+			case 2: // delete by id
+				if len(p.model.rows) == 0 {
+					continue
+				}
+				id := p.model.rows[rng.Intn(len(p.model.rows))].id
+				p.exec(t, fmt.Sprintf(`DELETE FROM words WHERE id = "%d"`, id),
+					func(o *oracleDB) { o.deleteIDs([]int{id}) })
+			case 3: // predicate update (fresh-id assignment parity)
+				target := randOracleSeq(rng)
+				repl := randOracleSeq(rng)
+				p.exec(t, fmt.Sprintf(`UPDATE words SET seq = %q WHERE seq SIMILAR TO %q WITHIN 1 USING edits`, repl, target),
+					func(o *oracleDB) { o.updateIDs(o.matchWithin(target, 1), repl) })
 			}
-			p.exec(t, "INSERT INTO words (seq, tag) VALUES "+strings.Join(values, ", "),
-				func(o *oracleDB) {
-					for _, f := range applies {
-						f(o)
-					}
-				})
-			p.checkTableParity(t)
+		}
+		p.checkTableParity(t)
 
-			for gen := 0; gen < 6; gen++ {
-				// A batch of random DML.
-				for i := 0; i < 10; i++ {
-					switch rng.Intn(4) {
-					case 0: // insert
-						seq := randOracleSeq(rng)
-						tag := string(oracleAlphabet[rng.Intn(3)])
-						p.exec(t, fmt.Sprintf("INSERT INTO words (seq, tag) VALUES (%q, %q)", seq, tag),
-							func(o *oracleDB) { o.insert(seq, tag) })
-					case 1: // predicate delete (exercises the read plan)
-						target := randOracleSeq(rng)
-						p.exec(t, fmt.Sprintf(`DELETE FROM words WHERE seq SIMILAR TO %q WITHIN 1 USING edits`, target),
-							func(o *oracleDB) { o.deleteIDs(o.matchWithin(target, 1)) })
-					case 2: // delete by id
-						if len(p.model.rows) == 0 {
-							continue
-						}
-						id := p.model.rows[rng.Intn(len(p.model.rows))].id
-						p.exec(t, fmt.Sprintf(`DELETE FROM words WHERE id = "%d"`, id),
-							func(o *oracleDB) { o.deleteIDs([]int{id}) })
-					case 3: // predicate update (fresh-id assignment parity)
-						target := randOracleSeq(rng)
-						repl := randOracleSeq(rng)
-						p.exec(t, fmt.Sprintf(`UPDATE words SET seq = %q WHERE seq SIMILAR TO %q WITHIN 1 USING edits`, repl, target),
-							func(o *oracleDB) { o.updateIDs(o.matchWithin(target, 1), repl) })
+		// WITHIN at radii r, r+0.5 and r+1, bare, under ORDER BY dist
+		// and under LIMIT n: positional identity across both engines
+		// and the model, and the paper's monotonicity WITHIN r ⊆
+		// WITHIN r' for r <= r' on the engine's own replies.
+		for i := 0; i < 4; i++ {
+			target := randOracleSeq(rng)
+			r, lim := rng.Intn(3), 1+rng.Intn(4)
+			var prev []string
+			for _, radius := range []float64{float64(r), float64(r) + 0.5, float64(r) + 1} {
+				stmt := fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq SIMILAR TO %q WITHIN %g USING edits`, target, radius)
+				var want []string
+				var dists []int
+				for _, row := range p.model.rows {
+					if d, ok := editdp.LevenshteinWithin(row.seq, target, int(radius)); ok {
+						want = append(want, fmt.Sprintf("%d\x1f%s\x1f%d", row.id, row.seq, d))
+						dists = append(dists, d)
 					}
 				}
-				p.checkTableParity(t)
-
-				// WITHIN queries: canonical set identity across both engines
-				// and the brute-force oracle.
-				for i := 0; i < 4; i++ {
-					target := randOracleSeq(rng)
-					radius := rng.Intn(3)
-					stmt := fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq SIMILAR TO %q WITHIN %d USING edits`, target, radius)
-					a, err := p.plain.Execute(stmt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := p.sharded.Execute(stmt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if canonical(a) != canonical(b) {
-						t.Fatalf("WITHIN diverges for %q:\nunsharded:\n%s\nsharded:\n%s", stmt, canonical(a), canonical(b))
-					}
-					var want []string
-					for _, row := range p.model.rows {
-						if d, ok := editdp.LevenshteinWithin(row.seq, target, radius); ok {
-							want = append(want, fmt.Sprintf("%d\x1f%s\x1f%d", row.id, row.seq, d))
-						}
-					}
-					sort.Strings(want)
-					if got := canonical(b); got != strings.Join(want, "\n") {
-						t.Fatalf("WITHIN diverges from oracle for %q:\ngot:\n%s\nwant:\n%s", stmt, got, strings.Join(want, "\n"))
-					}
-
-					// ORDER BY dist: both engines must agree canonically and
-					// emit non-decreasing distances.
-					ores, err := p.sharded.Execute(stmt + " ORDER BY dist")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if canonical(ores) != canonical(b) {
-						t.Fatalf("ORDER BY changed the result set for %q", stmt)
-					}
-					last := -1.0
-					for _, row := range ores.Rows {
-						d, _ := strconv.ParseFloat(row[2], 64)
-						if d < last {
-							t.Fatalf("ORDER BY dist not sorted: %v", ores.Rows)
-						}
-						last = d
-					}
-
-					// LIMIT: a plan-dependent subset, but always a subset of
-					// the oracle's match set at the right cardinality.
-					lim := 1 + rng.Intn(4)
-					lres, err := p.sharded.Execute(fmt.Sprintf("%s LIMIT %d", stmt, lim))
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantN := lim
-					if len(want) < lim {
-						wantN = len(want)
-					}
-					if len(lres.Rows) != wantN {
-						t.Fatalf("LIMIT %d returned %d rows, want %d", lim, len(lres.Rows), wantN)
-					}
-					valid := map[string]bool{}
-					for _, w := range want {
-						valid[w] = true
-					}
-					for _, row := range lres.Rows {
-						if !valid[strings.Join(row, "\x1f")] {
-							t.Fatalf("LIMIT row %v not in oracle match set", row)
-						}
-					}
+				perm := make([]int, len(want))
+				for j := range perm {
+					perm[j] = j
 				}
-
-				// NEAREST: positional byte identity — the (dist, id) order is
-				// engine-defined, so sharded, unsharded and oracle must agree
-				// on every byte including order.
-				for i := 0; i < 4; i++ {
-					target := randOracleSeq(rng)
-					k := 1 + rng.Intn(8)
-					stmt := fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq NEAREST %d TO %q USING edits`, k, target)
-					a, err := p.plain.Execute(stmt)
+				sort.SliceStable(perm, func(a, b int) bool { return dists[perm[a]] < dists[perm[b]] })
+				byDist := make([]string, len(want))
+				for j, k := range perm {
+					byDist[j] = want[k]
+				}
+				var bare []string // the engine's rows for the bare statement
+				for _, c := range []struct {
+					suffix string
+					want   []string
+				}{
+					{"", want},
+					{" ORDER BY dist", byDist},
+					{fmt.Sprintf(" LIMIT %d", lim), want[:min(lim, len(want))]},
+				} {
+					a, err := p.plain.Execute(stmt + c.suffix)
 					if err != nil {
 						t.Fatal(err)
 					}
-					b, err := p.sharded.Execute(stmt)
+					b, err := p.sharded.Execute(stmt + c.suffix)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if positional(a) != positional(b) {
-						t.Fatalf("NEAREST diverges for %q:\nunsharded:\n%s\nsharded:\n%s", stmt, positional(a), positional(b))
+						t.Fatalf("%s%s diverges:\nunsharded:\n%s\nsharded:\n%s", stmt, c.suffix, positional(a), positional(b))
 					}
-					var best []index.Match
-					for _, row := range p.model.rows {
-						best = index.PushBestK(best, index.Match{ID: row.id, S: row.seq,
-							Dist: float64(editdp.Levenshtein(row.seq, target))}, k)
+					if positional(b) != strings.Join(c.want, "\n") {
+						t.Fatalf("%s%s diverges from the model:\ngot:\n%s\nwant:\n%s", stmt, c.suffix, positional(b), strings.Join(c.want, "\n"))
 					}
-					want := make([]string, len(best))
-					for i, m := range best {
-						want[i] = fmt.Sprintf("%d\x1f%s\x1f%d", m.ID, m.S, int(m.Dist))
-					}
-					if positional(b) != strings.Join(want, "\n") {
-						t.Fatalf("NEAREST diverges from oracle for %q:\ngot:\n%s\nwant:\n%s",
-							stmt, positional(b), strings.Join(want, "\n"))
+					if c.suffix == "" {
+						for _, row := range b.Rows {
+							bare = append(bare, strings.Join(row, "\x1f"))
+						}
 					}
 				}
+				wider := map[string]bool{}
+				for _, row := range bare {
+					wider[row] = true
+				}
+				for _, row := range prev {
+					if !wider[row] {
+						t.Fatalf("%s lost row %q of the narrower radius", stmt, row)
+					}
+				}
+				prev = bare
 			}
-		})
+		}
+
+		// NEAREST: positional byte identity — the (dist, id) order is
+		// engine-defined, so sharded, unsharded and oracle must agree
+		// on every byte including order.
+		for i := 0; i < 4; i++ {
+			target := randOracleSeq(rng)
+			k := 1 + rng.Intn(8)
+			stmt := fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq NEAREST %d TO %q USING edits`, k, target)
+			a, err := p.plain.Execute(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := p.sharded.Execute(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if positional(a) != positional(b) {
+				t.Fatalf("NEAREST diverges for %q:\nunsharded:\n%s\nsharded:\n%s", stmt, positional(a), positional(b))
+			}
+			var best []index.Match
+			for _, row := range p.model.rows {
+				best = index.PushBestK(best, index.Match{ID: row.id, S: row.seq,
+					Dist: float64(editdp.Levenshtein(row.seq, target))}, k)
+			}
+			want := make([]string, len(best))
+			for i, m := range best {
+				want[i] = fmt.Sprintf("%d\x1f%s\x1f%d", m.ID, m.S, int(m.Dist))
+			}
+			if positional(b) != strings.Join(want, "\n") {
+				t.Fatalf("NEAREST diverges from oracle for %q:\ngot:\n%s\nwant:\n%s",
+					stmt, positional(b), strings.Join(want, "\n"))
+			}
+		}
 	}
 }
 
@@ -360,7 +362,7 @@ func TestShardOracleInterleavedWrites(t *testing.T) {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7 * shards)))
-			p := newOraclePair(t, shards)
+			p := newOraclePair(t, shards, defaultBatchSize)
 
 			// Deterministic statement stream + oracle applications.
 			type step struct {

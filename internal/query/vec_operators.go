@@ -136,10 +136,10 @@ func (o *batchVecNearestKOp) childNodes() []BatchOperator { return nil }
 
 // batchVecRangeOp streams matches of "vec SIMILAR TO [..] WITHIN r"
 // from the VP-tree in blocks. The iterator is lazy, so a LIMIT above
-// this operator stops the tree traversal early. As with the string
-// indexes, the shared tree is a superset of the snapshot, so every
-// match passes through the visibility filter; emission order is the
-// tree's deterministic traversal order.
+// this operator stops the tree traversal early. The shared tree is a
+// superset of the snapshot, so every match passes through the
+// visibility filter; emission order is the tree's deterministic
+// traversal order.
 type batchVecRangeOp struct {
 	kernelTag
 	ctx        *execCtx
@@ -150,8 +150,7 @@ type batchVecRangeOp struct {
 	metricName string
 	size       int
 
-	iter index.BatchIterator
-	mbuf []index.Match
+	iter index.Iterator
 	buf  *Batch
 	last ExecStats // retained across Close for span attribution
 }
@@ -163,39 +162,28 @@ func (o *batchVecRangeOp) OpenBatch() error {
 	if !ok {
 		return fmt.Errorf("query: unknown metric %q", o.metricName)
 	}
-	it := o.snap.VPTree(m).RangeIter(o.target, o.radius)
-	bi, ok := it.(index.BatchIterator)
-	if !ok {
-		bi = &iterBatcher{Iterator: it}
-	}
-	o.iter = bi
-	if cap(o.mbuf) < o.size {
-		o.mbuf = make([]index.Match, o.size)
-	}
+	o.iter = o.snap.VPTree(m).RangeIter(o.target, o.radius)
 	o.buf = getBatch()
 	return nil
 }
 
 func (o *batchVecRangeOp) NextBatch() (*Batch, error) {
 	b := o.buf
-	for {
-		n := o.iter.NextBatch(o.mbuf[:o.size])
-		if n == 0 {
-			return nil, nil
+	b.reset()
+	b.alias = o.alias
+	for b.Len() < o.size {
+		m, ok := o.iter.Next()
+		if !ok {
+			break
 		}
-		b.reset()
-		b.alias = o.alias
-		for _, m := range o.mbuf[:n] {
-			t, ok := o.snap.Tuple(m.ID)
-			if !ok {
-				continue // invisible at this snapshot (tombstone or later insert)
-			}
+		if t, ok := o.snap.Tuple(m.ID); ok { // else tombstoned or inserted later
 			b.appendMatch(t, m.Dist, true)
 		}
-		if b.Len() > 0 {
-			return b, nil
-		}
 	}
+	if b.Len() == 0 {
+		return nil, nil
+	}
+	return b, nil
 }
 
 func (o *batchVecRangeOp) CloseBatch() error {

@@ -8,11 +8,12 @@ import (
 )
 
 // LengthView is the arena regrouped by sequence length: the access
-// structure of string NEAREST. Under a unit-cost rule set the length
-// difference bounds the edit distance from below, so a top-k scan that
-// visits the buckets in order of |len(s) - len(q)| can stop at the first
-// bucket farther away than its current k-th best answer; inside a
-// bucket each entry's byte-frequency signature gives a second lower
+// structure of every unit-cost string query (WITHIN, NEAREST and the seq
+// join probe). Under a unit-cost rule set the length difference bounds
+// the edit distance from below, so a walk that visits the buckets in
+// order of |len(s) - len(q)| can stop at the first bucket farther away
+// than its bound — the radius, or the current k-th best answer; inside
+// a bucket each entry's byte-frequency signature gives a second lower
 // bound that spares most of the remaining verifications.
 //
 // It follows the BK-tree's contract: built lazily, extended online by

@@ -70,12 +70,15 @@ func TestSnapshotIsolation(t *testing.T) {
 	if cur, _ := r.Tuple(1); cur.Seq == "row01" {
 		t.Error("current view did not see the update")
 	}
-	// Index access through the old snapshot still answers pre-mutation.
-	got := snap.BKTree().Range("row00", 0)
+	// Access through the old snapshot's length view still answers
+	// pre-mutation.
 	vis := 0
-	for _, m := range got {
-		if snap.Visible(m.ID) {
-			vis++
+	bands := snap.LengthView().Bands(len("row00"))
+	for _, ents, ok := bands.Next(); ok; _, ents, ok = bands.Next() {
+		for _, e := range ents {
+			if e.Seq == "row00" && snap.VisibleRow(e.Row) {
+				vis++
+			}
 		}
 	}
 	if vis != 1 {
@@ -176,13 +179,17 @@ func TestIncrementalStatsMatchRecompute(t *testing.T) {
 	if want.Count > 0 {
 		want.AvgSeqLen = float64(total) / float64(want.Count)
 	}
-	for _, s := range seen {
+	var alphabet []byte
+	for c, s := range seen {
 		if s {
-			want.Alphabet++
+			alphabet = append(alphabet, byte(c))
 		}
 	}
-	if st.Count != want.Count || st.AvgSeqLen != want.AvgSeqLen || st.Alphabet != want.Alphabet {
+	if st.Count != want.Count || st.AvgSeqLen != want.AvgSeqLen {
 		t.Fatalf("incremental stats %+v != recomputed %+v", st, want)
+	}
+	if got := r.Snapshot().Alphabet(); got != string(alphabet) {
+		t.Fatalf("incremental alphabet %q != recomputed %q", got, alphabet)
 	}
 	if st.MaxSeqLen < want.MaxSeqLen {
 		t.Fatalf("MaxSeqLen %d underestimates true %d", st.MaxSeqLen, want.MaxSeqLen)
@@ -229,6 +236,7 @@ func TestReadersNeverBlockWriters(t *testing.T) {
 	}
 	r.BKTree()
 	r.Trie()
+	r.LengthView()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -253,9 +261,11 @@ func TestReadersNeverBlockWriters(t *testing.T) {
 					t.Errorf("snapshot scan saw %d rows, Len says %d", got, want)
 					return
 				}
-				for _, m := range snap.BKTree().Range("base0001", 1) {
-					if _, ok := snap.Tuple(m.ID); ok != snap.Visible(m.ID) {
-						t.Error("Tuple and Visible disagree")
+				bands := snap.LengthView().Bands(len("base0001"))
+				_, ents, _ := bands.Next()
+				for _, e := range ents {
+					if _, ok := snap.Tuple(e.Row.ID); ok != snap.VisibleRow(e.Row) {
+						t.Error("Tuple and VisibleRow disagree")
 						return
 					}
 				}

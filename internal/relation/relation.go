@@ -20,12 +20,13 @@
 // row has an epoch <= e) and its tombstone epoch is > e (deletes at or
 // before e hide it). Updates are delete+insert in one commit.
 //
-// The BK-tree, trie and VP-tree indexes and the length-ordered view
-// (LengthView, the access structure of string NEAREST) are maintained
-// online: inserts extend the shared structure (safe for concurrent
-// readers; see package index), deletes rely on the visibility filter,
-// and compaction rebuilds both the arena and the structures once enough
-// tombstones accumulate.
+// The length-ordered view (LengthView, the access structure of every
+// unit-cost string query), the VP-trees and — for the callers that
+// still ask for them — the BK-tree and trie are maintained online:
+// inserts extend the shared structure (safe for concurrent readers; see
+// package index), deletes rely on the visibility filter, and compaction
+// rebuilds both the arena and the structures once enough tombstones
+// accumulate.
 //
 // Beyond the string sequence, tuples may carry a dense float-vector
 // embedding (the "vec" column, a metric.Vector). Vectors ride the same
@@ -112,7 +113,7 @@ type head struct {
 	maxLen   int      // upper bound on live sequence length (exact after compaction)
 	vecRows  int      // visible rows carrying a vector
 	vecDim   int      // upper bound on live vector dimension (exact after compaction)
-	byteRows [256]int // live rows containing each byte (alphabet histogram)
+	byteRows [256]int // live rows containing each byte (see Snapshot.Alphabet)
 
 	bk    *index.BKTree
 	trie  *index.Trie
@@ -262,7 +263,6 @@ type Stats struct {
 	Count     int     // number of tuples
 	AvgSeqLen float64 // mean sequence length
 	MaxSeqLen int     // longest sequence
-	Alphabet  int     // distinct bytes across all sequences (branching estimate)
 	VecCount  int     // tuples carrying a vector
 	VecDim    int     // largest vector dimension (upper bound between compactions)
 }
@@ -768,11 +768,13 @@ func buildTrie(rows []*Row) *index.Trie {
 
 // BKTree returns the relation's BK-tree, building it on first use; once
 // built it is maintained online by Insert/Update and rebuilt by
-// compaction.
+// compaction. The query engine never builds one: the tree serves the
+// experiments, the examples and the benchmark's index probes.
 func (r *Relation) BKTree() *index.BKTree { return r.ensureBKTree() }
 
 // Trie returns the relation's trie index, building it on first use;
-// maintained online like the BK-tree.
+// maintained online like the BK-tree and, like it, unused by the query
+// engine.
 func (r *Relation) Trie() *index.Trie { return r.ensureTrie() }
 
 // LengthView returns the relation's length-ordered view, building it on
@@ -842,11 +844,6 @@ func (s *Snapshot) Stats() Stats {
 	if h.live > 0 {
 		st.AvgSeqLen = float64(h.seqBytes) / float64(h.live)
 	}
-	for _, n := range h.byteRows {
-		if n > 0 {
-			st.Alphabet++
-		}
-	}
 	return st
 }
 
@@ -867,32 +864,12 @@ func (s *Snapshot) Shard(i, n int) *Cursor {
 	return &Cursor{rows: s.h.rows[lo:hi], epoch: s.h.epoch, allLive: s.h.dead == 0}
 }
 
-// BKTree returns a BK-tree whose entries form a superset of the rows
-// visible at this snapshot; callers must filter matches through
-// Tuple/visibility. Usually this is the relation's shared online-
-// maintained tree; when no tree was built at snapshot time a private
-// one is built over the snapshot's own arena (correct even if the
-// relation compacted since).
-func (s *Snapshot) BKTree() *index.BKTree {
-	if s.h.bk != nil {
-		return s.h.bk
-	}
-	return buildBKTree(s.h.rows)
-}
-
-// Trie is the trie analogue of BKTree.
-func (s *Snapshot) Trie() *index.Trie {
-	if s.h.trie != nil {
-		return s.h.trie
-	}
-	return buildTrie(s.h.rows)
-}
-
 // VPTree returns a VP-tree over the given metric whose entries form a
 // superset of the rows visible at this snapshot; callers filter matches
-// through Visible, exactly as with BKTree. When the relation has no
-// shared tree for the metric a private one is built over the snapshot's
-// own arena.
+// through Visible. Usually this is the relation's shared online-
+// maintained tree; when none was built at snapshot time a private one
+// is built over the snapshot's own arena (correct even if the relation
+// compacted since).
 func (s *Snapshot) VPTree(m metric.Distance) *index.VPTree {
 	if vp := s.h.vps[m.Name()]; vp != nil {
 		return vp
@@ -900,13 +877,28 @@ func (s *Snapshot) VPTree(m metric.Distance) *index.VPTree {
 	return buildVPTree(m, s.h.rows)
 }
 
-// LengthView is the length-ordered analogue of BKTree; its entries are
-// filtered through VisibleRow.
+// LengthView returns a length-ordered view whose entries form a
+// superset of the rows visible at this snapshot; callers filter them
+// through VisibleRow. Like VPTree it is the shared online-maintained
+// view when one was built, a private one over the snapshot's arena
+// otherwise.
 func (s *Snapshot) LengthView() *LengthView {
 	if s.h.byLen != nil {
 		return s.h.byLen
 	}
 	return buildLengthView(s.h.rows)
+}
+
+// Alphabet returns, in ascending order, every byte that occurs in some
+// row visible at this snapshot.
+func (s *Snapshot) Alphabet() string {
+	var b []byte
+	for c, n := range s.h.byteRows {
+		if n > 0 {
+			b = append(b, byte(c))
+		}
+	}
+	return string(b)
 }
 
 // VisibleRow reports whether a row of this relation's arena — as handed

@@ -1,6 +1,6 @@
 // Horizontal sharding. A ShardedRelation hash-partitions its rows
 // across N plain Relations ("shards"), each with its own MVCC arena,
-// online-maintained BK-tree/trie indexes and — when the storage layer
+// online-maintained access structures and — when the storage layer
 // runs segmented — its own WAL segment. Tuple ids stay global: the
 // sharded relation owns the id allocator and installs rows into shards
 // with InsertAt/InsertBatchAt, so a sharded relation assigns exactly
@@ -455,22 +455,13 @@ func (s *ShardedRelation) ensureShards(has func(*head) bool, ensure func(*Relati
 	}
 }
 
-// EnsureBKTrees gives every shard an online-maintained BK-tree.
-func (s *ShardedRelation) EnsureBKTrees() {
-	s.ensureShards(func(h *head) bool { return h.bk != nil }, func(r *Relation) { r.ensureBKTree() })
-}
-
-// EnsureTries is the trie analogue of EnsureBKTrees.
-func (s *ShardedRelation) EnsureTries() {
-	s.ensureShards(func(h *head) bool { return h.trie != nil }, func(r *Relation) { r.ensureTrie() })
-}
-
-// EnsureLengthViews is the length-ordered-view analogue of EnsureBKTrees.
+// EnsureLengthViews gives every shard an online-maintained
+// length-ordered view.
 func (s *ShardedRelation) EnsureLengthViews() {
 	s.ensureShards(func(h *head) bool { return h.byLen != nil }, func(r *Relation) { r.LengthView() })
 }
 
-// EnsureVPTrees is the VP-tree analogue of EnsureBKTrees: every shard
+// EnsureVPTrees is the VP-tree analogue of EnsureLengthViews: every shard
 // gets an online-maintained VP-tree over the given metric.
 func (s *ShardedRelation) EnsureVPTrees(m metric.Distance) {
 	s.ensureShards(func(h *head) bool { return h.vps[m.Name()] != nil }, func(r *Relation) { r.ensureVPTree(m) })
@@ -544,12 +535,10 @@ func (v *ShardView) Tuples() []Tuple {
 }
 
 // Stats merges the per-shard statistics into relation-level planner
-// statistics. Exact for Count, AvgSeqLen and Alphabet (the byte
-// histograms add); MaxSeqLen inherits each shard's upper-bound
-// semantics.
+// statistics. Exact for Count and AvgSeqLen; MaxSeqLen and VecDim
+// inherit each shard's upper-bound semantics.
 func (v *ShardView) Stats() Stats {
 	var live, seqBytes, maxLen, vecRows, vecDim int
-	var byteRows [256]int
 	for _, s := range v.snaps {
 		h := s.h
 		live += h.live
@@ -561,18 +550,10 @@ func (v *ShardView) Stats() Stats {
 		if h.vecDim > vecDim {
 			vecDim = h.vecDim
 		}
-		for b, n := range h.byteRows {
-			byteRows[b] += n
-		}
 	}
 	st := Stats{Count: live, MaxSeqLen: maxLen, VecCount: vecRows, VecDim: vecDim}
 	if live > 0 {
 		st.AvgSeqLen = float64(seqBytes) / float64(live)
-	}
-	for _, n := range byteRows {
-		if n > 0 {
-			st.Alphabet++
-		}
 	}
 	return st
 }
