@@ -96,23 +96,42 @@ const wordBits = 64
 // amortized across all candidates that query verifies.
 //
 // A QueryDP is NOT safe for concurrent use (the block variant owns
-// scratch columns); each query pipeline builds its own.
+// scratch columns); each query pipeline builds its own, and a caller
+// that verifies many patterns in turn retargets one with Reset.
 type QueryDP struct {
 	pattern string
 	m       int
 	nb      int    // ⌈m/64⌉ blocks; 0 when the pattern is empty
 	hmask   uint64 // bit (m-1) mod 64 of the last block: the score row
 	peq     [256]uint64
-	peqB    []uint64 // block PEQ, peqB[c*nb+b]; nil when nb <= 1
+	peqB    []uint64 // block PEQ, peqB[c*nb+b]; only the pattern's bits set when nb > 1
 	pv, mv  []uint64 // scratch columns for the block variant
 }
 
 // NewQueryDP builds the PEQ table for the pattern.
 func NewQueryDP(pattern string) *QueryDP {
+	q := &QueryDP{}
+	q.Reset(pattern)
+	return q
+}
+
+// Reset retargets q to pattern in place; afterwards q answers exactly
+// as NewQueryDP(pattern) would. Only the PEQ words the old pattern set
+// are cleared, so a retarget costs O(|old| + |pattern|), not a 2KB
+// table, and the block buffers are reused whenever their capacity
+// allows.
+func (q *QueryDP) Reset(pattern string) {
+	for i := 0; i < q.m; i++ {
+		if q.nb == 1 {
+			q.peq[q.pattern[i]] = 0
+		} else {
+			q.peqB[int(q.pattern[i])*q.nb+i/wordBits] = 0
+		}
+	}
 	m := len(pattern)
-	q := &QueryDP{pattern: pattern, m: m}
+	q.pattern, q.m, q.nb, q.hmask = pattern, m, 0, 0
 	if m == 0 {
-		return q
+		return
 	}
 	q.nb = (m + wordBits - 1) / wordBits
 	q.hmask = 1 << (uint(m-1) % wordBits)
@@ -120,15 +139,25 @@ func NewQueryDP(pattern string) *QueryDP {
 		for i := 0; i < m; i++ {
 			q.peq[pattern[i]] |= 1 << uint(i)
 		}
-		return q
+		return
 	}
-	q.peqB = make([]uint64, 256*q.nb)
+	// The cleared words above leave the whole backing array zero, so a
+	// reslice within capacity needs no further clearing.
+	q.peqB = grow(q.peqB, 256*q.nb)
 	for i := 0; i < m; i++ {
 		q.peqB[int(pattern[i])*q.nb+i/wordBits] |= 1 << (uint(i) % wordBits)
 	}
-	q.pv = make([]uint64, q.nb)
-	q.mv = make([]uint64, q.nb)
-	return q
+	q.pv = grow(q.pv, q.nb)
+	q.mv = grow(q.mv, q.nb)
+}
+
+// grow returns s resliced to length n, reallocated (zeroed) only when
+// its capacity is short.
+func grow(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	return s[:n]
 }
 
 // Pattern returns the fixed pattern string.

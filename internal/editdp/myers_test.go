@@ -157,7 +157,9 @@ func randString(rng *rand.Rand, alpha string, n int) string {
 // FuzzMyersParity pins the bit-parallel kernels to the scalar DP on
 // arbitrary byte strings — including >64-byte block inputs and
 // non-ASCII bytes — across MyersDistance, MyersWithin, QueryDP and the
-// banded LevenshteinWithin.
+// banded LevenshteinWithin. A kernel built for y and Reset to x must
+// answer exactly as one built for x, whichever side of the 64-byte
+// block boundary either pattern lies on.
 func FuzzMyersParity(f *testing.F) {
 	f.Add("", "", 0)
 	f.Add("kitten", "sitting", 2)
@@ -166,6 +168,9 @@ func FuzzMyersParity(f *testing.F) {
 	f.Add(strings.Repeat("abcdefgh", 12), strings.Repeat("abcdefgi", 12), 15)
 	f.Add(strings.Repeat("\xfe\x00", 40), strings.Repeat("\xfe", 90), 70)
 	f.Add(strings.Repeat("x", 64), strings.Repeat("x", 65), 1)
+	f.Add(strings.Repeat("ab", 33), "", 2)
+	f.Add("", strings.Repeat("yz", 70), 3)
+	f.Add(strings.Repeat("q", 130), strings.Repeat("qr", 64), 4)
 	f.Fuzz(func(t *testing.T, x, y string, k int) {
 		if len(x) > 512 || len(y) > 512 {
 			return
@@ -200,5 +205,29 @@ func FuzzMyersParity(f *testing.F) {
 		if gd, gok := LevenshteinWithin(x, y, k); gd != wd || gok != wok {
 			t.Fatalf("LevenshteinWithin(%q, %q, %d) = (%d, %v), want (%d, %v)", x, y, k, gd, gok, wd, wok)
 		}
+		// Retargeted kernels: y -> x, and back x -> y -> x through one
+		// kernel, against both texts.
+		re := NewQueryDP(y)
+		re.Reset(x)
+		checkReset(t, re, dp, x, y, k)
+		re.Reset(y)
+		re.Reset(x)
+		checkReset(t, re, dp, x, y, k)
 	})
+}
+
+// checkReset compares a retargeted kernel with a fresh one for the same
+// pattern on Distance and Within over both fuzz texts.
+func checkReset(t *testing.T, re, fresh *QueryDP, x, y string, k int) {
+	t.Helper()
+	for _, text := range []string{x, y} {
+		if g, w := re.Distance(text), fresh.Distance(text); g != w {
+			t.Fatalf("Reset(%q).Distance(%q) = %d, fresh kernel %d", x, text, g, w)
+		}
+		gd, gok := re.Within(text, k)
+		wd, wok := fresh.Within(text, k)
+		if gd != wd || gok != wok {
+			t.Fatalf("Reset(%q).Within(%q, %d) = (%d, %v), fresh kernel (%d, %v)", x, text, k, gd, gok, wd, wok)
+		}
+	}
 }

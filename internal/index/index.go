@@ -17,7 +17,7 @@
 // distance; the filters and scan work for any edit-like set via a
 // Verifier.
 //
-// The query engine uses none of the trees. Every unit-cost string query
+// The query engine uses neither string tree. Every unit-cost string query
 // it serves — WITHIN, NEAREST and the seq join probe — walks the
 // relation's length-ordered view (relation.LengthView) instead,
 // filtering with the length difference and with ByteSig, the one-word
@@ -32,14 +32,11 @@
 // vantage-point tree over any pluggable metric.Distance that carries
 // the triangle-inequality capability (L2, but not cosine), answering
 // NEAREST and WITHIN over float-vector columns behind the same
-// Iterator/Stats contracts. VectorIndex is its planner-facing
-// interface.
+// Iterator/Stats contracts. The query engine uses it for vector
+// NEAREST, WITHIN and the vector index join.
 package index
 
-import (
-	"repro/internal/editdp"
-	"repro/internal/metric"
-)
+import "repro/internal/editdp"
 
 // Entry is one indexed sequence.
 type Entry struct {
@@ -63,36 +60,6 @@ type Iterator interface {
 	// Stats reports the work performed so far.
 	Stats() Stats
 }
-
-// Index is the interface the metric range indexes share: any
-// implementation answers unit-edit-distance range queries and exposes
-// an incremental iterator with deterministic emission order, so callers
-// can race BK-tree and trie interchangeably.
-type Index interface {
-	Len() int
-	Range(query string, k int) []Match
-	RangeStats(query string, k int) ([]Match, Stats)
-	RangeIter(query string, k int) Iterator
-}
-
-var (
-	_ Index = (*BKTree)(nil)
-	_ Index = (*Trie)(nil)
-)
-
-// VectorIndex is the planner-facing interface over continuous-domain
-// metric indexes: range queries by a float radius over an embedding
-// column, with the same deterministic-order Iterator contract as Index.
-// Matches carry an empty S — vector entries are fetched by ID from the
-// relation arena above the index.
-type VectorIndex interface {
-	Len() int
-	Range(q metric.Vector, r float64) []Match
-	RangeStats(q metric.Vector, r float64) ([]Match, Stats)
-	RangeIter(q metric.Vector, r float64) Iterator
-}
-
-var _ VectorIndex = (*VPTree)(nil)
 
 // PushBestK inserts m into best — kept sorted ascending by (Dist, ID)
 // — and truncates to at most k entries. The shared best-list of every

@@ -210,10 +210,11 @@ func (t *VPTree) NearestKFilterStatsInto(dst []Match, q metric.Vector, k int, ac
 		st.Verifications++
 		st.Nodes++
 		d := t.m.Dist(q, n.vec)
-		if accept == nil || accept(n.id) {
-			if len(best) < k || d <= best[len(best)-1].Dist {
-				best = PushBestK(best, Match{ID: n.id, Dist: d}, k)
-			}
+		// The admission test first: accept is pure and costs a lookup
+		// (a snapshot's visibility check), so only nodes that would enter
+		// the best list consult it.
+		if (len(best) < k || d <= best[len(best)-1].Dist) && (accept == nil || accept(n.id)) {
+			best = PushBestK(best, Match{ID: n.id, Dist: d}, k)
 		}
 		inner := n.inner.Load()
 		outer := n.outer.Load()

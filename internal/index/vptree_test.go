@@ -102,6 +102,44 @@ func TestVPTreeVecNearestOracle(t *testing.T) {
 	}
 }
 
+// TestVPTreeNearestAcceptOnlyAdmitted pins that NEAREST consults the
+// accept hook only for nodes that pass the admission test — the best
+// list is short, or the node is no farther than its k-th entry — so a
+// snapshot's visibility lookup is not paid for every visited node. The
+// hook accepts everything and mirrors the best list it implies: every
+// call must be admissible against that mirror, and the result and
+// counters must not depend on the hook.
+func TestVPTreeNearestAcceptOnlyAdmitted(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	vecs := randVecs(rng, 2000, 4)
+	tr := NewVPTree(metric.L2{})
+	for i, v := range vecs {
+		tr.Insert(i, v)
+	}
+	for _, k := range []int{1, 10} {
+		q := randVecs(rng, 1, 4)[0]
+		var mirror []Match
+		calls := 0
+		accept := func(id int) bool {
+			calls++
+			d := metric.L2{}.Dist(q, vecs[id])
+			if len(mirror) == k && d > mirror[k-1].Dist {
+				t.Fatalf("k %d: accept(%d) consulted at distance %g beyond the k-th best %g", k, id, d, mirror[k-1].Dist)
+			}
+			mirror = PushBestK(mirror, Match{ID: id, Dist: d}, k)
+			return true
+		}
+		got, st := tr.NearestKFilterStats(q, k, accept)
+		want, wantSt := tr.NearestKFilterStats(q, k, nil)
+		if !reflect.DeepEqual(got, want) || st != wantSt {
+			t.Fatalf("k %d: hook changed the answer: %v %+v, want %v %+v", k, got, st, want, wantSt)
+		}
+		if calls >= st.Verifications/2 {
+			t.Fatalf("k %d: accept consulted %d times for %d visited nodes", k, calls, st.Verifications)
+		}
+	}
+}
+
 // TestVPTreeVecRangeOracle pins WITHIN answers (as canonical id-sorted
 // sets) against brute force across radius sweeps, including radius 0
 // and a radius covering everything.

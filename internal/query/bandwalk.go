@@ -37,14 +37,16 @@ import (
 
 // bandWalk verifies one target against the rows of length views under
 // one rule set. It is not safe for concurrent use (the kernels reuse
-// their DP buffers).
+// their DP buffers); a caller with many targets keeps one walk and
+// resets it per target.
 type bandWalk struct {
 	calc   *editdp.Calculator
 	unit   bool // unitCost: the length and signature bounds apply
 	target string
 	qsig   index.ByteSig
-	qdp    *editdp.QueryDP  // nil unless Myers computes the rule set's distance to target
-	tdp    *editdp.TargetDP // built on first use
+	myers  bool // Myers computes the rule set's distance to target: qdp serves
+	qdp    editdp.QueryDP
+	tdp    *editdp.TargetDP // built on first use per target
 
 	// bound is the inclusive distance bound (+Inf: none); ibound is its
 	// floor, which the integer unit-cost distances compare with; bounded
@@ -58,12 +60,20 @@ type bandWalk struct {
 // unitCost of calc's rule set; callers that walk many targets compute it
 // once.
 func newBandWalk(calc *editdp.Calculator, unit bool, target string) *bandWalk {
-	w := &bandWalk{calc: calc, unit: unit, target: target, qsig: index.NewByteSig(target)}
-	if calc.Unit() && calc.Covers(target) {
-		w.qdp = editdp.NewQueryDP(target)
-	}
+	w := &bandWalk{calc: calc, unit: unit}
+	w.reset(target)
 	w.setBound(math.Inf(1))
 	return w
+}
+
+// reset retargets the walk in place, keeping its bound and its kernels'
+// buffers.
+func (w *bandWalk) reset(target string) {
+	w.target, w.qsig, w.tdp = target, index.NewByteSig(target), nil
+	w.myers = w.calc.Unit() && w.calc.Covers(target)
+	if w.myers {
+		w.qdp.Reset(target)
+	}
 }
 
 // bandWalk resolves the rule set's calculator for a walk. The planner
@@ -101,7 +111,7 @@ func covers(calc *editdp.Calculator, snap *relation.Snapshot) bool {
 // covered is covers for the snapshot seq came from.
 func (w *bandWalk) verify(seq string, covered bool) (float64, bool) {
 	finite := !math.IsInf(w.bound, 1)
-	if w.qdp != nil && (covered || w.calc.Covers(seq)) {
+	if w.myers && (covered || w.calc.Covers(seq)) {
 		if finite {
 			d, ok := w.qdp.Within(seq, w.ibound)
 			return float64(d), ok

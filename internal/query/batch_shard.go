@@ -9,7 +9,9 @@ package query
 //   - merge=id (WITHIN / scans / join chains): shard streams are merged
 //     in ascending global tuple id, which reconstructs exactly the serial
 //     scan order of the unsharded relation (ids are global and each
-//     arena is id-ascending).
+//     arena is id-ascending). Every such stream arrives id-ascending —
+//     scans read in id order, WITHIN leaves sort their matches by id,
+//     join chains emit in outer order — so the merge never sorts.
 //   - merge=bestk (NEAREST): each shard produces its own k-best list
 //     sorted by (dist, id); the gather is a rank-aware bounded merge
 //     that repeatedly takes the smallest (dist, id) frontier entry and
@@ -20,7 +22,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -64,10 +65,10 @@ func (e *Engine) buildShardedPlan(q *Query, d *planDecision, tab relation.Table)
 	tag := kernelTag{d.kernel}
 
 	// finish stacks the residual filter and the pushed limit on a shard
-	// leaf. Scan and band-walk streams are id-ascending and LIMIT without
-	// ORDER BY keeps the smallest ids, so each shard needs at most LIMIT
-	// rows: the pushed limit stops a per-shard scan early instead of
-	// draining the whole shard.
+	// leaf. Scan, band-walk and VP-tree range streams are id-ascending
+	// and LIMIT without ORDER BY keeps the smallest ids, so each shard
+	// needs at most LIMIT rows: the pushed limit stops a per-shard scan
+	// early instead of draining the whole shard.
 	finish := func(op BatchOperator, pred Expr) BatchOperator {
 		if !isTrivial(pred) {
 			op = trB(ctx, &batchFilterOp{kernelTag: kernelTag{e.filterKernel(pred)}, ctx: ctx, child: op, pred: pred, alias: alias},
@@ -118,8 +119,8 @@ func (e *Engine) buildShardedPlan(q *Query, d *planDecision, tab relation.Table)
 			pred := simplifyExpr(residual)
 			for i := range children {
 				children[i] = finish(trB(ctx, &batchVecRangeOp{
-					kernelTag: tag, ctx: ctx, snap: view.Snap(i), alias: alias,
-					target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet, size: size,
+					kernelTag: tag, ctx: ctx, matchList: matchList{snap: view.Snap(i), alias: alias, size: size},
+					target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet,
 				}, estVecRangeRows(st, sim.Radius)), pred)
 			}
 			break
@@ -201,7 +202,6 @@ type shardCols struct {
 	dist  []float64
 	has   []bool
 	binds []*binding
-	perm  []int // merge order over the rows (id-sorted for gatherByID)
 }
 
 func (c *shardCols) appendBatch(b *Batch, alias string) {
@@ -237,7 +237,7 @@ type batchGatherMergeOp struct {
 	size     int
 
 	cols    []shardCols
-	pos     []int // per-shard frontier position into perm
+	pos     []int // per-shard frontier position
 	done    int   // rows emitted (gatherBestK stops at k)
 	out     *Batch
 	binds   []*binding        // bindings-layout output buffer, reused across pulls
@@ -332,25 +332,6 @@ func (o *batchGatherMergeOp) OpenBatch() error {
 			return err
 		}
 	}
-	for i := range o.cols {
-		c := &o.cols[i]
-		c.perm = c.perm[:0]
-		for j := range c.ids {
-			c.perm = append(c.perm, j)
-		}
-		if o.mode == gatherByID && !sort.IntsAreSorted(c.ids) {
-			// Scan, band-walk and join streams arrive id-sorted already;
-			// VP-tree range streams arrive in traversal order, so sort the
-			// merge permutation. The sort must be stable: a join chain emits
-			// the same outer id once per inner match (already grouped in
-			// ascending-inner order), and a stable sort keeps each group's
-			// inner order intact. Across shards ids never tie — outer rows
-			// partition across shards.
-			sort.SliceStable(c.perm, func(a, b int) bool { return c.ids[c.perm[a]] < c.ids[c.perm[b]] })
-		}
-		// gatherBestK frontiers consume each shard's k-best list in its
-		// native (dist, id)-ascending order.
-	}
 	return nil
 }
 
@@ -362,15 +343,14 @@ func (o *batchGatherMergeOp) NextBatch() (*Batch, error) {
 		best := -1
 		for i := range o.cols {
 			c := &o.cols[i]
-			if o.pos[i] >= len(c.perm) {
+			if o.pos[i] >= len(c.ids) {
 				continue
 			}
 			if best < 0 {
 				best = i
 				continue
 			}
-			bi, bb := &o.cols[best], c.perm[o.pos[i]]
-			bj := bi.perm[o.pos[best]]
+			bi, bb, bj := &o.cols[best], o.pos[i], o.pos[best]
 			if o.mode == gatherBestK {
 				// Rank-aware frontier: smallest (dist, id) wins; ties on
 				// distance resolve by ascending tuple id, a total order over
@@ -387,7 +367,7 @@ func (o *batchGatherMergeOp) NextBatch() (*Batch, error) {
 			break
 		}
 		c := &o.cols[best]
-		j := c.perm[o.pos[best]]
+		j := o.pos[best]
 		o.pos[best]++
 		if c.binds != nil {
 			binds = append(binds, c.binds[j])

@@ -421,32 +421,81 @@ func (e *Engine) finishPlan(q *Query, plan *compiledPlan) (*Result, error) {
 //
 // Single-relation rows — which mostly travel as columns and borrow a
 // scratch binding only where a predicate or projection needs one — use
-// the inline alias/tuple pair and never allocate a map; access paths
-// verify millions of candidates per second, and one map allocation per
+// the inline alias/tuple pair and allocate nothing; access paths verify
+// millions of candidates per second, and one map allocation per
 // candidate was the engine's single largest source of GC pressure.
-// Joins promote to the aliases map.
+// Joins promote to the aliases slice: a join binds two to four aliases,
+// where a linear search beats hashing, and an emitted pair allocates
+// only its binding and one pre-sized slice.
 type binding struct {
-	alias   string                    // inline fast path (aliases == nil)
-	tuple   relation.Tuple            // tuple bound to alias
-	aliases map[string]relation.Tuple // multi-alias bindings (joins)
+	alias   string         // inline fast path (aliases == nil)
+	tuple   relation.Tuple // tuple bound to alias
+	aliases []aliasTuple   // multi-alias bindings (joins), one entry per alias
 	dist    float64
 	hasDist bool
 	row     []string
 }
 
-// newBinding returns a map-free single-alias binding.
+// aliasTuple is one alias of a multi-alias binding and its tuple.
+type aliasTuple struct {
+	alias string
+	tuple relation.Tuple
+}
+
+// newBinding returns a single-alias binding.
 func newBinding(alias string, t relation.Tuple) *binding {
 	return &binding{alias: alias, tuple: t}
 }
 
+// width returns the number of aliases b binds.
+func (b *binding) width() int {
+	if b.aliases == nil {
+		return 1
+	}
+	return len(b.aliases)
+}
+
+// slot returns the multi-alias entry's tuple for alias, or nil.
+func (b *binding) slot(alias string) *relation.Tuple {
+	for i := range b.aliases {
+		if b.aliases[i].alias == alias {
+			return &b.aliases[i].tuple
+		}
+	}
+	return nil
+}
+
+// bindAll binds every alias of src into b's multi-alias slice.
+func (b *binding) bindAll(src *binding) {
+	if src.aliases == nil {
+		b.bind(src.alias, src.tuple)
+		return
+	}
+	for _, at := range src.aliases {
+		b.bind(at.alias, at.tuple)
+	}
+}
+
+// bind binds alias to t, replacing the tuple of an alias b already
+// binds.
+func (b *binding) bind(alias string, t relation.Tuple) {
+	if s := b.slot(alias); s != nil {
+		*s = t
+		return
+	}
+	b.aliases = append(b.aliases, aliasTuple{alias: alias, tuple: t})
+}
+
 // tupleFor resolves an alias against either representation.
 func (b *binding) tupleFor(alias string) (relation.Tuple, bool) {
-	if b.aliases != nil {
-		t, ok := b.aliases[alias]
-		return t, ok
+	if b.aliases == nil {
+		if alias == b.alias {
+			return b.tuple, true
+		}
+		return relation.Tuple{}, false
 	}
-	if alias == b.alias {
-		return b.tuple, true
+	if s := b.slot(alias); s != nil {
+		return *s, true
 	}
 	return relation.Tuple{}, false
 }
@@ -458,9 +507,7 @@ func (b *binding) soleTuple() (relation.Tuple, bool) {
 		return b.tuple, true
 	}
 	if len(b.aliases) == 1 {
-		for _, t := range b.aliases {
-			return t, true
-		}
+		return b.aliases[0].tuple, true
 	}
 	return relation.Tuple{}, false
 }

@@ -460,7 +460,7 @@ func TestParallelScanDeterminism(t *testing.T) {
 // short-circuit without evaluating (or erroring on) the right side.
 func TestEvalExprShortCircuit(t *testing.T) {
 	e := testEngine(t)
-	b := &binding{aliases: map[string]relation.Tuple{"words": {ID: 0, Seq: "color"}}}
+	b := &binding{aliases: []aliasTuple{{alias: "words", tuple: relation.Tuple{ID: 0, Seq: "color"}}}}
 	bad := CmpExpr{L: Operand{Field: FieldRef{Table: "nosuch", Name: "x"}}, R: Operand{Lit: "y", IsLit: true}}
 	falsy := CmpExpr{L: Operand{Lit: "a", IsLit: true}, R: Operand{Lit: "b", IsLit: true}}
 	truthy := CmpExpr{L: Operand{Lit: "a", IsLit: true}, R: Operand{Lit: "a", IsLit: true}}

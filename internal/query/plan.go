@@ -581,8 +581,8 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 				return nil, fmt.Errorf("query: stale plan: no vector range conjunct")
 			}
 			access = filter(trB(ctx, &batchVecRangeOp{
-				kernelTag: tag, ctx: ctx, snap: snap, alias: alias,
-				target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet, size: size,
+				kernelTag: tag, ctx: ctx, matchList: matchList{snap: snap, alias: alias, size: size},
+				target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet,
 			}, estVecRangeRows(st, sim.Radius)), simplifyExpr(residual))
 			break
 		}

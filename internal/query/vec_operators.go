@@ -13,7 +13,9 @@ package query
 // size (the property the vector parity oracle pins).
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/index"
 	"repro/internal/metric"
@@ -134,75 +136,41 @@ func (o *batchVecNearestKOp) childNodes() []BatchOperator { return nil }
 
 // ------------------------------------------------------------- range
 
-// batchVecRangeOp streams matches of "vec SIMILAR TO [..] WITHIN r"
-// from the VP-tree in blocks. The iterator is lazy, so a LIMIT above
-// this operator stops the tree traversal early. The shared tree is a
-// superset of the snapshot, so every match passes through the
-// visibility filter; emission order is the tree's deterministic
-// traversal order.
+// batchVecRangeOp answers "vec SIMILAR TO [..] WITHIN r" with one
+// VP-tree range search at open. The shared tree is a superset of the
+// snapshot, so invisible rows (tombstoned or inserted later) are
+// dropped, and the matches are sorted by id before the first block
+// leaves: the reply is in the scan's order, which every shard count's
+// id-merging gather — and the LIMIT it pushes into each shard —
+// relies on. Like the string band walk, a LIMIT above it does not cut
+// the search short.
 type batchVecRangeOp struct {
 	kernelTag
+	matchList
 	ctx        *execCtx
-	snap       *relation.Snapshot
-	alias      string
 	target     metric.Vector
 	radius     float64
 	metricName string
-	size       int
-
-	iter index.Iterator
-	buf  *Batch
-	last ExecStats // retained across Close for span attribution
 }
 
-func (o *batchVecRangeOp) opStats() ExecStats { return o.last }
-
 func (o *batchVecRangeOp) OpenBatch() error {
+	o.pos = 0
+	o.buf = getBatch()
 	m, ok := metric.Lookup(o.metricName)
 	if !ok {
 		return fmt.Errorf("query: unknown metric %q", o.metricName)
 	}
-	o.iter = o.snap.VPTree(m).RangeIter(o.target, o.radius)
-	o.buf = getBatch()
-	return nil
-}
-
-func (o *batchVecRangeOp) NextBatch() (*Batch, error) {
-	b := o.buf
-	b.reset()
-	b.alias = o.alias
-	for b.Len() < o.size {
-		m, ok := o.iter.Next()
-		if !ok {
-			break
-		}
-		if t, ok := o.snap.Tuple(m.ID); ok { // else tombstoned or inserted later
-			b.appendMatch(t, m.Dist, true)
-		}
-	}
-	if b.Len() == 0 {
-		return nil, nil
-	}
-	return b, nil
-}
-
-func (o *batchVecRangeOp) CloseBatch() error {
-	if o.iter != nil {
-		es := fromIndexStats(o.iter.Stats())
-		o.last.add(es)
-		o.ctx.addStats(es)
-		o.iter = nil
-	}
-	putBatch(o.buf)
-	o.buf = nil
+	ms, st := o.snap.VPTree(m).RangeStats(o.target, o.radius)
+	ms = slices.DeleteFunc(ms, func(m index.Match) bool { return !o.snap.Visible(m.ID) })
+	slices.SortFunc(ms, func(a, b index.Match) int { return cmp.Compare(a.ID, b.ID) })
+	o.matches = ms
+	o.record(o.ctx, fromIndexStats(st))
 	return nil
 }
 
 func (o *batchVecRangeOp) Describe() string {
 	return fmt.Sprintf("VecRange(%s via vptree, radius=%g, metric=%s)", o.alias, o.radius, o.metricName)
 }
-
-func (o *batchVecRangeOp) childNodes() []BatchOperator { return nil }
 
 // ------------------------------------------------------- shard leaf
 

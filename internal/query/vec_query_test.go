@@ -327,7 +327,8 @@ func vecBruteNearest(rows []vecModelRow, m metric.Distance, q metric.Vector, k i
 	return out
 }
 
-// vecBruteWithin returns the canonical (sorted) id set within radius.
+// vecBruteWithin returns the ids within radius in ascending id order,
+// the engine's WITHIN reply order (rows must be in id order).
 func vecBruteWithin(rows []vecModelRow, m metric.Distance, q metric.Vector, radius float64) []string {
 	var ids []string
 	for _, r := range rows {
@@ -338,7 +339,6 @@ func vecBruteWithin(rows []vecModelRow, m metric.Distance, q metric.Vector, radi
 			ids = append(ids, fmt.Sprint(r.id))
 		}
 	}
-	sort.Strings(ids)
 	return ids
 }
 
@@ -351,9 +351,11 @@ func randVec(rng *rand.Rand, dim int) metric.Vector {
 }
 
 // TestVecShardBatchOracleParity pins every execution strategy — block
-// sizes 1 and 5, unsharded and sharded relations, VP-tree and scan
-// access — byte-identical to the brute-force model, across dimensions,
-// both metrics, k/radius sweeps and interleaved INSERT batches.
+// sizes {1, 5, 256}, unsharded and {4, 7}-shard relations, VP-tree and
+// scan access — byte-identical and positionally identical to the
+// brute-force model, across dimensions, both metrics, k/radius/LIMIT
+// sweeps and interleaved INSERT batches. WITHIN replies come in
+// ascending id order on every path, so a LIMIT keeps the smallest ids.
 func TestVecShardBatchOracleParity(t *testing.T) {
 	for _, dim := range []int{2, 8, 64} {
 		dim := dim
@@ -379,11 +381,11 @@ func TestVecShardBatchOracleParity(t *testing.T) {
 				shards int
 				batch  int
 			}
-			cfgs := []cfg{
-				{"row", 1, 0},
-				{"batch", 1, 5},
-				{"shard4-row", 4, 0},
-				{"shard4-batch", 4, 5},
+			var cfgs []cfg
+			for _, shards := range []int{1, 4, 7} {
+				for _, batch := range []int{1, 5, 256} {
+					cfgs = append(cfgs, cfg{fmt.Sprintf("shards%d-block%d", shards, batch), shards, batch})
+				}
 			}
 			engines := make([]*Engine, len(cfgs))
 			for i, c := range cfgs {
@@ -414,16 +416,24 @@ func TestVecShardBatchOracleParity(t *testing.T) {
 						}
 					}
 					for _, radius := range []float64{0.1, 0.5, 1.5} {
-						stmt := fmt.Sprintf(`SELECT id FROM items WHERE vec SIMILAR TO %s WITHIN %g USING %s`, lit, radius, mname)
-						want := strings.Join(vecBruteWithin(model, m, q, radius), "\n")
-						for i, e := range engines {
-							res, err := e.Execute(stmt)
-							if err != nil {
-								t.Fatalf("%s/%s: %v", cfgs[i].name, stmt, err)
+						ids := vecBruteWithin(model, m, q, radius)
+						for _, limit := range []int{0, 1, 3} {
+							stmt := fmt.Sprintf(`SELECT id FROM items WHERE vec SIMILAR TO %s WITHIN %g USING %s`, lit, radius, mname)
+							wantIDs := ids
+							if limit > 0 {
+								stmt += fmt.Sprintf(" LIMIT %d", limit)
+								wantIDs = wantIDs[:min(limit, len(wantIDs))]
 							}
-							if got := canonical(res); got != want {
-								t.Fatalf("%s: WITHIN diverges for %s\ngot:  %q\nwant: %q\nplan:\n%s",
-									cfgs[i].name, stmt, got, want, res.Plan)
+							want := strings.Join(wantIDs, "\n")
+							for i, e := range engines {
+								res, err := e.Execute(stmt)
+								if err != nil {
+									t.Fatalf("%s/%s: %v", cfgs[i].name, stmt, err)
+								}
+								if got := positional(res); got != want {
+									t.Fatalf("%s: WITHIN diverges for %s\ngot:  %q\nwant: %q\nplan:\n%s",
+										cfgs[i].name, stmt, got, want, res.Plan)
+								}
 							}
 						}
 					}
