@@ -755,11 +755,10 @@ func nearestWordsBench(b *testing.B) (*relation.Relation, []string) {
 	return rel, targets
 }
 
-// BenchmarkNearestWords and BenchmarkDistanceAllWords are the top-k
-// floor: a prepared NEAREST 10 may prune rows and abandon distances, so
-// it must not cost more than computing every distance once.
-// BENCH_baseline.json gates NearestWords at 1.0 x DistanceAllWords.
-func BenchmarkNearestWords(b *testing.B) {
+// preparedWords prepares stmt over the words of nearestWordsBench and
+// runs it once, which builds the access structure.
+func preparedWords(b *testing.B, stmt string) (*query.PreparedQuery, *query.Result, []string) {
+	b.Helper()
 	rel, targets := nearestWordsBench(b)
 	cat := relation.NewCatalog()
 	cat.Add(rel)
@@ -767,13 +766,23 @@ func BenchmarkNearestWords(b *testing.B) {
 	if err := eng.RegisterRuleSet(rewrite.MustRuleSet("edits", rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz").Rules())); err != nil {
 		b.Fatal(err)
 	}
-	pq, err := eng.Prepare(`SELECT id, seq, dist FROM words WHERE seq NEAREST 10 TO ? USING edits`)
+	pq, err := eng.Prepare(stmt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := pq.Execute(targets[0]); err != nil { // builds the access structure
+	res, err := pq.Execute(targets[0])
+	if err != nil {
 		b.Fatal(err)
 	}
+	return pq, res, targets
+}
+
+// BenchmarkNearestWords and BenchmarkDistanceAllWords are the top-k
+// floor: a prepared NEAREST 10 may prune rows and abandon distances, so
+// it must not cost more than computing every distance once.
+// BENCH_baseline.json gates NearestWords at 1.0 x DistanceAllWords.
+func BenchmarkNearestWords(b *testing.B) {
+	pq, _, targets := preparedWords(b, `SELECT id, seq, dist FROM words WHERE seq NEAREST 10 TO ? USING edits`)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -783,6 +792,27 @@ func BenchmarkNearestWords(b *testing.B) {
 		}
 		if len(res.Rows) != 10 {
 			b.Fatalf("%d rows, want 10", len(res.Rows))
+		}
+	}
+}
+
+// BenchmarkWideWords is the words_wide workload in miniature: a
+// prepared WITHIN 5 ... ORDER BY dist over the same words and targets,
+// about 1 950 rows per reply. The band-walk leaf sorts its matches by
+// (dist, id) itself, so the plan is pinned to an IndexRange carrying
+// order=dist with no OrderByDist above it; what is left per reply is
+// the walk, one sort and the projection. Informational in
+// BENCH_baseline.json; the words_wide workload guards it end to end.
+func BenchmarkWideWords(b *testing.B) {
+	pq, res, targets := preparedWords(b, `SELECT id, seq, dist FROM words WHERE seq SIMILAR TO ? WITHIN 5 USING edits ORDER BY dist`)
+	if !strings.Contains(res.Plan, "order=dist)") || strings.Contains(res.Plan, "OrderByDist") {
+		b.Fatalf("expected a leaf-ordered IndexRange and no OrderByDist:\n%s", res.Plan)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pq.Execute(targets[i%len(targets)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -56,6 +56,10 @@ func FuzzBatchParity(f *testing.F) {
 	f.Add(`SELECT * FROM words WHERE NOT (tag = "a") AND seq SIMILAR TO "abcd" WITHIN 3 USING edits`)
 	f.Add(`DELETE FROM words WHERE seq SIMILAR TO "abcd" WITHIN 1 USING edits`)
 	f.Add(`UPDATE words SET tag = "z" WHERE seq SIMILAR TO "jihg" WITHIN 1 USING edits`)
+	// Two similarity predicates: the first in evaluation order sets dist,
+	// not the one the band walk serves.
+	f.Add(`SELECT id, dist FROM words WHERE tag SIMILAR TO "a" WITHIN 1 USING edits AND seq SIMILAR TO "abcd" WITHIN 2 USING edits ORDER BY dist`)
+	f.Add(`SELECT * FROM words WHERE seq SIMILAR TO PATTERN "a(b|c)*" WITHIN 2 USING edits AND seq SIMILAR TO "abcd" WITHIN 1 USING edits`)
 	// Error-order parity: the field error (dist unavailable) must win
 	// over a hoisted evaluator error at every block size.
 	f.Add(`SELECT seq FROM words WHERE dist SIMILAR TO PATTERN "c*" WITHIN 1 USING nosuch`)

@@ -9,9 +9,12 @@ package query
 // join_batch.go, the scatter-gather operators in batch_shard.go.)
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -91,12 +94,22 @@ func (o *batchScanOp) childNodes() []BatchOperator { return nil }
 
 // ------------------------------------------------------ band-walk leaves
 
-// matchList holds the matches a band walk materialised at open and
+// matchList holds the matches an access path materialised at open and
 // streams them out in blocks; the WITHIN and NEAREST leaves share it.
+//
+// The leaf emits the order the query asks for (order, set by the
+// planner): without ORDER BY, WITHIN sorts by id — the scan's order,
+// which every shard count's id-merging gather reproduces — and NEAREST
+// keeps its (dist, id) best list; ORDER BY dist sorts by (dist, id) and
+// DESC by (dist desc, id). Those are exactly the orders a stable
+// OrderByDist makes of the unordered stream, so the planner builds none
+// above such a leaf.
 type matchList struct {
 	snap    *relation.Snapshot
 	alias   string
 	size    int
+	order   OrderDir
+	noDist  bool // the row's distance is not the leaf's: emit none (see rangeConjunct)
 	matches []index.Match
 	pos     int
 	buf     *Batch
@@ -107,6 +120,33 @@ type matchList struct {
 func (l *matchList) record(ctx *execCtx, st ExecStats) {
 	l.last.add(st)
 	ctx.addStats(st)
+}
+
+// sortMatches puts the matches in the leaf's emission order.
+func (l *matchList) sortMatches() {
+	switch l.order {
+	case OrderAsc:
+		slices.SortFunc(l.matches, func(a, b index.Match) int {
+			return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+		})
+	case OrderDesc:
+		slices.SortFunc(l.matches, func(a, b index.Match) int {
+			return cmp.Or(cmp.Compare(b.Dist, a.Dist), cmp.Compare(a.ID, b.ID))
+		})
+	default:
+		slices.SortFunc(l.matches, func(a, b index.Match) int { return cmp.Compare(a.ID, b.ID) })
+	}
+}
+
+// orderNote is the leaf's EXPLAIN suffix when it sorts for an ORDER BY.
+func (l *matchList) orderNote() string {
+	switch l.order {
+	case OrderAsc:
+		return ", order=dist"
+	case OrderDesc:
+		return ", order=dist desc"
+	}
+	return ""
 }
 
 func (l *matchList) NextBatch() (*Batch, error) {
@@ -120,7 +160,11 @@ func (l *matchList) NextBatch() (*Batch, error) {
 		m := l.matches[l.pos]
 		l.pos++
 		t, _ := l.snap.Tuple(m.ID)
-		b.appendMatch(t, m.Dist, true)
+		if l.noDist {
+			b.appendMatch(t, 0, false)
+		} else {
+			b.appendMatch(t, m.Dist, true)
+		}
 	}
 	return b, nil
 }
@@ -138,11 +182,10 @@ func (l *matchList) childNodes() []BatchOperator { return nil }
 
 // batchIndexRangeOp answers "seq SIMILAR TO lit WITHIN r" under a
 // unit-cost rule set with one band walk at the fixed bound r. The
-// matches are sorted by id before the first block leaves, so the reply
-// is in the scan's order — the order every shard count's id-merging
-// gather reproduces — and an ORDER BY dist above it stays a stable sort
-// over that order. A LIMIT above it does not cut the walk short: the
-// smallest ids are known only once every band within r was read.
+// matches are sorted into the leaf's order (see matchList) before the
+// first block leaves. A LIMIT above it does not cut the walk short: the
+// first rows in either order are known only once every band within r
+// was read.
 type batchIndexRangeOp struct {
 	kernelTag
 	matchList
@@ -164,15 +207,15 @@ func (o *batchIndexRangeOp) OpenBatch() error {
 	st := w.walk(o.snap, covers(w.calc, o.snap), func(row *relation.Row, d float64) {
 		ms = append(ms, index.Match{ID: row.ID, S: row.Seq, Dist: d})
 	})
-	sort.Slice(ms, func(i, j int) bool { return ms[i].ID < ms[j].ID })
 	o.matches = ms
+	o.sortMatches()
 	o.record(o.ctx, st)
 	return nil
 }
 
 func (o *batchIndexRangeOp) Describe() string {
-	return fmt.Sprintf("IndexRange(%s via lengthview, target=%s, radius=%g, ruleset=%s)",
-		o.alias, o.target, o.radius, o.ruleSet)
+	return fmt.Sprintf("IndexRange(%s via lengthview, target=%s, radius=%g, ruleset=%s%s)",
+		o.alias, o.target, o.radius, o.ruleSet, o.orderNote())
 }
 
 // batchNearestKOp answers "seq NEAREST k TO lit" with one band walk
@@ -206,13 +249,16 @@ func (o *batchNearestKOp) OpenBatch() error {
 		}
 	})
 	o.matches = best
+	if o.order == OrderDesc { // the best list is already (dist, id)
+		o.sortMatches()
+	}
 	observeVisited(mNearestVisitedSeq, st.Verifications, o.snap.Len())
 	o.record(o.ctx, st)
 	return nil
 }
 
 func (o *batchNearestKOp) Describe() string {
-	return fmt.Sprintf("NearestK(%s, k=%d, ruleset=%s)", o.alias, o.k, o.ruleSet)
+	return fmt.Sprintf("NearestK(%s, k=%d, ruleset=%s%s)", o.alias, o.k, o.ruleSet, o.orderNote())
 }
 
 // -------------------------------------------------------------- filter
@@ -310,15 +356,24 @@ func (o *batchFilterOp) childNodes() []BatchOperator { return []BatchOperator{o.
 
 // ------------------------------------------------------------- project
 
-// batchProjectOp materialises the output rows of each block.
+// batchProjectOp materialises the output rows of each block with two
+// allocations per block, not one per cell: every row is a slice of one
+// backing array of cells, and every number (ids, distances) is appended
+// to one byte buffer that becomes a single string the cells slice.
+// Strings the tuples already hold (seq, attributes) are shared as is.
 type batchProjectOp struct {
-	ctx   *execCtx
 	q     *Query
 	child BatchOperator
 	alias string
 
 	scratch binding
+	num     []byte    // the block's formatted numbers, back to back
+	ends    []numCell // which cell each number of num fills
 }
+
+// numCell records that cells[cell] is num up to end, from where the
+// previous number ended.
+type numCell struct{ cell, end int }
 
 func (o *batchProjectOp) OpenBatch() error { return o.child.OpenBatch() }
 
@@ -327,25 +382,88 @@ func (o *batchProjectOp) NextBatch() (*Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	rows := b.rows[:0]
+	w := len(o.q.Select)
+	if w == 0 {
+		w = 2*len(o.q.From) + 1
+	}
 	n := b.Len()
+	cells := make([]string, n*w)
+	if cap(o.ends) < n*w {
+		// Room for a number in every cell, most of them short: the
+		// buffers are sized once per operator instead of grown by
+		// doubling in every execution.
+		o.ends, o.num = make([]numCell, 0, n*w), make([]byte, 0, 8*n*w)
+	}
+	o.num, o.ends = o.num[:0], o.ends[:0]
+	rows := b.rows[:0]
 	for i := 0; i < n; i++ {
-		rb := b.binds
-		var src *binding
-		if rb != nil {
-			src = rb[i]
+		src := &o.scratch
+		if b.binds != nil {
+			src = b.binds[i]
 		} else {
-			b.scratch(i, o.alias, &o.scratch)
-			src = &o.scratch
+			b.scratch(i, o.alias, src)
 		}
-		row, err := projectRow(o.ctx.eng, o.q, src)
-		if err != nil {
+		if err := o.project(cells, i*w, src); err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		rows = append(rows, cells[i*w:(i+1)*w:(i+1)*w])
+	}
+	if len(o.ends) > 0 {
+		s, start := string(o.num), 0
+		for _, c := range o.ends {
+			cells[c.cell] = s[start:c.end]
+			start = c.end
+		}
 	}
 	b.rows = rows
 	return b, nil
+}
+
+// project fills the row of cells starting at at from one binding: the
+// selected columns, or for '*' id and seq per alias, then dist ("" when
+// the row has none).
+func (o *batchProjectOp) project(cells []string, at int, b *binding) error {
+	if len(o.q.Select) == 0 {
+		for j, ref := range o.q.From {
+			t, _ := b.tupleFor(ref.Alias)
+			o.number(at+2*j, strconv.AppendInt(o.num, int64(t.ID), 10))
+			cells[at+2*j+1] = t.Seq
+		}
+		if b.hasDist {
+			o.number(at+2*len(o.q.From), appendDist(o.num, b.dist))
+		}
+		return nil
+	}
+	for j, c := range o.q.Select {
+		f := FieldRef{Table: c.Table, Name: c.Name}
+		switch f.Name {
+		case "dist":
+			if !b.hasDist {
+				return errNoDist
+			}
+			o.number(at+j, appendDist(o.num, b.dist))
+		case "id":
+			t, err := fieldTuple(f, b)
+			if err != nil {
+				return err
+			}
+			o.number(at+j, strconv.AppendInt(o.num, int64(t.ID), 10))
+		default:
+			v, err := fieldValue(f, b)
+			if err != nil {
+				return err
+			}
+			cells[at+j] = v
+		}
+	}
+	return nil
+}
+
+// number records num, just extended by one formatted number, as the
+// value of cell.
+func (o *batchProjectOp) number(cell int, num []byte) {
+	o.num = num
+	o.ends = append(o.ends, numCell{cell: cell, end: len(num)})
 }
 
 func (o *batchProjectOp) CloseBatch() error { return o.child.CloseBatch() }
@@ -400,7 +518,9 @@ func (o *batchLimitOp) childNodes() []BatchOperator { return []BatchOperator{o.c
 // batchOrderByDistOp is the blocking sort on the row distance: it
 // drains the child into column buffers of its own, stably sorts a row
 // permutation (rows without a distance sort last; ties keep the child's
-// deterministic order) and re-emits blocks in sorted order.
+// deterministic order) and re-emits blocks in sorted order. The planner
+// builds it only where the access path does not sort for the ORDER BY
+// itself (see matchList).
 type batchOrderByDistOp struct {
 	child BatchOperator
 	desc  bool

@@ -356,7 +356,7 @@ func compileField(f FieldRef, alias string) valFn {
 	if f.Name == "dist" {
 		return func(_ *relation.Tuple, dist *float64, has *bool) (string, error) {
 			if !*has {
-				return "", fmt.Errorf("query: dist is not available here")
+				return "", errNoDist
 			}
 			return formatDist(*dist), nil
 		}

@@ -92,8 +92,8 @@ func (e *Engine) buildShardedPlan(q *Query, d *planDecision, tab relation.Table)
 			for i := range children {
 				children[i] = trB(ctx, &batchShardVecNearestKOp{
 					batchVecNearestKOp: batchVecNearestKOp{
-						kernelTag: tag, ctx: ctx, snap: view.Snap(i), alias: alias,
-						via: d.via, target: ne.Target.Vec, k: ne.K, metricName: ne.RuleSet, size: size,
+						kernelTag: tag, ctx: ctx, matchList: matchList{snap: view.Snap(i), alias: alias, size: size},
+						via: d.via, target: ne.Target.Vec, k: ne.K, metricName: ne.RuleSet,
 					},
 					idx: i, of: n,
 				}, estNearestRows(st.VecCount, ne.K))
@@ -111,28 +111,25 @@ func (e *Engine) buildShardedPlan(q *Query, d *planDecision, tab relation.Table)
 			}
 		}
 	case accessRange:
+		ok := e.rangeIndexable
 		if d.via == "vptree" {
-			sim, residual := extractVecRangeSim(q.Where)
-			if sim == nil {
-				return nil, fmt.Errorf("query: stale plan: no vector range conjunct")
-			}
-			pred := simplifyExpr(residual)
-			for i := range children {
+			ok = isVecRangeSim
+		}
+		sim, pred, leafDist := rangeConjunct(q.Where, ok)
+		if sim == nil {
+			return nil, fmt.Errorf("query: stale plan: no range conjunct")
+		}
+		for i := range children {
+			leaf := matchList{snap: view.Snap(i), alias: alias, size: size, noDist: !leafDist}
+			if d.via == "vptree" {
 				children[i] = finish(trB(ctx, &batchVecRangeOp{
-					kernelTag: tag, ctx: ctx, matchList: matchList{snap: view.Snap(i), alias: alias, size: size},
+					kernelTag: tag, ctx: ctx, matchList: leaf,
 					target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet,
 				}, estVecRangeRows(st, sim.Radius)), pred)
+				continue
 			}
-			break
-		}
-		sim, residual := extractRangeSim(q.Where, e.rangeIndexable)
-		if sim == nil {
-			return nil, fmt.Errorf("query: stale plan: no indexable conjunct")
-		}
-		pred := simplifyExpr(residual)
-		for i := range children {
 			children[i] = finish(trB(ctx, &batchIndexRangeOp{
-				kernelTag: tag, ctx: ctx, matchList: matchList{snap: view.Snap(i), alias: alias, size: size},
+				kernelTag: tag, ctx: ctx, matchList: leaf,
 				target: sim.Target.Lit, radius: sim.Radius, ruleSet: sim.RuleSet,
 			}, estRangeRows(st, sim.Radius)), pred)
 		}
@@ -147,7 +144,7 @@ func (e *Engine) buildShardedPlan(q *Query, d *planDecision, tab relation.Table)
 	}
 
 	return &compiledPlan{
-		root: e.wrapBatchTop(q, trB(ctx, gather, gatherEst), alias, size, ctx),
+		root: e.wrapBatchTop(q, trB(ctx, gather, gatherEst), alias, size, ctx, false),
 		ctx:  ctx, columns: projectColumns(q), kernel: d.kernel,
 	}, nil
 }

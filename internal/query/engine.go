@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -416,8 +417,7 @@ func (e *Engine) finishPlan(q *Query, plan *compiledPlan) (*Result, error) {
 }
 
 // binding maps table aliases to the tuples of one candidate row, plus
-// the distance produced by the access path (if any) and the projected
-// output row (filled in by the Project operator).
+// the row's distance (if any).
 //
 // Single-relation rows — which mostly travel as columns and borrow a
 // scratch binding only where a predicate or projection needs one — use
@@ -433,7 +433,6 @@ type binding struct {
 	aliases []aliasTuple   // multi-alias bindings (joins), one entry per alias
 	dist    float64
 	hasDist bool
-	row     []string
 }
 
 // aliasTuple is one alias of a multi-alias binding and its tuple.
@@ -606,7 +605,7 @@ func isVecSim(ex *SimExpr) bool {
 // is resolved against the same binding, for both domains.
 func (e *Engine) evalSim(ex *SimExpr, b *binding) (float64, bool, error) {
 	if isVecSim(ex) {
-		t, err := vecTupleFor(ex.Field, b)
+		t, err := fieldTuple(ex.Field, b)
 		if err != nil {
 			return 0, false, err
 		}
@@ -619,7 +618,7 @@ func (e *Engine) evalSim(ex *SimExpr, b *binding) (float64, bool, error) {
 			if ex.Target.IsLit || ex.Target.Field.Name != "vec" {
 				return 0, false, fmt.Errorf("query: vec similarity requires a vector literal or a vec field target")
 			}
-			tt, err := vecTupleFor(ex.Target.Field, b)
+			tt, err := fieldTuple(ex.Target.Field, b)
 			if err != nil {
 				return 0, false, err
 			}
@@ -642,9 +641,9 @@ func (e *Engine) evalSim(ex *SimExpr, b *binding) (float64, bool, error) {
 	return e.within(x, target, ex.RuleSet, ex.Radius)
 }
 
-// vecTupleFor resolves the tuple a vector predicate's field binds to,
-// with the same alias rules as fieldValue.
-func vecTupleFor(f FieldRef, b *binding) (relation.Tuple, error) {
+// fieldTuple resolves the tuple a field reference binds to: the named
+// alias's, or the only one bound.
+func fieldTuple(f FieldRef, b *binding) (relation.Tuple, error) {
 	if f.Table != "" {
 		t, ok := b.tupleFor(f.Table)
 		if !ok {
@@ -701,31 +700,57 @@ func operandValue(o Operand, b *binding) (string, error) {
 	return fieldValue(o.Field, b)
 }
 
+// errNoDist is reading dist on a row no similarity predicate has given
+// a distance yet.
+var errNoDist = errors.New("query: dist is not available here")
+
 func fieldValue(f FieldRef, b *binding) (string, error) {
 	if f.Name == "dist" {
 		if !b.hasDist {
-			return "", fmt.Errorf("query: dist is not available here")
+			return "", errNoDist
 		}
 		return formatDist(b.dist), nil
 	}
-	if f.Table != "" {
-		t, ok := b.tupleFor(f.Table)
-		if !ok {
-			return "", fmt.Errorf("query: unknown alias %q", f.Table)
-		}
-		return t.Attr(f.Name), nil
+	t, err := fieldTuple(f, b)
+	if err != nil {
+		return "", err
 	}
-	if t, ok := b.soleTuple(); ok {
-		return t.Attr(f.Name), nil
-	}
-	return "", fmt.Errorf("query: ambiguous field %q; qualify with an alias", f.Name)
+	return t.Attr(f.Name), nil
 }
 
+// formatDist renders a distance: integral values without a fraction,
+// the rest in shortest round-trip form. Integral values below 2^53 go
+// through strconv's integer formatting (which serves 0-99 from a static
+// table) instead of FormatFloat's exact-decimal path; the digits are
+// the same, so the output is byte-identical to
+// FormatFloat(d, 'f', 0, 64) for every integral d and to
+// FormatFloat(d, 'g', -1, 64) for every other.
 func formatDist(d float64) string {
-	if d == math.Trunc(d) {
-		return strconv.FormatFloat(d, 'f', 0, 64)
+	if i, ok := distInt(d); ok {
+		return strconv.FormatInt(i, 10)
 	}
-	return strconv.FormatFloat(d, 'g', -1, 64)
+	return string(appendDist(nil, d))
+}
+
+// appendDist appends formatDist(d) to dst.
+func appendDist(dst []byte, d float64) []byte {
+	if i, ok := distInt(d); ok {
+		return strconv.AppendInt(dst, i, 10)
+	}
+	if d == math.Trunc(d) { // ±Inf, -0 and integers of 2^53 and beyond
+		return strconv.AppendFloat(dst, d, 'f', 0, 64)
+	}
+	return strconv.AppendFloat(dst, d, 'g', -1, 64)
+}
+
+// distInt returns d as an int64 when it is an integer of magnitude
+// below 2^53 other than -0 (which prints as "-0"): exactly the values
+// whose integer digits are FormatFloat's.
+func distInt(d float64) (int64, bool) {
+	if d != math.Trunc(d) || math.Abs(d) >= 1<<53 || d == 0 && math.Signbit(d) {
+		return 0, false
+	}
+	return int64(d), true
 }
 
 // litTrue is the planner's placeholder for a conjunct consumed by the

@@ -1,7 +1,10 @@
 package query
 
 import (
+	"math"
+	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -411,5 +414,47 @@ func TestRuleSetNameLookup(t *testing.T) {
 	}
 	if _, err := e.Execute(`SELECT * FROM r WHERE seq SIMILAR TO "a" WITHIN 1 USING edits`); err != nil {
 		t.Fatalf("identifier rule-set name: %v", err)
+	}
+}
+
+// TestFormatDistMatchesFormatFloat: formatDist and appendDist take
+// strconv's integer path for integral distances below 2^53 and must stay
+// byte-identical to the formula they replace — FormatFloat(d, 'f', 0, 64)
+// for integral d, FormatFloat(d, 'g', -1, 64) otherwise — for every
+// float64: signed zeros, the integers around the edges of small-number
+// tables (63/64, 99/100) and around 2^53, infinities, NaN and random
+// values of every magnitude.
+func TestFormatDistMatchesFormatFloat(t *testing.T) {
+	old := func(d float64) string {
+		if d == math.Trunc(d) {
+			return strconv.FormatFloat(d, 'f', 0, 64)
+		}
+		return strconv.FormatFloat(d, 'g', -1, 64)
+	}
+	cases := []float64{0, math.Copysign(0, -1), 0.5, -0.5, 1e-300, math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64, 1e300}
+	for _, base := range []float64{0, 64, 100, 1 << 53} {
+		for i := -3.0; i <= 3; i++ {
+			cases = append(cases, base+i, -(base + i))
+		}
+	}
+	for _, base := range []float64{1 << 53, 1 << 54, 1 << 63} {
+		cases = append(cases, math.Nextafter(base, 0), base, math.Nextafter(base, math.Inf(1)))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		cases = append(cases,
+			math.Float64frombits(rng.Uint64()), // any bit pattern
+			math.Trunc(rng.NormFloat64()*1e6),  // integers
+			rng.Float64()*math.Pow(10, float64(rng.Intn(40)-20)))
+	}
+	for _, d := range cases {
+		want := old(d)
+		if got := formatDist(d); got != want {
+			t.Fatalf("formatDist(%v) = %q, want %q", d, got, want)
+		}
+		if got := string(appendDist([]byte("x"), d)); got != "x"+want {
+			t.Fatalf("appendDist(%v) = %q, want %q", d, got, "x"+want)
+		}
 	}
 }

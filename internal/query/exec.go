@@ -2,10 +2,9 @@ package query
 
 // Execution plumbing shared by every operator: the per-query work
 // counters, the compiled plan with its run loop, EXPLAIN rendering and
-// result-row projection.
+// the result header.
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 
@@ -183,31 +182,4 @@ func projectColumns(q *Query) []string {
 		cols = append(cols, prefix+"id", prefix+"seq")
 	}
 	return append(cols, "dist")
-}
-
-// projectRow materialises one output row from a binding.
-func projectRow(eng *Engine, q *Query, b *binding) ([]string, error) {
-	var row []string
-	if len(q.Select) > 0 {
-		row = make([]string, 0, len(q.Select))
-		for _, c := range q.Select {
-			v, err := fieldValue(FieldRef{Table: c.Table, Name: c.Name}, b)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-		}
-		return row, nil
-	}
-	row = make([]string, 0, 2*len(q.From)+1)
-	for _, ref := range q.From {
-		t, _ := b.tupleFor(ref.Alias)
-		row = append(row, fmt.Sprintf("%d", t.ID), t.Seq)
-	}
-	if b.hasDist {
-		row = append(row, formatDist(b.dist))
-	} else {
-		row = append(row, "")
-	}
-	return row, nil
 }

@@ -189,7 +189,22 @@ func TestExplainOperatorTrees(t *testing.T) {
 			name: "order by dist",
 			eng:  small,
 			src:  `SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 2 USING unit-edits ORDER BY dist DESC LIMIT 3`,
-			want: []string{"Limit(3)", "OrderByDist(desc)", "IndexRange(words via lengthview"},
+			want: []string{"Limit(3)", "IndexRange(words via lengthview, target=color, radius=2, ruleset=unit-edits, order=dist desc)"},
+			not:  []string{"OrderByDist"},
+		},
+		{
+			name: "order by dist over a preceding similarity conjunct",
+			eng:  small,
+			src: `SELECT * FROM words WHERE lang SIMILAR TO "en" WITHIN 1 USING unit-edits ` +
+				`AND seq SIMILAR TO "color" WITHIN 1 USING unit-edits ORDER BY dist`,
+			want: []string{"OrderByDist(asc)", "Filter((lang SIMILAR TO", "IndexRange(words via lengthview, target=color, radius=1, ruleset=unit-edits)"},
+		},
+		{
+			name: "order by dist over nearest-k",
+			eng:  small,
+			src:  `SELECT * FROM words WHERE seq NEAREST 3 TO "color" USING unit-edits ORDER BY dist DESC`,
+			want: []string{"NearestK(words, k=3, ruleset=unit-edits, order=dist desc)"},
+			not:  []string{"OrderByDist"},
 		},
 	}
 	for _, tc := range cases {

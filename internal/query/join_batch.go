@@ -238,7 +238,7 @@ func (o *batchJoinOp) probeIndex(b *binding) error {
 		}
 		return nil
 	}
-	t, err := vecTupleFor(o.probeField, b)
+	t, err := fieldTuple(o.probeField, b)
 	if err != nil {
 		return err
 	}
@@ -345,7 +345,7 @@ func (o *batchJoinOp) probeStr(b *binding) error {
 }
 
 func (o *batchJoinOp) probeVec(b *binding) error {
-	t, err := vecTupleFor(o.probeField, b)
+	t, err := fieldTuple(o.probeField, b)
 	if err != nil {
 		return err
 	}
@@ -658,7 +658,7 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 		})
 	}
 	return &compiledPlan{
-		root: e.wrapBatchTop(q, access, d.start, size, ctx),
+		root: e.wrapBatchTop(q, access, d.start, size, ctx, false),
 		ctx:  ctx, columns: projectColumns(q), kernel: d.kernel,
 	}, nil
 }

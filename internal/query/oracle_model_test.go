@@ -11,15 +11,16 @@ package query
 // comparing either with this model shows it is right.
 //
 // The model's language is single-relation statements over "words" under
-// the unit "edits" rule set (NEAREST also under "gaps") with at most one
-// similarity conjunct (with two, which one sets dist depends on the
-// access path the planner picks). Anything else — and any statement
-// whose evaluation would hit an engine error, like reading dist before a
-// conjunct set it — returns errUnmodeled, which the fuzz target skips
-// and the oracles, whose generators stay inside the language, treat as a
-// failure. Every modeled statement has an engine-defined total order —
-// ascending id, NEAREST by (dist, id), ORDER BY dist a stable sort of
-// either — so replies are compared positionally.
+// the unit "edits" rule set (NEAREST also under "gaps"), with any number
+// of similarity predicates: a row's dist is that of the first one that
+// matches it in evaluation order, whichever conjunct the access path
+// serves. Anything else — and any statement whose evaluation would hit
+// an engine error, like reading dist before a conjunct set it — returns
+// errUnmodeled, which the fuzz target skips and the oracles, whose
+// generators stay inside the language, treat as a failure. Every modeled
+// statement has an engine-defined total order — ascending id, NEAREST by
+// (dist, id), ORDER BY dist a stable sort of either — so replies are
+// compared positionally.
 
 import (
 	"errors"
@@ -85,20 +86,6 @@ var gapsCalc = func() *editdp.Calculator {
 	}
 	return c
 }()
-
-func countSims(ex Expr) int {
-	switch ex := ex.(type) {
-	case SimExpr, NearestExpr:
-		return 1
-	case AndExpr:
-		return countSims(ex.L) + countSims(ex.R)
-	case OrExpr:
-		return countSims(ex.L) + countSims(ex.R)
-	case NotExpr:
-		return countSims(ex.E)
-	}
-	return 0
-}
 
 func (o *oracleDB) field(f FieldRef, alias string, r *modelRow) (string, error) {
 	if f.Table != "" && f.Table != alias {
@@ -195,9 +182,6 @@ func (o *oracleDB) eval(ex Expr, alias string, r *modelRow) (bool, error) {
 
 // matches evaluates a WHERE clause over every row, in ascending id.
 func (o *oracleDB) matches(where Expr, alias string) ([]modelRow, error) {
-	if countSims(where) > 1 {
-		return nil, errUnmodeled
-	}
 	if ne, ok := where.(NearestExpr); ok {
 		if ne.RuleSet != "edits" && ne.RuleSet != "gaps" || !ne.Target.IsLit || isVecNearest(&ne) {
 			return nil, errUnmodeled
@@ -247,7 +231,7 @@ func (o *oracleDB) query(q *Query) (*modelResult, error) {
 	}
 	res := &modelResult{}
 	if q.Order != OrderNone {
-		if countSims(q.Where) == 0 {
+		if !exprHasSim(q.Where) {
 			return nil, errUnmodeled // the engine rejects ORDER BY dist here
 		}
 		// Rows without a distance sort last in either direction; ties

@@ -8,7 +8,8 @@ package query
 //
 //	access path (Scan | IndexRange | NearestK | join chain)
 //	-> Filter(residual)     when a residual predicate remains
-//	-> OrderByDist          when the query has ORDER BY dist
+//	-> OrderByDist          when the query has ORDER BY dist and the
+//	                        access path does not sort for it itself
 //	-> Project
 //	-> Limit                when the query has LIMIT
 //
@@ -162,12 +163,12 @@ func (e *Engine) kernelFor(q *Query, d *planDecision) string {
 		return bandKernel(e.calc(ne.RuleSet), ne.Target.Lit)
 	case accessRange:
 		if d.via == "vptree" {
-			if sim, _ := extractVecRangeSim(q.Where); sim != nil {
+			if sim, _, _ := extractSim(q.Where, isVecRangeSim); sim != nil {
 				return "vec-" + sim.RuleSet
 			}
 			return ""
 		}
-		if sim, _ := extractRangeSim(q.Where, e.rangeIndexable); sim != nil {
+		if sim, _, _ := extractSim(q.Where, e.rangeIndexable); sim != nil {
 			return bandKernel(e.calc(sim.RuleSet), sim.Target.Lit)
 		}
 		return ""
@@ -279,11 +280,11 @@ func (e *Engine) gatherWorkers(shards int) int {
 	return workers
 }
 
-// rangeIndexable licenses a conjunct for the band walk: a target over
-// seq under a unit-cost rule set, whose distances are integers, so any
-// radius r bounds them as floor(r) does.
+// rangeIndexable licenses a conjunct for the band walk: a literal,
+// non-pattern target over seq under a unit-cost rule set, whose
+// distances are integers, so any radius r bounds them as floor(r) does.
 func (e *Engine) rangeIndexable(sim *SimExpr) bool {
-	if sim.Field.Name != "seq" {
+	if sim.Field.Name != "seq" || !sim.Target.IsLit || sim.Pattern {
 		return false
 	}
 	rs, err := e.ruleset(sim.RuleSet)
@@ -316,11 +317,11 @@ func (e *Engine) decideSingle(q *Query, tab relation.Table) (*planDecision, erro
 	if shards > 0 {
 		d.workers = e.gatherWorkers(shards)
 	}
-	if sim, _ := extractRangeSim(q.Where, e.rangeIndexable); sim != nil {
+	if sim, _, _ := extractSim(q.Where, e.rangeIndexable); sim != nil {
 		d.kind = accessRange
 		return d, nil
 	}
-	if sim, _ := extractVecRangeSim(q.Where); sim != nil {
+	if sim, _, _ := extractSim(q.Where, isVecRangeSim); sim != nil {
 		m, ok := metric.Lookup(sim.RuleSet)
 		if ok && metric.IsTriangular(m) && chooseVecAccess(costStats, sim.Radius) == "vptree" {
 			d.kind, d.via = accessRange, "vptree"
@@ -557,43 +558,53 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 			estFilterRows(st, pred, estOfBatch(op)))
 	}
 
+	// A leaf that holds every match and supplies the row's distance sorts
+	// for the ORDER BY itself; no OrderByDist is built above it (a
+	// residual Filter keeps its order and never overwrites a distance).
+	ordered := false
+	leaf := matchList{snap: snap, alias: alias, size: size}
 	var access BatchOperator
 	switch d.kind {
 	case accessNearest:
 		ne := q.Where.(NearestExpr)
+		leaf.order, ordered = q.Order, true
 		if isVecNearest(&ne) {
 			access = trB(ctx, &batchVecNearestKOp{
-				kernelTag: tag, ctx: ctx, snap: snap, alias: alias,
-				via: d.via, target: ne.Target.Vec, k: ne.K, metricName: ne.RuleSet, size: size,
+				kernelTag: tag, ctx: ctx, matchList: leaf,
+				via: d.via, target: ne.Target.Vec, k: ne.K, metricName: ne.RuleSet,
 			}, estNearestRows(st.VecCount, ne.K))
 		} else {
 			access = trB(ctx, &batchNearestKOp{
-				kernelTag: tag, ctx: ctx, matchList: matchList{snap: snap, alias: alias, size: size},
+				kernelTag: tag, ctx: ctx, matchList: leaf,
 				target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet,
 			}, estNearestRows(st.Count, ne.K))
 		}
 	case accessRange:
 		// Extraction is deterministic, so the same conjunct the decision
 		// was made for is found again.
+		ok := e.rangeIndexable
 		if d.via == "vptree" {
-			sim, residual := extractVecRangeSim(q.Where)
-			if sim == nil {
-				return nil, fmt.Errorf("query: stale plan: no vector range conjunct")
-			}
+			ok = isVecRangeSim
+		}
+		sim, pred, leafDist := rangeConjunct(q.Where, ok)
+		if sim == nil {
+			return nil, fmt.Errorf("query: stale plan: no range conjunct")
+		}
+		leaf.noDist = !leafDist
+		if leafDist {
+			leaf.order, ordered = q.Order, true
+		}
+		if d.via == "vptree" {
 			access = filter(trB(ctx, &batchVecRangeOp{
-				kernelTag: tag, ctx: ctx, matchList: matchList{snap: snap, alias: alias, size: size},
+				kernelTag: tag, ctx: ctx, matchList: leaf,
 				target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet,
-			}, estVecRangeRows(st, sim.Radius)), simplifyExpr(residual))
+			}, estVecRangeRows(st, sim.Radius)), pred)
 			break
 		}
-		sim, residual := extractRangeSim(q.Where, e.rangeIndexable)
-		if sim == nil {
-			return nil, fmt.Errorf("query: stale plan: no indexable conjunct")
-		}
 		access = filter(trB(ctx, &batchIndexRangeOp{
-			kernelTag: tag, ctx: ctx, matchList: matchList{snap: snap, alias: alias, size: size},
+			kernelTag: tag, ctx: ctx, matchList: leaf,
 			target: sim.Target.Lit, radius: sim.Radius, ruleSet: sim.RuleSet,
-		}, estRangeRows(st, sim.Radius)), simplifyExpr(residual))
+		}, estRangeRows(st, sim.Radius)), pred)
 	case accessScan:
 		pred := simplifyExpr(q.Where)
 		access = wrapBatchParallel(ctx, d, func(shard, shards int) BatchOperator {
@@ -605,7 +616,7 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 		return nil, fmt.Errorf("query: unknown access kind %d", d.kind)
 	}
 	return &compiledPlan{
-		root: e.wrapBatchTop(q, access, alias, size, ctx),
+		root: e.wrapBatchTop(q, access, alias, size, ctx, ordered),
 		ctx:  ctx, columns: projectColumns(q), kernel: d.kernel,
 	}, nil
 }
@@ -624,14 +635,15 @@ func (e *Engine) batchLeafSize(q *Query) int {
 	return size
 }
 
-// wrapBatchTop applies the shared decorator stack — OrderByDist,
-// Project, Limit — above an access path.
-func (e *Engine) wrapBatchTop(q *Query, access BatchOperator, alias string, size int, ctx *execCtx) BatchOperator {
+// wrapBatchTop applies the shared decorator stack — OrderByDist (unless
+// the access path already emits the ORDER BY order), Project, Limit —
+// above an access path.
+func (e *Engine) wrapBatchTop(q *Query, access BatchOperator, alias string, size int, ctx *execCtx, ordered bool) BatchOperator {
 	top := access
-	if q.Order != OrderNone {
+	if q.Order != OrderNone && !ordered {
 		top = trB(ctx, &batchOrderByDistOp{child: top, desc: q.Order == OrderDesc, size: size}, estOfBatch(top))
 	}
-	top = trB(ctx, &batchProjectOp{ctx: ctx, q: q, child: top, alias: alias}, estOfBatch(top))
+	top = trB(ctx, &batchProjectOp{q: q, child: top, alias: alias}, estOfBatch(top))
 	if q.Limit > 0 {
 		top = trB(ctx, &batchLimitOp{child: top, n: q.Limit}, estLimitRows(q.Limit, estOfBatch(top)))
 	}
@@ -792,46 +804,48 @@ func simplifyExpr(ex Expr) Expr {
 	return ex
 }
 
-// extractRangeSim walks the top-level AND chain for a SimExpr with a
-// literal, non-pattern target that the caller's predicate accepts;
-// returns it and the residual expression with that conjunct replaced
-// by TRUE. Non-qualifying sim conjuncts are skipped, not terminal, so
-// an indexable conjunct is found wherever it sits in the chain.
-func extractRangeSim(ex Expr, ok func(*SimExpr) bool) (*SimExpr, Expr) {
+// extractSim walks the top-level AND chain, in evaluation order, for the
+// first SimExpr ok accepts; it returns that conjunct, the residual with
+// the conjunct replaced by TRUE, and whether a conjunct evaluated before
+// it mentions a similarity. Conjuncts ok rejects are skipped, not
+// terminal, so a qualifying one is found wherever it sits in the chain.
+func extractSim(ex Expr, ok func(*SimExpr) bool) (sim *SimExpr, residual Expr, preceded bool) {
 	switch ex := ex.(type) {
 	case SimExpr:
-		if ex.Target.IsLit && !ex.Pattern && ok(&ex) {
-			return &ex, litTrue{}
+		if ok(&ex) {
+			return &ex, litTrue{}, false
 		}
 	case AndExpr:
-		if s, rl := extractRangeSim(ex.L, ok); s != nil {
-			return s, AndExpr{L: rl, R: ex.R}
+		if s, rl, p := extractSim(ex.L, ok); s != nil {
+			return s, AndExpr{L: rl, R: ex.R}, p
 		}
-		if s, rr := extractRangeSim(ex.R, ok); s != nil {
-			return s, AndExpr{L: ex.L, R: rr}
+		if s, rr, p := extractSim(ex.R, ok); s != nil {
+			return s, AndExpr{L: ex.L, R: rr}, p || exprHasSim(ex.L)
 		}
 	}
-	return nil, ex
+	return nil, ex, false
 }
 
-// extractVecRangeSim walks the top-level AND chain for a vector
-// similarity conjunct (vec against a vector literal); returns it and
-// the residual with that conjunct replaced by TRUE.
-func extractVecRangeSim(ex Expr) (*SimExpr, Expr) {
-	switch ex := ex.(type) {
-	case SimExpr:
-		if ex.Field.Name == "vec" && ex.Target.IsVec && !ex.Pattern {
-			return &ex, litTrue{}
-		}
-	case AndExpr:
-		if s, rl := extractVecRangeSim(ex.L); s != nil {
-			return s, AndExpr{L: rl, R: ex.R}
-		}
-		if s, rr := extractVecRangeSim(ex.R); s != nil {
-			return s, AndExpr{L: ex.L, R: rr}
-		}
+// rangeConjunct picks the conjunct a range access path serves and the
+// predicate the filter above it must evaluate. A row's distance is that
+// of the first similarity predicate that matches it in evaluation order
+// (evalExpr). When no conjunct before the extracted one mentions a
+// similarity, that is the access path's distance: the leaf supplies it
+// (leafDist) and the filter evaluates the residual. Otherwise the leaf
+// emits its rows without a distance and the filter evaluates the whole
+// WHERE, which assigns the distance exactly as a scan would.
+func rangeConjunct(where Expr, ok func(*SimExpr) bool) (sim *SimExpr, pred Expr, leafDist bool) {
+	sim, residual, preceded := extractSim(where, ok)
+	if preceded {
+		return sim, simplifyExpr(where), false
 	}
-	return nil, ex
+	return sim, simplifyExpr(residual), true
+}
+
+// isVecRangeSim licenses a conjunct for the vector range path: vec
+// against a vector literal.
+func isVecRangeSim(sim *SimExpr) bool {
+	return sim.Field.Name == "vec" && sim.Target.IsVec && !sim.Pattern
 }
 
 // accessMetric resolves the metric of a VP-tree plan's conjunct — the
@@ -841,7 +855,7 @@ func accessMetric(q *Query) metric.Distance {
 	name := ""
 	if ne, ok := q.Where.(NearestExpr); ok {
 		name = ne.RuleSet
-	} else if sim, _ := extractVecRangeSim(q.Where); sim != nil {
+	} else if sim, _, _ := extractSim(q.Where, isVecRangeSim); sim != nil {
 		name = sim.RuleSet
 	}
 	m, _ := metric.Lookup(name)

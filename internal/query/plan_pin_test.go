@@ -77,7 +77,7 @@ func TestBenchmarkPlanSkeletons(t *testing.T) {
 		{"words_adhoc", `SELECT id, seq, dist FROM words WHERE seq SIMILAR TO "egaebcjebf" WITHIN 1 USING edits LIMIT 20`,
 			"Limit Project IndexRange", "IndexRange(words via lengthview, target=egaebcjebf, radius=1, ruleset=edits)  (kernel=myers)"},
 		{"words_wide", `SELECT id, seq, dist FROM words WHERE seq SIMILAR TO "egaebcjebf" WITHIN 5 USING edits ORDER BY dist`,
-			"Project OrderByDist IndexRange", "IndexRange(words via lengthview, target=egaebcjebf, radius=5, ruleset=edits)  (kernel=myers)"},
+			"Project IndexRange", "IndexRange(words via lengthview, target=egaebcjebf, radius=5, ruleset=edits, order=dist)  (kernel=myers)"},
 		{"vec_nearest", `SELECT id, dist FROM vecs WHERE vec NEAREST 10 TO ` + vec + ` USING l2`,
 			"Project VecNearestK", "VecNearestK(vecs via vptree"},
 		{"ingest_mix", `SELECT id, seq, dist FROM words WHERE seq SIMILAR TO "egaebcjebf" WITHIN 2 USING edits LIMIT 20`,

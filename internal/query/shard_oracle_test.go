@@ -21,7 +21,6 @@ import (
 	"testing"
 
 	"repro/internal/editdp"
-	"repro/internal/index"
 	"repro/internal/relation"
 	"repro/internal/rewrite"
 )
@@ -249,56 +248,43 @@ func shardOracleParity(t *testing.T, shards, block int) {
 		p.checkTableParity(t)
 
 		// WITHIN at radii r, r+0.5 and r+1, bare, under ORDER BY dist
-		// and under LIMIT n: positional identity across both engines
-		// and the model, and the paper's monotonicity WITHIN r ⊆
-		// WITHIN r' for r <= r' on the engine's own replies.
+		// ASC and DESC, under LIMIT n with and without an order, and
+		// behind a residual filter: positional identity across both
+		// engines and the model (distances tie often over this alphabet,
+		// so the id tie-break is exercised), and the paper's monotonicity
+		// WITHIN r ⊆ WITHIN r' for r <= r' on the engine's own replies.
+		// The unsharded leaf sorts for the ORDER BY itself; the sharded
+		// plan keeps an OrderByDist above the gather.
 		for i := 0; i < 4; i++ {
 			target := randOracleSeq(rng)
-			r, lim := rng.Intn(3), 1+rng.Intn(4)
+			r, lim := rng.Intn(3), fmt.Sprintf(" LIMIT %d", 1+rng.Intn(4))
+			tagged := fmt.Sprintf(" AND tag = %q", string(oracleAlphabet[rng.Intn(3)]))
 			var prev []string
 			for _, radius := range []float64{float64(r), float64(r) + 0.5, float64(r) + 1} {
 				stmt := fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq SIMILAR TO %q WITHIN %g USING edits`, target, radius)
-				var want []string
-				var dists []int
-				for _, row := range p.model.rows {
-					if d, ok := editdp.LevenshteinWithin(row.seq, target, int(radius)); ok {
-						want = append(want, fmt.Sprintf("%d\x1f%s\x1f%d", row.id, row.seq, d))
-						dists = append(dists, d)
-					}
-				}
-				perm := make([]int, len(want))
-				for j := range perm {
-					perm[j] = j
-				}
-				sort.SliceStable(perm, func(a, b int) bool { return dists[perm[a]] < dists[perm[b]] })
-				byDist := make([]string, len(want))
-				for j, k := range perm {
-					byDist[j] = want[k]
-				}
 				var bare []string // the engine's rows for the bare statement
-				for _, c := range []struct {
-					suffix string
-					want   []string
-				}{
-					{"", want},
-					{" ORDER BY dist", byDist},
-					{fmt.Sprintf(" LIMIT %d", lim), want[:min(lim, len(want))]},
+				for _, suffix := range []string{
+					"", " ORDER BY dist", " ORDER BY dist DESC",
+					lim, " ORDER BY dist" + lim, " ORDER BY dist DESC" + lim,
+					tagged + " ORDER BY dist DESC" + lim,
 				} {
-					a, err := p.plain.Execute(stmt + c.suffix)
+					a, err := p.plain.Execute(stmt + suffix)
 					if err != nil {
 						t.Fatal(err)
 					}
-					b, err := p.sharded.Execute(stmt + c.suffix)
+					b, err := p.sharded.Execute(stmt + suffix)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if strings.Contains(suffix, "ORDER BY") &&
+						(strings.Contains(a.Plan, "OrderByDist") || !strings.Contains(b.Plan, "OrderByDist")) {
+						t.Fatalf("%s%s: the unsharded leaf must sort, the sharded plan must not:\n%s\n%s", stmt, suffix, a.Plan, b.Plan)
 					}
 					if positional(a) != positional(b) {
-						t.Fatalf("%s%s diverges:\nunsharded:\n%s\nsharded:\n%s", stmt, c.suffix, positional(a), positional(b))
+						t.Fatalf("%s%s diverges:\nunsharded:\n%s\nsharded:\n%s", stmt, suffix, positional(a), positional(b))
 					}
-					if positional(b) != strings.Join(c.want, "\n") {
-						t.Fatalf("%s%s diverges from the model:\ngot:\n%s\nwant:\n%s", stmt, c.suffix, positional(b), strings.Join(c.want, "\n"))
-					}
-					if c.suffix == "" {
+					p.model.checkModel(t, stmt+suffix, b)
+					if suffix == "" {
 						for _, row := range b.Rows {
 							bare = append(bare, strings.Join(row, "\x1f"))
 						}
@@ -318,35 +304,27 @@ func shardOracleParity(t *testing.T, shards, block int) {
 		}
 
 		// NEAREST: positional byte identity — the (dist, id) order is
-		// engine-defined, so sharded, unsharded and oracle must agree
-		// on every byte including order.
+		// engine-defined, so sharded, unsharded and the model must agree
+		// on every byte including order, also when ORDER BY dist DESC
+		// turns the best list around (the unsharded leaf re-sorts it by
+		// (dist desc, id), the sharded plan sorts above the gather).
 		for i := 0; i < 4; i++ {
 			target := randOracleSeq(rng)
 			k := 1 + rng.Intn(8)
 			stmt := fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq NEAREST %d TO %q USING edits`, k, target)
-			a, err := p.plain.Execute(stmt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := p.sharded.Execute(stmt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if positional(a) != positional(b) {
-				t.Fatalf("NEAREST diverges for %q:\nunsharded:\n%s\nsharded:\n%s", stmt, positional(a), positional(b))
-			}
-			var best []index.Match
-			for _, row := range p.model.rows {
-				best = index.PushBestK(best, index.Match{ID: row.id, S: row.seq,
-					Dist: float64(editdp.Levenshtein(row.seq, target))}, k)
-			}
-			want := make([]string, len(best))
-			for i, m := range best {
-				want[i] = fmt.Sprintf("%d\x1f%s\x1f%d", m.ID, m.S, int(m.Dist))
-			}
-			if positional(b) != strings.Join(want, "\n") {
-				t.Fatalf("NEAREST diverges from oracle for %q:\ngot:\n%s\nwant:\n%s",
-					stmt, positional(b), strings.Join(want, "\n"))
+			for _, suffix := range []string{"", " ORDER BY dist", " ORDER BY dist DESC", " ORDER BY dist DESC LIMIT 2"} {
+				a, err := p.plain.Execute(stmt + suffix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := p.sharded.Execute(stmt + suffix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if positional(a) != positional(b) {
+					t.Fatalf("NEAREST diverges for %q:\nunsharded:\n%s\nsharded:\n%s", stmt+suffix, positional(a), positional(b))
+				}
+				p.model.checkModel(t, stmt+suffix, b)
 			}
 		}
 	}

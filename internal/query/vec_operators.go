@@ -13,7 +13,6 @@ package query
 // size (the property the vector parity oracle pins).
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -32,24 +31,16 @@ import (
 // bounded (dist, id) best list. Rows without a vector never qualify.
 type batchVecNearestKOp struct {
 	kernelTag
+	matchList
 	ctx        *execCtx
-	snap       *relation.Snapshot
-	alias      string
 	via        string // "vptree" or "scan"
 	target     metric.Vector
 	k          int
 	metricName string
-	size       int
 
-	matches []index.Match
-	pos     int
-	blk     relation.Block
-	dbuf    []float64
-	buf     *Batch
-	last    ExecStats // retained across Close for span attribution
+	blk  relation.Block
+	dbuf []float64
 }
-
-func (o *batchVecNearestKOp) opStats() ExecStats { return o.last }
 
 func (o *batchVecNearestKOp) OpenBatch() error {
 	o.pos = 0
@@ -58,19 +49,27 @@ func (o *batchVecNearestKOp) OpenBatch() error {
 	if !ok {
 		return fmt.Errorf("query: unknown metric %q", o.metricName)
 	}
+	var st ExecStats
 	if o.via == "vptree" {
 		// The shared tree may hold tombstoned or post-snapshot entries;
 		// the visibility filter keeps them out of the best list without
 		// losing true answers.
-		ms, st := o.snap.VPTree(m).NearestKFilterStatsInto(o.matches[:0], o.target, o.k, o.snap.Visible)
-		o.matches = ms
-		es := fromIndexStats(st)
-		observeVisited(mNearestVisitedVec, es.Verifications, o.snap.Len())
-		o.last.add(es)
-		o.ctx.addStats(es)
-		return nil
+		ms, ist := o.snap.VPTree(m).NearestKFilterStatsInto(o.matches[:0], o.target, o.k, o.snap.Visible)
+		o.matches, st = ms, fromIndexStats(ist)
+	} else {
+		st = o.scan(m)
 	}
-	var local ExecStats
+	if o.order == OrderDesc { // the best list is already (dist, id)
+		o.sortMatches()
+	}
+	observeVisited(mNearestVisitedVec, st.Verifications, o.snap.Len())
+	o.record(o.ctx, st)
+	return nil
+}
+
+// scan folds every visible vector of the snapshot into the best list.
+func (o *batchVecNearestKOp) scan(m metric.Distance) ExecStats {
+	var st ExecStats
 	best := o.matches[:0]
 	cur := o.snap.Shard(0, 1)
 	for {
@@ -86,12 +85,12 @@ func (o *batchVecNearestKOp) OpenBatch() error {
 		// below then sees the exact same float64 the VP-tree walk
 		// computes, keeping every path bitwise-aligned.
 		metric.DistBatch(m, o.target, o.blk.Vecs[:n], out)
-		local.Candidates += n
+		st.Candidates += n
 		for i := 0; i < n; i++ {
 			if o.blk.Vecs[i] == nil {
 				continue // DistBatch yields +Inf; never admissible
 			}
-			local.Verifications++
+			st.Verifications++
 			d := out[i]
 			if len(best) < o.k || d <= best[len(best)-1].Dist {
 				best = index.PushBestK(best, index.Match{ID: o.blk.IDs[i], Dist: d}, o.k)
@@ -99,51 +98,21 @@ func (o *batchVecNearestKOp) OpenBatch() error {
 		}
 	}
 	o.matches = best
-	observeVisited(mNearestVisitedVec, local.Verifications, o.snap.Len())
-	o.last.add(local)
-	o.ctx.addStats(local)
-	return nil
-}
-
-func (o *batchVecNearestKOp) NextBatch() (*Batch, error) {
-	if o.pos >= len(o.matches) {
-		return nil, nil
-	}
-	b := o.buf
-	b.reset()
-	b.alias = o.alias
-	for b.Len() < o.size && o.pos < len(o.matches) {
-		m := o.matches[o.pos]
-		o.pos++
-		t, _ := o.snap.Tuple(m.ID)
-		b.appendMatch(t, m.Dist, true)
-	}
-	return b, nil
-}
-
-func (o *batchVecNearestKOp) CloseBatch() error {
-	o.matches = o.matches[:0]
-	putBatch(o.buf)
-	o.buf = nil
-	return nil
+	return st
 }
 
 func (o *batchVecNearestKOp) Describe() string {
-	return fmt.Sprintf("VecNearestK(%s via %s, k=%d, metric=%s)", o.alias, o.via, o.k, o.metricName)
+	return fmt.Sprintf("VecNearestK(%s via %s, k=%d, metric=%s%s)", o.alias, o.via, o.k, o.metricName, o.orderNote())
 }
-
-func (o *batchVecNearestKOp) childNodes() []BatchOperator { return nil }
 
 // ------------------------------------------------------------- range
 
 // batchVecRangeOp answers "vec SIMILAR TO [..] WITHIN r" with one
 // VP-tree range search at open. The shared tree is a superset of the
 // snapshot, so invisible rows (tombstoned or inserted later) are
-// dropped, and the matches are sorted by id before the first block
-// leaves: the reply is in the scan's order, which every shard count's
-// id-merging gather — and the LIMIT it pushes into each shard —
-// relies on. Like the string band walk, a LIMIT above it does not cut
-// the search short.
+// dropped, and the matches are sorted into the leaf's order (see
+// matchList) before the first block leaves. Like the string band walk,
+// a LIMIT above it does not cut the search short.
 type batchVecRangeOp struct {
 	kernelTag
 	matchList
@@ -161,15 +130,14 @@ func (o *batchVecRangeOp) OpenBatch() error {
 		return fmt.Errorf("query: unknown metric %q", o.metricName)
 	}
 	ms, st := o.snap.VPTree(m).RangeStats(o.target, o.radius)
-	ms = slices.DeleteFunc(ms, func(m index.Match) bool { return !o.snap.Visible(m.ID) })
-	slices.SortFunc(ms, func(a, b index.Match) int { return cmp.Compare(a.ID, b.ID) })
-	o.matches = ms
+	o.matches = slices.DeleteFunc(ms, func(m index.Match) bool { return !o.snap.Visible(m.ID) })
+	o.sortMatches()
 	o.record(o.ctx, fromIndexStats(st))
 	return nil
 }
 
 func (o *batchVecRangeOp) Describe() string {
-	return fmt.Sprintf("VecRange(%s via vptree, radius=%g, metric=%s)", o.alias, o.radius, o.metricName)
+	return fmt.Sprintf("VecRange(%s via vptree, radius=%g, metric=%s%s)", o.alias, o.radius, o.metricName, o.orderNote())
 }
 
 // ------------------------------------------------------- shard leaf

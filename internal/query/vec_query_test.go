@@ -9,13 +9,16 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/editdp"
 	"repro/internal/metric"
 	"repro/internal/relation"
+	"repro/internal/rewrite"
 )
 
 // vecEngine builds an engine over an "items" relation preloaded with
@@ -298,8 +301,10 @@ type vecModelRow struct {
 }
 
 // vecBruteNearest returns the engine's NEAREST result rows (id, dist)
-// computed by exhaustive scan with the engine's (dist, id) total order.
-func vecBruteNearest(rows []vecModelRow, m metric.Distance, q metric.Vector, k int) [][]string {
+// computed by exhaustive scan with the engine's (dist, id) total order
+// — under ORDER BY dist DESC, a stable sort of that by descending
+// distance.
+func vecBruteNearest(rows []vecModelRow, m metric.Distance, q metric.Vector, k int, order OrderDir) [][]string {
 	type cand struct {
 		id int
 		d  float64
@@ -320,6 +325,9 @@ func vecBruteNearest(rows []vecModelRow, m metric.Distance, q metric.Vector, k i
 	if len(cands) > k {
 		cands = cands[:k]
 	}
+	if order == OrderDesc {
+		sort.SliceStable(cands, func(i, j int) bool { return cands[i].d > cands[j].d })
+	}
 	out := make([][]string, len(cands))
 	for i, c := range cands {
 		out[i] = []string{fmt.Sprint(c.id), formatDist(c.d)}
@@ -327,19 +335,37 @@ func vecBruteNearest(rows []vecModelRow, m metric.Distance, q metric.Vector, k i
 	return out
 }
 
-// vecBruteWithin returns the ids within radius in ascending id order,
-// the engine's WITHIN reply order (rows must be in id order).
-func vecBruteWithin(rows []vecModelRow, m metric.Distance, q metric.Vector, radius float64) []string {
-	var ids []string
+// vecBruteWithin returns the (id, dist) rows within radius in the
+// engine's WITHIN reply order — ascending id (rows must be in id order)
+// — or, for ORDER BY dist, a stable sort of that by distance.
+func vecBruteWithin(rows []vecModelRow, m metric.Distance, q metric.Vector, radius float64, order OrderDir) [][]string {
+	type hit struct {
+		id int
+		d  float64
+	}
+	var hits []hit
 	for _, r := range rows {
 		if r.vec == nil {
 			continue
 		}
-		if _, ok := metric.Within(m, q, r.vec, radius); ok {
-			ids = append(ids, fmt.Sprint(r.id))
+		if d, ok := metric.Within(m, q, r.vec, radius); ok {
+			hits = append(hits, hit{r.id, d})
 		}
 	}
-	return ids
+	sort.SliceStable(hits, func(i, j int) bool {
+		switch order {
+		case OrderAsc:
+			return hits[i].d < hits[j].d
+		case OrderDesc:
+			return hits[i].d > hits[j].d
+		}
+		return false
+	})
+	out := make([][]string, len(hits))
+	for i, h := range hits {
+		out[i] = []string{fmt.Sprint(h.id), formatDist(h.d)}
+	}
+	return out
 }
 
 func randVec(rng *rand.Rand, dim int) metric.Vector {
@@ -354,8 +380,10 @@ func randVec(rng *rand.Rand, dim int) metric.Vector {
 // sizes {1, 5, 256}, unsharded and {4, 7}-shard relations, VP-tree and
 // scan access — byte-identical and positionally identical to the
 // brute-force model, across dimensions, both metrics, k/radius/LIMIT
-// sweeps and interleaved INSERT batches. WITHIN replies come in
-// ascending id order on every path, so a LIMIT keeps the smallest ids.
+// sweeps, ORDER BY dist in both directions and interleaved INSERT
+// batches. WITHIN replies come in ascending id order on every path, so
+// a LIMIT keeps the smallest ids; under ORDER BY dist the unsharded
+// leaves sort themselves and the sharded plans sort above the gather.
 func TestVecShardBatchOracleParity(t *testing.T) {
 	for _, dim := range []int{2, 8, 64} {
 		dim := dim
@@ -403,36 +431,48 @@ func TestVecShardBatchOracleParity(t *testing.T) {
 					lit := metric.Format(q)
 					for _, k := range []int{1, 3, 10} {
 						stmt := fmt.Sprintf(`SELECT id, dist FROM items WHERE vec NEAREST %d TO %s USING %s`, k, lit, mname)
-						want := fmt.Sprint(vecBruteNearest(model, m, q, k))
-						for i, e := range engines {
-							res, err := e.Execute(stmt)
-							if err != nil {
-								t.Fatalf("%s/%s: %v", cfgs[i].name, stmt, err)
-							}
-							if got := fmt.Sprint(res.Rows); got != want {
-								t.Fatalf("%s: NEAREST diverges for %s\ngot:  %s\nwant: %s\nplan:\n%s",
-									cfgs[i].name, stmt, got, want, res.Plan)
+						desc := vecBruteNearest(model, m, q, k, OrderDesc)
+						for _, c := range []struct {
+							suffix string
+							want   [][]string
+						}{
+							{"", vecBruteNearest(model, m, q, k, OrderNone)},
+							{" ORDER BY dist DESC", desc},
+							{" ORDER BY dist DESC LIMIT 2", desc[:min(2, len(desc))]},
+						} {
+							want := fmt.Sprint(c.want)
+							for i, e := range engines {
+								res, err := e.Execute(stmt + c.suffix)
+								if err != nil {
+									t.Fatalf("%s/%s: %v", cfgs[i].name, stmt+c.suffix, err)
+								}
+								if got := fmt.Sprint(res.Rows); got != want {
+									t.Fatalf("%s: NEAREST diverges for %s\ngot:  %s\nwant: %s\nplan:\n%s",
+										cfgs[i].name, stmt+c.suffix, got, want, res.Plan)
+								}
 							}
 						}
 					}
 					for _, radius := range []float64{0.1, 0.5, 1.5} {
-						ids := vecBruteWithin(model, m, q, radius)
-						for _, limit := range []int{0, 1, 3} {
-							stmt := fmt.Sprintf(`SELECT id FROM items WHERE vec SIMILAR TO %s WITHIN %g USING %s`, lit, radius, mname)
-							wantIDs := ids
-							if limit > 0 {
-								stmt += fmt.Sprintf(" LIMIT %d", limit)
-								wantIDs = wantIDs[:min(limit, len(wantIDs))]
-							}
-							want := strings.Join(wantIDs, "\n")
-							for i, e := range engines {
-								res, err := e.Execute(stmt)
-								if err != nil {
-									t.Fatalf("%s/%s: %v", cfgs[i].name, stmt, err)
+						for _, order := range []OrderDir{OrderNone, OrderAsc, OrderDesc} {
+							hits := vecBruteWithin(model, m, q, radius, order)
+							for _, limit := range []int{0, 1, 3} {
+								stmt := fmt.Sprintf(`SELECT id, dist FROM items WHERE vec SIMILAR TO %s WITHIN %g USING %s`, lit, radius, mname)
+								stmt += map[OrderDir]string{OrderAsc: " ORDER BY dist", OrderDesc: " ORDER BY dist DESC"}[order]
+								want := hits
+								if limit > 0 {
+									stmt += fmt.Sprintf(" LIMIT %d", limit)
+									want = want[:min(limit, len(want))]
 								}
-								if got := positional(res); got != want {
-									t.Fatalf("%s: WITHIN diverges for %s\ngot:  %q\nwant: %q\nplan:\n%s",
-										cfgs[i].name, stmt, got, want, res.Plan)
+								for i, e := range engines {
+									res, err := e.Execute(stmt)
+									if err != nil {
+										t.Fatalf("%s/%s: %v", cfgs[i].name, stmt, err)
+									}
+									if got := fmt.Sprint(res.Rows); got != fmt.Sprint(want) {
+										t.Fatalf("%s: WITHIN diverges for %s\ngot:  %s\nwant: %s\nplan:\n%s",
+											cfgs[i].name, stmt, got, fmt.Sprint(want), res.Plan)
+									}
 								}
 							}
 						}
@@ -461,6 +501,97 @@ func TestVecShardBatchOracleParity(t *testing.T) {
 				check()
 			}
 		})
+	}
+}
+
+// TestVecRangeDistIsFirstSimilarity: a row's dist is the distance
+// of the first similarity predicate that matches it in evaluation order,
+// whichever conjunct the access path serves. The vector conjunct comes
+// second here; the planner serves it through the VP-tree at small radii
+// and scans past the cost crossover, and dist must be the weighted edit
+// distance of the first conjunct on both sides of it, unsharded and over
+// four shards, in id order and under ORDER BY dist.
+func TestVecRangeDistIsFirstSimilarity(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	rows := make([]relation.InsertRow, 3000)
+	for i := range rows {
+		b := make([]byte, 3+rng.Intn(3))
+		for j := range b {
+			b[j] = "abcd"[rng.Intn(4)]
+		}
+		v := make(metric.Vector, 4)
+		for j := range v {
+			v[j] = float32(rng.NormFloat64())
+		}
+		rows[i] = relation.InsertRow{Seq: string(b), Vec: v}
+	}
+	var rules []rewrite.Rule
+	for _, c := range []byte("abcd") {
+		rules = append(rules, rewrite.Insert(c, 0.5), rewrite.Delete(c, 0.5))
+		for _, d := range []byte("abcd") {
+			if c != d {
+				rules = append(rules, rewrite.Subst(c, d, 0.5))
+			}
+		}
+	}
+	half := rewrite.MustRuleSet("half", rules)
+	calc, err := editdp.New(half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, _ := metric.Lookup("l2")
+	origin := metric.Vector{0, 0, 0, 0}
+	for _, r := range []float64{1, 2, 4, 8} {
+		stmt := fmt.Sprintf(`SELECT id, dist FROM items WHERE seq SIMILAR TO "abcd" WITHIN 1 USING half `+
+			`AND vec SIMILAR TO [0, 0, 0, 0] WITHIN %g USING l2`, r)
+		type hit struct {
+			id int
+			d  float64
+		}
+		var hits []hit
+		for id, row := range rows {
+			d := calc.Distance(row.Seq, "abcd")
+			if _, ok := metric.Within(l2, origin, row.Vec, r); ok && d <= 1 {
+				hits = append(hits, hit{id, d})
+			}
+		}
+		render := func(hs []hit) string {
+			lines := make([]string, len(hs))
+			for i, h := range hs {
+				lines[i] = fmt.Sprintf("%d\x1f%s", h.id, formatDist(h.d))
+			}
+			return strings.Join(lines, "\n")
+		}
+		byDist := slices.Clone(hits)
+		sort.SliceStable(byDist, func(i, j int) bool { return byDist[i].d < byDist[j].d })
+		for _, shards := range []int{1, 4} {
+			e := vecEngine(t, shards, 256, rows)
+			if err := e.RegisterRuleSet(half); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct{ suffix, want string }{
+				{"", render(hits)},
+				{" ORDER BY dist", render(byDist)},
+			} {
+				res, err := e.Execute(stmt + c.suffix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := positional(res); got != c.want {
+					t.Fatalf("shards=%d %s%s: dist is not the first conjunct's:\ngot:\n%s\nwant:\n%s\nplan:\n%s",
+						shards, stmt, c.suffix, got, c.want, res.Plan)
+				}
+				if shards == 1 && c.suffix == "" {
+					access := "Scan(items)"
+					if r <= 2 {
+						access = "VecRange(items via vptree"
+					}
+					if !strings.Contains(res.Plan, access) {
+						t.Fatalf("r=%g no longer plans %s, the case lost a side of the crossover:\n%s", r, access, res.Plan)
+					}
+				}
+			}
+		}
 	}
 }
 
