@@ -242,9 +242,9 @@ func benchQueryEngine(b *testing.B, n int, opts ...EngineOption) *QueryEngine {
 	return eng
 }
 
-// BenchmarkQ1SerialVsParallelScan — the Volcano pipeline's Parallel
-// operator against the serial plan on a scan-heavy weighted range
-// query.
+// BenchmarkQ1SerialVsParallelScan — the serial plan against the
+// parallel one, a GatherMerge over GOMAXPROCS id-range slices of the
+// relation's snapshot, on a scan-heavy weighted range query.
 func BenchmarkQ1SerialVsParallelScan(b *testing.B) {
 	const stmt = `SELECT seq, dist FROM dict WHERE seq SIMILAR TO "abcdefgh" WITHIN 2 USING half`
 	b.Run("serial", func(b *testing.B) {

@@ -355,3 +355,71 @@ func TestAnalyzeDMLRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeGatherParallel: a parallel plan runs its id-range slices
+// under the gather like a sharded plan runs its shards. EXPLAIN ANALYZE
+// of a parallel scan and of a parallel join must return the serial
+// plan's rows, count the same candidates and verifications across its
+// spans, merge the streams' pipelines into one child of instances=4 and
+// record one shard timing per stream.
+func TestAnalyzeGatherParallel(t *testing.T) {
+	serial := bigEngine(t, WithParallelism(1))
+	parallel := bigEngine(t, WithParallelism(4), WithParallelMinRows(1))
+	totals := func(s *obs.Span) (cand, verif int64) {
+		for _, sp := range flattenSpans(s) {
+			cand += sp.Candidates
+			verif += sp.Verifications
+		}
+		return cand, verif
+	}
+	for _, stmt := range []string{
+		`SELECT seq, dist FROM dict WHERE seq SIMILAR TO "aaaaaaa" WITHIN 4 USING half`,
+		`SELECT a.seq, b.seq, dist FROM dna a, dna b WHERE a.seq SIMILAR TO b.seq WITHIN 2 USING unit-edits AND a.id != b.id`,
+	} {
+		want, err := serial.Execute("EXPLAIN ANALYZE " + stmt)
+		if err != nil {
+			t.Fatalf("serial %q: %v", stmt, err)
+		}
+		got, err := parallel.Execute("EXPLAIN ANALYZE " + stmt)
+		if err != nil {
+			t.Fatalf("parallel %q: %v", stmt, err)
+		}
+		if len(want.Rows) == 0 || positional(want) != positional(got) {
+			t.Fatalf("%q: parallel rows diverge from serial (%d vs %d rows)", stmt, len(got.Rows), len(want.Rows))
+		}
+		if want.Stats.Candidates != got.Stats.Candidates || want.Stats.Verifications != got.Stats.Verifications {
+			t.Fatalf("%q: stats diverge:\nserial %+v\nparallel %+v", stmt, want.Stats, got.Stats)
+		}
+		wc, wv := totals(want.Trace)
+		gc, gv := totals(got.Trace)
+		if wc != gc || wv != gv || gc != int64(got.Stats.Candidates) || gv != int64(got.Stats.Verifications) {
+			t.Fatalf("%q: span totals cand=%d verif=%d, serial cand=%d verif=%d, stats %+v:\n%s",
+				stmt, gc, gv, wc, wv, got.Stats, got.Plan)
+		}
+		var gather *obs.Span
+		for _, s := range flattenSpans(got.Trace) {
+			if strings.HasPrefix(s.Op, "GatherMerge(shards=4, workers=4, merge=id)") {
+				gather = s
+			}
+		}
+		if gather == nil || len(gather.Children) != 1 {
+			t.Fatalf("%q: no gather with one merged child:\n%s", stmt, got.Plan)
+		}
+		if c := gather.Children[0]; c.Instances != 4 || !strings.Contains(got.Plan, "instances=4") {
+			t.Fatalf("%q: merged child %s has %d instances, want 4:\n%s", stmt, c.Op, c.Instances, got.Plan)
+		}
+		if len(gather.Shards) != 4 {
+			t.Fatalf("%q: gather has %d shard timings, want 4:\n%s", stmt, len(gather.Shards), got.Plan)
+		}
+		var rows int64
+		for i, sh := range gather.Shards {
+			if sh.Shard != i {
+				t.Fatalf("%q: shard timing %d labeled shard %d", stmt, i, sh.Shard)
+			}
+			rows += sh.Rows
+		}
+		if rows != gather.Rows {
+			t.Fatalf("%q: stream rows add up to %d, the gather emitted %d:\n%s", stmt, rows, gather.Rows, got.Plan)
+		}
+	}
+}

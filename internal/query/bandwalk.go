@@ -57,8 +57,8 @@ type bandWalk struct {
 }
 
 // newBandWalk returns a walk for target with no bound. unit must be
-// unitCost of calc's rule set; callers that walk many targets compute it
-// once.
+// unitCost of calc's rule set, which the registry computes once per
+// rule set.
 func newBandWalk(calc *editdp.Calculator, unit bool, target string) *bandWalk {
 	w := &bandWalk{calc: calc, unit: unit}
 	w.reset(target)
@@ -80,11 +80,11 @@ func (w *bandWalk) reset(target string) {
 // routes only edit-like rule sets here, so a missing calculator means
 // the rule set changed under the plan.
 func (e *Engine) bandWalk(ruleSet, target string) (*bandWalk, error) {
-	calc := e.calc(ruleSet)
-	if calc == nil {
+	ent, _ := e.rule(ruleSet)
+	if ent == nil || ent.calc == nil {
 		return nil, fmt.Errorf("query: stale plan: rule set %q has no calculator", ruleSet)
 	}
-	return newBandWalk(calc, unitCost(calc.Rules()), target), nil
+	return newBandWalk(ent.calc, ent.unit, target), nil
 }
 
 // setBound makes b the inclusive bound of every later verification; a

@@ -23,8 +23,8 @@ package query
 //     release it at CloseBatch.
 //   - In-place decorators (Filter, Limit, Project) mutate and forward
 //     the child's batch; they own nothing.
-//   - Materializing operators (OrderByDist, Parallel, GatherMerge) copy
-//     what they keep into buffers of their own before the next pull.
+//   - Materializing operators (OrderByDist, GatherMerge) copy what they
+//     keep into buffers of their own before the next pull.
 //   - Joins emit multi-alias rows, which have no columnar form: their
 //     batches carry bindings instead of columns and every operator
 //     above a join accepts either layout.
@@ -80,7 +80,7 @@ func (b *Batch) reset() {
 func (b *Batch) syncCols() {
 	n := b.Block.Len()
 	// Check both capacities: dist and has grow through independent
-	// appends elsewhere (appendMatch, copyFrom) and float64 vs bool hit
+	// appends elsewhere (appendMatch, the gather) and float64 vs bool hit
 	// different allocator size classes, so a pooled batch can come back
 	// with diverged capacities.
 	if cap(b.dist) < n {
@@ -126,25 +126,6 @@ func (b *Batch) truncate(n int) {
 func (b *Batch) scratch(i int, alias string, dst *binding) {
 	*dst = binding{alias: alias, tuple: relation.Tuple{ID: b.IDs[i], Seq: b.Seqs[i], Vec: b.Vecs[i], Attrs: b.Attrs[i]},
 		dist: b.dist[i], hasDist: b.has[i]}
-}
-
-// copyFrom deep-copies another batch's row references (slice contents,
-// not the sequences themselves — those are immutable) so the copy
-// survives the source being refilled. Used by materializing operators.
-func (b *Batch) copyFrom(src *Batch) {
-	b.reset()
-	b.alias = src.alias
-	if src.binds != nil {
-		b.binds = append([]*binding(nil), src.binds...)
-	} else {
-		b.IDs = append(b.IDs[:0], src.IDs...)
-		b.Seqs = append(b.Seqs[:0], src.Seqs...)
-		b.Vecs = append(b.Vecs[:0], src.Vecs...)
-		b.Attrs = append(b.Attrs[:0], src.Attrs...)
-		b.dist = append(b.dist[:0], src.dist...)
-		b.has = append(b.has[:0], src.has...)
-	}
-	b.rows = append(b.rows[:0], src.rows...)
 }
 
 // batchPool recycles Batch buffers across queries. Leaves take a batch

@@ -2,11 +2,11 @@ package query
 
 // The single-relation physical operators: access paths (Scan and the
 // band-walk leaves IndexRange and NearestK, see bandwalk.go), Filter,
-// Project, Limit, OrderByDist and Parallel. Each pulls blocks from its
-// children, does one job, and counts its own work; the planner in
-// plan.go composes them into trees.
+// Project, Limit and OrderByDist. Each pulls blocks from its children,
+// does one job, and counts its own work; the planner in plan.go
+// composes them into trees.
 // (The vector access paths live in vec_operators.go, the join in
-// join_batch.go, the scatter-gather operators in batch_shard.go.)
+// join_batch.go, the fan-out in batch_shard.go.)
 
 import (
 	"cmp"
@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/index"
 	"repro/internal/metric"
@@ -28,19 +27,18 @@ const infCut = 1e300
 
 // ---------------------------------------------------------------- scan
 
-// batchScanOp streams the visible tuples of one snapshot shard a block
-// at a time through relation.Cursor.NextBlock, which amortizes the
-// visibility filtering across whole arena runs. Shard (i, n) covers a
-// contiguous arena range, so concatenating shards 0..n-1 reproduces the
-// serial scan order — the invariant parallel plans rely on. Reading
-// through the snapshot gives every query a consistent view while
-// concurrent commits land.
+// batchScanOp streams the visible tuples of its stream a block at a
+// time through relation.Cursor.NextBlock, which amortizes the
+// visibility filtering across whole arena runs. Slice (i, n) of a
+// snapshot covers a contiguous arena range, so concatenating slices
+// 0..n-1 reproduces the serial scan order — the invariant the id merge
+// of a parallel plan relies on. Reading through the snapshot gives every
+// query a consistent view while concurrent commits land.
 type batchScanOp struct {
-	ctx           *execCtx
-	snap          *relation.Snapshot
-	alias         string
-	shard, shards int
-	size          int
+	stream
+	ctx   *execCtx
+	alias string
+	size  int
 
 	cur   *relation.Cursor
 	buf   *Batch
@@ -48,12 +46,8 @@ type batchScanOp struct {
 	last  ExecStats // retained across Close for span attribution
 }
 
-func newBatchScanOp(ctx *execCtx, snap *relation.Snapshot, alias string, size int) *batchScanOp {
-	return &batchScanOp{ctx: ctx, snap: snap, alias: alias, shards: 1, size: size}
-}
-
 func (o *batchScanOp) OpenBatch() error {
-	o.cur = o.snap.Shard(o.shard, o.shards)
+	o.cur = o.snap.Shard(o.slice, o.slices)
 	o.buf = getBatch()
 	return nil
 }
@@ -83,19 +77,15 @@ func (o *batchScanOp) CloseBatch() error {
 
 func (o *batchScanOp) opStats() ExecStats { return o.last }
 
-func (o *batchScanOp) Describe() string {
-	if o.shards > 1 {
-		return fmt.Sprintf("Scan(%s, shard %d/%d)", o.alias, o.shard, o.shards)
-	}
-	return fmt.Sprintf("Scan(%s)", o.alias)
-}
+func (o *batchScanOp) Describe() string { return fmt.Sprintf("Scan(%s%s)", o.alias, o.shardNote()) }
 
 func (o *batchScanOp) childNodes() []BatchOperator { return nil }
 
 // ------------------------------------------------------ band-walk leaves
 
-// matchList holds the matches an access path materialised at open and
-// streams them out in blocks; the WITHIN and NEAREST leaves share it.
+// matchList holds the matches an access path materialised at open from
+// its stream's snapshot and streams them out in blocks; the WITHIN and
+// NEAREST leaves share it.
 //
 // The leaf emits the order the query asks for (order, set by the
 // planner): without ORDER BY, WITHIN sorts by id — the scan's order,
@@ -105,7 +95,7 @@ func (o *batchScanOp) childNodes() []BatchOperator { return nil }
 // OrderByDist makes of the unordered stream, so the planner builds none
 // above such a leaf.
 type matchList struct {
-	snap    *relation.Snapshot
+	stream
 	alias   string
 	size    int
 	order   OrderDir
@@ -214,8 +204,8 @@ func (o *batchIndexRangeOp) OpenBatch() error {
 }
 
 func (o *batchIndexRangeOp) Describe() string {
-	return fmt.Sprintf("IndexRange(%s via lengthview, target=%s, radius=%g, ruleset=%s%s)",
-		o.alias, o.target, o.radius, o.ruleSet, o.orderNote())
+	return fmt.Sprintf("IndexRange(%s via lengthview%s, target=%s, radius=%g, ruleset=%s%s)",
+		o.alias, o.shardNote(), o.target, o.radius, o.ruleSet, o.orderNote())
 }
 
 // batchNearestKOp answers "seq NEAREST k TO lit" with one band walk
@@ -258,7 +248,7 @@ func (o *batchNearestKOp) OpenBatch() error {
 }
 
 func (o *batchNearestKOp) Describe() string {
-	return fmt.Sprintf("NearestK(%s, k=%d, ruleset=%s%s)", o.alias, o.k, o.ruleSet, o.orderNote())
+	return fmt.Sprintf("NearestK(%s%s, k=%d, ruleset=%s%s)", o.alias, o.shardNote(), o.k, o.ruleSet, o.orderNote())
 }
 
 // -------------------------------------------------------------- filter
@@ -641,112 +631,3 @@ func (o *batchOrderByDistOp) Describe() string {
 }
 
 func (o *batchOrderByDistOp) childNodes() []BatchOperator { return []BatchOperator{o.child} }
-
-// ------------------------------------------------------------ parallel
-
-// batchParallelOp shards a pipeline across workers. build(i, n) must
-// return the serial pipeline restricted to shard i of n; because shards
-// are contiguous tuple ranges and each shard pipeline is deterministic,
-// the shard-order merge is byte-identical to the serial plan's output.
-//
-// The operator materialises shard outputs in OpenBatch (copied — a leaf
-// refills its batch every pull): similarity work (the DP verifications)
-// dominates block buffering by orders of magnitude, so this trades
-// negligible memory for full parallelism.
-type batchParallelOp struct {
-	ctx      *execCtx
-	workers  int
-	build    func(shard, shards int) BatchOperator
-	template BatchOperator // shard-0 pipeline, used only for EXPLAIN
-
-	// prebuilt holds the per-shard pipelines when tracing: building them
-	// eagerly lets the span extractor visit the instances that actually
-	// executed instead of the throwaway template.
-	prebuilt []BatchOperator
-
-	bufs  [][]*Batch
-	shard int
-	pos   int
-}
-
-// executedInstances exposes the per-shard pipelines for span
-// extraction; nil when the plan is not traced.
-func (o *batchParallelOp) executedInstances() []BatchOperator { return o.prebuilt }
-
-func (o *batchParallelOp) shardPipeline(i int) BatchOperator {
-	if o.prebuilt != nil {
-		return o.prebuilt[i]
-	}
-	return o.build(i, o.workers)
-}
-
-func (o *batchParallelOp) OpenBatch() error {
-	o.bufs = make([][]*Batch, o.workers)
-	o.shard, o.pos = 0, 0
-	errs := make([]error, o.workers)
-	var wg sync.WaitGroup
-	for i := 0; i < o.workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			op := o.shardPipeline(i)
-			if err := op.OpenBatch(); err != nil {
-				errs[i] = err
-				op.CloseBatch()
-				return
-			}
-			for {
-				b, err := op.NextBatch()
-				if err != nil {
-					errs[i] = err
-					break
-				}
-				if b == nil {
-					break
-				}
-				own := getBatch()
-				own.copyFrom(b)
-				o.bufs[i] = append(o.bufs[i], own)
-			}
-			if err := op.CloseBatch(); err != nil && errs[i] == nil {
-				errs[i] = err
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (o *batchParallelOp) NextBatch() (*Batch, error) {
-	for o.shard < len(o.bufs) {
-		if o.pos < len(o.bufs[o.shard]) {
-			b := o.bufs[o.shard][o.pos]
-			o.pos++
-			return b, nil
-		}
-		o.shard++
-		o.pos = 0
-	}
-	return nil, nil
-}
-
-func (o *batchParallelOp) CloseBatch() error {
-	for _, shard := range o.bufs {
-		for _, b := range shard {
-			putBatch(b)
-		}
-	}
-	o.bufs = nil
-	return nil
-}
-
-func (o *batchParallelOp) Describe() string {
-	return fmt.Sprintf("Parallel(workers=%d)", o.workers)
-}
-
-func (o *batchParallelOp) childNodes() []BatchOperator { return []BatchOperator{o.template} }

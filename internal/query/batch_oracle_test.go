@@ -198,8 +198,9 @@ func TestBlockParityOracle(t *testing.T) {
 
 // TestBatchParityParallel crosses the block sizes with the
 // parallel-scan machinery: both engines shard their scan pipelines
-// across 4 workers (Parallel for unsharded plans, the gather pool for
-// sharded ones) and must still match positionally.
+// across 4 workers (id-range slices for unsharded plans, shards for
+// sharded ones, both under the gather) and must still match
+// positionally.
 func TestBatchParityParallel(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		shards := shards

@@ -1,17 +1,20 @@
 package query
 
-// Scatter-gather execution over sharded relations. The planner turns a
-// single-relation query over a ShardedRelation into one subplan per
-// shard — each reading one shard snapshot of a consistent ShardView —
-// plus a GatherMerge root that runs the subplans through a bounded
-// worker pool and merges their outputs:
+// The fan-out. A table is a list of snapshots: one for a Relation, one
+// per shard of a consistent view for a ShardedRelation (snapshotsOf). A
+// plan reads that list as streams — every snapshot whole, or, for a
+// parallel scan or scan-rooted join chain over a plain table, its one
+// snapshot as contiguous id-range slices — and fanOut builds one
+// pipeline per stream. A plain table read whole is one pipeline; every
+// other plan runs its pipelines under a GatherMerge, which drains them
+// through a bounded worker pool and merges their outputs:
 //
-//   - merge=id (WITHIN / scans / join chains): shard streams are merged
-//     in ascending global tuple id, which reconstructs exactly the serial
-//     scan order of the unsharded relation (ids are global and each
-//     arena is id-ascending). Every such stream arrives id-ascending —
-//     scans read in id order, WITHIN leaves sort their matches by id,
-//     join chains emit in outer order — so the merge never sorts.
+//   - merge=id (scans, WITHIN, join chains): streams merge in ascending
+//     global tuple id, which reconstructs exactly the serial scan order
+//     (ids are global, every arena is id-ascending and a slice is an id
+//     range). Every such stream arrives id-ascending — scans read in id
+//     order, WITHIN leaves sort their matches by id, join chains emit in
+//     outer order — so the merge never sorts.
 //   - merge=bestk (NEAREST): each shard produces its own k-best list
 //     sorted by (dist, id); the gather is a rank-aware bounded merge
 //     that repeatedly takes the smallest (dist, id) frontier entry and
@@ -30,151 +33,108 @@ import (
 	"repro/internal/relation"
 )
 
-// buildShardedPlan constructs the scatter-gather operator tree for a
-// decided single-relation query over a sharded relation; per-shard
-// filters and pushed limits mirror the unsharded build in plan.go.
-func (e *Engine) buildShardedPlan(q *Query, d *planDecision, tab relation.Table) (*compiledPlan, error) {
-	sh, ok := tab.(*relation.ShardedRelation)
-	if !ok {
-		return nil, fmt.Errorf("query: stale plan: relation %q is no longer sharded", q.From[0].Name)
-	}
-	if sh.NumShards() != d.shards {
-		return nil, fmt.Errorf("query: stale plan: relation %q has %d shards, plan wants %d",
-			q.From[0].Name, sh.NumShards(), d.shards)
-	}
-	// Ensure the shared per-shard access structures ahead of the view
-	// capture, so every shard snapshot carries its online-maintained
-	// structure instead of building a private one per query.
-	switch {
-	case d.via == "vptree":
-		if m := accessMetric(q); m != nil {
-			sh.EnsureVPTrees(m)
-		}
-	case d.kind == accessRange || d.kind == accessNearest:
-		sh.EnsureLengthViews()
-	}
-	view := sh.View()
-	n := view.NumShards()
-	alias := q.From[0].Alias
-	ctx := &execCtx{eng: e, traced: q.Analyze || e.tracing.Load()}
-	// Planner estimates below are per shard: the leaf cardinalities of an
-	// even hash partition, so EXPLAIN ANALYZE compares each shard subplan
-	// against what the optimizer assumed for one shard, not the union.
-	st := shardStats(sh.Stats(), n)
-	size := e.batchLeafSize(q)
-	tag := kernelTag{d.kernel}
+// stream is what one pipeline of a plan reads: slice `slice` of
+// `slices` contiguous id ranges of snap (0 of 1 is all of it), shown in
+// EXPLAIN as shard `shard` of `shards` when the plan reads several.
+// Only scans read part of a snapshot; every other leaf reads all of it.
+type stream struct {
+	snap          *relation.Snapshot
+	slice, slices int
+	shard, shards int
+}
 
-	// finish stacks the residual filter and the pushed limit on a shard
-	// leaf. Scan, band-walk and VP-tree range streams are id-ascending
-	// and LIMIT without ORDER BY keeps the smallest ids, so each shard
-	// needs at most LIMIT rows: the pushed limit stops a per-shard scan
-	// early instead of draining the whole shard.
-	finish := func(op BatchOperator, pred Expr) BatchOperator {
-		if !isTrivial(pred) {
-			op = trB(ctx, &batchFilterOp{kernelTag: kernelTag{e.filterKernel(pred)}, ctx: ctx, child: op, pred: pred, alias: alias},
-				estFilterRows(st, pred, estOfBatch(op)))
+// shardNote is a leaf's EXPLAIN label for its stream: empty when the
+// plan reads one.
+func (s stream) shardNote() string {
+	if s.shards > 1 {
+		return fmt.Sprintf(", shard %d/%d", s.shard, s.shards)
+	}
+	return ""
+}
+
+// shardsOf returns a table's shard count, 0 for a plain Relation.
+func shardsOf(tab relation.Table) int {
+	if sh, ok := tab.(*relation.ShardedRelation); ok {
+		return sh.NumShards()
+	}
+	return 0
+}
+
+// snapshotsOf ensures the shared structures a plan reads from tab — its
+// length view when lengthView, a VP-tree per non-nil metric of vps —
+// and then appends the table's snapshots to dst: one for a Relation,
+// one per shard of a consistent view for a ShardedRelation. Ensuring
+// first makes every snapshot carry the online-maintained structures
+// instead of building private ones per query.
+func snapshotsOf(dst []*relation.Snapshot, tab relation.Table, lengthView bool, vps ...metric.Distance) []*relation.Snapshot {
+	switch t := tab.(type) {
+	case *relation.ShardedRelation:
+		if lengthView {
+			t.EnsureLengthViews()
 		}
-		if q.Limit > 0 && q.Order == OrderNone {
+		for _, m := range vps {
+			if m != nil {
+				t.EnsureVPTrees(m)
+			}
+		}
+		view := t.View()
+		for i := 0; i < view.NumShards(); i++ {
+			dst = append(dst, view.Snap(i))
+		}
+	case *relation.Relation:
+		if lengthView {
+			t.LengthView()
+		}
+		for _, m := range vps {
+			if m != nil {
+				t.VPTree(m)
+			}
+		}
+		dst = append(dst, t.Snapshot())
+	}
+	return dst
+}
+
+// streams returns how many pipelines a plan runs and whether they run
+// under a gather: one per shard of a sharded table (even a single
+// shard, so a sharded plan has one shape whatever its shard count), one
+// per slice of a parallel plan, or one pipeline over a plain table.
+func (d *planDecision) streams() (n int, gathered bool) {
+	return max(d.shards, 1) * d.slices, d.shards > 0 || d.slices > 1
+}
+
+// fanOut builds a plan's pipelines over the snapshots of tab, one per
+// stream, with build. A lone pipeline is the access path itself.
+// Otherwise the pipelines merge under one GatherMerge over alias: by
+// (dist, id) keeping the k best for NEAREST (k > 0), by id otherwise.
+// LIMIT without ORDER BY keeps the smallest ids, so each id-merged
+// stream stops at the limit itself instead of draining. est is the
+// gather's planner estimate.
+func (e *Engine) fanOut(ctx *execCtx, q *Query, d *planDecision, tab relation.Table, snaps []*relation.Snapshot,
+	alias string, k int, est float64, build func(stream) BatchOperator) (BatchOperator, error) {
+	if len(snaps) != max(d.shards, 1) {
+		// The table was re-registered with another layout after this
+		// decision was made; Execute re-plans on this error.
+		return nil, fmt.Errorf("query: stale plan: relation %q has %d snapshots, plan wants %d",
+			tab.Name(), len(snaps), max(d.shards, 1))
+	}
+	n, gathered := d.streams()
+	if !gathered {
+		return build(stream{snap: snaps[0], slices: 1, shards: 1}), nil
+	}
+	gather := &batchGatherMergeOp{ctx: ctx, children: make([]BatchOperator, n), workers: e.gatherWorkers(n),
+		alias: alias, mode: gatherByID, size: e.batchLeafSize(q)}
+	if k > 0 {
+		gather.mode, gather.k = gatherBestK, k
+	}
+	for i := range gather.children {
+		op := build(stream{snap: snaps[i/d.slices], slice: i % d.slices, slices: d.slices, shard: i, shards: n})
+		if k == 0 && q.Limit > 0 && q.Order == OrderNone {
 			op = trB(ctx, &batchLimitOp{child: op, n: q.Limit}, estLimitRows(q.Limit, estOfBatch(op)))
 		}
-		return op
+		gather.children[i] = op
 	}
-
-	children := make([]BatchOperator, n)
-	gather := &batchGatherMergeOp{ctx: ctx, children: children, workers: d.workers, alias: alias, mode: gatherByID, size: size}
-	gatherEst := -1.0
-	switch d.kind {
-	case accessNearest:
-		ne := q.Where.(NearestExpr)
-		gather.mode, gather.k = gatherBestK, ne.K
-		if isVecNearest(&ne) {
-			gatherEst = estNearestRows(n*st.VecCount, ne.K)
-			for i := range children {
-				children[i] = trB(ctx, &batchShardVecNearestKOp{
-					batchVecNearestKOp: batchVecNearestKOp{
-						kernelTag: tag, ctx: ctx, matchList: matchList{snap: view.Snap(i), alias: alias, size: size},
-						via: d.via, target: ne.Target.Vec, k: ne.K, metricName: ne.RuleSet,
-					},
-					idx: i, of: n,
-				}, estNearestRows(st.VecCount, ne.K))
-			}
-		} else {
-			gatherEst = estNearestRows(n*st.Count, ne.K)
-			for i := range children {
-				children[i] = trB(ctx, &batchShardNearestKOp{
-					batchNearestKOp: batchNearestKOp{
-						kernelTag: tag, ctx: ctx, matchList: matchList{snap: view.Snap(i), alias: alias, size: size},
-						target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet,
-					},
-					idx: i, of: n,
-				}, estNearestRows(st.Count, ne.K))
-			}
-		}
-	case accessRange:
-		ok := e.rangeIndexable
-		if d.via == "vptree" {
-			ok = isVecRangeSim
-		}
-		sim, pred, leafDist := rangeConjunct(q.Where, ok)
-		if sim == nil {
-			return nil, fmt.Errorf("query: stale plan: no range conjunct")
-		}
-		for i := range children {
-			leaf := matchList{snap: view.Snap(i), alias: alias, size: size, noDist: !leafDist}
-			if d.via == "vptree" {
-				children[i] = finish(trB(ctx, &batchVecRangeOp{
-					kernelTag: tag, ctx: ctx, matchList: leaf,
-					target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet,
-				}, estVecRangeRows(st, sim.Radius)), pred)
-				continue
-			}
-			children[i] = finish(trB(ctx, &batchIndexRangeOp{
-				kernelTag: tag, ctx: ctx, matchList: leaf,
-				target: sim.Target.Lit, radius: sim.Radius, ruleSet: sim.RuleSet,
-			}, estRangeRows(st, sim.Radius)), pred)
-		}
-	case accessScan:
-		pred := simplifyExpr(q.Where)
-		for i := range children {
-			sc := newBatchScanOp(ctx, view.Snap(i), alias, size)
-			children[i] = finish(trB(ctx, &batchShardScanOp{batchScanOp: *sc, idx: i, of: n}, float64(st.Count)), pred)
-		}
-	default:
-		return nil, fmt.Errorf("query: access kind %d has no sharded build", d.kind)
-	}
-
-	return &compiledPlan{
-		root: e.wrapBatchTop(q, trB(ctx, gather, gatherEst), alias, size, ctx, false),
-		ctx:  ctx, columns: projectColumns(q), kernel: d.kernel,
-	}, nil
-}
-
-// ----------------------------------------------------------- shard scan
-
-// batchShardScanOp is a batchScanOp over one shard's snapshot (the
-// per-shard leaf of a scatter-gather scan, streaming ascending global
-// ids); it exists so EXPLAIN shows which shard each stream comes from.
-type batchShardScanOp struct {
-	batchScanOp
-	idx, of int
-}
-
-func (o *batchShardScanOp) Describe() string {
-	return fmt.Sprintf("ShardScan(%s, shard %d/%d)", o.alias, o.idx, o.of)
-}
-
-// ------------------------------------------------------ shard nearest-k
-
-// batchShardNearestKOp is a batchNearestKOp over one shard snapshot; it
-// exists so EXPLAIN shows which shard each k-best list comes from.
-type batchShardNearestKOp struct {
-	batchNearestKOp
-	idx, of int
-}
-
-func (o *batchShardNearestKOp) Describe() string {
-	return fmt.Sprintf("ShardNearestK(%s, shard %d/%d, k=%d, ruleset=%s)",
-		o.alias, o.idx, o.of, o.k, o.ruleSet)
+	return trB(ctx, gather, est), nil
 }
 
 // --------------------------------------------------------- gather merge
@@ -187,8 +147,8 @@ const (
 	gatherBestK                   // rank-aware (dist, id) bounded merge
 )
 
-// shardCols is one shard's drained output: columns for a columnar
-// subplan, bindings for a join chain. ids is filled in both layouts —
+// shardCols is one stream's drained output: columns for a columnar
+// pipeline, bindings for a join chain. ids is filled in both layouts —
 // for bindings it holds the merge key, the tuple id bound under the
 // gather's alias.
 type shardCols struct {
@@ -218,15 +178,15 @@ func (c *shardCols) appendBatch(b *Batch, alias string) {
 	c.has = append(c.has, b.has...)
 }
 
-// batchGatherMergeOp drains one subplan per shard through a bounded
-// worker pool into per-shard buffers and merges them. It trades block
+// batchGatherMergeOp drains one pipeline per stream through a bounded
+// worker pool into per-stream buffers and merges them. It trades block
 // buffering for full parallelism — the per-tuple similarity work inside
-// the subplans dominates by orders of magnitude. Join chains (one per
-// outer shard, see join_batch.go) emit bindings-layout batches; those
-// merge by the id bound under alias, the chain's start alias.
+// the pipelines dominates by orders of magnitude. Join chains emit
+// bindings-layout batches; those merge by the id bound under alias, the
+// chain's start alias.
 type batchGatherMergeOp struct {
 	ctx      *execCtx
-	children []BatchOperator // one subplan per shard
+	children []BatchOperator // one pipeline per stream
 	workers  int
 	alias    string // the alias whose tuple id keys a bindings-layout merge
 	mode     gatherMode
@@ -234,20 +194,20 @@ type batchGatherMergeOp struct {
 	size     int
 
 	cols    []shardCols
-	pos     []int // per-shard frontier position
+	pos     []int // per-stream frontier position
 	done    int   // rows emitted (gatherBestK stops at k)
 	out     *Batch
 	binds   []*binding        // bindings-layout output buffer, reused across pulls
-	timings []obs.ShardTiming // per-shard drain wall time (traced runs only)
+	timings []obs.ShardTiming // per-stream drain wall time (traced runs only)
 }
 
-// executedInstances reports every shard subplan for span extraction —
-// unlike childNodes (which shows the shard-0 template for EXPLAIN), all
-// instances always execute, so ANALYZE merges the counters of each.
+// executedInstances reports every stream's pipeline for span extraction
+// — unlike childNodes (which shows the stream-0 pipeline for EXPLAIN),
+// all instances always execute, so ANALYZE merges the counters of each.
 func (o *batchGatherMergeOp) executedInstances() []BatchOperator { return o.children }
 
-// shardTimings reports the per-shard fan-out timing recorded by the last
-// traced OpenBatch.
+// shardTimings reports the per-stream fan-out timing recorded by the
+// last traced OpenBatch.
 func (o *batchGatherMergeOp) shardTimings() []obs.ShardTiming { return o.timings }
 
 func (o *batchGatherMergeOp) OpenBatch() error {
@@ -301,8 +261,8 @@ func (o *batchGatherMergeOp) OpenBatch() error {
 	}
 	if workers == 1 {
 		// Single-worker gather (one core, or WithParallelism(1)): run the
-		// shard subplans inline — goroutine and channel overhead buys
-		// nothing without parallelism.
+		// pipelines inline — goroutine and channel overhead buys nothing
+		// without parallelism.
 		for i := range o.children {
 			drain(i)
 		}
@@ -351,7 +311,7 @@ func (o *batchGatherMergeOp) NextBatch() (*Batch, error) {
 			if o.mode == gatherBestK {
 				// Rank-aware frontier: smallest (dist, id) wins; ties on
 				// distance resolve by ascending tuple id, a total order over
-				// rows, which makes the output independent of shard
+				// rows, which makes the output independent of stream
 				// completion order.
 				if c.dist[bb] < bi.dist[bj] || c.dist[bb] == bi.dist[bj] && c.ids[bb] < bi.ids[bj] {
 					best = i
@@ -400,8 +360,8 @@ func (o *batchGatherMergeOp) Describe() string {
 	return fmt.Sprintf("GatherMerge(shards=%d, workers=%d, merge=id)", len(o.children), o.workers)
 }
 
-// childNodes returns the shard-0 subplan as the representative subtree
-// (all shards share the same shape, like Parallel's template).
+// childNodes returns the stream-0 pipeline as the representative
+// subtree: every stream's pipeline has the same shape.
 func (o *batchGatherMergeOp) childNodes() []BatchOperator {
 	if len(o.children) == 0 {
 		return nil

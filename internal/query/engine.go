@@ -29,22 +29,29 @@ type Engine struct {
 	catalog *relation.Catalog
 
 	mu        sync.RWMutex
-	rulesets  map[string]*rewrite.RuleSet
-	calcs     map[string]*editdp.Calculator // edit-like rule sets only
-	generals  map[string]*transform.Engine  // everything decidable
-	patterns  map[string]*pattern.Pattern   // compiled pattern cache
-	rsVersion uint64                        // bumped per RegisterRuleSet; part of cache keys
-	store     *storage.Store                // durable write path; nil = direct catalog mutation
+	rules     map[string]*ruleEntry       // registered rule sets by name
+	patterns  map[string]*pattern.Pattern // compiled pattern cache
+	rsVersion uint64                      // bumped per RegisterRuleSet; part of cache keys
+	store     *storage.Store              // durable write path; nil = direct catalog mutation
 
 	// Fixed at construction by the options.
 	plans           *planCache // statement text -> (query, decision); nil disables
-	parallelism     int        // workers for Parallel plans (1 disables)
+	parallelism     int        // gather workers, and slices of a parallel plan (1 disables)
 	parallelMinRows int        // outer-relation size that justifies sharding
 	batchSize       int        // rows per block
 
 	// tracing forces span collection on every execution (the slow-query
 	// log's hook); EXPLAIN ANALYZE traces its own statement regardless.
 	tracing atomic.Bool
+}
+
+// ruleEntry is one registered rule set with what the engine derives from
+// it once, at registration.
+type ruleEntry struct {
+	rs      *rewrite.RuleSet
+	calc    *editdp.Calculator // edit-like rule sets only
+	general *transform.Engine  // everything decidable
+	unit    bool               // unitCost(rs): licenses the band walk
 }
 
 // parallelDefaultMinRows is the default outer-relation size below which
@@ -112,9 +119,7 @@ func WithTracing(on bool) Option { return func(e *Engine) { e.SetTracing(on) } }
 func NewEngine(cat *relation.Catalog, opts ...Option) *Engine {
 	e := &Engine{
 		catalog:         cat,
-		rulesets:        make(map[string]*rewrite.RuleSet),
-		calcs:           make(map[string]*editdp.Calculator),
-		generals:        make(map[string]*transform.Engine),
+		rules:           make(map[string]*ruleEntry),
 		patterns:        make(map[string]*pattern.Pattern),
 		plans:           newPlanCache(defaultPlanCacheSize),
 		parallelism:     runtime.GOMAXPROCS(0),
@@ -134,29 +139,28 @@ func (e *Engine) BatchSize() int { return e.batchSize }
 func (e *Engine) Catalog() *relation.Catalog { return e.catalog }
 
 // RegisterRuleSet makes a rule set available to USING clauses under its
-// own name. Edit-like sets get a DP calculator; all sets within the
-// decidable regime get a general search engine.
+// own name, replacing any set registered under it. Edit-like sets get a
+// DP calculator; all sets within the decidable regime get a general
+// search engine.
 func (e *Engine) RegisterRuleSet(rs *rewrite.RuleSet) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rsVersion++ // invalidates cached plans whose costing saw the old registry
-	e.rulesets[rs.Name()] = rs
+	ent := &ruleEntry{rs: rs, unit: unitCost(rs)}
 	if rs.EditLike() {
 		c, err := editdp.New(rs)
 		if err != nil {
 			return err
 		}
-		e.calcs[rs.Name()] = c
+		ent.calc = c
 	}
-	g, err := transform.NewEngine(rs)
-	if err != nil {
-		// Zero-cost growth: still allow the DP path if edit-like.
-		if e.calcs[rs.Name()] == nil {
-			return fmt.Errorf("query: rule set %q unusable: %w", rs.Name(), err)
-		}
-		return nil
+	if g, err := transform.NewEngine(rs); err == nil {
+		ent.general = g
+	} else if ent.calc == nil {
+		// Zero-cost growth is usable only through the DP path.
+		return fmt.Errorf("query: rule set %q unusable: %w", rs.Name(), err)
 	}
-	e.generals[rs.Name()] = g
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.rsVersion++ // invalidates cached plans whose costing saw the old registry
+	e.rules[rs.Name()] = ent
 	return nil
 }
 
@@ -164,34 +168,45 @@ func (e *Engine) RegisterRuleSet(rs *rewrite.RuleSet) error {
 func (e *Engine) RuleSets() []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	names := make([]string, 0, len(e.rulesets))
-	for n := range e.rulesets {
+	names := make([]string, 0, len(e.rules))
+	for n := range e.rules {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
 }
 
-func (e *Engine) ruleset(name string) (*rewrite.RuleSet, error) {
+// rule returns the registry entry of the named rule set.
+func (e *Engine) rule(name string) (*ruleEntry, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	rs, ok := e.rulesets[name]
+	ent, ok := e.rules[name]
 	if !ok {
 		return nil, fmt.Errorf("query: unknown rule set %q", name)
 	}
-	return rs, nil
+	return ent, nil
+}
+
+func (e *Engine) ruleset(name string) (*rewrite.RuleSet, error) {
+	ent, err := e.rule(name)
+	if err != nil {
+		return nil, err
+	}
+	return ent.rs, nil
 }
 
 func (e *Engine) calc(name string) *editdp.Calculator {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.calcs[name]
+	if ent, _ := e.rule(name); ent != nil {
+		return ent.calc
+	}
+	return nil
 }
 
 func (e *Engine) general(name string) *transform.Engine {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.generals[name]
+	if ent, _ := e.rule(name); ent != nil {
+		return ent.general
+	}
+	return nil
 }
 
 func (e *Engine) compilePattern(src string) (*pattern.Pattern, error) {

@@ -446,7 +446,7 @@ func TestParallelScanDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parallel %q: %v", src, err)
 		}
-		if !strings.Contains(par.Plan, "Parallel(workers=4)") {
+		if !strings.Contains(par.Plan, "GatherMerge(shards=4, workers=4, merge=id)") {
 			t.Fatalf("parallel plan for %q did not shard:\n%s", src, par.Plan)
 		}
 		if !reflect.DeepEqual(serial.Rows, par.Rows) {
@@ -464,7 +464,7 @@ func TestParallelScanDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
-		if strings.Contains(res.Plan, "Parallel") {
+		if strings.Contains(res.Plan, "GatherMerge") {
 			t.Errorf("%q should plan serial, got:\n%s", src, res.Plan)
 		}
 	}

@@ -132,10 +132,11 @@ func (o *batchJoinOp) OpenBatch() error {
 		o.local.Candidates += len(o.inner)
 	case "index":
 		if !o.vec {
-			if o.calc = o.ctx.eng.calc(o.sim.RuleSet); o.calc == nil {
-				return fmt.Errorf("query: stale plan: rule set %q has no calculator", o.sim.RuleSet)
+			w, err := o.ctx.eng.bandWalk(o.sim.RuleSet, "")
+			if err != nil {
+				return err
 			}
-			o.walk = newBandWalk(o.calc, unitCost(o.calc.Rules()), "")
+			o.walk, o.calc = w, w.calc
 			o.walk.setBound(o.sim.Radius)
 			o.emitWalk = func(row *relation.Row, d float64) {
 				o.matches = append(o.matches, joinMatch{t: row.Tuple, d: d})
@@ -504,27 +505,23 @@ func mergeBindings(l, r *binding) *binding {
 // edges not used by any step (cycles) become residual predicates — they
 // must still hold on each output row.
 //
-// A join whose FROM references a sharded relation runs one chain per
-// OUTER shard under an id-ordered GatherMerge — each chain scans one
-// shard snapshot of the start relation and joins it against the FULL
-// inner side ("broadcast": every chain sees every inner shard's
-// snapshot). Because tuple ids are global and each chain's output is
-// ascending in outer id with inner matches ascending in global inner
-// id, the gather reproduces exactly the unsharded plan's emission
-// order. Broadcast is the right first strategy here because the hash
-// partitioner (relation.RouteOf) is not distance-preserving: rows
-// within edit distance k of each other land on unrelated shards, so a
-// co-partitioned join does not exist without a second, band-aware
-// partitioning scheme. The partition strategy recovers exactly that
-// banding — per chain, over the broadcast inner — without moving rows.
+// The chain fans out over the streams of its start relation (fanOut):
+// one chain per shard of a sharded start, or per id-range slice of a
+// plain one in a parallel plan, under an id-ordered GatherMerge. Every
+// chain joins its stream against the FULL inner side: every snapshot of
+// each inner relation ("broadcast"). Because tuple ids are global and
+// each chain's output is ascending in outer id with inner matches
+// ascending in global inner id, the gather reproduces exactly the
+// unsharded serial plan's emission order. Broadcast is the right first
+// strategy because the hash partitioner (relation.RouteOf) is not
+// distance-preserving: rows within edit distance k of each other land
+// on unrelated shards, so a co-partitioned join does not exist without
+// a second, band-aware partitioning scheme. The partition strategy
+// recovers exactly that banding — per chain, over the broadcast inner —
+// without moving rows.
 func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*compiledPlan, error) {
 	relOf := map[string]relation.Table{}
 	for i, ref := range q.From {
-		if _, sharded := tabs[i].(*relation.ShardedRelation); sharded && !d.shardJoin {
-			// The table was re-registered with a sharded layout after this
-			// decision was made; Execute re-plans on this error.
-			return nil, fmt.Errorf("query: stale plan: relation %q is now sharded", ref.Name)
-		}
 		relOf[ref.Alias] = tabs[i]
 	}
 	edges, residual := extractJoinSims(q.Where, relOf)
@@ -543,11 +540,16 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 	pred := simplifyExpr(residual)
 	steps := d.steps
 
-	// Resolve metrics and ensure shared access structures BEFORE any
-	// view or snapshot capture: Ensure* republishes the sharded view, and
-	// the captured snapshots must carry the online-maintained structures
+	// Resolve metrics and note the shared structure each index step reads
+	// from its inner table: a table's structures are all ensured before
+	// its snapshots are taken, so they carry the online-maintained ones
 	// instead of building private ones per chain.
 	stepMetrics := make([]metric.Distance, len(steps))
+	type reads struct {
+		lengthView bool
+		vps        []metric.Distance
+	}
+	need := map[relation.Table]reads{}
 	for i, step := range steps {
 		if step.vec {
 			m, ok := metric.Lookup(edges[step.edge].RuleSet)
@@ -559,76 +561,42 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 		if step.algo != "index" {
 			continue
 		}
-		switch t := relOf[step.alias].(type) {
-		case *relation.ShardedRelation:
-			if step.vec {
-				t.EnsureVPTrees(stepMetrics[i])
-			} else {
-				t.EnsureLengthViews()
-			}
-		case *relation.Relation:
-			if step.vec {
-				t.VPTree(stepMetrics[i])
-			} else {
-				t.LengthView()
-			}
+		inner := relOf[step.alias]
+		r := need[inner]
+		if step.vec {
+			r.vps = append(r.vps, stepMetrics[i])
+		} else {
+			r.lengthView = true
 		}
+		need[inner] = r
 	}
-
 	// One snapshot list per table IDENTITY: a self-join must read the
 	// same consistent cut on both sides, and a sharded table's view is
-	// captured exactly once. Resolved eagerly: the chain factory below
-	// runs concurrently in parallel shard workers.
-	snapCache := map[relation.Table][]*relation.Snapshot{}
-	snapsOf := func(tab relation.Table) ([]*relation.Snapshot, error) {
-		if s, ok := snapCache[tab]; ok {
-			return s, nil
+	// captured exactly once. Resolved eagerly: the chains below run
+	// concurrently in the gather's workers.
+	snapsOf := map[relation.Table][]*relation.Snapshot{}
+	for _, tab := range tabs {
+		if _, ok := snapsOf[tab]; !ok {
+			snapsOf[tab] = snapshotsOf(nil, tab, need[tab].lengthView, need[tab].vps...)
 		}
-		var snaps []*relation.Snapshot
-		switch t := tab.(type) {
-		case *relation.ShardedRelation:
-			view := t.View()
-			snaps = make([]*relation.Snapshot, view.NumShards())
-			for i := range snaps {
-				snaps[i] = view.Snap(i)
-			}
-		case *relation.Relation:
-			snaps = []*relation.Snapshot{t.Snapshot()}
-		default:
-			return nil, fmt.Errorf("query: relation %q has an unknown layout", tab.Name())
-		}
-		snapCache[tab] = snaps
-		return snaps, nil
 	}
-	startSnaps, err := snapsOf(relOf[d.start])
-	if err != nil {
-		return nil, err
-	}
-	if d.shardJoin && len(startSnaps) != d.shards {
-		// The start relation was re-registered with a different layout;
-		// Execute re-plans on this error.
-		return nil, fmt.Errorf("query: stale plan: relation %q has %d shards, plan wants %d",
-			relOf[d.start].Name(), len(startSnaps), d.shards)
-	}
-	startStats := relOf[d.start].Stats()
+	start := relOf[d.start]
+	startStats := start.Stats()
 	stepSnaps := make([][]*relation.Snapshot, len(steps))
 	stepStats := make([]relation.Stats, len(steps))
 	for i, step := range steps {
-		if stepSnaps[i], err = snapsOf(relOf[step.alias]); err != nil {
-			return nil, err
-		}
+		stepSnaps[i] = snapsOf[relOf[step.alias]]
 		stepStats[i] = relOf[step.alias].Stats()
 	}
 
 	ctx := &execCtx{eng: e, traced: q.Analyze || e.tracing.Load()}
 	size := e.batchLeafSize(q)
-	// chain builds the join chain over slice (shard, shards) of one start
-	// snapshot. The estimate follows the decided join order with the same
-	// joinOutRowsFor formula decideJoin costed with, scaled to the slice.
-	chain := func(start *relation.Snapshot, shard, shards int, cur float64) BatchOperator {
-		bs := newBatchScanOp(ctx, start, d.start, size)
-		bs.shard, bs.shards = shard, shards
-		var op BatchOperator = trB(ctx, bs, cur)
+	// chain builds the join chain over one stream of the start relation.
+	// The estimate follows the decided join order with the same
+	// joinOutRowsFor formula decideJoin costed with, scaled to the stream.
+	chain := func(s stream) BatchOperator {
+		cur := float64(startStats.Count) / float64(s.shards)
+		var op BatchOperator = trB(ctx, &batchScanOp{stream: s, ctx: ctx, alias: d.start, size: size}, cur)
 		for i, step := range steps {
 			cur = joinOutRowsFor(edges[step.edge], cur, stepStats[i])
 			op = trB(ctx, &batchJoinOp{
@@ -643,19 +611,9 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 		}
 		return op
 	}
-
-	var access BatchOperator
-	if d.shardJoin {
-		children := make([]BatchOperator, len(startSnaps))
-		for s := range children {
-			children[s] = chain(startSnaps[s], 0, 1, float64(startStats.Count)/float64(len(startSnaps)))
-		}
-		access = trB(ctx, &batchGatherMergeOp{ctx: ctx, children: children, workers: d.workers,
-			alias: d.start, mode: gatherByID, size: size}, -1)
-	} else {
-		access = wrapBatchParallel(ctx, d, func(shard, shards int) BatchOperator {
-			return chain(startSnaps[0], shard, shards, float64(startStats.Count)/float64(shards))
-		})
+	access, err := e.fanOut(ctx, q, d, start, snapsOf[start], d.start, 0, -1, chain)
+	if err != nil {
+		return nil, err
 	}
 	return &compiledPlan{
 		root: e.wrapBatchTop(q, access, d.start, size, ctx, false),

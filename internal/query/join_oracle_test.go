@@ -9,10 +9,12 @@ package query
 // slot is a cost decision), so results are compared as canonically-
 // encoded row sets against the brute-force model. The pledge between
 // engine configurations is stronger: the sharded engine runs the same
-// join order as the unsharded one, and block size 1 the same plan as
-// block size 256, so all four are compared positionally, byte for byte
-// — including assigned dist strings, which the metric layer's
-// determinism contract makes bitwise-stable across kernels.
+// join order as the unsharded one, block size 1 the same plan as block
+// size 256, and the parallel engine the unsharded plan split into
+// id-range slices under the gather, so all five are compared
+// positionally, byte for byte — including assigned dist strings, which
+// the metric layer's determinism contract makes bitwise-stable across
+// kernels.
 
 import (
 	"fmt"
@@ -32,16 +34,18 @@ import (
 var joinBlocks = []int{1, 256}
 
 // joinOraclePair is one unsharded/sharded engine pair per block size
-// (indexed like joinBlocks) over identical rows (ids 0..n-1 assigned in
-// order on both layouts).
+// (indexed like joinBlocks), plus an unsharded engine that runs every
+// join chain as four parallel streams, all over identical rows (ids
+// 0..n-1 assigned in order on both layouts).
 type joinOraclePair struct {
-	plain   []*Engine
-	sharded []*Engine
+	plain    []*Engine
+	sharded  []*Engine
+	parallel *Engine
 }
 
-// engines lists all four engines.
+// engines lists all five engines.
 func (p *joinOraclePair) engines() []*Engine {
-	return append(append([]*Engine(nil), p.plain...), p.sharded...)
+	return append(append(append([]*Engine(nil), p.plain...), p.sharded...), p.parallel)
 }
 
 // halvesRules is a symmetric weighted rule set (every op costs 0.5, no
@@ -55,11 +59,11 @@ func halvesRules() *rewrite.RuleSet {
 
 func newJoinOraclePair(t testing.TB, shards int, rows []relation.InsertRow) *joinOraclePair {
 	t.Helper()
-	mk := func(tab relation.Table, block int) *Engine {
+	mk := func(tab relation.Table, opts ...Option) *Engine {
 		tab.InsertBatch(rows)
 		cat := relation.NewCatalog()
 		cat.Add(tab)
-		e := NewEngine(cat, WithBatchSize(block))
+		e := NewEngine(cat, opts...)
 		if err := e.RegisterRuleSet(rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())); err != nil {
 			t.Fatal(err)
 		}
@@ -70,9 +74,10 @@ func newJoinOraclePair(t testing.TB, shards int, rows []relation.InsertRow) *joi
 	}
 	p := &joinOraclePair{}
 	for _, block := range joinBlocks {
-		p.plain = append(p.plain, mk(relation.New("words"), block))
-		p.sharded = append(p.sharded, mk(relation.NewSharded("words", shards), block))
+		p.plain = append(p.plain, mk(relation.New("words"), WithBatchSize(block)))
+		p.sharded = append(p.sharded, mk(relation.NewSharded("words", shards), WithBatchSize(block)))
 	}
+	p.parallel = mk(relation.New("words"), WithParallelism(4), WithParallelMinRows(1))
 	return p
 }
 
@@ -99,7 +104,7 @@ func joinOracleRows(rng *rand.Rand, n int) []relation.InsertRow {
 	return rows
 }
 
-// checkJoin runs stmt on all four engines and asserts (a) they agree
+// checkJoin runs stmt on all five engines and asserts (a) they agree
 // byte-for-byte, positionally, and (b) the result matches the
 // brute-force row set canonically.
 func (p *joinOraclePair) checkJoin(t *testing.T, stmt string, want []string) {
@@ -109,6 +114,9 @@ func (p *joinOraclePair) checkJoin(t *testing.T, stmt string, want []string) {
 		res, err := e.Execute(stmt)
 		if err != nil {
 			t.Fatalf("engine %d %q: %v", i, stmt, err)
+		}
+		if e == p.parallel && !strings.Contains(res.Plan, "GatherMerge(shards=4, workers=4, merge=id)") {
+			t.Fatalf("parallel engine %q: the chain does not run under the gather:\n%s", stmt, res.Plan)
 		}
 		if first == nil {
 			first = res
@@ -226,6 +234,38 @@ func TestJoinOracleEdits(t *testing.T) {
 	}
 }
 
+// TestJoinOracleLimit: a LIMIT without ORDER BY is pushed into every
+// join chain under the gather (each chain's output ascends in outer id,
+// so each contributes at most LIMIT rows to the first LIMIT), and the
+// five engines must still agree positionally on the prefix.
+func TestJoinOracleLimit(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	p := newJoinOraclePair(t, 4, joinOracleRows(rng, 80))
+	for _, lim := range []int{1, 3, 7, 40} {
+		for _, stmt := range []string{
+			`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits LIMIT %d`,
+			`SELECT a.id, b.id FROM words a, words b ON dist(a.vec, b.vec) <= 0.8 USING l2 WHERE a.id != b.id LIMIT %d`,
+		} {
+			stmt = fmt.Sprintf(stmt, lim)
+			var first *Result
+			for i, e := range p.engines() {
+				res, err := e.Execute(stmt)
+				if err != nil {
+					t.Fatalf("engine %d %q: %v", i, stmt, err)
+				}
+				if len(res.Rows) != lim {
+					t.Fatalf("engine %d %q: %d rows", i, stmt, len(res.Rows))
+				}
+				if first == nil {
+					first = res
+				} else if positional(first) != positional(res) {
+					t.Fatalf("engine %d %q diverges:\n%s\nvs\n%s\nplan:\n%s", i, stmt, positional(res), positional(first), res.Plan)
+				}
+			}
+		}
+	}
+}
+
 // TestJoinOracleVec covers the vector-metric join strategies: l2
 // (triangular — norm-banded partitions and VP-tree probes are legal)
 // and cosine (not triangular — single partition, no index). Rows
@@ -297,7 +337,7 @@ func TestJoinOracleInterleavedDML(t *testing.T) {
 		`SELECT a.id, b.id FROM words a, words b ON dist(a.vec, b.vec) <= 0.8 USING l2 WHERE a.id != b.id`,
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, 12) // one slot per goroutine: 4 engines x (1 writer + 2 readers)
+	errs := make(chan error, 3*len(p.engines())) // one slot per goroutine: per engine 1 writer + 2 readers
 	for _, eng := range p.engines() {
 		eng := eng
 		wg.Add(1)

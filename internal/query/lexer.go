@@ -37,7 +37,7 @@
 // The package contains the lexer, parser, cost-based planner and a
 // Volcano-style executor: queries compile to trees of physical
 // operators (Scan, IndexRange, NearestK, Filter, Project, Limit,
-// OrderByDist, NestedLoopJoin, IndexJoin, Parallel) behind one pull
+// OrderByDist, NestedLoopJoin, IndexJoin, GatherMerge) behind one pull
 // iterator interface. The planner picks access paths per the rule-set
 // classification: the length-band walk for the unit edit distance,
 // filter+verify for weighted edit-like sets, and scan with the general

@@ -13,9 +13,10 @@ package query
 //	-> Project
 //	-> Limit                when the query has LIMIT
 //
-// Scans and scan-rooted join chains over large relations are wrapped in
-// a Parallel operator that shards the outer relation across workers
-// with a deterministic shard-order merge.
+// The access path runs once per stream of its table (batch_shard.go):
+// over each shard of a sharded table, or, for scans and scan-rooted join
+// chains over a large plain table, over id-range slices of its snapshot
+// in parallel; a GatherMerge merges the streams.
 
 import (
 	"fmt"
@@ -54,15 +55,16 @@ const (
 // no operators and no bound values, only choices, so it is immutable
 // and safely shared across concurrent executions.
 type planDecision struct {
-	kind      accessKind
-	via       string       // vector paths only: vptree|scan
-	start     string       // accessJoin: starting alias
-	steps     []stepChoice // accessJoin: greedy join order
-	parallel  bool         // shard the scan-rooted pipeline
-	workers   int          // worker count when parallel (or gather fan-out)
-	shards    int          // > 0: scatter-gather plan over a ShardedRelation
-	shardJoin bool         // accessJoin over >= 1 sharded relation (broadcast inner)
-	kernel    string       // distance kernel serving the primary edit conjunct
+	kind  accessKind
+	via   string       // vector paths only: vptree|scan
+	start string       // accessJoin: starting alias
+	steps []stepChoice // accessJoin: greedy join order
+	// The layout of the table the plan fans out over (the join's start):
+	// shards is its shard count, 0 for a plain relation, and the build
+	// re-plans when the table's layout no longer matches; slices > 1
+	// reads a plain table's snapshot as that many parallel id ranges.
+	shards, slices int
+	kernel         string // distance kernel serving the primary edit conjunct
 	// ("myers", "targetdp", "vec-<metric>", or "" when none)
 }
 
@@ -209,22 +211,34 @@ func isVecNearest(ne *NearestExpr) bool {
 
 // decideNearest validates a NEAREST query. String NEAREST has one
 // access path — the band walk of the length-ordered view — so there is
-// nothing to choose; over a sharded relation every shard runs it and a
-// rank-aware gather merges the shard top-k lists.
+// nothing to choose. Over the vector column the metric picks it: a
+// VP-tree when the metric satisfies the triangle inequality (the tree's
+// pruning invariant), a bounded scan otherwise (cosine). Over a sharded
+// relation every shard runs the path and a rank-aware gather merges the
+// shard top-k lists.
 func (e *Engine) decideNearest(q *Query, ne NearestExpr, tab relation.Table) (*planDecision, error) {
 	if len(q.From) != 1 {
 		return nil, fmt.Errorf("query: NEAREST requires a single relation")
-	}
-	if isVecNearest(&ne) {
-		return e.decideVecNearest(q, ne, tab)
-	}
-	if !ne.Target.IsLit {
-		return nil, fmt.Errorf("query: NEAREST requires a literal target")
 	}
 	// The parser rejects K <= 0, but hand-built Query values reach this
 	// path through ExecuteQuery.
 	if ne.K <= 0 {
 		return nil, fmt.Errorf("query: NEAREST requires a positive count")
+	}
+	d := &planDecision{kind: accessNearest, shards: shardsOf(tab), slices: 1}
+	if isVecNearest(&ne) {
+		m, ok := metric.Lookup(ne.RuleSet)
+		if !ok {
+			return nil, fmt.Errorf("query: unknown metric %q", ne.RuleSet)
+		}
+		d.via = "scan"
+		if metric.IsTriangular(m) {
+			d.via = "vptree"
+		}
+		return d, nil
+	}
+	if !ne.Target.IsLit {
+		return nil, fmt.Errorf("query: NEAREST requires a literal target")
 	}
 	if _, err := e.ruleset(ne.RuleSet); err != nil {
 		return nil, err
@@ -232,47 +246,15 @@ func (e *Engine) decideNearest(q *Query, ne NearestExpr, tab relation.Table) (*p
 	if e.calc(ne.RuleSet) == nil {
 		return nil, fmt.Errorf("query: NEAREST requires an edit-like rule set (%q is not)", ne.RuleSet)
 	}
-	d := &planDecision{kind: accessNearest}
-	if sh, ok := tab.(*relation.ShardedRelation); ok {
-		d.shards = sh.NumShards()
-		d.workers = e.gatherWorkers(d.shards)
-	}
 	return d, nil
 }
 
-// decideVecNearest picks the access structure for NEAREST over the
-// vector column: a VP-tree when the metric satisfies the triangle
-// inequality (the tree's pruning invariant), a bounded scan otherwise
-// (cosine). Sharded relations get the same per-shard choice under a
-// rank-aware gather, exactly like the string path.
-func (e *Engine) decideVecNearest(q *Query, ne NearestExpr, tab relation.Table) (*planDecision, error) {
-	// The parser rejects K <= 0, but hand-built Query values reach this
-	// path through ExecuteQuery.
-	if ne.K <= 0 {
-		return nil, fmt.Errorf("query: NEAREST requires a positive count")
-	}
-	m, ok := metric.Lookup(ne.RuleSet)
-	if !ok {
-		return nil, fmt.Errorf("query: unknown metric %q", ne.RuleSet)
-	}
-	via := "scan"
-	if metric.IsTriangular(m) {
-		via = "vptree"
-	}
-	d := &planDecision{kind: accessNearest, via: via}
-	if sh, ok := tab.(*relation.ShardedRelation); ok {
-		d.shards = sh.NumShards()
-		d.workers = e.gatherWorkers(d.shards)
-	}
-	return d, nil
-}
-
-// gatherWorkers caps the scatter-gather fan-out at the engine's
-// parallelism (at least one worker).
-func (e *Engine) gatherWorkers(shards int) int {
+// gatherWorkers caps the fan-out at the engine's parallelism (at least
+// one worker).
+func (e *Engine) gatherWorkers(streams int) int {
 	workers := e.parallelism
-	if workers > shards {
-		workers = shards
+	if workers > streams {
+		workers = streams
 	}
 	if workers < 1 {
 		workers = 1
@@ -287,8 +269,8 @@ func (e *Engine) rangeIndexable(sim *SimExpr) bool {
 	if sim.Field.Name != "seq" || !sim.Target.IsLit || sim.Pattern {
 		return false
 	}
-	rs, err := e.ruleset(sim.RuleSet)
-	return err == nil && unitCost(rs)
+	ent, _ := e.rule(sim.RuleSet)
+	return ent != nil && ent.unit
 }
 
 // decideSingle picks the access path for a single-relation query: a
@@ -297,43 +279,28 @@ func (e *Engine) rangeIndexable(sim *SimExpr) bool {
 // vector conjunct under a triangular metric probes the VP-tree where
 // the cost model prefers it; everything else is a (possibly parallel)
 // scan with the full predicate as a filter. Over a sharded relation the
-// vector choice is made on per-shard statistics and the decision
-// becomes a scatter-gather plan: every shard runs the chosen access
-// path on its own snapshot and an id-ordered gather restores the serial
-// scan order.
+// decision becomes a scatter-gather plan: every shard runs the chosen
+// access path on its own snapshot and an id-ordered gather restores the
+// serial scan order. (The VP-tree/scan choice is the same per shard as
+// over the whole: both costs are linear in the vector count.)
 func (e *Engine) decideSingle(q *Query, tab relation.Table) (*planDecision, error) {
 	st := tab.Stats()
-	shards := 0
-	if sh, ok := tab.(*relation.ShardedRelation); ok {
-		shards = sh.NumShards()
-	}
-	costStats := st
-	if shards > 1 {
-		// Each shard holds ~1/N of the rows; the per-shard access choice
-		// must be costed against what one shard actually scans or probes.
-		costStats.VecCount = (st.VecCount + shards - 1) / shards
-	}
-	d := &planDecision{kind: accessScan, shards: shards}
-	if shards > 0 {
-		d.workers = e.gatherWorkers(shards)
-	}
+	d := &planDecision{kind: accessScan, shards: shardsOf(tab), slices: 1}
 	if sim, _, _ := extractSim(q.Where, e.rangeIndexable); sim != nil {
 		d.kind = accessRange
 		return d, nil
 	}
 	if sim, _, _ := extractSim(q.Where, isVecRangeSim); sim != nil {
 		m, ok := metric.Lookup(sim.RuleSet)
-		if ok && metric.IsTriangular(m) && chooseVecAccess(costStats, sim.Radius) == "vptree" {
+		if ok && metric.IsTriangular(m) && chooseVecAccess(st, sim.Radius) == "vptree" {
 			d.kind, d.via = accessRange, "vptree"
 			return d, nil
 		}
 	}
-	if shards > 0 {
-		return d, nil
+	if d.shards == 0 {
+		// A bare scan has no per-tuple verification work to parallelise.
+		d.slices = e.decideParallel(q, st.Count, !isTrivial(simplifyExpr(q.Where)))
 	}
-	hasWork := !isTrivial(simplifyExpr(q.Where))
-	// A bare scan has no per-tuple verification work to parallelise.
-	d.parallel, d.workers = e.decideParallel(q, st.Count, hasWork)
 	return d, nil
 }
 
@@ -343,17 +310,13 @@ func (e *Engine) decideSingle(q *Query, tab relation.Table) (*planDecision, erro
 // edge a probe strategy is chosen: index-nested-loop (the band walk of
 // the inner length view, or the inner VP-tree), partitioned
 // (length/norm-band the inner side), or plain nested loop. A join
-// touching sharded relations becomes a scatter-gather plan: one chain
-// per outer shard with the inner sides broadcast, merged by outer id
+// starting from a sharded relation becomes a scatter-gather plan: one
+// chain per outer shard, every inner side read whole, merged by outer id
 // under GatherMerge (see buildJoin).
 func (e *Engine) decideJoin(q *Query, rels []relation.Table) (*planDecision, error) {
 	relOf := map[string]relation.Table{}
 	pos := map[string]int{}
-	shardJoin := false
 	for i, ref := range q.From {
-		if _, ok := rels[i].(*relation.ShardedRelation); ok {
-			shardJoin = true
-		}
 		relOf[ref.Alias] = rels[i]
 		pos[ref.Alias] = i
 	}
@@ -413,18 +376,10 @@ func (e *Engine) decideJoin(q *Query, rels []relation.Table) (*planDecision, err
 		steps = append(steps, best)
 	}
 
-	d := &planDecision{kind: accessJoin, start: start, steps: steps, shardJoin: shardJoin}
-	if shardJoin {
-		// One chain per outer shard (the whole chain runs under the
-		// gather, so per-chain Parallel buys nothing on top).
-		d.shards = 1
-		if sh, ok := relOf[start].(*relation.ShardedRelation); ok {
-			d.shards = sh.NumShards()
-		}
-		d.workers = e.gatherWorkers(d.shards)
-		return d, nil
+	d := &planDecision{kind: accessJoin, start: start, steps: steps, shards: shardsOf(relOf[start]), slices: 1}
+	if d.shards == 0 {
+		d.slices = e.decideParallel(q, relOf[start].Stats().Count, true)
 	}
-	d.parallel, d.workers = e.decideParallel(q, relOf[start].Stats().Count, true)
 	return d, nil
 }
 
@@ -463,11 +418,11 @@ func (e *Engine) chooseJoinAlgo(edge *SimExpr, innerField string, outerRows floa
 		}
 		return joinAlgo{algo: algo, vec: true}, cost, nil
 	}
-	rs, err := e.ruleset(edge.RuleSet)
+	ent, err := e.rule(edge.RuleSet)
 	if err != nil {
 		return joinAlgo{}, 0, err
 	}
-	unit := unitCost(rs) && e.calc(edge.RuleSet) != nil
+	unit := ent.unit && ent.calc != nil
 	if unit && innerField == "seq" {
 		return joinAlgo{algo: "index"}, partitionJoinCost(outerRows, inner, math.Floor(edge.Radius)), nil
 	}
@@ -489,17 +444,18 @@ func joinOutRowsFor(edge *SimExpr, outerRows float64, inner relation.Stats) floa
 	return joinOutRows(outerRows, inner, edge.Radius)
 }
 
-// decideParallel reports whether a scan-rooted pipeline should shard
-// across workers: the outer relation must be large enough and there
-// must be per-tuple work to spread. A LIMIT without ORDER BY stays
-// serial: the serial pipeline can stop at the limit, while the parallel
-// plan must drain every shard before merging.
-func (e *Engine) decideParallel(q *Query, outerRows int, hasWork bool) (bool, int) {
+// decideParallel returns how many id-range slices a scan-rooted
+// pipeline over a plain table runs as, one per worker, or 1 for none:
+// the outer relation must be large enough and there must be per-tuple
+// work to spread. A LIMIT without ORDER BY stays serial: the serial
+// pipeline can stop at the limit, while the gather must drain every
+// slice before merging.
+func (e *Engine) decideParallel(q *Query, outerRows int, hasWork bool) int {
 	limitStopsEarly := q.Limit > 0 && q.Order == OrderNone
 	if e.parallelism > 1 && outerRows >= e.parallelMinRows && hasWork && !limitStopsEarly {
-		return true, e.parallelism
+		return e.parallelism
 	}
-	return false, 1
+	return 1
 }
 
 // buildPlan constructs the operator tree for a query under a decision.
@@ -525,31 +481,22 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 	if d.kind == accessJoin {
 		return e.buildJoin(q, d, tabs)
 	}
-	if d.shards > 0 {
-		return e.buildShardedPlan(q, d, tabs[0])
+	tab := tabs[0]
+	var m metric.Distance
+	if d.via == "vptree" {
+		m = accessMetric(q)
 	}
-	rel, ok := tabs[0].(*relation.Relation)
-	if !ok {
-		// The table was re-registered with a sharded layout after this
-		// decision was made; Execute re-plans on this error.
-		return nil, fmt.Errorf("query: stale plan: relation %q is now sharded", q.From[0].Name)
-	}
-	// Ensure shared access structures ahead of the snapshot.
-	switch {
-	case d.via == "vptree":
-		if m := accessMetric(q); m != nil {
-			rel.VPTree(m)
-		}
-	case d.kind == accessRange || d.kind == accessNearest:
-		rel.LengthView()
-	}
-	snap := rel.Snapshot()
-	st := rel.Stats()
+	// A plain table's one snapshot needs no slice of its own.
+	var one [1]*relation.Snapshot
+	snaps := snapshotsOf(one[:0], tab, d.via == "" && d.kind != accessScan, m)
+	n, gathered := d.streams()
+	total := tab.Stats()
+	st := shardStats(total, n)
 	ctx := &execCtx{eng: e, traced: q.Analyze || e.tracing.Load()}
 	alias := q.From[0].Alias
 	size := e.batchLeafSize(q)
 	tag := kernelTag{d.kernel}
-	// filter stacks the residual predicate, if any, on an access path.
+	// filter stacks the residual predicate, if any, on a leaf.
 	filter := func(op BatchOperator, pred Expr) BatchOperator {
 		if isTrivial(pred) {
 			return op
@@ -561,21 +508,31 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 	// A leaf that holds every match and supplies the row's distance sorts
 	// for the ORDER BY itself; no OrderByDist is built above it (a
 	// residual Filter keeps its order and never overwrites a distance).
-	ordered := false
-	leaf := matchList{snap: snap, alias: alias, size: size}
-	var access BatchOperator
+	// Under a gather the leaves emit the order the merge reads.
+	order := q.Order
+	if gathered {
+		order = OrderNone
+	}
+	ordered, k, est := false, 0, -1.0
+	var leaf func(stream) BatchOperator
 	switch d.kind {
 	case accessNearest:
 		ne := q.Where.(NearestExpr)
-		leaf.order, ordered = q.Order, true
+		ordered, k = !gathered, ne.K
 		if isVecNearest(&ne) {
-			access = trB(ctx, &batchVecNearestKOp{
-				kernelTag: tag, ctx: ctx, matchList: leaf,
-				via: d.via, target: ne.Target.Vec, k: ne.K, metricName: ne.RuleSet,
-			}, estNearestRows(st.VecCount, ne.K))
-		} else {
-			access = trB(ctx, &batchNearestKOp{
-				kernelTag: tag, ctx: ctx, matchList: leaf,
+			est = estNearestRows(total.VecCount, ne.K)
+			leaf = func(s stream) BatchOperator {
+				return trB(ctx, &batchVecNearestKOp{
+					kernelTag: tag, ctx: ctx, matchList: matchList{stream: s, alias: alias, size: size, order: order},
+					via: d.via, target: ne.Target.Vec, k: ne.K, metricName: ne.RuleSet,
+				}, estNearestRows(st.VecCount, ne.K))
+			}
+			break
+		}
+		est = estNearestRows(total.Count, ne.K)
+		leaf = func(s stream) BatchOperator {
+			return trB(ctx, &batchNearestKOp{
+				kernelTag: tag, ctx: ctx, matchList: matchList{stream: s, alias: alias, size: size, order: order},
 				target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet,
 			}, estNearestRows(st.Count, ne.K))
 		}
@@ -590,30 +547,34 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 		if sim == nil {
 			return nil, fmt.Errorf("query: stale plan: no range conjunct")
 		}
-		leaf.noDist = !leafDist
-		if leafDist {
-			leaf.order, ordered = q.Order, true
+		if !leafDist {
+			order = OrderNone
 		}
-		if d.via == "vptree" {
-			access = filter(trB(ctx, &batchVecRangeOp{
-				kernelTag: tag, ctx: ctx, matchList: leaf,
-				target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet,
-			}, estVecRangeRows(st, sim.Radius)), pred)
-			break
+		ordered = leafDist && !gathered
+		leaf = func(s stream) BatchOperator {
+			ml := matchList{stream: s, alias: alias, size: size, order: order, noDist: !leafDist}
+			if d.via == "vptree" {
+				return filter(trB(ctx, &batchVecRangeOp{
+					kernelTag: tag, ctx: ctx, matchList: ml,
+					target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet,
+				}, estVecRangeRows(st, sim.Radius)), pred)
+			}
+			return filter(trB(ctx, &batchIndexRangeOp{
+				kernelTag: tag, ctx: ctx, matchList: ml,
+				target: sim.Target.Lit, radius: sim.Radius, ruleSet: sim.RuleSet,
+			}, estRangeRows(st, sim.Radius)), pred)
 		}
-		access = filter(trB(ctx, &batchIndexRangeOp{
-			kernelTag: tag, ctx: ctx, matchList: leaf,
-			target: sim.Target.Lit, radius: sim.Radius, ruleSet: sim.RuleSet,
-		}, estRangeRows(st, sim.Radius)), pred)
 	case accessScan:
 		pred := simplifyExpr(q.Where)
-		access = wrapBatchParallel(ctx, d, func(shard, shards int) BatchOperator {
-			sc := newBatchScanOp(ctx, snap, alias, size)
-			sc.shard, sc.shards = shard, shards
-			return filter(trB(ctx, sc, float64(st.Count)/float64(shards)), pred)
-		})
+		leaf = func(s stream) BatchOperator {
+			return filter(trB(ctx, &batchScanOp{stream: s, ctx: ctx, alias: alias, size: size}, float64(st.Count)), pred)
+		}
 	default:
 		return nil, fmt.Errorf("query: unknown access kind %d", d.kind)
+	}
+	access, err := e.fanOut(ctx, q, d, tab, snaps, alias, k, est, leaf)
+	if err != nil {
+		return nil, err
 	}
 	return &compiledPlan{
 		root: e.wrapBatchTop(q, access, alias, size, ctx, ordered),
@@ -648,29 +609,6 @@ func (e *Engine) wrapBatchTop(q *Query, access BatchOperator, alias string, size
 		top = trB(ctx, &batchLimitOp{child: top, n: q.Limit}, estLimitRows(q.Limit, estOfBatch(top)))
 	}
 	return top
-}
-
-// wrapBatchParallel applies the decision's parallelism choice to a
-// pipeline factory.
-func wrapBatchParallel(ctx *execCtx, d *planDecision, build func(shard, shards int) BatchOperator) BatchOperator {
-	if d.parallel && d.workers > 1 {
-		p := &batchParallelOp{ctx: ctx, workers: d.workers, build: build}
-		if ctx.traced {
-			// Prebuild every shard pipeline so each carries its own span
-			// wrappers; OpenBatch runs the prebuilt instances and ANALYZE
-			// merges their counters (untraced plans keep lazy per-Open
-			// builds and pay nothing).
-			p.prebuilt = make([]BatchOperator, d.workers)
-			for i := range p.prebuilt {
-				p.prebuilt[i] = build(i, d.workers)
-			}
-			p.template = p.prebuilt[0]
-		} else {
-			p.template = build(0, d.workers)
-		}
-		return trB(ctx, p, -1)
-	}
-	return build(0, 1)
 }
 
 // validateExpr checks rule-set names and pattern syntax eagerly so bad

@@ -35,13 +35,14 @@ func datagenWords(name string, seed int64, count int) *relation.Relation {
 }
 
 // planSkeleton reduces a rendered plan to its operator names, root
-// first. Parallel is dropped: whether a scan is sharded across workers
+// first. GatherMerge is dropped: over the plain relations here it only
+// marks a parallel plan, and whether a scan is split across workers
 // depends on GOMAXPROCS, not on the plan the benchmark depends on.
 func planSkeleton(plan string) []string {
 	var names []string
 	for _, line := range strings.Split(plan, "\n") {
 		line = strings.TrimLeft(line, " │├└─")
-		if name := line[:strings.IndexByte(line, '(')]; name != "Parallel" {
+		if name := line[:strings.IndexByte(line, '(')]; name != "GatherMerge" {
 			names = append(names, name)
 		}
 	}

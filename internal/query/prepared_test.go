@@ -344,6 +344,44 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestReregisteredRuleSetReplans: the registry decides once, at
+// registration, whether a rule set is unit-cost. Re-registering
+// unit-edits as a weighted set under the same name must turn the cached
+// band-walk plan into a scan with the weighted distances, so a flag that
+// outlived its rule set fails here.
+func TestReregisteredRuleSetReplans(t *testing.T) {
+	e := testEngine(t)
+	const stmt = `SELECT seq, dist FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING unit-edits`
+	for i := 0; i < 2; i++ {
+		res, err := e.Execute(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(res.Plan, "IndexRange(words via lengthview") || len(res.Rows) < 2 || res.Stats.PlanCacheHit != (i == 1) {
+			t.Fatalf("run %d: want the band walk with several matches, cached on the second run:\n%s\n%v", i, res.Plan, res.Rows)
+		}
+	}
+	var doubled []rewrite.Rule
+	for _, r := range rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz").Rules() {
+		r.Cost = 2
+		doubled = append(doubled, r)
+	}
+	if err := e.RegisterRuleSet(rewrite.MustRuleSet("unit-edits", doubled)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Execute(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.PlanCacheHit || !strings.Contains(res.Plan, "Scan(words)") || strings.Contains(res.Plan, "IndexRange") {
+		t.Fatalf("a weighted unit-edits still plans the band walk:\n%s", res.Plan)
+	}
+	// Every edit now costs 2, so only the exact match is within 1.
+	if len(res.Rows) != 1 || res.Rows[0][0] != "color" || res.Rows[0][1] != "0" {
+		t.Fatalf("rows = %v, want only color at distance 0", res.Rows)
+	}
+}
+
 // TestPlanCacheDisabled: WithPlanCacheSize(0) must turn caching off.
 func TestPlanCacheDisabled(t *testing.T) {
 	e := testEngine(t, WithPlanCacheSize(0))

@@ -47,15 +47,15 @@ func TestShardedExplainShapes(t *testing.T) {
 	}{
 		{
 			`EXPLAIN SELECT * FROM words WHERE tag = "1"`,
-			[]string{"GatherMerge(shards=4", "merge=id", "ShardScan(words, shard 0/4)", "Filter("},
+			[]string{"GatherMerge(shards=4", "merge=id", "Scan(words, shard 0/4)", "Filter("},
 		},
 		{
 			`EXPLAIN SELECT * FROM words WHERE seq NEAREST 3 TO "abc" USING edits`,
-			[]string{"GatherMerge(shards=4", "merge=bestk k=3", "ShardNearestK(words, shard 0/4, k=3, ruleset=edits)"},
+			[]string{"GatherMerge(shards=4", "merge=bestk k=3", "NearestK(words, shard 0/4, k=3, ruleset=edits)"},
 		},
 		{
 			`EXPLAIN SELECT * FROM words WHERE seq SIMILAR TO "abcd" WITHIN 1 USING edits`,
-			[]string{"GatherMerge(shards=4", "merge=id", "IndexRange(words via"},
+			[]string{"GatherMerge(shards=4", "merge=id", "IndexRange(words via lengthview, shard 0/4, target=abcd"},
 		},
 	}
 	for _, c := range cases {
@@ -72,9 +72,9 @@ func TestShardedExplainShapes(t *testing.T) {
 }
 
 // TestShardedJoinBroadcast: joins over sharded relations execute as
-// one chain per outer shard against a broadcast inner side, merged
-// under GatherMerge (the full parity oracle lives in
-// join_oracle_test.go).
+// one chain per outer stream against a broadcast inner side, merged
+// under GatherMerge when the outer relation is sharded (the full parity
+// oracle lives in join_oracle_test.go).
 func TestShardedJoinBroadcast(t *testing.T) {
 	e := shardTestEngine(t, 2, 50)
 	other := relation.New("other")
@@ -85,10 +85,11 @@ func TestShardedJoinBroadcast(t *testing.T) {
 		t.Fatalf("sharded join: %v", err)
 	}
 	// The 1-row plain relation wins the start slot, so the sharded side
-	// is the broadcast inner: all its shard snapshots probed per chain.
+	// is the broadcast inner: all its shard snapshots probed by the one
+	// chain, which needs no gather.
 	plan := res.Rows[0][0]
-	if !strings.Contains(plan, "GatherMerge(") || !strings.Contains(plan, "x2 shards") {
-		t.Fatalf("sharded join plan lacks gather + broadcast inner:\n%s", plan)
+	if strings.Contains(plan, "GatherMerge(") || !strings.Contains(plan, "x2 shards") {
+		t.Fatalf("sharded join plan from a plain start is not one chain over a broadcast inner:\n%s", plan)
 	}
 	// A self-join over the sharded relation fans out one chain per
 	// outer shard.

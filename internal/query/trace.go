@@ -24,13 +24,13 @@ import (
 // across Close for span attribution (the `last` field convention).
 type opStatser interface{ opStats() ExecStats }
 
-// instanced is implemented by fan-out operators (Parallel, GatherMerge)
-// that can expose the per-shard pipelines which actually executed; the
-// extractor merges their span trees in lockstep into one logical child.
+// instanced is implemented by the fan-out operator (GatherMerge), which
+// exposes the per-stream pipelines that executed; the extractor merges
+// their span trees in lockstep into one logical child.
 type instanced interface{ executedInstances() []BatchOperator }
 
-// shardTimer is implemented by scatter-gather operators that record
-// per-shard drain timings when traced.
+// shardTimer is implemented by the fan-out operator, which records one
+// drain timing per stream when traced.
 type shardTimer interface{ shardTimings() []obs.ShardTiming }
 
 // trB wraps an operator in a span recorder when the context is traced;
@@ -248,8 +248,9 @@ func firstSimRadius(ex Expr) (float64, bool) {
 	return 0, false
 }
 
-// shardStats scales relation statistics to one shard of n (matching
-// decideSingle's per-shard costing).
+// shardStats scales relation statistics to one of n streams of an even
+// split, so EXPLAIN ANALYZE compares each stream's pipeline against what
+// the planner assumed for one stream, not the union.
 func shardStats(st relation.Stats, n int) relation.Stats {
 	if n > 1 {
 		st.Count = (st.Count + n - 1) / n

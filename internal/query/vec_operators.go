@@ -102,7 +102,8 @@ func (o *batchVecNearestKOp) scan(m metric.Distance) ExecStats {
 }
 
 func (o *batchVecNearestKOp) Describe() string {
-	return fmt.Sprintf("VecNearestK(%s via %s, k=%d, metric=%s%s)", o.alias, o.via, o.k, o.metricName, o.orderNote())
+	return fmt.Sprintf("VecNearestK(%s via %s%s, k=%d, metric=%s%s)",
+		o.alias, o.via, o.shardNote(), o.k, o.metricName, o.orderNote())
 }
 
 // ------------------------------------------------------------- range
@@ -137,20 +138,6 @@ func (o *batchVecRangeOp) OpenBatch() error {
 }
 
 func (o *batchVecRangeOp) Describe() string {
-	return fmt.Sprintf("VecRange(%s via vptree, radius=%g, metric=%s%s)", o.alias, o.radius, o.metricName, o.orderNote())
-}
-
-// ------------------------------------------------------- shard leaf
-
-// batchShardVecNearestKOp is a batchVecNearestKOp over one shard
-// snapshot; it exists so EXPLAIN shows which shard each k-best list
-// comes from.
-type batchShardVecNearestKOp struct {
-	batchVecNearestKOp
-	idx, of int
-}
-
-func (o *batchShardVecNearestKOp) Describe() string {
-	return fmt.Sprintf("ShardVecNearestK(%s, shard %d/%d, via %s, k=%d, metric=%s)",
-		o.alias, o.idx, o.of, o.via, o.k, o.metricName)
+	return fmt.Sprintf("VecRange(%s via vptree%s, radius=%g, metric=%s%s)",
+		o.alias, o.shardNote(), o.radius, o.metricName, o.orderNote())
 }

@@ -191,7 +191,7 @@ func TestVecShardedExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan.Plan, "ShardVecNearestK(items, shard 0/4, via vptree, k=2, metric=l2)") {
+	if !strings.Contains(plan.Plan, "VecNearestK(items via vptree, shard 0/4, k=2, metric=l2)") {
 		t.Fatalf("sharded NEAREST plan:\n%s", plan.Plan)
 	}
 }

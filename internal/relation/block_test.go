@@ -39,14 +39,17 @@ func TestCursorNextBlockMatchesNext(t *testing.T) {
 				t.Fatalf("%s: block size %d diverges from Tuples (%d vs %d rows)", label, size, len(got), len(want))
 			}
 		}
-		// Shard concatenation must reproduce the serial order too.
+		// Shard concatenation must reproduce the serial order too, at
+		// every shard count.
 		snap := r.Snapshot()
-		var cat []Tuple
-		for i := 0; i < 4; i++ {
-			cat = append(cat, drainBlocks(snap.Shard(i, 4), 8)...)
-		}
-		if !reflect.DeepEqual(cat, want) {
-			t.Fatalf("%s: concatenated shard blocks diverge from Tuples", label)
+		for _, n := range []int{1, 2, 3, 4, 8} {
+			var cat []Tuple
+			for i := 0; i < n; i++ {
+				cat = append(cat, drainBlocks(snap.Shard(i, n), 8)...)
+			}
+			if !reflect.DeepEqual(cat, want) {
+				t.Fatalf("%s: %d concatenated shards diverge from Tuples", label, n)
+			}
 		}
 	}
 	check("all-live")

@@ -86,27 +86,6 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-func TestShardsConcatenateToTuples(t *testing.T) {
-	r := New("sh")
-	for i := 0; i < 97; i++ {
-		r.Insert(fmt.Sprintf("s%03d", i), nil)
-	}
-	// Punch holes so shards must skip tombstones.
-	for i := 0; i < 97; i += 7 {
-		r.Delete(i)
-	}
-	want := r.Tuples()
-	for _, n := range []int{1, 2, 3, 8} {
-		var got []Tuple
-		for i := 0; i < n; i++ {
-			got = append(got, r.Shard(i, n)...)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards(%d) concat != Tuples", n)
-		}
-	}
-}
-
 func TestCompactionPolicyAndCorrectness(t *testing.T) {
 	r := New("c")
 	const n = 400

@@ -640,17 +640,6 @@ func (r *Relation) Snapshot() *Snapshot {
 // snapshots instead.
 func (r *Relation) Tuples() []Tuple { return r.Snapshot().Tuples() }
 
-// Shard materialises the i-th of n contiguous arena partitions (i in
-// [0,n)). Concatenating the shards in order reproduces Tuples exactly.
-func (r *Relation) Shard(i, n int) []Tuple {
-	var out []Tuple
-	c := r.Snapshot().Shard(i, n)
-	for t, ok := c.Next(); ok; t, ok = c.Next() {
-		out = append(out, t)
-	}
-	return out
-}
-
 // Stats returns planner statistics; maintained incrementally, so this
 // is lock-free and O(alphabet).
 func (r *Relation) Stats() Stats { return r.Snapshot().Stats() }
