@@ -265,17 +265,19 @@ func BenchmarkQ1SerialVsParallelScan(b *testing.B) {
 	})
 }
 
-// BenchmarkQ2JoinOperators measures each probe strategy of the join
-// operator on a statement the planner routes to it, pinned via EXPLAIN
-// so a planner change fails loudly. The weighted edge takes the nested
-// loop; the unit radius-1 self-join over seq the band walk of the inner
-// length view; a unit edge onto another attribute the length-banded
-// partitions, here a one-row probe relation joined at radius 1 to 600
-// two-to-three-letter words held in attribute w.
+// BenchmarkQ2JoinOperators measures each probe of the join operator on
+// a statement the planner routes to it, pinned via EXPLAIN so a planner
+// change fails loudly. The weighted edge takes the scan that verifies
+// every pair; the unit radius-1 self-join over seq the band walk of the
+// inner length view; a unit edge onto another attribute the
+// length-banded scan, here a one-row probe relation joined at radius 1
+// to 600 two-to-three-letter words held in attribute w; an l2 self-join
+// over 600 64-dim vectors from 16 Gaussian clusters (datagen's recipe)
+// the inner VP-tree.
 func BenchmarkQ2JoinOperators(b *testing.B) {
 	eng := benchQueryEngine(b, 600, WithParallelism(1))
 	rng := rand.New(rand.NewSource(7))
-	short, probe := NewRelation("short"), NewRelation("probe")
+	short, probe, vecs := NewRelation("short"), NewRelation("probe"), NewRelation("vecs")
 	for i := 0; i < 600; i++ {
 		w := make([]byte, 2+rng.Intn(2))
 		for j := range w {
@@ -284,15 +286,32 @@ func BenchmarkQ2JoinOperators(b *testing.B) {
 		short.Insert("", map[string]string{"w": string(w)})
 	}
 	probe.Insert("abc", nil)
+	centroids := make([][]float64, 16)
+	for i := range centroids {
+		centroids[i] = make([]float64, 64)
+		for j := range centroids[i] {
+			centroids[i][j] = rng.Float64()*2 - 1
+		}
+	}
+	for i := 0; i < 600; i++ {
+		v := make(Vector, 64)
+		for j, c := range centroids[rng.Intn(len(centroids))] {
+			v[j] = float32(c + rng.NormFloat64()*0.1)
+		}
+		vecs.InsertOne(relation.InsertRow{Vec: v})
+	}
 	eng.Catalog().Add(short)
 	eng.Catalog().Add(probe)
+	eng.Catalog().Add(vecs)
 	for _, c := range []struct{ name, stmt, wantOp string }{
 		{"nested-loop", `SELECT a.id, b.id FROM dict a, dict b WHERE a.seq SIMILAR TO b.seq WITHIN 0.5 USING half AND a.id != b.id`,
-			"NestedLoopJoin("},
+			"NestedLoopJoin(b, on"},
 		{"index-join", `SELECT a.id, b.id FROM dict a, dict b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING unit-edits AND a.id != b.id`,
 			"IndexJoin("},
-		{"partitioned", `SELECT p.id, s.id FROM probe p, short s ON dist(p.seq, s.w) <= 1 USING unit-edits`,
-			"PartitionJoin("},
+		{"banded", `SELECT p.id, s.id FROM probe p, short s ON dist(p.seq, s.w) <= 1 USING unit-edits`,
+			"NestedLoopJoin(s[length-banded]"},
+		{"vec-index", `SELECT a.id, b.id FROM vecs a, vecs b ON dist(a.vec, b.vec) <= 1 USING l2 WHERE a.id != b.id`,
+			"IndexJoin(probe a.vec into vptree("},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			res, err := eng.Execute("EXPLAIN " + c.stmt)

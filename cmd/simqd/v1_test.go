@@ -17,15 +17,6 @@ func doRaw(t *testing.T, mux *http.ServeMux, method, path, body string) *httptes
 	return rec
 }
 
-func containsAny(s string, subs ...string) bool {
-	for _, sub := range subs {
-		if strings.Contains(s, sub) {
-			return true
-		}
-	}
-	return false
-}
-
 // decodeEnvelope parses the uniform error envelope and asserts its
 // invariants: non-empty message and code, and a trace_id matching the
 // X-Trace-Id header.
@@ -229,8 +220,8 @@ func TestErrorEnvelope(t *testing.T) {
 }
 
 // TestV1DistanceJoinOverHTTP runs an ON dist(...) join through the v1
-// surface end to end: EXPLAIN surfaces a join operator and the result
-// matches the engine's row count.
+// surface end to end: EXPLAIN surfaces the length-view index probe and
+// the result matches the engine's row count.
 func TestV1DistanceJoinOverHTTP(t *testing.T) {
 	mux := newTestServer(t, "").routes()
 	stmt := `SELECT a.seq, b.seq FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id`
@@ -245,8 +236,8 @@ func TestV1DistanceJoinOverHTTP(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &eres); err != nil {
 		t.Fatal(err)
 	}
-	if !containsAny(eres.Plan, "IndexJoin(", "NestedLoopJoin(", "PartitionJoin(") {
-		t.Fatalf("join plan lacks a join operator: %q", eres.Plan)
+	if !strings.Contains(eres.Plan, "IndexJoin(probe a.seq into lengthview(b)") {
+		t.Fatalf("join plan lacks the length-view index probe: %q", eres.Plan)
 	}
 
 	rec = do(t, mux, http.MethodPost, "/v1/query", map[string]any{"query": stmt})

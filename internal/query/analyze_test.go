@@ -74,12 +74,12 @@ var analyzeStmts = []struct {
 	{`SELECT seq, dist FROM words WHERE seq NEAREST 3 TO "color" USING unit-edits`, true},
 	{`SELECT seq, dist FROM words WHERE seq NEAREST 2 TO "color" USING cheap_vowels`, true},
 	{`SELECT * FROM words LIMIT 3`, false},
-	// A weighted rule set: the nested-loop probe strategy.
+	// A weighted rule set: the scan probe, verifying every pair.
 	{`SELECT a.seq, b.seq FROM words a, words b ON dist(a.seq, b.seq) <= 0.3 USING cheap_vowels AND a.id != b.id`, true},
 }
 
-// analyzeJoinStmts are the unit-cost join shapes (partition or index
-// probes, the cost model's choice), each with the pairs or triples of
+// analyzeJoinStmts are the unit-cost join shapes over seq (the
+// length-view index probe), each with the pairs or triples of
 // analyzeWords ids a brute-force loop over Levenshtein distance 1
 // yields.
 var analyzeJoinStmts = []struct {

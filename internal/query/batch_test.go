@@ -25,9 +25,9 @@ func TestExplainRootIsTheTopOperator(t *testing.T) {
 		{`EXPLAIN SELECT a.seq FROM dna a, dna b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING unit-edits`,
 			"Project(a.seq)", []string{"IndexJoin(probe a.seq into lengthview(b)", "Scan(a)"}},
 		{`EXPLAIN SELECT a.seq FROM dna a, dna b WHERE a.seq SIMILAR TO b.id WITHIN 1 USING unit-edits`,
-			"Project(a.seq)", []string{"PartitionJoin(probe a.seq into b[length-banded]", "Scan(a)"}},
+			"Project(a.seq)", []string{"NestedLoopJoin(b[length-banded], on", "Scan(a)"}},
 		// A weighted rule set licenses neither the length band nor the
-		// length view: the nested-loop probe.
+		// length view: the scan verifies every pair.
 		{`EXPLAIN SELECT a.seq FROM dna a, dna b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING half`,
 			"Project(a.seq)", []string{"NestedLoopJoin(b, on", "Scan(a)"}},
 	}

@@ -12,8 +12,8 @@ package query
 //     collapses and the walk degenerates into a scan.
 //
 // String range queries have one access path (the length-band walk) and
-// need no cost; join ordering and the remaining strategy choices use
-// the same primitives: the output cardinality of a similarity join edge
+// need no cost; join ordering and the vector range choice use the same
+// primitives: the output cardinality of a similarity join edge
 // is |outer| * |inner| * selectivity(radius).
 
 import (
@@ -96,14 +96,15 @@ func joinOutRows(outerRows float64, inner relation.Stats, k float64) float64 {
 	return outerRows * float64(inner.Count) * selRange(inner, k)
 }
 
-// partitionJoinCost models the partition-based batch join over a
-// unit-cost edit edge: one pass to length-partition the inner side,
-// then per outer row only the length band |len(x)-len(y)| <= k is
-// verified. The band fraction mirrors selRange's length intuition —
-// (2k+1) of the ~AvgSeqLen+1 occupied length buckets survive — and the
-// block kernels (QueryDP against a whole band) buy a constant over the
-// per-pair DP, folded in as the 0.25 factor.
-func partitionJoinCost(outerRows float64, inner relation.Stats, k float64) float64 {
+// lengthBandJoinCost models a join over a unit-cost edit edge, which
+// verifies per outer row only the inner rows in the length band
+// |len(x)-len(y)| <= k — the band walk of the length view over seq, the
+// length-banded scan over other attributes — after one pass over the
+// inner side. The band fraction mirrors selRange's length intuition —
+// (2k+1) of the ~AvgSeqLen+1 occupied lengths survive — and the
+// bit-parallel kernel buys a constant over the per-pair DP, folded in
+// as the 0.25 factor.
+func lengthBandJoinCost(outerRows float64, inner relation.Stats, k float64) float64 {
 	band := (2*k + 1) / (inner.AvgSeqLen + 1)
 	if band > 1 {
 		band = 1
@@ -120,24 +121,6 @@ func vecNestedLoopJoinCost(outerRows float64, inner relation.Stats) float64 {
 // (triangular metrics only — the tree's pruning invariant).
 func vecIndexJoinCost(outerRows float64, inner relation.Stats, r float64) float64 {
 	return outerRows * vpTreeCost(inner, r)
-}
-
-// vecPartitionJoinCost models the partition-based batch join over a
-// vector edge: one pass to norm-band the inner side, then per outer
-// row only the band |d(x,0)-d(y,0)| <= r is verified with the block
-// distance kernel. The surviving fraction reuses the VP-tree's visited
-// ramp for triangular metrics; a non-triangular metric (cosine) cannot
-// band, so every pair survives and only the block kernel's constant
-// (0.5 vs the per-pair evaluation) is won.
-func vecPartitionJoinCost(outerRows float64, inner relation.Stats, r float64, triangular bool) float64 {
-	frac := 1.0
-	if triangular {
-		frac = 0.25 * (r + 1)
-		if frac > 1 {
-			frac = 1
-		}
-	}
-	return float64(inner.VecCount) + outerRows*frac*float64(inner.VecCount)*vecVerifyCost(inner)*0.5
 }
 
 // vecJoinOutRows is joinOutRows for a vector edge: without a distance

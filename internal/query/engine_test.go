@@ -243,7 +243,7 @@ func TestJoinIndexVsNested(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unit-cost joins over seq probe the inner length view; weighted
-	// rule sets run the nested loop.
+	// rule sets scan the inner side, verifying every pair.
 	if !strings.Contains(idx.Plan, "IndexJoin(probe a.seq into lengthview(b)") {
 		t.Errorf("plan = %q", idx.Plan)
 	}
@@ -251,7 +251,7 @@ func TestJoinIndexVsNested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(nested.Plan, "NestedLoopJoin") {
+	if !strings.Contains(nested.Plan, "NestedLoopJoin(b, on") {
 		t.Errorf("plan = %q", nested.Plan)
 	}
 	// Index join at radius 1 with unit edits: color~colour? distance 1

@@ -155,28 +155,28 @@ func TestExplainOperatorTrees(t *testing.T) {
 			eng:  small,
 			src:  `SELECT * FROM words a, words b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING unit-edits`,
 			want: []string{"IndexJoin(probe a.seq into lengthview(b)", "Scan(a)"},
-			not:  []string{"NestedLoopJoin", "PartitionJoin"},
+			not:  []string{"NestedLoopJoin"},
 		},
 		{
-			name: "unit join partitions by length",
+			name: "unit join scans the length band",
 			eng:  small,
 			src:  `SELECT * FROM words a, words b WHERE a.lang SIMILAR TO b.lang WITHIN 1 USING unit-edits`,
-			want: []string{"PartitionJoin(probe a.lang into b[length-banded]", "Scan(a)"},
-			not:  []string{"NestedLoopJoin", "IndexJoin"},
+			want: []string{"NestedLoopJoin(b[length-banded], on", "Scan(a)"},
+			not:  []string{"IndexJoin"},
 		},
 		{
 			name: "weighted join needs nested loops",
 			eng:  small,
 			src:  `SELECT * FROM words a, words b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING cheap_vowels`,
 			want: []string{"NestedLoopJoin(b, on", "Scan(a)"},
-			not:  []string{"IndexJoin", "PartitionJoin"},
+			not:  []string{"IndexJoin", "length-banded"},
 		},
 		{
-			name: "three-way join chains two partition joins",
+			name: "three-way join chains two banded scans",
 			eng:  small,
 			src: `SELECT * FROM words a, words b, words c WHERE a.lang SIMILAR TO b.lang WITHIN 1 USING unit-edits ` +
 				`AND b.lang SIMILAR TO c.lang WITHIN 1 USING unit-edits`,
-			want: []string{"PartitionJoin(probe a.lang into b[length-banded]", "PartitionJoin(probe b.lang into c[length-banded]"},
+			want: []string{"NestedLoopJoin(b[length-banded], on a.lang", "NestedLoopJoin(c[length-banded], on b.lang"},
 		},
 		{
 			name: "three-way seq join chains two index joins",

@@ -1,41 +1,30 @@
 package query
 
 // The distance join. One operator, batchJoinOp, blocks the OUTER side
-// through the pipeline and probes the INNER side once per outer row;
-// the decided algorithm selects the probe strategy:
+// through the pipeline and probes the INNER side once per outer row.
+// Each edge has one probe, decided by what the inner side offers
+// (chooseJoinAlgo):
 //
-//   - "partition" pre-partitions the inner side once at open.
-//     Edit-distance edges partition inner rows by sequence length: under
-//     a unit-cost rule set every edit operation costs at least 1, so
-//     d(x, y) >= | |x| - |y| | and an outer probe of length L only needs
-//     the buckets [L-floor(k), L+floor(k)] — the classic length-filter
-//     band. Vector edges under a triangular metric partition by distance
-//     to a fixed vantage (the zero vector): |d(q,0) - d(c,0)| <= d(q,c),
-//     so a probe with norm n only needs buckets covering [n-r, n+r];
-//     non-triangular metrics (cosine) degrade to a single partition —
-//     the blocked kernels still apply, the pruning does not. Inside a
-//     band the probe runs the same kernels the scan+filter path uses
-//     (bit-parallel Myers or the dense TargetDP for strings, the metric's
-//     DistBatch for vectors).
-//   - "index" probes every inner snapshot once per outer row: unit-cost
-//     edit edges over the inner seq field run the band walk of its
-//     length view at the bound floor(r) (bandwalk.go), vector edges
-//     under a triangular metric the VP-tree. The walk measures d(inner,
-//     probe) where the predicate may name d(probe, inner); the unit-cost
-//     rule sets it serves are symmetric and their distances integers, so
-//     the two agree exactly.
-//   - "nl" verifies every pair through evalSim. It works for any rule
-//     set or metric because the distance direction follows the
-//     predicate (field -> target), not the join order.
+//   - "index" walks a structure of every inner snapshot: the length
+//     view's band walk at floor(r) (bandwalk.go) or the VP-tree. The walk
+//     measures d(inner, probe) where the predicate may name d(probe,
+//     inner); the unit-cost rule sets it serves are symmetric and their
+//     distances integers, so the two agree exactly.
+//   - "scan" reads the inner snapshots once at open and verifies the
+//     candidates with their domain's kernel: Myers (TargetDP for rows
+//     outside the rule alphabet), the DP calculator, the general engine,
+//     or the metric's DistBatch. Under a unit-cost rule set d(x, y) >=
+//     | |x| - |y| |, so the rows are kept in length order and a probe of
+//     length L verifies only the band [L-floor(r), L+floor(r)].
 //
-// Every strategy preserves evalSim's operand order on every fallback,
-// so results stay byte-identical across strategies — the join oracle
-// pins that against a brute-force nested loop.
+// Every kernel keeps evalSim's operand order (field -> target, whichever
+// side probes), so a join returns what verifying each pair through
+// evalSim would; the join oracle pins that against a brute force.
 //
 // The inner side is a list of snapshots: one for a plain relation, one
 // per shard when a sharded inner is broadcast (see buildJoin). Per-probe
 // matches sort by global tuple id before emission, so the output order
-// is outer order, inner ascending, whatever the strategy and layout.
+// is outer order, inner ascending, whatever the probe and layout.
 
 import (
 	"cmp"
@@ -48,16 +37,11 @@ import (
 	"repro/internal/relation"
 )
 
-// partInnerRow is one partitioned inner tuple; val holds the join
-// attribute, resolved once at partition time.
-type partInnerRow struct {
+// innerRow is one inner tuple of a scan probe; val holds a string
+// edge's join attribute, resolved once at open.
+type innerRow struct {
 	t   relation.Tuple
 	val string
-}
-
-// partVecRow is the vector analogue; the vector lives in the tuple.
-type partVecRow struct {
-	t relation.Tuple
 }
 
 // joinMatch is one verified inner match of the current probe.
@@ -71,7 +55,8 @@ type batchJoinOp struct {
 	kernelTag
 	ctx        *execCtx
 	child      BatchOperator // outer side, batched
-	algo       string        // probe strategy: "partition" | "index" | "nl"
+	algo       string        // probe: "index" | "scan"
+	banded     bool          // scan of a unit-cost edit edge: the length band applies
 	snaps      []*relation.Snapshot
 	alias      string   // inner alias
 	probeField FieldRef // outer-side join field
@@ -80,24 +65,20 @@ type batchJoinOp struct {
 	vec        bool
 	m          metric.Distance // vec edges: the resolved metric
 
-	// Inner-side state, built at OpenBatch: buckets for "partition", the
-	// flat tuple list for "nl", the per-snapshot alphabet coverage of a
-	// string "index" probe (the structures it reads live in the
-	// snapshots).
-	innerField    string // inner-side join attribute
-	outerIsTarget bool   // probe value is the predicate's target operand
-	inner         []relation.Tuple
-	strBuckets    map[int][]partInnerRow // key: len(val)
-	vecBuckets    map[int][]partVecRow   // key: floor(norm/w)
-	vecCols       map[int][]metric.Vector
-	bandW         float64 // vec bucket width (radius, min 1)
-	banded        bool    // vec: triangular metric => norm pruning applies
+	// Inner-side state, built at OpenBatch: the scan probe's rows (and
+	// the vector column of a vector edge), the per-snapshot alphabet
+	// coverage of a string index probe (the structures it reads live in
+	// the snapshots).
+	outerIsTarget bool // probe value is the predicate's target operand
+	inner         []innerRow
+	vecs          []metric.Vector
 	calc          *editdp.Calculator
-	covered       []bool // string index probe: covers, per snapshot
+	within        func(x, y string, radius float64) (float64, bool, error)
+	covered       []bool
 
 	// Probe state, built once and retargeted per outer row; operators are
 	// built per execution, so no two executions share it: the string
-	// index probe's band walk and match sink, and the string partition
+	// index probe's band walk and match sink, and the string scan
 	// probe's Myers kernel.
 	walk     *bandWalk
 	emitWalk func(row *relation.Row, d float64)
@@ -110,7 +91,7 @@ type batchJoinOp struct {
 	scratch binding
 	matches []joinMatch
 	mpos    int
-	dists   []float64 // DistBatch scratch
+	dists   []float64 // DistBatch output, one per inner vector
 
 	out   *Batch
 	binds []*binding
@@ -119,33 +100,15 @@ type batchJoinOp struct {
 }
 
 func (o *batchJoinOp) OpenBatch() error {
-	switch o.algo {
-	case "partition":
-		if err := o.buildPartitions(); err != nil {
-			return err
-		}
-	case "nl":
-		// Reading the inner side counts as candidate work, like a scan's.
-		for _, snap := range o.snaps {
-			o.inner = append(o.inner, snap.Tuples()...)
-		}
-		o.local.Candidates += len(o.inner)
-	case "index":
-		if !o.vec {
-			w, err := o.ctx.eng.bandWalk(o.sim.RuleSet, "")
-			if err != nil {
-				return err
-			}
-			o.walk, o.calc = w, w.calc
-			o.walk.setBound(o.sim.Radius)
-			o.emitWalk = func(row *relation.Row, d float64) {
-				o.matches = append(o.matches, joinMatch{t: row.Tuple, d: d})
-			}
-			o.covered = o.covered[:0]
-			for _, snap := range o.snaps {
-				o.covered = append(o.covered, covers(o.calc, snap))
-			}
-		}
+	var err error
+	switch {
+	case o.algo == "scan":
+		err = o.openScan()
+	case !o.vec:
+		err = o.openLengthView()
+	}
+	if err != nil {
+		return err
 	}
 	o.out = getBatch()
 	o.cur, o.pos, o.curBind = nil, 0, nil
@@ -153,68 +116,76 @@ func (o *batchJoinOp) OpenBatch() error {
 	return o.child.OpenBatch()
 }
 
-// buildPartitions reads every inner snapshot once and buckets the rows.
-// Reading the inner side counts as candidate work, like a scan's.
-func (o *batchJoinOp) buildPartitions() error {
+// openLengthView readies the string index probe's band walk.
+func (o *batchJoinOp) openLengthView() error {
+	w, err := o.ctx.eng.bandWalk(o.sim.RuleSet, "")
+	if err != nil {
+		return err
+	}
+	o.walk, o.calc = w, w.calc
+	o.walk.setBound(o.sim.Radius)
+	o.emitWalk = func(row *relation.Row, d float64) {
+		o.matches = append(o.matches, joinMatch{t: row.Tuple, d: d})
+	}
+	o.covered = o.covered[:0]
+	for _, snap := range o.snaps {
+		o.covered = append(o.covered, covers(o.calc, snap))
+	}
+	return nil
+}
+
+// openScan reads every inner snapshot once, keeping the rows that can
+// match, in length order when the band applies. Reading the inner side
+// counts as candidate work, like a scan's.
+func (o *batchJoinOp) openScan() error {
 	o.outerIsTarget = o.probeField == o.sim.Target.Field
-	o.innerField = o.sim.Field.Name
+	innerField := o.sim.Field.Name
 	if !o.outerIsTarget {
-		o.innerField = o.sim.Target.Field.Name
+		innerField = o.sim.Target.Field.Name
 	}
-	if o.vec {
-		if o.m == nil {
-			return fmt.Errorf("query: stale plan: partition join lost its metric")
+	if !o.vec {
+		o.calc = o.ctx.eng.calc(o.sim.RuleSet)
+		if o.banded && o.calc == nil {
+			// The band is only decided for rule sets with a DP calculator;
+			// the rule set changed under the plan — Execute re-plans on this.
+			return fmt.Errorf("query: stale plan: rule set %q has no calculator", o.sim.RuleSet)
 		}
-		o.banded = metric.IsTriangular(o.m)
-		o.bandW = o.sim.Radius
-		if o.bandW <= 0 {
-			o.bandW = 1
-		}
-		o.vecBuckets = make(map[int][]partVecRow)
-		o.vecCols = make(map[int][]metric.Vector)
-		for _, snap := range o.snaps {
-			for _, t := range snap.Tuples() {
-				if t.Vec == nil {
-					continue // rows without a vector never match
-				}
-				key := 0
-				if o.banded {
-					key = int(math.Floor(o.m.Dist(t.Vec, metric.Vector{}) / o.bandW))
-				}
-				o.vecBuckets[key] = append(o.vecBuckets[key], partVecRow{t: t})
-				o.vecCols[key] = append(o.vecCols[key], t.Vec)
-				o.local.Candidates++
-			}
-		}
-		return nil
+		o.within = o.ctx.eng.compileWithin(o.sim.RuleSet)
 	}
-	o.calc = o.ctx.eng.calc(o.sim.RuleSet)
-	if o.calc == nil {
-		// Partition is only decided for rule sets with a DP calculator;
-		// the rule set changed under the plan — Execute re-plans on this.
-		return fmt.Errorf("query: stale plan: rule set %q has no calculator", o.sim.RuleSet)
+	n := 0
+	for _, snap := range o.snaps {
+		n += snap.Len()
 	}
-	o.strBuckets = make(map[int][]partInnerRow)
+	o.inner = make([]innerRow, 0, n)
 	for _, snap := range o.snaps {
 		for _, t := range snap.Tuples() {
-			val := t.Attr(o.innerField)
-			o.strBuckets[len(val)] = append(o.strBuckets[len(val)], partInnerRow{t: t, val: val})
-			o.local.Candidates++
+			switch {
+			case !o.vec:
+				o.inner = append(o.inner, innerRow{t: t, val: t.Attr(innerField)})
+			case t.Vec != nil: // rows without a vector never match
+				o.inner = append(o.inner, innerRow{t: t})
+				o.vecs = append(o.vecs, t.Vec)
+			}
 		}
+	}
+	o.local.Candidates += len(o.inner)
+	o.dists = make([]float64, len(o.vecs))
+	if o.banded {
+		// Matches are id-sorted per probe, so rows of equal length may
+		// land in any order.
+		slices.SortFunc(o.inner, func(a, b innerRow) int { return cmp.Compare(len(a.val), len(b.val)) })
 	}
 	return nil
 }
 
 // probe finds the inner matches of one outer row with the decided
-// strategy and leaves them id-sorted in o.matches.
+// probe and leaves them id-sorted in o.matches.
 func (o *batchJoinOp) probe(b *binding) error {
 	o.matches, o.mpos = o.matches[:0], 0
 	var err error
 	switch {
 	case o.algo == "index":
 		err = o.probeIndex(b)
-	case o.algo == "nl":
-		err = o.probeAll(b)
 	case o.vec:
 		err = o.probeVec(b)
 	default:
@@ -260,91 +231,65 @@ func (o *batchJoinOp) probeIndex(b *binding) error {
 	return nil
 }
 
-// probeAll verifies the outer row against every inner tuple. The pair
-// binding is built once per outer row and only its inner slot changes
-// per candidate.
-func (o *batchJoinOp) probeAll(b *binding) error {
-	pair := mergeBindings(b, newBinding(o.alias, relation.Tuple{}))
-	slot := pair.slot(o.alias)
-	for _, t := range o.inner {
-		*slot = t
-		o.local.Candidates++
-		o.local.Verifications++
-		d, ok, err := o.ctx.eng.evalSim(o.sim, pair)
-		if err != nil {
-			return err
-		}
-		if ok {
-			o.matches = append(o.matches, joinMatch{t: t, d: d})
-		}
-	}
-	return nil
-}
-
+// probeStr verifies the outer row's string join value against the
+// inner rows: the length band of a unit-cost edge, every row otherwise.
 func (o *batchJoinOp) probeStr(b *binding) error {
 	pv, err := fieldValue(o.probeField, b)
 	if err != nil {
 		return err
 	}
 	radius := o.sim.Radius
-	k := int(radius) // exact for integer distances: d <= radius iff d <= floor(radius)
-	if radius >= math.MaxInt32 {
-		k = math.MaxInt32 // clamp: degrades to the walk-all-buckets path below
-	}
-	// Fallback kernel preserving evalSim's operand order, built
-	// lazily — most probes under a unit-cost rule set never need it.
-	var fall *editdp.TargetDP
-	fallback := func(x string) (float64, bool) {
-		if o.outerIsTarget {
-			if fall == nil {
-				fall = o.calc.NewTargetDP(pv)
-			}
-			return fall.Within(x, radius)
-		}
-		return o.calc.Within(pv, x, radius)
-	}
+	rows := o.inner
+	k := 0
 	// The unit distance is symmetric, so the Myers kernel can anchor on
 	// the probe regardless of which operand it is: integer distances are
 	// equal in both directions and bit-identical either way.
 	var qdp *editdp.QueryDP
-	if myersEligible(o.calc, pv, radius) {
-		o.qdp.Reset(pv)
-		qdp = &o.qdp
-	}
-	verify := func(rows []partInnerRow) {
-		for _, row := range rows {
-			o.local.Candidates++
-			o.local.Verifications++
-			var d float64
-			var ok bool
-			if qdp != nil && o.calc.Covers(row.val) {
-				di, okd := qdp.Within(row.val, k)
-				d, ok = float64(di), okd
-			} else {
-				d, ok = fallback(row.val)
-			}
-			if ok {
-				o.matches = append(o.matches, joinMatch{t: row.t, d: d})
-			}
+	if o.banded {
+		// Exact for integer distances: d <= radius iff d <= floor(radius).
+		k = int(min(radius, math.MaxInt32))
+		byLen := func(r innerRow, l int) int { return cmp.Compare(len(r.val), l) }
+		lo, _ := slices.BinarySearchFunc(rows, len(pv)-k, byLen)
+		hi, _ := slices.BinarySearchFunc(rows, len(pv)+k+1, byLen)
+		rows = rows[lo:max(lo, hi)]
+		if myersEligible(o.calc, pv, radius) {
+			o.qdp.Reset(pv)
+			qdp = &o.qdp
 		}
 	}
-	if 2*k+1 <= len(o.strBuckets) {
-		for key := len(pv) - k; key <= len(pv)+k; key++ {
-			verify(o.strBuckets[key])
-		}
-	} else {
-		// The band covers more keys than buckets exist (a huge radius):
-		// walk the map instead of the key range. Matches are id-sorted
-		// afterwards either way, so bucket visit order is irrelevant.
-		for key, rows := range o.strBuckets {
-			if math.Abs(float64(key-len(pv))) <= float64(k) {
-				verify(rows)
+	// The probe's own DP tables, built lazily — most probes under a
+	// unit-cost rule set never need them.
+	var fall *editdp.TargetDP
+	for _, row := range rows {
+		o.local.Candidates++
+		o.local.Verifications++
+		var d float64
+		var ok bool
+		switch {
+		case qdp != nil && o.calc.Covers(row.val):
+			di, okd := qdp.Within(row.val, k)
+			d, ok = float64(di), okd
+		case o.outerIsTarget && o.calc != nil:
+			if fall == nil {
+				fall = o.calc.NewTargetDP(pv)
 			}
+			d, ok = fall.Within(row.val, radius)
+		case o.outerIsTarget:
+			d, ok, err = o.within(row.val, pv, radius)
+		default:
+			d, ok, err = o.within(pv, row.val, radius)
+		}
+		if err != nil {
+			return err
+		}
+		if ok {
+			o.matches = append(o.matches, joinMatch{t: row.t, d: d})
 		}
 	}
 	return nil
 }
 
+// probeVec verifies the outer row's vector against every inner vector.
 func (o *batchJoinOp) probeVec(b *binding) error {
 	t, err := fieldTuple(o.probeField, b)
 	if err != nil {
@@ -355,45 +300,24 @@ func (o *batchJoinOp) probeVec(b *binding) error {
 		return nil // rows without a vector never match
 	}
 	r := o.sim.Radius
-	lo, hi := 0, 0
-	if o.banded {
-		nq := o.m.Dist(pv, metric.Vector{})
-		lo = int(math.Floor((nq - r) / o.bandW))
-		hi = int(math.Floor((nq + r) / o.bandW))
-		if lo < 0 {
-			lo = 0
+	o.local.Candidates += len(o.inner)
+	o.local.Verifications += len(o.inner)
+	if o.outerIsTarget {
+		// evalSim computes Dist(target, field); the blocked kernel with
+		// the probe as query matches that order exactly.
+		metric.DistBatch(o.m, pv, o.vecs, o.dists)
+		for i, d := range o.dists {
+			if d <= r {
+				o.matches = append(o.matches, joinMatch{t: o.inner[i].t, d: d})
+			}
 		}
+		return nil
 	}
-	for key := lo; key <= hi; key++ {
-		rows := o.vecBuckets[key]
-		if len(rows) == 0 {
-			continue
-		}
-		if o.outerIsTarget {
-			// evalSim computes Dist(target, field); the blocked kernel
-			// with the probe as query matches that order exactly.
-			if cap(o.dists) < len(rows) {
-				o.dists = make([]float64, len(rows))
-			}
-			out := o.dists[:len(rows)]
-			metric.DistBatch(o.m, pv, o.vecCols[key], out)
-			for i, row := range rows {
-				o.local.Candidates++
-				o.local.Verifications++
-				if d := out[i]; d <= r {
-					o.matches = append(o.matches, joinMatch{t: row.t, d: d})
-				}
-			}
-		} else {
-			// Probe is the field operand: keep the candidate (target)
-			// first, the order evalSim verifies with.
-			for _, row := range rows {
-				o.local.Candidates++
-				o.local.Verifications++
-				if d, ok := metric.Within(o.m, row.t.Vec, pv, r); ok {
-					o.matches = append(o.matches, joinMatch{t: row.t, d: d})
-				}
-			}
+	// The probe is the field operand: keep the candidate (target) first,
+	// the order evalSim verifies with.
+	for _, row := range o.inner {
+		if d, ok := metric.Within(o.m, row.t.Vec, pv, r); ok {
+			o.matches = append(o.matches, joinMatch{t: row.t, d: d})
 		}
 	}
 	return nil
@@ -450,7 +374,7 @@ func (o *batchJoinOp) CloseBatch() error {
 	o.last.add(o.local)
 	o.ctx.addStats(o.local)
 	o.local = ExecStats{}
-	o.strBuckets, o.vecBuckets, o.vecCols, o.inner = nil, nil, nil, nil
+	o.inner, o.vecs, o.dists = nil, nil, nil
 	o.cur, o.curBind = nil, nil
 	putBatch(o.out)
 	o.out = nil
@@ -464,24 +388,18 @@ func (o *batchJoinOp) Describe() string {
 	if len(o.snaps) > 1 {
 		shards = fmt.Sprintf(" x%d shards", len(o.snaps))
 	}
-	switch o.algo {
-	case "nl":
-		return fmt.Sprintf("NestedLoopJoin(%s%s, on %s)", o.alias, shards, o.sim)
-	case "index":
+	if o.algo == "index" {
 		idx := "lengthview"
 		if o.vec {
 			idx = "vptree"
 		}
 		return fmt.Sprintf("IndexJoin(probe %s into %s(%s)%s, on %s)", o.probeField, idx, o.alias, shards, o.sim)
 	}
-	band := "length-banded"
-	if o.vec {
-		band = "norm-banded"
-		if !metric.IsTriangular(o.m) {
-			band = "single partition"
-		}
+	band := ""
+	if o.banded {
+		band = "[length-banded]"
 	}
-	return fmt.Sprintf("PartitionJoin(probe %s into %s[%s]%s, on %s)", o.probeField, o.alias, band, shards, o.sim)
+	return fmt.Sprintf("NestedLoopJoin(%s%s%s, on %s)", o.alias, band, shards, o.sim)
 }
 
 func (o *batchJoinOp) childNodes() []BatchOperator { return []BatchOperator{o.child} }
@@ -516,9 +434,9 @@ func mergeBindings(l, r *binding) *binding {
 // strategy because the hash partitioner (relation.RouteOf) is not
 // distance-preserving: rows within edit distance k of each other land
 // on unrelated shards, so a co-partitioned join does not exist without
-// a second, band-aware partitioning scheme. The partition strategy
-// recovers exactly that banding — per chain, over the broadcast inner —
-// without moving rows.
+// a second, band-aware partitioning scheme. The scan probe's length
+// band recovers exactly that banding — per chain, over the broadcast
+// inner — without moving rows.
 func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*compiledPlan, error) {
 	relOf := map[string]relation.Table{}
 	for i, ref := range q.From {
@@ -600,7 +518,7 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 		for i, step := range steps {
 			cur = joinOutRowsFor(edges[step.edge], cur, stepStats[i])
 			op = trB(ctx, &batchJoinOp{
-				kernelTag: kernelTag{d.kernel}, ctx: ctx, child: op, algo: step.algo,
+				kernelTag: kernelTag{d.kernel}, ctx: ctx, child: op, algo: step.algo, banded: step.banded,
 				snaps: stepSnaps[i], alias: step.alias, probeField: step.probeField,
 				sim: edges[step.edge], size: size, vec: step.vec, m: stepMetrics[i],
 			}, cur)

@@ -1,9 +1,10 @@
 package query
 
-// The distance-join oracle: every probe strategy of the join operator
-// — nested loop, index-nested-loop, partitioned — and the sharded
-// broadcast variant of each must produce the same result as a
-// brute-force double loop over the same data.
+// The distance-join oracle: every probe of the join operator — the
+// length-view and VP-tree index probes, the scan with and without the
+// length band, under every verifier it runs — and the sharded broadcast
+// variant of each must produce the same result as a brute-force double
+// loop over the same data.
 //
 // Join result order is plan-dependent (which relation wins the start
 // slot is a cost decision), so results are compared as canonically-
@@ -19,6 +20,7 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -27,6 +29,7 @@ import (
 	"repro/internal/metric"
 	"repro/internal/relation"
 	"repro/internal/rewrite"
+	"repro/internal/transform"
 )
 
 // joinBlocks are the block sizes every join statement runs at: the
@@ -49,12 +52,28 @@ func (p *joinOraclePair) engines() []*Engine {
 }
 
 // halvesRules is a symmetric weighted rule set (every op costs 0.5, no
-// unit-cost shortcut), forcing the nested-loop probe.
+// unit-cost shortcut): the scan without the length band, verifying with
+// the DP calculator.
 func halvesRules() *rewrite.RuleSet {
 	return rewrite.MustRuleSet("halves", []rewrite.Rule{
 		rewrite.Subst('a', 'b', 0.5), rewrite.Subst('b', 'a', 0.5),
 		rewrite.Insert('c', 0.5), rewrite.Delete('c', 0.5),
 	})
+}
+
+// swapsRules moves a letter of the alphabet right past any later one at
+// unit cost. It is not edit-like, so the scan verifies with the general
+// engine, and not symmetric, so the verifier's operand order shows.
+func swapsRules() *rewrite.RuleSet {
+	var rules []rewrite.Rule
+	for _, c := range []byte(oracleAlphabet) {
+		for _, d := range []byte(oracleAlphabet) {
+			if c < d {
+				rules = append(rules, rewrite.Swap(c, d, 1))
+			}
+		}
+	}
+	return rewrite.MustRuleSet("swaps", rules)
 }
 
 func newJoinOraclePair(t testing.TB, shards int, rows []relation.InsertRow) *joinOraclePair {
@@ -67,8 +86,10 @@ func newJoinOraclePair(t testing.TB, shards int, rows []relation.InsertRow) *joi
 		if err := e.RegisterRuleSet(rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.RegisterRuleSet(halvesRules()); err != nil {
-			t.Fatal(err)
+		for _, rs := range []*rewrite.RuleSet{halvesRules(), swapsRules()} {
+			if err := e.RegisterRuleSet(rs); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return e
 	}
@@ -104,16 +125,23 @@ func joinOracleRows(rng *rand.Rand, n int) []relation.InsertRow {
 	return rows
 }
 
-// checkJoin runs stmt on all five engines and asserts (a) they agree
-// byte-for-byte, positionally, and (b) the result matches the
-// brute-force row set canonically.
-func (p *joinOraclePair) checkJoin(t *testing.T, stmt string, want []string) {
+// shardsSuffix is how a join over a sharded inner side marks the
+// broadcast in its EXPLAIN line.
+var shardsSuffix = regexp.MustCompile(` x\d+ shards`)
+
+// checkJoin runs stmt on all five engines and asserts (a) each runs the
+// probe op names, (b) they agree byte-for-byte, positionally, and (c)
+// the result matches the brute-force row set canonically.
+func (p *joinOraclePair) checkJoin(t *testing.T, stmt, op string, want []string) {
 	t.Helper()
 	var first *Result
 	for i, e := range p.engines() {
 		res, err := e.Execute(stmt)
 		if err != nil {
 			t.Fatalf("engine %d %q: %v", i, stmt, err)
+		}
+		if !strings.Contains(shardsSuffix.ReplaceAllString(res.Plan, ""), op) {
+			t.Fatalf("engine %d %q does not run %s:\n%s", i, stmt, op, res.Plan)
 		}
 		if e == p.parallel && !strings.Contains(res.Plan, "GatherMerge(shards=4, workers=4, merge=id)") {
 			t.Fatalf("parallel engine %q: the chain does not run under the gather:\n%s", stmt, res.Plan)
@@ -143,14 +171,20 @@ func reverse(s string) string {
 	return string(b)
 }
 
-// TestJoinOracleEdits covers the edit-distance join strategies: unit
-// radius over seq (the length-view probe), a residual-filtered radius-2
-// join, a unit edge onto another attribute (the length partitions), the
-// weighted nested-loop probe, and a three-way chain.
+// TestJoinOracleEdits covers the string join probes: unit radius over
+// seq (the length-view probe), a residual-filtered radius-2 join, a unit
+// edge onto another attribute (the length-banded scan), a weighted edge
+// and one under a rule set that is not edit-like (the scan without the
+// band, verifying with the DP calculator and the general engine), and a
+// three-way chain.
 func TestJoinOracleEdits(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	rows := joinOracleRows(rng, 80)
 	calc, err := editdp.New(halvesRules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	swaps, err := transform.NewEngine(swapsRules())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +201,7 @@ func TestJoinOracleEdits(t *testing.T) {
 			}
 			p.checkJoin(t,
 				`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits`,
-				want)
+				"IndexJoin(probe a.seq into lengthview(b), on", want)
 
 			want = want[:0]
 			for ai, a := range rows {
@@ -185,7 +219,7 @@ func TestJoinOracleEdits(t *testing.T) {
 			}
 			p.checkJoin(t,
 				`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.seq) <= 2 USING edits WHERE a.tag = "0" AND a.id != b.id`,
-				want)
+				"IndexJoin(probe a.seq into lengthview(b), on", want)
 
 			want = want[:0]
 			for ai, a := range rows {
@@ -197,7 +231,7 @@ func TestJoinOracleEdits(t *testing.T) {
 			}
 			p.checkJoin(t,
 				`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.rev) <= 1 USING edits`,
-				want)
+				"NestedLoopJoin(b[length-banded], on", want)
 
 			want = want[:0]
 			for ai, a := range rows {
@@ -212,7 +246,29 @@ func TestJoinOracleEdits(t *testing.T) {
 			}
 			p.checkJoin(t,
 				`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING halves WHERE a.id != b.id`,
-				want)
+				"NestedLoopJoin(b, on", want)
+
+			// The probe a.seq is the target operand here: the general engine
+			// measures b.rev -> a.seq, as evalSim would. Two-letter rows are
+			// one swap from their own reversal.
+			want = want[:0]
+			for ai, a := range rows {
+				for bi, b := range rows {
+					d, ok, err := swaps.Distance(b.Attrs["rev"], a.Seq, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ok {
+						want = append(want, fmt.Sprintf("%d\x1f%d\x1f%s", ai, bi, formatDist(d)))
+					}
+				}
+			}
+			if len(want) < 10 {
+				t.Fatalf("the swaps brute force has %d rows, the test data is too thin", len(want))
+			}
+			p.checkJoin(t,
+				`SELECT a.id, b.id, dist FROM words a, words b ON dist(b.rev, a.seq) <= 1 USING swaps`,
+				"NestedLoopJoin(b, on", want)
 
 			want = want[:0]
 			for ai, a := range rows {
@@ -229,7 +285,7 @@ func TestJoinOracleEdits(t *testing.T) {
 			}
 			p.checkJoin(t,
 				`SELECT a.id, b.id, c.id FROM words a, words b, words c ON dist(a.seq, b.seq) <= 1 USING edits AND dist(b.seq, c.seq) <= 1 USING edits`,
-				want)
+				"IndexJoin(probe b.seq into lengthview(c), on", want)
 		})
 	}
 }
@@ -266,19 +322,19 @@ func TestJoinOracleLimit(t *testing.T) {
 	}
 }
 
-// TestJoinOracleVec covers the vector-metric join strategies: l2
-// (triangular — norm-banded partitions and VP-tree probes are legal)
-// and cosine (not triangular — single partition, no index). Rows
-// without a vector must never match.
+// TestJoinOracleVec covers the vector-metric join probes: l2
+// (triangular — the VP-tree probe) and cosine (not triangular — the scan
+// with the blocked kernel). Rows without a vector must never match.
 func TestJoinOracleVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	rows := joinOracleRows(rng, 100)
 	cases := []struct {
 		name   string
 		radius float64
+		op     string
 	}{
-		{"l2", 0.8},
-		{"cosine", 0.25},
+		{"l2", 0.8, "IndexJoin(probe a.vec into vptree(b), on"},
+		{"cosine", 0.25, "NestedLoopJoin(b, on"},
 	}
 	for _, shards := range []int{1, 4} {
 		p := newJoinOraclePair(t, shards, rows)
@@ -305,7 +361,7 @@ func TestJoinOracleVec(t *testing.T) {
 				stmt := fmt.Sprintf(
 					`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.vec, b.vec) <= %g USING %s WHERE a.id != b.id`,
 					c.radius, c.name)
-				p.checkJoin(t, stmt, want)
+				p.checkJoin(t, stmt, c.op, want)
 			}
 		})
 	}
@@ -396,5 +452,5 @@ func TestJoinOracleInterleavedDML(t *testing.T) {
 			}
 		}
 	}
-	p.checkJoin(t, joins[0], want)
+	p.checkJoin(t, joins[0], "IndexJoin(probe a.seq into lengthview(b), on", want)
 }

@@ -70,14 +70,17 @@ type planDecision struct {
 
 // stepChoice is one edge of the decided join order. The edge is named
 // by its position in extractJoinSims' deterministic output so build can
-// recover the SimExpr from the (re-extracted) predicate. algo selects
-// the join operator's probe strategy ("nl", "index", "partition"); vec marks a
-// vector-metric edge (USING names a metric, the index is a VP-tree).
+// recover the SimExpr from the (re-extracted) predicate. algo is the
+// join operator's probe ("index" or "scan", see chooseJoinAlgo); vec
+// marks a vector-metric edge (USING names a metric, the index is a
+// VP-tree); banded marks a scan whose unit-cost edge licenses the
+// length band.
 type stepChoice struct {
 	alias      string
 	edge       int
 	algo       string
 	vec        bool
+	banded     bool
 	probeField FieldRef
 }
 
@@ -176,9 +179,9 @@ func (e *Engine) kernelFor(q *Query, d *planDecision) string {
 		return ""
 	case accessJoin:
 		// Classify by the primary join edge: vec edges run the metric's
-		// block kernels, unit edit edges the bit-parallel band probe (or
-		// the partitioned verify over other attributes), weighted edges
-		// the budgeted DP.
+		// kernels, unit edit edges the bit-parallel kernel (in the band
+		// walk over seq, in the length-banded scan over other attributes),
+		// weighted edges the budgeted DP.
 		if sim := firstJoinSim(q.Where); sim != nil {
 			if isVecSim(sim) {
 				return "vec-" + sim.RuleSet
@@ -306,10 +309,9 @@ func (e *Engine) decideSingle(q *Query, tab relation.Table) (*planDecision, erro
 
 // decideJoin greedily orders a left-deep join chain over N relations by
 // estimated cost; similarity edges come from top-level similarity
-// conjuncts between two aliases (SIMILAR TO or ON dist(...) <= k). Per
-// edge a probe strategy is chosen: index-nested-loop (the band walk of
-// the inner length view, or the inner VP-tree), partitioned
-// (length/norm-band the inner side), or plain nested loop. A join
+// conjuncts between two aliases (SIMILAR TO or ON dist(...) <= k). Each
+// edge's probe follows from what its inner side offers (chooseJoinAlgo);
+// its cost only orders the chain. A join
 // starting from a sharded relation becomes a scatter-gather plan: one
 // chain per outer shard, every inner side read whole, merged by outer id
 // under GatherMerge (see buildJoin).
@@ -356,7 +358,7 @@ func (e *Engine) decideJoin(q *Query, rels []relation.Table) (*planDecision, err
 			default:
 				continue // cycle edge or not yet reachable
 			}
-			algo, cost, err := e.chooseJoinAlgo(edge, innerField, curRows, relOf[newAlias].Stats())
+			step, cost, err := e.chooseJoinAlgo(edge, innerField, curRows, relOf[newAlias].Stats())
 			if err != nil {
 				return nil, err
 			}
@@ -364,7 +366,8 @@ func (e *Engine) decideJoin(q *Query, rels []relation.Table) (*planDecision, err
 				cost == bestCost && pos[newAlias] < pos[best.alias]
 			if better {
 				bestIdx, bestCost = i, cost
-				best = stepChoice{alias: newAlias, edge: i, algo: algo.algo, vec: algo.vec, probeField: probe}
+				step.alias, step.edge, step.probeField = newAlias, i, probe
+				best = step
 			}
 		}
 		if bestIdx < 0 {
@@ -383,56 +386,42 @@ func (e *Engine) decideJoin(q *Query, rels []relation.Table) (*planDecision, err
 	return d, nil
 }
 
-// joinAlgo is chooseJoinAlgo's verdict for one edge.
-type joinAlgo struct {
-	algo string // "nl" | "index" | "partition"
-	vec  bool
-}
-
-// chooseJoinAlgo picks the probe strategy for one similarity edge and
-// returns its cost, which orders the join chain. A unit-cost edit edge
-// whose inner field is seq always probes the inner length view with the
-// band walk, costed like the partitioned join whose length bands it
-// visits; over any other inner attribute the partitioned join competes
-// with the nested loop on cost (the length band |len(x)-len(y)| <= d
-// needs every edit to cost at least one, hence unit cost). Vector edges
-// choose among the VP-tree probe, a norm-banded partition — a single
-// partition, block kernel only, for non-triangular metrics like cosine —
-// and the nested loop on cost.
-func (e *Engine) chooseJoinAlgo(edge *SimExpr, innerField string, outerRows float64, inner relation.Stats) (joinAlgo, float64, error) {
+// chooseJoinAlgo picks the probe for one similarity edge by what the
+// inner side offers, and returns the cost that orders the join chain.
+// No cost enters the choice:
+//
+//   - a unit-cost edit edge onto the inner seq field probes the band
+//     walk of its length view ("index");
+//   - a unit-cost edit edge onto any other attribute scans the inner
+//     rows, verifying only the length band |len(x)-len(y)| <= floor(r)
+//     ("scan", banded) — every edit costs at least one;
+//   - a vector edge under a triangular metric probes the inner VP-tree
+//     ("index"; validateVecSim pins both sides to the vec column);
+//   - every other edge — weighted or not edit-like rule sets, cosine —
+//     scans and verifies every inner row ("scan").
+func (e *Engine) chooseJoinAlgo(edge *SimExpr, innerField string, outerRows float64, inner relation.Stats) (stepChoice, float64, error) {
 	if isVecSim(edge) {
 		m, ok := metric.Lookup(edge.RuleSet)
 		if !ok {
-			return joinAlgo{}, 0, fmt.Errorf("query: unknown metric %q", edge.RuleSet)
+			return stepChoice{}, 0, fmt.Errorf("query: unknown metric %q", edge.RuleSet)
 		}
-		triangular := metric.IsTriangular(m)
-		algo, cost := "nl", vecNestedLoopJoinCost(outerRows, inner)
-		// The VP-tree indexes the vec column, so vector index joins need
-		// the inner join field to be vec (it always is — validateVecSim
-		// pins both sides to vec) and a triangular metric.
-		if triangular && innerField == "vec" {
-			algo, cost = "index", vecIndexJoinCost(outerRows, inner, edge.Radius)
+		if metric.IsTriangular(m) {
+			return stepChoice{algo: "index", vec: true}, vecIndexJoinCost(outerRows, inner, edge.Radius), nil
 		}
-		if pc := vecPartitionJoinCost(outerRows, inner, edge.Radius, triangular); pc < cost {
-			algo, cost = "partition", pc
-		}
-		return joinAlgo{algo: algo, vec: true}, cost, nil
+		return stepChoice{algo: "scan", vec: true}, vecNestedLoopJoinCost(outerRows, inner), nil
 	}
 	ent, err := e.rule(edge.RuleSet)
 	if err != nil {
-		return joinAlgo{}, 0, err
+		return stepChoice{}, 0, err
 	}
-	unit := ent.unit && ent.calc != nil
-	if unit && innerField == "seq" {
-		return joinAlgo{algo: "index"}, partitionJoinCost(outerRows, inner, math.Floor(edge.Radius)), nil
+	if !ent.unit || ent.calc == nil {
+		return stepChoice{algo: "scan"}, nestedLoopJoinCost(outerRows, inner, edge.Radius), nil
 	}
-	algo, cost := "nl", nestedLoopJoinCost(outerRows, inner, edge.Radius)
-	if unit {
-		if pc := partitionJoinCost(outerRows, inner, edge.Radius); pc < cost {
-			algo, cost = "partition", pc
-		}
+	cost := lengthBandJoinCost(outerRows, inner, math.Floor(edge.Radius))
+	if innerField == "seq" {
+		return stepChoice{algo: "index"}, cost, nil
 	}
-	return joinAlgo{algo: algo}, cost, nil
+	return stepChoice{algo: "scan", banded: true}, cost, nil
 }
 
 // joinOutRowsFor dispatches the join cardinality estimate on the edge's
@@ -745,8 +734,9 @@ func simplifyExpr(ex Expr) Expr {
 // extractSim walks the top-level AND chain, in evaluation order, for the
 // first SimExpr ok accepts; it returns that conjunct, the residual with
 // the conjunct replaced by TRUE, and whether a conjunct evaluated before
-// it mentions a similarity. Conjuncts ok rejects are skipped, not
-// terminal, so a qualifying one is found wherever it sits in the chain.
+// it touches the row's distance (distDependent). Conjuncts ok rejects
+// are skipped, not terminal, so a qualifying one is found wherever it
+// sits in the chain.
 func extractSim(ex Expr, ok func(*SimExpr) bool) (sim *SimExpr, residual Expr, preceded bool) {
 	switch ex := ex.(type) {
 	case SimExpr:
@@ -758,20 +748,41 @@ func extractSim(ex Expr, ok func(*SimExpr) bool) (sim *SimExpr, residual Expr, p
 			return s, AndExpr{L: rl, R: ex.R}, p
 		}
 		if s, rr, p := extractSim(ex.R, ok); s != nil {
-			return s, AndExpr{L: ex.L, R: rr}, p || exprHasSim(ex.L)
+			return s, AndExpr{L: ex.L, R: rr}, p || distDependent(ex.L)
 		}
 	}
 	return nil, ex, false
+}
+
+// distDependent reports whether a predicate evaluated before the served
+// conjunct touches the row's distance: it holds a similarity predicate,
+// whose distance would come first, or it reads dist, which nothing has
+// set yet in evaluation order.
+func distDependent(ex Expr) bool {
+	switch ex := ex.(type) {
+	case SimExpr, NearestExpr:
+		return true
+	case CmpExpr:
+		return ex.L.Field.Name == "dist" || ex.R.Field.Name == "dist"
+	case AndExpr:
+		return distDependent(ex.L) || distDependent(ex.R)
+	case OrExpr:
+		return distDependent(ex.L) || distDependent(ex.R)
+	case NotExpr:
+		return distDependent(ex.E)
+	}
+	return false
 }
 
 // rangeConjunct picks the conjunct a range access path serves and the
 // predicate the filter above it must evaluate. A row's distance is that
 // of the first similarity predicate that matches it in evaluation order
 // (evalExpr). When no conjunct before the extracted one mentions a
-// similarity, that is the access path's distance: the leaf supplies it
-// (leafDist) and the filter evaluates the residual. Otherwise the leaf
-// emits its rows without a distance and the filter evaluates the whole
-// WHERE, which assigns the distance exactly as a scan would.
+// similarity or reads dist, that is the access path's distance: the leaf
+// supplies it (leafDist) and the filter evaluates the residual.
+// Otherwise the leaf emits its rows without a distance and the filter
+// evaluates the whole WHERE, which assigns — or fails to read — the
+// distance exactly as a scan would.
 func rangeConjunct(where Expr, ok func(*SimExpr) bool) (sim *SimExpr, pred Expr, leafDist bool) {
 	sim, residual, preceded := extractSim(where, ok)
 	if preceded {

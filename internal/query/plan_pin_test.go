@@ -4,9 +4,10 @@ package query
 // shapes over simqd on default flags; which operators serve them is a
 // cost decision, so a planner side effect would otherwise first show as
 // a benchmark regression. TestBenchmarkPlanSkeletons fails instead. The
-// second test reaches the join probes no benchmark workload is routed
-// to — the VP-tree probe and the nested loop — next to the length-view
-// probe join_dict takes, here at radius 0.
+// other tests reach the join probes no benchmark workload is routed to —
+// the VP-tree probe and the scan — next to the length-view probe
+// join_dict takes, and pin that an edge's probe follows from what its
+// inner side offers, not from the size of its outer side.
 
 import (
 	"fmt"
@@ -100,14 +101,13 @@ func TestBenchmarkPlanSkeletons(t *testing.T) {
 	}
 }
 
-// TestIndexAndNestedLoopJoins drives the index and nested-loop probe
-// strategies at block sizes 1 and 256, unsharded and over 4 shards,
-// against a brute-force double loop: a one-row probe relation joined at
-// radius 0 to short strings (the length view, at the radius that visits
-// one band) and within 0.5 under l2 to 3-dim vectors (the VP-tree, which
-// wins on cost only against an outer side of about one row). The
-// weighted "half" rule set licenses neither index nor length band, so it
-// takes the nested loop.
+// TestIndexAndNestedLoopJoins drives the index and scan probes at block
+// sizes 1 and 256, unsharded and over 4 shards, against a brute-force
+// double loop: a one-row probe relation joined at radius 0 to short
+// strings (the length view, at the radius that visits one band) and
+// within 0.5 under l2 to 3-dim vectors (the VP-tree). The weighted
+// "half" rule set licenses neither index nor length band, so it takes
+// the scan that verifies every pair.
 func TestIndexAndNestedLoopJoins(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var rows []relation.InsertRow
@@ -213,6 +213,52 @@ func TestIndexAndNestedLoopJoins(t *testing.T) {
 					t.Fatalf("shards=%d block=%d %s: emission order diverges from unsharded block 1:\n%s\nvs\n%s",
 						shards, block, c.stmt, positional(res), positional(first))
 				}
+			}
+		}
+	}
+}
+
+// TestJoinProbeIsCapability: each edge's probe is the one its inner side
+// offers — an index where the rule set or metric licenses one, the
+// length-banded scan for a unit-cost edge onto another attribute, the
+// plain scan otherwise — and it is the same against a one-row outer side
+// as against a 600-row one.
+func TestJoinProbeIsCapability(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	rows := make([]relation.InsertRow, 600)
+	for i := range rows {
+		rows[i] = relation.InsertRow{Seq: randOracleSeq(rng), Attrs: map[string]string{"w": randOracleSeq(rng)}, Vec: randVec(rng, 3)}
+	}
+	cat := relation.NewCatalog()
+	for name, n := range map[string]int{"one": 1, "many": 600, "inner": 600} {
+		rel := relation.New(name)
+		rel.InsertBatch(rows[:n])
+		cat.Add(rel)
+	}
+	e := NewEngine(cat)
+	for _, rs := range []*rewrite.RuleSet{
+		rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules()), halvesRules(), swapsRules(),
+	} {
+		if err := e.RegisterRuleSet(rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ edge, probe string }{
+		{`dist(a.seq, b.seq) <= 1 USING edits`, "IndexJoin(probe a.seq into lengthview(b), on"},
+		{`dist(a.seq, b.w) <= 1 USING edits`, "NestedLoopJoin(b[length-banded], on"},
+		{`dist(a.seq, b.seq) <= 1 USING halves`, "NestedLoopJoin(b, on"},
+		{`dist(a.seq, b.seq) <= 1 USING swaps`, "NestedLoopJoin(b, on"},
+		{`dist(a.vec, b.vec) <= 0.5 USING l2`, "IndexJoin(probe a.vec into vptree(b), on"},
+		{`dist(a.vec, b.vec) <= 0.1 USING cosine`, "NestedLoopJoin(b, on"},
+	} {
+		for _, outer := range []string{"one", "many"} {
+			stmt := fmt.Sprintf(`EXPLAIN SELECT a.id, b.id FROM %s a, inner b ON %s`, outer, c.edge)
+			res, err := e.Execute(stmt)
+			if err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+			if !strings.Contains(res.Plan, c.probe) {
+				t.Errorf("%s: want %s:\n%s", stmt, c.probe, res.Plan)
 			}
 		}
 	}

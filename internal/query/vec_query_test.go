@@ -7,6 +7,7 @@ package query
 // model across dimensions, metrics and k/radius sweeps.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -590,6 +591,68 @@ func TestVecRangeDistIsFirstSimilarity(t *testing.T) {
 						t.Fatalf("r=%g no longer plans %s, the case lost a side of the crossover:\n%s", r, access, res.Plan)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestDistBeforeServedConjunct: a conjunct that reads dist ahead of the
+// conjunct an access path serves finds no distance on any plan, as in
+// the model's in-order evaluation — the VP-tree range below the cost
+// crossover and the scan above it, with the radius literal or bound
+// through WITHIN ?, and the string band walk, unsharded and over four
+// shards. Every statement has rows for the access path to reach.
+func TestDistBeforeServedConjunct(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	rows := make([]relation.InsertRow, 3000)
+	model := &oracleDB{}
+	for i := range rows {
+		rows[i] = relation.InsertRow{Seq: randOracleSeq(rng), Vec: randVec(rng, 8)}
+		model.insert(rows[i].Seq, "")
+	}
+	vecStmt := `SELECT id, dist FROM items WHERE dist = "0" AND vec SIMILAR TO ` + metric.Format(rows[0].Vec) + ` WITHIN %s USING l2`
+	strStmt := fmt.Sprintf(`SELECT id, dist FROM items WHERE dist = "0" AND seq SIMILAR TO %q WITHIN 1 USING edits`, rows[0].Seq)
+
+	q, err := Parse(strings.Replace(strStmt, "items", "words", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := model.query(q); err != errUnmodeled {
+		t.Fatalf("the model evaluates %q without error: %v", strStmt, err)
+	}
+	for _, shards := range []int{1, 4} {
+		e := vecEngine(t, shards, 256, rows)
+		if err := e.RegisterRuleSet(rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())); err != nil {
+			t.Fatal(err)
+		}
+		prepared, err := e.Prepare(fmt.Sprintf(vecStmt, "?"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			radius float64
+			stmt   string
+			access string
+		}{
+			{0.5, fmt.Sprintf(vecStmt, "0.5"), "VecRange(items via vptree"},
+			{8, fmt.Sprintf(vecStmt, "8"), "Scan(items"},
+			{1, strStmt, "IndexRange(items via lengthview"},
+		} {
+			res, err := e.Execute("EXPLAIN " + c.stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(res.Plan, c.access) {
+				t.Fatalf("shards=%d %s no longer plans %s:\n%s", shards, c.stmt, c.access, res.Plan)
+			}
+			if res, err := e.Execute(c.stmt); !errors.Is(err, errNoDist) {
+				t.Fatalf("shards=%d %s: want %v, got %v, reply %v", shards, c.stmt, errNoDist, err, res)
+			}
+			if c.stmt == strStmt {
+				continue
+			}
+			if res, err := prepared.Execute(c.radius); !errors.Is(err, errNoDist) {
+				t.Fatalf("shards=%d prepared WITHIN %g: want %v, got %v, reply %v", shards, c.radius, errNoDist, err, res)
 			}
 		}
 	}
