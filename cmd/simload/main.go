@@ -130,7 +130,7 @@ func main() {
 		if *nearestFrac > 0 && i%2 == 1 {
 			body = nearestBody(nearestID, nearestStmt, targets[i%len(targets)], vec)
 		}
-		if _, err := post(client, *addr+"/query", body); err != nil {
+		if _, err := post(client, *addr+"/v1/query", body); err != nil {
 			fail(fmt.Errorf("warmup request: %w", err))
 		}
 	}
@@ -182,7 +182,7 @@ func main() {
 						body = ingestVecBody(*relName, *vecDim, n)
 					}
 					t0 := time.Now()
-					_, err := post(client, *addr+"/ingest", body)
+					_, err := post(client, *addr+"/v1/ingest", body)
 					if err != nil {
 						r.writeErrs.count(err)
 						continue
@@ -197,7 +197,7 @@ func main() {
 					body = nearestBody(nearestID, nearestStmt, targets[n%len(targets)], vec)
 				}
 				t0 := time.Now()
-				_, err := post(client, *addr+"/query", body)
+				_, err := post(client, *addr+"/v1/query", body)
 				if err != nil {
 					r.errs.count(err)
 					continue
@@ -531,7 +531,7 @@ func waitHealthy(client *http.Client, addr string, patience time.Duration) error
 }
 
 func prepare(client *http.Client, addr, stmt string) (string, error) {
-	out, err := post(client, addr+"/prepare", map[string]any{"query": stmt})
+	out, err := post(client, addr+"/v1/prepare", map[string]any{"query": stmt})
 	if err != nil {
 		return "", fmt.Errorf("prepare: %w", err)
 	}

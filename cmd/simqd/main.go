@@ -2,8 +2,8 @@
 // rule sets once, then serves prepared and ad-hoc queries — and, with a
 // WAL attached, concurrent writes — over HTTP/JSON. It is the
 // long-lived counterpart of the cmd/simq shell — the process that makes
-// the engine's plan cache, prepared queries and MVCC snapshots pay off
-// under sustained mixed traffic.
+// the engine's statement cache and MVCC snapshots pay off under
+// sustained mixed traffic.
 //
 // Usage:
 //
@@ -15,10 +15,8 @@
 // gather-merge the results, DML routes rows by hash, and with -wal each
 // shard keeps its own WAL segment. /stats reports per-shard counters.
 //
-// Endpoints (wrong-method requests on any of them answer 405). The
-// versioned /v1/ paths are the stable API surface; the bare legacy
-// paths remain registered as aliases of the same handlers, so existing
-// clients keep working:
+// Endpoints (wrong-method requests on any of them answer 405). The API
+// lives under /v1/ only; the bare pre-v1 paths answer 404:
 //
 //	POST /v1/query       {"query": "...", "params": [...]}      run a statement (SELECT or DML)
 //	                     {"id": "p1", "params": [...]}          run a prepared statement
@@ -38,16 +36,17 @@
 // "trace_id": "..."} — the trace_id matches the X-Trace-Id response
 // header, so a client error report names the exact server-side request.
 //
-// Observability: every /query, /explain and /ingest response carries an
-// X-Trace-Id header (also echoed as "trace_id" in the /query body).
+// Observability: every /v1/query, /v1/explain and /v1/ingest response
+// carries an X-Trace-Id header (also echoed as "trace_id" in the
+// /v1/query body).
 // With -pprof the net/http/pprof handlers mount under /debug/pprof/.
 // With -slow-query-ms N engine tracing turns on and any query at or
 // over N milliseconds is logged to stderr as one JSON line carrying the
 // statement, bound parameters, chosen plan and the executed span tree —
 // the same tree EXPLAIN ANALYZE renders.
 //
-// With -wal every mutation (DML through /query and batches through
-// /ingest) is logged before it is applied, and a restarted server
+// With -wal every mutation (DML through /v1/query and batches through
+// /v1/ingest) is logged before it is applied, and a restarted server
 // replays the log over the -load base state. Without -wal mutations are
 // in-memory only.
 //
@@ -99,7 +98,7 @@ func main() {
 	flag.Var(&ruleFiles, "rules", "rule file to register (repeatable)")
 	timeout := flag.Duration("timeout", 10*time.Second, "default per-request execution deadline")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown drain window")
-	cacheSize := flag.Int("plan-cache", 512, "plan cache capacity (0 disables)")
+	cacheSize := flag.Int("plan-cache", 512, "statement cache capacity (0 disables)")
 	parallelism := flag.Int("parallelism", 0, "worker count for parallel plans (0 = GOMAXPROCS)")
 	maxPrepared := flag.Int("max-prepared", 1024, "prepared-statement registry capacity (oldest evicted past it)")
 	walPath := flag.String("wal", "", "write-ahead log file (empty = in-memory mutations only)")
@@ -157,7 +156,6 @@ func main() {
 		eng: eng, store: st, timeout: *timeout, started: time.Now(),
 		maxPrepared: *maxPrepared,
 		prepared:    map[string]*query.PreparedQuery{},
-		adhoc:       map[string]*query.PreparedQuery{},
 		pprofOn:     *pprofOn,
 		slowQueryMS: *slowQueryMS,
 		slowLog:     os.Stderr,
@@ -317,18 +315,12 @@ type server struct {
 	order    []string // prepared ids, oldest first, for eviction
 	nextID   int64
 
-	// adhoc caches PreparedQueries for parameterized /query requests
-	// that arrive as statement text, so repeat senders skip parse+plan
-	// without an explicit /prepare round trip.
-	adhocMu sync.Mutex
-	adhoc   map[string]*query.PreparedQuery
-
 	requests atomic.Int64
 	errors   atomic.Int64
 	timeouts atomic.Int64
 	inFlight atomic.Int64
-	writes   atomic.Int64 // /ingest requests served
-	ingested atomic.Int64 // rows inserted through /ingest
+	writes   atomic.Int64 // /v1/ingest requests served
+	ingested atomic.Int64 // rows inserted through /v1/ingest
 	traceSeq atomic.Int64 // per-process trace-id sequence
 	slowMu   sync.Mutex   // serializes slow-query log lines
 }
@@ -352,23 +344,16 @@ func (s *server) trace(w http.ResponseWriter) string {
 // routes registers every endpoint with Go 1.22 method patterns, so a
 // wrong-method request on a registered path answers 405 Method Not
 // Allowed (with an Allow header) instead of 404. The API endpoints
-// mount twice: under /v1/ (the stable, versioned contract) and at the
-// bare legacy path (alias for pre-v1 clients). /healthz and /metrics
-// stay unversioned on purpose — probes and scrape configs address the
-// process, not the API revision.
+// mount under /v1/; /healthz and /metrics stay unversioned on purpose —
+// probes and scrape configs address the process, not the API revision.
 func (s *server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
-	versioned := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, h)
-		method, path, _ := strings.Cut(pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, h)
-	}
-	versioned("POST /query", s.handleQuery)
-	versioned("POST /prepare", s.handlePrepare)
-	versioned("POST /explain", s.handleExplain)
-	versioned("POST /ingest", s.handleIngest)
-	versioned("POST /checkpoint", s.handleCheckpoint)
-	versioned("GET /stats", s.handleStats)
+	mux.HandleFunc("POST /v1/query", s.handleQuery)
+	mux.HandleFunc("POST /v1/prepare", s.handlePrepare)
+	mux.HandleFunc("POST /v1/explain", s.handleExplain)
+	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
+	mux.HandleFunc("POST /v1/checkpoint", s.handleCheckpoint)
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if s.pprofOn {
@@ -462,11 +447,7 @@ func registerProcessGauges(cat *relation.Catalog) {
 		})
 }
 
-// adhocCacheMax bounds the ad-hoc statement cache; at capacity it
-// resets wholesale (entries are cheap to rebuild).
-const adhocCacheMax = 256
-
-// request is the body of /query and /explain.
+// request is the body of /v1/query and /v1/explain.
 type request struct {
 	Query     string         `json:"query,omitempty"`
 	ID        string         `json:"id,omitempty"`
@@ -583,7 +564,7 @@ func (s *server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	s.prepared[id] = pq
 	s.order = append(s.order, id)
 	// Bound the registry: evict the oldest statements (their ids then
-	// answer 400 and clients re-prepare), so a /prepare-per-request
+	// answer 400 and clients re-prepare), so a /v1/prepare-per-request
 	// client cannot grow server memory without limit.
 	for len(s.order) > s.maxPrepared {
 		delete(s.prepared, s.order[0])
@@ -706,9 +687,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	preparedCount := len(s.prepared)
 	s.mu.RUnlock()
-	s.adhocMu.Lock()
-	adhocCount := len(s.adhoc)
-	s.adhocMu.Unlock()
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	body := map[string]any{
@@ -720,7 +698,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"timeouts":         s.timeouts.Load(),
 		"in_flight":        s.inFlight.Load(),
 		"prepared":         preparedCount,
-		"adhoc_statements": adhocCount,
 		"plan_cache":       s.eng.CacheStats(),
 		"batch_size":       s.eng.BatchSize(),
 		"ingest_requests":  s.writes.Load(),
@@ -766,44 +743,33 @@ func (s *server) shardStats() map[string]shardTableStats {
 }
 
 // execute runs one request under its deadline: a prepared statement by
-// id, an ad-hoc parameterized statement (prepared on the fly), or plain
-// statement text. DML requests are exempt from the abandon-on-timeout
-// pattern: a write runs to completion on the request goroutine, so the
-// response always reflects whether the commit happened — answering 504
-// while a detached goroutine commits anyway would tell the client a
-// durable write failed.
+// id, or statement text through the engine's statement cache
+// (Engine.Prepare), bound to the request's params either way. DML
+// requests are exempt from the abandon-on-timeout pattern: a write runs
+// to completion on the request goroutine, so the response always
+// reflects whether the commit happened — answering 504 while a detached
+// goroutine commits anyway would tell the client a durable write failed.
 func (s *server) execute(ctx context.Context, req *request, explain bool) (*query.Result, error) {
-	var run func() (*query.Result, error)
-	write := false
+	var pq *query.PreparedQuery
 	switch {
 	case req.ID != "":
 		s.mu.RLock()
-		pq := s.prepared[req.ID]
+		pq = s.prepared[req.ID]
 		s.mu.RUnlock()
 		if pq == nil {
 			return nil, errBad(fmt.Sprintf("unknown prepared statement %q", req.ID))
 		}
-		write = pq.IsMutation()
-		run = s.preparedRunner(pq, req, explain)
 	case req.Query == "":
 		return nil, errBad("request needs \"query\" or \"id\"")
-	case len(req.Params) > 0 || len(req.Named) > 0:
-		pq, err := s.adhocPrepared(req.Query)
-		if err != nil {
+	default:
+		var err error
+		if pq, err = s.eng.Prepare(req.Query); err != nil {
 			return nil, err
 		}
-		write = pq.IsMutation()
-		run = s.preparedRunner(pq, req, explain)
-	default:
-		src := req.Query
-		if explain && !strings.HasPrefix(strings.ToUpper(strings.TrimSpace(src)), "EXPLAIN") {
-			src = "EXPLAIN " + src
-		}
-		write = query.IsDML(src)
-		run = func() (*query.Result, error) { return s.eng.Execute(src) }
 	}
+	run := s.preparedRunner(pq, req, explain)
 
-	if write && !explain {
+	if pq.IsMutation() && !explain {
 		s.requests.Add(1)
 		s.inFlight.Add(1)
 		defer s.inFlight.Add(-1)
@@ -838,28 +804,6 @@ func (s *server) execute(ctx context.Context, req *request, explain bool) (*quer
 		s.timeouts.Add(1)
 		return nil, errTimeout(ctx.Err())
 	}
-}
-
-// adhocPrepared returns a cached PreparedQuery for a parameterized
-// statement sent as text, preparing and caching it on first sight.
-func (s *server) adhocPrepared(src string) (*query.PreparedQuery, error) {
-	s.adhocMu.Lock()
-	pq := s.adhoc[src]
-	s.adhocMu.Unlock()
-	if pq != nil {
-		return pq, nil
-	}
-	pq, err := s.eng.Prepare(src)
-	if err != nil {
-		return nil, err
-	}
-	s.adhocMu.Lock()
-	if len(s.adhoc) >= adhocCacheMax {
-		s.adhoc = make(map[string]*query.PreparedQuery)
-	}
-	s.adhoc[src] = pq
-	s.adhocMu.Unlock()
-	return pq, nil
 }
 
 // preparedRunner adapts a prepared statement plus request params into a

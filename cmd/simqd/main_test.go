@@ -35,7 +35,6 @@ func newTestServer(t *testing.T, walDir string) *server {
 		eng: eng, timeout: 5 * time.Second, started: time.Now(),
 		maxPrepared: 16,
 		prepared:    map[string]*query.PreparedQuery{},
-		adhoc:       map[string]*query.PreparedQuery{},
 	}
 	if walDir != "" {
 		st, err := storage.Open(filepath.Join(walDir, "test.wal"), cat)
@@ -74,13 +73,13 @@ func do(t *testing.T, mux *http.ServeMux, method, path string, body any) *httpte
 func TestWrongMethodIs405(t *testing.T) {
 	mux := newTestServer(t, "").routes()
 	cases := []struct{ method, path string }{
-		{http.MethodGet, "/query"},
-		{http.MethodGet, "/prepare"},
-		{http.MethodGet, "/explain"},
-		{http.MethodGet, "/ingest"},
-		{http.MethodDelete, "/query"},
+		{http.MethodGet, "/v1/query"},
+		{http.MethodGet, "/v1/prepare"},
+		{http.MethodGet, "/v1/explain"},
+		{http.MethodGet, "/v1/ingest"},
+		{http.MethodDelete, "/v1/query"},
 		{http.MethodPost, "/healthz"},
-		{http.MethodPost, "/stats"},
+		{http.MethodPost, "/v1/stats"},
 	}
 	for _, c := range cases {
 		rec := do(t, mux, c.method, c.path, nil)
@@ -101,7 +100,7 @@ func TestIngestQueryRoundTrip(t *testing.T) {
 	s := newTestServer(t, t.TempDir())
 	mux := s.routes()
 
-	rec := do(t, mux, http.MethodPost, "/ingest", map[string]any{
+	rec := do(t, mux, http.MethodPost, "/v1/ingest", map[string]any{
 		"relation": "words",
 		"rows": []map[string]any{
 			{"seq": "couleur", "attrs": map[string]string{"lang": "fr"}},
@@ -109,7 +108,7 @@ func TestIngestQueryRoundTrip(t *testing.T) {
 		},
 	})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/ingest = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("/v1/ingest = %d: %s", rec.Code, rec.Body)
 	}
 	var ing struct {
 		Inserted int   `json:"inserted"`
@@ -122,11 +121,11 @@ func TestIngestQueryRoundTrip(t *testing.T) {
 		t.Fatalf("ingest response = %+v", ing)
 	}
 
-	rec = do(t, mux, http.MethodPost, "/query", map[string]any{
+	rec = do(t, mux, http.MethodPost, "/v1/query", map[string]any{
 		"query": `SELECT seq FROM words WHERE lang = "pl"`,
 	})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/query = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("/v1/query = %d: %s", rec.Code, rec.Body)
 	}
 	var qres struct {
 		Rows [][]string `json:"rows"`
@@ -139,7 +138,7 @@ func TestIngestQueryRoundTrip(t *testing.T) {
 	}
 
 	// DML through /query.
-	rec = do(t, mux, http.MethodPost, "/query", map[string]any{
+	rec = do(t, mux, http.MethodPost, "/v1/query", map[string]any{
 		"query": `DELETE FROM words WHERE seq SIMILAR TO "kolor" WITHIN 1 USING edits`,
 	})
 	if rec.Code != http.StatusOK {
@@ -156,9 +155,9 @@ func TestIngestQueryRoundTrip(t *testing.T) {
 	}
 
 	// Write metrics surface in /stats.
-	rec = do(t, mux, http.MethodGet, "/stats", nil)
+	rec = do(t, mux, http.MethodGet, "/v1/stats", nil)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/stats = %d", rec.Code)
+		t.Fatalf("/v1/stats = %d", rec.Code)
 	}
 	var stats map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
@@ -185,7 +184,7 @@ func TestIngestValidation(t *testing.T) {
 		{"relation": "words", "rows": []map[string]any{{"vec": "not a vector"}}},
 		{"relation": "words", "rows": []map[string]any{{"vec": "[]"}}},
 	} {
-		if rec := do(t, mux, http.MethodPost, "/ingest", body); rec.Code != http.StatusBadRequest {
+		if rec := do(t, mux, http.MethodPost, "/v1/ingest", body); rec.Code != http.StatusBadRequest {
 			t.Errorf("ingest %v = %d, want 400", body, rec.Code)
 		}
 	}
@@ -197,7 +196,7 @@ func TestVecIngestQueryRoundTrip(t *testing.T) {
 	s := newTestServer(t, t.TempDir())
 	mux := s.routes()
 
-	rec := do(t, mux, http.MethodPost, "/ingest", map[string]any{
+	rec := do(t, mux, http.MethodPost, "/v1/ingest", map[string]any{
 		"relation": "words",
 		"rows": []map[string]any{
 			{"vec": "[0,0]"},
@@ -206,14 +205,14 @@ func TestVecIngestQueryRoundTrip(t *testing.T) {
 		},
 	})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/ingest = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("/v1/ingest = %d: %s", rec.Code, rec.Body)
 	}
 
-	rec = do(t, mux, http.MethodPost, "/query", map[string]any{
+	rec = do(t, mux, http.MethodPost, "/v1/query", map[string]any{
 		"query": `SELECT id, dist FROM words WHERE vec NEAREST 2 TO [0, 0] USING l2`,
 	})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/query = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("/v1/query = %d: %s", rec.Code, rec.Body)
 	}
 	var qres struct {
 		Rows [][]string `json:"rows"`
@@ -228,11 +227,11 @@ func TestVecIngestQueryRoundTrip(t *testing.T) {
 	}
 
 	// Prepared vector query with a string-encoded vector parameter.
-	rec = do(t, mux, http.MethodPost, "/prepare", map[string]any{
+	rec = do(t, mux, http.MethodPost, "/v1/prepare", map[string]any{
 		"query": `SELECT id FROM words WHERE vec SIMILAR TO ? WITHIN ? USING l2`,
 	})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/prepare = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("/v1/prepare = %d: %s", rec.Code, rec.Body)
 	}
 	var prep struct {
 		ID string `json:"id"`
@@ -240,7 +239,7 @@ func TestVecIngestQueryRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &prep); err != nil {
 		t.Fatal(err)
 	}
-	rec = do(t, mux, http.MethodPost, "/query", map[string]any{
+	rec = do(t, mux, http.MethodPost, "/v1/query", map[string]any{
 		"id": prep.ID, "params": []any{"[0,0]", 1.5},
 	})
 	if rec.Code != http.StatusOK {
@@ -254,11 +253,11 @@ func TestVecIngestQueryRoundTrip(t *testing.T) {
 	}
 
 	// EXPLAIN surfaces the metric and access path.
-	rec = do(t, mux, http.MethodPost, "/explain", map[string]any{
+	rec = do(t, mux, http.MethodPost, "/v1/explain", map[string]any{
 		"query": `SELECT id FROM words WHERE vec NEAREST 2 TO [0, 0] USING l2`,
 	})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/explain = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("/v1/explain = %d: %s", rec.Code, rec.Body)
 	}
 	var eres struct {
 		Plan string `json:"plan"`
@@ -275,11 +274,11 @@ func TestVecIngestQueryRoundTrip(t *testing.T) {
 // /prepare + /query by id.
 func TestPreparedDMLOverHTTP(t *testing.T) {
 	mux := newTestServer(t, "").routes()
-	rec := do(t, mux, http.MethodPost, "/prepare", map[string]any{
+	rec := do(t, mux, http.MethodPost, "/v1/prepare", map[string]any{
 		"query": `INSERT INTO words (seq, lang) VALUES (?, ?)`,
 	})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/prepare = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("/v1/prepare = %d: %s", rec.Code, rec.Body)
 	}
 	var prep struct {
 		ID     string `json:"id"`
@@ -291,13 +290,13 @@ func TestPreparedDMLOverHTTP(t *testing.T) {
 	if prep.Params != 2 {
 		t.Fatalf("prepare params = %d", prep.Params)
 	}
-	rec = do(t, mux, http.MethodPost, "/query", map[string]any{
+	rec = do(t, mux, http.MethodPost, "/v1/query", map[string]any{
 		"id": prep.ID, "params": []any{"farbe", "de"},
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("prepared DML exec = %d: %s", rec.Code, rec.Body)
 	}
-	rec = do(t, mux, http.MethodPost, "/query", map[string]any{
+	rec = do(t, mux, http.MethodPost, "/v1/query", map[string]any{
 		"query": `SELECT seq FROM words WHERE lang = "de"`,
 	})
 	var qres struct {
@@ -330,7 +329,6 @@ func newShardedTestServer(t *testing.T, walDir string, shards int) *server {
 		eng: eng, timeout: 5 * time.Second, started: time.Now(),
 		maxPrepared: 16,
 		prepared:    map[string]*query.PreparedQuery{},
-		adhoc:       map[string]*query.PreparedQuery{},
 	}
 	if walDir != "" {
 		st, err := storage.OpenSegmented(filepath.Join(walDir, "test.wal"), cat, shards)
@@ -351,7 +349,7 @@ func TestShardedServerRoundTrip(t *testing.T) {
 	s := newShardedTestServer(t, t.TempDir(), 4)
 	mux := s.routes()
 
-	rec := do(t, mux, http.MethodPost, "/query", map[string]any{
+	rec := do(t, mux, http.MethodPost, "/v1/query", map[string]any{
 		"query": `SELECT seq, dist FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING edits`,
 	})
 	if rec.Code != http.StatusOK {
@@ -367,14 +365,14 @@ func TestShardedServerRoundTrip(t *testing.T) {
 		t.Fatalf("query rows = %v", qres.Rows)
 	}
 
-	rec = do(t, mux, http.MethodPost, "/explain", map[string]any{
+	rec = do(t, mux, http.MethodPost, "/v1/explain", map[string]any{
 		"query": `SELECT * FROM words WHERE seq NEAREST 2 TO "color" USING edits`,
 	})
 	if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte("GatherMerge")) {
 		t.Fatalf("explain over sharded relation lacks GatherMerge: %d %s", rec.Code, rec.Body)
 	}
 
-	rec = do(t, mux, http.MethodPost, "/ingest", map[string]any{
+	rec = do(t, mux, http.MethodPost, "/v1/ingest", map[string]any{
 		"relation": "words",
 		"rows":     []map[string]any{{"seq": "pallor"}, {"seq": "sailor"}},
 	})
@@ -382,14 +380,14 @@ func TestShardedServerRoundTrip(t *testing.T) {
 		t.Fatalf("ingest: %d %s", rec.Code, rec.Body)
 	}
 
-	rec = do(t, mux, http.MethodPost, "/query", map[string]any{
+	rec = do(t, mux, http.MethodPost, "/v1/query", map[string]any{
 		"query": `DELETE FROM words WHERE seq = "cool"`,
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("delete: %d %s", rec.Code, rec.Body)
 	}
 
-	rec = do(t, mux, http.MethodGet, "/stats", nil)
+	rec = do(t, mux, http.MethodGet, "/v1/stats", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats: %d %s", rec.Code, rec.Body)
 	}
@@ -408,7 +406,7 @@ func TestShardedServerRoundTrip(t *testing.T) {
 	}
 	ws, ok := stats.Shards["words"]
 	if !ok || ws.Shards != 4 || len(ws.Per) != 4 {
-		t.Fatalf("/stats shards block = %+v", stats.Shards)
+		t.Fatalf("/v1/stats shards block = %+v", stats.Shards)
 	}
 	rows, tombs := 0, 0
 	for _, p := range ws.Per {

@@ -24,16 +24,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	registerProcessGauges(s.eng.Catalog())
 	mux := s.routes()
 
-	if rec := do(t, mux, http.MethodPost, "/ingest", map[string]any{
+	if rec := do(t, mux, http.MethodPost, "/v1/ingest", map[string]any{
 		"relation": "words",
 		"rows":     []map[string]any{{"seq": "couleur"}},
 	}); rec.Code != http.StatusOK {
-		t.Fatalf("/ingest = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("/v1/ingest = %d: %s", rec.Code, rec.Body)
 	}
-	if rec := do(t, mux, http.MethodPost, "/query", map[string]any{
+	if rec := do(t, mux, http.MethodPost, "/v1/query", map[string]any{
 		"query": `SELECT seq FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING edits`,
 	}); rec.Code != http.StatusOK {
-		t.Fatalf("/query = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("/v1/query = %d: %s", rec.Code, rec.Body)
 	}
 
 	rec := do(t, mux, http.MethodGet, "/metrics", nil)
@@ -72,11 +72,11 @@ func TestMetricsEndpoint(t *testing.T) {
 // request's trace id both as the X-Trace-Id header and in the body.
 func TestMetricsTraceIDEcho(t *testing.T) {
 	mux := newTestServer(t, "").routes()
-	rec := do(t, mux, http.MethodPost, "/query", map[string]any{
+	rec := do(t, mux, http.MethodPost, "/v1/query", map[string]any{
 		"query": `SELECT seq FROM words LIMIT 1`,
 	})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/query = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("/v1/query = %d: %s", rec.Code, rec.Body)
 	}
 	hdr := rec.Header().Get("X-Trace-Id")
 	if hdr == "" {
@@ -92,11 +92,11 @@ func TestMetricsTraceIDEcho(t *testing.T) {
 		t.Fatalf("body trace_id %q != header %q", body.TraceID, hdr)
 	}
 	// Explain answers with a trace id too.
-	rec = do(t, mux, http.MethodPost, "/explain", map[string]any{
+	rec = do(t, mux, http.MethodPost, "/v1/explain", map[string]any{
 		"query": `SELECT seq FROM words LIMIT 1`,
 	})
 	if rec.Header().Get("X-Trace-Id") == "" {
-		t.Error("/explain missing X-Trace-Id header")
+		t.Error("/v1/explain missing X-Trace-Id header")
 	}
 }
 
@@ -165,9 +165,9 @@ func TestMetricsSlowQueryLog(t *testing.T) {
 // TestStatsRuntimeFields pins the /stats runtime additions.
 func TestStatsRuntimeFields(t *testing.T) {
 	mux := newTestServer(t, "").routes()
-	rec := do(t, mux, http.MethodGet, "/stats", nil)
+	rec := do(t, mux, http.MethodGet, "/v1/stats", nil)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/stats = %d", rec.Code)
+		t.Fatalf("/v1/stats = %d", rec.Code)
 	}
 	var stats map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {

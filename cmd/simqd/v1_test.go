@@ -37,98 +37,105 @@ func decodeEnvelope(t *testing.T, rec interface {
 	return env
 }
 
-// TestV1Aliases drives every API endpoint through its /v1/ path and its
-// legacy alias: both routes reach the same handler, so the responses
-// must agree shape-for-shape.
+// TestV1Aliases drives every API endpoint through its /v1/ path, and
+// checks that the bare pre-v1 paths are gone: each answers 404 whatever
+// the method.
 func TestV1Aliases(t *testing.T) {
 	s := newTestServer(t, t.TempDir())
 	mux := s.routes()
 
-	for _, prefix := range []string{"", "/v1"} {
-		// /prepare → /query by id round trip under each prefix.
-		rec := do(t, mux, http.MethodPost, prefix+"/prepare", map[string]any{
-			"query": `SELECT seq, dist FROM words WHERE seq SIMILAR TO ? WITHIN 1 USING edits`,
-		})
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s/prepare = %d: %s", prefix, rec.Code, rec.Body)
-		}
-		var prep struct {
-			ID     string `json:"id"`
-			Params int    `json:"params"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &prep); err != nil {
-			t.Fatal(err)
-		}
-		if prep.Params != 1 {
-			t.Fatalf("%s/prepare params = %d, want 1", prefix, prep.Params)
-		}
-		rec = do(t, mux, http.MethodPost, prefix+"/query", map[string]any{
-			"id": prep.ID, "params": []any{"color"},
-		})
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s/query by id = %d: %s", prefix, rec.Code, rec.Body)
-		}
-		var qres struct {
-			Rows    [][]string `json:"rows"`
-			TraceID string     `json:"trace_id"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &qres); err != nil {
-			t.Fatal(err)
-		}
-		if len(qres.Rows) != 3 { // color, colour, colon
-			t.Fatalf("%s/query rows = %v", prefix, qres.Rows)
-		}
-		if qres.TraceID == "" || rec.Header().Get("X-Trace-Id") != qres.TraceID {
-			t.Fatalf("%s/query trace_id = %q, header %q", prefix, qres.TraceID, rec.Header().Get("X-Trace-Id"))
-		}
+	// /v1/prepare → /v1/query by id round trip.
+	rec := do(t, mux, http.MethodPost, "/v1/prepare", map[string]any{
+		"query": `SELECT seq, dist FROM words WHERE seq SIMILAR TO ? WITHIN 1 USING edits`,
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/prepare = %d: %s", rec.Code, rec.Body)
+	}
+	var prep struct {
+		ID     string `json:"id"`
+		Params int    `json:"params"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &prep); err != nil {
+		t.Fatal(err)
+	}
+	if prep.Params != 1 {
+		t.Fatalf("/v1/prepare params = %d, want 1", prep.Params)
+	}
+	rec = do(t, mux, http.MethodPost, "/v1/query", map[string]any{
+		"id": prep.ID, "params": []any{"color"},
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/query by id = %d: %s", rec.Code, rec.Body)
+	}
+	var qres struct {
+		Rows    [][]string `json:"rows"`
+		TraceID string     `json:"trace_id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &qres); err != nil {
+		t.Fatal(err)
+	}
+	if len(qres.Rows) != 3 { // color, colour, colon
+		t.Fatalf("/v1/query rows = %v", qres.Rows)
+	}
+	if qres.TraceID == "" || rec.Header().Get("X-Trace-Id") != qres.TraceID {
+		t.Fatalf("/v1/query trace_id = %q, header %q", qres.TraceID, rec.Header().Get("X-Trace-Id"))
+	}
 
-		// /explain returns a plan.
-		rec = do(t, mux, http.MethodPost, prefix+"/explain", map[string]any{
-			"query": `SELECT seq FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING edits`,
-		})
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s/explain = %d: %s", prefix, rec.Code, rec.Body)
-		}
-		var eres struct {
-			Plan string `json:"plan"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &eres); err != nil {
-			t.Fatal(err)
-		}
-		if eres.Plan == "" {
-			t.Fatalf("%s/explain returned empty plan", prefix)
-		}
+	// /v1/explain returns a plan.
+	rec = do(t, mux, http.MethodPost, "/v1/explain", map[string]any{
+		"query": `SELECT seq FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING edits`,
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/explain = %d: %s", rec.Code, rec.Body)
+	}
+	var eres struct {
+		Plan string `json:"plan"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &eres); err != nil {
+		t.Fatal(err)
+	}
+	if eres.Plan == "" {
+		t.Fatal("/v1/explain returned empty plan")
+	}
 
-		// /ingest inserts one row.
-		rec = do(t, mux, http.MethodPost, prefix+"/ingest", map[string]any{
-			"relation": "words",
-			"rows":     []map[string]any{{"seq": "couleur" + prefix}},
-		})
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s/ingest = %d: %s", prefix, rec.Code, rec.Body)
-		}
+	// /v1/ingest inserts one row.
+	rec = do(t, mux, http.MethodPost, "/v1/ingest", map[string]any{
+		"relation": "words",
+		"rows":     []map[string]any{{"seq": "couleur"}},
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/ingest = %d: %s", rec.Code, rec.Body)
+	}
 
-		// /stats parses and carries the serving counters.
-		rec = do(t, mux, http.MethodGet, prefix+"/stats", nil)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s/stats = %d", prefix, rec.Code)
-		}
-		var stats map[string]any
-		if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := stats["requests"]; !ok {
-			t.Fatalf("%s/stats missing requests counter: %v", prefix, stats)
-		}
+	// /v1/stats parses and carries the serving counters.
+	rec = do(t, mux, http.MethodGet, "/v1/stats", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/stats = %d", rec.Code)
+	}
+	var stats map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := stats["requests"]; !ok {
+		t.Fatalf("/v1/stats missing requests counter: %v", stats)
+	}
 
-		// /checkpoint works under both prefixes (store attached).
-		rec = do(t, mux, http.MethodPost, prefix+"/checkpoint", nil)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s/checkpoint = %d: %s", prefix, rec.Code, rec.Body)
+	// /v1/checkpoint works (store attached).
+	rec = do(t, mux, http.MethodPost, "/v1/checkpoint", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/checkpoint = %d: %s", rec.Code, rec.Body)
+	}
+
+	// The bare paths are not registered: 404, not 405, for either method.
+	for _, path := range []string{"/query", "/prepare", "/explain", "/ingest", "/checkpoint", "/stats"} {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			if rec := do(t, mux, method, path, map[string]any{"query": "SELECT seq FROM words"}); rec.Code != http.StatusNotFound {
+				t.Errorf("%s %s = %d, want 404", method, path, rec.Code)
+			}
 		}
 	}
 
-	// Wrong-method requests on v1 paths answer 405 like the legacy ones.
+	// Wrong-method requests on v1 paths answer 405.
 	for _, path := range []string{"/v1/query", "/v1/prepare", "/v1/stats"} {
 		method := http.MethodGet
 		if path == "/v1/stats" {
@@ -140,8 +147,7 @@ func TestV1Aliases(t *testing.T) {
 	}
 }
 
-// TestErrorEnvelope pins the uniform error contract across endpoints
-// and API versions: every handler failure answers
+// TestErrorEnvelope pins the uniform error contract across endpoints: every handler failure answers
 // {"error","code","trace_id"} with the trace id echoed in X-Trace-Id.
 func TestErrorEnvelope(t *testing.T) {
 	s := newTestServer(t, "") // no WAL: /checkpoint hits its precondition
@@ -156,7 +162,7 @@ func TestErrorEnvelope(t *testing.T) {
 		status int
 		code   string
 	}{
-		{name: "parse error", method: http.MethodPost, path: "/query",
+		{name: "parse error", method: http.MethodPost, path: "/v1/prepare",
 			body: map[string]any{"query": "SELEKT nope"}, status: 400, code: "bad_request"},
 		{name: "parse error v1", method: http.MethodPost, path: "/v1/query",
 			body: map[string]any{"query": "SELEKT nope"}, status: 400, code: "bad_request"},
@@ -173,10 +179,10 @@ func TestErrorEnvelope(t *testing.T) {
 		{name: "ingest unknown relation", method: http.MethodPost, path: "/v1/ingest",
 			body:   map[string]any{"relation": "nosuch", "rows": []map[string]any{{"seq": "x"}}},
 			status: 400, code: "bad_request"},
-		{name: "ingest bad JSON", method: http.MethodPost, path: "/ingest",
+		{name: "ingest bad JSON", method: http.MethodPost, path: "/v1/ingest",
 			raw: "{not json", status: 400, code: "bad_request"},
-		{name: "checkpoint without WAL", method: http.MethodPost, path: "/checkpoint",
-			status: 412, code: "precondition_failed"},
+		{name: "checkpoint without WAL", method: http.MethodPost, path: "/v1/checkpoint",
+			raw: "{}", status: 412, code: "precondition_failed"}, // a body changes nothing
 		{name: "checkpoint without WAL v1", method: http.MethodPost, path: "/v1/checkpoint",
 			status: 412, code: "precondition_failed"},
 	}
@@ -253,5 +259,52 @@ func TestV1DistanceJoinOverHTTP(t *testing.T) {
 	// color↔colour and color↔colon within one edit, both directions.
 	if len(qres.Rows) != 4 {
 		t.Fatalf("join rows = %v", qres.Rows)
+	}
+}
+
+// TestAdhocSharesPreparedStatement: statement text sent to /v1/query
+// with params goes through the engine's statement cache, so a repeat is
+// a plan-cache hit, and a /v1/prepare of the same text (modulo
+// whitespace) registers that same statement, decision memo included.
+func TestAdhocSharesPreparedStatement(t *testing.T) {
+	s := newTestServer(t, "")
+	mux := s.routes()
+	const stmt = `SELECT seq FROM words WHERE seq SIMILAR TO ? WITHIN 1 USING edits`
+	type reply struct {
+		Rows  [][]string `json:"rows"`
+		Stats struct {
+			PlanCacheHit bool `json:"plan_cache_hit"`
+		} `json:"stats"`
+	}
+	query := func(body map[string]any) reply {
+		t.Helper()
+		rec := do(t, mux, http.MethodPost, "/v1/query", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/v1/query %v = %d: %s", body, rec.Code, rec.Body)
+		}
+		var r reply
+		if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for i, want := range []bool{false, true} {
+		r := query(map[string]any{"query": stmt, "params": []any{"color"}})
+		if r.Stats.PlanCacheHit != want || len(r.Rows) != 3 {
+			t.Fatalf("ad hoc call %d: plan_cache_hit %v (want %v), rows %v", i+1, r.Stats.PlanCacheHit, want, r.Rows)
+		}
+	}
+	rec := do(t, mux, http.MethodPost, "/v1/prepare", map[string]any{"query": "SELECT seq FROM words\n WHERE seq SIMILAR TO ? WITHIN 1 USING edits"})
+	var prep struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &prep); err != nil || prep.ID == "" {
+		t.Fatalf("/v1/prepare = %d: %s", rec.Code, rec.Body)
+	}
+	if r := query(map[string]any{"id": prep.ID, "params": []any{"color"}}); !r.Stats.PlanCacheHit {
+		t.Error("the prepared text did not share the ad hoc statement's decision")
+	}
+	if cs := s.eng.CacheStats(); cs.Entries != 1 {
+		t.Errorf("statement cache holds %d entries, want 1", cs.Entries)
 	}
 }

@@ -363,7 +363,11 @@ func TestNearestModelCases(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				plan, err := e.plan(q)
+				d, err := e.decide(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan, err := e.buildPlan(q, d)
 				if err != nil {
 					t.Fatal(err)
 				}

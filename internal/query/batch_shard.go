@@ -114,7 +114,7 @@ func (e *Engine) fanOut(ctx *execCtx, q *Query, d *planDecision, tab relation.Ta
 	alias string, k int, est float64, build func(stream) BatchOperator) (BatchOperator, error) {
 	if len(snaps) != max(d.shards, 1) {
 		// The table was re-registered with another layout after this
-		// decision was made; Execute re-plans on this error.
+		// decision was made; PreparedQuery.run re-plans on this error.
 		return nil, fmt.Errorf("query: stale plan: relation %q has %d snapshots, plan wants %d",
 			tab.Name(), len(snaps), max(d.shards, 1))
 	}

@@ -31,11 +31,11 @@ type Engine struct {
 	mu        sync.RWMutex
 	rules     map[string]*ruleEntry       // registered rule sets by name
 	patterns  map[string]*pattern.Pattern // compiled pattern cache
-	rsVersion uint64                      // bumped per RegisterRuleSet; part of cache keys
+	rsVersion uint64                      // bumped per RegisterRuleSet; part of decision keys
 	store     *storage.Store              // durable write path; nil = direct catalog mutation
 
 	// Fixed at construction by the options.
-	plans           *planCache // statement text -> (query, decision); nil disables
+	plans           *planCache // statement text -> PreparedQuery; nil disables
 	parallelism     int        // gather workers, and slices of a parallel plan (1 disables)
 	parallelMinRows int        // outer-relation size that justifies sharding
 	batchSize       int        // rows per block
@@ -98,8 +98,8 @@ func WithParallelism(n int) Option {
 // planner shards scans and joins across workers.
 func WithParallelMinRows(n int) Option { return func(e *Engine) { e.parallelMinRows = n } }
 
-// WithPlanCacheSize sets the plan-cache capacity; n <= 0 disables plan
-// caching.
+// WithPlanCacheSize sets the statement-cache capacity (plancache.go);
+// n <= 0 disables it, so every Prepare and Execute parses afresh.
 func WithPlanCacheSize(n int) Option {
 	return func(e *Engine) {
 		e.plans = nil
@@ -159,7 +159,7 @@ func (e *Engine) RegisterRuleSet(rs *rewrite.RuleSet) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.rsVersion++ // invalidates cached plans whose costing saw the old registry
+	e.rsVersion++ // invalidates memoised decisions whose costing saw the old registry
 	e.rules[rs.Name()] = ent
 	return nil
 }
@@ -266,8 +266,8 @@ func (e *Engine) rulesetVersion() uint64 {
 	return e.rsVersion
 }
 
-// CacheStats snapshots the plan cache's hit/miss counters; all zero
-// when caching is disabled.
+// CacheStats snapshots the statement cache's hit/miss counters; all
+// zero when caching is disabled.
 func (e *Engine) CacheStats() CacheStats {
 	if e.plans != nil {
 		return e.plans.Stats()
@@ -275,25 +275,12 @@ func (e *Engine) CacheStats() CacheStats {
 	return CacheStats{}
 }
 
-// cacheEpoch is the part of every plan-cache key that tracks engine
-// state: catalog statistics, the shard topology and the rule-set
-// registry. Any change to these may change a costing decision — or, for
-// the shard signature, the physical shape of every plan — so it must
-// start a fresh key space.
-func (e *Engine) cacheEpoch() string {
-	// metric.Version() tracks the distance-metric registry the same way
-	// rsVersion tracks rule sets: registering a metric may change which
-	// USING names resolve, so it starts a fresh key space too.
-	return fmt.Sprintf("%d|%d|%d|%s", e.catalog.StatsVersion(), e.rulesetVersion(),
-		metric.Version(), e.catalog.ShardSignature())
-}
-
-// normalizeQueryText canonicalises statement text for cache keying:
-// runs of whitespace outside string literals collapse to one space.
-// Literal contents are preserved byte-for-byte (including escapes), so
-// two statements that differ only inside a quoted string never share a
-// key. Case is preserved — rule-set names and literals are
-// case-sensitive.
+// normalizeQueryText canonicalises statement text into the statement
+// cache's key: runs of whitespace outside string literals collapse to
+// one space. Literal contents are preserved byte-for-byte (including
+// escapes), so two statements that differ only inside a quoted string
+// never share a key. Case is preserved — rule-set names and literals
+// are case-sensitive.
 func normalizeQueryText(src string) string {
 	var b strings.Builder
 	b.Grow(len(src))
@@ -329,79 +316,20 @@ func normalizeQueryText(src string) string {
 	return b.String()
 }
 
-// Execute parses and runs one statement — SELECT or DML. SELECTs are
-// looked up in the plan cache first: a hit skips the lexer, the parser
-// and the cost-based planner and goes straight to operator-tree
-// construction. DML bypasses the cache (its read phase is planned per
-// execution) and, by committing, bumps Catalog.StatsVersion so every
-// cached plan keyed on the old statistics is invalidated.
-// Parameterized statements cannot run here — use Prepare.
+// Execute runs one statement — SELECT or DML — without arguments: it is
+// Prepare(src) followed by the statement's Execute, so a repeated text
+// skips the lexer and the parser, and reuses its planner decision while
+// the engine's statistics and registries stand. Parameterized
+// statements cannot run here — bind them through Prepare.
 func (e *Engine) Execute(src string) (*Result, error) {
-	cache := e.plans
-	if cache == nil || isDMLText(src) {
-		stmt, err := ParseStatement(src)
-		if err != nil {
-			return nil, err
-		}
-		switch s := stmt.(type) {
-		case *Mutation:
-			return e.ExecuteMutation(s)
-		default:
-			return e.ExecuteQuery(stmt.(*Query))
-		}
-	}
-	key := e.cacheEpoch() + "|" + normalizeQueryText(src)
-	if ent, ok := cache.get(key); ok {
-		// Only a failure to *build* the tree (a stale or poisoned entry)
-		// falls through to the uncached path; once a tree builds, its
-		// execution outcome — including runtime errors — is final, so an
-		// erroring statement is never executed twice.
-		if plan, err := e.buildPlan(ent.q, ent.d); err == nil {
-			res, err := e.finishPlan(ent.q, plan)
-			if err == nil {
-				res.Stats.PlanCacheHit = true
-			}
-			return res, err
-		}
-		mReplans.Inc()
-	}
-	stmt, err := ParseStatement(src)
+	pq, err := e.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	m, ok := stmt.(*Mutation)
-	if ok {
-		// Defensive: a DML statement that slipped past the text sniff
-		// still executes correctly, just without the cache bypass.
-		return e.ExecuteMutation(m)
+	if len(pq.params) > 0 {
+		return nil, errors.New("query: statement has bind parameters; use Engine.Prepare")
 	}
-	q := stmt.(*Query)
-	d, err := e.decide(q)
-	if err != nil {
-		return nil, err
-	}
-	cache.put(key, q, d)
-	return e.runDecided(q, d)
-}
-
-// ExecuteQuery runs a parsed (or hand-built) statement, planning from
-// scratch.
-func (e *Engine) ExecuteQuery(q *Query) (*Result, error) {
-	d, err := e.decide(q)
-	if err != nil {
-		return nil, err
-	}
-	return e.runDecided(q, d)
-}
-
-// runDecided builds the operator tree for a decided query and drives
-// it (or renders it, for EXPLAIN).
-func (e *Engine) runDecided(q *Query, d *planDecision) (*Result, error) {
-	plan, err := e.buildPlan(q, d)
-	if err != nil {
-		return nil, err
-	}
-	return e.finishPlan(q, plan)
+	return pq.Execute()
 }
 
 // finishPlan drives a built plan to completion, or renders it for

@@ -7,8 +7,7 @@ package query
 // through the attached storage.Store — WAL first, then memory — or
 // directly to the catalog's relations when no store is attached.
 // Either way the relations bump their versions, Catalog.StatsVersion
-// moves, and every cached plan and memoised prepared-query decision
-// keyed on it is invalidated.
+// moves, and every memoised decision keyed on it is invalidated.
 
 import (
 	"fmt"
@@ -37,13 +36,8 @@ func (e *Engine) storeRef() *storage.Store {
 	return e.store
 }
 
-// ExecuteMutation runs a parsed (or hand-built) DML statement. The
-// statement must be fully bound — parameterized DML goes through
-// Engine.Prepare.
-func (e *Engine) ExecuteMutation(m *Mutation) (*Result, error) {
-	if mutationHasParams(m) {
-		return nil, fmt.Errorf("query: statement has bind parameters; use Engine.Prepare")
-	}
+// execMutation runs a bound DML statement.
+func (e *Engine) execMutation(m *Mutation) (*Result, error) {
 	if _, ok := e.catalog.Lookup(m.Table); !ok {
 		return nil, fmt.Errorf("query: unknown relation %q", m.Table)
 	}
@@ -300,56 +294,7 @@ func mutationExplain(root, readPlan string) *Result {
 	return &Result{Columns: []string{"plan"}, Rows: [][]string{{tree}}, Plan: tree}
 }
 
-// mutationHasParams reports whether any parameter slot is still open.
-func mutationHasParams(m *Mutation) bool {
-	if len(m.Params) > 0 {
-		return true
-	}
-	for _, row := range m.Rows {
-		for _, v := range row {
-			if v.Param != nil {
-				return true
-			}
-		}
-	}
-	for _, sc := range m.Set {
-		if sc.Value.Param != nil {
-			return true
-		}
-	}
-	return exprHasParams(m.Where)
-}
-
-// IsDML cheaply reports whether statement text is a mutation
-// (optionally prefixed with EXPLAIN) without parsing it. Servers use it
-// to route writes onto a no-abandon execution path: a write must never
-// be reported failed while its commit proceeds.
-func IsDML(src string) bool { return isDMLText(src) }
-
-// IsMutation reports whether the prepared statement is DML.
+// IsMutation reports whether the prepared statement is DML. Servers
+// route writes by it onto a no-abandon execution path: a write must
+// never be reported failed while its commit proceeds.
 func (pq *PreparedQuery) IsMutation() bool { return pq.mut != nil }
-
-// isDMLText cheaply detects DML statement text (optionally prefixed
-// with EXPLAIN) so Engine.Execute can bypass the plan cache without
-// parsing. Allocation-free: the serving read path calls it per query.
-func isDMLText(src string) bool {
-	w, rest := firstWord(src)
-	if strings.EqualFold(w, "explain") {
-		w, _ = firstWord(rest)
-	}
-	return strings.EqualFold(w, "insert") ||
-		strings.EqualFold(w, "delete") ||
-		strings.EqualFold(w, "update")
-}
-
-func firstWord(s string) (word, rest string) {
-	i := 0
-	for i < len(s) && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r') {
-		i++
-	}
-	j := i
-	for j < len(s) && isIdentPart(s[j]) {
-		j++
-	}
-	return s[i:j], s[j:]
-}

@@ -292,27 +292,6 @@ func TestOrderByDistRequiresSimilarity(t *testing.T) {
 	}
 }
 
-// TestNearestNonPositiveKRejected: the parser forbids K <= 0, but a
-// hand-built Query through ExecuteQuery must fail cleanly too instead
-// of panicking in the scan path's bound bookkeeping.
-func TestNearestNonPositiveKRejected(t *testing.T) {
-	e := testEngine(t)
-	for _, k := range []int{0, -1} {
-		q := &Query{
-			From: []TableRef{{Name: "words", Alias: "words"}},
-			Where: NearestExpr{
-				Field:   FieldRef{Name: "seq"},
-				Target:  Operand{Lit: "color", IsLit: true},
-				K:       k,
-				RuleSet: "cheap_vowels",
-			},
-		}
-		if _, err := e.ExecuteQuery(q); err == nil {
-			t.Errorf("NEAREST with k=%d succeeded, want error", k)
-		}
-	}
-}
-
 // TestThreeWayJoin verifies an N-way join against hand-computed pairs:
 // chain a-b-c where consecutive relations hold words at distance 1.
 func TestThreeWayJoin(t *testing.T) {

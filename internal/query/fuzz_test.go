@@ -1,9 +1,6 @@
 package query
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // fuzzSeeds covers every statement family, the DML grammar included, so
 // the fuzzers start from the interesting corners of the language.
@@ -32,18 +29,39 @@ var fuzzSeeds = []string{
 	`UPDATE words SET seq = "bdfh" WHERE seq SIMILAR TO "bdfg" WITHIN 1 USING edits`,
 	`UPDATE words SET seq = "moved" WHERE id = "3"`,
 	`EXPLAIN SELECT id, seq, dist FROM words WHERE seq NEAREST 7 TO "cadgbeif" USING edits`,
+	// Whitespace and escapes inside and outside literals: the normalized
+	// text is a statement's cache key, so it must never merge two
+	// statements that lex differently.
+	"SELECT\tseq\r\nFROM  words WHERE seq = \"a\\\" \\\"\tb\"\t",
+	"\r\n\tSELECT * FROM w WHERE a = \"x\r\ny\" AND b = \"\\\\\" \r AND c = \" \t \"",
+	"SELECT * FROM w WHERE a = \"unterminated\\\"  \t",
+	"INSERT INTO w (seq)\tVALUES\r(\"a\\\"\r\\\"b\"),\n(\"  \")",
 }
 
-// FuzzLex asserts the lexer never panics and that every token it emits
-// stays inside the input's bounds.
+// FuzzLex asserts the lexer never panics, that every token it emits
+// stays inside the input's bounds, and that normalizing the text (the
+// statement cache's key) changes no token: lex(normalizeQueryText(s))
+// yields the same kinds and texts as lex(s), or both fail.
 func FuzzLex(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		toks, err := lex(src)
+		norm, nerr := lex(normalizeQueryText(src))
+		if (err == nil) != (nerr == nil) {
+			t.Fatalf("lex(%q) err = %v, but lex of its normalized text %q err = %v", src, err, normalizeQueryText(src), nerr)
+		}
 		if err != nil {
 			return
+		}
+		if len(norm) != len(toks) {
+			t.Fatalf("lex(%q) gave %d tokens, its normalized text %q %d", src, len(toks), normalizeQueryText(src), len(norm))
+		}
+		for i := range toks {
+			if toks[i].kind != norm[i].kind || toks[i].text != norm[i].text {
+				t.Fatalf("lex(%q) token %d = %v, normalized %v", src, i, toks[i], norm[i])
+			}
 		}
 		if len(toks) == 0 || toks[len(toks)-1].kind != tokEOF {
 			t.Fatalf("lex(%q): missing EOF token", src)
@@ -75,11 +93,6 @@ func FuzzParse(f *testing.F) {
 		}
 		if second := re.String(); second != first {
 			t.Fatalf("rendering not a fixpoint: %q -> %q", first, second)
-		}
-		// The DML text sniffer must agree with the parser's verdict.
-		_, isMut := stmt.(*Mutation)
-		if isDMLText(src) != isMut && !strings.EqualFold(strings.TrimSpace(src), "") {
-			t.Fatalf("isDMLText(%q) = %v, parser says %v", src, isDMLText(src), isMut)
 		}
 	})
 }

@@ -21,15 +21,18 @@ var (
 	mQueryLatency = obs.Default.Histogram("simq_query_seconds",
 		"Statement execution latency in seconds.", obs.DefBuckets)
 
-	mPlanCacheHit   = obs.Default.Counter(`simq_plan_cache_total{event="hit"}`, "Plan cache lookups that reused a cached decision.")
-	mPlanCacheMiss  = obs.Default.Counter(`simq_plan_cache_total{event="miss"}`, "Plan cache lookups that fell through to the planner.")
-	mPlanCacheEvict = obs.Default.Counter(`simq_plan_cache_total{event="evict"}`, "Plan cache entries evicted by the LRU.")
+	// The statement cache (plancache.go) counts lookups by normalized
+	// text in Engine.Prepare; Result.Stats.PlanCacheHit is a different
+	// event, an execution that reused a memoised planner decision.
+	mPlanCacheHit   = obs.Default.Counter(`simq_plan_cache_total{event="hit"}`, "Statement-text lookups that found a cached prepared statement.")
+	mPlanCacheMiss  = obs.Default.Counter(`simq_plan_cache_total{event="miss"}`, "Statement-text lookups that parsed the statement afresh.")
+	mPlanCacheEvict = obs.Default.Counter(`simq_plan_cache_total{event="evict"}`, "Prepared statements evicted from the statement cache by the LRU.")
 
-	// mReplans counts cached decisions whose operator tree failed to
-	// rebuild (stale shard topology, dropped relation, ...), forcing a
-	// fresh parse-and-plan.
+	// mReplans counts memoised decisions whose operator tree failed to
+	// build (the table was re-registered with another shard layout),
+	// dropped and decided once more.
 	mReplans = obs.Default.Counter("simq_replans_total",
-		"Cached plans invalidated at build time and re-planned.")
+		"Memoised plan decisions that failed to build and were re-planned.")
 
 	// Index traversal totals, accumulated from each operator's ExecStats
 	// as it closes (see execCtx.addStats) — the process-wide view of the

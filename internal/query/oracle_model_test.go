@@ -221,7 +221,7 @@ func (o *oracleDB) matches(where Expr, alias string) ([]modelRow, error) {
 
 // query evaluates a SELECT.
 func (o *oracleDB) query(q *Query) (*modelResult, error) {
-	if len(q.From) != 1 || q.From[0].Name != "words" || hasUnboundParams(q) {
+	if len(q.From) != 1 || q.From[0].Name != "words" || len(q.Params) > 0 {
 		return nil, errUnmodeled
 	}
 	alias := q.From[0].Alias
@@ -274,7 +274,7 @@ func (o *oracleDB) query(q *Query) (*modelResult, error) {
 // mutate applies an INSERT, DELETE or UPDATE with the engine's DML
 // semantics (see oracleDB).
 func (o *oracleDB) mutate(m *Mutation) error {
-	if m.Table != "words" || mutationHasParams(m) {
+	if m.Table != "words" || len(m.Params) > 0 {
 		return errUnmodeled
 	}
 	lit := func(v Operand) (string, error) {

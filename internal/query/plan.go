@@ -28,8 +28,8 @@ import (
 	"repro/internal/relation"
 )
 
-// Planning is split into two phases so prepared queries and the plan
-// cache can skip the expensive half:
+// Planning is split into two phases so a prepared statement can skip
+// the expensive half:
 //
 //   - decide: validate the query and make every cost-based choice
 //     (access path, index structure, join order, parallelism). The
@@ -39,7 +39,8 @@ import (
 //     rebuilds the same tree shape for any binding that shares the
 //     decision's cost inputs (radii, statistics version, parallelism).
 //
-// Engine.plan = decide + build; cached paths call build alone.
+// PreparedQuery.run memoises decide per decision key and calls build on
+// every execution.
 
 // accessKind is the decided access-path family.
 type accessKind int
@@ -84,15 +85,6 @@ type stepChoice struct {
 	probeField FieldRef
 }
 
-// plan compiles a parsed query into an executable operator tree.
-func (e *Engine) plan(q *Query) (*compiledPlan, error) {
-	d, err := e.decide(q)
-	if err != nil {
-		return nil, err
-	}
-	return e.buildPlan(q, d)
-}
-
 // resolveFrom maps the FROM clause to catalog tables (plain or
 // sharded), rejecting unknown names and duplicate aliases.
 func (e *Engine) resolveFrom(q *Query) ([]relation.Table, error) {
@@ -118,9 +110,6 @@ func (e *Engine) resolveFrom(q *Query) ([]relation.Table, error) {
 // decide validates the query and makes every cost-based planning
 // choice. The query must be fully bound (no parameters).
 func (e *Engine) decide(q *Query) (*planDecision, error) {
-	if hasUnboundParams(q) {
-		return nil, fmt.Errorf("query: statement has bind parameters; use Engine.Prepare")
-	}
 	rels, err := e.resolveFrom(q)
 	if err != nil {
 		return nil, err
@@ -222,11 +211,6 @@ func isVecNearest(ne *NearestExpr) bool {
 func (e *Engine) decideNearest(q *Query, ne NearestExpr, tab relation.Table) (*planDecision, error) {
 	if len(q.From) != 1 {
 		return nil, fmt.Errorf("query: NEAREST requires a single relation")
-	}
-	// The parser rejects K <= 0, but hand-built Query values reach this
-	// path through ExecuteQuery.
-	if ne.K <= 0 {
-		return nil, fmt.Errorf("query: NEAREST requires a positive count")
 	}
 	d := &planDecision{kind: accessNearest, shards: shardsOf(tab), slices: 1}
 	if isVecNearest(&ne) {

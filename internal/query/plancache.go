@@ -1,13 +1,15 @@
 package query
 
-// A sharded LRU cache from normalized statement text to (parsed query,
-// planner decision). Engine.Execute consults it before lexing, so a hot
-// statement pays neither the parser nor the cost-based planner. Keys
-// incorporate the catalog statistics version and the rule-set registry
-// version (see Engine.cacheEpoch), so any mutation that could change a
-// costing decision silently invalidates every stale entry. Sharding
-// keeps the serving path scalable: concurrent queries hash to
-// different shards and never contend on one mutex.
+// The statement cache: a sharded LRU from normalized statement text to
+// the one PreparedQuery for that text. Engine.Prepare consults it before
+// lexing, and Engine.Execute is Prepare plus an execution, so ad hoc
+// text, prepared statements and parameterized requests all share one
+// parse per text and one decision memo per statement. The key is the
+// text alone: a statement's decision memo is keyed by decisionKey, which
+// covers the catalog statistics, the rule-set and metric registries and
+// the shard signature, so an engine change re-plans without evicting the
+// statement. Sharding keeps the serving path scalable: concurrent
+// queries hash to different shards and never contend on one mutex.
 
 import (
 	"container/list"
@@ -20,11 +22,12 @@ import (
 // core counts so lock contention stays negligible.
 const planCacheShards = 16
 
-// defaultPlanCacheSize is the default total entry capacity.
+// defaultPlanCacheSize is the default total statement capacity.
 const defaultPlanCacheSize = 512
 
-// CacheStats is a snapshot of plan-cache effectiveness, exposed through
-// Engine.CacheStats and the simqd /stats endpoint.
+// CacheStats is a snapshot of statement-cache effectiveness, exposed
+// through Engine.CacheStats and the simqd /stats endpoint: Hits and
+// Misses count text lookups by Engine.Prepare.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -49,8 +52,7 @@ type planShard struct {
 
 type planEntry struct {
 	key string
-	q   *Query
-	d   *planDecision
+	pq  *PreparedQuery
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -78,15 +80,16 @@ func (c *planCache) shardCapacity() int {
 	return per
 }
 
-// get returns the cached entry and promotes it to most recently used.
-func (c *planCache) get(key string) (*planEntry, bool) {
+// get returns the cached statement and promotes it to most recently
+// used.
+func (c *planCache) get(key string) (*PreparedQuery, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	el, ok := s.items[key]
-	var entry *planEntry
+	var pq *PreparedQuery
 	if ok {
 		s.lru.MoveToFront(el)
-		entry = el.Value.(*planEntry) // read under the lock: put refreshes Value in place
+		pq = el.Value.(*planEntry).pq
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -96,19 +99,20 @@ func (c *planCache) get(key string) (*planEntry, bool) {
 	}
 	c.hits.Add(1)
 	mPlanCacheHit.Inc()
-	return entry, true
+	return pq, true
 }
 
-// put inserts (or refreshes) an entry, evicting the least recently used
-// entry of the shard at capacity.
-func (c *planCache) put(key string, q *Query, d *planDecision) {
+// put caches pq under key, evicting the least recently used entry of the
+// shard at capacity, and returns the cached statement. When a concurrent
+// miss has already cached one, that first statement stays and is
+// returned, so one text has one decision memo.
+func (c *planCache) put(key string, pq *PreparedQuery) *PreparedQuery {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
-		el.Value = &planEntry{key: key, q: q, d: d}
 		s.lru.MoveToFront(el)
-		return
+		return el.Value.(*planEntry).pq
 	}
 	for s.lru.Len() >= c.shardCapacity() {
 		last := s.lru.Back()
@@ -120,7 +124,8 @@ func (c *planCache) put(key string, q *Query, d *planDecision) {
 		c.evicted.Add(1)
 		mPlanCacheEvict.Inc()
 	}
-	s.items[key] = s.lru.PushFront(&planEntry{key: key, q: q, d: d})
+	s.items[key] = s.lru.PushFront(&planEntry{key: key, pq: pq})
+	return pq
 }
 
 // Stats snapshots the counters.

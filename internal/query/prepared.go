@@ -5,9 +5,11 @@ package query
 // the bind-dependent cost inputs (radii, catalog statistics version),
 // so repeated executions skip both the parser and the cost-based
 // planner — binding a value that moves an access path across its
-// selectivity crossover is the only thing that triggers a re-plan. A
-// PreparedQuery is safe for concurrent use: every execution binds into
-// a fresh Query value and builds its own operator tree.
+// selectivity crossover is the only thing that triggers a re-plan.
+// Every statement the engine runs is one: Engine.Execute prepares its
+// text through the statement cache (plancache.go) and runs it without
+// arguments. A PreparedQuery is safe for concurrent use: executions
+// share the template read-only and each builds its own operator tree.
 
 import (
 	"fmt"
@@ -46,11 +48,30 @@ type PreparedStats struct {
 // limit. The cache resets wholesale — decisions are cheap to recompute.
 const maxDecisionCacheEntries = 64
 
-// Prepare parses a statement — SELECT or DML — into a reusable
-// PreparedQuery. Rule sets, relation names and pattern syntax are
-// validated eagerly; bind values are supplied per execution via
-// Execute/ExecuteNamed.
+// Prepare returns the PreparedQuery for a statement — SELECT or DML.
+// Rule sets, relation names and pattern syntax are validated eagerly;
+// bind values are supplied per execution via Execute/ExecuteNamed.
+// Statements are shared per text: texts that normalize alike (see
+// normalizeQueryText) get the same PreparedQuery from the statement
+// cache, with one decision memo and one set of PreparedStats, until the
+// LRU evicts it. With the cache disabled every call parses afresh.
 func (e *Engine) Prepare(src string) (*PreparedQuery, error) {
+	if e.plans == nil {
+		return e.prepare(src)
+	}
+	key := normalizeQueryText(src)
+	if pq, ok := e.plans.get(key); ok {
+		return pq, nil
+	}
+	pq, err := e.prepare(src)
+	if err != nil {
+		return nil, err
+	}
+	return e.plans.put(key, pq), nil
+}
+
+// prepare parses and validates a statement into a fresh PreparedQuery.
+func (e *Engine) prepare(src string) (*PreparedQuery, error) {
 	stmt, err := ParseStatement(src)
 	if err != nil {
 		return nil, err
@@ -78,7 +99,7 @@ func (e *Engine) Prepare(src string) (*PreparedQuery, error) {
 	}, nil
 }
 
-// Text returns the statement the query was prepared from.
+// Text returns the statement the query was first prepared from.
 func (pq *PreparedQuery) Text() string { return pq.src }
 
 // NumParams returns the number of parameters the statement takes:
@@ -174,7 +195,11 @@ func (pq *PreparedQuery) namedLookup(args map[string]any) func(ParamRef) (any, e
 	}
 }
 
-// run binds, plans (or reuses a cached decision) and executes.
+// run binds, plans (or reuses a cached decision) and executes. Only a
+// failure to build the tree from a reused decision (the table's layout
+// changed under it) decides once more; once a tree builds, its
+// execution outcome — runtime errors included — is final, so an
+// erroring statement is never executed twice.
 func (pq *PreparedQuery) run(lookup func(ParamRef) (any, error), explain bool) (*Result, error) {
 	if pq.mut != nil {
 		return pq.runMutation(lookup, explain)
@@ -183,25 +208,28 @@ func (pq *PreparedQuery) run(lookup func(ParamRef) (any, error), explain bool) (
 	if err != nil {
 		return nil, err
 	}
-	q.Explain = q.Explain || explain
-
-	key := pq.eng.decisionKey(q)
-	pq.mu.Lock()
-	d, reused := pq.decisions[key]
-	pq.mu.Unlock()
-	if !reused {
-		if d, err = pq.eng.decide(q); err != nil {
-			return nil, err
-		}
-		pq.mu.Lock()
-		if len(pq.decisions) >= maxDecisionCacheEntries {
-			pq.decisions = make(map[string]*planDecision)
-		}
-		pq.decisions[key] = d
-		pq.mu.Unlock()
+	if explain && !q.Explain {
+		c := *q
+		c.Explain = true
+		q = &c
 	}
 
-	res, err := pq.eng.runDecided(q, d)
+	key := pq.eng.decisionKey(q)
+	d, reused, err := pq.decision(q, key, false)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := pq.eng.buildPlan(q, d)
+	if err != nil && reused {
+		mReplans.Inc()
+		if d, reused, err = pq.decision(q, key, true); err == nil {
+			plan, err = pq.eng.buildPlan(q, d)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	res, err := pq.eng.finishPlan(q, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -217,6 +245,31 @@ func (pq *PreparedQuery) run(lookup func(ParamRef) (any, error), explain bool) (
 	return res, nil
 }
 
+// decision returns the memoised decision for key, or — on a miss, or
+// when replan drops the memoised one — decides and memoises afresh.
+func (pq *PreparedQuery) decision(q *Query, key string, replan bool) (*planDecision, bool, error) {
+	pq.mu.Lock()
+	d, ok := pq.decisions[key]
+	if replan {
+		delete(pq.decisions, key)
+	}
+	pq.mu.Unlock()
+	if ok && !replan {
+		return d, true, nil
+	}
+	d, err := pq.eng.decide(q)
+	if err != nil {
+		return nil, false, err
+	}
+	pq.mu.Lock()
+	if len(pq.decisions) >= maxDecisionCacheEntries {
+		pq.decisions = make(map[string]*planDecision)
+	}
+	pq.decisions[key] = d
+	pq.mu.Unlock()
+	return d, false, nil
+}
+
 // runMutation binds a DML template and executes it. Unlike SELECT there
 // is no decision cache: the read phase of DELETE/UPDATE re-plans
 // against the statistics current at execution (the relation is mutating
@@ -228,7 +281,7 @@ func (pq *PreparedQuery) runMutation(lookup func(ParamRef) (any, error), explain
 		return nil, err
 	}
 	m.Explain = m.Explain || explain
-	res, err := pq.eng.ExecuteMutation(m)
+	res, err := pq.eng.execMutation(m)
 	if err != nil {
 		return nil, err
 	}
@@ -280,35 +333,14 @@ func appendRadii(b *strings.Builder, ex Expr) {
 
 // ------------------------------------------------------------- binding
 
-// hasUnboundParams reports whether any parameter slot is still open.
-func hasUnboundParams(q *Query) bool {
-	if q.LimitParam != nil || len(q.Params) > 0 {
-		return true
-	}
-	return exprHasParams(q.Where)
-}
-
-func exprHasParams(ex Expr) bool {
-	switch ex := ex.(type) {
-	case AndExpr:
-		return exprHasParams(ex.L) || exprHasParams(ex.R)
-	case OrExpr:
-		return exprHasParams(ex.L) || exprHasParams(ex.R)
-	case NotExpr:
-		return exprHasParams(ex.E)
-	case CmpExpr:
-		return ex.L.Param != nil || ex.R.Param != nil
-	case SimExpr:
-		return ex.Target.Param != nil || ex.RadiusParam != nil
-	case NearestExpr:
-		return ex.Target.Param != nil
-	}
-	return false
-}
-
 // bindQuery substitutes every parameter of the template, returning a
-// fresh, fully-bound Query. The template is never mutated.
+// fresh, fully-bound Query, or the template itself when it has no
+// parameters: the build never mutates a query, so concurrent executions
+// share it. The template is never mutated.
 func bindQuery(tmpl *Query, lookup func(ParamRef) (any, error)) (*Query, error) {
+	if len(tmpl.Params) == 0 {
+		return tmpl, nil
+	}
 	q := *tmpl
 	q.Params = nil
 	if tmpl.Where != nil {

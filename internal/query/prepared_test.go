@@ -243,6 +243,130 @@ func TestPlanCacheHitSkipsParse(t *testing.T) {
 	}
 }
 
+// TestPrepareSharesStatementPerText: every statement is one
+// PreparedQuery per normalized text — Prepare hands out the same one for
+// whitespace variants (and Execute runs it), a different one for texts
+// that differ inside a literal, and a fresh one per call with the cache
+// disabled.
+func TestPrepareSharesStatementPerText(t *testing.T) {
+	e := testEngine(t)
+	const stmt = `SELECT seq FROM words WHERE seq SIMILAR TO ? WITHIN 1 USING unit-edits`
+	a, err := e.Prepare(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{
+		"SELECT seq  FROM words\n\tWHERE seq SIMILAR TO ? WITHIN 1 USING unit-edits",
+		"  \r\nSELECT seq FROM words WHERE seq SIMILAR TO ?\tWITHIN 1 USING unit-edits \n",
+	} {
+		b, err := e.Prepare(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b != a {
+			t.Errorf("Prepare(%q) returned a second statement for one normalized text", v)
+		}
+	}
+	one, err := e.Prepare(`SELECT seq FROM words WHERE seq = "a b"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := e.Prepare(`SELECT seq FROM words WHERE seq = "a  b"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one == two {
+		t.Error("texts that differ inside a literal share a statement")
+	}
+	if _, err := a.Execute("color"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Execute(`SELECT seq FROM words WHERE seq = "a b"`); err != nil {
+		t.Fatal(err)
+	}
+	if st := one.Stats(); st.Executions != 1 {
+		t.Errorf("Execute of a prepared text did not run its statement: %+v", st)
+	}
+
+	off := testEngine(t, WithPlanCacheSize(0))
+	x, err := off.Prepare(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if y, err := off.Prepare(stmt); err != nil || y == x {
+		t.Errorf("with the cache disabled Prepare reused a statement (err %v)", err)
+	}
+}
+
+// TestPoisonedDecisionReplans: a memoised decision whose tree no longer
+// builds (here a shard count the plain table does not have, as after a
+// re-registration with another layout) is dropped and decided once more
+// — for ad hoc text and for a prepared statement alike — and each
+// re-plan moves simq_replans_total by one.
+func TestPoisonedDecisionReplans(t *testing.T) {
+	e := testEngine(t)
+	poison := func(pq *PreparedQuery) {
+		t.Helper()
+		pq.mu.Lock()
+		defer pq.mu.Unlock()
+		if len(pq.decisions) != 1 {
+			t.Fatalf("memo holds %d decisions, want 1", len(pq.decisions))
+		}
+		for k, d := range pq.decisions {
+			bad := *d
+			bad.shards = 3
+			pq.decisions[k] = &bad
+		}
+	}
+	const adhoc = `SELECT seq FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING unit-edits`
+	want, err := e.Execute(adhoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := e.Prepare(adhoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison(pq)
+	before := mReplans.Value()
+	res, err := e.Execute(adhoc)
+	if err != nil {
+		t.Fatalf("ad hoc statement over a poisoned decision: %v", err)
+	}
+	if !reflect.DeepEqual(res.Rows, want.Rows) || res.Stats.PlanCacheHit {
+		t.Errorf("ad hoc re-plan: rows %v (want %v), plan cache hit %v", res.Rows, want.Rows, res.Stats.PlanCacheHit)
+	}
+	if n := mReplans.Value() - before; n != 1 {
+		t.Errorf("simq_replans_total moved by %d on the ad hoc re-plan, want 1", n)
+	}
+	if res, err := e.Execute(adhoc); err != nil || !res.Stats.PlanCacheHit {
+		t.Errorf("the re-planned decision was not memoised: err %v", err)
+	}
+
+	prep, err := e.Prepare(`SELECT seq FROM words WHERE seq SIMILAR TO ? WITHIN ? USING unit-edits`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prep.Execute("color", 1); err != nil {
+		t.Fatal(err)
+	}
+	poison(prep)
+	before = mReplans.Value()
+	res, err = prep.Execute("color", 1)
+	if err != nil {
+		t.Fatalf("prepared statement over a poisoned decision: %v", err)
+	}
+	if !reflect.DeepEqual(res.Rows, want.Rows) {
+		t.Errorf("prepared re-plan rows %v, want %v", res.Rows, want.Rows)
+	}
+	if n := mReplans.Value() - before; n != 1 {
+		t.Errorf("simq_replans_total moved by %d on the prepared re-plan, want 1", n)
+	}
+	if st := prep.Stats(); st.Plans != 2 || st.PlanReuses != 0 || st.Executions != 2 {
+		t.Errorf("prepared stats after a re-plan = %+v, want 2 plans, 0 reuses, 2 executions", st)
+	}
+}
+
 // TestPlanCacheLiteralWhitespaceDistinct: normalization must never
 // collapse whitespace inside string literals — two statements that
 // differ only there are different queries and must not share a cache
@@ -400,11 +524,11 @@ func TestPlanCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLRUEviction: a capacity-1 cache must evict.
+// TestPlanCacheLRUEviction: a capacity-1 cache must evict, and a put
+// racing an earlier one for the same text keeps the first statement.
 func TestPlanCacheLRUEviction(t *testing.T) {
 	c := newPlanCache(1)
-	q := &Query{}
-	d := &planDecision{}
+	a, b := &PreparedQuery{}, &PreparedQuery{}
 	// Find two keys in the same shard so the per-shard capacity bites.
 	keyA := "a"
 	keyB := ""
@@ -415,12 +539,17 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 			break
 		}
 	}
-	c.put(keyA, q, d)
-	c.put(keyB, q, d)
+	if got := c.put(keyA, a); got != a {
+		t.Error("put into an empty cache did not return its statement")
+	}
+	if got := c.put(keyA, b); got != a {
+		t.Error("a second put for one text replaced the first statement")
+	}
+	c.put(keyB, b)
 	if _, ok := c.get(keyA); ok {
 		t.Error("LRU entry survived eviction")
 	}
-	if _, ok := c.get(keyB); !ok {
+	if got, ok := c.get(keyB); !ok || got != b {
 		t.Error("fresh entry evicted")
 	}
 	if st := c.Stats(); st.Evictions != 1 {

@@ -132,7 +132,7 @@ func (p *oraclePair) exec(t *testing.T, stmt string, apply func(*oracleDB)) {
 	if err != nil {
 		t.Fatalf("sharded %q: %v", stmt, err)
 	}
-	if isDMLText(stmt) && a.Rows[0][0] != b.Rows[0][0] {
+	if a.Columns[0] == "count" && a.Rows[0][0] != b.Rows[0][0] {
 		t.Fatalf("%q: affected-count diverges: %s vs %s", stmt, a.Rows[0][0], b.Rows[0][0])
 	}
 	if apply != nil {
