@@ -53,9 +53,12 @@
 // The server shuts down gracefully on SIGINT/SIGTERM: listeners close,
 // in-flight requests get a drain window, then the process exits. Each
 // read request runs under a deadline (-timeout, optionally tightened
-// per request); a request that exceeds it gets 504 while its abandoned
-// execution finishes in the background (the engine has no cancellation
-// points — a deliberate trade documented in DESIGN.md). DML requests
+// per request); a request that exceeds it before its first rows are
+// written gets 504 while its abandoned execution finishes in the
+// background (the engine has no cancellation points — a deliberate
+// trade documented in DESIGN.md). /v1/query streams its rows block by
+// block, so a reply that fails after its first block keeps status 200
+// and ends with the error envelope's fields (reply.go). DML requests
 // are exempt: a write runs to completion so the response always tells
 // the truth about whether the commit happened.
 package main
@@ -456,13 +459,22 @@ type request struct {
 	TimeoutMS int            `json:"timeout_ms,omitempty"`
 }
 
+// queryResponse is the /v1/query reply. handleQuery streams it block by
+// block (reply.go) rather than marshalling it; the body is byte for
+// byte json.Marshal's.
 type queryResponse struct {
-	Columns   []string   `json:"columns"`
-	Rows      [][]string `json:"rows"`
-	RowCount  int        `json:"row_count"`
-	Stats     statsBody  `json:"stats"`
-	ElapsedMS float64    `json:"elapsed_ms"`
-	TraceID   string     `json:"trace_id"`
+	Columns []string   `json:"columns"`
+	Rows    [][]string `json:"rows"`
+	Plan    string     `json:"plan,omitempty"` // EXPLAIN ANALYZE only: the executed span tree
+	replyTail
+}
+
+// replyTail is what follows the rows of a completed /v1/query reply.
+type replyTail struct {
+	RowCount  int       `json:"row_count"`
+	Stats     statsBody `json:"stats"`
+	ElapsedMS float64   `json:"elapsed_ms"`
+	TraceID   string    `json:"trace_id"`
 }
 
 type statsBody struct {
@@ -471,6 +483,9 @@ type statsBody struct {
 	PlanCacheHit  bool `json:"plan_cache_hit"`
 }
 
+// handleQuery runs a statement and streams its rows into the reply as
+// the engine produces them (see reply.go for the commit and error
+// rules). elapsed_ms spans the execution and the encoding of every row.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	traceID := s.trace(w)
 	req, ok := s.decode(w, r, traceID)
@@ -478,17 +493,31 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, err := s.execute(r.Context(), req, false)
+	pq, err := s.statement(req)
 	if err != nil {
 		s.fail(w, traceID, err)
 		return
 	}
+	rw := newReplyWriter(w)
+	defer rw.release()
+	res, err := s.execute(r.Context(), pq, req, false, rw)
+	if err != nil {
+		if !rw.committed {
+			s.fail(w, traceID, err)
+			return
+		}
+		_, body := s.failure(traceID, err)
+		rw.fail(body)
+		return
+	}
 	elapsed := time.Since(start)
-	s.maybeLogSlow(traceID, req, res, elapsed)
-	writeJSON(w, http.StatusOK, queryResponse{
-		Columns:  res.Columns,
-		Rows:     res.Rows,
-		RowCount: len(res.Rows),
+	s.maybeLogSlow(traceID, req, res, rw.rows, elapsed)
+	plan := ""
+	if pq.Analyzed() {
+		plan = res.Plan
+	}
+	rw.finish(res.Columns, plan, replyTail{
+		RowCount: rw.rows,
 		Stats: statsBody{
 			Candidates:    res.Stats.Candidates,
 			Verifications: res.Stats.Verifications,
@@ -503,7 +532,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // or over the -slow-query-ms threshold: the statement (or prepared id),
 // its bound parameters, the plan the engine chose, and — when engine
 // tracing is on, which -slow-query-ms implies — the executed span tree.
-func (s *server) maybeLogSlow(traceID string, req *request, res *query.Result, elapsed time.Duration) {
+func (s *server) maybeLogSlow(traceID string, req *request, res *query.Result, rows int, elapsed time.Duration) {
 	if s.slowQueryMS <= 0 || s.slowLog == nil ||
 		elapsed < time.Duration(s.slowQueryMS)*time.Millisecond {
 		return
@@ -527,7 +556,7 @@ func (s *server) maybeLogSlow(traceID string, req *request, res *query.Result, e
 		line["named"] = req.Named
 	}
 	if res != nil {
-		line["rows"] = len(res.Rows)
+		line["rows"] = rows
 		line["plan"] = res.Plan
 		line["plan_cache_hit"] = res.Stats.PlanCacheHit
 		if res.Trace != nil {
@@ -584,7 +613,12 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res, err := s.execute(r.Context(), req, true)
+	pq, err := s.statement(req)
+	if err != nil {
+		s.fail(w, traceID, err)
+		return
+	}
+	res, err := s.execute(r.Context(), pq, req, true, nil)
 	if err != nil {
 		s.fail(w, traceID, err)
 		return
@@ -742,32 +776,53 @@ func (s *server) shardStats() map[string]shardTableStats {
 	return out
 }
 
-// execute runs one request under its deadline: a prepared statement by
+// statement resolves a request's statement: a prepared statement by
 // id, or statement text through the engine's statement cache
-// (Engine.Prepare), bound to the request's params either way. DML
-// requests are exempt from the abandon-on-timeout pattern: a write runs
-// to completion on the request goroutine, so the response always
-// reflects whether the commit happened — answering 504 while a detached
-// goroutine commits anyway would tell the client a durable write failed.
-func (s *server) execute(ctx context.Context, req *request, explain bool) (*query.Result, error) {
-	var pq *query.PreparedQuery
+// (Engine.Prepare).
+func (s *server) statement(req *request) (*query.PreparedQuery, error) {
 	switch {
 	case req.ID != "":
 		s.mu.RLock()
-		pq = s.prepared[req.ID]
+		pq := s.prepared[req.ID]
 		s.mu.RUnlock()
 		if pq == nil {
 			return nil, errBad(fmt.Sprintf("unknown prepared statement %q", req.ID))
 		}
+		return pq, nil
 	case req.Query == "":
 		return nil, errBad("request needs \"query\" or \"id\"")
-	default:
-		var err error
-		if pq, err = s.eng.Prepare(req.Query); err != nil {
-			return nil, err
+	}
+	return s.eng.Prepare(req.Query)
+}
+
+// execute runs a statement bound to the request's params under the
+// request's deadline, streaming its rows into out (nil for an explain,
+// which returns the plan in the Result). DML requests are exempt from
+// the abandon-on-timeout pattern: a write runs to completion on the
+// request goroutine, so the response always reflects whether the
+// commit happened — answering 504 while a detached goroutine commits
+// anyway would tell the client a durable write failed.
+func (s *server) execute(ctx context.Context, pq *query.PreparedQuery, req *request, explain bool, out *replyWriter) (*query.Result, error) {
+	run := func() (*query.Result, error) {
+		switch {
+		case explain:
+			var plan string
+			var err error
+			if len(req.Named) > 0 {
+				plan, err = pq.ExplainNamed(req.Named)
+			} else {
+				plan, err = pq.Explain(req.Params...)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return &query.Result{Plan: plan}, nil
+		case len(req.Named) > 0:
+			return pq.ExecuteNamedTo(out.block, req.Named)
+		default:
+			return pq.ExecuteTo(out.block, req.Params...)
 		}
 	}
-	run := s.preparedRunner(pq, req, explain)
 
 	if pq.IsMutation() && !explain {
 		s.requests.Add(1)
@@ -784,6 +839,9 @@ func (s *server) execute(ctx context.Context, req *request, explain bool) (*quer
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
+	if out != nil {
+		out.ctx = ctx
+	}
 
 	s.requests.Add(1)
 	s.inFlight.Add(1)
@@ -801,32 +859,13 @@ func (s *server) execute(ctx context.Context, req *request, explain bool) (*quer
 	case out := <-done:
 		return out.res, out.err
 	case <-ctx.Done():
-		s.timeouts.Add(1)
-		return nil, errTimeout(ctx.Err())
-	}
-}
-
-// preparedRunner adapts a prepared statement plus request params into a
-// runner closure.
-func (s *server) preparedRunner(pq *query.PreparedQuery, req *request, explain bool) func() (*query.Result, error) {
-	return func() (*query.Result, error) {
-		if explain {
-			var plan string
-			var err error
-			if len(req.Named) > 0 {
-				plan, err = pq.ExplainNamed(req.Named)
-			} else {
-				plan, err = pq.Explain(req.Params...)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return &query.Result{Columns: []string{"plan"}, Rows: [][]string{{plan}}, Plan: plan}, nil
+		if out == nil || out.abandon() {
+			return nil, errTimeout(ctx.Err())
 		}
-		if len(req.Named) > 0 {
-			return pq.ExecuteNamed(req.Named)
-		}
-		return pq.Execute(req.Params...)
+		// The reply is committed and its rows are the run's to write: wait
+		// for the run, which fails with the deadline at its next block.
+		o := <-done
+		return o.res, o.err
 	}
 }
 
@@ -879,6 +918,12 @@ type errorBody struct {
 }
 
 func (s *server) fail(w http.ResponseWriter, traceID string, err error) {
+	status, body := s.failure(traceID, err)
+	writeJSON(w, status, body)
+}
+
+// failure counts a failed request and returns its status and envelope.
+func (s *server) failure(traceID string, err error) (int, errorBody) {
 	s.errors.Add(1)
 	status, code := http.StatusBadRequest, "bad_request"
 	var he httpError
@@ -888,7 +933,10 @@ func (s *server) fail(w http.ResponseWriter, traceID string, err error) {
 			code = he.code
 		}
 	}
-	writeJSON(w, status, errorBody{Error: err.Error(), Code: code, TraceID: traceID})
+	if code == "timeout" {
+		s.timeouts.Add(1)
+	}
+	return status, errorBody{Error: err.Error(), Code: code, TraceID: traceID}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

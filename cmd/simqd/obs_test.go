@@ -120,12 +120,12 @@ func TestMetricsSlowQueryLog(t *testing.T) {
 	}
 	req := &request{Query: `SELECT seq FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING edits`}
 
-	s.maybeLogSlow("tid-under", req, res, 2*time.Millisecond)
+	s.maybeLogSlow("tid-under", req, res, len(res.Rows), 2*time.Millisecond)
 	if buf.Len() != 0 {
 		t.Fatalf("under-threshold query logged: %s", buf.String())
 	}
 
-	s.maybeLogSlow("tid-over", req, res, 12*time.Millisecond)
+	s.maybeLogSlow("tid-over", req, res, len(res.Rows), 12*time.Millisecond)
 	line := buf.String()
 	if !strings.HasSuffix(line, "\n") || strings.Count(line, "\n") != 1 {
 		t.Fatalf("slow log is not one line: %q", line)
@@ -156,7 +156,7 @@ func TestMetricsSlowQueryLog(t *testing.T) {
 	// Threshold disabled: nothing is ever written.
 	buf.Reset()
 	s.slowQueryMS = 0
-	s.maybeLogSlow("tid-off", req, res, time.Second)
+	s.maybeLogSlow("tid-off", req, res, len(res.Rows), time.Second)
 	if buf.Len() != 0 {
 		t.Errorf("slow log written with threshold disabled: %s", buf.String())
 	}

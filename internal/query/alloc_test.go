@@ -114,3 +114,45 @@ func TestRangeProjectAllocsPerBlock(t *testing.T) {
 	}
 	t.Logf("allocations per execution: %v at %d rows, %v at %d", a, small, b, large)
 }
+
+// TestRangeProjectStreamAllocs is TestRangeProjectAllocsPerBlock
+// through ExecuteTo, the path simqd streams replies on: Project reuses
+// its cell array across blocks, the leaf's match list comes from a
+// pool, and no sink keeps the rows, so an execution allocates the same
+// at 512 rows as at 2 048 up to the one string per block that carries
+// the block's formatted numbers.
+func TestRangeProjectStreamAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	allocs := func(rows int) float64 {
+		rel := relation.New("words")
+		for i := 0; i < rows; i++ {
+			rel.Insert("ab"+string(rune('a'+rng.Intn(26)))+string(rune('a'+rng.Intn(26))), nil)
+		}
+		cat := relation.NewCatalog()
+		cat.Add(rel)
+		e := NewEngine(cat)
+		if err := e.RegisterRuleSet(rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz")); err != nil {
+			t.Fatal(err)
+		}
+		pq, err := e.Prepare(`SELECT id, seq, dist FROM words WHERE seq SIMILAR TO ? WITHIN 2 USING unit-edits ORDER BY dist`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		count := func(_ []string, rows [][]string) error { n += len(rows); return nil }
+		if _, err := pq.ExecuteTo(count, "abcd"); err != nil || n != rows {
+			t.Fatalf("%d rows: %d streamed, %v", rows, n, err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := pq.ExecuteTo(count, "abcd"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const small, large = 2 * defaultBatchSize, 8 * defaultBatchSize
+	a, b := allocs(small), allocs(large)
+	if extraBlocks := (large - small) / defaultBatchSize; b-a > float64(extraBlocks) {
+		t.Errorf("streamed allocations grow with rows: %v at %d rows, %v at %d", a, small, b, large)
+	}
+	t.Logf("allocations per streamed execution: %v at %d rows, %v at %d", a, small, b, large)
+}

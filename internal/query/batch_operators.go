@@ -9,15 +9,13 @@ package query
 // join_batch.go, the fan-out in batch_shard.go.)
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
-	"repro/internal/index"
 	"repro/internal/metric"
 	"repro/internal/relation"
 )
@@ -96,14 +94,37 @@ func (o *batchScanOp) childNodes() []BatchOperator { return nil }
 // above such a leaf.
 type matchList struct {
 	stream
-	alias   string
-	size    int
-	order   OrderDir
-	noDist  bool // the row's distance is not the leaf's: emit none (see rangeConjunct)
-	matches []index.Match
-	pos     int
-	buf     *Batch
-	last    ExecStats // retained across Close for span attribution
+	alias  string
+	size   int
+	order  OrderDir
+	noDist bool      // the row's distance is not the leaf's: emit none (see rangeConjunct)
+	found  *matchBuf // the matches, pooled from OpenBatch to CloseBatch
+	pos    int
+	buf    *Batch
+	last   ExecStats // retained across Close for span attribution
+}
+
+// match is one row a leaf admitted: all it keeps of the row until the
+// row is emitted, when the tuple is read from the snapshot.
+type match struct {
+	id   int
+	dist float64
+}
+
+// matchBuf is a leaf's match list. matchPool recycles it across
+// executions, as batchPool does blocks: a wide WITHIN collects
+// thousands of matches per execution.
+type matchBuf struct{ ms []match }
+
+var matchPool = sync.Pool{New: func() any { return new(matchBuf) }}
+
+// open takes the leaf's output block and an empty match list from the
+// pools.
+func (l *matchList) open() {
+	l.pos = 0
+	l.buf = getBatch()
+	l.found = matchPool.Get().(*matchBuf)
+	l.found.ms = l.found.ms[:0]
 }
 
 // record folds the walk's counters into the operator and the query.
@@ -116,16 +137,44 @@ func (l *matchList) record(ctx *execCtx, st ExecStats) {
 func (l *matchList) sortMatches() {
 	switch l.order {
 	case OrderAsc:
-		slices.SortFunc(l.matches, func(a, b index.Match) int {
-			return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+		slices.SortFunc(l.found.ms, func(a, b match) int {
+			if a.dist != b.dist {
+				if a.dist < b.dist {
+					return -1
+				}
+				return 1
+			}
+			return a.id - b.id
 		})
 	case OrderDesc:
-		slices.SortFunc(l.matches, func(a, b index.Match) int {
-			return cmp.Or(cmp.Compare(b.Dist, a.Dist), cmp.Compare(a.ID, b.ID))
+		slices.SortFunc(l.found.ms, func(a, b match) int {
+			if a.dist != b.dist {
+				if a.dist > b.dist {
+					return -1
+				}
+				return 1
+			}
+			return a.id - b.id
 		})
 	default:
-		slices.SortFunc(l.matches, func(a, b index.Match) int { return cmp.Compare(a.ID, b.ID) })
+		slices.SortFunc(l.found.ms, func(a, b match) int { return a.id - b.id })
 	}
+}
+
+// pushBest inserts m into best — kept ascending by (dist, id), the
+// order index.PushBestK keeps — and truncates it to at most k entries.
+func pushBest(best []match, m match, k int) []match {
+	i := len(best)
+	for i > 0 && (best[i-1].dist > m.dist || best[i-1].dist == m.dist && best[i-1].id > m.id) {
+		i--
+	}
+	best = append(best, match{})
+	copy(best[i+1:], best[i:])
+	best[i] = m
+	if len(best) > k {
+		best = best[:k]
+	}
+	return best
 }
 
 // orderNote is the leaf's EXPLAIN suffix when it sorts for an ORDER BY.
@@ -140,27 +189,31 @@ func (l *matchList) orderNote() string {
 }
 
 func (l *matchList) NextBatch() (*Batch, error) {
-	if l.pos >= len(l.matches) {
+	ms := l.found.ms
+	if l.pos >= len(ms) {
 		return nil, nil
 	}
 	b := l.buf
 	b.reset()
 	b.alias = l.alias
-	for b.Len() < l.size && l.pos < len(l.matches) {
-		m := l.matches[l.pos]
+	for b.Len() < l.size && l.pos < len(ms) {
+		m := ms[l.pos]
 		l.pos++
-		t, _ := l.snap.Tuple(m.ID)
+		t, _ := l.snap.Tuple(m.id)
 		if l.noDist {
 			b.appendMatch(t, 0, false)
 		} else {
-			b.appendMatch(t, m.Dist, true)
+			b.appendMatch(t, m.dist, true)
 		}
 	}
 	return b, nil
 }
 
 func (l *matchList) CloseBatch() error {
-	l.matches = l.matches[:0]
+	if l.found != nil {
+		matchPool.Put(l.found)
+		l.found = nil
+	}
 	putBatch(l.buf)
 	l.buf = nil
 	return nil
@@ -186,18 +239,17 @@ type batchIndexRangeOp struct {
 }
 
 func (o *batchIndexRangeOp) OpenBatch() error {
-	o.pos = 0
-	o.buf = getBatch()
+	o.open()
 	w, err := o.ctx.eng.bandWalk(o.ruleSet, o.target)
 	if err != nil {
 		return err
 	}
 	w.setBound(o.radius)
-	ms := o.matches[:0]
+	ms := o.found.ms
 	st := w.walk(o.snap, covers(w.calc, o.snap), func(row *relation.Row, d float64) {
-		ms = append(ms, index.Match{ID: row.ID, S: row.Seq, Dist: d})
+		ms = append(ms, match{id: row.ID, dist: d})
 	})
-	o.matches = ms
+	o.found.ms = ms
 	o.sortMatches()
 	o.record(o.ctx, st)
 	return nil
@@ -225,20 +277,19 @@ type batchNearestKOp struct {
 }
 
 func (o *batchNearestKOp) OpenBatch() error {
-	o.pos = 0
-	o.buf = getBatch()
+	o.open()
 	w, err := o.ctx.eng.bandWalk(o.ruleSet, o.target)
 	if err != nil {
 		return err
 	}
-	best := o.matches[:0]
+	best := o.found.ms
 	st := w.walk(o.snap, covers(w.calc, o.snap), func(row *relation.Row, d float64) {
-		best = index.PushBestK(best, index.Match{ID: row.ID, S: row.Seq, Dist: d}, o.k)
+		best = pushBest(best, match{id: row.ID, dist: d}, o.k)
 		if len(best) == o.k {
-			w.setBound(best[o.k-1].Dist)
+			w.setBound(best[o.k-1].dist)
 		}
 	})
-	o.matches = best
+	o.found.ms = best
 	if o.order == OrderDesc { // the best list is already (dist, id)
 		o.sortMatches()
 	}
@@ -346,17 +397,20 @@ func (o *batchFilterOp) childNodes() []BatchOperator { return []BatchOperator{o.
 
 // ------------------------------------------------------------- project
 
-// batchProjectOp materialises the output rows of each block with two
-// allocations per block, not one per cell: every row is a slice of one
-// backing array of cells, and every number (ids, distances) is appended
-// to one byte buffer that becomes a single string the cells slice.
-// Strings the tuples already hold (seq, attributes) are shared as is.
+// batchProjectOp materialises the output rows of each block with one
+// allocation per block, not one per cell: every row is a slice of one
+// array of cells, which the operator reuses for its next block (a
+// RowSink copies the slices it keeps), and every number (ids,
+// distances) is appended to one byte buffer that becomes a single
+// string the cells slice. Strings the tuples already hold (seq,
+// attributes) are shared as is.
 type batchProjectOp struct {
 	q     *Query
 	child BatchOperator
 	alias string
 
 	scratch binding
+	cells   []string  // the block's cells, row after row
 	num     []byte    // the block's formatted numbers, back to back
 	ends    []numCell // which cell each number of num fills
 }
@@ -377,7 +431,10 @@ func (o *batchProjectOp) NextBatch() (*Batch, error) {
 		w = 2*len(o.q.From) + 1
 	}
 	n := b.Len()
-	cells := make([]string, n*w)
+	if cap(o.cells) < n*w {
+		o.cells = make([]string, n*w)
+	}
+	cells := o.cells[:n*w]
 	if cap(o.ends) < n*w {
 		// Room for a number in every cell, most of them short: the
 		// buffers are sized once per operator instead of grown by
@@ -421,6 +478,8 @@ func (o *batchProjectOp) project(cells []string, at int, b *binding) error {
 		}
 		if b.hasDist {
 			o.number(at+2*len(o.q.From), appendDist(o.num, b.dist))
+		} else {
+			cells[at+2*len(o.q.From)] = ""
 		}
 		return nil
 	}
@@ -506,11 +565,11 @@ func (o *batchLimitOp) childNodes() []BatchOperator { return []BatchOperator{o.c
 // ------------------------------------------------------- order by dist
 
 // batchOrderByDistOp is the blocking sort on the row distance: it
-// drains the child into column buffers of its own, stably sorts a row
-// permutation (rows without a distance sort last; ties keep the child's
-// deterministic order) and re-emits blocks in sorted order. The planner
-// builds it only where the access path does not sort for the ORDER BY
-// itself (see matchList).
+// drains the child into column buffers of its own, stably sorts the
+// rows' precomputed keys (rows without a distance sort last; ties keep
+// the child's deterministic order) and re-emits blocks in sorted
+// order. The planner builds it only where the access path does not
+// sort for the ORDER BY itself (see matchList).
 type batchOrderByDistOp struct {
 	child BatchOperator
 	desc  bool
@@ -524,15 +583,22 @@ type batchOrderByDistOp struct {
 	has   []bool
 	binds []*binding
 
-	perm []int
+	keys []sortKey // the rows in emission order
 	pos  int
 	out  *Batch
+}
+
+// sortKey is one row of an OrderByDist: its sort key and its index in
+// the drained buffers.
+type sortKey struct {
+	d float64
+	i int
 }
 
 func (o *batchOrderByDistOp) OpenBatch() error {
 	o.ids, o.seqs, o.vecs, o.attrs = o.ids[:0], o.seqs[:0], o.vecs[:0], o.attrs[:0]
 	o.dist, o.has, o.binds = o.dist[:0], o.has[:0], nil
-	o.perm, o.pos = o.perm[:0], 0
+	o.keys, o.pos = o.keys[:0], 0
 	o.out = getBatch()
 	if err := o.child.OpenBatch(); err != nil {
 		return err
@@ -560,7 +626,7 @@ func (o *batchOrderByDistOp) OpenBatch() error {
 	if o.binds != nil {
 		n = len(o.binds)
 	}
-	key := func(i int) float64 {
+	for i := 0; i < n; i++ {
 		var d float64
 		var h bool
 		if o.binds != nil {
@@ -568,45 +634,47 @@ func (o *batchOrderByDistOp) OpenBatch() error {
 		} else {
 			d, h = o.dist[i], o.has[i]
 		}
-		if !h {
-			// Dist-less rows sort last in either direction.
-			if o.desc {
-				return math.Inf(-1)
-			}
-			return math.Inf(1)
+		switch {
+		case h:
+		case o.desc: // dist-less rows sort last in either direction
+			d = math.Inf(-1)
+		default:
+			d = math.Inf(1)
 		}
-		return d
+		o.keys = append(o.keys, sortKey{d: d, i: i})
 	}
-	o.perm = o.perm[:0]
-	for i := 0; i < n; i++ {
-		o.perm = append(o.perm, i)
-	}
-	sort.SliceStable(o.perm, func(i, j int) bool {
+	slices.SortStableFunc(o.keys, func(a, b sortKey) int {
 		if o.desc {
-			return key(o.perm[i]) > key(o.perm[j])
+			a, b = b, a
 		}
-		return key(o.perm[i]) < key(o.perm[j])
+		switch {
+		case a.d < b.d:
+			return -1
+		case a.d > b.d:
+			return 1
+		}
+		return 0
 	})
 	return nil
 }
 
 func (o *batchOrderByDistOp) NextBatch() (*Batch, error) {
-	if o.pos >= len(o.perm) {
+	if o.pos >= len(o.keys) {
 		return nil, nil
 	}
 	b := o.out
 	b.reset()
 	if o.binds != nil {
 		binds := b.binds[:0]
-		for b2 := 0; b2 < o.size && o.pos < len(o.perm); b2++ {
-			binds = append(binds, o.binds[o.perm[o.pos]])
+		for b2 := 0; b2 < o.size && o.pos < len(o.keys); b2++ {
+			binds = append(binds, o.binds[o.keys[o.pos].i])
 			o.pos++
 		}
 		b.binds = binds
 		return b, nil
 	}
-	for b.Len() < o.size && o.pos < len(o.perm) {
-		i := o.perm[o.pos]
+	for b.Len() < o.size && o.pos < len(o.keys) {
+		i := o.keys[o.pos].i
 		o.pos++
 		b.Block.Append(o.ids[i], o.seqs[i], o.vecs[i], o.attrs[i])
 		b.dist = append(b.dist, o.dist[i])
@@ -617,7 +685,7 @@ func (o *batchOrderByDistOp) NextBatch() (*Batch, error) {
 
 func (o *batchOrderByDistOp) CloseBatch() error {
 	o.ids, o.seqs, o.vecs, o.attrs = nil, nil, nil, nil
-	o.dist, o.has, o.binds, o.perm = nil, nil, nil, nil
+	o.dist, o.has, o.binds, o.keys = nil, nil, nil, nil
 	putBatch(o.out)
 	o.out = nil
 	return o.child.CloseBatch()

@@ -377,7 +377,8 @@ func TestNearestModelCases(t *testing.T) {
 			before.rows = append([]oracleRow(nil), p.model.rows...)
 			p.exec(t, `INSERT INTO words (seq, tag) VALUES ("hhhh", "a")`)
 			for _, plan := range plans {
-				res, err := plan.run()
+				var c collector
+				res, err := c.result(plan.run(c.add))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -81,8 +81,17 @@ func (e *Engine) compilePred(ex Expr, alias string) predFn {
 			return !v, nil
 		}
 	case CmpExpr:
-		l, r := compileOperand(ex.L, alias), compileOperand(ex.R, alias)
 		neq := ex.Neq
+		if isIDField(ex.L) && isIDField(ex.R) {
+			// Both sides read the one row's id (see evalExpr): equal,
+			// unless an operand names a foreign alias.
+			err := aliasErr(ex.L.Field, alias)
+			if err == nil {
+				err = aliasErr(ex.R.Field, alias)
+			}
+			return func(*relation.Tuple, *float64, *bool) (bool, error) { return err == nil && !neq, err }
+		}
+		l, r := compileOperand(ex.L, alias), compileOperand(ex.R, alias)
 		return func(t *relation.Tuple, dist *float64, has *bool) (bool, error) {
 			lv, err := l(t, dist, has)
 			if err != nil {
@@ -361,10 +370,18 @@ func compileField(f FieldRef, alias string) valFn {
 			return formatDist(*dist), nil
 		}
 	}
-	if f.Table != "" && f.Table != alias {
-		err := fmt.Errorf("query: unknown alias %q", f.Table)
+	if err := aliasErr(f, alias); err != nil {
 		return func(*relation.Tuple, *float64, *bool) (string, error) { return "", err }
 	}
 	name := f.Name
 	return func(t *relation.Tuple, _ *float64, _ *bool) (string, error) { return t.Attr(name), nil }
+}
+
+// aliasErr is fieldTuple's error for a field of a single-alias row: a
+// foreign alias is unknown.
+func aliasErr(f FieldRef, alias string) error {
+	if f.Table != "" && f.Table != alias {
+		return fmt.Errorf("query: unknown alias %q", f.Table)
+	}
+	return nil
 }

@@ -243,9 +243,11 @@ func unitCost(rs *rewrite.RuleSet) bool {
 // Result is the outcome of a query.
 type Result struct {
 	Columns []string
-	Rows    [][]string
-	Plan    string    // rendered operator tree; the whole payload for EXPLAIN
-	Stats   ExecStats // work counters from the access paths
+	// Rows holds every row when the statement ran through Execute; an
+	// execution into a RowSink (ExecuteTo) leaves it nil.
+	Rows  [][]string
+	Plan  string    // rendered operator tree; the whole payload for EXPLAIN
+	Stats ExecStats // work counters from the access paths
 	// Trace is the per-operator runtime span tree; non-nil only when the
 	// execution was traced (EXPLAIN ANALYZE, or SetTracing(true)).
 	Trace *obs.Span
@@ -332,20 +334,19 @@ func (e *Engine) Execute(src string) (*Result, error) {
 	return pq.Execute()
 }
 
-// finishPlan drives a built plan to completion, or renders it for
-// EXPLAIN. EXPLAIN ANALYZE takes the execution path: the statement runs
-// to completion with tracing on, the result rows are exactly the plain
+// finishPlan drives a built plan to completion into sink, or renders it
+// for EXPLAIN. EXPLAIN ANALYZE takes the execution path: the statement
+// runs to completion with tracing on, the rows are exactly the plain
 // statement's (the analyze oracle pins that), and Plan carries the span
 // tree rendered with actuals instead of the static tree.
-func (e *Engine) finishPlan(q *Query, plan *compiledPlan) (*Result, error) {
+func (e *Engine) finishPlan(q *Query, plan *compiledPlan, sink RowSink) (*Result, error) {
 	if q.Explain && !q.Analyze {
-		tree := plan.describe()
-		return &Result{Columns: []string{"plan"}, Rows: [][]string{{tree}}, Plan: tree}, nil
+		return explainResult(plan.describe(), sink)
 	}
 	mQueriesTotal.Inc()
 	kernelDispatch(plan.kernel)
 	start := time.Now()
-	res, err := plan.run()
+	res, err := plan.run(sink)
 	mQueryLatency.Observe(time.Since(start).Seconds())
 	if err != nil {
 		return nil, err
@@ -355,6 +356,20 @@ func (e *Engine) finishPlan(q *Query, plan *compiledPlan) (*Result, error) {
 		if q.Analyze && res.Trace != nil {
 			res.Plan = res.Trace.Render()
 		}
+	}
+	return res, nil
+}
+
+// explainResult sends an EXPLAIN's one-row, one-column result — the
+// rendered tree — through sink.
+func explainResult(tree string, sink RowSink) (*Result, error) {
+	return singleRow(&Result{Columns: []string{"plan"}, Plan: tree}, tree, sink)
+}
+
+// singleRow sends the one-cell row of a one-column result through sink.
+func singleRow(res *Result, cell string, sink RowSink) (*Result, error) {
+	if err := sink(res.Columns, [][]string{{cell}}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -487,6 +502,20 @@ func (e *Engine) evalExpr(ex Expr, b *binding) (bool, error) {
 		}
 		return !v, nil
 	case CmpExpr:
+		if isIDField(ex.L) && isIDField(ex.R) {
+			// Ids compare as integers: the same verdict as their decimal
+			// strings, without formatting both per row (a join residual
+			// a.id != b.id runs once per joined pair).
+			l, err := fieldTuple(ex.L.Field, b)
+			if err != nil {
+				return false, err
+			}
+			r, err := fieldTuple(ex.R.Field, b)
+			if err != nil {
+				return false, err
+			}
+			return (l.ID == r.ID) != ex.Neq, nil
+		}
 		l, err := operandValue(ex.L, b)
 		if err != nil {
 			return false, err
@@ -635,6 +664,9 @@ func (e *Engine) patternWithin(x, patSrc, ruleset string, radius float64) (float
 	d, ok := patdist.Within(c, x, p, radius)
 	return d, ok, nil
 }
+
+// isIDField reports whether an operand reads a row's id.
+func isIDField(o Operand) bool { return !o.IsLit && o.Field.Name == "id" }
 
 func operandValue(o Operand, b *binding) (string, error) {
 	if o.IsLit {

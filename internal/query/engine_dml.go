@@ -36,16 +36,17 @@ func (e *Engine) storeRef() *storage.Store {
 	return e.store
 }
 
-// execMutation runs a bound DML statement.
-func (e *Engine) execMutation(m *Mutation) (*Result, error) {
+// execMutation runs a bound DML statement and sends its one-row result
+// — the count of rows applied, or the EXPLAIN tree — through sink.
+func (e *Engine) execMutation(m *Mutation, sink RowSink) (*Result, error) {
 	if _, ok := e.catalog.Lookup(m.Table); !ok {
 		return nil, fmt.Errorf("query: unknown relation %q", m.Table)
 	}
 	switch m.Kind {
 	case MutInsert:
-		return e.execInsert(m)
+		return e.execInsert(m, sink)
 	case MutDelete, MutUpdate:
-		return e.execDeleteOrUpdate(m)
+		return e.execDeleteOrUpdate(m, sink)
 	default:
 		return nil, fmt.Errorf("query: unknown mutation kind %d", m.Kind)
 	}
@@ -54,7 +55,7 @@ func (e *Engine) execMutation(m *Mutation) (*Result, error) {
 // execInsert builds one op per VALUES row and commits the batch. A row
 // may carry a seq, a vec, or both — vector-only relations insert rows
 // with an empty sequence.
-func (e *Engine) execInsert(m *Mutation) (*Result, error) {
+func (e *Engine) execInsert(m *Mutation, sink RowSink) (*Result, error) {
 	seqCol, vecCol := -1, -1
 	for i, c := range m.Columns {
 		switch c {
@@ -98,19 +99,19 @@ func (e *Engine) execInsert(m *Mutation) (*Result, error) {
 	}
 	root := fmt.Sprintf("Mutate(insert %d rows into %s)", len(ops), m.Table)
 	if m.Explain {
-		return mutationExplain(root, ""), nil
+		return explainResult(root, sink)
 	}
 	applied, err := e.applyOps(ops)
 	if err != nil {
 		return nil, err
 	}
-	return mutationResult(applied, ExecStats{}, root), nil
+	return mutationResult(applied, ExecStats{}, root, sink)
 }
 
 // execDeleteOrUpdate plans the WHERE clause as an internal SELECT id
 // query, collects the matching ids from a snapshot, and commits the
 // write batch.
-func (e *Engine) execDeleteOrUpdate(m *Mutation) (*Result, error) {
+func (e *Engine) execDeleteOrUpdate(m *Mutation, sink RowSink) (*Result, error) {
 	iq := &Query{
 		Select: []Column{{Name: "id"}},
 		From:   []TableRef{{Name: m.Table, Alias: m.Table}},
@@ -130,7 +131,7 @@ func (e *Engine) execDeleteOrUpdate(m *Mutation) (*Result, error) {
 	}
 	root := fmt.Sprintf("Mutate(%s %s)", verb, m.Table)
 	if m.Explain {
-		return mutationExplain(root, plan.describe()), nil
+		return explainResult(mutationTree(root, plan.describe()), sink)
 	}
 	ids, stats, err := collectIDs(plan, m.Table)
 	if err != nil {
@@ -203,7 +204,7 @@ func (e *Engine) execDeleteOrUpdate(m *Mutation) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mutationResult(applied, stats, mutationExplain(root, plan.describe()).Plan), nil
+	return mutationResult(applied, stats, mutationTree(root, plan.describe()), sink)
 }
 
 // vecValue resolves a vec-column DML value: a vector literal directly,
@@ -270,28 +271,21 @@ func (e *Engine) applyOps(ops []storage.Op) (int, error) {
 	return res.Applied, err
 }
 
-// mutationResult is the uniform DML result: a one-row count relation
-// plus the read-phase work counters and the executed plan tree.
-func mutationResult(count int, stats ExecStats, plan string) *Result {
-	return &Result{
-		Columns: []string{"count"},
-		Rows:    [][]string{{strconv.Itoa(count)}},
-		Stats:   stats,
-		Plan:    plan,
-	}
+// mutationResult is the uniform DML result: a one-row count relation,
+// sent through sink, plus the read-phase work counters and the executed
+// plan tree.
+func mutationResult(count int, stats ExecStats, plan string, sink RowSink) (*Result, error) {
+	return singleRow(&Result{Columns: []string{"count"}, Stats: stats, Plan: plan}, strconv.Itoa(count), sink)
 }
 
-// mutationExplain renders a Mutate root over the (optional) read plan.
-func mutationExplain(root, readPlan string) *Result {
-	tree := root
-	if readPlan != "" {
-		lines := strings.Split(readPlan, "\n")
-		tree += "\n└─ " + lines[0]
-		for _, l := range lines[1:] {
-			tree += "\n   " + l
-		}
+// mutationTree renders a Mutate root over its read plan.
+func mutationTree(root, readPlan string) string {
+	lines := strings.Split(readPlan, "\n")
+	tree := root + "\n└─ " + lines[0]
+	for _, l := range lines[1:] {
+		tree += "\n   " + l
 	}
-	return &Result{Columns: []string{"plan"}, Rows: [][]string{{tree}}, Plan: tree}
+	return tree
 }
 
 // IsMutation reports whether the prepared statement is DML. Servers

@@ -86,9 +86,49 @@ type compiledPlan struct {
 // describe renders the operator tree for EXPLAIN and Result.Plan.
 func (p *compiledPlan) describe() string { return renderTree(p.root) }
 
-// run drives the operator tree to completion, appending each block's
-// projected rows to the result.
-func (p *compiledPlan) run() (*Result, error) {
+// RowSink receives a statement's rows one block at a time, in order,
+// with the result header. The producer reuses the rows slice and every
+// row's cell array for its next block, so both are valid only during
+// the call; the cell strings are immutable and may be kept. A non-nil
+// error stops the execution, which returns that error.
+type RowSink func(columns []string, rows [][]string) error
+
+// discardRows is the sink of an execution whose rows nobody reads.
+func discardRows([]string, [][]string) error { return nil }
+
+// collector is the sink behind Execute: it keeps every row, copying
+// each block's row and cell slices (not the strings) before the
+// producer reuses them.
+type collector struct{ rows [][]string }
+
+func (c *collector) add(_ []string, rows [][]string) error {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	cells := make([]string, 0, n)
+	for _, r := range rows {
+		at := len(cells)
+		cells = append(cells, r...)
+		c.rows = append(c.rows, cells[at:len(cells):len(cells)])
+	}
+	return nil
+}
+
+// result completes an execution into c: the rows it collected become
+// the Result's.
+func (c *collector) result(res *Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = c.rows
+	return res, nil
+}
+
+// run drives the operator tree to completion, handing each block's
+// projected rows to sink. The result carries the header, the plan and
+// the work counters; its Rows are left to the sink.
+func (p *compiledPlan) run(sink RowSink) (*Result, error) {
 	res := &Result{Columns: p.columns, Plan: p.describe()}
 	if err := p.root.OpenBatch(); err != nil {
 		p.root.CloseBatch()
@@ -96,6 +136,9 @@ func (p *compiledPlan) run() (*Result, error) {
 	}
 	for {
 		b, err := p.root.NextBatch()
+		if err == nil && b != nil && len(b.rows) > 0 {
+			err = sink(p.columns, b.rows)
+		}
 		if err != nil {
 			p.root.CloseBatch()
 			return nil, err
@@ -103,7 +146,6 @@ func (p *compiledPlan) run() (*Result, error) {
 		if b == nil {
 			break
 		}
-		res.Rows = append(res.Rows, b.rows...)
 	}
 	if err := p.root.CloseBatch(); err != nil {
 		return nil, err

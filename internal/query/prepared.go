@@ -141,20 +141,35 @@ func (pq *PreparedQuery) Stats() PreparedStats {
 	return pq.stats
 }
 
-// Execute binds positional arguments and runs the statement.
+// Execute binds positional arguments, runs the statement and collects
+// its rows into Result.Rows.
 func (pq *PreparedQuery) Execute(args ...any) (*Result, error) {
-	return pq.run(pq.positionalLookup(args), false)
+	var c collector
+	return c.result(pq.ExecuteTo(c.add, args...))
 }
 
-// ExecuteNamed binds named arguments and runs the statement.
+// ExecuteNamed is Execute with named arguments.
 func (pq *PreparedQuery) ExecuteNamed(args map[string]any) (*Result, error) {
-	return pq.run(pq.namedLookup(args), false)
+	var c collector
+	return c.result(pq.ExecuteNamedTo(c.add, args))
+}
+
+// ExecuteTo binds positional arguments and runs the statement, handing
+// its rows to sink one block at a time as the plan produces them; the
+// returned Result carries everything but the rows.
+func (pq *PreparedQuery) ExecuteTo(sink RowSink, args ...any) (*Result, error) {
+	return pq.run(pq.positionalLookup(args), false, sink)
+}
+
+// ExecuteNamedTo is ExecuteTo with named arguments.
+func (pq *PreparedQuery) ExecuteNamedTo(sink RowSink, args map[string]any) (*Result, error) {
+	return pq.run(pq.namedLookup(args), false, sink)
 }
 
 // Explain binds positional arguments and returns the plan the engine
 // would execute, without running it.
 func (pq *PreparedQuery) Explain(args ...any) (string, error) {
-	res, err := pq.run(pq.positionalLookup(args), true)
+	res, err := pq.run(pq.positionalLookup(args), true, discardRows)
 	if err != nil {
 		return "", err
 	}
@@ -163,12 +178,16 @@ func (pq *PreparedQuery) Explain(args ...any) (string, error) {
 
 // ExplainNamed is Explain with named arguments.
 func (pq *PreparedQuery) ExplainNamed(args map[string]any) (string, error) {
-	res, err := pq.run(pq.namedLookup(args), true)
+	res, err := pq.run(pq.namedLookup(args), true, discardRows)
 	if err != nil {
 		return "", err
 	}
 	return res.Plan, nil
 }
+
+// Analyzed reports whether the statement is an EXPLAIN ANALYZE, whose
+// Result.Plan is the executed span tree rather than the static plan.
+func (pq *PreparedQuery) Analyzed() bool { return pq.tmpl != nil && pq.tmpl.Analyze }
 
 func (pq *PreparedQuery) positionalLookup(args []any) func(ParamRef) (any, error) {
 	return func(p ParamRef) (any, error) {
@@ -200,9 +219,9 @@ func (pq *PreparedQuery) namedLookup(args map[string]any) func(ParamRef) (any, e
 // changed under it) decides once more; once a tree builds, its
 // execution outcome — runtime errors included — is final, so an
 // erroring statement is never executed twice.
-func (pq *PreparedQuery) run(lookup func(ParamRef) (any, error), explain bool) (*Result, error) {
+func (pq *PreparedQuery) run(lookup func(ParamRef) (any, error), explain bool, sink RowSink) (*Result, error) {
 	if pq.mut != nil {
-		return pq.runMutation(lookup, explain)
+		return pq.runMutation(lookup, explain, sink)
 	}
 	q, err := bindQuery(pq.tmpl, lookup)
 	if err != nil {
@@ -229,7 +248,7 @@ func (pq *PreparedQuery) run(lookup func(ParamRef) (any, error), explain bool) (
 	if err != nil {
 		return nil, err
 	}
-	res, err := pq.eng.finishPlan(q, plan)
+	res, err := pq.eng.finishPlan(q, plan, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -275,13 +294,13 @@ func (pq *PreparedQuery) decision(q *Query, key string, replan bool) (*planDecis
 // against the statistics current at execution (the relation is mutating
 // under this very statement, so memoised decisions would go stale
 // immediately).
-func (pq *PreparedQuery) runMutation(lookup func(ParamRef) (any, error), explain bool) (*Result, error) {
+func (pq *PreparedQuery) runMutation(lookup func(ParamRef) (any, error), explain bool, sink RowSink) (*Result, error) {
 	m, err := bindMutation(pq.mut, lookup)
 	if err != nil {
 		return nil, err
 	}
 	m.Explain = m.Explain || explain
-	res, err := pq.eng.execMutation(m)
+	res, err := pq.eng.execMutation(m, sink)
 	if err != nil {
 		return nil, err
 	}

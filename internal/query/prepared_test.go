@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -713,5 +714,52 @@ func TestBindQueryDoesNotMutateTemplate(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0] != "velour" {
 		t.Errorf("rebind rows = %v, want velour only", res.Rows)
+	}
+}
+
+// TestExecuteToStreamsBlocks: ExecuteTo hands the rows to its sink one
+// block at a time, in Execute's order, and leaves Result.Rows to the
+// sink; a sink error stops the execution at that block and is what
+// ExecuteTo returns.
+func TestExecuteToStreamsBlocks(t *testing.T) {
+	e := testEngine(t, WithBatchSize(2))
+	pq, err := e.Prepare(`SELECT id, seq, dist FROM words WHERE seq SIMILAR TO ? WITHIN 3 USING unit-edits ORDER BY dist`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pq.Execute("color")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks int
+	var got [][]string
+	res, err := pq.ExecuteTo(func(cols []string, rows [][]string) error {
+		if !reflect.DeepEqual(cols, want.Columns) || len(rows) == 0 || len(rows) > 2 {
+			t.Fatalf("block %d: columns %v, %d rows", blocks, cols, len(rows))
+		}
+		blocks++
+		for _, r := range rows {
+			got = append(got, append([]string(nil), r...))
+		}
+		return nil
+	}, "color")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows != nil || !reflect.DeepEqual(got, want.Rows) || blocks != (len(want.Rows)+1)/2 {
+		t.Fatalf("streamed %d blocks %v (Result.Rows %v), Execute %v", blocks, got, res.Rows, want.Rows)
+	}
+
+	stop := fmt.Errorf("sink full")
+	calls := 0
+	_, err = pq.ExecuteTo(func([]string, [][]string) error {
+		calls++
+		if calls == 2 {
+			return stop
+		}
+		return nil
+	}, "color")
+	if !errors.Is(err, stop) || calls != 2 {
+		t.Fatalf("sink error: ExecuteTo returned %v after %d calls, want %v after 2", err, calls, stop)
 	}
 }

@@ -21,6 +21,13 @@ import (
 	"repro/internal/relation"
 )
 
+// keep appends a VP-tree search's answers to the leaf's match list.
+func (l *matchList) keep(ms []index.Match) {
+	for _, m := range ms {
+		l.found.ms = append(l.found.ms, match{id: m.ID, dist: m.Dist})
+	}
+}
+
 // --------------------------------------------------------- nearest-k
 
 // batchVecNearestKOp answers "vec NEAREST k TO [..]". The vptree
@@ -43,8 +50,7 @@ type batchVecNearestKOp struct {
 }
 
 func (o *batchVecNearestKOp) OpenBatch() error {
-	o.pos = 0
-	o.buf = getBatch()
+	o.open()
 	m, ok := metric.Lookup(o.metricName)
 	if !ok {
 		return fmt.Errorf("query: unknown metric %q", o.metricName)
@@ -54,8 +60,9 @@ func (o *batchVecNearestKOp) OpenBatch() error {
 		// The shared tree may hold tombstoned or post-snapshot entries;
 		// the visibility filter keeps them out of the best list without
 		// losing true answers.
-		ms, ist := o.snap.VPTree(m).NearestKFilterStatsInto(o.matches[:0], o.target, o.k, o.snap.Visible)
-		o.matches, st = ms, fromIndexStats(ist)
+		best, ist := o.snap.VPTree(m).NearestKFilterStats(o.target, o.k, o.snap.Visible)
+		o.keep(best)
+		st = fromIndexStats(ist)
 	} else {
 		st = o.scan(m)
 	}
@@ -70,7 +77,7 @@ func (o *batchVecNearestKOp) OpenBatch() error {
 // scan folds every visible vector of the snapshot into the best list.
 func (o *batchVecNearestKOp) scan(m metric.Distance) ExecStats {
 	var st ExecStats
-	best := o.matches[:0]
+	best := o.found.ms
 	cur := o.snap.Shard(0, 1)
 	for {
 		n := cur.NextBlock(&o.blk, o.size)
@@ -92,12 +99,12 @@ func (o *batchVecNearestKOp) scan(m metric.Distance) ExecStats {
 			}
 			st.Verifications++
 			d := out[i]
-			if len(best) < o.k || d <= best[len(best)-1].Dist {
-				best = index.PushBestK(best, index.Match{ID: o.blk.IDs[i], Dist: d}, o.k)
+			if len(best) < o.k || d <= best[len(best)-1].dist {
+				best = pushBest(best, match{id: o.blk.IDs[i], dist: d}, o.k)
 			}
 		}
 	}
-	o.matches = best
+	o.found.ms = best
 	return st
 }
 
@@ -124,14 +131,13 @@ type batchVecRangeOp struct {
 }
 
 func (o *batchVecRangeOp) OpenBatch() error {
-	o.pos = 0
-	o.buf = getBatch()
+	o.open()
 	m, ok := metric.Lookup(o.metricName)
 	if !ok {
 		return fmt.Errorf("query: unknown metric %q", o.metricName)
 	}
 	ms, st := o.snap.VPTree(m).RangeStats(o.target, o.radius)
-	o.matches = slices.DeleteFunc(ms, func(m index.Match) bool { return !o.snap.Visible(m.ID) })
+	o.keep(slices.DeleteFunc(ms, func(m index.Match) bool { return !o.snap.Visible(m.ID) }))
 	o.sortMatches()
 	o.record(o.ctx, fromIndexStats(st))
 	return nil
