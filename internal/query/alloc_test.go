@@ -69,6 +69,55 @@ func TestIndexJoinAllocsFlatInOuterRows(t *testing.T) {
 	t.Logf("allocations per execution: %v at 100 outer rows, %v at 400", small, large)
 }
 
+// TestJoinEmitAllocsPerBlock: a join appends each matching pair to its
+// one output batch — a copy of the outer row's slots plus the inner
+// tuple — and the residual a.id != b.id compiles to an id comparison,
+// so a matching self-join's allocations per execution grow with the
+// blocks it emits (Project's cells and numbers, the collected rows),
+// not with its pairs: four times the pairs costs a handful of
+// allocations per extra block, where one per pair would be thousands.
+func TestJoinEmitAllocsPerBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const stmt = `SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 0 USING unit-edits WHERE a.id != b.id`
+	allocs := func(words int) (float64, int) {
+		// Every word four times: each row matches the three other copies.
+		rel := relation.New("words")
+		for i := 0; i < words; i++ {
+			w := make([]byte, 8)
+			for j := range w {
+				w[j] = byte('a' + rng.Intn(26))
+			}
+			for c := 0; c < 4; c++ {
+				rel.Insert(string(w), nil)
+			}
+		}
+		cat := relation.NewCatalog()
+		cat.Add(rel)
+		e := NewEngine(cat, WithParallelism(1))
+		if err := e.RegisterRuleSet(rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz")); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Execute(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 12*words || !strings.Contains(res.Plan, "IndexJoin(probe a.seq into lengthview(b)") {
+			t.Fatalf("%d words: %d pairs, plan:\n%s\nthe case no longer tests what it says", words, len(res.Rows), res.Plan)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := e.Execute(stmt); err != nil {
+				t.Fatal(err)
+			}
+		}), len(res.Rows)
+	}
+	a, small := allocs(64)
+	b, large := allocs(256)
+	if extraBlocks := (large - small) / defaultBatchSize; b-a > float64(4*extraBlocks) {
+		t.Errorf("allocations per execution grow with pairs: %v at %d pairs, %v at %d", a, small, b, large)
+	}
+	t.Logf("allocations per execution: %v at %d pairs, %v at %d", a, small, b, large)
+}
+
 // TestRangeProjectAllocsPerBlock: a prepared WITHIN ... ORDER BY dist is
 // served by a leaf that sorts its own matches, and Project formats each
 // block into one cell array and one string, so allocations per execution

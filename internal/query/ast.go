@@ -67,8 +67,8 @@ type TableRef struct {
 	Alias string // defaults to Name
 }
 
-// Expr is a boolean predicate tree over one tuple binding (or a pair of
-// bindings for joins).
+// Expr is a boolean predicate tree over one row: a tuple per alias in
+// FROM.
 type Expr interface {
 	fmt.Stringer
 	isExpr()

@@ -10,10 +10,11 @@ package query
 //	BatchOperator: OpenBatch -> NextBatch* -> CloseBatch
 //
 // with NextBatch returning a column-oriented Batch (parallel tuple-id /
-// sequence / attribute / distance slices). The block size is fixed when
-// the engine is constructed (WithBatchSize, default 256); block size 1
-// is the degenerate row-at-a-time case of the same operators, which is
-// what the parity oracles compare the default against.
+// sequence / vector / attribute columns per slot, plus the distance
+// columns). The block size is fixed when the engine is constructed
+// (WithBatchSize, default 256); block size 1 is the degenerate
+// row-at-a-time case of the same operators, which is what the parity
+// oracles compare the default against.
 //
 // Ownership and recycling rules (DESIGN.md has the full story):
 //
@@ -24,55 +25,56 @@ package query
 //   - In-place decorators (Filter, Limit, Project) mutate and forward
 //     the child's batch; they own nothing.
 //   - Materializing operators (OrderByDist, GatherMerge) copy what they
-//     keep into buffers of their own before the next pull.
-//   - Joins emit multi-alias rows, which have no columnar form: their
-//     batches carry bindings instead of columns and every operator
-//     above a join accepts either layout.
+//     keep into pooled batches of their own before the next pull.
+//   - A join copies its outer row's slots into its own output batch and
+//     fills the next slot with the inner match (see slotMap).
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/relation"
 )
 
-// Batch is one block of tuples flowing through the batch pipeline, in
-// one of two layouts:
-//
-//   - columnar (binds == nil): the embedded relation.Block plus the
-//     parallel dist/has columns. The layout every converted operator
-//     works on directly.
-//   - bindings (binds != nil): a block of multi-alias bindings, as
-//     emitted by the join operator. The columnar slices are unused in
-//     this layout.
-//
-// rows holds the projected output rows once a Project has run; row i of
-// rows corresponds to row i of the active layout.
+// Batch is one block of rows flowing through the pipeline. A row binds
+// one tuple per slot of the statement (slotMap): the embedded
+// relation.Block is slot 0 — the only slot of a single-relation plan —
+// and inner holds the slots a join chain adds, one per step. dist and
+// has are the rows' running distance state, and rows holds the
+// projected output rows once a Project has run. Every slot column and
+// dist/has have the batch's Len rows.
 type Batch struct {
 	relation.Block
-	alias string // alias the columnar tuples are bound under
+	inner []relation.Block
 	dist  []float64
 	has   []bool
 	rows  [][]string
-	binds []*binding
 }
 
-// Len returns the number of rows in the batch under either layout.
-func (b *Batch) Len() int {
-	if b.binds != nil {
-		return len(b.binds)
+// slot returns the column block of slot s.
+func (b *Batch) slot(s int) *relation.Block {
+	if s == 0 {
+		return &b.Block
 	}
-	return b.Block.Len()
+	return &b.inner[s-1]
 }
 
-// reset empties the batch (keeping capacity) and selects the columnar
-// layout.
-func (b *Batch) reset() {
+// width returns the number of slots each row binds.
+func (b *Batch) width() int { return 1 + len(b.inner) }
+
+// reset empties the batch (keeping capacity) and gives it width slots.
+func (b *Batch) reset(width int) {
 	b.Block.Reset()
-	b.alias = ""
+	if cap(b.inner) < width-1 {
+		b.inner = make([]relation.Block, width-1)
+	}
+	b.inner = b.inner[:width-1]
+	for i := range b.inner {
+		b.inner[i].Reset()
+	}
 	b.dist = b.dist[:0]
 	b.has = b.has[:0]
 	b.rows = b.rows[:0]
-	b.binds = nil
 }
 
 // syncCols resizes the dist/has columns to match the block after a leaf
@@ -101,31 +103,87 @@ func (b *Batch) syncCols() {
 	}
 }
 
-// appendMatch adds one (tuple, distance) row in the columnar layout.
+// appendMatch adds one (tuple, distance) row to a one-slot batch.
 func (b *Batch) appendMatch(t relation.Tuple, dist float64, has bool) {
 	b.Block.Append(t.ID, t.Seq, t.Vec, t.Attrs)
 	b.dist = append(b.dist, dist)
 	b.has = append(b.has, has)
 }
 
-// truncate keeps the first n rows of the active layout.
-func (b *Batch) truncate(n int) {
-	if b.binds != nil {
-		b.binds = b.binds[:n]
-	} else {
-		b.IDs, b.Seqs, b.Vecs, b.Attrs = b.IDs[:n], b.Seqs[:n], b.Vecs[:n], b.Attrs[:n]
-		b.dist, b.has = b.dist[:n], b.has[:n]
+// appendRow adds row i of src, every slot and its distance state. An
+// empty batch takes src's width first.
+func (b *Batch) appendRow(src *Batch, i int) {
+	if b.Len() == 0 {
+		b.reset(src.width())
 	}
+	for s := range src.width() {
+		from := src.slot(s)
+		b.slot(s).Append(from.IDs[i], from.Seqs[i], from.Vecs[i], from.Attrs[i])
+	}
+	b.dist = append(b.dist, src.dist[i])
+	b.has = append(b.has, src.has[i])
+}
+
+// appendRows adds every row of src, as appendRow does one.
+func (b *Batch) appendRows(src *Batch) {
+	if b.Len() == 0 {
+		b.reset(src.width())
+	}
+	for s := range src.width() {
+		to, from := b.slot(s), src.slot(s)
+		to.IDs = append(to.IDs, from.IDs...)
+		to.Seqs = append(to.Seqs, from.Seqs...)
+		to.Vecs = append(to.Vecs, from.Vecs...)
+		to.Attrs = append(to.Attrs, from.Attrs...)
+	}
+	b.dist = append(b.dist, src.dist...)
+	b.has = append(b.has, src.has...)
+}
+
+// moveRow overwrites row w with row i, the filter's in-place compaction.
+func (b *Batch) moveRow(w, i int) {
+	for s := range b.width() {
+		c := b.slot(s)
+		c.IDs[w], c.Seqs[w], c.Vecs[w], c.Attrs[w] = c.IDs[i], c.Seqs[i], c.Vecs[i], c.Attrs[i]
+	}
+	b.dist[w], b.has[w] = b.dist[i], b.has[i]
+}
+
+// truncate keeps the first n rows.
+func (b *Batch) truncate(n int) {
+	for s := range b.width() {
+		c := b.slot(s)
+		c.IDs, c.Seqs, c.Vecs, c.Attrs = c.IDs[:n], c.Seqs[:n], c.Vecs[:n], c.Attrs[:n]
+	}
+	b.dist, b.has = b.dist[:n], b.has[:n]
 	if len(b.rows) > n {
 		b.rows = b.rows[:n]
 	}
 }
 
-// scratch loads row i into a reusable binding without allocating —
-// the in-place decorators' view of a columnar row.
-func (b *Batch) scratch(i int, alias string, dst *binding) {
-	*dst = binding{alias: alias, tuple: relation.Tuple{ID: b.IDs[i], Seq: b.Seqs[i], Vec: b.Vecs[i], Attrs: b.Attrs[i]},
-		dist: b.dist[i], hasDist: b.has[i]}
+// slotMap names the slots of a statement's rows: slot i binds the tuple
+// of alias slotMap[i]. A single-relation plan has one slot; a join
+// chain gives its start alias slot 0 and each step's inner alias the
+// next slot, in join order, so a step's outer rows are exactly the
+// slots before its own.
+type slotMap []string
+
+// resolve returns the slot a field reference reads: its alias's, or for
+// an unqualified field the only slot. Otherwise it returns the error
+// reading the field raises on every row.
+func (m slotMap) resolve(f FieldRef) (int, error) {
+	if f.Table != "" {
+		for s, alias := range m {
+			if alias == f.Table {
+				return s, nil
+			}
+		}
+		return 0, fmt.Errorf("query: unknown alias %q", f.Table)
+	}
+	if len(m) == 1 {
+		return 0, nil
+	}
+	return 0, fmt.Errorf("query: ambiguous field %q; qualify with an alias", f.Name)
 }
 
 // batchPool recycles Batch buffers across queries. Leaves take a batch
@@ -137,13 +195,12 @@ var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
 func getBatch() *Batch {
 	b := batchPool.Get().(*Batch)
-	b.reset()
+	b.reset(1)
 	return b
 }
 
 func putBatch(b *Batch) {
 	if b != nil {
-		b.binds = nil
 		batchPool.Put(b)
 	}
 }

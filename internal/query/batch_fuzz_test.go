@@ -64,6 +64,16 @@ func FuzzBatchParity(f *testing.F) {
 	// over a hoisted evaluator error at every block size.
 	f.Add(`SELECT seq FROM words WHERE dist SIMILAR TO PATTERN "c*" WITHIN 1 USING nosuch`)
 	f.Add(`SELECT seq FROM words WHERE dist SIMILAR TO "x" WITHIN 1 USING nosuch`)
+	// Self-joins: rows of two slots through the join, its residual
+	// filter and every operator above it. The model does not join, so
+	// these check block-size self-consistency — rows and error text.
+	f.Add(`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id`)
+	f.Add(`SELECT * FROM words a, words b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING edits`)
+	f.Add(`SELECT a.seq, b.seq, dist FROM words a, words b ON dist(a.seq, b.seq) <= 2 USING edits ORDER BY dist LIMIT 7`)
+	f.Add(`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.seq) <= 2 USING edits WHERE a.tag = "j" OR b.tag = "b"`)
+	f.Add(`SELECT seq FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits`)
+	f.Add(`SELECT z.seq FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits`)
+	f.Add(`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 2 USING edits WHERE dist = "1"`)
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 512 {
 			return // long inputs only stress the lexer, which FuzzLex owns

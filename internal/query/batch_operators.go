@@ -16,7 +16,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/metric"
 	"repro/internal/relation"
 )
 
@@ -52,9 +51,7 @@ func (o *batchScanOp) OpenBatch() error {
 
 func (o *batchScanOp) NextBatch() (*Batch, error) {
 	b := o.buf
-	b.alias = o.alias
 	b.rows = b.rows[:0]
-	b.binds = nil
 	n := o.cur.NextBlock(&b.Block, o.size)
 	if n == 0 {
 		return nil, nil
@@ -194,8 +191,7 @@ func (l *matchList) NextBatch() (*Batch, error) {
 		return nil, nil
 	}
 	b := l.buf
-	b.reset()
-	b.alias = l.alias
+	b.reset(1)
 	for b.Len() < l.size && l.pos < len(ms) {
 		m := ms[l.pos]
 		l.pos++
@@ -305,25 +301,22 @@ func (o *batchNearestKOp) Describe() string {
 // -------------------------------------------------------------- filter
 
 // batchFilterOp keeps the rows satisfying a residual predicate,
-// compacting each block in place. Single-alias predicates run through
-// the compiled evaluator (batch_pred.go); binding-layout blocks and
-// uncompilable shapes fall back to evalExpr on a scratch binding — same
-// semantics, fewer hoisted costs.
+// compacting each block in place. The predicate is compiled once per
+// execution over the plan's slots (batch_pred.go).
 type batchFilterOp struct {
 	kernelTag
 	ctx   *execCtx
 	child BatchOperator
 	pred  Expr
-	alias string
+	slots slotMap
 
-	fn      predFn
-	scratch binding
-	local   ExecStats
-	last    ExecStats // retained across Close for span attribution
+	fn    predFn
+	local ExecStats
+	last  ExecStats // retained across Close for span attribution
 }
 
 func (o *batchFilterOp) OpenBatch() error {
-	o.fn = o.ctx.eng.compilePred(o.pred, o.alias)
+	o.fn = o.ctx.eng.compilePred(o.pred, o.slots)
 	return o.child.OpenBatch()
 }
 
@@ -333,37 +326,11 @@ func (o *batchFilterOp) NextBatch() (*Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		if b.binds != nil {
-			keep := b.binds[:0]
-			for _, rb := range b.binds {
-				o.local.Verifications++
-				ok, err := o.ctx.eng.evalExpr(o.pred, rb)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					keep = append(keep, rb)
-				}
-			}
-			b.binds = keep
-			if len(keep) > 0 {
-				return b, nil
-			}
-			continue
-		}
-		n := b.Block.Len()
+		n := b.Len()
 		w := 0
 		for i := 0; i < n; i++ {
 			o.local.Verifications++
-			var ok bool
-			if o.fn != nil {
-				t := relation.Tuple{ID: b.IDs[i], Seq: b.Seqs[i], Vec: b.Vecs[i], Attrs: b.Attrs[i]}
-				ok, err = o.fn(&t, &b.dist[i], &b.has[i])
-			} else {
-				b.scratch(i, o.alias, &o.scratch)
-				ok, err = o.ctx.eng.evalExpr(o.pred, &o.scratch)
-				b.dist[i], b.has[i] = o.scratch.dist, o.scratch.hasDist
-			}
+			ok, err := o.fn(b, i)
 			if err != nil {
 				return nil, err
 			}
@@ -371,8 +338,7 @@ func (o *batchFilterOp) NextBatch() (*Batch, error) {
 				continue
 			}
 			if w != i {
-				b.IDs[w], b.Seqs[w], b.Vecs[w], b.Attrs[w] = b.IDs[i], b.Seqs[i], b.Vecs[i], b.Attrs[i]
-				b.dist[w], b.has[w] = b.dist[i], b.has[i]
+				b.moveRow(w, i)
 			}
 			w++
 		}
@@ -407,12 +373,11 @@ func (o *batchFilterOp) childNodes() []BatchOperator { return []BatchOperator{o.
 type batchProjectOp struct {
 	q     *Query
 	child BatchOperator
-	alias string
+	slots slotMap
 
-	scratch binding
-	cells   []string  // the block's cells, row after row
-	num     []byte    // the block's formatted numbers, back to back
-	ends    []numCell // which cell each number of num fills
+	cells []string  // the block's cells, row after row
+	num   []byte    // the block's formatted numbers, back to back
+	ends  []numCell // which cell each number of num fills
 }
 
 // numCell records that cells[cell] is num up to end, from where the
@@ -444,13 +409,7 @@ func (o *batchProjectOp) NextBatch() (*Batch, error) {
 	o.num, o.ends = o.num[:0], o.ends[:0]
 	rows := b.rows[:0]
 	for i := 0; i < n; i++ {
-		src := &o.scratch
-		if b.binds != nil {
-			src = b.binds[i]
-		} else {
-			b.scratch(i, o.alias, src)
-		}
-		if err := o.project(cells, i*w, src); err != nil {
+		if err := o.project(cells, i*w, b, i); err != nil {
 			return nil, err
 		}
 		rows = append(rows, cells[i*w:(i+1)*w:(i+1)*w])
@@ -466,43 +425,40 @@ func (o *batchProjectOp) NextBatch() (*Batch, error) {
 	return b, nil
 }
 
-// project fills the row of cells starting at at from one binding: the
+// project fills the row of cells starting at at from row i of b: the
 // selected columns, or for '*' id and seq per alias, then dist ("" when
 // the row has none).
-func (o *batchProjectOp) project(cells []string, at int, b *binding) error {
+func (o *batchProjectOp) project(cells []string, at int, b *Batch, i int) error {
 	if len(o.q.Select) == 0 {
 		for j, ref := range o.q.From {
-			t, _ := b.tupleFor(ref.Alias)
-			o.number(at+2*j, strconv.AppendInt(o.num, int64(t.ID), 10))
-			cells[at+2*j+1] = t.Seq
+			s, _ := o.slots.resolve(FieldRef{Table: ref.Alias})
+			c := b.slot(s)
+			o.number(at+2*j, strconv.AppendInt(o.num, int64(c.IDs[i]), 10))
+			cells[at+2*j+1] = c.Seqs[i]
 		}
-		if b.hasDist {
-			o.number(at+2*len(o.q.From), appendDist(o.num, b.dist))
+		if b.has[i] {
+			o.number(at+2*len(o.q.From), appendDist(o.num, b.dist[i]))
 		} else {
 			cells[at+2*len(o.q.From)] = ""
 		}
 		return nil
 	}
-	for j, c := range o.q.Select {
-		f := FieldRef{Table: c.Table, Name: c.Name}
-		switch f.Name {
-		case "dist":
-			if !b.hasDist {
+	for j, col := range o.q.Select {
+		if col.Name == "dist" {
+			if !b.has[i] {
 				return errNoDist
 			}
-			o.number(at+j, appendDist(o.num, b.dist))
-		case "id":
-			t, err := fieldTuple(f, b)
-			if err != nil {
-				return err
-			}
-			o.number(at+j, strconv.AppendInt(o.num, int64(t.ID), 10))
-		default:
-			v, err := fieldValue(f, b)
-			if err != nil {
-				return err
-			}
-			cells[at+j] = v
+			o.number(at+j, appendDist(o.num, b.dist[i]))
+			continue
+		}
+		s, err := o.slots.resolve(FieldRef{Table: col.Table, Name: col.Name})
+		if err != nil {
+			return err
+		}
+		if c := b.slot(s); col.Name == "id" {
+			o.number(at+j, strconv.AppendInt(o.num, int64(c.IDs[i]), 10))
+		} else {
+			cells[at+j] = c.Tuple(i).Attr(col.Name)
 		}
 	}
 	return nil
@@ -565,7 +521,7 @@ func (o *batchLimitOp) childNodes() []BatchOperator { return []BatchOperator{o.c
 // ------------------------------------------------------- order by dist
 
 // batchOrderByDistOp is the blocking sort on the row distance: it
-// drains the child into column buffers of its own, stably sorts the
+// drains the child into a pooled batch of its own, stably sorts the
 // rows' precomputed keys (rows without a distance sort last; ties keep
 // the child's deterministic order) and re-emits blocks in sorted
 // order. The planner builds it only where the access path does not
@@ -575,31 +531,22 @@ type batchOrderByDistOp struct {
 	desc  bool
 	size  int
 
-	ids   []int
-	seqs  []string
-	vecs  []metric.Vector
-	attrs []map[string]string
-	dist  []float64
-	has   []bool
-	binds []*binding
-
+	all  *Batch    // every row of the child, in its order
 	keys []sortKey // the rows in emission order
 	pos  int
 	out  *Batch
 }
 
 // sortKey is one row of an OrderByDist: its sort key and its index in
-// the drained buffers.
+// the drained rows.
 type sortKey struct {
 	d float64
 	i int
 }
 
 func (o *batchOrderByDistOp) OpenBatch() error {
-	o.ids, o.seqs, o.vecs, o.attrs = o.ids[:0], o.seqs[:0], o.vecs[:0], o.attrs[:0]
-	o.dist, o.has, o.binds = o.dist[:0], o.has[:0], nil
 	o.keys, o.pos = o.keys[:0], 0
-	o.out = getBatch()
+	o.all, o.out = getBatch(), getBatch()
 	if err := o.child.OpenBatch(); err != nil {
 		return err
 	}
@@ -611,31 +558,11 @@ func (o *batchOrderByDistOp) OpenBatch() error {
 		if b == nil {
 			break
 		}
-		if b.binds != nil {
-			o.binds = append(o.binds, b.binds...)
-			continue
-		}
-		o.ids = append(o.ids, b.IDs...)
-		o.seqs = append(o.seqs, b.Seqs...)
-		o.vecs = append(o.vecs, b.Vecs...)
-		o.attrs = append(o.attrs, b.Attrs...)
-		o.dist = append(o.dist, b.dist...)
-		o.has = append(o.has, b.has...)
+		o.all.appendRows(b)
 	}
-	n := len(o.ids)
-	if o.binds != nil {
-		n = len(o.binds)
-	}
-	for i := 0; i < n; i++ {
-		var d float64
-		var h bool
-		if o.binds != nil {
-			d, h = o.binds[i].dist, o.binds[i].hasDist
-		} else {
-			d, h = o.dist[i], o.has[i]
-		}
+	for i, d := range o.all.dist {
 		switch {
-		case h:
+		case o.all.has[i]:
 		case o.desc: // dist-less rows sort last in either direction
 			d = math.Inf(-1)
 		default:
@@ -663,31 +590,19 @@ func (o *batchOrderByDistOp) NextBatch() (*Batch, error) {
 		return nil, nil
 	}
 	b := o.out
-	b.reset()
-	if o.binds != nil {
-		binds := b.binds[:0]
-		for b2 := 0; b2 < o.size && o.pos < len(o.keys); b2++ {
-			binds = append(binds, o.binds[o.keys[o.pos].i])
-			o.pos++
-		}
-		b.binds = binds
-		return b, nil
-	}
+	b.reset(o.all.width())
 	for b.Len() < o.size && o.pos < len(o.keys) {
-		i := o.keys[o.pos].i
+		b.appendRow(o.all, o.keys[o.pos].i)
 		o.pos++
-		b.Block.Append(o.ids[i], o.seqs[i], o.vecs[i], o.attrs[i])
-		b.dist = append(b.dist, o.dist[i])
-		b.has = append(b.has, o.has[i])
 	}
 	return b, nil
 }
 
 func (o *batchOrderByDistOp) CloseBatch() error {
-	o.ids, o.seqs, o.vecs, o.attrs = nil, nil, nil, nil
-	o.dist, o.has, o.binds, o.keys = nil, nil, nil, nil
+	o.keys = nil
+	putBatch(o.all)
 	putBatch(o.out)
-	o.out = nil
+	o.all, o.out = nil, nil
 	return o.child.CloseBatch()
 }
 

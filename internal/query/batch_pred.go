@@ -1,80 +1,79 @@
 package query
 
-// Predicate compilation for the filter. The interpreted evaluator
-// (evalExpr) walks the Expr tree per candidate, paying an interface
-// type-switch per node, a rule-set registry lookup (an RWMutex
-// acquisition) per similarity conjunct and an alias resolution per
-// field — per row. The filter compiles a single-alias predicate once
-// per pipeline into a closure chain with all of that hoisted:
-// calculators, general engines and compiled patterns are resolved at
-// compile time, field references become direct tuple accessors, and
-// the per-row work collapses to the distance computation itself.
+// Predicate compilation: the engine's one predicate evaluator. A
+// predicate compiles once per pipeline, against the statement's slot
+// map (slotMap), into a closure chain with everything but the per-row
+// work hoisted: rule-set registry lookups, DP calculators, general
+// engines and compiled patterns resolve at compile time, and every field
+// reference becomes a read of one slot's column. Filters over a single
+// relation or a join, the join's probe value and DML's read phase all
+// run it.
 //
-// Semantics are pinned to evalExpr: evaluation order, short-circuiting
-// (including unsurfaced errors in unevaluated branches), the
-// first-matching-similarity-sets-dist rule and every error message are
-// identical, so the two evaluators are interchangeable row for row
-// (the filter falls back to evalExpr for shapes it cannot compile and
-// for the multi-alias rows above a join).
+// Per row, AND and OR short-circuit left to right (an error in a branch
+// they do not evaluate is not raised) and NOT propagates errors; the
+// first similarity conjunct that holds, in evaluation order, sets the
+// row's distance unless the row has one already (from a band-walk leaf
+// or a join edge). A field naming an unknown alias, or an unqualified
+// field over several slots, resolves to its error at compile time but
+// raises it on each row that reads it, so a statement that reads it on
+// no row succeeds.
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/editdp"
 	"repro/internal/metric"
 	"repro/internal/patdist"
-	"repro/internal/relation"
 )
 
-// predFn evaluates a compiled predicate against one columnar row; dist
-// and has mirror binding.dist/.hasDist.
-type predFn func(t *relation.Tuple, dist *float64, has *bool) (bool, error)
+// predFn evaluates a compiled predicate on row i of a batch.
+type predFn func(b *Batch, i int) (bool, error)
 
-// valFn produces one operand value for a columnar row.
-type valFn func(t *relation.Tuple, dist *float64, has *bool) (string, error)
+// valFn produces one operand value for row i of a batch.
+type valFn func(b *Batch, i int) (string, error)
 
-// compilePred compiles a single-alias predicate tree, or returns nil
-// for shapes it does not cover (the batch filter then falls back to
-// evalExpr on a scratch binding, so coverage gaps cost speed, never
-// correctness).
-func (e *Engine) compilePred(ex Expr, alias string) predFn {
+// setDist gives row i the distance d unless it has one.
+func (b *Batch) setDist(i int, d float64) {
+	if !b.has[i] {
+		b.dist[i], b.has[i] = d, true
+	}
+}
+
+// errPred is a predicate that fails on every row it is evaluated for.
+func errPred(err error) predFn {
+	return func(*Batch, int) (bool, error) { return false, err }
+}
+
+// compilePred compiles a predicate tree over rows of the given slots.
+func (e *Engine) compilePred(ex Expr, slots slotMap) predFn {
 	switch ex := ex.(type) {
 	case litTrue:
-		return func(*relation.Tuple, *float64, *bool) (bool, error) { return true, nil }
+		return func(*Batch, int) (bool, error) { return true, nil }
 	case AndExpr:
-		l, r := e.compilePred(ex.L, alias), e.compilePred(ex.R, alias)
-		if l == nil || r == nil {
-			return nil
-		}
-		return func(t *relation.Tuple, dist *float64, has *bool) (bool, error) {
-			v, err := l(t, dist, has)
+		l, r := e.compilePred(ex.L, slots), e.compilePred(ex.R, slots)
+		return func(b *Batch, i int) (bool, error) {
+			v, err := l(b, i)
 			if err != nil || !v {
-				// Short-circuit: a false conjunct decides the AND; errors in
-				// the unevaluated right side are not surfaced (see evalExpr).
 				return false, err
 			}
-			return r(t, dist, has)
+			return r(b, i)
 		}
 	case OrExpr:
-		l, r := e.compilePred(ex.L, alias), e.compilePred(ex.R, alias)
-		if l == nil || r == nil {
-			return nil
-		}
-		return func(t *relation.Tuple, dist *float64, has *bool) (bool, error) {
-			v, err := l(t, dist, has)
+		l, r := e.compilePred(ex.L, slots), e.compilePred(ex.R, slots)
+		return func(b *Batch, i int) (bool, error) {
+			v, err := l(b, i)
 			if err != nil || v {
 				return v, err
 			}
-			return r(t, dist, has)
+			return r(b, i)
 		}
 	case NotExpr:
-		inner := e.compilePred(ex.E, alias)
-		if inner == nil {
-			return nil
-		}
-		return func(t *relation.Tuple, dist *float64, has *bool) (bool, error) {
-			v, err := inner(t, dist, has)
+		inner := e.compilePred(ex.E, slots)
+		return func(b *Batch, i int) (bool, error) {
+			v, err := inner(b, i)
 			if err != nil {
 				return false, err
 			}
@@ -83,54 +82,52 @@ func (e *Engine) compilePred(ex Expr, alias string) predFn {
 	case CmpExpr:
 		neq := ex.Neq
 		if isIDField(ex.L) && isIDField(ex.R) {
-			// Both sides read the one row's id (see evalExpr): equal,
-			// unless an operand names a foreign alias.
-			err := aliasErr(ex.L.Field, alias)
-			if err == nil {
-				err = aliasErr(ex.R.Field, alias)
+			// Ids compare as integers: the same verdict as their decimal
+			// strings, without formatting both per row (a join residual
+			// a.id != b.id runs once per joined pair).
+			ls, lerr := slots.resolve(ex.L.Field)
+			rs, rerr := slots.resolve(ex.R.Field)
+			if err := cmp.Or(lerr, rerr); err != nil {
+				return errPred(err)
 			}
-			return func(*relation.Tuple, *float64, *bool) (bool, error) { return err == nil && !neq, err }
+			return func(b *Batch, i int) (bool, error) {
+				return (b.slot(ls).IDs[i] == b.slot(rs).IDs[i]) != neq, nil
+			}
 		}
-		l, r := compileOperand(ex.L, alias), compileOperand(ex.R, alias)
-		return func(t *relation.Tuple, dist *float64, has *bool) (bool, error) {
-			lv, err := l(t, dist, has)
+		l, r := compileOperand(ex.L, slots), compileOperand(ex.R, slots)
+		return func(b *Batch, i int) (bool, error) {
+			lv, err := l(b, i)
 			if err != nil {
 				return false, err
 			}
-			rv, err := r(t, dist, has)
+			rv, err := r(b, i)
 			if err != nil {
 				return false, err
 			}
-			if neq {
-				return lv != rv, nil
-			}
-			return lv == rv, nil
+			return (lv == rv) != neq, nil
 		}
 	case SimExpr:
-		return e.compileSim(ex, alias)
+		return e.compileSim(ex, slots)
 	case NearestExpr:
-		return func(*relation.Tuple, *float64, *bool) (bool, error) {
-			return false, fmt.Errorf("query: NEAREST must be the entire WHERE clause")
-		}
+		return errPred(fmt.Errorf("query: NEAREST must be the entire WHERE clause"))
 	default:
-		return nil
+		return errPred(fmt.Errorf("query: unknown expression %T", ex))
 	}
 }
 
 // compileSim compiles one similarity conjunct with its evaluator — DP
 // calculator, general engine, or compiled pattern — resolved up front.
-func (e *Engine) compileSim(ex SimExpr, alias string) predFn {
+func (e *Engine) compileSim(ex SimExpr, slots slotMap) predFn {
 	if isVecSim(&ex) {
-		return e.compileVecSim(ex, alias)
+		return e.compileVecSim(ex, slots)
 	}
-	field := compileField(ex.Field, alias)
+	field := compileField(ex.Field, slots)
 	radius := ex.Radius
 
 	if ex.Pattern {
 		calc := e.calc(ex.RuleSet)
 		if calc == nil {
-			// Resolve the exact evalExpr error once: unknown rule set wins
-			// over the not-edit-like complaint, as in patternWithin.
+			// An unknown rule set wins over the not-edit-like complaint.
 			err := fmt.Errorf("query: pattern similarity requires an edit-like rule set (%q is not)", ex.RuleSet)
 			if _, rerr := e.ruleset(ex.RuleSet); rerr != nil {
 				err = rerr
@@ -141,14 +138,14 @@ func (e *Engine) compileSim(ex SimExpr, alias string) predFn {
 		if err != nil {
 			return errSim(field, err)
 		}
-		return func(t *relation.Tuple, dist *float64, has *bool) (bool, error) {
-			x, err := field(t, dist, has)
+		return func(b *Batch, i int) (bool, error) {
+			x, err := field(b, i)
 			if err != nil {
 				return false, err
 			}
 			d, ok := patdist.Within(calc, x, p, radius)
-			if ok && !*has {
-				*dist, *has = d, true
+			if ok {
+				b.setDist(i, d)
 			}
 			return ok, nil
 		}
@@ -165,8 +162,8 @@ func (e *Engine) compileSim(ex SimExpr, alias string) predFn {
 				qdp := editdp.NewQueryDP(ex.Target.Lit)
 				fall := c.NewTargetDP(ex.Target.Lit)
 				k := int(radius) // exact for integer distances: d <= radius iff d <= floor(radius)
-				return func(t *relation.Tuple, dist *float64, has *bool) (bool, error) {
-					x, err := field(t, dist, has)
+				return func(b *Batch, i int) (bool, error) {
+					x, err := field(b, i)
 					if err != nil {
 						return false, err
 					}
@@ -178,8 +175,8 @@ func (e *Engine) compileSim(ex SimExpr, alias string) predFn {
 					} else {
 						d, ok = fall.Within(x, radius)
 					}
-					if ok && !*has {
-						*dist, *has = d, true
+					if ok {
+						b.setDist(i, d)
 					}
 					return ok, nil
 				}
@@ -189,28 +186,28 @@ func (e *Engine) compileSim(ex SimExpr, alias string) predFn {
 			// dense per-target cost tables, reused DP rows, bit-identical
 			// results (editdp.TargetDP).
 			dp := c.NewTargetDP(ex.Target.Lit)
-			return func(t *relation.Tuple, dist *float64, has *bool) (bool, error) {
-				x, err := field(t, dist, has)
+			return func(b *Batch, i int) (bool, error) {
+				x, err := field(b, i)
 				if err != nil {
 					return false, err
 				}
 				d, ok := dp.Within(x, radius)
-				if ok && !*has {
-					*dist, *has = d, true
+				if ok {
+					b.setDist(i, d)
 				}
 				return ok, nil
 			}
 		}
 	}
 
-	target := compileOperand(ex.Target, alias)
+	target := compileOperand(ex.Target, slots)
 	within := e.compileWithin(ex.RuleSet)
-	return func(t *relation.Tuple, dist *float64, has *bool) (bool, error) {
-		x, err := field(t, dist, has)
+	return func(b *Batch, i int) (bool, error) {
+		x, err := field(b, i)
 		if err != nil {
 			return false, err
 		}
-		y, err := target(t, dist, has)
+		y, err := target(b, i)
 		if err != nil {
 			return false, err
 		}
@@ -218,46 +215,53 @@ func (e *Engine) compileSim(ex SimExpr, alias string) predFn {
 		if err != nil {
 			return false, err
 		}
-		if ok && !*has {
-			*dist, *has = d, true
+		if ok {
+			b.setDist(i, d)
 		}
 		return ok, nil
 	}
 }
 
 // compileVecSim compiles a vector similarity conjunct with the metric
-// resolved up front. Distance comes from metric.Within — the same
-// shared kernel core as evalSim, the VP-tree and the oracle —
+// resolved up front. The target is the vector literal or, in a join,
+// another slot's vec column. Distance comes from metric.Within — the
+// shared kernel core of the VP-tree, the join probes and the oracle —
 // with the target vector first, matching the tree's operand order, so
-// all paths agree bitwise. Error precedence mirrors evalVecSim: the
-// alias resolution fails per row before any hoisted shape error.
-func (e *Engine) compileVecSim(ex SimExpr, alias string) predFn {
-	var aliasErr error
-	if ex.Field.Table != "" && ex.Field.Table != alias {
-		aliasErr = fmt.Errorf("query: unknown alias %q", ex.Field.Table)
-	}
-	var hoisted error
-	if !ex.Target.IsVec {
-		hoisted = fmt.Errorf("query: vec similarity requires a vector literal target")
+// all paths agree bitwise. Rows without a vector never match (their
+// distance is undefined, not zero).
+func (e *Engine) compileVecSim(ex SimExpr, slots slotMap) predFn {
+	fs, err := slots.resolve(ex.Field)
+	ts := -1 // the target's slot; -1 for the literal
+	switch {
+	case err != nil:
+	case ex.Target.IsVec:
+	case len(slots) == 1:
+		// A vec field target names another alias of a join.
+		err = fmt.Errorf("query: vec similarity requires a vector literal target")
+	case ex.Target.IsLit || ex.Target.Field.Name != "vec":
+		err = fmt.Errorf("query: vec similarity requires a vector literal or a vec field target")
+	default:
+		ts, err = slots.resolve(ex.Target.Field)
 	}
 	m, ok := metric.Lookup(ex.RuleSet)
-	if hoisted == nil && !ok {
-		hoisted = fmt.Errorf("query: unknown metric %q", ex.RuleSet)
+	if err == nil && !ok {
+		err = fmt.Errorf("query: unknown metric %q", ex.RuleSet)
 	}
-	target, radius := ex.Target.Vec, ex.Radius
-	return func(t *relation.Tuple, dist *float64, has *bool) (bool, error) {
-		if aliasErr != nil {
-			return false, aliasErr
+	if err != nil {
+		return errPred(err)
+	}
+	lit, radius := ex.Target.Vec, ex.Radius
+	return func(b *Batch, i int) (bool, error) {
+		x, target := b.slot(fs).Vecs[i], lit
+		if ts >= 0 {
+			target = b.slot(ts).Vecs[i]
 		}
-		if hoisted != nil {
-			return false, hoisted
-		}
-		if t.Vec == nil {
+		if x == nil || target == nil {
 			return false, nil
 		}
-		d, within := metric.Within(m, target, t.Vec, radius)
-		if within && !*has {
-			*dist, *has = d, true
+		d, within := metric.Within(m, target, x, radius)
+		if within {
+			b.setDist(i, d)
 		}
 		return within, nil
 	}
@@ -316,8 +320,8 @@ func (e *Engine) filterKernel(ex Expr) string {
 	return ""
 }
 
-// compileWithin hoists Engine.within's evaluator resolution (two
-// registry lookups behind an RWMutex) out of the per-row path.
+// compileWithin resolves a string rule set's evaluator — the DP
+// calculator, else the general engine — once, out of the per-row path.
 func (e *Engine) compileWithin(ruleset string) func(x, y string, radius float64) (float64, bool, error) {
 	if c := e.calc(ruleset); c != nil {
 		return func(x, y string, radius float64) (float64, bool, error) {
@@ -336,52 +340,50 @@ func (e *Engine) compileWithin(ruleset string) func(x, y string, radius float64)
 }
 
 // errSim is a similarity predicate whose evaluator resolution failed:
-// per row it still evaluates the field first — evalExpr does, so a
-// field error (e.g. dist unavailable) must win over the hoisted
-// evaluator error to keep error parity — then fails with the fixed
-// error.
+// per row it still evaluates the field first, so a field error (e.g.
+// dist unavailable) wins over the evaluator error, then fails with the
+// evaluator error.
 func errSim(field valFn, err error) predFn {
-	return func(t *relation.Tuple, dist *float64, has *bool) (bool, error) {
-		if _, ferr := field(t, dist, has); ferr != nil {
+	return func(b *Batch, i int) (bool, error) {
+		if _, ferr := field(b, i); ferr != nil {
 			return false, ferr
 		}
 		return false, err
 	}
 }
 
-// compileOperand mirrors operandValue: a literal or a field reference.
-func compileOperand(o Operand, alias string) valFn {
+// compileOperand compiles an operand: a literal or a field reference.
+func compileOperand(o Operand, slots slotMap) valFn {
 	if o.IsLit {
 		lit := o.Lit
-		return func(*relation.Tuple, *float64, *bool) (string, error) { return lit, nil }
+		return func(*Batch, int) (string, error) { return lit, nil }
 	}
-	return compileField(o.Field, alias)
+	return compileField(o.Field, slots)
 }
 
-// compileField mirrors fieldValue over a single-alias row: dist reads
-// the running distance state, any other name resolves on the tuple, and
-// a foreign alias fails exactly like fieldValue's lookup.
-func compileField(f FieldRef, alias string) valFn {
+// errNoDist is reading dist on a row no similarity predicate has given
+// a distance yet.
+var errNoDist = errors.New("query: dist is not available here")
+
+// compileField compiles a field reference: dist reads the row's running
+// distance state whatever its qualifier, any other name its slot's
+// attribute (relation.Tuple.Attr).
+func compileField(f FieldRef, slots slotMap) valFn {
 	if f.Name == "dist" {
-		return func(_ *relation.Tuple, dist *float64, has *bool) (string, error) {
-			if !*has {
+		return func(b *Batch, i int) (string, error) {
+			if !b.has[i] {
 				return "", errNoDist
 			}
-			return formatDist(*dist), nil
+			return formatDist(b.dist[i]), nil
 		}
 	}
-	if err := aliasErr(f, alias); err != nil {
-		return func(*relation.Tuple, *float64, *bool) (string, error) { return "", err }
+	s, err := slots.resolve(f)
+	if err != nil {
+		return func(*Batch, int) (string, error) { return "", err }
 	}
 	name := f.Name
-	return func(t *relation.Tuple, _ *float64, _ *bool) (string, error) { return t.Attr(name), nil }
+	return func(b *Batch, i int) (string, error) { return b.slot(s).Tuple(i).Attr(name), nil }
 }
 
-// aliasErr is fieldTuple's error for a field of a single-alias row: a
-// foreign alias is unknown.
-func aliasErr(f FieldRef, alias string) error {
-	if f.Table != "" && f.Table != alias {
-		return fmt.Errorf("query: unknown alias %q", f.Table)
-	}
-	return nil
-}
+// isIDField reports whether an operand reads a row's id.
+func isIDField(o Operand) bool { return !o.IsLit && o.Field.Name == "id" }

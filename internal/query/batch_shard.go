@@ -105,13 +105,13 @@ func (d *planDecision) streams() (n int, gathered bool) {
 
 // fanOut builds a plan's pipelines over the snapshots of tab, one per
 // stream, with build. A lone pipeline is the access path itself.
-// Otherwise the pipelines merge under one GatherMerge over alias: by
-// (dist, id) keeping the k best for NEAREST (k > 0), by id otherwise.
+// Otherwise the pipelines merge under one GatherMerge: by (dist, id)
+// keeping the k best for NEAREST (k > 0), by slot 0's id otherwise.
 // LIMIT without ORDER BY keeps the smallest ids, so each id-merged
 // stream stops at the limit itself instead of draining. est is the
 // gather's planner estimate.
 func (e *Engine) fanOut(ctx *execCtx, q *Query, d *planDecision, tab relation.Table, snaps []*relation.Snapshot,
-	alias string, k int, est float64, build func(stream) BatchOperator) (BatchOperator, error) {
+	k int, est float64, build func(stream) BatchOperator) (BatchOperator, error) {
 	if len(snaps) != max(d.shards, 1) {
 		// The table was re-registered with another layout after this
 		// decision was made; PreparedQuery.run re-plans on this error.
@@ -123,7 +123,7 @@ func (e *Engine) fanOut(ctx *execCtx, q *Query, d *planDecision, tab relation.Ta
 		return build(stream{snap: snaps[0], slices: 1, shards: 1}), nil
 	}
 	gather := &batchGatherMergeOp{ctx: ctx, children: make([]BatchOperator, n), workers: e.gatherWorkers(n),
-		alias: alias, mode: gatherByID, size: e.batchLeafSize(q)}
+		mode: gatherByID, size: e.batchLeafSize(q)}
 	if k > 0 {
 		gather.mode, gather.k = gatherBestK, k
 	}
@@ -147,57 +147,24 @@ const (
 	gatherBestK                   // rank-aware (dist, id) bounded merge
 )
 
-// shardCols is one stream's drained output: columns for a columnar
-// pipeline, bindings for a join chain. ids is filled in both layouts —
-// for bindings it holds the merge key, the tuple id bound under the
-// gather's alias.
-type shardCols struct {
-	ids   []int
-	seqs  []string
-	vecs  []metric.Vector
-	attrs []map[string]string
-	dist  []float64
-	has   []bool
-	binds []*binding
-}
-
-func (c *shardCols) appendBatch(b *Batch, alias string) {
-	if b.binds != nil {
-		for _, rb := range b.binds {
-			t, _ := rb.tupleFor(alias)
-			c.ids = append(c.ids, t.ID)
-		}
-		c.binds = append(c.binds, b.binds...)
-		return
-	}
-	c.ids = append(c.ids, b.IDs...)
-	c.seqs = append(c.seqs, b.Seqs...)
-	c.vecs = append(c.vecs, b.Vecs...)
-	c.attrs = append(c.attrs, b.Attrs...)
-	c.dist = append(c.dist, b.dist...)
-	c.has = append(c.has, b.has...)
-}
-
 // batchGatherMergeOp drains one pipeline per stream through a bounded
-// worker pool into per-stream buffers and merges them. It trades block
-// buffering for full parallelism — the per-tuple similarity work inside
-// the pipelines dominates by orders of magnitude. Join chains emit
-// bindings-layout batches; those merge by the id bound under alias, the
-// chain's start alias.
+// worker pool into a pooled batch per stream and merges them. It trades
+// block buffering for full parallelism — the per-tuple similarity work
+// inside the pipelines dominates by orders of magnitude. The id merge
+// reads slot 0: the relation a scan or range reads, a join chain's
+// start relation.
 type batchGatherMergeOp struct {
 	ctx      *execCtx
 	children []BatchOperator // one pipeline per stream
 	workers  int
-	alias    string // the alias whose tuple id keys a bindings-layout merge
 	mode     gatherMode
 	k        int // gatherBestK: result bound
 	size     int
 
-	cols    []shardCols
-	pos     []int // per-stream frontier position
-	done    int   // rows emitted (gatherBestK stops at k)
+	cols    []*Batch // per stream: every row its pipeline emitted
+	pos     []int    // per-stream frontier position
+	done    int      // rows emitted (gatherBestK stops at k)
 	out     *Batch
-	binds   []*binding        // bindings-layout output buffer, reused across pulls
 	timings []obs.ShardTiming // per-stream drain wall time (traced runs only)
 }
 
@@ -211,7 +178,10 @@ func (o *batchGatherMergeOp) executedInstances() []BatchOperator { return o.chil
 func (o *batchGatherMergeOp) shardTimings() []obs.ShardTiming { return o.timings }
 
 func (o *batchGatherMergeOp) OpenBatch() error {
-	o.cols = make([]shardCols, len(o.children))
+	o.cols = make([]*Batch, len(o.children))
+	for i := range o.cols {
+		o.cols[i] = getBatch()
+	}
 	o.pos = make([]int, len(o.children))
 	o.done = 0
 	o.out = getBatch()
@@ -246,7 +216,7 @@ func (o *batchGatherMergeOp) OpenBatch() error {
 			if b == nil {
 				break
 			}
-			o.cols[i].appendBatch(b, o.alias)
+			o.cols[i].appendRows(b)
 		}
 		if err := op.CloseBatch(); err != nil && errs[i] == nil {
 			errs[i] = err
@@ -255,7 +225,7 @@ func (o *batchGatherMergeOp) OpenBatch() error {
 			// Each worker owns a disjoint set of indices, so indexed writes
 			// need no lock.
 			o.timings[i] = obs.ShardTiming{
-				Shard: i, WallNS: time.Since(start).Nanoseconds(), Rows: int64(len(o.cols[i].ids)),
+				Shard: i, WallNS: time.Since(start).Nanoseconds(), Rows: int64(o.cols[i].Len()),
 			}
 		}
 	}
@@ -294,50 +264,36 @@ func (o *batchGatherMergeOp) OpenBatch() error {
 
 func (o *batchGatherMergeOp) NextBatch() (*Batch, error) {
 	b := o.out
-	b.reset()
-	binds := o.binds[:0]
+	b.reset(1)
 	for n := 0; n < o.size && (o.mode != gatherBestK || o.done < o.k); n++ {
 		best := -1
-		for i := range o.cols {
-			c := &o.cols[i]
-			if o.pos[i] >= len(c.ids) {
+		for i, c := range o.cols {
+			if o.pos[i] >= c.Len() {
 				continue
 			}
 			if best < 0 {
 				best = i
 				continue
 			}
-			bi, bb, bj := &o.cols[best], o.pos[i], o.pos[best]
+			bi, bb, bj := o.cols[best], o.pos[i], o.pos[best]
 			if o.mode == gatherBestK {
 				// Rank-aware frontier: smallest (dist, id) wins; ties on
 				// distance resolve by ascending tuple id, a total order over
 				// rows, which makes the output independent of stream
 				// completion order.
-				if c.dist[bb] < bi.dist[bj] || c.dist[bb] == bi.dist[bj] && c.ids[bb] < bi.ids[bj] {
+				if c.dist[bb] < bi.dist[bj] || c.dist[bb] == bi.dist[bj] && c.IDs[bb] < bi.IDs[bj] {
 					best = i
 				}
-			} else if c.ids[bb] < bi.ids[bj] {
+			} else if c.IDs[bb] < bi.IDs[bj] {
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		c := &o.cols[best]
-		j := o.pos[best]
+		b.appendRow(o.cols[best], o.pos[best])
 		o.pos[best]++
-		if c.binds != nil {
-			binds = append(binds, c.binds[j])
-		} else {
-			b.Block.Append(c.ids[j], c.seqs[j], c.vecs[j], c.attrs[j])
-			b.dist = append(b.dist, c.dist[j])
-			b.has = append(b.has, c.has[j])
-		}
 		o.done++
-	}
-	o.binds = binds
-	if len(binds) > 0 {
-		b.binds = binds
 	}
 	if b.Len() == 0 {
 		return nil, nil
@@ -346,6 +302,9 @@ func (o *batchGatherMergeOp) NextBatch() (*Batch, error) {
 }
 
 func (o *batchGatherMergeOp) CloseBatch() error {
+	for _, c := range o.cols {
+		putBatch(c)
+	}
 	o.cols, o.pos = nil, nil
 	putBatch(o.out)
 	o.out = nil

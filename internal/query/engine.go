@@ -13,9 +13,7 @@ import (
 	"time"
 
 	"repro/internal/editdp"
-	"repro/internal/metric"
 	"repro/internal/obs"
-	"repro/internal/patdist"
 	"repro/internal/pattern"
 	"repro/internal/relation"
 	"repro/internal/rewrite"
@@ -374,323 +372,12 @@ func singleRow(res *Result, cell string, sink RowSink) (*Result, error) {
 	return res, nil
 }
 
-// binding maps table aliases to the tuples of one candidate row, plus
-// the row's distance (if any).
-//
-// Single-relation rows — which mostly travel as columns and borrow a
-// scratch binding only where a predicate or projection needs one — use
-// the inline alias/tuple pair and allocate nothing; access paths verify
-// millions of candidates per second, and one map allocation per
-// candidate was the engine's single largest source of GC pressure.
-// Joins promote to the aliases slice: a join binds two to four aliases,
-// where a linear search beats hashing, and an emitted pair allocates
-// only its binding and one pre-sized slice.
-type binding struct {
-	alias   string         // inline fast path (aliases == nil)
-	tuple   relation.Tuple // tuple bound to alias
-	aliases []aliasTuple   // multi-alias bindings (joins), one entry per alias
-	dist    float64
-	hasDist bool
-}
-
-// aliasTuple is one alias of a multi-alias binding and its tuple.
-type aliasTuple struct {
-	alias string
-	tuple relation.Tuple
-}
-
-// newBinding returns a single-alias binding.
-func newBinding(alias string, t relation.Tuple) *binding {
-	return &binding{alias: alias, tuple: t}
-}
-
-// width returns the number of aliases b binds.
-func (b *binding) width() int {
-	if b.aliases == nil {
-		return 1
-	}
-	return len(b.aliases)
-}
-
-// slot returns the multi-alias entry's tuple for alias, or nil.
-func (b *binding) slot(alias string) *relation.Tuple {
-	for i := range b.aliases {
-		if b.aliases[i].alias == alias {
-			return &b.aliases[i].tuple
-		}
-	}
-	return nil
-}
-
-// bindAll binds every alias of src into b's multi-alias slice.
-func (b *binding) bindAll(src *binding) {
-	if src.aliases == nil {
-		b.bind(src.alias, src.tuple)
-		return
-	}
-	for _, at := range src.aliases {
-		b.bind(at.alias, at.tuple)
-	}
-}
-
-// bind binds alias to t, replacing the tuple of an alias b already
-// binds.
-func (b *binding) bind(alias string, t relation.Tuple) {
-	if s := b.slot(alias); s != nil {
-		*s = t
-		return
-	}
-	b.aliases = append(b.aliases, aliasTuple{alias: alias, tuple: t})
-}
-
-// tupleFor resolves an alias against either representation.
-func (b *binding) tupleFor(alias string) (relation.Tuple, bool) {
-	if b.aliases == nil {
-		if alias == b.alias {
-			return b.tuple, true
-		}
-		return relation.Tuple{}, false
-	}
-	if s := b.slot(alias); s != nil {
-		return *s, true
-	}
-	return relation.Tuple{}, false
-}
-
-// soleTuple returns the binding's tuple when exactly one alias is
-// bound.
-func (b *binding) soleTuple() (relation.Tuple, bool) {
-	if b.aliases == nil {
-		return b.tuple, true
-	}
-	if len(b.aliases) == 1 {
-		return b.aliases[0].tuple, true
-	}
-	return relation.Tuple{}, false
-}
-
-// evalExpr evaluates a predicate tree against one binding.
-func (e *Engine) evalExpr(ex Expr, b *binding) (bool, error) {
-	switch ex := ex.(type) {
-	case litTrue:
-		return true, nil
-	case AndExpr:
-		l, err := e.evalExpr(ex.L, b)
-		if err != nil {
-			return false, err
-		}
-		if !l {
-			// Short-circuit: a false conjunct decides the AND; errors in
-			// the unevaluated right side are intentionally not surfaced.
-			return false, nil
-		}
-		return e.evalExpr(ex.R, b)
-	case OrExpr:
-		l, err := e.evalExpr(ex.L, b)
-		if err != nil {
-			return false, err
-		}
-		if l {
-			// Short-circuit: a true disjunct decides the OR.
-			return true, nil
-		}
-		return e.evalExpr(ex.R, b)
-	case NotExpr:
-		v, err := e.evalExpr(ex.E, b)
-		if err != nil {
-			return false, err
-		}
-		return !v, nil
-	case CmpExpr:
-		if isIDField(ex.L) && isIDField(ex.R) {
-			// Ids compare as integers: the same verdict as their decimal
-			// strings, without formatting both per row (a join residual
-			// a.id != b.id runs once per joined pair).
-			l, err := fieldTuple(ex.L.Field, b)
-			if err != nil {
-				return false, err
-			}
-			r, err := fieldTuple(ex.R.Field, b)
-			if err != nil {
-				return false, err
-			}
-			return (l.ID == r.ID) != ex.Neq, nil
-		}
-		l, err := operandValue(ex.L, b)
-		if err != nil {
-			return false, err
-		}
-		r, err := operandValue(ex.R, b)
-		if err != nil {
-			return false, err
-		}
-		if ex.Neq {
-			return l != r, nil
-		}
-		return l == r, nil
-	case SimExpr:
-		if ex.Pattern {
-			x, err := fieldValue(ex.Field, b)
-			if err != nil {
-				return false, err
-			}
-			d, ok, err := e.patternWithin(x, ex.Target.Lit, ex.RuleSet, ex.Radius)
-			if err != nil {
-				return false, err
-			}
-			if ok && !b.hasDist {
-				b.dist, b.hasDist = d, true
-			}
-			return ok, nil
-		}
-		d, ok, err := e.evalSim(&ex, b)
-		if err != nil {
-			return false, err
-		}
-		if ok && !b.hasDist {
-			b.dist, b.hasDist = d, true
-		}
-		return ok, nil
-	case NearestExpr:
-		return false, fmt.Errorf("query: NEAREST must be the entire WHERE clause")
-	default:
-		return false, fmt.Errorf("query: unknown expression %T", ex)
-	}
-}
-
 // isVecSim reports whether a similarity conjunct is a vector predicate:
 // the field is the vec column, or the target is a vector literal. The
 // USING clause of a vector predicate names a distance metric (l2,
 // cosine) instead of a rule set.
 func isVecSim(ex *SimExpr) bool {
 	return ex.Field.Name == "vec" || ex.Target.IsVec
-}
-
-// evalSim computes one non-pattern similarity conjunct on a binding,
-// returning the distance without mutating the binding (callers decide
-// how distances merge — evalExpr keeps the first, joins keep the
-// outer's). Vector predicates resolve through metric.Within with the
-// target vector first, the operand order the VP-tree and batch kernels
-// use, so every path agrees bitwise; rows without a vector never match
-// (their distance is undefined, not zero). String predicates resolve
-// through Engine.within. A field target (a distance join's inner side)
-// is resolved against the same binding, for both domains.
-func (e *Engine) evalSim(ex *SimExpr, b *binding) (float64, bool, error) {
-	if isVecSim(ex) {
-		t, err := fieldTuple(ex.Field, b)
-		if err != nil {
-			return 0, false, err
-		}
-		m, ok := metric.Lookup(ex.RuleSet)
-		if !ok {
-			return 0, false, fmt.Errorf("query: unknown metric %q", ex.RuleSet)
-		}
-		target := ex.Target.Vec
-		if !ex.Target.IsVec {
-			if ex.Target.IsLit || ex.Target.Field.Name != "vec" {
-				return 0, false, fmt.Errorf("query: vec similarity requires a vector literal or a vec field target")
-			}
-			tt, err := fieldTuple(ex.Target.Field, b)
-			if err != nil {
-				return 0, false, err
-			}
-			target = tt.Vec
-		}
-		if t.Vec == nil || target == nil {
-			return 0, false, nil
-		}
-		d, within := metric.Within(m, target, t.Vec, ex.Radius)
-		return d, within, nil
-	}
-	x, err := fieldValue(ex.Field, b)
-	if err != nil {
-		return 0, false, err
-	}
-	target, err := operandValue(ex.Target, b)
-	if err != nil {
-		return 0, false, err
-	}
-	return e.within(x, target, ex.RuleSet, ex.Radius)
-}
-
-// fieldTuple resolves the tuple a field reference binds to: the named
-// alias's, or the only one bound.
-func fieldTuple(f FieldRef, b *binding) (relation.Tuple, error) {
-	if f.Table != "" {
-		t, ok := b.tupleFor(f.Table)
-		if !ok {
-			return relation.Tuple{}, fmt.Errorf("query: unknown alias %q", f.Table)
-		}
-		return t, nil
-	}
-	if t, ok := b.soleTuple(); ok {
-		return t, nil
-	}
-	return relation.Tuple{}, fmt.Errorf("query: ambiguous field %q; qualify with an alias", f.Name)
-}
-
-// within tests d(x -> target) <= radius under the named rule set,
-// preferring the DP calculator and falling back to the general engine.
-func (e *Engine) within(x, target, ruleset string, radius float64) (float64, bool, error) {
-	if c := e.calc(ruleset); c != nil {
-		d, ok := c.Within(x, target, radius)
-		return d, ok, nil
-	}
-	if g := e.general(ruleset); g != nil {
-		d, ok, err := g.Distance(x, target, radius)
-		return d, ok, err
-	}
-	_, err := e.ruleset(ruleset)
-	if err != nil {
-		return 0, false, err
-	}
-	return 0, false, fmt.Errorf("query: rule set %q has no usable evaluator", ruleset)
-}
-
-// patternWithin tests d(x -> L(pattern)) <= radius; edit-like rule sets
-// only (the product search requires per-position costs).
-func (e *Engine) patternWithin(x, patSrc, ruleset string, radius float64) (float64, bool, error) {
-	c := e.calc(ruleset)
-	if c == nil {
-		if _, err := e.ruleset(ruleset); err != nil {
-			return 0, false, err
-		}
-		return 0, false, fmt.Errorf("query: pattern similarity requires an edit-like rule set (%q is not)", ruleset)
-	}
-	p, err := e.compilePattern(patSrc)
-	if err != nil {
-		return 0, false, err
-	}
-	d, ok := patdist.Within(c, x, p, radius)
-	return d, ok, nil
-}
-
-// isIDField reports whether an operand reads a row's id.
-func isIDField(o Operand) bool { return !o.IsLit && o.Field.Name == "id" }
-
-func operandValue(o Operand, b *binding) (string, error) {
-	if o.IsLit {
-		return o.Lit, nil
-	}
-	return fieldValue(o.Field, b)
-}
-
-// errNoDist is reading dist on a row no similarity predicate has given
-// a distance yet.
-var errNoDist = errors.New("query: dist is not available here")
-
-func fieldValue(f FieldRef, b *binding) (string, error) {
-	if f.Name == "dist" {
-		if !b.hasDist {
-			return "", errNoDist
-		}
-		return formatDist(b.dist), nil
-	}
-	t, err := fieldTuple(f, b)
-	if err != nil {
-		return "", err
-	}
-	return t.Attr(f.Name), nil
 }
 
 // formatDist renders a distance: integral values without a fraction,

@@ -133,7 +133,7 @@ func (e *Engine) execDeleteOrUpdate(m *Mutation, sink RowSink) (*Result, error) 
 	if m.Explain {
 		return explainResult(mutationTree(root, plan.describe()), sink)
 	}
-	ids, stats, err := collectIDs(plan, m.Table)
+	ids, stats, err := collectIDs(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -225,10 +225,9 @@ func vecValue(v Operand) (metric.Vector, error) {
 }
 
 // collectIDs drives a read plan and pulls each matched tuple id
-// straight out of each block's id column (bindings-layout blocks — a
-// DML whose WHERE joins — resolve per binding): no result-row
+// straight out of each block's id column: no result-row
 // materialisation, no int -> string -> int round trip.
-func collectIDs(plan *compiledPlan, alias string) ([]int, ExecStats, error) {
+func collectIDs(plan *compiledPlan) ([]int, ExecStats, error) {
 	root := plan.root
 	if err := root.OpenBatch(); err != nil {
 		root.CloseBatch()
@@ -243,13 +242,6 @@ func collectIDs(plan *compiledPlan, alias string) ([]int, ExecStats, error) {
 		}
 		if b == nil {
 			break
-		}
-		if b.binds != nil {
-			for _, rb := range b.binds {
-				t, _ := rb.tupleFor(alias)
-				ids = append(ids, t.ID)
-			}
-			continue
 		}
 		ids = append(ids, b.IDs...)
 	}

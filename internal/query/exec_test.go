@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metric"
 	"repro/internal/relation"
 	"repro/internal/rewrite"
 )
@@ -354,6 +355,34 @@ func TestThreeWayJoinCycleEdge(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][2] != "cut" {
 		t.Errorf("cycle join rows = %v, want only cat|cot|cut", res.Rows)
 	}
+
+	// The vector form: the cycle edge a.vec SIMILAR TO c.vec becomes a
+	// filter over three-slot rows whose target is another slot's vector.
+	// c0 is within 1.5 of both; c1 is within 1.5 of b but 2 from a.
+	vcat := relation.NewCatalog()
+	mkv := func(name string, vecs ...metric.Vector) {
+		r := relation.New(name)
+		for _, v := range vecs {
+			r.InsertOne(relation.InsertRow{Vec: v})
+		}
+		vcat.Add(r)
+	}
+	mkv("a", metric.Vector{0, 0})
+	mkv("b", metric.Vector{0, 1})
+	mkv("c", metric.Vector{1, 1}, metric.Vector{0, 2}, metric.Vector{5, 5})
+	res, err = NewEngine(vcat).Execute(`SELECT a.id, b.id, c.id, dist FROM a, b, c ` +
+		`WHERE a.vec SIMILAR TO b.vec WITHIN 1.5 USING l2 ` +
+		`AND b.vec SIMILAR TO c.vec WITHIN 1.5 USING l2 ` +
+		`AND a.vec SIMILAR TO c.vec WITHIN 1.5 USING l2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]string{{"0", "0", "0", "1"}}; !reflect.DeepEqual(res.Rows, want) {
+		t.Errorf("vector cycle join rows = %v, want %v", res.Rows, want)
+	}
+	if !strings.Contains(res.Plan, "Filter(a.vec SIMILAR TO c.vec") {
+		t.Errorf("the cycle edge is not a residual filter:\n%s", res.Plan)
+	}
 }
 
 func TestJoinDisconnectedRelationsRejected(t *testing.T) {
@@ -449,27 +478,34 @@ func TestParallelScanDeterminism(t *testing.T) {
 	}
 }
 
-// TestEvalExprShortCircuit pins the documented error semantics: NOT
-// propagates errors instead of negating error results, and AND/OR
-// short-circuit without evaluating (or erroring on) the right side.
-func TestEvalExprShortCircuit(t *testing.T) {
+// TestCompiledPredShortCircuit pins the documented error semantics of
+// the compiled predicate over a joined (two-slot) row: NOT propagates
+// errors instead of negating error results, and AND/OR short-circuit
+// without evaluating (or erroring on) the right side.
+func TestCompiledPredShortCircuit(t *testing.T) {
 	e := testEngine(t)
-	b := &binding{aliases: []aliasTuple{{alias: "words", tuple: relation.Tuple{ID: 0, Seq: "color"}}}}
+	slots := slotMap{"words", "w2"}
+	b := &Batch{}
+	b.reset(len(slots))
+	b.slot(0).Append(0, "color", nil, nil)
+	b.slot(1).Append(1, "colour", nil, nil)
+	b.dist, b.has = []float64{1}, []bool{true}
+	eval := func(ex Expr) (bool, error) { return e.compilePred(ex, slots)(b, 0) }
 	bad := CmpExpr{L: Operand{Field: FieldRef{Table: "nosuch", Name: "x"}}, R: Operand{Lit: "y", IsLit: true}}
-	falsy := CmpExpr{L: Operand{Lit: "a", IsLit: true}, R: Operand{Lit: "b", IsLit: true}}
-	truthy := CmpExpr{L: Operand{Lit: "a", IsLit: true}, R: Operand{Lit: "a", IsLit: true}}
+	falsy := CmpExpr{L: Operand{Field: FieldRef{Table: "words", Name: "seq"}}, R: Operand{Field: FieldRef{Table: "w2", Name: "seq"}}}
+	truthy := CmpExpr{L: Operand{Field: FieldRef{Table: "words", Name: "id"}}, R: Operand{Field: FieldRef{Table: "w2", Name: "id"}}, Neq: true}
 
-	if v, err := e.evalExpr(NotExpr{E: bad}, b); err == nil || v {
+	if v, err := eval(NotExpr{E: bad}); err == nil || v {
 		t.Errorf("NOT over erroring expr = (%v, %v), want (false, error)", v, err)
 	}
-	if v, err := e.evalExpr(AndExpr{L: falsy, R: bad}, b); err != nil || v {
+	if v, err := eval(AndExpr{L: falsy, R: bad}); err != nil || v {
 		t.Errorf("false AND erroring = (%v, %v), want short-circuit (false, nil)", v, err)
 	}
-	if v, err := e.evalExpr(OrExpr{L: truthy, R: bad}, b); err != nil || !v {
+	if v, err := eval(OrExpr{L: truthy, R: bad}); err != nil || !v {
 		t.Errorf("true OR erroring = (%v, %v), want short-circuit (true, nil)", v, err)
 	}
-	if _, err := e.evalExpr(AndExpr{L: truthy, R: bad}, b); err == nil {
-		t.Error("true AND erroring right side: error lost")
+	if _, err := eval(AndExpr{L: truthy, R: bad}); err == nil || err.Error() != `query: unknown alias "nosuch"` {
+		t.Errorf("true AND erroring right side: error = %v, want the unknown alias", err)
 	}
 }
 

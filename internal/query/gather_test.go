@@ -10,21 +10,25 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"repro/internal/relation"
 )
 
 // stubShardOp emits a fixed row list, two rows per block, after its
 // gate releases and signals done on CloseBatch, letting the test
-// serialize shard completion into an exact order. Single-alias rows
-// travel as columns, like every single-relation shard subplan's; joined
-// rows travel in the bindings layout, like a join chain's.
+// serialize shard completion into an exact order. A row binds one slot,
+// like every single-relation shard subplan's, or two, like a join
+// chain's.
 type stubShardOp struct {
-	rows []*binding
+	rows []gatherRow
 	gate chan struct{}
 	done chan struct{}
 	pos  int
 	buf  Batch
+}
+
+// gatherRow is one stub row: a tuple id per slot and the distance.
+type gatherRow struct {
+	ids  []int
+	dist float64
 }
 
 func (o *stubShardOp) OpenBatch() error {
@@ -39,20 +43,16 @@ func (o *stubShardOp) NextBatch() (*Batch, error) {
 	if o.pos >= len(o.rows) {
 		return nil, nil
 	}
-	end := o.pos + 2
-	if end > len(o.rows) {
-		end = len(o.rows)
+	end := min(o.pos+2, len(o.rows))
+	o.buf.reset(len(o.rows[o.pos].ids))
+	for _, r := range o.rows[o.pos:end] {
+		for s, id := range r.ids {
+			o.buf.slot(s).Append(id, fmt.Sprintf("s%d", id), nil, nil)
+		}
+		o.buf.dist = append(o.buf.dist, r.dist)
+		o.buf.has = append(o.buf.has, true)
 	}
-	blk := o.rows[o.pos:end]
 	o.pos = end
-	o.buf.reset()
-	if blk[0].aliases != nil {
-		o.buf.binds = blk
-		return &o.buf, nil
-	}
-	for _, b := range blk {
-		o.buf.appendMatch(b.tuple, b.dist, b.hasDist)
-	}
 	return &o.buf, nil
 }
 
@@ -68,19 +68,13 @@ func (o *stubShardOp) CloseBatch() error {
 func (o *stubShardOp) Describe() string            { return "StubShard" }
 func (o *stubShardOp) childNodes() []BatchOperator { return nil }
 
-func mkBinding(id int, dist float64) *binding {
-	b := newBinding("t", relation.Tuple{ID: id, Seq: fmt.Sprintf("s%d", id)})
-	b.dist, b.hasDist = dist, true
-	return b
-}
+func mkRow(id int, dist float64) gatherRow { return gatherRow{ids: []int{id}, dist: dist} }
 
-// mkJoined is one row of a join chain: outer tuple under "t", inner
-// under "u", with the inner id doubling as the distance so the merged
-// order of inner matches is visible in the output.
-func mkJoined(outer, inner int) *binding {
-	b := mergeBindings(newBinding("t", relation.Tuple{ID: outer}), newBinding("u", relation.Tuple{ID: inner}))
-	b.dist, b.hasDist = float64(inner), true
-	return b
+// mkJoined is one row of a join chain: the outer tuple in slot 0, the
+// inner in slot 1, with the inner id doubling as the distance so the
+// merged order of inner matches is visible in the output.
+func mkJoined(outer, inner int) gatherRow {
+	return gatherRow{ids: []int{outer, inner}, dist: float64(inner)}
 }
 
 func permutations(n int) [][]int {
@@ -102,7 +96,7 @@ func permutations(n int) [][]int {
 
 // drainGather runs a batchGatherMergeOp whose children complete in the
 // given order and returns the merged (id, dist) pairs.
-func drainGather(t *testing.T, shardRows [][]*binding, mode gatherMode, k int, completion []int) [][2]float64 {
+func drainGather(t *testing.T, shardRows [][]gatherRow, mode gatherMode, k int, completion []int) [][2]float64 {
 	t.Helper()
 	children := make([]BatchOperator, len(shardRows))
 	stubs := make([]*stubShardOp, len(shardRows))
@@ -112,7 +106,7 @@ func drainGather(t *testing.T, shardRows [][]*binding, mode gatherMode, k int, c
 	}
 	op := &batchGatherMergeOp{
 		ctx: &execCtx{}, children: children, workers: len(children),
-		alias: "t", mode: mode, k: k, size: 3,
+		mode: mode, k: k, size: 3,
 	}
 	done := make(chan error, 1)
 	var got [][2]float64
@@ -134,11 +128,11 @@ func drainGather(t *testing.T, shardRows [][]*binding, mode gatherMode, k int, c
 				done <- fmt.Errorf("gather emitted a block of %d rows, block size is 3", b.Len())
 				return
 			}
-			for _, rb := range b.binds {
-				tup, _ := rb.tupleFor("t")
-				got = append(got, [2]float64{float64(tup.ID), rb.dist})
-			}
 			for i := range b.IDs {
+				if b.width() > 1 && float64(b.slot(1).IDs[i]) != b.dist[i] {
+					done <- fmt.Errorf("row %d lost its inner slot: id %d, dist %v", i, b.slot(1).IDs[i], b.dist[i])
+					return
+				}
 				got = append(got, [2]float64{float64(b.IDs[i]), b.dist[i]})
 			}
 		}
@@ -162,17 +156,17 @@ func drainGather(t *testing.T, shardRows [][]*binding, mode gatherMode, k int, c
 func TestGatherMergeTieBreaking(t *testing.T) {
 	cases := []struct {
 		name   string
-		shards [][]*binding // per shard, in the shard's own emit order
+		shards [][]gatherRow // per shard, in the shard's own emit order
 		mode   gatherMode
 		k      int
 		want   [][2]float64
 	}{
 		{
 			name: "bestk equal distances across shards",
-			shards: [][]*binding{
-				{mkBinding(3, 1), mkBinding(7, 1)},
-				{mkBinding(1, 1), mkBinding(9, 1)},
-				{mkBinding(5, 1), mkBinding(6, 1)},
+			shards: [][]gatherRow{
+				{mkRow(3, 1), mkRow(7, 1)},
+				{mkRow(1, 1), mkRow(9, 1)},
+				{mkRow(5, 1), mkRow(6, 1)},
 			},
 			mode: gatherBestK, k: 4,
 			// All dist 1: ids ascending, truncated to k.
@@ -180,10 +174,10 @@ func TestGatherMergeTieBreaking(t *testing.T) {
 		},
 		{
 			name: "bestk mixed distances with boundary tie",
-			shards: [][]*binding{
-				{mkBinding(10, 0), mkBinding(11, 2)},
-				{mkBinding(2, 2), mkBinding(4, 3)},
-				{mkBinding(8, 1)},
+			shards: [][]gatherRow{
+				{mkRow(10, 0), mkRow(11, 2)},
+				{mkRow(2, 2), mkRow(4, 3)},
+				{mkRow(8, 1)},
 			},
 			mode: gatherBestK, k: 3,
 			// The k-th slot is contested by dist-2 rows 2 and 11: lower id
@@ -192,27 +186,27 @@ func TestGatherMergeTieBreaking(t *testing.T) {
 		},
 		{
 			name: "bestk k larger than matches",
-			shards: [][]*binding{
-				{mkBinding(2, 2)},
+			shards: [][]gatherRow{
+				{mkRow(2, 2)},
 				{},
-				{mkBinding(1, 2)},
+				{mkRow(1, 2)},
 			},
 			mode: gatherBestK, k: 10,
 			want: [][2]float64{{1, 2}, {2, 2}},
 		},
 		{
 			name: "id merge restores global scan order",
-			shards: [][]*binding{
-				{mkBinding(0, 1), mkBinding(5, 1)},
-				{mkBinding(2, 1)},
-				{mkBinding(1, 1), mkBinding(3, 1), mkBinding(4, 1)},
+			shards: [][]gatherRow{
+				{mkRow(0, 1), mkRow(5, 1)},
+				{mkRow(2, 1)},
+				{mkRow(1, 1), mkRow(3, 1), mkRow(4, 1)},
 			},
 			mode: gatherByID,
 			want: [][2]float64{{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}},
 		},
 		{
 			name: "id merge of join chains keeps each outer row's inner order",
-			shards: [][]*binding{
+			shards: [][]gatherRow{
 				// One chain per outer shard: the outer id repeats once per
 				// inner match and the merge key is the OUTER id alone, so
 				// the merge must keep each outer row's matches in the

@@ -17,14 +17,20 @@ package query
 //     | |x| - |y| |, so the rows are kept in length order and a probe of
 //     length L verifies only the band [L-floor(r), L+floor(r)].
 //
-// Every kernel keeps evalSim's operand order (field -> target, whichever
-// side probes), so a join returns what verifying each pair through
-// evalSim would; the join oracle pins that against a brute force.
+// Every kernel keeps the predicate's operand order (field -> target,
+// whichever side probes), so a join returns what verifying each pair
+// with the compiled predicate (batch_pred.go) would; the join oracle
+// pins that against a brute force.
 //
 // The inner side is a list of snapshots: one for a plain relation, one
 // per shard when a sharded inner is broadcast (see buildJoin). Per-probe
 // matches sort by global tuple id before emission, so the output order
 // is outer order, inner ascending, whatever the probe and layout.
+//
+// Rows are slot columns (slotMap): an outer row holds the slots before
+// the step's own, and each match emits a copy of them with the inner
+// tuple in the step's slot — appended to the operator's one output
+// batch, so a pair costs no allocation of its own.
 
 import (
 	"cmp"
@@ -59,7 +65,10 @@ type batchJoinOp struct {
 	banded     bool          // scan of a unit-cost edit edge: the length band applies
 	snaps      []*relation.Snapshot
 	alias      string   // inner alias
+	slot       int      // the inner alias's slot; the outer rows hold the slots before it
 	probeField FieldRef // outer-side join field
+	probeVal   valFn    // a string edge's probe value, compiled over the outer slots
+	probeSlot  int      // a vector edge's probe slot
 	sim        *SimExpr
 	size       int
 	vec        bool
@@ -86,15 +95,12 @@ type batchJoinOp struct {
 
 	// Iteration state.
 	cur     *Batch // current outer batch (owned by child)
-	pos     int    // next outer row to probe
-	curBind *binding
-	scratch binding
+	pos     int    // next outer row to probe; the matches are row pos-1's
 	matches []joinMatch
 	mpos    int
 	dists   []float64 // DistBatch output, one per inner vector
 
 	out   *Batch
-	binds []*binding
 	local ExecStats
 	last  ExecStats // retained across Close for span attribution
 }
@@ -111,7 +117,7 @@ func (o *batchJoinOp) OpenBatch() error {
 		return err
 	}
 	o.out = getBatch()
-	o.cur, o.pos, o.curBind = nil, 0, nil
+	o.cur, o.pos = nil, 0
 	o.matches, o.mpos = o.matches[:0], 0
 	return o.child.OpenBatch()
 }
@@ -178,47 +184,48 @@ func (o *batchJoinOp) openScan() error {
 	return nil
 }
 
-// probe finds the inner matches of one outer row with the decided
+// probe finds the inner matches of outer row i of b with the decided
 // probe and leaves them id-sorted in o.matches.
-func (o *batchJoinOp) probe(b *binding) error {
+func (o *batchJoinOp) probe(b *Batch, i int) error {
 	o.matches, o.mpos = o.matches[:0], 0
-	var err error
-	switch {
-	case o.algo == "index":
-		err = o.probeIndex(b)
-	case o.vec:
-		err = o.probeVec(b)
-	default:
-		err = o.probeStr(b)
-	}
-	slices.SortFunc(o.matches, func(a, b joinMatch) int { return cmp.Compare(a.t.ID, b.t.ID) })
-	return err
-}
-
-// probeIndex runs the outer row's join value through every inner
-// snapshot: the band walk of its length view for a string edge, its
-// VP-tree for a vector edge.
-func (o *batchJoinOp) probeIndex(b *binding) error {
-	if !o.vec {
-		pv, err := fieldValue(o.probeField, b)
+	if o.vec {
+		// Rows without a vector never match.
+		switch pv := b.slot(o.probeSlot).Vecs[i]; {
+		case pv == nil:
+		case o.algo == "index":
+			o.probeVPTree(pv)
+		default:
+			o.probeVec(pv)
+		}
+	} else {
+		pv, err := o.probeVal(b, i)
 		if err != nil {
 			return err
 		}
-		o.walk.reset(pv)
-		for i, snap := range o.snaps {
-			o.local.add(o.walk.walk(snap, o.covered[i], o.emitWalk))
+		if o.algo == "index" {
+			o.probeLengthView(pv)
+		} else if err := o.probeStr(pv); err != nil {
+			return err
 		}
-		return nil
 	}
-	t, err := fieldTuple(o.probeField, b)
-	if err != nil {
-		return err
+	slices.SortFunc(o.matches, func(a, b joinMatch) int { return cmp.Compare(a.t.ID, b.t.ID) })
+	return nil
+}
+
+// probeLengthView runs a string join value through the band walk of
+// every inner snapshot's length view.
+func (o *batchJoinOp) probeLengthView(pv string) {
+	o.walk.reset(pv)
+	for i, snap := range o.snaps {
+		o.local.add(o.walk.walk(snap, o.covered[i], o.emitWalk))
 	}
-	if t.Vec == nil {
-		return nil // rows without a vector never match
-	}
+}
+
+// probeVPTree runs a vector join value through every inner snapshot's
+// VP-tree.
+func (o *batchJoinOp) probeVPTree(pv metric.Vector) {
 	for _, snap := range o.snaps {
-		ms, st := snap.VPTree(o.m).RangeStats(t.Vec, o.sim.Radius)
+		ms, st := snap.VPTree(o.m).RangeStats(pv, o.sim.Radius)
 		o.local.add(fromIndexStats(st))
 		for _, m := range ms {
 			// The shared tree is a superset of the snapshot: skip rows
@@ -228,16 +235,12 @@ func (o *batchJoinOp) probeIndex(b *binding) error {
 			}
 		}
 	}
-	return nil
 }
 
-// probeStr verifies the outer row's string join value against the
-// inner rows: the length band of a unit-cost edge, every row otherwise.
-func (o *batchJoinOp) probeStr(b *binding) error {
-	pv, err := fieldValue(o.probeField, b)
-	if err != nil {
-		return err
-	}
+// probeStr verifies a string join value against the inner rows: the
+// length band of a unit-cost edge, every row otherwise.
+func (o *batchJoinOp) probeStr(pv string) error {
+	var err error
 	radius := o.sim.Radius
 	rows := o.inner
 	k := 0
@@ -289,66 +292,44 @@ func (o *batchJoinOp) probeStr(b *binding) error {
 	return nil
 }
 
-// probeVec verifies the outer row's vector against every inner vector.
-func (o *batchJoinOp) probeVec(b *binding) error {
-	t, err := fieldTuple(o.probeField, b)
-	if err != nil {
-		return err
-	}
-	pv := t.Vec
-	if pv == nil {
-		return nil // rows without a vector never match
-	}
+// probeVec verifies a vector join value against every inner vector.
+func (o *batchJoinOp) probeVec(pv metric.Vector) {
 	r := o.sim.Radius
 	o.local.Candidates += len(o.inner)
 	o.local.Verifications += len(o.inner)
 	if o.outerIsTarget {
-		// evalSim computes Dist(target, field); the blocked kernel with
-		// the probe as query matches that order exactly.
+		// The predicate computes Dist(target, field); the blocked kernel
+		// with the probe as query matches that order exactly.
 		metric.DistBatch(o.m, pv, o.vecs, o.dists)
 		for i, d := range o.dists {
 			if d <= r {
 				o.matches = append(o.matches, joinMatch{t: o.inner[i].t, d: d})
 			}
 		}
-		return nil
+		return
 	}
 	// The probe is the field operand: keep the candidate (target) first,
-	// the order evalSim verifies with.
+	// the order the predicate verifies with.
 	for _, row := range o.inner {
 		if d, ok := metric.Within(o.m, row.t.Vec, pv, r); ok {
 			o.matches = append(o.matches, joinMatch{t: row.t, d: d})
 		}
 	}
-	return nil
 }
 
 func (o *batchJoinOp) NextBatch() (*Batch, error) {
 	b := o.out
-	b.reset()
-	binds := o.binds[:0]
-	for len(binds) < o.size {
+	b.reset(o.slot + 1)
+	for b.Len() < o.size {
 		if o.mpos < len(o.matches) {
 			m := o.matches[o.mpos]
 			o.mpos++
-			nb := mergeBindings(o.curBind, newBinding(o.alias, m.t))
-			if !nb.hasDist {
-				nb.dist, nb.hasDist = m.d, true
-			}
-			binds = append(binds, nb)
+			b.appendJoined(o.cur, o.pos-1, m.t, m.d)
 			continue
 		}
 		if o.cur != nil && o.pos < o.cur.Len() {
-			if o.cur.binds != nil {
-				o.curBind = o.cur.binds[o.pos]
-			} else {
-				// Safe to reuse the scratch view: mergeBindings copies the
-				// tuple into the emitted binding before the next probe.
-				o.cur.scratch(o.pos, o.cur.alias, &o.scratch)
-				o.curBind = &o.scratch
-			}
 			o.pos++
-			if err := o.probe(o.curBind); err != nil {
+			if err := o.probe(o.cur, o.pos-1); err != nil {
 				return nil, err
 			}
 			continue
@@ -362,12 +343,28 @@ func (o *batchJoinOp) NextBatch() (*Batch, error) {
 		}
 		o.cur, o.pos = nb, 0
 	}
-	o.binds = binds
-	if len(binds) == 0 {
+	if b.Len() == 0 {
 		return nil, nil
 	}
-	b.binds = binds
 	return b, nil
+}
+
+// appendJoined adds outer row i of src joined with the inner tuple t at
+// distance d: src's slots, then t in the next slot. The row keeps the
+// outer row's distance when it has one — the first edge in join order
+// sets it, as the first matching similarity conjunct does in a filter.
+func (b *Batch) appendJoined(src *Batch, i int, t relation.Tuple, d float64) {
+	w := src.width()
+	for s := range w {
+		from := src.slot(s)
+		b.slot(s).Append(from.IDs[i], from.Seqs[i], from.Vecs[i], from.Attrs[i])
+	}
+	b.slot(w).Append(t.ID, t.Seq, t.Vec, t.Attrs)
+	if src.has[i] {
+		d = src.dist[i]
+	}
+	b.dist = append(b.dist, d)
+	b.has = append(b.has, true)
 }
 
 func (o *batchJoinOp) CloseBatch() error {
@@ -375,7 +372,7 @@ func (o *batchJoinOp) CloseBatch() error {
 	o.ctx.addStats(o.local)
 	o.local = ExecStats{}
 	o.inner, o.vecs, o.dists = nil, nil, nil
-	o.cur, o.curBind = nil, nil
+	o.cur = nil
 	putBatch(o.out)
 	o.out = nil
 	return o.child.CloseBatch()
@@ -403,20 +400,6 @@ func (o *batchJoinOp) Describe() string {
 }
 
 func (o *batchJoinOp) childNodes() []BatchOperator { return []BatchOperator{o.child} }
-
-// mergeBindings combines the aliases of two bindings into one slice
-// sized for both; the right binding's tuple wins on a repeated alias,
-// and the left binding's distance (if any) wins, preserving
-// first-predicate-sets-dist semantics across join chains.
-func mergeBindings(l, r *binding) *binding {
-	b := &binding{aliases: make([]aliasTuple, 0, l.width()+r.width()), dist: l.dist, hasDist: l.hasDist}
-	b.bindAll(l)
-	b.bindAll(r)
-	if !b.hasDist && r.hasDist {
-		b.dist, b.hasDist = r.dist, true
-	}
-	return b
-}
 
 // buildJoin constructs the operator tree of a decided join. Edges are
 // recovered by position from extractJoinSims' deterministic output;
@@ -500,11 +483,25 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 	}
 	start := relOf[d.start]
 	startStats := start.Stats()
+	// The rows' slots in join order: the start alias, then each step's.
+	slots := slotMap{d.start}
 	stepSnaps := make([][]*relation.Snapshot, len(steps))
 	stepStats := make([]relation.Stats, len(steps))
+	probeVals := make([]valFn, len(steps))
+	probeSlots := make([]int, len(steps))
 	for i, step := range steps {
 		stepSnaps[i] = snapsOf[relOf[step.alias]]
 		stepStats[i] = relOf[step.alias].Stats()
+		if step.vec {
+			s, err := slots.resolve(step.probeField)
+			if err != nil {
+				return nil, err
+			}
+			probeSlots[i] = s
+		} else {
+			probeVals[i] = compileField(step.probeField, slots)
+		}
+		slots = append(slots, step.alias)
 	}
 
 	ctx := &execCtx{eng: e, traced: q.Analyze || e.tracing.Load()}
@@ -519,22 +516,23 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 			cur = joinOutRowsFor(edges[step.edge], cur, stepStats[i])
 			op = trB(ctx, &batchJoinOp{
 				kernelTag: kernelTag{d.kernel}, ctx: ctx, child: op, algo: step.algo, banded: step.banded,
-				snaps: stepSnaps[i], alias: step.alias, probeField: step.probeField,
+				snaps: stepSnaps[i], alias: step.alias, slot: i + 1, probeField: step.probeField,
+				probeVal: probeVals[i], probeSlot: probeSlots[i],
 				sim: edges[step.edge], size: size, vec: step.vec, m: stepMetrics[i],
 			}, cur)
 		}
 		if !isTrivial(pred) {
-			op = trB(ctx, &batchFilterOp{kernelTag: kernelTag{e.filterKernel(pred)}, ctx: ctx, child: op, pred: pred, alias: d.start},
+			op = trB(ctx, &batchFilterOp{kernelTag: kernelTag{e.filterKernel(pred)}, ctx: ctx, child: op, pred: pred, slots: slots},
 				estFilterRows(startStats, pred, cur))
 		}
 		return op
 	}
-	access, err := e.fanOut(ctx, q, d, start, snapsOf[start], d.start, 0, -1, chain)
+	access, err := e.fanOut(ctx, q, d, start, snapsOf[start], 0, -1, chain)
 	if err != nil {
 		return nil, err
 	}
 	return &compiledPlan{
-		root: e.wrapBatchTop(q, access, d.start, size, ctx, false),
+		root: e.wrapBatchTop(q, access, slots, size, ctx, false),
 		ctx:  ctx, columns: projectColumns(q), kernel: d.kernel,
 	}, nil
 }

@@ -467,6 +467,7 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 	st := shardStats(total, n)
 	ctx := &execCtx{eng: e, traced: q.Analyze || e.tracing.Load()}
 	alias := q.From[0].Alias
+	slots := slotMap{alias}
 	size := e.batchLeafSize(q)
 	tag := kernelTag{d.kernel}
 	// filter stacks the residual predicate, if any, on a leaf.
@@ -474,7 +475,7 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 		if isTrivial(pred) {
 			return op
 		}
-		return trB(ctx, &batchFilterOp{kernelTag: kernelTag{e.filterKernel(pred)}, ctx: ctx, child: op, pred: pred, alias: alias},
+		return trB(ctx, &batchFilterOp{kernelTag: kernelTag{e.filterKernel(pred)}, ctx: ctx, child: op, pred: pred, slots: slots},
 			estFilterRows(st, pred, estOfBatch(op)))
 	}
 
@@ -545,12 +546,12 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 	default:
 		return nil, fmt.Errorf("query: unknown access kind %d", d.kind)
 	}
-	access, err := e.fanOut(ctx, q, d, tab, snaps, alias, k, est, leaf)
+	access, err := e.fanOut(ctx, q, d, tab, snaps, k, est, leaf)
 	if err != nil {
 		return nil, err
 	}
 	return &compiledPlan{
-		root: e.wrapBatchTop(q, access, alias, size, ctx, ordered),
+		root: e.wrapBatchTop(q, access, slots, size, ctx, ordered),
 		ctx:  ctx, columns: projectColumns(q), kernel: d.kernel,
 	}, nil
 }
@@ -572,12 +573,12 @@ func (e *Engine) batchLeafSize(q *Query) int {
 // wrapBatchTop applies the shared decorator stack — OrderByDist (unless
 // the access path already emits the ORDER BY order), Project, Limit —
 // above an access path.
-func (e *Engine) wrapBatchTop(q *Query, access BatchOperator, alias string, size int, ctx *execCtx, ordered bool) BatchOperator {
+func (e *Engine) wrapBatchTop(q *Query, access BatchOperator, slots slotMap, size int, ctx *execCtx, ordered bool) BatchOperator {
 	top := access
 	if q.Order != OrderNone && !ordered {
 		top = trB(ctx, &batchOrderByDistOp{child: top, desc: q.Order == OrderDesc, size: size}, estOfBatch(top))
 	}
-	top = trB(ctx, &batchProjectOp{q: q, child: top, alias: alias}, estOfBatch(top))
+	top = trB(ctx, &batchProjectOp{q: q, child: top, slots: slots}, estOfBatch(top))
 	if q.Limit > 0 {
 		top = trB(ctx, &batchLimitOp{child: top, n: q.Limit}, estLimitRows(q.Limit, estOfBatch(top)))
 	}
@@ -761,7 +762,7 @@ func distDependent(ex Expr) bool {
 // rangeConjunct picks the conjunct a range access path serves and the
 // predicate the filter above it must evaluate. A row's distance is that
 // of the first similarity predicate that matches it in evaluation order
-// (evalExpr). When no conjunct before the extracted one mentions a
+// (batch_pred.go). When no conjunct before the extracted one mentions a
 // similarity or reads dist, that is the access path's distance: the leaf
 // supplies it (leafDist) and the filter evaluates the residual.
 // Otherwise the leaf emits its rows without a distance and the filter

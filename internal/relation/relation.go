@@ -951,6 +951,11 @@ func (b *Block) Append(id int, seq string, vec metric.Vector, attrs map[string]s
 // Len returns the number of rows in the block.
 func (b *Block) Len() int { return len(b.IDs) }
 
+// Tuple returns row i of the block.
+func (b *Block) Tuple(i int) Tuple {
+	return Tuple{ID: b.IDs[i], Seq: b.Seqs[i], Vec: b.Vecs[i], Attrs: b.Attrs[i]}
+}
+
 // NextBlock fills the block with up to max visible tuples and returns
 // how many it produced (0 at the end of the shard). The batch engine's
 // leaf: one call amortizes the per-row cursor overhead across the whole
