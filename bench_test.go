@@ -348,7 +348,7 @@ func BenchmarkJoinDict(b *testing.B) {
 	if plan := res.Rows[0][0]; !strings.Contains(plan, "IndexJoin(") {
 		b.Fatalf("expected IndexJoin( in the plan:\n%s", plan)
 	}
-	if _, err := eng.Execute(stmt); err != nil { // warm the plan cache
+	if _, err := eng.Execute(stmt); err != nil { // warm the statement cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -379,7 +379,7 @@ func runMixed(b *testing.B, opts ...EngineOption) {
 	b.Helper()
 	eng := benchQueryEngine(b, 20000, append(opts, WithParallelism(1))...)
 	for _, stmt := range mixedWorkload {
-		if _, err := eng.Execute(stmt); err != nil { // warm the plan cache
+		if _, err := eng.Execute(stmt); err != nil { // warm the statement cache
 			b.Fatal(err)
 		}
 	}
@@ -435,11 +435,11 @@ func BenchmarkVectorizedMixedBatchSize(b *testing.B) {
 }
 
 // BenchmarkServingColdParsePlan — the per-statement cost with the
-// statement cache disabled: every execution pays lex+parse+plan. The
-// query itself is an indexed LIMIT 1 probe; one execution before the
-// timer builds the relation's length view, so the timed loop measures
-// the front end plus the band walk, exactly what the serving benchmarks
-// below have left once caching removes the front end.
+// statement cache disabled: every execution pays lex+parse, then plans
+// and runs like any other. The query itself is an indexed LIMIT 1
+// probe; one execution before the timer builds the relation's length
+// view, so the timed loop measures lex+parse plus plan and band walk,
+// of which the serving benchmarks below skip only lex+parse.
 func BenchmarkServingColdParsePlan(b *testing.B) {
 	const stmt = `SELECT seq FROM dict WHERE seq SIMILAR TO "abcdefgh" WITHIN 1 USING unit-edits LIMIT 1`
 	eng := benchQueryEngine(b, 20000, WithPlanCacheSize(0))
@@ -455,9 +455,9 @@ func BenchmarkServingColdParsePlan(b *testing.B) {
 }
 
 // BenchmarkServingCacheHit — the same statement through a warm
-// statement cache: parse+plan are skipped. This is the CI-gated serving latency
-// (see BENCH_baseline.json: its ratio to ServingColdParsePlan must not
-// regress past the tolerance).
+// statement cache: lex+parse are skipped, planning is not. This is the
+// CI-gated serving latency (see BENCH_baseline.json: its ratio to
+// ServingColdParsePlan must not regress past the tolerance).
 func BenchmarkServingCacheHit(b *testing.B) {
 	const stmt = `SELECT seq FROM dict WHERE seq SIMILAR TO "abcdefgh" WITHIN 1 USING unit-edits LIMIT 1`
 	eng := benchQueryEngine(b, 20000)
@@ -471,20 +471,20 @@ func BenchmarkServingCacheHit(b *testing.B) {
 			b.Fatal(err)
 		}
 		if !res.Stats.PlanCacheHit {
-			b.Fatal("execution missed the plan cache")
+			b.Fatal("execution missed the statement cache")
 		}
 	}
 }
 
 // BenchmarkServingPrepared — the prepared-statement path: bind two
-// parameters and execute with a cached planner decision.
+// parameters to the parsed template, plan and execute.
 func BenchmarkServingPrepared(b *testing.B) {
 	eng := benchQueryEngine(b, 20000)
 	pq, err := eng.Prepare(`SELECT seq FROM dict WHERE seq SIMILAR TO ? WITHIN ? USING unit-edits LIMIT 1`)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := pq.Execute("abcdefgh", 1); err != nil { // warm the decision cache
+	if _, err := pq.Execute("abcdefgh", 1); err != nil { // warm the length view
 		b.Fatal(err)
 	}
 	b.ResetTimer()

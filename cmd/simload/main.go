@@ -124,7 +124,7 @@ func main() {
 		}
 	}
 
-	// Warm up (fills the plan and decision caches, warms connections).
+	// Warm up (fills the statement cache, warms connections).
 	for i := 0; i < *warmup; i++ {
 		body := requestBody(preparedID, stmt, targets[i%len(targets)], radiusArg, vec, extra, i)
 		if *nearestFrac > 0 && i%2 == 1 {

@@ -493,7 +493,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	pq, err := s.statement(req)
+	pq, cached, err := s.statement(req)
 	if err != nil {
 		s.fail(w, traceID, err)
 		return
@@ -510,6 +510,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rw.fail(body)
 		return
 	}
+	res.Stats.PlanCacheHit = cached
 	elapsed := time.Since(start)
 	s.maybeLogSlow(traceID, req, res, rw.rows, elapsed)
 	plan := ""
@@ -613,7 +614,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	pq, err := s.statement(req)
+	pq, _, err := s.statement(req)
 	if err != nil {
 		s.fail(w, traceID, err)
 		return
@@ -778,21 +779,22 @@ func (s *server) shardStats() map[string]shardTableStats {
 
 // statement resolves a request's statement: a prepared statement by
 // id, or statement text through the engine's statement cache
-// (Engine.Prepare).
-func (s *server) statement(req *request) (*query.PreparedQuery, error) {
+// (Engine.Statement). cached reports that the request lexed and parsed
+// nothing, which a prepared id never does.
+func (s *server) statement(req *request) (pq *query.PreparedQuery, cached bool, err error) {
 	switch {
 	case req.ID != "":
 		s.mu.RLock()
 		pq := s.prepared[req.ID]
 		s.mu.RUnlock()
 		if pq == nil {
-			return nil, errBad(fmt.Sprintf("unknown prepared statement %q", req.ID))
+			return nil, false, errBad(fmt.Sprintf("unknown prepared statement %q", req.ID))
 		}
-		return pq, nil
+		return pq, true, nil
 	case req.Query == "":
-		return nil, errBad("request needs \"query\" or \"id\"")
+		return nil, false, errBad("request needs \"query\" or \"id\"")
 	}
-	return s.eng.Prepare(req.Query)
+	return s.eng.Statement(req.Query)
 }
 
 // execute runs a statement bound to the request's params under the

@@ -265,7 +265,7 @@ func TestV1DistanceJoinOverHTTP(t *testing.T) {
 // TestAdhocSharesPreparedStatement: statement text sent to /v1/query
 // with params goes through the engine's statement cache, so a repeat is
 // a plan-cache hit, and a /v1/prepare of the same text (modulo
-// whitespace) registers that same statement, decision memo included.
+// whitespace) registers that same statement.
 func TestAdhocSharesPreparedStatement(t *testing.T) {
 	s := newTestServer(t, "")
 	mux := s.routes()
@@ -302,7 +302,7 @@ func TestAdhocSharesPreparedStatement(t *testing.T) {
 		t.Fatalf("/v1/prepare = %d: %s", rec.Code, rec.Body)
 	}
 	if r := query(map[string]any{"id": prep.ID, "params": []any{"color"}}); !r.Stats.PlanCacheHit {
-		t.Error("the prepared text did not share the ad hoc statement's decision")
+		t.Error("an execution by prepared id reported lexing and parsing its text")
 	}
 	if cs := s.eng.CacheStats(); cs.Entries != 1 {
 		t.Errorf("statement cache holds %d entries, want 1", cs.Entries)

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Distance is a dissimilarity measure over float32 vectors. d(a, b)
@@ -118,16 +117,14 @@ func IsTriangular(m Distance) bool {
 // ------------------------------------------------------------ registry
 
 var (
-	regMu      sync.RWMutex
-	registry   = map[string]Distance{}
-	regVersion atomic.Uint64
+	regMu    sync.RWMutex
+	registry = map[string]Distance{}
 )
 
 // Register adds a metric to the process-wide registry under its Name,
-// replacing any previous metric of that name, and bumps the registry
-// version (part of every plan-cache epoch, so cached plans costed
-// against the old registry are invalidated). The built-in metrics
-// ("l2", "cosine") register themselves at init.
+// replacing any previous metric of that name; the next statement that
+// names it plans against the new one. The built-in metrics ("l2",
+// "cosine") register themselves at init.
 func Register(m Distance) error {
 	if m == nil || m.Name() == "" {
 		return fmt.Errorf("metric: Register requires a named metric")
@@ -135,7 +132,6 @@ func Register(m Distance) error {
 	regMu.Lock()
 	defer regMu.Unlock()
 	registry[m.Name()] = m
-	regVersion.Add(1)
 	return nil
 }
 
@@ -158,8 +154,3 @@ func Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Version is the registry mutation counter. The query engine folds it
-// into its plan-cache epoch: registering a metric starts a fresh key
-// space exactly like registering a rule set does.
-func Version() uint64 { return regVersion.Load() }

@@ -78,7 +78,7 @@ func (w *bandWalk) reset(target string) {
 
 // bandWalk resolves the rule set's calculator for a walk. The planner
 // routes only edit-like rule sets here, so a missing calculator means
-// the rule set changed under the plan.
+// the rule set was re-registered between planning and opening.
 func (e *Engine) bandWalk(ruleSet, target string) (*bandWalk, error) {
 	ent, _ := e.rule(ruleSet)
 	if ent == nil || ent.calc == nil {

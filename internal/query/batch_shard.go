@@ -103,24 +103,18 @@ func (d *planDecision) streams() (n int, gathered bool) {
 	return max(d.shards, 1) * d.slices, d.shards > 0 || d.slices > 1
 }
 
-// fanOut builds a plan's pipelines over the snapshots of tab, one per
-// stream, with build. A lone pipeline is the access path itself.
-// Otherwise the pipelines merge under one GatherMerge: by (dist, id)
-// keeping the k best for NEAREST (k > 0), by slot 0's id otherwise.
-// LIMIT without ORDER BY keeps the smallest ids, so each id-merged
-// stream stops at the limit itself instead of draining. est is the
-// gather's planner estimate.
-func (e *Engine) fanOut(ctx *execCtx, q *Query, d *planDecision, tab relation.Table, snaps []*relation.Snapshot,
-	k int, est float64, build func(stream) BatchOperator) (BatchOperator, error) {
-	if len(snaps) != max(d.shards, 1) {
-		// The table was re-registered with another layout after this
-		// decision was made; PreparedQuery.run re-plans on this error.
-		return nil, fmt.Errorf("query: stale plan: relation %q has %d snapshots, plan wants %d",
-			tab.Name(), len(snaps), max(d.shards, 1))
-	}
+// fanOut builds a plan's pipelines over the snapshots of the table d
+// was decided over, one per stream, with build. A lone pipeline is the
+// access path itself. Otherwise the pipelines merge under one
+// GatherMerge: by (dist, id) keeping the k best for NEAREST (k > 0), by
+// slot 0's id otherwise. LIMIT without ORDER BY keeps the smallest ids,
+// so each id-merged stream stops at the limit itself instead of
+// draining. est is the gather's planner estimate.
+func (e *Engine) fanOut(ctx *execCtx, q *Query, d *planDecision, snaps []*relation.Snapshot,
+	k int, est float64, build func(stream) BatchOperator) BatchOperator {
 	n, gathered := d.streams()
 	if !gathered {
-		return build(stream{snap: snaps[0], slices: 1, shards: 1}), nil
+		return build(stream{snap: snaps[0], slices: 1, shards: 1})
 	}
 	gather := &batchGatherMergeOp{ctx: ctx, children: make([]BatchOperator, n), workers: e.gatherWorkers(n),
 		mode: gatherByID, size: e.batchLeafSize(q)}
@@ -134,7 +128,7 @@ func (e *Engine) fanOut(ctx *execCtx, q *Query, d *planDecision, tab relation.Ta
 		}
 		gather.children[i] = op
 	}
-	return trB(ctx, gather, est), nil
+	return trB(ctx, gather, est)
 }
 
 // --------------------------------------------------------- gather merge

@@ -7,11 +7,10 @@ import (
 	"repro/internal/metric"
 )
 
-// TestPreparedThresholdCrossoverReplans is the end-to-end satellite:
-// one PreparedQuery whose bound THRESHOLD moves across the VP-tree's
-// selectivity crossover must switch between VecRange and Scan plans —
-// and that switch is exactly what triggers a re-plan (the same radius
-// re-bound does not). String WITHIN has one access path at every
+// TestPreparedThresholdCrossoverReplans: one PreparedQuery whose bound
+// THRESHOLD moves across the VP-tree's selectivity crossover switches
+// between VecRange and Scan plans, and back: every binding plans as a
+// fresh engine would. String WITHIN has one access path at every
 // radius; TestRangeCrossoverAnswersAgree covers it.
 func TestPreparedThresholdCrossoverReplans(t *testing.T) {
 	e := vecEngine(t, 1, 256, vecRows(
@@ -38,16 +37,11 @@ func TestPreparedThresholdCrossoverReplans(t *testing.T) {
 		t.Errorf("radius 4 plan = %q, want Scan without VecRange", plan4)
 	}
 
-	// Same radius again: decision reuse, no extra plan.
-	before := pq.Stats().Plans
-	if _, err := pq.Execute("[0, 0]", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pq.Execute("[5, 5]", 1); err != nil {
-		t.Fatal(err)
-	}
-	if after := pq.Stats().Plans; after != before {
-		t.Errorf("re-binding the same radius re-planned (%d -> %d)", before, after)
+	// Back below the crossover, and a second target at the same radius.
+	for _, target := range []string{"[0, 0]", "[5, 5]"} {
+		if res := checkLikeFresh(t, e, pq.Text(), target, 1); !strings.Contains(res.Plan, "VecRange") {
+			t.Errorf("radius 1 plan for %s = %q, want VecRange", target, res.Plan)
+		}
 	}
 }
 

@@ -26,11 +26,10 @@ import (
 type Engine struct {
 	catalog *relation.Catalog
 
-	mu        sync.RWMutex
-	rules     map[string]*ruleEntry       // registered rule sets by name
-	patterns  map[string]*pattern.Pattern // compiled pattern cache
-	rsVersion uint64                      // bumped per RegisterRuleSet; part of decision keys
-	store     *storage.Store              // durable write path; nil = direct catalog mutation
+	mu       sync.RWMutex
+	rules    map[string]*ruleEntry       // registered rule sets by name
+	patterns map[string]*pattern.Pattern // compiled pattern cache
+	store    *storage.Store              // durable write path; nil = direct catalog mutation
 
 	// Fixed at construction by the options.
 	plans           *planCache // statement text -> PreparedQuery; nil disables
@@ -113,7 +112,7 @@ func WithTracing(on bool) Option { return func(e *Engine) { e.SetTracing(on) } }
 
 // NewEngine returns an engine over the catalog with no rule sets
 // registered, configured by the given options (defaults: blocks of
-// 256 rows, GOMAXPROCS workers, a 512-entry plan cache, tracing off).
+// 256 rows, GOMAXPROCS workers, a 512-entry statement cache, tracing off).
 func NewEngine(cat *relation.Catalog, opts ...Option) *Engine {
 	e := &Engine{
 		catalog:         cat,
@@ -137,9 +136,10 @@ func (e *Engine) BatchSize() int { return e.batchSize }
 func (e *Engine) Catalog() *relation.Catalog { return e.catalog }
 
 // RegisterRuleSet makes a rule set available to USING clauses under its
-// own name, replacing any set registered under it. Edit-like sets get a
-// DP calculator; all sets within the decidable regime get a general
-// search engine.
+// own name, replacing any set registered under it; the next execution
+// of every statement that names it plans against the new set. Edit-like
+// sets get a DP calculator; all sets within the decidable regime get a
+// general search engine.
 func (e *Engine) RegisterRuleSet(rs *rewrite.RuleSet) error {
 	ent := &ruleEntry{rs: rs, unit: unitCost(rs)}
 	if rs.EditLike() {
@@ -157,7 +157,6 @@ func (e *Engine) RegisterRuleSet(rs *rewrite.RuleSet) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.rsVersion++ // invalidates memoised decisions whose costing saw the old registry
 	e.rules[rs.Name()] = ent
 	return nil
 }
@@ -259,13 +258,6 @@ func (e *Engine) SetTracing(on bool) { e.tracing.Store(on) }
 // Tracing reports whether engine-wide span collection is on.
 func (e *Engine) Tracing() bool { return e.tracing.Load() }
 
-// rulesetVersion returns the rule-set registry mutation counter.
-func (e *Engine) rulesetVersion() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.rsVersion
-}
-
 // CacheStats snapshots the statement cache's hit/miss counters; all
 // zero when caching is disabled.
 func (e *Engine) CacheStats() CacheStats {
@@ -318,18 +310,23 @@ func normalizeQueryText(src string) string {
 
 // Execute runs one statement — SELECT or DML — without arguments: it is
 // Prepare(src) followed by the statement's Execute, so a repeated text
-// skips the lexer and the parser, and reuses its planner decision while
-// the engine's statistics and registries stand. Parameterized
-// statements cannot run here — bind them through Prepare.
+// skips the lexer and the parser, and Result.Stats.PlanCacheHit reports
+// whether it did. Parameterized statements cannot run here — bind them
+// through Prepare.
 func (e *Engine) Execute(src string) (*Result, error) {
-	pq, err := e.Prepare(src)
+	pq, cached, err := e.Statement(src)
 	if err != nil {
 		return nil, err
 	}
 	if len(pq.params) > 0 {
 		return nil, errors.New("query: statement has bind parameters; use Engine.Prepare")
 	}
-	return pq.Execute()
+	res, err := pq.Execute()
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.PlanCacheHit = cached
+	return res, nil
 }
 
 // finishPlan drives a built plan to completion into sink, or renders it

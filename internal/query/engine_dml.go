@@ -6,8 +6,8 @@ package query
 // snapshot, matched ids are collected, and the write batch is applied
 // through the attached storage.Store — WAL first, then memory — or
 // directly to the catalog's relations when no store is attached.
-// Either way the relations bump their versions, Catalog.StatsVersion
-// moves, and every memoised decision keyed on it is invalidated.
+// Either way the next execution of every statement plans against the
+// committed state: nothing planned before the commit is kept.
 
 import (
 	"fmt"
@@ -117,11 +117,7 @@ func (e *Engine) execDeleteOrUpdate(m *Mutation, sink RowSink) (*Result, error) 
 		From:   []TableRef{{Name: m.Table, Alias: m.Table}},
 		Where:  m.Where,
 	}
-	d, err := e.decide(iq)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := e.buildPlan(iq, d)
+	plan, err := e.planQuery(iq)
 	if err != nil {
 		return nil, err
 	}

@@ -15,12 +15,15 @@ import (
 // Result so callers (and the LIMIT-pushdown regression tests) can see
 // how many candidates an access path actually touched.
 type ExecStats struct {
-	Candidates    int  // tuples and index nodes examined by access paths
-	Verifications int  // distance computations and predicate evaluations
-	Nodes         int  // tree-index nodes visited during index traversals
-	Pruned        int  // index subtrees skipped by a pruning bound
-	Abandoned     int  // verifications cut short by the early-abandon bound
-	PlanCacheHit  bool // this execution reused a cached plan (skipped parse+plan)
+	Candidates    int // tuples and index nodes examined by access paths
+	Verifications int // distance computations and predicate evaluations
+	Nodes         int // tree-index nodes visited during index traversals
+	Pruned        int // index subtrees skipped by a pruning bound
+	Abandoned     int // verifications cut short by the early-abandon bound
+	// PlanCacheHit: this execution lexed and parsed nothing — a
+	// statement-cache hit under Engine.Execute, always for a handle
+	// from Prepare. Every execution plans afresh either way.
+	PlanCacheHit bool
 }
 
 // add folds another operator's counters into s (PlanCacheHit is a

@@ -153,7 +153,7 @@ func (o *batchJoinOp) openScan() error {
 		o.calc = o.ctx.eng.calc(o.sim.RuleSet)
 		if o.banded && o.calc == nil {
 			// The band is only decided for rule sets with a DP calculator;
-			// the rule set changed under the plan — Execute re-plans on this.
+			// the rule set was re-registered between planning and opening.
 			return fmt.Errorf("query: stale plan: rule set %q has no calculator", o.sim.RuleSet)
 		}
 		o.within = o.ctx.eng.compileWithin(o.sim.RuleSet)
@@ -401,10 +401,8 @@ func (o *batchJoinOp) Describe() string {
 
 func (o *batchJoinOp) childNodes() []BatchOperator { return []BatchOperator{o.child} }
 
-// buildJoin constructs the operator tree of a decided join. Edges are
-// recovered by position from extractJoinSims' deterministic output;
-// edges not used by any step (cycles) become residual predicates — they
-// must still hold on each output row.
+// buildJoin constructs the operator tree of a decided join; the
+// decision's residual predicate filters each output row.
 //
 // The chain fans out over the streams of its start relation (fanOut):
 // one chain per shard of a sharded start, or per id-range slice of a
@@ -425,21 +423,7 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 	for i, ref := range q.From {
 		relOf[ref.Alias] = tabs[i]
 	}
-	edges, residual := extractJoinSims(q.Where, relOf)
-	used := make([]bool, len(edges))
-	for _, step := range d.steps {
-		if step.edge < 0 || step.edge >= len(edges) {
-			return nil, fmt.Errorf("query: stale plan: join edge %d out of range", step.edge)
-		}
-		used[step.edge] = true
-	}
-	for i, edge := range edges {
-		if !used[i] {
-			residual = AndExpr{L: residual, R: *edge}
-		}
-	}
-	pred := simplifyExpr(residual)
-	steps := d.steps
+	pred, steps := d.pred, d.steps
 
 	// Resolve metrics and note the shared structure each index step reads
 	// from its inner table: a table's structures are all ensured before
@@ -453,9 +437,9 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 	need := map[relation.Table]reads{}
 	for i, step := range steps {
 		if step.vec {
-			m, ok := metric.Lookup(edges[step.edge].RuleSet)
+			m, ok := metric.Lookup(step.sim.RuleSet)
 			if !ok {
-				return nil, fmt.Errorf("query: unknown metric %q", edges[step.edge].RuleSet)
+				return nil, fmt.Errorf("query: unknown metric %q", step.sim.RuleSet)
 			}
 			stepMetrics[i] = m
 		}
@@ -513,12 +497,12 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 		cur := float64(startStats.Count) / float64(s.shards)
 		var op BatchOperator = trB(ctx, &batchScanOp{stream: s, ctx: ctx, alias: d.start, size: size}, cur)
 		for i, step := range steps {
-			cur = joinOutRowsFor(edges[step.edge], cur, stepStats[i])
+			cur = joinOutRowsFor(step.sim, cur, stepStats[i])
 			op = trB(ctx, &batchJoinOp{
 				kernelTag: kernelTag{d.kernel}, ctx: ctx, child: op, algo: step.algo, banded: step.banded,
 				snaps: stepSnaps[i], alias: step.alias, slot: i + 1, probeField: step.probeField,
 				probeVal: probeVals[i], probeSlot: probeSlots[i],
-				sim: edges[step.edge], size: size, vec: step.vec, m: stepMetrics[i],
+				sim: step.sim, size: size, vec: step.vec, m: stepMetrics[i],
 			}, cur)
 		}
 		if !isTrivial(pred) {
@@ -527,12 +511,8 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 		}
 		return op
 	}
-	access, err := e.fanOut(ctx, q, d, start, snapsOf[start], 0, -1, chain)
-	if err != nil {
-		return nil, err
-	}
 	return &compiledPlan{
-		root: e.wrapBatchTop(q, access, slots, size, ctx, false),
+		root: e.wrapBatchTop(q, e.fanOut(ctx, q, d, snapsOf[start], 0, -1, chain), slots, size, ctx, false),
 		ctx:  ctx, columns: projectColumns(q), kernel: d.kernel,
 	}, nil
 }

@@ -22,17 +22,10 @@ var (
 		"Statement execution latency in seconds.", obs.DefBuckets)
 
 	// The statement cache (plancache.go) counts lookups by normalized
-	// text in Engine.Prepare; Result.Stats.PlanCacheHit is a different
-	// event, an execution that reused a memoised planner decision.
+	// text in Engine.Prepare.
 	mPlanCacheHit   = obs.Default.Counter(`simq_plan_cache_total{event="hit"}`, "Statement-text lookups that found a cached prepared statement.")
 	mPlanCacheMiss  = obs.Default.Counter(`simq_plan_cache_total{event="miss"}`, "Statement-text lookups that parsed the statement afresh.")
 	mPlanCacheEvict = obs.Default.Counter(`simq_plan_cache_total{event="evict"}`, "Prepared statements evicted from the statement cache by the LRU.")
-
-	// mReplans counts memoised decisions whose operator tree failed to
-	// build (the table was re-registered with another shard layout),
-	// dropped and decided once more.
-	mReplans = obs.Default.Counter("simq_replans_total",
-		"Memoised plan decisions that failed to build and were re-planned.")
 
 	// Index traversal totals, accumulated from each operator's ExecStats
 	// as it closes (see execCtx.addStats) — the process-wide view of the

@@ -28,19 +28,16 @@ import (
 	"repro/internal/relation"
 )
 
-// Planning is split into two phases so a prepared statement can skip
-// the expensive half:
+// Every execution plans its bound query afresh (planQuery), in two
+// steps over one resolved table list:
 //
-//   - decide: validate the query and make every cost-based choice
-//     (access path, index structure, join order, parallelism). The
-//     result is a planDecision — plain bind-independent data.
-//   - build: construct the operator tree from a query plus a decision.
-//     Conjunct extraction is deterministic, so a decision recorded once
-//     rebuilds the same tree shape for any binding that shares the
-//     decision's cost inputs (radii, statistics version, parallelism).
-//
-// PreparedQuery.run memoises decide per decision key and calls build on
-// every execution.
+//   - decide: validate the query and make every choice (access path and
+//     the conjunct it serves, join order, parallelism). The result is a
+//     planDecision — plain data, no operators. Each choice follows from
+//     what the tables offer and O(1) statistics, so deciding costs a few
+//     map lookups.
+//   - build: construct the operator tree from the query, the decision
+//     and the same tables.
 
 // accessKind is the decided access-path family.
 type accessKind int
@@ -52,33 +49,37 @@ const (
 	accessJoin
 )
 
-// planDecision captures the planner's choices for one query. It holds
-// no operators and no bound values, only choices, so it is immutable
-// and safely shared across concurrent executions.
+// planDecision captures the planner's choices for one bound query. It
+// holds no operators, only choices and the conjuncts they serve.
 type planDecision struct {
-	kind  accessKind
-	via   string       // vector paths only: vptree|scan
+	kind accessKind
+	via  string          // vector paths only: vptree|scan
+	m    metric.Distance // via vptree: the metric whose tree the leaf walks
+	// accessRange: the conjunct the leaf serves and whether the leaf
+	// supplies the row's distance (rangeConjunct).
+	sim      *SimExpr
+	leafDist bool
+	// pred is the predicate the filter above the access path evaluates
+	// (accessRange, accessScan and accessJoin; nil or TRUE for none).
+	pred  Expr
 	start string       // accessJoin: starting alias
 	steps []stepChoice // accessJoin: greedy join order
 	// The layout of the table the plan fans out over (the join's start):
-	// shards is its shard count, 0 for a plain relation, and the build
-	// re-plans when the table's layout no longer matches; slices > 1
+	// shards is its shard count, 0 for a plain relation; slices > 1
 	// reads a plain table's snapshot as that many parallel id ranges.
 	shards, slices int
 	kernel         string // distance kernel serving the primary edit conjunct
 	// ("myers", "targetdp", "vec-<metric>", or "" when none)
 }
 
-// stepChoice is one edge of the decided join order. The edge is named
-// by its position in extractJoinSims' deterministic output so build can
-// recover the SimExpr from the (re-extracted) predicate. algo is the
-// join operator's probe ("index" or "scan", see chooseJoinAlgo); vec
-// marks a vector-metric edge (USING names a metric, the index is a
-// VP-tree); banded marks a scan whose unit-cost edge licenses the
-// length band.
+// stepChoice is one edge of the decided join order: the similarity
+// conjunct sim joins the new alias through probeField. algo is the join
+// operator's probe ("index" or "scan", see chooseJoinAlgo); vec marks a
+// vector-metric edge (USING names a metric, the index is a VP-tree);
+// banded marks a scan whose unit-cost edge licenses the length band.
 type stepChoice struct {
 	alias      string
-	edge       int
+	sim        *SimExpr
 	algo       string
 	vec        bool
 	banded     bool
@@ -107,14 +108,24 @@ func (e *Engine) resolveFrom(q *Query) ([]relation.Table, error) {
 	return tabs, nil
 }
 
-// decide validates the query and makes every cost-based planning
-// choice. The query must be fully bound (no parameters).
-func (e *Engine) decide(q *Query) (*planDecision, error) {
-	rels, err := e.resolveFrom(q)
+// planQuery resolves a fully bound query's tables once, then decides
+// and builds over that one list, so the build reads exactly the tables
+// the decision saw.
+func (e *Engine) planQuery(q *Query) (*compiledPlan, error) {
+	tabs, err := e.resolveFrom(q)
 	if err != nil {
 		return nil, err
 	}
+	d, err := e.decide(q, tabs)
+	if err != nil {
+		return nil, err
+	}
+	return e.buildPlan(q, d, tabs)
+}
 
+// decide validates the query and makes every planning choice over its
+// resolved tables. The query must be fully bound (no parameters).
+func (e *Engine) decide(q *Query, rels []relation.Table) (*planDecision, error) {
 	// Validate rule sets and pattern syntax eagerly so bad queries fail
 	// before execution.
 	if err := e.validateExpr(q.Where); err != nil {
@@ -125,6 +136,7 @@ func (e *Engine) decide(q *Query) (*planDecision, error) {
 	}
 
 	var d *planDecision
+	var err error
 	if ne, ok := q.Where.(NearestExpr); ok {
 		d, err = e.decideNearest(q, ne, rels[0])
 	} else if len(q.From) == 1 {
@@ -157,15 +169,9 @@ func (e *Engine) kernelFor(q *Query, d *planDecision) string {
 		return bandKernel(e.calc(ne.RuleSet), ne.Target.Lit)
 	case accessRange:
 		if d.via == "vptree" {
-			if sim, _, _ := extractSim(q.Where, isVecRangeSim); sim != nil {
-				return "vec-" + sim.RuleSet
-			}
-			return ""
+			return "vec-" + d.sim.RuleSet
 		}
-		if sim, _, _ := extractSim(q.Where, e.rangeIndexable); sim != nil {
-			return bandKernel(e.calc(sim.RuleSet), sim.Target.Lit)
-		}
-		return ""
+		return bandKernel(e.calc(d.sim.RuleSet), d.sim.Target.Lit)
 	case accessJoin:
 		// Classify by the primary join edge: vec edges run the metric's
 		// kernels, unit edit edges the bit-parallel kernel (in the band
@@ -220,7 +226,7 @@ func (e *Engine) decideNearest(q *Query, ne NearestExpr, tab relation.Table) (*p
 		}
 		d.via = "scan"
 		if metric.IsTriangular(m) {
-			d.via = "vptree"
+			d.via, d.m = "vptree", m
 		}
 		return d, nil
 	}
@@ -273,20 +279,21 @@ func (e *Engine) rangeIndexable(sim *SimExpr) bool {
 func (e *Engine) decideSingle(q *Query, tab relation.Table) (*planDecision, error) {
 	st := tab.Stats()
 	d := &planDecision{kind: accessScan, shards: shardsOf(tab), slices: 1}
-	if sim, _, _ := extractSim(q.Where, e.rangeIndexable); sim != nil {
-		d.kind = accessRange
+	if sim, pred, leafDist := rangeConjunct(q.Where, e.rangeIndexable); sim != nil {
+		d.kind, d.sim, d.pred, d.leafDist = accessRange, sim, pred, leafDist
 		return d, nil
 	}
-	if sim, _, _ := extractSim(q.Where, isVecRangeSim); sim != nil {
+	if sim, pred, leafDist := rangeConjunct(q.Where, isVecRangeSim); sim != nil {
 		m, ok := metric.Lookup(sim.RuleSet)
 		if ok && metric.IsTriangular(m) && chooseVecAccess(st, sim.Radius) == "vptree" {
-			d.kind, d.via = accessRange, "vptree"
+			d.kind, d.via, d.m, d.sim, d.pred, d.leafDist = accessRange, "vptree", m, sim, pred, leafDist
 			return d, nil
 		}
 	}
+	d.pred = simplifyExpr(q.Where)
 	if d.shards == 0 {
 		// A bare scan has no per-tuple verification work to parallelise.
-		d.slices = e.decideParallel(q, st.Count, !isTrivial(simplifyExpr(q.Where)))
+		d.slices = e.decideParallel(q, st.Count, !isTrivial(d.pred))
 	}
 	return d, nil
 }
@@ -306,7 +313,7 @@ func (e *Engine) decideJoin(q *Query, rels []relation.Table) (*planDecision, err
 		relOf[ref.Alias] = rels[i]
 		pos[ref.Alias] = i
 	}
-	edges, _ := extractJoinSims(q.Where, relOf)
+	edges, residual := extractJoinSims(q.Where, relOf)
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("query: joins require a similarity predicate between the relations")
 	}
@@ -350,7 +357,7 @@ func (e *Engine) decideJoin(q *Query, rels []relation.Table) (*planDecision, err
 				cost == bestCost && pos[newAlias] < pos[best.alias]
 			if better {
 				bestIdx, bestCost = i, cost
-				step.alias, step.edge, step.probeField = newAlias, i, probe
+				step.alias, step.sim, step.probeField = newAlias, edge, probe
 				best = step
 			}
 		}
@@ -359,11 +366,18 @@ func (e *Engine) decideJoin(q *Query, rels []relation.Table) (*planDecision, err
 		}
 		used[bestIdx] = true
 		bound[best.alias] = true
-		curRows = joinOutRowsFor(edges[best.edge], curRows, relOf[best.alias].Stats())
+		curRows = joinOutRowsFor(best.sim, curRows, relOf[best.alias].Stats())
 		steps = append(steps, best)
 	}
+	// Edges no step uses (cycles) must still hold on each output row.
+	for i, edge := range edges {
+		if !used[i] {
+			residual = AndExpr{L: residual, R: *edge}
+		}
+	}
 
-	d := &planDecision{kind: accessJoin, start: start, steps: steps, shards: shardsOf(relOf[start]), slices: 1}
+	d := &planDecision{kind: accessJoin, start: start, steps: steps, pred: simplifyExpr(residual),
+		shards: shardsOf(relOf[start]), slices: 1}
 	if d.shards == 0 {
 		d.slices = e.decideParallel(q, relOf[start].Stats().Count, true)
 	}
@@ -431,10 +445,9 @@ func (e *Engine) decideParallel(q *Query, outerRows int, hasWork bool) int {
 	return 1
 }
 
-// buildPlan constructs the operator tree for a query under a decision.
-// It performs no validation and no costing: the decision is trusted, so
-// a cached decision turns text into an executable plan with nothing but
-// map lookups and tree construction.
+// buildPlan constructs the operator tree for a query under the
+// decision decide made over the same tables. It performs no validation
+// and no costing.
 //
 // Every execution reads through MVCC snapshots taken here, one per
 // distinct relation (self-joins share a snapshot), so the query sees a
@@ -446,22 +459,14 @@ func (e *Engine) decideParallel(q *Query, outerRows int, hasWork bool) int {
 // index the shared online-maintained structure is ensured *before*
 // snapshotting, so the snapshot's head carries it and no per-query
 // build happens.
-func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
-	tabs, err := e.resolveFrom(q)
-	if err != nil {
-		return nil, err
-	}
+func (e *Engine) buildPlan(q *Query, d *planDecision, tabs []relation.Table) (*compiledPlan, error) {
 	if d.kind == accessJoin {
 		return e.buildJoin(q, d, tabs)
 	}
 	tab := tabs[0]
-	var m metric.Distance
-	if d.via == "vptree" {
-		m = accessMetric(q)
-	}
 	// A plain table's one snapshot needs no slice of its own.
 	var one [1]*relation.Snapshot
-	snaps := snapshotsOf(one[:0], tab, d.via == "" && d.kind != accessScan, m)
+	snaps := snapshotsOf(one[:0], tab, d.via == "" && d.kind != accessScan, d.m)
 	n, gathered := d.streams()
 	total := tab.Stats()
 	st := shardStats(total, n)
@@ -511,22 +516,13 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 			}, estNearestRows(st.Count, ne.K))
 		}
 	case accessRange:
-		// Extraction is deterministic, so the same conjunct the decision
-		// was made for is found again.
-		ok := e.rangeIndexable
-		if d.via == "vptree" {
-			ok = isVecRangeSim
-		}
-		sim, pred, leafDist := rangeConjunct(q.Where, ok)
-		if sim == nil {
-			return nil, fmt.Errorf("query: stale plan: no range conjunct")
-		}
-		if !leafDist {
+		sim, pred := d.sim, d.pred
+		if !d.leafDist {
 			order = OrderNone
 		}
-		ordered = leafDist && !gathered
+		ordered = d.leafDist && !gathered
 		leaf = func(s stream) BatchOperator {
-			ml := matchList{stream: s, alias: alias, size: size, order: order, noDist: !leafDist}
+			ml := matchList{stream: s, alias: alias, size: size, order: order, noDist: !d.leafDist}
 			if d.via == "vptree" {
 				return filter(trB(ctx, &batchVecRangeOp{
 					kernelTag: tag, ctx: ctx, matchList: ml,
@@ -539,19 +535,14 @@ func (e *Engine) buildPlan(q *Query, d *planDecision) (*compiledPlan, error) {
 			}, estRangeRows(st, sim.Radius)), pred)
 		}
 	case accessScan:
-		pred := simplifyExpr(q.Where)
 		leaf = func(s stream) BatchOperator {
-			return filter(trB(ctx, &batchScanOp{stream: s, ctx: ctx, alias: alias, size: size}, float64(st.Count)), pred)
+			return filter(trB(ctx, &batchScanOp{stream: s, ctx: ctx, alias: alias, size: size}, float64(st.Count)), d.pred)
 		}
 	default:
 		return nil, fmt.Errorf("query: unknown access kind %d", d.kind)
 	}
-	access, err := e.fanOut(ctx, q, d, tab, snaps, k, est, leaf)
-	if err != nil {
-		return nil, err
-	}
 	return &compiledPlan{
-		root: e.wrapBatchTop(q, access, slots, size, ctx, ordered),
+		root: e.wrapBatchTop(q, e.fanOut(ctx, q, d, snaps, k, est, leaf), slots, size, ctx, ordered),
 		ctx:  ctx, columns: projectColumns(q), kernel: d.kernel,
 	}, nil
 }
@@ -759,18 +750,21 @@ func distDependent(ex Expr) bool {
 	return false
 }
 
-// rangeConjunct picks the conjunct a range access path serves and the
-// predicate the filter above it must evaluate. A row's distance is that
-// of the first similarity predicate that matches it in evaluation order
-// (batch_pred.go). When no conjunct before the extracted one mentions a
-// similarity or reads dist, that is the access path's distance: the leaf
-// supplies it (leafDist) and the filter evaluates the residual.
-// Otherwise the leaf emits its rows without a distance and the filter
-// evaluates the whole WHERE, which assigns — or fails to read — the
-// distance exactly as a scan would.
+// rangeConjunct picks the conjunct a range access path serves (nil
+// when ok accepts none) and the predicate the filter above it must
+// evaluate. A row's distance is that of the first similarity predicate
+// that matches it in evaluation order (batch_pred.go). When no conjunct
+// before the extracted one mentions a similarity or reads dist, that is
+// the access path's distance: the leaf supplies it (leafDist) and the
+// filter evaluates the residual. Otherwise the leaf emits its rows
+// without a distance and the filter evaluates the whole WHERE, which
+// assigns — or fails to read — the distance exactly as a scan would.
 func rangeConjunct(where Expr, ok func(*SimExpr) bool) (sim *SimExpr, pred Expr, leafDist bool) {
 	sim, residual, preceded := extractSim(where, ok)
-	if preceded {
+	switch {
+	case sim == nil:
+		return nil, nil, false
+	case preceded:
 		return sim, simplifyExpr(where), false
 	}
 	return sim, simplifyExpr(residual), true
@@ -780,20 +774,6 @@ func rangeConjunct(where Expr, ok func(*SimExpr) bool) (sim *SimExpr, pred Expr,
 // against a vector literal.
 func isVecRangeSim(sim *SimExpr) bool {
 	return sim.Field.Name == "vec" && sim.Target.IsVec && !sim.Pattern
-}
-
-// accessMetric resolves the metric of a VP-tree plan's conjunct — the
-// NEAREST predicate or the vector range conjunct — nil when there is
-// none.
-func accessMetric(q *Query) metric.Distance {
-	name := ""
-	if ne, ok := q.Where.(NearestExpr); ok {
-		name = ne.RuleSet
-	} else if sim, _, _ := extractSim(q.Where, isVecRangeSim); sim != nil {
-		name = sim.RuleSet
-	}
-	m, _ := metric.Lookup(name)
-	return m
 }
 
 // firstJoinSim returns the query's primary join conjunct — the first

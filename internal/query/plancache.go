@@ -4,11 +4,10 @@ package query
 // the one PreparedQuery for that text. Engine.Prepare consults it before
 // lexing, and Engine.Execute is Prepare plus an execution, so ad hoc
 // text, prepared statements and parameterized requests all share one
-// parse per text and one decision memo per statement. The key is the
-// text alone: a statement's decision memo is keyed by decisionKey, which
-// covers the catalog statistics, the rule-set and metric registries and
-// the shard signature, so an engine change re-plans without evicting the
-// statement. Sharding keeps the serving path scalable: concurrent
+// parse per text. It caches the parsed template only: every execution
+// plans afresh against the tables, registries and statistics of that
+// moment, so no commit, re-registration or reshard has to evict or
+// re-key anything. Sharding keeps the serving path scalable: concurrent
 // queries hash to different shards and never contend on one mutex.
 
 import (
@@ -105,7 +104,7 @@ func (c *planCache) get(key string) (*PreparedQuery, bool) {
 // put caches pq under key, evicting the least recently used entry of the
 // shard at capacity, and returns the cached statement. When a concurrent
 // miss has already cached one, that first statement stays and is
-// returned, so one text has one decision memo.
+// returned, so one text has one PreparedQuery.
 func (c *planCache) put(key string, pq *PreparedQuery) *PreparedQuery {
 	s := c.shard(key)
 	s.mu.Lock()

@@ -1,73 +1,62 @@
 package query
 
 // Prepared queries: parse once, bind many times. A PreparedQuery keeps
-// the parsed template plus a small cache of planner decisions keyed by
-// the bind-dependent cost inputs (radii, catalog statistics version),
-// so repeated executions skip both the parser and the cost-based
-// planner — binding a value that moves an access path across its
-// selectivity crossover is the only thing that triggers a re-plan.
-// Every statement the engine runs is one: Engine.Execute prepares its
-// text through the statement cache (plancache.go) and runs it without
-// arguments. A PreparedQuery is safe for concurrent use: executions
-// share the template read-only and each builds its own operator tree.
+// the parsed template, and every execution binds it, plans the bound
+// query afresh and runs the plan: planning reads only the bound query,
+// the rule-set and metric registries and O(1) table statistics, so the
+// plan — its access path, its kernel, its shard layout — always follows
+// the binding and the data it runs on. Every statement the engine runs
+// is one: Engine.Execute prepares its text through the statement cache
+// (plancache.go) and runs it without arguments. A PreparedQuery is safe
+// for concurrent use: executions share the template read-only and each
+// plans and builds its own operator tree, so they share no lock.
 
 import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
-	"sync"
 
 	"repro/internal/metric"
 )
 
-// PreparedQuery is a reusable compiled statement with bind parameters —
-// a SELECT template (decision-cached) or a DML template (its read phase
-// is planned per execution against fresh statistics).
+// PreparedQuery is a reusable compiled statement with bind parameters:
+// a SELECT template or a DML template.
 type PreparedQuery struct {
 	eng    *Engine
 	src    string
 	tmpl   *Query     // SELECT template; nil for DML
 	mut    *Mutation  // DML template; nil for SELECT
 	params []ParamRef // every parameter, in order of appearance
-
-	mu        sync.Mutex
-	decisions map[string]*planDecision
-	stats     PreparedStats
 }
-
-// PreparedStats counts how a prepared query has been used.
-type PreparedStats struct {
-	Executions int64 // completed bind+execute calls
-	Plans      int64 // cost-based planning runs (decision-cache misses)
-	PlanReuses int64 // executions that reused a cached decision
-}
-
-// maxDecisionCacheEntries bounds the per-statement decision cache; an
-// adversarial stream of distinct radii would otherwise grow it without
-// limit. The cache resets wholesale — decisions are cheap to recompute.
-const maxDecisionCacheEntries = 64
 
 // Prepare returns the PreparedQuery for a statement — SELECT or DML.
 // Rule sets, relation names and pattern syntax are validated eagerly;
 // bind values are supplied per execution via Execute/ExecuteNamed.
 // Statements are shared per text: texts that normalize alike (see
 // normalizeQueryText) get the same PreparedQuery from the statement
-// cache, with one decision memo and one set of PreparedStats, until the
-// LRU evicts it. With the cache disabled every call parses afresh.
+// cache until the LRU evicts it. With the cache disabled every call
+// parses afresh.
 func (e *Engine) Prepare(src string) (*PreparedQuery, error) {
+	pq, _, err := e.Statement(src)
+	return pq, err
+}
+
+// Statement is Prepare that also reports whether the statement cache
+// already held the text, i.e. whether this call skipped the lexer and
+// the parser.
+func (e *Engine) Statement(src string) (pq *PreparedQuery, cached bool, err error) {
 	if e.plans == nil {
-		return e.prepare(src)
+		pq, err = e.prepare(src)
+		return pq, false, err
 	}
 	key := normalizeQueryText(src)
 	if pq, ok := e.plans.get(key); ok {
-		return pq, nil
+		return pq, true, nil
 	}
-	pq, err := e.prepare(src)
-	if err != nil {
-		return nil, err
+	if pq, err = e.prepare(src); err != nil {
+		return nil, false, err
 	}
-	return e.plans.put(key, pq), nil
+	return e.plans.put(key, pq), false, nil
 }
 
 // prepare parses and validates a statement into a fresh PreparedQuery.
@@ -93,10 +82,7 @@ func (e *Engine) prepare(src string) (*PreparedQuery, error) {
 	if err := e.validateExpr(q.Where); err != nil {
 		return nil, err
 	}
-	return &PreparedQuery{
-		eng: e, src: src, tmpl: q, params: q.Params,
-		decisions: make(map[string]*planDecision),
-	}, nil
+	return &PreparedQuery{eng: e, src: src, tmpl: q, params: q.Params}, nil
 }
 
 // Text returns the statement the query was first prepared from.
@@ -130,15 +116,6 @@ func (pq *PreparedQuery) ParamNames() []string {
 		}
 	}
 	return names
-}
-
-// Stats returns usage counters; the Plans counter staying flat across
-// executions is the observable proof that re-binding skipped the
-// planner.
-func (pq *PreparedQuery) Stats() PreparedStats {
-	pq.mu.Lock()
-	defer pq.mu.Unlock()
-	return pq.stats
 }
 
 // Execute binds positional arguments, runs the statement and collects
@@ -214,11 +191,11 @@ func (pq *PreparedQuery) namedLookup(args map[string]any) func(ParamRef) (any, e
 	}
 }
 
-// run binds, plans (or reuses a cached decision) and executes. Only a
-// failure to build the tree from a reused decision (the table's layout
-// changed under it) decides once more; once a tree builds, its
-// execution outcome — runtime errors included — is final, so an
-// erroring statement is never executed twice.
+// run binds, plans and executes. Once a plan builds, its execution
+// outcome — runtime errors included — is final, so an erroring
+// statement is never executed twice. The execution lexed and parsed
+// nothing, so its PlanCacheHit is true; Engine.Execute reports its own
+// statement-cache lookup instead.
 func (pq *PreparedQuery) run(lookup func(ParamRef) (any, error), explain bool, sink RowSink) (*Result, error) {
 	if pq.mut != nil {
 		return pq.runMutation(lookup, explain, sink)
@@ -232,19 +209,7 @@ func (pq *PreparedQuery) run(lookup func(ParamRef) (any, error), explain bool, s
 		c.Explain = true
 		q = &c
 	}
-
-	key := pq.eng.decisionKey(q)
-	d, reused, err := pq.decision(q, key, false)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := pq.eng.buildPlan(q, d)
-	if err != nil && reused {
-		mReplans.Inc()
-		if d, reused, err = pq.decision(q, key, true); err == nil {
-			plan, err = pq.eng.buildPlan(q, d)
-		}
-	}
+	plan, err := pq.eng.planQuery(q)
 	if err != nil {
 		return nil, err
 	}
@@ -252,48 +217,13 @@ func (pq *PreparedQuery) run(lookup func(ParamRef) (any, error), explain bool, s
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.PlanCacheHit = reused
-	pq.mu.Lock()
-	pq.stats.Executions++
-	if reused {
-		pq.stats.PlanReuses++
-	} else {
-		pq.stats.Plans++
-	}
-	pq.mu.Unlock()
+	res.Stats.PlanCacheHit = true
 	return res, nil
 }
 
-// decision returns the memoised decision for key, or — on a miss, or
-// when replan drops the memoised one — decides and memoises afresh.
-func (pq *PreparedQuery) decision(q *Query, key string, replan bool) (*planDecision, bool, error) {
-	pq.mu.Lock()
-	d, ok := pq.decisions[key]
-	if replan {
-		delete(pq.decisions, key)
-	}
-	pq.mu.Unlock()
-	if ok && !replan {
-		return d, true, nil
-	}
-	d, err := pq.eng.decide(q)
-	if err != nil {
-		return nil, false, err
-	}
-	pq.mu.Lock()
-	if len(pq.decisions) >= maxDecisionCacheEntries {
-		pq.decisions = make(map[string]*planDecision)
-	}
-	pq.decisions[key] = d
-	pq.mu.Unlock()
-	return d, false, nil
-}
-
-// runMutation binds a DML template and executes it. Unlike SELECT there
-// is no decision cache: the read phase of DELETE/UPDATE re-plans
-// against the statistics current at execution (the relation is mutating
-// under this very statement, so memoised decisions would go stale
-// immediately).
+// runMutation binds a DML template and executes it; the read phase of
+// DELETE/UPDATE is planned like a SELECT, against the statistics
+// current at execution.
 func (pq *PreparedQuery) runMutation(lookup func(ParamRef) (any, error), explain bool, sink RowSink) (*Result, error) {
 	m, err := bindMutation(pq.mut, lookup)
 	if err != nil {
@@ -304,50 +234,8 @@ func (pq *PreparedQuery) runMutation(lookup func(ParamRef) (any, error), explain
 	if err != nil {
 		return nil, err
 	}
-	pq.mu.Lock()
-	pq.stats.Executions++
-	if m.Kind != MutInsert {
-		// Only DELETE/UPDATE run the cost-based planner (for their read
-		// phase); INSERT performs no planning, so it must not inflate
-		// the Plans counter that signals decision-cache misses.
-		pq.stats.Plans++
-	}
-	pq.mu.Unlock()
+	res.Stats.PlanCacheHit = true
 	return res, nil
-}
-
-// decisionKey summarises every bind-dependent input to decide():
-// catalog statistics, shard topology, rule-set registry, the
-// LIMIT-without-ORDER early-exit flag, and each similarity radius in
-// predicate order (the engine's parallel configuration is fixed at
-// construction). Two bindings with equal keys provably take the same
-// planner choices, so the decision is reusable.
-func (e *Engine) decisionKey(q *Query) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%d|%d|%t|%d|%s",
-		e.catalog.StatsVersion(), e.rulesetVersion(),
-		metric.Version(), q.Limit > 0 && q.Order == OrderNone, q.Order, e.catalog.ShardSignature())
-	appendRadii(&b, q.Where)
-	return b.String()
-}
-
-// appendRadii walks the predicate in deterministic order, recording the
-// cost-relevant shape of each similarity conjunct.
-func appendRadii(b *strings.Builder, ex Expr) {
-	switch ex := ex.(type) {
-	case AndExpr:
-		appendRadii(b, ex.L)
-		appendRadii(b, ex.R)
-	case OrExpr:
-		appendRadii(b, ex.L)
-		appendRadii(b, ex.R)
-	case NotExpr:
-		appendRadii(b, ex.E)
-	case SimExpr:
-		fmt.Fprintf(b, "|s:%g:%s:%t:%t", ex.Radius, ex.RuleSet, ex.Target.IsLit, ex.Target.IsVec)
-	case NearestExpr:
-		fmt.Fprintf(b, "|n:%s:%t", ex.RuleSet, ex.Target.IsVec)
-	}
 }
 
 // ------------------------------------------------------------- binding

@@ -4,12 +4,62 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rewrite"
 )
+
+// freshEngine returns a new engine over e's catalog with e's rule sets
+// and configuration: what a just-started process would plan.
+func freshEngine(t testing.TB, e *Engine) *Engine {
+	t.Helper()
+	f := NewEngine(e.catalog, WithBatchSize(e.batchSize), WithParallelism(e.parallelism),
+		WithParallelMinRows(e.parallelMinRows))
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, ent := range e.rules {
+		if err := f.RegisterRuleSet(ent.rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
+}
+
+// checkLikeFresh executes and explains src bound to args through e's
+// statement and through a fresh engine's, and requires the same EXPLAIN,
+// the same executed plan and the same rows. It returns e's result.
+func checkLikeFresh(t *testing.T, e *Engine, src string, args ...any) *Result {
+	t.Helper()
+	run := func(e *Engine) (*Result, string) {
+		t.Helper()
+		pq, err := e.Prepare(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pq.Execute(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := pq.Explain(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, plan
+	}
+	got, gotPlan := run(e)
+	want, wantPlan := run(freshEngine(t, e))
+	if gotPlan != wantPlan || got.Plan != want.Plan {
+		t.Fatalf("%s %v: EXPLAIN differs from a fresh engine's:\n%s\nfresh:\n%s", src, args, gotPlan, wantPlan)
+	}
+	if !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("%s %v: rows %v, a fresh engine's %v", src, args, got.Rows, want.Rows)
+	}
+	return got
+}
 
 func TestParseParameters(t *testing.T) {
 	q, err := Parse(`SELECT seq FROM words WHERE seq SIMILAR TO ? WITHIN ? USING unit-edits LIMIT ?`)
@@ -132,47 +182,30 @@ func TestPreparedNamed(t *testing.T) {
 	}
 }
 
-// TestPreparedSkipsReplanning pins the headline property: re-executing
-// with bindings that do not move any access-path choice reuses the
-// cached decision (Plans stays at 1), and a binding that does move it
-// triggers exactly one re-plan.
+// TestPreparedSkipsReplanning: re-executing a prepared statement skips
+// the parser but never the planner — after same-radius rebinds, a radius
+// change and a catalog mutation, each execution's EXPLAIN and rows equal
+// a fresh engine's.
 func TestPreparedSkipsReplanning(t *testing.T) {
 	e := bigEngine(t)
-	pq, err := e.Prepare(`SELECT seq FROM dict WHERE seq SIMILAR TO ? WITHIN ? USING unit-edits`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const stmt = `SELECT seq FROM dict WHERE seq SIMILAR TO ? WITHIN ? USING unit-edits`
 	for i := 0; i < 5; i++ {
-		if _, err := pq.Execute(fmt.Sprintf("word%02d", i), 1); err != nil {
-			t.Fatal(err)
-		}
+		checkLikeFresh(t, e, stmt, fmt.Sprintf("word%02d", i), 1)
 	}
-	st := pq.Stats()
-	if st.Executions != 5 || st.Plans != 1 || st.PlanReuses != 4 {
-		t.Errorf("after 5 same-radius executions: %+v, want 1 plan / 4 reuses", st)
-	}
+	checkLikeFresh(t, e, stmt, "wordxx", 2)
 
-	// A different radius is a different cost regime: one more plan.
-	if _, err := pq.Execute("wordxx", 2); err != nil {
-		t.Fatal(err)
-	}
-	if st := pq.Stats(); st.Plans != 2 {
-		t.Errorf("after radius change: %+v, want 2 plans", st)
-	}
-
-	// Catalog mutation invalidates decisions (stats version changed).
 	rel, _ := e.Catalog().Get("dict")
-	rel.Insert("freshword", nil)
-	if _, err := pq.Execute("wordyy", 1); err != nil {
-		t.Fatal(err)
-	}
-	if st := pq.Stats(); st.Plans != 3 {
-		t.Errorf("after catalog mutation: %+v, want 3 plans", st)
+	rel.Insert("wordyy", nil)
+	if res := checkLikeFresh(t, e, stmt, "wordyy", 1); !reflect.DeepEqual(res.Rows, [][]string{{"wordyy"}}) {
+		t.Errorf("after catalog mutation: rows %v, want the inserted wordyy", res.Rows)
 	}
 }
 
 // TestPreparedConcurrent exercises N goroutines sharing one
-// PreparedQuery (run under -race in CI).
+// PreparedQuery (run under -race in CI) while one writer commits words
+// farther than the radius from the target and another re-registers the
+// statement's rule set with the same rules: every execution plans
+// afresh against both, and every reader still sees exactly the answer.
 func TestPreparedConcurrent(t *testing.T) {
 	e := bigEngine(t)
 	pq, err := e.Prepare(`SELECT seq, dist FROM dict WHERE seq SIMILAR TO ? WITHIN ? USING unit-edits ORDER BY dist`)
@@ -185,6 +218,36 @@ func TestPreparedConcurrent(t *testing.T) {
 	}
 	const goroutines = 8
 	const iters = 20
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		rel, _ := e.Catalog().Get("dict")
+		for i := 0; i < 20000; i++ { // bounded: the relation stays small
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Three letters longer than the target: at least 3 edits away.
+			rel.Insert("abcdef"+strings.Repeat(string(rune('a'+i%26)), 3), nil)
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := e.RegisterRuleSet(rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz")); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -205,12 +268,11 @@ func TestPreparedConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	writers.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-	if st := pq.Stats(); st.Executions != goroutines*iters+1 {
-		t.Errorf("executions = %d, want %d", st.Executions, goroutines*iters+1)
 	}
 }
 
@@ -282,11 +344,10 @@ func TestPrepareSharesStatementPerText(t *testing.T) {
 	if _, err := a.Execute("color"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute(`SELECT seq FROM words WHERE seq = "a b"`); err != nil {
+	if res, err := e.Execute(`SELECT seq FROM words WHERE seq = "a b"`); err != nil {
 		t.Fatal(err)
-	}
-	if st := one.Stats(); st.Executions != 1 {
-		t.Errorf("Execute of a prepared text did not run its statement: %+v", st)
+	} else if !res.Stats.PlanCacheHit {
+		t.Error("Execute of a prepared text parsed it again instead of running its statement")
 	}
 
 	off := testEngine(t, WithPlanCacheSize(0))
@@ -296,75 +357,6 @@ func TestPrepareSharesStatementPerText(t *testing.T) {
 	}
 	if y, err := off.Prepare(stmt); err != nil || y == x {
 		t.Errorf("with the cache disabled Prepare reused a statement (err %v)", err)
-	}
-}
-
-// TestPoisonedDecisionReplans: a memoised decision whose tree no longer
-// builds (here a shard count the plain table does not have, as after a
-// re-registration with another layout) is dropped and decided once more
-// — for ad hoc text and for a prepared statement alike — and each
-// re-plan moves simq_replans_total by one.
-func TestPoisonedDecisionReplans(t *testing.T) {
-	e := testEngine(t)
-	poison := func(pq *PreparedQuery) {
-		t.Helper()
-		pq.mu.Lock()
-		defer pq.mu.Unlock()
-		if len(pq.decisions) != 1 {
-			t.Fatalf("memo holds %d decisions, want 1", len(pq.decisions))
-		}
-		for k, d := range pq.decisions {
-			bad := *d
-			bad.shards = 3
-			pq.decisions[k] = &bad
-		}
-	}
-	const adhoc = `SELECT seq FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING unit-edits`
-	want, err := e.Execute(adhoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pq, err := e.Prepare(adhoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	poison(pq)
-	before := mReplans.Value()
-	res, err := e.Execute(adhoc)
-	if err != nil {
-		t.Fatalf("ad hoc statement over a poisoned decision: %v", err)
-	}
-	if !reflect.DeepEqual(res.Rows, want.Rows) || res.Stats.PlanCacheHit {
-		t.Errorf("ad hoc re-plan: rows %v (want %v), plan cache hit %v", res.Rows, want.Rows, res.Stats.PlanCacheHit)
-	}
-	if n := mReplans.Value() - before; n != 1 {
-		t.Errorf("simq_replans_total moved by %d on the ad hoc re-plan, want 1", n)
-	}
-	if res, err := e.Execute(adhoc); err != nil || !res.Stats.PlanCacheHit {
-		t.Errorf("the re-planned decision was not memoised: err %v", err)
-	}
-
-	prep, err := e.Prepare(`SELECT seq FROM words WHERE seq SIMILAR TO ? WITHIN ? USING unit-edits`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prep.Execute("color", 1); err != nil {
-		t.Fatal(err)
-	}
-	poison(prep)
-	before = mReplans.Value()
-	res, err = prep.Execute("color", 1)
-	if err != nil {
-		t.Fatalf("prepared statement over a poisoned decision: %v", err)
-	}
-	if !reflect.DeepEqual(res.Rows, want.Rows) {
-		t.Errorf("prepared re-plan rows %v, want %v", res.Rows, want.Rows)
-	}
-	if n := mReplans.Value() - before; n != 1 {
-		t.Errorf("simq_replans_total moved by %d on the prepared re-plan, want 1", n)
-	}
-	if st := prep.Stats(); st.Plans != 2 || st.PlanReuses != 0 || st.Executions != 2 {
-		t.Errorf("prepared stats after a re-plan = %+v, want 2 plans, 0 reuses, 2 executions", st)
 	}
 }
 
@@ -433,8 +425,10 @@ func TestPlanCacheHitErrorNotRetried(t *testing.T) {
 	}
 }
 
-// TestPlanCacheInvalidation: mutating the catalog or registering a rule
-// set must change the cache epoch so stale plans are never served.
+// TestPlanCacheInvalidation: a catalog mutation or a rule-set
+// registration evicts nothing from the statement cache — the statement
+// stays a cache hit — yet the next execution plans against the new
+// state: its EXPLAIN and rows equal a fresh engine's.
 func TestPlanCacheInvalidation(t *testing.T) {
 	e := testEngine(t)
 	const stmt = `SELECT seq FROM words WHERE seq SIMILAR TO "zzzap" WITHIN 0 USING unit-edits`
@@ -447,16 +441,14 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.PlanCacheHit {
-		t.Error("cache hit across a catalog mutation")
+	if !res.Stats.PlanCacheHit {
+		t.Error("a catalog mutation evicted the statement")
 	}
 	if len(res.Rows) != 1 {
 		t.Errorf("rows = %v, want the freshly inserted tuple", res.Rows)
 	}
+	checkLikeFresh(t, e, stmt)
 
-	if _, err := e.Execute(stmt); err != nil {
-		t.Fatal(err)
-	}
 	if err := e.RegisterRuleSet(rewrite.UnitEdits("xyz")); err != nil {
 		t.Fatal(err)
 	}
@@ -464,9 +456,10 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.PlanCacheHit {
-		t.Error("cache hit across a rule-set registration")
+	if !res.Stats.PlanCacheHit {
+		t.Error("a rule-set registration evicted the statement")
 	}
+	checkLikeFresh(t, e, stmt)
 }
 
 // TestReregisteredRuleSetReplans: the registry decides once, at
@@ -494,11 +487,8 @@ func TestReregisteredRuleSetReplans(t *testing.T) {
 	if err := e.RegisterRuleSet(rewrite.MustRuleSet("unit-edits", doubled)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.PlanCacheHit || !strings.Contains(res.Plan, "Scan(words)") || strings.Contains(res.Plan, "IndexRange") {
+	res := checkLikeFresh(t, e, stmt)
+	if !strings.Contains(res.Plan, "Scan(words)") || strings.Contains(res.Plan, "IndexRange") {
 		t.Fatalf("a weighted unit-edits still plans the band walk:\n%s", res.Plan)
 	}
 	// Every edit now costs 2, so only the exact match is within 1.
@@ -600,6 +590,53 @@ func TestPrepareValidatesEagerly(t *testing.T) {
 	}
 }
 
+// TestPreparedKernelFollowsBinding: the distance kernel a prepared
+// plan names follows each binding — Myers for a target inside the rule
+// alphabet, TargetDP for one outside it — in EXPLAIN, equal to the
+// literal statement's, and in simq_kernel_dispatch_total, for WITHIN
+// and NEAREST alike.
+func TestPreparedKernelFollowsBinding(t *testing.T) {
+	e := testEngine(t)
+	dispatched := func(kernel string) int64 {
+		return obs.Default.Counter(`simq_kernel_dispatch_total{kernel="`+kernel+`"}`,
+			"Plan executions dispatched to a distance kernel.").Value()
+	}
+	for _, stmt := range []string{
+		`SELECT seq FROM words WHERE seq SIMILAR TO ? WITHIN 1 USING unit-edits`,
+		`SELECT seq FROM words WHERE seq NEAREST 3 TO ? USING unit-edits`,
+	} {
+		pq, err := e.Prepare(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct{ target, kernel string }{
+			{"color", "myers"}, {"c0lor", "targetdp"}, {"color", "myers"},
+		} {
+			plan, err := pq.Explain(c.target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasSuffix(plan, "(kernel="+c.kernel+")") {
+				t.Errorf("%s bound to %q: plan names the wrong kernel, want %s:\n%s", stmt, c.target, c.kernel, plan)
+			}
+			literal, err := e.Execute("EXPLAIN " + strings.Replace(stmt, "?", strconv.Quote(c.target), 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if literal.Plan != plan {
+				t.Errorf("%s bound to %q:\n%s\nthe literal statement plans:\n%s", stmt, c.target, plan, literal.Plan)
+			}
+			before := dispatched(c.kernel)
+			if _, err := pq.Execute(c.target); err != nil {
+				t.Fatal(err)
+			}
+			if n := dispatched(c.kernel) - before; n != 1 {
+				t.Errorf("%s bound to %q: %s dispatch count moved by %d, want 1", stmt, c.target, c.kernel, n)
+			}
+		}
+	}
+}
+
 // TestPreparedJoinAndNearest: parameters work beyond the single-table
 // range path.
 func TestPreparedJoinAndNearest(t *testing.T) {
@@ -630,27 +667,6 @@ func TestPreparedJoinAndNearest(t *testing.T) {
 	}
 	if len(nres.Rows) != 3 {
 		t.Errorf("nearest rows = %d, want 3", len(nres.Rows))
-	}
-}
-
-// TestPreparedDecisionCacheBounded: an unbounded stream of distinct
-// radii must not grow the decision cache past its cap.
-func TestPreparedDecisionCacheBounded(t *testing.T) {
-	e := testEngine(t)
-	pq, err := e.Prepare(`SELECT seq FROM words WHERE seq SIMILAR TO ? WITHIN ? USING cheap_vowels`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3*maxDecisionCacheEntries; i++ {
-		if _, err := pq.Execute("color", float64(i)/10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pq.mu.Lock()
-	n := len(pq.decisions)
-	pq.mu.Unlock()
-	if n > maxDecisionCacheEntries {
-		t.Errorf("decision cache grew to %d entries, cap is %d", n, maxDecisionCacheEntries)
 	}
 }
 

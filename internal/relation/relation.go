@@ -255,7 +255,7 @@ type Relation struct {
 	name    string
 	mu      sync.Mutex // serializes mutations, compaction and index builds
 	head    atomic.Pointer[head]
-	version atomic.Uint64 // bumped on every mutation; feeds Catalog.StatsVersion
+	version atomic.Uint64 // bumped on every mutation
 }
 
 // Stats summarises a relation for the cost-based query planner.
@@ -290,9 +290,9 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Len() int { return r.head.Load().live }
 
 // Version is a mutation counter: it changes whenever the relation's
-// contents (and therefore its statistics) change. Plan caches read it
-// on every query, so it is a lock-free atomic — the serving hot path
-// must never take a relation's exclusive mutex.
+// contents (and therefore its statistics) change. It is a lock-free
+// atomic, so a metrics scrape (simqd's simq_snapshot_epoch) never takes
+// a relation's exclusive mutex.
 func (r *Relation) Version() uint64 { return r.version.Load() }
 
 // publish installs a successor head and bumps the mutation counter.
@@ -617,9 +617,8 @@ func (r *Relation) compactLocked() {
 			nh.vps[name] = buildVPTree(old.Metric(), nh.rows)
 		}
 	}
-	// Publish without a version bump when nothing was dropped? Keep the
-	// bump: compaction changes MaxSeqLen back to exact, which is a
-	// statistics change the planner may care about.
+	// Publish with a version bump even when nothing was dropped:
+	// compaction changes MaxSeqLen back to exact, a statistics change.
 	r.publish(&nh)
 }
 
@@ -674,7 +673,7 @@ func (r *Relation) ensureBKTree() *index.BKTree {
 	nh := *h
 	nh.bk = bk
 	// Publish without a version bump: building an index changes no
-	// statistics and must not invalidate cached plans.
+	// statistics.
 	r.head.Store(&nh)
 	return bk
 }
@@ -718,7 +717,7 @@ func buildVPTree(m metric.Distance, rows []*Row) *index.VPTree {
 // into a successor head; once built the tree is maintained online by
 // the insert paths and rebuilt by compaction. Like ensureBKTree the
 // publish carries no version bump — building an index changes no
-// statistics and must not invalidate cached plans.
+// statistics.
 func (r *Relation) ensureVPTree(m metric.Distance) *index.VPTree {
 	if h := r.head.Load(); h.vps[m.Name()] != nil {
 		return h.vps[m.Name()]
@@ -1124,17 +1123,8 @@ func Load(name string, rd io.Reader) (*Relation, error) {
 // runs against. Entries are plain Relations or ShardedRelations; both
 // are addressed through the Table interface.
 type Catalog struct {
-	mu      sync.RWMutex
-	version atomic.Uint64 // bumped on Add/replace
-	rels    map[string]Table
-
-	// Shard-signature cache: the signature only changes when the
-	// catalog's membership does (version bump), and the serving hot
-	// path reads it on every query, so it is computed once per catalog
-	// version instead of per request.
-	sigMu      sync.Mutex
-	sigVersion uint64
-	sig        string
+	mu   sync.RWMutex
+	rels map[string]Table
 }
 
 // NewCatalog returns an empty catalog.
@@ -1144,26 +1134,7 @@ func NewCatalog() *Catalog { return &Catalog{rels: make(map[string]Table)} }
 func (c *Catalog) Add(t Table) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.version.Add(1)
 	c.rels[t.Name()] = t
-}
-
-// StatsVersion summarises the mutation state of the catalog and every
-// registered relation. Any Add and any committed mutation of a
-// registered relation changes the value, so cached query plans keyed on
-// it are invalidated the moment the statistics they were costed against
-// go stale. The combination is order-independent (relation versions are
-// summed) because map iteration order is not deterministic. It runs on
-// every query, so it takes only the catalog's shared lock plus atomic
-// loads — no per-relation mutexes.
-func (c *Catalog) StatsVersion() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	v := c.version.Load() << 32
-	for _, r := range c.rels {
-		v += r.Version()
-	}
-	return v
 }
 
 // Lookup returns the named table — plain or sharded.
@@ -1181,45 +1152,6 @@ func (c *Catalog) Get(name string) (*Relation, bool) {
 	defer c.mu.RUnlock()
 	r, ok := c.rels[name].(*Relation)
 	return r, ok
-}
-
-// ShardSignature summarises the shard topology of the catalog as
-// "name=shards" pairs, sorted by name (plain relations count as one
-// shard). Plan-cache keys and prepared-query decision keys embed it, so
-// replacing a table with a differently-sharded layout — which changes
-// every physical plan over it — can never be served a stale plan, even
-// if the statistics version were to collide.
-func (c *Catalog) ShardSignature() string {
-	c.sigMu.Lock()
-	defer c.sigMu.Unlock()
-	// Version 0 means no Add ever ran: the empty signature the zero
-	// value carries is already correct.
-	if c.sigVersion == c.version.Load() {
-		return c.sig
-	}
-	c.mu.RLock()
-	// Re-read under the catalog lock: Add bumps the version while
-	// holding it, so this (version, membership) pair is consistent.
-	v := c.version.Load()
-	names := make([]string, 0, len(c.rels))
-	for n := range c.rels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		shards := 1
-		if sh, ok := c.rels[n].(*ShardedRelation); ok {
-			shards = sh.NumShards()
-		}
-		fmt.Fprintf(&b, "%s=%d", n, shards)
-	}
-	c.mu.RUnlock()
-	c.sigVersion, c.sig = v, b.String()
-	return c.sig
 }
 
 // Names returns the registered relation names, sorted.

@@ -439,7 +439,7 @@ func (s *ShardedRelation) Tombstones() int {
 // ensureShards builds (once) one index on every shard that lacks it and
 // republishes the view so its snapshots carry the shared structures.
 // Like the per-relation ensure functions this changes no statistics and
-// bumps no version — cached plans stay valid.
+// bumps no version.
 func (s *ShardedRelation) ensureShards(has func(*head) bool, ensure func(*Relation)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

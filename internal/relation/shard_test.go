@@ -318,21 +318,6 @@ func TestShardedCompaction(t *testing.T) {
 	}
 }
 
-// TestShardSignature: the catalog signature reflects topology and
-// changes when a table is re-registered with a different shard count.
-func TestShardSignature(t *testing.T) {
-	c := NewCatalog()
-	c.Add(New("plain"))
-	c.Add(NewSharded("big", 4))
-	if got, want := c.ShardSignature(), "big=4;plain=1"; got != want {
-		t.Fatalf("ShardSignature = %q, want %q", got, want)
-	}
-	c.Add(NewSharded("big", 7))
-	if got, want := c.ShardSignature(), "big=7;plain=1"; got != want {
-		t.Fatalf("ShardSignature after reshard = %q, want %q", got, want)
-	}
-}
-
 // TestShardStats: per-shard counters add up to the relation totals.
 func TestShardStats(t *testing.T) {
 	sh := NewSharded("w", 4)

@@ -160,13 +160,11 @@ type (
 	QueryEngine = query.Engine
 	// Result is a query result (columns, rows, chosen plan).
 	Result = query.Result
-	// PreparedQuery is a reusable compiled statement with '?'/':name'
-	// bind parameters (Engine.Prepare); safe for concurrent execution.
+	// PreparedQuery is a statement parsed once with '?'/':name' bind
+	// parameters (Engine.Prepare) and planned afresh for each binding;
+	// safe for concurrent execution.
 	PreparedQuery = query.PreparedQuery
-	// PreparedStats counts executions and planner (re)runs of a
-	// prepared statement.
-	PreparedStats = query.PreparedStats
-	// QueryCacheStats snapshots the engine's plan-cache counters
+	// QueryCacheStats snapshots the engine's statement-cache counters
 	// (Engine.CacheStats).
 	QueryCacheStats = query.CacheStats
 	// EngineOption configures a QueryEngine at construction:
@@ -196,8 +194,8 @@ var (
 	// WithParallelMinRows sets the outer-relation size from which the
 	// planner shards work across workers.
 	WithParallelMinRows = query.WithParallelMinRows
-	// WithPlanCacheSize sets the plan-cache capacity (<= 0 disables
-	// plan caching).
+	// WithPlanCacheSize sets the statement-cache capacity (<= 0
+	// disables statement caching).
 	WithPlanCacheSize = query.WithPlanCacheSize
 	// WithTracing toggles engine-wide span collection (EXPLAIN ANALYZE
 	// span trees on every Result).
