@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/editdp"
 	"repro/internal/index"
+	"repro/internal/metric"
 	"repro/internal/patdist"
 	"repro/internal/pattern"
 	"repro/internal/query"
@@ -273,7 +274,7 @@ func BenchmarkQ1SerialVsParallelScan(b *testing.B) {
 // length-banded scan, here a one-row probe relation joined at radius 1
 // to 600 two-to-three-letter words held in attribute w; an l2 self-join
 // over 600 64-dim vectors from 16 Gaussian clusters (datagen's recipe)
-// the inner VP-tree.
+// the inner vector view.
 func BenchmarkQ2JoinOperators(b *testing.B) {
 	eng := benchQueryEngine(b, 600, WithParallelism(1))
 	rng := rand.New(rand.NewSource(7))
@@ -311,7 +312,7 @@ func BenchmarkQ2JoinOperators(b *testing.B) {
 		{"banded", `SELECT p.id, s.id FROM probe p, short s ON dist(p.seq, s.w) <= 1 USING unit-edits`,
 			"NestedLoopJoin(s[length-banded]"},
 		{"vec-index", `SELECT a.id, b.id FROM vecs a, vecs b ON dist(a.vec, b.vec) <= 1 USING l2 WHERE a.id != b.id`,
-			"IndexJoin(probe a.vec into vptree("},
+			"IndexJoin(probe a.vec into vecview("},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			res, err := eng.Execute("EXPLAIN " + c.stmt)
@@ -862,5 +863,120 @@ func BenchmarkDistanceAllWords(b *testing.B) {
 			}
 		}
 		distanceAllSink = sum
+	}
+}
+
+// nearestVecsBench is the vec_nearest workload of bench/ in miniature:
+// the 20 000 64-dim vectors of `datagen -kind vectors -seed 1` (16
+// Gaussian clusters, N(0, 0.1) per component) and 256 targets, each a
+// random row perturbed by N(0, 0.02) per component.
+func nearestVecsBench(b *testing.B) (*relation.Relation, []metric.Vector) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(1))
+	centroids := make([][]float64, 16)
+	for i := range centroids {
+		centroids[i] = make([]float64, 64)
+		for j := range centroids[i] {
+			centroids[i][j] = rng.Float64()*2 - 1
+		}
+	}
+	rel := relation.New("vecs")
+	for i := 0; i < 20000; i++ {
+		c := centroids[rng.Intn(len(centroids))]
+		v := make(metric.Vector, len(c))
+		for j := range v {
+			v[j] = float32(c[j] + rng.NormFloat64()*0.1)
+		}
+		rel.InsertOne(relation.InsertRow{Vec: v})
+	}
+	rows := rel.Tuples()
+	rng = rand.New(rand.NewSource(2))
+	targets := make([]metric.Vector, 256)
+	for i := range targets {
+		base := rows[rng.Intn(len(rows))].Vec
+		v := make(metric.Vector, len(base))
+		for j, x := range base {
+			v[j] = x + float32(rng.NormFloat64()*0.02)
+		}
+		targets[i] = v
+	}
+	return rel, targets
+}
+
+// BenchmarkNearestVecs and BenchmarkDistanceAllVecs are the vector
+// top-k floor, the twins of NearestWords and DistanceAllWords: a
+// prepared NEAREST 10 walks the vector view and may prune whole
+// subtrees, so it must cost well under one distance per row.
+// BENCH_baseline.json gates the ratio. The plan is pinned to the view.
+func BenchmarkNearestVecs(b *testing.B) {
+	rel, targets := nearestVecsBench(b)
+	cat := relation.NewCatalog()
+	cat.Add(rel)
+	pq, err := query.NewEngine(cat).Prepare(`SELECT id, dist FROM vecs WHERE vec NEAREST 10 TO ? USING l2`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := pq.Execute(metric.Format(targets[0]))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !strings.Contains(res.Plan, "VecNearestK(vecs via vecview") {
+		b.Fatalf("expected the vector view's VecNearestK:\n%s", res.Plan)
+	}
+	args := make([]string, len(targets))
+	for i, v := range targets {
+		args[i] = metric.Format(v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := pq.Execute(args[i%len(args)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 10 {
+			b.Fatalf("%d rows, want 10", len(res.Rows))
+		}
+	}
+}
+
+// BenchmarkVecRangeAll walks the vector view of the same vectors at a
+// radius past the data's diameter, so every leaf is verified and every
+// row matches: the view's worst case. BENCH_baseline.json gates it at
+// 1.1x DistanceAllVecs — a fully visited view must stay a scan.
+func BenchmarkVecRangeAll(b *testing.B) {
+	rel, targets := nearestVecsBench(b)
+	l2, _ := metric.Lookup("l2")
+	view := rel.VecView(l2)
+	snap := rel.Snapshot()
+	runtime.GC() // the set-up's garbage is not the walk's
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		r := math.MaxFloat64
+		view.Walk(snap, targets[i%len(targets)], &r, func(*relation.Row, float64) { n++ })
+		if n != snap.Len() {
+			b.Fatalf("%d rows within the diameter, want %d", n, snap.Len())
+		}
+		distanceAllSink = n
+	}
+}
+
+// BenchmarkDistanceAllVecs is the unpruned side of NearestVecs and
+// VecRangeAll: one DistBatch over the snapshot's vector column, nothing
+// kept.
+func BenchmarkDistanceAllVecs(b *testing.B) {
+	rel, targets := nearestVecsBench(b)
+	l2, _ := metric.Lookup("l2")
+	var col []metric.Vector
+	for _, t := range rel.Tuples() {
+		col = append(col, t.Vec)
+	}
+	out := make([]float64, len(col))
+	runtime.GC() // as in BenchmarkVecRangeAll
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		metric.DistBatch(l2, targets[i%len(targets)], col, out)
+		distanceAllSink = int(out[0])
 	}
 }

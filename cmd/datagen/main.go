@@ -90,8 +90,8 @@ func stocks(seedVal int64, count, length int) *relation.Relation {
 
 // vectors draws rows from 16 Gaussian clusters: centroids uniform in
 // [-1,1)^dim, members centroid + N(0, 0.1) per component. Clustered
-// data gives NEAREST queries natural neighbourhoods and keeps VP-tree
-// pruning honest (uniform data at high dimension prunes nothing).
+// data gives NEAREST queries natural neighbourhoods and keeps the vector
+// view's pruning honest (uniform data at high dimension prunes nothing).
 func vectors(seedVal int64, count, dim int) *relation.Relation {
 	if dim < 1 {
 		fail(fmt.Errorf("vectors: -dim must be >= 1, got %d", dim))

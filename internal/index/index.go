@@ -32,8 +32,9 @@
 // vantage-point tree over any pluggable metric.Distance that carries
 // the triangle-inequality capability (L2, but not cosine), answering
 // NEAREST and WITHIN over float-vector columns behind the same
-// Iterator/Stats contracts. The query engine uses it for vector
-// NEAREST, WITHIN and the vector index join.
+// Iterator/Stats contracts. Like the BK-tree it serves the experiments
+// and the benchmark's index probes; the query engine walks the
+// relation's bulk-loaded vector view (relation.VecView) instead.
 package index
 
 import "repro/internal/editdp"

@@ -1,11 +1,13 @@
-package index
+package index_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/metric"
+	"repro/internal/relation"
 )
 
 // benchVPData builds a clustered dataset (16 Gaussian clusters, the
@@ -35,12 +37,15 @@ func benchVPData(dim, n int) []metric.Vector {
 }
 
 // BenchmarkVPTreeVsScan ranges the same clustered 4096-vector dataset
-// through the VP-tree and through the scan path (one DistBatch over
-// the whole column, the batch pipeline's brute force) at a radius that
-// selects roughly one cluster. One op is 16 queries. The dimension
-// sweep exhibits the crossover the cost model has to respect: metric
-// trees prune well in low dimensions and lose their advantage as
-// distance concentration sets in.
+// through the insertion-built VP-tree, through the bulk-loaded vector
+// view the query engine reads (relation.VecView) and through the scan
+// path (one DistBatch over the whole column, the batch pipeline's brute
+// force). One op is 16 queries. The base radius selects roughly one
+// cluster; the sweep multiplies it up to past the data's diameter,
+// where both structures visit everything. The tree and view arms report
+// the fraction of the column they computed distances for (visited/row,
+// vantages included). The dimension sweep shows how the pruning holds
+// up as distances concentrate.
 func BenchmarkVPTreeVsScan(b *testing.B) {
 	l2, ok := metric.Lookup("l2")
 	if !ok {
@@ -49,39 +54,62 @@ func BenchmarkVPTreeVsScan(b *testing.B) {
 	batcher := l2.(metric.Batcher)
 	for _, dim := range []int{8, 64, 384} {
 		vecs := benchVPData(dim, 4096)
-		tree := NewVPTree(l2)
+		tree := index.NewVPTree(l2)
+		rel := relation.New("vecs")
 		for i, v := range vecs {
 			tree.Insert(i, v)
+			rel.InsertOne(relation.InsertRow{Vec: v})
 		}
+		view, snap := rel.VecView(l2), rel.Snapshot()
 		queries := vecs[:16]
 		// ~0.25·sqrt(dim): scales with the within-cluster distance
 		// spread (noise std 0.1 per component), so each query selects
-		// roughly its own cluster at every dimension.
-		radius := 0.25 * float64(intSqrt(dim))
-		b.Run(fmt.Sprintf("dim=%d/vptree", dim), func(b *testing.B) {
-			hits := 0
-			for i := 0; i < b.N; i++ {
-				for _, q := range queries {
-					hits += len(tree.Range(q, radius))
+		// roughly its own cluster at every dimension. 16x that is past
+		// the diameter of data in [-1.5, 1.5]^dim.
+		base := 0.25 * float64(intSqrt(dim))
+		for _, mult := range []float64{1, 2, 4, 16} {
+			radius := base * mult
+			name := fmt.Sprintf("dim=%d/r=%gx", dim, mult)
+			b.Run(name+"/vptree", func(b *testing.B) {
+				hits, visited := 0, 0
+				for i := 0; i < b.N; i++ {
+					for _, q := range queries {
+						ms, st := tree.RangeStats(q, radius)
+						hits += len(ms)
+						visited += st.Verifications
+					}
 				}
-			}
-			benchSink = hits
-		})
-		b.Run(fmt.Sprintf("dim=%d/scan", dim), func(b *testing.B) {
-			out := make([]float64, len(vecs))
-			hits := 0
-			for i := 0; i < b.N; i++ {
-				for _, q := range queries {
-					batcher.DistBatch(q, vecs, out)
-					for _, d := range out {
-						if d <= radius {
-							hits++
+				benchSink = hits
+				b.ReportMetric(float64(visited)/float64(b.N*len(queries)*len(vecs)), "visited/row")
+			})
+			b.Run(name+"/vecview", func(b *testing.B) {
+				hits, visited := 0, 0
+				for i := 0; i < b.N; i++ {
+					for _, q := range queries {
+						r := radius
+						st := view.Walk(snap, q, &r, func(*relation.Row, float64) { hits++ })
+						visited += st.Verifications
+					}
+				}
+				benchSink = hits
+				b.ReportMetric(float64(visited)/float64(b.N*len(queries)*len(vecs)), "visited/row")
+			})
+			b.Run(name+"/scan", func(b *testing.B) {
+				out := make([]float64, len(vecs))
+				hits := 0
+				for i := 0; i < b.N; i++ {
+					for _, q := range queries {
+						batcher.DistBatch(q, vecs, out)
+						for _, d := range out {
+							if d <= radius {
+								hits++
+							}
 						}
 					}
 				}
-			}
-			benchSink = hits
-		})
+				benchSink = hits
+			})
+		}
 	}
 }
 

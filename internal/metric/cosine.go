@@ -8,7 +8,7 @@ import "math"
 //
 // Cosine distance does NOT satisfy the triangle inequality, so it
 // deliberately does not carry the Triangular capability: the planner
-// never offers a VP-tree for it and every cosine predicate runs the
+// never walks a vector view for it and every cosine predicate runs the
 // scan + batch-kernel path. Zero-norm conventions: two zero vectors
 // are identical (distance 0); a zero vector against a non-zero one has
 // undefined angle and is assigned the maximal distance 1.

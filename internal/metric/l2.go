@@ -4,7 +4,7 @@ import "math"
 
 // L2 is Euclidean distance: sqrt(sum (a_i - b_i)^2), with the shorter
 // vector zero-padded. It is a true metric (triangle inequality holds),
-// so it licenses the VP-tree index.
+// so it licenses the vector view.
 type L2 struct{}
 
 func init() { _ = Register(L2{}) }
@@ -28,7 +28,7 @@ const l2Block = 64
 // exceeds it — sound because every term is non-negative, and
 // result-preserving because the checks never change what is added in
 // which order. The shared core is what makes Dist, Within and
-// DistBatch bitwise-identical across the row, batch, VP-tree and
+// DistBatch bitwise-identical across the row, batch, vector view and
 // oracle paths.
 func l2sq(a, b Vector, cut float64) (float64, bool) {
 	n := len(a)

@@ -12,8 +12,8 @@
 // licenses:
 //
 //   - Triangular marks metrics satisfying the triangle inequality,
-//     which licenses metric-tree indexes (the VP-tree, exactly as
-//     unit-cost edit distance licenses the BK-tree).
+//     which licenses metric-space indexes (the relation's vector view,
+//     exactly as unit-cost edit distance licenses the length view).
 //   - Abandoner exposes an early-abandoning Within, the vector twin of
 //     the banded edit DP's budget cutoff.
 //   - Batcher exposes a block evaluator feeding the vectorized
@@ -22,7 +22,7 @@
 // Determinism contract: for one metric, Dist, Within (when within) and
 // DistBatch MUST produce bitwise-identical float64 results for the
 // same operand pair. Every execution path — block scan, per-pair
-// verification, VP-tree traversal, brute-force oracle, any shard count —
+// verification, vector view walk, brute-force oracle, any shard count —
 // funnels through the same blocked accumulation core, so query results
 // are byte-identical across plans (the property the vector parity
 // oracle pins). Implementations added through Register must preserve
@@ -50,9 +50,9 @@ type Distance interface {
 
 // Triangular marks a Distance that satisfies the triangle inequality
 // d(a, c) <= d(a, b) + d(b, c). Only triangular metrics may back a
-// metric-tree index (VP-tree): the tree's pruning bound is unsound
-// without it, which is why cosine distance — not triangular — always
-// runs the scan + batch-kernel path.
+// metric-space index (the vector view, the VP-tree): their pruning
+// bounds are unsound without it, which is why cosine distance — not
+// triangular — always runs the scan + batch-kernel path.
 type Triangular interface {
 	Distance
 	// Triangle is a marker method; implementations guarantee the
@@ -108,7 +108,7 @@ func DistBatch(m Distance, q Vector, cands []Vector, out []float64) {
 }
 
 // IsTriangular reports whether the metric carries the triangle-
-// inequality capability (and therefore licenses the VP-tree).
+// inequality capability (and therefore licenses the vector view).
 func IsTriangular(m Distance) bool {
 	_, ok := m.(Triangular)
 	return ok

@@ -489,8 +489,8 @@ func (o *batchProjectOp) childNodes() []BatchOperator { return []BatchOperator{o
 // --------------------------------------------------------------- limit
 
 // batchLimitOp truncates the stream after n rows. Because the pipeline
-// is pull-based, everything below it that streams — scans, filters, the
-// VP-tree iterator — stops working the moment the limit is reached.
+// is pull-based, everything below it that streams — scans, filters,
+// joins — stops working the moment the limit is reached.
 type batchLimitOp struct {
 	child BatchOperator
 	n     int

@@ -225,8 +225,8 @@ func (e *Engine) compileSim(ex SimExpr, slots slotMap) predFn {
 // compileVecSim compiles a vector similarity conjunct with the metric
 // resolved up front. The target is the vector literal or, in a join,
 // another slot's vec column. Distance comes from metric.Within — the
-// shared kernel core of the VP-tree, the join probes and the oracle —
-// with the target vector first, matching the tree's operand order, so
+// shared kernel core of the vector view, the join probes and the oracle
+// — with the target vector first, matching the view's operand order, so
 // all paths agree bitwise. Rows without a vector never match (their
 // distance is undefined, not zero).
 func (e *Engine) compileVecSim(ex SimExpr, slots slotMap) predFn {

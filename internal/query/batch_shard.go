@@ -61,20 +61,20 @@ func shardsOf(tab relation.Table) int {
 }
 
 // snapshotsOf ensures the shared structures a plan reads from tab — its
-// length view when lengthView, a VP-tree per non-nil metric of vps —
-// and then appends the table's snapshots to dst: one for a Relation,
-// one per shard of a consistent view for a ShardedRelation. Ensuring
-// first makes every snapshot carry the online-maintained structures
-// instead of building private ones per query.
-func snapshotsOf(dst []*relation.Snapshot, tab relation.Table, lengthView bool, vps ...metric.Distance) []*relation.Snapshot {
+// length view when lengthView, a vector view per non-nil metric of
+// views — and then appends the table's snapshots to dst: one for a
+// Relation, one per shard of a consistent view for a ShardedRelation.
+// Ensuring first makes every snapshot carry the online-maintained
+// structures instead of building private ones per query.
+func snapshotsOf(dst []*relation.Snapshot, tab relation.Table, lengthView bool, views ...metric.Distance) []*relation.Snapshot {
 	switch t := tab.(type) {
 	case *relation.ShardedRelation:
 		if lengthView {
 			t.EnsureLengthViews()
 		}
-		for _, m := range vps {
+		for _, m := range views {
 			if m != nil {
-				t.EnsureVPTrees(m)
+				t.EnsureVecViews(m)
 			}
 		}
 		view := t.View()
@@ -85,9 +85,9 @@ func snapshotsOf(dst []*relation.Snapshot, tab relation.Table, lengthView bool, 
 		if lengthView {
 			t.LengthView()
 		}
-		for _, m := range vps {
+		for _, m := range views {
 			if m != nil {
-				t.VPTree(m)
+				t.VecView(m)
 			}
 		}
 		dst = append(dst, t.Snapshot())

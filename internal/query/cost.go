@@ -1,20 +1,19 @@
 package query
 
-// The cost model behind the planner. All estimates are deliberately
-// coarse — the point is to rank alternatives, not to predict wall-clock
-// time — but every formula is grounded in how the data structures
-// actually behave:
+// The cost model behind join ordering, the planner's one remaining
+// cost-based choice; every access path follows from what the relation
+// offers. All estimates are deliberately coarse — the point is to rank
+// alternatives, not to predict wall-clock time — but every formula is
+// grounded in how the data structures actually behave:
 //
 //   - Verifying one candidate with the banded edit DP costs
 //     O(len * (2k+1)) cell updates.
 //   - A scan verifies every tuple.
-//   - A VP-tree's visited fraction grows with the radius until pruning
-//     collapses and the walk degenerates into a scan.
+//   - A vector view walk verifies roughly the rows it returns, and never
+//     much more than a scan.
 //
-// String range queries have one access path (the length-band walk) and
-// need no cost; join ordering and the vector range choice use the same
-// primitives: the output cardinality of a similarity join edge
-// is |outer| * |inner| * selectivity(radius).
+// The output cardinality of a similarity join edge is
+// |outer| * |inner| * selectivity(radius).
 
 import (
 	"math"
@@ -55,36 +54,6 @@ func vecVerifyCost(st relation.Stats) float64 {
 	return math.Max(1, float64(st.VecDim))
 }
 
-// vecScanCost: evaluate the metric against every vector-bearing tuple.
-func vecScanCost(st relation.Stats) float64 {
-	return float64(st.VecCount) * vecVerifyCost(st)
-}
-
-// vpTreeCost: the visited fraction of a VP-tree grows with the radius
-// and collapses entirely once the radius approaches the spread of the
-// data, and every visited node pays a unit traversal surcharge on top
-// of its distance — pointer-chasing through the tree has none of the
-// locality of a linear scan, so a saturated walk never undercuts the
-// scan it degenerates into. The 0.25*(r+1) ramp is coarse, but it
-// ranks the tree against the scan with the crossover in the right place
-// (small radius: tree; large radius: scan).
-func vpTreeCost(st relation.Stats, r float64) float64 {
-	frac := 0.25 * (r + 1)
-	if frac > 1 {
-		frac = 1
-	}
-	return float64(st.VecCount) * frac * (vecVerifyCost(st) + 1)
-}
-
-// chooseVecAccess ranks the access paths for a vector range predicate
-// under a triangular metric: "vptree" or "scan". Ties go to the tree.
-func chooseVecAccess(st relation.Stats, r float64) string {
-	if vpTreeCost(st, r) <= vecScanCost(st) {
-		return "vptree"
-	}
-	return "scan"
-}
-
 // nestedLoopJoinCost: verify every pair.
 func nestedLoopJoinCost(outerRows float64, inner relation.Stats, k float64) float64 {
 	return outerRows * float64(inner.Count) * verifyCost(inner, k)
@@ -117,15 +86,9 @@ func vecNestedLoopJoinCost(outerRows float64, inner relation.Stats) float64 {
 	return outerRows * float64(inner.VecCount) * vecVerifyCost(inner)
 }
 
-// vecIndexJoinCost: probe the inner VP-tree once per outer row
-// (triangular metrics only — the tree's pruning invariant).
-func vecIndexJoinCost(outerRows float64, inner relation.Stats, r float64) float64 {
-	return outerRows * vpTreeCost(inner, r)
-}
-
-// vecJoinOutRows is joinOutRows for a vector edge: without a distance
-// distribution sketch the VP-tree's visited-fraction ramp doubles as
-// the selectivity proxy (matching estVecRangeRows).
+// vecJoinOutRows is joinOutRows for a vector edge. Without a distance
+// distribution sketch the selectivity is a ramp in the radius, coarse
+// like every estimate here; estVecRangeRows reads it too.
 func vecJoinOutRows(outerRows float64, inner relation.Stats, r float64) float64 {
 	frac := 0.25 * (r + 1)
 	if frac > 1 {

@@ -8,10 +8,12 @@ import (
 )
 
 // TestPreparedThresholdCrossoverReplans: one PreparedQuery whose bound
-// THRESHOLD moves across the VP-tree's selectivity crossover switches
-// between VecRange and Scan plans, and back: every binding plans as a
-// fresh engine would. String WITHIN has one access path at every
-// radius; TestRangeCrossoverAnswersAgree covers it.
+// THRESHOLD moves back and forth across the radius where the deleted
+// VP-tree/scan cost choice used to switch to the scan. Vector access is
+// a capability now, so every binding plans the vector view's VecRange,
+// and each returns what a fresh engine returns for the same binding.
+// String WITHIN has one access path at every radius;
+// TestRangeCrossoverAnswersAgree covers it.
 func TestPreparedThresholdCrossoverReplans(t *testing.T) {
 	e := vecEngine(t, 1, 256, vecRows(
 		metric.Vector{0, 0}, metric.Vector{1, 0}, metric.Vector{0, 3}, metric.Vector{5, 5},
@@ -20,27 +22,23 @@ func TestPreparedThresholdCrossoverReplans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	plan1, err := pq.Explain("[0, 0]", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan1, "VecRange") {
-		t.Errorf("radius 1 plan = %q, want VecRange", plan1)
-	}
-
-	plan4, err := pq.Explain("[0, 0]", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan4, "Scan(") || strings.Contains(plan4, "VecRange") {
-		t.Errorf("radius 4 plan = %q, want Scan without VecRange", plan4)
-	}
-
-	// Back below the crossover, and a second target at the same radius.
-	for _, target := range []string{"[0, 0]", "[5, 5]"} {
-		if res := checkLikeFresh(t, e, pq.Text(), target, 1); !strings.Contains(res.Plan, "VecRange") {
-			t.Errorf("radius 1 plan for %s = %q, want VecRange", target, res.Plan)
+	for _, c := range []struct {
+		target string
+		radius float64
+		want   int
+	}{
+		{"[0, 0]", 1, 2},
+		{"[0, 0]", 4, 3},
+		{"[0, 0]", 1, 2},
+		{"[5, 5]", 1, 1},
+		{"[5, 5]", 8, 4},
+	} {
+		res := checkLikeFresh(t, e, pq.Text(), c.target, c.radius)
+		if !strings.Contains(res.Plan, "VecRange(items via vecview, radius=") || strings.Contains(res.Plan, "Scan(") {
+			t.Errorf("%s WITHIN %g plan = %q, want the vector view's VecRange", c.target, c.radius, res.Plan)
+		}
+		if len(res.Rows) != c.want {
+			t.Errorf("%s WITHIN %g: %d rows, want %d", c.target, c.radius, len(res.Rows), c.want)
 		}
 	}
 }

@@ -6,10 +6,12 @@ package query
 // (chooseJoinAlgo):
 //
 //   - "index" walks a structure of every inner snapshot: the length
-//     view's band walk at floor(r) (bandwalk.go) or the VP-tree. The walk
-//     measures d(inner, probe) where the predicate may name d(probe,
-//     inner); the unit-cost rule sets it serves are symmetric and their
-//     distances integers, so the two agree exactly.
+//     view's band walk at floor(r) (bandwalk.go) or the vector view. The
+//     band walk measures d(inner, probe) where the predicate may name
+//     d(probe, inner); the unit-cost rule sets it serves are symmetric
+//     and their distances integers, so the two agree exactly. The vector
+//     view measures d(probe, inner), which the L2 core computes
+//     bit-identically in either operand order.
 //   - "scan" reads the inner snapshots once at open and verifies the
 //     candidates with their domain's kernel: Myers (TargetDP for rows
 //     outside the rule alphabet), the DP calculator, the general engine,
@@ -76,21 +78,22 @@ type batchJoinOp struct {
 
 	// Inner-side state, built at OpenBatch: the scan probe's rows (and
 	// the vector column of a vector edge), the per-snapshot alphabet
-	// coverage of a string index probe (the structures it reads live in
-	// the snapshots).
+	// coverage of a string index probe and the per-snapshot vector views
+	// of a vector one (the structures they read live in the snapshots).
 	outerIsTarget bool // probe value is the predicate's target operand
 	inner         []innerRow
 	vecs          []metric.Vector
 	calc          *editdp.Calculator
 	within        func(x, y string, radius float64) (float64, bool, error)
 	covered       []bool
+	views         []*relation.VecView
 
 	// Probe state, built once and retargeted per outer row; operators are
 	// built per execution, so no two executions share it: the string
 	// index probe's band walk and match sink, and the string scan
 	// probe's Myers kernel.
 	walk     *bandWalk
-	emitWalk func(row *relation.Row, d float64)
+	emitWalk func(row *relation.Row, d float64) // either index probe's match sink
 	qdp      editdp.QueryDP
 
 	// Iteration state.
@@ -112,6 +115,8 @@ func (o *batchJoinOp) OpenBatch() error {
 		err = o.openScan()
 	case !o.vec:
 		err = o.openLengthView()
+	default:
+		o.openVecView()
 	}
 	if err != nil {
 		return err
@@ -138,6 +143,18 @@ func (o *batchJoinOp) openLengthView() error {
 		o.covered = append(o.covered, covers(o.calc, snap))
 	}
 	return nil
+}
+
+// openVecView readies the vector index probe: the inner snapshots'
+// views and the match sink.
+func (o *batchJoinOp) openVecView() {
+	o.views = o.views[:0]
+	for _, snap := range o.snaps {
+		o.views = append(o.views, snap.VecView(o.m))
+	}
+	o.emitWalk = func(row *relation.Row, d float64) {
+		o.matches = append(o.matches, joinMatch{t: row.Tuple, d: d})
+	}
 }
 
 // openScan reads every inner snapshot once, keeping the rows that can
@@ -193,7 +210,7 @@ func (o *batchJoinOp) probe(b *Batch, i int) error {
 		switch pv := b.slot(o.probeSlot).Vecs[i]; {
 		case pv == nil:
 		case o.algo == "index":
-			o.probeVPTree(pv)
+			o.probeVecView(pv)
 		default:
 			o.probeVec(pv)
 		}
@@ -221,19 +238,12 @@ func (o *batchJoinOp) probeLengthView(pv string) {
 	}
 }
 
-// probeVPTree runs a vector join value through every inner snapshot's
-// VP-tree.
-func (o *batchJoinOp) probeVPTree(pv metric.Vector) {
-	for _, snap := range o.snaps {
-		ms, st := snap.VPTree(o.m).RangeStats(pv, o.sim.Radius)
-		o.local.add(fromIndexStats(st))
-		for _, m := range ms {
-			// The shared tree is a superset of the snapshot: skip rows
-			// invisible here (tombstone or later insert).
-			if t, ok := snap.Tuple(m.ID); ok {
-				o.matches = append(o.matches, joinMatch{t: t, d: m.Dist})
-			}
-		}
+// probeVecView runs a vector join value through every inner snapshot's
+// vector view.
+func (o *batchJoinOp) probeVecView(pv metric.Vector) {
+	for i, snap := range o.snaps {
+		r := o.sim.Radius
+		o.local.add(fromIndexStats(o.views[i].Walk(snap, pv, &r, o.emitWalk)))
 	}
 }
 
@@ -388,7 +398,7 @@ func (o *batchJoinOp) Describe() string {
 	if o.algo == "index" {
 		idx := "lengthview"
 		if o.vec {
-			idx = "vptree"
+			idx = "vecview"
 		}
 		return fmt.Sprintf("IndexJoin(probe %s into %s(%s)%s, on %s)", o.probeField, idx, o.alias, shards, o.sim)
 	}
@@ -432,7 +442,7 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 	stepMetrics := make([]metric.Distance, len(steps))
 	type reads struct {
 		lengthView bool
-		vps        []metric.Distance
+		views      []metric.Distance
 	}
 	need := map[relation.Table]reads{}
 	for i, step := range steps {
@@ -449,7 +459,7 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 		inner := relOf[step.alias]
 		r := need[inner]
 		if step.vec {
-			r.vps = append(r.vps, stepMetrics[i])
+			r.views = append(r.views, stepMetrics[i])
 		} else {
 			r.lengthView = true
 		}
@@ -462,7 +472,7 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 	snapsOf := map[relation.Table][]*relation.Snapshot{}
 	for _, tab := range tabs {
 		if _, ok := snapsOf[tab]; !ok {
-			snapsOf[tab] = snapshotsOf(nil, tab, need[tab].lengthView, need[tab].vps...)
+			snapsOf[tab] = snapshotsOf(nil, tab, need[tab].lengthView, need[tab].views...)
 		}
 	}
 	start := relOf[d.start]

@@ -1,7 +1,7 @@
 package query
 
 // The distance-join oracle: every probe of the join operator — the
-// length-view and VP-tree index probes, the scan with and without the
+// length-view and vector-view index probes, the scan with and without the
 // length band, under every verifier it runs — and the sharded broadcast
 // variant of each must produce the same result as a brute-force double
 // loop over the same data.
@@ -323,7 +323,7 @@ func TestJoinOracleLimit(t *testing.T) {
 }
 
 // TestJoinOracleVec covers the vector-metric join probes: l2
-// (triangular — the VP-tree probe) and cosine (not triangular — the scan
+// (triangular — the vector view probe) and cosine (not triangular — the scan
 // with the blocked kernel). Rows without a vector must never match.
 func TestJoinOracleVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
@@ -333,7 +333,7 @@ func TestJoinOracleVec(t *testing.T) {
 		radius float64
 		op     string
 	}{
-		{"l2", 0.8, "IndexJoin(probe a.vec into vptree(b), on"},
+		{"l2", 0.8, "IndexJoin(probe a.vec into vecview(b), on"},
 		{"cosine", 0.25, "NestedLoopJoin(b, on"},
 	}
 	for _, shards := range []int{1, 4} {

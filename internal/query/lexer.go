@@ -41,8 +41,8 @@
 // iterator interface. The planner picks access paths per the rule-set
 // classification: the length-band walk for the unit edit distance,
 // filter+verify for weighted edit-like sets, and scan with the general
-// search engine otherwise; vector predicates rank the VP-tree against
-// the scan with relation statistics.
+// search engine otherwise; vector predicates walk the vector view under
+// a triangular metric and scan otherwise.
 // EXPLAIN renders the chosen operator tree. See DESIGN.md.
 package query
 

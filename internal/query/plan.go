@@ -53,8 +53,8 @@ const (
 // holds no operators, only choices and the conjuncts they serve.
 type planDecision struct {
 	kind accessKind
-	via  string          // vector paths only: vptree|scan
-	m    metric.Distance // via vptree: the metric whose tree the leaf walks
+	via  string          // vector paths only: vecview|scan
+	m    metric.Distance // via vecview: the metric whose view the leaf walks
 	// accessRange: the conjunct the leaf serves and whether the leaf
 	// supplies the row's distance (rangeConjunct).
 	sim      *SimExpr
@@ -75,7 +75,7 @@ type planDecision struct {
 // stepChoice is one edge of the decided join order: the similarity
 // conjunct sim joins the new alias through probeField. algo is the join
 // operator's probe ("index" or "scan", see chooseJoinAlgo); vec marks a
-// vector-metric edge (USING names a metric, the index is a VP-tree);
+// vector-metric edge (USING names a metric, the index is a vector view);
 // banded marks a scan whose unit-cost edge licenses the length band.
 type stepChoice struct {
 	alias      string
@@ -168,7 +168,7 @@ func (e *Engine) kernelFor(q *Query, d *planDecision) string {
 		}
 		return bandKernel(e.calc(ne.RuleSet), ne.Target.Lit)
 	case accessRange:
-		if d.via == "vptree" {
+		if d.via == "vecview" {
 			return "vec-" + d.sim.RuleSet
 		}
 		return bandKernel(e.calc(d.sim.RuleSet), d.sim.Target.Lit)
@@ -209,11 +209,11 @@ func isVecNearest(ne *NearestExpr) bool {
 
 // decideNearest validates a NEAREST query. String NEAREST has one
 // access path — the band walk of the length-ordered view — so there is
-// nothing to choose. Over the vector column the metric picks it: a
-// VP-tree when the metric satisfies the triangle inequality (the tree's
-// pruning invariant), a bounded scan otherwise (cosine). Over a sharded
-// relation every shard runs the path and a rank-aware gather merges the
-// shard top-k lists.
+// nothing to choose. Over the vector column the metric picks it: the
+// vector view when the metric satisfies the triangle inequality (the
+// view's pruning invariant), a bounded scan otherwise (cosine). Over a
+// sharded relation every shard runs the path and a rank-aware gather
+// merges the shard top-k lists.
 func (e *Engine) decideNearest(q *Query, ne NearestExpr, tab relation.Table) (*planDecision, error) {
 	if len(q.From) != 1 {
 		return nil, fmt.Errorf("query: NEAREST requires a single relation")
@@ -226,7 +226,7 @@ func (e *Engine) decideNearest(q *Query, ne NearestExpr, tab relation.Table) (*p
 		}
 		d.via = "scan"
 		if metric.IsTriangular(m) {
-			d.via, d.m = "vptree", m
+			d.via, d.m = "vecview", m
 		}
 		return d, nil
 	}
@@ -266,34 +266,31 @@ func (e *Engine) rangeIndexable(sim *SimExpr) bool {
 	return ent != nil && ent.unit
 }
 
-// decideSingle picks the access path for a single-relation query: a
-// literal SIMILAR TO conjunct over seq under a unit-cost rule set is
-// always an IndexRange, the band walk of the length-ordered view; a
-// vector conjunct under a triangular metric probes the VP-tree where
-// the cost model prefers it; everything else is a (possibly parallel)
-// scan with the full predicate as a filter. Over a sharded relation the
-// decision becomes a scatter-gather plan: every shard runs the chosen
-// access path on its own snapshot and an id-ordered gather restores the
-// serial scan order. (The VP-tree/scan choice is the same per shard as
-// over the whole: both costs are linear in the vector count.)
+// decideSingle picks the access path for a single-relation query by
+// what the relation offers, reading no cost: a literal SIMILAR TO
+// conjunct over seq under a unit-cost rule set is an IndexRange, the
+// band walk of the length-ordered view; a vector conjunct under a
+// triangular metric is a VecRange, the walk of the vector view;
+// everything else is a (possibly parallel) scan with the full predicate
+// as a filter. Over a sharded relation the decision becomes a
+// scatter-gather plan: every shard runs the chosen access path on its
+// own snapshot and an id-ordered gather restores the serial scan order.
 func (e *Engine) decideSingle(q *Query, tab relation.Table) (*planDecision, error) {
-	st := tab.Stats()
 	d := &planDecision{kind: accessScan, shards: shardsOf(tab), slices: 1}
 	if sim, pred, leafDist := rangeConjunct(q.Where, e.rangeIndexable); sim != nil {
 		d.kind, d.sim, d.pred, d.leafDist = accessRange, sim, pred, leafDist
 		return d, nil
 	}
 	if sim, pred, leafDist := rangeConjunct(q.Where, isVecRangeSim); sim != nil {
-		m, ok := metric.Lookup(sim.RuleSet)
-		if ok && metric.IsTriangular(m) && chooseVecAccess(st, sim.Radius) == "vptree" {
-			d.kind, d.via, d.m, d.sim, d.pred, d.leafDist = accessRange, "vptree", m, sim, pred, leafDist
+		if m, ok := metric.Lookup(sim.RuleSet); ok && metric.IsTriangular(m) {
+			d.kind, d.via, d.m, d.sim, d.pred, d.leafDist = accessRange, "vecview", m, sim, pred, leafDist
 			return d, nil
 		}
 	}
 	d.pred = simplifyExpr(q.Where)
 	if d.shards == 0 {
 		// A bare scan has no per-tuple verification work to parallelise.
-		d.slices = e.decideParallel(q, st.Count, !isTrivial(d.pred))
+		d.slices = e.decideParallel(q, tab.Stats().Count, !isTrivial(d.pred))
 	}
 	return d, nil
 }
@@ -393,8 +390,8 @@ func (e *Engine) decideJoin(q *Query, rels []relation.Table) (*planDecision, err
 //   - a unit-cost edit edge onto any other attribute scans the inner
 //     rows, verifying only the length band |len(x)-len(y)| <= floor(r)
 //     ("scan", banded) — every edit costs at least one;
-//   - a vector edge under a triangular metric probes the inner VP-tree
-//     ("index"; validateVecSim pins both sides to the vec column);
+//   - a vector edge under a triangular metric probes the inner vector
+//     view ("index"; validateVecSim pins both sides to the vec column);
 //   - every other edge — weighted or not edit-like rule sets, cosine —
 //     scans and verifies every inner row ("scan").
 func (e *Engine) chooseJoinAlgo(edge *SimExpr, innerField string, outerRows float64, inner relation.Stats) (stepChoice, float64, error) {
@@ -404,7 +401,8 @@ func (e *Engine) chooseJoinAlgo(edge *SimExpr, innerField string, outerRows floa
 			return stepChoice{}, 0, fmt.Errorf("query: unknown metric %q", edge.RuleSet)
 		}
 		if metric.IsTriangular(m) {
-			return stepChoice{algo: "index", vec: true}, vecIndexJoinCost(outerRows, inner, edge.Radius), nil
+			// A view probe verifies about the rows it returns.
+			return stepChoice{algo: "index", vec: true}, vecJoinOutRows(outerRows, inner, edge.Radius) * vecVerifyCost(inner), nil
 		}
 		return stepChoice{algo: "scan", vec: true}, vecNestedLoopJoinCost(outerRows, inner), nil
 	}
@@ -523,7 +521,7 @@ func (e *Engine) buildPlan(q *Query, d *planDecision, tabs []relation.Table) (*c
 		ordered = d.leafDist && !gathered
 		leaf = func(s stream) BatchOperator {
 			ml := matchList{stream: s, alias: alias, size: size, order: order, noDist: !d.leafDist}
-			if d.via == "vptree" {
+			if d.via == "vecview" {
 				return filter(trB(ctx, &batchVecRangeOp{
 					kernelTag: tag, ctx: ctx, matchList: ml,
 					target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet,

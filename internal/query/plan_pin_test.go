@@ -5,7 +5,7 @@ package query
 // cost decision, so a planner side effect would otherwise first show as
 // a benchmark regression. TestBenchmarkPlanSkeletons fails instead. The
 // other tests reach the join probes no benchmark workload is routed to —
-// the VP-tree probe and the scan — next to the length-view probe
+// the vector view probe and the scan — next to the length-view probe
 // join_dict takes, and pin that an edge's probe follows from what its
 // inner side offers, not from the size of its outer side.
 
@@ -81,7 +81,7 @@ func TestBenchmarkPlanSkeletons(t *testing.T) {
 		{"words_wide", `SELECT id, seq, dist FROM words WHERE seq SIMILAR TO "egaebcjebf" WITHIN 5 USING edits ORDER BY dist`,
 			"Project IndexRange", "IndexRange(words via lengthview, target=egaebcjebf, radius=5, ruleset=edits, order=dist)  (kernel=myers)"},
 		{"vec_nearest", `SELECT id, dist FROM vecs WHERE vec NEAREST 10 TO ` + vec + ` USING l2`,
-			"Project VecNearestK", "VecNearestK(vecs via vptree"},
+			"Project VecNearestK", "VecNearestK(vecs via vecview"},
 		{"ingest_mix", `SELECT id, seq, dist FROM words WHERE seq SIMILAR TO "egaebcjebf" WITHIN 2 USING edits LIMIT 20`,
 			"Limit Project IndexRange", "IndexRange(words via lengthview, target=egaebcjebf, radius=2, ruleset=edits)  (kernel=myers)"},
 		{"join_dict", `SELECT a.id, b.id, dist FROM dict a, dict b ON dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id`,
@@ -105,7 +105,7 @@ func TestBenchmarkPlanSkeletons(t *testing.T) {
 // sizes 1 and 256, unsharded and over 4 shards, against a brute-force
 // double loop: a one-row probe relation joined at radius 0 to short
 // strings (the length view, at the radius that visits one band) and
-// within 0.5 under l2 to 3-dim vectors (the VP-tree). The weighted
+// within 0.5 under l2 to 3-dim vectors (the vector view). The weighted
 // "half" rule set licenses neither index nor length band, so it takes
 // the scan that verifies every pair.
 func TestIndexAndNestedLoopJoins(t *testing.T) {
@@ -180,7 +180,7 @@ func TestIndexAndNestedLoopJoins(t *testing.T) {
 		{`SELECT p.id, w.id, dist FROM probe p, words w ON dist(p.seq, w.seq) <= 0 USING edits`,
 			"IndexJoin(probe p.seq into lengthview(w)", wantSeq},
 		{`SELECT p.id, w.id, dist FROM probe p, words w ON dist(p.vec, w.vec) <= 0.5 USING l2`,
-			"IndexJoin(probe p.vec into vptree(w)", wantVec},
+			"IndexJoin(probe p.vec into vecview(w)", wantVec},
 		{`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 0.5 USING half WHERE a.id != b.id`,
 			"NestedLoopJoin(b", wantHalf},
 	}
@@ -248,7 +248,7 @@ func TestJoinProbeIsCapability(t *testing.T) {
 		{`dist(a.seq, b.w) <= 1 USING edits`, "NestedLoopJoin(b[length-banded], on"},
 		{`dist(a.seq, b.seq) <= 1 USING halves`, "NestedLoopJoin(b, on"},
 		{`dist(a.seq, b.seq) <= 1 USING swaps`, "NestedLoopJoin(b, on"},
-		{`dist(a.vec, b.vec) <= 0.5 USING l2`, "IndexJoin(probe a.vec into vptree(b), on"},
+		{`dist(a.vec, b.vec) <= 0.5 USING l2`, "IndexJoin(probe a.vec into vecview(b), on"},
 		{`dist(a.vec, b.vec) <= 0.1 USING cosine`, "NestedLoopJoin(b, on"},
 	} {
 		for _, outer := range []string{"one", "many"} {

@@ -184,15 +184,9 @@ func estRangeRows(st relation.Stats, radius float64) float64 {
 }
 
 // estVecRangeRows estimates the output cardinality of a vector range
-// access. There is no principled vector selectivity without a
-// distance-distribution sketch, so the VP-tree cost model's visited
-// fraction serves as the proxy (coarse, like every estimate here).
+// access with the join edge's selectivity ramp (vecJoinOutRows).
 func estVecRangeRows(st relation.Stats, radius float64) float64 {
-	frac := 0.25 * (radius + 1)
-	if frac > 1 {
-		frac = 1
-	}
-	return frac * float64(st.VecCount)
+	return vecJoinOutRows(1, st, radius)
 }
 
 // estNearestRows: NEAREST k emits exactly min(k, population) rows.

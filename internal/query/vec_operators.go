@@ -3,44 +3,37 @@ package query
 // The vector access-path operators: continuous-metric twins of the
 // string access paths in batch_operators.go. VecNearestK and VecRange
 // serve NEAREST / SIMILAR TO ... WITHIN over the vec column, backed by
-// the relation's VP-tree when the metric satisfies the triangle
-// inequality and by a metric scan otherwise (cosine).
+// the relation's vector view (relation.VecView) when the metric
+// satisfies the triangle inequality and by a metric scan otherwise
+// (cosine).
 //
-// Determinism: every path — block scan, VP-tree walk — calls the metric
+// Determinism: every path — block scan, view walk — calls the metric
 // with the query vector as the first operand and admits candidates
-// through the same (dist, id)-ordered best list, so scan, tree and
+// through the same (dist, id)-ordered best list, so scan, view and
 // brute-force executions produce byte-identical results at every block
 // size (the property the vector parity oracle pins).
 
 import (
 	"fmt"
-	"slices"
+	"math"
 
-	"repro/internal/index"
 	"repro/internal/metric"
 	"repro/internal/relation"
 )
 
-// keep appends a VP-tree search's answers to the leaf's match list.
-func (l *matchList) keep(ms []index.Match) {
-	for _, m := range ms {
-		l.found.ms = append(l.found.ms, match{id: m.ID, dist: m.Dist})
-	}
-}
-
 // --------------------------------------------------------- nearest-k
 
-// batchVecNearestKOp answers "vec NEAREST k TO [..]". The vptree
-// variant walks the metric tree depth-first with a shrinking pruning
-// radius (buffer-reusing Into form); the scan variant pulls tuple
-// blocks and evaluates the metric's block kernel (metric.DistBatch)
-// over each vector column before folding the distances into the same
-// bounded (dist, id) best list. Rows without a vector never qualify.
+// batchVecNearestKOp answers "vec NEAREST k TO [..]". The vecview
+// variant walks the vector view near side first with a bound that
+// shrinks to the current k-th best distance; the scan variant pulls
+// tuple blocks. Both evaluate the metric's block kernel
+// (metric.DistBatch) and fold the distances into the same bounded
+// (dist, id) best list. Rows without a vector never qualify.
 type batchVecNearestKOp struct {
 	kernelTag
 	matchList
 	ctx        *execCtx
-	via        string // "vptree" or "scan"
+	via        string // "vecview" or "scan"
 	target     metric.Vector
 	k          int
 	metricName string
@@ -56,20 +49,23 @@ func (o *batchVecNearestKOp) OpenBatch() error {
 		return fmt.Errorf("query: unknown metric %q", o.metricName)
 	}
 	var st ExecStats
-	if o.via == "vptree" {
-		// The shared tree may hold tombstoned or post-snapshot entries;
-		// the visibility filter keeps them out of the best list without
-		// losing true answers.
-		best, ist := o.snap.VPTree(m).NearestKFilterStats(o.target, o.k, o.snap.Visible)
-		o.keep(best)
-		st = fromIndexStats(ist)
+	if o.via == "vecview" {
+		best, bound := o.found.ms, math.Inf(1)
+		st = fromIndexStats(o.snap.VecView(m).Walk(o.snap, o.target, &bound, func(row *relation.Row, d float64) {
+			best = pushBest(best, match{id: row.ID, dist: d}, o.k)
+			if len(best) == o.k {
+				bound = best[o.k-1].dist
+			}
+		}))
+		o.found.ms = best
 	} else {
 		st = o.scan(m)
 	}
 	if o.order == OrderDesc { // the best list is already (dist, id)
 		o.sortMatches()
 	}
-	observeVisited(mNearestVisitedVec, st.Verifications, o.snap.Len())
+	// Only vector-bearing rows are ever verified.
+	observeVisited(mNearestVisitedVec, st.Verifications, o.snap.Stats().VecCount)
 	o.record(o.ctx, st)
 	return nil
 }
@@ -88,9 +84,7 @@ func (o *batchVecNearestKOp) scan(m metric.Distance) ExecStats {
 			o.dbuf = make([]float64, n)
 		}
 		out := o.dbuf[:n]
-		// Full distances always (no early-abandon): the admission test
-		// below then sees the exact same float64 the VP-tree walk
-		// computes, keeping every path bitwise-aligned.
+		// Full distances, the kernel the view's NEAREST walk runs too.
 		metric.DistBatch(m, o.target, o.blk.Vecs[:n], out)
 		st.Candidates += n
 		for i := 0; i < n; i++ {
@@ -115,12 +109,11 @@ func (o *batchVecNearestKOp) Describe() string {
 
 // ------------------------------------------------------------- range
 
-// batchVecRangeOp answers "vec SIMILAR TO [..] WITHIN r" with one
-// VP-tree range search at open. The shared tree is a superset of the
-// snapshot, so invisible rows (tombstoned or inserted later) are
-// dropped, and the matches are sorted into the leaf's order (see
-// matchList) before the first block leaves. Like the string band walk,
-// a LIMIT above it does not cut the search short.
+// batchVecRangeOp answers "vec SIMILAR TO [..] WITHIN r" with one walk
+// of the vector view at open. The view is a superset of the snapshot;
+// its walk keeps the visible rows, and the matches are sorted into the
+// leaf's order (see matchList) before the first block leaves. Like the
+// string band walk, a LIMIT above it does not cut the walk short.
 type batchVecRangeOp struct {
 	kernelTag
 	matchList
@@ -136,14 +129,17 @@ func (o *batchVecRangeOp) OpenBatch() error {
 	if !ok {
 		return fmt.Errorf("query: unknown metric %q", o.metricName)
 	}
-	ms, st := o.snap.VPTree(m).RangeStats(o.target, o.radius)
-	o.keep(slices.DeleteFunc(ms, func(m index.Match) bool { return !o.snap.Visible(m.ID) }))
+	ms, r := o.found.ms, o.radius
+	st := o.snap.VecView(m).Walk(o.snap, o.target, &r, func(row *relation.Row, d float64) {
+		ms = append(ms, match{id: row.ID, dist: d})
+	})
+	o.found.ms = ms
 	o.sortMatches()
 	o.record(o.ctx, fromIndexStats(st))
 	return nil
 }
 
 func (o *batchVecRangeOp) Describe() string {
-	return fmt.Sprintf("VecRange(%s via vptree%s, radius=%g, metric=%s%s)",
+	return fmt.Sprintf("VecRange(%s via vecview%s, radius=%g, metric=%s%s)",
 		o.alias, o.shardNote(), o.radius, o.metricName, o.orderNote())
 }

@@ -103,12 +103,12 @@ func TestVecNearestBasic(t *testing.T) {
 	}
 
 	// L2 satisfies the triangle inequality, so NEAREST goes through the
-	// VP-tree; the plan says so, names the metric, and prunes.
+	// vector view; the plan says so and names the metric.
 	plan, err := e.Execute(`EXPLAIN SELECT id FROM items WHERE vec NEAREST 2 TO [0, 0] USING l2`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan.Plan, "VecNearestK(items via vptree, k=2, metric=l2)") {
+	if !strings.Contains(plan.Plan, "VecNearestK(items via vecview, k=2, metric=l2)") {
 		t.Fatalf("l2 NEAREST plan:\n%s", plan.Plan)
 	}
 
@@ -119,6 +119,35 @@ func TestVecNearestBasic(t *testing.T) {
 	}
 	if !strings.Contains(plan.Plan, "VecNearestK(items via scan, k=2, metric=cosine)") {
 		t.Fatalf("cosine NEAREST plan:\n%s", plan.Plan)
+	}
+}
+
+// TestVecNearestVisitedFraction: simq_nearest_visited_fraction{domain="vec"}
+// counts distance computations per vector-bearing row, the only rows
+// either path ever verifies. Over a relation where half the rows have
+// no vector, a cosine NEAREST scans every vector and an l2 NEAREST
+// verifies the view's one leaf: both read 1, not 0.5.
+func TestVecNearestVisitedFraction(t *testing.T) {
+	var vecs []metric.Vector
+	for i := 0; i < 8; i++ {
+		if i%2 == 0 {
+			vecs = append(vecs, metric.Vector{float32(i), 1})
+		} else {
+			vecs = append(vecs, nil)
+		}
+	}
+	e := vecEngine(t, 1, 256, vecRows(vecs...))
+	for _, m := range []string{"cosine", "l2"} {
+		count, sum := mNearestVisitedVec.Count(), mNearestVisitedVec.Sum()
+		if _, err := e.Execute(`SELECT id FROM items WHERE vec NEAREST 2 TO [1, 1] USING ` + m); err != nil {
+			t.Fatal(err)
+		}
+		if n := mNearestVisitedVec.Count() - count; n != 1 {
+			t.Fatalf("%s: %d visited-fraction observations, want 1", m, n)
+		}
+		if got := mNearestVisitedVec.Sum() - sum; got != 1 {
+			t.Errorf("%s: visited fraction %g, want 1", m, got)
+		}
 	}
 }
 
@@ -141,7 +170,7 @@ func TestVecWithinBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan.Plan, "VecRange(items via vptree, radius=1.5, metric=l2)") {
+	if !strings.Contains(plan.Plan, "VecRange(items via vecview, radius=1.5, metric=l2)") {
 		t.Fatalf("l2 WITHIN plan:\n%s", plan.Plan)
 	}
 
@@ -192,7 +221,7 @@ func TestVecShardedExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan.Plan, "VecNearestK(items via vptree, shard 0/4, k=2, metric=l2)") {
+	if !strings.Contains(plan.Plan, "VecNearestK(items via vecview, shard 0/4, k=2, metric=l2)") {
 		t.Fatalf("sharded NEAREST plan:\n%s", plan.Plan)
 	}
 }
@@ -378,8 +407,8 @@ func randVec(rng *rand.Rand, dim int) metric.Vector {
 }
 
 // TestVecShardBatchOracleParity pins every execution strategy — block
-// sizes {1, 5, 256}, unsharded and {4, 7}-shard relations, VP-tree and
-// scan access — byte-identical and positionally identical to the
+// sizes {1, 5, 256}, unsharded and {4, 7}-shard relations, vector view
+// and scan access — byte-identical and positionally identical to the
 // brute-force model, across dimensions, both metrics, k/radius/LIMIT
 // sweeps, ORDER BY dist in both directions and interleaved INSERT
 // batches. WITHIN replies come in ascending id order on every path, so
@@ -483,7 +512,7 @@ func TestVecShardBatchOracleParity(t *testing.T) {
 
 			check()
 			// Interleave an INSERT batch through the DML path and re-check:
-			// the head VP-trees are invalidated and rebuilt, ids stay
+			// the new rows land in the vector views' tails, ids stay
 			// aligned across shard counts.
 			for round := 0; round < 2; round++ {
 				var lits []string
@@ -508,10 +537,11 @@ func TestVecShardBatchOracleParity(t *testing.T) {
 // TestVecRangeDistIsFirstSimilarity: a row's dist is the distance
 // of the first similarity predicate that matches it in evaluation order,
 // whichever conjunct the access path serves. The vector conjunct comes
-// second here; the planner serves it through the VP-tree at small radii
-// and scans past the cost crossover, and dist must be the weighted edit
-// distance of the first conjunct on both sides of it, unsharded and over
-// four shards, in id order and under ORDER BY dist.
+// second here; the planner serves it through the vector view at every
+// radius, and a trailing OR conjunct that matches nothing forces the
+// scan. dist must be the weighted edit distance of the first conjunct on
+// both plans, unsharded and over four shards, in id order and under
+// ORDER BY dist.
 func TestVecRangeDistIsFirstSimilarity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rows := make([]relation.InsertRow, 3000)
@@ -543,8 +573,7 @@ func TestVecRangeDistIsFirstSimilarity(t *testing.T) {
 	l2, _ := metric.Lookup("l2")
 	origin := metric.Vector{0, 0, 0, 0}
 	for _, r := range []float64{1, 2, 4, 8} {
-		stmt := fmt.Sprintf(`SELECT id, dist FROM items WHERE seq SIMILAR TO "abcd" WITHIN 1 USING half `+
-			`AND vec SIMILAR TO [0, 0, 0, 0] WITHIN %g USING l2`, r)
+		where := fmt.Sprintf(`seq SIMILAR TO "abcd" WITHIN 1 USING half AND vec SIMILAR TO [0, 0, 0, 0] WITHIN %g USING l2`, r)
 		type hit struct {
 			id int
 			d  float64
@@ -570,25 +599,24 @@ func TestVecRangeDistIsFirstSimilarity(t *testing.T) {
 			if err := e.RegisterRuleSet(half); err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range []struct{ suffix, want string }{
-				{"", render(hits)},
-				{" ORDER BY dist", render(byDist)},
+			for _, p := range []struct{ stmt, access string }{
+				{`SELECT id, dist FROM items WHERE ` + where, "VecRange(items via vecview"},
+				{`SELECT id, dist FROM items WHERE (` + where + `) OR seq = "#"`, "Scan(items)"},
 			} {
-				res, err := e.Execute(stmt + c.suffix)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := positional(res); got != c.want {
-					t.Fatalf("shards=%d %s%s: dist is not the first conjunct's:\ngot:\n%s\nwant:\n%s\nplan:\n%s",
-						shards, stmt, c.suffix, got, c.want, res.Plan)
-				}
-				if shards == 1 && c.suffix == "" {
-					access := "Scan(items)"
-					if r <= 2 {
-						access = "VecRange(items via vptree"
+				for _, c := range []struct{ suffix, want string }{
+					{"", render(hits)},
+					{" ORDER BY dist", render(byDist)},
+				} {
+					res, err := e.Execute(p.stmt + c.suffix)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if !strings.Contains(res.Plan, access) {
-						t.Fatalf("r=%g no longer plans %s, the case lost a side of the crossover:\n%s", r, access, res.Plan)
+					if got := positional(res); got != c.want {
+						t.Fatalf("shards=%d %s%s: dist is not the first conjunct's:\ngot:\n%s\nwant:\n%s\nplan:\n%s",
+							shards, p.stmt, c.suffix, got, c.want, res.Plan)
+					}
+					if shards == 1 && c.suffix == "" && !strings.Contains(res.Plan, p.access) {
+						t.Fatalf("r=%g %s no longer plans %s:\n%s", r, p.stmt, p.access, res.Plan)
 					}
 				}
 			}
@@ -598,9 +626,9 @@ func TestVecRangeDistIsFirstSimilarity(t *testing.T) {
 
 // TestDistBeforeServedConjunct: a conjunct that reads dist ahead of the
 // conjunct an access path serves finds no distance on any plan, as in
-// the model's in-order evaluation — the VP-tree range below the cost
-// crossover and the scan above it, with the radius literal or bound
-// through WITHIN ?, and the string band walk, unsharded and over four
+// the model's in-order evaluation — the vector view's range at a small
+// and at a wide radius, literal or bound through WITHIN ?, the scan a
+// cosine range takes, and the string band walk, unsharded and over four
 // shards. Every statement has rows for the access path to reach.
 func TestDistBeforeServedConjunct(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -611,6 +639,7 @@ func TestDistBeforeServedConjunct(t *testing.T) {
 		model.insert(rows[i].Seq, "")
 	}
 	vecStmt := `SELECT id, dist FROM items WHERE dist = "0" AND vec SIMILAR TO ` + metric.Format(rows[0].Vec) + ` WITHIN %s USING l2`
+	cosStmt := `SELECT id, dist FROM items WHERE dist = "0" AND vec SIMILAR TO ` + metric.Format(rows[0].Vec) + ` WITHIN 0.5 USING cosine`
 	strStmt := fmt.Sprintf(`SELECT id, dist FROM items WHERE dist = "0" AND seq SIMILAR TO %q WITHIN 1 USING edits`, rows[0].Seq)
 
 	q, err := Parse(strings.Replace(strStmt, "items", "words", 1))
@@ -634,8 +663,9 @@ func TestDistBeforeServedConjunct(t *testing.T) {
 			stmt   string
 			access string
 		}{
-			{0.5, fmt.Sprintf(vecStmt, "0.5"), "VecRange(items via vptree"},
-			{8, fmt.Sprintf(vecStmt, "8"), "Scan(items"},
+			{0.5, fmt.Sprintf(vecStmt, "0.5"), "VecRange(items via vecview"},
+			{8, fmt.Sprintf(vecStmt, "8"), "VecRange(items via vecview"},
+			{0.5, cosStmt, "Scan(items"},
 			{1, strStmt, "IndexRange(items via lengthview"},
 		} {
 			res, err := e.Execute("EXPLAIN " + c.stmt)
@@ -648,7 +678,7 @@ func TestDistBeforeServedConjunct(t *testing.T) {
 			if res, err := e.Execute(c.stmt); !errors.Is(err, errNoDist) {
 				t.Fatalf("shards=%d %s: want %v, got %v, reply %v", shards, c.stmt, errNoDist, err, res)
 			}
-			if c.stmt == strStmt {
+			if c.stmt == strStmt || c.stmt == cosStmt {
 				continue
 			}
 			if res, err := prepared.Execute(c.radius); !errors.Is(err, errNoDist) {

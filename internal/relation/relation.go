@@ -21,25 +21,27 @@
 // before e hide it). Updates are delete+insert in one commit.
 //
 // The length-ordered view (LengthView, the access structure of every
-// unit-cost string query), the VP-trees and — for the callers that
-// still ask for them — the BK-tree and trie are maintained online:
-// inserts extend the shared structure (safe for concurrent readers; see
-// package index), deletes rely on the visibility filter, and compaction
-// rebuilds both the arena and the structures once enough tombstones
-// accumulate.
+// unit-cost string query), the vector views (VecView, the access
+// structure of every vector query under a triangular metric) and — for
+// the callers that still ask for them — the BK-tree, trie and VP-trees
+// are maintained online: inserts extend the shared structure (safe for
+// concurrent readers; see package index), deletes rely on the
+// visibility filter, and compaction rebuilds both the arena and the
+// structures once enough tombstones accumulate.
 //
 // Beyond the string sequence, tuples may carry a dense float-vector
 // embedding (the "vec" column, a metric.Vector). Vectors ride the same
 // MVCC arena, WAL records and text codec as sequences; continuous
 // metrics (L2, cosine) query them through the same planner that serves
-// edit distances, with VP-trees as the continuous analogue of the
-// BK-tree.
+// edit distances, with the vector view as the continuous analogue of
+// the length view.
 package relation
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -123,6 +125,10 @@ type head struct {
 	// heads; the map itself is immutable once published (lazy builds
 	// install a copied map into a successor head).
 	vps map[string]*index.VPTree
+	// vvs maps metric name to the vector view over that metric, under the
+	// same sharing rules; an insert that rebuilds a view installs a copied
+	// map.
+	vvs map[string]*VecView
 }
 
 // indexRow inserts a freshly-installed row into every online index.
@@ -138,10 +144,24 @@ func (h *head) indexRow(row *Row) {
 	if h.byLen != nil {
 		h.byLen.insert(row)
 	}
-	if row.Vec != nil {
-		for _, vp := range h.vps {
-			vp.Insert(row.ID, row.Vec)
+	if row.Vec == nil {
+		return
+	}
+	for _, vp := range h.vps {
+		vp.Insert(row.ID, row.Vec)
+	}
+	var stale []string
+	for name, vv := range h.vvs {
+		if vv.insert(row) {
+			stale = append(stale, name)
 		}
+	}
+	if stale != nil {
+		vvs := maps.Clone(h.vvs)
+		for _, name := range stale {
+			vvs[name] = buildVecView(vvs[name].m, h.rows)
+		}
+		h.vvs = vvs
 	}
 }
 
@@ -617,6 +637,12 @@ func (r *Relation) compactLocked() {
 			nh.vps[name] = buildVPTree(old.Metric(), nh.rows)
 		}
 	}
+	if len(h.vvs) > 0 {
+		nh.vvs = make(map[string]*VecView, len(h.vvs))
+		for name, old := range h.vvs {
+			nh.vvs[name] = buildVecView(old.m, nh.rows)
+		}
+	}
 	// Publish with a version bump even when nothing was dropped:
 	// compaction changes MaxSeqLen back to exact, a statistics change.
 	r.publish(&nh)
@@ -741,10 +767,36 @@ func (r *Relation) ensureVPTree(m metric.Distance) *index.VPTree {
 }
 
 // VPTree returns the relation's VP-tree over the given metric, building
-// it on first use; once built it is maintained online like the BK-tree.
-// The metric should carry the triangle-inequality capability — the
-// planner only routes triangular metrics here.
+// it on first use; once built it is maintained online like the BK-tree
+// and, like it, unused by the query engine, which reads the VecView.
+// The metric should carry the triangle-inequality capability.
 func (r *Relation) VPTree(m metric.Distance) *index.VPTree { return r.ensureVPTree(m) }
+
+// VecView returns the relation's vector view over the given metric,
+// building it on first use; maintained online like the length view
+// (and, like it, installed without a version bump). The metric must
+// carry the triangle-inequality capability: the view's pruning bound is
+// unsound without it.
+func (r *Relation) VecView(m metric.Distance) *VecView {
+	if v := r.head.Load().vvs[m.Name()]; v != nil {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h := r.head.Load()
+	if v := h.vvs[m.Name()]; v != nil {
+		return v
+	}
+	v := buildVecView(m, h.rows)
+	nh := *h
+	nh.vvs = maps.Clone(h.vvs)
+	if nh.vvs == nil {
+		nh.vvs = map[string]*VecView{}
+	}
+	nh.vvs[m.Name()] = v
+	r.head.Store(&nh)
+	return v
+}
 
 func buildTrie(rows []*Row) *index.Trie {
 	tr := index.NewTrie()
@@ -863,6 +915,18 @@ func (s *Snapshot) VPTree(m metric.Distance) *index.VPTree {
 		return vp
 	}
 	return buildVPTree(m, s.h.rows)
+}
+
+// VecView returns a vector view over the given metric whose rows form a
+// superset of the vector-bearing rows visible at this snapshot; its
+// walks filter them through VisibleRow. Like VPTree it is the shared
+// online-maintained view when one was built, a private one over the
+// snapshot's arena otherwise.
+func (s *Snapshot) VecView(m metric.Distance) *VecView {
+	if v := s.h.vvs[m.Name()]; v != nil {
+		return v
+	}
+	return buildVecView(m, s.h.rows)
 }
 
 // LengthView returns a length-ordered view whose entries form a

@@ -461,10 +461,10 @@ func (s *ShardedRelation) EnsureLengthViews() {
 	s.ensureShards(func(h *head) bool { return h.byLen != nil }, func(r *Relation) { r.LengthView() })
 }
 
-// EnsureVPTrees is the VP-tree analogue of EnsureLengthViews: every shard
-// gets an online-maintained VP-tree over the given metric.
-func (s *ShardedRelation) EnsureVPTrees(m metric.Distance) {
-	s.ensureShards(func(h *head) bool { return h.vps[m.Name()] != nil }, func(r *Relation) { r.ensureVPTree(m) })
+// EnsureVecViews gives every shard an online-maintained vector view
+// over the given metric.
+func (s *ShardedRelation) EnsureVecViews(m metric.Distance) {
+	s.ensureShards(func(h *head) bool { return h.vvs[m.Name()] != nil }, func(r *Relation) { r.VecView(m) })
 }
 
 // ------------------------------------------------------------ view

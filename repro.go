@@ -32,8 +32,9 @@
 // carries a pluggable metric layer (DistanceMetric, Vector): relations
 // may hold a float-vector column, the registered metrics (L2, cosine)
 // drive the same NEAREST / SIMILAR TO ... WITHIN predicates over it,
-// and triangle-inequality metrics are served by a VP-tree index the
-// way discrete distances are served by BK-trees.
+// and triangle-inequality metrics are served by a bulk-loaded vector
+// view the way unit-cost edit distances are served by the
+// length-ordered view.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // reproduced evaluation.
