@@ -947,14 +947,14 @@ func BenchmarkNearestVecs(b *testing.B) {
 func BenchmarkVecRangeAll(b *testing.B) {
 	rel, targets := nearestVecsBench(b)
 	l2, _ := metric.Lookup("l2")
-	view := rel.VecView(l2)
+	rel.VecView(l2)
 	snap := rel.Snapshot()
 	runtime.GC() // the set-up's garbage is not the walk's
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
 		r := math.MaxFloat64
-		view.Walk(snap, targets[i%len(targets)], &r, func(*relation.Row, float64) { n++ })
+		snap.VecWalk(l2, targets[i%len(targets)], &r, func(rows []*relation.Row, _ []float64) { n += len(rows) })
 		if n != snap.Len() {
 			b.Fatalf("%d rows within the diameter, want %d", n, snap.Len())
 		}

@@ -60,7 +60,8 @@ func BenchmarkVPTreeVsScan(b *testing.B) {
 			tree.Insert(i, v)
 			rel.InsertOne(relation.InsertRow{Vec: v})
 		}
-		view, snap := rel.VecView(l2), rel.Snapshot()
+		rel.VecView(l2)
+		snap := rel.Snapshot()
 		queries := vecs[:16]
 		// ~0.25·sqrt(dim): scales with the within-cluster distance
 		// spread (noise std 0.1 per component), so each query selects
@@ -87,7 +88,7 @@ func BenchmarkVPTreeVsScan(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for _, q := range queries {
 						r := radius
-						st := view.Walk(snap, q, &r, func(*relation.Row, float64) { hits++ })
+						st := snap.VecWalk(l2, q, &r, func(rows []*relation.Row, _ []float64) { hits += len(rows) })
 						visited += st.Verifications
 					}
 				}

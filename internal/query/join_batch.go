@@ -77,23 +77,23 @@ type batchJoinOp struct {
 	m          metric.Distance // vec edges: the resolved metric
 
 	// Inner-side state, built at OpenBatch: the scan probe's rows (and
-	// the vector column of a vector edge), the per-snapshot alphabet
-	// coverage of a string index probe and the per-snapshot vector views
-	// of a vector one (the structures they read live in the snapshots).
+	// the vector column of a vector edge) and the per-snapshot alphabet
+	// coverage of a string index probe (the structures the index probes
+	// read live in the snapshots).
 	outerIsTarget bool // probe value is the predicate's target operand
 	inner         []innerRow
 	vecs          []metric.Vector
 	calc          *editdp.Calculator
 	within        func(x, y string, radius float64) (float64, bool, error)
 	covered       []bool
-	views         []*relation.VecView
 
 	// Probe state, built once and retargeted per outer row; operators are
 	// built per execution, so no two executions share it: the string
-	// index probe's band walk and match sink, and the string scan
-	// probe's Myers kernel.
+	// index probe's band walk and match sink, the vector index probe's
+	// match sink, and the string scan probe's Myers kernel.
 	walk     *bandWalk
-	emitWalk func(row *relation.Row, d float64) // either index probe's match sink
+	emitWalk func(row *relation.Row, d float64)
+	emitVec  func(rows []*relation.Row, ds []float64)
 	qdp      editdp.QueryDP
 
 	// Iteration state.
@@ -116,7 +116,11 @@ func (o *batchJoinOp) OpenBatch() error {
 	case !o.vec:
 		err = o.openLengthView()
 	default:
-		o.openVecView()
+		o.emitVec = func(rows []*relation.Row, ds []float64) {
+			for i, row := range rows {
+				o.matches = append(o.matches, joinMatch{t: row.Tuple, d: ds[i]})
+			}
+		}
 	}
 	if err != nil {
 		return err
@@ -143,18 +147,6 @@ func (o *batchJoinOp) openLengthView() error {
 		o.covered = append(o.covered, covers(o.calc, snap))
 	}
 	return nil
-}
-
-// openVecView readies the vector index probe: the inner snapshots'
-// views and the match sink.
-func (o *batchJoinOp) openVecView() {
-	o.views = o.views[:0]
-	for _, snap := range o.snaps {
-		o.views = append(o.views, snap.VecView(o.m))
-	}
-	o.emitWalk = func(row *relation.Row, d float64) {
-		o.matches = append(o.matches, joinMatch{t: row.Tuple, d: d})
-	}
 }
 
 // openScan reads every inner snapshot once, keeping the rows that can
@@ -241,9 +233,9 @@ func (o *batchJoinOp) probeLengthView(pv string) {
 // probeVecView runs a vector join value through every inner snapshot's
 // vector view.
 func (o *batchJoinOp) probeVecView(pv metric.Vector) {
-	for i, snap := range o.snaps {
+	for _, snap := range o.snaps {
 		r := o.sim.Radius
-		o.local.add(fromIndexStats(o.views[i].Walk(snap, pv, &r, o.emitWalk)))
+		o.local.add(fromIndexStats(snap.VecWalk(o.m, pv, &r, o.emitVec)))
 	}
 }
 

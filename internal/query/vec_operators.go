@@ -51,8 +51,12 @@ func (o *batchVecNearestKOp) OpenBatch() error {
 	var st ExecStats
 	if o.via == "vecview" {
 		best, bound := o.found.ms, math.Inf(1)
-		st = fromIndexStats(o.snap.VecView(m).Walk(o.snap, o.target, &bound, func(row *relation.Row, d float64) {
-			best = pushBest(best, match{id: row.ID, dist: d}, o.k)
+		st = fromIndexStats(o.snap.VecWalk(m, o.target, &bound, func(rows []*relation.Row, ds []float64) {
+			for i, row := range rows {
+				if len(best) < o.k || ds[i] <= best[len(best)-1].dist {
+					best = pushBest(best, match{id: row.ID, dist: ds[i]}, o.k)
+				}
+			}
 			if len(best) == o.k {
 				bound = best[o.k-1].dist
 			}
@@ -130,8 +134,10 @@ func (o *batchVecRangeOp) OpenBatch() error {
 		return fmt.Errorf("query: unknown metric %q", o.metricName)
 	}
 	ms, r := o.found.ms, o.radius
-	st := o.snap.VecView(m).Walk(o.snap, o.target, &r, func(row *relation.Row, d float64) {
-		ms = append(ms, match{id: row.ID, dist: d})
+	st := o.snap.VecWalk(m, o.target, &r, func(rows []*relation.Row, ds []float64) {
+		for i, row := range rows {
+			ms = append(ms, match{id: row.ID, dist: ds[i]})
+		}
 	})
 	o.found.ms = ms
 	o.sortMatches()

@@ -627,9 +627,9 @@ func TestVecRangeDistIsFirstSimilarity(t *testing.T) {
 // TestDistBeforeServedConjunct: a conjunct that reads dist ahead of the
 // conjunct an access path serves finds no distance on any plan, as in
 // the model's in-order evaluation — the vector view's range at a small
-// and at a wide radius, literal or bound through WITHIN ?, the scan a
-// cosine range takes, and the string band walk, unsharded and over four
-// shards. Every statement has rows for the access path to reach.
+// and at a wide radius and the scan a cosine range takes, each literal
+// or bound through WITHIN ?, and the string band walk, unsharded and
+// over four shards. Every statement has rows for the access path to reach.
 func TestDistBeforeServedConjunct(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	rows := make([]relation.InsertRow, 3000)
@@ -639,7 +639,7 @@ func TestDistBeforeServedConjunct(t *testing.T) {
 		model.insert(rows[i].Seq, "")
 	}
 	vecStmt := `SELECT id, dist FROM items WHERE dist = "0" AND vec SIMILAR TO ` + metric.Format(rows[0].Vec) + ` WITHIN %s USING l2`
-	cosStmt := `SELECT id, dist FROM items WHERE dist = "0" AND vec SIMILAR TO ` + metric.Format(rows[0].Vec) + ` WITHIN 0.5 USING cosine`
+	cosStmt := `SELECT id, dist FROM items WHERE dist = "0" AND vec SIMILAR TO ` + metric.Format(rows[0].Vec) + ` WITHIN %s USING cosine`
 	strStmt := fmt.Sprintf(`SELECT id, dist FROM items WHERE dist = "0" AND seq SIMILAR TO %q WITHIN 1 USING edits`, rows[0].Seq)
 
 	q, err := Parse(strings.Replace(strStmt, "items", "words", 1))
@@ -654,19 +654,26 @@ func TestDistBeforeServedConjunct(t *testing.T) {
 		if err := e.RegisterRuleSet(rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())); err != nil {
 			t.Fatal(err)
 		}
-		prepared, err := e.Prepare(fmt.Sprintf(vecStmt, "?"))
-		if err != nil {
-			t.Fatal(err)
+		// Each vector case also runs prepared with a bound radius: the
+		// same leaf must raise the same error.
+		prepare := func(tmpl string) *PreparedQuery {
+			pq, err := e.Prepare(fmt.Sprintf(tmpl, "?"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pq
 		}
+		vecPrepared, cosPrepared := prepare(vecStmt), prepare(cosStmt)
 		for _, c := range []struct {
-			radius float64
-			stmt   string
-			access string
+			radius   float64
+			stmt     string
+			prepared *PreparedQuery
+			access   string
 		}{
-			{0.5, fmt.Sprintf(vecStmt, "0.5"), "VecRange(items via vecview"},
-			{8, fmt.Sprintf(vecStmt, "8"), "VecRange(items via vecview"},
-			{0.5, cosStmt, "Scan(items"},
-			{1, strStmt, "IndexRange(items via lengthview"},
+			{0.5, fmt.Sprintf(vecStmt, "0.5"), vecPrepared, "VecRange(items via vecview"},
+			{8, fmt.Sprintf(vecStmt, "8"), vecPrepared, "VecRange(items via vecview"},
+			{0.5, fmt.Sprintf(cosStmt, "0.5"), cosPrepared, "Scan(items"},
+			{1, strStmt, nil, "IndexRange(items via lengthview"},
 		} {
 			res, err := e.Execute("EXPLAIN " + c.stmt)
 			if err != nil {
@@ -678,11 +685,14 @@ func TestDistBeforeServedConjunct(t *testing.T) {
 			if res, err := e.Execute(c.stmt); !errors.Is(err, errNoDist) {
 				t.Fatalf("shards=%d %s: want %v, got %v, reply %v", shards, c.stmt, errNoDist, err, res)
 			}
-			if c.stmt == strStmt || c.stmt == cosStmt {
+			if c.prepared == nil {
 				continue
 			}
-			if res, err := prepared.Execute(c.radius); !errors.Is(err, errNoDist) {
-				t.Fatalf("shards=%d prepared WITHIN %g: want %v, got %v, reply %v", shards, c.radius, errNoDist, err, res)
+			if plan, err := c.prepared.Explain(c.radius); err != nil || !strings.Contains(plan, c.access) {
+				t.Fatalf("shards=%d prepared at WITHIN %g no longer plans %s (%v):\n%s", shards, c.radius, c.access, err, plan)
+			}
+			if res, err := c.prepared.Execute(c.radius); !errors.Is(err, errNoDist) {
+				t.Fatalf("shards=%d prepared %s at WITHIN %g: want %v, got %v, reply %v", shards, c.access, c.radius, errNoDist, err, res)
 			}
 		}
 	}

@@ -917,16 +917,25 @@ func (s *Snapshot) VPTree(m metric.Distance) *index.VPTree {
 	return buildVPTree(m, s.h.rows)
 }
 
-// VecView returns a vector view over the given metric whose rows form a
-// superset of the vector-bearing rows visible at this snapshot; its
-// walks filter them through VisibleRow. Like VPTree it is the shared
-// online-maintained view when one was built, a private one over the
-// snapshot's arena otherwise.
-func (s *Snapshot) VecView(m metric.Distance) *VecView {
-	if v := s.h.vvs[m.Name()]; v != nil {
-		return v
+// VecWalk walks the vector view over the given metric that this
+// snapshot's head carries, or, when none was built by then, a private
+// one over the snapshot's arena, built for this walk alone: callers that
+// walk often ensure the shared view first (Relation.VecView,
+// ShardedRelation.EnsureVecViews). It hands emit, a batch at a time, the
+// rows visible at this snapshot whose distance from q is at most *bound,
+// with those distances; see VecView.walk for the bound's protocol. The
+// slices may be the view's own or scratch reused by the next batch, so
+// emit neither keeps nor modifies them. The
+// view is a superset of the snapshot, and reading it through the
+// snapshot keeps the two paired: a view installed after the snapshot
+// was taken may hold built rows born later, which the walk would not
+// filter.
+func (s *Snapshot) VecWalk(m metric.Distance, q metric.Vector, bound *float64, emit func(rows []*Row, dists []float64)) index.Stats {
+	v := s.h.vvs[m.Name()]
+	if v == nil {
+		v = buildVecView(m, s.h.rows)
 	}
-	return buildVecView(m, s.h.rows)
+	return v.walk(s, q, bound, emit)
 }
 
 // LengthView returns a length-ordered view whose entries form a

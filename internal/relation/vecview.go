@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/index"
@@ -19,8 +21,8 @@ import (
 // child, so a walk skips children whose bound exceeds its radius. The
 // leaves are runs of vecLeaf consecutive rows of the copy. Each row
 // keeps its own distance to its leaf's parent vantage, the same bound
-// for a single row, and the rows of a leaf that pass it are verified by
-// one DistBatch over contiguous memory.
+// for a single row; a leaf's rows ascend by it, so the rows that pass
+// form one run, verified by one DistBatch over contiguous memory.
 //
 // A child is also at most d+dmax from the query. When that is inside
 // the radius, the walk verifies the child's rows in place as one run,
@@ -30,48 +32,61 @@ import (
 //
 // It follows LengthView's contract: built lazily, extended online by
 // the insert paths under the relation's commit lock (single writer),
-// read lock-free, rebuilt by compaction. Rows inserted since the build
-// sit in a tail that the walks scan with the same kernel; an insert
-// that grows the tail past vecTailFrac of the base installs a rebuilt
-// view instead. The view holds a superset of any snapshot taken while
-// it is installed, and its walks keep only the rows the snapshot's
+// read lock-free, rebuilt by compaction. An insert routes its row down
+// the partition as a walk would, widening each interval on its path to
+// cover the row, and appends it to its leaf's overflow, so a walk
+// prunes inserted rows like built ones. Once the rows inserted since
+// the build outnumber the built ones, the insert installs a rebuilt
+// view instead, a doubling that keeps the rebuild's cost per insert
+// constant. The view holds a superset of any snapshot taken while it
+// is installed, and its walks keep only the rows the snapshot's
 // VisibleRow admits.
 type VecView struct {
 	m     metric.Distance
-	vecs  []metric.Vector // base rows in leaf order, windows of one contiguous copy
-	rows  []*Row          // parallel to vecs
-	pivot []float64       // parallel to vecs: distance to the leaf's parent vantage
-	nodes []vecNode       // nodes[0] is the root
-	tail  atomic.Pointer[vecTail]
+	vecs  []metric.Vector           // built rows in leaf order, windows of one contiguous copy
+	rows  []*Row                    // parallel to vecs
+	pivot []float64                 // parallel to vecs: distance to the leaf's parent vantage
+	nodes []vecNode                 // nodes[0] is the root
+	over  []atomic.Pointer[vecOver] // per leaf: the rows inserted since the build
+	added int                       // rows inserted since the build (writer only)
 }
 
-// vecNode is one node of the partition: the rows vecs[lo:hi], at
+// vecNode is one node of the partition: the built rows vecs[lo:hi], at
 // distances [dmin, dmax] from the parent's vantage (the root, which has
 // none, is unbounded: [0, +Inf]). An internal node's children are
-// nodes[left] and nodes[left+1]; a leaf has left == 0.
+// nodes[left] and nodes[left+1]; a leaf has left == 0 and is leaf
+// number lo/vecLeaf. Inserts widen dmin and dmax, stored as float64
+// bits, while walks of older snapshots read them.
 type vecNode struct {
 	lo, hi     int32
 	left       int32
 	vantage    metric.Vector
-	dmin, dmax float64
+	dmin, dmax uint64
 }
 
-// vecTail holds the rows inserted since the build. Appends write beyond
-// every published length and then publish a longer header, as the
-// length view's buckets do.
-type vecTail struct {
+func (n *vecNode) bounds() (dmin, dmax float64) {
+	return math.Float64frombits(atomic.LoadUint64(&n.dmin)), math.Float64frombits(atomic.LoadUint64(&n.dmax))
+}
+
+func (n *vecNode) setBounds(dmin, dmax float64) {
+	atomic.StoreUint64(&n.dmin, math.Float64bits(dmin))
+	atomic.StoreUint64(&n.dmax, math.Float64bits(dmax))
+}
+
+// vecOver holds one leaf's inserted rows. Appends write beyond every
+// published length and then publish a longer header, as the length
+// view's buckets do.
+type vecOver struct {
 	vecs []metric.Vector
 	rows []*Row
 }
 
-// vecLeaf is the number of rows in every leaf but the last; the
+// vecLeaf is the number of built rows in every leaf but the last; the
 // leaf-size sweep in EXPERIMENTS.md ("The vector view") chose it.
-// vecTailFrac is the size of the tail, relative to the base, past which
-// an insert rebuilds the view. vecMeanSample bounds the rows a node's
-// vantage averages, which keeps the build no slower than the VP-tree's.
+// vecMeanSample bounds the rows a node's vantage averages, which keeps
+// the build no slower than the VP-tree's.
 const (
 	vecLeaf       = 32
-	vecTailFrac   = 0.25
 	vecMeanSample = 64
 )
 
@@ -98,16 +113,13 @@ func buildVecView(m metric.Distance, rows []*Row) *VecView {
 			maxDim = max(maxDim, len(row.Vec))
 		}
 	}
-	v := &VecView{m: m}
-	v.tail.Store(&vecTail{})
-	if len(ents) == 0 {
-		return v
-	}
-	v.nodes = append(v.nodes, vecNode{hi: int32(len(ents)), dmax: math.Inf(1)})
+	// An empty view is one empty root leaf, which inserts fill.
+	leaves := max(1, (len(ents)+vecLeaf-1)/vecLeaf)
+	v := &VecView{m: m, over: make([]atomic.Pointer[vecOver], leaves)}
+	v.nodes = append(v.nodes, vecNode{hi: int32(len(ents)), dmax: math.Float64bits(math.Inf(1))})
 	// The vantages share one copy of their own, laid out depth first as
 	// the walks read them; a partition of L leaves has L-1 vantages, so
 	// the copy never grows past its capacity and never moves.
-	leaves := (len(ents) + vecLeaf - 1) / vecLeaf
 	vdata := make([]float32, 0, (leaves-1)*maxDim)
 	var sum []float64
 	for stack := []int32{0}; len(stack) > 0; {
@@ -153,15 +165,23 @@ func buildVecView(m metric.Distance, rows []*Row) *VecView {
 		splitAt(part, mid-lo, func(a, b ent) bool { return a.d < b.d || a.d == b.d && a.row.ID < b.row.ID })
 		inner, outer := vecNode{lo: int32(lo), hi: int32(mid)}, vecNode{lo: int32(mid), hi: int32(hi)}
 		for _, c := range []*vecNode{&inner, &outer} {
-			c.dmin, c.dmax = math.Inf(1), math.Inf(-1)
+			dmin, dmax := math.Inf(1), math.Inf(-1)
 			for _, e := range ents[c.lo:c.hi] {
-				c.dmin, c.dmax = min(c.dmin, e.d), max(c.dmax, e.d)
+				dmin, dmax = min(dmin, e.d), max(dmax, e.d)
 			}
+			c.setBounds(dmin, dmax)
 		}
 		left := int32(len(v.nodes))
 		v.nodes[node].left, v.nodes[node].vantage = left, vantage
 		v.nodes = append(v.nodes, inner, outer)
 		stack = append(stack, left, left+1)
+	}
+	// Within a leaf the rows ascend by pivot, so the rows a walk's pivot
+	// bound admits form one run.
+	for lo := 0; lo < len(ents); lo += vecLeaf {
+		slices.SortFunc(ents[lo:min(lo+vecLeaf, len(ents))], func(a, b ent) int {
+			return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.row.ID, b.row.ID))
+		})
 	}
 	data := make([]float32, 0, dims)
 	v.vecs = make([]metric.Vector, len(ents))
@@ -220,14 +240,40 @@ func splitAt[T any](s []T, k int, less func(a, b T) bool) {
 	}
 }
 
-// insert appends a vector-bearing row to the tail and reports whether
-// the tail has outgrown the base. Single-writer only; see the type
-// comment.
+// insert routes a vector-bearing row to a leaf, widening the interval
+// of every node on its path to cover it, appends it to that leaf's
+// overflow and reports whether the inserted rows now outnumber the
+// built ones. At each internal node the row takes the child whose
+// interval holds its distance to the vantage, or needs the smaller
+// widening. Single-writer only; see the type comment.
 func (v *VecView) insert(row *Row) (rebuild bool) {
-	t := v.tail.Load()
-	nt := &vecTail{vecs: append(t.vecs, row.Vec), rows: append(t.rows, row)}
-	v.tail.Store(nt)
-	return len(nt.rows) > vecLeaf && float64(len(nt.rows)) > vecTailFrac*float64(len(v.rows))
+	node := int32(0)
+	for v.nodes[node].left != 0 {
+		n := &v.nodes[node]
+		d := v.m.Dist(n.vantage, row.Vec)
+		inner, outer := &v.nodes[n.left], &v.nodes[n.left+1]
+		imin, imax := inner.bounds()
+		omin, omax := outer.bounds()
+		c, cmin, cmax := inner, imin, imax
+		if d > imax && (d >= omin || d-imax > omin-d) {
+			c, cmin, cmax = outer, omin, omax
+		}
+		if d < cmin || d > cmax {
+			c.setBounds(min(cmin, d), max(cmax, d))
+		}
+		node = n.left
+		if c == outer {
+			node++
+		}
+	}
+	slot := &v.over[v.nodes[node].lo/vecLeaf]
+	o := slot.Load()
+	if o == nil {
+		o = &vecOver{}
+	}
+	slot.Store(&vecOver{vecs: append(o.vecs, row.Vec), rows: append(o.rows, row)})
+	v.added++
+	return v.added > max(vecLeaf, len(v.rows))
 }
 
 // gap is the triangle-inequality bound on the distance from a query at
@@ -248,101 +294,125 @@ type vecPending struct {
 	pd    float64 // q's distance to the node's parent vantage (0 for the root)
 }
 
-// Walk hands emit every row visible at snap whose distance from q is at
-// most *bound when its leaf is verified. A range search passes its
-// radius; a NEAREST k lowers *bound from emit to its current k-th best
-// distance, and the walk prunes by the lowered bound from then on. It
-// visits near children first, then the tail, and verifies each leaf and
-// each vecLeaf-row run of a subtree inside the bound or of the tail with
-// one DistBatch. Stats count every
-// distance the walk computes as a verification: vantages, the leaf rows
-// past the pivot bound and tail rows.
+// walk hands emit, a leaf or a vecLeaf-row run at a time, the rows
+// visible at snap whose distance from q is at most *bound, with those
+// distances. A range search passes its radius; a NEAREST k lowers *bound
+// from emit to its current k-th best distance, and the walk prunes by
+// the lowered bound from then on. It visits near children first and
+// verifies each leaf, and each run of a subtree inside the bound, with
+// one DistBatch per vecLeaf rows. Stats count every distance the walk
+// computes as a verification: vantages, the built rows in the run a
+// leaf's pivot bound admits, and inserted rows.
 //
-// Base rows skip the visibility filter when snap's arena holds no
-// tombstone: a view installed in a head was built from rows of that head
-// or an earlier one, so every base row was born at or before any
-// snapshot that reads the view, and without tombstones it is alive there
-// too, the argument Cursor.allLive makes. Tail rows may postdate the
-// snapshot and are always checked.
-func (v *VecView) Walk(snap *Snapshot, q metric.Vector, bound *float64, emit func(row *Row, d float64)) index.Stats {
+// Built rows skip the visibility filter when snap's arena holds no
+// tombstone: the view snap's head carries was built from rows of that
+// head or an earlier one, so every built row was born at or before snap,
+// and without tombstones it is alive there too, the argument
+// Cursor.allLive makes. Inserted rows may postdate snap and are always
+// checked. Snapshot.VecWalk is the only caller, which keeps the view
+// and the snapshot paired.
+func (v *VecView) walk(snap *Snapshot, q metric.Vector, bound *float64, emit func(rows []*Row, dists []float64)) index.Stats {
 	var st index.Stats
 	var dists [vecLeaf]float64
-	var vecs [vecLeaf]metric.Vector
 	var rows [vecLeaf]*Row
 	// verify computes the distances of consecutive rows with one
 	// DistBatch per vecLeaf of them and emits the rows within the bound,
-	// filtered through VisibleRow when check.
+	// filtered through VisibleRow when check. A batch whose rows all
+	// pass is emitted as it lies in the view, uncopied: the common case
+	// of a walk that visits everything.
 	verify := func(vs []metric.Vector, rs []*Row, check bool) {
 		st.Candidates += len(vs)
 		st.Verifications += len(vs)
 		for lo := 0; lo < len(vs); lo += vecLeaf {
-			run := vs[lo:min(lo+vecLeaf, len(vs))]
-			out := dists[:len(run)]
-			metric.DistBatch(v.m, q, run, out)
-			for i, d := range out {
+			ds := dists[:min(vecLeaf, len(vs)-lo)]
+			run := rs[lo : lo+len(ds)]
+			metric.DistBatch(v.m, q, vs[lo:lo+len(ds)], ds)
+			b, k := *bound, 0
+			for _, d := range ds {
+				if d <= b {
+					k++
+				}
+			}
+			if k == len(ds) && !check {
+				emit(run, ds)
+				continue
+			}
+			k = 0
+			for i, d := range ds {
 				// The bound test first: visibility costs an atomic load.
-				if d <= *bound && (!check || snap.VisibleRow(rs[lo+i])) {
-					emit(rs[lo+i], d)
+				if d <= b && (!check || snap.VisibleRow(run[i])) {
+					rows[k], dists[k] = run[i], d
+					k++
 				}
+			}
+			if k > 0 {
+				emit(rows[:k], dists[:k])
 			}
 		}
 	}
-	if len(v.nodes) > 0 {
-		check := snap.h.dead > 0
-		var stack [vecStackCap]vecPending
-		stack[0] = vecPending{node: 0, bound: math.Inf(-1)}
-		for sp := 1; sp > 0; {
-			sp--
-			p := stack[sp]
-			if p.bound > *bound {
-				st.Pruned++
-				continue
+	// overflow verifies the rows inserted into leaves [first, last].
+	overflow := func(first, last int32) {
+		for l := first; l <= last; l++ {
+			if o := v.over[l].Load(); o != nil {
+				verify(o.vecs, o.rows, true)
 			}
-			n := &v.nodes[p.node]
-			st.Nodes++
-			// Every row of a node is within p.pd + dmax of q. When that
-			// is inside the bound, no row of the node can be pruned, so
-			// its rows are verified in place as one run, with no vantage
-			// distance below it. A bound of +Inf is NEAREST's before its
-			// best list fills, about to shrink, so it never takes this
-			// path.
-			if !math.IsInf(*bound, 1) && p.pd+n.dmax <= *bound {
-				verify(v.vecs[n.lo:n.hi], v.rows[n.lo:n.hi], check)
-				continue
-			}
-			if n.left == 0 {
-				// Each row's own distance to the parent vantage bounds it
-				// too, so the leaf's DistBatch runs over the rows that
-				// bound admits. When the leaf's whole interval is within
-				// the bound of p.pd, every row is, and the leaf is verified
-				// in place. A root leaf has no parent: its pivots and p.pd
-				// are 0, which admits every row.
-				if max(n.dmax-p.pd, p.pd-n.dmin) <= *bound {
-					verify(v.vecs[n.lo:n.hi], v.rows[n.lo:n.hi], check)
-					continue
-				}
-				k := 0
-				for i := n.lo; i < n.hi; i++ {
-					if gap(p.pd, v.pivot[i], v.pivot[i]) <= *bound {
-						vecs[k], rows[k] = v.vecs[i], v.rows[i]
-						k++
-					}
-				}
-				verify(vecs[:k], rows[:k], check)
-				continue
-			}
-			d := v.m.Dist(q, n.vantage)
-			st.Verifications++
-			near := vecPending{n.left, gap(d, v.nodes[n.left].dmin, v.nodes[n.left].dmax), d}
-			far := vecPending{n.left + 1, gap(d, v.nodes[n.left+1].dmin, v.nodes[n.left+1].dmax), d}
-			if far.bound < near.bound {
-				near, far = far, near
-			}
-			stack[sp], stack[sp+1] = far, near // near pops first
-			sp += 2
 		}
 	}
-	t := v.tail.Load()
-	verify(t.vecs, t.rows, true)
+	check := snap.h.dead > 0
+	var stack [vecStackCap]vecPending
+	stack[0] = vecPending{node: 0, bound: math.Inf(-1)}
+	for sp := 1; sp > 0; {
+		sp--
+		p := stack[sp]
+		if p.bound > *bound {
+			st.Pruned++
+			continue
+		}
+		n := &v.nodes[p.node]
+		st.Nodes++
+		// Every row of a node is within p.pd + dmax of q. When that is
+		// inside the bound, no row of the node can be pruned, so its
+		// rows are verified in place as one run, with no vantage
+		// distance below it. A bound of +Inf is NEAREST's before its
+		// best list fills, about to shrink, so it never takes this path.
+		if _, dmax := n.bounds(); !math.IsInf(*bound, 1) && p.pd+dmax <= *bound {
+			verify(v.vecs[n.lo:n.hi], v.rows[n.lo:n.hi], check)
+			overflow(n.lo/vecLeaf, (n.hi-1)/vecLeaf)
+			continue
+		}
+		if n.left == 0 {
+			// Each built row's pivot, its distance to the parent
+			// vantage, bounds it as an interval bounds a node. The
+			// bound is smallest at pivot p.pd and grows away from it,
+			// so the rows it admits form one run of the leaf, which
+			// the two scans find. A root leaf has no parent: its
+			// pivots and p.pd are 0, which admits every row.
+			lo, hi := n.lo, n.hi
+			for lo < hi && gap(p.pd, v.pivot[lo], v.pivot[lo]) > *bound {
+				lo++
+			}
+			for hi > lo && gap(p.pd, v.pivot[hi-1], v.pivot[hi-1]) > *bound {
+				hi--
+			}
+			verify(v.vecs[lo:hi], v.rows[lo:hi], check)
+			overflow(n.lo/vecLeaf, n.lo/vecLeaf)
+			continue
+		}
+		d := v.m.Dist(q, n.vantage)
+		st.Verifications++
+		near, far := v.pending(n.left, d), v.pending(n.left+1, d)
+		if far.bound < near.bound {
+			near, far = far, near
+		}
+		stack[sp], stack[sp+1] = far, near // near pops first
+		sp += 2
+	}
 	return st
+}
+
+// pending is the child node i of a node whose vantage is at distance d
+// from the query.
+func (v *VecView) pending(i int32, d float64) vecPending {
+	dmin, dmax := v.nodes[i].bounds()
+	return vecPending{i, gap(d, dmin, dmax), d}
 }

@@ -43,25 +43,39 @@ func bruteVec(m metric.Distance, snaps []*Snapshot, q metric.Vector) []vecHit {
 	return all
 }
 
-// viewRange runs Range over every snapshot's view and returns the hits
-// in id order.
+// walkFunc is one view walk with the query fixed: Snapshot.VecWalk, or
+// VecView.walk over a given view.
+type walkFunc func(bound *float64, emit func(rows []*Row, dists []float64)) index.Stats
+
+func snapWalk(m metric.Distance, s *Snapshot, q metric.Vector) walkFunc {
+	return func(bound *float64, emit func([]*Row, []float64)) index.Stats { return s.VecWalk(m, q, bound, emit) }
+}
+
+// viewRange runs a range walk over every snapshot's view and returns
+// the hits in id order.
 func viewRange(m metric.Distance, snaps []*Snapshot, q metric.Vector, r float64) []vecHit {
 	var out []vecHit
 	for _, s := range snaps {
 		bound := r
-		s.VecView(m).Walk(s, q, &bound, func(row *Row, d float64) { out = append(out, vecHit{row.ID, d}) })
+		s.VecWalk(m, q, &bound, func(rows []*Row, ds []float64) {
+			for i, row := range rows {
+				out = append(out, vecHit{row.ID, ds[i]})
+			}
+		})
 	}
 	slices.SortFunc(out, func(a, b vecHit) int { return cmp.Compare(a.id, b.id) })
 	return out
 }
 
-// nearestK is a NEAREST k over one view, as the NEAREST operator runs
+// nearestK is a NEAREST k over one walk, as the NEAREST operator runs
 // it: a (dist, id) best list whose k-th distance becomes the bound.
-func nearestK(v *VecView, s *Snapshot, q metric.Vector, k int) ([]vecHit, index.Stats) {
+func nearestK(walk walkFunc, k int) ([]vecHit, index.Stats) {
 	var best []vecHit
 	bound := math.Inf(1)
-	st := v.Walk(s, q, &bound, func(row *Row, d float64) {
-		best = append(best, vecHit{row.ID, d})
+	st := walk(&bound, func(rows []*Row, ds []float64) {
+		for i, row := range rows {
+			best = append(best, vecHit{row.ID, ds[i]})
+		}
 		slices.SortFunc(best, byDistID)
 		if len(best) >= k {
 			best = best[:k]
@@ -76,7 +90,7 @@ func nearestK(v *VecView, s *Snapshot, q metric.Vector, k int) ([]vecHit, index.
 func viewNearest(m metric.Distance, snaps []*Snapshot, q metric.Vector, k int) []vecHit {
 	var out []vecHit
 	for _, s := range snaps {
-		best, _ := nearestK(s.VecView(m), s, q, k)
+		best, _ := nearestK(snapWalk(m, s, q), k)
 		out = append(out, best...)
 	}
 	slices.SortFunc(out, byDistID)
@@ -131,10 +145,10 @@ func clusteredVec(rng *rand.Rand) metric.Vector {
 // data's diameter and NEAREST with k from 1 to more than the row count
 // return, through the view, exactly the brute-force answers with
 // identical distance bits (the no-false-dismissal guarantee), while the
-// view carries a tail, tombstones, nil vectors and mixed dimensions,
-// across a tail rebuild and a compaction, unsharded and over four
-// shards. Snapshots taken before a rebuild keep answering from their
-// own view.
+// view carries inserted rows, tombstones, nil vectors and mixed
+// dimensions, across a rebuild and a compaction, unsharded and over
+// four shards. Snapshots taken before a rebuild keep answering from
+// their own view.
 func TestVecViewMatchesBruteForce(t *testing.T) {
 	l2, _ := metric.Lookup("l2")
 	for _, shards := range []int{1, 4} {
@@ -195,14 +209,14 @@ func TestVecViewMatchesBruteForce(t *testing.T) {
 			}
 			check("built", tab.snaps())
 
-			// Tombstones and a tail: deletes stay in the view until
-			// compaction; inserts land in the tail.
+			// Tombstones and inserted rows: deletes stay in the view
+			// until compaction; inserts land in their leaves' overflow.
 			for id := 0; id < 600; id += 7 {
 				tab.Delete(id)
 			}
 			insert(20)
 			before := tab.snaps()
-			check("tail and tombstones", before)
+			check("inserts and tombstones", before)
 			views := func(snaps []*Snapshot) []*VecView {
 				var vs []*VecView
 				for _, s := range snaps {
@@ -210,14 +224,14 @@ func TestVecViewMatchesBruteForce(t *testing.T) {
 				}
 				return vs
 			}
-			if tail := views(before)[0].tail.Load(); len(tail.rows) == 0 {
-				t.Fatal("no rows in the tail; the test lost its point")
+			if views(before)[0].added == 0 {
+				t.Fatal("no inserted rows in the view; the test lost its point")
 			}
 
-			// Grow every tail past vecTailFrac of its base: the insert
+			// Insert more rows than every view was built over: the insert
 			// paths install rebuilt views, and the earlier snapshots keep
 			// answering from theirs.
-			insert(400)
+			insert(700)
 			after := tab.snaps()
 			rebuilt := false
 			for i, v := range views(after) {
@@ -233,8 +247,8 @@ func TestVecViewMatchesBruteForce(t *testing.T) {
 
 			tab.compact()
 			for i, v := range views(tab.snaps()) {
-				if v == views(after)[i] || len(v.tail.Load().rows) != 0 {
-					t.Fatalf("shard %d: compaction kept the old view or a tail", i)
+				if v == views(after)[i] || v.added != 0 {
+					t.Fatalf("shard %d: compaction kept the old view or its inserted rows", i)
 				}
 			}
 			check("compacted", tab.snaps())
@@ -254,23 +268,27 @@ func TestVecViewWorkRepeats(t *testing.T) {
 	snap := r.Snapshot()
 	q := metric.Vector{3, 3, 3}
 	a, b := buildVecView(l2, snap.h.rows), buildVecView(l2, snap.h.rows)
+	walk := func(v *VecView) walkFunc {
+		return func(bound *float64, emit func([]*Row, []float64)) index.Stats { return v.walk(snap, q, bound, emit) }
+	}
 	for _, k := range []int{1, 10} {
-		_, sa := nearestK(a, snap, q, k)
-		_, sb := nearestK(b, snap, q, k)
+		_, sa := nearestK(walk(a), k)
+		_, sb := nearestK(walk(b), k)
 		if sa != sb {
 			t.Fatalf("k=%d: work differs between two builds: %+v vs %+v", k, sa, sb)
 		}
 	}
 	ra, rb := 1.0, 1.0
-	if sa, sb := a.Walk(snap, q, &ra, func(*Row, float64) {}), b.Walk(snap, q, &rb, func(*Row, float64) {}); sa != sb {
+	if sa, sb := walk(a)(&ra, func([]*Row, []float64) {}), walk(b)(&rb, func([]*Row, []float64) {}); sa != sb {
 		t.Fatalf("range work differs between two builds: %+v vs %+v", sa, sb)
 	}
 }
 
 // TestVecViewConcurrentInsertCompact runs readers against the shared
-// views while a writer inserts vectors past the rebuild threshold,
-// deletes and compacts: every reader's answer must equal the brute
-// force over its own snapshot. Run it under -race.
+// views while a writer inserts vectors (widening the intervals the
+// readers prune by), past the rebuild threshold by round 3, deletes and
+// compacts: every reader's answer must equal the brute force over its
+// own snapshot. Run it under -race.
 func TestVecViewConcurrentInsertCompact(t *testing.T) {
 	l2, _ := metric.Lookup("l2")
 	for _, shards := range []int{1, 4} {
@@ -298,7 +316,7 @@ func TestVecViewConcurrentInsertCompact(t *testing.T) {
 					for i := 0; i < 20; i++ {
 						tab.Delete(rng.Intn(200 + 60*round))
 					}
-					if round%2 == 1 {
+					if round == 3 || round == 5 {
 						tab.compact()
 					}
 				}
@@ -344,9 +362,13 @@ func TestVecViewConcurrentInsertCompact(t *testing.T) {
 	}
 }
 
-// TestVecViewLayout: every leaf but the last holds vecLeaf rows, each
-// inner child's rows are no farther from the vantage than its outer
-// sibling's, and the partition is balanced.
+// TestVecViewLayout: every leaf but the last holds vecLeaf built rows,
+// each inner child's built rows are no farther from the vantage than its
+// outer sibling's, and the partition is balanced. After inserts short of
+// a rebuild, every row of a node, built or inserted, still lies inside
+// the node's interval around its parent's vantage, and a leaf's built
+// rows ascend by pivot, their distance to the leaf's parent vantage: the
+// invariants the walk's pruning rests on.
 func TestVecViewLayout(t *testing.T) {
 	l2, _ := metric.Lookup("l2")
 	rng := rand.New(rand.NewSource(8))
@@ -359,7 +381,7 @@ func TestVecViewLayout(t *testing.T) {
 		leaves, depth := 0, 0
 		var visit func(i int32, d int)
 		visit = func(i int32, d int) {
-			nd := v.nodes[i]
+			nd := &v.nodes[i]
 			if nd.left == 0 {
 				leaves++
 				depth = max(depth, d)
@@ -368,21 +390,90 @@ func TestVecViewLayout(t *testing.T) {
 				}
 				return
 			}
-			in, out := v.nodes[nd.left], v.nodes[nd.left+1]
-			if in.hi != out.lo || in.lo != nd.lo || out.hi != nd.hi || in.dmax > out.dmin {
-				t.Errorf("n=%d: node %d splits badly: inner %+v outer %+v", n, i, in, out)
+			in, out := &v.nodes[nd.left], &v.nodes[nd.left+1]
+			_, imax := in.bounds()
+			omin, _ := out.bounds()
+			if in.hi != out.lo || in.lo != nd.lo || out.hi != nd.hi || imax > omin {
+				t.Errorf("n=%d: node %d splits badly: inner %+v outer %+v", n, i, *in, *out)
 			}
 			visit(nd.left, d+1)
 			visit(nd.left+1, d+1)
 		}
-		if len(v.nodes) > 0 {
-			visit(0, 0)
-		}
-		if want := (n + vecLeaf - 1) / vecLeaf; leaves != want {
+		visit(0, 0)
+		if want := max(1, (n+vecLeaf-1)/vecLeaf); leaves != want {
 			t.Errorf("n=%d: %d leaves, want %d", n, leaves, want)
 		}
 		if leaves > 1 && 1<<(depth-1) >= leaves {
 			t.Errorf("n=%d: %d leaves at depth %d", n, leaves, depth)
+		}
+
+		for i := 0; i < max(vecLeaf, n)*3/4; i++ {
+			r.InsertOne(InsertRow{Vec: clusteredVec(rng)})
+		}
+		if r.VecView(l2) != v {
+			t.Fatalf("n=%d: the view was rebuilt before the inserts outnumbered its rows", n)
+		}
+		// covered checks the rows of node i against the vantage above it.
+		var covered func(i int32, vantage metric.Vector)
+		covered = func(i int32, vantage metric.Vector) {
+			nd := &v.nodes[i]
+			vecs := slices.Clone(v.vecs[nd.lo:nd.hi])
+			for l := nd.lo / vecLeaf; l <= max(nd.lo, nd.hi-1)/vecLeaf; l++ {
+				if o := v.over[l].Load(); o != nil {
+					vecs = append(vecs, o.vecs...)
+				}
+			}
+			dmin, dmax := nd.bounds()
+			for j, x := range vecs {
+				d := 0.0
+				if vantage != nil {
+					d = l2.Dist(vantage, x)
+				}
+				if i != 0 && (d < dmin || d > dmax) {
+					t.Fatalf("n=%d: node %d: a row at %g from the parent vantage, outside [%g, %g]", n, i, d, dmin, dmax)
+				}
+				if lo := int(nd.lo); nd.left == 0 && j < int(nd.hi)-lo && (v.pivot[lo+j] != d || j > 0 && v.pivot[lo+j-1] > d) {
+					t.Fatalf("n=%d: leaf %d: built row %d has pivot %g, distance %g to the parent vantage, or pivots descend", n, i, j, v.pivot[lo+j], d)
+				}
+			}
+			if nd.left != 0 {
+				covered(nd.left, nd.vantage)
+				covered(nd.left+1, nd.vantage)
+			}
+		}
+		covered(0, nil)
+		if v.added == 0 {
+			t.Fatalf("n=%d: no inserted rows in the view", n)
+		}
+	}
+}
+
+// TestVecWalkOldSnapshot: a snapshot taken before its relation's view
+// was built walks its own arena, not the view installed later, whose
+// built rows postdate it.
+func TestVecWalkOldSnapshot(t *testing.T) {
+	l2, _ := metric.Lookup("l2")
+	rng := rand.New(rand.NewSource(9))
+	r := New("v")
+	for i := 0; i < 300; i++ {
+		r.InsertOne(InsertRow{Vec: clusteredVec(rng)})
+	}
+	old := r.Snapshot()
+	for i := 0; i < 300; i++ {
+		r.InsertOne(InsertRow{Vec: clusteredVec(rng)})
+	}
+	r.VecView(l2)
+	if old.h.vvs["l2"] != nil || r.Snapshot().h.vvs["l2"] == nil {
+		t.Fatal("the view is not installed after the old snapshot only; the test lost its point")
+	}
+	for _, q := range []metric.Vector{{0, 0, 0}, {3, 3, 3, 3, 3}, {9, 9, 9}} {
+		all := bruteVec(l2, []*Snapshot{old}, q)
+		if got := viewRange(l2, []*Snapshot{old}, q, math.MaxFloat64); fmt.Sprint(got) != fmt.Sprint(all) {
+			t.Fatalf("WITHIN the diameter of %v: %d hits at the old snapshot, want %d", q, len(got), len(all))
+		}
+		slices.SortFunc(all, byDistID)
+		if got := viewNearest(l2, []*Snapshot{old}, q, 10); fmt.Sprint(got) != fmt.Sprint(all[:10]) {
+			t.Fatalf("NEAREST 10 to %v at the old snapshot:\nview  %v\nbrute %v", q, got, all[:10])
 		}
 	}
 }
