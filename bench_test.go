@@ -747,6 +747,20 @@ func BenchmarkTSRangeIndex(b *testing.B) {
 	}
 }
 
+// BenchmarkTSRangeBuild times packing the k-index over the 12 000
+// feature points of the ts_range shape; the feature points themselves
+// (Add, FeaturePoint) are computed once, outside the timing.
+func BenchmarkTSRangeBuild(b *testing.B) {
+	db, _, _ := tsRangeBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := db.Build(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTSRangeScan is the scan side of BenchmarkTSRangeIndex.
 func BenchmarkTSRangeScan(b *testing.B) {
 	db, queries, mavg := tsRangeBench(b)

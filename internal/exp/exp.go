@@ -101,7 +101,9 @@ func timeOp(f func()) time.Duration {
 	}
 	var reps int
 	start := time.Now()
-	for time.Since(start) < floor {
+	// At least once: a goroutine descheduled past the floor before its
+	// first call would otherwise divide by zero reps.
+	for reps == 0 || time.Since(start) < floor {
 		f()
 		reps++
 	}

@@ -1,7 +1,9 @@
-// Package rtree implements an in-memory R*-tree (Beckmann et al.,
-// SIGMOD 1990): insertion with forced reinsertion, the R* split
-// (margin-driven axis choice, overlap-driven index choice), range
-// search and nearest-neighbour search with MINDIST pruning.
+// Package rtree implements an immutable, in-memory R-tree over points,
+// bulk-loaded by Sort-Tile-Recursive packing (Leutenegger et al., ICDE
+// 1997) into full nodes of 32, with range search and nearest-neighbour
+// search with MINDIST pruning. A tree never changes: a caller whose
+// points change builds a new one, which takes milliseconds for tens of
+// thousands of points.
 //
 // Two features serve the similarity-query framework specifically:
 //
@@ -12,7 +14,7 @@
 //     transformations without being rebuilt. The transformation is
 //     inverted onto the query once per search instead of being applied
 //     to every rectangle and point met; the search loops themselves run
-//     over a flat copy of the tree and allocate nothing.
+//     over the tree's flat array layout and allocate nothing.
 //   - Every search reports node-access counts so the experiments can
 //     compare transformed and plain traversals.
 package rtree
@@ -40,26 +42,8 @@ func NewRect(lo, hi []float64) (Rect, error) {
 	return Rect{Min: lo, Max: hi}, nil
 }
 
-// PointRect returns the degenerate rectangle covering exactly p.
-func PointRect(p []float64) Rect {
-	lo := make([]float64, len(p))
-	hi := make([]float64, len(p))
-	copy(lo, p)
-	copy(hi, p)
-	return Rect{Min: lo, Max: hi}
-}
-
 // Dim returns the dimensionality.
 func (r Rect) Dim() int { return len(r.Min) }
-
-// Copy returns a deep copy.
-func (r Rect) Copy() Rect {
-	lo := make([]float64, len(r.Min))
-	hi := make([]float64, len(r.Max))
-	copy(lo, r.Min)
-	copy(hi, r.Max)
-	return Rect{Min: lo, Max: hi}
-}
 
 // Overlaps reports whether two rectangles intersect (closed).
 func (r Rect) Overlaps(o Rect) bool {
@@ -79,76 +63,6 @@ func (r Rect) Contains(p []float64) bool {
 		}
 	}
 	return true
-}
-
-// ContainsRect reports whether r fully contains o.
-func (r Rect) ContainsRect(o Rect) bool {
-	for i := range r.Min {
-		if o.Min[i] < r.Min[i] || o.Max[i] > r.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Area returns the hyper-volume.
-func (r Rect) Area() float64 {
-	a := 1.0
-	for i := range r.Min {
-		a *= r.Max[i] - r.Min[i]
-	}
-	return a
-}
-
-// Margin returns the summed edge lengths (the R* split criterion).
-func (r Rect) Margin() float64 {
-	m := 0.0
-	for i := range r.Min {
-		m += r.Max[i] - r.Min[i]
-	}
-	return m
-}
-
-// Enlarged returns the minimum rectangle covering r and o.
-func (r Rect) Enlarged(o Rect) Rect {
-	out := r.Copy()
-	for i := range out.Min {
-		if o.Min[i] < out.Min[i] {
-			out.Min[i] = o.Min[i]
-		}
-		if o.Max[i] > out.Max[i] {
-			out.Max[i] = o.Max[i]
-		}
-	}
-	return out
-}
-
-// Enlargement returns the area increase of covering o as well.
-func (r Rect) Enlargement(o Rect) float64 {
-	return r.Enlarged(o).Area() - r.Area()
-}
-
-// OverlapArea returns the volume of the intersection.
-func (r Rect) OverlapArea(o Rect) float64 {
-	a := 1.0
-	for i := range r.Min {
-		lo := math.Max(r.Min[i], o.Min[i])
-		hi := math.Min(r.Max[i], o.Max[i])
-		if hi <= lo {
-			return 0
-		}
-		a *= hi - lo
-	}
-	return a
-}
-
-// Center returns the rectangle's center point.
-func (r Rect) Center() []float64 {
-	c := make([]float64, len(r.Min))
-	for i := range c {
-		c[i] = (r.Min[i] + r.Max[i]) / 2
-	}
-	return c
 }
 
 // MinDist returns the squared MINDIST from point p to the rectangle

@@ -68,11 +68,11 @@ func (s *Searcher) Search(t *Tree, q Rect, tf *Affine) ([]int, SearchStats, erro
 	if len(q.Min) != t.dim || len(q.Max) != t.dim {
 		return nil, st, fmt.Errorf("rtree: query dim %d, want %d", len(q.Min), t.dim)
 	}
-	f := t.flatLayout()
+	f := &t.flat
 	if len(f.nodes) == 0 {
 		return nil, st, checkAffine(tf, t.dim)
 	}
-	ok, err := s.p.compileRange(q, tf, t.root.rect)
+	ok, err := s.p.compileRange(q, tf, t.rect)
 	if err != nil || !ok {
 		return nil, st, err
 	}
@@ -268,7 +268,7 @@ func (s *Searcher) NearestK(t *Tree, q []float64, k int, tf *Affine) ([]Neighbor
 	if err := s.p.compileNearest(q, tf); err != nil {
 		return nil, st, err
 	}
-	f := t.flatLayout()
+	f := &t.flat
 	if len(f.nodes) == 0 || k <= 0 {
 		return nil, st, nil
 	}

@@ -6,15 +6,18 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dft"
 	"repro/internal/rtree"
 )
 
-// DB is an in-memory time-series database with a k-index: an R*-tree
-// over the 2+2k-dimensional polar feature space. All series must share
-// one length. Build the index once after loading; queries are then
-// read-only and safe to run concurrently.
+// DB is an in-memory time-series database with a k-index: an R-tree,
+// packed by Sort-Tile-Recursive, over the 2k-dimensional polar feature
+// space. All series must share one length. Queries are safe to run
+// concurrently, including the first ones after a load, which build the
+// index once between them; Add is single-writer, and no query may run
+// during it.
 type DB struct {
 	k      int
 	n      int // series length, fixed by the first Add
@@ -23,7 +26,9 @@ type DB struct {
 	feats  [][]float64
 	means  []float64
 	stds   []float64
-	tree   *rtree.Tree
+
+	tree    atomic.Pointer[rtree.Tree] // nil until built, and after an Add
+	buildMu sync.Mutex                 // serializes builds
 
 	scratch sync.Pool // of *queryScratch, sized for n and k
 }
@@ -88,7 +93,7 @@ func (db *DB) Add(s []float64) (int, error) {
 	db.feats = append(db.feats, feat)
 	db.means = append(db.means, mean)
 	db.stds = append(db.stds, std)
-	db.tree = nil
+	db.tree.Store(nil)
 	return id, nil
 }
 
@@ -102,29 +107,41 @@ func (db *DB) MeanStd(id int) (mean, std float64, err error) {
 	return db.means[id], db.stds[id], nil
 }
 
-// Build constructs the R*-tree over the feature points and packs it into
-// its flat read layout. Queries build it lazily if needed; bulk callers
-// invoke it once to keep timings honest.
+// Build packs the feature points into the k-index. Queries build it
+// lazily if needed; bulk callers invoke it once to keep timings honest.
 func (db *DB) Build() error {
-	tree, err := rtree.New(2*db.k, 32)
-	if err != nil {
-		return err
-	}
-	for id, f := range db.feats {
-		if err := tree.Insert(id, f); err != nil {
-			return err
-		}
-	}
-	tree.Pack()
-	db.tree = tree
-	return nil
+	db.buildMu.Lock()
+	defer db.buildMu.Unlock()
+	_, err := db.build()
+	return err
 }
 
-func (db *DB) ensureTree() error {
-	if db.tree == nil {
-		return db.Build()
+// build packs the index and publishes it; the caller holds buildMu.
+func (db *DB) build() (*rtree.Tree, error) {
+	entries := make([]rtree.Entry, len(db.feats))
+	for id, f := range db.feats {
+		entries[id] = rtree.Entry{ID: id, Point: f}
 	}
-	return nil
+	tree, err := rtree.Build(2*db.k, entries)
+	if err != nil {
+		return nil, err
+	}
+	db.tree.Store(tree)
+	return tree, nil
+}
+
+// index returns the k-index, building it if it has not been built since
+// the last Add. Concurrent first queries wait for one build.
+func (db *DB) index() (*rtree.Tree, error) {
+	if tree := db.tree.Load(); tree != nil {
+		return tree, nil
+	}
+	db.buildMu.Lock()
+	defer db.buildMu.Unlock()
+	if tree := db.tree.Load(); tree != nil {
+		return tree, nil
+	}
+	return db.build()
 }
 
 // Match is one range-query answer.
@@ -265,14 +282,14 @@ const rectSlack = 1e-9
 // terms n−k..n−1 = 2·Σ_{f<=k} |a_f X_f − q_f|², so D <= eps puts every
 // indexed coefficient within eps/√2. Otherwise only D² >= Σ_{f<=k} holds
 // and r is eps.
-func (db *DB) candidates(s *queryScratch, feat []float64, t *Transform, eps float64) ([]int, int, error) {
+func (db *DB) candidates(tree *rtree.Tree, s *queryScratch, feat []float64, t *Transform, eps float64) ([]int, int, error) {
 	r := eps
 	if t == nil || t.symmetric(db.k) {
 		r = eps / math.Sqrt2
 	}
 	searchRect(s.rect, feat, r*(1+rectSlack))
 	polarAffine(&s.tf, t)
-	ids, st, err := s.srch.Search(db.tree, s.rect, &s.tf)
+	ids, st, err := s.srch.Search(tree, s.rect, &s.tf)
 	return ids, st.NodeAccesses, err
 }
 
@@ -286,7 +303,8 @@ func (db *DB) RangeIndex(q []float64, t *Transform, eps float64) ([]Match, Stats
 	if err := db.checkArgs(t, eps); err != nil {
 		return nil, st, err
 	}
-	if err := db.ensureTree(); err != nil {
+	tree, err := db.index()
+	if err != nil {
 		return nil, st, err
 	}
 	s := db.getScratch()
@@ -294,7 +312,7 @@ func (db *DB) RangeIndex(q []float64, t *Transform, eps float64) ([]Match, Stats
 	if err := s.features(q); err != nil {
 		return nil, st, err
 	}
-	ids, nodes, err := db.candidates(s, s.feat, t, eps)
+	ids, nodes, err := db.candidates(tree, s, s.feat, t, eps)
 	if err != nil {
 		return nil, st, err
 	}
@@ -400,7 +418,8 @@ func (db *DB) SelfJoin(method JoinMethod, t *Transform, eps float64) ([]Pair, St
 		}
 		return out, st, nil
 	case JoinIndex, JoinIndexT:
-		if err := db.ensureTree(); err != nil {
+		tree, err := db.index()
+		if err != nil {
 			return nil, st, err
 		}
 		if method == JoinIndex {
@@ -411,11 +430,10 @@ func (db *DB) SelfJoin(method JoinMethod, t *Transform, eps float64) ([]Pair, St
 		v := newVerifier(t, nil, eps)
 		var out []Pair
 		for i := 0; i < len(db.coeffs); i++ {
-			var err error
 			if v.q, err = db.transformed(t, i); err != nil {
 				return nil, st, err
 			}
-			ids, nodes, err := db.candidates(s, polarInto(s.feat, v.q), t, eps)
+			ids, nodes, err := db.candidates(tree, s, polarInto(s.feat, v.q), t, eps)
 			if err != nil {
 				return nil, st, err
 			}

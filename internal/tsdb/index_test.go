@@ -240,8 +240,8 @@ func TestQueryArgumentsValidated(t *testing.T) {
 	}
 }
 
-// TestAddAfterBuildIsIndexed: Add drops the index; the next query builds
-// a fresh one, flat layout included, and finds the new series.
+// TestAddAfterBuildIsIndexed: Add drops the index; the next query packs
+// a fresh one and finds the new series.
 func TestAddAfterBuildIsIndexed(t *testing.T) {
 	db := buildDB(t, 27, 200, 64, 2)
 	extra := stock.Walks(28, 40, 64)
@@ -300,4 +300,48 @@ func TestConcurrentRangeIndex(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestRangeIndexConcurrentFirstQueries: the first queries on a database
+// whose index is not built yet race to build it; each must answer from
+// a complete index, and the build must not race with their reads. Add
+// then drops the index between rounds (Add itself is single-writer: no
+// query runs during it). Run under -race.
+func TestRangeIndexConcurrentFirstQueries(t *testing.T) {
+	db, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walks := stock.Walks(31, 240, 64)
+	for round, s := range walks {
+		if _, err := db.Add(s); err != nil {
+			t.Fatal(err)
+		}
+		if round < 200 || round%10 != 0 {
+			continue
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				if g == 3 {
+					if _, _, err := db.SelfJoin(JoinIndexT, nil, 0.5); err != nil {
+						t.Errorf("round %d: self-join: %v", round, err)
+					}
+					return
+				}
+				q := walks[(round*7+g*53)%db.Len()]
+				idx, _, err1 := db.RangeIndex(q, nil, 3)
+				scan, _, err2 := db.RangeScan(q, nil, 3)
+				if err1 != nil || err2 != nil || len(idx) != len(scan) {
+					t.Errorf("round %d, goroutine %d: index %d answers (%v), scan %d (%v)", round, g, len(idx), err1, len(scan), err2)
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+	}
 }

@@ -9,7 +9,7 @@
 // coordinates (Theorem 3: multiplier transformations are safe in Spol).
 // Transformations are per-coefficient complex multipliers, rich enough
 // for moving averages, reversal and time warping; queries run against
-// an R*-tree that answers over the transformed image of the index without
+// an R-tree that answers over the transformed image of the index without
 // being rebuilt.
 package tsdb
 

@@ -155,8 +155,9 @@ func polarAffine(tf *rtree.Affine, t *Transform) {
 // The companion paper stored mean and std as two additional index
 // dimensions (to serve GK95-style shift/scale queries). Similarity
 // queries on normal forms never constrain those dimensions, and in an
-// in-memory R*-tree two unconstrained large-scale axes dominate the
-// splits and destroy pruning, so this implementation keeps mean/std as
+// R-tree two unconstrained large-scale axes take their share of the
+// partitioning (splits, or the slab cuts of a packed tree) and destroy
+// pruning, so this implementation keeps mean/std as
 // tuple attributes instead — a documented substitution that preserves
 // the answer semantics of every reproduced experiment.
 func FeaturePoint(s []float64, k int) (point []float64, coeffs []complex128, mean, std float64, err error) {

@@ -25,7 +25,7 @@
 //
 // The time-series instantiation (NewTimeSeriesDB, MovingAvg, ReverseT)
 // follows the framework's published special case: DFT feature spaces,
-// safe spectral transformations and an R*-tree searched with the
+// safe spectral transformations and an R-tree searched with the
 // transformation applied on the fly.
 //
 // Beyond string and time-series transformation distances, the engine
