@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/editdp"
+	"repro/internal/index"
 	"repro/internal/metric"
+	"repro/internal/relation"
 )
 
 // kernelWords is the shared workload for the kernel gate: one fixed
@@ -64,6 +66,137 @@ func BenchmarkKernelMyersVsScalar(b *testing.B) {
 }
 
 var benchSink int
+
+// sigScanBands is the signature-filter shape of the words_adhoc
+// workload: for each of the 256 NEAREST targets over the 20 000 words
+// of nearestWordsBench, the length bands a WITHIN 1 walk visits. It
+// returns the snapshot's bands and their candidate total per pass.
+func sigScanBands(b *testing.B) ([]string, [][]relation.Band, int) {
+	b.Helper()
+	rel, targets := nearestWordsBench(b)
+	view := rel.Snapshot().LengthView()
+	bands := make([][]relation.Band, len(targets))
+	cands := 0
+	for i, t := range targets {
+		it := view.Bands(len(t))
+		for band, ok := it.Next(); ok && max(band.Len-len(t), len(t)-band.Len) <= 1; band, ok = it.Next() {
+			bands[i] = append(bands[i], band)
+			cands += len(band.Ents)
+		}
+	}
+	return targets, bands, cands
+}
+
+// BenchmarkKernelSigScan — the band walk's signature filter at radius 1
+// over sigScanBands: index.NextWithin over each band's dense signature
+// column, one popcount per word and candidate. One op is one pass over
+// all targets, ~4 900 candidates each; ns/cand is the time per
+// candidate. Informational in BENCH_baseline.json; the nibble loop it
+// replaced is BenchmarkKernelSigScanNibble.
+func BenchmarkKernelSigScan(b *testing.B) {
+	targets, bands, cands := sigScanBands(b)
+	qsigs := make([]index.ByteSig, len(targets))
+	for i, t := range targets {
+		qsigs[i] = index.NewByteSig(t)
+	}
+	sink := 0
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for i, q := range qsigs {
+			for _, band := range bands[i] {
+				thr := 1 - max(band.Len-len(targets[i]), 0)
+				for j := index.NextWithin(band.Sigs, q, thr, 0); j < len(band.Sigs); j = index.NextWithin(band.Sigs, q, thr, j+1) {
+					sink++
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cands), "ns/cand")
+	benchSink = sink
+}
+
+// nibbleEntry is a length-band entry as the walk read it before the
+// signature became a dense column: the string, the row and a sixteen
+// 4-bit counter signature side by side.
+type nibbleEntry struct {
+	seq string
+	row *relation.Row
+	sig uint64
+}
+
+// nibbleSig is that signature: counter c&15 counts byte c, saturating
+// at 15.
+func nibbleSig(s string) uint64 {
+	var sig uint64
+	for i := 0; i < len(s); i++ {
+		sh := uint(s[i]&15) * 4
+		if sig>>sh&15 != 15 {
+			sig += 1 << sh
+		}
+	}
+	return sig
+}
+
+// nibbleBound is its bound: the larger of the summed counter surplus
+// and deficit, eight lanes of a word at a time.
+func nibbleBound(a, b uint64) int {
+	const lo4 = 0x0F0F0F0F0F0F0F0F
+	p0, n0 := nibbleLaneDiffs(a&lo4, b&lo4)
+	p1, n1 := nibbleLaneDiffs(a>>4&lo4, b>>4&lo4)
+	return int(max(p0+p1, n0+n1))
+}
+
+// nibbleLaneDiffs treats x and y as eight byte lanes holding 0..15 and
+// returns the sums of the positive and of the negative lane differences
+// x-y.
+func nibbleLaneDiffs(x, y uint64) (pos, neg uint64) {
+	const (
+		lo4  = 0x0F0F0F0F0F0F0F0F
+		b16  = 0x1010101010101010
+		ones = 0x0101010101010101
+	)
+	t := (x | b16) - y
+	ge := (t >> 4 & ones) * 0x0F
+	d := t & lo4
+	pos = (d & ge) * ones >> 56
+	neg = ((b16 - d) & lo4 &^ ge) * ones >> 56
+	return pos, neg
+}
+
+// BenchmarkKernelSigScanNibble is the reference side of
+// BenchmarkKernelSigScan: the same bands and targets through the
+// per-entry nibble loop the popcount kernel replaced.
+func BenchmarkKernelSigScanNibble(b *testing.B) {
+	targets, bands, cands := sigScanBands(b)
+	qsigs := make([]uint64, len(targets))
+	ents := make([][][]nibbleEntry, len(targets))
+	for i, t := range targets {
+		qsigs[i] = nibbleSig(t)
+		for _, band := range bands[i] {
+			col := make([]nibbleEntry, len(band.Ents))
+			for j, e := range band.Ents {
+				col[j] = nibbleEntry{seq: e.Seq, row: e.Row, sig: nibbleSig(e.Seq)}
+			}
+			ents[i] = append(ents[i], col)
+		}
+	}
+	sink := 0
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for i, q := range qsigs {
+			for _, col := range ents[i] {
+				for j := range col {
+					if nibbleBound(q, col[j].sig) > 1 {
+						continue
+					}
+					sink++
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cands), "ns/cand")
+	benchSink = sink
+}
 
 // kernelVecs is the shared workload for the vector kernel gates: one
 // fixed query against 512 random candidates, all of the given

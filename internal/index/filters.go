@@ -1,6 +1,10 @@
 package index
 
-import "repro/internal/seq"
+import (
+	"math/bits"
+
+	"repro/internal/seq"
+)
 
 // LengthIndex buckets entries by length: at radius k with unit-weight
 // length changes, answers satisfy |len(s) - len(query)| <= k. Works with
@@ -149,54 +153,60 @@ func (ix *QGramIndex) Range(query string, radius float64, v Verifier) ([]Match, 
 	return out, st
 }
 
-// ByteSig is a byte-frequency signature of a string: sixteen saturating
-// 4-bit counters, counter c&15 counting the occurrences of byte c. It
-// is the bag-distance filter in one word: cheap enough to keep per row
-// and compare before every verification.
-type ByteSig uint64
+// ByteSig is a byte-frequency signature of a string, thermometer
+// coded: byte c falls in class c&15, and class k keeps its count, capped
+// at sigCap, in unary in byte lane k%8 of word k/8 — the low count bits
+// of the lane are set. A signature's surplus over another's is then a
+// popcount: the bag-distance filter in two words, cheap enough to keep
+// per row and compare before every verification.
+type ByteSig [2]uint64
+
+// sigCap is the count a class lane saturates at: one bit per occurrence
+// in an eight-bit lane.
+const sigCap = 8
 
 // NewByteSig returns the signature of s.
 func NewByteSig(s string) ByteSig {
-	var sig uint64
+	var n [16]uint
 	for i := 0; i < len(s); i++ {
-		sh := uint(s[i]&15) * 4
-		if sig>>sh&15 != 15 {
-			sig += 1 << sh
+		n[s[i]&15]++
+	}
+	var sig ByteSig
+	for k, c := range n {
+		sig[k>>3] |= (1<<min(c, sigCap) - 1) << (k & 7 * 8)
+	}
+	return sig
+}
+
+// Excess returns the summed per-class surplus of q's counts over s's,
+// each count capped at sigCap.
+//
+// It bounds the unit edit distance from a string x of length m with
+// signature q to a string y of length n with signature s from below
+// once the length difference is added:
+//
+//	Excess(q, s) + max(0, n-m) <= Levenshtein(x, y)
+//
+// Over the uncapped class counts, surplus - deficit = m - n, and an
+// insertion raises one count, a deletion lowers one and a substitution
+// does at most one of each, so the distance is at least the larger of
+// the two sums: the surplus when m > n, the deficit (the surplus plus
+// n - m) otherwise. Capping only shrinks the surplus. With no class
+// counted above sigCap in either string the left side is exactly that
+// larger sum, the bag distance over the sixteen classes.
+func (q ByteSig) Excess(s ByteSig) int {
+	return bits.OnesCount64(q[0]&^s[0]) + bits.OnesCount64(q[1]&^s[1])
+}
+
+// NextWithin returns the first index i >= from at which
+// q.Excess(sigs[i]) <= thr, or len(sigs) when there is none: the scan
+// kernel of the length-band walk, which keeps q and thr in registers
+// across the skipped rows.
+func NextWithin(sigs []ByteSig, q ByteSig, thr, from int) int {
+	for i, s := range sigs[from:] {
+		if q.Excess(s) <= thr {
+			return from + i
 		}
 	}
-	return ByteSig(sig)
-}
-
-// LowerBound returns a lower bound on the unit edit distance between
-// the strings a and b were taken from. An insertion raises one counter,
-// a deletion lowers one and a substitution does at most one of each, so
-// turning one bag into the other takes at least as many edits as the
-// larger of the total surplus and the total deficit; merging bytes into
-// sixteen classes and saturating at 15 only shrink both sums.
-func (a ByteSig) LowerBound(b ByteSig) int {
-	const lo4 = 0x0F0F0F0F0F0F0F0F
-	p0, n0 := laneDiffs(uint64(a)&lo4, uint64(b)&lo4)
-	p1, n1 := laneDiffs(uint64(a)>>4&lo4, uint64(b)>>4&lo4)
-	p, n := p0+p1, n0+n1
-	if n > p {
-		return int(n)
-	}
-	return int(p)
-}
-
-// laneDiffs treats x and y as eight byte lanes holding 0..15 and returns
-// the sums of the lane differences x-y that are positive and of those
-// that are negative (as a magnitude).
-func laneDiffs(x, y uint64) (pos, neg uint64) {
-	const (
-		lo4  = 0x0F0F0F0F0F0F0F0F
-		b16  = 0x1010101010101010
-		ones = 0x0101010101010101
-	)
-	t := (x | b16) - y           // lane: 16 + x - y, in 1..31, so no borrow crosses lanes
-	ge := (t >> 4 & ones) * 0x0F // 0x0F in the lanes where x >= y
-	d := t & lo4                 // x - y there, 16 - (y - x) elsewhere
-	pos = (d & ge) * ones >> 56  // the multiply sums the lanes into the top byte (<= 120)
-	neg = ((b16 - d) & lo4 &^ ge) * ones >> 56
-	return pos, neg
+	return len(sigs)
 }

@@ -20,8 +20,9 @@
 // The query engine uses neither string tree. Every unit-cost string query
 // it serves — WITHIN, NEAREST and the seq join probe — walks the
 // relation's length-ordered view (relation.LengthView) instead,
-// filtering with the length difference and with ByteSig, the one-word
-// bag-distance bound defined here: once the radius, or the k-th
+// filtering with the length difference and with ByteSig, the two-word
+// thermometer-coded bag-distance bound defined here, compared with a
+// popcount by the NextWithin scan kernel: once the radius, or the k-th
 // neighbour, nears the data's typical pairwise distance no edge label
 // prunes, and the N1 experiment measures the walk ahead of both trees
 // in that regime. The trees remain for the experiments, the examples

@@ -235,33 +235,112 @@ func TestScanWithWeightedVerifier(t *testing.T) {
 	}
 }
 
+// sigBound is the band walk's signature bound on the unit edit distance
+// from x to y: x's capped surplus over y plus y's excess length.
+func sigBound(x, y string) int {
+	return NewByteSig(x).Excess(NewByteSig(y)) + max(0, len(y)-len(x))
+}
+
+// classCounts counts the bytes of s in the signature's sixteen classes.
+func classCounts(s string) (n [16]int) {
+	for i := 0; i < len(s); i++ {
+		n[s[i]&15]++
+	}
+	return n
+}
+
+// nibbleBound is the bag-distance bound the thermometer code replaced:
+// sixteen class counts saturating at 15, and the larger of the summed
+// surplus and the summed deficit.
+func nibbleBound(x, y string) int {
+	cx, cy := classCounts(x), classCounts(y)
+	pos, neg := 0, 0
+	for k := range cx {
+		d := min(cx[k], 15) - min(cy[k], 15)
+		if d > 0 {
+			pos += d
+		} else {
+			neg -= d
+		}
+	}
+	return max(pos, neg)
+}
+
+// belowCap reports whether no class of s counts above the signature's
+// cap, where sigBound equals nibbleBound.
+func belowCap(s string) bool {
+	for _, c := range classCounts(s) {
+		if c > sigCap {
+			return false
+		}
+	}
+	return true
+}
+
+// checkSigBound fails t if the signature bound exceeds the unit edit
+// distance either way round, or differs from the old nibble bound where
+// neither string counts a class above the cap.
+func checkSigBound(t testing.TB, x, y string) {
+	t.Helper()
+	d := editdp.Levenshtein(x, y)
+	for _, p := range [][2]string{{x, y}, {y, x}} {
+		lb := sigBound(p[0], p[1])
+		if lb > d || lb < 0 {
+			t.Fatalf("sigBound(%q, %q) = %d, distance %d", p[0], p[1], lb, d)
+		}
+		if belowCap(x) && belowCap(y) {
+			if old := nibbleBound(p[0], p[1]); lb != old {
+				t.Fatalf("sigBound(%q, %q) = %d below the cap, nibble bound %d", p[0], p[1], lb, old)
+			}
+		}
+	}
+}
+
 // TestByteSigLowerBound: the signature bound never exceeds the true
-// unit edit distance — over near and unrelated pairs, strings long
-// enough to saturate the 4-bit counters, and bytes that share a counter
-// (c and c+16) — and it is exact where it can be: disjoint bags.
+// unit edit distance — over near and unrelated pairs, bytes that share
+// a class (c and c+16), non-ASCII bytes and class counts on both sides
+// of the cap — it equals the old nibble bound below the cap, and it is
+// exact where it can be: disjoint bags.
 func TestByteSigLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	randBytes := func(n, spread int) string {
+	randFrom := func(n int, alpha string) string {
 		b := make([]byte, n)
 		for i := range b {
-			b[i] = byte('a' + rng.Intn(spread))
+			b[i] = alpha[rng.Intn(len(alpha))]
 		}
 		return string(b)
 	}
-	a := seq.MustAlphabet("abcdefghijklmnopqrstuvwxyz")
+	const lower = "abcdefghijklmnopqrstuvwxyz"
+	a := seq.MustAlphabet(lower)
 	for i := 0; i < 20000; i++ {
-		x := randBytes(rng.Intn(40), 1+rng.Intn(26))
-		y := randBytes(rng.Intn(40), 1+rng.Intn(26))
+		x := randFrom(rng.Intn(40), lower[:1+rng.Intn(26)])
+		y := randFrom(rng.Intn(40), lower[:1+rng.Intn(26)])
 		if i%2 == 0 {
 			y = a.RandomEdits(rng, x, rng.Intn(4))
 		}
 		if i%7 == 0 {
 			x, y = strings.Repeat(x, 5), strings.Repeat(y, 5)
 		}
-		d := editdp.Levenshtein(x, y)
-		lb, rev := NewByteSig(x).LowerBound(NewByteSig(y)), NewByteSig(y).LowerBound(NewByteSig(x))
-		if lb > d || lb != rev || lb < 0 {
-			t.Fatalf("LowerBound(%q, %q) = %d (reversed %d), distance %d", x, y, lb, rev, d)
+		checkSigBound(t, x, y)
+	}
+	// Bytes sharing a class: 'a', 'q' and 'A' all fall in class 1.
+	for i := 0; i < 5000; i++ {
+		checkSigBound(t, randFrom(rng.Intn(20), "aqAbr"), randFrom(rng.Intn(20), "aqAbr"))
+	}
+	// Arbitrary bytes, non-ASCII included.
+	var all [256]byte
+	for i := range all {
+		all[i] = byte(i)
+	}
+	for i := 0; i < 5000; i++ {
+		checkSigBound(t, randFrom(rng.Intn(30), string(all[:])), randFrom(rng.Intn(30), string(all[:])))
+	}
+	// Class counts 0..40 on either side, with a little noise.
+	for i := 0; i <= 40; i++ {
+		for j := 0; j <= 40; j++ {
+			x, y := strings.Repeat("e", i), strings.Repeat("e", j)
+			checkSigBound(t, x, y)
+			checkSigBound(t, x+randFrom(rng.Intn(4), lower), randFrom(rng.Intn(4), lower)+y)
 		}
 	}
 	for _, c := range []struct {
@@ -273,13 +352,59 @@ func TestByteSigLowerBound(t *testing.T) {
 		{"abc", "cab", 0},
 		{"aaaa", "bbbbbb", 6},
 		{"abcd", "", 4},
-		{"a", "q", 0}, // 'a' and 'q' share counter 1
-		{strings.Repeat("a", 40), strings.Repeat("a", 15), 0},  // both saturate
-		{strings.Repeat("a", 40), strings.Repeat("b", 40), 15}, // saturated surplus
+		{"", "abcd", 4},
+		{"a", "q", 0}, // 'a' and 'q' share class 1
+		{strings.Repeat("a", 40), strings.Repeat("a", 15), 0}, // both saturate
+		{strings.Repeat("a", 40), strings.Repeat("b", 40), 8}, // saturated surplus
+		{strings.Repeat("a", 12), strings.Repeat("a", 3), 5},  // the surplus caps at 8 - 3
+		{strings.Repeat("a", 3), strings.Repeat("a", 12), 9},  // the excess length does not
 		{"\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f", "", 16},
 	} {
-		if got := NewByteSig(c.x).LowerBound(NewByteSig(c.y)); got != c.want {
-			t.Errorf("LowerBound(%q, %q) = %d, want %d", c.x, c.y, got, c.want)
+		if got := sigBound(c.x, c.y); got != c.want {
+			t.Errorf("sigBound(%q, %q) = %d, want %d", c.x, c.y, got, c.want)
+		}
+	}
+}
+
+// FuzzByteSigBound: on arbitrary byte pairs the signature bound never
+// exceeds the unit edit distance, and below the cap it equals the old
+// nibble bound.
+func FuzzByteSigBound(f *testing.F) {
+	f.Add("kitten", "sitting")
+	f.Add("", "abc")
+	f.Add(strings.Repeat("a", 12), "aq\xff")
+	f.Add("\x00\x10\x20", "\xf0")
+	f.Fuzz(func(t *testing.T, x, y string) {
+		if len(x) > 512 || len(y) > 512 {
+			t.Skip("the quadratic reference distance")
+		}
+		checkSigBound(t, x, y)
+	})
+}
+
+// TestNextWithin: the scan kernel returns the first index at or after
+// from whose excess is within the threshold, and len(sigs) past the
+// last.
+func TestNextWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	words := make([]string, 300)
+	sigs := make([]ByteSig, len(words))
+	for i := range words {
+		b := make([]byte, rng.Intn(12))
+		for j := range b {
+			b[j] = byte('a' + rng.Intn(20))
+		}
+		words[i], sigs[i] = string(b), NewByteSig(string(b))
+	}
+	for k := 0; k < 200; k++ {
+		q := NewByteSig(words[rng.Intn(len(words))])
+		thr, from := rng.Intn(6), rng.Intn(len(sigs)+1)
+		want := from
+		for want < len(sigs) && q.Excess(sigs[want]) > thr {
+			want++
+		}
+		if got := NextWithin(sigs, q, thr, from); got != want {
+			t.Fatalf("NextWithin(thr %d, from %d) = %d, want %d", thr, from, got, want)
 		}
 	}
 }

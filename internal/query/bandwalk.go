@@ -9,7 +9,10 @@ package query
 //  1. the length difference, a lower bound on the distance: the walk
 //     stops at the first band farther than the bound;
 //  2. the row's byte-frequency signature (index.ByteSig), a second
-//     lower bound: a row whose bag of bytes is farther is skipped;
+//     lower bound: the target's capped per-class surplus over the row
+//     (one popcount per word, index.NextWithin over the band's dense
+//     signature column) plus the row's excess length; a row whose bag
+//     of bytes is farther is skipped;
 //  3. the exact distance, cut off at the bound.
 //
 // Both lower bounds hold for the rule set's own distance, not just for
@@ -135,19 +138,24 @@ func (w *bandWalk) verify(seq string, covered bool) (float64, bool) {
 func (w *bandWalk) walk(snap *relation.Snapshot, covered bool, emit func(row *relation.Row, d float64)) ExecStats {
 	var st ExecStats
 	bands := snap.LengthView().Bands(len(w.target))
-	for diff, ents, ok := bands.Next(); ok; diff, ents, ok = bands.Next() {
-		if w.bounded && diff > w.ibound {
+	for b, ok := bands.Next(); ok; b, ok = bands.Next() {
+		delta := b.Len - len(w.target)
+		if w.bounded && max(delta, -delta) > w.ibound {
 			break
 		}
-		st.Candidates += len(ents)
-		for i := range ents {
-			e := &ents[i]
-			// Strictly greater: a row at exactly the bound can still
-			// qualify (and, for NEAREST, displace an equally distant row
-			// with a larger id).
-			if w.bounded && w.qsig.LowerBound(e.Sig) > w.ibound {
-				continue
+		st.Candidates += len(b.Ents)
+		longer := max(delta, 0)
+		for i := 0; i < len(b.Ents); i++ {
+			// Skip only rows whose bound is strictly greater: a row at
+			// exactly the bound can still qualify (and, for NEAREST,
+			// displace an equally distant row with a larger id). The
+			// threshold is re-read per row, as emit may have tightened it.
+			if w.bounded {
+				if i = index.NextWithin(b.Sigs, w.qsig, w.ibound-longer, i); i == len(b.Ents) {
+					break
+				}
 			}
+			e := &b.Ents[i]
 			st.Verifications++
 			d, within := w.verify(e.Seq, covered)
 			if !within {

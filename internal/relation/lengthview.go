@@ -18,28 +18,37 @@ import (
 //
 // It follows the BK-tree's contract: built lazily, extended online by
 // the insert paths under the relation's commit lock (single writer),
-// read lock-free, rebuilt by compaction. Bucket lists are immutable
-// slices behind atomic pointers; an append writes the spare capacity
-// beyond every published length and then publishes a longer header, so
-// a reader sees the old list or the new one. The view therefore holds a
-// superset of any snapshot taken while it is installed, and readers
-// filter the entries they keep through Snapshot.VisibleRow.
+// read lock-free, rebuilt by compaction. The bucket list and each
+// bucket's Band are immutable behind atomic pointers, a band's entries
+// and signatures together behind one; an append writes the spare
+// capacity beyond every published length and then publishes longer
+// headers, so a reader sees the old band or the new one. The view
+// therefore holds a superset of any snapshot taken while it is
+// installed, and readers filter the entries they keep through
+// Snapshot.VisibleRow.
 type LengthView struct {
 	buckets atomic.Pointer[[]*lenBucket] // ascending n; copy-on-write
 }
 
 type lenBucket struct {
 	n    int // sequence length of every entry
-	ents atomic.Pointer[[]LenEntry]
+	band atomic.Pointer[Band]
 }
 
 // LenEntry is one arena row in a LengthView bucket. Seq repeats Row.Seq
-// so a scan reads the strings without touching the rows; Sig is Seq's
-// byte-frequency signature, the filter a scan applies before verifying.
+// so a verification reads the string without touching the row.
 type LenEntry struct {
 	Seq string
 	Row *Row
-	Sig index.ByteSig
+}
+
+// Band is one bucket of a LengthView as a reader sees it: the entries of
+// one sequence length and, in a dense column beside them, their
+// byte-frequency signatures, the filter a walk applies before verifying.
+type Band struct {
+	Len  int
+	Ents []LenEntry
+	Sigs []index.ByteSig // Sigs[i] is the signature of Ents[i].Seq
 }
 
 func buildLengthView(rows []*Row) *LengthView {
@@ -72,12 +81,13 @@ func (v *LengthView) insert(row *Row) {
 		v.buckets.Store(&bs)
 	}
 	b := bs[i]
-	var ents []LenEntry
-	if p := b.ents.Load(); p != nil {
-		ents = *p
+	band := Band{Len: n}
+	if p := b.band.Load(); p != nil {
+		band = *p
 	}
-	ents = append(ents, LenEntry{Seq: row.Seq, Row: row, Sig: index.NewByteSig(row.Seq)})
-	b.ents.Store(&ents)
+	band.Ents = append(band.Ents, LenEntry{Seq: row.Seq, Row: row})
+	band.Sigs = append(band.Sigs, index.NewByteSig(row.Seq))
+	b.band.Store(&band)
 }
 
 // Bands returns the buckets in ascending order of |n - qlen|, the
@@ -95,25 +105,24 @@ type BandIter struct {
 	qlen   int
 }
 
-// Next returns the next bucket's entries and its distance in length
-// from the iterator's origin; ok is false once every bucket was
-// returned.
-func (it *BandIter) Next() (diff int, ents []LenEntry, ok bool) {
-	var b *lenBucket
+// Next returns the next bucket; ok is false once every bucket was
+// returned. The band's Len less the iterator's origin is its signed
+// distance in length, which a walk needs both ways: its magnitude
+// bounds the distance, and a longer band tightens the signature test.
+func (it *BandIter) Next() (b Band, ok bool) {
+	var bk *lenBucket
 	switch {
 	case it.lo < 0 && it.hi >= len(it.bs):
-		return 0, nil, false
+		return Band{}, false
 	case it.hi >= len(it.bs) || it.lo >= 0 && it.qlen-it.bs[it.lo].n <= it.bs[it.hi].n-it.qlen:
-		b = it.bs[it.lo]
+		bk = it.bs[it.lo]
 		it.lo--
-		diff = it.qlen - b.n
 	default:
-		b = it.bs[it.hi]
+		bk = it.bs[it.hi]
 		it.hi++
-		diff = b.n - it.qlen
 	}
-	if p := b.ents.Load(); p != nil {
-		ents = *p
+	if p := bk.band.Load(); p != nil {
+		return *p, true
 	}
-	return diff, ents, true
+	return Band{Len: bk.n}, true
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"repro/internal/index"
 )
 
 // TestFindArenaPosition: find tries the arena position id-rows[0].ID
@@ -62,10 +64,14 @@ func TestFindArenaPosition(t *testing.T) {
 // returns the visible ids band by band.
 func viewIDs(s *Snapshot, qlen int) (diffs []int, ids [][]int) {
 	bands := s.LengthView().Bands(qlen)
-	for diff, ents, ok := bands.Next(); ok; diff, ents, ok = bands.Next() {
+	for b, ok := bands.Next(); ok; b, ok = bands.Next() {
+		diff := max(b.Len-qlen, qlen-b.Len)
+		if len(b.Sigs) != len(b.Ents) {
+			panic(fmt.Sprintf("band of length %d has %d entries and %d signatures", b.Len, len(b.Ents), len(b.Sigs)))
+		}
 		var band []int
-		for _, e := range ents {
-			if e.Seq != e.Row.Seq || len(e.Seq) != qlen+diff && len(e.Seq) != qlen-diff {
+		for i, e := range b.Ents {
+			if e.Seq != e.Row.Seq || len(e.Seq) != b.Len || b.Sigs[i] != index.NewByteSig(e.Seq) {
 				panic(fmt.Sprintf("entry %q in band %d of origin %d", e.Seq, diff, qlen))
 			}
 			if s.VisibleRow(e.Row) {

@@ -74,8 +74,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	// pre-mutation.
 	vis := 0
 	bands := snap.LengthView().Bands(len("row00"))
-	for _, ents, ok := bands.Next(); ok; _, ents, ok = bands.Next() {
-		for _, e := range ents {
+	for b, ok := bands.Next(); ok; b, ok = bands.Next() {
+		for _, e := range b.Ents {
 			if e.Seq == "row00" && snap.VisibleRow(e.Row) {
 				vis++
 			}
@@ -241,8 +241,8 @@ func TestReadersNeverBlockWriters(t *testing.T) {
 					return
 				}
 				bands := snap.LengthView().Bands(len("base0001"))
-				_, ents, _ := bands.Next()
-				for _, e := range ents {
+				b, _ := bands.Next()
+				for _, e := range b.Ents {
 					if _, ok := snap.Tuple(e.Row.ID); ok != snap.VisibleRow(e.Row) {
 						t.Error("Tuple and VisibleRow disagree")
 						return
