@@ -2,6 +2,7 @@ package repro
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/editdp"
@@ -107,6 +108,107 @@ func BenchmarkKernelSigScan(b *testing.B) {
 				thr := 1 - max(band.Len-len(targets[i]), 0)
 				for j := index.NextWithin(band.Sigs, q, thr, 0); j < len(band.Sigs); j = index.NextWithin(band.Sigs, q, thr, j+1) {
 					sink++
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cands), "ns/cand")
+	benchSink = sink
+}
+
+// packedBandRows is the verification shape of the words_nearest
+// workload: for each target of nearestWordsBench that the packed kernel
+// serves (1–15 bytes; 255 of the 256), the rows a NEAREST 10
+// band walk verifies once its bound has settled at the target's 10th
+// smallest distance — the rows of the bands within that bound whose
+// signatures pass it, grouped by band. It returns the targets, their
+// bounds, the surviving rows per band and the row total per pass.
+func packedBandRows(b *testing.B) ([]string, []int, [][][]string, int) {
+	b.Helper()
+	rel, targets := nearestWordsBench(b)
+	targets = slices.DeleteFunc(targets, func(t string) bool { return !editdp.NewQueryDP(t).PacksRows(0) })
+	snap := rel.Snapshot()
+	view := snap.LengthView()
+	var all []string
+	var blk relation.Block
+	cur := snap.Shard(0, 1)
+	for n := cur.NextBlock(&blk, 256); n > 0; n = cur.NextBlock(&blk, 256) {
+		all = append(all, blk.Seqs[:n]...)
+	}
+	bounds := make([]int, len(targets))
+	rows := make([][][]string, len(targets))
+	cands := 0
+	dists := make([]int, len(all))
+	for i, t := range targets {
+		dp := editdp.NewQueryDP(t)
+		for j, s := range all {
+			dists[j] = dp.Distance(s)
+		}
+		slices.Sort(dists)
+		r := dists[9]
+		bounds[i] = r
+		q := index.NewByteSig(t)
+		it := view.Bands(len(t))
+		for band, ok := it.Next(); ok && max(band.Len-len(t), len(t)-band.Len) <= r; band, ok = it.Next() {
+			var got []string
+			thr := r - max(band.Len-len(t), 0)
+			for j := index.NextWithin(band.Sigs, q, thr, 0); j < len(band.Sigs); j = index.NextWithin(band.Sigs, q, thr, j+1) {
+				got = append(got, band.Ents[j].Seq)
+			}
+			rows[i] = append(rows[i], got)
+			cands += len(got)
+		}
+	}
+	return targets, bounds, rows, cands
+}
+
+// BenchmarkKernelMyersPacked — the band walk's verifier over
+// packedBandRows: each band's surviving rows, editdp.RowLanes at a time,
+// through one lane-packed QueryDP.DistanceRows call, exact distances
+// with no early abandon. One op is one pass over all targets; ns/cand is
+// the time per verified row. Informational in BENCH_baseline.json; the
+// per-row kernel it replaced is BenchmarkKernelMyersPerRow.
+func BenchmarkKernelMyersPacked(b *testing.B) {
+	targets, _, rows, cands := packedBandRows(b)
+	dps := make([]*editdp.QueryDP, len(targets))
+	for i, t := range targets {
+		dps[i] = editdp.NewQueryDP(t)
+	}
+	var out [editdp.RowLanes]int
+	sink := 0
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for i, dp := range dps {
+			for _, band := range rows[i] {
+				for j := 0; j < len(band); j += editdp.RowLanes {
+					g := band[j:min(j+editdp.RowLanes, len(band))]
+					dp.DistanceRows(g, out[:len(g)])
+					sink += out[0]
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cands), "ns/cand")
+	benchSink = sink
+}
+
+// BenchmarkKernelMyersPerRow is the reference side of
+// BenchmarkKernelMyersPacked: the same rows, one QueryDP.Within call
+// each at the target's settled bound, with early abandon.
+func BenchmarkKernelMyersPerRow(b *testing.B) {
+	targets, bounds, rows, cands := packedBandRows(b)
+	dps := make([]*editdp.QueryDP, len(targets))
+	for i, t := range targets {
+		dps[i] = editdp.NewQueryDP(t)
+	}
+	sink := 0
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for i, dp := range dps {
+			for _, band := range rows[i] {
+				for _, s := range band {
+					d, _ := dp.Within(s, bounds[i])
+					sink += d
 				}
 			}
 		}

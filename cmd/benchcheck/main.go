@@ -28,6 +28,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -56,6 +57,9 @@ type expected struct {
 	// max_ratio a hard ceiling (the kernel floors use this: the ceiling
 	// already encodes all the headroom it should have).
 	Tolerance *float64 `json:"tolerance,omitempty"`
+	// Why says what the entry measures and, for a gate, why its
+	// ceiling holds; -update keeps it.
+	Why string `json:"why,omitempty"`
 }
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
@@ -101,11 +105,14 @@ func main() {
 
 	if *update {
 		updateBaseline(base, current, gateRe)
-		out, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
+		var out bytes.Buffer
+		enc := json.NewEncoder(&out)
+		enc.SetEscapeHTML(false) // the why texts say "<=" and "x <= y"
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(base); err != nil {
 			fail(err)
 		}
-		if err := os.WriteFile(*baseFile, append(out, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(*baseFile, out.Bytes(), 0o644); err != nil {
 			fail(err)
 		}
 		fmt.Printf("benchcheck: wrote %s (%d entries)\n", *baseFile, len(base.Benchmarks))

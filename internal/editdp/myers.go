@@ -7,7 +7,7 @@ package editdp
 // character, so patterns up to 64 bytes cost O(|text|) word ops and
 // longer patterns cost O(|text|·⌈|pattern|/64⌉) (Hyyrö's block chain).
 //
-// Two layers are exposed:
+// Three layers are exposed:
 //
 //   - MyersDistance / MyersWithin: one-shot kernels, drop-in
 //     replacements for Levenshtein / LevenshteinWithin with
@@ -17,6 +17,10 @@ package editdp
 //     a length-view walk, trie traversal or vectorized filter block
 //     verifies — the millions-of-comparisons regime where PEQ
 //     construction would otherwise dominate.
+//   - QueryDP.DistanceRows: the same recurrence over up to RowLanes
+//     equal-length texts at once, one 16-bit lane of a word per text
+//     (Hyyrö, Fredriksson & Navarro's packing of short patterns), for
+//     patterns of at most 15 bytes — a length band's surviving rows.
 //
 // Levenshtein and LevenshteinWithin stay as the scalar references the
 // parity fuzzer and the index tests compare these kernels against.
@@ -200,6 +204,66 @@ func (q *QueryDP) Within(text string, k int) (int, bool) {
 		return 0, false
 	}
 	return d, true
+}
+
+// RowLanes is the most texts one DistanceRows call verifies.
+const RowLanes = 4
+
+// PacksRows reports whether DistanceRows serves texts of length n: the
+// pattern must be 1–15 bytes, so a 16-bit lane holds its column plus
+// the spare bit that stops the lane's carry, and n below 2^15, so a
+// lane's score, at most max(m, n), cannot overflow.
+func (q *QueryDP) PacksRows(n int) bool {
+	return q.m >= 1 && q.m <= 15 && n < 1<<15
+}
+
+// DistanceRows sets out[i] to the distance from the pattern to
+// texts[i], as Distance would, for 1–RowLanes texts of one length that
+// PacksRows accepts. The texts run together, one per 16-bit lane of a
+// single word. The pattern mask is repeated in every lane, and pv is
+// cut to it each step, which keeps eq&pv, mh = pv&xh and mv inside it
+// too: the carry of (eq&pv)+pv and the shift of mh stop in the lane's
+// spare bit m. ph is left uncut; its set bits above m shift into the
+// next lane's bit 0, which the boundary |low sets anyway. The scores
+// are a packed counter. There is no early abandon; at m <= 15 that
+// costs at most n column steps.
+func (q *QueryDP) DistanceRows(texts []string, out []int) {
+	const low = 0x0001000100010001 // bit 0 of every lane
+	// Unused lanes repeat texts[0]; their scores are never read. (A
+	// copy into an array of four costs a measurable share of a call.)
+	t0, t1, t2, t3 := texts[0], texts[0], texts[0], texts[0]
+	switch len(texts) {
+	case 4:
+		t3 = texts[3]
+		fallthrough
+	case 3:
+		t2 = texts[2]
+		fallthrough
+	case 2:
+		t1 = texts[1]
+	}
+	n := len(t0)
+	mask := (uint64(1)<<uint(q.m) - 1) * low
+	sh := uint(q.m - 1)
+	peq := &q.peq
+	pv, mv := mask, uint64(0)
+	score := uint64(q.m) * low
+	for i := 0; i < n; i++ {
+		eq := peq[t0[i]] | peq[t1[i]]<<16 | peq[t2[i]]<<32 | peq[t3[i]]<<48
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		score += ph >> sh & low
+		score -= mh >> sh & low
+		ph = ph<<1 | low
+		mh <<= 1
+		pv = (mh | ^(xv | ph)) & mask
+		mv = ph & xv
+	}
+	for l := range texts {
+		out[l] = int(score >> (16 * uint(l)) & 0xffff)
+	}
 }
 
 // myersDistance1 runs the single-word Myers recurrence: the DP column

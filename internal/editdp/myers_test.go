@@ -231,3 +231,49 @@ func checkReset(t *testing.T, re, fresh *QueryDP, x, y string, k int) {
 		}
 	}
 }
+
+// FuzzMyersPacked pins every lane of DistanceRows to Levenshtein: a
+// pattern of 0–16 bytes (16 and 0 are outside PacksRows and must be
+// refused) against 1–RowLanes texts of one length, 0 included, cut
+// from arbitrary bytes.
+func FuzzMyersPacked(f *testing.F) {
+	f.Add("kitten", "sittingsittensitting", uint8(3), uint8(7))
+	f.Add("", "abc", uint8(1), uint8(3))
+	f.Add("abc", "", uint8(4), uint8(0))
+	f.Add(strings.Repeat("x", 15), strings.Repeat("xy", 30), uint8(4), uint8(15))
+	f.Add(strings.Repeat("x", 16), strings.Repeat("x", 64), uint8(4), uint8(16))
+	f.Add("na\xffve\x00", "\xff\x00naive\xfe\xfe\xfe", uint8(2), uint8(5))
+	f.Add("ab", strings.Repeat("ba", 40), uint8(4), uint8(20))
+	f.Fuzz(func(t *testing.T, pattern, pool string, lanes, n uint8) {
+		if len(pattern) > 16 {
+			pattern = pattern[:16]
+		}
+		if len(pool) == 0 {
+			pool = "\x00"
+		}
+		k, w := 1+int(lanes)%RowLanes, int(n)%64
+		texts := make([]string, k)
+		for i := range texts {
+			// Text i is the w bytes of pool from offset i·w, wrapping.
+			b := make([]byte, w)
+			for j := range b {
+				b[j] = pool[(i*w+j)%len(pool)]
+			}
+			texts[i] = string(b)
+		}
+		dp := NewQueryDP(pattern)
+		if want := len(pattern) >= 1 && len(pattern) <= 15; dp.PacksRows(len(texts[0])) != want {
+			t.Fatalf("QueryDP(%q).PacksRows(%d) = %v, want %v", pattern, len(texts[0]), !want, want)
+		}
+		if !dp.PacksRows(len(texts[0])) {
+			return
+		}
+		out := make([]int, k)
+		dp.DistanceRows(texts, out)
+		for i, text := range texts {
+			if want := Levenshtein(pattern, text); out[i] != want {
+				t.Fatalf("QueryDP(%q).DistanceRows(%q)[%d] = %d, want %d", pattern, texts, i, out[i], want)
+			}
+		}
+	})
+}

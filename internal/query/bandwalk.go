@@ -13,7 +13,7 @@ package query
 //     (one popcount per word, index.NextWithin over the band's dense
 //     signature column) plus the row's excess length; a row whose bag
 //     of bytes is farther is skipped;
-//  3. the exact distance, cut off at the bound.
+//  3. the exact distance, compared with the bound.
 //
 // Both lower bounds hold for the rule set's own distance, not just for
 // Levenshtein: every edit of a unit-cost rule set costs at least one,
@@ -23,6 +23,13 @@ package query
 // distance and both strings lie inside the rule alphabet — and the
 // rule set's own DP (editdp.TargetDP, +Inf across a byte the rules
 // never mention) everywhere else, so every path agrees with the scan.
+// For a target of 1–15 bytes over a covered snapshot, the walk gathers
+// a band's next editdp.RowLanes rows that pass step 2 and runs them
+// through one lane-packed Myers call (QueryDP.DistanceRows); every
+// other row runs alone, with Myers cut off at the bound. A group's rows
+// are tested against the bound and emitted in row order, the bound
+// re-read per row, so a NEAREST bound that tightens inside a group
+// still applies to the group's later rows.
 //
 // The view holds a superset of the snapshot; visibility is checked only
 // for the few rows that pass the distance test, before they reach the
@@ -137,6 +144,11 @@ func (w *bandWalk) verify(seq string, covered bool) (float64, bool) {
 // rows of the visited bands, Verifications the distance computations.
 func (w *bandWalk) walk(snap *relation.Snapshot, covered bool, emit func(row *relation.Row, d float64)) ExecStats {
 	var st ExecStats
+	var (
+		at    [editdp.RowLanes]int // band indices of the group's rows
+		seqs  [editdp.RowLanes]string
+		dists [editdp.RowLanes]int
+	)
 	bands := snap.LengthView().Bands(len(w.target))
 	for b, ok := bands.Next(); ok; b, ok = bands.Next() {
 		delta := b.Len - len(w.target)
@@ -145,25 +157,49 @@ func (w *bandWalk) walk(snap *relation.Snapshot, covered bool, emit func(row *re
 		}
 		st.Candidates += len(b.Ents)
 		longer := max(delta, 0)
-		for i := 0; i < len(b.Ents); i++ {
-			// Skip only rows whose bound is strictly greater: a row at
-			// exactly the bound can still qualify (and, for NEAREST,
-			// displace an equally distant row with a larger id). The
-			// threshold is re-read per row, as emit may have tightened it.
-			if w.bounded {
-				if i = index.NextWithin(b.Sigs, w.qsig, w.ibound-longer, i); i == len(b.Ents) {
-					break
+		packed := w.myers && covered && w.qdp.PacksRows(b.Len)
+		group := 1
+		if packed {
+			group = editdp.RowLanes
+		}
+		for i := 0; ; {
+			n := 0
+			for ; n < group && i < len(b.Ents); i++ {
+				// Skip only rows whose bound is strictly greater: a row
+				// at exactly the bound can still qualify (and, for
+				// NEAREST, displace an equally distant row with a larger
+				// id). The threshold is re-read for every group, as emit
+				// may have tightened it.
+				if w.bounded {
+					if i = index.NextWithin(b.Sigs, w.qsig, w.ibound-longer, i); i == len(b.Ents) {
+						break
+					}
 				}
+				at[n], seqs[n] = i, b.Ents[i].Seq
+				n++
 			}
-			e := &b.Ents[i]
-			st.Verifications++
-			d, within := w.verify(e.Seq, covered)
-			if !within {
-				st.Abandoned++
-				continue
+			if n == 0 {
+				break
 			}
-			if snap.VisibleRow(e.Row) {
-				emit(e.Row, d)
+			st.Verifications += n
+			if packed {
+				w.qdp.DistanceRows(seqs[:n], dists[:n])
+			}
+			for j, r := range at[:n] {
+				var d float64
+				var within bool
+				if packed {
+					d, within = float64(dists[j]), dists[j] <= w.ibound
+				} else {
+					d, within = w.verify(seqs[j], covered)
+				}
+				if !within {
+					st.Abandoned++
+					continue
+				}
+				if e := &b.Ents[r]; snap.VisibleRow(e.Row) {
+					emit(e.Row, d)
+				}
 			}
 		}
 	}

@@ -191,8 +191,9 @@ func TestBandWalkSigCapOracle(t *testing.T) {
 
 // TestNearestSigCapReadersVsAppends runs NEAREST readers over the
 // shared length view while a writer appends cap-straddling rows, which
-// grows bands' entry and signature columns under the walks (the
-// targeted -race CI step runs 'Nearest' tests). With an insert-only
+// grows bands' entry and signature columns under the walks, packed
+// groups included (targets of 1, 9 and 15 bytes; the targeted -race CI
+// step runs 'Nearest' tests). With an insert-only
 // writer a snapshot holds the first N rows for some N, so every answer
 // must be the brute-force answer over the first N rows for an N between
 // the commits seen before and after the query.
@@ -201,7 +202,7 @@ func TestNearestSigCapReadersVsAppends(t *testing.T) {
 	rows := sigCapRows(rng, 600)
 	const base, k = 200, 5
 	e, rel := sigCapEngine(t, rows[:base], 256)
-	targets := []string{"eeeeeeeee", sigCapSeq(rng, rows), sigCapSeq(rng, rows)}
+	targets := []string{"eeeeeeeee", "e", strings.Repeat("ea", 7) + "e", sigCapSeq(rng, rows), sigCapSeq(rng, rows)}
 	if _, err := e.Execute(fmt.Sprintf(`SELECT id FROM words WHERE seq NEAREST 1 TO %q USING edits`, targets[0])); err != nil {
 		t.Fatal(err) // builds the view the writer will extend
 	}
