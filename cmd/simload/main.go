@@ -75,7 +75,7 @@ func main() {
 	vecDim := flag.Int("vec-dim", 0, "vector dimension: > 0 switches to a vector-similarity workload over the vec column")
 	vecMetric := flag.String("vec-metric", "l2", "distance metric for the vector workload (l2 | cosine)")
 	vecRadius := flag.Float64("vec-radius", 1.0, "WITHIN bound for the vector workload")
-	label := flag.String("label", "", "workload label embedded in the report (e.g. sharded-4)")
+	label := flag.String("label", "", "workload label embedded in the report (e.g. wal-sync)")
 	baseline := flag.String("baseline", "", "earlier report to compare against (adds baseline + speedup blocks)")
 	out := flag.String("out", "BENCH_serving.json", "result file ('-' for stdout)")
 	var extra listFlag
@@ -343,8 +343,8 @@ type baselineComparison struct {
 	speedup map[string]float64
 }
 
-// compareBaseline loads an earlier report (e.g. the unsharded run) and
-// computes sharded-vs-unsharded style ratios for the read side: latency
+// compareBaseline loads an earlier report (e.g. a run of the parent
+// build) and computes before-vs-after ratios for the read side: latency
 // speedups are baseline/current (lower latency ⇒ ratio above 1),
 // throughput is current/baseline.
 func compareBaseline(path string, rps float64, sorted []float64) (baselineComparison, error) {

@@ -8,12 +8,7 @@
 // Usage:
 //
 //	simqd -addr :8077 -load words=words.rel [-rules edits.rules]
-//	      [-wal data.wal] [-wal-sync=false] [-timeout 10s] [-shards 4]
-//
-// With -shards N every loaded relation is hash-partitioned across N
-// MVCC shards: queries scatter per-shard subplans across workers and
-// gather-merge the results, DML routes rows by hash, and with -wal each
-// shard keeps its own WAL segment. /stats reports per-shard counters.
+//	      [-wal data.wal] [-wal-sync=false] [-timeout 10s]
 //
 // Endpoints (wrong-method requests on any of them answer 405). The API
 // lives under /v1/ only; the bare pre-v1 paths answer 404:
@@ -109,31 +104,20 @@ func main() {
 	groupCommit := flag.Bool("group-commit", true, "batch concurrent commit fsyncs into one (only meaningful with -wal-sync)")
 	ckptInterval := flag.Duration("checkpoint-interval", 0, "write a snapshot checkpoint (and truncate the WAL) this often; 0 disables the timer")
 	ckptWALMB := flag.Int("checkpoint-wal-mb", 0, "checkpoint when the WAL grows past this many MiB (checked every 15s); 0 disables the size trigger")
-	shards := flag.Int("shards", 1, "hash-partition each loaded relation across N shards (scatter-gather execution)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log a structured JSON line (with the span tree) for queries slower than this; 0 disables. Enables engine tracing.")
 	flag.Parse()
-	if *shards < 1 {
-		*shards = 1
-	}
 	opts := []query.Option{query.WithPlanCacheSize(*cacheSize)}
 	if *parallelism > 0 {
 		opts = append(opts, query.WithParallelism(*parallelism))
 	}
-	eng, err := buildEngine(loads, ruleFiles, *shards, opts...)
+	eng, err := buildEngine(loads, ruleFiles, opts...)
 	if err != nil {
 		fail(err)
 	}
 	var st *storage.Store
 	if *walPath != "" {
-		if *shards > 1 {
-			// One WAL segment per shard; replay routes rows by the same
-			// hash partitioner, so the shard count must stay stable across
-			// restarts of the same log.
-			st, err = storage.OpenSegmented(*walPath, eng.Catalog(), *shards)
-		} else {
-			st, err = storage.Open(*walPath, eng.Catalog())
-		}
+		st, err = storage.Open(*walPath, eng.Catalog())
 		if err != nil {
 			fail(err)
 		}
@@ -141,8 +125,8 @@ func main() {
 		st.SetGroupCommit(*groupCommit)
 		eng.SetStore(st)
 		m := st.Metrics()
-		fmt.Fprintf(os.Stderr, "simqd: WAL %s (%d segments) replayed %d tx / %d ops\n",
-			*walPath, st.Segments(), m.ReplayedTx, m.ReplayedOp)
+		fmt.Fprintf(os.Stderr, "simqd: WAL %s replayed %d tx / %d ops\n",
+			*walPath, m.ReplayedTx, m.ReplayedOp)
 	}
 	stopCkpt := startCheckpointer(st, *ckptInterval, *ckptWALMB)
 	defer stopCkpt()
@@ -193,10 +177,8 @@ func main() {
 
 // buildEngine loads relations and rule sets the same way cmd/simq does;
 // with no -rules files a default unit-edit set "edits" over a-z is
-// registered. With shards > 1 every loaded relation is hash-partitioned
-// into a ShardedRelation (ids stay identical to the unsharded load —
-// rows are inserted in file order under a global id allocator).
-func buildEngine(loads, ruleFiles []string, shards int, opts ...query.Option) (*query.Engine, error) {
+// registered.
+func buildEngine(loads, ruleFiles []string, opts ...query.Option) (*query.Engine, error) {
 	cat := relation.NewCatalog()
 	for _, spec := range loads {
 		eq := strings.IndexByte(spec, '=')
@@ -212,18 +194,6 @@ func buildEngine(loads, ruleFiles []string, shards int, opts ...query.Option) (*
 		f.Close()
 		if err != nil {
 			return nil, err
-		}
-		if shards > 1 {
-			tuples := rel.Tuples()
-			rows := make([]relation.InsertRow, len(tuples))
-			for i, t := range tuples {
-				rows[i] = relation.InsertRow{Seq: t.Seq, Vec: t.Vec, Attrs: t.Attrs}
-			}
-			sh := relation.NewSharded(name, shards)
-			sh.InsertBatch(rows)
-			cat.Add(sh)
-			fmt.Fprintf(os.Stderr, "simqd: loaded %s: %d tuples across %d shards\n", name, sh.Len(), shards)
-			continue
 		}
 		cat.Add(rel)
 		fmt.Fprintf(os.Stderr, "simqd: loaded %s: %d tuples\n", name, rel.Len())
@@ -420,17 +390,8 @@ func registerProcessGauges(cat *relation.Catalog) {
 		func() float64 {
 			var n int
 			for _, name := range cat.Names() {
-				t, ok := cat.Lookup(name)
-				if !ok {
-					continue
-				}
-				switch r := t.(type) {
-				case *relation.Relation:
+				if r, ok := cat.Lookup(name); ok {
 					n += r.Tombstones()
-				case *relation.ShardedRelation:
-					for _, st := range r.ShardStats() {
-						n += st.Tombstones
-					}
 				}
 			}
 			return float64(n)
@@ -750,31 +711,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if shards := s.shardStats(); len(shards) > 0 {
-		body["shards"] = shards
-	}
 	writeJSON(w, http.StatusOK, body)
-}
-
-// shardTableStats is the per-relation shard block of /stats.
-type shardTableStats struct {
-	Shards int                  `json:"shards"`
-	Rows   int                  `json:"rows"`
-	Per    []relation.ShardStat `json:"per_shard"`
-}
-
-// shardStats collects per-shard row/tombstone counters for every
-// sharded relation in the catalog.
-func (s *server) shardStats() map[string]shardTableStats {
-	out := map[string]shardTableStats{}
-	cat := s.eng.Catalog()
-	for _, name := range cat.Names() {
-		t, _ := cat.Lookup(name)
-		if sh, ok := t.(*relation.ShardedRelation); ok {
-			out[name] = shardTableStats{Shards: sh.NumShards(), Rows: sh.Len(), Per: sh.ShardStats()}
-		}
-	}
-	return out
 }
 
 // statement resolves a request's statement: a prepared statement by

@@ -310,47 +310,47 @@ func TestPreparedDMLOverHTTP(t *testing.T) {
 	}
 }
 
-// newShardedTestServer is newTestServer over a sharded "words" relation
-// with a segmented WAL when walDir is set.
-func newShardedTestServer(t *testing.T, walDir string, shards int) *server {
+// newParallelTestServer is newTestServer with every scan and join
+// planned as a 4-slice parallel plan — GatherMerge(shards=4) in
+// EXPLAIN — over a WAL in walDir.
+func newParallelTestServer(t *testing.T, walDir string) *server {
 	t.Helper()
 	cat := relation.NewCatalog()
-	words := relation.NewSharded("words", shards)
+	words := relation.New("words")
 	for _, w := range []string{"color", "colour", "colon", "cool", "dolor", "clamor"} {
 		words.Insert(w, nil)
 	}
 	cat.Add(words)
-	eng := query.NewEngine(cat)
+	eng := query.NewEngine(cat, query.WithParallelism(4), query.WithParallelMinRows(1))
 	rs := rewrite.MustRuleSet("edits", rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz").Rules())
 	if err := eng.RegisterRuleSet(rs); err != nil {
 		t.Fatal(err)
 	}
-	s := &server{
-		eng: eng, timeout: 5 * time.Second, started: time.Now(),
+	st, err := storage.Open(filepath.Join(walDir, "test.wal"), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetSync(false)
+	eng.SetStore(st)
+	t.Cleanup(func() { st.Close() })
+	return &server{
+		eng: eng, store: st, timeout: 5 * time.Second, started: time.Now(),
 		maxPrepared: 16,
 		prepared:    map[string]*query.PreparedQuery{},
 	}
-	if walDir != "" {
-		st, err := storage.OpenSegmented(filepath.Join(walDir, "test.wal"), cat, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.SetSync(false)
-		eng.SetStore(st)
-		s.store = st
-		t.Cleanup(func() { st.Close() })
-	}
-	return s
 }
 
-// TestShardedServerRoundTrip: queries, DML and /ingest work against a
-// sharded engine over HTTP, and /stats reports per-shard counters.
+// TestShardedServerRoundTrip: queries, DML and /ingest work over HTTP
+// against an engine whose plans fan out over four slices, the WAL
+// replays the writes, and /v1/stats carries no per-shard block (the
+// relation layout has none).
 func TestShardedServerRoundTrip(t *testing.T) {
-	s := newShardedTestServer(t, t.TempDir(), 4)
+	dir := t.TempDir()
+	s := newParallelTestServer(t, dir)
 	mux := s.routes()
 
 	rec := do(t, mux, http.MethodPost, "/v1/query", map[string]any{
-		"query": `SELECT seq, dist FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING edits`,
+		"query": `SELECT seq, dist FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING edits OR seq = "zzz"`,
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("query: %d %s", rec.Code, rec.Body)
@@ -366,10 +366,10 @@ func TestShardedServerRoundTrip(t *testing.T) {
 	}
 
 	rec = do(t, mux, http.MethodPost, "/v1/explain", map[string]any{
-		"query": `SELECT * FROM words WHERE seq NEAREST 2 TO "color" USING edits`,
+		"query": `SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING edits OR seq = "zzz"`,
 	})
-	if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte("GatherMerge")) {
-		t.Fatalf("explain over sharded relation lacks GatherMerge: %d %s", rec.Code, rec.Body)
+	if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte("GatherMerge(shards=4")) {
+		t.Fatalf("explain of a parallel scan lacks GatherMerge(shards=4: %d %s", rec.Code, rec.Body)
 	}
 
 	rec = do(t, mux, http.MethodPost, "/v1/ingest", map[string]any{
@@ -391,29 +391,35 @@ func TestShardedServerRoundTrip(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats: %d %s", rec.Code, rec.Body)
 	}
-	var stats struct {
-		Shards map[string]struct {
-			Shards int `json:"shards"`
-			Rows   int `json:"rows"`
-			Per    []struct {
-				Rows       int `json:"rows"`
-				Tombstones int `json:"tombstones"`
-			} `json:"per_shard"`
-		} `json:"shards"`
-	}
+	var stats map[string]json.RawMessage
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	ws, ok := stats.Shards["words"]
-	if !ok || ws.Shards != 4 || len(ws.Per) != 4 {
-		t.Fatalf("/v1/stats shards block = %+v", stats.Shards)
+	if _, ok := stats["shards"]; ok {
+		t.Fatalf("/v1/stats carries a shards block: %s", rec.Body)
 	}
-	rows, tombs := 0, 0
-	for _, p := range ws.Per {
-		rows += p.Rows
-		tombs += p.Tombstones
+	if _, ok := stats["store"]; !ok {
+		t.Fatalf("/v1/stats lacks the store block: %s", rec.Body)
 	}
-	if rows != ws.Rows || rows != 7 || tombs != 1 {
-		t.Fatalf("per-shard counters inconsistent: rows=%d (want %d=7), tombstones=%d (want 1)", rows, ws.Rows, tombs)
+
+	s.store.Close()
+	cat := relation.NewCatalog()
+	base := relation.New("words")
+	for _, w := range []string{"color", "colour", "colon", "cool", "dolor", "clamor"} {
+		base.Insert(w, nil)
+	}
+	cat.Add(base)
+	st, err := storage.Open(filepath.Join(dir, "test.wal"), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	words, _ := cat.Lookup("words")
+	var got []string
+	for _, tu := range words.Tuples() {
+		got = append(got, tu.Seq)
+	}
+	if want := "color colour colon dolor clamor pallor sailor"; strings.Join(got, " ") != want {
+		t.Fatalf("replayed rows = %v, want %s", got, want)
 	}
 }

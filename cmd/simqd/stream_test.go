@@ -54,25 +54,18 @@ func streamWords() []string {
 	return append(words, "a<b>&c", "tab\there", "nul\x00", "bad\xffutf8", "line\u2028sep", `q"uo\te`)
 }
 
-// newStreamServer serves streamWords, unsharded (shards 1) or
-// hash-partitioned like simqd -shards.
+// newStreamServer serves streamWords through a serial engine
+// (shards 1) or one that runs scans as that many parallel slices under
+// a GatherMerge(shards=N).
 func newStreamServer(t *testing.T, shards int) *server {
 	t.Helper()
 	cat := relation.NewCatalog()
-	if shards > 1 {
-		rel := relation.NewSharded("words", shards)
-		for _, w := range streamWords() {
-			rel.Insert(w, nil)
-		}
-		cat.Add(rel)
-	} else {
-		rel := relation.New("words")
-		for _, w := range streamWords() {
-			rel.Insert(w, nil)
-		}
-		cat.Add(rel)
+	rel := relation.New("words")
+	for _, w := range streamWords() {
+		rel.Insert(w, nil)
 	}
-	eng := query.NewEngine(cat)
+	cat.Add(rel)
+	eng := query.NewEngine(cat, query.WithParallelism(shards), query.WithParallelMinRows(1))
 	rs := rewrite.MustRuleSet("edits", rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz").Rules())
 	if err := eng.RegisterRuleSet(rs); err != nil {
 		t.Fatal(err)
@@ -87,7 +80,7 @@ func newStreamServer(t *testing.T, shards int) *server {
 // TestStreamedReplyMatchesMarshal: a streamed /v1/query body is byte
 // for byte json.Encoder's encoding of the queryResponse the engine's
 // collected result makes, at every reply size around the block
-// boundary, unsharded and sharded, for SELECT, DML and EXPLAIN text.
+// boundary, serial and parallel, for SELECT, DML and EXPLAIN text.
 // elapsed_ms and trace_id are taken from the body itself.
 func TestStreamedReplyMatchesMarshal(t *testing.T) {
 	cases := []struct {
@@ -101,6 +94,7 @@ func TestStreamedReplyMatchesMarshal(t *testing.T) {
 		{"257 rows", `SELECT id, seq FROM words LIMIT 257`, 257, false},
 		{"3000 rows", `SELECT * FROM words LIMIT 3000`, 3000, false},
 		{"escapes", `SELECT id, seq FROM words`, 3006, false},
+		{"filtered", `SELECT id, seq FROM words WHERE seq != "q"`, 3006, false},
 		{"ordered", `SELECT id, seq, dist FROM words WHERE seq SIMILAR TO "aaccc" WITHIN 2 USING edits ORDER BY dist DESC`, -1, false},
 		{"explain", `EXPLAIN SELECT id FROM words WHERE seq SIMILAR TO "aaccc" WITHIN 1 USING edits`, 1, false},
 		{"insert", `INSERT INTO words (seq) VALUES ("zz<z")`, 1, true},

@@ -22,7 +22,7 @@
 // Determinism contract: for one metric, Dist, Within (when within) and
 // DistBatch MUST produce bitwise-identical float64 results for the
 // same operand pair. Every execution path — block scan, per-pair
-// verification, vector view walk, brute-force oracle, any shard count —
+// verification, vector view walk, brute-force oracle, any slice count —
 // funnels through the same blocked accumulation core, so query results
 // are byte-identical across plans (the property the vector parity
 // oracle pins). Implementations added through Register must preserve

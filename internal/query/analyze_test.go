@@ -1,12 +1,12 @@
 package query
 
 // The EXPLAIN ANALYZE oracle: for every plan shape (block size 1 and 4,
-// unsharded and sharded), `EXPLAIN ANALYZE <stmt>` must execute the
-// statement and return byte-identical columns and rows to the plain
-// statement — tracing is an observer, never a participant — while the
-// span tree it renders must carry an estimate on every access path, a
-// kernel label on every distance-computing operator, and per-shard
-// timings on every scatter-gather. A second oracle pins Result.Stats
+// serial and over parallel slices), `EXPLAIN ANALYZE <stmt>` must
+// execute the statement and return byte-identical columns and rows to
+// the plain statement — tracing is an observer, never a participant —
+// while the span tree it renders must carry an estimate on every access
+// path, a kernel label on every distance-computing operator, and
+// per-slice timings on every gather. A second oracle pins Result.Stats
 // parity across block sizes: the work counters are part of the engine's
 // observable contract, so the same physical decision must report the
 // same candidate/verification/abandon totals whatever the block size.
@@ -32,22 +32,18 @@ var analyzeWords = []struct {
 	{"dolor", "la"}, {"velour", "fr"}, {"clamor", "en"},
 }
 
-// analyzeEngine builds the testEngine word database over a plain or
-// sharded relation, with the requested block size (1 = row-at-a-time).
-func analyzeEngine(t *testing.T, shards, batchSize int) *Engine {
+// analyzeEngine builds the testEngine word database with the requested
+// block size (1 = row-at-a-time), serial for slices 1, otherwise running
+// every scan and join it may as that many parallel slices.
+func analyzeEngine(t *testing.T, slices, batchSize int) *Engine {
 	t.Helper()
-	var tab relation.Table
-	if shards > 1 {
-		tab = relation.NewSharded("words", shards)
-	} else {
-		tab = relation.New("words")
-	}
+	tab := relation.New("words")
 	for _, w := range analyzeWords {
 		tab.Insert(w.s, map[string]string{"lang": w.lang})
 	}
 	cat := relation.NewCatalog()
 	cat.Add(tab)
-	e := NewEngine(cat, WithBatchSize(batchSize))
+	e := NewEngine(cat, WithBatchSize(batchSize), WithParallelism(slices), WithParallelMinRows(1))
 	if err := e.RegisterRuleSet(rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz")); err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +99,10 @@ func flattenSpans(s *obs.Span) []*obs.Span {
 }
 
 // checkAnalyzeOracle runs one statement plainly and under EXPLAIN
-// ANALYZE and pins result identity plus trace shape.
-func checkAnalyzeOracle(t *testing.T, e *Engine, stmt string, hasKernel bool, shards int) {
+// ANALYZE and pins result identity plus trace shape: on an engine of
+// slices > 1, a gathered plan must carry one timing and one merged
+// instance per slice. It reports whether the plan gathered.
+func checkAnalyzeOracle(t *testing.T, e *Engine, stmt string, hasKernel bool, slices int) (gathered bool) {
 	t.Helper()
 	plain, err := e.Execute(stmt)
 	if err != nil {
@@ -163,32 +161,37 @@ func checkAnalyzeOracle(t *testing.T, e *Engine, stmt string, hasKernel bool, sh
 		t.Fatalf("%q: root span rows=%d, result has %d:\n%s", stmt, an.Trace.Rows, len(plain.Rows), an.Plan)
 	}
 
-	if shards > 1 {
-		var gather *obs.Span
-		for _, s := range all {
-			if len(s.Shards) > 0 {
-				gather = s
-				break
-			}
-		}
-		if gather == nil {
-			t.Fatalf("%q: sharded trace has no shard timings:\n%s", stmt, an.Plan)
-		}
-		if len(gather.Shards) != shards {
-			t.Fatalf("%q: gather has %d shard timings, want %d:\n%s", stmt, len(gather.Shards), shards, an.Plan)
-		}
-		for i, sh := range gather.Shards {
-			if sh.Shard != i {
-				t.Fatalf("%q: shard timing %d labeled shard %d", stmt, i, sh.Shard)
-			}
-		}
-		// The fan-out below the gather merges one span per shard instance.
-		for _, c := range gather.Children {
-			if c.Instances != shards {
-				t.Fatalf("%q: merged child %s has %d instances, want %d:\n%s", stmt, c.Op, c.Instances, shards, an.Plan)
-			}
+	if !strings.Contains(an.Plan, "GatherMerge(") {
+		return false
+	}
+	if slices < 2 {
+		t.Fatalf("%q: a serial engine planned a gather:\n%s", stmt, an.Plan)
+	}
+	var gather *obs.Span
+	for _, s := range all {
+		if len(s.Shards) > 0 {
+			gather = s
+			break
 		}
 	}
+	if gather == nil {
+		t.Fatalf("%q: gathered trace has no shard timings:\n%s", stmt, an.Plan)
+	}
+	if len(gather.Shards) != slices {
+		t.Fatalf("%q: gather has %d shard timings, want %d:\n%s", stmt, len(gather.Shards), slices, an.Plan)
+	}
+	for i, sh := range gather.Shards {
+		if sh.Shard != i {
+			t.Fatalf("%q: shard timing %d labeled shard %d", stmt, i, sh.Shard)
+		}
+	}
+	// The fan-out below the gather merges one span per slice instance.
+	for _, c := range gather.Children {
+		if c.Instances != slices {
+			t.Fatalf("%q: merged child %s has %d instances, want %d:\n%s", stmt, c.Op, c.Instances, slices, an.Plan)
+		}
+	}
+	return true
 }
 
 func TestAnalyzeOracleBlock1(t *testing.T) {
@@ -205,26 +208,32 @@ func TestAnalyzeOracleBatch(t *testing.T) {
 	}
 }
 
-func TestAnalyzeOracleShardedBlock1(t *testing.T) {
-	e := analyzeEngine(t, 3, 1)
-	for _, c := range analyzeStmts {
-		checkAnalyzeOracle(t, e, c.stmt, c.hasKernel, 3)
-	}
-}
+// TestAnalyzeOracleShardedBlock1 and TestAnalyzeOracleShardedBatch run
+// the oracle on an engine of three parallel slices, where the weighted
+// scan range and the weighted self-join gather.
+func TestAnalyzeOracleShardedBlock1(t *testing.T) { analyzeOracleParallel(t, 1) }
 
-func TestAnalyzeOracleShardedBatch(t *testing.T) {
-	e := analyzeEngine(t, 3, 4)
+func TestAnalyzeOracleShardedBatch(t *testing.T) { analyzeOracleParallel(t, 4) }
+
+func analyzeOracleParallel(t *testing.T, batchSize int) {
+	e := analyzeEngine(t, 3, batchSize)
+	gathered := 0
 	for _, c := range analyzeStmts {
-		checkAnalyzeOracle(t, e, c.stmt, c.hasKernel, 3)
+		if checkAnalyzeOracle(t, e, c.stmt, c.hasKernel, 3) {
+			gathered++
+		}
+	}
+	if gathered < 2 {
+		t.Fatalf("%d statements planned a gather, want at least 2", gathered)
 	}
 }
 
 // TestAnalyzeJoinOracle drives the unit-cost join shapes through every
-// plan family — block sizes 1 and 4, unsharded and the sharded
-// broadcast variant: each must satisfy the ANALYZE contract (result
-// identity, estimates on leaves, kernel labels, per-shard gather
-// timings), return the same rows in the same order at both block sizes,
-// and return the rows of a brute-force loop over the data.
+// plan family — block sizes 1 and 4, serial and over three parallel
+// slices: each must satisfy the ANALYZE contract (result identity,
+// estimates on leaves, kernel labels, per-slice gather timings), return
+// the same rows in the same order at both block sizes, and return the
+// rows of a brute-force loop over the data.
 func TestAnalyzeJoinOracle(t *testing.T) {
 	near := func(i, j int) bool {
 		return editdp.Levenshtein(analyzeWords[i].s, analyzeWords[j].s) <= 1
@@ -248,24 +257,26 @@ func TestAnalyzeJoinOracle(t *testing.T) {
 			}
 		}
 		sort.Strings(want)
-		for _, shards := range []int{1, 3} {
+		for _, slices := range []int{1, 3} {
 			var first *Result
 			for _, batch := range []int{1, 4} {
-				e := analyzeEngine(t, shards, batch)
-				checkAnalyzeOracle(t, e, c.stmt, true, shards)
+				e := analyzeEngine(t, slices, batch)
+				if gathered := checkAnalyzeOracle(t, e, c.stmt, true, slices); gathered != (slices > 1) {
+					t.Fatalf("slices=%d %q: gathered = %v", slices, c.stmt, gathered)
+				}
 				res, err := e.Execute(c.stmt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := canonical(res); got != strings.Join(want, "\n") {
-					t.Fatalf("shards=%d block=%d %q diverges from brute force:\ngot:\n%s\nwant:\n%s",
-						shards, batch, c.stmt, got, strings.Join(want, "\n"))
+					t.Fatalf("slices=%d block=%d %q diverges from brute force:\ngot:\n%s\nwant:\n%s",
+						slices, batch, c.stmt, got, strings.Join(want, "\n"))
 				}
 				if first == nil {
 					first = res
 				} else if positional(first) != positional(res) {
-					t.Fatalf("shards=%d %q: block 1 and block 4 diverge:\n%s\nvs\n%s",
-						shards, c.stmt, positional(first), positional(res))
+					t.Fatalf("slices=%d %q: block 1 and block 4 diverge:\n%s\nvs\n%s",
+						slices, c.stmt, positional(first), positional(res))
 				}
 			}
 		}
@@ -273,26 +284,26 @@ func TestAnalyzeJoinOracle(t *testing.T) {
 }
 
 // TestAnalyzeStatsParityAcrossBlockSizes pins Result.Stats consistency
-// across block sizes at the same shard topology: the same physical
+// across block sizes at the same slice count: the same physical
 // decision must report the same work counters.
 func TestAnalyzeStatsParityAcrossBlockSizes(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		row := analyzeEngine(t, shards, 1)
-		batch := analyzeEngine(t, shards, 4)
+	for _, slices := range []int{1, 3} {
+		row := analyzeEngine(t, slices, 1)
+		batch := analyzeEngine(t, slices, 4)
 		for _, c := range analyzeStmts {
 			r, err := row.Execute(c.stmt)
 			if err != nil {
-				t.Fatalf("shards=%d %q: %v", shards, c.stmt, err)
+				t.Fatalf("slices=%d %q: %v", slices, c.stmt, err)
 			}
 			b, err := batch.Execute(c.stmt)
 			if err != nil {
-				t.Fatalf("shards=%d %q: %v", shards, c.stmt, err)
+				t.Fatalf("slices=%d %q: %v", slices, c.stmt, err)
 			}
 			if r.Stats.Candidates != b.Stats.Candidates ||
 				r.Stats.Verifications != b.Stats.Verifications ||
 				r.Stats.Abandoned != b.Stats.Abandoned {
-				t.Errorf("shards=%d %q: stats diverge:\nblock 1: %+v\nblock 4: %+v",
-					shards, c.stmt, r.Stats, b.Stats)
+				t.Errorf("slices=%d %q: stats diverge:\nblock 1: %+v\nblock 4: %+v",
+					slices, c.stmt, r.Stats, b.Stats)
 			}
 		}
 	}
@@ -357,7 +368,7 @@ func TestAnalyzeDMLRejected(t *testing.T) {
 }
 
 // TestAnalyzeGatherParallel: a parallel plan runs its id-range slices
-// under the gather like a sharded plan runs its shards. EXPLAIN ANALYZE
+// under the gather. EXPLAIN ANALYZE
 // of a parallel scan and of a parallel join must return the serial
 // plan's rows, count the same candidates and verifications across its
 // spans, merge the streams' pipelines into one child of instances=4 and

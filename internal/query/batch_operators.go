@@ -84,7 +84,7 @@ func (o *batchScanOp) childNodes() []BatchOperator { return nil }
 //
 // The leaf emits the order the query asks for (order, set by the
 // planner): without ORDER BY, WITHIN sorts by id — the scan's order,
-// which every shard count's id-merging gather reproduces — and NEAREST
+// which a parallel plan's id-merging gather reproduces — and NEAREST
 // keeps its (dist, id) best list; ORDER BY dist sorts by (dist, id) and
 // DESC by (dist desc, id). Those are exactly the orders a stable
 // OrderByDist makes of the unordered stream, so the planner builds none

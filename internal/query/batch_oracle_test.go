@@ -1,7 +1,7 @@
 package query
 
 // The block-size parity oracle: for randomized datasets, statements,
-// shard counts and block sizes, the engine at block size N must be
+// serial and parallel engines and block sizes, the engine at block size N must be
 // indistinguishable from the engine at block size 1 — the degenerate
 // row-at-a-time case of the same operators — with byte-identical result
 // rows in byte-identical order (both execute the same physical
@@ -32,17 +32,17 @@ type batchPair struct {
 	model *oracleDB
 }
 
-func newBatchPair(t testing.TB, shards, batchSize int, opts ...Option) *batchPair {
+// newBatchPair builds the pair over an empty "words". With slices > 1
+// both engines run every scan with per-row work, and every join, as
+// that many parallel slices under a GatherMerge(shards=slices).
+func newBatchPair(t testing.TB, slices, batchSize int, opts ...Option) *batchPair {
 	t.Helper()
+	if slices > 1 {
+		opts = append(opts, WithParallelism(slices), WithParallelMinRows(1))
+	}
 	mk := func(size int) *Engine {
-		var tab relation.Table
-		if shards > 1 {
-			tab = relation.NewSharded("words", shards)
-		} else {
-			tab = relation.New("words")
-		}
 		cat := relation.NewCatalog()
-		cat.Add(tab)
+		cat.Add(relation.New("words"))
 		e := NewEngine(cat, append(opts, WithBatchSize(size))...)
 		rs := rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())
 		if err := e.RegisterRuleSet(rs); err != nil {
@@ -165,7 +165,8 @@ func (p *batchPair) applyRandomDML(t *testing.T, rng *rand.Rand) {
 	}
 }
 
-// TestBlockParityOracle is the main property test: shard counts 1 and 4
+// TestBlockParityOracle is the main property test: a serial engine and
+// one of four parallel slices (shards=4, the GatherMerge's stream count)
 // crossed with block sizes 4, 64 and 256, random reads against block
 // size 1 and the model with interleaved DML, table dumps compared after
 // every mutation generation.
@@ -196,23 +197,19 @@ func TestBlockParityOracle(t *testing.T) {
 	}
 }
 
-// TestBatchParityParallel crosses the block sizes with the
-// parallel-scan machinery: both engines shard their scan pipelines
-// across 4 workers (id-range slices for unsharded plans, shards for
-// sharded ones, both under the gather) and must still match
-// positionally.
+// TestBatchParityParallel crosses a small block size with the
+// parallel-scan machinery: both engines run their scan pipelines over
+// one relation (shards=1) as 4 id-range slices under the gather and
+// must still match positionally.
 func TestBatchParityParallel(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(77 + shards)))
-			p := newBatchPair(t, shards, 32, WithParallelism(4), WithParallelMinRows(1))
-			p.seedRows(t, rng, 200)
-			for i := 0; i < 30; i++ {
-				p.exec(t, randBatchStmt(rng))
-			}
-		})
-	}
+	t.Run("shards=1", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(78))
+		p := newBatchPair(t, 4, 32)
+		p.seedRows(t, rng, 200)
+		for i := 0; i < 30; i++ {
+			p.exec(t, randBatchStmt(rng))
+		}
+	})
 }
 
 // TestBatchParityPrepared drives both engines through the prepared-
@@ -317,7 +314,7 @@ func TestBatchParityConcurrentDML(t *testing.T) {
 // cannot edit: +Inf, not Levenshtein), a weighted rule set (which must
 // not inherit the unit length cut-off), rows deleted and updated after
 // the view was built, and a plan whose snapshot predates an insert.
-// Shard counts 1 and 4, block sizes 1 and 256.
+// Serial and over four parallel slices, block sizes 1 and 256.
 func TestNearestModelCases(t *testing.T) {
 	long := strings.Repeat("abcdefghij", 7) // 70 bytes: the block kernel
 	targets := []string{"", "a", "acebd", "acZbd", "jjjjjjjjjjjj", long, long[:64] + "jj" + long[66:]}
@@ -416,8 +413,8 @@ func TestNearestPrefixProperty(t *testing.T) {
 }
 
 // TestNearestReadersVsInserter runs NEAREST, WITHIN and seq-join
-// readers against a live inserter on one unsharded relation, so readers
-// walk the shared length-ordered view while the commit path appends to
+// readers against a live inserter on one relation, so readers walk
+// the shared length-ordered view while the commit path appends to
 // it (the targeted -race CI step runs 'Nearest' tests). Every answer
 // must be correctly ordered and correctly measured for some committed
 // state — with an insert-only writer the k-th distance can only fall,

@@ -1,27 +1,14 @@
 package query
 
-// The fan-out. A table is a list of snapshots: one for a Relation, one
-// per shard of a consistent view for a ShardedRelation (snapshotsOf). A
-// plan reads that list as streams — every snapshot whole, or, for a
-// parallel scan or scan-rooted join chain over a plain table, its one
-// snapshot as contiguous id-range slices — and fanOut builds one
-// pipeline per stream. A plain table read whole is one pipeline; every
-// other plan runs its pipelines under a GatherMerge, which drains them
-// through a bounded worker pool and merges their outputs:
-//
-//   - merge=id (scans, WITHIN, join chains): streams merge in ascending
-//     global tuple id, which reconstructs exactly the serial scan order
-//     (ids are global, every arena is id-ascending and a slice is an id
-//     range). Every such stream arrives id-ascending — scans read in id
-//     order, WITHIN leaves sort their matches by id, join chains emit in
-//     outer order — so the merge never sorts.
-//   - merge=bestk (NEAREST): each shard produces its own k-best list
-//     sorted by (dist, id); the gather is a rank-aware bounded merge
-//     that repeatedly takes the smallest (dist, id) frontier entry and
-//     terminates after k results — once the global k-th best is fixed,
-//     no shard's remaining (worse) entries are ever examined. The
-//     (dist, id) order makes equal-distance ties deterministic by row
-//     key no matter which shard finished first.
+// The fan-out. A plan reads its table's snapshot as streams: whole, or,
+// for a parallel scan or scan-rooted join chain over a large table, as
+// contiguous id-range slices — and fanOut builds one pipeline per
+// stream. A snapshot read whole is one pipeline; the slices of a
+// parallel plan run under a GatherMerge, which drains them through a
+// bounded worker pool and merges their outputs in ascending tuple id
+// (merge=id). That reconstructs exactly the serial scan order: every
+// slice is an id range and arrives id-ascending — scans read in id
+// order, join chains emit in outer order — so the merge never sorts.
 
 import (
 	"fmt"
@@ -35,129 +22,71 @@ import (
 
 // stream is what one pipeline of a plan reads: slice `slice` of
 // `slices` contiguous id ranges of snap (0 of 1 is all of it), shown in
-// EXPLAIN as shard `shard` of `shards` when the plan reads several.
+// EXPLAIN as shard `slice` of `slices` when the plan reads several.
 // Only scans read part of a snapshot; every other leaf reads all of it.
 type stream struct {
 	snap          *relation.Snapshot
 	slice, slices int
-	shard, shards int
 }
 
 // shardNote is a leaf's EXPLAIN label for its stream: empty when the
 // plan reads one.
 func (s stream) shardNote() string {
-	if s.shards > 1 {
-		return fmt.Sprintf(", shard %d/%d", s.shard, s.shards)
+	if s.slices > 1 {
+		return fmt.Sprintf(", shard %d/%d", s.slice, s.slices)
 	}
 	return ""
 }
 
-// shardsOf returns a table's shard count, 0 for a plain Relation.
-func shardsOf(tab relation.Table) int {
-	if sh, ok := tab.(*relation.ShardedRelation); ok {
-		return sh.NumShards()
-	}
-	return 0
-}
-
-// snapshotsOf ensures the shared structures a plan reads from tab — its
+// snapshotOf ensures the shared structures a plan reads from rel — its
 // length view when lengthView, a vector view per non-nil metric of
-// views — and then appends the table's snapshots to dst: one for a
-// Relation, one per shard of a consistent view for a ShardedRelation.
-// Ensuring first makes every snapshot carry the online-maintained
-// structures instead of building private ones per query.
-func snapshotsOf(dst []*relation.Snapshot, tab relation.Table, lengthView bool, views ...metric.Distance) []*relation.Snapshot {
-	switch t := tab.(type) {
-	case *relation.ShardedRelation:
-		if lengthView {
-			t.EnsureLengthViews()
-		}
-		for _, m := range views {
-			if m != nil {
-				t.EnsureVecViews(m)
-			}
-		}
-		view := t.View()
-		for i := 0; i < view.NumShards(); i++ {
-			dst = append(dst, view.Snap(i))
-		}
-	case *relation.Relation:
-		if lengthView {
-			t.LengthView()
-		}
-		for _, m := range views {
-			if m != nil {
-				t.VecView(m)
-			}
-		}
-		dst = append(dst, t.Snapshot())
+// views — and then takes its snapshot, which therefore carries the
+// online-maintained structures instead of building private ones per
+// query.
+func snapshotOf(rel *relation.Relation, lengthView bool, views ...metric.Distance) *relation.Snapshot {
+	if lengthView {
+		rel.LengthView()
 	}
-	return dst
+	for _, m := range views {
+		if m != nil {
+			rel.VecView(m)
+		}
+	}
+	return rel.Snapshot()
 }
 
-// streams returns how many pipelines a plan runs and whether they run
-// under a gather: one per shard of a sharded table (even a single
-// shard, so a sharded plan has one shape whatever its shard count), one
-// per slice of a parallel plan, or one pipeline over a plain table.
-func (d *planDecision) streams() (n int, gathered bool) {
-	return max(d.shards, 1) * d.slices, d.shards > 0 || d.slices > 1
-}
-
-// fanOut builds a plan's pipelines over the snapshots of the table d
-// was decided over, one per stream, with build. A lone pipeline is the
-// access path itself. Otherwise the pipelines merge under one
-// GatherMerge: by (dist, id) keeping the k best for NEAREST (k > 0), by
-// slot 0's id otherwise. LIMIT without ORDER BY keeps the smallest ids,
-// so each id-merged stream stops at the limit itself instead of
-// draining. est is the gather's planner estimate.
-func (e *Engine) fanOut(ctx *execCtx, q *Query, d *planDecision, snaps []*relation.Snapshot,
-	k int, est float64, build func(stream) BatchOperator) BatchOperator {
-	n, gathered := d.streams()
-	if !gathered {
-		return build(stream{snap: snaps[0], slices: 1, shards: 1})
+// fanOut builds a plan's pipelines over snap, one per slice d decided,
+// with build. A lone pipeline is the access path itself; the slices of
+// a parallel plan merge by slot 0's id under one GatherMerge.
+func (e *Engine) fanOut(ctx *execCtx, q *Query, d *planDecision, snap *relation.Snapshot,
+	build func(stream) BatchOperator) BatchOperator {
+	if d.slices == 1 {
+		return build(stream{snap: snap, slices: 1})
 	}
-	gather := &batchGatherMergeOp{ctx: ctx, children: make([]BatchOperator, n), workers: e.gatherWorkers(n),
-		mode: gatherByID, size: e.batchLeafSize(q)}
-	if k > 0 {
-		gather.mode, gather.k = gatherBestK, k
-	}
+	gather := &batchGatherMergeOp{ctx: ctx, children: make([]BatchOperator, d.slices),
+		workers: e.gatherWorkers(d.slices), size: e.batchLeafSize(q)}
 	for i := range gather.children {
-		op := build(stream{snap: snaps[i/d.slices], slice: i % d.slices, slices: d.slices, shard: i, shards: n})
-		if k == 0 && q.Limit > 0 && q.Order == OrderNone {
-			op = trB(ctx, &batchLimitOp{child: op, n: q.Limit}, estLimitRows(q.Limit, estOfBatch(op)))
-		}
-		gather.children[i] = op
+		gather.children[i] = build(stream{snap: snap, slice: i, slices: d.slices})
 	}
-	return trB(ctx, gather, est)
+	return trB(ctx, gather, -1)
 }
 
 // --------------------------------------------------------- gather merge
 
-// gatherMode selects the merge discipline of a batchGatherMergeOp.
-type gatherMode int
-
-const (
-	gatherByID  gatherMode = iota // ascending global tuple id (scan order)
-	gatherBestK                   // rank-aware (dist, id) bounded merge
-)
-
 // batchGatherMergeOp drains one pipeline per stream through a bounded
-// worker pool into a pooled batch per stream and merges them. It trades
-// block buffering for full parallelism — the per-tuple similarity work
-// inside the pipelines dominates by orders of magnitude. The id merge
-// reads slot 0: the relation a scan or range reads, a join chain's
-// start relation.
+// worker pool into a pooled batch per stream and merges them by
+// ascending id. It trades block buffering for full parallelism — the
+// per-tuple similarity work inside the pipelines dominates by orders of
+// magnitude. The merge reads slot 0: the relation a scan reads, a join
+// chain's start relation.
 type batchGatherMergeOp struct {
 	ctx      *execCtx
 	children []BatchOperator // one pipeline per stream
 	workers  int
-	mode     gatherMode
-	k        int // gatherBestK: result bound
 	size     int
 
 	cols    []*Batch // per stream: every row its pipeline emitted
 	pos     []int    // per-stream frontier position
-	done    int      // rows emitted (gatherBestK stops at k)
 	out     *Batch
 	timings []obs.ShardTiming // per-stream drain wall time (traced runs only)
 }
@@ -177,7 +106,6 @@ func (o *batchGatherMergeOp) OpenBatch() error {
 		o.cols[i] = getBatch()
 	}
 	o.pos = make([]int, len(o.children))
-	o.done = 0
 	o.out = getBatch()
 	errs := make([]error, len(o.children))
 	if o.ctx.traced {
@@ -259,26 +187,13 @@ func (o *batchGatherMergeOp) OpenBatch() error {
 func (o *batchGatherMergeOp) NextBatch() (*Batch, error) {
 	b := o.out
 	b.reset(1)
-	for n := 0; n < o.size && (o.mode != gatherBestK || o.done < o.k); n++ {
+	for n := 0; n < o.size; n++ {
 		best := -1
 		for i, c := range o.cols {
 			if o.pos[i] >= c.Len() {
 				continue
 			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			bi, bb, bj := o.cols[best], o.pos[i], o.pos[best]
-			if o.mode == gatherBestK {
-				// Rank-aware frontier: smallest (dist, id) wins; ties on
-				// distance resolve by ascending tuple id, a total order over
-				// rows, which makes the output independent of stream
-				// completion order.
-				if c.dist[bb] < bi.dist[bj] || c.dist[bb] == bi.dist[bj] && c.IDs[bb] < bi.IDs[bj] {
-					best = i
-				}
-			} else if c.IDs[bb] < bi.IDs[bj] {
+			if best < 0 || c.IDs[o.pos[i]] < o.cols[best].IDs[o.pos[best]] {
 				best = i
 			}
 		}
@@ -287,7 +202,6 @@ func (o *batchGatherMergeOp) NextBatch() (*Batch, error) {
 		}
 		b.appendRow(o.cols[best], o.pos[best])
 		o.pos[best]++
-		o.done++
 	}
 	if b.Len() == 0 {
 		return nil, nil
@@ -306,10 +220,6 @@ func (o *batchGatherMergeOp) CloseBatch() error {
 }
 
 func (o *batchGatherMergeOp) Describe() string {
-	if o.mode == gatherBestK {
-		return fmt.Sprintf("GatherMerge(shards=%d, workers=%d, merge=bestk k=%d)",
-			len(o.children), o.workers, o.k)
-	}
 	return fmt.Sprintf("GatherMerge(shards=%d, workers=%d, merge=id)", len(o.children), o.workers)
 }
 

@@ -68,7 +68,7 @@ func TestRangeCrossoverAnswersAgree(t *testing.T) {
 		t.Errorf("band walk and scan disagree:\nwalk:\n%s\nscan:\n%s", positional(res), positional(scan))
 	}
 	// Cross-check against the BK-tree directly.
-	rel, _ := e.Catalog().Get("dict")
+	rel, _ := e.Catalog().Lookup("dict")
 	want := map[string]bool{}
 	for _, m := range rel.BKTree().Range("abcdefgh", 4) {
 		want[m.S] = true

@@ -34,7 +34,7 @@ type Engine struct {
 	// Fixed at construction by the options.
 	plans           *planCache // statement text -> PreparedQuery; nil disables
 	parallelism     int        // gather workers, and slices of a parallel plan (1 disables)
-	parallelMinRows int        // outer-relation size that justifies sharding
+	parallelMinRows int        // outer-relation size that justifies slicing
 	batchSize       int        // rows per block
 
 	// tracing forces span collection on every execution (the slow-query
@@ -52,7 +52,7 @@ type ruleEntry struct {
 }
 
 // parallelDefaultMinRows is the default outer-relation size below which
-// sharding overhead outweighs the parallel speedup.
+// the gather's overhead outweighs the parallel speedup.
 const parallelDefaultMinRows = 4096
 
 // defaultBatchSize is the default block size: large enough
@@ -92,7 +92,7 @@ func WithParallelism(n int) Option {
 }
 
 // WithParallelMinRows sets the outer-relation size from which the
-// planner shards scans and joins across workers.
+// planner splits scans and joins into slices across workers.
 func WithParallelMinRows(n int) Option { return func(e *Engine) { e.parallelMinRows = n } }
 
 // WithPlanCacheSize sets the statement-cache capacity (plancache.go);

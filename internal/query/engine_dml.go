@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"repro/internal/metric"
-	"repro/internal/relation"
 	"repro/internal/storage"
 )
 
@@ -136,22 +135,14 @@ func (e *Engine) execDeleteOrUpdate(m *Mutation, sink RowSink) (*Result, error) 
 	// Apply in ascending id order no matter which access path produced
 	// the ids (index traversal order is plan-dependent): UPDATE assigns
 	// replacement ids in application order, and that assignment must be
-	// identical across physical plans — sharded and unsharded engines
+	// identical across physical plans — serial and parallel engines
 	// running the same statement stream must converge to the same ids.
 	sort.Ints(ids)
 
-	tab, _ := e.catalog.Lookup(m.Table)
-	// One read view for the whole merge loop — per-id Table.Tuple would
-	// re-load the head (or shard view) for every matched row.
-	var read func(int) (relation.Tuple, bool)
-	switch t := tab.(type) {
-	case *relation.Relation:
-		read = t.Snapshot().Tuple
-	case *relation.ShardedRelation:
-		read = t.View().Tuple
-	default:
-		read = tab.Tuple
-	}
+	rel, _ := e.catalog.Lookup(m.Table)
+	// One read view for the whole merge loop — per-id Relation.Tuple
+	// would re-load the head for every matched row.
+	read := rel.Snapshot().Tuple
 	ops := make([]storage.Op, 0, len(ids))
 	for _, id := range ids {
 		if m.Kind == MutDelete {

@@ -58,7 +58,7 @@ type execCtx struct {
 }
 
 // addStats merges an operator's local counters; safe for concurrent use
-// by parallel shard workers.
+// by parallel slice workers.
 func (c *execCtx) addStats(s ExecStats) {
 	if s.Nodes > 0 {
 		mIndexVisited.Add(int64(s.Nodes))

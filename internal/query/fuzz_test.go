@@ -20,10 +20,8 @@ var fuzzSeeds = []string{
 	`EXPLAIN UPDATE w SET seq = "x" WHERE seq NEAREST 3 TO "y" USING e`,
 	`;`, `"unterminated`, `:`, `INSERT INTO`, `UPDATE SET`,
 	"SELECT * FROM w WHERE a = \"\\\"esc\\\"\"",
-	// The -shards DML paths: statements the sharded oracle and the
-	// segmented-WAL ingest route through hash partitioning. Parsing is
-	// topology-agnostic, but these shapes seed the corpus with the
-	// id-addressed and batch forms sharded routing must handle.
+	// DML shapes: batch inserts and the id-addressed and predicate
+	// forms of DELETE and UPDATE.
 	`INSERT INTO words (seq, tag) VALUES ("abcj", "1"), ("jihg", "2"), ("aaaa", "0")`,
 	`DELETE FROM words WHERE id = "17"`,
 	`UPDATE words SET seq = "bdfh" WHERE seq SIMILAR TO "bdfg" WITHIN 1 USING edits`,

@@ -1,9 +1,9 @@
 package query
 
-// GatherMerge determinism: equal-distance rows must order by row key
-// (tuple id) no matter which shard finishes first. The stub children
+// GatherMerge determinism: the merged rows must come out in ascending
+// slot-0 id no matter which stream finishes first. The stub children
 // block in OpenBatch until released, so each table case is executed under
-// every permutation of shard completion order and must produce the
+// every permutation of stream completion order and must produce the
 // same bytes.
 
 import (
@@ -14,9 +14,8 @@ import (
 
 // stubShardOp emits a fixed row list, two rows per block, after its
 // gate releases and signals done on CloseBatch, letting the test
-// serialize shard completion into an exact order. A row binds one slot,
-// like every single-relation shard subplan's, or two, like a join
-// chain's.
+// serialize stream completion into an exact order. A row binds one
+// slot, like a scan slice's, or two, like a join chain's.
 type stubShardOp struct {
 	rows []gatherRow
 	gate chan struct{}
@@ -96,7 +95,7 @@ func permutations(n int) [][]int {
 
 // drainGather runs a batchGatherMergeOp whose children complete in the
 // given order and returns the merged (id, dist) pairs.
-func drainGather(t *testing.T, shardRows [][]gatherRow, mode gatherMode, k int, completion []int) [][2]float64 {
+func drainGather(t *testing.T, shardRows [][]gatherRow, completion []int) [][2]float64 {
 	t.Helper()
 	children := make([]BatchOperator, len(shardRows))
 	stubs := make([]*stubShardOp, len(shardRows))
@@ -105,8 +104,7 @@ func drainGather(t *testing.T, shardRows [][]gatherRow, mode gatherMode, k int, 
 		children[i] = stubs[i]
 	}
 	op := &batchGatherMergeOp{
-		ctx: &execCtx{}, children: children, workers: len(children),
-		mode: mode, k: k, size: 3,
+		ctx: &execCtx{}, children: children, workers: len(children), size: 3,
 	}
 	done := make(chan error, 1)
 	var got [][2]float64
@@ -150,50 +148,14 @@ func drainGather(t *testing.T, shardRows [][]gatherRow, mode gatherMode, k int, 
 	return got
 }
 
-// TestGatherMergeTieBreaking: table-driven over merge modes and tie
-// layouts; every completion-order permutation must yield the identical
-// output.
+// TestGatherMergeTieBreaking: table-driven over stream layouts; every
+// completion-order permutation must yield the identical output.
 func TestGatherMergeTieBreaking(t *testing.T) {
 	cases := []struct {
 		name   string
-		shards [][]gatherRow // per shard, in the shard's own emit order
-		mode   gatherMode
-		k      int
+		shards [][]gatherRow // per stream, in the stream's own emit order
 		want   [][2]float64
 	}{
-		{
-			name: "bestk equal distances across shards",
-			shards: [][]gatherRow{
-				{mkRow(3, 1), mkRow(7, 1)},
-				{mkRow(1, 1), mkRow(9, 1)},
-				{mkRow(5, 1), mkRow(6, 1)},
-			},
-			mode: gatherBestK, k: 4,
-			// All dist 1: ids ascending, truncated to k.
-			want: [][2]float64{{1, 1}, {3, 1}, {5, 1}, {6, 1}},
-		},
-		{
-			name: "bestk mixed distances with boundary tie",
-			shards: [][]gatherRow{
-				{mkRow(10, 0), mkRow(11, 2)},
-				{mkRow(2, 2), mkRow(4, 3)},
-				{mkRow(8, 1)},
-			},
-			mode: gatherBestK, k: 3,
-			// The k-th slot is contested by dist-2 rows 2 and 11: lower id
-			// wins regardless of which shard delivered first.
-			want: [][2]float64{{10, 0}, {8, 1}, {2, 2}},
-		},
-		{
-			name: "bestk k larger than matches",
-			shards: [][]gatherRow{
-				{mkRow(2, 2)},
-				{},
-				{mkRow(1, 2)},
-			},
-			mode: gatherBestK, k: 10,
-			want: [][2]float64{{1, 2}, {2, 2}},
-		},
 		{
 			name: "id merge restores global scan order",
 			shards: [][]gatherRow{
@@ -201,13 +163,12 @@ func TestGatherMergeTieBreaking(t *testing.T) {
 				{mkRow(2, 1)},
 				{mkRow(1, 1), mkRow(3, 1), mkRow(4, 1)},
 			},
-			mode: gatherByID,
 			want: [][2]float64{{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}},
 		},
 		{
 			name: "id merge of join chains keeps each outer row's inner order",
 			shards: [][]gatherRow{
-				// One chain per outer shard: the outer id repeats once per
+				// One chain per outer slice: the outer id repeats once per
 				// inner match and the merge key is the OUTER id alone, so
 				// the merge must keep each outer row's matches in the
 				// chain's emit order — 7, 9 and 2, 5, 8 here, and 6 before
@@ -216,7 +177,6 @@ func TestGatherMergeTieBreaking(t *testing.T) {
 				{mkJoined(1, 3)},
 				{mkJoined(2, 6), mkJoined(2, 1)},
 			},
-			mode: gatherByID,
 			want: [][2]float64{{0, 7}, {0, 9}, {1, 3}, {2, 6}, {2, 1}, {4, 2}, {4, 5}, {4, 8}},
 		},
 	}
@@ -224,7 +184,7 @@ func TestGatherMergeTieBreaking(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			for _, perm := range permutations(len(c.shards)) {
-				got := drainGather(t, c.shards, c.mode, c.k, perm)
+				got := drainGather(t, c.shards, perm)
 				if !reflect.DeepEqual(got, c.want) {
 					t.Fatalf("completion order %v: merged %v, want %v", perm, got, c.want)
 				}

@@ -5,14 +5,14 @@ package query
 // Each edge has one probe, decided by what the inner side offers
 // (chooseJoinAlgo):
 //
-//   - "index" walks a structure of every inner snapshot: the length
+//   - "index" walks a structure of the inner snapshot: the length
 //     view's band walk at floor(r) (bandwalk.go) or the vector view. The
 //     band walk measures d(inner, probe) where the predicate may name
 //     d(probe, inner); the unit-cost rule sets it serves are symmetric
 //     and their distances integers, so the two agree exactly. The vector
 //     view measures d(probe, inner), which the L2 core computes
 //     bit-identically in either operand order.
-//   - "scan" reads the inner snapshots once at open and verifies the
+//   - "scan" reads the inner snapshot once at open and verifies the
 //     candidates with their domain's kernel: Myers (TargetDP for rows
 //     outside the rule alphabet), the DP calculator, the general engine,
 //     or the metric's DistBatch. Under a unit-cost rule set d(x, y) >=
@@ -24,10 +24,8 @@ package query
 // with the compiled predicate (batch_pred.go) would; the join oracle
 // pins that against a brute force.
 //
-// The inner side is a list of snapshots: one for a plain relation, one
-// per shard when a sharded inner is broadcast (see buildJoin). Per-probe
-// matches sort by global tuple id before emission, so the output order
-// is outer order, inner ascending, whatever the probe and layout.
+// Per-probe matches sort by tuple id before emission, so the output
+// order is outer order, inner ascending, whatever the probe.
 //
 // Rows are slot columns (slotMap): an outer row holds the slots before
 // the step's own, and each match emits a copy of them with the inner
@@ -65,7 +63,7 @@ type batchJoinOp struct {
 	child      BatchOperator // outer side, batched
 	algo       string        // probe: "index" | "scan"
 	banded     bool          // scan of a unit-cost edit edge: the length band applies
-	snaps      []*relation.Snapshot
+	snap       *relation.Snapshot
 	alias      string   // inner alias
 	slot       int      // the inner alias's slot; the outer rows hold the slots before it
 	probeField FieldRef // outer-side join field
@@ -77,15 +75,15 @@ type batchJoinOp struct {
 	m          metric.Distance // vec edges: the resolved metric
 
 	// Inner-side state, built at OpenBatch: the scan probe's rows (and
-	// the vector column of a vector edge) and the per-snapshot alphabet
+	// the vector column of a vector edge) and the snapshot's alphabet
 	// coverage of a string index probe (the structures the index probes
-	// read live in the snapshots).
+	// read live in the snapshot).
 	outerIsTarget bool // probe value is the predicate's target operand
 	inner         []innerRow
 	vecs          []metric.Vector
 	calc          *editdp.Calculator
 	within        func(x, y string, radius float64) (float64, bool, error)
-	covered       []bool
+	covered       bool
 
 	// Probe state, built once and retargeted per outer row; operators are
 	// built per execution, so no two executions share it: the string
@@ -142,14 +140,11 @@ func (o *batchJoinOp) openLengthView() error {
 	o.emitWalk = func(row *relation.Row, d float64) {
 		o.matches = append(o.matches, joinMatch{t: row.Tuple, d: d})
 	}
-	o.covered = o.covered[:0]
-	for _, snap := range o.snaps {
-		o.covered = append(o.covered, covers(o.calc, snap))
-	}
+	o.covered = covers(o.calc, o.snap)
 	return nil
 }
 
-// openScan reads every inner snapshot once, keeping the rows that can
+// openScan reads the inner snapshot once, keeping the rows that can
 // match, in length order when the band applies. Reading the inner side
 // counts as candidate work, like a scan's.
 func (o *batchJoinOp) openScan() error {
@@ -167,20 +162,14 @@ func (o *batchJoinOp) openScan() error {
 		}
 		o.within = o.ctx.eng.compileWithin(o.sim.RuleSet)
 	}
-	n := 0
-	for _, snap := range o.snaps {
-		n += snap.Len()
-	}
-	o.inner = make([]innerRow, 0, n)
-	for _, snap := range o.snaps {
-		for _, t := range snap.Tuples() {
-			switch {
-			case !o.vec:
-				o.inner = append(o.inner, innerRow{t: t, val: t.Attr(innerField)})
-			case t.Vec != nil: // rows without a vector never match
-				o.inner = append(o.inner, innerRow{t: t})
-				o.vecs = append(o.vecs, t.Vec)
-			}
+	o.inner = make([]innerRow, 0, o.snap.Len())
+	for _, t := range o.snap.Tuples() {
+		switch {
+		case !o.vec:
+			o.inner = append(o.inner, innerRow{t: t, val: t.Attr(innerField)})
+		case t.Vec != nil: // rows without a vector never match
+			o.inner = append(o.inner, innerRow{t: t})
+			o.vecs = append(o.vecs, t.Vec)
 		}
 	}
 	o.local.Candidates += len(o.inner)
@@ -222,21 +211,17 @@ func (o *batchJoinOp) probe(b *Batch, i int) error {
 }
 
 // probeLengthView runs a string join value through the band walk of
-// every inner snapshot's length view.
+// the inner snapshot's length view.
 func (o *batchJoinOp) probeLengthView(pv string) {
 	o.walk.reset(pv)
-	for i, snap := range o.snaps {
-		o.local.add(o.walk.walk(snap, o.covered[i], o.emitWalk))
-	}
+	o.local.add(o.walk.walk(o.snap, o.covered, o.emitWalk))
 }
 
-// probeVecView runs a vector join value through every inner snapshot's
+// probeVecView runs a vector join value through the inner snapshot's
 // vector view.
 func (o *batchJoinOp) probeVecView(pv metric.Vector) {
-	for _, snap := range o.snaps {
-		r := o.sim.Radius
-		o.local.add(fromIndexStats(snap.VecWalk(o.m, pv, &r, o.emitVec)))
-	}
+	r := o.sim.Radius
+	o.local.add(fromIndexStats(o.snap.VecWalk(o.m, pv, &r, o.emitVec)))
 }
 
 // probeStr verifies a string join value against the inner rows: the
@@ -383,22 +368,18 @@ func (o *batchJoinOp) CloseBatch() error {
 func (o *batchJoinOp) opStats() ExecStats { return o.last }
 
 func (o *batchJoinOp) Describe() string {
-	shards := ""
-	if len(o.snaps) > 1 {
-		shards = fmt.Sprintf(" x%d shards", len(o.snaps))
-	}
 	if o.algo == "index" {
 		idx := "lengthview"
 		if o.vec {
 			idx = "vecview"
 		}
-		return fmt.Sprintf("IndexJoin(probe %s into %s(%s)%s, on %s)", o.probeField, idx, o.alias, shards, o.sim)
+		return fmt.Sprintf("IndexJoin(probe %s into %s(%s), on %s)", o.probeField, idx, o.alias, o.sim)
 	}
 	band := ""
 	if o.banded {
 		band = "[length-banded]"
 	}
-	return fmt.Sprintf("NestedLoopJoin(%s%s%s, on %s)", o.alias, band, shards, o.sim)
+	return fmt.Sprintf("NestedLoopJoin(%s%s, on %s)", o.alias, band, o.sim)
 }
 
 func (o *batchJoinOp) childNodes() []BatchOperator { return []BatchOperator{o.child} }
@@ -407,36 +388,28 @@ func (o *batchJoinOp) childNodes() []BatchOperator { return []BatchOperator{o.ch
 // decision's residual predicate filters each output row.
 //
 // The chain fans out over the streams of its start relation (fanOut):
-// one chain per shard of a sharded start, or per id-range slice of a
-// plain one in a parallel plan, under an id-ordered GatherMerge. Every
-// chain joins its stream against the FULL inner side: every snapshot of
-// each inner relation ("broadcast"). Because tuple ids are global and
-// each chain's output is ascending in outer id with inner matches
-// ascending in global inner id, the gather reproduces exactly the
-// unsharded serial plan's emission order. Broadcast is the right first
-// strategy because the hash partitioner (relation.RouteOf) is not
-// distance-preserving: rows within edit distance k of each other land
-// on unrelated shards, so a co-partitioned join does not exist without
-// a second, band-aware partitioning scheme. The scan probe's length
-// band recovers exactly that banding — per chain, over the broadcast
-// inner — without moving rows.
-func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*compiledPlan, error) {
-	relOf := map[string]relation.Table{}
+// one chain, or one per id-range slice in a parallel plan, under an
+// id-ordered GatherMerge. Every chain joins its stream against the
+// whole snapshot of each inner relation. Because each chain's output is
+// ascending in outer id with inner matches ascending in inner id, the
+// gather reproduces exactly the serial plan's emission order.
+func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []*relation.Relation) (*compiledPlan, error) {
+	relOf := map[string]*relation.Relation{}
 	for i, ref := range q.From {
 		relOf[ref.Alias] = tabs[i]
 	}
 	pred, steps := d.pred, d.steps
 
 	// Resolve metrics and note the shared structure each index step reads
-	// from its inner table: a table's structures are all ensured before
-	// its snapshots are taken, so they carry the online-maintained ones
-	// instead of building private ones per chain.
+	// from its inner relation: a relation's structures are all ensured
+	// before its snapshot is taken, so it carries the online-maintained
+	// ones instead of building private ones per chain.
 	stepMetrics := make([]metric.Distance, len(steps))
 	type reads struct {
 		lengthView bool
 		views      []metric.Distance
 	}
-	need := map[relation.Table]reads{}
+	need := map[*relation.Relation]reads{}
 	for i, step := range steps {
 		if step.vec {
 			m, ok := metric.Lookup(step.sim.RuleSet)
@@ -457,26 +430,25 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 		}
 		need[inner] = r
 	}
-	// One snapshot list per table IDENTITY: a self-join must read the
-	// same consistent cut on both sides, and a sharded table's view is
-	// captured exactly once. Resolved eagerly: the chains below run
+	// One snapshot per relation IDENTITY: a self-join must read the same
+	// consistent cut on both sides. Taken eagerly: the chains below run
 	// concurrently in the gather's workers.
-	snapsOf := map[relation.Table][]*relation.Snapshot{}
+	snapOf := map[*relation.Relation]*relation.Snapshot{}
 	for _, tab := range tabs {
-		if _, ok := snapsOf[tab]; !ok {
-			snapsOf[tab] = snapshotsOf(nil, tab, need[tab].lengthView, need[tab].views...)
+		if _, ok := snapOf[tab]; !ok {
+			snapOf[tab] = snapshotOf(tab, need[tab].lengthView, need[tab].views...)
 		}
 	}
 	start := relOf[d.start]
 	startStats := start.Stats()
 	// The rows' slots in join order: the start alias, then each step's.
 	slots := slotMap{d.start}
-	stepSnaps := make([][]*relation.Snapshot, len(steps))
+	stepSnaps := make([]*relation.Snapshot, len(steps))
 	stepStats := make([]relation.Stats, len(steps))
 	probeVals := make([]valFn, len(steps))
 	probeSlots := make([]int, len(steps))
 	for i, step := range steps {
-		stepSnaps[i] = snapsOf[relOf[step.alias]]
+		stepSnaps[i] = snapOf[relOf[step.alias]]
 		stepStats[i] = relOf[step.alias].Stats()
 		if step.vec {
 			s, err := slots.resolve(step.probeField)
@@ -496,13 +468,13 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 	// The estimate follows the decided join order with the same
 	// joinOutRowsFor formula decideJoin costed with, scaled to the stream.
 	chain := func(s stream) BatchOperator {
-		cur := float64(startStats.Count) / float64(s.shards)
+		cur := float64(startStats.Count) / float64(s.slices)
 		var op BatchOperator = trB(ctx, &batchScanOp{stream: s, ctx: ctx, alias: d.start, size: size}, cur)
 		for i, step := range steps {
 			cur = joinOutRowsFor(step.sim, cur, stepStats[i])
 			op = trB(ctx, &batchJoinOp{
 				kernelTag: kernelTag{d.kernel}, ctx: ctx, child: op, algo: step.algo, banded: step.banded,
-				snaps: stepSnaps[i], alias: step.alias, slot: i + 1, probeField: step.probeField,
+				snap: stepSnaps[i], alias: step.alias, slot: i + 1, probeField: step.probeField,
 				probeVal: probeVals[i], probeSlot: probeSlots[i],
 				sim: step.sim, size: size, vec: step.vec, m: stepMetrics[i],
 			}, cur)
@@ -514,7 +486,7 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []relation.Table) (*c
 		return op
 	}
 	return &compiledPlan{
-		root: e.wrapBatchTop(q, e.fanOut(ctx, q, d, snapsOf[start], 0, -1, chain), slots, size, ctx, false),
+		root: e.wrapBatchTop(q, e.fanOut(ctx, q, d, snapOf[start], chain), slots, size, ctx, false),
 		ctx:  ctx, columns: projectColumns(q), kernel: d.kernel,
 	}, nil
 }

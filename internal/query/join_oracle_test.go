@@ -2,17 +2,16 @@ package query
 
 // The distance-join oracle: every probe of the join operator — the
 // length-view and vector-view index probes, the scan with and without the
-// length band, under every verifier it runs — and the sharded broadcast
-// variant of each must produce the same result as a brute-force double
+// length band, under every verifier it runs — serial and split into
+// parallel slices, must produce the same result as a brute-force double
 // loop over the same data.
 //
 // Join result order is plan-dependent (which relation wins the start
 // slot is a cost decision), so results are compared as canonically-
 // encoded row sets against the brute-force model. The pledge between
-// engine configurations is stronger: the sharded engine runs the same
-// join order as the unsharded one, block size 1 the same plan as block
-// size 256, and the parallel engine the unsharded plan split into
-// id-range slices under the gather, so all five are compared
+// engine configurations is stronger: block size 1 runs the same plan as
+// block size 256, and a parallel engine the serial plan split into
+// id-range slices under the gather, so all engines are compared
 // positionally, byte for byte — including assigned dist strings, which
 // the metric layer's determinism contract makes bitwise-stable across
 // kernels.
@@ -20,7 +19,6 @@ package query
 import (
 	"fmt"
 	"math/rand"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -36,19 +34,20 @@ import (
 // degenerate row-at-a-time case and the default.
 var joinBlocks = []int{1, 256}
 
-// joinOraclePair is one unsharded/sharded engine pair per block size
-// (indexed like joinBlocks), plus an unsharded engine that runs every
+// joinOraclePair is one serial engine per block size (indexed like
+// joinBlocks), the same again over `slices` parallel slices when
+// slices > 1, and an engine at the default block size that runs every
 // join chain as four parallel streams, all over identical rows (ids
-// 0..n-1 assigned in order on both layouts).
+// 0..n-1 assigned in order).
 type joinOraclePair struct {
 	plain    []*Engine
-	sharded  []*Engine
+	sliced   []*Engine
 	parallel *Engine
 }
 
-// engines lists all five engines.
+// engines lists every engine of the pair.
 func (p *joinOraclePair) engines() []*Engine {
-	return append(append(append([]*Engine(nil), p.plain...), p.sharded...), p.parallel)
+	return append(append(append([]*Engine(nil), p.plain...), p.sliced...), p.parallel)
 }
 
 // halvesRules is a symmetric weighted rule set (every op costs 0.5, no
@@ -76,9 +75,10 @@ func swapsRules() *rewrite.RuleSet {
 	return rewrite.MustRuleSet("swaps", rules)
 }
 
-func newJoinOraclePair(t testing.TB, shards int, rows []relation.InsertRow) *joinOraclePair {
+func newJoinOraclePair(t testing.TB, slices int, rows []relation.InsertRow) *joinOraclePair {
 	t.Helper()
-	mk := func(tab relation.Table, opts ...Option) *Engine {
+	mk := func(opts ...Option) *Engine {
+		tab := relation.New("words")
 		tab.InsertBatch(rows)
 		cat := relation.NewCatalog()
 		cat.Add(tab)
@@ -95,10 +95,12 @@ func newJoinOraclePair(t testing.TB, shards int, rows []relation.InsertRow) *joi
 	}
 	p := &joinOraclePair{}
 	for _, block := range joinBlocks {
-		p.plain = append(p.plain, mk(relation.New("words"), WithBatchSize(block)))
-		p.sharded = append(p.sharded, mk(relation.NewSharded("words", shards), WithBatchSize(block)))
+		p.plain = append(p.plain, mk(WithBatchSize(block), WithParallelism(1)))
+		if slices > 1 {
+			p.sliced = append(p.sliced, mk(WithBatchSize(block), WithParallelism(slices), WithParallelMinRows(1)))
+		}
 	}
-	p.parallel = mk(relation.New("words"), WithParallelism(4), WithParallelMinRows(1))
+	p.parallel = mk(WithParallelism(4), WithParallelMinRows(1))
 	return p
 }
 
@@ -125,11 +127,7 @@ func joinOracleRows(rng *rand.Rand, n int) []relation.InsertRow {
 	return rows
 }
 
-// shardsSuffix is how a join over a sharded inner side marks the
-// broadcast in its EXPLAIN line.
-var shardsSuffix = regexp.MustCompile(` x\d+ shards`)
-
-// checkJoin runs stmt on all five engines and asserts (a) each runs the
+// checkJoin runs stmt on every engine and asserts (a) each runs the
 // probe op names, (b) they agree byte-for-byte, positionally, and (c)
 // the result matches the brute-force row set canonically.
 func (p *joinOraclePair) checkJoin(t *testing.T, stmt, op string, want []string) {
@@ -140,7 +138,7 @@ func (p *joinOraclePair) checkJoin(t *testing.T, stmt, op string, want []string)
 		if err != nil {
 			t.Fatalf("engine %d %q: %v", i, stmt, err)
 		}
-		if !strings.Contains(shardsSuffix.ReplaceAllString(res.Plan, ""), op) {
+		if !strings.Contains(res.Plan, op) {
 			t.Fatalf("engine %d %q does not run %s:\n%s", i, stmt, op, res.Plan)
 		}
 		if e == p.parallel && !strings.Contains(res.Plan, "GatherMerge(shards=4, workers=4, merge=id)") {
@@ -149,7 +147,7 @@ func (p *joinOraclePair) checkJoin(t *testing.T, stmt, op string, want []string)
 		if first == nil {
 			first = res
 		} else if positional(first) != positional(res) {
-			t.Fatalf("join diverges byte-wise for %q:\nunsharded block 1:\n%s\nengine %d (block %d):\n%s\nplan:\n%s",
+			t.Fatalf("join diverges byte-wise for %q:\nserial block 1:\n%s\nengine %d (block %d):\n%s\nplan:\n%s",
 				stmt, positional(first), i, e.BatchSize(), positional(res), res.Plan)
 		}
 	}
@@ -188,6 +186,7 @@ func TestJoinOracleEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// shards=N: the GatherMerge stream count of the sliced engines.
 	for _, shards := range []int{1, 4} {
 		p := newJoinOraclePair(t, shards, rows)
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -290,10 +289,10 @@ func TestJoinOracleEdits(t *testing.T) {
 	}
 }
 
-// TestJoinOracleLimit: a LIMIT without ORDER BY is pushed into every
-// join chain under the gather (each chain's output ascends in outer id,
-// so each contributes at most LIMIT rows to the first LIMIT), and the
-// five engines must still agree positionally on the prefix.
+// TestJoinOracleLimit: a LIMIT without ORDER BY keeps the join chain
+// serial on every engine, parallel ones included, so the chain stops at
+// the limit instead of draining every slice into the gather, and the
+// engines must still agree positionally on the prefix.
 func TestJoinOracleLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	p := newJoinOraclePair(t, 4, joinOracleRows(rng, 80))
@@ -311,6 +310,9 @@ func TestJoinOracleLimit(t *testing.T) {
 				}
 				if len(res.Rows) != lim {
 					t.Fatalf("engine %d %q: %d rows", i, stmt, len(res.Rows))
+				}
+				if strings.Contains(res.Plan, "GatherMerge") {
+					t.Fatalf("engine %d %q: a LIMIT without ORDER BY runs under a gather:\n%s", i, stmt, res.Plan)
 				}
 				if first == nil {
 					first = res
@@ -336,6 +338,7 @@ func TestJoinOracleVec(t *testing.T) {
 		{"l2", 0.8, "IndexJoin(probe a.vec into vecview(b), on"},
 		{"cosine", 0.25, "NestedLoopJoin(b, on"},
 	}
+	// shards=N: the GatherMerge stream count of the sliced engines.
 	for _, shards := range []int{1, 4} {
 		p := newJoinOraclePair(t, shards, rows)
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -370,8 +373,8 @@ func TestJoinOracleVec(t *testing.T) {
 // TestJoinOracleInterleavedDML hammers join reads on both engines while
 // a single writer per engine applies the same deterministic DML stream,
 // then re-checks full join parity against the brute-force model over
-// the converged table. Under -race this proves the broadcast-inner
-// snapshot capture is data-race free against live mutation.
+// the converged table. Under -race this proves the parallel chains'
+// inner snapshot capture is data-race free against live mutation.
 func TestJoinOracleInterleavedDML(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	rows := joinOracleRows(rng, 60)
@@ -429,7 +432,7 @@ func TestJoinOracleInterleavedDML(t *testing.T) {
 	// Converged: table contents must agree, and a final join must match
 	// the brute force over the surviving rows.
 	plainTab, _ := p.plain[0].Catalog().Lookup("words")
-	dump := func(tab relation.Table) string {
+	dump := func(tab *relation.Relation) string {
 		var b strings.Builder
 		for _, tup := range tab.Tuples() {
 			fmt.Fprintf(&b, "%d\x1f%s\n", tup.ID, tup.Seq)
@@ -439,7 +442,7 @@ func TestJoinOracleInterleavedDML(t *testing.T) {
 	for i, e := range p.engines() {
 		tab, _ := e.Catalog().Lookup("words")
 		if dump(plainTab) != dump(tab) {
-			t.Fatalf("tables diverge after interleaved DML:\nunsharded block 1:\n%s\nengine %d:\n%s",
+			t.Fatalf("tables diverge after interleaved DML:\nserial block 1:\n%s\nengine %d:\n%s",
 				dump(plainTab), i, dump(tab))
 		}
 	}

@@ -43,15 +43,12 @@ func TestExplainShowsKernelDispatch(t *testing.T) {
 // TestRuleAlphabetOneDistance: editing a byte outside the rule alphabet
 // costs +Inf under the rule set's own semantics, and every access path
 // must agree — the band walk (WITHIN at an integral, a fractional and a
-// huge radius, NEAREST), the scan filter and the index join, unsharded
-// and over 4 shards. Plain Levenshtein would admit caZ, ca-t and Cat at
+// huge radius, NEAREST), the scan filter and the index join, serial
+// and over 4 parallel slices. Plain Levenshtein would admit caZ, ca-t and Cat at
 // distance 1 from cat.
 func TestRuleAlphabetOneDistance(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		var w relation.Table = relation.New("w")
-		if shards > 1 {
-			w = relation.NewSharded("w", shards)
-		}
+	for _, slices := range []int{1, 4} {
+		w := relation.New("w")
 		for _, s := range []string{"cat", "caZ", "cot", "dog", "ca-t", "Cat"} {
 			w.Insert(s, nil)
 		}
@@ -61,7 +58,7 @@ func TestRuleAlphabetOneDistance(t *testing.T) {
 		cat := relation.NewCatalog()
 		cat.Add(w)
 		cat.Add(q)
-		e := NewEngine(cat)
+		e := NewEngine(cat, WithParallelism(slices), WithParallelMinRows(1))
 		if err := e.RegisterRuleSet(rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz")); err != nil {
 			t.Fatal(err)
 		}
@@ -85,10 +82,10 @@ func TestRuleAlphabetOneDistance(t *testing.T) {
 		} {
 			res, err := e.Execute(tc.stmt)
 			if err != nil {
-				t.Fatalf("shards=%d %s: %v", shards, tc.stmt, err)
+				t.Fatalf("slices=%d %s: %v", slices, tc.stmt, err)
 			}
 			if got := positional(res); got != tc.want || !strings.Contains(res.Plan, tc.op) {
-				t.Errorf("shards=%d %s:\ngot:\n%s\nwant (%s):\n%s\nplan:\n%s", shards, tc.stmt, got, tc.op, tc.want, res.Plan)
+				t.Errorf("slices=%d %s:\ngot:\n%s\nwant (%s):\n%s\nplan:\n%s", slices, tc.stmt, got, tc.op, tc.want, res.Plan)
 			}
 		}
 	}

@@ -13,10 +13,9 @@ package query
 //	-> Project
 //	-> Limit                when the query has LIMIT
 //
-// The access path runs once per stream of its table (batch_shard.go):
-// over each shard of a sharded table, or, for scans and scan-rooted join
-// chains over a large plain table, over id-range slices of its snapshot
-// in parallel; a GatherMerge merges the streams.
+// The access path reads its table's snapshot whole or, for scans and
+// scan-rooted join chains over a large table, as id-range slices in
+// parallel, merged by a GatherMerge (batch_shard.go).
 
 import (
 	"fmt"
@@ -64,11 +63,10 @@ type planDecision struct {
 	pred  Expr
 	start string       // accessJoin: starting alias
 	steps []stepChoice // accessJoin: greedy join order
-	// The layout of the table the plan fans out over (the join's start):
-	// shards is its shard count, 0 for a plain relation; slices > 1
-	// reads a plain table's snapshot as that many parallel id ranges.
-	shards, slices int
-	kernel         string // distance kernel serving the primary edit conjunct
+	// slices > 1 reads the snapshot of the table the plan fans out over
+	// (the join's start) as that many parallel id ranges.
+	slices int
+	kernel string // distance kernel serving the primary edit conjunct
 	// ("myers", "targetdp", "vec-<metric>", or "" when none)
 }
 
@@ -86,13 +84,13 @@ type stepChoice struct {
 	probeField FieldRef
 }
 
-// resolveFrom maps the FROM clause to catalog tables (plain or
-// sharded), rejecting unknown names and duplicate aliases.
-func (e *Engine) resolveFrom(q *Query) ([]relation.Table, error) {
+// resolveFrom maps the FROM clause to catalog relations, rejecting
+// unknown names and duplicate aliases.
+func (e *Engine) resolveFrom(q *Query) ([]*relation.Relation, error) {
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("query: FROM clause required")
 	}
-	tabs := make([]relation.Table, 0, len(q.From))
+	tabs := make([]*relation.Relation, 0, len(q.From))
 	seen := map[string]bool{}
 	for _, ref := range q.From {
 		t, ok := e.catalog.Lookup(ref.Name)
@@ -125,7 +123,7 @@ func (e *Engine) planQuery(q *Query) (*compiledPlan, error) {
 
 // decide validates the query and makes every planning choice over its
 // resolved tables. The query must be fully bound (no parameters).
-func (e *Engine) decide(q *Query, rels []relation.Table) (*planDecision, error) {
+func (e *Engine) decide(q *Query, rels []*relation.Relation) (*planDecision, error) {
 	// Validate rule sets and pattern syntax eagerly so bad queries fail
 	// before execution.
 	if err := e.validateExpr(q.Where); err != nil {
@@ -138,7 +136,7 @@ func (e *Engine) decide(q *Query, rels []relation.Table) (*planDecision, error) 
 	var d *planDecision
 	var err error
 	if ne, ok := q.Where.(NearestExpr); ok {
-		d, err = e.decideNearest(q, ne, rels[0])
+		d, err = e.decideNearest(q, ne)
 	} else if len(q.From) == 1 {
 		d, err = e.decideSingle(q, rels[0])
 	} else {
@@ -211,14 +209,12 @@ func isVecNearest(ne *NearestExpr) bool {
 // access path — the band walk of the length-ordered view — so there is
 // nothing to choose. Over the vector column the metric picks it: the
 // vector view when the metric satisfies the triangle inequality (the
-// view's pruning invariant), a bounded scan otherwise (cosine). Over a
-// sharded relation every shard runs the path and a rank-aware gather
-// merges the shard top-k lists.
-func (e *Engine) decideNearest(q *Query, ne NearestExpr, tab relation.Table) (*planDecision, error) {
+// view's pruning invariant), a bounded scan otherwise (cosine).
+func (e *Engine) decideNearest(q *Query, ne NearestExpr) (*planDecision, error) {
 	if len(q.From) != 1 {
 		return nil, fmt.Errorf("query: NEAREST requires a single relation")
 	}
-	d := &planDecision{kind: accessNearest, shards: shardsOf(tab), slices: 1}
+	d := &planDecision{kind: accessNearest, slices: 1}
 	if isVecNearest(&ne) {
 		m, ok := metric.Lookup(ne.RuleSet)
 		if !ok {
@@ -272,11 +268,9 @@ func (e *Engine) rangeIndexable(sim *SimExpr) bool {
 // band walk of the length-ordered view; a vector conjunct under a
 // triangular metric is a VecRange, the walk of the vector view;
 // everything else is a (possibly parallel) scan with the full predicate
-// as a filter. Over a sharded relation the decision becomes a
-// scatter-gather plan: every shard runs the chosen access path on its
-// own snapshot and an id-ordered gather restores the serial scan order.
-func (e *Engine) decideSingle(q *Query, tab relation.Table) (*planDecision, error) {
-	d := &planDecision{kind: accessScan, shards: shardsOf(tab), slices: 1}
+// as a filter.
+func (e *Engine) decideSingle(q *Query, tab *relation.Relation) (*planDecision, error) {
+	d := &planDecision{kind: accessScan, slices: 1}
 	if sim, pred, leafDist := rangeConjunct(q.Where, e.rangeIndexable); sim != nil {
 		d.kind, d.sim, d.pred, d.leafDist = accessRange, sim, pred, leafDist
 		return d, nil
@@ -288,10 +282,8 @@ func (e *Engine) decideSingle(q *Query, tab relation.Table) (*planDecision, erro
 		}
 	}
 	d.pred = simplifyExpr(q.Where)
-	if d.shards == 0 {
-		// A bare scan has no per-tuple verification work to parallelise.
-		d.slices = e.decideParallel(q, tab.Stats().Count, !isTrivial(d.pred))
-	}
+	// A bare scan has no per-tuple verification work to parallelise.
+	d.slices = e.decideParallel(q, tab.Stats().Count, !isTrivial(d.pred))
 	return d, nil
 }
 
@@ -299,12 +291,9 @@ func (e *Engine) decideSingle(q *Query, tab relation.Table) (*planDecision, erro
 // estimated cost; similarity edges come from top-level similarity
 // conjuncts between two aliases (SIMILAR TO or ON dist(...) <= k). Each
 // edge's probe follows from what its inner side offers (chooseJoinAlgo);
-// its cost only orders the chain. A join
-// starting from a sharded relation becomes a scatter-gather plan: one
-// chain per outer shard, every inner side read whole, merged by outer id
-// under GatherMerge (see buildJoin).
-func (e *Engine) decideJoin(q *Query, rels []relation.Table) (*planDecision, error) {
-	relOf := map[string]relation.Table{}
+// its cost only orders the chain.
+func (e *Engine) decideJoin(q *Query, rels []*relation.Relation) (*planDecision, error) {
+	relOf := map[string]*relation.Relation{}
 	pos := map[string]int{}
 	for i, ref := range q.From {
 		relOf[ref.Alias] = rels[i]
@@ -373,12 +362,8 @@ func (e *Engine) decideJoin(q *Query, rels []relation.Table) (*planDecision, err
 		}
 	}
 
-	d := &planDecision{kind: accessJoin, start: start, steps: steps, pred: simplifyExpr(residual),
-		shards: shardsOf(relOf[start]), slices: 1}
-	if d.shards == 0 {
-		d.slices = e.decideParallel(q, relOf[start].Stats().Count, true)
-	}
-	return d, nil
+	return &planDecision{kind: accessJoin, start: start, steps: steps, pred: simplifyExpr(residual),
+		slices: e.decideParallel(q, relOf[start].Stats().Count, true)}, nil
 }
 
 // chooseJoinAlgo picks the probe for one similarity edge by what the
@@ -430,7 +415,7 @@ func joinOutRowsFor(edge *SimExpr, outerRows float64, inner relation.Stats) floa
 }
 
 // decideParallel returns how many id-range slices a scan-rooted
-// pipeline over a plain table runs as, one per worker, or 1 for none:
+// pipeline runs as, one per worker, or 1 for none:
 // the outer relation must be large enough and there must be per-tuple
 // work to spread. A LIMIT without ORDER BY stays serial: the serial
 // pipeline can stop at the limit, while the gather must drain every
@@ -457,17 +442,13 @@ func (e *Engine) decideParallel(q *Query, outerRows int, hasWork bool) int {
 // index the shared online-maintained structure is ensured *before*
 // snapshotting, so the snapshot's head carries it and no per-query
 // build happens.
-func (e *Engine) buildPlan(q *Query, d *planDecision, tabs []relation.Table) (*compiledPlan, error) {
+func (e *Engine) buildPlan(q *Query, d *planDecision, tabs []*relation.Relation) (*compiledPlan, error) {
 	if d.kind == accessJoin {
 		return e.buildJoin(q, d, tabs)
 	}
 	tab := tabs[0]
-	// A plain table's one snapshot needs no slice of its own.
-	var one [1]*relation.Snapshot
-	snaps := snapshotsOf(one[:0], tab, d.via == "" && d.kind != accessScan, d.m)
-	n, gathered := d.streams()
-	total := tab.Stats()
-	st := shardStats(total, n)
+	snap := snapshotOf(tab, d.via == "" && d.kind != accessScan, d.m)
+	st := shardStats(tab.Stats(), d.slices)
 	ctx := &execCtx{eng: e, traced: q.Analyze || e.tracing.Load()}
 	alias := q.From[0].Alias
 	slots := slotMap{alias}
@@ -485,19 +466,15 @@ func (e *Engine) buildPlan(q *Query, d *planDecision, tabs []relation.Table) (*c
 	// A leaf that holds every match and supplies the row's distance sorts
 	// for the ORDER BY itself; no OrderByDist is built above it (a
 	// residual Filter keeps its order and never overwrites a distance).
-	// Under a gather the leaves emit the order the merge reads.
+	// Only scans, which never sort, run sliced under a gather.
 	order := q.Order
-	if gathered {
-		order = OrderNone
-	}
-	ordered, k, est := false, 0, -1.0
+	ordered := false
 	var leaf func(stream) BatchOperator
 	switch d.kind {
 	case accessNearest:
 		ne := q.Where.(NearestExpr)
-		ordered, k = !gathered, ne.K
+		ordered = true
 		if isVecNearest(&ne) {
-			est = estNearestRows(total.VecCount, ne.K)
 			leaf = func(s stream) BatchOperator {
 				return trB(ctx, &batchVecNearestKOp{
 					kernelTag: tag, ctx: ctx, matchList: matchList{stream: s, alias: alias, size: size, order: order},
@@ -506,7 +483,6 @@ func (e *Engine) buildPlan(q *Query, d *planDecision, tabs []relation.Table) (*c
 			}
 			break
 		}
-		est = estNearestRows(total.Count, ne.K)
 		leaf = func(s stream) BatchOperator {
 			return trB(ctx, &batchNearestKOp{
 				kernelTag: tag, ctx: ctx, matchList: matchList{stream: s, alias: alias, size: size, order: order},
@@ -518,7 +494,7 @@ func (e *Engine) buildPlan(q *Query, d *planDecision, tabs []relation.Table) (*c
 		if !d.leafDist {
 			order = OrderNone
 		}
-		ordered = d.leafDist && !gathered
+		ordered = d.leafDist
 		leaf = func(s stream) BatchOperator {
 			ml := matchList{stream: s, alias: alias, size: size, order: order, noDist: !d.leafDist}
 			if d.via == "vecview" {
@@ -540,7 +516,7 @@ func (e *Engine) buildPlan(q *Query, d *planDecision, tabs []relation.Table) (*c
 		return nil, fmt.Errorf("query: unknown access kind %d", d.kind)
 	}
 	return &compiledPlan{
-		root: e.wrapBatchTop(q, e.fanOut(ctx, q, d, snaps, k, est, leaf), slots, size, ctx, ordered),
+		root: e.wrapBatchTop(q, e.fanOut(ctx, q, d, snap, leaf), slots, size, ctx, ordered),
 		ctx:  ctx, columns: projectColumns(q), kernel: d.kernel,
 	}, nil
 }
@@ -798,7 +774,7 @@ func firstJoinSim(ex Expr) *SimExpr {
 // extractJoinSims collects every top-level SimExpr conjunct whose field
 // and target reference two different known aliases; the residual is the
 // predicate with those conjuncts replaced by TRUE.
-func extractJoinSims(ex Expr, known map[string]relation.Table) ([]*SimExpr, Expr) {
+func extractJoinSims(ex Expr, known map[string]*relation.Relation) ([]*SimExpr, Expr) {
 	switch ex := ex.(type) {
 	case SimExpr:
 		if !ex.Target.IsLit && !ex.Pattern {

@@ -102,7 +102,7 @@ func TestBenchmarkPlanSkeletons(t *testing.T) {
 }
 
 // TestIndexAndNestedLoopJoins drives the index and scan probes at block
-// sizes 1 and 256, unsharded and over 4 shards, against a brute-force
+// sizes 1 and 256, serial and over 4 parallel slices, against a brute-force
 // double loop: a one-row probe relation joined at radius 0 to short
 // strings (the length view, at the radius that visits one band) and
 // within 0.5 under l2 to 3-dim vectors (the vector view). The weighted
@@ -132,17 +132,14 @@ func TestIndexAndNestedLoopJoins(t *testing.T) {
 			}
 		}
 	}
-	mk := func(shards, block int) *Engine {
-		var w, p relation.Table = relation.New("words"), relation.New("probe")
-		if shards > 1 {
-			w, p = relation.NewSharded("words", shards), relation.NewSharded("probe", shards)
-		}
+	mk := func(slices, block int) *Engine {
+		w, p := relation.New("words"), relation.New("probe")
 		w.InsertBatch(rows)
 		p.InsertBatch([]relation.InsertRow{probe})
 		cat := relation.NewCatalog()
 		cat.Add(w)
 		cat.Add(p)
-		e := NewEngine(cat, WithBatchSize(block))
+		e := NewEngine(cat, WithBatchSize(block), WithParallelism(slices), WithParallelMinRows(1))
 		for _, rs := range []*rewrite.RuleSet{
 			rewrite.MustRuleSet("edits", rewrite.UnitEdits("abc").Rules()),
 			rewrite.MustRuleSet("half", half),
@@ -190,28 +187,28 @@ func TestIndexAndNestedLoopJoins(t *testing.T) {
 		}
 		sort.Strings(c.want)
 		var first *Result
-		for _, shards := range []int{1, 4} {
+		for _, slices := range []int{1, 4} {
 			for _, block := range []int{1, 256} {
-				e := mk(shards, block)
+				e := mk(slices, block)
 				res, err := e.Execute(c.stmt)
 				if err != nil {
-					t.Fatalf("shards=%d block=%d %s: %v", shards, block, c.stmt, err)
+					t.Fatalf("slices=%d block=%d %s: %v", slices, block, c.stmt, err)
 				}
 				if !strings.Contains(res.Plan, c.op) {
-					t.Fatalf("shards=%d block=%d %s: not planned as %s:\n%s", shards, block, c.stmt, c.op, res.Plan)
+					t.Fatalf("slices=%d block=%d %s: not planned as %s:\n%s", slices, block, c.stmt, c.op, res.Plan)
 				}
-				if (shards > 1) != strings.Contains(res.Plan, "GatherMerge(shards=4") {
-					t.Fatalf("shards=%d block=%d %s: gather placement:\n%s", shards, block, c.stmt, res.Plan)
+				if (slices > 1) != strings.Contains(res.Plan, "GatherMerge(shards=4") {
+					t.Fatalf("slices=%d block=%d %s: gather placement:\n%s", slices, block, c.stmt, res.Plan)
 				}
 				if got := canonical(res); got != strings.Join(c.want, "\n") {
-					t.Fatalf("shards=%d block=%d %s diverges from brute force:\ngot:\n%s\nwant:\n%s",
-						shards, block, c.stmt, got, strings.Join(c.want, "\n"))
+					t.Fatalf("slices=%d block=%d %s diverges from brute force:\ngot:\n%s\nwant:\n%s",
+						slices, block, c.stmt, got, strings.Join(c.want, "\n"))
 				}
 				if first == nil {
 					first = res
 				} else if positional(first) != positional(res) {
-					t.Fatalf("shards=%d block=%d %s: emission order diverges from unsharded block 1:\n%s\nvs\n%s",
-						shards, block, c.stmt, positional(res), positional(first))
+					t.Fatalf("slices=%d block=%d %s: emission order diverges from serial block 1:\n%s\nvs\n%s",
+						slices, block, c.stmt, positional(res), positional(first))
 				}
 			}
 		}

@@ -4,7 +4,7 @@ package query
 // the parsed template, and every execution binds it, plans the bound
 // query afresh and runs the plan: planning reads only the bound query,
 // the rule-set and metric registries and O(1) table statistics, so the
-// plan — its access path, its kernel, its shard layout — always follows
+// plan — its access path, its kernel, its parallel slices — always follows
 // the binding and the data it runs on. Every statement the engine runs
 // is one: Engine.Execute prepares its text through the statement cache
 // (plancache.go) and runs it without arguments. A PreparedQuery is safe

@@ -194,7 +194,7 @@ func TestPreparedSkipsReplanning(t *testing.T) {
 	}
 	checkLikeFresh(t, e, stmt, "wordxx", 2)
 
-	rel, _ := e.Catalog().Get("dict")
+	rel, _ := e.Catalog().Lookup("dict")
 	rel.Insert("wordyy", nil)
 	if res := checkLikeFresh(t, e, stmt, "wordyy", 1); !reflect.DeepEqual(res.Rows, [][]string{{"wordyy"}}) {
 		t.Errorf("after catalog mutation: rows %v, want the inserted wordyy", res.Rows)
@@ -223,7 +223,7 @@ func TestPreparedConcurrent(t *testing.T) {
 	writers.Add(2)
 	go func() {
 		defer writers.Done()
-		rel, _ := e.Catalog().Get("dict")
+		rel, _ := e.Catalog().Lookup("dict")
 		for i := 0; i < 20000; i++ { // bounded: the relation stays small
 			select {
 			case <-stop:
@@ -366,7 +366,7 @@ func TestPrepareSharesStatementPerText(t *testing.T) {
 // entry.
 func TestPlanCacheLiteralWhitespaceDistinct(t *testing.T) {
 	e := testEngine(t)
-	rel, _ := e.Catalog().Get("words")
+	rel, _ := e.Catalog().Lookup("words")
 	rel.Insert("a b", nil)
 	rel.Insert("a  b", nil)
 	one, err := e.Execute(`SELECT seq FROM words WHERE seq = "a b"`)
@@ -435,7 +435,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	if _, err := e.Execute(stmt); err != nil {
 		t.Fatal(err)
 	}
-	rel, _ := e.Catalog().Get("words")
+	rel, _ := e.Catalog().Lookup("words")
 	rel.Insert("zzzap", nil)
 	res, err := e.Execute(stmt)
 	if err != nil {

@@ -1,12 +1,14 @@
 package query
 
-// The sharding oracle: for randomized datasets, statements and shard
-// counts, a sharded engine must be indistinguishable from (a) the
-// unsharded engine and (b) a brute-force model of the query semantics.
+// The gather oracle: for randomized datasets, statements and slice
+// counts, an engine that runs every scan with per-row work as that many
+// parallel id-range slices under a GatherMerge(shards=N) must be
+// indistinguishable from (a) the serial engine and (b) a brute-force
+// model of the query semantics.
 //
 // Identity is byte-level and positional: every reply has an
 // engine-defined total order — WITHIN and full-table dumps ascending id
-// (the band walk sorts its matches by id, the gather merges shards by
+// (the band walk sorts its matches by id, the gather merges slices by
 // id), NEAREST (dist, id), ORDER BY dist a stable sort of the id order —
 // so replies are compared byte for byte in emitted order. DML must leave
 // both engines with byte-identical table contents — including assigned
@@ -93,20 +95,21 @@ func (o *oracleDB) updateIDs(ids []int, newSeq string) {
 	o.updateRows(ids, func(r *oracleRow) { r.seq = newSeq })
 }
 
-// oraclePair is one unsharded/sharded engine pair over the same logical
+// oraclePair is one serial/parallel engine pair over the same logical
 // relation plus the brute-force model.
 type oraclePair struct {
-	plain   *Engine
-	sharded *Engine
-	model   *oracleDB
+	plain    *Engine
+	parallel *Engine // slices parallel slices (serial too when slices is 1)
+	slices   int
+	model    *oracleDB
 }
 
-func newOraclePair(t *testing.T, shards, block int) *oraclePair {
+func newOraclePair(t *testing.T, slices, block int) *oraclePair {
 	t.Helper()
-	mk := func(tab relation.Table) *Engine {
+	mk := func(opts ...Option) *Engine {
 		cat := relation.NewCatalog()
-		cat.Add(tab)
-		e := NewEngine(cat, WithBatchSize(block))
+		cat.Add(relation.New("words"))
+		e := NewEngine(cat, append(opts, WithBatchSize(block))...)
 		rs := rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())
 		if err := e.RegisterRuleSet(rs); err != nil {
 			t.Fatal(err)
@@ -114,9 +117,10 @@ func newOraclePair(t *testing.T, shards, block int) *oraclePair {
 		return e
 	}
 	return &oraclePair{
-		plain:   mk(relation.New("words")),
-		sharded: mk(relation.NewSharded("words", shards)),
-		model:   &oracleDB{},
+		plain:    mk(WithParallelism(1)),
+		parallel: mk(WithParallelism(slices), WithParallelMinRows(1)),
+		slices:   slices,
+		model:    &oracleDB{},
 	}
 }
 
@@ -126,11 +130,11 @@ func (p *oraclePair) exec(t *testing.T, stmt string, apply func(*oracleDB)) {
 	t.Helper()
 	a, err := p.plain.Execute(stmt)
 	if err != nil {
-		t.Fatalf("unsharded %q: %v", stmt, err)
+		t.Fatalf("serial %q: %v", stmt, err)
 	}
-	b, err := p.sharded.Execute(stmt)
+	b, err := p.parallel.Execute(stmt)
 	if err != nil {
-		t.Fatalf("sharded %q: %v", stmt, err)
+		t.Fatalf("parallel %q: %v", stmt, err)
 	}
 	if a.Columns[0] == "count" && a.Rows[0][0] != b.Rows[0][0] {
 		t.Fatalf("%q: affected-count diverges: %s vs %s", stmt, a.Rows[0][0], b.Rows[0][0])
@@ -144,9 +148,9 @@ func (p *oraclePair) exec(t *testing.T, stmt string, apply func(*oracleDB)) {
 // engines and the model.
 func (p *oraclePair) checkTableParity(t *testing.T) {
 	t.Helper()
-	plain, sharded, model := dumpWords(p.plain), dumpWords(p.sharded), p.model.dump()
-	if plain != sharded {
-		t.Fatalf("table contents diverge:\nunsharded:\n%s\nsharded:\n%s", plain, sharded)
+	plain, parallel, model := dumpWords(p.plain), dumpWords(p.parallel), p.model.dump()
+	if plain != parallel {
+		t.Fatalf("table contents diverge:\nserial:\n%s\nparallel:\n%s", plain, parallel)
 	}
 	if plain != model {
 		t.Fatalf("engines diverge from oracle:\nengine:\n%s\noracle:\n%s", plain, model)
@@ -182,9 +186,10 @@ func randOracleSeq(rng *rand.Rand) string {
 }
 
 // TestShardOracleParity is the main oracle property test: randomized
-// datasets, queries and DML over shard counts 1, 2, 4 and 7 and block
-// sizes 1 and 256, with the sharded engine checked byte-for-byte against
-// the unsharded engine and the brute-force model after every batch.
+// datasets, queries and DML over slice counts 1, 2, 4 and 7 (shards=N,
+// the GatherMerge's stream count) and block sizes 1 and 256, with the
+// parallel engine checked byte-for-byte against the serial engine and
+// the brute-force model after every batch.
 func TestShardOracleParity(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -253,8 +258,11 @@ func shardOracleParity(t *testing.T, shards, block int) {
 		// engines and the model (distances tie often over this alphabet,
 		// so the id tie-break is exercised), and the paper's monotonicity
 		// WITHIN r ⊆ WITHIN r' for r <= r' on the engine's own replies.
-		// The unsharded leaf sorts for the ORDER BY itself; the sharded
-		// plan keeps an OrderByDist above the gather.
+		// The band walk is never sliced: both engines plan the same leaf,
+		// which sorts for the ORDER BY itself. The same predicate OR an
+		// impossible equality forces a scan, which the parallel engine
+		// slices — with the OrderByDist above the gather for an ORDER BY,
+		// and serially for a LIMIT without one, so the pipeline can stop.
 		for i := 0; i < 4; i++ {
 			target := randOracleSeq(rng)
 			r, lim := rng.Intn(3), fmt.Sprintf(" LIMIT %d", 1+rng.Intn(4))
@@ -263,30 +271,42 @@ func shardOracleParity(t *testing.T, shards, block int) {
 			for _, radius := range []float64{float64(r), float64(r) + 0.5, float64(r) + 1} {
 				stmt := fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq SIMILAR TO %q WITHIN %g USING edits`, target, radius)
 				var bare []string // the engine's rows for the bare statement
-				for _, suffix := range []string{
-					"", " ORDER BY dist", " ORDER BY dist DESC",
-					lim, " ORDER BY dist" + lim, " ORDER BY dist DESC" + lim,
-					tagged + " ORDER BY dist DESC" + lim,
-				} {
-					a, err := p.plain.Execute(stmt + suffix)
-					if err != nil {
-						t.Fatal(err)
+				for _, scan := range []bool{false, true} {
+					s := stmt
+					if scan {
+						s += ` OR seq = "#"`
 					}
-					b, err := p.sharded.Execute(stmt + suffix)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if strings.Contains(suffix, "ORDER BY") &&
-						(strings.Contains(a.Plan, "OrderByDist") || !strings.Contains(b.Plan, "OrderByDist")) {
-						t.Fatalf("%s%s: the unsharded leaf must sort, the sharded plan must not:\n%s\n%s", stmt, suffix, a.Plan, b.Plan)
-					}
-					if positional(a) != positional(b) {
-						t.Fatalf("%s%s diverges:\nunsharded:\n%s\nsharded:\n%s", stmt, suffix, positional(a), positional(b))
-					}
-					p.model.checkModel(t, stmt+suffix, b)
-					if suffix == "" {
-						for _, row := range b.Rows {
-							bare = append(bare, strings.Join(row, "\x1f"))
+					for _, suffix := range []string{
+						"", " ORDER BY dist", " ORDER BY dist DESC",
+						lim, " ORDER BY dist" + lim, " ORDER BY dist DESC" + lim,
+						tagged + " ORDER BY dist DESC" + lim,
+					} {
+						a, err := p.plain.Execute(s + suffix)
+						if err != nil {
+							t.Fatal(err)
+						}
+						b, err := p.parallel.Execute(s + suffix)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ordered := strings.Contains(suffix, "ORDER BY")
+						gathered := scan && p.slices > 1 && (ordered || !strings.Contains(suffix, "LIMIT"))
+						switch {
+						case !gathered && a.Plan != b.Plan:
+							t.Fatalf("%s%s: the engines plan differently:\n%s\n%s", s, suffix, a.Plan, b.Plan)
+						case gathered && !strings.Contains(b.Plan, fmt.Sprintf("GatherMerge(shards=%d", p.slices)):
+							t.Fatalf("%s%s: the parallel scan does not run under the gather:\n%s", s, suffix, b.Plan)
+						case gathered && ordered && !strings.Contains(b.Plan, "OrderByDist"):
+							t.Fatalf("%s%s: no OrderByDist above the gather:\n%s", s, suffix, b.Plan)
+						}
+						if positional(a) != positional(b) {
+							t.Fatalf("%s%s diverges:\nserial:\n%s\nparallel:\n%s", s, suffix, positional(a), positional(b))
+						}
+						p.model.checkModel(t, s+suffix, b)
+						if suffix == "" && !scan {
+							for _, row := range b.Rows {
+								bare = append(bare, strings.Join(row, "\x1f"))
+							}
 						}
 					}
 				}
@@ -304,10 +324,9 @@ func shardOracleParity(t *testing.T, shards, block int) {
 		}
 
 		// NEAREST: positional byte identity — the (dist, id) order is
-		// engine-defined, so sharded, unsharded and the model must agree
-		// on every byte including order, also when ORDER BY dist DESC
-		// turns the best list around (the unsharded leaf re-sorts it by
-		// (dist desc, id), the sharded plan sorts above the gather).
+		// engine-defined, so both engines and the model must agree on
+		// every byte including order, also when ORDER BY dist DESC turns
+		// the best list around (the leaf re-sorts it by (dist desc, id)).
 		for i := 0; i < 4; i++ {
 			target := randOracleSeq(rng)
 			k := 1 + rng.Intn(8)
@@ -317,12 +336,12 @@ func shardOracleParity(t *testing.T, shards, block int) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := p.sharded.Execute(stmt + suffix)
+				b, err := p.parallel.Execute(stmt + suffix)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if positional(a) != positional(b) {
-					t.Fatalf("NEAREST diverges for %q:\nunsharded:\n%s\nsharded:\n%s", stmt+suffix, positional(a), positional(b))
+					t.Fatalf("NEAREST diverges for %q:\nserial:\n%s\nparallel:\n%s", stmt+suffix, positional(a), positional(b))
 				}
 				p.model.checkModel(t, stmt+suffix, b)
 			}
@@ -334,7 +353,7 @@ func shardOracleParity(t *testing.T, shards, block int) {
 // stream through each engine's single writer while concurrent readers
 // hammer snapshot queries, then asserts the engines and the oracle
 // converge to byte-identical state. Under -race this also proves the
-// scatter-gather path is data-race free against live mutation.
+// gather path is data-race free against live mutation.
 func TestShardOracleInterleavedWrites(t *testing.T) {
 	for _, shards := range []int{2, 7} {
 		shards := shards
@@ -368,7 +387,7 @@ func TestShardOracleInterleavedWrites(t *testing.T) {
 
 			var wg sync.WaitGroup
 			writeErr := make(chan error, 2)
-			for _, eng := range []*Engine{p.plain, p.sharded} {
+			for _, eng := range []*Engine{p.plain, p.parallel} {
 				eng := eng
 				wg.Add(1)
 				go func() {
@@ -385,6 +404,7 @@ func TestShardOracleInterleavedWrites(t *testing.T) {
 				`SELECT id, seq, dist FROM words WHERE seq SIMILAR TO "abab" WITHIN 2 USING edits`,
 				`SELECT id, seq, dist FROM words WHERE seq NEAREST 5 TO "cdcd" USING edits`,
 				`SELECT id, seq FROM words`,
+				`SELECT id, seq, dist FROM words WHERE seq SIMILAR TO "abab" WITHIN 2 USING edits OR seq = "#"`,
 			}
 			readErr := make(chan error, 4)
 			for r := 0; r < 4; r++ {
@@ -392,7 +412,7 @@ func TestShardOracleInterleavedWrites(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					eng := p.sharded
+					eng := p.parallel
 					if r%2 == 0 {
 						eng = p.plain
 					}

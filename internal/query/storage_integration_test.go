@@ -189,7 +189,7 @@ func TestWALReplayAndIndexIdentity10k(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	w2, _ := cat2.Get("w")
+	w2, _ := cat2.Lookup("w")
 	if got := w2.Tuples(); !reflect.DeepEqual(got, wantTuples) {
 		t.Fatalf("replayed state diverges: %d vs %d rows", len(got), len(wantTuples))
 	}

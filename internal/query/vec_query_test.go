@@ -3,7 +3,7 @@ package query
 // Vector query tests: basic NEAREST/WITHIN execution over the vec
 // column, EXPLAIN surface (access path, metric, batch kernel labels),
 // prepared-statement binding, vec DML, and the parity oracle pinning
-// block-size × shard-count results byte-identical to a brute-force
+// block-size × slice-count results byte-identical to a brute-force
 // model across dimensions, metrics and k/radius sweeps.
 
 import (
@@ -23,23 +23,16 @@ import (
 )
 
 // vecEngine builds an engine over an "items" relation preloaded with
-// rows (ids are assigned 0..n-1 in order, identically for sharded and
-// unsharded relations — the parity tests depend on that).
-func vecEngine(t testing.TB, shards, batchSize int, rows []relation.InsertRow) *Engine {
+// rows (ids are assigned 0..n-1 in order — the parity tests depend on
+// that), serial for slices 1, otherwise running every scan with per-row
+// work as that many parallel slices.
+func vecEngine(t testing.TB, slices, batchSize int, rows []relation.InsertRow) *Engine {
 	t.Helper()
-	var tab relation.Table
-	if shards > 1 {
-		s := relation.NewSharded("items", shards)
-		s.InsertBatch(rows)
-		tab = s
-	} else {
-		r := relation.New("items")
-		r.InsertBatch(rows)
-		tab = r
-	}
+	r := relation.New("items")
+	r.InsertBatch(rows)
 	cat := relation.NewCatalog()
-	cat.Add(tab)
-	return NewEngine(cat, WithBatchSize(batchSize))
+	cat.Add(r)
+	return NewEngine(cat, WithBatchSize(batchSize), WithParallelism(slices), WithParallelMinRows(1))
 }
 
 func vecRows(vecs ...metric.Vector) []relation.InsertRow {
@@ -217,12 +210,25 @@ func TestVecShardedExplain(t *testing.T) {
 		metric.Vector{2, 2},
 		metric.Vector{3, 1},
 	))
-	plan, err := e.Execute(`EXPLAIN SELECT id FROM items WHERE vec NEAREST 2 TO [0, 0] USING l2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan.Plan, "VecNearestK(items via vecview, shard 0/4, k=2, metric=l2)") {
-		t.Fatalf("sharded NEAREST plan:\n%s", plan.Plan)
+	// The vector view walk reads its snapshot whole; the cosine scan is
+	// sliced, and its ORDER BY dist sorts above the gather.
+	for _, c := range []struct{ stmt, want string }{
+		{`EXPLAIN SELECT id FROM items WHERE vec NEAREST 2 TO [0, 0] USING l2`,
+			"VecNearestK(items via vecview, k=2, metric=l2)"},
+		{`EXPLAIN SELECT id FROM items WHERE vec SIMILAR TO [1, 1] WITHIN 0.5 USING cosine ORDER BY dist`,
+			"OrderByDist"},
+		{`EXPLAIN SELECT id FROM items WHERE vec SIMILAR TO [1, 1] WITHIN 0.5 USING cosine`,
+			"GatherMerge(shards=4, workers=4, merge=id)"},
+		{`EXPLAIN SELECT id FROM items WHERE vec SIMILAR TO [1, 1] WITHIN 0.5 USING cosine`,
+			"Scan(items, shard 0/4)"},
+	} {
+		plan, err := e.Execute(c.stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan.Plan, c.want) {
+			t.Fatalf("%s: plan lacks %q:\n%s", c.stmt, c.want, plan.Plan)
+		}
 	}
 }
 
@@ -407,13 +413,13 @@ func randVec(rng *rand.Rand, dim int) metric.Vector {
 }
 
 // TestVecShardBatchOracleParity pins every execution strategy — block
-// sizes {1, 5, 256}, unsharded and {4, 7}-shard relations, vector view
+// sizes {1, 5, 256}, serial and over {4, 7} parallel slices, vector view
 // and scan access — byte-identical and positionally identical to the
 // brute-force model, across dimensions, both metrics, k/radius/LIMIT
 // sweeps, ORDER BY dist in both directions and interleaved INSERT
 // batches. WITHIN replies come in ascending id order on every path, so
-// a LIMIT keeps the smallest ids; under ORDER BY dist the unsharded
-// leaves sort themselves and the sharded plans sort above the gather.
+// a LIMIT keeps the smallest ids; under ORDER BY dist the view leaves
+// sort themselves and the sliced cosine scans sort above the gather.
 func TestVecShardBatchOracleParity(t *testing.T) {
 	for _, dim := range []int{2, 8, 64} {
 		dim := dim
@@ -436,18 +442,18 @@ func TestVecShardBatchOracleParity(t *testing.T) {
 
 			type cfg struct {
 				name   string
-				shards int
+				slices int
 				batch  int
 			}
 			var cfgs []cfg
-			for _, shards := range []int{1, 4, 7} {
+			for _, slices := range []int{1, 4, 7} {
 				for _, batch := range []int{1, 5, 256} {
-					cfgs = append(cfgs, cfg{fmt.Sprintf("shards%d-block%d", shards, batch), shards, batch})
+					cfgs = append(cfgs, cfg{fmt.Sprintf("slices%d-block%d", slices, batch), slices, batch})
 				}
 			}
 			engines := make([]*Engine, len(cfgs))
 			for i, c := range cfgs {
-				engines[i] = vecEngine(t, c.shards, c.batch, rows)
+				engines[i] = vecEngine(t, c.slices, c.batch, rows)
 			}
 
 			check := func() {
@@ -513,7 +519,7 @@ func TestVecShardBatchOracleParity(t *testing.T) {
 			check()
 			// Interleave an INSERT batch through the DML path and re-check:
 			// the new rows land in the vector views' tails, ids stay
-			// aligned across shard counts.
+			// aligned across slice counts.
 			for round := 0; round < 2; round++ {
 				var lits []string
 				for i := 0; i < 6; i++ {
@@ -540,7 +546,7 @@ func TestVecShardBatchOracleParity(t *testing.T) {
 // second here; the planner serves it through the vector view at every
 // radius, and a trailing OR conjunct that matches nothing forces the
 // scan. dist must be the weighted edit distance of the first conjunct on
-// both plans, unsharded and over four shards, in id order and under
+// both plans, serial and over four parallel slices, in id order and under
 // ORDER BY dist.
 func TestVecRangeDistIsFirstSimilarity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -594,8 +600,8 @@ func TestVecRangeDistIsFirstSimilarity(t *testing.T) {
 		}
 		byDist := slices.Clone(hits)
 		sort.SliceStable(byDist, func(i, j int) bool { return byDist[i].d < byDist[j].d })
-		for _, shards := range []int{1, 4} {
-			e := vecEngine(t, shards, 256, rows)
+		for _, slices := range []int{1, 4} {
+			e := vecEngine(t, slices, 256, rows)
 			if err := e.RegisterRuleSet(half); err != nil {
 				t.Fatal(err)
 			}
@@ -612,10 +618,10 @@ func TestVecRangeDistIsFirstSimilarity(t *testing.T) {
 						t.Fatal(err)
 					}
 					if got := positional(res); got != c.want {
-						t.Fatalf("shards=%d %s%s: dist is not the first conjunct's:\ngot:\n%s\nwant:\n%s\nplan:\n%s",
-							shards, p.stmt, c.suffix, got, c.want, res.Plan)
+						t.Fatalf("slices=%d %s%s: dist is not the first conjunct's:\ngot:\n%s\nwant:\n%s\nplan:\n%s",
+							slices, p.stmt, c.suffix, got, c.want, res.Plan)
 					}
-					if shards == 1 && c.suffix == "" && !strings.Contains(res.Plan, p.access) {
+					if slices == 1 && c.suffix == "" && !strings.Contains(res.Plan, p.access) {
 						t.Fatalf("r=%g %s no longer plans %s:\n%s", r, p.stmt, p.access, res.Plan)
 					}
 				}
@@ -628,8 +634,8 @@ func TestVecRangeDistIsFirstSimilarity(t *testing.T) {
 // conjunct an access path serves finds no distance on any plan, as in
 // the model's in-order evaluation — the vector view's range at a small
 // and at a wide radius and the scan a cosine range takes, each literal
-// or bound through WITHIN ?, and the string band walk, unsharded and
-// over four shards. Every statement has rows for the access path to reach.
+// or bound through WITHIN ?, and the string band walk, serial and
+// over four parallel slices. Every statement has rows for the access path to reach.
 func TestDistBeforeServedConjunct(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	rows := make([]relation.InsertRow, 3000)
@@ -649,8 +655,8 @@ func TestDistBeforeServedConjunct(t *testing.T) {
 	if _, err := model.query(q); err != errUnmodeled {
 		t.Fatalf("the model evaluates %q without error: %v", strStmt, err)
 	}
-	for _, shards := range []int{1, 4} {
-		e := vecEngine(t, shards, 256, rows)
+	for _, slices := range []int{1, 4} {
+		e := vecEngine(t, slices, 256, rows)
 		if err := e.RegisterRuleSet(rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())); err != nil {
 			t.Fatal(err)
 		}
@@ -680,19 +686,19 @@ func TestDistBeforeServedConjunct(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !strings.Contains(res.Plan, c.access) {
-				t.Fatalf("shards=%d %s no longer plans %s:\n%s", shards, c.stmt, c.access, res.Plan)
+				t.Fatalf("slices=%d %s no longer plans %s:\n%s", slices, c.stmt, c.access, res.Plan)
 			}
 			if res, err := e.Execute(c.stmt); !errors.Is(err, errNoDist) {
-				t.Fatalf("shards=%d %s: want %v, got %v, reply %v", shards, c.stmt, errNoDist, err, res)
+				t.Fatalf("slices=%d %s: want %v, got %v, reply %v", slices, c.stmt, errNoDist, err, res)
 			}
 			if c.prepared == nil {
 				continue
 			}
 			if plan, err := c.prepared.Explain(c.radius); err != nil || !strings.Contains(plan, c.access) {
-				t.Fatalf("shards=%d prepared at WITHIN %g no longer plans %s (%v):\n%s", shards, c.radius, c.access, err, plan)
+				t.Fatalf("slices=%d prepared at WITHIN %g no longer plans %s (%v):\n%s", slices, c.radius, c.access, err, plan)
 			}
 			if res, err := c.prepared.Execute(c.radius); !errors.Is(err, errNoDist) {
-				t.Fatalf("shards=%d prepared %s at WITHIN %g: want %v, got %v, reply %v", shards, c.access, c.radius, errNoDist, err, res)
+				t.Fatalf("slices=%d prepared %s at WITHIN %g: want %v, got %v, reply %v", slices, c.access, c.radius, errNoDist, err, res)
 			}
 		}
 	}
@@ -707,6 +713,7 @@ func TestVecConcurrentInsertQuery(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		rows = append(rows, relation.InsertRow{Vec: randVec(rng, 8)})
 	}
+	// shards=N: the slice count of the engine's cosine scans.
 	for _, shards := range []int{1, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

@@ -137,27 +137,3 @@ func TestLengthViewBandsAndVisibility(t *testing.T) {
 		t.Fatalf("private view sees %v", ids)
 	}
 }
-
-// TestShardedEnsureLengthViews: the republished view's snapshots carry
-// the shared per-shard structures.
-func TestShardedEnsureLengthViews(t *testing.T) {
-	s := NewSharded("s", 3)
-	for i := 0; i < 30; i++ {
-		s.Insert(fmt.Sprint(i*i), nil)
-	}
-	s.EnsureLengthViews()
-	v := s.View()
-	total := 0
-	for i := 0; i < v.NumShards(); i++ {
-		if v.Snap(i).h.byLen == nil {
-			t.Fatalf("shard %d snapshot has no shared length view", i)
-		}
-		_, ids := viewIDs(v.Snap(i), 2)
-		for _, band := range ids {
-			total += len(band)
-		}
-	}
-	if total != 30 {
-		t.Fatalf("shard views hold %d visible rows, want 30", total)
-	}
-}

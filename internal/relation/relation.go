@@ -233,42 +233,6 @@ func (h *head) dropStats(t Tuple) {
 	}
 }
 
-// Table is the mutable relation API shared by Relation (a single MVCC
-// arena) and ShardedRelation (a hash-partitioned set of arenas). The
-// query engine and the storage layer address catalog entries through
-// this interface so the same plans, DML statements and WAL records work
-// against either physical layout.
-//
-// InsertAt and UpdateAt are storage-layer primitives: they install rows
-// under caller-assigned ids (segmented-WAL replay and reserved-id
-// commits need them) and expect globally fresh ids.
-//
-// The Row-variant methods (InsertRowAt, UpdateRow, UpdateRowAt) are the
-// full-width forms carrying the vector column; the string-only methods
-// are wrappers kept for the sequence-only call sites.
-type Table interface {
-	Name() string
-	Len() int
-	Stats() Stats
-	Version() uint64
-	Tuple(id int) (Tuple, bool)
-	Tuples() []Tuple
-	Insert(seq string, attrs map[string]string) int
-	InsertBatch(rows []InsertRow) []int
-	InsertAt(id int, seq string, attrs map[string]string) bool
-	InsertRowAt(id int, row InsertRow) bool
-	Delete(id int) bool
-	Update(id int, seq string, attrs map[string]string) (int, bool)
-	UpdateRow(id int, row InsertRow) (int, bool)
-	UpdateAt(id, newID int, seq string, attrs map[string]string) bool
-	UpdateRowAt(id, newID int, row InsertRow) bool
-}
-
-var (
-	_ Table = (*Relation)(nil)
-	_ Table = (*ShardedRelation)(nil)
-)
-
 // Relation is a named collection of tuples with MVCC snapshots and
 // online-maintained indexes.
 type Relation struct {
@@ -382,107 +346,6 @@ func (r *Relation) InsertBatch(rows []InsertRow) []int {
 	return ids
 }
 
-// InsertAt appends a tuple under a caller-assigned id; false when the
-// arena already holds the id. Sharded relations route rows here with
-// globally-assigned ids, and segmented-WAL replay re-installs rows
-// under their logged ids. Ids normally arrive in ascending order (the
-// id allocator is monotonic); an out-of-order id falls back to a
-// copy-and-sort of the arena so find()'s binary search stays valid.
-func (r *Relation) InsertAt(id int, seq string, attrs map[string]string) bool {
-	return r.InsertRowAt(id, InsertRow{Seq: seq, Attrs: attrs})
-}
-
-// InsertRowAt is InsertAt carrying the full tuple width.
-func (r *Relation) InsertRowAt(id int, in InsertRow) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.insertAtLocked(id, in)
-}
-
-func (r *Relation) insertAtLocked(id int, in InsertRow) bool {
-	h := r.head.Load()
-	if h.find(id) != nil {
-		return false
-	}
-	nh := *h
-	nh.epoch++
-	row := newRow(id, in, nh.epoch)
-	if n := len(nh.rows); n > 0 && nh.rows[n-1].ID > id {
-		// Out-of-order id: older heads share the arena backing array, so
-		// re-sorting must copy rather than mutate in place.
-		rows := make([]*Row, 0, n+1)
-		rows = append(rows, nh.rows...)
-		rows = append(rows, row)
-		sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
-		nh.rows = rows
-	} else {
-		nh.rows = append(nh.rows, row)
-	}
-	if id >= nh.nextID {
-		nh.nextID = id + 1
-	}
-	nh.addStats(row.Tuple)
-	nh.indexRow(row)
-	r.publish(&nh)
-	return true
-}
-
-// InsertBatchAt is InsertAt over several rows in ONE commit: ids[i]
-// names rows[i]. Rows whose id is already taken — in the arena or
-// earlier in the same batch — are skipped, matching InsertAt's
-// single-row contract; the installed ids are returned in batch order.
-// Like InsertBatch the whole batch becomes visible atomically.
-func (r *Relation) InsertBatchAt(ids []int, rows []InsertRow) []int {
-	if len(rows) == 0 || len(ids) != len(rows) {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.head.Load()
-	nh := *h
-	nh.epoch++
-	sorted := true
-	last := -1
-	if n := len(nh.rows); n > 0 {
-		last = nh.rows[n-1].ID
-	}
-	installed := make([]int, 0, len(rows))
-	var inBatch map[int]bool
-	for i, in := range rows {
-		id := ids[i]
-		if inBatch[id] || h.find(id) != nil {
-			continue
-		}
-		if inBatch == nil {
-			inBatch = make(map[int]bool, len(rows))
-		}
-		inBatch[id] = true
-		installed = append(installed, id)
-		if id <= last {
-			sorted = false
-		}
-		last = id
-		row := newRow(id, in, nh.epoch)
-		nh.rows = append(nh.rows, row)
-		if id >= nh.nextID {
-			nh.nextID = id + 1
-		}
-		nh.addStats(row.Tuple)
-		nh.indexRow(row)
-	}
-	if len(installed) == 0 {
-		return nil
-	}
-	if !sorted {
-		rows := make([]*Row, 0, len(nh.rows))
-		rows = append(rows, nh.rows...)
-		sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
-		nh.rows = rows
-	}
-	r.publish(&nh)
-	return installed
-}
-
 // Delete tombstones the row with the given id; false when no visible
 // row has it. The index entries stay behind (filtered by visibility)
 // until compaction rebuilds the structures.
@@ -535,47 +398,6 @@ func (r *Relation) UpdateRow(id int, in InsertRow) (int, bool) {
 	r.publish(&nh)
 	r.maybeCompact()
 	return newID, true
-}
-
-// UpdateAt is Update with a caller-assigned replacement id: the old
-// version is tombstoned and the new version installed under newID in
-// one commit. Sharded relations allocate newID globally; segmented-WAL
-// replay re-applies updates under their logged ids.
-func (r *Relation) UpdateAt(id, newID int, seq string, attrs map[string]string) bool {
-	return r.UpdateRowAt(id, newID, InsertRow{Seq: seq, Attrs: attrs})
-}
-
-// UpdateRowAt is UpdateAt carrying the full tuple width.
-func (r *Relation) UpdateRowAt(id, newID int, in InsertRow) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.head.Load()
-	row := h.find(id)
-	if row == nil || row.died.Load() != aliveEpoch || h.find(newID) != nil {
-		return false
-	}
-	nh := *h
-	nh.epoch++
-	row.died.Store(nh.epoch)
-	nh.dropStats(row.Tuple)
-	nrow := newRow(newID, in, nh.epoch)
-	if n := len(nh.rows); n > 0 && nh.rows[n-1].ID > newID {
-		rows := make([]*Row, 0, n+1)
-		rows = append(rows, nh.rows...)
-		rows = append(rows, nrow)
-		sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
-		nh.rows = rows
-	} else {
-		nh.rows = append(nh.rows, nrow)
-	}
-	if newID >= nh.nextID {
-		nh.nextID = newID + 1
-	}
-	nh.addStats(nrow.Tuple)
-	nh.indexRow(nrow)
-	r.publish(&nh)
-	r.maybeCompact()
-	return true
 }
 
 // maybeCompact runs compaction when the tombstone policy triggers.
@@ -920,8 +742,8 @@ func (s *Snapshot) VPTree(m metric.Distance) *index.VPTree {
 // VecWalk walks the vector view over the given metric that this
 // snapshot's head carries, or, when none was built by then, a private
 // one over the snapshot's arena, built for this walk alone: callers that
-// walk often ensure the shared view first (Relation.VecView,
-// ShardedRelation.EnsureVecViews). It hands emit, a batch at a time, the
+// walk often ensure the shared view first (Relation.VecView). It
+// hands emit, a batch at a time, the
 // rows visible at this snapshot whose distance from q is at most *bound,
 // with those distances; see VecView.walk for the bound's protocol. The
 // slices may be the view's own or scratch reused by the next batch, so
@@ -1192,38 +1014,28 @@ func Load(name string, rd io.Reader) (*Relation, error) {
 
 // ------------------------------------------------------------- catalog
 
-// Catalog is a named set of tables — the database the query engine
-// runs against. Entries are plain Relations or ShardedRelations; both
-// are addressed through the Table interface.
+// Catalog is a named set of relations — the database the query engine
+// runs against.
 type Catalog struct {
 	mu   sync.RWMutex
-	rels map[string]Table
+	rels map[string]*Relation
 }
 
 // NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog { return &Catalog{rels: make(map[string]Table)} }
+func NewCatalog() *Catalog { return &Catalog{rels: make(map[string]*Relation)} }
 
-// Add registers a table, replacing any previous one with the name.
-func (c *Catalog) Add(t Table) {
+// Add registers a relation, replacing any previous one with the name.
+func (c *Catalog) Add(r *Relation) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.rels[t.Name()] = t
+	c.rels[r.Name()] = r
 }
 
-// Lookup returns the named table — plain or sharded.
-func (c *Catalog) Lookup(name string) (Table, bool) {
+// Lookup returns the named relation.
+func (c *Catalog) Lookup(name string) (*Relation, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	t, ok := c.rels[name]
-	return t, ok
-}
-
-// Get returns the named table when it is a plain (unsharded) Relation;
-// callers that can serve any physical layout use Lookup instead.
-func (c *Catalog) Get(name string) (*Relation, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	r, ok := c.rels[name].(*Relation)
+	r, ok := c.rels[name]
 	return r, ok
 }
 

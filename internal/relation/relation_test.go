@@ -124,11 +124,11 @@ func TestCatalog(t *testing.T) {
 	c := NewCatalog()
 	c.Add(New("b"))
 	c.Add(New("a"))
-	if _, ok := c.Get("a"); !ok {
-		t.Error("Get(a) missed")
+	if _, ok := c.Lookup("a"); !ok {
+		t.Error("Lookup(a) missed")
 	}
-	if _, ok := c.Get("zzz"); ok {
-		t.Error("Get(zzz) hit")
+	if _, ok := c.Lookup("zzz"); ok {
+		t.Error("Lookup(zzz) hit")
 	}
 	names := c.Names()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
@@ -138,7 +138,7 @@ func TestCatalog(t *testing.T) {
 	r := New("a")
 	r.Insert("x", nil)
 	c.Add(r)
-	got, _ := c.Get("a")
+	got, _ := c.Lookup("a")
 	if got.Len() != 1 {
 		t.Error("Add did not replace")
 	}

@@ -97,35 +97,6 @@ func viewNearest(m metric.Distance, snaps []*Snapshot, q metric.Vector, k int) [
 	return out[:min(k, len(out))]
 }
 
-// vecViewTable is the relation under test: plain for one shard, a
-// ShardedRelation otherwise.
-type vecViewTable struct {
-	Table
-	compact func()
-	snaps   func() []*Snapshot
-	ensure  func(metric.Distance)
-}
-
-func newVecViewTable(shards int) vecViewTable {
-	if shards == 1 {
-		r := New("v")
-		return vecViewTable{Table: r, compact: r.Compact,
-			snaps:  func() []*Snapshot { return []*Snapshot{r.Snapshot()} },
-			ensure: func(m metric.Distance) { r.VecView(m) }}
-	}
-	s := NewSharded("v", shards)
-	return vecViewTable{Table: s, compact: s.Compact,
-		snaps: func() []*Snapshot {
-			v := s.View()
-			out := make([]*Snapshot, v.NumShards())
-			for i := range out {
-				out[i] = v.Snap(i)
-			}
-			return out
-		},
-		ensure: s.EnsureVecViews}
-}
-
 // clusteredVec draws a vector near one of a few centres, of dimension 3
 // or 5, or nil for about one row in eight. Mixed dimensions compare as
 // zero-padded, so the view must bound them like any other.
@@ -146,114 +117,112 @@ func clusteredVec(rng *rand.Rand) metric.Vector {
 // return, through the view, exactly the brute-force answers with
 // identical distance bits (the no-false-dismissal guarantee), while the
 // view carries inserted rows, tombstones, nil vectors and mixed
-// dimensions, across a rebuild and a compaction, unsharded and over
-// four shards. Snapshots taken before a rebuild keep answering from
-// their own view.
+// dimensions, across a rebuild and a compaction. Snapshots taken before
+// a rebuild keep answering from their own view.
 func TestVecViewMatchesBruteForce(t *testing.T) {
 	l2, _ := metric.Lookup("l2")
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(41 + shards)))
-			tab := newVecViewTable(shards)
-			insert := func(n int) {
-				rows := make([]InsertRow, n)
-				for i := range rows {
-					rows[i] = InsertRow{Seq: fmt.Sprint(i), Vec: clusteredVec(rng)}
-				}
-				tab.InsertBatch(rows)
+	// One relation: shards=1.
+	t.Run("shards=1", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		tab := New("v")
+		insert := func(n int) {
+			rows := make([]InsertRow, n)
+			for i := range rows {
+				rows[i] = InsertRow{Seq: fmt.Sprint(i), Vec: clusteredVec(rng)}
 			}
-			insert(600)
-			// Duplicates of row 0's vector make exact distance ties.
-			if t0, ok := tab.Tuple(0); ok && t0.Vec != nil {
-				for i := 0; i < 3; i++ {
-					tab.InsertBatch([]InsertRow{{Vec: t0.Vec}})
-				}
+			tab.InsertBatch(rows)
+		}
+		insert(600)
+		// Duplicates of row 0's vector make exact distance ties.
+		if t0, ok := tab.Tuple(0); ok && t0.Vec != nil {
+			for i := 0; i < 3; i++ {
+				tab.InsertBatch([]InsertRow{{Vec: t0.Vec}})
 			}
-			tab.ensure(l2)
+		}
+		tab.VecView(l2)
 
-			check := func(stage string, snaps []*Snapshot) {
-				t.Helper()
-				queries := []metric.Vector{{0, 0, 0}, {3, 3, 3, 3, 3}, {9, 9, 9}, {-4, 20, 1}}
-				for _, s := range snaps {
-					for _, tu := range s.Tuples()[:min(3, s.Len())] {
-						if tu.Vec != nil {
-							queries = append(queries, tu.Vec)
-						}
+		check := func(stage string, snaps []*Snapshot) {
+			t.Helper()
+			queries := []metric.Vector{{0, 0, 0}, {3, 3, 3, 3, 3}, {9, 9, 9}, {-4, 20, 1}}
+			for _, s := range snaps {
+				for _, tu := range s.Tuples()[:min(3, s.Len())] {
+					if tu.Vec != nil {
+						queries = append(queries, tu.Vec)
 					}
 				}
-				for _, q := range queries {
-					all := bruteVec(l2, snaps, q)
-					diameter := 0.0
+			}
+			for _, q := range queries {
+				all := bruteVec(l2, snaps, q)
+				diameter := 0.0
+				for _, h := range all {
+					diameter = max(diameter, h.d)
+				}
+				for _, r := range []float64{0, 0.5, 1, 2, 4, 8, diameter, 2*diameter + 1} {
+					var want []vecHit
 					for _, h := range all {
-						diameter = max(diameter, h.d)
-					}
-					for _, r := range []float64{0, 0.5, 1, 2, 4, 8, diameter, 2*diameter + 1} {
-						var want []vecHit
-						for _, h := range all {
-							if h.d <= r {
-								want = append(want, h)
-							}
-						}
-						if got := viewRange(l2, snaps, q, r); fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Fatalf("%s: WITHIN %g of %v: view %d hits, brute force %d\n%v\n%v", stage, r, q, len(got), len(want), got, want)
+						if h.d <= r {
+							want = append(want, h)
 						}
 					}
-					slices.SortFunc(all, byDistID)
-					for _, k := range []int{1, 2, 3, 10, 50, len(all), len(all) + 7} {
-						want := all[:min(k, len(all))]
-						if got := viewNearest(l2, snaps, q, k); fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Fatalf("%s: NEAREST %d to %v:\nview  %v\nbrute %v", stage, k, q, got, want)
-						}
+					if got := viewRange(l2, snaps, q, r); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s: WITHIN %g of %v: view %d hits, brute force %d\n%v\n%v", stage, r, q, len(got), len(want), got, want)
+					}
+				}
+				slices.SortFunc(all, byDistID)
+				for _, k := range []int{1, 2, 3, 10, 50, len(all), len(all) + 7} {
+					want := all[:min(k, len(all))]
+					if got := viewNearest(l2, snaps, q, k); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s: NEAREST %d to %v:\nview  %v\nbrute %v", stage, k, q, got, want)
 					}
 				}
 			}
-			check("built", tab.snaps())
+		}
+		check("built", []*Snapshot{tab.Snapshot()})
 
-			// Tombstones and inserted rows: deletes stay in the view
-			// until compaction; inserts land in their leaves' overflow.
-			for id := 0; id < 600; id += 7 {
-				tab.Delete(id)
+		// Tombstones and inserted rows: deletes stay in the view
+		// until compaction; inserts land in their leaves' overflow.
+		for id := 0; id < 600; id += 7 {
+			tab.Delete(id)
+		}
+		insert(20)
+		before := []*Snapshot{tab.Snapshot()}
+		check("inserts and tombstones", before)
+		views := func(snaps []*Snapshot) []*VecView {
+			var vs []*VecView
+			for _, s := range snaps {
+				vs = append(vs, s.h.vvs["l2"])
 			}
-			insert(20)
-			before := tab.snaps()
-			check("inserts and tombstones", before)
-			views := func(snaps []*Snapshot) []*VecView {
-				var vs []*VecView
-				for _, s := range snaps {
-					vs = append(vs, s.h.vvs["l2"])
-				}
-				return vs
-			}
-			if views(before)[0].added == 0 {
-				t.Fatal("no inserted rows in the view; the test lost its point")
-			}
+			return vs
+		}
+		if views(before)[0].added == 0 {
+			t.Fatal("no inserted rows in the view; the test lost its point")
+		}
 
-			// Insert more rows than every view was built over: the insert
-			// paths install rebuilt views, and the earlier snapshots keep
-			// answering from theirs.
-			insert(700)
-			after := tab.snaps()
-			rebuilt := false
-			for i, v := range views(after) {
-				if v != views(before)[i] {
-					rebuilt = true
-				}
+		// Insert more rows than every view was built over: the insert
+		// paths install rebuilt views, and the earlier snapshots keep
+		// answering from theirs.
+		insert(700)
+		after := []*Snapshot{tab.Snapshot()}
+		rebuilt := false
+		for i, v := range views(after) {
+			if v != views(before)[i] {
+				rebuilt = true
 			}
-			if !rebuilt {
-				t.Fatal("no view was rebuilt; the test lost its point")
-			}
-			check("rebuilt", after)
-			check("snapshot before the rebuild", before)
+		}
+		if !rebuilt {
+			t.Fatal("no view was rebuilt; the test lost its point")
+		}
+		check("rebuilt", after)
+		check("snapshot before the rebuild", before)
 
-			tab.compact()
-			for i, v := range views(tab.snaps()) {
-				if v == views(after)[i] || v.added != 0 {
-					t.Fatalf("shard %d: compaction kept the old view or its inserted rows", i)
-				}
+		tab.Compact()
+		for i, v := range views([]*Snapshot{tab.Snapshot()}) {
+			if v == views(after)[i] || v.added != 0 {
+				t.Fatalf("view %d: compaction kept the old view or its inserted rows", i)
 			}
-			check("compacted", tab.snaps())
-		})
-	}
+		}
+		check("compacted", []*Snapshot{tab.Snapshot()})
+	})
 }
 
 // TestVecViewWorkRepeats: the build is deterministic, so two views over
@@ -291,75 +260,74 @@ func TestVecViewWorkRepeats(t *testing.T) {
 // own snapshot. Run it under -race.
 func TestVecViewConcurrentInsertCompact(t *testing.T) {
 	l2, _ := metric.Lookup("l2")
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			tab := newVecViewTable(shards)
-			seed := rand.New(rand.NewSource(3))
-			rows := make([]InsertRow, 200)
-			for i := range rows {
-				rows[i] = InsertRow{Vec: clusteredVec(seed)}
-			}
-			tab.InsertBatch(rows)
-			tab.ensure(l2)
+	// One relation: shards=1.
+	t.Run("shards=1", func(t *testing.T) {
+		tab := New("v")
+		seed := rand.New(rand.NewSource(3))
+		rows := make([]InsertRow, 200)
+		for i := range rows {
+			rows[i] = InsertRow{Vec: clusteredVec(seed)}
+		}
+		tab.InsertBatch(rows)
+		tab.VecView(l2)
 
-			done := make(chan struct{})
-			var wg sync.WaitGroup
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer close(done)
+			rng := rand.New(rand.NewSource(4))
+			for round := 0; round < 6; round++ {
+				for i := 0; i < 60; i++ {
+					tab.InsertBatch([]InsertRow{{Vec: clusteredVec(rng)}})
+				}
+				for i := 0; i < 20; i++ {
+					tab.Delete(rng.Intn(200 + 60*round))
+				}
+				if round == 3 || round == 5 {
+					tab.Compact()
+				}
+			}
+		}()
+		for g := 0; g < 2; g++ {
 			wg.Add(1)
-			go func() {
+			go func(g int) {
 				defer wg.Done()
-				defer close(done)
-				rng := rand.New(rand.NewSource(4))
-				for round := 0; round < 6; round++ {
-					for i := 0; i < 60; i++ {
-						tab.InsertBatch([]InsertRow{{Vec: clusteredVec(rng)}})
+				rng := rand.New(rand.NewSource(int64(10 + g)))
+				// At least 20 reads, and on until the writer is done.
+				for i := 0; ; i++ {
+					if i >= 20 {
+						select {
+						case <-done:
+							return
+						default:
+						}
 					}
-					for i := 0; i < 20; i++ {
-						tab.Delete(rng.Intn(200 + 60*round))
+					snaps := []*Snapshot{tab.Snapshot()}
+					q := metric.Vector{float32(rng.Intn(4)) * 3, 1, 2}
+					all := bruteVec(l2, snaps, q)
+					var want []vecHit
+					for _, h := range all {
+						if h.d <= 3 {
+							want = append(want, h)
+						}
 					}
-					if round == 3 || round == 5 {
-						tab.compact()
+					if got := viewRange(l2, snaps, q, 3); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("reader %d: WITHIN 3: view %d hits, brute force %d", g, len(got), len(want))
+						return
+					}
+					slices.SortFunc(all, byDistID)
+					want = all[:min(5, len(all))]
+					if got := viewNearest(l2, snaps, q, 5); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("reader %d: NEAREST 5: view %v, brute force %v", g, got, want)
+						return
 					}
 				}
-			}()
-			for g := 0; g < 2; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(10 + g)))
-					// At least 20 reads, and on until the writer is done.
-					for i := 0; ; i++ {
-						if i >= 20 {
-							select {
-							case <-done:
-								return
-							default:
-							}
-						}
-						snaps := tab.snaps()
-						q := metric.Vector{float32(rng.Intn(4)) * 3, 1, 2}
-						all := bruteVec(l2, snaps, q)
-						var want []vecHit
-						for _, h := range all {
-							if h.d <= 3 {
-								want = append(want, h)
-							}
-						}
-						if got := viewRange(l2, snaps, q, 3); fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Errorf("reader %d: WITHIN 3: view %d hits, brute force %d", g, len(got), len(want))
-							return
-						}
-						slices.SortFunc(all, byDistID)
-						want = all[:min(5, len(all))]
-						if got := viewNearest(l2, snaps, q, 5); fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Errorf("reader %d: NEAREST 5: view %v, brute force %v", g, got, want)
-							return
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-		})
-	}
+			}(g)
+		}
+		wg.Wait()
+	})
 }
 
 // TestVecViewLayout: every leaf but the last holds vecLeaf built rows,

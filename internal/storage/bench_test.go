@@ -121,7 +121,7 @@ func benchReopen(b *testing.B, ckpt bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		w, _ := cat.Get("w")
+		w, _ := cat.Lookup("w")
 		if w.Len() != reopenLive {
 			b.Fatalf("recovered %d rows, want %d", w.Len(), reopenLive)
 		}
@@ -191,9 +191,10 @@ func benchIngest(b *testing.B, group bool) {
 	}
 }
 
-// BenchmarkIngestFsyncPerCommit — 32 concurrent committers, one fsync
-// per commit inside the store mutex (group commit off): the fully
-// serialized durability floor.
+// BenchmarkIngestFsyncPerCommit — 8 bursts of 64 concurrent
+// committers per iteration (benchIngest), one fsync per commit inside
+// the store mutex (group commit off): the fully serialized durability
+// floor.
 func BenchmarkIngestFsyncPerCommit(b *testing.B) { benchIngest(b, false) }
 
 // BenchmarkIngestGroupCommit — the same burst with group commit on:
@@ -212,7 +213,7 @@ func BenchmarkCommitInsertIndexed(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	w, _ := st.Catalog().Get("w")
+	w, _ := st.Catalog().Lookup("w")
 	w.BKTree()
 	w.Trie()
 	b.ResetTimer()

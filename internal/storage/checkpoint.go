@@ -16,8 +16,8 @@ import (
 
 // Checkpoint file format: JSON lines, one object per line.
 //
-//	header    {"v":1,"lsn":N,"max_gid":N,"rels":N}
-//	per rel   {"rel":"name","sharded":bool,"shards":N,"rows":N,"next_id":N}
+//	header    {"v":1,"lsn":N,"rels":N}
+//	per rel   {"rel":"name","rows":N,"next_id":N}
 //	          followed by exactly `rows` row lines
 //	row       {"id":N,"seq":"...","vec":"...","attrs":{...}}
 //	footer    {"footer":true,"rels":N}
@@ -31,23 +31,23 @@ import (
 //
 // The header's lsn is the covering LSN: every transaction with commit
 // LSN <= lsn is folded into the snapshot, so reopen replays only WAL
-// records past it. max_gid restores the cross-segment transaction id
-// allocator — a reused GID could otherwise match a dangling pre-crash
-// global record and resurrect a dropped transaction.
+// records past it.
+//
+// Sharded builds also wrote "max_gid" in the header and "sharded" and
+// "shards" per relation. The loader ignores them: each row carries its
+// id, so a sharded relation's rows load into one plain relation with
+// the same tuples and next_id.
 
 type ckptHeader struct {
-	V      int    `json:"v"`
-	LSN    uint64 `json:"lsn"`
-	MaxGID uint64 `json:"max_gid"`
-	Rels   int    `json:"rels"`
+	V    int    `json:"v"`
+	LSN  uint64 `json:"lsn"`
+	Rels int    `json:"rels"`
 }
 
 type ckptRel struct {
-	Rel     string `json:"rel"`
-	Sharded bool   `json:"sharded,omitempty"`
-	Shards  int    `json:"shards,omitempty"`
-	Rows    int    `json:"rows"`
-	NextID  int    `json:"next_id"`
+	Rel    string `json:"rel"`
+	Rows   int    `json:"rows"`
+	NextID int    `json:"next_id"`
 }
 
 type ckptRow struct {
@@ -78,7 +78,7 @@ type CheckpointInfo struct {
 // writeCheckpoint serializes the catalog to path using the temp-file +
 // fsync + atomic-rename + dir-fsync protocol. Caller holds the store
 // mutex (the snapshot must be a commit boundary and lsn its cover).
-func writeCheckpoint(path string, cat *relation.Catalog, lsn, maxGID uint64) (rels, rows int, bytes int64, err error) {
+func writeCheckpoint(path string, cat *relation.Catalog, lsn uint64) (rels, rows int, bytes int64, err error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -95,30 +95,16 @@ func writeCheckpoint(path string, cat *relation.Catalog, lsn, maxGID uint64) (re
 	sort.Strings(names)
 	w := bufio.NewWriterSize(f, 1<<20)
 	enc := json.NewEncoder(w)
-	if err = enc.Encode(ckptHeader{V: ckptVersion, LSN: lsn, MaxGID: maxGID, Rels: len(names)}); err != nil {
+	if err = enc.Encode(ckptHeader{V: ckptVersion, LSN: lsn, Rels: len(names)}); err != nil {
 		return 0, 0, 0, err
 	}
 	for _, name := range names {
-		t, ok := cat.Lookup(name)
+		r, ok := cat.Lookup(name)
 		if !ok {
 			continue
 		}
-		var (
-			tuples []relation.Tuple
-			nextID int
-			hdr    = ckptRel{Rel: name}
-		)
-		switch r := t.(type) {
-		case *relation.ShardedRelation:
-			tuples, nextID = r.DumpState()
-			hdr.Sharded, hdr.Shards = true, r.NumShards()
-		case *relation.Relation:
-			tuples, nextID = r.DumpState()
-		default:
-			return 0, 0, 0, fmt.Errorf("storage: cannot checkpoint relation %q (%T)", name, t)
-		}
-		hdr.Rows, hdr.NextID = len(tuples), nextID
-		if err = enc.Encode(hdr); err != nil {
+		tuples, nextID := r.DumpState()
+		if err = enc.Encode(ckptRel{Rel: name, Rows: len(tuples), NextID: nextID}); err != nil {
 			return 0, 0, 0, err
 		}
 		for _, tu := range tuples {
@@ -161,17 +147,17 @@ func writeCheckpoint(path string, cat *relation.Catalog, lsn, maxGID uint64) (re
 // relations into the catalog, replacing any same-named entries the
 // caller pre-registered (the snapshot already contains their rows —
 // it captured the whole catalog, -load files included). Returns the
-// covering LSN and max GID; ok reports whether a snapshot was loaded.
+// covering LSN; ok reports whether a snapshot was loaded.
 // A malformed snapshot is an error, never silently skipped: the WAL
 // alone would replay to a state missing everything the snapshot
 // covered.
-func loadCheckpoint(path string, cat *relation.Catalog) (lsn, maxGID uint64, ok bool, err error) {
+func loadCheckpoint(path string, cat *relation.Catalog) (lsn uint64, ok bool, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return 0, 0, false, nil
+		return 0, false, nil
 	}
 	if err != nil {
-		return 0, 0, false, err
+		return 0, false, err
 	}
 	defer f.Close()
 
@@ -179,44 +165,40 @@ func loadCheckpoint(path string, cat *relation.Catalog) (lsn, maxGID uint64, ok 
 	dec := json.NewDecoder(rd)
 	var hdr ckptHeader
 	if err := dec.Decode(&hdr); err != nil {
-		return 0, 0, false, fmt.Errorf("storage: checkpoint %s: bad header: %w", path, err)
+		return 0, false, fmt.Errorf("storage: checkpoint %s: bad header: %w", path, err)
 	}
 	if hdr.V != ckptVersion {
-		return 0, 0, false, fmt.Errorf("storage: checkpoint %s: unsupported version %d", path, hdr.V)
+		return 0, false, fmt.Errorf("storage: checkpoint %s: unsupported version %d", path, hdr.V)
 	}
 	for i := 0; i < hdr.Rels; i++ {
 		var rh ckptRel
 		if err := dec.Decode(&rh); err != nil {
-			return 0, 0, false, fmt.Errorf("storage: checkpoint %s: relation header %d: %w", path, i, err)
+			return 0, false, fmt.Errorf("storage: checkpoint %s: relation header %d: %w", path, i, err)
 		}
 		rows := make([]relation.Tuple, rh.Rows)
 		for j := range rows {
 			var cr ckptRow
 			if err := dec.Decode(&cr); err != nil {
-				return 0, 0, false, fmt.Errorf("storage: checkpoint %s: relation %q row %d: %w", path, rh.Rel, j, err)
+				return 0, false, fmt.Errorf("storage: checkpoint %s: relation %q row %d: %w", path, rh.Rel, j, err)
 			}
 			t := relation.Tuple{ID: cr.ID, Seq: cr.Seq, Attrs: cr.Attrs}
 			if cr.Vec != "" {
 				v, err := metric.Parse(cr.Vec)
 				if err != nil {
-					return 0, 0, false, fmt.Errorf("storage: checkpoint %s: relation %q row %d: %v", path, rh.Rel, j, err)
+					return 0, false, fmt.Errorf("storage: checkpoint %s: relation %q row %d: %v", path, rh.Rel, j, err)
 				}
 				t.Vec = v
 			}
 			rows[j] = t
 		}
-		if rh.Sharded {
-			cat.Add(relation.RebuildSharded(rh.Rel, rh.Shards, rows, rh.NextID))
-		} else {
-			cat.Add(relation.Rebuild(rh.Rel, rows, rh.NextID))
-		}
+		cat.Add(relation.Rebuild(rh.Rel, rows, rh.NextID))
 	}
 	var ft ckptFooter
 	if err := dec.Decode(&ft); err != nil || !ft.Footer || ft.Rels != hdr.Rels {
-		return 0, 0, false, fmt.Errorf("storage: checkpoint %s: missing or mismatched footer (%v)", path, err)
+		return 0, false, fmt.Errorf("storage: checkpoint %s: missing or mismatched footer (%v)", path, err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		return 0, 0, false, fmt.Errorf("storage: checkpoint %s: trailing data after footer", path)
+		return 0, false, fmt.Errorf("storage: checkpoint %s: trailing data after footer", path)
 	}
-	return hdr.LSN, hdr.MaxGID, true, nil
+	return hdr.LSN, true, nil
 }

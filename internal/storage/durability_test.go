@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/metric"
 	"repro/internal/relation"
 )
 
@@ -73,11 +75,10 @@ func writeFrame(t *testing.T, w *os.File, payload []byte) {
 func TestBinaryRecordRoundTrip(t *testing.T) {
 	recs := []walRecord{
 		{LSN: 1, Tx: 1, Kind: recInsert, Rel: "r", Seq: "hello"},
-		{LSN: 2, Tx: 1, Kind: recInsertAt, Rel: "r", ID: 7, Seq: "x", Vec: "[1.5,-2.25]",
+		{LSN: 2, Tx: 1, Kind: recInsert, Rel: "r", Seq: "x", Vec: "[1.5,-2.25]",
 			Attrs: map[string]string{"lang": "en", "k": ""}},
-		{LSN: 3, Tx: 1, Kind: recUpdateAt, Rel: "ø/δ", ID: 7, NewID: 9, Seq: strings.Repeat("s", 300)},
-		{LSN: 4, Tx: 1, Kind: recCommit, N: 3, GID: 12, Parts: 3},
-		{LSN: 5, Kind: recGlobal, GID: 12, Parts: 3},
+		{LSN: 3, Tx: 1, Kind: recUpdate, Rel: "ø/δ", ID: 7, Seq: strings.Repeat("s", 300)},
+		{LSN: 4, Tx: 1, Kind: recCommit, N: 3},
 		{LSN: 1 << 60, Tx: 1 << 40, Kind: recDelete, Rel: "r", ID: 1 << 30},
 	}
 	for _, want := range recs {
@@ -107,6 +108,19 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 	}
 	if _, err := encodeRecord(nil, &walRecord{Kind: "nonsense"}); err == nil {
 		t.Fatal("unknown kind encoded")
+	}
+	// The kind bytes of a sharded build's segmented store stay reserved:
+	// they decode to errSegmentedRecord, never to another kind.
+	payload, err := encodeRecord(nil, &walRecord{LSN: 1, Tx: 1, Kind: recInsert, Rel: "r", ID: 3, Seq: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []byte{3, 4, 6} {
+		payload[1] = kind
+		var r walRecord
+		if err := decodeRecord(payload, &r); !errors.Is(err, errSegmentedRecord) {
+			t.Fatalf("kind byte %d: decode = %+v, %v; want errSegmentedRecord", kind, r, err)
+		}
 	}
 }
 
@@ -270,7 +284,7 @@ func TestCommitMismatchWarns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	r, _ := cat.Get("r")
+	r, _ := cat.Lookup("r")
 	if got := r.Tuples(); len(got) != 1 || got[0].Seq != "kept" {
 		t.Fatalf("replay past mismatched commit = %v, want only the first tx", got)
 	}
@@ -406,140 +420,6 @@ func copyFile(src, dst string) error {
 	return os.WriteFile(dst, b, 0o644)
 }
 
-// TestCrashPointCrossSegmentAtomicity truncates EVERY segment of a
-// segmented store at EVERY byte offset and asserts no cross-segment
-// transaction ever replays partially: each scripted batch is tagged, so
-// after recovery every tag must appear with its full row count or not
-// at all, and every cross-shard update must have exactly one of (old
-// row, new row) visible. This pins the global-commit-record protocol —
-// without it, truncating the tail of one segment surfaces the other
-// segments' halves of the transaction.
-func TestCrashPointCrossSegmentAtomicity(t *testing.T) {
-	stubSyncs(t)
-	captureWarns(t)
-	const segs = 3
-	dir := t.TempDir()
-	base := filepath.Join(dir, "wal")
-	newCat := func() *relation.Catalog {
-		cat := relation.NewCatalog()
-		cat.Add(relation.NewSharded("s", segs))
-		return cat
-	}
-	st, err := OpenSegmented(base, newCat(), segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.SetSync(false)
-
-	// Script: a "victims" batch whose rows later updates move between
-	// shards (its last row stays untouched as a presence sentinel), then
-	// tagged cross-segment batches checked for all-or-nothing replay,
-	// then the updates — whose replacement row may hash to a different
-	// shard (and so a different segment) than the tombstone: the classic
-	// partial-durability shape the global commit record closes.
-	victims := make([]Op, 5)
-	for j := range victims {
-		victims[j] = Op{Kind: OpInsert, Rel: "s", Seq: fmt.Sprintf("victim-%d", j), Attrs: map[string]string{"tag": "victims"}}
-	}
-	vres, err := st.Commit(victims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victimIDs := vres.InsertedIDs
-	sentinelID := victimIDs[len(victimIDs)-1]
-
-	batchRows := map[string]int{}
-	for k := 1; k <= 5; k++ {
-		tag := fmt.Sprintf("tx%d", k)
-		ops := make([]Op, 5)
-		for j := range ops {
-			ops[j] = Op{Kind: OpInsert, Rel: "s", Seq: fmt.Sprintf("seq-%d-%d", k, j), Attrs: map[string]string{"tag": tag}}
-		}
-		if _, err := st.Commit(ops); err != nil {
-			t.Fatal(err)
-		}
-		batchRows[tag] = len(ops)
-	}
-
-	type updateCase struct{ oldID, newID int }
-	var updates []updateCase
-	for u := 0; u < len(victimIDs)-1; u++ {
-		res, err := st.Commit([]Op{{Kind: OpUpdate, Rel: "s", ID: victimIDs[u],
-			Seq: fmt.Sprintf("moved-%d", u), Attrs: map[string]string{"tag": fmt.Sprintf("upd%d", u)}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Applied != 1 {
-			t.Fatalf("update of victim %d did not apply", victimIDs[u])
-		}
-		updates = append(updates, updateCase{oldID: victimIDs[u], newID: res.InsertedIDs[0]})
-	}
-	st.Close()
-
-	full := make([][]byte, segs)
-	for i := range full {
-		b, err := os.ReadFile(fmt.Sprintf("%s.%d", base, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		full[i] = b
-	}
-
-	scratch := t.TempDir()
-	sbase := filepath.Join(scratch, "wal")
-	for cut := 0; cut < segs; cut++ {
-		for off := 0; off <= len(full[cut]); off++ {
-			for i := range full {
-				content := full[i]
-				if i == cut {
-					content = content[:off]
-				}
-				if err := os.WriteFile(fmt.Sprintf("%s.%d", sbase, i), content, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			cat := newCat()
-			st, err := OpenSegmented(sbase, cat, segs)
-			if err != nil {
-				t.Fatalf("segment %d offset %d: reopen: %v", cut, off, err)
-			}
-			sh, _ := cat.Lookup("s")
-			byTag := map[string]int{}
-			for _, tu := range sh.Tuples() {
-				byTag[tu.Attrs["tag"]]++
-			}
-			for tag, want := range batchRows {
-				if got := byTag[tag]; got != 0 && got != want {
-					t.Fatalf("segment %d offset %d: batch %s partially replayed: %d of %d rows",
-						cut, off, tag, got, want)
-				}
-			}
-			shAny := sh.(*relation.ShardedRelation)
-			_, victimsPresent := shAny.Tuple(sentinelID)
-			for _, u := range updates {
-				_, oldVisible := shAny.Tuple(u.oldID)
-				_, newVisible := shAny.Tuple(u.newID)
-				switch {
-				case victimsPresent && oldVisible == newVisible:
-					// Base batch replayed: the update must be whole — either
-					// the tombstone+replacement both landed or neither did.
-					t.Fatalf("segment %d offset %d: update %d->%d replayed partially (old=%v new=%v)",
-						cut, off, u.oldID, u.newID, oldVisible, newVisible)
-				case !victimsPresent && (oldVisible || newVisible):
-					// Base batch dropped by recovery: the dependent update
-					// must leave nothing behind (its replay is a no-op).
-					t.Fatalf("segment %d offset %d: update %d->%d resurrected rows after its base batch was dropped (old=%v new=%v)",
-						cut, off, u.oldID, u.newID, oldVisible, newVisible)
-				}
-			}
-			st.SetSync(false)
-			st.Close()
-		}
-	}
-}
-
-// ------------------------------------------------------- checkpoints
-
 // TestCheckpointReopenTailOnly pins the tentpole reopen contract: after
 // a checkpoint, reopen loads the snapshot and replays ONLY the WAL tail
 // past its covering LSN, reaching a state identical to a store that
@@ -597,59 +477,148 @@ func TestCheckpointReopenTailOnly(t *testing.T) {
 	}
 }
 
-// TestCheckpointShardedRoundTrip checkpoints a segmented store with a
-// sharded relation and verifies the rebuilt relation preserves global
-// ids, routing, vectors and attributes — and that tail replay applies
-// on top of the restored shards.
+// TestCheckpointShardedRoundTrip loads a checkpoint in the form a
+// sharded build wrote it — "max_gid" in the header, "sharded" and
+// "shards" on the relation, rows grouped by shard rather than in id
+// order — into one plain relation with identical tuples and next_id,
+// then commits a tail on top and checks a reopen replays it.
 func TestCheckpointShardedRoundTrip(t *testing.T) {
 	stubSyncs(t)
-	const segs = 4
-	dir := t.TempDir()
-	base := filepath.Join(dir, "wal")
-	newCat := func() *relation.Catalog {
-		cat := relation.NewCatalog()
-		cat.Add(relation.NewSharded("s", segs))
-		return cat
+	const shards, nextID = 4, 45
+	var want []relation.Tuple
+	for i := 0; i < 40; i++ {
+		if i%5 == 3 {
+			continue // deleted before the checkpoint: ids stay sparse
+		}
+		tu := relation.Tuple{ID: i, Seq: fmt.Sprintf("row-%02d", i), Attrs: map[string]string{"i": fmt.Sprint(i)}}
+		if i%3 == 0 {
+			tu.Vec = metric.Vector{float32(i), float32(i) * 0.5}
+		}
+		want = append(want, tu)
 	}
-	st, err := OpenSegmented(base, newCat(), segs)
+	var ckpt bytes.Buffer
+	enc := json.NewEncoder(&ckpt)
+	lines := []any{
+		map[string]any{"v": 1, "lsn": 90, "max_gid": 7, "rels": 1},
+		map[string]any{"rel": "s", "sharded": true, "shards": shards, "rows": len(want), "next_id": nextID},
+	}
+	for shard := 0; shard < shards; shard++ {
+		for _, tu := range want {
+			if tu.ID%shards != shard {
+				continue
+			}
+			row := map[string]any{"id": tu.ID, "seq": tu.Seq, "attrs": tu.Attrs}
+			if tu.Vec != nil {
+				row["vec"] = metric.Format(tu.Vec)
+			}
+			lines = append(lines, row)
+		}
+	}
+	lines = append(lines, map[string]any{"footer": true, "rels": 1})
+	for _, l := range lines {
+		if err := enc.Encode(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := filepath.Join(t.TempDir(), "wal")
+	if err := os.WriteFile(base+".ckpt", ckpt.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := Open(base, relation.NewCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.SetSync(false)
-	cat := st.Catalog()
-	for i := 0; i < 40; i++ {
-		op := Op{Kind: OpInsert, Rel: "s", Seq: fmt.Sprintf("row-%02d", i), Attrs: map[string]string{"i": fmt.Sprint(i)}}
-		if i%3 == 0 {
-			op.Vec = []float32{float32(i), float32(i) * 0.5}
-		}
-		if _, err := st.Commit([]Op{op}); err != nil {
-			t.Fatal(err)
-		}
+	if got := catalogDump(st.Catalog())["s"]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("sharded checkpoint loaded as\n%v\nwant\n%v", got, want)
 	}
-	if _, err := st.Checkpoint(); err != nil {
-		t.Fatal(err)
+	if id, err := st.Insert("s", "tail-row", nil); err != nil || id != nextID {
+		t.Fatalf("first insert after load = %d, %v; want id %d (the checkpoint's next_id)", id, err, nextID)
 	}
 	if ok, err := st.Delete("s", 7); err != nil || !ok {
 		t.Fatalf("tail delete = %v, %v", ok, err)
 	}
-	if _, err := st.Commit([]Op{{Kind: OpInsert, Rel: "s", Seq: "tail-row"}}); err != nil {
-		t.Fatal(err)
-	}
-	want := catalogDump(cat)
+	tail := catalogDump(st.Catalog())
 	st.Close()
 
-	cat2 := newCat()
-	st2, err := OpenSegmented(base, cat2, segs)
+	st2, err := Open(base, relation.NewCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if got := catalogDump(cat2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("sharded checkpoint reopen diverged:\n got %v\nwant %v", got, want)
+	if got := catalogDump(st2.Catalog()); !reflect.DeepEqual(got, tail) {
+		t.Fatalf("reopen over the sharded checkpoint diverged:\n got %v\nwant %v", got, tail)
 	}
-	sh2, _ := cat2.Lookup("s")
-	if sh2.(*relation.ShardedRelation).NumShards() != segs {
-		t.Fatalf("rebuilt relation has %d shards, want %d", sh2.(*relation.ShardedRelation).NumShards(), segs)
+}
+
+// TestOpenRefusesSegmentedLog: a log a sharded build wrote as segments
+// path.0, path.1, … makes Open fail, naming the files and the remedy,
+// while path does not exist — rather than open an empty store and
+// leave the segments' commits behind. Segments a checkpoint emptied do
+// not block, and a record kind only the segmented store wrote stops
+// replay with an error instead of truncating the log there.
+func TestOpenRefusesSegmentedLog(t *testing.T) {
+	stubSyncs(t)
+	captureWarns(t)
+	dir := t.TempDir()
+	base := filepath.Join(dir, "wal")
+	for i, size := range []int{0, 0, 12} {
+		if err := os.WriteFile(fmt.Sprintf("%s.%d", base, i), make([]byte, size), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := Open(base, relation.NewCatalog())
+	if err == nil {
+		t.Fatal("Open started over a sharded build's non-empty WAL segment")
+	}
+	for _, frag := range []string{base, base + ".2", "checkpoint", base + ".ckpt"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Errorf("error %q does not name %q", err, frag)
+		}
+	}
+	if _, err := os.Stat(base); !os.IsNotExist(err) {
+		t.Fatalf("the refused Open created %s", base)
+	}
+
+	// Checkpointed by the build that wrote them, the segments are empty.
+	if err := os.Truncate(base+".2", 0); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(base, relation.NewCatalog())
+	if err != nil {
+		t.Fatalf("Open over emptied segments: %v", err)
+	}
+	st.Close()
+
+	// A segmented-store record inside the plain log fails the open and
+	// leaves the log's bytes in place.
+	plain := filepath.Join(dir, "plain")
+	f, err := os.Create(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []walRecord{
+		{LSN: 1, Tx: 1, Kind: recInsert, Rel: "w", Seq: "kept"},
+		{LSN: 2, Tx: 1, Kind: recCommit, N: 1},
+		{LSN: 3, Tx: 2, Kind: recInsert, Rel: "w", ID: 9, Seq: "explicit id"},
+	} {
+		payload, err := encodeRecord(nil, &rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.ID == 9 {
+			payload[1] = 3 // the explicit-id insert of the segmented store
+		}
+		writeFrame(t, f, payload)
+	}
+	f.Close()
+	before, _ := os.Stat(plain)
+	if _, err := Open(plain, relation.NewCatalog()); !errors.Is(err, errSegmentedRecord) {
+		t.Fatalf("Open over a segmented-store record = %v, want errSegmentedRecord", err)
+	}
+	if after, _ := os.Stat(plain); after.Size() != before.Size() {
+		t.Fatalf("the refused Open truncated the log: %d -> %d bytes", before.Size(), after.Size())
 	}
 }
 
@@ -781,7 +750,7 @@ func TestGroupCommitConcurrentCheckpoint(t *testing.T) {
 		}
 		break
 	}
-	w, _ := cat.Get("w")
+	w, _ := cat.Lookup("w")
 	if w.Len() != workers*perWorker {
 		t.Fatalf("live rows = %d, want %d", w.Len(), workers*perWorker)
 	}
@@ -793,7 +762,7 @@ func TestGroupCommitConcurrentCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	w2, _ := cat2.Get("w")
+	w2, _ := cat2.Lookup("w")
 	if w2.Len() != workers*perWorker {
 		t.Fatalf("recovered rows = %d, want %d", w2.Len(), workers*perWorker)
 	}

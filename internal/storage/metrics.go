@@ -10,9 +10,9 @@ var (
 	mCommits = obs.Default.Counter("simq_store_commits_total",
 		"Committed WAL transactions (live traffic, not replay).")
 	mWALAppends = obs.Default.Counter("simq_wal_appends_total",
-		"WAL transaction appends across all segments.")
+		"WAL transaction appends.")
 	mWALBytes = obs.Default.Counter("simq_wal_bytes_total",
-		"Bytes framed into the WAL across all segments.")
+		"Bytes framed into the WAL.")
 	mWALFsync = obs.Default.Histogram("simq_wal_fsync_seconds",
 		"Latency of the per-commit WAL fsync.", obs.DefBuckets)
 	mReplayTx = obs.Default.Counter("simq_wal_replayed_tx_total",

@@ -17,19 +17,21 @@ import (
 // length followed by the raw bytes):
 //
 //	byte    version  (binVersion)
-//	byte    kind     (binInsert .. binGlobal)
+//	byte    kind     (binInsert .. binCommit)
 //	uvarint lsn
 //	uvarint tx
 //	string  rel
 //	uvarint id
-//	uvarint nid
+//	uvarint 0        (reserved: was a replacement id)
 //	string  seq
 //	string  vec      (canonical vector literal, "" = none)
 //	uvarint len(attrs), then len pairs of (string key, string value)
 //	uvarint n        (commit: operation count)
-//	uvarint gid      (global transaction id, 0 = single-segment)
-//	uvarint parts    (segments the global transaction touched)
+//	uvarint 0        (reserved: was a global transaction id)
+//	uvarint 0        (reserved: was a segment count)
 //
+// The reserved fields keep the layout every earlier build wrote, so
+// their logs replay unchanged; the decoder reads and drops them.
 // Every field is present for every kind — empty fields cost one byte —
 // which keeps the codec a single straight-line encoder/decoder instead
 // of a per-kind switch, and means new fields extend every record
@@ -37,36 +39,32 @@ import (
 // bytes, quoting, and reflection from the hot commit path.
 const binVersion = 0x01
 
-// Binary kind bytes, mapped 1:1 onto the record-kind strings.
+// Binary kind bytes, mapped 1:1 onto the record-kind strings. Bytes 3,
+// 4 and 6 are reserved and never reused: the segmented store of sharded
+// builds wrote them (explicit-id insert and update, global commit).
 const (
-	binInsert = iota
-	binDelete
-	binUpdate
-	binInsertAt
-	binUpdateAt
-	binCommit
-	binGlobal
+	binInsert = 0
+	binDelete = 1
+	binUpdate = 2
+	binCommit = 5
 )
 
 var kindToByte = map[string]byte{
-	recInsert:   binInsert,
-	recDelete:   binDelete,
-	recUpdate:   binUpdate,
-	recInsertAt: binInsertAt,
-	recUpdateAt: binUpdateAt,
-	recCommit:   binCommit,
-	recGlobal:   binGlobal,
+	recInsert: binInsert,
+	recDelete: binDelete,
+	recUpdate: binUpdate,
+	recCommit: binCommit,
 }
 
 var byteToKind = [...]string{
-	binInsert:   recInsert,
-	binDelete:   recDelete,
-	binUpdate:   recUpdate,
-	binInsertAt: recInsertAt,
-	binUpdateAt: recUpdateAt,
-	binCommit:   recCommit,
-	binGlobal:   recGlobal,
+	binInsert: recInsert,
+	binDelete: recDelete,
+	binUpdate: recUpdate,
+	binCommit: recCommit,
 }
+
+// binSegmented marks the reserved kind bytes.
+var binSegmented = [...]bool{3: true, 4: true, 6: true}
 
 // appendString appends a varint-length-prefixed string.
 func appendString(dst []byte, s string) []byte {
@@ -88,7 +86,7 @@ func encodeRecord(dst []byte, rec *walRecord) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, rec.Tx)
 	dst = appendString(dst, rec.Rel)
 	dst = binary.AppendUvarint(dst, uint64(rec.ID))
-	dst = binary.AppendUvarint(dst, uint64(rec.NewID))
+	dst = append(dst, 0)
 	dst = appendString(dst, rec.Seq)
 	dst = appendString(dst, rec.Vec)
 	dst = binary.AppendUvarint(dst, uint64(len(rec.Attrs)))
@@ -101,8 +99,7 @@ func encodeRecord(dst []byte, rec *walRecord) ([]byte, error) {
 		}
 	}
 	dst = binary.AppendUvarint(dst, uint64(rec.N))
-	dst = binary.AppendUvarint(dst, rec.GID)
-	dst = binary.AppendUvarint(dst, uint64(rec.Parts))
+	dst = append(dst, 0, 0)
 	return dst, nil
 }
 
@@ -149,7 +146,10 @@ func decodeBinaryRecord(payload []byte, rec *walRecord) error {
 		return fmt.Errorf("storage: bad binary record header")
 	}
 	kindByte := payload[1]
-	if int(kindByte) >= len(byteToKind) {
+	if int(kindByte) < len(binSegmented) && binSegmented[kindByte] {
+		return errSegmentedRecord
+	}
+	if int(kindByte) >= len(byteToKind) || byteToKind[kindByte] == "" {
 		return fmt.Errorf("storage: unknown binary record kind %d", kindByte)
 	}
 	r := &binReader{buf: payload[2:]}
@@ -158,7 +158,7 @@ func decodeBinaryRecord(payload []byte, rec *walRecord) error {
 	rec.Tx = r.uvarint()
 	rec.Rel = r.str()
 	rec.ID = int(r.uvarint())
-	rec.NewID = int(r.uvarint())
+	r.uvarint() // reserved
 	rec.Seq = r.str()
 	rec.Vec = r.str()
 	nattrs := r.uvarint()
@@ -174,8 +174,8 @@ func decodeBinaryRecord(payload []byte, rec *walRecord) error {
 		rec.Attrs = attrs
 	}
 	rec.N = int(r.uvarint())
-	rec.GID = r.uvarint()
-	rec.Parts = int(r.uvarint())
+	r.uvarint() // reserved
+	r.uvarint() // reserved
 	if r.err != nil {
 		return r.err
 	}

@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,26 +14,20 @@ import (
 // OpKind enumerates the mutations a Store applies.
 type OpKind int
 
-// Mutation kinds. The *At kinds carry caller-assigned ids: the
-// segmented commit path reserves global ids up front so each WAL
-// segment can be replayed independently of the others.
+// Mutation kinds.
 const (
 	OpInsert OpKind = iota
 	OpDelete
 	OpUpdate
-	OpInsertAt // insert under the explicit ID
-	OpUpdateAt // update ID, installing the new version under NewID
 )
 
 // Op is one mutation against a named relation. Insert uses
 // Seq/Vec/Attrs; Delete uses ID; Update uses ID plus the replacement
-// Seq/Vec/Attrs; InsertAt additionally pins ID and UpdateAt pins NewID.
-// Vec is the optional embedding column (nil = none).
+// Seq/Vec/Attrs. Vec is the optional embedding column (nil = none).
 type Op struct {
 	Kind  OpKind
 	Rel   string
 	ID    int
-	NewID int
 	Seq   string
 	Vec   metric.Vector
 	Attrs map[string]string
@@ -42,7 +35,7 @@ type Op struct {
 
 // encodeVec renders a vector for a WAL record ("" = none); decodeVec
 // reverses it on replay. The canonical literal round-trips float32 bit
-// for bit, so replayed rows hash and measure identically.
+// for bit, so replayed rows measure identically.
 func encodeVec(v metric.Vector) string {
 	if v == nil {
 		return ""
@@ -81,7 +74,7 @@ type CommitResult struct {
 // head copy and publish for the whole run, and the run becomes visible
 // atomically (the common shapes — DML INSERT and /ingest — are exactly
 // one such run).
-func applyBatch(resolve func(string) (relation.Table, error), ops []Op) (CommitResult, error) {
+func applyBatch(resolve func(string) (*relation.Relation, error), ops []Op) (CommitResult, error) {
 	var res CommitResult
 	for i := 0; i < len(ops); {
 		op := ops[i]
@@ -117,44 +110,6 @@ func applyBatch(resolve func(string) (relation.Table, error), ops []Op) (CommitR
 				res.Applied++
 				res.Updates++
 			}
-		case OpInsertAt:
-			// Batch a run of explicit-id inserts into one commit, mirroring
-			// the OpInsert run optimisation (and keeping /ingest batches
-			// atomically visible on sharded relations).
-			j := i
-			for j < len(ops) && ops[j].Kind == OpInsertAt && ops[j].Rel == op.Rel {
-				j++
-			}
-			if j-i > 1 {
-				ids := make([]int, j-i)
-				rows := make([]relation.InsertRow, j-i)
-				for k := i; k < j; k++ {
-					ids[k-i] = ops[k].ID
-					rows[k-i] = relation.InsertRow{Seq: ops[k].Seq, Vec: ops[k].Vec, Attrs: ops[k].Attrs}
-				}
-				type batchInserter interface {
-					InsertBatchAt(ids []int, rows []relation.InsertRow) []int
-				}
-				if bi, ok := r.(batchInserter); ok {
-					installed := bi.InsertBatchAt(ids, rows)
-					res.InsertedIDs = append(res.InsertedIDs, installed...)
-					res.Applied += len(installed)
-					res.Inserts += len(installed)
-					i = j
-					continue
-				}
-			}
-			if r.InsertRowAt(op.ID, relation.InsertRow{Seq: op.Seq, Vec: op.Vec, Attrs: op.Attrs}) {
-				res.InsertedIDs = append(res.InsertedIDs, op.ID)
-				res.Applied++
-				res.Inserts++
-			}
-		case OpUpdateAt:
-			if r.UpdateRowAt(op.ID, op.NewID, relation.InsertRow{Seq: op.Seq, Vec: op.Vec, Attrs: op.Attrs}) {
-				res.InsertedIDs = append(res.InsertedIDs, op.NewID)
-				res.Applied++
-				res.Updates++
-			}
 		default:
 			return res, fmt.Errorf("storage: unknown op kind %d", op.Kind)
 		}
@@ -168,7 +123,7 @@ func applyBatch(resolve func(string) (relation.Table, error), ops []Op) (CommitR
 // without durability. Unknown relations error (nothing will replay to
 // recreate them, so silent autocreation would hide typos).
 func Apply(cat *relation.Catalog, ops []Op) (CommitResult, error) {
-	return applyBatch(func(name string) (relation.Table, error) {
+	return applyBatch(func(name string) (*relation.Relation, error) {
 		r, ok := cat.Lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("storage: unknown relation %q", name)
@@ -193,8 +148,8 @@ type Metrics struct {
 // its acknowledgement, and applied in memory under the store mutex, so
 // reopening the store replays the log to the identical committed
 // state. Writers serialize on the store's mutex for the append+apply
-// critical section; the fsync happens OUTSIDE the mutex through a
-// per-segment group-commit syncer, so concurrent committers share one
+// critical section; the fsync happens OUTSIDE the mutex through the
+// log's group-commit syncer, so concurrent committers share one
 // fsync instead of queueing N of them. Acknowledgements retire in
 // commit order (a dense sequence watermark), so a commit is never
 // acknowledged while an earlier commit it may depend on is still
@@ -207,28 +162,14 @@ type Metrics struct {
 // store is attached all mutations must flow through it, never through
 // direct relation calls.
 //
-// A segmented store (OpenSegmented) keeps one WAL file per shard:
-// records targeting a ShardedRelation route to the segment of the shard
-// that owns the row, and carry explicit global ids (reserved before
-// logging) so each segment replays independently of the others'
-// interleaving. Records for plain relations always land in segment 0.
-// A commit spanning several segments is made atomic by a global commit
-// record: each segment's part carries the transaction's GID and part
-// count, and a recGlobal record in segment 0 seals the transaction.
-// Replay applies a GID transaction only when the global record survived
-// AND every part is present — a crash between segment appends can
-// therefore never surface a partially-replayed cross-shard batch.
-//
 // Checkpoint serializes the whole catalog to a snapshot file (temp
-// file + fsync + atomic rename + dir fsync), truncates every WAL
-// segment, and records the covering LSN: reopen loads the snapshot and
+// file + fsync + atomic rename + dir fsync), truncates the WAL, and
+// records the covering LSN: reopen loads the snapshot and
 // replays only the WAL tail past it.
 type Store struct {
 	mu          sync.Mutex
 	cat         *relation.Catalog
-	wals        []*wal // len >= 1; segment 0 is the default route
-	lsn         uint64 // store-wide LSN counter shared by every segment
-	gid         uint64 // cross-segment (global) transaction id allocator
+	wal         *wal
 	seqNext     uint64 // dense commit sequence, assigned under mu
 	ckptPath    string
 	groupCommit bool
@@ -252,92 +193,39 @@ type Store struct {
 // at path+".ckpt" first, when one exists, then the WAL tail past its
 // covering LSN. Relations named by the log that are missing from the
 // catalog are created and registered.
+//
+// A sharded build logged to segments path.0, path.1, … instead. Open
+// refuses to start over such a log when path itself does not exist, so
+// its commits are never silently left behind; checkpointing with the
+// build that wrote it folds them into path.ckpt and empties them.
 func Open(path string, cat *relation.Catalog) (*Store, error) {
-	return openSegments([]string{path}, cat, path+".ckpt")
-}
-
-// OpenSegmented opens a store with one WAL segment per shard:
-// "path.0" … "path.N-1" (checkpoint snapshot at "path.ckpt"). The
-// catalog's sharded relations must already be registered (replay routes
-// rows by the same hash partitioner that logged them, so the shard
-// count must match the one the log was written under).
-func OpenSegmented(path string, cat *relation.Catalog, segments int) (*Store, error) {
-	if segments < 1 {
-		segments = 1
+	if err := checkSegments(path); err != nil {
+		return nil, err
 	}
-	paths := make([]string, segments)
-	for i := range paths {
-		paths[i] = fmt.Sprintf("%s.%d", path, i)
-	}
-	return openSegments(paths, cat, path+".ckpt")
-}
-
-func openSegments(paths []string, cat *relation.Catalog, ckptPath string) (*Store, error) {
+	ckptPath := path + ".ckpt"
 	// A crash mid-checkpoint leaves a temp file; it was never renamed,
 	// so it covers nothing and is safe to drop.
 	os.Remove(ckptPath + ".tmp")
 
-	ckptLSN, ckptGID, fromCkpt, err := loadCheckpoint(ckptPath, cat)
+	ckptLSN, fromCkpt, err := loadCheckpoint(ckptPath, cat)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{cat: cat, ckptPath: ckptPath, groupCommit: true, lsn: ckptLSN, gid: ckptGID}
+	w, txs, err := openWAL(path)
+	if err != nil {
+		return nil, err
+	}
+	if ckptLSN > w.lsn {
+		w.lsn = ckptLSN
+	}
+	s := &Store{cat: cat, wal: w, ckptPath: ckptPath, groupCommit: true}
 	s.ackCond = sync.NewCond(&s.ackMu)
-
-	var (
-		all       []walTx
-		globals   = map[uint64]bool{}
-		partsSeen = map[uint64]int{}
-	)
-	for _, p := range paths {
-		w, rec, err := openWAL(p)
-		if err != nil {
-			for _, open := range s.wals {
-				open.close()
-			}
-			return nil, err
-		}
-		s.wals = append(s.wals, w)
-		for _, tx := range rec.txs {
-			if tx.gid != 0 {
-				partsSeen[tx.gid]++
-			}
-			// A committed zero-op transaction (valid but vacuous) has no
-			// first record to sort on; replaying it is a no-op either way.
-			if len(tx.ops) > 0 {
-				all = append(all, tx)
-			}
-		}
-		for g := range rec.globals {
-			globals[g] = true
-		}
-		if rec.maxGID > s.gid {
-			s.gid = rec.maxGID
-		}
-		if w.maxLSN > s.lsn {
-			s.lsn = w.maxLSN
-		}
-	}
-	// Every segment appends under the shared store-wide LSN counter, so
-	// sorting the recovered transactions by their first record's LSN
-	// reconstructs the original commit order across segments — the order
-	// replay must follow when one commit's effects span shards.
-	for _, w := range s.wals {
-		w.lsn = &s.lsn
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ops[0].LSN < all[j].ops[0].LSN })
 	start := time.Now()
-	for _, tx := range all {
+	for _, tx := range txs {
 		if fromCkpt && tx.commitLSN <= ckptLSN {
 			// Folded into the snapshot already (the checkpoint's covering
 			// LSN was captured at a commit boundary; a crash between the
 			// snapshot rename and the WAL truncation leaves these behind).
-			continue
-		}
-		if tx.gid != 0 && (!globals[tx.gid] || partsSeen[tx.gid] != tx.parts) {
-			// A cross-segment transaction missing its global record or any
-			// of its parts was not fully durable at the crash: drop every
-			// part, never replay it partially.
 			continue
 		}
 		for i := range tx.ops {
@@ -353,20 +241,38 @@ func openSegments(paths []string, cat *relation.Catalog, ckptPath string) (*Stor
 	return s, nil
 }
 
+// checkSegments fails when path does not exist but a non-empty segment
+// path.N written by a sharded build does.
+func checkSegments(path string) error {
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		return nil
+	}
+	for i := 0; ; i++ {
+		seg := fmt.Sprintf("%s.%d", path, i)
+		fi, err := os.Stat(seg)
+		if err != nil {
+			return nil
+		}
+		if fi.Size() > 0 {
+			return fmt.Errorf("storage: %s does not exist but %s holds WAL records of a sharded build, "+
+				"which this build cannot replay; checkpoint with the previous build (POST /v1/checkpoint), "+
+				"which folds every segment into %s.ckpt, then restart", path, seg, path)
+		}
+	}
+}
+
 // SetSync toggles fsync-per-commit (default on). With it off a commit
 // still survives process death — the buffer is flushed to the OS — but
 // not machine death.
 func (s *Store) SetSync(sync bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, w := range s.wals {
-		w.sync = sync
-	}
+	s.wal.sync = sync
 }
 
 // SetGroupCommit toggles the group-commit fsync path (default on).
-// With it off, a sync-enabled commit fsyncs its segments inside the
-// store mutex — one fsync per commit, fully serialized. Exists for the
+// With it off, a sync-enabled commit fsyncs the log inside the store
+// mutex — one fsync per commit, fully serialized. Exists for the
 // benchmark pair that gates the group-commit win; production callers
 // have no reason to turn it off.
 func (s *Store) SetGroupCommit(on bool) {
@@ -378,10 +284,9 @@ func (s *Store) SetGroupCommit(on bool) {
 // Catalog returns the catalog the store writes into.
 func (s *Store) Catalog() *relation.Catalog { return s.cat }
 
-// relFor returns the named table, creating and registering a plain
-// relation on first use (the WAL may define relations the base catalog
-// does not; sharded relations must be registered before replay).
-func (s *Store) relFor(name string) relation.Table {
+// relFor returns the named relation, creating and registering it on
+// first use (the WAL may define relations the base catalog does not).
+func (s *Store) relFor(name string) *relation.Relation {
 	if r, ok := s.cat.Lookup(name); ok {
 		return r
 	}
@@ -403,10 +308,6 @@ func (s *Store) applyRecord(rec *walRecord) {
 		r.Delete(rec.ID)
 	case recUpdate:
 		r.UpdateRow(rec.ID, row)
-	case recInsertAt:
-		r.InsertRowAt(rec.ID, row)
-	case recUpdateAt:
-		r.UpdateRowAt(rec.ID, rec.NewID, row)
 	}
 }
 
@@ -457,34 +358,20 @@ func (s *Store) Commit(ops []Op) (CommitResult, error) {
 		s.mu.Unlock()
 		return res, fmt.Errorf("storage: store is fail-stopped after a durability error")
 	}
-	nseg := len(s.wals)
-	segRecs := make([][]walRecord, nseg)
+	recs := make([]walRecord, 0, len(ops))
 	kept := make([]Op, 0, len(ops))
 	for _, op := range ops {
-		var sh *relation.ShardedRelation
-		if t, ok := s.cat.Lookup(op.Rel); ok {
-			sh, _ = t.(*relation.ShardedRelation)
-		}
-		seg := 0
 		var rec walRecord
 		switch op.Kind {
 		case OpInsert:
 			rec = walRecord{Kind: recInsert, Rel: op.Rel, Seq: op.Seq, Vec: encodeVec(op.Vec), Attrs: op.Attrs}
-			if sh != nil && nseg > 1 {
-				// Segmented: reserve the global id now so the record can
-				// carry it and land in the owning shard's segment.
-				id := sh.ReserveIDs(1)[0]
-				op = Op{Kind: OpInsertAt, Rel: op.Rel, ID: id, Seq: op.Seq, Vec: op.Vec, Attrs: op.Attrs}
-				rec = walRecord{Kind: recInsertAt, Rel: op.Rel, ID: id, Seq: op.Seq, Vec: encodeVec(op.Vec), Attrs: op.Attrs}
-				seg = relation.RouteOf(op.Seq, op.Vec, sh.NumShards()) % nseg
-			}
 		case OpDelete, OpUpdate:
-			t, ok := s.cat.Lookup(op.Rel)
+			r, ok := s.cat.Lookup(op.Rel)
 			if !ok {
 				s.mu.Unlock()
 				return res, fmt.Errorf("storage: unknown relation %q", op.Rel)
 			}
-			if _, visible := t.Tuple(op.ID); !visible {
+			if _, visible := r.Tuple(op.ID); !visible {
 				continue
 			}
 			kind := recDelete
@@ -492,19 +379,11 @@ func (s *Store) Commit(ops []Op) (CommitResult, error) {
 				kind = recUpdate
 			}
 			rec = walRecord{Kind: kind, Rel: op.Rel, ID: op.ID, Seq: op.Seq, Vec: encodeVec(op.Vec), Attrs: op.Attrs}
-			if sh != nil && nseg > 1 {
-				seg = sh.ShardOfID(op.ID) % nseg
-				if op.Kind == OpUpdate {
-					newID := sh.ReserveIDs(1)[0]
-					op = Op{Kind: OpUpdateAt, Rel: op.Rel, ID: op.ID, NewID: newID, Seq: op.Seq, Vec: op.Vec, Attrs: op.Attrs}
-					rec = walRecord{Kind: recUpdateAt, Rel: op.Rel, ID: op.ID, NewID: newID, Seq: op.Seq, Vec: encodeVec(op.Vec), Attrs: op.Attrs}
-				}
-			}
 		default:
 			s.mu.Unlock()
 			return res, fmt.Errorf("storage: unknown op kind %d", op.Kind)
 		}
-		segRecs[seg] = append(segRecs[seg], rec)
+		recs = append(recs, rec)
 		kept = append(kept, op)
 	}
 	if len(kept) == 0 {
@@ -512,43 +391,14 @@ func (s *Store) Commit(ops []Op) (CommitResult, error) {
 		return res, nil
 	}
 
-	touched := make([]int, 0, nseg)
-	for seg, recs := range segRecs {
-		if len(recs) > 0 {
-			touched = append(touched, seg)
-		}
-	}
-	var gid uint64
-	parts := 0
-	if len(touched) > 1 {
-		// Cross-segment transaction: every part carries the GID and part
-		// count, and a global record in segment 0 seals it. Replay
-		// requires the seal AND all parts, so a crash that tears any of
-		// the appends drops the transaction atomically.
-		s.gid++
-		gid = s.gid
-		parts = len(touched)
+	w := s.wal
+	tx, err := w.appendTx(recs)
+	if err != nil {
+		s.mu.Unlock()
+		return res, fmt.Errorf("storage: WAL append: %w", err)
 	}
 
-	var tx uint64
-	for _, seg := range touched {
-		t, err := s.wals[seg].appendTx(segRecs[seg], gid, parts)
-		if err != nil {
-			// Earlier segments keep their parts, but without the global
-			// record replay drops them — the commit fails atomically.
-			s.mu.Unlock()
-			return res, fmt.Errorf("storage: WAL append (segment %d): %w", seg, err)
-		}
-		tx = t
-	}
-	if gid != 0 {
-		if err := s.wals[0].appendGlobal(gid, parts); err != nil {
-			s.mu.Unlock()
-			return res, fmt.Errorf("storage: WAL global-commit append: %w", err)
-		}
-	}
-
-	res, err := applyBatch(func(name string) (relation.Table, error) {
+	res, err = applyBatch(func(name string) (*relation.Relation, error) {
 		return s.relFor(name), nil
 	}, kept)
 	res.Tx = tx
@@ -560,35 +410,23 @@ func (s *Store) Commit(ops []Op) (CommitResult, error) {
 		return res, fmt.Errorf("storage: apply after WAL commit: %w", err)
 	}
 
-	// Capture fsync targets under the mutex — offsets and truncation
-	// generations must describe the bytes THIS commit wrote — then sync
-	// outside it so concurrent commits share fsyncs (group commit).
-	type syncTarget struct {
-		w   *wal
-		off int64
-		gen uint64
-	}
-	var targets []syncTarget
-	syncSegs := touched
-	if gid != 0 && segRecs[0] == nil {
-		syncSegs = append(append(make([]int, 0, len(touched)+1), touched...), 0)
-	}
-	for _, seg := range syncSegs {
-		w := s.wals[seg]
-		if !w.sync {
-			continue
-		}
-		if s.groupCommit {
-			targets = append(targets, syncTarget{w: w, off: w.bytes, gen: w.generation()})
-			continue
-		}
+	// Capture the fsync target under the mutex — the offset and
+	// truncation generation must describe the bytes THIS commit wrote —
+	// then sync outside it so concurrent commits share fsyncs (group
+	// commit).
+	var off int64
+	var gen uint64
+	groupSync := w.sync && s.groupCommit
+	if groupSync {
+		off, gen = w.bytes, w.generation()
+	} else if w.sync {
 		// Legacy path (bench baseline): one fsync per commit, serialized
 		// under the store mutex exactly like the pre-group-commit store.
 		start := time.Now()
 		if err := syncFile(w.f); err != nil {
 			s.stopped = true
 			s.mu.Unlock()
-			return res, fmt.Errorf("storage: WAL fsync (segment %d): %w", seg, err)
+			return res, fmt.Errorf("storage: WAL fsync: %w", err)
 		}
 		mWALFsync.Observe(time.Since(start).Seconds())
 	}
@@ -597,8 +435,8 @@ func (s *Store) Commit(ops []Op) (CommitResult, error) {
 	s.mu.Unlock()
 	defer s.retire(seq)
 
-	for _, t := range targets {
-		if err := t.w.syncTo(t.off, t.gen); err != nil {
+	if groupSync {
+		if err := w.syncTo(off, gen); err != nil {
 			s.failStop()
 			return res, fmt.Errorf("storage: WAL fsync: %w", err)
 		}
@@ -613,7 +451,7 @@ func (s *Store) Commit(ops []Op) (CommitResult, error) {
 }
 
 // Checkpoint serializes the catalog to the store's snapshot file and
-// truncates every WAL segment. Stop-the-world: the store mutex is held
+// truncates the WAL. Stop-the-world: the store mutex is held
 // across the dump, so the snapshot is one commit boundary and its
 // covering LSN is exact — writers queue for the duration (dump cost is
 // one sequential pass over the visible rows; see EXPERIMENTS.md for
@@ -627,20 +465,19 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 	if s.stopped {
 		return CheckpointInfo{}, fmt.Errorf("storage: store is fail-stopped after a durability error")
 	}
-	rels, rows, bytes, err := writeCheckpoint(s.ckptPath, s.cat, s.lsn, s.gid)
+	lsn := s.wal.lsn
+	rels, rows, bytes, err := writeCheckpoint(s.ckptPath, s.cat, lsn)
 	if err != nil {
 		return CheckpointInfo{}, fmt.Errorf("storage: checkpoint: %w", err)
 	}
-	for i, w := range s.wals {
-		if err := w.truncateAll(); err != nil {
-			// The snapshot is durable and covers every logged transaction;
-			// a tail that would not truncate merely costs replay-and-filter
-			// work at the next open. Warn, don't fail the checkpoint.
-			warnf("storage: WAL truncate after checkpoint failed segment=%d err=%q", i, err)
-		}
+	if err := s.wal.truncateAll(); err != nil {
+		// The snapshot is durable and covers every logged transaction;
+		// a tail that would not truncate merely costs replay-and-filter
+		// work at the next open. Warn, don't fail the checkpoint.
+		warnf("storage: WAL truncate after checkpoint failed err=%q", err)
 	}
 	info := CheckpointInfo{
-		LSN:      s.lsn,
+		LSN:      lsn,
 		Rels:     rels,
 		Rows:     rows,
 		Bytes:    bytes,
@@ -695,16 +532,10 @@ func (s *Store) Update(rel string, id int, seq string, attrs map[string]string) 
 	return res.InsertedIDs[0], true, nil
 }
 
-// Segments returns the number of WAL segments the store writes.
-func (s *Store) Segments() int { return len(s.wals) }
-
 // Metrics snapshots the write-side counters.
 func (s *Store) Metrics() Metrics {
 	s.mu.Lock()
-	var bytes int64
-	for _, w := range s.wals {
-		bytes += w.bytes
-	}
+	bytes := s.wal.bytes
 	s.mu.Unlock()
 	return Metrics{
 		Commits:    s.commits.Load(),
@@ -717,16 +548,10 @@ func (s *Store) Metrics() Metrics {
 	}
 }
 
-// Close flushes and closes every WAL segment. The store must not be
-// used after (in-flight commits must have returned).
+// Close flushes and closes the WAL. The store must not be used after
+// (in-flight commits must have returned).
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var first error
-	for _, w := range s.wals {
-		if err := w.close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return s.wal.close()
 }

@@ -41,7 +41,7 @@ func TestCommitAndReopen(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Update = %v, %v", ok, err)
 	}
-	words, _ := cat.Get("words")
+	words, _ := cat.Lookup("words")
 	want := words.Tuples()
 	if len(want) != 1 || want[0].ID != nid || want[0].Seq != "mundo" {
 		t.Fatalf("state after ops = %v", want)
@@ -51,7 +51,7 @@ func TestCommitAndReopen(t *testing.T) {
 	// flushed per commit).
 	st2, cat2 := openTemp(t, dir)
 	defer st2.Close()
-	words2, ok2 := cat2.Get("words")
+	words2, ok2 := cat2.Lookup("words")
 	if !ok2 {
 		t.Fatal("replay did not create relation")
 	}
@@ -104,7 +104,7 @@ func TestBatchCommitAtomicReplay(t *testing.T) {
 	}
 	st2, cat2 := openTemp(t, dir)
 	defer st2.Close()
-	if b, ok := cat2.Get("b"); ok && b.Len() != 0 {
+	if b, ok := cat2.Lookup("b"); ok && b.Len() != 0 {
 		t.Fatalf("torn batch partially replayed: %d rows", b.Len())
 	}
 }
@@ -128,7 +128,7 @@ func TestCorruptFrameStopsReplay(t *testing.T) {
 	}
 
 	st2, cat2 := openTemp(t, dir)
-	r, _ := cat2.Get("r")
+	r, _ := cat2.Lookup("r")
 	if r.Len() != 1 {
 		t.Fatalf("replayed %d rows, want 1 (corrupt tx dropped)", r.Len())
 	}
@@ -138,7 +138,7 @@ func TestCorruptFrameStopsReplay(t *testing.T) {
 	}
 	st3, cat3 := openTemp(t, dir)
 	defer st3.Close()
-	r3, _ := cat3.Get("r")
+	r3, _ := cat3.Lookup("r")
 	if got := r3.Tuples(); len(got) != 2 || got[1].Seq != "after" {
 		t.Fatalf("post-truncate append replayed as %v", got)
 	}
@@ -176,7 +176,7 @@ func TestOversizedRecordRejected(t *testing.T) {
 	}
 	st2, cat2 := openTemp(t, dir)
 	defer st2.Close()
-	r, _ := cat2.Get("r")
+	r, _ := cat2.Lookup("r")
 	if got := r.Tuples(); len(got) != 1 || got[0].Seq != "small" {
 		t.Fatalf("replay after rejected append = %v", got)
 	}
@@ -238,12 +238,12 @@ func TestReplayDeterminism10k(t *testing.T) {
 			}
 		}
 	}
-	w, _ := cat.Get("w")
+	w, _ := cat.Lookup("w")
 	want := w.Tuples()
 
 	st2, cat2 := openTemp(t, dir)
 	defer st2.Close()
-	w2, _ := cat2.Get("w")
+	w2, _ := cat2.Lookup("w")
 	if got := w2.Tuples(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replay diverged: %d vs %d rows", len(got), len(want))
 	}

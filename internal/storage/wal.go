@@ -18,15 +18,14 @@
 // the file there — durably: the truncation is fsynced so a later
 // machine crash cannot resurrect the discarded bytes — and applies
 // only transactions whose commit record survived, so an interrupted
-// append can never surface a half-applied batch. Cross-segment
-// transactions additionally carry a global-commit protocol; see
-// store.go.
+// append can never surface a half-applied batch.
 package storage
 
 import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -38,35 +37,26 @@ import (
 )
 
 // Record kinds. Operation records precede their transaction's commit.
-// The *at kinds carry explicit tuple ids — segmented stores log them so
-// every segment replays to the same state regardless of how commits
-// interleaved across segments. A global record marks a cross-segment
-// transaction (identified by GID) durable in ALL of its segments; it is
-// always appended to segment 0, after the per-segment parts.
 const (
-	recInsert   = "insert"
-	recDelete   = "delete"
-	recUpdate   = "update"
-	recInsertAt = "insertat"
-	recUpdateAt = "updateat"
-	recCommit   = "commit"
-	recGlobal   = "global"
+	recInsert = "insert"
+	recDelete = "delete"
+	recUpdate = "update"
+	recCommit = "commit"
 )
 
-// walRecord is one WAL entry. Plain insert records intentionally carry
-// no tuple id: ids are assigned deterministically by replay order,
-// which keeps the log identical across the original run and every
-// recovery. Segmented stores use the explicit-id kinds instead.
+// errSegmentedRecord rejects a record only the segmented store of
+// sharded builds wrote (an explicit-id insert or update, or a global
+// commit). This build cannot replay it, and truncating the log there
+// would silently drop it and everything after it.
+var errSegmentedRecord = errors.New("record written by a sharded build's segmented store; checkpoint the log with that build first")
+
+// walRecord is one WAL entry. Insert records intentionally carry no
+// tuple id: ids are assigned deterministically by replay order, which
+// keeps the log identical across the original run and every recovery.
 //
 // Vec carries the row's embedding in the canonical vector-literal
 // syntax (metric.Format). The text form is bit-exact for float32, so a
-// replayed row hashes and measures identically to the original.
-//
-// GID/Parts implement cross-segment atomicity: a commit record that is
-// one part of a multi-segment transaction carries the transaction's
-// global id and the number of segments it touched; replay applies such
-// a transaction only when its global record (kind recGlobal, same GID)
-// survived AND all Parts commit records are present across segments.
+// replayed row measures identically to the original.
 //
 // The JSON tags are the legacy on-disk encoding — still read
 // transparently, no longer written.
@@ -76,13 +66,10 @@ type walRecord struct {
 	Kind  string            `json:"op"`
 	Rel   string            `json:"rel,omitempty"`
 	ID    int               `json:"id,omitempty"`
-	NewID int               `json:"nid,omitempty"` // updateat: replacement tuple id
 	Seq   string            `json:"seq,omitempty"`
 	Vec   string            `json:"vec,omitempty"` // canonical vector literal, "" = none
 	Attrs map[string]string `json:"attrs,omitempty"`
-	N     int               `json:"n,omitempty"`     // commit: operation count of the tx
-	GID   uint64            `json:"gid,omitempty"`   // cross-segment transaction id (0 = single-segment)
-	Parts int               `json:"parts,omitempty"` // commit/global: segments the GID transaction touched
+	N     int               `json:"n,omitempty"` // commit: operation count of the tx
 }
 
 // decodeJSONRecord parses a legacy JSON payload (first byte '{').
@@ -113,35 +100,20 @@ var warnf = func(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }
 
-// walTx is one committed transaction recovered from a segment.
+// walTx is one committed transaction recovered from the log.
 type walTx struct {
 	ops       []walRecord
 	commitLSN uint64
-	gid       uint64 // 0 = single-segment transaction
-	parts     int    // segments the GID transaction touched (gid != 0)
 }
 
-// walRecovery is everything openWAL learned from one segment's replay.
-type walRecovery struct {
-	txs     []walTx
-	globals map[uint64]bool // GIDs whose global record survived in this segment
-	maxGID  uint64
-}
-
-// wal is the append side of one log segment. Writers are serialized by
-// the owning Store; fsync is delegated to the embedded syncer so
-// concurrent commits can share one fsync (group commit). The LSN
-// counter is shared across every segment of a store (the Store wires it
-// after open), so sorting all segments' transactions by LSN
-// reconstructs the store-wide commit order — that is what lets a
-// segmented store replay cross-shard mutations in the order they
-// happened.
+// wal is the append side of the log. Writers are serialized by the
+// owning Store; fsync is delegated to the embedded syncer so
+// concurrent commits can share one fsync (group commit).
 type wal struct {
 	f      *os.File
 	w      *bufio.Writer
 	path   string
-	lsn    *uint64 // shared store-wide LSN counter
-	maxLSN uint64  // highest LSN seen during open (feeds the shared counter)
+	lsn    uint64 // last LSN written (or recovered)
 	nextTx uint64
 	bytes  int64
 	sync   bool   // fsync commits (via the syncer)
@@ -161,15 +133,15 @@ const frameHeader = 8
 const maxRecordLen = 1 << 24
 
 // openWAL opens (creating if needed) the log at path, replays every
-// complete frame and returns the committed transactions in order plus
-// the segment's global-commit records. A torn or corrupt tail is
-// truncated away and the truncation fsynced; creating the file fsyncs
-// the parent directory so the log survives a machine crash right after
-// first open.
-func openWAL(path string) (*wal, walRecovery, error) {
+// complete frame and returns the committed transactions in order. A
+// torn or corrupt tail is truncated away and the truncation fsynced; a
+// record of a kind only the segmented store wrote fails the open
+// instead. Creating the file fsyncs the parent directory so the log
+// survives a machine crash right after first open.
+func openWAL(path string) (*wal, []walTx, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, walRecovery{}, err
+		return nil, nil, err
 	}
 	w := &wal{f: f, path: path, sync: true}
 	w.syn.cond = sync.NewCond(&w.syn.mu)
@@ -177,7 +149,7 @@ func openWAL(path string) (*wal, walRecovery, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, walRecovery{}, err
+		return nil, nil, err
 	}
 	size := fi.Size()
 	if size == 0 {
@@ -185,12 +157,12 @@ func openWAL(path string) (*wal, walRecovery, error) {
 		// entry now, before any commit is acknowledged against it.
 		if err := syncDir(filepath.Dir(path)); err != nil {
 			f.Close()
-			return nil, walRecovery{}, fmt.Errorf("storage: fsync WAL directory: %w", err)
+			return nil, nil, fmt.Errorf("storage: fsync WAL directory: %w", err)
 		}
 	}
 
-	rec := walRecovery{globals: map[uint64]bool{}}
 	var (
+		txs       []walTx
 		pending   = map[uint64][]walRecord{}
 		good      int64
 		rd        = bufio.NewReader(f)
@@ -222,6 +194,10 @@ scan:
 		}
 		var r walRecord
 		if err := decodeRecord(payload, &r); err != nil {
+			if errors.Is(err, errSegmentedRecord) {
+				f.Close()
+				return nil, nil, fmt.Errorf("storage: WAL %s: %w", path, err)
+			}
 			truncated = "undecodable record"
 			break
 		}
@@ -236,21 +212,16 @@ scan:
 				truncated = fmt.Sprintf("commit frame op-count mismatch (tx=%d logged n=%d, found %d ops)", r.Tx, r.N, len(ops))
 				break scan
 			}
-			rec.txs = append(rec.txs, walTx{ops: ops, commitLSN: r.LSN, gid: r.GID, parts: r.Parts})
-		case recGlobal:
-			rec.globals[r.GID] = true
+			txs = append(txs, walTx{ops: ops, commitLSN: r.LSN})
 		default:
 			pending[r.Tx] = append(pending[r.Tx], r)
 		}
 		good += frameHeader + int64(n)
-		if r.LSN > w.maxLSN {
-			w.maxLSN = r.LSN
+		if r.LSN > w.lsn {
+			w.lsn = r.LSN
 		}
 		if r.Tx > w.nextTx {
 			w.nextTx = r.Tx
-		}
-		if r.GID > rec.maxGID {
-			rec.maxGID = r.GID
 		}
 	}
 	// Truncate anything past the last fully-readable frame (drops torn
@@ -261,7 +232,7 @@ scan:
 	// replay would read a tail this process already decided was corrupt.
 	if err := f.Truncate(good); err != nil {
 		f.Close()
-		return nil, walRecovery{}, fmt.Errorf("storage: truncate torn WAL tail: %w", err)
+		return nil, nil, fmt.Errorf("storage: truncate torn WAL tail: %w", err)
 	}
 	if truncated != "" {
 		mTruncatedFrames.Inc()
@@ -269,23 +240,22 @@ scan:
 			path, truncated, size-good, good)
 		if err := syncFile(f); err != nil {
 			f.Close()
-			return nil, walRecovery{}, fmt.Errorf("storage: fsync truncated WAL: %w", err)
+			return nil, nil, fmt.Errorf("storage: fsync truncated WAL: %w", err)
 		}
 	}
 	if _, err := f.Seek(good, io.SeekStart); err != nil {
 		f.Close()
-		return nil, walRecovery{}, err
+		return nil, nil, err
 	}
 	w.bytes = good
 	w.syn.flushed.Store(good)
 	w.syn.synced = good
 	w.w = bufio.NewWriter(f)
-	return w, rec, nil
+	return w, txs, nil
 }
 
 // appendTx frames and writes one transaction: the operation records
-// followed by a commit record carrying gid/parts (zero for the common
-// single-segment transaction). The buffer is always flushed to the OS
+// followed by a commit record. The buffer is always flushed to the OS
 // (crash-of-process safe); fsync (crash-of-machine safe) is the
 // caller's job via syncTo, outside the store mutex, so concurrent
 // commits batch into one fsync. On any error the log rolls back to the
@@ -296,15 +266,15 @@ scan:
 // If even the truncate fails the wal turns fail-stop (broken): every
 // later append errors rather than risk acknowledging writes a recovery
 // could drop.
-func (w *wal) appendTx(ops []walRecord, gid uint64, parts int) (tx uint64, err error) {
+func (w *wal) appendTx(ops []walRecord) (tx uint64, err error) {
 	if w.broken {
 		return 0, fmt.Errorf("storage: WAL is fail-stopped after an unrecoverable append error")
 	}
-	lsn0, tx0, bytes0 := *w.lsn, w.nextTx, w.bytes
+	lsn0, tx0, bytes0 := w.lsn, w.nextTx, w.bytes
 	defer func() {
 		if err != nil {
 			w.w.Reset(w.f)
-			*w.lsn, w.nextTx, w.bytes = lsn0, tx0, bytes0
+			w.lsn, w.nextTx, w.bytes = lsn0, tx0, bytes0
 			if terr := w.f.Truncate(bytes0); terr != nil {
 				w.broken = true
 				return
@@ -317,15 +287,15 @@ func (w *wal) appendTx(ops []walRecord, gid uint64, parts int) (tx uint64, err e
 	w.nextTx++
 	tx = w.nextTx
 	for i := range ops {
-		*w.lsn++
-		ops[i].LSN = *w.lsn
+		w.lsn++
+		ops[i].LSN = w.lsn
 		ops[i].Tx = tx
 		if err := w.writeRecord(&ops[i]); err != nil {
 			return 0, err
 		}
 	}
-	*w.lsn++
-	commit := walRecord{LSN: *w.lsn, Tx: tx, Kind: recCommit, N: len(ops), GID: gid, Parts: parts}
+	w.lsn++
+	commit := walRecord{LSN: w.lsn, Tx: tx, Kind: recCommit, N: len(ops)}
 	if err := w.writeRecord(&commit); err != nil {
 		return 0, err
 	}
@@ -336,40 +306,6 @@ func (w *wal) appendTx(ops []walRecord, gid uint64, parts int) (tx uint64, err e
 	mWALAppends.Inc()
 	mWALBytes.Add(w.bytes - bytes0)
 	return tx, nil
-}
-
-// appendGlobal writes a transaction's global-commit record (always to
-// THIS wal, which the store guarantees is segment 0). Same rollback
-// contract as appendTx.
-func (w *wal) appendGlobal(gid uint64, parts int) (err error) {
-	if w.broken {
-		return fmt.Errorf("storage: WAL is fail-stopped after an unrecoverable append error")
-	}
-	lsn0, bytes0 := *w.lsn, w.bytes
-	defer func() {
-		if err != nil {
-			w.w.Reset(w.f)
-			*w.lsn, w.bytes = lsn0, bytes0
-			if terr := w.f.Truncate(bytes0); terr != nil {
-				w.broken = true
-				return
-			}
-			if _, serr := w.f.Seek(bytes0, io.SeekStart); serr != nil {
-				w.broken = true
-			}
-		}
-	}()
-	*w.lsn++
-	rec := walRecord{LSN: *w.lsn, Kind: recGlobal, GID: gid, Parts: parts}
-	if err := w.writeRecord(&rec); err != nil {
-		return err
-	}
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	w.syn.flushed.Store(w.bytes)
-	mWALBytes.Add(w.bytes - bytes0)
-	return nil
 }
 
 func (w *wal) writeRecord(rec *walRecord) error {

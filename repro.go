@@ -193,7 +193,7 @@ var (
 	// WithParallelism sets the worker count for parallel plans.
 	WithParallelism = query.WithParallelism
 	// WithParallelMinRows sets the outer-relation size from which the
-	// planner shards work across workers.
+	// planner splits work into slices across workers.
 	WithParallelMinRows = query.WithParallelMinRows
 	// WithPlanCacheSize sets the statement-cache capacity (<= 0
 	// disables statement caching).
