@@ -76,7 +76,6 @@ func main() {
 	vecMetric := flag.String("vec-metric", "l2", "distance metric for the vector workload (l2 | cosine)")
 	vecRadius := flag.Float64("vec-radius", 1.0, "WITHIN bound for the vector workload")
 	label := flag.String("label", "", "workload label embedded in the report (e.g. wal-sync)")
-	baseline := flag.String("baseline", "", "earlier report to compare against (adds baseline + speedup blocks)")
 	out := flag.String("out", "BENCH_serving.json", "result file ('-' for stdout)")
 	var extra listFlag
 	flag.Var(&extra, "query", "extra fixed statement to mix in (repeatable)")
@@ -269,17 +268,6 @@ func main() {
 		}
 		report["writes"] = w
 	}
-	if *baseline != "" {
-		cmp, err := compareBaseline(*baseline, float64(len(all))/elapsed.Seconds(), all)
-		if err != nil {
-			fail(err)
-		}
-		report["baseline"] = cmp.base
-		report["speedup"] = cmp.speedup
-		fmt.Fprintf(os.Stderr, "simload: vs %s: p50 ×%.2f, p99 ×%.2f, throughput ×%.2f\n",
-			*baseline, cmp.speedup["p50"], cmp.speedup["p99"], cmp.speedup["throughput"])
-	}
-
 	enc, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		fail(err)
@@ -336,66 +324,6 @@ func (e *errorCounts) add(o errorCounts) {
 
 func (e errorCounts) total() int { return e.http + e.transport }
 
-// baselineComparison pairs the baseline's read-side numbers with the
-// speedup ratios of the current run; >1 means this run is faster.
-type baselineComparison struct {
-	base    map[string]any
-	speedup map[string]float64
-}
-
-// compareBaseline loads an earlier report (e.g. a run of the parent
-// build) and computes before-vs-after ratios for the read side: latency
-// speedups are baseline/current (lower latency ⇒ ratio above 1),
-// throughput is current/baseline.
-func compareBaseline(path string, rps float64, sorted []float64) (baselineComparison, error) {
-	var cmp baselineComparison
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return cmp, fmt.Errorf("baseline: %w", err)
-	}
-	var report struct {
-		Label      string             `json:"label"`
-		Throughput float64            `json:"throughput_rps"`
-		Latency    map[string]float64 `json:"latency_ms"`
-	}
-	if err := json.Unmarshal(raw, &report); err != nil {
-		return cmp, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	cmp.base = map[string]any{
-		"file":           path,
-		"label":          report.Label,
-		"throughput_rps": report.Throughput,
-		"latency_ms":     report.Latency,
-	}
-	cmp.speedup = map[string]float64{}
-	if report.Throughput > 0 {
-		cmp.speedup["throughput"] = rps / report.Throughput
-	}
-	for _, q := range []string{"p50", "p90", "p99", "mean"} {
-		base := report.Latency[q]
-		var cur float64
-		switch q {
-		case "p50":
-			cur = quantile(sorted, 0.50)
-		case "p90":
-			cur = quantile(sorted, 0.90)
-		case "p99":
-			cur = quantile(sorted, 0.99)
-		case "mean":
-			for _, v := range sorted {
-				cur += v
-			}
-			if len(sorted) > 0 {
-				cur /= float64(len(sorted))
-			}
-		}
-		if base > 0 && cur > 0 {
-			cmp.speedup[q] = base / cur
-		}
-	}
-	return cmp, nil
-}
-
 // latencySummary renders the standard quantile block over a sorted
 // latency slice.
 func latencySummary(sorted []float64) map[string]float64 {
@@ -417,7 +345,7 @@ func latencySummary(sorted []float64) map[string]float64 {
 
 // vecTargets builds the rotating probe vectors of the vector workload:
 // ten deterministic d-dimensional points in [-1,1)^d (fixed seed, so
-// every run and every baseline comparison probes the same targets),
+// every run probes the same targets),
 // rendered in the canonical vector-literal syntax.
 func vecTargets(dim int) []string {
 	rng := rand.New(rand.NewSource(42))

@@ -78,8 +78,11 @@ func newBandWalk(calc *editdp.Calculator, unit bool, target string) *bandWalk {
 
 // reset retargets the walk in place, keeping its bound and its kernels'
 // buffers.
-func (w *bandWalk) reset(target string) {
-	w.target, w.qsig, w.tdp = target, index.NewByteSig(target), nil
+func (w *bandWalk) reset(target string) { w.resetSig(target, index.NewByteSig(target)) }
+
+// resetSig is reset for a target whose signature the caller holds.
+func (w *bandWalk) resetSig(target string, sig index.ByteSig) {
+	w.target, w.qsig, w.tdp = target, sig, nil
 	w.myers = w.calc.Unit() && w.calc.Covers(target)
 	if w.myers {
 		w.qdp.Reset(target)
@@ -144,64 +147,71 @@ func (w *bandWalk) verify(seq string, covered bool) (float64, bool) {
 // rows of the visited bands, Verifications the distance computations.
 func (w *bandWalk) walk(snap *relation.Snapshot, covered bool, emit func(row *relation.Row, d float64)) ExecStats {
 	var st ExecStats
+	bands := snap.LengthView().Bands(len(w.target))
+	for b, ok := bands.Next(); ok; b, ok = bands.Next() {
+		if delta := b.Len - len(w.target); w.bounded && max(delta, -delta) > w.ibound {
+			break
+		}
+		w.band(b, 0, snap, covered, emit, &st)
+	}
+	return st
+}
+
+// band verifies the rows of one band from entry from on, counting them
+// into st: the signature test, then the exact distance, emitting every
+// visible row within the bound.
+func (w *bandWalk) band(b relation.Band, from int, snap *relation.Snapshot, covered bool,
+	emit func(row *relation.Row, d float64), st *ExecStats) {
 	var (
 		at    [editdp.RowLanes]int // band indices of the group's rows
 		seqs  [editdp.RowLanes]string
 		dists [editdp.RowLanes]int
 	)
-	bands := snap.LengthView().Bands(len(w.target))
-	for b, ok := bands.Next(); ok; b, ok = bands.Next() {
-		delta := b.Len - len(w.target)
-		if w.bounded && max(delta, -delta) > w.ibound {
-			break
+	st.Candidates += len(b.Ents) - from
+	longer := max(b.Len-len(w.target), 0)
+	packed := w.myers && covered && w.qdp.PacksRows(b.Len)
+	group := 1
+	if packed {
+		group = editdp.RowLanes
+	}
+	for i := from; ; {
+		n := 0
+		for ; n < group && i < len(b.Ents); i++ {
+			// Skip only rows whose bound is strictly greater: a row at
+			// exactly the bound can still qualify (and, for NEAREST,
+			// displace an equally distant row with a larger id). The
+			// threshold is re-read for every group, as emit may have
+			// tightened it.
+			if w.bounded {
+				if i = index.NextWithin(b.Sigs, w.qsig, w.ibound-longer, i); i == len(b.Ents) {
+					break
+				}
+			}
+			at[n], seqs[n] = i, b.Ents[i].Seq
+			n++
 		}
-		st.Candidates += len(b.Ents)
-		longer := max(delta, 0)
-		packed := w.myers && covered && w.qdp.PacksRows(b.Len)
-		group := 1
+		if n == 0 {
+			return
+		}
+		st.Verifications += n
 		if packed {
-			group = editdp.RowLanes
+			w.qdp.DistanceRows(seqs[:n], dists[:n])
 		}
-		for i := 0; ; {
-			n := 0
-			for ; n < group && i < len(b.Ents); i++ {
-				// Skip only rows whose bound is strictly greater: a row
-				// at exactly the bound can still qualify (and, for
-				// NEAREST, displace an equally distant row with a larger
-				// id). The threshold is re-read for every group, as emit
-				// may have tightened it.
-				if w.bounded {
-					if i = index.NextWithin(b.Sigs, w.qsig, w.ibound-longer, i); i == len(b.Ents) {
-						break
-					}
-				}
-				at[n], seqs[n] = i, b.Ents[i].Seq
-				n++
-			}
-			if n == 0 {
-				break
-			}
-			st.Verifications += n
+		for j, r := range at[:n] {
+			var d float64
+			var within bool
 			if packed {
-				w.qdp.DistanceRows(seqs[:n], dists[:n])
+				d, within = float64(dists[j]), dists[j] <= w.ibound
+			} else {
+				d, within = w.verify(seqs[j], covered)
 			}
-			for j, r := range at[:n] {
-				var d float64
-				var within bool
-				if packed {
-					d, within = float64(dists[j]), dists[j] <= w.ibound
-				} else {
-					d, within = w.verify(seqs[j], covered)
-				}
-				if !within {
-					st.Abandoned++
-					continue
-				}
-				if e := &b.Ents[r]; snap.VisibleRow(e.Row) {
-					emit(e.Row, d)
-				}
+			if !within {
+				st.Abandoned++
+				continue
+			}
+			if e := &b.Ents[r]; snap.VisibleRow(e.Row) {
+				emit(e.Row, d)
 			}
 		}
 	}
-	return st
 }

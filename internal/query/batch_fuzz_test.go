@@ -74,6 +74,15 @@ func FuzzBatchParity(f *testing.F) {
 	f.Add(`SELECT seq FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits`)
 	f.Add(`SELECT z.seq FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits`)
 	f.Add(`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 2 USING edits WHERE dist = "1"`)
+	// Self-joins that verify each unordered pair once (IndexJoin ...,
+	// symmetric): mirrored matches must land in outer order at every
+	// block size, across a LIMIT, a sort and a residual.
+	f.Add(`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id LIMIT 3`)
+	f.Add(`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 2 USING edits WHERE a.id != b.id ORDER BY dist`)
+	f.Add(`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits WHERE b.id != a.id`)
+	f.Add(`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.seq) <= 2 USING edits WHERE a.tag = "j" AND a.id != b.id`)
+	f.Add(`SELECT a.seq, b.seq FROM words a, words b ON dist(a.seq, b.seq) <= 0 USING edits WHERE a.id != b.id`)
+	f.Add(`SELECT a.id, b.id, dist FROM words a, words b ON dist(b.seq, a.seq) <= 2 USING edits WHERE a.id != b.id ORDER BY dist DESC LIMIT 9`)
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 512 {
 			return // long inputs only stress the lexer, which FuzzLex owns

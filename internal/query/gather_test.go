@@ -179,6 +179,18 @@ func TestGatherMergeTieBreaking(t *testing.T) {
 			},
 			want: [][2]float64{{0, 7}, {0, 9}, {1, 3}, {2, 6}, {2, 1}, {4, 2}, {4, 5}, {4, 8}},
 		},
+		{
+			name: "equal outer ids across streams come from the lower stream first",
+			shards: [][]gatherRow{
+				// A symmetric self-join chain ends with the mirrors whose
+				// larger row a later slice owns (outer 5 and 6 here), which
+				// must precede that slice's own rows for the same outer id.
+				{mkJoined(0, 3), mkJoined(1, 6), mkJoined(5, 0), mkJoined(6, 1)},
+				{mkJoined(3, 0), mkJoined(5, 4), mkJoined(6, 4)},
+				{mkJoined(5, 2), mkJoined(6, 5)},
+			},
+			want: [][2]float64{{0, 3}, {1, 6}, {3, 0}, {5, 0}, {5, 4}, {5, 2}, {6, 1}, {6, 4}, {6, 5}},
+		},
 	}
 	for _, c := range cases {
 		c := c

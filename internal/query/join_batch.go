@@ -27,6 +27,25 @@ package query
 // Per-probe matches sort by tuple id before emission, so the output
 // order is outer order, inner ascending, whatever the probe.
 //
+// A self-join that drops the pairs of a row with itself verifies each
+// unordered pair once (symmetricSelfJoin decides when): its first step
+// walks the length view from outer row x only through the inner rows
+// with a larger id, emits each match (x, y) and keeps its mirror
+// (y, x, d) in a min-heap ordered by (y, x). The unit-cost distance is
+// symmetric, so d is the mirror's distance too. The outer scan and
+// every band ascend in id, so y's turn as the outer row comes later:
+// its mirrors come out first (ids below y), then its own matches (above
+// y) — the order of the walk over every pair, minus the self pairs the
+// residual filter drops. Each band keeps a cursor at its first row above
+// the last probe, which only moves forward, and x's signature is read
+// from its own band entry. A parallel slice walks the same range for
+// its own rows and emits, after its outer stream ends, the mirrors
+// whose larger row a later slice owns, in (y, x) order: the id-ordered
+// gather takes equal slot-0 ids from the lower stream first, so it
+// rebuilds the serial order, and serial and parallel plans do the same
+// work. The heap holds at most the pairs whose larger row has not been
+// probed yet: for a join at radius +Inf, up to half the output.
+//
 // Rows are slot columns (slotMap): an outer row holds the slots before
 // the step's own, and each match emits a copy of them with the inner
 // tuple in the step's slot — appended to the operator's one output
@@ -37,6 +56,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"repro/internal/editdp"
 	"repro/internal/metric"
@@ -73,6 +93,7 @@ type batchJoinOp struct {
 	size       int
 	vec        bool
 	m          metric.Distance // vec edges: the resolved metric
+	symmetric  bool            // a self-join step that verifies each unordered pair once
 
 	// Inner-side state, built at OpenBatch: the scan probe's rows (and
 	// the vector column of a vector edge) and the snapshot's alphabet
@@ -93,10 +114,12 @@ type batchJoinOp struct {
 	emitWalk func(row *relation.Row, d float64)
 	emitVec  func(rows []*relation.Row, ds []float64)
 	qdp      editdp.QueryDP
+	pairs    *pairWalk // the symmetric walk's state
 
 	// Iteration state.
 	cur     *Batch // current outer batch (owned by child)
 	pos     int    // next outer row to probe; the matches are row pos-1's
+	eof     bool   // the outer side is exhausted
 	matches []joinMatch
 	mpos    int
 	dists   []float64 // DistBatch output, one per inner vector
@@ -124,7 +147,7 @@ func (o *batchJoinOp) OpenBatch() error {
 		return err
 	}
 	o.out = getBatch()
-	o.cur, o.pos = nil, 0
+	o.cur, o.pos, o.eof = nil, 0, false
 	o.matches, o.mpos = o.matches[:0], 0
 	return o.child.OpenBatch()
 }
@@ -137,10 +160,20 @@ func (o *batchJoinOp) openLengthView() error {
 	}
 	o.walk, o.calc = w, w.calc
 	o.walk.setBound(o.sim.Radius)
+	o.covered = covers(o.calc, o.snap)
+	if o.symmetric {
+		bands := o.snap.LengthView().AllBands()
+		o.pairs = &pairWalk{bands: bands, next: make([]int, len(bands))}
+		o.emitWalk = func(row *relation.Row, d float64) {
+			o.matches = append(o.matches, joinMatch{t: row.Tuple, d: d})
+			x := o.pairs.x
+			o.pairs.mirrors.push(mirror{oid: row.ID, iid: x.ID, outer: row, inner: x, d: d})
+		}
+		return nil
+	}
 	o.emitWalk = func(row *relation.Row, d float64) {
 		o.matches = append(o.matches, joinMatch{t: row.Tuple, d: d})
 	}
-	o.covered = covers(o.calc, o.snap)
 	return nil
 }
 
@@ -200,10 +233,17 @@ func (o *batchJoinOp) probe(b *Batch, i int) error {
 		if err != nil {
 			return err
 		}
-		if o.algo == "index" {
+		switch {
+		case o.pairs != nil:
+			if err := o.probePairs(b.slot(0).IDs[i], pv); err != nil {
+				return err
+			}
+		case o.algo == "index":
 			o.probeLengthView(pv)
-		} else if err := o.probeStr(pv); err != nil {
-			return err
+		default:
+			if err := o.probeStr(pv); err != nil {
+				return err
+			}
 		}
 	}
 	slices.SortFunc(o.matches, func(a, b joinMatch) int { return cmp.Compare(a.t.ID, b.t.ID) })
@@ -215,6 +255,107 @@ func (o *batchJoinOp) probe(b *Batch, i int) error {
 func (o *batchJoinOp) probeLengthView(pv string) {
 	o.walk.reset(pv)
 	o.local.add(o.walk.walk(o.snap, o.covered, o.emitWalk))
+}
+
+// pairWalk is the probe state of a symmetric self-join step.
+type pairWalk struct {
+	bands   []relation.Band // the inner view's bands at open, ascending length
+	next    []int           // per band: its first entry whose id is not below the last probe's
+	x       *relation.Row   // the outer row being probed
+	mirrors mirrorHeap
+}
+
+// mirror is a match (outer, inner) found by inner's probe, waiting for
+// outer's turn; oid and iid are their ids, the heap's keys.
+type mirror struct {
+	oid, iid     int
+	outer, inner *relation.Row
+	d            float64
+}
+
+// mirrorHeap is a binary min-heap of mirrors by (oid, iid).
+type mirrorHeap []mirror
+
+func (h mirrorHeap) less(i, j int) bool {
+	return h[i].oid < h[j].oid || h[i].oid == h[j].oid && h[i].iid < h[j].iid
+}
+
+func (h *mirrorHeap) push(m mirror) {
+	*h = append(*h, m)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+func (h *mirrorHeap) pop() mirror {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s.less(c+1, c) {
+			c++
+		}
+		if !s.less(c, i) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
+}
+
+// skip moves band j's cursor past the entries whose id is below id and
+// returns it.
+func (p *pairWalk) skip(j, id int) int {
+	ents, i := p.bands[j].Ents, p.next[j]
+	for i < len(ents) && ents[i].Row.ID < id {
+		i++
+	}
+	p.next[j] = i
+	return i
+}
+
+// probePairs probes the outer row (id, seq) of a symmetric self-join:
+// the mirrors earlier probes left for it, then the walk over the inner
+// rows of its length window whose id is above id.
+func (o *batchJoinOp) probePairs(id int, seq string) error {
+	p := o.pairs
+	for len(p.mirrors) > 0 && p.mirrors[0].oid == id {
+		m := p.mirrors.pop()
+		o.matches = append(o.matches, joinMatch{t: m.inner.Tuple, d: m.d})
+	}
+	bands, n := p.bands, len(seq)
+	own := sort.Search(len(bands), func(j int) bool { return bands[j].Len >= n })
+	at := -1
+	if own < len(bands) && bands[own].Len == n {
+		at = p.skip(own, id)
+	}
+	if at < 0 || at == len(bands[own].Ents) || bands[own].Ents[at].Row.ID != id {
+		return fmt.Errorf("query: self-join row %d is missing from its length view", id)
+	}
+	p.x = bands[own].Ents[at].Row
+	o.walk.resetSig(seq, bands[own].Sigs[at])
+	k := o.walk.ibound
+	for j := sort.Search(len(bands), func(j int) bool { return bands[j].Len >= n-k }); j < len(bands) && bands[j].Len <= n+k; j++ {
+		from := p.skip(j, id)
+		if j == own {
+			from++ // x itself
+		}
+		o.walk.band(bands[j], from, o.snap, o.covered, o.emitWalk, &o.local)
+	}
+	return nil
 }
 
 // probeVecView runs a vector join value through the inner snapshot's
@@ -321,14 +462,24 @@ func (o *batchJoinOp) NextBatch() (*Batch, error) {
 			}
 			continue
 		}
-		nb, err := o.child.NextBatch()
-		if err != nil {
-			return nil, err
+		if !o.eof {
+			nb, err := o.child.NextBatch()
+			if err != nil {
+				return nil, err
+			}
+			if nb != nil {
+				o.cur, o.pos = nb, 0
+				continue
+			}
+			o.eof = true
 		}
-		if nb == nil {
+		// The outer side is done. The mirrors a symmetric walk still
+		// holds belong to rows a later parallel slice owns.
+		if o.pairs == nil || len(o.pairs.mirrors) == 0 {
 			break
 		}
-		o.cur, o.pos = nb, 0
+		m := o.pairs.mirrors.pop()
+		b.appendPair(m.outer.Tuple, m.inner.Tuple, m.d)
 	}
 	if b.Len() == 0 {
 		return nil, nil
@@ -354,12 +505,21 @@ func (b *Batch) appendJoined(src *Batch, i int, t relation.Tuple, d float64) {
 	b.has = append(b.has, true)
 }
 
+// appendPair adds a row of a first join step from its two tuples: the
+// outer in slot 0, the inner in slot 1, at distance d.
+func (b *Batch) appendPair(outer, inner relation.Tuple, d float64) {
+	b.slot(0).Append(outer.ID, outer.Seq, outer.Vec, outer.Attrs)
+	b.slot(1).Append(inner.ID, inner.Seq, inner.Vec, inner.Attrs)
+	b.dist = append(b.dist, d)
+	b.has = append(b.has, true)
+}
+
 func (o *batchJoinOp) CloseBatch() error {
 	o.last.add(o.local)
 	o.ctx.addStats(o.local)
 	o.local = ExecStats{}
 	o.inner, o.vecs, o.dists = nil, nil, nil
-	o.cur = nil
+	o.cur, o.pairs = nil, nil
 	putBatch(o.out)
 	o.out = nil
 	return o.child.CloseBatch()
@@ -373,7 +533,11 @@ func (o *batchJoinOp) Describe() string {
 		if o.vec {
 			idx = "vecview"
 		}
-		return fmt.Sprintf("IndexJoin(probe %s into %s(%s), on %s)", o.probeField, idx, o.alias, o.sim)
+		sym := ""
+		if o.symmetric {
+			sym = ", symmetric"
+		}
+		return fmt.Sprintf("IndexJoin(probe %s into %s(%s), on %s%s)", o.probeField, idx, o.alias, o.sim, sym)
 	}
 	band := ""
 	if o.banded {
@@ -461,6 +625,7 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []*relation.Relation)
 		}
 		slots = append(slots, step.alias)
 	}
+	symmetric := e.symmetricSelfJoin(d, relOf, slots)
 
 	ctx := &execCtx{eng: e, traced: q.Analyze || e.tracing.Load()}
 	size := e.batchLeafSize(q)
@@ -476,7 +641,7 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []*relation.Relation)
 				kernelTag: kernelTag{d.kernel}, ctx: ctx, child: op, algo: step.algo, banded: step.banded,
 				snap: stepSnaps[i], alias: step.alias, slot: i + 1, probeField: step.probeField,
 				probeVal: probeVals[i], probeSlot: probeSlots[i],
-				sim: step.sim, size: size, vec: step.vec, m: stepMetrics[i],
+				sim: step.sim, size: size, vec: step.vec, m: stepMetrics[i], symmetric: i == 0 && symmetric,
 			}, cur)
 		}
 		if !isTrivial(pred) {
@@ -489,4 +654,61 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []*relation.Relation)
 		root: e.wrapBatchTop(q, e.fanOut(ctx, q, d, snapOf[start], chain), slots, size, ctx, false),
 		ctx:  ctx, columns: projectColumns(q), kernel: d.kernel,
 	}, nil
+}
+
+// symmetricSelfJoin reports whether the first step of a decided join
+// may verify each unordered pair once (see the file comment): a length
+// view probe of the start relation's seq into the same relation's seq
+// under a unit-cost rule set — symmetric, integer distances — whose
+// residual rejects every pair of a row with itself. The self pairs it
+// leaves out must be unobservable: the residual rejects them before it
+// evaluates a conjunct that could fail (selfPairsDropped), and no later
+// step's probe can fail on them.
+func (e *Engine) symmetricSelfJoin(d *planDecision, relOf map[string]*relation.Relation, slots slotMap) bool {
+	step := d.steps[0]
+	if step.algo != "index" || step.vec || relOf[step.alias] != relOf[d.start] || step.probeField.Name != "seq" {
+		return false
+	}
+	if ent, _ := e.rule(step.sim.RuleSet); ent == nil || !ent.unit {
+		return false
+	}
+	for _, s := range d.steps[1:] {
+		// Only the general engine's verifier (a scan under a rule set
+		// with no DP calculator) fails on a row.
+		if s.algo == "scan" && !s.vec && e.calc(s.sim.RuleSet) == nil {
+			return false
+		}
+	}
+	dropped, _ := selfPairsDropped(d.pred, d.start, step.alias, slots)
+	return dropped
+}
+
+// selfPairsDropped walks pred's top-level AND chain in evaluation order
+// for a conjunct a.id != b.id (either operand order). found says it was
+// reached; safe says that every conjunct evaluated before it cannot
+// fail: it compares literals and fields that resolve over slots.
+func selfPairsDropped(pred Expr, a, b string, slots slotMap) (found, safe bool) {
+	switch ex := pred.(type) {
+	case AndExpr:
+		if found, safe := selfPairsDropped(ex.L, a, b, slots); found || !safe {
+			return found, safe
+		}
+		return selfPairsDropped(ex.R, a, b, slots)
+	case CmpExpr:
+		if ex.Neq && isIDField(ex.L) && isIDField(ex.R) {
+			l, r := ex.L.Field.Table, ex.R.Field.Table
+			if l == a && r == b || l == b && r == a {
+				return true, true
+			}
+		}
+		resolves := func(o Operand) bool {
+			if o.IsLit || o.Field.Name == "dist" { // every joined row has a distance
+				return true
+			}
+			_, err := slots.resolve(o.Field)
+			return err == nil
+		}
+		return false, resolves(ex.L) && resolves(ex.R)
+	}
+	return false, false
 }

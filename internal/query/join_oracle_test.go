@@ -17,8 +17,10 @@ package query
 // kernels.
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -75,24 +77,34 @@ func swapsRules() *rewrite.RuleSet {
 	return rewrite.MustRuleSet("swaps", rules)
 }
 
-func newJoinOraclePair(t testing.TB, slices int, rows []relation.InsertRow) *joinOraclePair {
+// newJoinOracleEngine builds one engine over rows in relation words,
+// with the oracle's rule sets registered.
+func newJoinOracleEngine(t testing.TB, rows []relation.InsertRow, opts ...Option) *Engine {
 	t.Helper()
-	mk := func(opts ...Option) *Engine {
-		tab := relation.New("words")
-		tab.InsertBatch(rows)
-		cat := relation.NewCatalog()
-		cat.Add(tab)
-		e := NewEngine(cat, opts...)
-		if err := e.RegisterRuleSet(rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())); err != nil {
+	tab := relation.New("words")
+	tab.InsertBatch(rows)
+	cat := relation.NewCatalog()
+	cat.Add(tab)
+	e := NewEngine(cat, opts...)
+	if err := e.RegisterRuleSet(editsRules()); err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range []*rewrite.RuleSet{halvesRules(), swapsRules()} {
+		if err := e.RegisterRuleSet(rs); err != nil {
 			t.Fatal(err)
 		}
-		for _, rs := range []*rewrite.RuleSet{halvesRules(), swapsRules()} {
-			if err := e.RegisterRuleSet(rs); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return e
 	}
+	return e
+}
+
+// editsRules is the unit edit rule set over the oracle alphabet.
+func editsRules() *rewrite.RuleSet {
+	return rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())
+}
+
+func newJoinOraclePair(t testing.TB, slices int, rows []relation.InsertRow) *joinOraclePair {
+	t.Helper()
+	mk := func(opts ...Option) *Engine { return newJoinOracleEngine(t, rows, opts...) }
 	p := &joinOraclePair{}
 	for _, block := range joinBlocks {
 		p.plain = append(p.plain, mk(WithBatchSize(block), WithParallelism(1)))
@@ -456,4 +468,294 @@ func TestJoinOracleInterleavedDML(t *testing.T) {
 		}
 	}
 	p.checkJoin(t, joins[0], "IndexJoin(probe a.seq into lengthview(b), on", want)
+}
+
+// symOracleRows is joinOracleRows with exact duplicates (pairs at
+// radius 0) and rows holding a byte outside the rule alphabet, which
+// the walk verifies with the rule set's own DP (TargetDP): such a byte
+// costs +Inf to edit, so those rows match only rows that keep it in
+// place.
+func symOracleRows(rng *rand.Rand, n int) []relation.InsertRow {
+	rows := joinOracleRows(rng, n)
+	for i := range rows {
+		switch s := []byte(rows[i].Seq); {
+		case i%9 == 4:
+			at := rng.Intn(len(s) + 1)
+			rows[i].Seq = string(s[:at]) + string("X-"[rng.Intn(2)]) + string(s[at:])
+		case i%9 == 7: // one substitution away from the outside-alphabet row i-3
+			p := []byte(rows[i-3].Seq)
+			at := 0
+			if p[0] == 'X' || p[0] == '-' {
+				at = len(p) - 1
+			}
+			p[at] = oracleAlphabet[rng.Intn(len(oracleAlphabet))]
+			rows[i].Seq = string(p)
+		case i%13 == 6:
+			rows[i].Seq = rows[i-1].Seq
+		}
+	}
+	return rows
+}
+
+// symPairs is the brute-force self-join over tuples in id order: every
+// pair a != b within radius under the edits rule set and keep, ordered
+// by (a.id, b.id), or stably by distance when byDist.
+func symPairs(t *testing.T, tuples []relation.Tuple, radius float64, keep func(a relation.Tuple) bool, byDist bool) []string {
+	t.Helper()
+	calc, err := editdp.New(editsRules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pair struct {
+		a, b int
+		d    float64
+	}
+	var ps []pair
+	for _, a := range tuples {
+		if keep != nil && !keep(a) {
+			continue
+		}
+		for _, b := range tuples {
+			if a.ID == b.ID {
+				continue
+			}
+			if d, ok := calc.Within(a.Seq, b.Seq, radius); ok {
+				ps = append(ps, pair{a.ID, b.ID, d})
+			}
+		}
+	}
+	if byDist {
+		slices.SortStableFunc(ps, func(x, y pair) int { return cmp.Compare(x.d, y.d) })
+	}
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		out[i] = fmt.Sprintf("%d\x1f%d\x1f%s", p.a, p.b, formatDist(p.d))
+	}
+	return out
+}
+
+// symEngine is one engine of the symmetric oracle: serial or split
+// into slices parallel id ranges, at one block size.
+type symEngine struct {
+	e             *Engine
+	slices, block int
+}
+
+func symEngines(t *testing.T, rows []relation.InsertRow) []symEngine {
+	var out []symEngine
+	for _, slices := range []int{1, 2, 4, 7} {
+		for _, block := range joinBlocks {
+			opts := []Option{WithBatchSize(block), WithParallelism(slices)}
+			if slices > 1 {
+				opts = append(opts, WithParallelMinRows(1))
+			}
+			out = append(out, symEngine{newJoinOracleEngine(t, rows, opts...), slices, block})
+		}
+	}
+	return out
+}
+
+// checkSymmetric runs stmt on every engine and asserts that each runs
+// the symmetric walk and returns want positionally. A full join (no
+// LIMIT) must also run sliced under the gather and count the same work
+// on every engine; a LIMIT stays serial, and its scan reads ahead by a
+// block, so its work depends on the block size.
+func checkSymmetric(t *testing.T, engines []symEngine, stmt string, full bool, want []string) *Result {
+	t.Helper()
+	var first *Result
+	for _, se := range engines {
+		res, err := se.e.Execute(stmt)
+		if err != nil {
+			t.Fatalf("%d slices, block %d, %q: %v", se.slices, se.block, stmt, err)
+		}
+		if !strings.Contains(res.Plan, "IndexJoin(probe a.seq into lengthview(b), on") || !strings.Contains(res.Plan, ", symmetric)") {
+			t.Fatalf("%d slices, block %d, %q: no symmetric walk:\n%s", se.slices, se.block, stmt, res.Plan)
+		}
+		if sliced := strings.Contains(res.Plan, fmt.Sprintf("GatherMerge(shards=%d,", se.slices)); full && se.slices > 1 && !sliced {
+			t.Fatalf("%d slices, %q: the chain does not run under the gather:\n%s", se.slices, stmt, res.Plan)
+		}
+		if got := positional(res); got != strings.Join(want, "\n") {
+			t.Fatalf("%d slices, block %d, %q diverges from the brute force:\ngot:\n%s\nwant:\n%s\nplan:\n%s",
+				se.slices, se.block, stmt, got, strings.Join(want, "\n"), res.Plan)
+		}
+		if first == nil {
+			first = res
+		} else if full && res.Stats.Candidates != first.Stats.Candidates || res.Stats.Verifications != first.Stats.Verifications {
+			t.Fatalf("%d slices, block %d, %q: work %+v, serial block 1 did %+v", se.slices, se.block, stmt, res.Stats, first.Stats)
+		}
+	}
+	return first
+}
+
+// TestJoinOracleSymmetric: a self-join that drops the self pairs walks
+// each unordered pair once and emits the mirrors in outer order. Every
+// engine — serial and 2, 4 and 7 slices, at block sizes 1 and 256 —
+// must equal the brute-force model positionally, rows outside the rule
+// alphabet included, and do the same work.
+func TestJoinOracleSymmetric(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	rows := symOracleRows(rng, 90)
+	engines := symEngines(t, rows)
+	tuples := make([]relation.Tuple, len(rows))
+	for i, r := range rows {
+		tuples[i] = relation.Tuple{ID: i, Seq: r.Seq, Attrs: r.Attrs}
+	}
+	tagged := func(a relation.Tuple) bool { return a.Attrs["tag"] == "1" }
+	const sel = `SELECT a.id, b.id, dist FROM words a, words b ON `
+	cases := []struct {
+		stmt   string
+		radius float64
+		keep   func(relation.Tuple) bool
+		byDist bool
+	}{
+		{sel + `dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id`, 1, nil, false},
+		{sel + `dist(a.seq, b.seq) <= 1 USING edits WHERE b.id != a.id`, 1, nil, false},
+		{sel + `dist(b.seq, a.seq) <= 2 USING edits WHERE a.id != b.id`, 2, nil, false},
+		{sel + `dist(a.seq, b.seq) <= 0 USING edits WHERE a.id != b.id`, 0, nil, false},
+		{sel + `dist(a.seq, b.seq) <= 2 USING edits WHERE a.tag = "1" AND a.id != b.id`, 2, tagged, false},
+		{sel + `dist(a.seq, b.seq) <= 2 USING edits WHERE a.id != b.id ORDER BY dist`, 2, nil, true},
+	}
+	for _, c := range cases {
+		want := symPairs(t, tuples, c.radius, c.keep, c.byDist)
+		if len(want) < 10 {
+			t.Fatalf("%q: the brute force has %d rows, the test data is too thin", c.stmt, len(want))
+		}
+		checkSymmetric(t, engines, c.stmt, true, want)
+	}
+	var outside []relation.Tuple
+	for _, tu := range tuples {
+		if strings.ContainsAny(tu.Seq, "X-") {
+			outside = append(outside, tu)
+		}
+	}
+	if n := len(symPairs(t, outside, 1, nil, false)); n < 4 {
+		t.Fatalf("only %d matches pair rows outside the alphabet: the TargetDP path goes untested", n)
+	}
+
+	// A LIMIT without ORDER BY stays serial and stops early: a prefix of
+	// the full join, for fewer candidates.
+	stmt := sel + `dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id`
+	full := checkSymmetric(t, engines, stmt, true, symPairs(t, tuples, 1, nil, false))
+	for _, lim := range []int{1, 7, 40} {
+		res := checkSymmetric(t, engines, fmt.Sprintf("%s LIMIT %d", stmt, lim), false, symPairs(t, tuples, 1, nil, false)[:lim])
+		if res.Stats.Candidates >= full.Stats.Candidates {
+			t.Fatalf("LIMIT %d read %d candidates, the full join %d: the join does not stop early", lim, res.Stats.Candidates, full.Stats.Candidates)
+		}
+	}
+}
+
+// TestJoinSymmetricQualifies: only a first join step reading the start
+// relation's seq into the same relation's seq, under a unit-cost rule
+// set, with a.id != b.id among the residual's top-level conjuncts ahead
+// of any conjunct that could fail, walks each pair once; every other
+// shape keeps the probe it had.
+func TestJoinSymmetricQualifies(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	rows := symOracleRows(rng, 60)
+	e := newJoinOracleEngine(t, rows, WithParallelism(1))
+	twin := relation.New("twin")
+	twin.InsertBatch(rows)
+	e.Catalog().Add(twin)
+	cases := []struct{ stmt, want string }{
+		{`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING halves WHERE a.id != b.id`,
+			"NestedLoopJoin(b, on"},
+		{`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits`,
+			"IndexJoin(probe a.seq into lengthview(b), on a.seq SIMILAR TO b.seq WITHIN 1 USING edits)"},
+		{`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.rev) <= 1 USING edits WHERE a.id != b.id`,
+			"NestedLoopJoin(b[length-banded], on"},
+		{`SELECT a.id, b.id FROM words a, words b ON dist(a.rev, b.seq) <= 1 USING edits WHERE a.id != b.id`,
+			"IndexJoin(probe a.rev into lengthview(b), on a.rev SIMILAR TO b.seq WITHIN 1 USING edits)"},
+		{`SELECT a.id, b.id FROM words a, twin b ON dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id`,
+			"IndexJoin(probe a.seq into lengthview(b), on a.seq SIMILAR TO b.seq WITHIN 1 USING edits)"},
+		{`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id OR a.tag = "1"`,
+			"IndexJoin(probe a.seq into lengthview(b), on a.seq SIMILAR TO b.seq WITHIN 1 USING edits)"},
+		// The self edge is the second step: its outer side is a join.
+		{`SELECT a.id, b.id, c.id FROM words a, words b, words c ON dist(a.seq, b.seq) <= 1 USING edits AND dist(b.seq, c.seq) <= 1 USING edits WHERE b.id != c.id`,
+			"IndexJoin(probe b.seq into lengthview(c), on b.seq SIMILAR TO c.seq WITHIN 1 USING edits)"},
+	}
+	for _, c := range cases {
+		res, err := e.Execute(c.stmt)
+		if err != nil {
+			t.Fatalf("%q: %v", c.stmt, err)
+		}
+		if !strings.Contains(res.Plan, c.want) || strings.Contains(res.Plan, "symmetric") {
+			t.Fatalf("%q: want %s and no symmetric walk:\n%s", c.stmt, c.want, res.Plan)
+		}
+	}
+
+	// A conjunct evaluated ahead of the != fails on the self pairs too:
+	// the walk keeps them, so the statement fails as it always did, even
+	// where, over distinct rows at radius 0, no other pair reaches it.
+	distinct := newJoinOracleEngine(t, []relation.InsertRow{{Seq: "abc"}, {Seq: "bcd"}, {Seq: "cde"}}, WithParallelism(1))
+	const failing = `SELECT a.id FROM words a, words b ON dist(a.seq, b.seq) <= 0 USING edits WHERE z.tag = "1" AND a.id != b.id`
+	if _, err := distinct.Execute(failing); err == nil || !strings.Contains(err.Error(), `unknown alias "z"`) {
+		t.Fatalf("%q: err %v, want the unknown alias", failing, err)
+	}
+	if res, err := distinct.Execute("EXPLAIN " + failing); err != nil || strings.Contains(res.Plan, "symmetric") {
+		t.Fatalf("EXPLAIN %q: %v, want no symmetric walk", failing, err)
+	}
+}
+
+// TestJoinOracleSymmetricDML runs the symmetric self-join on every
+// engine while one writer per engine applies the same stream of
+// inserts, deletes and updates (an update gives the row a new id, at
+// the end of its length band), then checks the converged tables against
+// the brute force positionally. Under -race it also proves the cursors
+// and the mirror heap stay per-execution.
+func TestJoinOracleSymmetricDML(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	rows := symOracleRows(rng, 60)
+	engines := symEngines(t, rows)
+	var stmts []string
+	for i := 0; i < 90; i++ {
+		switch rng.Intn(4) {
+		case 0:
+			stmts = append(stmts, fmt.Sprintf(
+				`DELETE FROM words WHERE seq SIMILAR TO %q WITHIN 1 USING edits`, randOracleSeq(rng)))
+		case 1:
+			stmts = append(stmts, fmt.Sprintf(
+				`UPDATE words SET seq = %q WHERE seq SIMILAR TO %q WITHIN 1 USING edits`, randOracleSeq(rng), randOracleSeq(rng)))
+		default:
+			stmts = append(stmts, fmt.Sprintf(
+				`INSERT INTO words (seq, tag) VALUES (%q, %q)`, randOracleSeq(rng), fmt.Sprint(i%3)))
+		}
+	}
+	const join = `SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id`
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*len(engines))
+	for _, se := range engines {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for _, s := range stmts {
+				if _, err := se.e.Execute(s); err != nil {
+					errs <- fmt.Errorf("%q: %w", s, err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if _, err := se.e.Execute(join); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := engines[0].e.Catalog().Lookup("words")
+	final := tab.Tuples()
+	for _, se := range engines[1:] {
+		other, _ := se.e.Catalog().Lookup("words")
+		if fmt.Sprint(other.Tuples()) != fmt.Sprint(final) {
+			t.Fatalf("%d slices, block %d: the tables diverge after the DML", se.slices, se.block)
+		}
+	}
+	checkSymmetric(t, engines, join, true, symPairs(t, final, 1, nil, false))
 }

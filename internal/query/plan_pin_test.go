@@ -85,7 +85,7 @@ func TestBenchmarkPlanSkeletons(t *testing.T) {
 		{"ingest_mix", `SELECT id, seq, dist FROM words WHERE seq SIMILAR TO "egaebcjebf" WITHIN 2 USING edits LIMIT 20`,
 			"Limit Project IndexRange", "IndexRange(words via lengthview, target=egaebcjebf, radius=2, ruleset=edits)  (kernel=myers)"},
 		{"join_dict", `SELECT a.id, b.id, dist FROM dict a, dict b ON dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id`,
-			"Project Filter IndexJoin Scan", "IndexJoin(probe a.seq into lengthview(b), on a.seq SIMILAR TO b.seq WITHIN 1 USING edits)  (kernel=myers)"},
+			"Project Filter IndexJoin Scan", "IndexJoin(probe a.seq into lengthview(b), on a.seq SIMILAR TO b.seq WITHIN 1 USING edits, symmetric)  (kernel=myers)"},
 	}
 	for _, c := range cases {
 		res, err := e.Execute("EXPLAIN " + c.stmt)

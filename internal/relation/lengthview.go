@@ -98,6 +98,24 @@ func (v *LengthView) Bands(qlen int) BandIter {
 	return BandIter{bs: bs, lo: hi - 1, hi: hi, qlen: qlen}
 }
 
+// AllBands returns every bucket as published now, in ascending length.
+// A band's entries ascend in row id: the arena is id-ordered and the
+// insert paths append. Later inserts may grow the bands behind the
+// returned headers and add buckets the list lacks; their rows are all
+// born after the call, so a reader of an earlier snapshot misses none
+// of its rows by keeping the list.
+func (v *LengthView) AllBands() []Band {
+	bs := v.load()
+	out := make([]Band, len(bs))
+	for i, bk := range bs {
+		out[i] = Band{Len: bk.n}
+		if p := bk.band.Load(); p != nil {
+			out[i] = *p
+		}
+	}
+	return out
+}
+
 // BandIter walks a LengthView outward from one sequence length.
 type BandIter struct {
 	bs     []*lenBucket
