@@ -39,6 +39,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/editdp"
 	"repro/internal/index"
@@ -70,10 +71,17 @@ type bandWalk struct {
 // unitCost of calc's rule set, which the registry computes once per
 // rule set.
 func newBandWalk(calc *editdp.Calculator, unit bool, target string) *bandWalk {
-	w := &bandWalk{calc: calc, unit: unit}
+	w := &bandWalk{}
+	w.init(calc, unit, target)
+	return w
+}
+
+// init readies w for target with no bound under calc, keeping its
+// kernels' buffers.
+func (w *bandWalk) init(calc *editdp.Calculator, unit bool, target string) {
+	w.calc, w.unit = calc, unit
 	w.reset(target)
 	w.setBound(math.Inf(1))
-	return w
 }
 
 // reset retargets the walk in place, keeping its bound and its kernels'
@@ -87,17 +95,6 @@ func (w *bandWalk) resetSig(target string, sig index.ByteSig) {
 	if w.myers {
 		w.qdp.Reset(target)
 	}
-}
-
-// bandWalk resolves the rule set's calculator for a walk. The planner
-// routes only edit-like rule sets here, so a missing calculator means
-// the rule set was re-registered between planning and opening.
-func (e *Engine) bandWalk(ruleSet, target string) (*bandWalk, error) {
-	ent, _ := e.rule(ruleSet)
-	if ent == nil || ent.calc == nil {
-		return nil, fmt.Errorf("query: stale plan: rule set %q has no calculator", ruleSet)
-	}
-	return newBandWalk(ent.calc, ent.unit, target), nil
 }
 
 // setBound makes b the inclusive bound of every later verification; a
@@ -214,4 +211,234 @@ func (w *bandWalk) band(b relation.Band, from int, snap *relation.Snapshot, cove
 			}
 		}
 	}
+}
+
+// ------------------------------------------------------------ the probe
+
+// lengthViewProbe runs the band walk as a probe (probe.go): over a
+// leaf's literal target, or over a join's probe value, read per outer
+// row. A join edge's walk measures d(inner, probe) where the predicate
+// may name d(probe, inner); the unit-cost rule sets it serves are
+// symmetric and their distances integers, so the two agree exactly.
+//
+// A self-join step that drops the pairs of a row with itself verifies
+// each unordered pair once (symmetricSelfJoin decides when): from outer
+// row x it walks only the inner rows with a larger id, emits each match
+// (x, y) and keeps its mirror (y, x, d) in a min-heap ordered by (y, x).
+// The distance is symmetric, so d is the mirror's distance too. The
+// outer scan and every band ascend in id, so y's turn as the outer row
+// comes later: its mirrors come out first (ids below y), then its own
+// matches (above y) — the order of the walk over every pair, minus the
+// self pairs the residual filter drops. Each band keeps a cursor at its
+// first row above the last probe, which only moves forward, and x's
+// signature is read from its own band entry. A parallel slice walks the
+// same range for its own rows and hands out, after its outer stream
+// ends, the mirrors whose larger row a later slice owns (rest), in
+// (y, x) order: the id-ordered gather takes equal slot-0 ids from the
+// lower stream first, so it rebuilds the serial order. The heap holds at
+// most the pairs whose larger row has not been probed yet: for a join
+// at radius +Inf, up to half the output.
+type lengthViewProbe struct {
+	probeBase
+	calc      *editdp.Calculator // the rule set's at planning (the kernel label)
+	symmetric bool               // a self-join step that verifies each unordered pair once
+	val       valFn              // a join's probe value over the outer slots
+
+	w       bandWalk
+	snap    *relation.Snapshot
+	covered bool
+	pairs   *pairWalk // the symmetric walk's state
+}
+
+func (p *lengthViewProbe) clone() probe                  { c := *p; return &c }
+func (p *lengthViewProbe) ensure(rel *relation.Relation) { rel.LengthView() }
+func (p *lengthViewProbe) setBound(bound float64)        { p.w.setBound(bound) }
+func (p *lengthViewProbe) kernel() string                { return bandKernel(p.calc, p.sim.Target.Lit) }
+
+func (p *lengthViewProbe) bind(slots slotMap) error {
+	p.val = compileField(p.field, slots)
+	return nil
+}
+
+// open resolves the rule set's calculator for the walk. The planner
+// routes only edit-like rule sets here, so a missing calculator means
+// the rule set was re-registered between planning and opening.
+func (p *lengthViewProbe) open(ctx *execCtx, snap *relation.Snapshot) (ExecStats, error) {
+	ent, _ := ctx.eng.rule(p.sim.RuleSet)
+	if ent == nil || ent.calc == nil {
+		return ExecStats{}, fmt.Errorf("query: stale plan: rule set %q has no calculator", p.sim.RuleSet)
+	}
+	p.w.init(ent.calc, ent.unit, p.sim.Target.Lit)
+	p.w.setBound(p.sim.Radius)
+	p.snap, p.covered = snap, covers(ent.calc, snap)
+	if p.symmetric {
+		bands := snap.LengthView().AllBands()
+		p.pairs = &pairWalk{bands: bands, next: make([]int, len(bands))}
+	}
+	return ExecStats{}, nil
+}
+
+func (p *lengthViewProbe) aim(b *Batch, i int) (bool, error) {
+	pv, err := p.val(b, i)
+	switch {
+	case err != nil:
+		return false, err
+	case p.pairs != nil:
+		return true, p.pairs.aim(&p.w, b.slot(0).IDs[i], pv)
+	}
+	p.w.reset(pv)
+	return true, nil
+}
+
+func (p *lengthViewProbe) walk(sink rowSink) (ExecStats, error) {
+	if p.pairs != nil {
+		return p.pairs.walk(&p.w, p.snap, p.covered, sink), nil
+	}
+	st := p.w.walk(p.snap, p.covered, func(row *relation.Row, d float64) { sink.take(&row.Tuple, d) })
+	if p.k > 0 {
+		observeVisited(mNearestVisitedSeq, st.Verifications, p.snap.Len())
+	}
+	return st, nil
+}
+
+func (p *lengthViewProbe) rest() (outer, inner *relation.Tuple, d float64, ok bool) {
+	if p.pairs == nil || len(p.pairs.mirrors) == 0 {
+		return nil, nil, 0, false
+	}
+	m := p.pairs.mirrors.pop()
+	return &m.outer.Tuple, &m.inner.Tuple, m.d, true
+}
+
+func (p *lengthViewProbe) explain(shard, order string) string {
+	switch {
+	case p.join() && p.symmetric:
+		return p.joinLabel("lengthview", ", symmetric")
+	case p.join():
+		return p.joinLabel("lengthview", "")
+	case p.k > 0:
+		return fmt.Sprintf("NearestK(%s%s, k=%d, ruleset=%s%s)", p.alias, shard, p.k, p.sim.RuleSet, order)
+	}
+	return fmt.Sprintf("IndexRange(%s via lengthview%s, target=%s, radius=%g, ruleset=%s%s)",
+		p.alias, shard, p.sim.Target.Lit, p.sim.Radius, p.sim.RuleSet, order)
+}
+
+func (p *lengthViewProbe) estimate(outer float64, inner relation.Stats) (rows, cost float64) {
+	if p.k > 0 {
+		return estNearestRows(inner.Count, p.k), 0
+	}
+	r := p.sim.Radius
+	return joinOutRows(outer, inner, r), lengthBandJoinCost(outer, inner, math.Floor(r))
+}
+
+// pairWalk is the probe state of a symmetric self-join step.
+type pairWalk struct {
+	bands   []relation.Band // the inner view's bands at open, ascending length
+	next    []int           // per band: its first entry whose id is not below the last probe's
+	x       *relation.Row   // the outer row being probed
+	own     int             // x's band
+	mirrors mirrorHeap
+}
+
+// mirror is a match (outer, inner) found by inner's probe, waiting for
+// outer's turn; oid and iid are their ids, the heap's keys.
+type mirror struct {
+	oid, iid     int
+	outer, inner *relation.Row
+	d            float64
+}
+
+// mirrorHeap is a binary min-heap of mirrors by (oid, iid).
+type mirrorHeap []mirror
+
+func (h mirrorHeap) less(i, j int) bool {
+	return h[i].oid < h[j].oid || h[i].oid == h[j].oid && h[i].iid < h[j].iid
+}
+
+func (h *mirrorHeap) push(m mirror) {
+	*h = append(*h, m)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+func (h *mirrorHeap) pop() mirror {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s.less(c+1, c) {
+			c++
+		}
+		if !s.less(c, i) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
+}
+
+// skip moves band j's cursor past the entries whose id is below id and
+// returns it.
+func (p *pairWalk) skip(j, id int) int {
+	ents, i := p.bands[j].Ents, p.next[j]
+	for i < len(ents) && ents[i].Row.ID < id {
+		i++
+	}
+	p.next[j] = i
+	return i
+}
+
+// aim finds the outer row (id, seq) in its own band and retargets w at
+// it with the signature stored there.
+func (p *pairWalk) aim(w *bandWalk, id int, seq string) error {
+	bands, n := p.bands, len(seq)
+	own := sort.Search(len(bands), func(j int) bool { return bands[j].Len >= n })
+	at := -1
+	if own < len(bands) && bands[own].Len == n {
+		at = p.skip(own, id)
+	}
+	if at < 0 || at == len(bands[own].Ents) || bands[own].Ents[at].Row.ID != id {
+		return fmt.Errorf("query: self-join row %d is missing from its length view", id)
+	}
+	p.x, p.own = bands[own].Ents[at].Row, own
+	w.resetSig(seq, bands[own].Sigs[at])
+	return nil
+}
+
+// walk emits the mirrors earlier probes left for the outer row, then
+// walks the inner rows of its length window whose id is above its own,
+// keeping each match's mirror.
+func (p *pairWalk) walk(w *bandWalk, snap *relation.Snapshot, covered bool, sink rowSink) ExecStats {
+	var st ExecStats
+	x := p.x
+	for len(p.mirrors) > 0 && p.mirrors[0].oid == x.ID {
+		m := p.mirrors.pop()
+		sink.take(&m.inner.Tuple, m.d)
+	}
+	emit := func(row *relation.Row, d float64) {
+		sink.take(&row.Tuple, d)
+		p.mirrors.push(mirror{oid: row.ID, iid: x.ID, outer: row, inner: x, d: d})
+	}
+	bands, n, k := p.bands, len(w.target), w.ibound
+	for j := sort.Search(len(bands), func(j int) bool { return bands[j].Len >= n-k }); j < len(bands) && bands[j].Len <= n+k; j++ {
+		from := p.skip(j, x.ID)
+		if j == p.own {
+			from++ // x itself
+		}
+		w.band(bands[j], from, snap, covered, emit, &st)
+	}
+	return st
 }

@@ -1,12 +1,11 @@
 package query
 
 // The single-relation physical operators: access paths (Scan and the
-// band-walk leaves IndexRange and NearestK, see bandwalk.go), Filter,
+// leaves Range and NearestK, which run a probe, see probe.go), Filter,
 // Project, Limit and OrderByDist. Each pulls blocks from its children,
 // does one job, and counts its own work; the planner in plan.go
-// composes them into trees.
-// (The vector access paths live in vec_operators.go, the join in
-// join_batch.go, the fan-out in batch_shard.go.)
+// composes them into trees. (The join lives in join_batch.go, the
+// fan-out in batch_shard.go.)
 
 import (
 	"fmt"
@@ -31,11 +30,17 @@ const infCut = 1e300
 // 0..n-1 reproduces the serial scan order — the invariant the id merge
 // of a parallel plan relies on. Reading through the snapshot gives every
 // query a consistent view while concurrent commits land.
+//
+// The start scan of a join chain whose first step walks each unordered
+// pair once (pairs) cuts its slices at equal pair counts instead: outer
+// row x walks only the rows above it, so the work up to arena fraction f
+// is 1-(1-f)², and slice i of n starts at f = 1-sqrt(1-i/n).
 type batchScanOp struct {
 	stream
 	ctx   *execCtx
 	alias string
 	size  int
+	pairs bool
 
 	cur   *relation.Cursor
 	buf   *Batch
@@ -44,7 +49,12 @@ type batchScanOp struct {
 }
 
 func (o *batchScanOp) OpenBatch() error {
-	o.cur = o.snap.Shard(o.slice, o.slices)
+	if o.pairs {
+		cut := func(i int) float64 { return 1 - math.Sqrt(1-float64(i)/float64(o.slices)) }
+		o.cur = o.snap.Part(cut(o.slice), cut(o.slice+1))
+	} else {
+		o.cur = o.snap.Shard(o.slice, o.slices)
+	}
 	o.buf = getBatch()
 	return nil
 }
@@ -76,7 +86,7 @@ func (o *batchScanOp) Describe() string { return fmt.Sprintf("Scan(%s%s)", o.ali
 
 func (o *batchScanOp) childNodes() []BatchOperator { return nil }
 
-// ------------------------------------------------------ band-walk leaves
+// ---------------------------------------------------------- probe leaves
 
 // matchList holds the matches an access path materialised at open from
 // its stream's snapshot and streams them out in blocks; the WITHIN and
@@ -122,12 +132,6 @@ func (l *matchList) open() {
 	l.buf = getBatch()
 	l.found = matchPool.Get().(*matchBuf)
 	l.found.ms = l.found.ms[:0]
-}
-
-// record folds the walk's counters into the operator and the query.
-func (l *matchList) record(ctx *execCtx, st ExecStats) {
-	l.last.add(st)
-	ctx.addStats(st)
 }
 
 // sortMatches puts the matches in the leaf's emission order.
@@ -219,84 +223,83 @@ func (l *matchList) opStats() ExecStats { return l.last }
 
 func (l *matchList) childNodes() []BatchOperator { return nil }
 
-// batchIndexRangeOp answers "seq SIMILAR TO lit WITHIN r" under a
-// unit-cost rule set with one band walk at the fixed bound r. The
-// matches are sorted into the leaf's order (see matchList) before the
-// first block leaves. A LIMIT above it does not cut the walk short: the
-// first rows in either order are known only once every band within r
-// was read.
-type batchIndexRangeOp struct {
-	kernelTag
-	matchList
-	ctx     *execCtx
-	target  string
-	radius  float64
-	ruleSet string
-}
-
-func (o *batchIndexRangeOp) OpenBatch() error {
-	o.open()
-	w, err := o.ctx.eng.bandWalk(o.ruleSet, o.target)
+// run opens p over the leaf's snapshot and walks it into sink, counting
+// the work into the operator and the query.
+func (l *matchList) run(ctx *execCtx, p probe, sink rowSink) error {
+	l.open()
+	st, err := p.open(ctx, l.snap)
 	if err != nil {
 		return err
 	}
-	w.setBound(o.radius)
-	ms := o.found.ms
-	st := w.walk(o.snap, covers(w.calc, o.snap), func(row *relation.Row, d float64) {
-		ms = append(ms, match{id: row.ID, dist: d})
-	})
-	o.found.ms = ms
+	ws, err := p.walk(sink)
+	st.add(ws)
+	l.last.add(st)
+	ctx.addStats(st)
+	return err
+}
+
+// batchRangeOp answers "x SIMILAR TO target WITHIN r" with one walk of
+// its probe at the fixed bound r. The matches are sorted into the leaf's
+// order (see matchList) before the first block leaves. A LIMIT above it
+// does not cut the walk short: the first rows in either order are known
+// only once every row within r was found.
+type batchRangeOp struct {
+	kernelTag
+	matchList
+	ctx *execCtx
+	p   probe
+}
+
+func (o *batchRangeOp) OpenBatch() error {
+	if err := o.run(o.ctx, o.p, o); err != nil {
+		return err
+	}
 	o.sortMatches()
-	o.record(o.ctx, st)
 	return nil
 }
 
-func (o *batchIndexRangeOp) Describe() string {
-	return fmt.Sprintf("IndexRange(%s via lengthview%s, target=%s, radius=%g, ruleset=%s%s)",
-		o.alias, o.shardNote(), o.target, o.radius, o.ruleSet, o.orderNote())
+func (o *batchRangeOp) take(t *relation.Tuple, d float64) {
+	o.found.ms = append(o.found.ms, match{id: t.ID, dist: d})
 }
 
-// batchNearestKOp answers "seq NEAREST k TO lit" with one band walk
-// whose bound is the current kth-best distance: the walk starts
+func (o *batchRangeOp) Describe() string { return o.p.explain(o.shardNote(), o.orderNote()) }
+
+// batchNearestKOp answers "x NEAREST k TO target" with one walk of its
+// probe whose bound is the current kth-best distance: the walk starts
 // unbounded, admitted rows fold into a (dist, id) best list, and once
-// the list is full its kth distance becomes the bound — so most rows
-// abandon early and the walk stops at the first band strictly farther
-// than the kth best. Weighted rule sets have no lower bound and verify
-// every row.
+// the list is full its kth distance becomes the bound — so the band
+// walk abandons most rows early and stops at the first band strictly
+// farther than the kth best, and the vector view prunes its nodes.
 type batchNearestKOp struct {
 	kernelTag
 	matchList
-	ctx     *execCtx
-	target  string
-	k       int
-	ruleSet string
+	ctx *execCtx
+	p   probe
+	k   int
 }
 
 func (o *batchNearestKOp) OpenBatch() error {
-	o.open()
-	w, err := o.ctx.eng.bandWalk(o.ruleSet, o.target)
-	if err != nil {
+	if err := o.run(o.ctx, o.p, o); err != nil {
 		return err
 	}
-	best := o.found.ms
-	st := w.walk(o.snap, covers(w.calc, o.snap), func(row *relation.Row, d float64) {
-		best = pushBest(best, match{id: row.ID, dist: d}, o.k)
-		if len(best) == o.k {
-			w.setBound(best[o.k-1].dist)
-		}
-	})
-	o.found.ms = best
 	if o.order == OrderDesc { // the best list is already (dist, id)
 		o.sortMatches()
 	}
-	observeVisited(mNearestVisitedSeq, st.Verifications, o.snap.Len())
-	o.record(o.ctx, st)
 	return nil
 }
 
-func (o *batchNearestKOp) Describe() string {
-	return fmt.Sprintf("NearestK(%s%s, k=%d, ruleset=%s%s)", o.alias, o.shardNote(), o.k, o.ruleSet, o.orderNote())
+func (o *batchNearestKOp) take(t *relation.Tuple, d float64) {
+	best := o.found.ms
+	if len(best) < o.k || d <= best[len(best)-1].dist {
+		best = pushBest(best, match{id: t.ID, dist: d}, o.k)
+		if len(best) == o.k {
+			o.p.setBound(best[o.k-1].dist)
+		}
+		o.found.ms = best
+	}
 }
+
+func (o *batchNearestKOp) Describe() string { return o.p.explain(o.shardNote(), o.orderNote()) }
 
 // -------------------------------------------------------------- filter
 

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metric"
 	"repro/internal/obs"
 	"repro/internal/relation"
 )
@@ -36,23 +35,6 @@ func (s stream) shardNote() string {
 		return fmt.Sprintf(", shard %d/%d", s.slice, s.slices)
 	}
 	return ""
-}
-
-// snapshotOf ensures the shared structures a plan reads from rel — its
-// length view when lengthView, a vector view per non-nil metric of
-// views — and then takes its snapshot, which therefore carries the
-// online-maintained structures instead of building private ones per
-// query.
-func snapshotOf(rel *relation.Relation, lengthView bool, views ...metric.Distance) *relation.Snapshot {
-	if lengthView {
-		rel.LengthView()
-	}
-	for _, m := range views {
-		if m != nil {
-			rel.VecView(m)
-		}
-	}
-	return rel.Snapshot()
 }
 
 // fanOut builds a plan's pipelines over snap, one per slice d decided,

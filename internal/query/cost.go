@@ -88,7 +88,7 @@ func vecNestedLoopJoinCost(outerRows float64, inner relation.Stats) float64 {
 
 // vecJoinOutRows is joinOutRows for a vector edge. Without a distance
 // distribution sketch the selectivity is a ramp in the radius, coarse
-// like every estimate here; estVecRangeRows reads it too.
+// like every estimate here; a vector Range leaf reads it too.
 func vecJoinOutRows(outerRows float64, inner relation.Stats, r float64) float64 {
 	frac := 0.25 * (r + 1)
 	if frac > 1 {

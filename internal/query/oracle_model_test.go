@@ -183,7 +183,7 @@ func (o *oracleDB) eval(ex Expr, alias string, r *modelRow) (bool, error) {
 // matches evaluates a WHERE clause over every row, in ascending id.
 func (o *oracleDB) matches(where Expr, alias string) ([]modelRow, error) {
 	if ne, ok := where.(NearestExpr); ok {
-		if ne.RuleSet != "edits" && ne.RuleSet != "gaps" || !ne.Target.IsLit || isVecNearest(&ne) {
+		if ne.RuleSet != "edits" && ne.RuleSet != "gaps" || !ne.Target.IsLit || ne.Field.Name == "vec" || ne.Target.IsVec {
 			return nil, errUnmodeled
 		}
 		calc := editsCalc

@@ -19,7 +19,6 @@ package query
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/editdp"
@@ -52,36 +51,25 @@ const (
 // holds no operators, only choices and the conjuncts they serve.
 type planDecision struct {
 	kind accessKind
-	via  string          // vector paths only: vecview|scan
-	m    metric.Distance // via vecview: the metric whose view the leaf walks
-	// accessRange: the conjunct the leaf serves and whether the leaf
-	// supplies the row's distance (rangeConjunct).
-	sim      *SimExpr
+	// probe is the access path of accessNearest and accessRange, and the
+	// conjunct it serves (probe.go); leafDist says whether an accessRange
+	// leaf supplies the row's distance (rangeConjunct).
+	probe    probe
 	leafDist bool
+	nearest  SimExpr // accessNearest: the predicate its probe serves (NearestExpr.sim)
 	// pred is the predicate the filter above the access path evaluates
 	// (accessRange, accessScan and accessJoin; nil or TRUE for none).
 	pred  Expr
-	start string       // accessJoin: starting alias
-	steps []stepChoice // accessJoin: greedy join order
+	start string  // accessJoin: starting alias
+	steps []probe // accessJoin: one probe per edge, in the greedy join order
+	// noDist: the first join step does not serve the distance edge, so
+	// the steps emit no distance and pred evaluates that edge first.
+	noDist bool
 	// slices > 1 reads the snapshot of the table the plan fans out over
 	// (the join's start) as that many parallel id ranges.
 	slices int
-	kernel string // distance kernel serving the primary edit conjunct
-	// ("myers", "targetdp", "vec-<metric>", or "" when none)
-}
-
-// stepChoice is one edge of the decided join order: the similarity
-// conjunct sim joins the new alias through probeField. algo is the join
-// operator's probe ("index" or "scan", see chooseJoinAlgo); vec marks a
-// vector-metric edge (USING names a metric, the index is a vector view);
-// banded marks a scan whose unit-cost edge licenses the length band.
-type stepChoice struct {
-	alias      string
-	sim        *SimExpr
-	algo       string
-	vec        bool
-	banded     bool
-	probeField FieldRef
+	kernel string // distance kernel of the access path or, for a scan, the
+	// filter ("myers", "targetdp", "vec-<metric>", or "" when none)
 }
 
 // resolveFrom maps the FROM clause to catalog relations, rejecting
@@ -145,48 +133,17 @@ func (e *Engine) decide(q *Query, rels []*relation.Relation) (*planDecision, err
 	if err != nil {
 		return nil, err
 	}
-	d.kernel = e.kernelFor(q, d)
-	return d, nil
-}
-
-// kernelFor records which distance kernel serves the plan's primary
-// edit conjunct, for EXPLAIN. The band walks (WITHIN and NEAREST) run
-// the bit-parallel kernel when it computes the rule set's distance to
-// the target (TargetDP otherwise; rows outside the rule alphabet fall
-// back to TargetDP either way, as in the filter); scan plans are
-// classified by the compiled filter's own dispatch predicate. The
-// record is advisory — the operators re-check eligibility when they
-// open.
-func (e *Engine) kernelFor(q *Query, d *planDecision) string {
-	switch d.kind {
-	case accessNearest:
-		ne := q.Where.(NearestExpr)
-		if isVecNearest(&ne) {
-			return "vec-" + ne.RuleSet
-		}
-		return bandKernel(e.calc(ne.RuleSet), ne.Target.Lit)
-	case accessRange:
-		if d.via == "vecview" {
-			return "vec-" + d.sim.RuleSet
-		}
-		return bandKernel(e.calc(d.sim.RuleSet), d.sim.Target.Lit)
-	case accessJoin:
-		// Classify by the primary join edge: vec edges run the metric's
-		// kernels, unit edit edges the bit-parallel kernel (in the band
-		// walk over seq, in the length-banded scan over other attributes),
-		// weighted edges the budgeted DP.
-		if sim := firstJoinSim(q.Where); sim != nil {
-			if isVecSim(sim) {
-				return "vec-" + sim.RuleSet
-			}
-			if c := e.calc(sim.RuleSet); c != nil && c.Unit() {
-				return "myers"
-			}
-			return "targetdp"
-		}
-		return ""
+	// The plan's kernel is its leaf probe's or its first join step's
+	// (each step's operator shows its own); a scan's is its filter's.
+	switch {
+	case d.probe != nil:
+		d.kernel = d.probe.kernel()
+	case len(d.steps) > 0:
+		d.kernel = d.steps[0].kernel()
+	default:
+		d.kernel = e.filterKernel(q.Where)
 	}
-	return e.filterKernel(q.Where)
+	return d, nil
 }
 
 // bandKernel names the kernel a band walk runs for target: Myers where
@@ -199,43 +156,16 @@ func bandKernel(c *editdp.Calculator, target string) string {
 	return "targetdp"
 }
 
-// isVecNearest reports whether a NEAREST predicate targets the vector
-// column (its USING clause then names a distance metric).
-func isVecNearest(ne *NearestExpr) bool {
-	return ne.Field.Name == "vec" || ne.Target.IsVec
-}
-
-// decideNearest validates a NEAREST query. String NEAREST has one
-// access path — the band walk of the length-ordered view — so there is
-// nothing to choose. Over the vector column the metric picks it: the
-// vector view when the metric satisfies the triangle inequality (the
-// view's pruning invariant), a bounded scan otherwise (cosine).
+// decideNearest validates a NEAREST query; its probe follows from the
+// column and the USING name (probeFor), so there is nothing to choose.
 func (e *Engine) decideNearest(q *Query, ne NearestExpr) (*planDecision, error) {
 	if len(q.From) != 1 {
 		return nil, fmt.Errorf("query: NEAREST requires a single relation")
 	}
-	d := &planDecision{kind: accessNearest, slices: 1}
-	if isVecNearest(&ne) {
-		m, ok := metric.Lookup(ne.RuleSet)
-		if !ok {
-			return nil, fmt.Errorf("query: unknown metric %q", ne.RuleSet)
-		}
-		d.via = "scan"
-		if metric.IsTriangular(m) {
-			d.via, d.m = "vecview", m
-		}
-		return d, nil
-	}
-	if !ne.Target.IsLit {
-		return nil, fmt.Errorf("query: NEAREST requires a literal target")
-	}
-	if _, err := e.ruleset(ne.RuleSet); err != nil {
-		return nil, err
-	}
-	if e.calc(ne.RuleSet) == nil {
-		return nil, fmt.Errorf("query: NEAREST requires an edit-like rule set (%q is not)", ne.RuleSet)
-	}
-	return d, nil
+	d := &planDecision{kind: accessNearest, nearest: ne.sim(), slices: 1}
+	p, err := e.probeFor(probeBase{sim: &d.nearest, k: ne.K, alias: q.From[0].Alias}, "")
+	d.probe = p
+	return d, err
 }
 
 // gatherWorkers caps the fan-out at the engine's parallelism (at least
@@ -251,37 +181,16 @@ func (e *Engine) gatherWorkers(streams int) int {
 	return workers
 }
 
-// rangeIndexable licenses a conjunct for the band walk: a literal,
-// non-pattern target over seq under a unit-cost rule set, whose
-// distances are integers, so any radius r bounds them as floor(r) does.
-func (e *Engine) rangeIndexable(sim *SimExpr) bool {
-	if sim.Field.Name != "seq" || !sim.Target.IsLit || sim.Pattern {
-		return false
-	}
-	ent, _ := e.rule(sim.RuleSet)
-	return ent != nil && ent.unit
-}
-
 // decideSingle picks the access path for a single-relation query by
-// what the relation offers, reading no cost: a literal SIMILAR TO
-// conjunct over seq under a unit-cost rule set is an IndexRange, the
-// band walk of the length-ordered view; a vector conjunct under a
-// triangular metric is a VecRange, the walk of the vector view;
-// everything else is a (possibly parallel) scan with the full predicate
-// as a filter.
+// what the relation offers, reading no cost: a similarity conjunct a
+// view serves (rangeProbe) is a Range leaf walking that view; everything
+// else is a (possibly parallel) scan with the full predicate as a
+// filter.
 func (e *Engine) decideSingle(q *Query, tab *relation.Relation) (*planDecision, error) {
-	d := &planDecision{kind: accessScan, slices: 1}
-	if sim, pred, leafDist := rangeConjunct(q.Where, e.rangeIndexable); sim != nil {
-		d.kind, d.sim, d.pred, d.leafDist = accessRange, sim, pred, leafDist
-		return d, nil
+	if p, pred, leafDist := e.rangeProbe(q.Where, q.From[0].Alias); p != nil {
+		return &planDecision{kind: accessRange, probe: p, pred: pred, leafDist: leafDist, slices: 1}, nil
 	}
-	if sim, pred, leafDist := rangeConjunct(q.Where, isVecRangeSim); sim != nil {
-		if m, ok := metric.Lookup(sim.RuleSet); ok && metric.IsTriangular(m) {
-			d.kind, d.via, d.m, d.sim, d.pred, d.leafDist = accessRange, "vecview", m, sim, pred, leafDist
-			return d, nil
-		}
-	}
-	d.pred = simplifyExpr(q.Where)
+	d := &planDecision{kind: accessScan, pred: simplifyExpr(q.Where)}
 	// A bare scan has no per-tuple verification work to parallelise.
 	d.slices = e.decideParallel(q, tab.Stats().Count, !isTrivial(d.pred))
 	return d, nil
@@ -290,8 +199,14 @@ func (e *Engine) decideSingle(q *Query, tab *relation.Relation) (*planDecision, 
 // decideJoin greedily orders a left-deep join chain over N relations by
 // estimated cost; similarity edges come from top-level similarity
 // conjuncts between two aliases (SIMILAR TO or ON dist(...) <= k). Each
-// edge's probe follows from what its inner side offers (chooseJoinAlgo);
-// its cost only orders the chain.
+// edge's probe follows from what its inner side offers (probeFor); its
+// cost only orders the chain.
+//
+// A joined row's distance is the first edge's in WHERE order, whatever
+// the join order, as a filter over every pair would assign it: the steps
+// supply it when the first step serves that edge (each later step keeps
+// it); otherwise they emit no distance and the filter evaluates that
+// edge first, as rangeConjunct does for a leaf.
 func (e *Engine) decideJoin(q *Query, rels []*relation.Relation) (*planDecision, error) {
 	relOf := map[string]*relation.Relation{}
 	pos := map[string]int{}
@@ -315,45 +230,46 @@ func (e *Engine) decideJoin(q *Query, rels []*relation.Relation) (*planDecision,
 	bound := map[string]bool{start: true}
 	curRows := float64(relOf[start].Stats().Count)
 	used := make([]bool, len(edges))
-	var steps []stepChoice
+	var steps []probe
 	for len(bound) < len(q.From) {
 		bestIdx, bestCost := -1, 0.0
-		var best stepChoice
+		var best probe
 		for i, edge := range edges {
 			if used[i] {
 				continue
 			}
 			fa, ta := edge.Field.Table, edge.Target.Field.Table
-			var newAlias string
-			var probe FieldRef
+			b := probeBase{sim: edge}
 			var innerField string
 			switch {
 			case bound[fa] && !bound[ta]:
-				newAlias, probe, innerField = ta, edge.Field, edge.Target.Field.Name
+				b.alias, b.field, innerField = ta, edge.Field, edge.Target.Field.Name
 			case bound[ta] && !bound[fa]:
-				newAlias, probe, innerField = fa, edge.Target.Field, edge.Field.Name
+				b.alias, b.field, innerField = fa, edge.Target.Field, edge.Field.Name
 			default:
 				continue // cycle edge or not yet reachable
 			}
-			step, cost, err := e.chooseJoinAlgo(edge, innerField, curRows, relOf[newAlias].Stats())
+			p, err := e.probeFor(b, innerField)
 			if err != nil {
 				return nil, err
 			}
-			better := bestIdx < 0 || cost < bestCost ||
-				cost == bestCost && pos[newAlias] < pos[best.alias]
-			if better {
-				bestIdx, bestCost = i, cost
-				step.alias, step.sim, step.probeField = newAlias, edge, probe
-				best = step
+			_, cost := p.estimate(curRows, relOf[b.alias].Stats())
+			if bestIdx < 0 || cost < bestCost || cost == bestCost && pos[b.alias] < pos[best.spec().alias] {
+				bestIdx, bestCost, best = i, cost, p
 			}
 		}
 		if bestIdx < 0 {
 			return nil, fmt.Errorf("query: relations are not connected by similarity predicates")
 		}
 		used[bestIdx] = true
-		bound[best.alias] = true
-		curRows = joinOutRowsFor(best.sim, curRows, relOf[best.alias].Stats())
+		alias := best.spec().alias
+		bound[alias] = true
+		curRows, _ = best.estimate(curRows, relOf[alias].Stats())
 		steps = append(steps, best)
+	}
+	noDist := steps[0].spec().sim != edges[0]
+	if noDist {
+		residual, used[0] = AndExpr{L: *edges[0], R: residual}, true
 	}
 	// Edges no step uses (cycles) must still hold on each output row.
 	for i, edge := range edges {
@@ -362,56 +278,8 @@ func (e *Engine) decideJoin(q *Query, rels []*relation.Relation) (*planDecision,
 		}
 	}
 
-	return &planDecision{kind: accessJoin, start: start, steps: steps, pred: simplifyExpr(residual),
+	return &planDecision{kind: accessJoin, start: start, steps: steps, pred: simplifyExpr(residual), noDist: noDist,
 		slices: e.decideParallel(q, relOf[start].Stats().Count, true)}, nil
-}
-
-// chooseJoinAlgo picks the probe for one similarity edge by what the
-// inner side offers, and returns the cost that orders the join chain.
-// No cost enters the choice:
-//
-//   - a unit-cost edit edge onto the inner seq field probes the band
-//     walk of its length view ("index");
-//   - a unit-cost edit edge onto any other attribute scans the inner
-//     rows, verifying only the length band |len(x)-len(y)| <= floor(r)
-//     ("scan", banded) — every edit costs at least one;
-//   - a vector edge under a triangular metric probes the inner vector
-//     view ("index"; validateVecSim pins both sides to the vec column);
-//   - every other edge — weighted or not edit-like rule sets, cosine —
-//     scans and verifies every inner row ("scan").
-func (e *Engine) chooseJoinAlgo(edge *SimExpr, innerField string, outerRows float64, inner relation.Stats) (stepChoice, float64, error) {
-	if isVecSim(edge) {
-		m, ok := metric.Lookup(edge.RuleSet)
-		if !ok {
-			return stepChoice{}, 0, fmt.Errorf("query: unknown metric %q", edge.RuleSet)
-		}
-		if metric.IsTriangular(m) {
-			// A view probe verifies about the rows it returns.
-			return stepChoice{algo: "index", vec: true}, vecJoinOutRows(outerRows, inner, edge.Radius) * vecVerifyCost(inner), nil
-		}
-		return stepChoice{algo: "scan", vec: true}, vecNestedLoopJoinCost(outerRows, inner), nil
-	}
-	ent, err := e.rule(edge.RuleSet)
-	if err != nil {
-		return stepChoice{}, 0, err
-	}
-	if !ent.unit || ent.calc == nil {
-		return stepChoice{algo: "scan"}, nestedLoopJoinCost(outerRows, inner, edge.Radius), nil
-	}
-	cost := lengthBandJoinCost(outerRows, inner, math.Floor(edge.Radius))
-	if innerField == "seq" {
-		return stepChoice{algo: "index"}, cost, nil
-	}
-	return stepChoice{algo: "scan", banded: true}, cost, nil
-}
-
-// joinOutRowsFor dispatches the join cardinality estimate on the edge's
-// domain (string selectivity vs the vector visited-fraction proxy).
-func joinOutRowsFor(edge *SimExpr, outerRows float64, inner relation.Stats) float64 {
-	if isVecSim(edge) {
-		return vecJoinOutRows(outerRows, inner, edge.Radius)
-	}
-	return joinOutRows(outerRows, inner, edge.Radius)
 }
 
 // decideParallel returns how many id-range slices a scan-rooted
@@ -447,7 +315,10 @@ func (e *Engine) buildPlan(q *Query, d *planDecision, tabs []*relation.Relation)
 		return e.buildJoin(q, d, tabs)
 	}
 	tab := tabs[0]
-	snap := snapshotOf(tab, d.via == "" && d.kind != accessScan, d.m)
+	if d.probe != nil {
+		d.probe.ensure(tab)
+	}
+	snap := tab.Snapshot()
 	st := shardStats(tab.Stats(), d.slices)
 	ctx := &execCtx{eng: e, traced: q.Analyze || e.tracing.Load()}
 	alias := q.From[0].Alias
@@ -472,41 +343,23 @@ func (e *Engine) buildPlan(q *Query, d *planDecision, tabs []*relation.Relation)
 	var leaf func(stream) BatchOperator
 	switch d.kind {
 	case accessNearest:
-		ne := q.Where.(NearestExpr)
 		ordered = true
-		if isVecNearest(&ne) {
-			leaf = func(s stream) BatchOperator {
-				return trB(ctx, &batchVecNearestKOp{
-					kernelTag: tag, ctx: ctx, matchList: matchList{stream: s, alias: alias, size: size, order: order},
-					via: d.via, target: ne.Target.Vec, k: ne.K, metricName: ne.RuleSet,
-				}, estNearestRows(st.VecCount, ne.K))
-			}
-			break
-		}
+		est, _ := d.probe.estimate(1, st)
 		leaf = func(s stream) BatchOperator {
 			return trB(ctx, &batchNearestKOp{
 				kernelTag: tag, ctx: ctx, matchList: matchList{stream: s, alias: alias, size: size, order: order},
-				target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet,
-			}, estNearestRows(st.Count, ne.K))
+				p: d.probe, k: d.probe.spec().k,
+			}, est)
 		}
 	case accessRange:
-		sim, pred := d.sim, d.pred
 		if !d.leafDist {
 			order = OrderNone
 		}
 		ordered = d.leafDist
+		est, _ := d.probe.estimate(1, st)
 		leaf = func(s stream) BatchOperator {
 			ml := matchList{stream: s, alias: alias, size: size, order: order, noDist: !d.leafDist}
-			if d.via == "vecview" {
-				return filter(trB(ctx, &batchVecRangeOp{
-					kernelTag: tag, ctx: ctx, matchList: ml,
-					target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet,
-				}, estVecRangeRows(st, sim.Radius)), pred)
-			}
-			return filter(trB(ctx, &batchIndexRangeOp{
-				kernelTag: tag, ctx: ctx, matchList: ml,
-				target: sim.Target.Lit, radius: sim.Radius, ruleSet: sim.RuleSet,
-			}, estRangeRows(st, sim.Radius)), pred)
+			return filter(trB(ctx, &batchRangeOp{kernelTag: tag, ctx: ctx, matchList: ml, p: d.probe}, est), d.pred)
 		}
 	case accessScan:
 		leaf = func(s stream) BatchOperator {
@@ -582,7 +435,7 @@ func (e *Engine) validateExpr(ex Expr) error {
 		}
 		return nil
 	case NearestExpr:
-		if isVecNearest(&ex) {
+		if sim := ex.sim(); isVecSim(&sim) {
 			return validateVecNearest(&ex)
 		}
 		_, err := e.ruleset(ex.RuleSet)
@@ -742,33 +595,6 @@ func rangeConjunct(where Expr, ok func(*SimExpr) bool) (sim *SimExpr, pred Expr,
 		return sim, simplifyExpr(where), false
 	}
 	return sim, simplifyExpr(residual), true
-}
-
-// isVecRangeSim licenses a conjunct for the vector range path: vec
-// against a vector literal.
-func isVecRangeSim(sim *SimExpr) bool {
-	return sim.Field.Name == "vec" && sim.Target.IsVec && !sim.Pattern
-}
-
-// firstJoinSim returns the query's primary join conjunct — the first
-// cross-alias SimExpr in conjunct order — for advisory classification
-// (kernelFor). extractJoinSims is the authoritative edge extractor; it
-// additionally checks both aliases resolve to known relations.
-func firstJoinSim(ex Expr) *SimExpr {
-	switch ex := ex.(type) {
-	case SimExpr:
-		if !ex.Target.IsLit && !ex.Target.IsVec && !ex.Pattern &&
-			ex.Field.Table != "" && ex.Target.Field.Table != "" &&
-			ex.Field.Table != ex.Target.Field.Table {
-			return &ex
-		}
-	case AndExpr:
-		if s := firstJoinSim(ex.L); s != nil {
-			return s
-		}
-		return firstJoinSim(ex.R)
-	}
-	return nil
 }
 
 // extractJoinSims collects every top-level SimExpr conjunct whose field

@@ -177,18 +177,6 @@ func estOfBatch(op BatchOperator) float64 {
 	return -1
 }
 
-// estRangeRows estimates the output cardinality of a string range
-// access: the cost model's range selectivity times the relation size.
-func estRangeRows(st relation.Stats, radius float64) float64 {
-	return selRange(st, radius) * float64(st.Count)
-}
-
-// estVecRangeRows estimates the output cardinality of a vector range
-// access with the join edge's selectivity ramp (vecJoinOutRows).
-func estVecRangeRows(st relation.Stats, radius float64) float64 {
-	return vecJoinOutRows(1, st, radius)
-}
-
 // estNearestRows: NEAREST k emits exactly min(k, population) rows.
 func estNearestRows(population, k int) float64 {
 	if population < k {

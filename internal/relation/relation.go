@@ -717,8 +717,21 @@ func (s *Snapshot) Shard(i, n int) *Cursor {
 	if n <= 0 || i < 0 || i >= n {
 		return &Cursor{}
 	}
-	lo := i * len(s.h.rows) / n
-	hi := (i + 1) * len(s.h.rows) / n
+	return s.cursor(i*len(s.h.rows)/n, (i+1)*len(s.h.rows)/n)
+}
+
+// Part returns a cursor over the arena positions from fraction lo to
+// fraction hi of the arena (0 <= lo <= hi <= 1), for partitions of
+// unequal sizes: parts cut at the same fractions tile the arena, so
+// concatenating them in order reproduces the full visible scan order,
+// as Shard's do.
+func (s *Snapshot) Part(lo, hi float64) *Cursor {
+	n := float64(len(s.h.rows))
+	return s.cursor(int(lo*n), int(hi*n))
+}
+
+// cursor returns a cursor over the arena positions [lo, hi).
+func (s *Snapshot) cursor(lo, hi int) *Cursor {
 	// dead == 0 means no arena row carries a tombstone at this head, and
 	// tombstones written by later commits get epochs above ours — so the
 	// whole cursor range is visible and NextBlock can skip the per-row
