@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metric"
 	"repro/internal/relation"
 	"repro/internal/rewrite"
 )
@@ -21,7 +22,9 @@ import (
 // fuzzParityEngines builds a fresh block-1/block-13 engine pair and the
 // model over a small fixed dataset. Fresh per call: DML inputs mutate
 // state, and corpus entries must reproduce independently of execution
-// order.
+// order. Every row but every fifth carries a 3-d vector, so the vector
+// paths run too (the model leaves statements that read vec unmodeled;
+// the pair still checks them against each other).
 func fuzzParityEngines() (row, batch *Engine, model *oracleDB) {
 	seqs := []string{
 		"abcd", "abce", "abde", "acbd", "bcda", "cadb",
@@ -31,8 +34,12 @@ func fuzzParityEngines() (row, batch *Engine, model *oracleDB) {
 	mk := func(size int) *Engine {
 		cat := relation.NewCatalog()
 		rel := relation.New("words")
-		for _, s := range seqs {
-			rel.Insert(s, map[string]string{"tag": s[:1]})
+		for i, s := range seqs {
+			in := relation.InsertRow{Seq: s, Attrs: map[string]string{"tag": s[:1]}}
+			if i%5 != 4 {
+				in.Vec = metric.Vector{float32(i%4) * 0.5, float32(i % 3), float32(len(s)) * 0.25}
+			}
+			rel.InsertOne(in)
 		}
 		cat.Add(rel)
 		e := NewEngine(cat, WithBatchSize(size))
@@ -83,6 +90,20 @@ func FuzzBatchParity(f *testing.F) {
 	f.Add(`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.seq) <= 2 USING edits WHERE a.tag = "j" AND a.id != b.id`)
 	f.Add(`SELECT a.seq, b.seq FROM words a, words b ON dist(a.seq, b.seq) <= 0 USING edits WHERE a.id != b.id`)
 	f.Add(`SELECT a.id, b.id, dist FROM words a, words b ON dist(b.seq, a.seq) <= 2 USING edits WHERE a.id != b.id ORDER BY dist DESC LIMIT 9`)
+	// The vector paths: the view and the metric scan as leaves and as
+	// join probes, a join whose two edges are of two domains (the row's
+	// distance is the first edge's), and the vector statements that must
+	// fail.
+	f.Add(`SELECT id, dist FROM words WHERE vec NEAREST 3 TO [0.5, 1, 1] USING l2`)
+	f.Add(`SELECT id, dist FROM words WHERE vec NEAREST 4 TO [1, 0, 1] USING cosine ORDER BY dist DESC`)
+	f.Add(`SELECT id, dist FROM words WHERE vec SIMILAR TO [0.5, 1, 1] WITHIN 1.2 USING l2 ORDER BY dist`)
+	f.Add(`SELECT id, dist FROM words WHERE tag = "a" AND vec SIMILAR TO [0, 0, 1] WITHIN 1 USING l2`)
+	f.Add(`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.vec, b.vec) <= 0.8 USING l2 WHERE a.id != b.id`)
+	f.Add(`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.vec, b.vec) <= 0.05 USING cosine WHERE a.id != b.id`)
+	f.Add(`SELECT a.id, b.id, dist FROM words a, words b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING edits AND a.vec SIMILAR TO b.vec WITHIN 1.5 USING l2 AND a.id != b.id`)
+	f.Add(`SELECT a.id, b.id, dist FROM words a, words b WHERE a.vec SIMILAR TO b.vec WITHIN 1.5 USING l2 AND a.seq SIMILAR TO b.seq WITHIN 1 USING edits AND a.id != b.id`)
+	f.Add(`SELECT id FROM words WHERE vec SIMILAR TO PATTERN "a*" WITHIN 1 USING l2`)
+	f.Add(`SELECT id FROM words WHERE vec NEAREST 2 TO [1, 1, 1] USING nosuch`)
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 512 {
 			return // long inputs only stress the lexer, which FuzzLex owns

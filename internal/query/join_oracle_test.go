@@ -644,6 +644,69 @@ func TestJoinOracleSymmetric(t *testing.T) {
 	}
 }
 
+// TestJoinSymmetricSlicesEven: a parallel symmetric self-join cuts its
+// outer slices at equal pair counts, since outer row x walks only the
+// rows above it. Over 8 000 words the slices' candidate counts — the
+// rows of the bands each slice walks — stay within 1.3x of each other
+// at 2 and 4 slices, and the rows match the serial plan's.
+func TestJoinSymmetricSlicesEven(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	rows := make([]relation.InsertRow, 8000)
+	for i := range rows {
+		rows[i].Seq = randWord(rng, "abcdefghijklmnopqrstuvwxyz", 4+rng.Intn(9))
+	}
+	const stmt = `SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id`
+	q, err := Parse(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := newJoinOracleEngine(t, rows, WithParallelism(1)).Execute(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{2, 4} {
+		e := newJoinOracleEngine(t, rows, WithParallelism(n))
+		plan, err := e.planQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &collector{}
+		res, err := c.result(plan.run(c.add))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(res.Plan, ", symmetric)") || positional(res) != positional(serial) {
+			t.Fatalf("%d slices: rows diverge from the serial plan or the join is not symmetric:\n%s", n, res.Plan)
+		}
+		// Each slice's candidates: the counters of its pipeline under the
+		// gather.
+		var cands []int
+		var walk func(op BatchOperator) int
+		walk = func(op BatchOperator) int {
+			if g, ok := op.(*batchGatherMergeOp); ok {
+				for _, k := range g.executedInstances() {
+					cands = append(cands, walk(k))
+				}
+				return 0
+			}
+			n := 0
+			if s, ok := op.(opStatser); ok {
+				n = s.opStats().Candidates
+			}
+			for _, k := range op.childNodes() {
+				n += walk(k)
+			}
+			return n
+		}
+		walk(plan.root)
+		lo, hi := slices.Min(cands), slices.Max(cands)
+		if len(cands) != n || float64(hi) > 1.3*float64(lo) {
+			t.Fatalf("%d slices read %v candidates: not within 1.3x of each other", n, cands)
+		}
+		t.Logf("%d slices read %v candidates", n, cands)
+	}
+}
+
 // TestJoinSymmetricQualifies: only a first join step reading the start
 // relation's seq into the same relation's seq, under a unit-cost rule
 // set, with a.id != b.id among the residual's top-level conjuncts ahead
@@ -758,4 +821,75 @@ func TestJoinOracleSymmetricDML(t *testing.T) {
 		}
 	}
 	checkSymmetric(t, engines, join, true, symPairs(t, final, 1, nil, false))
+}
+
+// TestJoinOracleDistEdge pins whose distance a join row carries when
+// the join has several edges: the first join edge's in WHERE order,
+// whatever order the planner joins in. Rows 0 ("a", [0,0,0,0]) and 1
+// ("b", [0.5,0,0,0]) are one edit and 0.5 apart. Twenty rows of 30
+// bytes with distant vectors match nothing but move the statistics the
+// join order is chosen from, so each statement runs under both orders;
+// a three-way join adds a one-row relation the chain starts from,
+// whose own edge is not the distance edge either way.
+func TestJoinOracleDistEdge(t *testing.T) {
+	const (
+		seqEdge = `a.seq SIMILAR TO b.seq WITHIN 1 USING edits`
+		vecEdge = `a.vec SIMILAR TO b.vec WITHIN 1 USING l2`
+	)
+	cases := []struct{ stmt, want string }{
+		{`SELECT a.id, b.id, dist FROM items a, items b WHERE ` + seqEdge + ` AND ` + vecEdge + ` AND a.id != b.id`,
+			"0\x1f1\x1f1\n1\x1f0\x1f1"},
+		{`SELECT a.id, b.id, dist FROM items a, items b WHERE ` + vecEdge + ` AND ` + seqEdge + ` AND a.id != b.id`,
+			"0\x1f1\x1f0.5\n1\x1f0\x1f0.5"},
+		{`SELECT a.id, b.id, c.id, dist FROM items a, items b, pivot c WHERE ` + seqEdge + ` AND ` + vecEdge +
+			` AND b.seq SIMILAR TO c.seq WITHIN 1 USING edits AND a.id != b.id`,
+			"0\x1f1\x1f0\x1f1\n1\x1f0\x1f0\x1f1"},
+		{`SELECT a.id, b.id, c.id, dist FROM items a, items b, pivot c WHERE ` + vecEdge + ` AND ` + seqEdge +
+			` AND b.seq SIMILAR TO c.seq WITHIN 1 USING edits AND a.id != b.id`,
+			"0\x1f1\x1f0\x1f0.5\n1\x1f0\x1f0\x1f0.5"},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, padded := range []bool{false, true} {
+		rows := []relation.InsertRow{
+			{Seq: "a", Vec: metric.Vector{0, 0, 0, 0}},
+			{Seq: "b", Vec: metric.Vector{0.5, 0, 0, 0}},
+		}
+		for i := 0; padded && i < 20; i++ {
+			b := make([]byte, 30)
+			for j := range b {
+				b[j] = oracleAlphabet[rng.Intn(len(oracleAlphabet))]
+			}
+			rows = append(rows, relation.InsertRow{Seq: string(b), Vec: metric.Vector{float32(100 + 10*i), 50, 0, 0}})
+		}
+		for _, opts := range [][]Option{
+			{WithBatchSize(1), WithParallelism(1)},
+			{WithParallelism(1)},
+			{WithParallelism(4), WithParallelMinRows(1)},
+		} {
+			items, pivot := relation.New("items"), relation.New("pivot")
+			items.InsertBatch(rows)
+			pivot.InsertOne(relation.InsertRow{Seq: "a", Vec: metric.Vector{0, 0, 0, 0}})
+			cat := relation.NewCatalog()
+			cat.Add(items)
+			cat.Add(pivot)
+			e := NewEngine(cat, opts...)
+			if err := e.RegisterRuleSet(editsRules()); err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range cases {
+				res, err := e.Execute(c.stmt)
+				if err != nil {
+					t.Fatalf("%q: %v", c.stmt, err)
+				}
+				// The two rows alone join over the seq edge first, the
+				// padded table over the vec edge.
+				if first := map[bool]string{false: "into lengthview(", true: "into vecview("}[padded]; i < 2 && !strings.Contains(res.Plan, first) {
+					t.Errorf("padded=%v %q does not join %s first:\n%s", padded, c.stmt, first, res.Plan)
+				}
+				if got := canonical(res); got != c.want {
+					t.Errorf("padded=%v %q:\ngot\n%s\nwant\n%s\nplan:\n%s", padded, c.stmt, got, c.want, res.Plan)
+				}
+			}
+		}
+	}
 }

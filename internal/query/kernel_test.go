@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/rewrite"
 )
@@ -86,6 +87,52 @@ func TestRuleAlphabetOneDistance(t *testing.T) {
 			}
 			if got := positional(res); got != tc.want || !strings.Contains(res.Plan, tc.op) {
 				t.Errorf("slices=%d %s:\ngot:\n%s\nwant (%s):\n%s\nplan:\n%s", slices, tc.stmt, got, tc.op, tc.want, res.Plan)
+			}
+		}
+	}
+}
+
+// TestProbeStepKernels: in a join whose edges are of two domains, each
+// step's operator names its own probe's kernel, and the plan's dispatch
+// counter counts the first step's, whichever edge comes first in WHERE.
+func TestProbeStepKernels(t *testing.T) {
+	_, e, _ := fuzzParityEngines()
+	dispatched := func(kernel string) int64 {
+		return obs.Default.Counter(`simq_kernel_dispatch_total{kernel="`+kernel+`"}`,
+			"Plan executions dispatched to a distance kernel.").Value()
+	}
+	const from = `SELECT a.id, b.id, c.id FROM words a, words b, words c WHERE `
+	for _, c := range []struct {
+		stmt, first string
+		lines       map[string]string // operator -> kernel
+	}{
+		{from + `a.seq SIMILAR TO b.seq WITHIN 1 USING edits AND b.vec SIMILAR TO c.vec WITHIN 1 USING l2`, "myers",
+			map[string]string{"IndexJoin(probe a.seq into lengthview(b)": "myers", "IndexJoin(probe b.vec into vecview(c)": "vec-l2"}},
+		{from + `b.seq SIMILAR TO c.seq WITHIN 1 USING edits AND a.vec SIMILAR TO b.vec WITHIN 1 USING l2`, "vec-l2",
+			map[string]string{"IndexJoin(probe a.vec into vecview(b)": "vec-l2", "IndexJoin(probe b.seq into lengthview(c)": "myers"}},
+		{from + `a.vec SIMILAR TO b.vec WITHIN 0.01 USING cosine AND b.tag SIMILAR TO c.tag WITHIN 1 USING edits`, "vec-cosine",
+			map[string]string{"NestedLoopJoin(b, on a.vec": "vec-cosine", "NestedLoopJoin(c[length-banded], on b.tag": "myers"}},
+	} {
+		before := dispatched(c.first)
+		res, err := e.Execute(c.stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := dispatched(c.first) - before; n != 1 {
+			t.Errorf("%s: %s dispatch count moved by %d, want 1", c.stmt, c.first, n)
+		}
+		for op, kernel := range c.lines {
+			found := false
+			for _, line := range strings.Split(res.Plan, "\n") {
+				if strings.Contains(line, op) {
+					found = true
+					if !strings.HasSuffix(line, "(kernel="+kernel+")") {
+						t.Errorf("%s: %s does not run %s:\n%s", c.stmt, op, kernel, res.Plan)
+					}
+				}
+			}
+			if !found {
+				t.Errorf("%s: no %s in the plan:\n%s", c.stmt, op, res.Plan)
 			}
 		}
 	}
