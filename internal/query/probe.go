@@ -9,8 +9,7 @@ package query
 //
 //   - lengthViewProbe: the band walk of the length view (bandwalk.go),
 //     for seq under a unit-cost rule set and for NEAREST under any
-//     edit-like one; a self-join step may walk each unordered pair once
-//     (join_batch.go);
+//     edit-like one; a self-join step may walk each unordered pair once;
 //   - vecViewProbe: the walk of the vector view (relation.VecView), for
 //     metrics with the triangle inequality;
 //   - metricScanProbe: a block scan of the vector column, for NEAREST
