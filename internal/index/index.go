@@ -30,8 +30,8 @@
 // nearest-k strategy shares.
 //
 // The continuous domain mirrors the discrete one: VPTree is the
-// vantage-point tree over any pluggable metric.Distance that carries
-// the triangle-inequality capability (L2, but not cosine), answering
+// vantage-point tree over any pluggable metric.Distance that satisfies
+// the triangle inequality (L2, but not cosine), answering
 // NEAREST and WITHIN over float-vector columns behind the same
 // Iterator/Stats contracts. Like the BK-tree it serves the experiments
 // and the benchmark's index probes; the query engine walks the

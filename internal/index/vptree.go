@@ -50,9 +50,9 @@ type vpNode struct {
 	inner, outer atomic.Pointer[vpNode]
 }
 
-// NewVPTree returns an empty tree over the metric. The metric should
-// be triangular (metric.Triangular); the planner enforces that, and a
-// non-triangular metric would make Range/NearestK silently lossy.
+// NewVPTree returns an empty tree over the metric. The metric must
+// satisfy the triangle inequality (l2 does, cosine does not): any other
+// would make Range/NearestK silently lossy.
 func NewVPTree(m metric.Distance) *VPTree { return &VPTree{m: m} }
 
 // Metric returns the distance the tree is built over.

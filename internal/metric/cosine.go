@@ -6,12 +6,17 @@ import "math"
 // vector zero-padded (the padding contributes nothing to the dot
 // product but the longer tail still counts toward its own norm).
 //
-// Cosine distance does NOT satisfy the triangle inequality, so it
-// deliberately does not carry the Triangular capability: the planner
-// never walks a vector view for it and every cosine predicate runs the
-// scan + batch-kernel path. Zero-norm conventions: two zero vectors
-// are identical (distance 0); a zero vector against a non-zero one has
-// undefined angle and is assigned the maximal distance 1.
+// Cosine distance does not satisfy the triangle inequality, but it is a
+// monotone function of a distance that does: for non-zero a and b,
+// 1 - cos = |â - b̂|² / 2, so the chord sqrt(2d) is the Euclidean
+// distance between the unit vectors. The vector view prunes cosine by
+// the chord (Pruning, Reach) and verifies with cosCore itself, so its
+// distances are bitwise those of every other path. Zero-norm
+// conventions: two zero vectors are identical (distance 0); a zero
+// vector against a non-zero one has undefined angle and is assigned
+// distance 1, that of orthogonal vectors. Their chords, 0 and √2, are
+// those of one more unit vector orthogonal to every other, so the chord
+// stays a metric with zero vectors among the rows.
 type Cosine struct{}
 
 func init() { _ = Register(Cosine{}) }
@@ -89,4 +94,38 @@ func (Cosine) DistBatch(q Vector, cands []Vector, out []float64) {
 	}
 }
 
-var _ Batcher = Cosine{}
+// chordSlack is Reach's absolute allowance for the chord's rounding.
+// For vectors of at most N components, cosCore is within
+// δ <= (2N+8)·2^-53 of the exact cosine distance: the float32 products
+// are exact in float64, each of the three sums errs by at most N·2^-53
+// of its sum of magnitudes, which Cauchy-Schwarz bounds by |a||b| for
+// the dot product, and the square root, the division and the
+// subtraction add a few 2^-53 more. Since |√x - √y| <= √|x - y|, a
+// computed chord is within ε = √(2δ) (and an ulp) of the exact one. A
+// pruning test combines two computed chords and must admit the exact
+// chord of a match, so it needs 3ε: under 6.5e-5 for N <= 2^20.
+const chordSlack = 1e-4
+
+// Pruning returns the chord, sqrt(2·cosCore).
+func (Cosine) Pruning() Distance { return chord{} }
+
+// Reach maps a cosine radius r to the chord radius sqrt(2r) plus
+// chordSlack. A negative radius admits nothing and stays negative.
+func (Cosine) Reach(r float64) float64 {
+	if r < 0 {
+		return r
+	}
+	return math.Sqrt(2*r) + chordSlack
+}
+
+// chord is the distance the vector view prunes cosine by; it is not
+// registered, so no statement names it.
+type chord struct{}
+
+func (chord) Name() string             { return "chord" }
+func (chord) Dist(a, b Vector) float64 { return math.Sqrt(2 * cosCore(a, b)) }
+
+var (
+	_ Pruner  = Cosine{}
+	_ Batcher = Cosine{}
+)

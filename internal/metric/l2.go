@@ -4,7 +4,7 @@ import "math"
 
 // L2 is Euclidean distance: sqrt(sum (a_i - b_i)^2), with the shorter
 // vector zero-padded. It is a true metric (triangle inequality holds),
-// so it licenses the vector view.
+// so the vector view prunes by it directly.
 type L2 struct{}
 
 func init() { _ = Register(L2{}) }
@@ -12,8 +12,12 @@ func init() { _ = Register(L2{}) }
 // Name returns "l2".
 func (L2) Name() string { return "l2" }
 
-// Triangle marks L2 as satisfying the triangle inequality.
-func (L2) Triangle() {}
+// Pruning returns L2 itself: the view prunes by the metric's own
+// distance, whose rounding the view's relative allowance covers.
+func (L2) Pruning() Distance { return L2{} }
+
+// Reach is the identity.
+func (L2) Reach(r float64) float64 { return r }
 
 // l2Block is the early-abandon check interval of l2sq: partial sums
 // are compared against the squared budget once per block. Power of two
@@ -123,7 +127,7 @@ func (L2) DistBatch(q Vector, cands []Vector, out []float64) {
 }
 
 var (
-	_ Triangular = L2{}
-	_ Abandoner  = L2{}
-	_ Batcher    = L2{}
+	_ Pruner    = L2{}
+	_ Abandoner = L2{}
+	_ Batcher   = L2{}
 )

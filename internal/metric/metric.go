@@ -11,9 +11,12 @@
 // and the capability interfaces tell the planner what each metric
 // licenses:
 //
-//   - Triangular marks metrics satisfying the triangle inequality,
-//     which licenses metric-space indexes (the relation's vector view,
-//     exactly as unit-cost edit distance licenses the length view).
+//   - Pruner names the distance the relation's vector view partitions
+//     and prunes by, which satisfies the triangle inequality, and maps
+//     the metric's radii into it: the metric's own distance for l2, the
+//     chord for cosine (exactly as unit-cost edit distance licenses the
+//     length view). A metric without it still runs through the view,
+//     verified row by row.
 //   - Abandoner exposes an early-abandoning Within, the vector twin of
 //     the banded edit DP's budget cutoff.
 //   - Batcher exposes a block evaluator feeding the vectorized
@@ -25,8 +28,11 @@
 // verification, vector view walk, brute-force oracle, any slice count —
 // funnels through the same blocked accumulation core, so query results
 // are byte-identical across plans (the property the vector parity
-// oracle pins). Implementations added through Register must preserve
-// this or the parity guarantees of the query layer break.
+// oracle pins). Dist must also be bitwise symmetric, Dist(a, b) ==
+// Dist(b, a): a vector view measures d(probe, row) whichever side of a
+// join probes, and a predicate measures d(target, field). Implementations
+// added through Register must preserve both or the parity guarantees of
+// the query layer break.
 package metric
 
 import (
@@ -48,16 +54,21 @@ type Distance interface {
 	Dist(a, b Vector) float64
 }
 
-// Triangular marks a Distance that satisfies the triangle inequality
-// d(a, c) <= d(a, b) + d(b, c). Only triangular metrics may back a
-// metric-space index (the vector view, the VP-tree): their pruning
-// bounds are unsound without it, which is why cosine distance — not
-// triangular — always runs the scan + batch-kernel path.
-type Triangular interface {
+// Pruner is a Distance the vector view can prune for. Pruning names a
+// distance t that satisfies the triangle inequality, which the view is
+// built and walked under, and Reach maps a radius of this metric into
+// t, monotone non-decreasing in r. Together they must never reject a
+// match: for all a, b, c with Dist(a, c) <= r,
+//
+//	|t.Dist(a, b) - t.Dist(b, c)| <= Reach(r)
+//
+// as computed, up to the view's own relative allowance of 1e-12 of the
+// distances combined. Reach absorbs t's rounding error; a metric that
+// is itself triangular names itself with the identity map.
+type Pruner interface {
 	Distance
-	// Triangle is a marker method; implementations guarantee the
-	// triangle inequality holds exactly (not just approximately).
-	Triangle()
+	Pruning() Distance
+	Reach(r float64) float64
 }
 
 // Abandoner is a Distance with an early-abandoning threshold test:
@@ -105,13 +116,6 @@ func DistBatch(m Distance, q Vector, cands []Vector, out []float64) {
 		}
 		out[i] = m.Dist(q, c)
 	}
-}
-
-// IsTriangular reports whether the metric carries the triangle-
-// inequality capability (and therefore licenses the vector view).
-func IsTriangular(m Distance) bool {
-	_, ok := m.(Triangular)
-	return ok
 }
 
 // ------------------------------------------------------------ registry

@@ -116,11 +116,79 @@ func TestL2Triangle(t *testing.T) {
 			t.Fatalf("triangle inequality violated: %v > %v + %v", ac, ab, bc)
 		}
 	}
-	if !IsTriangular(L2{}) {
-		t.Fatal("L2 must carry the Triangular capability")
+	if (L2{}).Pruning() != Distance(L2{}) || (L2{}).Reach(0.75) != 0.75 {
+		t.Fatal("L2 must prune by itself with the identity reach")
 	}
-	if IsTriangular(Cosine{}) {
-		t.Fatal("Cosine must not carry the Triangular capability")
+}
+
+// edgeVecs is a pool of vectors that stresses the chord's rounding and
+// its conventions: random ones, their opposites, shorter prefixes (mixed
+// dimensions), scaled near duplicates (the same direction with one
+// component a float32 ulp off) and zero vectors of two lengths.
+func edgeVecs(rng *rand.Rand) []Vector {
+	var out []Vector
+	for i := 0; i < 4; i++ {
+		v := randVec(rng, 8)
+		neg := v.Clone()
+		for j := range v {
+			neg[j] = -v[j]
+		}
+		out = append(out, v, neg, v[:5])
+		for k := 2; k <= 5; k++ {
+			w := v.Clone()
+			for j := range w {
+				w[j] *= float32(k)
+			}
+			j := rng.Intn(len(w))
+			w[j] = math.Nextafter32(w[j], float32(math.Inf(1)))
+			out = append(out, w)
+		}
+	}
+	return append(out, make(Vector, 8), make(Vector, 5))
+}
+
+// TestChordTriangle: the distance the vector view prunes cosine by
+// keeps the pruning contract of metric.Pruner on every triple of the
+// pool: |t(a, b) - t(b, c)| <= Reach(d(a, c)), the test a walk makes.
+// Without chordSlack the near duplicates break it: their cosine
+// distances round to 0 or near it while their chords differ by ~3e-8.
+func TestChordTriangle(t *testing.T) {
+	c := Cosine{}
+	ch := c.Pruning()
+	if z := ch.Dist(make(Vector, 3), Vector{1, 2}); z != math.Sqrt2 {
+		t.Fatalf("chord(0, x) = %v, want √2", z)
+	}
+	if z := ch.Dist(make(Vector, 3), make(Vector, 2)); z != 0 {
+		t.Fatalf("chord(0, 0) = %v, want 0", z)
+	}
+	vs := edgeVecs(rand.New(rand.NewSource(5)))
+	for _, a := range vs {
+		for _, b := range vs {
+			ab := ch.Dist(a, b)
+			for _, cv := range vs {
+				bc := ch.Dist(b, cv)
+				reach := c.Reach(c.Dist(a, cv)) + 1e-12*(ab+bc)
+				if math.Abs(ab-bc) > reach {
+					t.Fatalf("chord prunes a match: |%v - %v| > Reach(%v) for %v %v %v", ab, bc, c.Dist(a, cv), a, b, cv)
+				}
+			}
+		}
+	}
+}
+
+// TestDistSymmetric: Dist is bitwise symmetric for both metrics, the
+// contract that lets a vector view measure d(probe, row) whichever side
+// of a join probes.
+func TestDistSymmetric(t *testing.T) {
+	vs := edgeVecs(rand.New(rand.NewSource(6)))
+	for _, m := range []Distance{L2{}, Cosine{}} {
+		for _, a := range vs {
+			for _, b := range vs {
+				if x, y := m.Dist(a, b), m.Dist(b, a); math.Float64bits(x) != math.Float64bits(y) {
+					t.Fatalf("%s: Dist(a, b) = %v but Dist(b, a) = %v for %v, %v", m.Name(), x, y, a, b)
+				}
+			}
+		}
 	}
 }
 

@@ -90,13 +90,14 @@ func FuzzBatchParity(f *testing.F) {
 	f.Add(`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.seq) <= 2 USING edits WHERE a.tag = "j" AND a.id != b.id`)
 	f.Add(`SELECT a.seq, b.seq FROM words a, words b ON dist(a.seq, b.seq) <= 0 USING edits WHERE a.id != b.id`)
 	f.Add(`SELECT a.id, b.id, dist FROM words a, words b ON dist(b.seq, a.seq) <= 2 USING edits WHERE a.id != b.id ORDER BY dist DESC LIMIT 9`)
-	// The vector paths: the view and the metric scan as leaves and as
+	// The vector paths: the view under either metric as leaves and as
 	// join probes, a join whose two edges are of two domains (the row's
 	// distance is the first edge's), and the vector statements that must
 	// fail.
 	f.Add(`SELECT id, dist FROM words WHERE vec NEAREST 3 TO [0.5, 1, 1] USING l2`)
 	f.Add(`SELECT id, dist FROM words WHERE vec NEAREST 4 TO [1, 0, 1] USING cosine ORDER BY dist DESC`)
 	f.Add(`SELECT id, dist FROM words WHERE vec SIMILAR TO [0.5, 1, 1] WITHIN 1.2 USING l2 ORDER BY dist`)
+	f.Add(`SELECT id, dist FROM words WHERE vec SIMILAR TO [1, 0, 1] WITHIN 0.3 USING cosine ORDER BY dist`)
 	f.Add(`SELECT id, dist FROM words WHERE tag = "a" AND vec SIMILAR TO [0, 0, 1] WITHIN 1 USING l2`)
 	f.Add(`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.vec, b.vec) <= 0.8 USING l2 WHERE a.id != b.id`)
 	f.Add(`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.vec, b.vec) <= 0.05 USING cosine WHERE a.id != b.id`)

@@ -81,11 +81,6 @@ func lengthBandJoinCost(outerRows float64, inner relation.Stats, k float64) floa
 	return float64(inner.Count) + outerRows*band*float64(inner.Count)*verifyCost(inner, k)*0.25
 }
 
-// vecNestedLoopJoinCost: one metric evaluation per pair.
-func vecNestedLoopJoinCost(outerRows float64, inner relation.Stats) float64 {
-	return outerRows * float64(inner.VecCount) * vecVerifyCost(inner)
-}
-
 // vecJoinOutRows is joinOutRows for a vector edge. Without a distance
 // distribution sketch the selectivity is a ramp in the radius, coarse
 // like every estimate here; a vector Range leaf reads it too.

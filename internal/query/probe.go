@@ -5,18 +5,16 @@ package query
 // This is the paper's shape, written once for every domain: a target,
 // an inclusive bound the caller may lower, and a walk that hands every
 // visible row within the bound to the caller, pruning by a lower bound
-// where the structure has one. Four probes exist:
+// where the structure has one. Three probes exist:
 //
 //   - lengthViewProbe: the band walk of the length view (bandwalk.go),
 //     for seq under a unit-cost rule set and for NEAREST under any
 //     edit-like one; a self-join step may walk each unordered pair once;
 //   - vecViewProbe: the walk of the vector view (relation.VecView), for
-//     metrics with the triangle inequality;
-//   - metricScanProbe: a block scan of the vector column, for NEAREST
-//     under a metric without it (cosine);
-//   - scanProbe: a join's inner-row scan, which reads the inner snapshot
-//     once and verifies the candidates of each probe with the edge's own
-//     kernel.
+//     every vector predicate under any metric;
+//   - scanProbe: a string join edge's inner-row scan, which reads the
+//     inner snapshot once and verifies the candidates of each probe with
+//     the edge's own kernel.
 //
 // The planner resolves a predicate to its probe in one place (probeFor
 // and rangeProbe below), the only planner code that reads the column or
@@ -117,9 +115,8 @@ func (ne *NearestExpr) sim() SimExpr {
 // as a join edge whose inner side is innerField, by what the column and
 // the USING name offer — no cost enters the choice:
 //
-//   - over vec, a metric with the triangle inequality walks the vector
-//     view; any other metric scans (validateVecSim pins both sides of a
-//     vector edge to the vec column);
+//   - over vec, every metric walks the vector view (validateVecSim pins
+//     both sides of a vector edge to the vec column);
 //   - a NEAREST over a string walks the length view under any edit-like
 //     rule set (a weighted one verifies every row);
 //   - a join edge under a unit-cost rule set walks the inner length view
@@ -130,15 +127,10 @@ func (e *Engine) probeFor(b probeBase, innerField string) (probe, error) {
 	sim := b.sim
 	if isVecSim(sim) {
 		m, ok := metric.Lookup(sim.RuleSet)
-		switch {
-		case !ok:
+		if !ok {
 			return nil, fmt.Errorf("query: unknown metric %q", sim.RuleSet)
-		case metric.IsTriangular(m):
-			return &vecViewProbe{probeBase: b, m: m}, nil
-		case b.k > 0:
-			return &metricScanProbe{probeBase: b, m: m}, nil
 		}
-		return &scanProbe{probeBase: b, m: m}, nil
+		return &vecViewProbe{probeBase: b, m: m}, nil
 	}
 	if b.k > 0 {
 		if !sim.Target.IsLit {
@@ -171,9 +163,8 @@ func (e *Engine) probeFor(b probeBase, innerField string) (probe, error) {
 // row's distance (rangeConjunct). The first conjunct the length view
 // serves wins — a literal, non-pattern target over seq under a unit-cost
 // rule set, whose integer distances any radius r bounds as floor(r)
-// does — and then the first vector conjunct against a vector literal,
-// which the vector view serves under a metric with the triangle
-// inequality.
+// does — and then the first vector conjunct against a vector literal
+// under a registered metric, which the vector view serves.
 func (e *Engine) rangeProbe(where Expr, alias string) (p probe, pred Expr, leafDist bool) {
 	sim, pred, leafDist := rangeConjunct(where, func(s *SimExpr) bool {
 		ent, _ := e.rule(s.RuleSet)
@@ -186,7 +177,7 @@ func (e *Engine) rangeProbe(where Expr, alias string) (p probe, pred Expr, leafD
 		return s.Field.Name == "vec" && s.Target.IsVec && !s.Pattern
 	})
 	if sim != nil {
-		if m, ok := metric.Lookup(sim.RuleSet); ok && metric.IsTriangular(m) {
+		if m, ok := metric.Lookup(sim.RuleSet); ok {
 			return &vecViewProbe{probeBase: probeBase{sim: sim, alias: alias}, m: m}, pred, leafDist
 		}
 	}
@@ -196,9 +187,9 @@ func (e *Engine) rangeProbe(where Expr, alias string) (p probe, pred Expr, leafD
 // ------------------------------------------------------------ vector view
 
 // vecViewProbe walks the vector view of its metric. The walk measures
-// d(target, row), which the L2 core computes bit-identically in either
-// operand order, so a join edge gets the predicate's distance whichever
-// side probes.
+// d(probe, row), which every metric computes bit-identically in either
+// operand order (the metric package's contract), so a join edge gets
+// the predicate's distance whichever side probes.
 type vecViewProbe struct {
 	probeBase
 	m    metric.Distance
@@ -262,85 +253,21 @@ func (p *vecViewProbe) estimate(outer float64, inner relation.Stats) (rows, cost
 	return rows, rows * vecVerifyCost(inner)
 }
 
-// ------------------------------------------------------------ metric scan
-
-// metricScanProbe answers a NEAREST under a metric the vector view
-// cannot prune for: it reads every block of the snapshot and runs the
-// metric's block kernel (metric.DistBatch) over its vectors with the
-// target first, the operand order of the view's walk. It emits every
-// row with a vector; the NEAREST leaf keeps the best.
-type metricScanProbe struct {
-	probeBase
-	m metric.Distance
-
-	snap *relation.Snapshot
-	size int
-	blk  relation.Block
-	dbuf []float64
-	t    relation.Tuple
-}
-
-func (p *metricScanProbe) clone() probe   { c := *p; return &c }
-func (p *metricScanProbe) kernel() string { return "vec-" + p.sim.RuleSet }
-
-func (p *metricScanProbe) open(ctx *execCtx, snap *relation.Snapshot) (ExecStats, error) {
-	p.snap, p.size = snap, ctx.eng.batchSize
-	return ExecStats{}, nil
-}
-
-func (p *metricScanProbe) walk(sink rowSink) (ExecStats, error) {
-	var st ExecStats
-	cur := p.snap.Shard(0, 1)
-	for {
-		n := cur.NextBlock(&p.blk, p.size)
-		if n == 0 {
-			break
-		}
-		if cap(p.dbuf) < n {
-			p.dbuf = make([]float64, n)
-		}
-		out := p.dbuf[:n]
-		metric.DistBatch(p.m, p.sim.Target.Vec, p.blk.Vecs[:n], out)
-		st.Candidates += n
-		for i := 0; i < n; i++ {
-			if p.blk.Vecs[i] == nil {
-				continue // DistBatch yields +Inf; never admissible
-			}
-			st.Verifications++
-			p.t = relation.Tuple{ID: p.blk.IDs[i], Seq: p.blk.Seqs[i], Vec: p.blk.Vecs[i], Attrs: p.blk.Attrs[i]}
-			sink.take(&p.t, out[i])
-		}
-	}
-	observeVisited(mNearestVisitedVec, st.Verifications, p.snap.Stats().VecCount)
-	return st, nil
-}
-
-func (p *metricScanProbe) explain(shard, order string) string {
-	return fmt.Sprintf("VecNearestK(%s via scan%s, k=%d, metric=%s%s)", p.alias, shard, p.k, p.sim.RuleSet, order)
-}
-
-func (p *metricScanProbe) estimate(_ float64, inner relation.Stats) (rows, cost float64) {
-	return estNearestRows(inner.VecCount, p.k), 0
-}
-
 // ------------------------------------------------------------- join scan
 
-// innerRow is one inner tuple of a scan probe; val holds a string
-// edge's join attribute, resolved once at open.
+// innerRow is one inner tuple of a scan probe; val holds its join
+// attribute, resolved once at open.
 type innerRow struct {
 	t   relation.Tuple
 	val string
 }
 
-// scanProbe is a join edge's inner-row scan: open reads the inner
-// snapshot once (counted as candidate work, like a scan), keeping the
-// rows that can match — in length order when the length band applies —
-// and each probe verifies its candidates with the edge's kernel in the
-// predicate's operand order (field -> target, whichever side probes):
+// scanProbe is a string join edge's inner-row scan: open reads the
+// inner snapshot once (counted as candidate work, like a scan), keeping
+// the rows in length order when the length band applies, and each probe
+// verifies its candidates with the edge's kernel in the predicate's
+// operand order (field -> target, whichever side probes):
 //
-//   - a metric edge runs the metric's block kernel over the inner vector
-//     column when the probe is the target operand, the metric's Within
-//     with the candidate first otherwise;
 //   - a unit-cost rule-set edge verifies only the length band
 //     [L-floor(r), L+floor(r)] of a probe of length L, with Myers
 //     (TargetDP for rows outside the rule alphabet);
@@ -348,37 +275,22 @@ type innerRow struct {
 //     calculator or, without one, its general engine, which may fail.
 type scanProbe struct {
 	probeBase
-	m      metric.Distance    // a metric edge's metric; nil for a rule set
-	calc   *editdp.Calculator // a rule-set edge's calculator (nil: the general engine)
+	calc   *editdp.Calculator // the rule set's calculator (nil: the general engine)
 	banded bool               // a unit-cost rule set: the length band applies
-	val    valFn              // a rule-set edge's probe value over the outer slots
-	slot   int                // a metric edge's outer slot holding the probe vector
+	val    valFn              // the probe value over the outer slots
 
 	outerIsTarget bool // the probe value is the predicate's target operand
 	inner         []innerRow
-	vecs          []metric.Vector // a metric edge's inner vectors, aligned with inner
-	dists         []float64       // DistBatch output, one per inner vector
 	within        func(x, y string, radius float64) (float64, bool, error)
 	qdp           editdp.QueryDP
 	pv            string
-	pvec          metric.Vector
 }
 
 func (p *scanProbe) clone() probe   { c := *p; return &c }
-func (p *scanProbe) fallible() bool { return p.m == nil && p.calc == nil }
+func (p *scanProbe) fallible() bool { return p.calc == nil }
+func (p *scanProbe) kernel() string { return bandKernel(p.calc, "") }
 
-func (p *scanProbe) kernel() string {
-	if p.m != nil {
-		return "vec-" + p.sim.RuleSet
-	}
-	return bandKernel(p.calc, "")
-}
-
-func (p *scanProbe) bind(slots slotMap) (err error) {
-	if p.m != nil {
-		p.slot, err = slots.resolve(p.field)
-		return err
-	}
+func (p *scanProbe) bind(slots slotMap) error {
 	p.val = compileField(p.field, slots)
 	return nil
 }
@@ -389,26 +301,17 @@ func (p *scanProbe) open(ctx *execCtx, snap *relation.Snapshot) (ExecStats, erro
 	if !p.outerIsTarget {
 		innerField = p.sim.Target.Field.Name
 	}
-	if p.m == nil {
-		p.calc = ctx.eng.calc(p.sim.RuleSet)
-		if p.banded && p.calc == nil {
-			// The band is only decided for rule sets with a DP calculator;
-			// the rule set was re-registered between planning and opening.
-			return ExecStats{}, fmt.Errorf("query: stale plan: rule set %q has no calculator", p.sim.RuleSet)
-		}
-		p.within = ctx.eng.compileWithin(p.sim.RuleSet)
+	p.calc = ctx.eng.calc(p.sim.RuleSet)
+	if p.banded && p.calc == nil {
+		// The band is only decided for rule sets with a DP calculator;
+		// the rule set was re-registered between planning and opening.
+		return ExecStats{}, fmt.Errorf("query: stale plan: rule set %q has no calculator", p.sim.RuleSet)
 	}
+	p.within = ctx.eng.compileWithin(p.sim.RuleSet)
 	p.inner = make([]innerRow, 0, snap.Len())
 	for _, t := range snap.Tuples() {
-		switch {
-		case p.m == nil:
-			p.inner = append(p.inner, innerRow{t: t, val: t.Attr(innerField)})
-		case t.Vec != nil: // rows without a vector never match
-			p.inner = append(p.inner, innerRow{t: t})
-			p.vecs = append(p.vecs, t.Vec)
-		}
+		p.inner = append(p.inner, innerRow{t: t, val: t.Attr(innerField)})
 	}
-	p.dists = make([]float64, len(p.vecs))
 	if p.banded {
 		// Matches are id-sorted per probe, so rows of equal length may
 		// land in any order.
@@ -418,24 +321,13 @@ func (p *scanProbe) open(ctx *execCtx, snap *relation.Snapshot) (ExecStats, erro
 }
 
 func (p *scanProbe) aim(b *Batch, i int) (ok bool, err error) {
-	if p.m != nil {
-		p.pvec = b.slot(p.slot).Vecs[i]
-		return p.pvec != nil, nil
-	}
 	p.pv, err = p.val(b, i)
 	return err == nil, err
 }
 
+// walk verifies the probe value against the inner rows: the length
+// band of a unit-cost edge, every row otherwise.
 func (p *scanProbe) walk(sink rowSink) (ExecStats, error) {
-	if p.m != nil {
-		return p.walkVec(sink), nil
-	}
-	return p.walkStr(sink)
-}
-
-// walkStr verifies a string probe value against the inner rows: the
-// length band of a unit-cost edge, every row otherwise.
-func (p *scanProbe) walkStr(sink rowSink) (ExecStats, error) {
 	var st ExecStats
 	pv, radius := p.pv, p.sim.Radius
 	rows := p.inner
@@ -490,31 +382,6 @@ func (p *scanProbe) walkStr(sink rowSink) (ExecStats, error) {
 	return st, nil
 }
 
-// walkVec verifies a vector probe value against every inner vector.
-func (p *scanProbe) walkVec(sink rowSink) ExecStats {
-	r := p.sim.Radius
-	st := ExecStats{Candidates: len(p.inner), Verifications: len(p.inner)}
-	if p.outerIsTarget {
-		// The predicate computes Dist(target, field); the blocked kernel
-		// with the probe as query matches that order exactly.
-		metric.DistBatch(p.m, p.pvec, p.vecs, p.dists)
-		for i, d := range p.dists {
-			if d <= r {
-				sink.take(&p.inner[i].t, d)
-			}
-		}
-		return st
-	}
-	// The probe is the field operand: keep the candidate (target) first,
-	// the order the predicate verifies with.
-	for i := range p.inner {
-		if d, ok := metric.Within(p.m, p.inner[i].t.Vec, p.pvec, r); ok {
-			sink.take(&p.inner[i].t, d)
-		}
-	}
-	return st
-}
-
 func (p *scanProbe) explain(string, string) string {
 	band := ""
 	if p.banded {
@@ -524,12 +391,9 @@ func (p *scanProbe) explain(string, string) string {
 }
 
 func (p *scanProbe) estimate(outer float64, inner relation.Stats) (rows, cost float64) {
-	switch r := p.sim.Radius; {
-	case p.m != nil:
-		return vecJoinOutRows(outer, inner, r), vecNestedLoopJoinCost(outer, inner)
-	case p.banded:
+	r := p.sim.Radius
+	if p.banded {
 		return joinOutRows(outer, inner, r), lengthBandJoinCost(outer, inner, math.Floor(r))
-	default:
-		return joinOutRows(outer, inner, r), nestedLoopJoinCost(outer, inner, r)
 	}
+	return joinOutRows(outer, inner, r), nestedLoopJoinCost(outer, inner, r)
 }

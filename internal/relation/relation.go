@@ -591,14 +591,13 @@ func (r *Relation) ensureVPTree(m metric.Distance) *index.VPTree {
 // VPTree returns the relation's VP-tree over the given metric, building
 // it on first use; once built it is maintained online like the BK-tree
 // and, like it, unused by the query engine, which reads the VecView.
-// The metric should carry the triangle-inequality capability.
+// The metric must satisfy the triangle inequality (l2; not cosine).
 func (r *Relation) VPTree(m metric.Distance) *index.VPTree { return r.ensureVPTree(m) }
 
 // VecView returns the relation's vector view over the given metric,
 // building it on first use; maintained online like the length view
-// (and, like it, installed without a version bump). The metric must
-// carry the triangle-inequality capability: the view's pruning bound is
-// unsound without it.
+// (and, like it, installed without a version bump). The view prunes by
+// the distance a metric.Pruner names and is flat for any other metric.
 func (r *Relation) VecView(m metric.Distance) *VecView {
 	if v := r.head.Load().vvs[m.Name()]; v != nil {
 		return v

@@ -10,19 +10,23 @@ import (
 	"repro/internal/metric"
 )
 
-// VecView is the vector column regrouped for one triangular metric: the
-// access structure of every vector WITHIN, NEAREST and vector join
-// probe. It is a vantage-point partition bulk-loaded over a contiguous
-// copy of the vectors. Each internal node splits its rows by their
-// distance to a vantage vector, the mean of those rows, into two
-// children, and each child keeps the interval [dmin, dmax] of those
-// distances. Under the triangle inequality a query at distance d from
-// the vantage is at least max(dmin-d, d-dmax) from every row of the
-// child, so a walk skips children whose bound exceeds its radius. The
-// leaves are runs of vecLeaf consecutive rows of the copy. Each row
-// keeps its own distance to its leaf's parent vantage, the same bound
-// for a single row; a leaf's rows ascend by it, so the rows that pass
-// form one run, verified by one DistBatch over contiguous memory.
+// VecView is the vector column regrouped for one metric: the access
+// structure of every vector WITHIN, NEAREST and vector join probe. It is
+// a vantage-point partition bulk-loaded over a contiguous copy of the
+// vectors, under the triangular distance t the metric names
+// (metric.Pruner): the metric itself for l2, the chord for cosine. Each
+// internal node splits its rows by their t-distance to a vantage vector,
+// the mean of those rows, into two children, and each child keeps the
+// interval [dmin, dmax] of those distances. Under the triangle
+// inequality a query at distance d from the vantage is at least
+// max(dmin-d, d-dmax) from every row of the child, so a walk skips
+// children whose bound exceeds its radius, mapped into t by the
+// metric's Reach. The leaves are runs of vecLeaf consecutive rows of the
+// copy. Each row keeps its own t-distance to its leaf's parent vantage,
+// the same bound for a single row; a leaf's rows ascend by it, so the
+// rows that pass form one run, verified by one DistBatch of the metric
+// over contiguous memory. A metric that is no Pruner gets a flat view:
+// one root leaf, no vantages, every row verified.
 //
 // A child is also at most d+dmax from the query. When that is inside
 // the radius, the walk verifies the child's rows in place as one run,
@@ -42,7 +46,9 @@ import (
 // is installed, and its walks keep only the rows the snapshot's
 // VisibleRow admits.
 type VecView struct {
-	m     metric.Distance
+	m     metric.Distance           // the metric, which verifies rows
+	p     metric.Pruner             // m as a Pruner; nil for a flat view
+	t     metric.Distance           // p's pruning distance
 	vecs  []metric.Vector           // built rows in leaf order, windows of one contiguous copy
 	rows  []*Row                    // parallel to vecs
 	pivot []float64                 // parallel to vecs: distance to the leaf's parent vantage
@@ -52,7 +58,7 @@ type VecView struct {
 }
 
 // vecNode is one node of the partition: the built rows vecs[lo:hi], at
-// distances [dmin, dmax] from the parent's vantage (the root, which has
+// t-distances [dmin, dmax] from the parent's vantage (the root, which has
 // none, is unbounded: [0, +Inf]). An internal node's children are
 // nodes[left] and nodes[left+1]; a leaf has left == 0 and is leaf
 // number lo/vecLeaf. Inserts widen dmin and dmax, stored as float64
@@ -113,9 +119,17 @@ func buildVecView(m metric.Distance, rows []*Row) *VecView {
 			maxDim = max(maxDim, len(row.Vec))
 		}
 	}
-	// An empty view is one empty root leaf, which inserts fill.
+	v := &VecView{m: m}
+	if p, ok := m.(metric.Pruner); ok {
+		v.p, v.t = p, p.Pruning()
+	}
+	// An empty view is one empty root leaf, which inserts fill; so is a
+	// flat one.
 	leaves := max(1, (len(ents)+vecLeaf-1)/vecLeaf)
-	v := &VecView{m: m, over: make([]atomic.Pointer[vecOver], leaves)}
+	if v.p == nil {
+		leaves = 1
+	}
+	v.over = make([]atomic.Pointer[vecOver], leaves)
 	v.nodes = append(v.nodes, vecNode{hi: int32(len(ents)), dmax: math.Float64bits(math.Inf(1))})
 	// The vantages share one copy of their own, laid out depth first as
 	// the walks read them; a partition of L leaves has L-1 vantages, so
@@ -126,7 +140,7 @@ func buildVecView(m metric.Distance, rows []*Row) *VecView {
 		node := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		lo, hi := int(v.nodes[node].lo), int(v.nodes[node].hi)
-		if hi-lo <= vecLeaf {
+		if hi-lo <= vecLeaf || v.p == nil {
 			continue
 		}
 		part := ents[lo:hi]
@@ -157,7 +171,7 @@ func buildVecView(m metric.Distance, rows []*Row) *VecView {
 		}
 		vantage := metric.Vector(vdata[off:len(vdata):len(vdata)])
 		for i := range part {
-			part[i].d = m.Dist(vantage, part[i].row.Vec)
+			part[i].d = v.t.Dist(vantage, part[i].row.Vec)
 		}
 		// The inner child takes the nearer half of the leaves, all full,
 		// so the only short leaf is the last row range of the view.
@@ -250,7 +264,7 @@ func (v *VecView) insert(row *Row) (rebuild bool) {
 	node := int32(0)
 	for v.nodes[node].left != 0 {
 		n := &v.nodes[node]
-		d := v.m.Dist(n.vantage, row.Vec)
+		d := v.t.Dist(n.vantage, row.Vec)
 		inner, outer := &v.nodes[n.left], &v.nodes[n.left+1]
 		imin, imax := inner.bounds()
 		omin, omax := outer.bounds()
@@ -290,19 +304,20 @@ const vecStackCap = 128
 
 type vecPending struct {
 	node  int32
-	bound float64 // lower bound on the distance from q to the node's rows
-	pd    float64 // q's distance to the node's parent vantage (0 for the root)
+	bound float64 // lower bound on the t-distance from q to the node's rows
+	pd    float64 // q's t-distance to the node's parent vantage (0 for the root)
 }
 
 // walk hands emit, a leaf or a vecLeaf-row run at a time, the rows
 // visible at snap whose distance from q is at most *bound, with those
 // distances. A range search passes its radius; a NEAREST k lowers *bound
 // from emit to its current k-th best distance, and the walk prunes by
-// the lowered bound from then on. It visits near children first and
-// verifies each leaf, and each run of a subtree inside the bound, with
-// one DistBatch per vecLeaf rows. Stats count every distance the walk
-// computes as a verification: vantages, the built rows in the run a
-// leaf's pivot bound admits, and inserted rows.
+// the lowered bound from then on, mapped into t by Reach each time it
+// moves. It visits near children first and verifies each leaf, and each
+// run of a subtree inside the bound, with one DistBatch of the metric
+// per vecLeaf rows. Stats count every distance the walk computes as a
+// verification: vantages, the built rows in the run a leaf's pivot
+// bound admits, and inserted rows.
 //
 // Built rows skip the visibility filter when snap's arena holds no
 // tombstone: the view snap's head carries was built from rows of that
@@ -359,12 +374,19 @@ func (v *VecView) walk(snap *Snapshot, q metric.Vector, bound *float64, emit fun
 		}
 	}
 	check := snap.h.dead > 0
+	// reach is *bound mapped into t, refreshed when the bound moves; a
+	// flat view prunes nothing.
+	b, reach := math.NaN(), math.Inf(1)
 	var stack [vecStackCap]vecPending
 	stack[0] = vecPending{node: 0, bound: math.Inf(-1)}
 	for sp := 1; sp > 0; {
+		if v.p != nil && *bound != b {
+			b = *bound
+			reach = v.p.Reach(b)
+		}
 		sp--
 		p := stack[sp]
-		if p.bound > *bound {
+		if p.bound > reach {
 			st.Pruned++
 			continue
 		}
@@ -375,7 +397,7 @@ func (v *VecView) walk(snap *Snapshot, q metric.Vector, bound *float64, emit fun
 		// rows are verified in place as one run, with no vantage
 		// distance below it. A bound of +Inf is NEAREST's before its
 		// best list fills, about to shrink, so it never takes this path.
-		if _, dmax := n.bounds(); !math.IsInf(*bound, 1) && p.pd+dmax <= *bound {
+		if _, dmax := n.bounds(); !math.IsInf(reach, 1) && p.pd+dmax <= reach {
 			verify(v.vecs[n.lo:n.hi], v.rows[n.lo:n.hi], check)
 			overflow(n.lo/vecLeaf, (n.hi-1)/vecLeaf)
 			continue
@@ -388,17 +410,17 @@ func (v *VecView) walk(snap *Snapshot, q metric.Vector, bound *float64, emit fun
 			// the two scans find. A root leaf has no parent: its
 			// pivots and p.pd are 0, which admits every row.
 			lo, hi := n.lo, n.hi
-			for lo < hi && gap(p.pd, v.pivot[lo], v.pivot[lo]) > *bound {
+			for lo < hi && gap(p.pd, v.pivot[lo], v.pivot[lo]) > reach {
 				lo++
 			}
-			for hi > lo && gap(p.pd, v.pivot[hi-1], v.pivot[hi-1]) > *bound {
+			for hi > lo && gap(p.pd, v.pivot[hi-1], v.pivot[hi-1]) > reach {
 				hi--
 			}
 			verify(v.vecs[lo:hi], v.rows[lo:hi], check)
 			overflow(n.lo/vecLeaf, n.lo/vecLeaf)
 			continue
 		}
-		d := v.m.Dist(q, n.vantage)
+		d := v.t.Dist(q, n.vantage)
 		st.Verifications++
 		near, far := v.pending(n.left, d), v.pending(n.left+1, d)
 		if far.bound < near.bound {
