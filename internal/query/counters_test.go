@@ -4,8 +4,8 @@ package query
 // verifications, abandoned verifications and rows — of every similarity
 // access path on seeded fixtures: the band walk (NEAREST, WITHIN at the
 // ad hoc, mixed and wide radii, the join probe, symmetric or not), the
-// weighted NEAREST scan, the vector view (NEAREST, WITHIN, join probe),
-// the cosine scan and the nested-loop joins (banded and cosine). A
+// weighted NEAREST scan, the vector view under l2 and cosine (NEAREST,
+// WITHIN, join probe) and the banded nested-loop join. A
 // refactor of the access paths must leave each count as it is: the
 // counters are what the benchmark's per-layer metrics read, so a path
 // that verifies one row more shows here before it shows there.
@@ -132,7 +132,7 @@ func TestWorkCountersPinned(t *testing.T) {
 		{"vec within l2", fmt.Sprintf(`SELECT id, dist FROM vecs WHERE vec SIMILAR TO %s WITHIN 1.5 USING l2`, vlit(vecs[70])),
 			"VecRange(vecs via vecview", workCounts{8, 114, 121, 0}},
 		{"vec nearest cosine", fmt.Sprintf(`SELECT id, dist FROM vecs WHERE vec NEAREST 10 TO %s USING cosine`, vlit(vecs[12])),
-			"VecNearestK(vecs via scan", workCounts{10, 500, 444, 0}},
+			"VecNearestK(vecs via vecview", workCounts{10, 103, 112, 0}},
 		{"join_dict self-join", `SELECT a.id, b.id, dist FROM dict a, dict b ON dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id`,
 			"IndexJoin(probe a.seq into lengthview(b), on a.seq SIMILAR TO b.seq WITHIN 1 USING edits, symmetric)", workCounts{164, 14069, 289, 43}},
 		{"seq join", `SELECT a.id, b.id, dist FROM dict a, words b ON dist(a.seq, b.seq) <= 1 USING edits`,
@@ -144,7 +144,7 @@ func TestWorkCountersPinned(t *testing.T) {
 		{"vec join l2", `SELECT a.id, b.id, dist FROM vecs a, vecs b ON dist(a.vec, b.vec) <= 1 USING l2 WHERE a.id != b.id`,
 			"IndexJoin(probe a.vec into vecview(b)", workCounts{160, 33569, 36357, 0}},
 		{"vec join cosine", `SELECT a.id, b.id, dist FROM vecs a, vecs b ON dist(a.vec, b.vec) <= 0.01 USING cosine`,
-			"NestedLoopJoin(b, on", workCounts{12580, 198080, 197136, 0}},
+			"IndexJoin(probe a.vec into vecview(b)", workCounts{12580, 40708, 43436, 0}},
 	}
 	var dump strings.Builder
 	for _, c := range cases {

@@ -336,9 +336,9 @@ func TestJoinOracleLimit(t *testing.T) {
 	}
 }
 
-// TestJoinOracleVec covers the vector-metric join probes: l2
-// (triangular — the vector view probe) and cosine (not triangular — the scan
-// with the blocked kernel). Rows without a vector must never match.
+// TestJoinOracleVec covers the vector-metric join probe, the vector
+// view, under l2 and under cosine (pruned by the chord). Rows without a
+// vector must never match.
 func TestJoinOracleVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	rows := joinOracleRows(rng, 100)
@@ -348,7 +348,7 @@ func TestJoinOracleVec(t *testing.T) {
 		op     string
 	}{
 		{"l2", 0.8, "IndexJoin(probe a.vec into vecview(b), on"},
-		{"cosine", 0.25, "NestedLoopJoin(b, on"},
+		{"cosine", 0.25, "IndexJoin(probe a.vec into vecview(b), on"},
 	}
 	// shards=N: the GatherMerge stream count of the sliced engines.
 	for _, shards := range []int{1, 4} {

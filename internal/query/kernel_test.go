@@ -111,7 +111,7 @@ func TestProbeStepKernels(t *testing.T) {
 		{from + `b.seq SIMILAR TO c.seq WITHIN 1 USING edits AND a.vec SIMILAR TO b.vec WITHIN 1 USING l2`, "vec-l2",
 			map[string]string{"IndexJoin(probe a.vec into vecview(b)": "vec-l2", "IndexJoin(probe b.seq into lengthview(c)": "myers"}},
 		{from + `a.vec SIMILAR TO b.vec WITHIN 0.01 USING cosine AND b.tag SIMILAR TO c.tag WITHIN 1 USING edits`, "vec-cosine",
-			map[string]string{"NestedLoopJoin(b, on a.vec": "vec-cosine", "NestedLoopJoin(c[length-banded], on b.tag": "myers"}},
+			map[string]string{"IndexJoin(probe a.vec into vecview(b)": "vec-cosine", "NestedLoopJoin(c[length-banded], on b.tag": "myers"}},
 	} {
 		before := dispatched(c.first)
 		res, err := e.Execute(c.stmt)

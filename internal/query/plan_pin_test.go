@@ -216,10 +216,10 @@ func TestIndexAndNestedLoopJoins(t *testing.T) {
 }
 
 // TestJoinProbeIsCapability: each edge's probe is the one its inner side
-// offers — an index where the rule set or metric licenses one, the
-// length-banded scan for a unit-cost edge onto another attribute, the
-// plain scan otherwise — and it is the same against a one-row outer side
-// as against a 600-row one.
+// offers — the vector view under any metric, the length view where the
+// rule set licenses it, the length-banded scan for a unit-cost edge onto
+// another attribute, the plain scan otherwise — and it is the same
+// against a one-row outer side as against a 600-row one.
 func TestJoinProbeIsCapability(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rows := make([]relation.InsertRow, 600)
@@ -246,7 +246,7 @@ func TestJoinProbeIsCapability(t *testing.T) {
 		{`dist(a.seq, b.seq) <= 1 USING halves`, "NestedLoopJoin(b, on"},
 		{`dist(a.seq, b.seq) <= 1 USING swaps`, "NestedLoopJoin(b, on"},
 		{`dist(a.vec, b.vec) <= 0.5 USING l2`, "IndexJoin(probe a.vec into vecview(b), on"},
-		{`dist(a.vec, b.vec) <= 0.1 USING cosine`, "NestedLoopJoin(b, on"},
+		{`dist(a.vec, b.vec) <= 0.1 USING cosine`, "IndexJoin(probe a.vec into vecview(b), on"},
 	} {
 		for _, outer := range []string{"one", "many"} {
 			stmt := fmt.Sprintf(`EXPLAIN SELECT a.id, b.id FROM %s a, inner b ON %s`, outer, c.edge)

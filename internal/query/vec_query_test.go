@@ -106,12 +106,12 @@ func TestVecNearestBasic(t *testing.T) {
 		t.Fatalf("l2 NEAREST plan:\n%s", plan.Plan)
 	}
 
-	// Cosine has no triangle inequality: NEAREST must fall back to scan.
+	// Cosine walks the same view, pruned by the chord.
 	plan, err = e.Execute(`EXPLAIN SELECT id FROM items WHERE vec NEAREST 2 TO [1, 1] USING cosine`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan.Plan, "VecNearestK(items via scan, k=2, metric=cosine)") {
+	if !strings.Contains(plan.Plan, "VecNearestK(items via vecview, k=2, metric=cosine)") {
 		t.Fatalf("cosine NEAREST plan:\n%s", plan.Plan)
 	}
 }
@@ -221,7 +221,7 @@ func TestVecShardedExplain(t *testing.T) {
 		{`EXPLAIN SELECT id FROM items WHERE vec NEAREST 2 TO [0, 0] USING l2`,
 			"VecNearestK(items via vecview, k=2, metric=l2)"},
 		{`EXPLAIN SELECT id FROM items WHERE vec SIMILAR TO [1, 1] WITHIN 0.5 USING cosine ORDER BY dist`,
-			"OrderByDist"},
+			"VecRange(items via vecview, radius=0.5, metric=cosine, order=dist)"},
 		{orScan + ` ORDER BY dist`, "OrderByDist"},
 		{orScan, "GatherMerge(shards=4, workers=4, merge=id)"},
 		{orScan, "Scan(items, shard 0/4)"},
