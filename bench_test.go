@@ -922,11 +922,17 @@ func nearestVecsBench(b *testing.B) (*relation.Relation, []metric.Vector) {
 // prepared NEAREST 10 walks the vector view and may prune whole
 // subtrees, so it must cost well under one distance per row.
 // BENCH_baseline.json gates the ratio. The plan is pinned to the view.
-func BenchmarkNearestVecs(b *testing.B) {
+func BenchmarkNearestVecs(b *testing.B) { benchNearestVecs(b, "l2") }
+
+// BenchmarkNearestVecsCosine and BenchmarkDistanceAllVecsCosine are the
+// same floor under cosine, whose view prunes by the chord.
+func BenchmarkNearestVecsCosine(b *testing.B) { benchNearestVecs(b, "cosine") }
+
+func benchNearestVecs(b *testing.B, metricName string) {
 	rel, targets := nearestVecsBench(b)
 	cat := relation.NewCatalog()
 	cat.Add(rel)
-	pq, err := query.NewEngine(cat).Prepare(`SELECT id, dist FROM vecs WHERE vec NEAREST 10 TO ? USING l2`)
+	pq, err := query.NewEngine(cat).Prepare(`SELECT id, dist FROM vecs WHERE vec NEAREST 10 TO ? USING ` + metricName)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -979,9 +985,15 @@ func BenchmarkVecRangeAll(b *testing.B) {
 // BenchmarkDistanceAllVecs is the unpruned side of NearestVecs and
 // VecRangeAll: one DistBatch over the snapshot's vector column, nothing
 // kept.
-func BenchmarkDistanceAllVecs(b *testing.B) {
+func BenchmarkDistanceAllVecs(b *testing.B) { benchDistanceAllVecs(b, "l2") }
+
+// BenchmarkDistanceAllVecsCosine is the unpruned side of
+// NearestVecsCosine: one cosine DistBatch over the same column.
+func BenchmarkDistanceAllVecsCosine(b *testing.B) { benchDistanceAllVecs(b, "cosine") }
+
+func benchDistanceAllVecs(b *testing.B, metricName string) {
 	rel, targets := nearestVecsBench(b)
-	l2, _ := metric.Lookup("l2")
+	m, _ := metric.Lookup(metricName)
 	var col []metric.Vector
 	for _, t := range rel.Tuples() {
 		col = append(col, t.Vec)
@@ -990,7 +1002,7 @@ func BenchmarkDistanceAllVecs(b *testing.B) {
 	runtime.GC() // as in BenchmarkVecRangeAll
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metric.DistBatch(l2, targets[i%len(targets)], col, out)
+		metric.DistBatch(m, targets[i%len(targets)], col, out)
 		distanceAllSink = int(out[0])
 	}
 }
