@@ -618,7 +618,8 @@ func viewEdgeRows(rng *rand.Rand) ([]relation.InsertRow, []vecModelRow) {
 // prune for (the flat view). NEAREST k, WITHIN r and the join through
 // the view return the ids and the dist bytes of a brute-force scan of
 // the metric's own distance, at radii from exact matches (0) to past
-// cosine's diameter (2), on targets among the edge rows.
+// cosine's diameter (2), on targets among the edge rows, before and
+// after an INSERT batch.
 func TestVecViewNoFalseDismissal(t *testing.T) {
 	if err := metric.Register(flatL1{}); err != nil {
 		t.Fatal(err)
@@ -635,57 +636,74 @@ func TestVecViewNoFalseDismissal(t *testing.T) {
 			targets = append(targets, row.vec)
 		}
 	}
-	for _, c := range []struct {
-		metric string
-		radii  []float64
-	}{
-		{"cosine", []float64{0, 0.01, 1, 2, 2.5}},
-		{"test-flat-l1", []float64{0, 0.5, 4, 100}},
-	} {
-		m, _ := metric.Lookup(c.metric)
-		check := func(stmt, access string, want [][]string, sorted bool) {
-			t.Helper()
-			res, err := e.Execute(stmt)
-			if err != nil {
-				t.Fatalf("%s: %v", stmt, err)
-			}
-			got := &Result{Rows: res.Rows}
-			wantRes := &Result{Rows: want}
-			if !strings.Contains(res.Plan, access) {
-				t.Fatalf("%s does not plan %s:\n%s", stmt, access, res.Plan)
-			}
-			if sorted && canonical(got) != canonical(wantRes) || !sorted && positional(got) != positional(wantRes) {
-				t.Fatalf("%s diverges from the brute-force scan\ngot:  %v\nwant: %v\nplan:\n%s", stmt, res.Rows, want, res.Plan)
-			}
-		}
-		for _, q := range targets {
-			lit := metric.Format(q)
-			for _, k := range []int{1, 10, 60} {
-				check(fmt.Sprintf(`SELECT id, dist FROM items WHERE vec NEAREST %d TO %s USING %s`, k, lit, c.metric),
-					"VecNearestK(items via vecview", vecBruteNearest(model, m, q, k, OrderNone), false)
-			}
-			for _, r := range c.radii {
-				check(fmt.Sprintf(`SELECT id, dist FROM items WHERE vec SIMILAR TO %s WITHIN %g USING %s`, lit, r, c.metric),
-					"VecRange(items via vecview", vecBruteWithin(model, m, q, r, OrderNone), false)
-			}
-		}
-		for _, r := range c.radii[:4] {
-			var want [][]string
-			for _, a := range model {
-				if a.vec == nil {
-					continue
+	for round := 0; round < 2; round++ {
+		if round == 1 {
+			// Rows inserted after the views were built widen their
+			// intervals and land in leaf overflows.
+			extra, _ := viewEdgeRows(rand.New(rand.NewSource(72)))
+			var lits []string
+			for _, r := range extra[:60] {
+				if r.Vec != nil {
+					lits = append(lits, "("+metric.Format(r.Vec)+")")
+					model = append(model, vecModelRow{id: len(model), vec: r.Vec})
 				}
-				for _, b := range model {
-					if b.vec == nil {
+			}
+			if _, err := e.Execute(`INSERT INTO items (vec) VALUES ` + strings.Join(lits, ", ")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []struct {
+			metric string
+			radii  []float64
+		}{
+			{"cosine", []float64{0, 0.01, 1, 2, 2.5}},
+			{"test-flat-l1", []float64{0, 0.5, 4, 100}},
+		} {
+			m, _ := metric.Lookup(c.metric)
+			check := func(stmt, access string, want [][]string, sorted bool) {
+				t.Helper()
+				res, err := e.Execute(stmt)
+				if err != nil {
+					t.Fatalf("%s: %v", stmt, err)
+				}
+				got := &Result{Rows: res.Rows}
+				wantRes := &Result{Rows: want}
+				if !strings.Contains(res.Plan, access) {
+					t.Fatalf("%s does not plan %s:\n%s", stmt, access, res.Plan)
+				}
+				if sorted && canonical(got) != canonical(wantRes) || !sorted && positional(got) != positional(wantRes) {
+					t.Fatalf("%s diverges from the brute-force scan\ngot:  %v\nwant: %v\nplan:\n%s", stmt, res.Rows, want, res.Plan)
+				}
+			}
+			for _, q := range targets {
+				lit := metric.Format(q)
+				for _, k := range []int{1, 10, 60} {
+					check(fmt.Sprintf(`SELECT id, dist FROM items WHERE vec NEAREST %d TO %s USING %s`, k, lit, c.metric),
+						"VecNearestK(items via vecview", vecBruteNearest(model, m, q, k, OrderNone), false)
+				}
+				for _, r := range c.radii {
+					check(fmt.Sprintf(`SELECT id, dist FROM items WHERE vec SIMILAR TO %s WITHIN %g USING %s`, lit, r, c.metric),
+						"VecRange(items via vecview", vecBruteWithin(model, m, q, r, OrderNone), false)
+				}
+			}
+			for _, r := range c.radii[:4] {
+				var want [][]string
+				for _, a := range model {
+					if a.vec == nil {
 						continue
 					}
-					if d, ok := metric.Within(m, a.vec, b.vec, r); ok {
-						want = append(want, []string{fmt.Sprint(a.id), fmt.Sprint(b.id), formatDist(d)})
+					for _, b := range model {
+						if b.vec == nil {
+							continue
+						}
+						if d, ok := metric.Within(m, a.vec, b.vec, r); ok {
+							want = append(want, []string{fmt.Sprint(a.id), fmt.Sprint(b.id), formatDist(d)})
+						}
 					}
 				}
+				check(fmt.Sprintf(`SELECT a.id, b.id, dist FROM items a, items b ON dist(a.vec, b.vec) <= %g USING %s`, r, c.metric),
+					"IndexJoin(probe a.vec into vecview(b)", want, true)
 			}
-			check(fmt.Sprintf(`SELECT a.id, b.id, dist FROM items a, items b ON dist(a.vec, b.vec) <= %g USING %s`, r, c.metric),
-				"IndexJoin(probe a.vec into vecview(b)", want, true)
 		}
 	}
 }

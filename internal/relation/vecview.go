@@ -51,7 +51,7 @@ type VecView struct {
 	t     metric.Distance           // p's pruning distance
 	vecs  []metric.Vector           // built rows in leaf order, windows of one contiguous copy
 	rows  []*Row                    // parallel to vecs
-	pivot []float64                 // parallel to vecs: distance to the leaf's parent vantage
+	pivot []float64                 // parallel to vecs: t-distance to the leaf's parent vantage
 	nodes []vecNode                 // nodes[0] is the root
 	over  []atomic.Pointer[vecOver] // per leaf: the rows inserted since the build
 	added int                       // rows inserted since the build (writer only)
@@ -376,13 +376,13 @@ func (v *VecView) walk(snap *Snapshot, q metric.Vector, bound *float64, emit fun
 	check := snap.h.dead > 0
 	// reach is *bound mapped into t, refreshed when the bound moves; a
 	// flat view prunes nothing.
-	b, reach := math.NaN(), math.Inf(1)
+	last, reach := math.NaN(), math.Inf(1)
 	var stack [vecStackCap]vecPending
 	stack[0] = vecPending{node: 0, bound: math.Inf(-1)}
 	for sp := 1; sp > 0; {
-		if v.p != nil && *bound != b {
-			b = *bound
-			reach = v.p.Reach(b)
+		if v.p != nil && *bound != last {
+			last = *bound
+			reach = v.p.Reach(last)
 		}
 		sp--
 		p := stack[sp]
