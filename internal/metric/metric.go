@@ -8,7 +8,7 @@
 // reproduction hard-wired every kernel and index to string edit
 // distance. This package is the seam that opens the engine to other
 // domains: a Distance measures dissimilarity between float32 vectors,
-// and the capability interfaces tell the planner what each metric
+// and the capability interfaces tell the engine what each metric
 // licenses:
 //
 //   - Pruner names the distance the relation's vector view partitions
