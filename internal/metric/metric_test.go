@@ -1,8 +1,10 @@
 package metric
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -287,6 +289,74 @@ func TestParseRejects(t *testing.T) {
 	if err != nil || len(v) != 2 || v[0] != 1 || v[1] != 2.5 {
 		t.Fatalf("Parse with spaces = %v, %v", v, err)
 	}
+}
+
+// splitParse is the Split-based Parse that the one-pass Parse
+// replaced, kept as FuzzVectorLiteral's oracle.
+func splitParse(s string) (Vector, error) {
+	t := strings.TrimSpace(s)
+	if len(t) < 2 || t[0] != '[' || t[len(t)-1] != ']' {
+		return nil, fmt.Errorf("metric: vector literal must be bracketed: %q", s)
+	}
+	body := strings.TrimSpace(t[1 : len(t)-1])
+	if body == "" {
+		return nil, fmt.Errorf("metric: empty vector literal")
+	}
+	parts := strings.Split(body, ",")
+	out := make(Vector, 0, len(parts))
+	for _, p := range parts {
+		f, err := strconv.ParseFloat(strings.TrimSpace(p), 32)
+		if err != nil {
+			return nil, fmt.Errorf("metric: bad vector component %q: %v", strings.TrimSpace(p), err)
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("metric: vector components must be finite, got %q", strings.TrimSpace(p))
+		}
+		out = append(out, float32(f))
+	}
+	return out, nil
+}
+
+// sameBits reports whether a and b hold the same float32 bit patterns.
+func sameBits(a, b Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzVectorLiteral: Parse accepts exactly the literals the Split-based
+// parser accepts, with the same error text and the same bits, and every
+// vector it returns survives Format and Parse bit for bit.
+func FuzzVectorLiteral(f *testing.F) {
+	for _, s := range []string{
+		"[1,2,3]", " [ 1 , 2.5 ] ", "[0.1,-2,3.5]", "[-0]", "[1e-45,3.4028235e38]", "[1e39]",
+		"[0x1p-2, 1_0]", "[inf]", "[1,NaN]", "[]", "[ ]", "[1,,2]", "[1,", "1,2", "[1;2]",
+		"[\u00a01\u2003,2]", "[\t1\n]", "[,]", "[+.5e+1 , -.0]",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := Parse(s)
+		want, werr := splitParse(s)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("Parse(%q) error %v, the Split-based parser's %v", s, err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if !sameBits(got, want) || cap(got) != cap(want) {
+			t.Fatalf("Parse(%q) = %v (cap %d), the Split-based parser's %v (cap %d)", s, got, cap(got), want, cap(want))
+		}
+		if back, err := Parse(Format(got)); err != nil || !sameBits(back, got) {
+			t.Fatalf("Parse(Format(%v)) = %v, %v", got, back, err)
+		}
+	})
 }
 
 func TestRegistry(t *testing.T) {

@@ -49,7 +49,9 @@ func Format(v Vector) string {
 // Parse reads the canonical vector-literal syntax (whitespace around
 // components is tolerated). Components must be finite — NaN and the
 // infinities are rejected, so every stored vector has well-defined
-// distances — and the vector must be non-empty.
+// distances — and the vector must be non-empty. It walks the literal
+// once, component by component, after counting the commas that size
+// the result, so a literal costs one allocation besides its errors.
 func Parse(s string) (Vector, error) {
 	t := strings.TrimSpace(s)
 	if len(t) < 2 || t[0] != '[' || t[len(t)-1] != ']' {
@@ -59,15 +61,17 @@ func Parse(s string) (Vector, error) {
 	if body == "" {
 		return nil, fmt.Errorf("metric: empty vector literal")
 	}
-	parts := strings.Split(body, ",")
-	out := make(Vector, 0, len(parts))
-	for _, p := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 32)
+	out := make(Vector, 0, strings.Count(body, ",")+1)
+	for more := true; more; {
+		var p string
+		p, body, more = strings.Cut(body, ",")
+		p = strings.TrimSpace(p)
+		f, err := strconv.ParseFloat(p, 32)
 		if err != nil {
-			return nil, fmt.Errorf("metric: bad vector component %q: %v", strings.TrimSpace(p), err)
+			return nil, fmt.Errorf("metric: bad vector component %q: %v", p, err)
 		}
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, fmt.Errorf("metric: vector components must be finite, got %q", strings.TrimSpace(p))
+			return nil, fmt.Errorf("metric: vector components must be finite, got %q", p)
 		}
 		out = append(out, float32(f))
 	}
