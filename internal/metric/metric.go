@@ -122,29 +122,49 @@ func DistBatch(m Distance, q Vector, cands []Vector, out []float64) {
 
 var (
 	regMu    sync.RWMutex
-	registry = map[string]Distance{}
+	registry = map[string]registration{}
+	regGen   uint64 // registrations so far
 )
+
+// registration is one registered metric and the generation Register
+// gave it.
+type registration struct {
+	m   Distance
+	gen uint64
+}
 
 // Register adds a metric to the process-wide registry under its Name,
 // replacing any previous metric of that name; the next statement that
-// names it plans against the new one. The built-in metrics ("l2",
-// "cosine") register themselves at init.
+// names it plans against the new one. Each call gives the name a new
+// registration generation (see Registration). The built-in metrics
+// ("l2", "cosine") register themselves at init.
 func Register(m Distance) error {
 	if m == nil || m.Name() == "" {
 		return fmt.Errorf("metric: Register requires a named metric")
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
-	registry[m.Name()] = m
+	regGen++
+	registry[m.Name()] = registration{m, regGen}
 	return nil
 }
 
 // Lookup resolves a registered metric by name.
 func Lookup(name string) (Distance, bool) {
+	m, _, ok := Registration(name)
+	return m, ok
+}
+
+// Registration resolves a registered metric by name together with its
+// registration generation, a number no other registration of any name
+// shares. A structure built under a metric records the generation and
+// serves the name only while it is current, so a re-registration is
+// seen without comparing metrics, which need not be comparable.
+func Registration(name string) (m Distance, gen uint64, ok bool) {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	m, ok := registry[name]
-	return m, ok
+	r, ok := registry[name]
+	return r.m, r.gen, ok
 }
 
 // Names returns the registered metric names, sorted.

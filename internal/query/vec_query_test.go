@@ -924,3 +924,72 @@ func TestVecConcurrentInsertQuery(t *testing.T) {
 		})
 	}
 }
+
+// scaledL2 is a registered metric k times l2, which prunes by itself.
+// Its slice field makes it incomparable, so nothing may compare it
+// with ==.
+type scaledL2 struct{ k []float64 }
+
+func (scaledL2) Name() string { return "test-scaled-l2" }
+
+func (s scaledL2) Dist(a, b metric.Vector) float64 { return s.k[0] * metric.L2{}.Dist(a, b) }
+
+func (s scaledL2) Pruning() metric.Distance { return s }
+
+func (scaledL2) Reach(r float64) float64 { return r }
+
+// TestVecViewFollowsRegister: once metric.Register replaces a metric,
+// NEAREST and WITHIN through the vector view answer under the new one,
+// exactly as the same predicate under OR, a scan, does, and so does the
+// join, whose edge no OR can take off the view: it must equal every
+// pair within the radius under the registered metric.
+func TestVecViewFollowsRegister(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	rows := make([]relation.InsertRow, 400)
+	for i := range rows {
+		rows[i] = relation.InsertRow{Vec: randVec(rng, 4)}
+	}
+	e := vecEngine(t, 1, 256, rows)
+	q := metric.Format(rows[7].Vec)
+	for _, k := range []float64{1, 2} {
+		if err := metric.Register(scaledL2{[]float64{k}}); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct{ view, access, scan string }{
+			{`SELECT id, dist FROM items WHERE vec NEAREST 5 TO ` + q + ` USING test-scaled-l2`,
+				"VecNearestK(items via vecview",
+				`SELECT id, dist FROM items WHERE vec SIMILAR TO ` + q + ` WITHIN 1e300 USING test-scaled-l2 OR seq = "#" ORDER BY dist LIMIT 5`},
+			{`SELECT id, dist FROM items WHERE vec SIMILAR TO ` + q + ` WITHIN 1.5 USING test-scaled-l2`,
+				"VecRange(items via vecview",
+				`SELECT id, dist FROM items WHERE vec SIMILAR TO ` + q + ` WITHIN 1.5 USING test-scaled-l2 OR seq = "#"`},
+			{`SELECT a.id, b.id, dist FROM items a, items b ON dist(a.vec, b.vec) <= 0.3 USING test-scaled-l2`,
+				"IndexJoin(probe a.vec into vecview(b)", ""},
+		} {
+			got, err := e.Execute(c.view)
+			if err != nil {
+				t.Fatalf("%s: %v", c.view, err)
+			}
+			if !strings.Contains(got.Plan, c.access) {
+				t.Fatalf("%s does not plan %s:\n%s", c.view, c.access, got.Plan)
+			}
+			want := &Result{}
+			if c.scan == "" {
+				m, _ := metric.Lookup("test-scaled-l2")
+				for a := range rows {
+					for b := range rows {
+						if d, ok := metric.Within(m, rows[a].Vec, rows[b].Vec, 0.3); ok {
+							want.Rows = append(want.Rows, []string{fmt.Sprint(a), fmt.Sprint(b), formatDist(d)})
+						}
+					}
+				}
+			} else if want, err = e.Execute(c.scan); err != nil {
+				t.Fatalf("%s: %v", c.scan, err)
+			} else if strings.Contains(want.Plan, "vecview") {
+				t.Fatalf("%s is no scan:\n%s", c.scan, want.Plan)
+			}
+			if len(want.Rows) < 2 || canonical(got) != canonical(want) {
+				t.Fatalf("metric ×%g: %s\ngot  %v\nthe scan's %v", k, c.view, got.Rows, want.Rows)
+			}
+		}
+	}
+}

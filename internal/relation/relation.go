@@ -42,6 +42,8 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -159,7 +161,7 @@ func (h *head) indexRow(row *Row) {
 	if stale != nil {
 		vvs := maps.Clone(h.vvs)
 		for _, name := range stale {
-			vvs[name] = buildVecView(vvs[name].m, h.rows)
+			vvs[name] = vvs[name].rebuilt(h.rows)
 		}
 		h.vvs = vvs
 	}
@@ -462,7 +464,7 @@ func (r *Relation) compactLocked() {
 	if len(h.vvs) > 0 {
 		nh.vvs = make(map[string]*VecView, len(h.vvs))
 		for name, old := range h.vvs {
-			nh.vvs[name] = buildVecView(old.m, nh.rows)
+			nh.vvs[name] = old.rebuilt(nh.rows)
 		}
 	}
 	// Publish with a version bump even when nothing was dropped:
@@ -594,21 +596,26 @@ func (r *Relation) ensureVPTree(m metric.Distance) *index.VPTree {
 // The metric must satisfy the triangle inequality (l2; not cosine).
 func (r *Relation) VPTree(m metric.Distance) *index.VPTree { return r.ensureVPTree(m) }
 
-// VecView returns the relation's vector view over the given metric,
-// building it on first use; maintained online like the length view
-// (and, like it, installed without a version bump). The view prunes by
-// the distance a metric.Pruner names and is flat for any other metric.
+// VecView returns the relation's vector view over the metric
+// registered under m's name (over m itself when the name is not
+// registered), building it on first use; maintained online like the
+// length view (and, like it, installed without a version bump). The
+// view prunes by the distance a metric.Pruner names and is flat for any
+// other metric. A view serves only the registration it was built
+// under: once metric.Register replaces the name's metric, the next call
+// builds a new view.
 func (r *Relation) VecView(m metric.Distance) *VecView {
-	if v := r.head.Load().vvs[m.Name()]; v != nil {
+	m, gen := viewMetric(m)
+	if v := r.head.Load().vvs[m.Name()]; v != nil && v.gen == gen {
 		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := r.head.Load()
-	if v := h.vvs[m.Name()]; v != nil {
+	if v := h.vvs[m.Name()]; v != nil && v.gen == gen {
 		return v
 	}
-	v := buildVecView(m, h.rows)
+	v := buildVecView(m, gen, h.rows)
 	nh := *h
 	nh.vvs = maps.Clone(h.vvs)
 	if nh.vvs == nil {
@@ -617,6 +624,19 @@ func (r *Relation) VecView(m metric.Distance) *VecView {
 	nh.vvs[m.Name()] = v
 	r.head.Store(&nh)
 	return v
+}
+
+// viewMetric resolves the metric a vector view over m's name is built
+// and served under, with its registration generation: the metric
+// registered under the name now, or m itself, generation 0, when none
+// is. Taking the metric and its generation from the registry together
+// keeps a statement planned just before a re-registration from
+// installing a view of the old metric under the new generation.
+func viewMetric(m metric.Distance) (metric.Distance, uint64) {
+	if cur, gen, ok := metric.Registration(m.Name()); ok {
+		return cur, gen
+	}
+	return m, 0
 }
 
 func buildTrie(rows []*Row) *index.Trie {
@@ -751,9 +771,10 @@ func (s *Snapshot) VPTree(m metric.Distance) *index.VPTree {
 	return buildVPTree(m, s.h.rows)
 }
 
-// VecWalk walks the vector view over the given metric that this
-// snapshot's head carries, or, when none was built by then, a private
-// one over the snapshot's arena, built for this walk alone: callers that
+// VecWalk walks the vector view over the metric registered under m's
+// name (see Relation.VecView) that this snapshot's head carries, or,
+// when none was built by then under that registration, a private one
+// over the snapshot's arena, built for this walk alone: callers that
 // walk often ensure the shared view first (Relation.VecView). It
 // hands emit, a batch at a time, the
 // rows visible at this snapshot whose distance from q is at most *bound,
@@ -765,9 +786,10 @@ func (s *Snapshot) VPTree(m metric.Distance) *index.VPTree {
 // was taken may hold built rows born later, which the walk would not
 // filter.
 func (s *Snapshot) VecWalk(m metric.Distance, q metric.Vector, bound *float64, emit func(rows []*Row, dists []float64)) index.Stats {
+	m, gen := viewMetric(m)
 	v := s.h.vvs[m.Name()]
-	if v == nil {
-		v = buildVecView(m, s.h.rows)
+	if v == nil || v.gen != gen {
+		v = buildVecView(m, gen, s.h.rows)
 	}
 	return v.walk(s, q, bound, emit)
 }
@@ -983,45 +1005,92 @@ func Rebuild(name string, rows []Tuple, nextID int) *Relation {
 }
 
 // Load reads a relation in the Store codec. Lines starting with '#' and
-// blank lines are skipped.
+// blank lines are skipped. The lines are parsed in contiguous chunks,
+// one per GOMAXPROCS worker, and inserted in file order in one commit,
+// so the relation holds the rows a line-by-line insert would, under the
+// same ids. A malformed file reports its first bad line.
 func Load(name string, rd io.Reader) (*Relation, error) {
-	r := New(name)
+	var lines []string
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
 	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		parts := strings.Split(text, "\t")
-		var attrs map[string]string
-		var vec metric.Vector
-		for _, p := range parts[1:] {
-			eq := strings.IndexByte(p, '=')
-			if eq < 0 {
-				return nil, fmt.Errorf("relation %s: line %d: bad attribute %q", name, line, p)
-			}
-			if p[:eq] == "vec" {
-				v, err := metric.Parse(p[eq+1:])
-				if err != nil {
-					return nil, fmt.Errorf("relation %s: line %d: %v", name, line, err)
-				}
-				vec = v
+		lines = append(lines, sc.Text())
+	}
+	workers := runtime.GOMAXPROCS(0)
+	rows, errs := make([][]InsertRow, workers), make([]error, workers)
+	inParallel(len(lines), workers, func(c, lo, hi int) {
+		for i, text := range lines[lo:hi] {
+			if text == "" || strings.HasPrefix(text, "#") {
 				continue
 			}
-			if attrs == nil {
-				attrs = make(map[string]string)
+			in, err := parseLine(text)
+			if err != nil {
+				errs[c] = fmt.Errorf("relation %s: line %d: %v", name, lo+i+1, err)
+				return
 			}
-			attrs[p[:eq]] = p[eq+1:]
+			rows[c] = append(rows[c], in)
 		}
-		r.InsertOne(InsertRow{Seq: parts[0], Vec: vec, Attrs: attrs})
+	})
+	// The chunks cover the file in order, so the first chunk with an
+	// error holds the first bad line; a read error ends the file, after
+	// every line read before it.
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("relation %s: %w", name, err)
 	}
+	r := New(name)
+	r.InsertBatch(slices.Concat(rows...))
 	return r, nil
+}
+
+// parseLine reads one line of the Store codec.
+func parseLine(text string) (InsertRow, error) {
+	parts := strings.Split(text, "\t")
+	in := InsertRow{Seq: parts[0]}
+	for _, p := range parts[1:] {
+		eq := strings.IndexByte(p, '=')
+		if eq < 0 {
+			return InsertRow{}, fmt.Errorf("bad attribute %q", p)
+		}
+		if p[:eq] == "vec" {
+			v, err := metric.Parse(p[eq+1:])
+			if err != nil {
+				return InsertRow{}, err
+			}
+			in.Vec = v
+			continue
+		}
+		if in.Attrs == nil {
+			in.Attrs = make(map[string]string)
+		}
+		in.Attrs[p[:eq]] = p[eq+1:]
+	}
+	return in, nil
+}
+
+// inParallel splits [0, n) into min(workers, n) contiguous chunks, at
+// least one, and runs f on every chunk c, [lo, hi), each on a goroutine
+// of its own when there are several. The chunks depend only on n and
+// workers.
+func inParallel(n, workers int, f func(c, lo, hi int)) {
+	chunks := max(1, min(workers, n))
+	if chunks == 1 {
+		f(0, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(chunks)
+	for c := range chunks {
+		go func() {
+			defer wg.Done()
+			f(c, n*c/chunks, n*(c+1)/chunks)
+		}()
+	}
+	wg.Wait()
 }
 
 // ------------------------------------------------------------- catalog

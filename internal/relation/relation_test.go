@@ -1,9 +1,17 @@
 package relation
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/metric"
 )
 
 func TestInsertAndTuple(t *testing.T) {
@@ -151,5 +159,162 @@ func TestEntries(t *testing.T) {
 	es := r.Entries()
 	if len(es) != 2 || es[0].S != "x" || es[1].ID != 1 {
 		t.Errorf("Entries = %v", es)
+	}
+}
+
+// loadLineByLine is the reference Load: one InsertOne per line, the
+// first bad line ending the read.
+func loadLineByLine(name string, text string) (*Relation, error) {
+	r := New(name)
+	sc := bufio.NewScanner(strings.NewReader(text))
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	line := 0
+	for sc.Scan() {
+		line++
+		text := sc.Text()
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		parts := strings.Split(text, "\t")
+		var attrs map[string]string
+		var vec metric.Vector
+		for _, p := range parts[1:] {
+			eq := strings.IndexByte(p, '=')
+			if eq < 0 {
+				return nil, fmt.Errorf("relation %s: line %d: bad attribute %q", name, line, p)
+			}
+			if p[:eq] == "vec" {
+				v, err := metric.Parse(p[eq+1:])
+				if err != nil {
+					return nil, fmt.Errorf("relation %s: line %d: %v", name, line, err)
+				}
+				vec = v
+				continue
+			}
+			if attrs == nil {
+				attrs = make(map[string]string)
+			}
+			attrs[p[:eq]] = p[eq+1:]
+		}
+		r.InsertOne(InsertRow{Seq: parts[0], Vec: vec, Attrs: attrs})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("relation %s: %w", name, err)
+	}
+	return r, nil
+}
+
+// dumpRelation renders every row of r, tombstoned or not, with its id,
+// sequence, attributes and vector bits, and the relation's statistics.
+func dumpRelation(r *Relation) string {
+	var b strings.Builder
+	h := r.head.Load()
+	fmt.Fprintf(&b, "next %d live %d stats %+v alphabet %q\n", h.nextID, h.live, r.Stats(), r.Snapshot().Alphabet())
+	for _, row := range h.rows {
+		fmt.Fprintf(&b, "%d %q %v", row.ID, row.Seq, row.Vec == nil)
+		for _, x := range row.Vec {
+			fmt.Fprintf(&b, " %08x", math.Float32bits(x))
+		}
+		var keys []string
+		for k := range row.Attrs {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&b, " %q=%q", k, row.Attrs[k])
+		}
+		fmt.Fprintf(&b, " %v\n", row.Attrs == nil)
+	}
+	return b.String()
+}
+
+// loadText is a relation file of n lines: words with attributes,
+// vector literals in canonical and spaced syntax, comments, blank
+// lines and a CRLF ending.
+func loadText(rng *rand.Rand, n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		switch rng.Intn(10) {
+		case 0:
+			b.WriteString("# comment\tvec=[x]\n")
+		case 1:
+			b.WriteString("\n")
+		case 2:
+			fmt.Fprintf(&b, "w%d\tsrc=a=b\tdate=%d\r\n", rng.Intn(100), i)
+		case 3, 4, 5:
+			v := make(metric.Vector, 1+rng.Intn(8))
+			for j := range v {
+				v[j] = float32(rng.NormFloat64())
+			}
+			fmt.Fprintf(&b, "v%d\tvec=%s\tk=%d\n", i, metric.Format(v), i%3)
+		case 6:
+			fmt.Fprintf(&b, "\tvec=[ %g , -0 ,1e-3 ]\n", rng.Float64())
+		default:
+			fmt.Fprintf(&b, "%x\n", rng.Int63())
+		}
+	}
+	return b.String()
+}
+
+// TestLoadMatchesLineByLine: Load yields the relation a line-by-line
+// insert does — the same ids, sequences, attributes and vector bits —
+// at GOMAXPROCS 1, 2 and 4, for files of words, vectors, comments and
+// blank lines, a one-row file and an empty one.
+func TestLoadMatchesLineByLine(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	texts := []string{"", "\n# only a comment\n", "one", "one\ttag=1\n", "\tvec=[1,2]", loadText(rng, 7), loadText(rng, 1000), loadText(rng, 4099)}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, text := range texts {
+		ref, err := loadLineByLine("t", text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := dumpRelation(ref)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			r, err := Load("t", strings.NewReader(text))
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+			}
+			if got := dumpRelation(r); got != want {
+				t.Fatalf("GOMAXPROCS %d, %d bytes: Load differs from the line-by-line insert\ngot:\n%.2000s\nwant:\n%.2000s", procs, len(text), got, want)
+			}
+		}
+	}
+}
+
+// TestLoadFirstBadLine: with malformed lines in different chunks of a
+// parallel load, Load reports the first, as the line-by-line read does.
+func TestLoadFirstBadLine(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	lines := strings.Split(strings.TrimSuffix(loadText(rng, 400), "\n"), "\n")
+	bad := func(at ...int) string {
+		out := slices.Clone(lines)
+		for i, l := range at {
+			out[l] = []string{"w\tnoequals", "v\tvec=[1,NaN]", "v\tvec=1,2"}[i%3]
+		}
+		return strings.Join(out, "\n")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, text := range []string{bad(50, 300), bad(130, 150, 399), bad(299, 0), bad(399), bad(0)} {
+		_, want := loadLineByLine("t", text)
+		if want == nil {
+			t.Fatal("the reference accepts the malformed file; the test lost its point")
+		}
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			if _, err := Load("t", strings.NewReader(text)); err == nil || err.Error() != want.Error() {
+				t.Fatalf("GOMAXPROCS %d: Load reports %v, want %v", procs, err, want)
+			}
+		}
+	}
+	// A line past the reader's limit fails the read, after any bad line
+	// before it.
+	long := strings.Repeat("x", 1<<20+1)
+	for _, text := range []string{bad(5) + "\n" + long, lines[0] + "\n" + long} {
+		_, want := loadLineByLine("t", text)
+		if _, err := Load("t", strings.NewReader(text)); err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("Load reports %v, want %v", err, want)
+		}
 	}
 }

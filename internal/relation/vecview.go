@@ -3,7 +3,9 @@ package relation
 import (
 	"cmp"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/index"
@@ -47,6 +49,7 @@ import (
 // VisibleRow admits.
 type VecView struct {
 	m     metric.Distance           // the metric, which verifies rows
+	gen   uint64                    // m's registration generation; 0 when unregistered
 	p     metric.Pruner             // m as a Pruner; nil for a flat view
 	t     metric.Distance           // p's pruning distance
 	vecs  []metric.Vector           // built rows in leaf order, windows of one contiguous copy
@@ -102,24 +105,38 @@ const (
 // Relaxing a bound only costs a visit.
 const boundSlack = 1e-12
 
+// vecEnt is one built row during a build, with its distance to the
+// vantage of the last split that moved it: for a leaf row, its parent's.
+type vecEnt struct {
+	row *Row
+	d   float64
+}
+
+// vecBuild is one bulk load in progress.
+type vecBuild struct {
+	v      *VecView
+	ents   []vecEnt  // the built rows, regrouped in place by the splits
+	vdata  []float32 // the vantages' copy, maxDim floats per vantage slot
+	maxDim int
+}
+
 // buildVecView bulk-loads a view over the arena rows that carry a
-// vector. The build is deterministic: the same rows in the same order
-// give the same partition, so walks repeat their work counts exactly.
-func buildVecView(m metric.Distance, rows []*Row) *VecView {
-	type ent struct {
-		row *Row
-		d   float64 // distance to the vantage of the last split, for a leaf row its parent's
-	}
-	var ents []ent
-	dims, maxDim := 0, 0
+// vector, for metric m at registration generation gen. The partition's
+// shape depends only on the row count, so it is laid out first; the
+// splits then fill it on GOMAXPROCS goroutines, disjoint subtrees
+// concurrently. The build is deterministic: the same rows in the same
+// order give the same view, field for field, at any GOMAXPROCS, so
+// walks repeat their work counts exactly.
+func buildVecView(m metric.Distance, gen uint64, rows []*Row) *VecView {
+	var ents []vecEnt
+	maxDim := 0
 	for _, row := range rows {
 		if row.Vec != nil {
-			ents = append(ents, ent{row: row})
-			dims += len(row.Vec)
+			ents = append(ents, vecEnt{row: row})
 			maxDim = max(maxDim, len(row.Vec))
 		}
 	}
-	v := &VecView{m: m}
+	v := &VecView{m: m, gen: gen}
 	if p, ok := m.(metric.Pruner); ok {
 		v.p, v.t = p, p.Pruning()
 	}
@@ -130,86 +147,155 @@ func buildVecView(m metric.Distance, rows []*Row) *VecView {
 		leaves = 1
 	}
 	v.over = make([]atomic.Pointer[vecOver], leaves)
-	v.nodes = append(v.nodes, vecNode{hi: int32(len(ents)), dmax: math.Float64bits(math.Inf(1))})
+	v.nodes = vecShape(len(ents), leaves)
 	// The vantages share one copy of their own, laid out depth first as
-	// the walks read them; a partition of L leaves has L-1 vantages, so
-	// the copy never grows past its capacity and never moves.
-	vdata := make([]float32, 0, (leaves-1)*maxDim)
-	var sum []float64
+	// the walks read them: a partition of L leaves has L-1 vantages, and
+	// the one of the internal node whose children are nodes[left] and
+	// nodes[left+1] takes slot (left-1)/2, maxDim floats wide.
+	b := &vecBuild{v: v, ents: ents, vdata: make([]float32, (leaves-1)*maxDim), maxDim: maxDim}
+	workers := runtime.GOMAXPROCS(0)
+	b.split(0, workers)
+	b.copyRows(workers)
+	return v
+}
+
+// vecShape lays out the partition of n built rows into the given
+// number of leaves: every node's row range and children. An internal
+// node's children split its leaves in two, the inner child taking the
+// larger half, so the only short leaf is the last row range. Internal
+// nodes get their children in the order a depth-first walk that visits
+// the outer child first reaches them.
+func vecShape(n, leaves int) []vecNode {
+	nodes := make([]vecNode, 1, 2*leaves-1)
+	nodes[0] = vecNode{hi: int32(n), dmax: math.Float64bits(math.Inf(1))}
+	if leaves == 1 {
+		return nodes
+	}
 	for stack := []int32{0}; len(stack) > 0; {
 		node := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		lo, hi := int(v.nodes[node].lo), int(v.nodes[node].hi)
-		if hi-lo <= vecLeaf || v.p == nil {
+		lo, hi := nodes[node].lo, nodes[node].hi
+		if hi-lo <= vecLeaf {
 			continue
 		}
-		part := ents[lo:hi]
-		// The vantage is the mean of up to vecMeanSample evenly spaced
-		// rows of the partition (shorter vectors zero-padded, as the
-		// metrics compare them). The triangle inequality holds for any
-		// point of the space, not only for rows, and on clustered data a
-		// central vantage prunes best (EXPERIMENTS.md, "The vector
-		// view").
-		dim := 0
-		for _, e := range part {
-			dim = max(dim, len(e.row.Vec))
-		}
-		sum = append(sum[:0], make([]float64, dim)...)
-		step := max(1, len(part)/vecMeanSample)
-		n := 0
-		for i := 0; i < len(part); i += step {
-			vec := part[i].row.Vec
-			acc := sum[:len(vec)]
-			for j, x := range vec[:len(acc)] {
-				acc[j] += float64(x)
-			}
-			n++
-		}
-		off := len(vdata)
-		for _, x := range sum {
-			vdata = append(vdata, float32(x/float64(n)))
-		}
-		vantage := metric.Vector(vdata[off:len(vdata):len(vdata)])
-		for i := range part {
-			part[i].d = v.t.Dist(vantage, part[i].row.Vec)
-		}
-		// The inner child takes the nearer half of the leaves, all full,
-		// so the only short leaf is the last row range of the view.
 		mid := lo + ((hi-lo+vecLeaf-1)/vecLeaf+1)/2*vecLeaf
-		splitAt(part, mid-lo, func(a, b ent) bool { return a.d < b.d || a.d == b.d && a.row.ID < b.row.ID })
-		inner, outer := vecNode{lo: int32(lo), hi: int32(mid)}, vecNode{lo: int32(mid), hi: int32(hi)}
-		for _, c := range []*vecNode{&inner, &outer} {
-			dmin, dmax := math.Inf(1), math.Inf(-1)
-			for _, e := range ents[c.lo:c.hi] {
-				dmin, dmax = min(dmin, e.d), max(dmax, e.d)
-			}
-			c.setBounds(dmin, dmax)
-		}
-		left := int32(len(v.nodes))
-		v.nodes[node].left, v.nodes[node].vantage = left, vantage
-		v.nodes = append(v.nodes, inner, outer)
+		left := int32(len(nodes))
+		nodes[node].left = left
+		nodes = append(nodes, vecNode{lo: lo, hi: mid}, vecNode{lo: mid, hi: hi})
 		stack = append(stack, left, left+1)
 	}
-	// Within a leaf the rows ascend by pivot, so the rows a walk's pivot
-	// bound admits form one run.
-	for lo := 0; lo < len(ents); lo += vecLeaf {
-		slices.SortFunc(ents[lo:min(lo+vecLeaf, len(ents))], func(a, b ent) int {
-			return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.row.ID, b.row.ID))
-		})
+	return nodes
+}
+
+// split fills the subtree under node on up to workers goroutines. An
+// internal node measures its rows' distances to its vantage on all of
+// them, moves the nearer rows to its inner child and sets both
+// children's intervals; its children then split concurrently, sharing
+// its workers. A leaf sorts its rows by distance to its parent's
+// vantage, so the rows a walk's pivot bound admits form one run (a
+// flat view's one leaf sorts each vecLeaf-row run of it).
+func (b *vecBuild) split(node int32, workers int) {
+	n := &b.v.nodes[node]
+	lo, hi := int(n.lo), int(n.hi)
+	if n.left == 0 {
+		for ; lo < hi; lo += vecLeaf {
+			slices.SortFunc(b.ents[lo:min(lo+vecLeaf, hi)], func(a, b vecEnt) int {
+				return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.row.ID, b.row.ID))
+			})
+		}
+		return
 	}
-	data := make([]float32, 0, dims)
+	part := b.ents[lo:hi]
+	// The vantage is the mean of up to vecMeanSample evenly spaced rows
+	// of the partition (shorter vectors zero-padded, as the metrics
+	// compare them). The triangle inequality holds for any point of the
+	// space, not only for rows, and on clustered data a central vantage
+	// prunes best (EXPERIMENTS.md, "The vector view").
+	dim := 0
+	for _, e := range part {
+		dim = max(dim, len(e.row.Vec))
+	}
+	sum := make([]float64, dim)
+	step := max(1, len(part)/vecMeanSample)
+	cnt := 0
+	for i := 0; i < len(part); i += step {
+		vec := part[i].row.Vec
+		acc := sum[:len(vec)]
+		for j, x := range vec[:len(acc)] {
+			acc[j] += float64(x)
+		}
+		cnt++
+	}
+	off := int(n.left-1) / 2 * b.maxDim
+	vantage := metric.Vector(b.vdata[off : off+dim : off+dim])
+	for j, x := range sum {
+		vantage[j] = float32(x / float64(cnt))
+	}
+	n.vantage = vantage
+	t := b.v.t
+	inParallel(len(part), workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			part[i].d = t.Dist(vantage, part[i].row.Vec)
+		}
+	})
+	inner, outer := &b.v.nodes[n.left], &b.v.nodes[n.left+1]
+	k := int(inner.hi) - lo
+	splitAt(part, k, func(a, b vecEnt) bool { return a.d < b.d || a.d == b.d && a.row.ID < b.row.ID })
+	for _, c := range []*vecNode{inner, outer} {
+		dmin, dmax := math.Inf(1), math.Inf(-1)
+		for _, e := range b.ents[c.lo:c.hi] {
+			dmin, dmax = min(dmin, e.d), max(dmax, e.d)
+		}
+		c.setBounds(dmin, dmax)
+	}
+	if workers == 1 {
+		b.split(n.left, 1)
+		b.split(n.left+1, 1)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		b.split(n.left+1, workers/2)
+	}()
+	b.split(n.left, workers-workers/2)
+	wg.Wait()
+}
+
+// copyRows lays the built rows out in leaf order: their vectors in one
+// contiguous copy, each row's window of it, the rows and their pivots,
+// on up to workers goroutines over contiguous ranges.
+func (b *vecBuild) copyRows(workers int) {
+	v, ents := b.v, b.ents
 	v.vecs = make([]metric.Vector, len(ents))
 	v.rows = make([]*Row, len(ents))
 	v.pivot = make([]float64, len(ents))
-	for i, e := range ents {
-		v.pivot[i] = e.d
-		off := len(data)
-		data = append(data, e.row.Vec...)
-		v.vecs[i] = data[off:len(data):len(data)]
-		v.rows[i] = e.row
+	// Each range's first offset into the copy is the dimensions of the
+	// ranges before it.
+	offs := make([]int, workers+1)
+	inParallel(len(ents), workers, func(c, lo, hi int) {
+		for _, e := range ents[lo:hi] {
+			offs[c+1] += len(e.row.Vec)
+		}
+	})
+	for c := range workers {
+		offs[c+1] += offs[c]
 	}
-	return v
+	data := make([]float32, offs[workers])
+	inParallel(len(ents), workers, func(c, lo, hi int) {
+		off := offs[c]
+		for i := lo; i < hi; i++ {
+			e := ents[i]
+			end := off + copy(data[off:], e.row.Vec)
+			v.vecs[i], v.rows[i], v.pivot[i] = data[off:end:end], e.row, e.d
+			off = end
+		}
+	})
 }
+
+// rebuilt is a view of the same metric and registration over rows.
+func (v *VecView) rebuilt(rows []*Row) *VecView { return buildVecView(v.m, v.gen, rows) }
 
 // splitAt reorders s so that its first k elements are its k smallest
 // under less, a strict total order: a quickselect with a

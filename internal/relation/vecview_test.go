@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -236,7 +237,7 @@ func TestVecViewWorkRepeats(t *testing.T) {
 	}
 	snap := r.Snapshot()
 	q := metric.Vector{3, 3, 3}
-	a, b := buildVecView(l2, snap.h.rows), buildVecView(l2, snap.h.rows)
+	a, b := buildVecView(l2, 0, snap.h.rows), buildVecView(l2, 0, snap.h.rows)
 	walk := func(v *VecView) walkFunc {
 		return func(bound *float64, emit func([]*Row, []float64)) index.Stats { return v.walk(snap, q, bound, emit) }
 	}
@@ -442,6 +443,119 @@ func TestVecWalkOldSnapshot(t *testing.T) {
 		slices.SortFunc(all, byDistID)
 		if got := viewNearest(l2, []*Snapshot{old}, q, 10); fmt.Sprint(got) != fmt.Sprint(all[:10]) {
 			t.Fatalf("NEAREST 10 to %v at the old snapshot:\nview  %v\nbrute %v", q, got, all[:10])
+		}
+	}
+}
+
+// flatTestMetric is an unregistered metric that is no Pruner: its view
+// is flat.
+type flatTestMetric struct{}
+
+func (flatTestMetric) Name() string { return "test-flat" }
+
+func (flatTestMetric) Dist(a, b metric.Vector) float64 { return metric.L2{}.Dist(a, b) }
+
+// viewDiff describes the first field in which two views differ, or
+// returns "" when they agree field for field: node ranges, children,
+// intervals and vantage bits, row order (by id), vector bits, pivots,
+// leaf overflows and the insert count.
+func viewDiff(a, b *VecView) string {
+	bits := func(v metric.Vector) []uint32 {
+		out := make([]uint32, len(v))
+		for i, x := range v {
+			out[i] = math.Float32bits(x)
+		}
+		return out
+	}
+	if a.m.Name() != b.m.Name() || a.gen != b.gen || (a.p == nil) != (b.p == nil) || a.added != b.added {
+		return fmt.Sprintf("metric %s/%d/%v/%d vs %s/%d/%v/%d", a.m.Name(), a.gen, a.p != nil, a.added, b.m.Name(), b.gen, b.p != nil, b.added)
+	}
+	if len(a.nodes) != len(b.nodes) || len(a.rows) != len(b.rows) || len(a.over) != len(b.over) {
+		return fmt.Sprintf("%d nodes, %d rows, %d leaves vs %d, %d, %d", len(a.nodes), len(a.rows), len(a.over), len(b.nodes), len(b.rows), len(b.over))
+	}
+	for i := range a.nodes {
+		x, y := &a.nodes[i], &b.nodes[i]
+		if x.lo != y.lo || x.hi != y.hi || x.left != y.left || x.dmin != y.dmin || x.dmax != y.dmax ||
+			(x.vantage == nil) != (y.vantage == nil) || !slices.Equal(bits(x.vantage), bits(y.vantage)) {
+			return fmt.Sprintf("node %d: %+v vs %+v", i, *x, *y)
+		}
+	}
+	for i := range a.rows {
+		if a.rows[i].ID != b.rows[i].ID || math.Float64bits(a.pivot[i]) != math.Float64bits(b.pivot[i]) ||
+			!slices.Equal(bits(a.vecs[i]), bits(b.vecs[i])) || cap(a.vecs[i]) != cap(b.vecs[i]) {
+			return fmt.Sprintf("row %d: id %d pivot %v vs id %d pivot %v", i, a.rows[i].ID, a.pivot[i], b.rows[i].ID, b.pivot[i])
+		}
+	}
+	ids := func(o *vecOver) (out []int) {
+		if o != nil {
+			for _, row := range o.rows {
+				out = append(out, row.ID)
+			}
+		}
+		return out
+	}
+	for l := range a.over {
+		x, y := a.over[l].Load(), b.over[l].Load()
+		if (x == nil) != (y == nil) || !slices.Equal(ids(x), ids(y)) {
+			return fmt.Sprintf("leaf %d overflows differ", l)
+		}
+	}
+	return ""
+}
+
+// TestVecViewBuildDeterministic: a view built at GOMAXPROCS 1, 2 and 4
+// is the same view, field for field, for l2, for cosine's chord, for a
+// flat view and for the rebuild an insert makes after a doubling, over
+// mixed dimensions and rows without a vector.
+func TestVecViewBuildDeterministic(t *testing.T) {
+	l2, _ := metric.Lookup("l2")
+	cosine, _ := metric.Lookup("cosine")
+	rng := rand.New(rand.NewSource(47))
+	rows := make([]InsertRow, 3001)
+	for i := range rows {
+		rows[i] = InsertRow{Vec: clusteredVec(rng)}
+	}
+	extra := make([]InsertRow, 3100)
+	for i := range extra {
+		extra[i] = InsertRow{Vec: clusteredVec(rng)}
+	}
+	r := New("v")
+	r.InsertBatch(rows)
+	arena := r.Snapshot().h.rows
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, m := range []metric.Distance{l2, cosine, flatTestMetric{}} {
+		for _, n := range []int{0, 1, vecLeaf + 1, 100, len(arena)} {
+			var want *VecView
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				v := buildVecView(m, 0, arena[:n])
+				if want == nil {
+					want = v
+				} else if d := viewDiff(want, v); d != "" {
+					t.Fatalf("%s, %d rows: GOMAXPROCS %d builds another view: %s", m.Name(), n, procs, d)
+				}
+			}
+		}
+	}
+	// The rebuild after a doubling: the insert that brings the inserted
+	// rows past the built ones installs a new view.
+	var want *VecView
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		r := New("v")
+		r.InsertBatch(rows)
+		built := r.VecView(l2)
+		for _, in := range extra {
+			r.InsertOne(in)
+		}
+		v := r.VecView(l2)
+		if v == built || v.added == 0 {
+			t.Fatalf("GOMAXPROCS %d: no rebuild, or none followed by inserts; the test lost its point", procs)
+		}
+		if want == nil {
+			want = v
+		} else if d := viewDiff(want, v); d != "" {
+			t.Fatalf("rebuild after a doubling at GOMAXPROCS %d differs: %s", procs, d)
 		}
 	}
 }
