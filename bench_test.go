@@ -1006,3 +1006,56 @@ func benchDistanceAllVecs(b *testing.B, metricName string) {
 		distanceAllSink = int(out[0])
 	}
 }
+
+// BenchmarkLoadWords times relation.Load of the Store text of the
+// 20 000 NearestWords words, the set-up every `simqd -load` of a word
+// file pays before it serves.
+func BenchmarkLoadWords(b *testing.B) {
+	rel, _ := nearestWordsBench(b)
+	benchLoad(b, rel)
+}
+
+// BenchmarkLoadVecs times relation.Load of the Store text of the
+// 20 000 x 64-dim NearestVecs vectors.
+func BenchmarkLoadVecs(b *testing.B) {
+	rel, _ := nearestVecsBench(b)
+	benchLoad(b, rel)
+}
+
+func benchLoad(b *testing.B, rel *relation.Relation) {
+	var text strings.Builder
+	if err := rel.Store(&text); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(text.Len()))
+	b.ReportAllocs()
+	runtime.GC()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := relation.Load("r", strings.NewReader(text.String()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got.Len() != rel.Len() {
+			b.Fatalf("loaded %d rows, want %d", got.Len(), rel.Len())
+		}
+	}
+}
+
+// BenchmarkBuildVecView times the first-use build of the l2 vector view
+// over the 20 000 x 64-dim NearestVecs vectors, the rest of a vector
+// relation's set-up before its first answer.
+func BenchmarkBuildVecView(b *testing.B) {
+	rel, _ := nearestVecsBench(b)
+	rows, next := rel.DumpState()
+	l2, _ := metric.Lookup("l2")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh := relation.Rebuild("vecs", rows, next)
+		runtime.GC()
+		b.StartTimer()
+		fresh.VecView(l2)
+	}
+}
