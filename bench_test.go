@@ -4,6 +4,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -844,8 +845,8 @@ func BenchmarkNearestWords(b *testing.B) {
 // BENCH_baseline.json; the words_wide workload guards it end to end.
 func BenchmarkWideWords(b *testing.B) {
 	pq, res, targets := preparedWords(b, `SELECT id, seq, dist FROM words WHERE seq SIMILAR TO ? WITHIN 5 USING edits ORDER BY dist`)
-	if !strings.Contains(res.Plan, "order=dist)") || strings.Contains(res.Plan, "OrderByDist") {
-		b.Fatalf("expected a leaf-ordered IndexRange and no OrderByDist:\n%s", res.Plan)
+	if !strings.Contains(res.Plan(), "order=dist)") || strings.Contains(res.Plan(), "OrderByDist") {
+		b.Fatalf("expected a leaf-ordered IndexRange and no OrderByDist:\n%s", res.Plan())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -940,8 +941,8 @@ func benchNearestVecs(b *testing.B, metricName string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !strings.Contains(res.Plan, "VecNearestK(vecs via vecview") {
-		b.Fatalf("expected the vector view's VecNearestK:\n%s", res.Plan)
+	if !strings.Contains(res.Plan(), "VecNearestK(vecs via vecview") {
+		b.Fatalf("expected the vector view's VecNearestK:\n%s", res.Plan())
 	}
 	args := make([]string, len(targets))
 	for i, v := range targets {
@@ -974,7 +975,7 @@ func BenchmarkVecRangeAll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := 0
 		r := math.MaxFloat64
-		snap.VecWalk(l2, targets[i%len(targets)], &r, func(rows []*relation.Row, _ []float64) { n += len(rows) })
+		snap.VecWalk(context.Background(), l2, targets[i%len(targets)], &r, func(rows []*relation.Row, _ []float64) { n += len(rows) })
 		if n != snap.Len() {
 			b.Fatalf("%d rows within the diameter, want %d", n, snap.Len())
 		}

@@ -132,7 +132,7 @@ func run(eng *query.Engine, stmt string) error {
 		fmt.Println(strings.Join(row, "\t"))
 	}
 	fmt.Fprintf(os.Stderr, "(%d rows; %d candidates, %d verifications; plan:\n%s)\n",
-		len(res.Rows), res.Stats.Candidates, res.Stats.Verifications, indent(res.Plan, "  "))
+		len(res.Rows), res.Stats.Candidates, res.Stats.Verifications, indent(res.Plan(), "  "))
 	return nil
 }
 

@@ -47,15 +47,16 @@
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: listeners close,
 // in-flight requests get a drain window, then the process exits. Each
-// read request runs under a deadline (-timeout, optionally tightened
-// per request); a request that exceeds it before its first rows are
-// written gets 504 while its abandoned execution finishes in the
-// background (the engine has no cancellation points — a deliberate
-// trade documented in DESIGN.md). /v1/query streams its rows block by
-// block, so a reply that fails after its first block keeps status 200
-// and ends with the error envelope's fields (reply.go). DML requests
-// are exempt: a write runs to completion so the response always tells
-// the truth about whether the commit happened.
+// statement runs on its request's goroutine. A read runs under a
+// deadline (-timeout, optionally tightened per request), which the
+// engine checks per block, length band, vector-view node and join
+// outer row, so a read past its deadline stops within one of them: one
+// that has written no rows yet answers 504, and nothing of it runs on.
+// /v1/query streams its rows block by block, so a reply that fails
+// after its first block keeps status 200 and ends with the error
+// envelope's fields (reply.go). DML requests are exempt: a write runs
+// to completion so the response always tells the truth about whether
+// the commit happened.
 package main
 
 import (
@@ -461,7 +462,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	rw := newReplyWriter(w)
 	defer rw.release()
-	res, err := s.execute(r.Context(), pq, req, false, rw)
+	res, err := s.execute(r.Context(), pq, req, rw)
 	if err != nil {
 		if !rw.committed {
 			s.fail(w, traceID, err)
@@ -476,7 +477,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.maybeLogSlow(traceID, req, res, rw.rows, elapsed)
 	plan := ""
 	if pq.Analyzed() {
-		plan = res.Plan
+		plan = res.Plan()
 	}
 	rw.finish(res.Columns, plan, replyTail{
 		RowCount: rw.rows,
@@ -519,7 +520,7 @@ func (s *server) maybeLogSlow(traceID string, req *request, res *query.Result, r
 	}
 	if res != nil {
 		line["rows"] = rows
-		line["plan"] = res.Plan
+		line["plan"] = res.Plan()
 		line["plan_cache_hit"] = res.Stats.PlanCacheHit
 		if res.Trace != nil {
 			line["trace"] = res.Trace
@@ -580,12 +581,18 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, traceID, err)
 		return
 	}
-	res, err := s.execute(r.Context(), pq, req, true, nil)
+	s.requests.Add(1)
+	var plan string
+	if len(req.Named) > 0 {
+		plan, err = pq.ExplainNamed(req.Named)
+	} else {
+		plan, err = pq.Explain(req.Params...)
+	}
 	if err != nil {
 		s.fail(w, traceID, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"plan": res.Plan})
+	writeJSON(w, http.StatusOK, map[string]string{"plan": plan})
 }
 
 // ingestRequest is the body of /ingest: a batch of rows for one
@@ -734,78 +741,33 @@ func (s *server) statement(req *request) (pq *query.PreparedQuery, cached bool, 
 	return s.eng.Statement(req.Query)
 }
 
-// execute runs a statement bound to the request's params under the
-// request's deadline, streaming its rows into out (nil for an explain,
-// which returns the plan in the Result). DML requests are exempt from
-// the abandon-on-timeout pattern: a write runs to completion on the
-// request goroutine, so the response always reflects whether the
-// commit happened — answering 504 while a detached goroutine commits
-// anyway would tell the client a durable write failed.
-func (s *server) execute(ctx context.Context, pq *query.PreparedQuery, req *request, explain bool, out *replyWriter) (*query.Result, error) {
-	run := func() (*query.Result, error) {
-		switch {
-		case explain:
-			var plan string
-			var err error
-			if len(req.Named) > 0 {
-				plan, err = pq.ExplainNamed(req.Named)
-			} else {
-				plan, err = pq.Explain(req.Params...)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return &query.Result{Plan: plan}, nil
-		case len(req.Named) > 0:
-			return pq.ExecuteNamedTo(out.block, req.Named)
-		default:
-			return pq.ExecuteTo(out.block, req.Params...)
-		}
-	}
-
-	if pq.IsMutation() && !explain {
-		s.requests.Add(1)
-		s.inFlight.Add(1)
-		defer s.inFlight.Add(-1)
-		return run()
-	}
-
+// execute runs a statement bound to the request's params on the
+// handler's goroutine, streaming its rows into out, under the request's
+// deadline: a read stops at the engine's next cancellation point once
+// the deadline passes or the client goes away, and fails as a timeout.
+// The engine runs DML to completion whatever the context, so a write's
+// response always tells whether the commit happened.
+func (s *server) execute(ctx context.Context, pq *query.PreparedQuery, req *request, out *replyWriter) (*query.Result, error) {
+	s.requests.Add(1)
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
 	timeout := s.timeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
+	if d := time.Duration(req.TimeoutMS) * time.Millisecond; d > 0 && d < timeout {
+		timeout = d
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	if out != nil {
-		out.ctx = ctx
+	var res *query.Result
+	var err error
+	if len(req.Named) > 0 {
+		res, err = pq.ExecuteNamedTo(ctx, out.block, req.Named)
+	} else {
+		res, err = pq.ExecuteTo(ctx, out.block, req.Params...)
 	}
-
-	s.requests.Add(1)
-	s.inFlight.Add(1)
-	type outcome struct {
-		res *query.Result
-		err error
+	if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+		err = errTimeout(err)
 	}
-	done := make(chan outcome, 1) // buffered: an abandoned run must not leak its goroutine
-	go func() {
-		defer s.inFlight.Add(-1)
-		res, err := run()
-		done <- outcome{res, err}
-	}()
-	select {
-	case out := <-done:
-		return out.res, out.err
-	case <-ctx.Done():
-		if out == nil || out.abandon() {
-			return nil, errTimeout(ctx.Err())
-		}
-		// The reply is committed and its rows are the run's to write: wait
-		// for the run, which fails with the deadline at its next block.
-		o := <-done
-		return o.res, o.err
-	}
+	return res, err
 }
 
 func (s *server) decode(w http.ResponseWriter, r *http.Request, traceID string) (*request, bool) {

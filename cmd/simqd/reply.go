@@ -10,12 +10,11 @@ package main
 // The first block commits the reply: it sets status 200 and encodes the
 // body's head. Before that, an error or a missed deadline answers with
 // the usual status and error envelope. After it, an error — the
-// deadline included, which the writer checks on every block — closes
-// "rows" and ends the object with the envelope's fields in place of
-// row_count, stats and elapsed_ms.
+// deadline included, which the engine checks before every block it
+// hands over — closes "rows" and ends the object with the envelope's
+// fields in place of row_count, stats and elapsed_ms.
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -23,21 +22,16 @@ import (
 )
 
 // replyWriter streams one /v1/query reply into w. Its block method is
-// the statement's RowSink and runs on the executing goroutine; the
-// handler writes what comes after the last block once the execution has
-// returned. The handler gives up on a reply that is not yet committed
-// with abandon, after which block writes nothing.
+// the statement's RowSink; the statement runs on the handler's
+// goroutine, so the handler writes what comes after the last block once
+// the execution has returned, and nothing else ever touches the writer.
 //
 // Blocks are encoded into buf, a pooled buffer that goes to w whenever
 // it holds flushBytes: writing every block costs a socket write per 256
 // rows, which measured slower on words_wide than writing every 32 KB.
 type replyWriter struct {
-	w   http.ResponseWriter
-	ctx context.Context // the request's deadline; nil for a write, which has none
-
-	mu        sync.Mutex
+	w         http.ResponseWriter
 	committed bool // the first block was encoded: status 200 is sent
-	abandoned bool // the handler answered without the rows
 
 	buf    []byte  // encoded, not yet written
 	pooled *[]byte // buf's entry in replyBufs
@@ -62,9 +56,8 @@ func newReplyWriter(w http.ResponseWriter) *replyWriter {
 	return &replyWriter{w: w, buf: (*bp)[:0], pooled: bp}
 }
 
-// release returns the writer's buffer to the pool. The handler calls it
-// once the execution can no longer encode into the buffer: after the
-// run returned, or after abandon, past which block never touches it.
+// release returns the writer's buffer to the pool once the reply is
+// written.
 func (rw *replyWriter) release() {
 	if cap(rw.buf) <= maxPooledReplyBuf {
 		*rw.pooled = rw.buf[:0]
@@ -75,19 +68,8 @@ func (rw *replyWriter) release() {
 // block is the RowSink: it commits the reply on the first block and
 // appends the block's rows to the body.
 func (rw *replyWriter) block(columns []string, rows [][]string) error {
-	if rw.ctx != nil {
-		if err := rw.ctx.Err(); err != nil {
-			return errTimeout(err)
-		}
-	}
-	rw.mu.Lock()
-	if rw.abandoned {
-		rw.mu.Unlock()
-		return errTimeout(context.DeadlineExceeded)
-	}
 	first := !rw.committed
 	rw.committed = true
-	rw.mu.Unlock()
 	b := rw.buf
 	if first {
 		b = appendHead(b, columns)
@@ -111,17 +93,6 @@ func (rw *replyWriter) block(columns []string, rows [][]string) error {
 	rw.buf = b[:0]
 	_, err := rw.w.Write(b)
 	return err
-}
-
-// abandon stops the reply from being written when no block has been:
-// the handler answers the request itself. It reports false when the
-// reply is already committed, in which case the handler must wait for
-// the execution to return and then end the reply.
-func (rw *replyWriter) abandon() bool {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	rw.abandoned = !rw.committed
-	return rw.abandoned
 }
 
 // finish ends a reply the execution completed: rows null when no block

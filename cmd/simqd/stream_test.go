@@ -244,28 +244,44 @@ func TestStreamDeadlineAfterFirstBlock(t *testing.T) {
 }
 
 // TestStreamDeadlineBeforeFirstBlock: a deadline that passes before the
-// first block answers 504 with the plain envelope, and the abandoned
-// execution writes nothing after it (the race detector checks the
-// writer is not touched concurrently).
+// first block answers 504 with the plain envelope, and the execution
+// has stopped by then: nothing is in flight once the handler returns,
+// and nothing writes after the 504. A scan that matches no row answers
+// within a fraction of the time the whole statement takes.
 func TestStreamDeadlineBeforeFirstBlock(t *testing.T) {
 	s := newStreamServer(t, 1)
+	timedOut := func(stmt string) time.Duration {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		postQuery(t, s, rec, map[string]any{"query": stmt, "timeout_ms": 1})
+		took := time.Since(start)
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("status %d, want 504: %.300s", rec.Code, rec.Body)
+		}
+		if n := s.inFlight.Load(); n != 0 {
+			t.Fatalf("%d executions still in flight after the 504", n)
+		}
+		if env := decodeEnvelope(t, rec, rec.Body.Bytes()); env.Code != "timeout" {
+			t.Fatalf("envelope %+v", env)
+		}
+		return took
+	}
 	// A self-join sorted by distance: no row leaves before every pair
 	// within 1 edit of 3 000 words has been found.
-	stmt := `SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits ORDER BY dist`
+	timedOut(`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits ORDER BY dist`)
+
+	// A pattern no word is within 1 edit of: the scan emits nothing.
+	const scan = `SELECT id FROM words WHERE seq SIMILAR TO PATTERN "((a|b)(c|d)|(e|f)(g|h))*xyzzy" WITHIN 1 USING edits`
 	rec := httptest.NewRecorder()
-	postQuery(t, s, rec, map[string]any{"query": stmt, "timeout_ms": 1})
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504: %.300s", rec.Code, rec.Body)
+	start := time.Now()
+	postQuery(t, s, rec, map[string]any{"query": scan})
+	whole := time.Since(start)
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"row_count":0`) {
+		t.Fatalf("the whole scan: status %d, %.300s", rec.Code, rec.Body)
 	}
-	body := append([]byte(nil), rec.Body.Bytes()...)
-	if env := decodeEnvelope(t, rec, body); env.Code != "timeout" {
-		t.Fatalf("envelope %+v", env)
-	}
-	for s.inFlight.Load() > 0 {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !bytes.Equal(rec.Body.Bytes(), body) {
-		t.Fatalf("the abandoned execution wrote after the 504:\n%s", rec.Body)
+	if took := timedOut(scan); took > whole/2 {
+		t.Fatalf("the 504 took %v; the whole scan takes %v", took, whole)
 	}
 }
 

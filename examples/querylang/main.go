@@ -53,6 +53,6 @@ func main() {
 			fmt.Printf("  %v\n", row)
 		}
 		fmt.Printf("  (%d rows; plan:\n    %s)\n\n", len(res.Rows),
-			strings.ReplaceAll(res.Plan, "\n", "\n    "))
+			strings.ReplaceAll(res.Plan(), "\n", "\n    "))
 	}
 }

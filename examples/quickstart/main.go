@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nwords within 0.5 of \"color\", plan:\n  %s\n", strings.ReplaceAll(res.Plan, "\n", "\n  "))
+	fmt.Printf("\nwords within 0.5 of \"color\", plan:\n  %s\n", strings.ReplaceAll(res.Plan(), "\n", "\n  "))
 	for _, row := range res.Rows {
 		fmt.Printf("  %-8s dist=%s\n", row[0], row[1])
 	}

@@ -59,8 +59,8 @@ func TestPipelineStoreLoadQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(scan.Plan, "Scan") {
-		t.Fatalf("expected scan plan, got %s", scan.Plan)
+	if !strings.Contains(scan.Plan(), "Scan") {
+		t.Fatalf("expected scan plan, got %s", scan.Plan())
 	}
 	if len(scan.Rows) != len(res.Rows) {
 		t.Errorf("scan %d rows, index %d rows", len(scan.Rows), len(res.Rows))

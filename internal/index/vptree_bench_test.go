@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -88,7 +89,7 @@ func BenchmarkVPTreeVsScan(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for _, q := range queries {
 						r := radius
-						st := snap.VecWalk(l2, q, &r, func(rows []*relation.Row, _ []float64) { hits += len(rows) })
+						st, _ := snap.VecWalk(context.Background(), l2, q, &r, func(rows []*relation.Row, _ []float64) { hits += len(rows) })
 						visited += st.Verifications
 					}
 				}

@@ -7,6 +7,7 @@ package query
 // counts below do not hold.
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -53,8 +54,8 @@ func TestIndexJoinAllocsFlatInOuterRows(t *testing.T) {
 		if len(res.Rows) != 0 {
 			t.Fatalf("%d outer rows: %d matches; the case no longer tests what it says", outerRows, len(res.Rows))
 		}
-		if want := "IndexJoin(probe o.seq into lengthview(d)"; !strings.Contains(res.Plan, want) {
-			t.Fatalf("%d outer rows: plan lacks %q:\n%s", outerRows, want, res.Plan)
+		if want := "IndexJoin(probe o.seq into lengthview(d)"; !strings.Contains(res.Plan(), want) {
+			t.Fatalf("%d outer rows: plan lacks %q:\n%s", outerRows, want, res.Plan())
 		}
 		return testing.AllocsPerRun(20, func() {
 			if _, err := e.Execute(stmt); err != nil {
@@ -101,8 +102,8 @@ func TestJoinEmitAllocsPerBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != 12*words || !strings.Contains(res.Plan, "IndexJoin(probe a.seq into lengthview(b)") {
-			t.Fatalf("%d words: %d pairs, plan:\n%s\nthe case no longer tests what it says", words, len(res.Rows), res.Plan)
+		if len(res.Rows) != 12*words || !strings.Contains(res.Plan(), "IndexJoin(probe a.seq into lengthview(b)") {
+			t.Fatalf("%d words: %d pairs, plan:\n%s\nthe case no longer tests what it says", words, len(res.Rows), res.Plan())
 		}
 		return testing.AllocsPerRun(20, func() {
 			if _, err := e.Execute(stmt); err != nil {
@@ -147,8 +148,8 @@ func TestRangeProjectAllocsPerBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != rows || strings.Contains(res.Plan, "OrderByDist") {
-			t.Fatalf("%d rows: %d matches, plan:\n%s\nthe case no longer tests what it says", rows, len(res.Rows), res.Plan)
+		if len(res.Rows) != rows || strings.Contains(res.Plan(), "OrderByDist") {
+			t.Fatalf("%d rows: %d matches, plan:\n%s\nthe case no longer tests what it says", rows, len(res.Rows), res.Plan())
 		}
 		return testing.AllocsPerRun(20, func() {
 			if _, err := pq.Execute("abcd"); err != nil {
@@ -189,11 +190,11 @@ func TestRangeProjectStreamAllocs(t *testing.T) {
 		}
 		n := 0
 		count := func(_ []string, rows [][]string) error { n += len(rows); return nil }
-		if _, err := pq.ExecuteTo(count, "abcd"); err != nil || n != rows {
+		if _, err := pq.ExecuteTo(context.Background(), count, "abcd"); err != nil || n != rows {
 			t.Fatalf("%d rows: %d streamed, %v", rows, n, err)
 		}
 		return testing.AllocsPerRun(20, func() {
-			if _, err := pq.ExecuteTo(count, "abcd"); err != nil {
+			if _, err := pq.ExecuteTo(context.Background(), count, "abcd"); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -204,4 +205,58 @@ func TestRangeProjectStreamAllocs(t *testing.T) {
 		t.Errorf("streamed allocations grow with rows: %v at %d rows, %v at %d", a, small, b, large)
 	}
 	t.Logf("allocations per streamed execution: %v at %d rows, %v at %d", a, small, b, large)
+}
+
+// TestServingAllocsPinned pins the allocations of the two serving
+// paths, each an indexed WITHIN with LIMIT 1 answering one row: a
+// statement-cache hit through Engine.Execute, and a prepared ExecuteTo
+// into a sink that keeps nothing: 19 and 18. Rendering the plan text on
+// every execution costs 18 more, so putting any of it back on the hot
+// path fails here.
+func TestServingAllocsPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	rel := relation.New("dict")
+	for i := 0; i < 20000; i++ {
+		w := make([]byte, 4+rng.Intn(8))
+		for j := range w {
+			w[j] = byte('a' + rng.Intn(26))
+		}
+		rel.Insert(string(w), nil)
+	}
+	rel.Insert("abcdefgh", nil)
+	cat := relation.NewCatalog()
+	cat.Add(rel)
+	e := NewEngine(cat)
+	if err := e.RegisterRuleSet(rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz")); err != nil {
+		t.Fatal(err)
+	}
+	const stmt = `SELECT seq FROM dict WHERE seq SIMILAR TO "abcdefgh" WITHIN 1 USING unit-edits LIMIT 1`
+	pq, err := e.Prepare(`SELECT seq FROM dict WHERE seq SIMILAR TO ? WITHIN ? USING unit-edits LIMIT 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Execute(stmt) // builds the length view, fills the cache
+	if err != nil || len(res.Rows) != 1 || !strings.Contains(res.Plan(), "IndexRange(dict via lengthview") {
+		t.Fatalf("%v, %v; the case no longer tests what it says", res, err)
+	}
+	ctx := context.Background()
+	keep := func([]string, [][]string) error { return nil }
+	for _, c := range []struct {
+		name string
+		pin  float64
+		run  func() error
+	}{
+		{"Engine.Execute, cache hit", 19, func() error { _, err := e.Execute(stmt); return err }},
+		{"PreparedQuery.ExecuteTo", 18, func() error { _, err := pq.ExecuteTo(ctx, keep, "abcdefgh", 1); return err }},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.pin {
+			t.Errorf("%s: %v allocations per execution, pinned at %v", c.name, got, c.pin)
+		}
+		t.Logf("%s: %v allocations per execution", c.name, got)
+	}
 }

@@ -121,8 +121,8 @@ func checkAnalyzeOracle(t *testing.T, e *Engine, stmt string, hasKernel bool, sl
 	if an.Trace == nil {
 		t.Fatalf("%q: ANALYZE returned no trace", stmt)
 	}
-	if an.Plan == "" || !strings.Contains(an.Plan, "rows=") || !strings.Contains(an.Plan, "time=") {
-		t.Fatalf("%q: ANALYZE plan lacks actuals:\n%s", stmt, an.Plan)
+	if an.Plan() == "" || !strings.Contains(an.Plan(), "rows=") || !strings.Contains(an.Plan(), "time=") {
+		t.Fatalf("%q: ANALYZE plan lacks actuals:\n%s", stmt, an.Plan())
 	}
 	if plain.Trace != nil {
 		t.Fatalf("%q: untraced execution leaked a trace", stmt)
@@ -132,7 +132,7 @@ func checkAnalyzeOracle(t *testing.T, e *Engine, stmt string, hasKernel bool, sl
 	var sawEst, sawKernel bool
 	for _, s := range all {
 		if s.Op == "" {
-			t.Fatalf("%q: span with empty operator label:\n%s", stmt, an.Plan)
+			t.Fatalf("%q: span with empty operator label:\n%s", stmt, an.Plan())
 		}
 		if s.EstRows >= 0 {
 			sawEst = true
@@ -143,29 +143,29 @@ func checkAnalyzeOracle(t *testing.T, e *Engine, stmt string, hasKernel bool, sl
 		// Every leaf is an access path and must carry a planner estimate
 		// (est-vs-actual is the whole point of ANALYZE).
 		if len(s.Children) == 0 && s.EstRows < 0 {
-			t.Fatalf("%q: leaf span %s has no estimate:\n%s", stmt, s.Op, an.Plan)
+			t.Fatalf("%q: leaf span %s has no estimate:\n%s", stmt, s.Op, an.Plan())
 		}
 	}
 	if !sawEst {
-		t.Fatalf("%q: no span carries an estimate:\n%s", stmt, an.Plan)
+		t.Fatalf("%q: no span carries an estimate:\n%s", stmt, an.Plan())
 	}
 	if sawKernel != hasKernel {
-		t.Fatalf("%q: kernel label presence = %v, want %v:\n%s", stmt, sawKernel, hasKernel, an.Plan)
+		t.Fatalf("%q: kernel label presence = %v, want %v:\n%s", stmt, sawKernel, hasKernel, an.Plan())
 	}
-	if hasKernel && !strings.Contains(an.Plan, "kernel=") {
-		t.Fatalf("%q: rendered plan lacks kernel label:\n%s", stmt, an.Plan)
+	if hasKernel && !strings.Contains(an.Plan(), "kernel=") {
+		t.Fatalf("%q: rendered plan lacks kernel label:\n%s", stmt, an.Plan())
 	}
 
 	// The root span's row count is the statement's result cardinality.
 	if an.Trace.Rows != int64(len(plain.Rows)) {
-		t.Fatalf("%q: root span rows=%d, result has %d:\n%s", stmt, an.Trace.Rows, len(plain.Rows), an.Plan)
+		t.Fatalf("%q: root span rows=%d, result has %d:\n%s", stmt, an.Trace.Rows, len(plain.Rows), an.Plan())
 	}
 
-	if !strings.Contains(an.Plan, "GatherMerge(") {
+	if !strings.Contains(an.Plan(), "GatherMerge(") {
 		return false
 	}
 	if slices < 2 {
-		t.Fatalf("%q: a serial engine planned a gather:\n%s", stmt, an.Plan)
+		t.Fatalf("%q: a serial engine planned a gather:\n%s", stmt, an.Plan())
 	}
 	var gather *obs.Span
 	for _, s := range all {
@@ -175,10 +175,10 @@ func checkAnalyzeOracle(t *testing.T, e *Engine, stmt string, hasKernel bool, sl
 		}
 	}
 	if gather == nil {
-		t.Fatalf("%q: gathered trace has no shard timings:\n%s", stmt, an.Plan)
+		t.Fatalf("%q: gathered trace has no shard timings:\n%s", stmt, an.Plan())
 	}
 	if len(gather.Shards) != slices {
-		t.Fatalf("%q: gather has %d shard timings, want %d:\n%s", stmt, len(gather.Shards), slices, an.Plan)
+		t.Fatalf("%q: gather has %d shard timings, want %d:\n%s", stmt, len(gather.Shards), slices, an.Plan())
 	}
 	for i, sh := range gather.Shards {
 		if sh.Shard != i {
@@ -188,7 +188,7 @@ func checkAnalyzeOracle(t *testing.T, e *Engine, stmt string, hasKernel bool, sl
 	// The fan-out below the gather merges one span per slice instance.
 	for _, c := range gather.Children {
 		if c.Instances != slices {
-			t.Fatalf("%q: merged child %s has %d instances, want %d:\n%s", stmt, c.Op, c.Instances, slices, an.Plan)
+			t.Fatalf("%q: merged child %s has %d instances, want %d:\n%s", stmt, c.Op, c.Instances, slices, an.Plan())
 		}
 	}
 	return true
@@ -335,8 +335,8 @@ func TestAnalyzeTracingToggle(t *testing.T) {
 	if res.Trace == nil {
 		t.Fatal("no trace with tracing on")
 	}
-	if strings.Contains(res.Plan, "rows=") {
-		t.Fatalf("plain traced execution rendered actuals into Plan:\n%s", res.Plan)
+	if strings.Contains(res.Plan(), "rows=") {
+		t.Fatalf("plain traced execution rendered actuals into Plan:\n%s", res.Plan())
 	}
 
 	e.SetTracing(false)
@@ -405,7 +405,7 @@ func TestAnalyzeGatherParallel(t *testing.T) {
 		gc, gv := totals(got.Trace)
 		if wc != gc || wv != gv || gc != int64(got.Stats.Candidates) || gv != int64(got.Stats.Verifications) {
 			t.Fatalf("%q: span totals cand=%d verif=%d, serial cand=%d verif=%d, stats %+v:\n%s",
-				stmt, gc, gv, wc, wv, got.Stats, got.Plan)
+				stmt, gc, gv, wc, wv, got.Stats, got.Plan())
 		}
 		var gather *obs.Span
 		for _, s := range flattenSpans(got.Trace) {
@@ -414,13 +414,13 @@ func TestAnalyzeGatherParallel(t *testing.T) {
 			}
 		}
 		if gather == nil || len(gather.Children) != 1 {
-			t.Fatalf("%q: no gather with one merged child:\n%s", stmt, got.Plan)
+			t.Fatalf("%q: no gather with one merged child:\n%s", stmt, got.Plan())
 		}
-		if c := gather.Children[0]; c.Instances != 4 || !strings.Contains(got.Plan, "instances=4") {
-			t.Fatalf("%q: merged child %s has %d instances, want 4:\n%s", stmt, c.Op, c.Instances, got.Plan)
+		if c := gather.Children[0]; c.Instances != 4 || !strings.Contains(got.Plan(), "instances=4") {
+			t.Fatalf("%q: merged child %s has %d instances, want 4:\n%s", stmt, c.Op, c.Instances, got.Plan())
 		}
 		if len(gather.Shards) != 4 {
-			t.Fatalf("%q: gather has %d shard timings, want 4:\n%s", stmt, len(gather.Shards), got.Plan)
+			t.Fatalf("%q: gather has %d shard timings, want 4:\n%s", stmt, len(gather.Shards), got.Plan())
 		}
 		var rows int64
 		for i, sh := range gather.Shards {
@@ -430,7 +430,7 @@ func TestAnalyzeGatherParallel(t *testing.T) {
 			rows += sh.Rows
 		}
 		if rows != gather.Rows {
-			t.Fatalf("%q: stream rows add up to %d, the gather emitted %d:\n%s", stmt, rows, gather.Rows, got.Plan)
+			t.Fatalf("%q: stream rows add up to %d, the gather emitted %d:\n%s", stmt, rows, gather.Rows, got.Plan())
 		}
 	}
 }

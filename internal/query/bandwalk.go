@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/editdp"
 	"repro/internal/index"
@@ -65,15 +66,6 @@ type bandWalk struct {
 	bound   float64
 	ibound  int
 	bounded bool
-}
-
-// newBandWalk returns a walk for target with no bound. unit must be
-// unitCost of calc's rule set, which the registry computes once per
-// rule set.
-func newBandWalk(calc *editdp.Calculator, unit bool, target string) *bandWalk {
-	w := &bandWalk{}
-	w.init(calc, unit, target)
-	return w
 }
 
 // init readies w for target with no bound under calc, keeping its
@@ -140,18 +132,22 @@ func (w *bandWalk) verify(seq string, covered bool) (float64, bool) {
 
 // walk visits snap's length view outward from the target's length and
 // hands every visible row within the bound to emit, which may tighten
-// the bound. It returns the walk's work counters: Candidates are the
-// rows of the visited bands, Verifications the distance computations.
-func (w *bandWalk) walk(snap *relation.Snapshot, covered bool, emit func(row *relation.Row, d float64)) ExecStats {
+// the bound. It returns the walk's work counters — Candidates are the
+// rows of the visited bands, Verifications the distance computations —
+// and, when ctx is done before a band, ctx's error.
+func (w *bandWalk) walk(ctx *execCtx, snap *relation.Snapshot, covered bool, emit func(row *relation.Row, d float64)) (ExecStats, error) {
 	var st ExecStats
 	bands := snap.LengthView().Bands(len(w.target))
 	for b, ok := bands.Next(); ok; b, ok = bands.Next() {
 		if delta := b.Len - len(w.target); w.bounded && max(delta, -delta) > w.ibound {
 			break
 		}
+		if err := ctx.err(); err != nil {
+			return st, err
+		}
 		w.band(b, 0, snap, covered, emit, &st)
 	}
-	return st
+	return st, nil
 }
 
 // band verifies the rows of one band from entry from on, counting them
@@ -244,7 +240,7 @@ type lengthViewProbe struct {
 	symmetric bool               // a self-join step that verifies each unordered pair once
 	val       valFn              // a join's probe value over the outer slots
 
-	w       bandWalk
+	w       *bandWalk // from walkPool between open and release
 	snap    *relation.Snapshot
 	covered bool
 	pairs   *pairWalk // the symmetric walk's state
@@ -268,6 +264,7 @@ func (p *lengthViewProbe) open(ctx *execCtx, snap *relation.Snapshot) (ExecStats
 	if ent == nil || ent.calc == nil {
 		return ExecStats{}, fmt.Errorf("query: stale plan: rule set %q has no calculator", p.sim.RuleSet)
 	}
+	p.w = walkPool.Get().(*bandWalk)
 	p.w.init(ent.calc, ent.unit, p.sim.Target.Lit)
 	p.w.setBound(p.sim.Radius)
 	p.snap, p.covered = snap, covers(ent.calc, snap)
@@ -284,21 +281,32 @@ func (p *lengthViewProbe) aim(b *Batch, i int) (bool, error) {
 	case err != nil:
 		return false, err
 	case p.pairs != nil:
-		return true, p.pairs.aim(&p.w, b.slot(0).IDs[i], pv)
+		return true, p.pairs.aim(p.w, b.slot(0).IDs[i], pv)
 	}
 	p.w.reset(pv)
 	return true, nil
 }
 
-func (p *lengthViewProbe) walk(sink rowSink) (ExecStats, error) {
+func (p *lengthViewProbe) walk(ctx *execCtx, sink rowSink) (ExecStats, error) {
 	if p.pairs != nil {
-		return p.pairs.walk(&p.w, p.snap, p.covered, sink), nil
+		return p.pairs.walk(ctx, p.w, p.snap, p.covered, sink)
 	}
-	st := p.w.walk(p.snap, p.covered, func(row *relation.Row, d float64) { sink.take(&row.Tuple, d) })
-	if p.k > 0 {
+	st, err := p.w.walk(ctx, p.snap, p.covered, func(row *relation.Row, d float64) { sink.take(&row.Tuple, d) })
+	if p.k > 0 && err == nil {
 		observeVisited(mNearestVisitedSeq, st.Verifications, p.snap.Len())
 	}
-	return st, nil
+	return st, err
+}
+
+// walkPool recycles band walks, whose 2 KB Myers table a short
+// statement would otherwise allocate and zero every time.
+var walkPool = sync.Pool{New: func() any { return new(bandWalk) }}
+
+func (p *lengthViewProbe) release() {
+	if p.w != nil {
+		walkPool.Put(p.w)
+		p.w = nil
+	}
 }
 
 func (p *lengthViewProbe) rest() (outer, inner *relation.Tuple, d float64, ok bool) {
@@ -420,8 +428,8 @@ func (p *pairWalk) aim(w *bandWalk, id int, seq string) error {
 
 // walk emits the mirrors earlier probes left for the outer row, then
 // walks the inner rows of its length window whose id is above its own,
-// keeping each match's mirror.
-func (p *pairWalk) walk(w *bandWalk, snap *relation.Snapshot, covered bool, sink rowSink) ExecStats {
+// keeping each match's mirror, until ctx is done before a band.
+func (p *pairWalk) walk(ctx *execCtx, w *bandWalk, snap *relation.Snapshot, covered bool, sink rowSink) (ExecStats, error) {
 	var st ExecStats
 	x := p.x
 	for len(p.mirrors) > 0 && p.mirrors[0].oid == x.ID {
@@ -434,11 +442,14 @@ func (p *pairWalk) walk(w *bandWalk, snap *relation.Snapshot, covered bool, sink
 	}
 	bands, n, k := p.bands, len(w.target), w.ibound
 	for j := sort.Search(len(bands), func(j int) bool { return bands[j].Len >= n-k }); j < len(bands) && bands[j].Len <= n+k; j++ {
+		if err := ctx.err(); err != nil {
+			return st, err
+		}
 		from := p.skip(j, x.ID)
 		if j == p.own {
 			from++ // x itself
 		}
 		w.band(bands[j], from, snap, covered, emit, &st)
 	}
-	return st
+	return st, nil
 }

@@ -60,6 +60,9 @@ func (o *batchScanOp) OpenBatch() error {
 }
 
 func (o *batchScanOp) NextBatch() (*Batch, error) {
+	if err := o.ctx.err(); err != nil {
+		return nil, err
+	}
 	b := o.buf
 	b.rows = b.rows[:0]
 	n := o.cur.NextBlock(&b.Block, o.size)
@@ -231,7 +234,8 @@ func (l *matchList) run(ctx *execCtx, p probe, sink rowSink) error {
 	if err != nil {
 		return err
 	}
-	ws, err := p.walk(sink)
+	defer p.release()
+	ws, err := p.walk(ctx, sink)
 	st.add(ws)
 	l.last.add(st)
 	ctx.addStats(st)
@@ -474,7 +478,11 @@ func (o *batchProjectOp) number(cell int, num []byte) {
 	o.ends = append(o.ends, numCell{cell: cell, end: len(num)})
 }
 
-func (o *batchProjectOp) CloseBatch() error { return o.child.CloseBatch() }
+// CloseBatch drops the buffers, which a Result keeps until Plan renders.
+func (o *batchProjectOp) CloseBatch() error {
+	o.cells, o.num, o.ends = nil, nil, nil
+	return o.child.CloseBatch()
+}
 
 func (o *batchProjectOp) Describe() string {
 	if len(o.q.Select) == 0 {

@@ -12,6 +12,7 @@ package query
 // the brute-force model in oracle_model_test.go.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -71,7 +72,7 @@ func (p *batchPair) exec(t *testing.T, stmt string) *Result {
 	}
 	if positional(r) != positional(b) {
 		t.Fatalf("%q: rows diverge:\nblock 1:\n%s\nblock N:\n%s\nblock-1 plan:\n%s\nblock-N plan:\n%s",
-			stmt, positional(r), positional(b), r.Plan, b.Plan)
+			stmt, positional(r), positional(b), r.Plan(), b.Plan())
 	}
 	p.model.checkModel(t, stmt, b)
 	return r
@@ -367,7 +368,7 @@ func TestNearestModelCases(t *testing.T) {
 			p.exec(t, `INSERT INTO words (seq, tag) VALUES ("hhhh", "a")`)
 			for _, plan := range plans {
 				var c collector
-				res, err := c.result(plan.run(c.add))
+				res, err := c.result(plan.run(context.Background(), c.add))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -36,17 +36,17 @@ func TestExplainRootIsTheTopOperator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.HasPrefix(res.Plan, c.root+"\n") {
-			t.Errorf("%s: root is not %s:\n%s", c.stmt, c.root, res.Plan)
+		if !strings.HasPrefix(res.Plan(), c.root+"\n") {
+			t.Errorf("%s: root is not %s:\n%s", c.stmt, c.root, res.Plan())
 		}
 		for _, frag := range append(c.want, "└─ ") {
-			if !strings.Contains(res.Plan, frag) {
-				t.Errorf("%s: plan lacks %q:\n%s", c.stmt, frag, res.Plan)
+			if !strings.Contains(res.Plan(), frag) {
+				t.Errorf("%s: plan lacks %q:\n%s", c.stmt, frag, res.Plan())
 			}
 		}
 		for _, gone := range []string{"Vectorize(", "RowToBatch", "BatchToRow"} {
-			if strings.Contains(res.Plan, gone) {
-				t.Errorf("%s: plan still renders %q:\n%s", c.stmt, gone, res.Plan)
+			if strings.Contains(res.Plan(), gone) {
+				t.Errorf("%s: plan still renders %q:\n%s", c.stmt, gone, res.Plan())
 			}
 		}
 	}
@@ -90,8 +90,8 @@ func TestBatchLimitPushdownCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(filtered.Plan, "Scan(clust)") || filtered.Stats.Candidates >= 500 {
-		t.Errorf("filtered scan LIMIT 1 touched %d of 500 candidates:\n%s", filtered.Stats.Candidates, filtered.Plan)
+	if !strings.Contains(filtered.Plan(), "Scan(clust)") || filtered.Stats.Candidates >= 500 {
+		t.Errorf("filtered scan LIMIT 1 touched %d of 500 candidates:\n%s", filtered.Stats.Candidates, filtered.Plan())
 	}
 }
 

@@ -34,8 +34,8 @@ func TestPreparedThresholdCrossoverReplans(t *testing.T) {
 		{"[5, 5]", 8, 4},
 	} {
 		res := checkLikeFresh(t, e, pq.Text(), c.target, c.radius)
-		if !strings.Contains(res.Plan, "VecRange(items via vecview, radius=") || strings.Contains(res.Plan, "Scan(") {
-			t.Errorf("%s WITHIN %g plan = %q, want the vector view's VecRange", c.target, c.radius, res.Plan)
+		if !strings.Contains(res.Plan(), "VecRange(items via vecview, radius=") || strings.Contains(res.Plan(), "Scan(") {
+			t.Errorf("%s WITHIN %g plan = %q, want the vector view's VecRange", c.target, c.radius, res.Plan())
 		}
 		if len(res.Rows) != c.want {
 			t.Errorf("%s WITHIN %g: %d rows, want %d", c.target, c.radius, len(res.Rows), c.want)
@@ -54,15 +54,15 @@ func TestRangeCrossoverAnswersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Plan, "IndexRange(dict via lengthview") {
-		t.Fatalf("radius-4 plan should walk the length view, got:\n%s", res.Plan)
+	if !strings.Contains(res.Plan(), "IndexRange(dict via lengthview") {
+		t.Fatalf("radius-4 plan should walk the length view, got:\n%s", res.Plan())
 	}
 	scan, err := e.Execute(within + ` OR seq = "#" ORDER BY dist`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(scan.Plan, "Scan(") {
-		t.Fatalf("the OR conjunct should force a scan, got:\n%s", scan.Plan)
+	if !strings.Contains(scan.Plan(), "Scan(") {
+		t.Fatalf("the OR conjunct should force a scan, got:\n%s", scan.Plan())
 	}
 	if positional(res) != positional(scan) {
 		t.Errorf("band walk and scan disagree:\nwalk:\n%s\nscan:\n%s", positional(res), positional(scan))

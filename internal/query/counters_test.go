@@ -152,8 +152,8 @@ func TestWorkCountersPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if !strings.Contains(res.Plan, c.op) {
-			t.Errorf("%s: plan lacks %q:\n%s", c.name, c.op, res.Plan)
+		if !strings.Contains(res.Plan(), c.op) {
+			t.Errorf("%s: plan lacks %q:\n%s", c.name, c.op, res.Plan())
 		}
 		got := workCounts{len(res.Rows), res.Stats.Candidates, res.Stats.Verifications, res.Stats.Abandoned}
 		fmt.Fprintf(&dump, "%s: workCounts{%d, %d, %d, %d}\n", c.name, got.rows, got.cand, got.verif, got.abandoned)

@@ -100,8 +100,8 @@ func TestDeleteWithSimilarityUsesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Plan, "Mutate(delete from words)") || !strings.Contains(res.Plan, "IndexRange") {
-		t.Fatalf("explain plan = %q, want Mutate over IndexRange", res.Plan)
+	if !strings.Contains(res.Plan(), "Mutate(delete from words)") || !strings.Contains(res.Plan(), "IndexRange") {
+		t.Fatalf("explain plan = %q, want Mutate over IndexRange", res.Plan())
 	}
 
 	res, err = e.Execute(`DELETE FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING unit-edits`)

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -243,11 +244,25 @@ type Result struct {
 	// Rows holds every row when the statement ran through Execute; an
 	// execution into a RowSink (ExecuteTo) leaves it nil.
 	Rows  [][]string
-	Plan  string    // rendered operator tree; the whole payload for EXPLAIN
 	Stats ExecStats // work counters from the access paths
 	// Trace is the per-operator runtime span tree; non-nil only when the
 	// execution was traced (EXPLAIN ANALYZE, or SetTracing(true)).
 	Trace *obs.Span
+
+	plan string        // the plan text, once known
+	tree BatchOperator // the executed tree Plan renders on its first call
+}
+
+// Plan returns the statement's plan text: the executed operator tree,
+// the whole payload of an EXPLAIN, the span tree with actuals of an
+// EXPLAIN ANALYZE, or a DML statement's Mutate tree. An execution keeps
+// its operator tree, and with it the snapshot it read, until the first
+// call renders it, which must not race with another call.
+func (r *Result) Plan() string {
+	if r.tree != nil {
+		r.plan, r.tree = renderTree(r.tree), nil
+	}
+	return r.plan
 }
 
 // SetTracing toggles span collection for every subsequent execution.
@@ -329,19 +344,20 @@ func (e *Engine) Execute(src string) (*Result, error) {
 	return res, nil
 }
 
-// finishPlan drives a built plan to completion into sink, or renders it
-// for EXPLAIN. EXPLAIN ANALYZE takes the execution path: the statement
-// runs to completion with tracing on, the rows are exactly the plain
-// statement's (the analyze oracle pins that), and Plan carries the span
-// tree rendered with actuals instead of the static tree.
-func (e *Engine) finishPlan(q *Query, plan *compiledPlan, sink RowSink) (*Result, error) {
+// finishPlan drives a built plan to completion into sink under ctx, or
+// renders it for EXPLAIN. EXPLAIN ANALYZE takes the execution path: the
+// statement runs to completion with tracing on, the rows are exactly
+// the plain statement's (the analyze oracle pins that), and Plan
+// carries the span tree rendered with actuals instead of the static
+// tree.
+func (e *Engine) finishPlan(ctx context.Context, q *Query, plan *compiledPlan, sink RowSink) (*Result, error) {
 	if q.Explain && !q.Analyze {
 		return explainResult(plan.describe(), sink)
 	}
 	mQueriesTotal.Inc()
 	kernelDispatch(plan.kernel)
 	start := time.Now()
-	res, err := plan.run(sink)
+	res, err := plan.run(ctx, sink)
 	mQueryLatency.Observe(time.Since(start).Seconds())
 	if err != nil {
 		return nil, err
@@ -349,7 +365,7 @@ func (e *Engine) finishPlan(q *Query, plan *compiledPlan, sink RowSink) (*Result
 	if plan.ctx.traced {
 		res.Trace = plan.extractTrace()
 		if q.Analyze && res.Trace != nil {
-			res.Plan = res.Trace.Render()
+			res.plan, res.tree = res.Trace.Render(), nil
 		}
 	}
 	return res, nil
@@ -358,7 +374,7 @@ func (e *Engine) finishPlan(q *Query, plan *compiledPlan, sink RowSink) (*Result
 // explainResult sends an EXPLAIN's one-row, one-column result — the
 // rendered tree — through sink.
 func explainResult(tree string, sink RowSink) (*Result, error) {
-	return singleRow(&Result{Columns: []string{"plan"}, Plan: tree}, tree, sink)
+	return singleRow(&Result{Columns: []string{"plan"}, plan: tree}, tree, sink)
 }
 
 // singleRow sends the one-cell row of a one-column result through sink.

@@ -254,7 +254,7 @@ func (e *Engine) applyOps(ops []storage.Op) (int, error) {
 // sent through sink, plus the read-phase work counters and the executed
 // plan tree.
 func mutationResult(count int, stats ExecStats, plan string, sink RowSink) (*Result, error) {
-	return singleRow(&Result{Columns: []string{"count"}, Stats: stats, Plan: plan}, strconv.Itoa(count), sink)
+	return singleRow(&Result{Columns: []string{"count"}, Stats: stats, plan: plan}, strconv.Itoa(count), sink)
 }
 
 // mutationTree renders a Mutate root over its read plan.
@@ -266,8 +266,3 @@ func mutationTree(root, readPlan string) string {
 	}
 	return tree
 }
-
-// IsMutation reports whether the prepared statement is DML. Servers
-// route writes by it onto a no-abandon execution path: a write must
-// never be reported failed while its commit proceeds.
-func (pq *PreparedQuery) IsMutation() bool { return pq.mut != nil }

@@ -72,8 +72,8 @@ func TestRangeQueryUsesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	if !strings.Contains(res.Plan, "IndexRange") {
-		t.Errorf("plan = %q, want IndexRange", res.Plan)
+	if !strings.Contains(res.Plan(), "IndexRange") {
+		t.Errorf("plan = %q, want IndexRange", res.Plan())
 	}
 	got := seqsOf(res)
 	want := []string{"color", "colon", "colour", "dolor"}
@@ -95,8 +95,8 @@ func TestRangeQueryMatchesScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(scan.Plan, "Scan") {
-		t.Errorf("plan = %q, want Scan", scan.Plan)
+	if !strings.Contains(scan.Plan(), "Scan") {
+		t.Errorf("plan = %q, want Scan", scan.Plan())
 	}
 	a, b := seqsOf(idx), seqsOf(scan)
 	if strings.Join(a, ",") != strings.Join(b, ",") {
@@ -110,8 +110,8 @@ func TestWeightedRangeQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Plan, "Scan") {
-		t.Errorf("plan = %q, want Scan for weighted rule set", res.Plan)
+	if !strings.Contains(res.Plan(), "Scan") {
+		t.Errorf("plan = %q, want Scan for weighted rule set", res.Plan())
 	}
 	got := seqsOf(res)
 	// colour -> color: delete u (0.2). color itself: 0.
@@ -151,8 +151,8 @@ func TestAttributeFilter(t *testing.T) {
 	if len(res.Rows) == 0 {
 		t.Error("no rows")
 	}
-	if !strings.Contains(res.Plan, "Filter") {
-		t.Errorf("plan %q lacks Filter", res.Plan)
+	if !strings.Contains(res.Plan(), "Filter") {
+		t.Errorf("plan %q lacks Filter", res.Plan())
 	}
 }
 
@@ -204,8 +204,8 @@ func TestNearestQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Plan, "NearestK") {
-		t.Errorf("plan = %q", res.Plan)
+	if !strings.Contains(res.Plan(), "NearestK") {
+		t.Errorf("plan = %q", res.Plan())
 	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(res.Rows))
@@ -225,8 +225,8 @@ func TestNearestScanWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Plan, "NearestK(words, k=2, ruleset=cheap_vowels)  (kernel=targetdp)") {
-		t.Errorf("plan = %q", res.Plan)
+	if !strings.Contains(res.Plan(), "NearestK(words, k=2, ruleset=cheap_vowels)  (kernel=targetdp)") {
+		t.Errorf("plan = %q", res.Plan())
 	}
 	if len(res.Rows) != 2 || res.Rows[0][0] != "color" || res.Rows[1][0] != "colour" {
 		t.Fatalf("rows = %v", res.Rows)
@@ -244,15 +244,15 @@ func TestJoinIndexVsNested(t *testing.T) {
 	}
 	// Unit-cost joins over seq probe the inner length view; weighted
 	// rule sets scan the inner side, verifying every pair.
-	if !strings.Contains(idx.Plan, "IndexJoin(probe a.seq into lengthview(b)") {
-		t.Errorf("plan = %q", idx.Plan)
+	if !strings.Contains(idx.Plan(), "IndexJoin(probe a.seq into lengthview(b)") {
+		t.Errorf("plan = %q", idx.Plan())
 	}
 	nested, err := e.Execute(`SELECT a.seq, b.seq FROM words a, words b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING cheap_vowels AND a.id != b.id`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(nested.Plan, "NestedLoopJoin(b, on") {
-		t.Errorf("plan = %q", nested.Plan)
+	if !strings.Contains(nested.Plan(), "NestedLoopJoin(b, on") {
+		t.Errorf("plan = %q", nested.Plan())
 	}
 	// Index join at radius 1 with unit edits: color~colour? distance 1
 	// yes; color~colon 1; color~dolor 1; colour~velour 2 no.

@@ -5,6 +5,7 @@ package query
 // the result header.
 
 import (
+	"context"
 	"strings"
 	"sync"
 
@@ -51,10 +52,29 @@ func fromIndexStats(st index.Stats) ExecStats {
 // execCtx is shared by every operator of one executing query.
 type execCtx struct {
 	eng    *Engine
-	traced bool // collect per-operator spans (EXPLAIN ANALYZE / engine tracing)
+	traced bool            // collect per-operator spans (EXPLAIN ANALYZE / engine tracing)
+	ctx    context.Context // the execution's; its cancellation points read it (err)
 
 	mu    sync.Mutex
 	stats ExecStats
+}
+
+// newExecCtx returns the context of one execution of q, under
+// context.Background until run says otherwise.
+func (e *Engine) newExecCtx(q *Query) *execCtx {
+	return &execCtx{eng: e, traced: q.Analyze || e.tracing.Load(), ctx: context.Background()}
+}
+
+// err is the cancellation point: ctx's error once it is done, nil
+// before. The scan and the run loop read it per block, the band walks
+// per band and the join per outer row, never per row.
+func (c *execCtx) err() error {
+	select {
+	case <-c.ctx.Done():
+		return c.ctx.Err()
+	default:
+		return nil
+	}
 }
 
 // addStats merges an operator's local counters; safe for concurrent use
@@ -86,7 +106,7 @@ type compiledPlan struct {
 	columns []string
 }
 
-// describe renders the operator tree for EXPLAIN and Result.Plan.
+// describe renders the operator tree for EXPLAIN.
 func (p *compiledPlan) describe() string { return renderTree(p.root) }
 
 // RowSink receives a statement's rows one block at a time, in order,
@@ -128,19 +148,22 @@ func (c *collector) result(res *Result, err error) (*Result, error) {
 	return res, nil
 }
 
-// run drives the operator tree to completion, handing each block's
-// projected rows to sink. The result carries the header, the plan and
-// the work counters; its Rows are left to the sink.
-func (p *compiledPlan) run(sink RowSink) (*Result, error) {
-	res := &Result{Columns: p.columns, Plan: p.describe()}
+// run drives the operator tree to completion under ctx, handing each
+// block's projected rows to sink. The result carries the header, the
+// tree Result.Plan renders and the work counters; its Rows are left to
+// the sink.
+func (p *compiledPlan) run(ctx context.Context, sink RowSink) (*Result, error) {
+	p.ctx.ctx = ctx
 	if err := p.root.OpenBatch(); err != nil {
 		p.root.CloseBatch()
 		return nil, err
 	}
 	for {
 		b, err := p.root.NextBatch()
-		if err == nil && b != nil && len(b.rows) > 0 {
-			err = sink(p.columns, b.rows)
+		if err == nil && b != nil {
+			if err = p.ctx.err(); err == nil && len(b.rows) > 0 {
+				err = sink(p.columns, b.rows)
+			}
 		}
 		if err != nil {
 			p.root.CloseBatch()
@@ -153,8 +176,7 @@ func (p *compiledPlan) run(sink RowSink) (*Result, error) {
 	if err := p.root.CloseBatch(); err != nil {
 		return nil, err
 	}
-	res.Stats = p.ctx.snapshot()
-	return res, nil
+	return &Result{Columns: p.columns, Stats: p.ctx.snapshot(), tree: p.root}, nil
 }
 
 // renderTree renders an operator tree with box-drawing indentation; an

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -380,8 +381,8 @@ func TestThreeWayJoinCycleEdge(t *testing.T) {
 	if want := [][]string{{"0", "0", "0", "1"}}; !reflect.DeepEqual(res.Rows, want) {
 		t.Errorf("vector cycle join rows = %v, want %v", res.Rows, want)
 	}
-	if !strings.Contains(res.Plan, "Filter(a.vec SIMILAR TO c.vec") {
-		t.Errorf("the cycle edge is not a residual filter:\n%s", res.Plan)
+	if !strings.Contains(res.Plan(), "Filter(a.vec SIMILAR TO c.vec") {
+		t.Errorf("the cycle edge is not a residual filter:\n%s", res.Plan())
 	}
 }
 
@@ -404,8 +405,8 @@ func TestLimitPushdownIndexCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(full.Plan, "IndexRange(clust via lengthview") {
-		t.Fatalf("plan = %q, want the length-view index range", full.Plan)
+	if !strings.Contains(full.Plan(), "IndexRange(clust via lengthview") {
+		t.Fatalf("plan = %q, want the length-view index range", full.Plan())
 	}
 	if len(full.Rows) < 100 || full.Stats.Candidates < 100 {
 		t.Fatalf("weak test premise: %d rows, %d candidates", len(full.Rows), full.Stats.Candidates)
@@ -454,8 +455,8 @@ func TestParallelScanDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parallel %q: %v", src, err)
 		}
-		if !strings.Contains(par.Plan, "GatherMerge(shards=4, workers=4, merge=id)") {
-			t.Fatalf("parallel plan for %q did not shard:\n%s", src, par.Plan)
+		if !strings.Contains(par.Plan(), "GatherMerge(shards=4, workers=4, merge=id)") {
+			t.Fatalf("parallel plan for %q did not shard:\n%s", src, par.Plan())
 		}
 		if !reflect.DeepEqual(serial.Rows, par.Rows) {
 			t.Errorf("parallel result differs from serial for %q:\nserial %v\nparallel %v", src, serial.Rows, par.Rows)
@@ -472,8 +473,8 @@ func TestParallelScanDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
-		if strings.Contains(res.Plan, "GatherMerge") {
-			t.Errorf("%q should plan serial, got:\n%s", src, res.Plan)
+		if strings.Contains(res.Plan(), "GatherMerge") {
+			t.Errorf("%q should plan serial, got:\n%s", src, res.Plan())
 		}
 	}
 }
@@ -526,5 +527,54 @@ func TestNonSeqSimilarityCorrect(t *testing.T) {
 	}
 	if len(res.Rows) != 4 {
 		t.Errorf("rows = %d (%v), want the 4 en words", len(res.Rows), res.Rows)
+	}
+}
+
+// TestPlanRendersOnDemand: an execution keeps its operator tree and
+// renders no text until Result.Plan is called, and then renders what
+// EXPLAIN of the same statement does — traced or not, serial or sliced.
+// An EXPLAIN ANALYZE result carries its span tree as fixed text.
+func TestPlanRendersOnDemand(t *testing.T) {
+	target := metric.Format(randVec(rand.New(rand.NewSource(2)), 8))
+	stmts := []string{
+		`SELECT id, dist FROM words WHERE seq SIMILAR TO "abcdef" WITHIN 2 USING edits ORDER BY dist DESC LIMIT 5`,
+		`SELECT * FROM words WHERE seq NEAREST 4 TO "abcdef" USING edits`,
+		fmt.Sprintf(`SELECT id FROM items WHERE vec SIMILAR TO %s WITHIN 2 USING l2`, target),
+		`SELECT id, seq FROM words WHERE seq SIMILAR TO PATTERN "(a|b)*c" WITHIN 1 USING edits ORDER BY dist`,
+		`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id`,
+		`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.alt) <= 0 USING edits LIMIT 3`,
+	}
+	for _, slices := range []int{1, 2} {
+		e := cancelEngine(t, slices)
+		for _, traced := range []bool{false, true} {
+			e.SetTracing(traced)
+			for _, stmt := range stmts {
+				pq, err := e.Prepare(stmt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := pq.Explain()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := pq.Execute()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.plan != "" || res.tree == nil {
+					t.Fatalf("%s: the execution rendered its plan before it was read", stmt)
+				}
+				if got := res.Plan(); got != want || res.Plan() != want || res.tree != nil {
+					t.Fatalf("slices %d, traced %v, %s:\nPlan()\n%s\nEXPLAIN\n%s", slices, traced, stmt, got, want)
+				}
+				analyzed, err := e.Execute("EXPLAIN ANALYZE " + stmt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if analyzed.tree != nil || analyzed.Plan() != analyzed.Trace.Render() {
+					t.Fatalf("%s: EXPLAIN ANALYZE's plan is not its span tree:\n%s", stmt, analyzed.Plan())
+				}
+			}
+		}
 	}
 }

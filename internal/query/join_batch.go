@@ -68,13 +68,16 @@ func (o *batchJoinOp) OpenBatch() error {
 }
 
 // probe finds the inner matches of outer row i of b and leaves them
-// id-sorted in o.matches.
+// id-sorted in o.matches, unless the execution's context is done.
 func (o *batchJoinOp) probe(b *Batch, i int) error {
 	o.matches, o.mpos = o.matches[:0], 0
+	if err := o.ctx.err(); err != nil {
+		return err
+	}
 	ok, err := o.p.aim(b, i)
 	if ok {
 		var st ExecStats
-		st, err = o.p.walk(o)
+		st, err = o.p.walk(o.ctx, o)
 		o.local.add(st)
 	}
 	if err != nil {
@@ -158,6 +161,7 @@ func (b *Batch) appendPair(outer, inner *relation.Tuple, d float64, has bool) {
 }
 
 func (o *batchJoinOp) CloseBatch() error {
+	o.p.release()
 	o.last.add(o.local)
 	o.ctx.addStats(o.local)
 	o.local = ExecStats{}
@@ -215,7 +219,7 @@ func (e *Engine) buildJoin(q *Query, d *planDecision, tabs []*relation.Relation)
 	}
 	pairs := e.symmetricSelfJoin(d, relOf, slots)
 
-	ctx := &execCtx{eng: e, traced: q.Analyze || e.tracing.Load()}
+	ctx := e.newExecCtx(q)
 	size := e.batchLeafSize(q)
 	// chain builds the join chain over one stream of the start relation.
 	// The estimate follows the decided join order with the same formula

@@ -18,6 +18,7 @@ package query
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -150,17 +151,17 @@ func (p *joinOraclePair) checkJoin(t *testing.T, stmt, op string, want []string)
 		if err != nil {
 			t.Fatalf("engine %d %q: %v", i, stmt, err)
 		}
-		if !strings.Contains(res.Plan, op) {
-			t.Fatalf("engine %d %q does not run %s:\n%s", i, stmt, op, res.Plan)
+		if !strings.Contains(res.Plan(), op) {
+			t.Fatalf("engine %d %q does not run %s:\n%s", i, stmt, op, res.Plan())
 		}
-		if e == p.parallel && !strings.Contains(res.Plan, "GatherMerge(shards=4, workers=4, merge=id)") {
-			t.Fatalf("parallel engine %q: the chain does not run under the gather:\n%s", stmt, res.Plan)
+		if e == p.parallel && !strings.Contains(res.Plan(), "GatherMerge(shards=4, workers=4, merge=id)") {
+			t.Fatalf("parallel engine %q: the chain does not run under the gather:\n%s", stmt, res.Plan())
 		}
 		if first == nil {
 			first = res
 		} else if positional(first) != positional(res) {
 			t.Fatalf("join diverges byte-wise for %q:\nserial block 1:\n%s\nengine %d (block %d):\n%s\nplan:\n%s",
-				stmt, positional(first), i, e.BatchSize(), positional(res), res.Plan)
+				stmt, positional(first), i, e.BatchSize(), positional(res), res.Plan())
 		}
 	}
 	wantRes := &Result{}
@@ -323,13 +324,13 @@ func TestJoinOracleLimit(t *testing.T) {
 				if len(res.Rows) != lim {
 					t.Fatalf("engine %d %q: %d rows", i, stmt, len(res.Rows))
 				}
-				if strings.Contains(res.Plan, "GatherMerge") {
-					t.Fatalf("engine %d %q: a LIMIT without ORDER BY runs under a gather:\n%s", i, stmt, res.Plan)
+				if strings.Contains(res.Plan(), "GatherMerge") {
+					t.Fatalf("engine %d %q: a LIMIT without ORDER BY runs under a gather:\n%s", i, stmt, res.Plan())
 				}
 				if first == nil {
 					first = res
 				} else if positional(first) != positional(res) {
-					t.Fatalf("engine %d %q diverges:\n%s\nvs\n%s\nplan:\n%s", i, stmt, positional(res), positional(first), res.Plan)
+					t.Fatalf("engine %d %q diverges:\n%s\nvs\n%s\nplan:\n%s", i, stmt, positional(res), positional(first), res.Plan())
 				}
 			}
 		}
@@ -568,15 +569,15 @@ func checkSymmetric(t *testing.T, engines []symEngine, stmt string, full bool, w
 		if err != nil {
 			t.Fatalf("%d slices, block %d, %q: %v", se.slices, se.block, stmt, err)
 		}
-		if !strings.Contains(res.Plan, "IndexJoin(probe a.seq into lengthview(b), on") || !strings.Contains(res.Plan, ", symmetric)") {
-			t.Fatalf("%d slices, block %d, %q: no symmetric walk:\n%s", se.slices, se.block, stmt, res.Plan)
+		if !strings.Contains(res.Plan(), "IndexJoin(probe a.seq into lengthview(b), on") || !strings.Contains(res.Plan(), ", symmetric)") {
+			t.Fatalf("%d slices, block %d, %q: no symmetric walk:\n%s", se.slices, se.block, stmt, res.Plan())
 		}
-		if sliced := strings.Contains(res.Plan, fmt.Sprintf("GatherMerge(shards=%d,", se.slices)); full && se.slices > 1 && !sliced {
-			t.Fatalf("%d slices, %q: the chain does not run under the gather:\n%s", se.slices, stmt, res.Plan)
+		if sliced := strings.Contains(res.Plan(), fmt.Sprintf("GatherMerge(shards=%d,", se.slices)); full && se.slices > 1 && !sliced {
+			t.Fatalf("%d slices, %q: the chain does not run under the gather:\n%s", se.slices, stmt, res.Plan())
 		}
 		if got := positional(res); got != strings.Join(want, "\n") {
 			t.Fatalf("%d slices, block %d, %q diverges from the brute force:\ngot:\n%s\nwant:\n%s\nplan:\n%s",
-				se.slices, se.block, stmt, got, strings.Join(want, "\n"), res.Plan)
+				se.slices, se.block, stmt, got, strings.Join(want, "\n"), res.Plan())
 		}
 		if first == nil {
 			first = res
@@ -671,12 +672,12 @@ func TestJoinSymmetricSlicesEven(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := &collector{}
-		res, err := c.result(plan.run(c.add))
+		res, err := c.result(plan.run(context.Background(), c.add))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(res.Plan, ", symmetric)") || positional(res) != positional(serial) {
-			t.Fatalf("%d slices: rows diverge from the serial plan or the join is not symmetric:\n%s", n, res.Plan)
+		if !strings.Contains(res.Plan(), ", symmetric)") || positional(res) != positional(serial) {
+			t.Fatalf("%d slices: rows diverge from the serial plan or the join is not symmetric:\n%s", n, res.Plan())
 		}
 		// Each slice's candidates: the counters of its pipeline under the
 		// gather.
@@ -741,8 +742,8 @@ func TestJoinSymmetricQualifies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", c.stmt, err)
 		}
-		if !strings.Contains(res.Plan, c.want) || strings.Contains(res.Plan, "symmetric") {
-			t.Fatalf("%q: want %s and no symmetric walk:\n%s", c.stmt, c.want, res.Plan)
+		if !strings.Contains(res.Plan(), c.want) || strings.Contains(res.Plan(), "symmetric") {
+			t.Fatalf("%q: want %s and no symmetric walk:\n%s", c.stmt, c.want, res.Plan())
 		}
 	}
 
@@ -754,7 +755,7 @@ func TestJoinSymmetricQualifies(t *testing.T) {
 	if _, err := distinct.Execute(failing); err == nil || !strings.Contains(err.Error(), `unknown alias "z"`) {
 		t.Fatalf("%q: err %v, want the unknown alias", failing, err)
 	}
-	if res, err := distinct.Execute("EXPLAIN " + failing); err != nil || strings.Contains(res.Plan, "symmetric") {
+	if res, err := distinct.Execute("EXPLAIN " + failing); err != nil || strings.Contains(res.Plan(), "symmetric") {
 		t.Fatalf("EXPLAIN %q: %v, want no symmetric walk", failing, err)
 	}
 }
@@ -883,11 +884,11 @@ func TestJoinOracleDistEdge(t *testing.T) {
 				}
 				// The two rows alone join over the seq edge first, the
 				// padded table over the vec edge.
-				if first := map[bool]string{false: "into lengthview(", true: "into vecview("}[padded]; i < 2 && !strings.Contains(res.Plan, first) {
-					t.Errorf("padded=%v %q does not join %s first:\n%s", padded, c.stmt, first, res.Plan)
+				if first := map[bool]string{false: "into lengthview(", true: "into vecview("}[padded]; i < 2 && !strings.Contains(res.Plan(), first) {
+					t.Errorf("padded=%v %q does not join %s first:\n%s", padded, c.stmt, first, res.Plan())
 				}
 				if got := canonical(res); got != c.want {
-					t.Errorf("padded=%v %q:\ngot\n%s\nwant\n%s\nplan:\n%s", padded, c.stmt, got, c.want, res.Plan)
+					t.Errorf("padded=%v %q:\ngot\n%s\nwant\n%s\nplan:\n%s", padded, c.stmt, got, c.want, res.Plan())
 				}
 			}
 		}

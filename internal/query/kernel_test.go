@@ -35,8 +35,8 @@ func TestExplainShowsKernelDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(res.Plan, tc.op) || !strings.Contains(res.Plan, "kernel="+tc.kernel) {
-			t.Errorf("%s: want %s with kernel=%s:\n%s", tc.stmt, tc.op, tc.kernel, res.Plan)
+		if !strings.Contains(res.Plan(), tc.op) || !strings.Contains(res.Plan(), "kernel="+tc.kernel) {
+			t.Errorf("%s: want %s with kernel=%s:\n%s", tc.stmt, tc.op, tc.kernel, res.Plan())
 		}
 	}
 }
@@ -85,8 +85,8 @@ func TestRuleAlphabetOneDistance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("slices=%d %s: %v", slices, tc.stmt, err)
 			}
-			if got := positional(res); got != tc.want || !strings.Contains(res.Plan, tc.op) {
-				t.Errorf("slices=%d %s:\ngot:\n%s\nwant (%s):\n%s\nplan:\n%s", slices, tc.stmt, got, tc.op, tc.want, res.Plan)
+			if got := positional(res); got != tc.want || !strings.Contains(res.Plan(), tc.op) {
+				t.Errorf("slices=%d %s:\ngot:\n%s\nwant (%s):\n%s\nplan:\n%s", slices, tc.stmt, got, tc.op, tc.want, res.Plan())
 			}
 		}
 	}
@@ -123,16 +123,16 @@ func TestProbeStepKernels(t *testing.T) {
 		}
 		for op, kernel := range c.lines {
 			found := false
-			for _, line := range strings.Split(res.Plan, "\n") {
+			for _, line := range strings.Split(res.Plan(), "\n") {
 				if strings.Contains(line, op) {
 					found = true
 					if !strings.HasSuffix(line, "(kernel="+kernel+")") {
-						t.Errorf("%s: %s does not run %s:\n%s", c.stmt, op, kernel, res.Plan)
+						t.Errorf("%s: %s does not run %s:\n%s", c.stmt, op, kernel, res.Plan())
 					}
 				}
 			}
 			if !found {
-				t.Errorf("%s: no %s in the plan:\n%s", c.stmt, op, res.Plan)
+				t.Errorf("%s: no %s in the plan:\n%s", c.stmt, op, res.Plan())
 			}
 		}
 	}

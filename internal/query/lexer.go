@@ -123,7 +123,7 @@ type token struct {
 // lex tokenises the query source. Keywords remain tokIdent; the parser
 // matches them case-insensitively.
 func lex(src string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(src)/4)
 	i := 0
 	for i < len(src) {
 		c := src[i]

@@ -377,7 +377,7 @@ func (mr *modelResult) check(t testing.TB, stmt string, res *Result) {
 		want[i] = strings.Join(r, "\x1f")
 	}
 	if got := positional(res); got != strings.Join(want, "\n") {
-		t.Fatalf("%q diverges from the model:\ngot:\n%s\nwant:\n%s\nplan:\n%s", stmt, got, strings.Join(want, "\n"), res.Plan)
+		t.Fatalf("%q diverges from the model:\ngot:\n%s\nwant:\n%s\nplan:\n%s", stmt, got, strings.Join(want, "\n"), res.Plan())
 	}
 }
 

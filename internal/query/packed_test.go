@@ -87,6 +87,15 @@ func packedTargets(rng *rand.Rand, rows []string) []string {
 	return out
 }
 
+// newBandWalk returns a walk for target with no bound. unit must be
+// unitCost of calc's rule set, which the registry computes once per
+// rule set.
+func newBandWalk(calc *editdp.Calculator, unit bool, target string) *bandWalk {
+	w := &bandWalk{}
+	w.init(calc, unit, target)
+	return w
+}
+
 // perRowWalk is the band walk before rows were packed: each row that
 // passes the signature test is verified alone by w.verify, with the
 // bound re-read per row.
@@ -143,7 +152,7 @@ func TestKernelPackedWalkMatchesPerRow(t *testing.T) {
 				var got, want []string
 				w := newBandWalk(ent.calc, ent.unit, q)
 				w.setBound(float64(r))
-				gst := w.walk(snap, covered, func(row *relation.Row, d float64) {
+				gst, _ := w.walk(e.newExecCtx(&Query{}), snap, covered, func(row *relation.Row, d float64) {
 					got = append(got, fmt.Sprintf("%d:%g", row.ID, d))
 				})
 				wst := perRowWalk(w, snap, covered, func(row *relation.Row, d float64) {

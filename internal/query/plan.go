@@ -147,7 +147,8 @@ func (e *Engine) decide(q *Query, rels []*relation.Relation) (*planDecision, err
 }
 
 // bandKernel names the kernel a band walk runs for target: Myers where
-// it computes the rule set's distance (the newBandWalk condition),
+// it computes the rule set's distance (the condition bandWalk.resetSig
+// tests),
 // TargetDP otherwise.
 func bandKernel(c *editdp.Calculator, target string) string {
 	if c != nil && c.Unit() && c.Covers(target) {
@@ -320,7 +321,7 @@ func (e *Engine) buildPlan(q *Query, d *planDecision, tabs []*relation.Relation)
 	}
 	snap := tab.Snapshot()
 	st := shardStats(tab.Stats(), d.slices)
-	ctx := &execCtx{eng: e, traced: q.Analyze || e.tracing.Load()}
+	ctx := e.newExecCtx(q)
 	alias := q.From[0].Alias
 	slots := slotMap{alias}
 	size := e.batchLeafSize(q)

@@ -92,11 +92,11 @@ func TestBenchmarkPlanSkeletons(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.workload, err)
 		}
-		if got := strings.Join(planSkeleton(res.Plan), " "); got != c.skeleton {
-			t.Errorf("%s: plan skeleton %q, the benchmark was measured on %q:\n%s", c.workload, got, c.skeleton, res.Plan)
+		if got := strings.Join(planSkeleton(res.Plan()), " "); got != c.skeleton {
+			t.Errorf("%s: plan skeleton %q, the benchmark was measured on %q:\n%s", c.workload, got, c.skeleton, res.Plan())
 		}
-		if !strings.Contains(res.Plan, c.want) {
-			t.Errorf("%s: plan lacks %q:\n%s", c.workload, c.want, res.Plan)
+		if !strings.Contains(res.Plan(), c.want) {
+			t.Errorf("%s: plan lacks %q:\n%s", c.workload, c.want, res.Plan())
 		}
 	}
 }
@@ -194,11 +194,11 @@ func TestIndexAndNestedLoopJoins(t *testing.T) {
 				if err != nil {
 					t.Fatalf("slices=%d block=%d %s: %v", slices, block, c.stmt, err)
 				}
-				if !strings.Contains(res.Plan, c.op) {
-					t.Fatalf("slices=%d block=%d %s: not planned as %s:\n%s", slices, block, c.stmt, c.op, res.Plan)
+				if !strings.Contains(res.Plan(), c.op) {
+					t.Fatalf("slices=%d block=%d %s: not planned as %s:\n%s", slices, block, c.stmt, c.op, res.Plan())
 				}
-				if (slices > 1) != strings.Contains(res.Plan, "GatherMerge(shards=4") {
-					t.Fatalf("slices=%d block=%d %s: gather placement:\n%s", slices, block, c.stmt, res.Plan)
+				if (slices > 1) != strings.Contains(res.Plan(), "GatherMerge(shards=4") {
+					t.Fatalf("slices=%d block=%d %s: gather placement:\n%s", slices, block, c.stmt, res.Plan())
 				}
 				if got := canonical(res); got != strings.Join(c.want, "\n") {
 					t.Fatalf("slices=%d block=%d %s diverges from brute force:\ngot:\n%s\nwant:\n%s",
@@ -254,8 +254,8 @@ func TestJoinProbeIsCapability(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", stmt, err)
 			}
-			if !strings.Contains(res.Plan, c.probe) {
-				t.Errorf("%s: want %s:\n%s", stmt, c.probe, res.Plan)
+			if !strings.Contains(res.Plan(), c.probe) {
+				t.Errorf("%s: want %s:\n%s", stmt, c.probe, res.Plan())
 			}
 		}
 	}

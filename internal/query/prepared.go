@@ -12,6 +12,7 @@ package query
 // plans and builds its own operator tree, so they share no lock.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -122,48 +123,50 @@ func (pq *PreparedQuery) ParamNames() []string {
 // its rows into Result.Rows.
 func (pq *PreparedQuery) Execute(args ...any) (*Result, error) {
 	var c collector
-	return c.result(pq.ExecuteTo(c.add, args...))
+	return c.result(pq.ExecuteTo(context.Background(), c.add, args...))
 }
 
 // ExecuteNamed is Execute with named arguments.
 func (pq *PreparedQuery) ExecuteNamed(args map[string]any) (*Result, error) {
 	var c collector
-	return c.result(pq.ExecuteNamedTo(c.add, args))
+	return c.result(pq.ExecuteNamedTo(context.Background(), c.add, args))
 }
 
 // ExecuteTo binds positional arguments and runs the statement, handing
 // its rows to sink one block at a time as the plan produces them; the
-// returned Result carries everything but the rows.
-func (pq *PreparedQuery) ExecuteTo(sink RowSink, args ...any) (*Result, error) {
-	return pq.run(pq.positionalLookup(args), false, sink)
+// returned Result carries everything but the rows. A read stops with
+// ctx's error at its next cancellation point once ctx is done; DML runs
+// to completion, so its outcome always says whether it committed.
+func (pq *PreparedQuery) ExecuteTo(ctx context.Context, sink RowSink, args ...any) (*Result, error) {
+	return pq.run(ctx, pq.positionalLookup(args), false, sink)
 }
 
 // ExecuteNamedTo is ExecuteTo with named arguments.
-func (pq *PreparedQuery) ExecuteNamedTo(sink RowSink, args map[string]any) (*Result, error) {
-	return pq.run(pq.namedLookup(args), false, sink)
+func (pq *PreparedQuery) ExecuteNamedTo(ctx context.Context, sink RowSink, args map[string]any) (*Result, error) {
+	return pq.run(ctx, pq.namedLookup(args), false, sink)
 }
 
 // Explain binds positional arguments and returns the plan the engine
 // would execute, without running it.
 func (pq *PreparedQuery) Explain(args ...any) (string, error) {
-	res, err := pq.run(pq.positionalLookup(args), true, discardRows)
+	res, err := pq.run(context.Background(), pq.positionalLookup(args), true, discardRows)
 	if err != nil {
 		return "", err
 	}
-	return res.Plan, nil
+	return res.Plan(), nil
 }
 
 // ExplainNamed is Explain with named arguments.
 func (pq *PreparedQuery) ExplainNamed(args map[string]any) (string, error) {
-	res, err := pq.run(pq.namedLookup(args), true, discardRows)
+	res, err := pq.run(context.Background(), pq.namedLookup(args), true, discardRows)
 	if err != nil {
 		return "", err
 	}
-	return res.Plan, nil
+	return res.Plan(), nil
 }
 
 // Analyzed reports whether the statement is an EXPLAIN ANALYZE, whose
-// Result.Plan is the executed span tree rather than the static plan.
+// Result.Plan() is the executed span tree rather than the static plan.
 func (pq *PreparedQuery) Analyzed() bool { return pq.tmpl != nil && pq.tmpl.Analyze }
 
 func (pq *PreparedQuery) positionalLookup(args []any) func(ParamRef) (any, error) {
@@ -196,7 +199,7 @@ func (pq *PreparedQuery) namedLookup(args map[string]any) func(ParamRef) (any, e
 // statement is never executed twice. The execution lexed and parsed
 // nothing, so its PlanCacheHit is true; Engine.Execute reports its own
 // statement-cache lookup instead.
-func (pq *PreparedQuery) run(lookup func(ParamRef) (any, error), explain bool, sink RowSink) (*Result, error) {
+func (pq *PreparedQuery) run(ctx context.Context, lookup func(ParamRef) (any, error), explain bool, sink RowSink) (*Result, error) {
 	if pq.mut != nil {
 		return pq.runMutation(lookup, explain, sink)
 	}
@@ -213,7 +216,7 @@ func (pq *PreparedQuery) run(lookup func(ParamRef) (any, error), explain bool, s
 	if err != nil {
 		return nil, err
 	}
-	res, err := pq.eng.finishPlan(q, plan, sink)
+	res, err := pq.eng.finishPlan(ctx, q, plan, sink)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -52,7 +53,7 @@ func checkLikeFresh(t *testing.T, e *Engine, src string, args ...any) *Result {
 	}
 	got, gotPlan := run(e)
 	want, wantPlan := run(freshEngine(t, e))
-	if gotPlan != wantPlan || got.Plan != want.Plan {
+	if gotPlan != wantPlan || got.Plan() != want.Plan() {
 		t.Fatalf("%s %v: EXPLAIN differs from a fresh engine's:\n%s\nfresh:\n%s", src, args, gotPlan, wantPlan)
 	}
 	if !reflect.DeepEqual(got.Rows, want.Rows) {
@@ -475,8 +476,8 @@ func TestReregisteredRuleSetReplans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(res.Plan, "IndexRange(words via lengthview") || len(res.Rows) < 2 || res.Stats.PlanCacheHit != (i == 1) {
-			t.Fatalf("run %d: want the band walk with several matches, cached on the second run:\n%s\n%v", i, res.Plan, res.Rows)
+		if !strings.Contains(res.Plan(), "IndexRange(words via lengthview") || len(res.Rows) < 2 || res.Stats.PlanCacheHit != (i == 1) {
+			t.Fatalf("run %d: want the band walk with several matches, cached on the second run:\n%s\n%v", i, res.Plan(), res.Rows)
 		}
 	}
 	var doubled []rewrite.Rule
@@ -488,8 +489,8 @@ func TestReregisteredRuleSetReplans(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := checkLikeFresh(t, e, stmt)
-	if !strings.Contains(res.Plan, "Scan(words)") || strings.Contains(res.Plan, "IndexRange") {
-		t.Fatalf("a weighted unit-edits still plans the band walk:\n%s", res.Plan)
+	if !strings.Contains(res.Plan(), "Scan(words)") || strings.Contains(res.Plan(), "IndexRange") {
+		t.Fatalf("a weighted unit-edits still plans the band walk:\n%s", res.Plan())
 	}
 	// Every edit now costs 2, so only the exact match is within 1.
 	if len(res.Rows) != 1 || res.Rows[0][0] != "color" || res.Rows[0][1] != "0" {
@@ -623,8 +624,8 @@ func TestPreparedKernelFollowsBinding(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if literal.Plan != plan {
-				t.Errorf("%s bound to %q:\n%s\nthe literal statement plans:\n%s", stmt, c.target, plan, literal.Plan)
+			if literal.Plan() != plan {
+				t.Errorf("%s bound to %q:\n%s\nthe literal statement plans:\n%s", stmt, c.target, plan, literal.Plan())
 			}
 			before := dispatched(c.kernel)
 			if _, err := pq.Execute(c.target); err != nil {
@@ -749,7 +750,7 @@ func TestExecuteToStreamsBlocks(t *testing.T) {
 	}
 	var blocks int
 	var got [][]string
-	res, err := pq.ExecuteTo(func(cols []string, rows [][]string) error {
+	res, err := pq.ExecuteTo(context.Background(), func(cols []string, rows [][]string) error {
 		if !reflect.DeepEqual(cols, want.Columns) || len(rows) == 0 || len(rows) > 2 {
 			t.Fatalf("block %d: columns %v, %d rows", blocks, cols, len(rows))
 		}
@@ -768,7 +769,7 @@ func TestExecuteToStreamsBlocks(t *testing.T) {
 
 	stop := fmt.Errorf("sink full")
 	calls := 0
-	_, err = pq.ExecuteTo(func([]string, [][]string) error {
+	_, err = pq.ExecuteTo(context.Background(), func([]string, [][]string) error {
 		calls++
 		if calls == 2 {
 			return stop

@@ -55,8 +55,11 @@ type probe interface {
 	// setBound lowers the inclusive bound of the rest of the walk.
 	setBound(bound float64)
 	// walk hands every visible row within the bound to sink, which may
-	// lower the bound, and returns the walk's work counters.
-	walk(sink rowSink) (ExecStats, error)
+	// lower the bound, and returns the walk's work counters; it stops
+	// with ctx's error at a band or view node after ctx is done.
+	walk(ctx *execCtx, sink rowSink) (ExecStats, error)
+	// release returns what open took from a pool, once walking is over.
+	release()
 	// rest pops a match the probe still holds after the outer side ended
 	// (the symmetric walk's mirrors that a later slice owns).
 	rest() (outer, inner *relation.Tuple, d float64, ok bool)
@@ -93,6 +96,7 @@ func (*probeBase) ensure(*relation.Relation)     {}
 func (*probeBase) bind(slotMap) error            { return nil }
 func (*probeBase) aim(*Batch, int) (bool, error) { return true, nil }
 func (*probeBase) setBound(float64)              {}
+func (*probeBase) release()                      {}
 func (*probeBase) fallible() bool                { return false }
 func (b *probeBase) join() bool                  { return b.field.Name != "" }
 
@@ -221,17 +225,18 @@ func (p *vecViewProbe) aim(b *Batch, i int) (bool, error) {
 	return p.target != nil, nil
 }
 
-func (p *vecViewProbe) walk(sink rowSink) (ExecStats, error) {
-	st := fromIndexStats(p.snap.VecWalk(p.m, p.target, &p.bound, func(rows []*relation.Row, ds []float64) {
+func (p *vecViewProbe) walk(ctx *execCtx, sink rowSink) (ExecStats, error) {
+	ist, err := p.snap.VecWalk(ctx.ctx, p.m, p.target, &p.bound, func(rows []*relation.Row, ds []float64) {
 		for i, row := range rows {
 			sink.take(&row.Tuple, ds[i])
 		}
-	}))
-	if p.k > 0 {
+	})
+	st := fromIndexStats(ist)
+	if p.k > 0 && err == nil {
 		// Only vector-bearing rows are ever verified.
 		observeVisited(mNearestVisitedVec, st.Verifications, p.snap.Stats().VecCount)
 	}
-	return st, nil
+	return st, err
 }
 
 func (p *vecViewProbe) explain(shard, order string) string {
@@ -327,7 +332,7 @@ func (p *scanProbe) aim(b *Batch, i int) (ok bool, err error) {
 
 // walk verifies the probe value against the inner rows: the length
 // band of a unit-cost edge, every row otherwise.
-func (p *scanProbe) walk(sink rowSink) (ExecStats, error) {
+func (p *scanProbe) walk(_ *execCtx, sink rowSink) (ExecStats, error) {
 	var st ExecStats
 	pv, radius := p.pv, p.sim.Radius
 	rows := p.inner

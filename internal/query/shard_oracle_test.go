@@ -292,12 +292,12 @@ func shardOracleParity(t *testing.T, shards, block int) {
 						ordered := strings.Contains(suffix, "ORDER BY")
 						gathered := scan && p.slices > 1 && (ordered || !strings.Contains(suffix, "LIMIT"))
 						switch {
-						case !gathered && a.Plan != b.Plan:
-							t.Fatalf("%s%s: the engines plan differently:\n%s\n%s", s, suffix, a.Plan, b.Plan)
-						case gathered && !strings.Contains(b.Plan, fmt.Sprintf("GatherMerge(shards=%d", p.slices)):
-							t.Fatalf("%s%s: the parallel scan does not run under the gather:\n%s", s, suffix, b.Plan)
-						case gathered && ordered && !strings.Contains(b.Plan, "OrderByDist"):
-							t.Fatalf("%s%s: no OrderByDist above the gather:\n%s", s, suffix, b.Plan)
+						case !gathered && a.Plan() != b.Plan():
+							t.Fatalf("%s%s: the engines plan differently:\n%s\n%s", s, suffix, a.Plan(), b.Plan())
+						case gathered && !strings.Contains(b.Plan(), fmt.Sprintf("GatherMerge(shards=%d", p.slices)):
+							t.Fatalf("%s%s: the parallel scan does not run under the gather:\n%s", s, suffix, b.Plan())
+						case gathered && ordered && !strings.Contains(b.Plan(), "OrderByDist"):
+							t.Fatalf("%s%s: no OrderByDist above the gather:\n%s", s, suffix, b.Plan())
 						}
 						if positional(a) != positional(b) {
 							t.Fatalf("%s%s diverges:\nserial:\n%s\nparallel:\n%s", s, suffix, positional(a), positional(b))

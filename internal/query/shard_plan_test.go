@@ -122,8 +122,8 @@ func TestShardedJoinBroadcast(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.stmt, err)
 		}
-		if strings.Contains(got.Plan, "GatherMerge(shards=2") != c.gather || !strings.Contains(got.Plan, "IndexJoin(") {
-			t.Fatalf("%s: want gather %v over an IndexJoin chain:\n%s", c.stmt, c.gather, got.Plan)
+		if strings.Contains(got.Plan(), "GatherMerge(shards=2") != c.gather || !strings.Contains(got.Plan(), "IndexJoin(") {
+			t.Fatalf("%s: want gather %v over an IndexJoin chain:\n%s", c.stmt, c.gather, got.Plan())
 		}
 		want, err := serial.Execute(c.stmt)
 		if err != nil {
@@ -147,8 +147,8 @@ func TestShardedLimitPushdown(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("LIMIT 2 returned %d rows", len(res.Rows))
 	}
-	if strings.Contains(res.Plan, "GatherMerge") {
-		t.Fatalf("LIMIT without ORDER BY runs under a gather:\n%s", res.Plan)
+	if strings.Contains(res.Plan(), "GatherMerge") {
+		t.Fatalf("LIMIT without ORDER BY runs under a gather:\n%s", res.Plan())
 	}
 	// Every tuple matches the filter: the scan should touch far fewer
 	// than all rows.
@@ -175,23 +175,23 @@ func TestPlanCacheShardCountChange(t *testing.T) {
 	if !res.Stats.PlanCacheHit {
 		t.Fatal("second execution should hit the plan cache")
 	}
-	if strings.Contains(res.Plan, "GatherMerge") {
-		t.Fatalf("a table under the threshold runs a gather plan:\n%s", res.Plan)
+	if strings.Contains(res.Plan(), "GatherMerge") {
+		t.Fatalf("a table under the threshold runs a gather plan:\n%s", res.Plan())
 	}
 
 	// Re-register the name with a table past the threshold: the very
 	// next execution plans two slices.
 	e.Catalog().Add(wordsRel(200))
 	res = checkLikeFresh(t, e, stmt)
-	if !strings.Contains(res.Plan, "GatherMerge(shards=2") {
-		t.Fatalf("re-planned query did not adopt the larger table:\n%s", res.Plan)
+	if !strings.Contains(res.Plan(), "GatherMerge(shards=2") {
+		t.Fatalf("re-planned query did not adopt the larger table:\n%s", res.Plan())
 	}
 
 	// Going back under the threshold plans serially again.
 	e.Catalog().Add(wordsRel(100))
 	res = checkLikeFresh(t, e, stmt)
-	if strings.Contains(res.Plan, "GatherMerge") {
-		t.Fatalf("a table under the threshold still executes a gather plan:\n%s", res.Plan)
+	if strings.Contains(res.Plan(), "GatherMerge") {
+		t.Fatalf("a table under the threshold still executes a gather plan:\n%s", res.Plan())
 	}
 }
 
@@ -208,16 +208,16 @@ func TestPlanCacheShardedMutationChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Stats.PlanCacheHit || strings.Contains(res.Plan, "GatherMerge") {
-		t.Fatalf("warm execution: cache hit %v, plan:\n%s", res.Stats.PlanCacheHit, res.Plan)
+	if !res.Stats.PlanCacheHit || strings.Contains(res.Plan(), "GatherMerge") {
+		t.Fatalf("warm execution: cache hit %v, plan:\n%s", res.Stats.PlanCacheHit, res.Plan())
 	}
 	before := len(res.Rows)
 	if _, err := e.Execute(`INSERT INTO words (seq, tag) VALUES ("abcj", "1")`); err != nil {
 		t.Fatal(err)
 	}
 	res = checkLikeFresh(t, e, stmt)
-	if len(res.Rows) != before+1 || !strings.Contains(res.Plan, "GatherMerge(shards=4") {
-		t.Fatalf("after the insert: %d rows (want %d), plan:\n%s", len(res.Rows), before+1, res.Plan)
+	if len(res.Rows) != before+1 || !strings.Contains(res.Plan(), "GatherMerge(shards=4") {
+		t.Fatalf("after the insert: %d rows (want %d), plan:\n%s", len(res.Rows), before+1, res.Plan())
 	}
 }
 

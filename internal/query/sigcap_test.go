@@ -149,8 +149,8 @@ func TestBandWalkSigCapOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", stmt, err)
 			}
-			if !strings.Contains(res.Plan, op) {
-				t.Fatalf("%s: plan has no %s:\n%s", stmt, op, res.Plan)
+			if !strings.Contains(res.Plan(), op) {
+				t.Fatalf("%s: plan has no %s:\n%s", stmt, op, res.Plan())
 			}
 			return res
 		}

@@ -81,8 +81,8 @@ func TestWALReplayAndIndexIdentity10k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(exp.Plan, "IndexRange") {
-		t.Fatalf("range query not index-backed: %s", exp.Plan)
+	if !strings.Contains(exp.Plan(), "IndexRange") {
+		t.Fatalf("range query not index-backed: %s", exp.Plan())
 	}
 
 	// 10k interleaved ops: most through the store's write path, a

@@ -102,8 +102,8 @@ func TestVecNearestBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan.Plan, "VecNearestK(items via vecview, k=2, metric=l2)") {
-		t.Fatalf("l2 NEAREST plan:\n%s", plan.Plan)
+	if !strings.Contains(plan.Plan(), "VecNearestK(items via vecview, k=2, metric=l2)") {
+		t.Fatalf("l2 NEAREST plan:\n%s", plan.Plan())
 	}
 
 	// Cosine walks the same view, pruned by the chord.
@@ -111,8 +111,8 @@ func TestVecNearestBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan.Plan, "VecNearestK(items via vecview, k=2, metric=cosine)") {
-		t.Fatalf("cosine NEAREST plan:\n%s", plan.Plan)
+	if !strings.Contains(plan.Plan(), "VecNearestK(items via vecview, k=2, metric=cosine)") {
+		t.Fatalf("cosine NEAREST plan:\n%s", plan.Plan())
 	}
 }
 
@@ -166,8 +166,8 @@ func TestVecWithinBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan.Plan, "VecRange(items via vecview, radius=1.5, metric=l2)") {
-		t.Fatalf("l2 WITHIN plan:\n%s", plan.Plan)
+	if !strings.Contains(plan.Plan(), "VecRange(items via vecview, radius=1.5, metric=l2)") {
+		t.Fatalf("l2 WITHIN plan:\n%s", plan.Plan())
 	}
 
 	// dist projects the metric's value for matched rows.
@@ -198,8 +198,8 @@ func TestVecExplainKernelLabels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.stmt, err)
 		}
-		if !strings.Contains(res.Plan, "("+tc.want+")") {
-			t.Errorf("%s:\nplan %q lacks %q", tc.stmt, res.Plan, tc.want)
+		if !strings.Contains(res.Plan(), "("+tc.want+")") {
+			t.Errorf("%s:\nplan %q lacks %q", tc.stmt, res.Plan(), tc.want)
 		}
 	}
 }
@@ -230,8 +230,8 @@ func TestVecShardedExplain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(plan.Plan, c.want) {
-			t.Fatalf("%s: plan lacks %q:\n%s", c.stmt, c.want, plan.Plan)
+		if !strings.Contains(plan.Plan(), c.want) {
+			t.Fatalf("%s: plan lacks %q:\n%s", c.stmt, c.want, plan.Plan())
 		}
 	}
 }
@@ -489,7 +489,7 @@ func TestVecShardBatchOracleParity(t *testing.T) {
 								}
 								if got := fmt.Sprint(res.Rows); got != want {
 									t.Fatalf("%s: NEAREST diverges for %s\ngot:  %s\nwant: %s\nplan:\n%s",
-										cfgs[i].name, stmt+c.suffix, got, want, res.Plan)
+										cfgs[i].name, stmt+c.suffix, got, want, res.Plan())
 								}
 							}
 						}
@@ -515,7 +515,7 @@ func TestVecShardBatchOracleParity(t *testing.T) {
 										}
 										if got := fmt.Sprint(res.Rows); got != fmt.Sprint(want) {
 											t.Fatalf("%s: WITHIN diverges for %s\ngot:  %s\nwant: %s\nplan:\n%s",
-												cfgs[i].name, stmt, got, fmt.Sprint(want), res.Plan)
+												cfgs[i].name, stmt, got, fmt.Sprint(want), res.Plan())
 										}
 									}
 								}
@@ -668,11 +668,11 @@ func TestVecViewNoFalseDismissal(t *testing.T) {
 				}
 				got := &Result{Rows: res.Rows}
 				wantRes := &Result{Rows: want}
-				if !strings.Contains(res.Plan, access) {
-					t.Fatalf("%s does not plan %s:\n%s", stmt, access, res.Plan)
+				if !strings.Contains(res.Plan(), access) {
+					t.Fatalf("%s does not plan %s:\n%s", stmt, access, res.Plan())
 				}
 				if sorted && canonical(got) != canonical(wantRes) || !sorted && positional(got) != positional(wantRes) {
-					t.Fatalf("%s diverges from the brute-force scan\ngot:  %v\nwant: %v\nplan:\n%s", stmt, res.Rows, want, res.Plan)
+					t.Fatalf("%s diverges from the brute-force scan\ngot:  %v\nwant: %v\nplan:\n%s", stmt, res.Rows, want, res.Plan())
 				}
 			}
 			for _, q := range targets {
@@ -787,10 +787,10 @@ func TestVecRangeDistIsFirstSimilarity(t *testing.T) {
 					}
 					if got := positional(res); got != c.want {
 						t.Fatalf("slices=%d %s%s: dist is not the first conjunct's:\ngot:\n%s\nwant:\n%s\nplan:\n%s",
-							slices, p.stmt, c.suffix, got, c.want, res.Plan)
+							slices, p.stmt, c.suffix, got, c.want, res.Plan())
 					}
-					if slices == 1 && c.suffix == "" && !strings.Contains(res.Plan, p.access) {
-						t.Fatalf("r=%g %s no longer plans %s:\n%s", r, p.stmt, p.access, res.Plan)
+					if slices == 1 && c.suffix == "" && !strings.Contains(res.Plan(), p.access) {
+						t.Fatalf("r=%g %s no longer plans %s:\n%s", r, p.stmt, p.access, res.Plan())
 					}
 				}
 			}
@@ -853,8 +853,8 @@ func TestDistBeforeServedConjunct(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(res.Plan, c.access) {
-				t.Fatalf("slices=%d %s no longer plans %s:\n%s", slices, c.stmt, c.access, res.Plan)
+			if !strings.Contains(res.Plan(), c.access) {
+				t.Fatalf("slices=%d %s no longer plans %s:\n%s", slices, c.stmt, c.access, res.Plan())
 			}
 			if res, err := e.Execute(c.stmt); !errors.Is(err, errNoDist) {
 				t.Fatalf("slices=%d %s: want %v, got %v, reply %v", slices, c.stmt, errNoDist, err, res)
@@ -969,8 +969,8 @@ func TestVecViewFollowsRegister(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", c.view, err)
 			}
-			if !strings.Contains(got.Plan, c.access) {
-				t.Fatalf("%s does not plan %s:\n%s", c.view, c.access, got.Plan)
+			if !strings.Contains(got.Plan(), c.access) {
+				t.Fatalf("%s does not plan %s:\n%s", c.view, c.access, got.Plan())
 			}
 			want := &Result{}
 			if c.scan == "" {
@@ -984,8 +984,8 @@ func TestVecViewFollowsRegister(t *testing.T) {
 				}
 			} else if want, err = e.Execute(c.scan); err != nil {
 				t.Fatalf("%s: %v", c.scan, err)
-			} else if strings.Contains(want.Plan, "vecview") {
-				t.Fatalf("%s is no scan:\n%s", c.scan, want.Plan)
+			} else if strings.Contains(want.Plan(), "vecview") {
+				t.Fatalf("%s is no scan:\n%s", c.scan, want.Plan())
 			}
 			if len(want.Rows) < 2 || canonical(got) != canonical(want) {
 				t.Fatalf("metric ×%g: %s\ngot  %v\nthe scan's %v", k, c.view, got.Rows, want.Rows)

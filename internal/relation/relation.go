@@ -39,6 +39,7 @@ package relation
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"maps"
@@ -784,14 +785,15 @@ func (s *Snapshot) VPTree(m metric.Distance) *index.VPTree {
 // view is a superset of the snapshot, and reading it through the
 // snapshot keeps the two paired: a view installed after the snapshot
 // was taken may hold built rows born later, which the walk would not
-// filter.
-func (s *Snapshot) VecWalk(m metric.Distance, q metric.Vector, bound *float64, emit func(rows []*Row, dists []float64)) index.Stats {
+// filter. Once ctx is done the walk stops before its next node and
+// returns ctx's error with the work done so far.
+func (s *Snapshot) VecWalk(ctx context.Context, m metric.Distance, q metric.Vector, bound *float64, emit func(rows []*Row, dists []float64)) (index.Stats, error) {
 	m, gen := viewMetric(m)
 	v := s.h.vvs[m.Name()]
 	if v == nil || v.gen != gen {
 		v = buildVecView(m, gen, s.h.rows)
 	}
-	return v.walk(s, q, bound, emit)
+	return v.walk(ctx, s, q, bound, emit)
 }
 
 // LengthView returns a length-ordered view whose entries form a
@@ -809,7 +811,8 @@ func (s *Snapshot) LengthView() *LengthView {
 // Alphabet returns, in ascending order, every byte that occurs in some
 // row visible at this snapshot.
 func (s *Snapshot) Alphabet() string {
-	var b []byte
+	var buf [256]byte
+	b := buf[:0]
 	for c, n := range s.h.byteRows {
 		if n > 0 {
 			b = append(b, byte(c))
@@ -1047,27 +1050,32 @@ func Load(name string, rd io.Reader) (*Relation, error) {
 	return r, nil
 }
 
-// parseLine reads one line of the Store codec.
+// parseLine reads one line of the Store codec. The row's strings are
+// copies, not substrings of text: a row must not keep its whole line
+// alive, which for a vector row holds the literal's text, about twice
+// the size of the parsed vector.
 func parseLine(text string) (InsertRow, error) {
-	parts := strings.Split(text, "\t")
-	in := InsertRow{Seq: parts[0]}
-	for _, p := range parts[1:] {
-		eq := strings.IndexByte(p, '=')
-		if eq < 0 {
+	seq, rest, more := strings.Cut(text, "\t")
+	in := InsertRow{Seq: strings.Clone(seq)}
+	for more {
+		var p string
+		p, rest, more = strings.Cut(rest, "\t")
+		k, v, ok := strings.Cut(p, "=")
+		if !ok {
 			return InsertRow{}, fmt.Errorf("bad attribute %q", p)
 		}
-		if p[:eq] == "vec" {
-			v, err := metric.Parse(p[eq+1:])
+		if k == "vec" {
+			vec, err := metric.Parse(v)
 			if err != nil {
 				return InsertRow{}, err
 			}
-			in.Vec = v
+			in.Vec = vec
 			continue
 		}
 		if in.Attrs == nil {
 			in.Attrs = make(map[string]string)
 		}
-		in.Attrs[p[:eq]] = p[eq+1:]
+		in.Attrs[strings.Clone(k)] = strings.Clone(v)
 	}
 	return in, nil
 }

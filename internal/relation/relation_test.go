@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/metric"
 )
@@ -278,6 +279,35 @@ func TestLoadMatchesLineByLine(t *testing.T) {
 			}
 			if got := dumpRelation(r); got != want {
 				t.Fatalf("GOMAXPROCS %d, %d bytes: Load differs from the line-by-line insert\ngot:\n%.2000s\nwant:\n%.2000s", procs, len(text), got, want)
+			}
+		}
+	}
+}
+
+// TestLoadedRowsOwnTheirStrings: a loaded row's sequence and attribute
+// keys and values are copies, not substrings of its input line, so the
+// relation does not keep every line's text alive (a vector row's line
+// holds the whole literal).
+func TestLoadedRowsOwnTheirStrings(t *testing.T) {
+	inside := func(s, line string) bool {
+		if s == "" {
+			return false
+		}
+		p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(line)))
+		return p >= lo && p < lo+uintptr(len(line))
+	}
+	for _, line := range []string{"w1\tvec=[1, 2.5, -3]\tk=v", "w2\tsrc=a=b\tdate=7", "\tvec=[0.5]\tcluster=3", "word"} {
+		line = strings.Clone(line) // a line of its own, as the scanner's are
+		in, err := parseLine(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inside(in.Seq, line) {
+			t.Errorf("%q: Seq %q shares the line", line, in.Seq)
+		}
+		for k, v := range in.Attrs {
+			if inside(k, line) || inside(v, line) {
+				t.Errorf("%q: attribute %s=%s shares the line", line, k, v)
 			}
 		}
 	}

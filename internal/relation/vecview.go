@@ -2,6 +2,7 @@ package relation
 
 import (
 	"cmp"
+	"context"
 	"math"
 	"runtime"
 	"slices"
@@ -411,8 +412,9 @@ type vecPending struct {
 // and without tombstones it is alive there too, the argument
 // Cursor.allLive makes. Inserted rows may postdate snap and are always
 // checked. Snapshot.VecWalk is the only caller, which keeps the view
-// and the snapshot paired.
-func (v *VecView) walk(snap *Snapshot, q metric.Vector, bound *float64, emit func(rows []*Row, dists []float64)) index.Stats {
+// and the snapshot paired. The walk reads ctx before each node it
+// visits and stops with ctx's error once it is done.
+func (v *VecView) walk(ctx context.Context, snap *Snapshot, q metric.Vector, bound *float64, emit func(rows []*Row, dists []float64)) (index.Stats, error) {
 	var st index.Stats
 	var dists [vecLeaf]float64
 	var rows [vecLeaf]*Row
@@ -465,6 +467,7 @@ func (v *VecView) walk(snap *Snapshot, q metric.Vector, bound *float64, emit fun
 	last, reach := math.NaN(), math.Inf(1)
 	var stack [vecStackCap]vecPending
 	stack[0] = vecPending{node: 0, bound: math.Inf(-1)}
+	done := ctx.Done()
 	for sp := 1; sp > 0; {
 		if v.p != nil && *bound != last {
 			last = *bound
@@ -475,6 +478,11 @@ func (v *VecView) walk(snap *Snapshot, q metric.Vector, bound *float64, emit fun
 		if p.bound > reach {
 			st.Pruned++
 			continue
+		}
+		select {
+		case <-done:
+			return st, ctx.Err()
+		default:
 		}
 		n := &v.nodes[p.node]
 		st.Nodes++
@@ -515,7 +523,7 @@ func (v *VecView) walk(snap *Snapshot, q metric.Vector, bound *float64, emit fun
 		stack[sp], stack[sp+1] = far, near // near pops first
 		sp += 2
 	}
-	return st
+	return st, nil
 }
 
 // pending is the child node i of a node whose vantage is at distance d

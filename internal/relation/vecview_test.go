@@ -2,6 +2,7 @@ package relation
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -49,7 +50,10 @@ func bruteVec(m metric.Distance, snaps []*Snapshot, q metric.Vector) []vecHit {
 type walkFunc func(bound *float64, emit func(rows []*Row, dists []float64)) index.Stats
 
 func snapWalk(m metric.Distance, s *Snapshot, q metric.Vector) walkFunc {
-	return func(bound *float64, emit func([]*Row, []float64)) index.Stats { return s.VecWalk(m, q, bound, emit) }
+	return func(bound *float64, emit func([]*Row, []float64)) index.Stats {
+		st, _ := s.VecWalk(context.Background(), m, q, bound, emit)
+		return st
+	}
 }
 
 // viewRange runs a range walk over every snapshot's view and returns
@@ -58,7 +62,7 @@ func viewRange(m metric.Distance, snaps []*Snapshot, q metric.Vector, r float64)
 	var out []vecHit
 	for _, s := range snaps {
 		bound := r
-		s.VecWalk(m, q, &bound, func(rows []*Row, ds []float64) {
+		s.VecWalk(context.Background(), m, q, &bound, func(rows []*Row, ds []float64) {
 			for i, row := range rows {
 				out = append(out, vecHit{row.ID, ds[i]})
 			}
@@ -239,7 +243,10 @@ func TestVecViewWorkRepeats(t *testing.T) {
 	q := metric.Vector{3, 3, 3}
 	a, b := buildVecView(l2, 0, snap.h.rows), buildVecView(l2, 0, snap.h.rows)
 	walk := func(v *VecView) walkFunc {
-		return func(bound *float64, emit func([]*Row, []float64)) index.Stats { return v.walk(snap, q, bound, emit) }
+		return func(bound *float64, emit func([]*Row, []float64)) index.Stats {
+			st, _ := v.walk(context.Background(), snap, q, bound, emit)
+			return st
+		}
 	}
 	for _, k := range []int{1, 10} {
 		_, sa := nearestK(walk(a), k)
@@ -557,5 +564,50 @@ func TestVecViewBuildDeterministic(t *testing.T) {
 		} else if d := viewDiff(want, v); d != "" {
 			t.Fatalf("rebuild after a doubling at GOMAXPROCS %d differs: %s", procs, d)
 		}
+	}
+}
+
+// TestVecWalkCancel: a view walk whose context is cancelled from inside
+// its first leaf visits no further node. Every leaf is visited by a
+// walk with an unbounded bound (a NEAREST before its list fills); the
+// cancelled walk returns the context's error, having emitted at most
+// that one leaf's rows and visited fewer nodes than the whole walk.
+func TestVecWalkCancel(t *testing.T) {
+	l2, _ := metric.Lookup("l2")
+	rng := rand.New(rand.NewSource(49))
+	r := New("v")
+	rows := make([]InsertRow, 4000)
+	for i := range rows {
+		rows[i] = InsertRow{Vec: clusteredVec(rng)}
+	}
+	r.InsertBatch(rows)
+	r.VecView(l2)
+	snap := r.Snapshot()
+	q := metric.Vector{3, 3, 3}
+	walk := func(ctx context.Context, emit func()) (index.Stats, int, error) {
+		n, bound := 0, math.Inf(1)
+		st, err := snap.VecWalk(ctx, l2, q, &bound, func(rows []*Row, _ []float64) {
+			n += len(rows)
+			emit()
+		})
+		return st, n, err
+	}
+	full, all, err := walk(context.Background(), func() {})
+	if err != nil || all != snap.Stats().VecCount {
+		t.Fatalf("whole walk: %d rows, %v", all, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st, n, err := walk(ctx, cancel)
+	if err != context.Canceled {
+		t.Fatalf("cancelled walk returned %v, want %v", err, context.Canceled)
+	}
+	if n == 0 || n > vecLeaf || st.Nodes >= full.Nodes {
+		t.Fatalf("cancelled walk emitted %d rows over %d nodes; the whole walk visits %d nodes, a leaf holds at most %d rows",
+			n, st.Nodes, full.Nodes, vecLeaf)
+	}
+	// A context done before the walk starts stops it before the root.
+	if st, n, err := walk(ctx, func() {}); err != context.Canceled || n != 0 || st.Nodes != 0 {
+		t.Fatalf("walk under a done context: %d rows, %d nodes, %v", n, st.Nodes, err)
 	}
 }

@@ -85,8 +85,8 @@ func TestFacadeQueryLanguage(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Errorf("rows = %v", res.Rows)
 	}
-	if !strings.Contains(res.Plan, "IndexRange") {
-		t.Errorf("plan = %q", res.Plan)
+	if !strings.Contains(res.Plan(), "IndexRange") {
+		t.Errorf("plan = %q", res.Plan())
 	}
 	q, err := ParseQuery(`SELECT * FROM words LIMIT 1`)
 	if err != nil || q.Limit != 1 {
