@@ -78,6 +78,9 @@ func TestCancelStopsEveryRead(t *testing.T) {
 	}{
 		{"band walk", 1, `SELECT id, dist FROM words WHERE seq SIMILAR TO "abcdef" WITHIN 100 USING edits`,
 			"IndexRange(words via lengthview"},
+		// k covers every row, so the bound stays +Inf for the whole walk.
+		{"unbounded band walk", 1, `SELECT id, dist FROM words WHERE seq NEAREST 6000 TO "abcdef" USING edits`,
+			"NearestK(words"},
 		{"vector view", 1, fmt.Sprintf(`SELECT id, dist FROM items WHERE vec NEAREST 3000 TO %s USING l2`, target),
 			"VecNearestK(items via vecview"},
 		{"pattern scan", 1, `SELECT id, seq FROM words WHERE seq SIMILAR TO PATTERN "(a|b|c|d|e)*" WITHIN 2 USING edits`,
